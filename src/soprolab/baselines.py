@@ -17,11 +17,11 @@ from .errors import ConfigurationError, ParameterError
 from .loss import batch_grad
 from .optimizer import (
     PURPOSE_GRAD,
-    PURPOSE_INIT,
     NetworkState,
     RunConfig,
     SubstreamPool,
-    substream,
+    draw_batch,
+    initial_iterates,
 )
 from .topology import Graph, MatrixP
 from . import certificate as cert
@@ -85,37 +85,38 @@ def _step_size(config: RunConfig, k: int) -> float:
 
 
 def _batch_grads(x, datasets, config, round_idx, pool=None):
-    n = x.shape[0]
     grads = np.empty_like(x)
-    for i in range(n):
-        C = datasets[i].n_samples
-        G = config.batch_g
-        if G == C:
-            idx = np.arange(C)
-        else:
-            rng = (
-                pool.at(i, round_idx, PURPOSE_GRAD)
-                if pool is not None
-                else substream(config.seed, i, round_idx, PURPOSE_GRAD)
-            )
-            idx = np.sort(rng.choice(C, size=G, replace=False))
-        grads[i] = batch_grad(x[i], datasets[i], idx)
+    for i, ds in enumerate(datasets):
+        idx = draw_batch(
+            ds.n_samples, config.batch_g, config.seed, i, round_idx, PURPOSE_GRAD, pool
+        )
+        grads[i] = batch_grad(x[i], ds, idx)
     return grads
 
 
 def dsgd_round(
-    state: NetworkState, W: MixingMatrix, datasets, config: RunConfig, pool=None
+    state: NetworkState,
+    W: MixingMatrix,
+    datasets,
+    config: RunConfig,
+    n_edges: int,
+    pool=None,
 ) -> None:
     """One synchronous round: mix neighbor iterates, step along the batch gradient."""
     step = _step_size(config, state.round)
     grads = _batch_grads(state.x, datasets, config, state.round, pool=pool)
     state.x = W.matrix @ state.x - step * grads
-    state.comm_scalars += 2 * _n_edges(W) * state.dim
+    state.comm_scalars += 2 * n_edges * state.dim
     state.round += 1
 
 
 def dsgt_round(
-    state: NetworkState, W: MixingMatrix, datasets, config: RunConfig, pool=None
+    state: NetworkState,
+    W: MixingMatrix,
+    datasets,
+    config: RunConfig,
+    n_edges: int,
+    pool=None,
 ) -> None:
     """One gradient-tracking round; iterates and trackers are both exchanged."""
     step = _step_size(config, state.round)
@@ -123,29 +124,14 @@ def dsgt_round(
     grads = _batch_grads(state.x, datasets, config, state.round + 1, pool=pool)
     state.tracker = W.matrix @ state.tracker + grads - state._last_grads
     state._last_grads = grads
-    state.comm_scalars += 2 * 2 * _n_edges(W) * state.dim
+    state.comm_scalars += 2 * 2 * n_edges * state.dim
     state.round += 1
-
-
-def _n_edges(W: MixingMatrix) -> int:
-    off = W.matrix.copy()
-    np.fill_diagonal(off, 0.0)
-    return int(np.count_nonzero(np.triu(off)))
 
 
 def init_baseline(P: MatrixP, datasets, config: RunConfig) -> NetworkState:
     """Shared initial iterates with the proximal engine (same seed, same x0)."""
-    n = P.n_agents
-    if len(datasets) != n:
-        raise ConfigurationError(f"{len(datasets)} datasets for {n} agents")
-    config.validate(n_samples=min(ds.n_samples for ds in datasets))
-    d = datasets[0].dim
-    if config.x0_mode == "zeros":
-        x = np.zeros((n, d))
-    else:
-        x = np.empty((n, d))
-        for i in range(n):
-            x[i] = substream(config.seed, i, 0, PURPOSE_INIT).uniform(-1.0, 1.0, d)
+    x = initial_iterates(P, datasets, config)
+    n, d = x.shape
     state = NetworkState(
         x=x,
         q=np.zeros((n, d)),
@@ -165,13 +151,14 @@ def run_baseline(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> Netwo
     if config.algorithm not in ("dsgd", "dsgt"):
         raise ConfigurationError(f"run_baseline() got {config.algorithm!r}")
     W = metropolis_weights(P.graph)
+    n_edges = P.graph.n_edges
     state = init_baseline(P, datasets, config)
     pool = SubstreamPool(config.seed)
     step_fn = dsgd_round if config.algorithm == "dsgd" else dsgt_round
     for cb in callbacks:
         cb(0, state)
     for _ in range(config.max_iters):
-        step_fn(state, W, datasets, config, pool=pool)
+        step_fn(state, W, datasets, config, n_edges, pool=pool)
         for cb in callbacks:
             cb(state.round, state)
     return state

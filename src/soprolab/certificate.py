@@ -23,7 +23,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .errors import CertificationError, InvariantViolation, ParameterError
 from .loss import SmoothnessBounds
-from .topology import MatrixP, spectral_summary
+from .topology import MatrixP
 
 __all__ = [
     "ProximalBlocks",
@@ -127,19 +127,6 @@ class ProximalBlocks:
     @property
     def n_agents(self) -> int:
         return len(self.alphas) if self.is_scalar else self.blocks.shape[0]
-
-    def agent_matrix(self, i: int, dim: int) -> np.ndarray:
-        if self.is_scalar:
-            return self.alphas[i] * np.eye(dim)
-        return self.blocks[i]
-
-    def add_to(self, H: np.ndarray, i: int) -> np.ndarray:
-        """Return ``H + D_i`` without mutating ``H``."""
-        if self.is_scalar:
-            out = H.copy()
-            out[np.diag_indices_from(out)] += self.alphas[i]
-            return out
-        return H + self.blocks[i]
 
 
 def _p_matrix(P) -> np.ndarray:
@@ -379,7 +366,7 @@ def certify(
             "aggregate objective has no strong convexity (m_fbar <= 0); "
             "certificates need a strictly convex regularizer"
         )
-    spec = spectral_summary(P) if isinstance(P, MatrixP) else None
+    spec = P.spectral if isinstance(P, MatrixP) else None
     if spec is None:
         eigs = np.linalg.eigvalsh(_p_matrix(P))
         lambda_w, lambda_max = float(eigs[1]), float(eigs[-1])

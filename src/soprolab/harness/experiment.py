@@ -29,7 +29,6 @@ from ..topology import (
     build_random_connected_graph,
     laplacian_weights,
     read_edge_list,
-    spectral_summary,
 )
 from .metrics import (
     BITS_PER_SCALAR,
@@ -299,7 +298,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rate, d_blocks, q_err = build_certificate(config, problem)
     mu_resolved = config.mu
     if mu_resolved is None and d_blocks is not None:
-        lam_max = spectral_summary(problem.P).lambda_max
+        lam_max = problem.P.spectral.lambda_max
         mu_resolved = float(d_blocks.alphas[0]) - (0.5 + lam_max) * config.beta
 
     out_dir = Path(config.out) if config.out else None
@@ -312,8 +311,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "topology": {
             "n_agents": problem.P.n_agents,
             "n_edges": problem.P.graph.n_edges,
-            "lambda_w": spectral_summary(problem.P).lambda_w,
-            "lambda_max": spectral_summary(problem.P).lambda_max,
+            "lambda_w": problem.P.spectral.lambda_w,
+            "lambda_max": problem.P.spectral.lambda_max,
         },
         "reference": {
             "grad_norm": problem.reference.grad_norm,

@@ -259,9 +259,6 @@ class LowRankHessian:
         H.flat[:: H.shape[0] + 1] += self.lam
         return H
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.lam * v + self.feats.T @ (self.weights * (self.feats @ v))
-
 
 def _check_dim(x: np.ndarray, d: int):
     if x.shape != (d,):

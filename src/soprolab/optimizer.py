@@ -10,6 +10,16 @@ then a synchronous exchange refreshes the weighted disagreements
 ``q_i <- q_i + beta y_i``.  The deterministic parent method is the exact
 special case where both batches are the whole local dataset.
 
+A round has two parts.  A loop over agents draws the batches and forms
+the batch gradient ``g_i`` and the low-rank Hessian factor
+``B_i = sqrt(w_i) F_{S_i}`` (with ``h_i = lam I + B_i^T B_i``), which is
+``O((G + S) d)`` work per agent.  When every ``D_i = alpha_i I`` and the
+Hessian batch has fewer rows than the dimension, one batched solve then
+steps all agents at once through the Woodbury identity: each agent's
+``d x d`` system reduces to the ``S x S`` system ``c_i I + B_i B_i^T``
+with ``c_i = lam + alpha_i``.  Otherwise each agent's step factors its
+dense ``h_i + D_i`` by Cholesky inside the loop.
+
 Randomness is drawn from per-(agent, round, purpose) substreams of the
 master seed, so traces are reproducible regardless of execution order or
 parallelism.
@@ -25,7 +35,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from . import certificate as cert
 from .errors import ConfigurationError, ParameterError
 from .loss import LowRankHessian, SmoothnessBounds, batch_grad, batch_hess
-from .topology import MatrixP, spectral_summary
+from .topology import MatrixP
 
 __all__ = [
     "ALGORITHMS",
@@ -33,12 +43,14 @@ __all__ = [
     "PURPOSE_GRAD",
     "PURPOSE_HESS",
     "RunConfig",
-    "AgentState",
     "NetworkState",
     "substream",
+    "draw_batch",
     "sample_batches",
+    "initial_iterates",
     "init_network",
     "local_step",
+    "woodbury_step",
     "exchange_and_dual_update",
     "choose_D",
     "recipe_mu_lower_bound",
@@ -140,16 +152,6 @@ class RunConfig:
 
 
 @dataclass
-class AgentState:
-    """Read-only view of one agent within a :class:`NetworkState`."""
-
-    x: np.ndarray
-    q: np.ndarray
-    y: np.ndarray
-    d_block: float | np.ndarray
-
-
-@dataclass
 class NetworkState:
     """All agents' primal/dual variables plus bookkeeping, one row each."""
 
@@ -170,14 +172,27 @@ class NetworkState:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    def agent(self, i: int) -> AgentState:
-        db = self.d.alphas[i] if self.d.is_scalar else self.d.blocks[i]
-        return AgentState(x=self.x[i], q=self.q[i], y=self.y[i], d_block=db)
 
+def draw_batch(
+    C: int,
+    size: int,
+    seed: int,
+    agent: int,
+    round_idx: int,
+    purpose: int,
+    pool: SubstreamPool | None = None,
+) -> np.ndarray:
+    """Uniform ``size``-subset of ``range(C)`` from one substream, ascending.
 
-def _draw_batch(rng: np.random.Generator, C: int, size: int) -> np.ndarray:
-    # Ascending order makes summation order canonical, so a full batch is
-    # bitwise identical to a plain range however the indices were drawn.
+    A full batch is the plain range and consumes no randomness.  Ascending
+    order makes summation order canonical, so a full batch is bitwise
+    identical to a plain range however the indices were drawn.
+    """
+    if size == C:
+        return np.arange(C)
+    rng = pool.at(agent, round_idx, purpose) if pool is not None else substream(
+        seed, agent, round_idx, purpose
+    )
     return np.sort(rng.choice(C, size=size, replace=False))
 
 
@@ -198,20 +213,8 @@ def sample_batches(
     for name, b in (("G", G), ("S", S)):
         if not 1 <= b <= C:
             raise ParameterError(f"batch size {name}={b} outside 1..{C}")
-    if G == C:
-        g_idx = np.arange(C)
-    else:
-        rng = pool.at(agent, round_idx, PURPOSE_GRAD) if pool is not None else substream(
-            seed, agent, round_idx, PURPOSE_GRAD
-        )
-        g_idx = _draw_batch(rng, C, G)
-    if S == C:
-        s_idx = np.arange(C)
-    else:
-        rng = pool.at(agent, round_idx, PURPOSE_HESS) if pool is not None else substream(
-            seed, agent, round_idx, PURPOSE_HESS
-        )
-        s_idx = _draw_batch(rng, C, S)
+    g_idx = draw_batch(C, G, seed, agent, round_idx, PURPOSE_GRAD, pool)
+    s_idx = draw_batch(C, S, seed, agent, round_idx, PURPOSE_HESS, pool)
     return g_idx, s_idx
 
 
@@ -223,7 +226,7 @@ def recipe_mu_lower_bound(
     Uses the worst-case pair ``m = min_i m_i``, ``M = max_i M_i``; any
     ``mu`` strictly above this passes the proximal condition.
     """
-    spec = spectral_summary(P)
+    spec = P.spectral
     m_fbar = float(bounds.m.sum())
     m_b, _ = cert.m_beta(m_fbar, bounds.n_agents, bounds.max_M, beta, spec.lambda_w)
     m, M = bounds.min_m, bounds.max_M
@@ -251,7 +254,7 @@ def choose_D(
     The result is validated against the proximal condition; too small a
     ``mu`` raises with the violated margin.
     """
-    spec = spectral_summary(P)
+    spec = P.spectral
     alpha = (0.5 + spec.lambda_max) * beta + mu
     d = cert.ProximalBlocks.alpha_identity(alpha, bounds.n_agents)
     _validate_D(d, bounds, beta, eta_s, P, spec.lambda_w, mu=mu)
@@ -275,13 +278,11 @@ def _validate_D(d, bounds, beta, eta_s, P, lambda_w, mu=None):
         )
 
 
-def init_network(P: MatrixP, datasets, config: RunConfig) -> NetworkState:
-    """Initialize primal/dual variables and perform the first exchange.
+def initial_iterates(P: MatrixP, datasets, config: RunConfig) -> np.ndarray:
+    """Check the run against its network and data; return the ``(N, d)`` x0.
 
-    Duals start at zero (hence conserved at zero sum), primals are i.i.d.
-    uniform on [-1, 1]^d per agent (or zero on request), and the
-    disagreements are computed from the initial exchange, which is charged
-    to the communication counter.
+    Primals are i.i.d. uniform on [-1, 1]^d per agent (or zero on request),
+    each agent drawing from its own substream.
     """
     n = P.n_agents
     if len(datasets) != n:
@@ -295,17 +296,27 @@ def init_network(P: MatrixP, datasets, config: RunConfig) -> NetworkState:
     d = dims.pop()
 
     if config.x0_mode == "zeros":
-        x = np.zeros((n, d))
-    else:
-        x = np.empty((n, d))
-        for i in range(n):
-            x[i] = substream(config.seed, i, 0, PURPOSE_INIT).uniform(-1.0, 1.0, d)
+        return np.zeros((n, d))
+    x = np.empty((n, d))
+    for i in range(n):
+        x[i] = substream(config.seed, i, 0, PURPOSE_INIT).uniform(-1.0, 1.0, d)
+    return x
+
+
+def init_network(P: MatrixP, datasets, config: RunConfig) -> NetworkState:
+    """Initialize primal/dual variables and perform the first exchange.
+
+    Duals start at zero (hence conserved at zero sum), primals come from
+    :func:`initial_iterates`, and the disagreements are computed from the
+    initial exchange, which is charged to the communication counter.
+    """
+    x = initial_iterates(P, datasets, config)
+    n, d = x.shape
 
     bounds = SmoothnessBounds.from_datasets(datasets)
     if config.d_mode == "explicit":
         blocks = cert.ProximalBlocks(blocks=config.d_blocks)
-        spec = spectral_summary(P)
-        _validate_D(blocks, bounds, config.beta, config.eta_s, P, spec.lambda_w)
+        _validate_D(blocks, bounds, config.beta, config.eta_s, P, P.spectral.lambda_w)
     else:
         mu = config.mu
         if mu is None:
@@ -350,6 +361,35 @@ def local_step(
     return x_i - cho_solve((c, low), rhs, check_finite=False)
 
 
+def woodbury_step(
+    x: np.ndarray, rhs: np.ndarray, B: np.ndarray, c: np.ndarray
+) -> np.ndarray:
+    """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``.
+
+    ``x`` and ``rhs`` are ``(N, d)``, ``B`` is ``(N, S, d)`` with ``S < d``
+    and ``c`` is ``(N,)``.  By the Woodbury identity
+
+        ``(c I + B^T B)^{-1} r = (r - B^T (c I_S + B B^T)^{-1} B r) / c``,
+
+    so each agent solves an ``S x S`` system instead of a ``d x d`` one.
+    ``B_i^T B_i`` has rank at most ``S < d``, so the smallest eigenvalue of
+    ``h_i + D_i`` is exactly ``c_i``: the system is positive definite if
+    and only if ``c_i > 0``.  Zero rows in ``B_i`` leave the step unchanged.
+    """
+    bad = np.flatnonzero(~(c > 0.0))
+    if bad.size:
+        raise ConfigurationError(
+            f"agent {bad[0]}: h_i + D_i is not positive definite; "
+            "the proximal blocks are too small for this problem"
+        )
+    K = B @ B.transpose(0, 2, 1)
+    diag = np.arange(B.shape[1])
+    K[:, diag, diag] += c[:, None]
+    z = np.linalg.solve(K, B @ rhs[:, :, None])
+    step = (rhs - (B.transpose(0, 2, 1) @ z)[:, :, 0]) / c[:, None]
+    return x - step
+
+
 def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> None:
     """Synchronous exchange: refresh disagreements, advance duals, count traffic."""
     state.y = P.disagreement(state.x)
@@ -373,28 +413,47 @@ def run(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> NetworkState:
             f"run() drives the proximal methods, not {config.algorithm!r}"
         )
     state = init_network(P, datasets, config)
-    n = state.n_agents
+    n, d = state.n_agents, state.dim
     full = config.algorithm == "sopro"
+    sizes = [ds.n_samples for ds in datasets]
+    batch_g = sizes if full else [config.batch_g] * n
+    batch_s = sizes if full else [config.batch_s] * n
+    low_rank = state.d.is_scalar and max(batch_s) < d
+    if low_rank:
+        c = np.array([ds.lambda_reg for ds in datasets]) + state.d.alphas
+        # An agent with a smaller Hessian batch than the largest keeps zero
+        # rows at the end of its factor.
+        B = np.zeros((n, max(batch_s), d))
+        grads = np.empty((n, d))
     pool = SubstreamPool(config.seed)
     for cb in callbacks:
         cb(0, state)
     for k in range(config.max_iters):
-        for i in range(n):
-            C = datasets[i].n_samples
-            G = C if full else config.batch_g
-            S = C if full else config.batch_s
-            g_idx, s_idx = sample_batches(C, G, S, config.seed, i, k, pool=pool)
-            g = batch_grad(state.x[i], datasets[i], g_idx)
-            h = batch_hess(state.x[i], datasets[i], s_idx)
-            state.x[i] = local_step(
-                state.x[i],
-                state.y[i],
-                state.q[i],
-                h,
-                g,
-                state.d.alphas[i] if state.d.is_scalar else state.d.blocks[i],
-                config.beta,
-                agent=i,
+        for i, ds in enumerate(datasets):
+            g_idx, s_idx = sample_batches(
+                sizes[i], batch_g[i], batch_s[i], config.seed, i, k, pool=pool
+            )
+            g = batch_grad(state.x[i], ds, g_idx)
+            h = batch_hess(state.x[i], ds, s_idx)
+            if low_rank:
+                grads[i] = g
+                np.multiply(
+                    np.sqrt(h.weights)[:, None], h.feats, out=B[i, : batch_s[i]]
+                )
+            else:
+                state.x[i] = local_step(
+                    state.x[i],
+                    state.y[i],
+                    state.q[i],
+                    h,
+                    g,
+                    state.d.alphas[i] if state.d.is_scalar else state.d.blocks[i],
+                    config.beta,
+                    agent=i,
+                )
+        if low_rank:
+            state.x = woodbury_step(
+                state.x, grads + config.beta * state.y + state.q, B, c
             )
         exchange_and_dual_update(state, P, config.beta)
         for cb in callbacks:

@@ -5,8 +5,8 @@ semidefinite matrix ``P`` with ``[P]_ii = sum_j p_ij`` and
 ``[P]_ij = -p_ij`` on edges.  Its null space is the all-ones vector, its
 Kronecker lift ``P (x) I_d`` acts on stacked agent vectors, and its two
 extreme nonzero eigenvalues parameterize every convergence certificate.
-The lift is never materialized: products are evaluated agent by agent
-through neighbor sums.
+The lift is never materialized: applying it to the ``(n, d)`` array of
+stacked agent vectors is the single product ``P @ x``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import heapq
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -159,36 +160,26 @@ class MatrixP:
     graph: Graph
     matrix: np.ndarray
     weights: dict[tuple[int, int], float]
-    _neighbor_idx: list[np.ndarray] = field(repr=False, default_factory=list)
-    _neighbor_w: list[np.ndarray] = field(repr=False, default_factory=list)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
-        if not self._neighbor_idx:
-            for i in range(self.graph.n_agents):
-                nb = np.array(self.graph.neighbors[i], dtype=int)
-                w = np.array(
-                    [self.weights[(min(i, j), max(i, j))] for j in nb], dtype=float
-                )
-                self._neighbor_idx.append(nb)
-                self._neighbor_w.append(w)
 
     @property
     def n_agents(self) -> int:
         return self.graph.n_agents
 
+    @cached_property
+    def spectral(self) -> "SpectralSummary":
+        """:func:`spectral_summary` of this matrix, computed on first use."""
+        return spectral_summary(self)
+
     def disagreement(self, x: np.ndarray) -> np.ndarray:
-        """Apply the Kronecker lift to stacked agent vectors, agent by agent.
+        """Apply the Kronecker lift to stacked agent vectors.
 
         ``x`` has one row per agent; row ``i`` of the result is
         ``sum_j p_ij (x_i - x_j)`` over the neighbors of ``i``.
         """
-        y = np.empty_like(x)
-        for i in range(self.n_agents):
-            nb = self._neighbor_idx[i]
-            w = self._neighbor_w[i]
-            y[i] = w @ (x[i] - x[nb])
-        return y
+        return self.matrix @ x
 
 
 def laplacian_weights(g: Graph, weight_rule=1.0) -> MatrixP:

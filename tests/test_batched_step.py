@@ -1,0 +1,203 @@
+import numpy as np
+import pytest
+
+from soprolab import optimizer, topology
+from soprolab.baselines import metropolis_weights, run_baseline
+from soprolab.errors import ConfigurationError
+from soprolab.harness.synthetic import gaussian_blob_samples
+from soprolab.loss import LocalDataset, LowRankHessian, batch_grad, batch_hess
+from soprolab.optimizer import (
+    RunConfig,
+    init_network,
+    local_step,
+    run,
+    sample_batches,
+    woodbury_step,
+)
+from soprolab.topology import build_random_connected_graph, laplacian_weights
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+# ------------------------------------------------------------- batched step
+
+
+def test_woodbury_step_matches_dense_inverse_oracle():
+    rng = np.random.default_rng(4)
+    n, S, d, lam = 7, 6, 15, 0.1
+    alphas = np.geomspace(0.5, 800.0, n)
+    weights = rng.uniform(0.0, 0.25, (n, S)) / S
+    feats = (rng.random((n, S, d)) < 0.3).astype(float)
+    x = rng.standard_normal((n, d))
+    rhs = rng.standard_normal((n, d))
+    B = np.sqrt(weights)[:, :, None] * feats
+    expected = np.empty((n, d))
+    for i in range(n):
+        h = LowRankHessian(lam=lam, weights=weights[i], feats=feats[i])
+        expected[i] = x[i] - np.linalg.inv(h.dense() + alphas[i] * np.eye(d)) @ rhs[i]
+
+    out = woodbury_step(x, rhs, B, lam + alphas)
+    # Trailing zero rows stand for agents with smaller Hessian batches.
+    padded = np.concatenate([B, np.zeros((n, 3, d))], axis=1)
+    out_padded = woodbury_step(x, rhs, padded, lam + alphas)
+    for i in range(n):
+        assert rel_err(out[i], expected[i]) <= 1e-10
+        assert rel_err(out_padded[i], expected[i]) <= 1e-10
+
+
+def test_woodbury_step_rejects_nonpositive_shift():
+    n, S, d = 4, 2, 5
+    B = np.ones((n, S, d))
+    c = np.array([1.0, 2.0, 0.0, -1.0])
+    with pytest.raises(ConfigurationError) as e:
+        woodbury_step(np.zeros((n, d)), np.ones((n, d)), B, c)
+    assert "agent 2" in str(e.value)
+
+
+# ------------------------------------------------------------- full runs
+
+
+def make_problem(sizes, d, seed=0, lam=0.1):
+    n = len(sizes)
+    P = laplacian_weights(build_random_connected_graph(n, 2.0, seed=seed), 1.0)
+    samples = gaussian_blob_samples(sum(sizes), d, seed, separation=1.0, noise=0.5)
+    bounds = np.cumsum([0, *sizes])
+    datasets = [
+        LocalDataset.from_samples(samples[a:b], lam) for a, b in zip(bounds, bounds[1:])
+    ]
+    return P, datasets
+
+
+def neighbor_disagreement(P, x):
+    y = np.zeros_like(x)
+    for i in range(P.n_agents):
+        for j in P.graph.neighbors[i]:
+            y[i] += P.weights[(min(i, j), max(i, j))] * (x[i] - x[j])
+    return y
+
+
+def reference_run(P, datasets, config):
+    """Per-agent rounds: fresh substreams, dense Cholesky steps, neighbor sums."""
+    state = init_network(P, datasets, config)
+    state.y = neighbor_disagreement(P, state.x)
+    full = config.algorithm == "sopro"
+    history = [(state.x.copy(), state.q.copy())]
+    for k in range(config.max_iters):
+        for i, ds in enumerate(datasets):
+            C = ds.n_samples
+            G = C if full else config.batch_g
+            S = C if full else config.batch_s
+            g_idx, s_idx = sample_batches(C, G, S, config.seed, i, k)
+            g = batch_grad(state.x[i], ds, g_idx)
+            h = batch_hess(state.x[i], ds, s_idx)
+            state.x[i] = local_step(
+                state.x[i], state.y[i], state.q[i], h, g, state.d.alphas[i],
+                config.beta, agent=i,
+            )
+        state.y = neighbor_disagreement(P, state.x)
+        state.q = state.q + config.beta * state.y
+        history.append((state.x.copy(), state.q.copy()))
+    return history
+
+
+def engine_history(P, datasets, config, monkeypatch, expect_batched):
+    calls = {"woodbury": 0, "local": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(optimizer, "woodbury_step", counted("woodbury", woodbury_step))
+    monkeypatch.setattr(optimizer, "local_step", counted("local", local_step))
+    history = []
+    run(P, datasets, config,
+        callbacks=[lambda k, s: history.append((s.x.copy(), s.q.copy()))])
+    rounds = config.max_iters
+    if expect_batched:
+        assert calls == {"woodbury": rounds, "local": 0}
+    else:
+        assert calls == {"woodbury": 0, "local": rounds * len(datasets)}
+    return history
+
+
+def assert_histories_match(got, want):
+    assert len(got) == len(want)
+    for (x, q), (x_ref, q_ref) in zip(got, want):
+        assert rel_err(x, x_ref) <= 1e-10
+        assert rel_err(q, q_ref) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "algorithm, batch_s, d, batched",
+    [
+        ("st_sopro", 5, 15, True),  # S < d: Woodbury
+        ("st_sopro", 20, 15, False),  # S >= d: per-agent Cholesky
+        ("sopro", None, 60, True),  # full batch, C = 40 < d
+        ("sopro", None, 15, False),  # full batch, C = 40 >= d
+    ],
+)
+def test_run_matches_per_agent_reference(algorithm, batch_s, d, batched, monkeypatch):
+    P, datasets = make_problem([40] * 6, d)
+    config = RunConfig(
+        batch_g=10, batch_s=batch_s or 40, max_iters=20, seed=5, algorithm=algorithm
+    )
+    want = reference_run(P, datasets, config)
+    got = engine_history(P, datasets, config, monkeypatch, expect_batched=batched)
+    assert_histories_match(got, want)
+
+
+@pytest.mark.parametrize(
+    "algorithm, d, batched",
+    [
+        ("st_sopro", 50, True),
+        ("sopro", 50, True),  # Hessian batches of 20..45 rows, padded to 45
+        ("sopro", 30, False),  # some local sets have more rows than d
+    ],
+)
+def test_run_accepts_unequal_local_datasets(algorithm, d, batched, monkeypatch):
+    P, datasets = make_problem([20, 30, 45, 25, 35], d, seed=1)
+    config = RunConfig(batch_g=8, batch_s=6, max_iters=20, seed=2, algorithm=algorithm)
+    want = reference_run(P, datasets, config)
+    got = engine_history(P, datasets, config, monkeypatch, expect_batched=batched)
+    assert_histories_match(got, want)
+    assert np.all(np.isfinite(got[-1][0]))
+
+
+# ------------------------------------------------------------- shared parts
+
+
+def test_spectral_summary_computed_once_per_matrix(monkeypatch):
+    calls = []
+    real = topology.spectral_summary
+    monkeypatch.setattr(topology, "spectral_summary", lambda p: calls.append(p) or real(p))
+    P, datasets = make_problem([40] * 6, 15)
+    run(P, datasets, RunConfig(batch_g=10, batch_s=5, max_iters=2, seed=0))
+    assert P.spectral == real(P)
+    assert len(calls) == 1 and calls[0] is P
+
+
+@pytest.mark.parametrize("algorithm, per_edge", [("dsgd", 2), ("dsgt", 4)])
+def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
+    P, datasets = make_problem([40] * 6, 15)
+    config = RunConfig(
+        batch_g=10, batch_s=10, max_iters=3, seed=7, algorithm=algorithm, step_size=0.5
+    )
+    states = []
+    run_baseline(P, datasets, config, callbacks=[lambda k, s: states.append(s.x.copy())])
+    assert len(states) == 4
+    d = datasets[0].dim
+    final = run_baseline(P, datasets, config)
+    assert final.comm_scalars == 3 * per_edge * P.graph.n_edges * d
+    if algorithm == "dsgd":
+        # Round 0 steps along the gradients of the engine's own G-draws.
+        grads = np.stack([
+            batch_grad(states[0][i], ds, sample_batches(40, 10, 10, 7, i, 0)[0])
+            for i, ds in enumerate(datasets)
+        ])
+        W = metropolis_weights(P.graph).matrix
+        assert np.array_equal(states[1], W @ states[0] - 0.5 * grads)
