@@ -10,6 +10,7 @@ from . import baselines, certificate, harness, loss, optimizer, topology
 from .errors import (
     CertificationError,
     ConfigurationError,
+    DivergenceError,
     InvariantViolation,
     ParameterError,
     ParseError,
@@ -27,6 +28,7 @@ __all__ = [
     "topology",
     "CertificationError",
     "ConfigurationError",
+    "DivergenceError",
     "InvariantViolation",
     "ParameterError",
     "ParseError",

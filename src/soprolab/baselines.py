@@ -2,9 +2,13 @@
 
 DSGD mixes neighbor iterates and steps along a batch gradient; DSGT
 additionally exchanges a gradient tracker whose network sum always equals
-the sum of the current batch gradients.  Both reuse the engine's batch
-sampler and RNG substreams, so comparisons against the proximal methods
-share identical data, topology, and noise realizations.
+the sum of the current batch gradients.  A round is array operations over
+all agents: the gradient batches come from the proximal engine's batched
+draw (one substream per round keys every agent's batch, see
+:func:`soprolab.optimizer.draw_batches`) and its stacked gradient, so
+comparisons against the proximal methods share identical data, topology,
+and noise realizations.  A round whose iterate is not finite raises
+:class:`~soprolab.errors.DivergenceError`.
 """
 
 from __future__ import annotations
@@ -14,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .loss import batch_grad
+from .loss import stacked_grad
 from .optimizer import (
     PURPOSE_GRAD,
+    LocalSets,
     NetworkState,
     RunConfig,
-    SubstreamPool,
-    draw_batch,
+    check_finite,
     initial_iterates,
 )
 from .topology import Graph, MatrixP
@@ -84,27 +88,20 @@ def _step_size(config: RunConfig, k: int) -> float:
     return config.step_size
 
 
-def _batch_grads(x, datasets, config, round_idx, pool=None):
-    grads = np.empty_like(x)
-    for i, ds in enumerate(datasets):
-        idx = draw_batch(
-            ds.n_samples, config.batch_g, config.seed, i, round_idx, PURPOSE_GRAD, pool
-        )
-        grads[i] = batch_grad(x[i], ds, idx)
-    return grads
+def _batch_grads(x, sets: LocalSets, config: RunConfig, round_idx: int) -> np.ndarray:
+    return stacked_grad(x, *sets.batch(config.batch_g, round_idx, PURPOSE_GRAD), sets.lam)
 
 
 def dsgd_round(
     state: NetworkState,
     W: MixingMatrix,
-    datasets,
+    sets: LocalSets,
     config: RunConfig,
     n_edges: int,
-    pool=None,
 ) -> None:
     """One synchronous round: mix neighbor iterates, step along the batch gradient."""
     step = _step_size(config, state.round)
-    grads = _batch_grads(state.x, datasets, config, state.round, pool=pool)
+    grads = _batch_grads(state.x, sets, config, state.round)
     state.x = W.matrix @ state.x - step * grads
     state.comm_scalars += 2 * n_edges * state.dim
     state.round += 1
@@ -113,23 +110,25 @@ def dsgd_round(
 def dsgt_round(
     state: NetworkState,
     W: MixingMatrix,
-    datasets,
+    sets: LocalSets,
     config: RunConfig,
     n_edges: int,
-    pool=None,
 ) -> None:
     """One gradient-tracking round; iterates and trackers are both exchanged."""
     step = _step_size(config, state.round)
     state.x = W.matrix @ state.x - step * state.tracker
-    grads = _batch_grads(state.x, datasets, config, state.round + 1, pool=pool)
+    grads = _batch_grads(state.x, sets, config, state.round + 1)
     state.tracker = W.matrix @ state.tracker + grads - state._last_grads
     state._last_grads = grads
     state.comm_scalars += 2 * 2 * n_edges * state.dim
     state.round += 1
 
 
-def init_baseline(P: MatrixP, datasets, config: RunConfig) -> NetworkState:
-    """Shared initial iterates with the proximal engine (same seed, same x0)."""
+def init_baseline(P: MatrixP, datasets, config: RunConfig, sets: LocalSets) -> NetworkState:
+    """Shared initial iterates with the proximal engine (same seed, same x0).
+
+    DSGT's tracker starts at the round-0 batch gradients drawn from ``sets``.
+    """
     x = initial_iterates(P, datasets, config)
     n, d = x.shape
     state = NetworkState(
@@ -141,7 +140,7 @@ def init_baseline(P: MatrixP, datasets, config: RunConfig) -> NetworkState:
         comm_scalars=0,
     )
     if config.algorithm == "dsgt":
-        state.tracker = _batch_grads(x, datasets, config, 0)
+        state.tracker = _batch_grads(x, sets, config, 0)
         state._last_grads = state.tracker.copy()
     return state
 
@@ -152,13 +151,14 @@ def run_baseline(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> Netwo
         raise ConfigurationError(f"run_baseline() got {config.algorithm!r}")
     W = metropolis_weights(P.graph)
     n_edges = P.graph.n_edges
-    state = init_baseline(P, datasets, config)
-    pool = SubstreamPool(config.seed)
+    sets = LocalSets(datasets, config.seed)
+    state = init_baseline(P, datasets, config, sets)
     step_fn = dsgd_round if config.algorithm == "dsgd" else dsgt_round
     for cb in callbacks:
         cb(0, state)
     for _ in range(config.max_iters):
-        step_fn(state, W, datasets, config, n_edges, pool=pool)
+        step_fn(state, W, sets, config, n_edges)
+        check_finite(state.x, state.round)
         for cb in callbacks:
             cb(state.round, state)
     return state

@@ -32,3 +32,7 @@ class InvariantViolation(SoprolabError, RuntimeError):
 
 class CertificationError(SoprolabError, RuntimeError):
     """No valid convergence certificate exists for the given parameters."""
+
+
+class DivergenceError(SoprolabError, ArithmeticError):
+    """A run produced a non-finite iterate; the message names the round and agent."""

@@ -29,6 +29,10 @@ class ReferenceSolution:
 
 _cache: dict[tuple, ReferenceSolution] = {}
 
+# Relative rounding level of the summed objective, with room for the
+# error of summing many per-sample losses.
+_ROUNDING = 1e3 * np.finfo(float).eps
+
 
 def _pool_key(datasets, tol):
     h = hashlib.sha256()
@@ -83,6 +87,13 @@ def solve_reference(datasets, tol: float = 1e-12, max_iters: int = 200) -> Refer
         step = cho_solve(cho_factor(H), g)
         t = 1.0
         gTs = float(g @ step)
+        if gTs <= _ROUNDING * abs(f):
+            # The expected decrease is below what f resolves, so the Armijo
+            # test would compare rounding noise; this close to the optimum
+            # the full Newton step converges quadratically.
+            x = x - step
+            f = _objective(x, datasets)
+            continue
         while t > 1e-12:
             cand = x - t * step
             fc = _objective(cand, datasets)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import DivergenceError, ParameterError
 from .experiment import ExperimentConfig, run_experiment
 
 __all__ = ["TunePoint", "TuneResult", "tune_baseline", "parse_grid_file"]
@@ -54,7 +54,7 @@ def tune_baseline(
         )
         try:
             result = run_experiment(trial)
-        except FloatingPointError:
+        except DivergenceError:
             table.append(TunePoint(overrides, math.inf, math.inf))
             continue
         rounds = []

@@ -31,6 +31,9 @@ __all__ = [
     "batch_hess",
     "full_grad",
     "full_hess",
+    "stack_local_sets",
+    "stacked_grad",
+    "stacked_curvature",
     "smoothness",
     "sigma_sq_estimate",
     "predict",
@@ -218,8 +221,12 @@ def partition(samples, n_agents: int, per_agent: int, seed: int, lambda_reg: flo
 
     The first ``n_agents * per_agent`` permuted samples form contiguous
     blocks of ``per_agent``; leftovers become the test set.  Deterministic
-    per seed.  Returns ``(datasets, test_set)``.
+    per seed.  The local features are stored once, as one read-only
+    ``(n_agents, per_agent, d)`` block whose rows the datasets view (see
+    :func:`stack_local_sets`).  Returns ``(datasets, test_set)``.
     """
+    if n_agents < 1 or per_agent < 1:
+        raise ParameterError(f"need agents and samples per agent, got {n_agents} x {per_agent}")
     total = len(samples)
     need = n_agents * per_agent
     if need > total:
@@ -227,15 +234,51 @@ def partition(samples, n_agents: int, per_agent: int, seed: int, lambda_reg: flo
             f"{n_agents} agents x {per_agent} samples need {need}, only {total} available"
         )
     perm = np.random.default_rng(seed).permutation(total)
-    datasets = []
-    for i in range(n_agents):
-        block = perm[i * per_agent : (i + 1) * per_agent]
-        datasets.append(
-            LocalDataset.from_samples([samples[k] for k in block], lambda_reg)
-        )
+    dims = {samples[k].dim for k in perm[:need]}
+    if len(dims) != 1:
+        raise ParameterError(f"samples disagree on dimension: {sorted(dims)}")
+    block = np.empty((n_agents, per_agent, dims.pop()))
+    np.stack([samples[k].features for k in perm[:need]], out=block.reshape(need, -1))
+    block.setflags(write=False)
+    labels = np.array([samples[k].label for k in perm[:need]]).reshape(n_agents, per_agent)
+    datasets = [LocalDataset(block[i], labels[i], lambda_reg) for i in range(n_agents)]
     leftovers = [samples[k] for k in perm[need:]]
     dim = samples[0].dim if samples else 0
     return datasets, TestSet.from_samples(leftovers, dim=dim)
+
+
+def stack_local_sets(datasets) -> tuple[np.ndarray, np.ndarray]:
+    """All local sets as ``(N, W, d)`` features and ``(N, W)`` float labels.
+
+    ``W`` is the largest local set.  Datasets that view consecutive rows of
+    one block, as :func:`partition` makes them, return that block itself,
+    so the features are stored once.  Other sets are copied, and smaller
+    ones padded with zero rows labelled 0, which add nothing to a batch sum.
+    """
+    block = datasets[0].features.base
+    if (
+        isinstance(block, np.ndarray)
+        and block.ndim == 3
+        and block.shape[0] == len(datasets)
+        and all(_is_row(ds.features, block, i) for i, ds in enumerate(datasets))
+    ):
+        return block, np.stack([ds.labels for ds in datasets]).astype(float)
+    width = max(ds.n_samples for ds in datasets)
+    feats = np.zeros((len(datasets), width, datasets[0].dim))
+    labels = np.zeros((len(datasets), width))
+    for i, ds in enumerate(datasets):
+        feats[i, : ds.n_samples] = ds.features
+        labels[i, : ds.n_samples] = ds.labels
+    return feats, labels
+
+
+def _is_row(features: np.ndarray, block: np.ndarray, i: int) -> bool:
+    row = block[i]
+    return (
+        features.shape == row.shape
+        and features.strides == row.strides
+        and features.ctypes.data == row.ctypes.data
+    )
 
 
 @dataclass
@@ -337,6 +380,37 @@ def full_grad(x: np.ndarray, ds: LocalDataset) -> np.ndarray:
 
 def full_hess(x: np.ndarray, ds: LocalDataset) -> LowRankHessian:
     return batch_hess(x, ds, np.arange(ds.n_samples))
+
+
+def stacked_grad(
+    x: np.ndarray,
+    feats: np.ndarray,
+    labels: np.ndarray,
+    counts: np.ndarray,
+    lam: np.ndarray,
+) -> np.ndarray:
+    """Batch gradients of all agents at once, one row each.
+
+    ``x`` is ``(N, d)``; agent ``i``'s batch is the rows ``feats[i]``
+    (``(N, k, d)``) with labels ``labels[i]`` (``(N, k)``), of which the
+    first ``counts[i]`` are real and the rest are zero padding; ``lam`` is
+    ``(N,)``.  Row ``i`` equals :func:`batch_grad` on the same rows: with
+    one BLAS thread, stacked ``matmul`` makes the same calls per agent.
+    """
+    coef = labels * expit(-labels * (feats @ x[:, :, None])[:, :, 0])
+    return (
+        lam[:, None] * x
+        - (feats.transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0] / counts[:, None]
+    )
+
+
+def stacked_curvature(x: np.ndarray, feats: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``(N, k)`` Hessian weights of all agents' batches, as in :func:`batch_hess`.
+
+    Agent ``i``'s batch Hessian is ``lam_i I + feats[i]^T diag(w[i]) feats[i]``.
+    """
+    p = expit((feats @ x[:, :, None])[:, :, 0])
+    return p * (1.0 - p) / counts[:, None]
 
 
 def smoothness(ds: LocalDataset) -> tuple[float, float]:

@@ -10,19 +10,29 @@ then a synchronous exchange refreshes the weighted disagreements
 ``q_i <- q_i + beta y_i``.  The deterministic parent method is the exact
 special case where both batches are the whole local dataset.
 
-A round has two parts.  A loop over agents draws the batches and forms
-the batch gradient ``g_i`` and the low-rank Hessian factor
-``B_i = sqrt(w_i) F_{S_i}`` (with ``h_i = lam I + B_i^T B_i``), which is
-``O((G + S) d)`` work per agent.  When every ``D_i = alpha_i I`` and the
-Hessian batch has fewer rows than the dimension, one batched solve then
-steps all agents at once through the Woodbury identity: each agent's
-``d x d`` system reduces to the ``S x S`` system ``c_i I + B_i B_i^T``
-with ``c_i = lam + alpha_i``.  Otherwise each agent's step factors its
-dense ``h_i + D_i`` by Cholesky inside the loop.
+A round is a few array operations over all agents at once.  One draw per
+purpose gives every agent's batch as a row of an ``(N, G)`` index array
+(:func:`draw_batches`).  The rows are gathered from the stacked local sets
+(:class:`LocalSets`) into one buffer that every round reuses, and stacked
+matrix products give all batch gradients ``g_i`` and Hessian weights
+``w_i`` (``h_i = lam I + F_{S_i}^T diag(w_i) F_{S_i}``).  When every
+``D_i = alpha_i I`` and the Hessian batch has fewer rows than the
+dimension, the gathered rows are scaled in place into the factors
+``B_i = sqrt(w_i) F_{S_i}``, and one batched solve steps all agents
+through the Woodbury identity: each agent's ``d x d`` system reduces to
+the ``S x S`` system ``c_i I + B_i B_i^T`` with ``c_i = lam + alpha_i``.
+Otherwise each agent's step factors its dense ``h_i + D_i`` by Cholesky
+(:func:`local_step`).  A round whose iterate is not finite raises
+:class:`~soprolab.errors.DivergenceError`.
 
-Randomness is drawn from per-(agent, round, purpose) substreams of the
-master seed, so traces are reproducible regardless of execution order or
-parallelism.
+Randomness comes from counter-based substreams of the master seed.  The
+initial iterates use one substream per agent.  The batches of one (round,
+purpose) come from the single substream ``(seed, 0, round, purpose)``: it
+yields an ``(N, W)`` array of uniform keys, ``W`` the largest local set,
+and agent ``i``'s batch is the positions of the ``G`` smallest keys among
+the first ``C_i`` of row ``i``.  Draws are thus a pure function of their
+label, independent of execution order, and the first-order baselines draw
+the same batches as the proximal methods.
 """
 
 from __future__ import annotations
@@ -33,8 +43,14 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import certificate as cert
-from .errors import ConfigurationError, ParameterError
-from .loss import LowRankHessian, SmoothnessBounds, batch_grad, batch_hess
+from .errors import ConfigurationError, DivergenceError, InvariantViolation, ParameterError
+from .loss import (
+    LowRankHessian,
+    SmoothnessBounds,
+    stack_local_sets,
+    stacked_curvature,
+    stacked_grad,
+)
 from .topology import MatrixP
 
 __all__ = [
@@ -45,8 +61,10 @@ __all__ = [
     "RunConfig",
     "NetworkState",
     "substream",
-    "draw_batch",
+    "draw_batches",
     "sample_batches",
+    "LocalSets",
+    "check_finite",
     "initial_iterates",
     "init_network",
     "local_step",
@@ -70,36 +88,12 @@ def substream(seed: int, agent: int, round_idx: int, purpose: int) -> np.random.
     Counter-based Philox streams keyed by the master seed: the label sits in
     the counter block, so any two distinct triples yield non-overlapping
     streams and the draw is a pure function of its label independent of
-    execution order.
+    execution order.  The batched draws key the whole network's batches
+    of one (round, purpose) by ``agent = 0``.
     """
     return np.random.Generator(
         np.random.Philox(key=[seed, 0], counter=[0, agent, round_idx, purpose])
     )
-
-
-class SubstreamPool:
-    """Reusable generator producing draws bitwise identical to :func:`substream`.
-
-    Resetting the Philox counter in place avoids one generator construction
-    per draw in the engine's inner loop.
-    """
-
-    def __init__(self, seed: int):
-        self._bg = np.random.Philox(key=[seed, 0])
-        self._gen = np.random.Generator(self._bg)
-
-    def at(self, agent: int, round_idx: int, purpose: int) -> np.random.Generator:
-        st = self._bg.state
-        counter = st["state"]["counter"]
-        counter[0] = 0
-        counter[1] = agent
-        counter[2] = round_idx
-        counter[3] = purpose
-        st["buffer_pos"] = 4  # discard buffered output from the old counter
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
-        return self._gen
 
 
 @dataclass
@@ -173,27 +167,35 @@ class NetworkState:
         return self.x.shape[1]
 
 
-def draw_batch(
-    C: int,
+def draw_batches(
+    sizes,
     size: int,
     seed: int,
-    agent: int,
     round_idx: int,
     purpose: int,
-    pool: SubstreamPool | None = None,
+    width: int | None = None,
 ) -> np.ndarray:
-    """Uniform ``size``-subset of ``range(C)`` from one substream, ascending.
+    """Every agent's uniform ``size``-subset of its local set, one row each.
 
-    A full batch is the plain range and consumes no randomness.  Ascending
-    order makes summation order canonical, so a full batch is bitwise
-    identical to a plain range however the indices were drawn.
+    ``sizes`` holds the local set sizes ``C_i``.  One substream per (round,
+    purpose) yields an ``(N, W)`` array of uniform keys, with ``W = width``
+    or the largest ``C_i``; agent ``i``'s batch is the positions of the
+    ``size`` smallest keys among the first ``C_i`` of row ``i``, ascending.
+    Keys past ``C_i`` are padding and never chosen.  Ascending order makes
+    summation order canonical; a batch that is every whole local set is
+    the plain range and consumes no randomness.  Returns ``(N, size)``.
     """
-    if size == C:
-        return np.arange(C)
-    rng = pool.at(agent, round_idx, purpose) if pool is not None else substream(
-        seed, agent, round_idx, purpose
-    )
-    return np.sort(rng.choice(C, size=size, replace=False))
+    sizes = np.asarray(sizes)
+    if not 1 <= size <= sizes.min():
+        raise ParameterError(f"batch size {size} outside 1..{sizes.min()}")
+    if np.all(sizes == size):
+        return np.tile(np.arange(size), (sizes.size, 1))
+    width = int(sizes.max()) if width is None else width
+    keys = substream(seed, 0, round_idx, purpose).random((sizes.size, width))
+    keys[np.arange(width) >= sizes[:, None]] = np.inf
+    idx = np.argpartition(keys, size - 1, axis=1)[:, :size]
+    idx.sort(axis=1)
+    return idx
 
 
 def sample_batches(
@@ -203,19 +205,76 @@ def sample_batches(
     seed: int,
     agent: int,
     round_idx: int,
-    pool: SubstreamPool | None = None,
+    width: int | None = None,
 ):
-    """Draw the two independent uniform index sets for one agent-round.
+    """One agent's gradient and Hessian index sets for one round.
 
-    Sampling is without replacement; each set comes from its own substream
-    so parallel execution cannot reorder draws.
+    They are row ``agent`` of the network's :func:`draw_batches`, where
+    ``width`` is the largest local set (default ``C``, all sets equal).
+    The engine draws for all agents at once; this is its per-agent oracle.
     """
-    for name, b in (("G", G), ("S", S)):
-        if not 1 <= b <= C:
-            raise ParameterError(f"batch size {name}={b} outside 1..{C}")
-    g_idx = draw_batch(C, G, seed, agent, round_idx, PURPOSE_GRAD, pool)
-    s_idx = draw_batch(C, S, seed, agent, round_idx, PURPOSE_HESS, pool)
-    return g_idx, s_idx
+    width = C if width is None else width
+    sizes = np.full(agent + 1, width)
+    sizes[agent] = C
+    return tuple(
+        draw_batches(sizes, b, seed, round_idx, purpose, width)[agent]
+        for b, purpose in ((G, PURPOSE_GRAD), (S, PURPOSE_HESS))
+    )
+
+
+class LocalSets:
+    """All agents' local sets, stacked, and the rows of each round's batches.
+
+    Gathered rows go to one buffer of ``N * k * d`` floats that every round
+    reuses; the proximal engine also builds its Hessian factors there.
+    """
+
+    def __init__(self, datasets, seed: int):
+        self.feats, self.labels = stack_local_sets(datasets)
+        self.counts = np.array([ds.n_samples for ds in datasets])
+        self.lam = np.array([ds.lambda_reg for ds in datasets])
+        self.seed = seed
+        n, width, d = self.feats.shape
+        self._flat = self.feats.reshape(n * width, d)
+        self._offsets = width * np.arange(n)[:, None]
+        self._buf = np.empty(0)
+
+    def buffer(self, k: int) -> np.ndarray:
+        """The shared buffer as ``(N, k, d)``, grown first if too small."""
+        n, _, d = self.feats.shape
+        if self._buf.size < n * k * d:
+            self._buf = np.empty(n * k * d)
+        return self._buf[: n * k * d].reshape(n, k, d)
+
+    def batch(self, size: int | None, round_idx: int, purpose: int):
+        """``(N, k, d)`` rows, ``(N, k)`` labels and ``(N,)`` row counts of
+        every agent's batch.
+
+        ``size=None``, or the size of every local set, is the whole sets:
+        the stacked block itself, with no draw and no copy.
+        """
+        if size is None or np.all(self.counts == size):
+            return self.feats, self.labels, self.counts
+        idx = draw_batches(self.counts, size, self.seed, round_idx, purpose)
+        # mode="clip" gathers straight into the buffer (the default "raise"
+        # gathers into a temporary first), so the range is checked here.
+        if idx.min() < 0 or np.any(idx.max(axis=1) >= self.counts):
+            raise InvariantViolation(f"round {round_idx}: drawn index outside a local set")
+        rows = np.take(
+            self._flat, idx + self._offsets, axis=0, out=self.buffer(size), mode="clip"
+        )
+        return rows, np.take_along_axis(self.labels, idx, axis=1), np.full(len(idx), size)
+
+
+def check_finite(x: np.ndarray, round_idx: int) -> None:
+    """Raise :class:`DivergenceError` naming the first agent whose row of
+    ``x`` is not finite after round ``round_idx``."""
+    if not np.isfinite(x).all():
+        agent = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+        raise DivergenceError(
+            f"round {round_idx}: agent {agent} has a non-finite iterate; "
+            "the run diverged"
+        )
 
 
 def recipe_mu_lower_bound(
@@ -413,48 +472,40 @@ def run(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> NetworkState:
             f"run() drives the proximal methods, not {config.algorithm!r}"
         )
     state = init_network(P, datasets, config)
-    n, d = state.n_agents, state.dim
+    sets = LocalSets(datasets, config.seed)
     full = config.algorithm == "sopro"
-    sizes = [ds.n_samples for ds in datasets]
-    batch_g = sizes if full else [config.batch_g] * n
-    batch_s = sizes if full else [config.batch_s] * n
-    low_rank = state.d.is_scalar and max(batch_s) < d
+    batch_g = None if full else config.batch_g
+    batch_s = None if full else config.batch_s
+    rows_s = sets.feats.shape[1] if full else config.batch_s
+    low_rank = state.d.is_scalar and rows_s < state.dim
     if low_rank:
-        c = np.array([ds.lambda_reg for ds in datasets]) + state.d.alphas
-        # An agent with a smaller Hessian batch than the largest keeps zero
-        # rows at the end of its factor.
-        B = np.zeros((n, max(batch_s), d))
-        grads = np.empty((n, d))
-    pool = SubstreamPool(config.seed)
+        c = sets.lam + state.d.alphas
     for cb in callbacks:
         cb(0, state)
     for k in range(config.max_iters):
-        for i, ds in enumerate(datasets):
-            g_idx, s_idx = sample_batches(
-                sizes[i], batch_g[i], batch_s[i], config.seed, i, k, pool=pool
+        grads = stacked_grad(state.x, *sets.batch(batch_g, k, PURPOSE_GRAD), sets.lam)
+        # Gathered after the gradient: both batches share the buffer.
+        F, _, counts = sets.batch(batch_s, k, PURPOSE_HESS)
+        w = stacked_curvature(state.x, F, counts)
+        if low_rank:
+            # Rows past an agent's count are zero padding and stay zero.
+            B = np.multiply(np.sqrt(w)[:, :, None], F, out=sets.buffer(rows_s))
+            state.x = woodbury_step(
+                state.x, grads + config.beta * state.y + state.q, B, c
             )
-            g = batch_grad(state.x[i], ds, g_idx)
-            h = batch_hess(state.x[i], ds, s_idx)
-            if low_rank:
-                grads[i] = g
-                np.multiply(
-                    np.sqrt(h.weights)[:, None], h.feats, out=B[i, : batch_s[i]]
-                )
-            else:
+        else:
+            for i, m in enumerate(counts):
                 state.x[i] = local_step(
                     state.x[i],
                     state.y[i],
                     state.q[i],
-                    h,
-                    g,
+                    LowRankHessian(lam=sets.lam[i], weights=w[i, :m], feats=F[i, :m]),
+                    grads[i],
                     state.d.alphas[i] if state.d.is_scalar else state.d.blocks[i],
                     config.beta,
                     agent=i,
                 )
-        if low_rank:
-            state.x = woodbury_step(
-                state.x, grads + config.beta * state.y + state.q, B, c
-            )
+        check_finite(state.x, k + 1)
         exchange_and_dual_update(state, P, config.beta)
         for cb in callbacks:
             cb(state.round, state)

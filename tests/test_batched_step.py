@@ -3,7 +3,7 @@ import pytest
 
 from soprolab import optimizer, topology
 from soprolab.baselines import metropolis_weights, run_baseline
-from soprolab.errors import ConfigurationError
+from soprolab.errors import ConfigurationError, DivergenceError
 from soprolab.harness.synthetic import gaussian_blob_samples
 from soprolab.loss import LocalDataset, LowRankHessian, batch_grad, batch_hess
 from soprolab.optimizer import (
@@ -83,13 +83,14 @@ def reference_run(P, datasets, config):
     state = init_network(P, datasets, config)
     state.y = neighbor_disagreement(P, state.x)
     full = config.algorithm == "sopro"
+    width = max(ds.n_samples for ds in datasets)  # the batched draw's key rows
     history = [(state.x.copy(), state.q.copy())]
     for k in range(config.max_iters):
         for i, ds in enumerate(datasets):
             C = ds.n_samples
             G = C if full else config.batch_g
             S = C if full else config.batch_s
-            g_idx, s_idx = sample_batches(C, G, S, config.seed, i, k)
+            g_idx, s_idx = sample_batches(C, G, S, config.seed, i, k, width=width)
             g = batch_grad(state.x[i], ds, g_idx)
             h = batch_hess(state.x[i], ds, s_idx)
             state.x[i] = local_step(
@@ -201,3 +202,40 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
         ])
         W = metropolis_weights(P.graph).matrix
         assert np.array_equal(states[1], W @ states[0] - 0.5 * grads)
+
+
+@pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
+def test_baselines_fail_loudly_on_divergence(algorithm):
+    P, datasets = make_problem([40] * 6, 15)
+    config = RunConfig(
+        batch_g=10, batch_s=10, max_iters=300, seed=7, algorithm=algorithm, step_size=1e3
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match=r"round \d+: agent \d+ has a non-finite"):
+            run_baseline(P, datasets, config)
+
+
+def test_check_finite_names_round_and_agent():
+    x = np.zeros((4, 3))
+    optimizer.check_finite(x, 5)
+    x[2, 1] = np.nan
+    x[3, 0] = np.inf
+    with pytest.raises(DivergenceError, match="round 5: agent 2 "):
+        optimizer.check_finite(x, 5)
+
+
+def test_run_fails_loudly_on_divergence(monkeypatch):
+    # The certified parameters do not diverge, so a step is made to.
+    def poisoned(x, rhs, B, c):
+        out = woodbury_step(x, rhs, B, c)
+        if len(calls) == 2:
+            out[3] = np.nan
+        calls.append(1)
+        return out
+
+    calls = []
+    monkeypatch.setattr(optimizer, "woodbury_step", poisoned)
+    P, datasets = make_problem([40] * 6, 15)
+    with pytest.raises(DivergenceError, match="round 3: agent 3 "):
+        run(P, datasets, RunConfig(batch_g=10, batch_s=5, max_iters=5, seed=0))
+    assert len(calls) == 3

@@ -20,6 +20,9 @@ from soprolab.loss import (
     sample_loss,
     sigma_sq_estimate,
     smoothness,
+    stack_local_sets,
+    stacked_curvature,
+    stacked_grad,
 )
 
 
@@ -134,6 +137,57 @@ def test_partition_is_a_disjoint_cover_and_deterministic():
 def test_partition_insufficient_samples():
     with pytest.raises(ParameterError):
         partition(_dummy_samples(10), 3, 4, seed=0, lambda_reg=0.1)
+
+
+def test_partition_features_share_memory_with_stacked_block():
+    rng = np.random.default_rng(2)
+    samples = [
+        Sample(features=rng.standard_normal(5), label=int(b))
+        for b in rng.choice((-1, 1), 50)
+    ]
+    datasets, _ = partition(samples, 4, 10, seed=3, lambda_reg=0.1)
+    feats, labels = stack_local_sets(datasets)
+    assert feats.shape == (4, 10, 5) and not feats.flags.writeable
+    for i, ds in enumerate(datasets):
+        assert np.shares_memory(ds.features, feats)
+        assert np.array_equal(feats[i], ds.features)
+        assert np.array_equal(labels[i], ds.labels)
+
+
+def test_stack_local_sets_pads_unequal_sets_with_zero_rows():
+    rng = np.random.default_rng(3)
+    datasets = [make_dataset(rng, C=C) for C in (3, 6, 4)]
+    feats, labels = stack_local_sets(datasets)
+    assert feats.shape == (3, 6, 4) and labels.shape == (3, 6)
+    for i, ds in enumerate(datasets):
+        C = ds.n_samples
+        assert not np.shares_memory(ds.features, feats)
+        assert np.array_equal(feats[i, :C], ds.features)
+        assert np.array_equal(labels[i, :C], ds.labels)
+        assert not feats[i, C:].any() and not labels[i, C:].any()
+
+
+@pytest.mark.parametrize("sizes", [(20, 20, 20), (8, 20, 13)])
+def test_stacked_batch_statistics_match_per_agent_batches(sizes):
+    rng = np.random.default_rng(4)
+    datasets = [make_dataset(rng, C=C, d=7, lam=0.05 * (i + 1)) for i, C in enumerate(sizes)]
+    feats, labels = stack_local_sets(datasets)
+    x = rng.standard_normal((len(sizes), 7))
+    counts = np.array(sizes)
+    lam = np.array([ds.lambda_reg for ds in datasets])
+    grads = stacked_grad(x, feats, labels, counts, lam)
+    weights = stacked_curvature(x, feats, counts)
+    for i, ds in enumerate(datasets):
+        C = ds.n_samples
+        want = batch_grad(x[i], ds, np.arange(C))
+        if C == feats.shape[1]:
+            assert np.array_equal(grads[i], want)
+            assert np.array_equal(weights[i], batch_hess(x[i], ds, np.arange(C)).weights)
+        else:
+            # Zero padding may change the BLAS summation order.
+            assert np.allclose(grads[i], want, rtol=1e-13, atol=1e-15)
+            want_w = batch_hess(x[i], ds, np.arange(C)).weights
+            assert np.allclose(weights[i, :C], want_w, rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------- calculus

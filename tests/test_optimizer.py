@@ -14,8 +14,8 @@ from soprolab.optimizer import (
     PURPOSE_HESS,
     PURPOSE_INIT,
     RunConfig,
-    SubstreamPool,
     choose_D,
+    draw_batches,
     exchange_and_dual_update,
     init_network,
     local_step,
@@ -58,14 +58,6 @@ def test_substream_deterministic_and_labelled():
         assert not np.array_equal(a, substream(*other).uniform(size=4))
 
 
-def test_pool_matches_fresh_substreams():
-    pool = SubstreamPool(99)
-    for agent, rnd, purpose in [(0, 0, 0), (3, 11, 1), (3, 11, 2), (1, 5000, 1)]:
-        fresh = substream(99, agent, rnd, purpose).choice(40, 7, replace=False)
-        pooled = pool.at(agent, rnd, purpose).choice(40, 7, replace=False)
-        assert np.array_equal(fresh, pooled)
-
-
 def test_sample_batches_sizes_and_full_batch():
     g_idx, s_idx = sample_batches(239, 80, 10, seed=0, agent=0, round_idx=0)
     assert g_idx.size == 80 and s_idx.size == 10
@@ -86,15 +78,34 @@ def test_sample_batches_deterministic_and_independent():
 def test_sample_batches_inclusion_frequency():
     # Monte Carlo frequency oracle: every index appears with probability G/C.
     C, G, n_draws = 10, 3, 100_000
-    counts = np.zeros(C)
-    pool = SubstreamPool(11)
-    for r in range(n_draws):
-        idx = pool.at(0, r, PURPOSE_GRAD).choice(C, G, replace=False)
-        counts[idx] += 1
-    freq = counts / n_draws
+    idx = draw_batches(np.full(n_draws, C), G, seed=11, round_idx=0, purpose=PURPOSE_GRAD)
+    assert idx.shape == (n_draws, G)
+    freq = np.bincount(idx.ravel(), minlength=C) / n_draws
     p = G / C
     sigma = np.sqrt(p * (1 - p) / n_draws)
     assert np.all(np.abs(freq - p) <= 3 * sigma + 1e-12)
+
+
+@pytest.mark.parametrize("sizes", [[40] * 6, [20, 30, 45, 25, 35]])
+def test_sample_batches_is_a_row_of_the_batched_draw(sizes):
+    width = max(sizes)
+    for round_idx in (0, 7):
+        g_all = draw_batches(sizes, 8, 3, round_idx, PURPOSE_GRAD)
+        s_all = draw_batches(sizes, 6, 3, round_idx, PURPOSE_HESS)
+        for agent, C in enumerate(sizes):
+            g_idx, s_idx = sample_batches(C, 8, 6, 3, agent, round_idx, width=width)
+            assert np.array_equal(g_idx, g_all[agent])
+            assert np.array_equal(s_idx, s_all[agent])
+
+
+def test_draw_batches_never_selects_padding():
+    sizes = np.array([4, 40, 9, 4, 25, 6])
+    for round_idx in range(200):
+        idx = draw_batches(sizes, 4, seed=1, round_idx=round_idx, purpose=PURPOSE_GRAD)
+        assert np.all(idx.max(axis=1) < sizes)
+        assert np.all(np.diff(idx, axis=1) > 0)  # sorted, no repeats
+        # A batch as large as the local set is the whole set.
+        assert np.array_equal(idx[sizes == 4], np.tile(np.arange(4), (2, 1)))
 
 
 def test_sample_batches_range_errors():
