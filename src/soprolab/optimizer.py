@@ -47,6 +47,8 @@ from .errors import ConfigurationError, DivergenceError, InvariantViolation, Par
 from .loss import (
     LowRankHessian,
     SmoothnessBounds,
+    batch_grad,
+    batch_hess,
     stack_local_sets,
     stacked_curvature,
     stacked_grad,
@@ -63,6 +65,7 @@ __all__ = [
     "substream",
     "draw_batches",
     "sample_batches",
+    "agent_batch_stats",
     "LocalSets",
     "check_finite",
     "initial_iterates",
@@ -182,15 +185,15 @@ def draw_batches(
     or the largest ``C_i``; agent ``i``'s batch is the positions of the
     ``size`` smallest keys among the first ``C_i`` of row ``i``, ascending.
     Keys past ``C_i`` are padding and never chosen.  Ascending order makes
-    summation order canonical; a batch that is every whole local set is
-    the plain range and consumes no randomness.  Returns ``(N, size)``.
+    summation order canonical, so a batch that is a whole local set is the
+    plain range.  Returns ``(N, size)``.
     """
     sizes = np.asarray(sizes)
     if not 1 <= size <= sizes.min():
         raise ParameterError(f"batch size {size} outside 1..{sizes.min()}")
-    if np.all(sizes == size):
-        return np.tile(np.arange(size), (sizes.size, 1))
     width = int(sizes.max()) if width is None else width
+    if width < sizes.max():
+        raise ParameterError(f"key width {width} below the largest local set {sizes.max()}")
     keys = substream(seed, 0, round_idx, purpose).random((sizes.size, width))
     keys[np.arange(width) >= sizes[:, None]] = np.inf
     idx = np.argpartition(keys, size - 1, axis=1)[:, :size]
@@ -220,6 +223,26 @@ def sample_batches(
         draw_batches(sizes, b, seed, round_idx, purpose, width)[agent]
         for b, purpose in ((G, PURPOSE_GRAD), (S, PURPOSE_HESS))
     )
+
+
+def agent_batch_stats(
+    x_i: np.ndarray,
+    ds,
+    G: int,
+    S: int,
+    seed: int,
+    agent: int,
+    round_idx: int,
+    width: int | None = None,
+):
+    """One agent's batch gradient and low-rank Hessian for one round.
+
+    Computed alone, from the :func:`sample_batches` indices, with
+    :func:`~soprolab.loss.batch_grad` and :func:`~soprolab.loss.batch_hess`:
+    the per-agent oracle of the stacked statistics of a round.
+    """
+    g_idx, s_idx = sample_batches(ds.n_samples, G, S, seed, agent, round_idx, width)
+    return batch_grad(x_i, ds, g_idx), batch_hess(x_i, ds, s_idx)
 
 
 class LocalSets:

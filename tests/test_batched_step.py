@@ -5,13 +5,13 @@ from soprolab import optimizer, topology
 from soprolab.baselines import metropolis_weights, run_baseline
 from soprolab.errors import ConfigurationError, DivergenceError
 from soprolab.harness.synthetic import gaussian_blob_samples
-from soprolab.loss import LocalDataset, LowRankHessian, batch_grad, batch_hess
+from soprolab.loss import LocalDataset, LowRankHessian
 from soprolab.optimizer import (
     RunConfig,
+    agent_batch_stats,
     init_network,
     local_step,
     run,
-    sample_batches,
     woodbury_step,
 )
 from soprolab.topology import build_random_connected_graph, laplacian_weights
@@ -90,9 +90,7 @@ def reference_run(P, datasets, config):
             C = ds.n_samples
             G = C if full else config.batch_g
             S = C if full else config.batch_s
-            g_idx, s_idx = sample_batches(C, G, S, config.seed, i, k, width=width)
-            g = batch_grad(state.x[i], ds, g_idx)
-            h = batch_hess(state.x[i], ds, s_idx)
+            g, h = agent_batch_stats(state.x[i], ds, G, S, config.seed, i, k, width=width)
             state.x[i] = local_step(
                 state.x[i], state.y[i], state.q[i], h, g, state.d.alphas[i],
                 config.beta, agent=i,
@@ -197,7 +195,7 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
     if algorithm == "dsgd":
         # Round 0 steps along the gradients of the engine's own G-draws.
         grads = np.stack([
-            batch_grad(states[0][i], ds, sample_batches(40, 10, 10, 7, i, 0)[0])
+            agent_batch_stats(states[0][i], ds, 10, 10, 7, i, 0)[0]
             for i, ds in enumerate(datasets)
         ])
         W = metropolis_weights(P.graph).matrix

@@ -113,6 +113,11 @@ def test_sample_batches_range_errors():
         sample_batches(10, 0, 5, seed=0, agent=0, round_idx=0)
     with pytest.raises(ParameterError):
         sample_batches(10, 5, 11, seed=0, agent=0, round_idx=0)
+    # Keys narrower than a local set would never reach its last rows.
+    with pytest.raises(ParameterError):
+        sample_batches(40, 5, 5, seed=0, agent=0, round_idx=0, width=20)
+    with pytest.raises(ParameterError):
+        draw_batches([20, 40], 5, seed=0, round_idx=0, purpose=PURPOSE_GRAD, width=20)
 
 
 # ------------------------------------------------------------- init
