@@ -73,27 +73,33 @@ class MetricsTrace:
         return None
 
     def write_jsonl(self, dest, header: dict, wall_s_total: float) -> None:
-        def _dump(f):
-            f.write(json.dumps({"type": "header", **header}, sort_keys=True) + "\n")
-            for r in self.rows:
-                rec = {
-                    "type": "row",
-                    "round": r.round,
-                    "opt_err": r.opt_err,
-                    "q_err": r.q_err,
-                    "comm_bits": r.comm_bits,
-                    "test_acc": r.test_acc,
-                }
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
-            f.write(
-                json.dumps({"type": "summary", "wall_s_total": wall_s_total}) + "\n"
-            )
+        """Write the header, one line per row and the summary as JSON lines.
 
+        A non-finite value raises ``ValueError`` before anything is written:
+        JSON has no ``NaN`` or ``Infinity``.
+        """
+        records = [{"type": "header", **header}]
+        records += [
+            {
+                "type": "row",
+                "round": r.round,
+                "opt_err": r.opt_err,
+                "q_err": r.q_err,
+                "comm_bits": r.comm_bits,
+                "test_acc": r.test_acc,
+            }
+            for r in self.rows
+        ]
+        lines = [json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records]
+        lines.append(
+            json.dumps({"type": "summary", "wall_s_total": wall_s_total}, allow_nan=False)
+            + "\n"
+        )
         if hasattr(dest, "write"):
-            _dump(dest)
+            dest.writelines(lines)
         else:
             with open(dest, "w") as f:
-                _dump(f)
+                f.writelines(lines)
 
 
 def optimality_error(x: np.ndarray, x_star: np.ndarray) -> float:

@@ -10,20 +10,23 @@ then a synchronous exchange refreshes the weighted disagreements
 ``q_i <- q_i + beta y_i``.  The deterministic parent method is the exact
 special case where both batches are the whole local dataset.
 
-A round is a few array operations over all agents at once.  One draw per
-purpose gives every agent's batch as a row of an ``(N, G)`` index array
-(:func:`draw_batches`).  The rows are gathered from the stacked local sets
-(:class:`LocalSets`) into one buffer that every round reuses, and stacked
-matrix products give all batch gradients ``g_i`` and Hessian weights
-``w_i`` (``h_i = lam I + F_{S_i}^T diag(w_i) F_{S_i}``).  When every
+A round is a few array operations over all agents at once, with no loop
+over agents.  One draw per purpose gives every agent's batch as a row of
+an ``(N, G)`` index array (:func:`draw_batches`).  The rows are gathered
+from the stacked local sets (:class:`LocalSets`) into one buffer that
+every round reuses, and stacked matrix products give all batch gradients
+``g_i`` and Hessian weights ``w_i`` (``h_i = lam I + B_i^T B_i`` with the
+factor ``B_i = sqrt(w_i) F_{S_i}``, which is scaled in place in that
+buffer).  One batched solve then steps all agents.  When every
 ``D_i = alpha_i I`` and the Hessian batch has fewer rows than the
-dimension, the gathered rows are scaled in place into the factors
-``B_i = sqrt(w_i) F_{S_i}``, and one batched solve steps all agents
-through the Woodbury identity: each agent's ``d x d`` system reduces to
+dimension, :func:`woodbury_step` reduces each agent's ``d x d`` system to
 the ``S x S`` system ``c_i I + B_i B_i^T`` with ``c_i = lam + alpha_i``.
-Otherwise each agent's step factors its dense ``h_i + D_i`` by Cholesky
-(:func:`local_step`).  A round whose iterate is not finite raises
-:class:`~soprolab.errors.DivergenceError`.
+Otherwise (``S >= d``, including full-batch SoPro, or explicit ``D_i``
+blocks) :func:`dense_step` forms every ``B_i^T B_i`` with one symmetric
+product and solves the shifted ``d x d`` systems in one stacked call.
+:func:`local_step` steps one agent alone by Cholesky: it is the per-agent
+oracle the batched steps are tested against.  A round whose iterate is
+not finite raises :class:`~soprolab.errors.DivergenceError`.
 
 Randomness comes from counter-based substreams of the master seed.  The
 initial iterates use one substream per agent.  The batches of one (round,
@@ -72,6 +75,7 @@ __all__ = [
     "init_network",
     "local_step",
     "woodbury_step",
+    "dense_step",
     "exchange_and_dual_update",
     "choose_D",
     "recipe_mu_lower_bound",
@@ -416,6 +420,21 @@ def init_network(P: MatrixP, datasets, config: RunConfig) -> NetworkState:
     )
 
 
+def _not_positive_definite(agent: int) -> ConfigurationError:
+    return ConfigurationError(
+        f"agent {agent}: h_i + D_i is not positive definite; "
+        "the proximal blocks are too small for this problem"
+    )
+
+
+def _check_shift(c: np.ndarray) -> None:
+    """``c_i I + B_i^T B_i`` is positive definite iff ``c_i > 0``: raise
+    for the first agent where it is not."""
+    bad = np.flatnonzero(~(c > 0.0))
+    if bad.size:
+        raise _not_positive_definite(int(bad[0]))
+
+
 def local_step(
     x_i: np.ndarray,
     y_i: np.ndarray,
@@ -426,7 +445,11 @@ def local_step(
     beta: float,
     agent: int = -1,
 ) -> np.ndarray:
-    """One proximal step; the SPD system is solved by Cholesky, never inverted."""
+    """One agent's proximal step alone, by Cholesky of its dense ``h_i + D_i``.
+
+    The per-agent oracle of :func:`woodbury_step` and :func:`dense_step`,
+    which step all agents at once; the engine's round does not call it.
+    """
     A = hess.dense()
     if np.ndim(d_block) == 0:
         A.flat[:: A.shape[0] + 1] += float(d_block)
@@ -436,10 +459,7 @@ def local_step(
     try:
         c, low = cho_factor(A, check_finite=False)
     except LinAlgError:
-        raise ConfigurationError(
-            f"agent {agent}: h_i + D_i is not positive definite; "
-            "the proximal blocks are too small for this problem"
-        )
+        raise _not_positive_definite(agent)
     return x_i - cho_solve((c, low), rhs, check_finite=False)
 
 
@@ -458,18 +478,45 @@ def woodbury_step(
     ``h_i + D_i`` is exactly ``c_i``: the system is positive definite if
     and only if ``c_i > 0``.  Zero rows in ``B_i`` leave the step unchanged.
     """
-    bad = np.flatnonzero(~(c > 0.0))
-    if bad.size:
-        raise ConfigurationError(
-            f"agent {bad[0]}: h_i + D_i is not positive definite; "
-            "the proximal blocks are too small for this problem"
-        )
+    _check_shift(c)
     K = B @ B.transpose(0, 2, 1)
     diag = np.arange(B.shape[1])
     K[:, diag, diag] += c[:, None]
     z = np.linalg.solve(K, B @ rhs[:, :, None])
     step = (rhs - (B.transpose(0, 2, 1) @ z)[:, :, 0]) / c[:, None]
     return x - step
+
+
+def dense_step(
+    x: np.ndarray, rhs: np.ndarray, B: np.ndarray, shift: np.ndarray
+) -> np.ndarray:
+    """Proximal steps of all agents whose ``h_i + D_i`` is ``B_i^T B_i + shift_i``.
+
+    ``x`` and ``rhs`` are ``(N, d)`` and ``B`` is ``(N, S, d)`` for any
+    ``S``.  ``shift`` is either ``(N,)``, the scalars ``c_i`` of
+    ``c_i I``, or ``(N, d, d)``, the blocks ``lam_i I + D_i``.  Every Gram
+    matrix ``B_i^T B_i`` comes from one product of ``B`` with its own
+    transpose, which BLAS computes as a symmetric rank-k update, and one
+    stacked solve steps all agents.  Zero rows in ``B_i`` add nothing.
+    With scalar shifts the system is positive definite if and only if
+    ``c_i > 0``; blocks are checked by one stacked Cholesky.
+    """
+    H = B.transpose(0, 2, 1) @ B
+    if shift.ndim == 1:
+        _check_shift(shift)
+        diag = np.arange(H.shape[1])
+        H[:, diag, diag] += shift[:, None]
+    else:
+        H += shift
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            for i, h in enumerate(H):
+                try:
+                    np.linalg.cholesky(h)
+                except np.linalg.LinAlgError:
+                    raise _not_positive_definite(i)
+    return x - np.linalg.solve(H, rhs[:, :, None])[:, :, 0]
 
 
 def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> None:
@@ -483,6 +530,9 @@ def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> No
 def run(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> NetworkState:
     """Execute ``max_iters`` synchronous rounds and return the final state.
 
+    Each round steps all agents with one batched call: :func:`woodbury_step`
+    when every ``D_i`` is a scalar multiple of the identity and the Hessian
+    batch has fewer rows than the dimension, :func:`dense_step` otherwise.
     ``callbacks`` are invoked as ``cb(round, state)`` after initialization
     (round 0) and after every completed round; states passed to callbacks
     must be treated as read-only.  The full-batch deterministic variant
@@ -500,9 +550,12 @@ def run(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> NetworkState:
     batch_g = None if full else config.batch_g
     batch_s = None if full else config.batch_s
     rows_s = sets.feats.shape[1] if full else config.batch_s
-    low_rank = state.d.is_scalar and rows_s < state.dim
-    if low_rank:
-        c = sets.lam + state.d.alphas
+    if state.d.is_scalar:
+        shift = sets.lam + state.d.alphas
+        step = woodbury_step if rows_s < state.dim else dense_step
+    else:
+        shift = sets.lam[:, None, None] * np.eye(state.dim) + state.d.blocks
+        step = dense_step
     for cb in callbacks:
         cb(0, state)
     for k in range(config.max_iters):
@@ -510,24 +563,9 @@ def run(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> NetworkState:
         # Gathered after the gradient: both batches share the buffer.
         F, _, counts = sets.batch(batch_s, k, PURPOSE_HESS)
         w = stacked_curvature(state.x, F, counts)
-        if low_rank:
-            # Rows past an agent's count are zero padding and stay zero.
-            B = np.multiply(np.sqrt(w)[:, :, None], F, out=sets.buffer(rows_s))
-            state.x = woodbury_step(
-                state.x, grads + config.beta * state.y + state.q, B, c
-            )
-        else:
-            for i, m in enumerate(counts):
-                state.x[i] = local_step(
-                    state.x[i],
-                    state.y[i],
-                    state.q[i],
-                    LowRankHessian(lam=sets.lam[i], weights=w[i, :m], feats=F[i, :m]),
-                    grads[i],
-                    state.d.alphas[i] if state.d.is_scalar else state.d.blocks[i],
-                    config.beta,
-                    agent=i,
-                )
+        # Rows past an agent's count are zero padding and stay zero.
+        B = np.multiply(np.sqrt(w)[:, :, None], F, out=sets.buffer(rows_s))
+        state.x = step(state.x, grads + config.beta * state.y + state.q, B, shift)
         check_finite(state.x, k + 1)
         exchange_and_dual_update(state, P, config.beta)
         for cb in callbacks:

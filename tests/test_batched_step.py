@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from soprolab.loss import LocalDataset, LowRankHessian
 from soprolab.optimizer import (
     RunConfig,
     agent_batch_stats,
+    dense_step,
     init_network,
     local_step,
     run,
@@ -56,6 +59,61 @@ def test_woodbury_step_rejects_nonpositive_shift():
     assert "agent 2" in str(e.value)
 
 
+def spd_blocks(rng, n, d, scale):
+    """``n`` random symmetric positive semidefinite ``d x d`` blocks."""
+    R = rng.standard_normal((n, d, d))
+    return scale * R @ R.transpose(0, 2, 1) / d
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+def test_dense_step_matches_dense_inverse_oracle(blocks):
+    rng = np.random.default_rng(5)
+    n, S, d, lam = 7, 20, 15, 0.1
+    alphas = np.geomspace(0.5, 800.0, n)
+    weights = rng.uniform(0.0, 0.25, (n, S)) / S
+    feats = (rng.random((n, S, d)) < 0.3).astype(float)
+    x = rng.standard_normal((n, d))
+    rhs = rng.standard_normal((n, d))
+    B = np.sqrt(weights)[:, :, None] * feats
+    D = alphas[:, None, None] * np.eye(d)
+    if blocks:
+        D = D + spd_blocks(rng, n, d, 2.0)
+        shift = lam * np.eye(d) + D
+    else:
+        shift = lam + alphas
+    expected = np.empty((n, d))
+    for i in range(n):
+        h = LowRankHessian(lam=lam, weights=weights[i], feats=feats[i])
+        expected[i] = x[i] - np.linalg.inv(h.dense() + D[i]) @ rhs[i]
+
+    out = dense_step(x, rhs, B, shift)
+    # Trailing zero rows stand for agents with smaller Hessian batches.
+    padded = np.concatenate([B, np.zeros((n, 3, d))], axis=1)
+    out_padded = dense_step(x, rhs, padded, shift)
+    for i in range(n):
+        assert rel_err(out[i], expected[i]) <= 1e-10
+        assert rel_err(out_padded[i], expected[i]) <= 1e-10
+
+
+def test_dense_step_rejects_nonpositive_shift():
+    n, S, d = 4, 6, 5
+    B = np.ones((n, S, d))
+    c = np.array([1.0, 2.0, 0.0, -1.0])
+    with pytest.raises(ConfigurationError) as e:
+        dense_step(np.zeros((n, d)), np.ones((n, d)), B, c)
+    assert "agent 2" in str(e.value)
+
+
+def test_dense_step_rejects_indefinite_block():
+    n, S, d = 4, 6, 5
+    B = np.zeros((n, S, d))
+    shift = np.stack([np.eye(d)] * n)
+    shift[1, 0, 0] = shift[3, 2, 2] = -1.0
+    with pytest.raises(ConfigurationError) as e:
+        dense_step(np.zeros((n, d)), np.ones((n, d)), B, shift)
+    assert "agent 1" in str(e.value)
+
+
 # ------------------------------------------------------------- full runs
 
 
@@ -91,9 +149,9 @@ def reference_run(P, datasets, config):
             G = C if full else config.batch_g
             S = C if full else config.batch_s
             g, h = agent_batch_stats(state.x[i], ds, G, S, config.seed, i, k, width=width)
+            d_i = state.d.alphas[i] if state.d.is_scalar else state.d.blocks[i]
             state.x[i] = local_step(
-                state.x[i], state.y[i], state.q[i], h, g, state.d.alphas[i],
-                config.beta, agent=i,
+                state.x[i], state.y[i], state.q[i], h, g, d_i, config.beta, agent=i,
             )
         state.y = neighbor_disagreement(P, state.x)
         state.q = state.q + config.beta * state.y
@@ -101,8 +159,10 @@ def reference_run(P, datasets, config):
     return history
 
 
-def engine_history(P, datasets, config, monkeypatch, expect_batched):
-    calls = {"woodbury": 0, "local": 0}
+def engine_history(P, datasets, config, monkeypatch, expect_woodbury):
+    """The engine's iterates and duals after every round; each round must
+    make one batched step, by Woodbury or dense solve as expected."""
+    calls = {"woodbury": 0, "dense": 0, "local": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -112,15 +172,16 @@ def engine_history(P, datasets, config, monkeypatch, expect_batched):
         return wrapper
 
     monkeypatch.setattr(optimizer, "woodbury_step", counted("woodbury", woodbury_step))
+    monkeypatch.setattr(optimizer, "dense_step", counted("dense", dense_step))
     monkeypatch.setattr(optimizer, "local_step", counted("local", local_step))
     history = []
     run(P, datasets, config,
         callbacks=[lambda k, s: history.append((s.x.copy(), s.q.copy()))])
     rounds = config.max_iters
-    if expect_batched:
-        assert calls == {"woodbury": rounds, "local": 0}
+    if expect_woodbury:
+        assert calls == {"woodbury": rounds, "dense": 0, "local": 0}
     else:
-        assert calls == {"woodbury": 0, "local": rounds * len(datasets)}
+        assert calls == {"woodbury": 0, "dense": rounds, "local": 0}
     return history
 
 
@@ -132,39 +193,68 @@ def assert_histories_match(got, want):
 
 
 @pytest.mark.parametrize(
-    "algorithm, batch_s, d, batched",
+    "algorithm, batch_s, d, woodbury",
     [
         ("st_sopro", 5, 15, True),  # S < d: Woodbury
-        ("st_sopro", 20, 15, False),  # S >= d: per-agent Cholesky
+        ("st_sopro", 20, 15, False),  # S >= d: dense
         ("sopro", None, 60, True),  # full batch, C = 40 < d
         ("sopro", None, 15, False),  # full batch, C = 40 >= d
     ],
 )
-def test_run_matches_per_agent_reference(algorithm, batch_s, d, batched, monkeypatch):
+def test_run_matches_per_agent_reference(algorithm, batch_s, d, woodbury, monkeypatch):
     P, datasets = make_problem([40] * 6, d)
     config = RunConfig(
         batch_g=10, batch_s=batch_s or 40, max_iters=20, seed=5, algorithm=algorithm
     )
     want = reference_run(P, datasets, config)
-    got = engine_history(P, datasets, config, monkeypatch, expect_batched=batched)
+    got = engine_history(P, datasets, config, monkeypatch, expect_woodbury=woodbury)
     assert_histories_match(got, want)
 
 
 @pytest.mark.parametrize(
-    "algorithm, d, batched",
+    "algorithm, d, woodbury",
     [
         ("st_sopro", 50, True),
         ("sopro", 50, True),  # Hessian batches of 20..45 rows, padded to 45
         ("sopro", 30, False),  # some local sets have more rows than d
     ],
 )
-def test_run_accepts_unequal_local_datasets(algorithm, d, batched, monkeypatch):
+def test_run_accepts_unequal_local_datasets(algorithm, d, woodbury, monkeypatch):
     P, datasets = make_problem([20, 30, 45, 25, 35], d, seed=1)
     config = RunConfig(batch_g=8, batch_s=6, max_iters=20, seed=2, algorithm=algorithm)
     want = reference_run(P, datasets, config)
-    got = engine_history(P, datasets, config, monkeypatch, expect_batched=batched)
+    got = engine_history(P, datasets, config, monkeypatch, expect_woodbury=woodbury)
     assert_histories_match(got, want)
     assert np.all(np.isfinite(got[-1][0]))
+
+
+def explicit_config(P, datasets, config, perturb):
+    """``config`` with the scalar run's ``alpha_i I`` as explicit blocks,
+    plus ``perturb`` (positive semidefinite, so the blocks stay admissible)."""
+    alphas = init_network(P, datasets, config).d.alphas
+    d = datasets[0].dim
+    blocks = alphas[:, None, None] * np.eye(d) + perturb
+    return replace(config, d_mode="explicit", d_blocks=blocks)
+
+
+@pytest.mark.parametrize("batch_s, woodbury", [(5, True), (20, False)])
+def test_explicit_alpha_blocks_match_scalar_run(batch_s, woodbury, monkeypatch):
+    P, datasets = make_problem([40] * 6, 15)
+    config = RunConfig(batch_g=10, batch_s=batch_s, max_iters=20, seed=5)
+    want = engine_history(P, datasets, config, monkeypatch, expect_woodbury=woodbury)
+    explicit = explicit_config(P, datasets, config, 0.0)
+    got = engine_history(P, datasets, explicit, monkeypatch, expect_woodbury=False)
+    assert_histories_match(got, want)
+
+
+def test_explicit_blocks_match_per_agent_reference(monkeypatch):
+    P, datasets = make_problem([40] * 6, 15)
+    config = RunConfig(batch_g=10, batch_s=5, max_iters=20, seed=5)
+    perturb = spd_blocks(np.random.default_rng(8), 6, 15, 50.0)
+    explicit = explicit_config(P, datasets, config, perturb)
+    want = reference_run(P, datasets, explicit)
+    got = engine_history(P, datasets, explicit, monkeypatch, expect_woodbury=False)
+    assert_histories_match(got, want)
 
 
 # ------------------------------------------------------------- shared parts
@@ -186,10 +276,16 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=3, seed=7, algorithm=algorithm, step_size=0.5
     )
-    states = []
-    run_baseline(P, datasets, config, callbacks=[lambda k, s: states.append(s.x.copy())])
+    states, comm = [], []
+
+    def record(k, s):
+        states.append(s.x.copy())
+        comm.append(s.comm_scalars)
+
+    run_baseline(P, datasets, config, callbacks=[record])
     assert len(states) == 4
     d = datasets[0].dim
+    assert comm == [k * per_edge * P.graph.n_edges * d for k in range(4)]
     final = run_baseline(P, datasets, config)
     assert final.comm_scalars == 3 * per_edge * P.graph.n_edges * d
     if algorithm == "dsgd":
@@ -200,6 +296,39 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
         ])
         W = metropolis_weights(P.graph).matrix
         assert np.array_equal(states[1], W @ states[0] - 0.5 * grads)
+
+
+def test_dsgt_tracker_sum_equals_last_gradient_sum():
+    P, datasets = make_problem([40] * 6, 15)
+    config = RunConfig(
+        batch_g=10, batch_s=10, max_iters=30, seed=7, algorithm="dsgt", step_size=0.5
+    )
+    gaps = []
+
+    def record(k, s):
+        want = s._last_grads.sum(axis=0)
+        gaps.append(np.linalg.norm(s.tracker.sum(axis=0) - want) / np.linalg.norm(want))
+
+    run_baseline(P, datasets, config, callbacks=[record])
+    assert len(gaps) == 31
+    assert max(gaps) <= 1e-12
+
+
+def test_one_over_k_schedule_divides_the_step_by_one_plus_the_round():
+    P, datasets = make_problem([40] * 6, 15)
+    config = RunConfig(
+        batch_g=10, batch_s=10, max_iters=3, seed=7, algorithm="dsgd", step_size=0.5,
+        step_schedule="one_over_k",
+    )
+    states = []
+    run_baseline(P, datasets, config, callbacks=[lambda k, s: states.append(s.x.copy())])
+    W = metropolis_weights(P.graph).matrix
+    for k in range(3):
+        grads = np.stack([
+            agent_batch_stats(states[k][i], ds, 10, 10, 7, i, k)[0]
+            for i, ds in enumerate(datasets)
+        ])
+        assert np.array_equal(states[k + 1], W @ states[k] - 0.5 / (1 + k) * grads)
 
 
 @pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])

@@ -1,9 +1,13 @@
+import io
+import json
 import math
 
 import numpy as np
+import pytest
 
 from soprolab.harness import reference
-from soprolab.harness.experiment import ExperimentConfig
+from soprolab.harness.experiment import ExperimentConfig, run_experiment
+from soprolab.harness.metrics import MetricRow, MetricsTrace
 from soprolab.harness.tuning import tune_baseline
 from soprolab.loss import LocalDataset
 
@@ -46,3 +50,36 @@ def test_tuning_scores_a_diverging_point_as_never_reaching_the_target():
     stable, diverged = result.table
     assert math.isinf(diverged.mean_rounds) and math.isinf(diverged.mean_final_err)
     assert result.best is stable and math.isfinite(stable.mean_final_err)
+
+
+def test_trace_with_a_non_finite_value_is_refused_and_not_written():
+    trace = MetricsTrace()
+    trace.append(MetricRow(round=0, opt_err=1.0, comm_bits=32))
+    trace.append(MetricRow(round=1, opt_err=float("nan"), comm_bits=64))
+    out = io.StringIO()
+    with pytest.raises(ValueError):
+        trace.write_jsonl(out, {"config": {}}, wall_s_total=0.5)
+    assert out.getvalue() == ""
+
+
+def trace_lines(path):
+    """A trace's header, without its output directory, and its row lines;
+    the summary holds only the wall-clock total."""
+    header, *rows, summary = path.read_text().splitlines()
+    assert json.loads(summary).keys() == {"type", "wall_s_total"}
+    header = json.loads(header)
+    assert header["config"].pop("out") == str(path.parent)
+    return header, rows
+
+
+def test_rerun_writes_identical_trace_apart_from_out_dir(tmp_path):
+    config = ExperimentConfig(
+        dim=6, n_agents=4, per_agent=30, test_size=20, batch_g=5, batch_s=5,
+        max_iters=10, seeds=2,
+    )
+    first = run_experiment(config.with_overrides({"out": str(tmp_path / "a")}))
+    second = run_experiment(config.with_overrides({"out": str(tmp_path / "b")}))
+    assert len(first.trace_paths) == 2
+    for a, b in zip(first.trace_paths, second.trace_paths):
+        assert a.name == b.name
+        assert trace_lines(a) == trace_lines(b)
