@@ -10,20 +10,14 @@ JSONL trace plus one seed-averaged CSV.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .. import baselines, certificate as cert, optimizer
 from ..errors import ConfigurationError
-from ..loss import (
-    SmoothnessBounds,
-    TestSet,
-    full_grad,
-    parse_libsvm,
-    partition,
-)
+from ..loss import SmoothnessBounds, TestSet, parse_libsvm, partition
 from ..topology import (
     MatrixP,
     build_random_connected_graph,
@@ -39,7 +33,12 @@ from .metrics import (
     optimality_error,
     write_aggregate_csv,
 )
-from .reference import ReferenceSolution, estimate_sigma_sq, solve_reference
+from .reference import (
+    ReferenceSolution,
+    estimate_sigma_sq,
+    local_gradients,
+    solve_reference,
+)
 from .synthetic import gaussian_blob_samples
 
 __all__ = [
@@ -206,7 +205,8 @@ def build_topology(config: ExperimentConfig) -> MatrixP:
     return laplacian_weights(g, 1.0)
 
 
-def _load_samples(config: ExperimentConfig):
+def _load_data(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The whole data set as ``(features, labels)`` arrays."""
     if config.dataset == "synthetic":
         total = config.n_agents * config.per_agent + config.test_size
         seed = config.data_seed if config.data_seed is not None else config.master_seed
@@ -214,8 +214,7 @@ def _load_samples(config: ExperimentConfig):
             total, config.dim, seed, separation=config.separation, noise=config.noise
         )
     with open(config.dataset, "rb") as f:
-        samples, _ = parse_libsvm(f, dim=config.dim)
-    return samples
+        return parse_libsvm(f, dim=config.dim)
 
 
 @dataclass
@@ -225,18 +224,26 @@ class Problem:
     test: TestSet
     bounds: SmoothnessBounds
     reference: ReferenceSolution
+    # Wall seconds of the set-up phases: load_s (topology, data, split and
+    # curvature bounds) and reference_s.
+    timings: dict = field(default_factory=dict)
 
 
 def build_problem(config: ExperimentConfig) -> Problem:
+    start = time.perf_counter()
     P = build_topology(config)
-    samples = _load_samples(config)
     seed = config.data_seed if config.data_seed is not None else config.master_seed
+    # The loaded arrays are not bound to a name: partition copies what it
+    # keeps, so they are freed before the reference solve.
     datasets, test = partition(
-        samples, config.n_agents, config.per_agent, seed, config.lambda_reg
+        _load_data(config), config.n_agents, config.per_agent, seed, config.lambda_reg
     )
     bounds = SmoothnessBounds.from_datasets(datasets)
+    loaded = time.perf_counter()
     ref = solve_reference(datasets)
-    return Problem(P=P, datasets=datasets, test=test, bounds=bounds, reference=ref)
+    timings = {"load_s": loaded - start, "reference_s": time.perf_counter() - loaded}
+    return Problem(P=P, datasets=datasets, test=test, bounds=bounds, reference=ref,
+                   timings=timings)
 
 
 def build_certificate(config: ExperimentConfig, problem: Problem):
@@ -264,7 +271,7 @@ def build_certificate(config: ExperimentConfig, problem: Problem):
         tau_value,
         c1=config.c1,
     )
-    q_star = np.stack([-full_grad(problem.reference.x, ds) for ds in problem.datasets])
+    q_star = -local_gradients(problem.datasets, problem.reference.x)
     q_err = cert.QNormError(
         problem.P, rate.r_diag, config.beta, problem.reference.x, q_star
     )
@@ -292,10 +299,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     The topology, data split, reference solution, and certificate are pinned
     by ``topology_seed``/``data_seed`` (default: the master seed); individual
     runs vary only in their own seed, so seed-averaged statistics measure
-    sampling noise alone.
+    sampling noise alone.  Each trace's summary line holds the wall-clock
+    values: ``wall_s_total`` and the set-up phases ``load_s``,
+    ``reference_s`` and ``certificate_s``.
     """
     problem = build_problem(config)
+    certifying = time.perf_counter()
     rate, d_blocks, q_err = build_certificate(config, problem)
+    timings = {**problem.timings, "certificate_s": time.perf_counter() - certifying}
     mu_resolved = config.mu
     if mu_resolved is None and d_blocks is not None:
         lam_max = problem.P.spectral.lambda_max
@@ -359,6 +370,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 path,
                 {**header, "run_index": run_idx, "run_seed": seed},
                 wall_s_total=time.perf_counter() - t0,
+                timings=timings,
             )
             paths.append(path)
 

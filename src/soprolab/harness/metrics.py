@@ -72,11 +72,15 @@ class MetricsTrace:
                 return r.round
         return None
 
-    def write_jsonl(self, dest, header: dict, wall_s_total: float) -> None:
+    def write_jsonl(
+        self, dest, header: dict, wall_s_total: float, timings: dict | None = None
+    ) -> None:
         """Write the header, one line per row and the summary as JSON lines.
 
-        A non-finite value raises ``ValueError`` before anything is written:
-        JSON has no ``NaN`` or ``Infinity``.
+        Wall-clock values go only in the summary: ``wall_s_total`` and the
+        set-up phase seconds in ``timings``.  A non-finite value raises
+        ``ValueError`` before anything is written: JSON has no ``NaN`` or
+        ``Infinity``.
         """
         records = [{"type": "header", **header}]
         records += [
@@ -92,7 +96,10 @@ class MetricsTrace:
         ]
         lines = [json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records]
         lines.append(
-            json.dumps({"type": "summary", "wall_s_total": wall_s_total}, allow_nan=False)
+            json.dumps(
+                {"type": "summary", "wall_s_total": wall_s_total, **(timings or {})},
+                allow_nan=False,
+            )
             + "\n"
         )
         if hasattr(dest, "write"):

@@ -4,6 +4,10 @@ The aggregate objective ``F(x) = sum_i f_i(x)`` over a single variable is
 strongly convex, so a damped Newton iteration drives its gradient norm to
 essentially machine precision; the resulting point is the oracle against
 which every decentralized trajectory is measured.
+
+Every evaluation covers all agents at once over the stacked local sets
+(:func:`~soprolab.loss.stack_local_sets`): each row carries the weight
+``1/C_i`` of its agent's average, and padding rows weigh 0.
 """
 
 from __future__ import annotations
@@ -13,11 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import expit
 
 from ..errors import SoprolabError
-from ..loss import batch_loss, full_grad, full_hess, sigma_sq_estimate
 
-__all__ = ["ReferenceSolution", "solve_reference", "probe_points", "estimate_sigma_sq"]
+# full_grad is the per-agent gradient that local_gradients stacks; it is
+# kept importable here for callers that check one against the other.
+from ..loss import full_grad, sigma_sq_estimate, stack_local_sets, stacked_grad  # noqa: F401
+
+__all__ = [
+    "ReferenceSolution",
+    "solve_reference",
+    "local_gradients",
+    "probe_points",
+    "estimate_sigma_sq",
+]
 
 
 @dataclass(frozen=True)
@@ -33,6 +47,10 @@ _cache: dict[tuple, ReferenceSolution] = {}
 # error of summing many per-sample losses.
 _ROUNDING = 1e3 * np.finfo(float).eps
 
+# Rows per Hessian update: bounds the scaled copy of the rows to about 1 MB
+# at d = 123 instead of one copy of the whole stack.
+_HESS_CHUNK_ROWS = 1024
+
 
 def _pool_key(datasets, tol):
     h = hashlib.sha256()
@@ -44,23 +62,47 @@ def _pool_key(datasets, tol):
     return h.hexdigest()
 
 
-def _objective(x, datasets):
-    return sum(batch_loss(x, ds, np.arange(ds.n_samples)) for ds in datasets)
+class _Pool:
+    """All local sets stacked, with the per-row weights of the averages."""
+
+    def __init__(self, datasets):
+        self.feats, self.labels = stack_local_sets(datasets)
+        self.counts = np.array([ds.n_samples for ds in datasets])
+        self.lam = np.array([ds.lambda_reg for ds in datasets])
+        width = self.feats.shape[1]
+        self.weights = (np.arange(width) < self.counts[:, None]) / self.counts[:, None]
+
+    def objective(self, x: np.ndarray) -> float:
+        z = self.labels * (self.feats @ x)
+        logistic = float(np.sum(self.weights * np.logaddexp(0.0, -z)))
+        return 0.5 * float(self.lam.sum()) * float(x @ x) + logistic
+
+    def local_gradients(self, x: np.ndarray) -> np.ndarray:
+        """``(N, d)``: row ``i`` is agent ``i``'s exact gradient at ``x``."""
+        X = np.broadcast_to(x, (len(self.counts), x.shape[0]))
+        return stacked_grad(X, self.feats, self.labels, self.counts, self.lam)
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        # Rows added in agent order, as a sum of per-agent gradients would.
+        return self.local_gradients(x).sum(axis=0)
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        d = x.shape[0]
+        p = expit(self.feats @ x)
+        root = np.sqrt(self.weights * p * (1.0 - p)).reshape(-1)
+        rows = self.feats.reshape(-1, d)
+        H = np.zeros((d, d))
+        for start in range(0, rows.shape[0], _HESS_CHUNK_ROWS):
+            chunk = slice(start, start + _HESS_CHUNK_ROWS)
+            B = rows[chunk] * root[chunk, None]
+            H += B.T @ B
+        H.flat[:: d + 1] += self.lam.sum()
+        return H
 
 
-def _gradient(x, datasets):
-    g = np.zeros_like(x)
-    for ds in datasets:
-        g += full_grad(x, ds)
-    return g
-
-
-def _hessian(x, datasets):
-    d = datasets[0].dim
-    H = np.zeros((d, d))
-    for ds in datasets:
-        H += full_hess(x, ds).dense()
-    return H
+def local_gradients(datasets, x: np.ndarray) -> np.ndarray:
+    """``(N, d)`` exact local gradients of all agents at one point ``x``."""
+    return _Pool(datasets).local_gradients(x)
 
 
 def solve_reference(datasets, tol: float = 1e-12, max_iters: int = 200) -> ReferenceSolution:
@@ -74,17 +116,17 @@ def solve_reference(datasets, tol: float = 1e-12, max_iters: int = 200) -> Refer
     if hit is not None:
         return hit
 
-    x = np.zeros(datasets[0].dim)
-    f = _objective(x, datasets)
+    pool = _Pool(datasets)
+    x = np.zeros(pool.feats.shape[2])
+    f = pool.objective(x)
     for it in range(max_iters):
-        g = _gradient(x, datasets)
+        g = pool.gradient(x)
         gn = float(np.linalg.norm(g))
         if gn <= tol:
             sol = ReferenceSolution(x=x, grad_norm=gn, iterations=it)
             _cache[key] = sol
             return sol
-        H = _hessian(x, datasets)
-        step = cho_solve(cho_factor(H), g)
+        step = cho_solve(cho_factor(pool.hessian(x)), g)
         t = 1.0
         gTs = float(g @ step)
         if gTs <= _ROUNDING * abs(f):
@@ -92,11 +134,11 @@ def solve_reference(datasets, tol: float = 1e-12, max_iters: int = 200) -> Refer
             # test would compare rounding noise; this close to the optimum
             # the full Newton step converges quadratically.
             x = x - step
-            f = _objective(x, datasets)
+            f = pool.objective(x)
             continue
         while t > 1e-12:
             cand = x - t * step
-            fc = _objective(cand, datasets)
+            fc = pool.objective(cand)
             if fc <= f - 1e-4 * t * gTs:
                 x, f = cand, fc
                 break
@@ -111,15 +153,14 @@ def solve_reference(datasets, tol: float = 1e-12, max_iters: int = 200) -> Refer
 def probe_points(datasets, x_star: np.ndarray, n_steps: int = 8) -> list[np.ndarray]:
     """Probes for the gradient-noise estimate: origin, optimum, and the
     iterates of a short deterministic gradient descent between them."""
+    pool = _Pool(datasets)
     probes = [np.zeros_like(x_star), x_star]
-    total_M = sum(
-        ds.lambda_reg + 0.25 * float(np.max(np.einsum("ij,ij->i", ds.features, ds.features)))
-        for ds in datasets
-    )
+    row_sq = np.einsum("nwd,nwd->nw", pool.feats, pool.feats)
+    total_M = float(np.sum(pool.lam + 0.25 * row_sq.max(axis=1)))
     x = np.zeros_like(x_star)
     step = 1.0 / max(total_M, 1e-12)
     for _ in range(n_steps):
-        x = x - step * _gradient(x, datasets)
+        x = x - step * pool.gradient(x)
         probes.append(x.copy())
     return probes
 

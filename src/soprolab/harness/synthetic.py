@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from ..loss import Sample
 
 __all__ = ["gaussian_blob_samples"]
 
@@ -16,8 +15,8 @@ def gaussian_blob_samples(
     seed: int,
     separation: float = 1.0,
     noise: float = 1.0,
-) -> list[Sample]:
-    """Two separable Gaussian blobs with labels -1/+1.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two separable Gaussian blobs: ``(n, dim)`` features and ``(n,)`` labels -1/+1.
 
     Class means sit at ``+- (separation/2) u`` along a random unit direction
     ``u``; isotropic noise has total variance ``noise**2`` regardless of
@@ -33,4 +32,4 @@ def gaussian_blob_samples(
         0.5 * separation * labels[:, None] * u[None, :]
         + (noise / np.sqrt(dim)) * rng.standard_normal((n, dim))
     )
-    return [Sample(features=feats[i], label=int(labels[i])) for i in range(n)]
+    return feats, labels

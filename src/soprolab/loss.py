@@ -4,16 +4,24 @@ Per sample ``(a, b)`` with ``b in {-1, +1}`` the loss at ``x`` is
 ``(lam/2)||x||^2 + log(1 + exp(-b a^T x))``.  A local objective averages the
 sample losses of one agent; batch gradients and Hessians average uniformly
 chosen subsets and are unbiased for the full quantities.
+
+Data stays in arrays from file to engine: :func:`parse_libsvm` returns one
+``(n, d)`` feature matrix and ``(n,)`` labels, :func:`partition` gathers
+the local sets into one ``(N, C, d)`` block, and the stacked functions
+(:func:`stacked_grad`, :func:`stacked_curvature`, :func:`sigma_sq_estimate`)
+work on all agents at once.  :class:`Sample` and the ``sample_*``
+functions are the per-sample definitions those are checked against.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import ParameterError, ParseError
+from .errors import InvariantViolation, ParameterError, ParseError
 
 __all__ = [
     "Sample",
@@ -70,23 +78,12 @@ class LocalDataset:
             raise ParameterError("need at least one sample")
         if self.labels.shape != (self.features.shape[0],):
             raise ParameterError("labels/features length mismatch")
-        if not np.all(np.isin(self.labels, (-1, 1))):
+        if not np.all(np.abs(self.labels) == 1):
             raise ParameterError("labels must be +-1")
         if not self.lambda_reg > 0:
             raise ParameterError(f"lambda_reg must be positive, got {self.lambda_reg}")
         self.features.setflags(write=False)
         self.labels.setflags(write=False)
-
-    @classmethod
-    def from_samples(cls, samples, lambda_reg: float) -> "LocalDataset":
-        if not samples:
-            raise ParameterError("need at least one sample")
-        dims = {s.dim for s in samples}
-        if len(dims) != 1:
-            raise ParameterError(f"samples disagree on dimension: {sorted(dims)}")
-        feats = np.stack([s.features for s in samples]).astype(float)
-        labels = np.array([s.label for s in samples], dtype=int)
-        return cls(features=feats, labels=labels, lambda_reg=lambda_reg)
 
     @property
     def n_samples(self) -> int:
@@ -107,74 +104,103 @@ class TestSet:
     features: np.ndarray
     labels: np.ndarray
 
-    @classmethod
-    def from_samples(cls, samples, dim: int | None = None) -> "TestSet":
-        if not samples:
-            d = 0 if dim is None else dim
-            return cls(features=np.zeros((0, d)), labels=np.zeros(0, dtype=int))
-        feats = np.stack([s.features for s in samples]).astype(float)
-        labels = np.array([s.label for s in samples], dtype=int)
-        return cls(features=feats, labels=labels)
-
     def __len__(self) -> int:
         return self.features.shape[0]
 
 
-def _map_labels(raw: list[float], lineno_of) -> list[int]:
-    distinct = set(raw)
-    if distinct <= {-1.0, 1.0}:
-        table = {-1.0: -1, 1.0: 1}
-    elif distinct <= {1.0, 2.0}:
-        table = {1.0: 1, 2.0: -1}
-    elif distinct <= {0.0, 1.0}:
-        table = {0.0: -1, 1.0: 1}
-    else:
-        bad = sorted(distinct - {-1.0, 0.0, 1.0, 2.0})[0]
-        raise ParseError(f"unmappable label {bad}", line=lineno_of(bad))
-    return [table[v] for v in raw]
+# Raw label sets the automatic rule accepts, in the order it tries them,
+# and the raw label each maps to -1.
+_LABEL_CONVENTIONS = (((-1.0, 1.0), -1.0), ((1.0, 2.0), 2.0), ((0.0, 1.0), 0.0))
 
 
-def parse_libsvm(source, dim: int | None = None, label_map: dict | None = None):
-    """Parse LIBSVM text into samples.
+def _map_labels(raw: np.ndarray, linenos: list[int]) -> np.ndarray:
+    """Map raw labels to +-1 by the first convention that fits all of them.
 
-    Each nonempty line is ``<label> <idx>:<val> ...`` with 1-based, strictly
-    increasing indices.  Labels are mapped to +-1: raw ``{-1,+1}`` pass
-    through, ``{1,2}`` maps 2 to -1, ``{0,1}`` maps 0 to -1; an explicit
-    ``label_map`` overrides the automatic rule.  The dimension is the largest
-    index seen, overridable upward via ``dim``.
-
-    Returns ``(samples, d)``.
+    When none fits, the error names the first label in file order that no
+    convention fits together with the labels before it.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
-    if isinstance(text, bytes):
-        text = text.decode()
+    breaks = []
+    for allowed, negative in _LABEL_CONVENTIONS:
+        outside = ~np.isin(raw, allowed)
+        if not outside.any():
+            return np.where(raw == negative, -1, 1)
+        breaks.append(int(np.argmax(outside)))
+    # The labels before the latest first break still fit one convention.
+    k = max(breaks)
+    raise ParseError(f"unmappable label {float(raw[k])}", line=linenos[k])
 
-    raw_labels: list[float] = []
-    label_lines: list[int] = []
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    max_index = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
+
+def _apply_label_map(raw: np.ndarray, linenos: list[int], label_map: dict) -> np.ndarray:
+    table = {float(k): int(v) for k, v in label_map.items()}
+    mapped = np.empty(raw.shape[0], dtype=int)
+    for k, (v, lineno) in enumerate(zip(raw.tolist(), linenos)):
+        if v not in table:
+            raise ParseError(f"unmappable label {v}", line=lineno)
+        if table[v] not in (-1, 1):
+            raise ParseError(f"label map sends {v} outside +-1", line=lineno)
+        mapped[k] = table[v]
+    return mapped
+
+
+_CHUNK_LINES = 1024
+# Two colons in one token: no whitespace between them.
+_DOUBLE_COLON = re.compile(r":[^\s:]*:")
+
+
+def _parse_chunk(label_toks: list[str], bodies: list[str]):
+    """Raw labels, tokens per line, and the indices and values of a chunk of
+    data lines, or ``None`` when any token in it is malformed.
+
+    A chunk is tokenized with whole-string operations.  It is well-formed
+    when every feature token holds exactly one colon with text on both
+    sides: as many colons as tokens, no token with two, and twice as many
+    pieces as tokens once colons become spaces.  ``int`` and ``float``
+    then convert the pieces, so a chunk is accepted exactly when each of
+    its tokens would be on its own.
+    """
+    joined = " ".join(bodies)
+    n_tokens = len(joined.split())
+    pieces = joined.replace(":", " ").split()
+    if (
+        joined.count(":") != n_tokens
+        or len(pieces) != 2 * n_tokens
+        or _DOUBLE_COLON.search(joined)
+    ):
+        return None
+    idx_strs = pieces[0::2]
+    try:
+        raw = np.array(list(map(float, label_toks)))
+        # Files repeat at most d distinct indices, so each is converted once.
+        index_of = {s: int(s) for s in set(idx_strs)}
+        idx = np.array(list(map(index_of.__getitem__, idx_strs)), dtype=np.int64)
+        val = np.array(list(map(float, pieces[1::2])), dtype=float)
+    except ValueError:
+        return None
+    lens = np.array([b.count(":") for b in bodies])
+    # Indices start above 0 and increase strictly within each line.
+    prev = np.empty_like(idx)
+    prev[1:] = idx[:-1]
+    prev[(np.cumsum(lens) - lens)[lens > 0]] = 0
+    if np.any(idx <= prev):
+        return None
+    return raw, lens, idx, val
+
+
+def _raise_first_error(linenos: list[int], label_toks: list[str], bodies: list[str]):
+    """Raise the error of the first malformed token of these data lines."""
+    for lineno, label, body in zip(linenos, label_toks, bodies):
         try:
-            label = float(parts[0])
+            float(label)
         except ValueError:
-            raise ParseError(f"bad label token {parts[0]!r}", line=lineno)
-        idxs = []
-        vals = []
+            raise ParseError(f"bad label token {label!r}", line=lineno) from None
         prev = 0
-        for tok in parts[1:]:
+        for tok in body.split():
             try:
                 idx_s, val_s = tok.split(":", 1)
                 idx = int(idx_s)
-                val = float(val_s)
+                float(val_s)
             except ValueError:
-                raise ParseError(f"bad feature token {tok!r}", line=lineno)
+                raise ParseError(f"bad feature token {tok!r}", line=lineno) from None
             if idx < 1:
                 raise ParseError(f"index {idx} is not 1-based", line=lineno)
             if idx <= prev:
@@ -183,68 +209,103 @@ def parse_libsvm(source, dim: int | None = None, label_map: dict | None = None):
                     line=lineno,
                 )
             prev = idx
-            idxs.append(idx)
-            vals.append(val)
-        max_index = max(max_index, prev)
-        raw_labels.append(label)
-        label_lines.append(lineno)
-        rows.append((np.array(idxs, dtype=int), np.array(vals, dtype=float)))
+    raise InvariantViolation("a rejected chunk has no malformed token")
+
+
+def parse_libsvm(source, dim: int | None = None, label_map: dict | None = None):
+    """Parse LIBSVM text into a dense feature matrix and +-1 labels.
+
+    Each line that is neither blank nor a ``#`` comment is
+    ``<label> <idx>:<val> ...`` with 1-based, strictly increasing indices.
+    Labels are mapped to +-1: raw ``{-1,+1}`` pass through, ``{1,2}`` maps
+    2 to -1, ``{0,1}`` maps 0 to -1; an explicit ``label_map`` overrides the
+    automatic rule.  The dimension is the largest index seen, overridable
+    upward via ``dim``.
+
+    Lines are tokenized in chunks with whole-string operations and the
+    entries scattered into one matrix.  A malformed chunk is walked token
+    by token, so the :class:`ParseError` names the first bad token or label
+    in file order and its line.
+
+    Returns ``(features, labels)``: ``(n, d)`` floats and ``(n,)`` ints.
+    """
+    text = source.read() if hasattr(source, "read") else source
+    if isinstance(text, bytes):
+        text = text.decode()
+
+    linenos: list[int] = []
+    label_toks: list[str] = []
+    bodies: list[str] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        ln = line.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        head = ln.split(None, 1)
+        linenos.append(lineno)
+        label_toks.append(head[0])
+        bodies.append(head[1] if len(head) > 1 else "")
+
+    raw = np.empty(len(linenos))
+    rows, idxs, vals = [], [], []
+    for start in range(0, len(linenos), _CHUNK_LINES):
+        chunk = slice(start, start + _CHUNK_LINES)
+        parsed = _parse_chunk(label_toks[chunk], bodies[chunk])
+        if parsed is None:
+            _raise_first_error(linenos[chunk], label_toks[chunk], bodies[chunk])
+        raw[chunk], lens, idx, val = parsed  # raw labels, tokens per line, entries
+        rows.append(np.repeat(np.arange(start, start + lens.shape[0]), lens))
+        idxs.append(idx)
+        vals.append(val)
 
     if label_map is not None:
-        table = {float(k): int(v) for k, v in label_map.items()}
-        mapped = []
-        for v, lineno in zip(raw_labels, label_lines):
-            if v not in table:
-                raise ParseError(f"unmappable label {v}", line=lineno)
-            if table[v] not in (-1, 1):
-                raise ParseError(f"label map sends {v} outside +-1", line=lineno)
-            mapped.append(table[v])
+        labels = _apply_label_map(raw, linenos, label_map)
     else:
+        labels = _map_labels(raw, linenos)
 
-        def lineno_of(bad):
-            return label_lines[raw_labels.index(bad)]
-
-        mapped = _map_labels(raw_labels, lineno_of)
-
-    d = max(max_index, dim or 0)
-    samples = []
-    for (idxs, vals), b in zip(rows, mapped):
-        a = np.zeros(d)
-        if idxs.size:
-            a[idxs - 1] = vals
-        samples.append(Sample(features=a, label=b))
-    return samples, d
+    idx = np.concatenate(idxs) if idxs else np.zeros(0, dtype=np.int64)
+    d = max(int(idx.max()) if idx.size else 0, dim or 0)
+    features = np.zeros((len(linenos), d))
+    if idx.size:
+        features[np.concatenate(rows), idx - 1] = np.concatenate(vals)
+    return features, labels
 
 
-def partition(samples, n_agents: int, per_agent: int, seed: int, lambda_reg: float):
-    """Split a uniformly permuted sample list into equal local datasets.
+def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float):
+    """Split uniformly permuted rows of ``data = (features, labels)`` into
+    equal local datasets.
 
-    The first ``n_agents * per_agent`` permuted samples form contiguous
-    blocks of ``per_agent``; leftovers become the test set.  Deterministic
-    per seed.  The local features are stored once, as one read-only
-    ``(n_agents, per_agent, d)`` block whose rows the datasets view (see
-    :func:`stack_local_sets`).  Returns ``(datasets, test_set)``.
+    ``features`` is ``(n, d)`` and ``labels`` ``(n,)`` of +-1, as
+    :func:`parse_libsvm` returns them.  The first ``n_agents * per_agent``
+    permuted rows form contiguous blocks of ``per_agent``; leftovers become
+    the test set.  Deterministic per seed.  One gather stores the local
+    features as a read-only ``(n_agents, per_agent, d)`` block whose rows
+    the datasets view (see :func:`stack_local_sets`); neither it nor the
+    test set shares memory with ``data``.  Returns ``(datasets, test_set)``.
     """
     if n_agents < 1 or per_agent < 1:
         raise ParameterError(f"need agents and samples per agent, got {n_agents} x {per_agent}")
-    total = len(samples)
+    features = np.asarray(data[0], dtype=float)
+    labels = np.asarray(data[1])
+    if features.ndim != 2 or labels.shape != features.shape[:1]:
+        raise ParameterError(
+            f"need (n, d) features and (n,) labels, got {features.shape} and {labels.shape}"
+        )
+    total = labels.shape[0]
     need = n_agents * per_agent
     if need > total:
         raise ParameterError(
             f"{n_agents} agents x {per_agent} samples need {need}, only {total} available"
         )
     perm = np.random.default_rng(seed).permutation(total)
-    dims = {samples[k].dim for k in perm[:need]}
-    if len(dims) != 1:
-        raise ParameterError(f"samples disagree on dimension: {sorted(dims)}")
-    block = np.empty((n_agents, per_agent, dims.pop()))
-    np.stack([samples[k].features for k in perm[:need]], out=block.reshape(need, -1))
+    block = np.empty((n_agents, per_agent, features.shape[1]))
+    # A permutation is in range, and mode="clip" gathers straight into the
+    # block where the default "raise" would gather into a temporary first.
+    np.take(features, perm[:need], axis=0, out=block.reshape(need, -1), mode="clip")
     block.setflags(write=False)
-    labels = np.array([samples[k].label for k in perm[:need]]).reshape(n_agents, per_agent)
-    datasets = [LocalDataset(block[i], labels[i], lambda_reg) for i in range(n_agents)]
-    leftovers = [samples[k] for k in perm[need:]]
-    dim = samples[0].dim if samples else 0
-    return datasets, TestSet.from_samples(leftovers, dim=dim)
+    local_labels = labels[perm[:need]].reshape(n_agents, per_agent)
+    datasets = [LocalDataset(block[i], local_labels[i], lambda_reg) for i in range(n_agents)]
+    rest = perm[need:]
+    return datasets, TestSet(features=features[rest], labels=labels[rest])
 
 
 def stack_local_sets(datasets) -> tuple[np.ndarray, np.ndarray]:
@@ -464,24 +525,32 @@ def sigma_sq_estimate(datasets, probe_points) -> float:
     Maximum over agents, samples, and probe points of
     ``||grad l_ij(x) - grad f_i(x)||^2``.  The max over samples dominates the
     in-expectation deviation the certificates need, making the reported
-    steady-state bounds conservative.
+    steady-state bounds conservative.  Each probe is evaluated for all
+    agents at once over :func:`stack_local_sets`; padding rows are masked.
     """
     probes = list(probe_points)
     if not probes:
         raise ParameterError("need at least one probe point")
+    feats, labels = stack_local_sets(datasets)
+    _, width, d = feats.shape
+    counts = np.array([ds.n_samples for ds in datasets])
+    real = np.arange(width) < counts[:, None]
+    row_sq = np.einsum("nwd,nwd->nw", feats, feats)
     worst = 0.0
-    for ds in datasets:
-        F = ds.features
-        row_sq = np.einsum("ij,ij->i", F, F)
-        for x in probes:
-            _check_dim(np.asarray(x, dtype=float), ds.dim)
-            full = full_grad(x, ds)
-            # per-sample grad_j = lam*x - c_j a_j; deviation d_j = u - c_j a_j
-            # with u = lam*x - full, so ||d_j||^2 expands without forming d_j.
-            c = ds.labels * expit(-ds.labels * (F @ x))
-            u = ds.lambda_reg * x - full
-            dev_sq = float(u @ u) - 2.0 * c * (F @ u) + c * c * row_sq
-            worst = max(worst, float(dev_sq.max()))
+    for x in probes:
+        x = np.asarray(x, dtype=float)
+        _check_dim(x, d)
+        # per-sample grad_j = lam*x - c_j a_j and full grad = lam*x - u with
+        # u the mean of c_j a_j, so the deviation is u - c_j a_j, whose
+        # squared norm expands without forming it.
+        c = labels * expit(-labels * (feats @ x))
+        u = (feats.transpose(0, 2, 1) @ c[:, :, None])[:, :, 0] / counts[:, None]
+        dev_sq = (
+            np.einsum("nd,nd->n", u, u)[:, None]
+            - 2.0 * c * (feats @ u[:, :, None])[:, :, 0]
+            + c * c * row_sq
+        )
+        worst = max(worst, float(dev_sq[real].max()))
     return worst
 
 

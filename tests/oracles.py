@@ -1,0 +1,158 @@
+"""Per-line, per-sample and per-agent versions of the array set-up code.
+
+Each function here is the plain loop that an array routine of
+``soprolab`` replaced; the tests check the array routines against them.
+"""
+
+import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import expit
+
+from soprolab.errors import ParseError, SoprolabError
+from soprolab.loss import (
+    LocalDataset,
+    TestSet,
+    batch_loss,
+    full_grad,
+    full_hess,
+)
+
+# Raw label sets LIBSVM files use, in the order they are tried, as maps to +-1.
+LABEL_CONVENTIONS = ({-1.0: -1, 1.0: 1}, {1.0: 1, 2.0: -1}, {0.0: -1, 1.0: 1})
+
+
+def map_labels_in_order(raw_labels, label_lines):
+    """Keep the conventions that fit every label so far; fail at the first
+    label that leaves none."""
+    fitting = list(LABEL_CONVENTIONS)
+    for v, lineno in zip(raw_labels, label_lines):
+        fitting = [table for table in fitting if v in table]
+        if not fitting:
+            raise ParseError(f"unmappable label {v}", line=lineno)
+    table = fitting[0]
+    return [table[v] for v in raw_labels]
+
+
+def parse_libsvm_per_token(text, dim=None):
+    """Parse LIBSVM text one line and one token at a time."""
+    raw_labels, label_lines, rows = [], [], []
+    max_index = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        ln = raw.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        parts = ln.split()
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise ParseError(f"bad label token {parts[0]!r}", line=lineno)
+        idxs, vals = [], []
+        prev = 0
+        for tok in parts[1:]:
+            try:
+                idx_s, val_s = tok.split(":", 1)
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise ParseError(f"bad feature token {tok!r}", line=lineno)
+            if idx < 1:
+                raise ParseError(f"index {idx} is not 1-based", line=lineno)
+            if idx <= prev:
+                raise ParseError(
+                    f"indices must be strictly increasing, got {idx} after {prev}",
+                    line=lineno,
+                )
+            prev = idx
+            idxs.append(idx)
+            vals.append(val)
+        max_index = max(max_index, prev)
+        raw_labels.append(label)
+        label_lines.append(lineno)
+        rows.append((np.array(idxs, dtype=int), np.array(vals, dtype=float)))
+    labels = map_labels_in_order(raw_labels, label_lines)
+    features = np.zeros((len(rows), max(max_index, dim or 0)))
+    for k, (idxs, vals) in enumerate(rows):
+        if idxs.size:
+            features[k, idxs - 1] = vals
+    return features, np.array(labels, dtype=int)
+
+
+def partition_samples(samples, n_agents, per_agent, seed, lambda_reg):
+    """Split a permuted list of ``Sample`` objects, stacking one at a time."""
+    perm = np.random.default_rng(seed).permutation(len(samples))
+    need = n_agents * per_agent
+    d = samples[0].dim
+    block = np.empty((n_agents, per_agent, d))
+    np.stack([samples[k].features for k in perm[:need]], out=block.reshape(need, -1))
+    block.setflags(write=False)
+    labels = np.array([samples[k].label for k in perm[:need]]).reshape(n_agents, per_agent)
+    datasets = [LocalDataset(block[i], labels[i], lambda_reg) for i in range(n_agents)]
+    leftovers = [samples[k] for k in perm[need:]]
+    if not leftovers:
+        return datasets, TestSet(features=np.zeros((0, d)), labels=np.zeros(0, dtype=int))
+    test = TestSet(
+        features=np.stack([s.features for s in leftovers]).astype(float),
+        labels=np.array([s.label for s in leftovers], dtype=int),
+    )
+    return datasets, test
+
+
+def objective_per_agent(x, datasets):
+    return sum(batch_loss(x, ds, np.arange(ds.n_samples)) for ds in datasets)
+
+
+def gradient_per_agent(x, datasets):
+    g = np.zeros_like(x)
+    for ds in datasets:
+        g += full_grad(x, ds)
+    return g
+
+
+def hessian_per_agent(x, datasets):
+    H = np.zeros((x.shape[0], x.shape[0]))
+    for ds in datasets:
+        H += full_hess(x, ds).dense()
+    return H
+
+
+def newton_per_agent(datasets, tol=1e-12, max_iters=200):
+    """Damped Newton on the aggregate objective, one agent at a time."""
+    rounding = 1e3 * np.finfo(float).eps
+    x = np.zeros(datasets[0].dim)
+    f = objective_per_agent(x, datasets)
+    for _ in range(max_iters):
+        g = gradient_per_agent(x, datasets)
+        if np.linalg.norm(g) <= tol:
+            return x
+        step = cho_solve(cho_factor(hessian_per_agent(x, datasets)), g)
+        gTs = float(g @ step)
+        if gTs <= rounding * abs(f):
+            x = x - step
+            f = objective_per_agent(x, datasets)
+            continue
+        t = 1.0
+        while t > 1e-12:
+            cand = x - t * step
+            fc = objective_per_agent(cand, datasets)
+            if fc <= f - 1e-4 * t * gTs:
+                x, f = cand, fc
+                break
+            t *= 0.5
+        else:
+            raise SoprolabError("line search stalled")
+    raise SoprolabError("no convergence")
+
+
+def sigma_sq_per_agent(datasets, probes):
+    """Worst squared deviation of a sample gradient from its agent's mean."""
+    worst = 0.0
+    for ds in datasets:
+        F = ds.features
+        row_sq = np.einsum("ij,ij->i", F, F)
+        for x in probes:
+            full = full_grad(x, ds)
+            c = ds.labels * expit(-ds.labels * (F @ x))
+            u = ds.lambda_reg * x - full
+            dev_sq = float(u @ u) - 2.0 * c * (F @ u) + c * c * row_sq
+            worst = max(worst, float(dev_sq.max()))
+    return worst

@@ -120,10 +120,10 @@ def test_dense_step_rejects_indefinite_block():
 def make_problem(sizes, d, seed=0, lam=0.1):
     n = len(sizes)
     P = laplacian_weights(build_random_connected_graph(n, 2.0, seed=seed), 1.0)
-    samples = gaussian_blob_samples(sum(sizes), d, seed, separation=1.0, noise=0.5)
+    feats, labels = gaussian_blob_samples(sum(sizes), d, seed, separation=1.0, noise=0.5)
     bounds = np.cumsum([0, *sizes])
     datasets = [
-        LocalDataset.from_samples(samples[a:b], lam) for a, b in zip(bounds, bounds[1:])
+        LocalDataset(feats[a:b], labels[a:b], lam) for a, b in zip(bounds, bounds[1:])
     ]
     return P, datasets
 

@@ -62,11 +62,14 @@ def test_trace_with_a_non_finite_value_is_refused_and_not_written():
     assert out.getvalue() == ""
 
 
+SETUP_PHASES = ("load_s", "reference_s", "certificate_s")
+
+
 def trace_lines(path):
     """A trace's header, without its output directory, and its row lines;
-    the summary holds only the wall-clock total."""
+    the summary holds only wall-clock values: the total and the set-up phases."""
     header, *rows, summary = path.read_text().splitlines()
-    assert json.loads(summary).keys() == {"type", "wall_s_total"}
+    assert json.loads(summary).keys() == {"type", "wall_s_total", *SETUP_PHASES}
     header = json.loads(header)
     assert header["config"].pop("out") == str(path.parent)
     return header, rows

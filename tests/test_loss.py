@@ -36,34 +36,34 @@ def make_dataset(rng, C=6, d=4, lam=0.01, scale=1.0):
 
 
 def test_parse_basic_line():
-    samples, d = parse_libsvm("+1 1:0.5 3:1.0")
-    assert d == 3
-    assert np.array_equal(samples[0].features, np.array([0.5, 0.0, 1.0]))
-    assert samples[0].label == 1
+    feats, labels = parse_libsvm("+1 1:0.5 3:1.0")
+    assert feats.shape[1] == 3
+    assert np.array_equal(feats[0], np.array([0.5, 0.0, 1.0]))
+    assert labels[0] == 1
 
 
 def test_parse_zero_one_labels():
-    samples, d = parse_libsvm("0 2:1\n1 1:1\n")
-    assert d == 2
-    assert samples[0].label == -1 and samples[1].label == 1
-    assert np.array_equal(samples[0].features, np.array([0.0, 1.0]))
+    feats, labels = parse_libsvm("0 2:1\n1 1:1\n")
+    assert feats.shape[1] == 2
+    assert labels[0] == -1 and labels[1] == 1
+    assert np.array_equal(feats[0], np.array([0.0, 1.0]))
 
 
 def test_parse_explicit_label_map():
-    samples, _ = parse_libsvm("0 2:1", label_map={0: -1, 1: +1})
-    assert samples[0].label == -1
+    _, labels = parse_libsvm("0 2:1", label_map={0: -1, 1: +1})
+    assert labels[0] == -1
 
 
 def test_parse_one_two_labels_mushrooms_convention():
-    samples, _ = parse_libsvm("1 1:1\n2 1:2\n")
-    assert samples[0].label == 1 and samples[1].label == -1
+    _, labels = parse_libsvm("1 1:1\n2 1:2\n")
+    assert labels[0] == 1 and labels[1] == -1
 
 
 def test_parse_dim_override_upward():
-    samples, d = parse_libsvm("+1 1:1 5:2", dim=123)
-    assert d == 123
-    assert samples[0].features.shape == (123,)
-    assert samples[0].features[4] == 2.0
+    feats, _ = parse_libsvm("+1 1:1 5:2", dim=123)
+    assert feats.shape[1] == 123
+    assert feats[0].shape == (123,)
+    assert feats[0][4] == 2.0
 
 
 def test_parse_errors_carry_line_numbers():
@@ -82,20 +82,22 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_parse_accepts_bytes_and_streams(tmp_path):
-    samples, d = parse_libsvm(b"+1 2:1.5\n")
-    assert d == 2 and samples[0].features[1] == 1.5
+    feats, _ = parse_libsvm(b"+1 2:1.5\n")
+    assert feats.shape[1] == 2 and feats[0][1] == 1.5
     path = tmp_path / "data.txt"
     path.write_text("-1 1:2\n")
     with open(path, "rb") as f:
-        samples, _ = parse_libsvm(f)
-    assert samples[0].label == -1
+        _, labels = parse_libsvm(f)
+    assert labels[0] == -1
 
 
 # ---------------------------------------------------------------- partition
 
 
 def _dummy_samples(n, d=3):
-    return [Sample(features=np.full(d, float(i)), label=1 if i % 2 else -1) for i in range(n)]
+    """Row i is all i, labelled +1 when i is odd."""
+    rows = np.arange(n)
+    return np.repeat(rows[:, None].astype(float), d, axis=1), np.where(rows % 2, 1, -1)
 
 
 def test_partition_paper_a4a_shape():
@@ -141,10 +143,8 @@ def test_partition_insufficient_samples():
 
 def test_partition_features_share_memory_with_stacked_block():
     rng = np.random.default_rng(2)
-    samples = [
-        Sample(features=rng.standard_normal(5), label=int(b))
-        for b in rng.choice((-1, 1), 50)
-    ]
+    labels = rng.choice((-1, 1), 50)
+    samples = (rng.standard_normal((50, 5)), labels)
     datasets, _ = partition(samples, 4, 10, seed=3, lambda_reg=0.1)
     feats, labels = stack_local_sets(datasets)
     assert feats.shape == (4, 10, 5) and not feats.flags.writeable

@@ -1,0 +1,342 @@
+"""Array set-up (parse, partition, reference solve, noise estimate) against
+the per-line, per-sample and per-agent loops of ``oracles.py``."""
+
+import json
+import weakref
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    gradient_per_agent,
+    hessian_per_agent,
+    newton_per_agent,
+    objective_per_agent,
+    parse_libsvm_per_token,
+    partition_samples,
+    sigma_sq_per_agent,
+)
+from soprolab import loss
+from soprolab.errors import ParseError
+from soprolab.harness import experiment, reference
+from soprolab.harness.cli import main
+from soprolab.harness.synthetic import gaussian_blob_samples
+from soprolab.loss import LocalDataset, Sample, parse_libsvm, partition, sigma_sq_estimate
+
+# Small files parse in well under a millisecond; these bounds keep the
+# property tests to about a second each.
+PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def outcome(parse, text, **kw):
+    """Arrays, or the message and line of the ParseError raised."""
+    try:
+        return parse(text, **kw)
+    except ParseError as e:
+        return str(e), e.line
+
+
+def assert_same_outcome(text, dim=None):
+    got = outcome(parse_libsvm, text, dim=dim)
+    want = outcome(parse_libsvm_per_token, text, dim=dim)
+    if isinstance(want[0], str):
+        assert got == want
+    else:
+        assert_same_arrays(got, want)
+
+
+# ------------------------------------------------------------- LIBSVM files
+
+LABELS = {
+    "pm1": ["+1", "-1", "1", "-1.0", "1e0"],
+    "01": ["0", "1", "0.0", "+1"],
+    "12": ["1", "2", "2.0"],
+}
+VALUES = st.floats(width=64).map(repr) | st.sampled_from(["1", "0", "-0", "1e-3", "+2.5"])
+
+
+@st.composite
+def libsvm_lines(draw):
+    """A valid file as a list of entries: a raw blank or comment line, or
+    ``[label, tokens, separator]`` for a data line."""
+    labels = LABELS[draw(st.sampled_from(sorted(LABELS)))]
+    dim = draw(st.integers(1, 9))
+    entries = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["data"] * 4 + ["blank", "comment"]))
+        if kind == "blank":
+            entries.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "comment":
+            entries.append(draw(st.sampled_from(["#", " # note", "#1 2:x"])))
+        else:
+            idxs = sorted(draw(st.sets(st.integers(1, dim), max_size=dim)))
+            tokens = [f"{i}:{draw(VALUES)}" for i in idxs]
+            entries.append([draw(st.sampled_from(labels)), tokens,
+                            draw(st.sampled_from([" ", "  ", "\t"]))])
+    return entries, dim
+
+
+def render(entries, newline, pad=""):
+    lines = [
+        e if isinstance(e, str) else pad + e[2].join([e[0], *e[1]]) + pad
+        for e in entries
+    ]
+    return newline.join(lines) + newline
+
+
+NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+CHUNK_LINES = st.sampled_from([1, 2, 3, 1024])
+
+
+@PROPERTY
+@given(libsvm_lines(), NEWLINES, st.sampled_from(["", " ", "\t"]), st.integers(0, 3),
+       st.booleans(), CHUNK_LINES)
+def test_parse_matches_per_token_parser_on_valid_files(
+    lines, newline, pad, extra_dim, override, chunk
+):
+    entries, dim = lines
+    text = render(entries, newline, pad)
+    with mock.patch.object(loss, "_CHUNK_LINES", chunk):
+        got = parse_libsvm(text, dim=dim + extra_dim if override else None)
+    want = parse_libsvm_per_token(text, dim=dim + extra_dim if override else None)
+    assert_same_arrays(got, want)
+    assert set(np.unique(got[1])) <= {-1, 1}
+
+
+MUTATIONS = ("bad token", "zero index", "repeat index", "1:2:3", ":5", "5:",
+             "bad label", "other label")
+
+
+@PROPERTY
+@given(libsvm_lines(), st.sampled_from(MUTATIONS), st.data(), CHUNK_LINES)
+def test_parse_reports_the_first_error_like_the_per_token_parser(lines, mutation, data, chunk):
+    entries, _ = lines
+    data_lines = [k for k, e in enumerate(entries) if not isinstance(e, str)]
+    if not data_lines:
+        entries.append(["1", [], " "])
+        data_lines = [len(entries) - 1]
+    entry = entries[data.draw(st.sampled_from(data_lines))]
+    tokens = entry[1] or ["1:1"]
+    k = data.draw(st.integers(0, len(tokens) - 1))
+    value = tokens[k].split(":")[1]
+    if mutation == "bad label":
+        entry[0] = data.draw(st.sampled_from(["x", "1:1", "3", "nan", "-2"]))
+    elif mutation == "other label":
+        entry[0] = data.draw(st.sampled_from(["-1", "0", "1", "2"]))
+    elif mutation == "repeat index":
+        tokens.insert(k, tokens[k])
+    else:
+        tokens[k] = {
+            "bad token": "abc",
+            "zero index": f"0:{value}",
+            "1:2:3": "1:2:3",
+            ":5": ":5",
+            "5:": "5:",
+        }[mutation]
+    entry[1] = tokens
+    text = render(entries, "\n")
+    with mock.patch.object(loss, "_CHUNK_LINES", chunk):
+        assert_same_outcome(text)
+
+
+def test_parse_matches_per_token_parser_across_full_chunks():
+    # About three chunks of one-hot rows, then the same file with one bad
+    # token in the third chunk and another in the second.
+    rng = np.random.default_rng(5)
+    lines = []
+    for k in range(3000):
+        cols = np.sort(rng.choice(40, size=6, replace=False)) + 1
+        lines.append(f"{rng.choice(['+1', '-1'])} " + " ".join(f"{c}:1" for c in cols))
+    assert_same_outcome("\n".join(lines), dim=50)
+    lines[2500] += " 3:x"
+    lines[1500] = lines[1500].replace(":1", ":", 1)
+    with pytest.raises(ParseError) as e:
+        parse_libsvm("\n".join(lines))
+    assert e.value.line == 1501
+    assert_same_outcome("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "1 1 2:3:4",  # as many colons as tokens, and twice as many pieces
+        "1 5 1:2:3",
+        "1 4:1:2 3",
+        "1 1:2 :3 4:",
+        "1 1:1 2:2 2:3",
+        "1 3:1\n1 1:1 2:1 3:1\n1 2:0.5",  # indices restart on every line
+        "1 1_0:2 1_1:3e1_0",  # int and float accept underscores
+        "1 \u0661:2",  # and other Unicode digits
+        "1 1:inf 2:-nan",
+    ],
+)
+def test_parse_matches_per_token_parser_on_tricky_lines(line):
+    assert_same_outcome(line)
+    assert_same_outcome("1 1:1\n" * 5 + line)
+
+
+@pytest.mark.parametrize(
+    "labels, line, bad",
+    [
+        (["-1", "1", "0"], 3, "0.0"),
+        (["0", "2"], 2, "2.0"),
+        (["-1", "0", "1"], 2, "0.0"),
+        (["1", "1", "2", "0"], 4, "0.0"),
+        (["1", "5", "3"], 2, "5.0"),
+    ],
+)
+def test_mixed_label_sets_name_the_first_label_that_fits_no_convention(labels, line, bad):
+    text = "\n".join(f"{b} 1:1" for b in labels)
+    with pytest.raises(ParseError) as e:
+        parse_libsvm(text)
+    assert e.value.line == line
+    assert str(e.value) == f"line {line}: unmappable label {bad}"
+    assert outcome(parse_libsvm_per_token, text) == (str(e.value), line)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 1:1\n# comment\n-1 2:1\n0 1:1\n", "line 4: unmappable label 0.0"),
+        ("1 1:1\n\n1 2:x\n", "line 3: bad feature token '2:x'"),
+    ],
+)
+def test_cli_run_reports_a_bad_dataset_with_its_line_and_exit_code_1(
+    tmp_path, capsys, text, message
+):
+    path = tmp_path / "bad.svm"
+    path.write_text(text)
+    code = main(["run", "--dataset", str(path), "--dim", "3", "--n-agents", "3",
+                 "--per-agent", "1", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------------------- partition
+
+
+def test_partition_matches_the_sample_list_path_bitwise():
+    for feats, labels in (
+        gaussian_blob_samples(130, 7, seed=3),
+        parse_libsvm("\n".join(f"{(-1) ** k} {k % 5 + 1}:1 9:{k / 7!r}" for k in range(60))),
+    ):
+        samples = [Sample(features=f, label=int(b)) for f, b in zip(feats, labels)]
+        n, per_agent = 4, len(labels) // 5
+        got_sets, got_test = partition((feats, labels), n, per_agent, seed=11, lambda_reg=0.1)
+        want_sets, want_test = partition_samples(samples, n, per_agent, 11, 0.1)
+        for g, w in zip(got_sets, want_sets):
+            assert_same_arrays((g.features, g.labels), (w.features, w.labels))
+        assert_same_arrays((got_test.features, got_test.labels),
+                           (want_test.features, want_test.labels))
+        block, _ = loss.stack_local_sets(got_sets)
+        assert not block.flags.writeable
+        assert not np.shares_memory(block, feats)
+        assert not np.shares_memory(got_test.features, feats)
+
+
+def test_build_problem_frees_the_parsed_matrix_before_the_reference_solve(tmp_path):
+    path = tmp_path / "data.svm"
+    path.write_text("\n".join(f"{(-1) ** k} {k % 3 + 1}:1 4:0.5" for k in range(30)))
+    config = experiment.ExperimentConfig(dataset=str(path), dim=4, n_agents=3, per_agent=8)
+    parsed, alive = [], []
+
+    def parse(*args, **kwargs):
+        out = parse_libsvm(*args, **kwargs)
+        parsed.append(weakref.ref(out[0]))
+        return out
+
+    def solve(datasets):
+        alive.append(parsed[0]() is not None)
+        return reference.solve_reference(datasets)
+
+    with mock.patch.object(experiment, "parse_libsvm", parse), \
+            mock.patch.object(experiment, "solve_reference", solve):
+        experiment.build_problem(config)
+    assert alive == [False]
+
+
+# ------------------------------------------------------------- reference and noise
+
+
+def unequal_sets(sizes, d, seed=0, lam=0.05):
+    """Local sets of different sizes, so the stacked block is padded."""
+    feats, labels = gaussian_blob_samples(sum(sizes), d, seed, separation=1.5, noise=0.7)
+    bounds = np.cumsum([0, *sizes])
+    return [
+        LocalDataset(feats[a:b], labels[a:b], lam * (1 + i % 3))
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
+SIZES = [(20, 35, 27, 8), (40, 40, 40)]
+
+
+@pytest.mark.parametrize("sizes", SIZES)
+def test_stacked_objective_gradient_and_hessian_match_per_agent_sums(sizes):
+    datasets = unequal_sets(sizes, 6)
+    pool = reference._Pool(datasets)
+    rng = np.random.default_rng(1)
+    for x in (np.zeros(6), rng.standard_normal(6)):
+        want = objective_per_agent(x, datasets)
+        assert abs(pool.objective(x) - want) <= 1e-13 * abs(want)
+        assert rel_err(pool.gradient(x), gradient_per_agent(x, datasets)) <= 1e-13
+        assert rel_err(pool.hessian(x), hessian_per_agent(x, datasets)) <= 1e-13
+
+
+@pytest.mark.parametrize("sizes", SIZES)
+def test_solve_reference_matches_per_agent_newton(sizes):
+    datasets = unequal_sets(sizes, 8, seed=2)
+    reference._cache.clear()
+    sol = reference.solve_reference(datasets)
+    want = newton_per_agent(datasets)
+    assert sol.grad_norm <= 1e-12
+    assert np.max(np.abs(sol.x - want)) <= 1e-10
+
+
+@pytest.mark.parametrize("sizes", SIZES)
+def test_sigma_sq_estimate_matches_per_agent_loop(sizes):
+    datasets = unequal_sets(sizes, 5, seed=4)
+    x_star = newton_per_agent(datasets)
+    probes = reference.probe_points(datasets, x_star)
+    want = sigma_sq_per_agent(datasets, probes)
+    assert abs(sigma_sq_estimate(datasets, probes) - want) <= 1e-12 * want
+    assert abs(reference.estimate_sigma_sq(datasets, x_star) - want) <= 1e-12 * want
+
+
+def test_sigma_sq_estimate_ignores_padding_rows():
+    # Every agent repeats one sample, so no sample deviates from its
+    # agent's mean; a padding row would deviate by the whole mean.
+    a = LocalDataset(np.array([[1.0, 2.0]] * 2), np.array([1, 1]), 0.1)
+    b = LocalDataset(np.array([[-0.5, 1.0]] * 4), np.array([-1] * 4), 0.1)
+    assert sigma_sq_estimate([a, b], [np.array([0.3, -0.2])]) <= 1e-30
+
+
+# ------------------------------------------------------------- phase timers
+
+
+def test_trace_summary_records_the_set_up_phases(tmp_path):
+    config = experiment.ExperimentConfig(
+        dim=4, n_agents=3, per_agent=20, test_size=10, batch_g=4, batch_s=4,
+        max_iters=3, out=str(tmp_path),
+    )
+    result = experiment.run_experiment(config)
+    summary = json.loads(result.trace_paths[0].read_text().splitlines()[-1])
+    phases = ("load_s", "reference_s", "certificate_s")
+    assert summary["type"] == "summary"
+    assert all(isinstance(summary[k], float) and summary[k] >= 0 for k in phases)
+    assert set(result.problem.timings) == {"load_s", "reference_s"}
