@@ -35,4 +35,12 @@ class CertificationError(SoprolabError, RuntimeError):
 
 
 class DivergenceError(SoprolabError, ArithmeticError):
-    """A run produced a non-finite iterate; the message names the round and agent."""
+    """A run produced a non-finite iterate or metric.
+
+    The message names the round (also kept as ``round``) and, for an
+    iterate, the agent.
+    """
+
+    def __init__(self, message, round=None):
+        self.round = round
+        super().__init__(message)

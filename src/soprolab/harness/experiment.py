@@ -9,6 +9,7 @@ JSONL trace plus one seed-averaged CSV.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import baselines, certificate as cert, optimizer
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, DivergenceError
 from ..loss import SmoothnessBounds, TestSet, parse_libsvm, partition
 from ..topology import (
     MatrixP,
@@ -302,6 +303,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     sampling noise alone.  Each trace's summary line holds the wall-clock
     values: ``wall_s_total`` and the set-up phases ``load_s``,
     ``reference_s`` and ``certificate_s``.
+
+    A run whose iterate, optimality error or Q-norm error stops being
+    finite raises :class:`~soprolab.errors.DivergenceError`.  With ``out``
+    set, its trace is written first: the rows so far and a summary that
+    adds ``status: "diverged"``, the ``round`` and the ``message``.
     """
     problem = build_problem(config)
     certifying = time.perf_counter()
@@ -347,30 +353,43 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 if len(problem.test)
                 else None
             )
-            _trace.append(
-                MetricRow(
-                    round=k,
-                    opt_err=optimality_error(state.x, problem.reference.x),
-                    comm_bits=BITS_PER_SCALAR * state.comm_scalars,
-                    q_err=q_err(state.x, state.q) if q_err is not None else None,
-                    test_acc=acc,
-                    wall_s=time.perf_counter() - _t0,
-                )
+            row = MetricRow(
+                round=k,
+                opt_err=optimality_error(state.x, problem.reference.x),
+                comm_bits=BITS_PER_SCALAR * state.comm_scalars,
+                q_err=q_err(state.x, state.q) if q_err is not None else None,
+                test_acc=acc,
+                wall_s=time.perf_counter() - _t0,
             )
+            # Finite iterates far enough out overflow the squared errors.
+            for name in ("opt_err", "q_err"):
+                value = getattr(row, name)
+                if value is not None and not math.isfinite(value):
+                    raise DivergenceError(
+                        f"round {k}: {name} is not finite; the run diverged", round=k
+                    )
+            _trace.append(row)
 
-        if config.algorithm in ("st_sopro", "sopro"):
-            optimizer.run(problem.P, problem.datasets, rc, [on_round])
-        else:
-            baselines.run_baseline(problem.P, problem.datasets, rc, [on_round])
+        path = out_dir / f"{config.algorithm}_seed{run_idx:03d}.jsonl" if out_dir else None
+        run_header = {**header, "run_index": run_idx, "run_seed": seed}
+        try:
+            if config.algorithm in ("st_sopro", "sopro"):
+                optimizer.run(problem.P, problem.datasets, rc, [on_round])
+            else:
+                baselines.run_baseline(problem.P, problem.datasets, rc, [on_round])
+        except DivergenceError as exc:
+            if path is not None:
+                trace.write_jsonl(
+                    path, run_header, wall_s_total=time.perf_counter() - t0,
+                    summary={**timings, "status": "diverged", "round": exc.round,
+                             "message": str(exc)},
+                )
+            raise
         traces.append(trace)
 
-        if out_dir is not None:
-            path = out_dir / f"{config.algorithm}_seed{run_idx:03d}.jsonl"
+        if path is not None:
             trace.write_jsonl(
-                path,
-                {**header, "run_index": run_idx, "run_seed": seed},
-                wall_s_total=time.perf_counter() - t0,
-                timings=timings,
+                path, run_header, wall_s_total=time.perf_counter() - t0, summary=timings
             )
             paths.append(path)
 

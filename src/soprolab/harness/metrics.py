@@ -73,14 +73,14 @@ class MetricsTrace:
         return None
 
     def write_jsonl(
-        self, dest, header: dict, wall_s_total: float, timings: dict | None = None
+        self, dest, header: dict, wall_s_total: float, summary: dict | None = None
     ) -> None:
         """Write the header, one line per row and the summary as JSON lines.
 
         Wall-clock values go only in the summary: ``wall_s_total`` and the
-        set-up phase seconds in ``timings``.  A non-finite value raises
-        ``ValueError`` before anything is written: JSON has no ``NaN`` or
-        ``Infinity``.
+        set-up phase seconds, which come with any other summary fields in
+        ``summary``.  A non-finite value raises ``ValueError`` before
+        anything is written: JSON has no ``NaN`` or ``Infinity``.
         """
         records = [{"type": "header", **header}]
         records += [
@@ -97,7 +97,7 @@ class MetricsTrace:
         lines = [json.dumps(rec, sort_keys=True, allow_nan=False) + "\n" for rec in records]
         lines.append(
             json.dumps(
-                {"type": "summary", "wall_s_total": wall_s_total, **(timings or {})},
+                {"type": "summary", "wall_s_total": wall_s_total, **(summary or {})},
                 allow_nan=False,
             )
             + "\n"

@@ -17,13 +17,16 @@ from the stacked local sets (:class:`LocalSets`) into one buffer that
 every round reuses, and stacked matrix products give all batch gradients
 ``g_i`` and Hessian weights ``w_i`` (``h_i = lam I + B_i^T B_i`` with the
 factor ``B_i = sqrt(w_i) F_{S_i}``, which is scaled in place in that
-buffer).  One batched solve then steps all agents.  When every
+buffer).  One batched step then moves all agents: one stacked product
+builds every agent's symmetric positive definite system, and one
+Cholesky factor-and-solve per agent, in place, solves it.  When every
 ``D_i = alpha_i I`` and the Hessian batch has fewer rows than the
 dimension, :func:`woodbury_step` reduces each agent's ``d x d`` system to
 the ``S x S`` system ``c_i I + B_i B_i^T`` with ``c_i = lam + alpha_i``.
 Otherwise (``S >= d``, including full-batch SoPro, or explicit ``D_i``
 blocks) :func:`dense_step` forms every ``B_i^T B_i`` with one symmetric
-product and solves the shifted ``d x d`` systems in one stacked call.
+product and factors the shifted ``d x d`` systems.  A factorisation that
+fails names the agent whose system is not positive definite.
 :func:`local_step` steps one agent alone by Cholesky: it is the per-agent
 oracle the batched steps are tested against.  A round whose iterate is
 not finite raises :class:`~soprolab.errors.DivergenceError`.
@@ -44,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dposv
 
 from . import certificate as cert
 from .errors import ConfigurationError, DivergenceError, InvariantViolation, ParameterError
@@ -300,7 +304,8 @@ def check_finite(x: np.ndarray, round_idx: int) -> None:
         agent = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
         raise DivergenceError(
             f"round {round_idx}: agent {agent} has a non-finite iterate; "
-            "the run diverged"
+            "the run diverged",
+            round=round_idx,
         )
 
 
@@ -463,6 +468,23 @@ def local_step(
     return x_i - cho_solve((c, low), rhs, check_finite=False)
 
 
+def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve every ``A_i z_i = b_i`` in place; return ``b``, now holding the ``z_i``.
+
+    ``A`` is a C-ordered ``(N, n, n)`` stack of symmetric matrices and ``b``
+    an ``(N, n)`` array whose rows are contiguous.  Each ``A[i].T`` is the
+    same matrix in Fortran order, so LAPACK's ``dposv`` factors it (its
+    upper triangle ends up holding the Cholesky factor) and overwrites
+    ``b[i]`` with the solution, with no copy.  A failed factorisation
+    raises for the first agent whose matrix is not positive definite.
+    """
+    for i in range(len(A)):
+        info = dposv(A[i].T, b[i], lower=1, overwrite_a=1, overwrite_b=1)[2]
+        if info > 0:
+            raise _not_positive_definite(i)
+    return b
+
+
 def woodbury_step(
     x: np.ndarray, rhs: np.ndarray, B: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
@@ -473,16 +495,20 @@ def woodbury_step(
 
         ``(c I + B^T B)^{-1} r = (r - B^T (c I_S + B B^T)^{-1} B r) / c``,
 
-    so each agent solves an ``S x S`` system instead of a ``d x d`` one.
-    ``B_i^T B_i`` has rank at most ``S < d``, so the smallest eigenvalue of
-    ``h_i + D_i`` is exactly ``c_i``: the system is positive definite if
-    and only if ``c_i > 0``.  Zero rows in ``B_i`` leave the step unchanged.
+    so each agent solves an ``S x S`` system instead of a ``d x d`` one, by
+    one Cholesky factor-and-solve per agent, in place.  ``B_i^T B_i`` has
+    rank at most ``S < d``, so the smallest eigenvalue of ``h_i + D_i`` is
+    exactly ``c_i``: the system is positive definite if and only if
+    ``c_i > 0``, which is checked first, since a positive definite
+    ``c_i I_S + B_i B_i^T`` does not imply it.  Zero rows in ``B_i`` leave
+    the step unchanged.
     """
     _check_shift(c)
     K = B @ B.transpose(0, 2, 1)
     diag = np.arange(B.shape[1])
     K[:, diag, diag] += c[:, None]
-    z = np.linalg.solve(K, B @ rhs[:, :, None])
+    z = B @ rhs[:, :, None]
+    _cholesky_solve(K, z[:, :, 0])
     step = (rhs - (B.transpose(0, 2, 1) @ z)[:, :, 0]) / c[:, None]
     return x - step
 
@@ -496,27 +522,18 @@ def dense_step(
     ``S``.  ``shift`` is either ``(N,)``, the scalars ``c_i`` of
     ``c_i I``, or ``(N, d, d)``, the blocks ``lam_i I + D_i``.  Every Gram
     matrix ``B_i^T B_i`` comes from one product of ``B`` with its own
-    transpose, which BLAS computes as a symmetric rank-k update, and one
-    stacked solve steps all agents.  Zero rows in ``B_i`` add nothing.
-    With scalar shifts the system is positive definite if and only if
-    ``c_i > 0``; blocks are checked by one stacked Cholesky.
+    transpose, and one Cholesky factor-and-solve per agent, in place,
+    steps all agents.  The factorisation is the positive-definiteness
+    check: the first agent whose system fails it is named.  Zero rows in
+    ``B_i`` add nothing.
     """
     H = B.transpose(0, 2, 1) @ B
     if shift.ndim == 1:
-        _check_shift(shift)
         diag = np.arange(H.shape[1])
         H[:, diag, diag] += shift[:, None]
     else:
         H += shift
-        try:
-            np.linalg.cholesky(H)
-        except np.linalg.LinAlgError:
-            for i, h in enumerate(H):
-                try:
-                    np.linalg.cholesky(h)
-                except np.linalg.LinAlgError:
-                    raise _not_positive_definite(i)
-    return x - np.linalg.solve(H, rhs[:, :, None])[:, :, 0]
+    return x - _cholesky_solve(H, rhs.copy())
 
 
 def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> None:

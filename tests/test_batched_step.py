@@ -59,6 +59,18 @@ def test_woodbury_step_rejects_nonpositive_shift():
     assert "agent 2" in str(e.value)
 
 
+def test_woodbury_step_rejects_nonpositive_shift_with_a_definite_small_system():
+    # c I_S + B B^T = 3 I_S is positive definite, yet c I + B^T B has the
+    # eigenvalue c = -1 on the d - S directions B does not reach.
+    n, S, d = 3, 2, 5
+    B = np.zeros((n, S, d))
+    B[:, [0, 1], [0, 1]] = 2.0
+    c = np.array([1.0, 1.0, -1.0])
+    with pytest.raises(ConfigurationError) as e:
+        woodbury_step(np.zeros((n, d)), np.ones((n, d)), B, c)
+    assert "agent 2" in str(e.value)
+
+
 def spd_blocks(rng, n, d, scale):
     """``n`` random symmetric positive semidefinite ``d x d`` blocks."""
     R = rng.standard_normal((n, d, d))
@@ -102,6 +114,50 @@ def test_dense_step_rejects_nonpositive_shift():
     with pytest.raises(ConfigurationError) as e:
         dense_step(np.zeros((n, d)), np.ones((n, d)), B, c)
     assert "agent 2" in str(e.value)
+
+
+def test_dense_step_takes_a_negative_shift_that_leaves_the_system_definite():
+    # With S >= d the Gram can be positive definite on its own; the
+    # factorisation, not the sign of c_i, decides.
+    rng = np.random.default_rng(7)
+    n, S, d = 4, 20, 6
+    B = rng.standard_normal((n, S, d))
+    x = rng.standard_normal((n, d))
+    rhs = rng.standard_normal((n, d))
+    H = B.transpose(0, 2, 1) @ B
+    c = -0.5 * np.linalg.eigvalsh(H)[:, 0]
+    out = dense_step(x, rhs, B, c)
+    for i in range(n):
+        expected = x[i] - np.linalg.inv(H[i] + c[i] * np.eye(d)) @ rhs[i]
+        assert rel_err(out[i], expected) <= 1e-10
+
+
+def test_cholesky_solve_factors_and_solves_in_place():
+    rng = np.random.default_rng(6)
+    n, d = 5, 9
+    A = spd_blocks(rng, n, d, 1.0) + np.eye(d)
+    b = rng.standard_normal((n, d))
+    A0, b0 = A.copy(), b.copy()
+    out = optimizer._cholesky_solve(A, b)
+    assert np.shares_memory(out, b)
+    for i in range(n):
+        assert rel_err(out[i], np.linalg.solve(A0[i], b0[i])) <= 1e-10
+        # The upper triangle of A[i] now holds the transposed Cholesky factor.
+        assert rel_err(np.triu(A[i]), np.linalg.cholesky(A0[i]).T) <= 1e-12
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+def test_dense_step_names_the_last_agent_when_only_its_system_is_indefinite(blocks):
+    n, S, d = 4, 6, 5
+    B = np.zeros((n, S, d))
+    if blocks:
+        shift = np.stack([np.eye(d)] * n)
+        shift[n - 1, 3, 3] = -1.0
+    else:
+        shift = np.array([1.0, 2.0, 3.0, -1.0])
+    with pytest.raises(ConfigurationError) as e:
+        dense_step(np.zeros((n, d)), np.ones((n, d)), B, shift)
+    assert f"agent {n - 1}" in str(e.value)
 
 
 def test_dense_step_rejects_indefinite_block():
@@ -161,8 +217,9 @@ def reference_run(P, datasets, config):
 
 def engine_history(P, datasets, config, monkeypatch, expect_woodbury):
     """The engine's iterates and duals after every round; each round must
-    make one batched step, by Woodbury or dense solve as expected."""
-    calls = {"woodbury": 0, "dense": 0, "local": 0}
+    make one batched step, by Woodbury or dense solve as expected, and
+    factor by Cholesky rather than by a general LU solve."""
+    calls = {"woodbury": 0, "dense": 0, "local": 0, "lu": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -174,14 +231,15 @@ def engine_history(P, datasets, config, monkeypatch, expect_woodbury):
     monkeypatch.setattr(optimizer, "woodbury_step", counted("woodbury", woodbury_step))
     monkeypatch.setattr(optimizer, "dense_step", counted("dense", dense_step))
     monkeypatch.setattr(optimizer, "local_step", counted("local", local_step))
+    monkeypatch.setattr(np.linalg, "solve", counted("lu", np.linalg.solve))
     history = []
     run(P, datasets, config,
         callbacks=[lambda k, s: history.append((s.x.copy(), s.q.copy()))])
     rounds = config.max_iters
     if expect_woodbury:
-        assert calls == {"woodbury": rounds, "dense": 0, "local": 0}
+        assert calls == {"woodbury": rounds, "dense": 0, "local": 0, "lu": 0}
     else:
-        assert calls == {"woodbury": 0, "dense": rounds, "local": 0}
+        assert calls == {"woodbury": 0, "dense": rounds, "local": 0, "lu": 0}
     return history
 
 

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from soprolab.errors import DivergenceError, InvariantViolation
 from soprolab.harness import reference
+from soprolab.harness.cli import main
 from soprolab.harness.experiment import ExperimentConfig, run_experiment
-from soprolab.harness.metrics import MetricRow, MetricsTrace
+from soprolab.harness.metrics import MetricRow, MetricsTrace, aggregate_traces
 from soprolab.harness.tuning import tune_baseline
 from soprolab.loss import LocalDataset
 
@@ -86,3 +88,78 @@ def test_rerun_writes_identical_trace_apart_from_out_dir(tmp_path):
     for a, b in zip(first.trace_paths, second.trace_paths):
         assert a.name == b.name
         assert trace_lines(a) == trace_lines(b)
+
+
+def test_diverged_run_writes_its_rows_and_a_diverged_summary_then_raises(tmp_path):
+    # The step-1e3 DSGD set-up of the baseline divergence tests: its
+    # iterates stay finite for 300 rounds while the optimality error
+    # overflows.
+    config = ExperimentConfig(
+        dim=15, n_agents=6, per_agent=40, test_size=20, batch_g=10, max_iters=300,
+        algorithm="dsgd", step_size=1e3, out=str(tmp_path),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match=r"round \d+: opt_err is not finite") as e:
+            run_experiment(config)
+    k = e.value.round
+    assert 0 < k < config.max_iters
+    header, *rows, summary = (tmp_path / "dsgd_seed000.jsonl").read_text().splitlines()
+    assert json.loads(header)["type"] == "header"
+    assert [json.loads(r)["round"] for r in rows] == list(range(k))
+    summary = json.loads(summary)
+    assert summary.keys() == {
+        "type", "status", "round", "message", "wall_s_total", *SETUP_PHASES
+    }
+    assert summary["type"] == "summary" and summary["status"] == "diverged"
+    assert summary["round"] == k and summary["message"] == str(e.value)
+    assert not (tmp_path / "dsgd_mean.csv").exists()
+
+
+def test_aggregate_traces_rejects_different_round_grids():
+    def trace(rounds):
+        t = MetricsTrace()
+        for k in rounds:
+            t.append(MetricRow(round=k, opt_err=1.0, comm_bits=32 * (k + 1)))
+        return t
+
+    assert list(aggregate_traces([trace([0, 1, 2])] * 2)["round"]) == [0, 1, 2]
+    for other in ([0, 1], [0, 1, 3], [0, 1, 2, 3]):
+        with pytest.raises(InvariantViolation, match="round grid"):
+            aggregate_traces([trace([0, 1, 2]), trace(other)])
+
+
+SMALL = ["--dim", "4", "--n-agents", "3", "--per-agent", "10", "--test-size", "5",
+         "--batch-g", "2", "--batch-s", "2", "--max-iters", "2"]
+
+
+@pytest.mark.parametrize("command", ["certify", "reference", "tune"])
+def test_cli_reports_an_unknown_config_key(command, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("dim = 4\nno_such_key = 1\n")
+    grid = tmp_path / "grid.txt"
+    grid.write_text("step_size=0.1\n")
+    argv = [command, "--config", str(config), *SMALL]
+    if command == "tune":
+        argv += ["--grid", str(grid)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unknown config key 'no_such_key'" in err
+
+
+@pytest.mark.parametrize(
+    "grid_text, message",
+    [
+        ("step_size=0.1\nstep_size 0.2\n", "grid line 2: expected key=value"),
+        ("# only a comment\n\n", "empty tuning grid file"),
+        ("no_such_key=1\n", "unknown config key 'no_such_key'"),
+        ("step_size=fast\n", "bad value 'fast' for key 'step_size'"),
+    ],
+)
+def test_cli_tune_reports_a_malformed_grid_file(grid_text, message, tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(grid_text)
+    argv = ["tune", *SMALL, "--algorithm", "dsgd", "--target-error", "0.1",
+            "--grid", str(grid)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
