@@ -28,7 +28,6 @@ from .optimizer import (
     initial_iterates,
 )
 from .topology import Graph, MatrixP
-from . import certificate as cert
 
 __all__ = [
     "MixingMatrix",
@@ -59,11 +58,6 @@ class MixingMatrix:
         if np.max(np.abs(rows - 1.0)) > 1e-12:
             raise ParameterError(f"rows must sum to 1, worst {rows}")
         self.matrix.setflags(write=False)
-
-    @property
-    def spectral_gap(self) -> float:
-        eigs = np.linalg.eigvalsh(self.matrix)
-        return float(1.0 - max(abs(eigs[0]), abs(eigs[-2])))
 
 
 def metropolis_weights(g: Graph) -> MixingMatrix:
@@ -135,7 +129,7 @@ def init_baseline(P: MatrixP, datasets, config: RunConfig, sets: LocalSets) -> N
         x=x,
         q=np.zeros((n, d)),
         y=np.zeros((n, d)),
-        d=cert.ProximalBlocks.alpha_identity(0.0, n),
+        alphas=np.zeros(n),
         round=0,
         comm_scalars=0,
     )

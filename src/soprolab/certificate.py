@@ -7,10 +7,10 @@ proximal-matrix condition with its margin, the contraction margin ``kappa``,
 the rate/noise pair ``(delta_s, Gamma)``, and the steady-state error bound
 ``Gamma * N * tau * sigma^2 / delta_s`` for the Lyapunov Q-norm.
 
-All per-agent bound matrices are scalars times the identity, so every
-network-level matrix reduces exactly to an n x n computation on ``P``;
-only user-supplied non-scalar proximal blocks fall back to a dense
-Kronecker assembly (desk scale).
+Every per-agent matrix is a scalar times the identity: the curvature
+bounds ``m_i I`` and ``M_i I`` and the proximal matrices ``D_i = alpha_i I``,
+given as the ``(N,)`` vector ``alphas``.  Every network-level matrix
+therefore reduces exactly to an N x N computation on ``P``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .loss import SmoothnessBounds
 from .topology import MatrixP
 
 __all__ = [
-    "ProximalBlocks",
     "DConditionResult",
     "RateCertificate",
     "QNormError",
@@ -35,7 +34,6 @@ __all__ = [
     "check_D_condition",
     "kappa",
     "certify",
-    "z_error",
 ]
 
 
@@ -89,84 +87,12 @@ def m_beta(m_fbar: float, n_agents: int, M: float, beta: float, lambda_w: float)
     return float(val), float(gamma)
 
 
-@dataclass
-class ProximalBlocks:
-    """Per-agent proximal matrices D_i.
-
-    Either every block is a scalar multiple of the identity (``alphas``
-    holds the scalars) or explicit symmetric blocks are given as an
-    ``(N, d, d)`` array.
-    """
-
-    alphas: np.ndarray | None = None
-    blocks: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.alphas is None) == (self.blocks is None):
-            raise ParameterError("give exactly one of alphas / blocks")
-        if self.blocks is not None:
-            b = np.asarray(self.blocks, dtype=float)
-            if b.ndim != 3 or b.shape[1] != b.shape[2]:
-                raise ParameterError(f"blocks must be (N, d, d), got {b.shape}")
-            if np.max(np.abs(b - np.transpose(b, (0, 2, 1)))) > 1e-12 * max(
-                1.0, np.max(np.abs(b))
-            ):
-                raise ParameterError("blocks must be symmetric")
-            self.blocks = b
-        else:
-            self.alphas = np.asarray(self.alphas, dtype=float)
-
-    @classmethod
-    def alpha_identity(cls, alpha: float, n_agents: int) -> "ProximalBlocks":
-        return cls(alphas=np.full(n_agents, float(alpha)))
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.alphas is not None
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.alphas) if self.is_scalar else self.blocks.shape[0]
-
-
-def _p_matrix(P) -> np.ndarray:
-    return P.matrix if isinstance(P, MatrixP) else np.asarray(P, dtype=float)
-
-
-def _lambda_min_shifted(d: ProximalBlocks, t: np.ndarray, beta: float, P) -> float:
-    """Smallest eigenvalue of ``D + diag(t_i I) - beta * P (x) I``."""
-    Pm = _p_matrix(P)
-    if d.is_scalar:
-        A = -beta * Pm + np.diag(d.alphas + t)
-        return float(np.linalg.eigvalsh(A)[0])
-    n, dim, _ = d.blocks.shape
-    A = np.kron(-beta * Pm, np.eye(dim))
-    for i in range(n):
-        sl = slice(i * dim, (i + 1) * dim)
-        A[sl, sl] += d.blocks[i] + t[i] * np.eye(dim)
+def _lambda_min_shifted(
+    alphas: np.ndarray, t: np.ndarray, beta: float, P: MatrixP
+) -> float:
+    """Smallest eigenvalue of ``diag(alphas + t) - beta * P``."""
+    A = -beta * P.matrix + np.diag(alphas + t)
     return float(np.linalg.eigvalsh(A)[0])
-
-
-def _norm_LM_plus_D_sq(d: ProximalBlocks, bounds: SmoothnessBounds) -> float:
-    if d.is_scalar:
-        return float(np.max(bounds.M + d.alphas) ** 2)
-    vals = [
-        np.linalg.eigvalsh(d.blocks[i] + bounds.M[i] * np.eye(d.blocks.shape[1]))[-1]
-        for i in range(d.n_agents)
-    ]
-    return float(max(vals) ** 2)
-
-
-def _lambda_max_R_plus(d: ProximalBlocks, bounds: SmoothnessBounds, extra: np.ndarray) -> float:
-    """Largest eigenvalue of ``R + diag(extra_i I)`` with ``R = (Lm+LM)/2 + D``."""
-    half = 0.5 * (bounds.m + bounds.M)
-    if d.is_scalar:
-        return float(np.max(half + d.alphas + extra))
-    vals = [
-        np.linalg.eigvalsh(d.blocks[i])[-1] + half[i] + extra[i]
-        for i in range(d.n_agents)
-    ]
-    return float(max(vals))
 
 
 @dataclass(frozen=True)
@@ -176,12 +102,12 @@ class DConditionResult:
 
 
 def check_D_condition(
-    d: ProximalBlocks,
+    alphas: np.ndarray,
     bounds: SmoothnessBounds,
     eta_s: float,
     m_beta_value: float,
     beta: float,
-    P,
+    P: MatrixP,
 ) -> DConditionResult:
     """Verify the proximal-matrix condition and report its eigenvalue margin.
 
@@ -201,17 +127,17 @@ def check_D_condition(
         + (M - 3.0 * m) / 2.0
         + beta / 2.0
     )
-    margin = _lambda_min_shifted(d, t, beta, P)
+    margin = _lambda_min_shifted(alphas, t, beta, P)
     return DConditionResult(passed=margin > 0.0, margin=margin)
 
 
 def kappa(
     c0: float,
     eta_s: float,
-    d: ProximalBlocks,
+    alphas: np.ndarray,
     bounds: SmoothnessBounds,
     beta: float,
-    P,
+    P: MatrixP,
     m_beta_value: float | None = None,
 ) -> float:
     """Contraction margin: smallest eigenvalue of the rate matrix.
@@ -236,7 +162,7 @@ def kappa(
         - M
         - beta / 2.0
     )
-    return _lambda_min_shifted(d, t, beta, P)
+    return _lambda_min_shifted(alphas, t, beta, P)
 
 
 @dataclass
@@ -261,7 +187,7 @@ class RateCertificate:
     delta_s: float
     Gamma: float
     steady_bound: float
-    r_diag: np.ndarray | None = None
+    r_diag: np.ndarray
 
     def __post_init__(self):
         if not 0.0 < self.c0 < 2.0 * self.eta_s * self.m_beta:
@@ -283,19 +209,18 @@ class RateCertificate:
     @classmethod
     def from_dict(cls, data: dict) -> "RateCertificate":
         data = dict(data)
-        if data.get("r_diag") is not None:
-            data["r_diag"] = np.asarray(data["r_diag"], dtype=float)
+        data["r_diag"] = np.asarray(data["r_diag"], dtype=float)
         return cls(**data)
 
 
-def _delta_terms(d, bounds, beta, lambda_w, eta_s, m_b, c1, c0, P, norm_sq):
+def _delta_terms(alphas, bounds, beta, lambda_w, eta_s, m_b, c1, c0, P, norm_sq):
     """min over the three rate terms, with the c2 trade-off solved exactly.
 
     Term one is c2-free.  The second term decreases and the third increases
     in c2, both spanning (0, max), so their pointwise min peaks at the unique
     crossing; brentq in log(c2) finds it.
     """
-    k = kappa(c0, eta_s, d, bounds, beta, P, m_beta_value=m_b)
+    k = kappa(c0, eta_s, alphas, bounds, beta, P, m_beta_value=m_b)
     if k <= 0.0:
         return None
     term1 = beta * lambda_w * k / (2.0 * (1.0 + c1) * norm_sq)
@@ -309,7 +234,8 @@ def _delta_terms(d, bounds, beta, lambda_w, eta_s, m_b, c1, c0, P, norm_sq):
 
     def t3(c2):
         extra = cc1 * (1.0 + 1.0 / c2) * bounds.M**2 / (beta * lambda_w)
-        return num3 / _lambda_max_R_plus(d, bounds, extra)
+        # Largest eigenvalue of R + diag(extra_i I), R = (Lm+LM)/2 + D.
+        return num3 / float(np.max(0.5 * (bounds.m + bounds.M) + alphas + extra))
 
     def gap(u):
         c2 = math.exp(u)
@@ -334,9 +260,9 @@ def _delta_terms(d, bounds, beta, lambda_w, eta_s, m_b, c1, c0, P, norm_sq):
 
 def certify(
     bounds: SmoothnessBounds,
-    P,
+    P: MatrixP,
     beta: float,
-    d: ProximalBlocks,
+    alphas: np.ndarray,
     eta_s: float,
     sigma_sq: float,
     tau_value: float,
@@ -366,21 +292,16 @@ def certify(
             "aggregate objective has no strong convexity (m_fbar <= 0); "
             "certificates need a strictly convex regularizer"
         )
-    spec = P.spectral if isinstance(P, MatrixP) else None
-    if spec is None:
-        eigs = np.linalg.eigvalsh(_p_matrix(P))
-        lambda_w, lambda_max = float(eigs[1]), float(eigs[-1])
-    else:
-        lambda_w, lambda_max = spec.lambda_w, spec.lambda_max
+    lambda_w, lambda_max = P.spectral.lambda_w, P.spectral.lambda_max
 
     m_b, gamma_star = m_beta(m_fbar, n_agents, bounds.max_M, beta, lambda_w)
-    chk = check_D_condition(d, bounds, eta_s, m_b, beta, P)
+    chk = check_D_condition(alphas, bounds, eta_s, m_b, beta, P)
     if not chk.passed:
         raise CertificationError(
             f"proximal condition fails with margin {chk.margin}; increase mu/alpha"
         )
 
-    norm_sq = _norm_LM_plus_D_sq(d, bounds)
+    norm_sq = float(np.max(bounds.M + alphas) ** 2)  # ||LM + D||^2
     hi = 2.0 * eta_s * m_b
 
     # kappa is nondecreasing in c0 and positive at the upper end (it equals
@@ -390,13 +311,13 @@ def certify(
     c_lo = hi * 1e-12
 
     def kap_at(c0):
-        return kappa(c0, eta_s, d, bounds, beta, P, m_beta_value=m_b)
+        return kappa(c0, eta_s, alphas, bounds, beta, P, m_beta_value=m_b)
 
     if kap_at(c_lo) <= 0.0:
         c_lo = brentq(kap_at, c_lo, c_hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
     def neg_delta(c0):
-        res = _delta_terms(d, bounds, beta, lambda_w, eta_s, m_b, c1, c0, P, norm_sq)
+        res = _delta_terms(alphas, bounds, beta, lambda_w, eta_s, m_b, c1, c0, P, norm_sq)
         # Feasible values lie in (-1, 0); 1.0 is always worse and keeps the
         # bounded Brent iteration free of non-finite arithmetic.
         return 1.0 if res is None else -res[0]
@@ -408,7 +329,7 @@ def certify(
         options={"xatol": hi * 1e-13, "maxiter": 300},
     )
     best = _delta_terms(
-        d, bounds, beta, lambda_w, eta_s, m_b, c1, float(opt.x), P, norm_sq
+        alphas, bounds, beta, lambda_w, eta_s, m_b, c1, float(opt.x), P, norm_sq
     )
     if best is None or best[0] <= 0.0:
         raise CertificationError(
@@ -421,7 +342,6 @@ def certify(
 
     Gamma = 2.0 * (1.0 + c1) * delta_s / lambda_w + 2.0
     steady = Gamma * n_agents * tau_value * sigma_sq / delta_s
-    r_diag = 0.5 * (bounds.m + bounds.M) + d.alphas if d.is_scalar else None
     return RateCertificate(
         n_agents=n_agents,
         beta=beta,
@@ -441,7 +361,7 @@ def certify(
         delta_s=delta_s,
         Gamma=Gamma,
         steady_bound=steady,
-        r_diag=r_diag,
+        r_diag=0.5 * (bounds.m + bounds.M) + alphas,
     )
 
 
@@ -452,13 +372,15 @@ class QNormError:
     the dual surrogate under the square root of the lift of ``P``.  The dual
     part is evaluated through the eigendecomposition of ``P`` with the zero
     eigenvalue annihilated, which is exact because conserved dual iterates
-    stay in the range of the lift.  ``q_star`` is the stacked
+    stay in the range of the lift.  ``r`` is the ``(N,)`` vector of the
+    scalars ``r_i`` of ``R_i = r_i I``, and ``q_star`` is the stacked
     ``-grad f_i(x_star)`` blocks.
     """
 
-    def __init__(self, P, r, beta: float, x_star: np.ndarray, q_star: np.ndarray):
-        Pm = _p_matrix(P)
-        w, U = np.linalg.eigh(Pm)
+    def __init__(
+        self, P: MatrixP, r, beta: float, x_star: np.ndarray, q_star: np.ndarray
+    ):
+        w, U = np.linalg.eigh(P.matrix)
         nz = w > 1e-12 * max(w[-1], 1.0)
         if np.count_nonzero(~nz) != 1:
             raise InvariantViolation(
@@ -470,7 +392,7 @@ class QNormError:
         self._r = np.asarray(r, dtype=float)
         self._x_star = np.asarray(x_star, dtype=float)
         self._q_star = np.asarray(q_star, dtype=float)
-        self._n = Pm.shape[0]
+        self._n = P.n_agents
 
     def __call__(self, x: np.ndarray, q: np.ndarray) -> float:
         dq = q - self._q_star
@@ -486,16 +408,5 @@ class QNormError:
         coords = self._U.T @ dq
         v_part = float(self._inv_w @ np.einsum("ij,ij->i", coords, coords))
         dx = x - self._x_star
-        r = self._r
-        if np.ndim(r) == 1:
-            x_part = float(r @ np.einsum("ij,ij->i", dx, dx))
-        else:
-            x_part = float(
-                sum(dx[i] @ (r[i] @ dx[i]) for i in range(dx.shape[0]))
-            )
+        x_part = float(self._r @ np.einsum("ij,ij->i", dx, dx))
         return self._beta * x_part + v_part
-
-
-def z_error(x, q, x_star, q_star, beta, r, P) -> float:
-    """One-shot evaluation of :class:`QNormError`."""
-    return QNormError(P, r, beta, x_star, q_star)(x, q)

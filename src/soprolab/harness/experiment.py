@@ -156,10 +156,14 @@ def _coerce_one(key: str, value):
         if v.lower() in ("none", "auto", ""):
             return None
         try:
-            return CONFIG_SCHEMA[key](v)
+            out = CONFIG_SCHEMA[key](v)
         except ValueError:
             raise ConfigurationError(f"bad value {value!r} for key {key!r}")
-    return CONFIG_SCHEMA[key](value)
+    else:
+        out = CONFIG_SCHEMA[key](value)
+    if isinstance(out, float) and not math.isfinite(out):
+        raise ConfigurationError(f"key {key!r} needs a finite value, got {value!r}")
+    return out
 
 
 def _coerce_mapping(mapping: dict) -> dict:
@@ -248,25 +252,28 @@ def build_problem(config: ExperimentConfig) -> Problem:
 
 
 def build_certificate(config: ExperimentConfig, problem: Problem):
-    """Certificate plus the matching proximal blocks and Q-norm evaluator.
+    """Certificate, the resolved ``mu`` and the Q-norm evaluator.
 
     Only the proximal methods are certified; the full-batch variant gets
-    ``tau = 0`` and hence a zero steady-state bound.
+    ``tau = 0`` and hence a zero steady-state bound.  The baselines get no
+    certificate and no evaluator, and ``mu`` as configured.
     """
     if config.algorithm not in ("st_sopro", "sopro"):
-        return None, None, None
+        return None, config.mu, None
     sigma_sq = estimate_sigma_sq(problem.datasets, problem.reference.x)
     G = config.per_agent if config.algorithm == "sopro" else config.batch_g
     tau_value = cert.tau(config.per_agent, G)
     mu = config.mu
     if mu is None:
         mu = optimizer._auto_mu(problem.bounds, config.beta, config.eta_s, problem.P)
-    d = optimizer.choose_D(problem.bounds, config.beta, mu, problem.P, config.eta_s)
+    alphas = optimizer.choose_D(
+        problem.bounds, config.beta, mu, problem.P, config.eta_s
+    )
     rate = cert.certify(
         problem.bounds,
         problem.P,
         config.beta,
-        d,
+        alphas,
         config.eta_s,
         sigma_sq,
         tau_value,
@@ -276,7 +283,7 @@ def build_certificate(config: ExperimentConfig, problem: Problem):
     q_err = cert.QNormError(
         problem.P, rate.r_diag, config.beta, problem.reference.x, q_star
     )
-    return rate, d, q_err
+    return rate, mu, q_err
 
 
 def _run_seed_value(master_seed: int, run_idx: int) -> int:
@@ -311,12 +318,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     problem = build_problem(config)
     certifying = time.perf_counter()
-    rate, d_blocks, q_err = build_certificate(config, problem)
+    rate, mu_resolved, q_err = build_certificate(config, problem)
     timings = {**problem.timings, "certificate_s": time.perf_counter() - certifying}
-    mu_resolved = config.mu
-    if mu_resolved is None and d_blocks is not None:
-        lam_max = problem.P.spectral.lambda_max
-        mu_resolved = float(d_blocks.alphas[0]) - (0.5 + lam_max) * config.beta
 
     out_dir = Path(config.out) if config.out else None
     if out_dir is not None:
@@ -342,8 +345,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for run_idx in range(config.seeds):
         seed = _run_seed_value(config.master_seed, run_idx)
         rc = config.to_run_config(seed)
-        if mu_resolved is not None:
-            rc.mu = mu_resolved
+        rc.mu = mu_resolved
         trace = MetricsTrace()
         t0 = time.perf_counter()
 

@@ -12,7 +12,6 @@ Every evaluation covers all agents at once over the stacked local sets
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +40,6 @@ class ReferenceSolution:
     iterations: int
 
 
-_cache: dict[tuple, ReferenceSolution] = {}
-
 # Relative rounding level of the summed objective, with room for the
 # error of summing many per-sample losses.
 _ROUNDING = 1e3 * np.finfo(float).eps
@@ -50,16 +47,6 @@ _ROUNDING = 1e3 * np.finfo(float).eps
 # Rows per Hessian update: bounds the scaled copy of the rows to about 1 MB
 # at d = 123 instead of one copy of the whole stack.
 _HESS_CHUNK_ROWS = 1024
-
-
-def _pool_key(datasets, tol):
-    h = hashlib.sha256()
-    for ds in datasets:
-        h.update(np.ascontiguousarray(ds.features).tobytes())
-        h.update(np.ascontiguousarray(ds.labels).tobytes())
-        h.update(np.float64(ds.lambda_reg).tobytes())
-    h.update(np.float64(tol).tobytes())
-    return h.hexdigest()
 
 
 class _Pool:
@@ -108,14 +95,8 @@ def local_gradients(datasets, x: np.ndarray) -> np.ndarray:
 def solve_reference(datasets, tol: float = 1e-12, max_iters: int = 200) -> ReferenceSolution:
     """Minimize the aggregate objective by damped Newton.
 
-    Stops when the gradient norm drops to ``tol``; results are cached per
-    dataset content and tolerance.
+    Stops when the gradient norm drops to ``tol``.
     """
-    key = _pool_key(datasets, tol)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-
     pool = _Pool(datasets)
     x = np.zeros(pool.feats.shape[2])
     f = pool.objective(x)
@@ -123,9 +104,7 @@ def solve_reference(datasets, tol: float = 1e-12, max_iters: int = 200) -> Refer
         g = pool.gradient(x)
         gn = float(np.linalg.norm(g))
         if gn <= tol:
-            sol = ReferenceSolution(x=x, grad_norm=gn, iterations=it)
-            _cache[key] = sol
-            return sol
+            return ReferenceSolution(x=x, grad_norm=gn, iterations=it)
         step = cho_solve(cho_factor(pool.hessian(x)), g)
         t = 1.0
         gTs = float(g @ step)

@@ -17,16 +17,18 @@ from the stacked local sets (:class:`LocalSets`) into one buffer that
 every round reuses, and stacked matrix products give all batch gradients
 ``g_i`` and Hessian weights ``w_i`` (``h_i = lam I + B_i^T B_i`` with the
 factor ``B_i = sqrt(w_i) F_{S_i}``, which is scaled in place in that
-buffer).  One batched step then moves all agents: one stacked product
-builds every agent's symmetric positive definite system, and one
-Cholesky factor-and-solve per agent, in place, solves it.  When every
-``D_i = alpha_i I`` and the Hessian batch has fewer rows than the
-dimension, :func:`woodbury_step` reduces each agent's ``d x d`` system to
-the ``S x S`` system ``c_i I + B_i B_i^T`` with ``c_i = lam + alpha_i``.
-Otherwise (``S >= d``, including full-batch SoPro, or explicit ``D_i``
-blocks) :func:`dense_step` forms every ``B_i^T B_i`` with one symmetric
-product and factors the shifted ``d x d`` systems.  A factorisation that
-fails names the agent whose system is not positive definite.
+buffer).  Every proximal matrix is ``D_i = alpha_i I``, so the network's
+proximal matrices are the ``(N,)`` vector of the ``alpha_i`` and agent
+``i``'s system is ``c_i I + B_i^T B_i`` with ``c_i = lam_i + alpha_i``.
+One batched step then moves all agents: one stacked product builds every
+agent's symmetric positive definite system, and one Cholesky
+factor-and-solve per agent, in place, solves it.  When the Hessian batch
+has fewer rows than the dimension, :func:`woodbury_step` reduces each
+agent's ``d x d`` system to the ``S x S`` system ``c_i I + B_i B_i^T``.
+Otherwise (``S >= d``, including full-batch SoPro) :func:`dense_step`
+forms every ``B_i^T B_i`` with one symmetric product and factors the
+shifted ``d x d`` systems.  A factorisation that fails names the agent
+whose system is not positive definite.
 :func:`local_step` steps one agent alone by Cholesky: it is the per-agent
 oracle the batched steps are tested against.  A round whose iterate is
 not finite raises :class:`~soprolab.errors.DivergenceError`.
@@ -119,8 +121,6 @@ class RunConfig:
     eta_s: float = 0.5
     mu: float | None = None  # None: smallest certified value plus headroom
     algorithm: str = "st_sopro"
-    d_mode: str = "alpha_identity"
-    d_blocks: np.ndarray | None = None
     x0_mode: str = "uniform"
     step_size: float | None = None  # baselines only
     step_schedule: str = "constant"
@@ -140,10 +140,6 @@ class RunConfig:
             raise ConfigurationError("max_iters must be nonnegative")
         if self.seed < 0:
             raise ConfigurationError("seed must be nonnegative")
-        if self.d_mode not in ("alpha_identity", "explicit"):
-            raise ConfigurationError(f"unknown d_mode {self.d_mode!r}")
-        if self.d_mode == "explicit" and self.d_blocks is None:
-            raise ConfigurationError("d_mode='explicit' needs d_blocks")
         if self.x0_mode not in ("uniform", "zeros"):
             raise ConfigurationError(f"unknown x0_mode {self.x0_mode!r}")
         if self.step_schedule not in ("constant", "one_over_k"):
@@ -163,7 +159,7 @@ class NetworkState:
     x: np.ndarray  # (N, d)
     q: np.ndarray
     y: np.ndarray
-    d: cert.ProximalBlocks
+    alphas: np.ndarray  # (N,): D_i = alphas[i] I
     round: int = 0
     comm_scalars: int = 0
     tracker: np.ndarray | None = None  # baselines only
@@ -339,34 +335,25 @@ def choose_D(
     mu: float,
     P: MatrixP,
     eta_s: float,
-) -> cert.ProximalBlocks:
-    """Proximal blocks ``D_i = alpha I`` with ``alpha = (1/2 + lambda_max) beta + mu``.
+) -> np.ndarray:
+    """The ``(N,)`` alphas of ``D_i = alpha_i I``, each ``(1/2 + lambda_max) beta + mu``.
 
     The result is validated against the proximal condition; too small a
     ``mu`` raises with the violated margin.
     """
     spec = P.spectral
-    alpha = (0.5 + spec.lambda_max) * beta + mu
-    d = cert.ProximalBlocks.alpha_identity(alpha, bounds.n_agents)
-    _validate_D(d, bounds, beta, eta_s, P, spec.lambda_w, mu=mu)
-    return d
-
-
-def _validate_D(d, bounds, beta, eta_s, P, lambda_w, mu=None):
-    m_fbar = float(bounds.m.sum())
-    m_b, _ = cert.m_beta(m_fbar, bounds.n_agents, bounds.max_M, beta, lambda_w)
-    chk = cert.check_D_condition(d, bounds, eta_s, m_b, beta, P)
+    alphas = np.full(bounds.n_agents, (0.5 + spec.lambda_max) * beta + mu)
+    m_b, _ = cert.m_beta(
+        float(bounds.m.sum()), bounds.n_agents, bounds.max_M, beta, spec.lambda_w
+    )
+    chk = cert.check_D_condition(alphas, bounds, eta_s, m_b, beta, P)
     if not chk.passed:
-        hint = ""
-        if mu is not None:
-            hint = (
-                f" (mu={mu} is below the required bound "
-                f"{recipe_mu_lower_bound(bounds, beta, eta_s, P)})"
-            )
         raise ConfigurationError(
             f"proximal blocks violate the positivity condition: margin {chk.margin}"
-            + hint
+            f" (mu={mu} is below the required bound "
+            f"{recipe_mu_lower_bound(bounds, beta, eta_s, P)})"
         )
+    return alphas
 
 
 def initial_iterates(P: MatrixP, datasets, config: RunConfig) -> np.ndarray:
@@ -405,21 +392,17 @@ def init_network(P: MatrixP, datasets, config: RunConfig) -> NetworkState:
     n, d = x.shape
 
     bounds = SmoothnessBounds.from_datasets(datasets)
-    if config.d_mode == "explicit":
-        blocks = cert.ProximalBlocks(blocks=config.d_blocks)
-        _validate_D(blocks, bounds, config.beta, config.eta_s, P, P.spectral.lambda_w)
-    else:
-        mu = config.mu
-        if mu is None:
-            mu = _auto_mu(bounds, config.beta, config.eta_s, P)
-        blocks = choose_D(bounds, config.beta, mu, P, config.eta_s)
+    mu = config.mu
+    if mu is None:
+        mu = _auto_mu(bounds, config.beta, config.eta_s, P)
+    alphas = choose_D(bounds, config.beta, mu, P, config.eta_s)
 
     y = P.disagreement(x)
     return NetworkState(
         x=x,
         q=np.zeros((n, d)),
         y=y,
-        d=blocks,
+        alphas=alphas,
         round=0,
         comm_scalars=2 * P.graph.n_edges * d,
     )
@@ -446,20 +429,17 @@ def local_step(
     q_i: np.ndarray,
     hess: LowRankHessian,
     grad: np.ndarray,
-    d_block: float | np.ndarray,
+    alpha: float,
     beta: float,
     agent: int = -1,
 ) -> np.ndarray:
-    """One agent's proximal step alone, by Cholesky of its dense ``h_i + D_i``.
+    """One agent's proximal step alone, by Cholesky of its dense ``h_i + alpha I``.
 
     The per-agent oracle of :func:`woodbury_step` and :func:`dense_step`,
     which step all agents at once; the engine's round does not call it.
     """
     A = hess.dense()
-    if np.ndim(d_block) == 0:
-        A.flat[:: A.shape[0] + 1] += float(d_block)
-    else:
-        A = A + d_block
+    A.flat[:: A.shape[0] + 1] += float(alpha)
     rhs = grad + beta * y_i + q_i
     try:
         c, low = cho_factor(A, check_finite=False)
@@ -514,25 +494,20 @@ def woodbury_step(
 
 
 def dense_step(
-    x: np.ndarray, rhs: np.ndarray, B: np.ndarray, shift: np.ndarray
+    x: np.ndarray, rhs: np.ndarray, B: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
-    """Proximal steps of all agents whose ``h_i + D_i`` is ``B_i^T B_i + shift_i``.
+    """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``.
 
-    ``x`` and ``rhs`` are ``(N, d)`` and ``B`` is ``(N, S, d)`` for any
-    ``S``.  ``shift`` is either ``(N,)``, the scalars ``c_i`` of
-    ``c_i I``, or ``(N, d, d)``, the blocks ``lam_i I + D_i``.  Every Gram
-    matrix ``B_i^T B_i`` comes from one product of ``B`` with its own
-    transpose, and one Cholesky factor-and-solve per agent, in place,
-    steps all agents.  The factorisation is the positive-definiteness
-    check: the first agent whose system fails it is named.  Zero rows in
-    ``B_i`` add nothing.
+    ``x`` and ``rhs`` are ``(N, d)``, ``B`` is ``(N, S, d)`` for any ``S``
+    and ``c`` is ``(N,)``.  Every Gram matrix ``B_i^T B_i`` comes from one
+    product of ``B`` with its own transpose, and one Cholesky
+    factor-and-solve per agent, in place, steps all agents.  The
+    factorisation is the positive-definiteness check: the first agent
+    whose system fails it is named.  Zero rows in ``B_i`` add nothing.
     """
     H = B.transpose(0, 2, 1) @ B
-    if shift.ndim == 1:
-        diag = np.arange(H.shape[1])
-        H[:, diag, diag] += shift[:, None]
-    else:
-        H += shift
+    diag = np.arange(H.shape[1])
+    H[:, diag, diag] += c[:, None]
     return x - _cholesky_solve(H, rhs.copy())
 
 
@@ -548,8 +523,8 @@ def run(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> NetworkState:
     """Execute ``max_iters`` synchronous rounds and return the final state.
 
     Each round steps all agents with one batched call: :func:`woodbury_step`
-    when every ``D_i`` is a scalar multiple of the identity and the Hessian
-    batch has fewer rows than the dimension, :func:`dense_step` otherwise.
+    when the Hessian batch has fewer rows than the dimension,
+    :func:`dense_step` otherwise.
     ``callbacks`` are invoked as ``cb(round, state)`` after initialization
     (round 0) and after every completed round; states passed to callbacks
     must be treated as read-only.  The full-batch deterministic variant
@@ -567,12 +542,8 @@ def run(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> NetworkState:
     batch_g = None if full else config.batch_g
     batch_s = None if full else config.batch_s
     rows_s = sets.feats.shape[1] if full else config.batch_s
-    if state.d.is_scalar:
-        shift = sets.lam + state.d.alphas
-        step = woodbury_step if rows_s < state.dim else dense_step
-    else:
-        shift = sets.lam[:, None, None] * np.eye(state.dim) + state.d.blocks
-        step = dense_step
+    shift = sets.lam + state.alphas
+    step = woodbury_step if rows_s < state.dim else dense_step
     for cb in callbacks:
         cb(0, state)
     for k in range(config.max_iters):

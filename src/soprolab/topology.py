@@ -198,8 +198,10 @@ def laplacian_weights(g: Graph, weight_rule=1.0) -> MatrixP:
     else:
         weights = {e: float(weight_rule) for e in g.edges}
     for e, w in weights.items():
-        if not w > 0:
-            raise ParameterError(f"edge {e} has nonpositive weight {w}")
+        if not 0 < w < math.inf:
+            raise ParameterError(
+                f"edge {e} has weight {w}; weights must be positive and finite"
+            )
     n = g.n_agents
     P = np.zeros((n, n))
     for (i, j), w in weights.items():
@@ -289,7 +291,10 @@ def read_edge_list(src) -> MatrixP:
             i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ParseError(f"bad edge line {ln!r}", line=lineno)
-        edges[(min(i, j), max(i, j))] = w
+        edge = (min(i, j), max(i, j))
+        if edge in edges:
+            raise ParseError(f"edge {edge} is repeated", line=lineno)
+        edges[edge] = w
     if header is None:
         raise ParseError("empty edge-list input", line=lineno or 1)
     n, m = header

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -71,14 +69,7 @@ def test_woodbury_step_rejects_nonpositive_shift_with_a_definite_small_system():
     assert "agent 2" in str(e.value)
 
 
-def spd_blocks(rng, n, d, scale):
-    """``n`` random symmetric positive semidefinite ``d x d`` blocks."""
-    R = rng.standard_normal((n, d, d))
-    return scale * R @ R.transpose(0, 2, 1) / d
-
-
-@pytest.mark.parametrize("blocks", [False, True])
-def test_dense_step_matches_dense_inverse_oracle(blocks):
+def test_dense_step_matches_dense_inverse_oracle():
     rng = np.random.default_rng(5)
     n, S, d, lam = 7, 20, 15, 0.1
     alphas = np.geomspace(0.5, 800.0, n)
@@ -87,21 +78,15 @@ def test_dense_step_matches_dense_inverse_oracle(blocks):
     x = rng.standard_normal((n, d))
     rhs = rng.standard_normal((n, d))
     B = np.sqrt(weights)[:, :, None] * feats
-    D = alphas[:, None, None] * np.eye(d)
-    if blocks:
-        D = D + spd_blocks(rng, n, d, 2.0)
-        shift = lam * np.eye(d) + D
-    else:
-        shift = lam + alphas
     expected = np.empty((n, d))
     for i in range(n):
         h = LowRankHessian(lam=lam, weights=weights[i], feats=feats[i])
-        expected[i] = x[i] - np.linalg.inv(h.dense() + D[i]) @ rhs[i]
+        expected[i] = x[i] - np.linalg.inv(h.dense() + alphas[i] * np.eye(d)) @ rhs[i]
 
-    out = dense_step(x, rhs, B, shift)
+    out = dense_step(x, rhs, B, lam + alphas)
     # Trailing zero rows stand for agents with smaller Hessian batches.
     padded = np.concatenate([B, np.zeros((n, 3, d))], axis=1)
-    out_padded = dense_step(x, rhs, padded, shift)
+    out_padded = dense_step(x, rhs, padded, lam + alphas)
     for i in range(n):
         assert rel_err(out[i], expected[i]) <= 1e-10
         assert rel_err(out_padded[i], expected[i]) <= 1e-10
@@ -135,7 +120,8 @@ def test_dense_step_takes_a_negative_shift_that_leaves_the_system_definite():
 def test_cholesky_solve_factors_and_solves_in_place():
     rng = np.random.default_rng(6)
     n, d = 5, 9
-    A = spd_blocks(rng, n, d, 1.0) + np.eye(d)
+    R = rng.standard_normal((n, d, d))
+    A = R @ R.transpose(0, 2, 1) / d + np.eye(d)
     b = rng.standard_normal((n, d))
     A0, b0 = A.copy(), b.copy()
     out = optimizer._cholesky_solve(A, b)
@@ -146,28 +132,13 @@ def test_cholesky_solve_factors_and_solves_in_place():
         assert rel_err(np.triu(A[i]), np.linalg.cholesky(A0[i]).T) <= 1e-12
 
 
-@pytest.mark.parametrize("blocks", [False, True])
-def test_dense_step_names_the_last_agent_when_only_its_system_is_indefinite(blocks):
+def test_dense_step_names_the_last_agent_when_only_its_system_is_indefinite():
     n, S, d = 4, 6, 5
     B = np.zeros((n, S, d))
-    if blocks:
-        shift = np.stack([np.eye(d)] * n)
-        shift[n - 1, 3, 3] = -1.0
-    else:
-        shift = np.array([1.0, 2.0, 3.0, -1.0])
+    c = np.array([1.0, 2.0, 3.0, -1.0])
     with pytest.raises(ConfigurationError) as e:
-        dense_step(np.zeros((n, d)), np.ones((n, d)), B, shift)
+        dense_step(np.zeros((n, d)), np.ones((n, d)), B, c)
     assert f"agent {n - 1}" in str(e.value)
-
-
-def test_dense_step_rejects_indefinite_block():
-    n, S, d = 4, 6, 5
-    B = np.zeros((n, S, d))
-    shift = np.stack([np.eye(d)] * n)
-    shift[1, 0, 0] = shift[3, 2, 2] = -1.0
-    with pytest.raises(ConfigurationError) as e:
-        dense_step(np.zeros((n, d)), np.ones((n, d)), B, shift)
-    assert "agent 1" in str(e.value)
 
 
 # ------------------------------------------------------------- full runs
@@ -205,9 +176,9 @@ def reference_run(P, datasets, config):
             G = C if full else config.batch_g
             S = C if full else config.batch_s
             g, h = agent_batch_stats(state.x[i], ds, G, S, config.seed, i, k, width=width)
-            d_i = state.d.alphas[i] if state.d.is_scalar else state.d.blocks[i]
             state.x[i] = local_step(
-                state.x[i], state.y[i], state.q[i], h, g, d_i, config.beta, agent=i,
+                state.x[i], state.y[i], state.q[i], h, g, state.alphas[i], config.beta,
+                agent=i,
             )
         state.y = neighbor_disagreement(P, state.x)
         state.q = state.q + config.beta * state.y
@@ -284,35 +255,6 @@ def test_run_accepts_unequal_local_datasets(algorithm, d, woodbury, monkeypatch)
     got = engine_history(P, datasets, config, monkeypatch, expect_woodbury=woodbury)
     assert_histories_match(got, want)
     assert np.all(np.isfinite(got[-1][0]))
-
-
-def explicit_config(P, datasets, config, perturb):
-    """``config`` with the scalar run's ``alpha_i I`` as explicit blocks,
-    plus ``perturb`` (positive semidefinite, so the blocks stay admissible)."""
-    alphas = init_network(P, datasets, config).d.alphas
-    d = datasets[0].dim
-    blocks = alphas[:, None, None] * np.eye(d) + perturb
-    return replace(config, d_mode="explicit", d_blocks=blocks)
-
-
-@pytest.mark.parametrize("batch_s, woodbury", [(5, True), (20, False)])
-def test_explicit_alpha_blocks_match_scalar_run(batch_s, woodbury, monkeypatch):
-    P, datasets = make_problem([40] * 6, 15)
-    config = RunConfig(batch_g=10, batch_s=batch_s, max_iters=20, seed=5)
-    want = engine_history(P, datasets, config, monkeypatch, expect_woodbury=woodbury)
-    explicit = explicit_config(P, datasets, config, 0.0)
-    got = engine_history(P, datasets, explicit, monkeypatch, expect_woodbury=False)
-    assert_histories_match(got, want)
-
-
-def test_explicit_blocks_match_per_agent_reference(monkeypatch):
-    P, datasets = make_problem([40] * 6, 15)
-    config = RunConfig(batch_g=10, batch_s=5, max_iters=20, seed=5)
-    perturb = spd_blocks(np.random.default_rng(8), 6, 15, 50.0)
-    explicit = explicit_config(P, datasets, config, perturb)
-    want = reference_run(P, datasets, explicit)
-    got = engine_history(P, datasets, explicit, monkeypatch, expect_woodbury=False)
-    assert_histories_match(got, want)
 
 
 # ------------------------------------------------------------- shared parts

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from soprolab.certificate import (
-    ProximalBlocks,
     QNormError,
     RateCertificate,
     certify,
@@ -12,7 +11,6 @@ from soprolab.certificate import (
     kappa,
     m_beta,
     tau,
-    z_error,
 )
 from soprolab.errors import (
     CertificationError,
@@ -108,10 +106,9 @@ def test_m_beta_rejects_bad_inputs():
 # ---------------------------------------------------------- condition check
 
 
-def recipe_blocks(P, bounds, beta, mu):
+def recipe_alphas(P, bounds, beta, mu):
     lam_max = np.linalg.eigvalsh(P.matrix)[-1]
-    alpha = (0.5 + lam_max) * beta + mu
-    return ProximalBlocks.alpha_identity(alpha, bounds.n_agents)
+    return np.full(bounds.n_agents, (0.5 + lam_max) * beta + mu)
 
 
 def test_condition_margin_matches_scalar_reduction():
@@ -123,8 +120,8 @@ def test_condition_margin_matches_scalar_reduction():
     mb, _ = m_beta(0.5, 5, M, beta, np.linalg.eigvalsh(P.matrix)[1])
     mu_min = (M - 3 * m) / 2 + M / (2 * (1 - eta)) + (M - m) ** 2 / (8 * eta * mb)
     for mu in (mu_min + 0.05, mu_min + 1.0):
-        d = recipe_blocks(P, bounds, beta, mu)
-        res = check_D_condition(d, bounds, eta, mb, beta, P)
+        alphas = recipe_alphas(P, bounds, beta, mu)
+        res = check_D_condition(alphas, bounds, eta, mb, beta, P)
         assert res.passed
         assert abs(res.margin - (mu - mu_min)) <= 1e-10 * max(1.0, abs(mu))
 
@@ -133,8 +130,8 @@ def test_condition_fails_for_mu_zero():
     P = ring_P(4)
     bounds = homogeneous_bounds(4, 0.05, 0.5)
     mb, _ = m_beta(0.2, 4, 0.5, 1.0, np.linalg.eigvalsh(P.matrix)[1])
-    d = recipe_blocks(P, bounds, 1.0, 0.0)
-    res = check_D_condition(d, bounds, 0.5, mb, 1.0, P)
+    alphas = recipe_alphas(P, bounds, 1.0, 0.0)
+    res = check_D_condition(alphas, bounds, 0.5, mb, 1.0, P)
     assert not res.passed
     assert res.margin <= 0.0
 
@@ -147,8 +144,8 @@ def test_condition_scalar_case_with_tiny_beta():
     bounds = homogeneous_bounds(3, M, M)
     eta, beta = 0.25, 1e-9
     alpha = 1.0
-    d = ProximalBlocks.alpha_identity(alpha, 3)
-    res = check_D_condition(d, bounds, eta, 0.123, beta, P)
+    alphas = np.full(3, alpha)
+    res = check_D_condition(alphas, bounds, eta, 0.123, beta, P)
     expected = alpha - (M / (2 * (1 - eta)) - M)
     assert abs(res.margin - expected) <= 1e-6
 
@@ -160,22 +157,9 @@ def test_condition_margin_monotone_in_mu():
     mb, _ = m_beta(0.3, 6, bounds.max_M, 2.0, np.linalg.eigvalsh(P.matrix)[1])
     margins = []
     for mu in (0.5, 1.0, 2.0, 4.0):
-        d = recipe_blocks(P, bounds, 2.0, mu)
-        margins.append(check_D_condition(d, bounds, 0.5, mb, 2.0, P).margin)
+        alphas = recipe_alphas(P, bounds, 2.0, mu)
+        margins.append(check_D_condition(alphas, bounds, 0.5, mb, 2.0, P).margin)
     assert all(b >= a - 1e-12 for a, b in zip(margins, margins[1:]))
-
-
-def test_condition_explicit_blocks_match_scalar_path():
-    P = ring_P(4)
-    bounds = homogeneous_bounds(4, 0.1, 0.3)
-    mb = 0.05
-    alpha = 3.0
-    d_scalar = ProximalBlocks.alpha_identity(alpha, 4)
-    dim = 3
-    d_blocks = ProximalBlocks(blocks=np.stack([alpha * np.eye(dim)] * 4))
-    r1 = check_D_condition(d_scalar, bounds, 0.5, mb, 1.0, P)
-    r2 = check_D_condition(d_blocks, bounds, 0.5, mb, 1.0, P)
-    assert abs(r1.margin - r2.margin) <= 1e-10
 
 
 # ---------------------------------------------------------------- kappa
@@ -187,8 +171,8 @@ def test_kappa_recipe_closed_form():
     m, M = 0.1, 0.3
     bounds = homogeneous_bounds(5, m, M)
     beta, eta, mu, c0 = 1.5, 0.4, 3.0, 0.01
-    d = recipe_blocks(P, bounds, beta, mu)
-    got = kappa(c0, eta, d, bounds, beta, P)
+    alphas = recipe_alphas(P, bounds, beta, mu)
+    got = kappa(c0, eta, alphas, bounds, beta, P)
     expected = mu - (M - 3 * m) / 2 - M / (2 * (1 - eta)) - (M - m) ** 2 / (4 * c0)
     assert abs(got - expected) <= 1e-10
 
@@ -198,36 +182,36 @@ def test_kappa_equals_condition_margin_at_upper_c0():
     bounds = homogeneous_bounds(5, 0.1, 0.35)
     beta, eta = 1.0, 0.5
     mb, _ = m_beta(0.5, 5, 0.35, beta, np.linalg.eigvalsh(P.matrix)[1])
-    d = recipe_blocks(P, bounds, beta, 2.0)
-    res = check_D_condition(d, bounds, eta, mb, beta, P)
-    k = kappa(2.0 * eta * mb, eta, d, bounds, beta, P)
+    alphas = recipe_alphas(P, bounds, beta, 2.0)
+    res = check_D_condition(alphas, bounds, eta, mb, beta, P)
+    k = kappa(2.0 * eta * mb, eta, alphas, bounds, beta, P)
     assert abs(k - res.margin) <= 1e-12
 
 
 def test_kappa_diverges_as_c0_vanishes():
     P = ring_P(4)
     bounds = homogeneous_bounds(4, 0.05, 0.3)
-    d = recipe_blocks(P, bounds, 1.0, 1.0)
-    assert kappa(1e-12, 0.5, d, bounds, 1.0, P) < -1e6
+    alphas = recipe_alphas(P, bounds, 1.0, 1.0)
+    assert kappa(1e-12, 0.5, alphas, bounds, 1.0, P) < -1e6
 
 
 def test_kappa_independent_of_c0_when_m_equals_M():
     P = ring_P(4)
     bounds = homogeneous_bounds(4, 0.3, 0.3)
-    d = recipe_blocks(P, bounds, 1.0, 1.0)
-    k1 = kappa(1e-9, 0.5, d, bounds, 1.0, P)
-    k2 = kappa(0.123, 0.5, d, bounds, 1.0, P)
+    alphas = recipe_alphas(P, bounds, 1.0, 1.0)
+    k1 = kappa(1e-9, 0.5, alphas, bounds, 1.0, P)
+    k2 = kappa(0.123, 0.5, alphas, bounds, 1.0, P)
     assert abs(k1 - k2) <= 1e-12
 
 
 def test_kappa_range_validation():
     P = ring_P(4)
     bounds = homogeneous_bounds(4, 0.1, 0.3)
-    d = recipe_blocks(P, bounds, 1.0, 1.0)
+    alphas = recipe_alphas(P, bounds, 1.0, 1.0)
     with pytest.raises(ParameterError):
-        kappa(0.0, 0.5, d, bounds, 1.0, P)
+        kappa(0.0, 0.5, alphas, bounds, 1.0, P)
     with pytest.raises(ParameterError):
-        kappa(1.0, 0.5, d, bounds, 1.0, P, m_beta_value=0.1)
+        kappa(1.0, 0.5, alphas, bounds, 1.0, P, m_beta_value=0.1)
 
 
 # ---------------------------------------------------------------- certify
@@ -247,21 +231,21 @@ def certified_setup(seed=0, n=5, beta=1.0, eta=0.5, mu_extra=0.3):
         + M.max() / (2 * (1 - eta))
         + (M.max() - m.min()) ** 2 / (8 * eta * mb)
     )
-    d = recipe_blocks(P, bounds, beta, mu_min + mu_extra)
-    return P, bounds, d, beta, eta
+    alphas = recipe_alphas(P, bounds, beta, mu_min + mu_extra)
+    return P, bounds, alphas, beta, eta
 
 
-def grid_delta_oracle(P, bounds, d, beta, eta, c1, n_grid=200):
+def grid_delta_oracle(P, bounds, alphas, beta, eta, c1, n_grid=200):
     lam_w = np.linalg.eigvalsh(P.matrix)[1]
     mb, _ = m_beta(float(bounds.m.sum()), bounds.n_agents, bounds.max_M, beta, lam_w)
     hi = 2 * eta * mb
-    norm_sq = float(np.max(bounds.M + d.alphas) ** 2)
-    r = 0.5 * (bounds.m + bounds.M) + d.alphas
+    norm_sq = float(np.max(bounds.M + alphas) ** 2)
+    r = 0.5 * (bounds.m + bounds.M) + alphas
     best = 0.0
     c0s = np.linspace(hi * 1e-6, hi * (1 - 1e-6), n_grid)
     c2s = np.logspace(-6, 6, n_grid)
     for c0 in c0s:
-        k = kappa(float(c0), eta, d, bounds, beta, P)
+        k = kappa(float(c0), eta, alphas, bounds, beta, P)
         if k <= 0:
             continue
         t1 = beta * lam_w * k / (2 * (1 + c1) * norm_sq)
@@ -276,25 +260,25 @@ def grid_delta_oracle(P, bounds, d, beta, eta, c1, n_grid=200):
 
 
 def test_certify_beats_dense_grid():
-    P, bounds, d, beta, eta = certified_setup(seed=3)
-    cert = certify(bounds, P, beta, d, eta, sigma_sq=0.2, tau_value=0.05, c1=1.0)
-    oracle = grid_delta_oracle(P, bounds, d, beta, eta, c1=1.0)
+    P, bounds, alphas, beta, eta = certified_setup(seed=3)
+    cert = certify(bounds, P, beta, alphas, eta, sigma_sq=0.2, tau_value=0.05, c1=1.0)
+    oracle = grid_delta_oracle(P, bounds, alphas, beta, eta, c1=1.0)
     assert cert.delta_s >= oracle - 1e-6
     assert 0 < cert.delta_s < 1
     assert cert.kappa > 0
 
 
 def test_certify_zero_tau_gives_zero_bound():
-    P, bounds, d, beta, eta = certified_setup(seed=4)
-    cert = certify(bounds, P, beta, d, eta, sigma_sq=0.5, tau_value=0.0)
+    P, bounds, alphas, beta, eta = certified_setup(seed=4)
+    cert = certify(bounds, P, beta, alphas, eta, sigma_sq=0.5, tau_value=0.0)
     assert cert.steady_bound == 0.0
 
 
 def test_certify_scales_linearly_in_sigma_and_tau():
-    P, bounds, d, beta, eta = certified_setup(seed=5)
-    c1 = certify(bounds, P, beta, d, eta, sigma_sq=0.2, tau_value=0.05)
-    c2 = certify(bounds, P, beta, d, eta, sigma_sq=0.4, tau_value=0.05)
-    c3 = certify(bounds, P, beta, d, eta, sigma_sq=0.2, tau_value=0.10)
+    P, bounds, alphas, beta, eta = certified_setup(seed=5)
+    c1 = certify(bounds, P, beta, alphas, eta, sigma_sq=0.2, tau_value=0.05)
+    c2 = certify(bounds, P, beta, alphas, eta, sigma_sq=0.4, tau_value=0.05)
+    c3 = certify(bounds, P, beta, alphas, eta, sigma_sq=0.2, tau_value=0.10)
     assert abs(c2.steady_bound - 2 * c1.steady_bound) <= 1e-9 * c2.steady_bound
     assert abs(c3.steady_bound - 2 * c1.steady_bound) <= 1e-9 * c3.steady_bound
     assert c1.delta_s == c2.delta_s == c3.delta_s
@@ -303,14 +287,14 @@ def test_certify_scales_linearly_in_sigma_and_tau():
 def test_certify_fails_closed_on_bad_D():
     P = ring_P(4)
     bounds = homogeneous_bounds(4, 0.05, 0.4)
-    tiny = ProximalBlocks.alpha_identity(0.01, 4)
+    tiny = np.full(4, 0.01)
     with pytest.raises(CertificationError):
         certify(bounds, P, 1.0, tiny, 0.5, sigma_sq=0.1, tau_value=0.05)
 
 
 def test_certificate_consistency_fields():
-    P, bounds, d, beta, eta = certified_setup(seed=6)
-    cert = certify(bounds, P, beta, d, eta, sigma_sq=0.3, tau_value=0.02, c1=2.0)
+    P, bounds, alphas, beta, eta = certified_setup(seed=6)
+    cert = certify(bounds, P, beta, alphas, eta, sigma_sq=0.3, tau_value=0.02, c1=2.0)
     assert cert.Gamma == 2 * (1 + cert.c1) * cert.delta_s / cert.lambda_w + 2
     expected = cert.Gamma * cert.n_agents * cert.tau * cert.sigma_sq / cert.delta_s
     assert cert.steady_bound == expected
@@ -321,8 +305,8 @@ def test_certificate_consistency_fields():
 
 
 def test_certificate_rejects_inconsistent_values():
-    P, bounds, d, beta, eta = certified_setup(seed=7)
-    cert = certify(bounds, P, beta, d, eta, sigma_sq=0.3, tau_value=0.02)
+    P, bounds, alphas, beta, eta = certified_setup(seed=7)
+    cert = certify(bounds, P, beta, alphas, eta, sigma_sq=0.3, tau_value=0.02)
     data = cert.to_dict()
     data["delta_s"] = 1.5
     with pytest.raises(InvariantViolation):
@@ -333,7 +317,7 @@ def test_certificate_rejects_inconsistent_values():
         RateCertificate.from_dict(data)
 
 
-# ---------------------------------------------------------------- z_error
+# ---------------------------------------------------------------- Q-norm error
 
 
 def q_star_for(x_star_dim, n, rng):
@@ -348,7 +332,7 @@ def test_z_error_zero_at_optimum():
     r = rng.uniform(1.0, 2.0, 5)
     x_star = rng.standard_normal(3)
     q_star = q_star_for(3, 5, rng)
-    err = z_error(np.tile(x_star, (5, 1)), q_star, x_star, q_star, 1.3, r, P)
+    err = QNormError(P, r, 1.3, x_star, q_star)(np.tile(x_star, (5, 1)), q_star)
     assert err == 0.0
 
 
@@ -360,7 +344,7 @@ def test_z_error_pure_primal_offset():
     q_star = q_star_for(3, 4, rng)
     u = rng.standard_normal((4, 3))
     beta = 0.7
-    err = z_error(x_star + u, q_star, x_star, q_star, beta, r, P)
+    err = QNormError(P, r, beta, x_star, q_star)(x_star + u, q_star)
     expected = beta * sum(r[i] * (u[i] @ u[i]) for i in range(4))
     assert abs(err - expected) <= 1e-12 * max(1.0, expected)
 
@@ -378,7 +362,7 @@ def test_z_error_matches_dense_pseudoinverse_oracle():
     dq = rng.standard_normal((n, dim))
     dq -= dq.mean(axis=0)  # stay in range(W)
     q = q_star + dq
-    got = z_error(x, q, x_star, q_star, beta, r, P)
+    got = QNormError(P, r, beta, x_star, q_star)(x, q)
 
     W = np.kron(P.matrix, np.eye(dim))
     R = np.kron(np.diag(r), np.eye(dim))
@@ -396,20 +380,4 @@ def test_z_error_detects_range_violation():
     q_star = q_star_for(2, 4, rng)
     q_bad = q_star + 1.0  # constant shift sits along the all-ones direction
     with pytest.raises(InvariantViolation):
-        z_error(np.zeros((4, 2)), q_bad, x_star, q_star, 1.0, r, P)
-
-
-def test_z_error_supports_block_r():
-    rng = np.random.default_rng(6)
-    P = ring_P(4)
-    dim = 2
-    r_scalars = rng.uniform(0.5, 1.5, 4)
-    r_blocks = np.stack([s * np.eye(dim) for s in r_scalars])
-    x_star = rng.standard_normal(dim)
-    q_star = q_star_for(dim, 4, rng)
-    x = x_star + rng.standard_normal((4, dim))
-    dq = rng.standard_normal((4, dim))
-    dq -= dq.mean(axis=0)
-    a = z_error(x, q_star + dq, x_star, q_star, 0.9, r_scalars, P)
-    b = z_error(x, q_star + dq, x_star, q_star, 0.9, r_blocks, P)
-    assert abs(a - b) <= 1e-12 * max(1.0, a)
+        QNormError(P, r, 1.0, x_star, q_star)(np.zeros((4, 2)), q_bad)

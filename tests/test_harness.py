@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from soprolab.errors import DivergenceError, InvariantViolation
+from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation
 from soprolab.harness import reference
 from soprolab.harness.cli import main
-from soprolab.harness.experiment import ExperimentConfig, run_experiment
+from soprolab.harness.experiment import (
+    ExperimentConfig,
+    config_from_mapping,
+    run_experiment,
+)
 from soprolab.harness.metrics import MetricRow, MetricsTrace, aggregate_traces
 from soprolab.harness.tuning import tune_baseline
 from soprolab.loss import LocalDataset
@@ -34,7 +38,6 @@ def test_solve_reference_passes_the_rounding_level_of_the_objective():
     # below the rounding level of F, where an Armijo test on F sees only
     # noise; the solve must still reach its gradient tolerance.
     datasets = one_hot_problem(10, 40, 60, 8, seed=13)
-    reference._cache.clear()
     sol = reference.solve_reference(datasets)
     assert sol.grad_norm <= 1e-12
     assert sol.iterations <= 10
@@ -163,3 +166,19 @@ def test_cli_tune_reports_a_malformed_grid_file(grid_text, message, tmp_path, ca
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--mu", "nan"), ("--mu", "inf"), ("--beta", "inf")]
+)
+def test_cli_rejects_a_non_finite_value(flag, value, capsys):
+    assert main(["certify", *SMALL, flag, value]) == 1
+    err = capsys.readouterr().err
+    key = flag[2:]
+    assert err.startswith("error: ") and f"key {key!r} needs a finite value" in err
+
+
+@pytest.mark.parametrize("value", ["inf", " NaN ", math.nan, -math.inf])
+def test_config_rejects_a_non_finite_value(value):
+    with pytest.raises(ConfigurationError, match="key 'beta' needs a finite value"):
+        config_from_mapping({"beta": value})

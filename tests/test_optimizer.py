@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from soprolab.certificate import ProximalBlocks, check_D_condition, m_beta
+from soprolab.certificate import check_D_condition, m_beta
 from soprolab.errors import ConfigurationError, ParameterError
 from soprolab.loss import (
     LocalDataset,
@@ -270,18 +270,18 @@ def test_choose_d_alpha_formula():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     P = laplacian_weights(g, 1.0)
     bounds = SmoothnessBounds(m=np.full(3, 0.3), M=np.full(3, 0.3))
-    d = choose_D(bounds, beta=1.0, mu=2.0, P=P, eta_s=0.5)
-    assert np.allclose(d.alphas, 5.5)
+    alphas = choose_D(bounds, beta=1.0, mu=2.0, P=P, eta_s=0.5)
+    assert np.allclose(alphas, 5.5)
 
 
 def test_choose_d_passes_condition_check():
     P, datasets = make_problem()
     bounds = SmoothnessBounds.from_datasets(datasets)
     mu = recipe_mu_lower_bound(bounds, 1.0, 0.5, P) + 0.2
-    d = choose_D(bounds, beta=1.0, mu=mu, P=P, eta_s=0.5)
+    alphas = choose_D(bounds, beta=1.0, mu=mu, P=P, eta_s=0.5)
     lam_w = np.linalg.eigvalsh(P.matrix)[1]
     mb, _ = m_beta(float(bounds.m.sum()), bounds.n_agents, bounds.max_M, 1.0, lam_w)
-    assert check_D_condition(d, bounds, 0.5, mb, 1.0, P).passed
+    assert check_D_condition(alphas, bounds, 0.5, mb, 1.0, P).passed
 
 
 def test_choose_d_rejects_small_mu():
@@ -357,7 +357,7 @@ def test_fixed_point_of_full_batch_dynamics():
             h = batch_hess(state.x[i], datasets[i], g_idx)
             state.x[i] = local_step(
                 state.x[i], state.y[i], state.q[i], h, g,
-                state.d.alphas[i], cfg.beta, agent=i,
+                state.alphas[i], cfg.beta, agent=i,
             )
         exchange_and_dual_update(state, P, cfg.beta)
         watch(k, state)
@@ -376,10 +376,10 @@ def test_h_plus_d_stays_positive_definite():
         i = int(rng.integers(0, P.n_agents))
         x = rng.standard_normal(datasets[i].dim) * rng.choice((0.1, 1.0, 5.0))
         s_idx = np.sort(rng.choice(50, 3, replace=False))
-        H = batch_hess(x, datasets[i], s_idx).dense() + state.d.alphas[i] * np.eye(
+        H = batch_hess(x, datasets[i], s_idx).dense() + state.alphas[i] * np.eye(
             datasets[i].dim
         )
-        assert np.linalg.eigvalsh(H)[0] >= state.d.alphas[i] + bounds.m[i] - 1e-10
+        assert np.linalg.eigvalsh(H)[0] >= state.alphas[i] + bounds.m[i] - 1e-10
 
 
 def test_run_config_validation():

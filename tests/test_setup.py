@@ -301,7 +301,6 @@ def test_stacked_objective_gradient_and_hessian_match_per_agent_sums(sizes):
 @pytest.mark.parametrize("sizes", SIZES)
 def test_solve_reference_matches_per_agent_newton(sizes):
     datasets = unequal_sets(sizes, 8, seed=2)
-    reference._cache.clear()
     sol = reference.solve_reference(datasets)
     want = newton_per_agent(datasets)
     assert sol.grad_norm <= 1e-12

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soprolab.errors import InvariantViolation, ParameterError, ParseError
 from soprolab.topology import (
@@ -120,6 +122,9 @@ def test_laplacian_rejects_nonpositive_weight():
         laplacian_weights(g, {(0, 1): -2.0})
     with pytest.raises(ParameterError):
         laplacian_weights(g, {})
+    for w in (np.inf, np.nan):
+        with pytest.raises(ParameterError):
+            laplacian_weights(g, {(0, 1): w})
 
 
 def test_spectral_two_nodes():
@@ -211,6 +216,33 @@ def test_edge_list_round_trip():
     assert np.array_equal(back.matrix, p.matrix)
 
 
+@st.composite
+def weighted_connected_graphs(draw):
+    """A random spanning tree plus random extra edges, each with a random
+    positive finite weight."""
+    n = draw(st.integers(2, 12))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    weight = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+    edges = sorted(set(tree) | set(extra))
+    weights = {e: draw(weight) for e in edges}
+    return laplacian_weights(Graph.from_edges(n, edges), weights)
+
+
+@given(weighted_connected_graphs())
+@settings(max_examples=150, deadline=None, database=None)
+def test_edge_list_round_trip_keeps_every_weight_bitwise(p):
+    buf = io.StringIO()
+    write_edge_list(p, buf)
+    back = read_edge_list(io.StringIO(buf.getvalue()))
+    assert back.graph == p.graph
+    assert back.weights.keys() == p.weights.keys()
+    for e, w in p.weights.items():
+        assert back.weights[e].hex() == w.hex()
+    assert np.array_equal(back.matrix, p.matrix)
+
+
 def test_edge_list_parse_errors():
     with pytest.raises(ParseError):
         read_edge_list(io.StringIO(""))
@@ -220,6 +252,11 @@ def test_edge_list_parse_errors():
         read_edge_list(io.StringIO("2 1\n0 1\n"))
     with pytest.raises(ParseError):
         read_edge_list(io.StringIO("2 2\n0 1 1.0\n"))  # wrong edge count
+    with pytest.raises(ParameterError):
+        read_edge_list(io.StringIO("2 1\n0 1 inf\n"))
+    with pytest.raises(ParseError) as e:
+        read_edge_list(io.StringIO("2 1\n0 1 1.0\n1 0 5.0\n"))  # one edge, twice
+    assert e.value.line == 3
     err = None
     try:
         read_edge_list(io.StringIO("2 1\n0 x 1.0\n"))
