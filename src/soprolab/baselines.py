@@ -75,8 +75,6 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
 
 
 def _step_size(config: RunConfig, k: int) -> float:
-    if config.step_size is None or config.step_size <= 0:
-        raise ConfigurationError("baselines need a positive step_size")
     if config.step_schedule == "one_over_k":
         return config.step_size / (1.0 + k)
     return config.step_size
@@ -129,7 +127,6 @@ def init_baseline(P: MatrixP, datasets, config: RunConfig, sets: LocalSets) -> N
         x=x,
         q=np.zeros((n, d)),
         y=np.zeros((n, d)),
-        alphas=np.zeros(n),
         round=0,
         comm_scalars=0,
     )

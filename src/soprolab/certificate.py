@@ -7,6 +7,9 @@ proximal-matrix condition with its margin, the contraction margin ``kappa``,
 the rate/noise pair ``(delta_s, Gamma)``, and the steady-state error bound
 ``Gamma * N * tau * sigma^2 / delta_s`` for the Lyapunov Q-norm.
 
+The proximal matrices are chosen here and nowhere else: the engine runs
+with the alphas that :func:`proximal_alphas` returns.
+
 Every per-agent matrix is a scalar times the identity: the curvature
 bounds ``m_i I`` and ``M_i I`` and the proximal matrices ``D_i = alpha_i I``,
 given as the ``(N,)`` vector ``alphas``.  Every network-level matrix
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import CertificationError, InvariantViolation, ParameterError
+from .errors import CertificationError, ConfigurationError, InvariantViolation, ParameterError
 from .loss import SmoothnessBounds
 from .topology import MatrixP
 
@@ -32,6 +35,7 @@ __all__ = [
     "tau",
     "m_beta",
     "check_D_condition",
+    "proximal_alphas",
     "kappa",
     "certify",
 ]
@@ -129,6 +133,51 @@ def check_D_condition(
     )
     margin = _lambda_min_shifted(alphas, t, beta, P)
     return DConditionResult(passed=margin > 0.0, margin=margin)
+
+
+def proximal_alphas(
+    bounds: SmoothnessBounds,
+    P: MatrixP,
+    beta: float,
+    eta_s: float,
+    mu: float | None = None,
+) -> tuple[np.ndarray, float]:
+    """The ``(N,)`` alphas of ``D_i = alpha_i I`` and the ``mu`` they use.
+
+    Every agent gets ``alpha = (1/2 + lambda_max) beta + mu``.  The recipe
+    uses the worst-case pair ``m = min_i m_i``, ``M = max_i M_i``, so any
+    ``mu`` strictly above
+
+        ``(M - 3m)/2 + M/(2(1-eta_s)) + (M-m)^2/(8 eta_s m_beta)``
+
+    passes the proximal condition; ``mu=None`` takes that bound plus a
+    headroom of ``0.05 max(M, 1)``.  The alphas are checked against the
+    condition, and too small a ``mu`` raises with the violated margin.
+    """
+    if not 0.0 < eta_s < 1.0:
+        raise ConfigurationError(f"eta_s must lie in (0,1), got {eta_s}")
+    if mu is not None and mu <= 0:
+        raise ConfigurationError(f"mu must be positive, got {mu}")
+    spec = P.spectral
+    m_b, _ = m_beta(
+        float(bounds.m.sum()), bounds.n_agents, bounds.max_M, beta, spec.lambda_w
+    )
+    m, M = bounds.min_m, bounds.max_M
+    lower = (
+        (M - 3.0 * m) / 2.0
+        + M / (2.0 * (1.0 - eta_s))
+        + (M - m) ** 2 / (8.0 * eta_s * m_b)
+    )
+    if mu is None:
+        mu = max(lower, 0.0) + 0.05 * max(M, 1.0)
+    alphas = np.full(bounds.n_agents, (0.5 + spec.lambda_max) * beta + mu)
+    chk = check_D_condition(alphas, bounds, eta_s, m_b, beta, P)
+    if not chk.passed:
+        raise ConfigurationError(
+            f"proximal blocks violate the positivity condition: margin {chk.margin}"
+            f" (mu={mu} is below the required bound {lower})"
+        )
+    return alphas, mu
 
 
 def kappa(

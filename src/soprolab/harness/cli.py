@@ -70,7 +70,7 @@ def _cmd_certify(args) -> int:
         print(f"algorithm {config.algorithm!r} has no certificate", file=sys.stderr)
         return 1
     problem = build_problem(config)
-    rate, _, _ = build_certificate(config, problem)
+    rate = build_certificate(config, problem)[0]
     for key, value in rate.to_dict().items():
         if isinstance(value, list):
             value = np.array(value)

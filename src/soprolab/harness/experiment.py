@@ -4,7 +4,8 @@ A flat key-value config file (every key doubles as a CLI flag) describes
 the dataset, the network, and the run parameters.  One experiment builds a
 pinned topology and data split, solves the centralized reference problem,
 certifies the proximal method when applicable, and runs each seed to a
-JSONL trace plus one seed-averaged CSV.
+JSONL trace plus one seed-averaged CSV.  The proximal alphas are chosen
+once, with the certificate, and every seed runs with them.
 """
 
 from __future__ import annotations
@@ -99,8 +100,6 @@ class ExperimentConfig:
             max_iters=self.max_iters,
             seed=seed,
             beta=self.beta,
-            eta_s=self.eta_s,
-            mu=self.mu,
             algorithm=self.algorithm,
             x0_mode=self.x0_mode,
             step_size=self.step_size,
@@ -160,7 +159,12 @@ def _coerce_one(key: str, value):
         except ValueError:
             raise ConfigurationError(f"bad value {value!r} for key {key!r}")
     else:
-        out = CONFIG_SCHEMA[key](value)
+        try:
+            out = CONFIG_SCHEMA[key](value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(f"bad value {value!r} for key {key!r}")
+        if isinstance(out, int) and out != value:
+            raise ConfigurationError(f"key {key!r} needs an integer, got {value!r}")
     if isinstance(out, float) and not math.isfinite(out):
         raise ConfigurationError(f"key {key!r} needs a finite value, got {value!r}")
     return out
@@ -252,22 +256,20 @@ def build_problem(config: ExperimentConfig) -> Problem:
 
 
 def build_certificate(config: ExperimentConfig, problem: Problem):
-    """Certificate, the resolved ``mu`` and the Q-norm evaluator.
+    """Certificate, the proximal alphas, the resolved ``mu`` and the
+    Q-norm evaluator.
 
     Only the proximal methods are certified; the full-batch variant gets
     ``tau = 0`` and hence a zero steady-state bound.  The baselines get no
-    certificate and no evaluator, and ``mu`` as configured.
+    certificate, no alphas and no evaluator, and ``mu`` as configured.
     """
     if config.algorithm not in ("st_sopro", "sopro"):
-        return None, config.mu, None
+        return None, None, config.mu, None
     sigma_sq = estimate_sigma_sq(problem.datasets, problem.reference.x)
     G = config.per_agent if config.algorithm == "sopro" else config.batch_g
     tau_value = cert.tau(config.per_agent, G)
-    mu = config.mu
-    if mu is None:
-        mu = optimizer._auto_mu(problem.bounds, config.beta, config.eta_s, problem.P)
-    alphas = optimizer.choose_D(
-        problem.bounds, config.beta, mu, problem.P, config.eta_s
+    alphas, mu = cert.proximal_alphas(
+        problem.bounds, problem.P, config.beta, config.eta_s, config.mu
     )
     rate = cert.certify(
         problem.bounds,
@@ -283,7 +285,7 @@ def build_certificate(config: ExperimentConfig, problem: Problem):
     q_err = cert.QNormError(
         problem.P, rate.r_diag, config.beta, problem.reference.x, q_star
     )
-    return rate, mu, q_err
+    return rate, alphas, mu, q_err
 
 
 def _run_seed_value(master_seed: int, run_idx: int) -> int:
@@ -318,7 +320,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     problem = build_problem(config)
     certifying = time.perf_counter()
-    rate, mu_resolved, q_err = build_certificate(config, problem)
+    rate, alphas, mu_resolved, q_err = build_certificate(config, problem)
     timings = {**problem.timings, "certificate_s": time.perf_counter() - certifying}
 
     out_dir = Path(config.out) if config.out else None
@@ -345,7 +347,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     for run_idx in range(config.seeds):
         seed = _run_seed_value(config.master_seed, run_idx)
         rc = config.to_run_config(seed)
-        rc.mu = mu_resolved
         trace = MetricsTrace()
         t0 = time.perf_counter()
 
@@ -376,7 +377,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         run_header = {**header, "run_index": run_idx, "run_seed": seed}
         try:
             if config.algorithm in ("st_sopro", "sopro"):
-                optimizer.run(problem.P, problem.datasets, rc, [on_round])
+                optimizer.run(problem.P, problem.datasets, rc, alphas, [on_round])
             else:
                 baselines.run_baseline(problem.P, problem.datasets, rc, [on_round])
         except DivergenceError as exc:

@@ -19,10 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from ..errors import SoprolabError
-
-# full_grad is the per-agent gradient that local_gradients stacks; it is
-# kept importable here for callers that check one against the other.
-from ..loss import full_grad, sigma_sq_estimate, stack_local_sets, stacked_grad  # noqa: F401
+from ..loss import sigma_sq_estimate, stack_local_sets, stacked_grad
 
 __all__ = [
     "ReferenceSolution",

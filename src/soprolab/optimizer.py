@@ -17,8 +17,9 @@ from the stacked local sets (:class:`LocalSets`) into one buffer that
 every round reuses, and stacked matrix products give all batch gradients
 ``g_i`` and Hessian weights ``w_i`` (``h_i = lam I + B_i^T B_i`` with the
 factor ``B_i = sqrt(w_i) F_{S_i}``, which is scaled in place in that
-buffer).  Every proximal matrix is ``D_i = alpha_i I``, so the network's
-proximal matrices are the ``(N,)`` vector of the ``alpha_i`` and agent
+buffer).  Every proximal matrix is ``D_i = alpha_i I``, and the engine
+runs with the ``(N,)`` vector of the ``alpha_i`` it is given: choosing
+them is :func:`soprolab.certificate.proximal_alphas`'s job.  Agent
 ``i``'s system is ``c_i I + B_i^T B_i`` with ``c_i = lam_i + alpha_i``.
 One batched step then moves all agents: one stacked product builds every
 agent's symmetric positive definite system, and one Cholesky
@@ -51,11 +52,9 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dposv
 
-from . import certificate as cert
 from .errors import ConfigurationError, DivergenceError, InvariantViolation, ParameterError
 from .loss import (
     LowRankHessian,
-    SmoothnessBounds,
     batch_grad,
     batch_hess,
     stack_local_sets,
@@ -83,8 +82,6 @@ __all__ = [
     "woodbury_step",
     "dense_step",
     "exchange_and_dual_update",
-    "choose_D",
-    "recipe_mu_lower_bound",
     "run",
 ]
 
@@ -118,8 +115,6 @@ class RunConfig:
     max_iters: int
     seed: int
     beta: float = 1.0
-    eta_s: float = 0.5
-    mu: float | None = None  # None: smallest certified value plus headroom
     algorithm: str = "st_sopro"
     x0_mode: str = "uniform"
     step_size: float | None = None  # baselines only
@@ -132,10 +127,10 @@ class RunConfig:
             )
         if self.beta <= 0:
             raise ConfigurationError(f"beta must be positive, got {self.beta}")
-        if not 0.0 < self.eta_s < 1.0:
-            raise ConfigurationError(f"eta_s must lie in (0,1), got {self.eta_s}")
-        if self.mu is not None and self.mu <= 0:
-            raise ConfigurationError(f"mu must be positive, got {self.mu}")
+        if self.algorithm in ("dsgd", "dsgt") and not (
+            self.step_size is not None and self.step_size > 0
+        ):
+            raise ConfigurationError("baselines need a positive step_size")
         if self.max_iters < 0:
             raise ConfigurationError("max_iters must be nonnegative")
         if self.seed < 0:
@@ -159,7 +154,6 @@ class NetworkState:
     x: np.ndarray  # (N, d)
     q: np.ndarray
     y: np.ndarray
-    alphas: np.ndarray  # (N,): D_i = alphas[i] I
     round: int = 0
     comm_scalars: int = 0
     tracker: np.ndarray | None = None  # baselines only
@@ -305,57 +299,6 @@ def check_finite(x: np.ndarray, round_idx: int) -> None:
         )
 
 
-def recipe_mu_lower_bound(
-    bounds: SmoothnessBounds, beta: float, eta_s: float, P: MatrixP
-) -> float:
-    """Infimum of admissible mu for the alpha-identity proximal recipe.
-
-    Uses the worst-case pair ``m = min_i m_i``, ``M = max_i M_i``; any
-    ``mu`` strictly above this passes the proximal condition.
-    """
-    spec = P.spectral
-    m_fbar = float(bounds.m.sum())
-    m_b, _ = cert.m_beta(m_fbar, bounds.n_agents, bounds.max_M, beta, spec.lambda_w)
-    m, M = bounds.min_m, bounds.max_M
-    return (
-        (M - 3.0 * m) / 2.0
-        + M / (2.0 * (1.0 - eta_s))
-        + (M - m) ** 2 / (8.0 * eta_s * m_b)
-    )
-
-
-def _auto_mu(bounds: SmoothnessBounds, beta: float, eta_s: float, P: MatrixP) -> float:
-    lo = recipe_mu_lower_bound(bounds, beta, eta_s, P)
-    return max(lo, 0.0) + 0.05 * max(bounds.max_M, 1.0)
-
-
-def choose_D(
-    bounds: SmoothnessBounds,
-    beta: float,
-    mu: float,
-    P: MatrixP,
-    eta_s: float,
-) -> np.ndarray:
-    """The ``(N,)`` alphas of ``D_i = alpha_i I``, each ``(1/2 + lambda_max) beta + mu``.
-
-    The result is validated against the proximal condition; too small a
-    ``mu`` raises with the violated margin.
-    """
-    spec = P.spectral
-    alphas = np.full(bounds.n_agents, (0.5 + spec.lambda_max) * beta + mu)
-    m_b, _ = cert.m_beta(
-        float(bounds.m.sum()), bounds.n_agents, bounds.max_M, beta, spec.lambda_w
-    )
-    chk = cert.check_D_condition(alphas, bounds, eta_s, m_b, beta, P)
-    if not chk.passed:
-        raise ConfigurationError(
-            f"proximal blocks violate the positivity condition: margin {chk.margin}"
-            f" (mu={mu} is below the required bound "
-            f"{recipe_mu_lower_bound(bounds, beta, eta_s, P)})"
-        )
-    return alphas
-
-
 def initial_iterates(P: MatrixP, datasets, config: RunConfig) -> np.ndarray:
     """Check the run against its network and data; return the ``(N, d)`` x0.
 
@@ -390,19 +333,10 @@ def init_network(P: MatrixP, datasets, config: RunConfig) -> NetworkState:
     """
     x = initial_iterates(P, datasets, config)
     n, d = x.shape
-
-    bounds = SmoothnessBounds.from_datasets(datasets)
-    mu = config.mu
-    if mu is None:
-        mu = _auto_mu(bounds, config.beta, config.eta_s, P)
-    alphas = choose_D(bounds, config.beta, mu, P, config.eta_s)
-
-    y = P.disagreement(x)
     return NetworkState(
         x=x,
         q=np.zeros((n, d)),
-        y=y,
-        alphas=alphas,
+        y=P.disagreement(x),
         round=0,
         comm_scalars=2 * P.graph.n_edges * d,
     )
@@ -519,12 +453,15 @@ def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> No
     state.round += 1
 
 
-def run(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> NetworkState:
+def run(P: MatrixP, datasets, config: RunConfig, alphas, callbacks=()) -> NetworkState:
     """Execute ``max_iters`` synchronous rounds and return the final state.
 
-    Each round steps all agents with one batched call: :func:`woodbury_step`
-    when the Hessian batch has fewer rows than the dimension,
-    :func:`dense_step` otherwise.
+    ``alphas`` is the ``(N,)`` vector of the proximal matrices
+    ``D_i = alphas[i] I``; the engine runs with it as given (the certified
+    choice is :func:`soprolab.certificate.proximal_alphas`).  Each round
+    steps all agents with one batched call: :func:`woodbury_step` when the
+    Hessian batch has fewer rows than the dimension, :func:`dense_step`
+    otherwise.
     ``callbacks`` are invoked as ``cb(round, state)`` after initialization
     (round 0) and after every completed round; states passed to callbacks
     must be treated as read-only.  The full-batch deterministic variant
@@ -536,13 +473,20 @@ def run(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> NetworkState:
         raise ConfigurationError(
             f"run() drives the proximal methods, not {config.algorithm!r}"
         )
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.shape != (P.n_agents,):
+        raise ConfigurationError(
+            f"alphas must have shape ({P.n_agents},), got {alphas.shape}"
+        )
+    if not np.isfinite(alphas).all():
+        raise ConfigurationError("alphas must be finite")
     state = init_network(P, datasets, config)
     sets = LocalSets(datasets, config.seed)
     full = config.algorithm == "sopro"
     batch_g = None if full else config.batch_g
     batch_s = None if full else config.batch_s
     rows_s = sets.feats.shape[1] if full else config.batch_s
-    shift = sets.lam + state.alphas
+    shift = sets.lam + alphas
     step = woodbury_step if rows_s < state.dim else dense_step
     for cb in callbacks:
         cb(0, state)

@@ -3,9 +3,10 @@ import pytest
 
 from soprolab import optimizer, topology
 from soprolab.baselines import metropolis_weights, run_baseline
+from soprolab.certificate import proximal_alphas
 from soprolab.errors import ConfigurationError, DivergenceError
 from soprolab.harness.synthetic import gaussian_blob_samples
-from soprolab.loss import LocalDataset, LowRankHessian
+from soprolab.loss import LocalDataset, LowRankHessian, SmoothnessBounds
 from soprolab.optimizer import (
     RunConfig,
     agent_batch_stats,
@@ -155,6 +156,10 @@ def make_problem(sizes, d, seed=0, lam=0.1):
     return P, datasets
 
 
+def certified_alphas(P, datasets):
+    return proximal_alphas(SmoothnessBounds.from_datasets(datasets), P, 1.0, 0.5)[0]
+
+
 def neighbor_disagreement(P, x):
     y = np.zeros_like(x)
     for i in range(P.n_agents):
@@ -163,7 +168,7 @@ def neighbor_disagreement(P, x):
     return y
 
 
-def reference_run(P, datasets, config):
+def reference_run(P, datasets, config, alphas):
     """Per-agent rounds: fresh substreams, dense Cholesky steps, neighbor sums."""
     state = init_network(P, datasets, config)
     state.y = neighbor_disagreement(P, state.x)
@@ -177,7 +182,7 @@ def reference_run(P, datasets, config):
             S = C if full else config.batch_s
             g, h = agent_batch_stats(state.x[i], ds, G, S, config.seed, i, k, width=width)
             state.x[i] = local_step(
-                state.x[i], state.y[i], state.q[i], h, g, state.alphas[i], config.beta,
+                state.x[i], state.y[i], state.q[i], h, g, alphas[i], config.beta,
                 agent=i,
             )
         state.y = neighbor_disagreement(P, state.x)
@@ -186,7 +191,7 @@ def reference_run(P, datasets, config):
     return history
 
 
-def engine_history(P, datasets, config, monkeypatch, expect_woodbury):
+def engine_history(P, datasets, config, alphas, monkeypatch, expect_woodbury):
     """The engine's iterates and duals after every round; each round must
     make one batched step, by Woodbury or dense solve as expected, and
     factor by Cholesky rather than by a general LU solve."""
@@ -204,7 +209,7 @@ def engine_history(P, datasets, config, monkeypatch, expect_woodbury):
     monkeypatch.setattr(optimizer, "local_step", counted("local", local_step))
     monkeypatch.setattr(np.linalg, "solve", counted("lu", np.linalg.solve))
     history = []
-    run(P, datasets, config,
+    run(P, datasets, config, alphas,
         callbacks=[lambda k, s: history.append((s.x.copy(), s.q.copy()))])
     rounds = config.max_iters
     if expect_woodbury:
@@ -235,8 +240,9 @@ def test_run_matches_per_agent_reference(algorithm, batch_s, d, woodbury, monkey
     config = RunConfig(
         batch_g=10, batch_s=batch_s or 40, max_iters=20, seed=5, algorithm=algorithm
     )
-    want = reference_run(P, datasets, config)
-    got = engine_history(P, datasets, config, monkeypatch, expect_woodbury=woodbury)
+    alphas = certified_alphas(P, datasets)
+    want = reference_run(P, datasets, config, alphas)
+    got = engine_history(P, datasets, config, alphas, monkeypatch, expect_woodbury=woodbury)
     assert_histories_match(got, want)
 
 
@@ -251,8 +257,9 @@ def test_run_matches_per_agent_reference(algorithm, batch_s, d, woodbury, monkey
 def test_run_accepts_unequal_local_datasets(algorithm, d, woodbury, monkeypatch):
     P, datasets = make_problem([20, 30, 45, 25, 35], d, seed=1)
     config = RunConfig(batch_g=8, batch_s=6, max_iters=20, seed=2, algorithm=algorithm)
-    want = reference_run(P, datasets, config)
-    got = engine_history(P, datasets, config, monkeypatch, expect_woodbury=woodbury)
+    alphas = certified_alphas(P, datasets)
+    want = reference_run(P, datasets, config, alphas)
+    got = engine_history(P, datasets, config, alphas, monkeypatch, expect_woodbury=woodbury)
     assert_histories_match(got, want)
     assert np.all(np.isfinite(got[-1][0]))
 
@@ -265,7 +272,8 @@ def test_spectral_summary_computed_once_per_matrix(monkeypatch):
     real = topology.spectral_summary
     monkeypatch.setattr(topology, "spectral_summary", lambda p: calls.append(p) or real(p))
     P, datasets = make_problem([40] * 6, 15)
-    run(P, datasets, RunConfig(batch_g=10, batch_s=5, max_iters=2, seed=0))
+    run(P, datasets, RunConfig(batch_g=10, batch_s=5, max_iters=2, seed=0),
+        certified_alphas(P, datasets))
     assert P.spectral == real(P)
     assert len(calls) == 1 and calls[0] is P
 
@@ -331,6 +339,20 @@ def test_one_over_k_schedule_divides_the_step_by_one_plus_the_round():
         assert np.array_equal(states[k + 1], W @ states[k] - 0.5 / (1 + k) * grads)
 
 
+@pytest.mark.parametrize("step_size", [None, 0.0, -0.5, np.nan])
+@pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
+def test_baselines_refuse_a_missing_step_size_before_round_0(algorithm, step_size):
+    P, datasets = make_problem([40] * 6, 15)
+    config = RunConfig(
+        batch_g=10, batch_s=10, max_iters=0, seed=7, algorithm=algorithm,
+        step_size=step_size,
+    )
+    rounds = []
+    with pytest.raises(ConfigurationError, match="baselines need a positive step_size"):
+        run_baseline(P, datasets, config, callbacks=[lambda k, s: rounds.append(k)])
+    assert rounds == []
+
+
 @pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
 def test_baselines_fail_loudly_on_divergence(algorithm):
     P, datasets = make_problem([40] * 6, 15)
@@ -364,5 +386,6 @@ def test_run_fails_loudly_on_divergence(monkeypatch):
     monkeypatch.setattr(optimizer, "woodbury_step", poisoned)
     P, datasets = make_problem([40] * 6, 15)
     with pytest.raises(DivergenceError, match="round 3: agent 3 "):
-        run(P, datasets, RunConfig(batch_g=10, batch_s=5, max_iters=5, seed=0))
+        run(P, datasets, RunConfig(batch_g=10, batch_s=5, max_iters=5, seed=0),
+            certified_alphas(P, datasets))
     assert len(calls) == 3

@@ -10,10 +10,12 @@ from soprolab.certificate import (
     check_D_condition,
     kappa,
     m_beta,
+    proximal_alphas,
     tau,
 )
 from soprolab.errors import (
     CertificationError,
+    ConfigurationError,
     InvariantViolation,
     ParameterError,
 )
@@ -162,6 +164,79 @@ def test_condition_margin_monotone_in_mu():
     assert all(b >= a - 1e-12 for a, b in zip(margins, margins[1:]))
 
 
+# ---------------------------------------------------------- proximal alphas
+
+
+def recipe_mu_min(P, bounds, beta, eta):
+    """The recipe's lower bound on mu, from the worst-case pair (min m, max M)."""
+    lam_w = np.linalg.eigvalsh(P.matrix)[1]
+    mb, _ = m_beta(float(bounds.m.sum()), bounds.n_agents, bounds.max_M, beta, lam_w)
+    m, M = bounds.min_m, bounds.max_M
+    return (M - 3 * m) / 2 + M / (2 * (1 - eta)) + (M - m) ** 2 / (8 * eta * mb)
+
+
+def heterogeneous_setup(seed=1, n=6):
+    rng = np.random.default_rng(seed)
+    P = laplacian_weights(build_random_connected_graph(n, 2.5, seed=seed), 1.0)
+    bounds = SmoothnessBounds(m=0.05 + 0.05 * rng.random(n), M=0.2 + 0.2 * rng.random(n))
+    return P, bounds
+
+
+def test_proximal_alphas_formula():
+    # Triangle with unit weights: lambda_max = 3, so alpha = beta*3.5 + mu.
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    P = laplacian_weights(g, 1.0)
+    bounds = homogeneous_bounds(3, 0.3, 0.3)
+    alphas, mu = proximal_alphas(bounds, P, beta=1.0, eta_s=0.5, mu=2.0)
+    assert alphas.shape == (3,)
+    assert np.allclose(alphas, 5.5)
+    assert mu == 2.0
+
+
+def test_proximal_alphas_pass_condition_check():
+    P, bounds = heterogeneous_setup()
+    mu = recipe_mu_min(P, bounds, 1.0, 0.5) + 0.2
+    alphas, got_mu = proximal_alphas(bounds, P, beta=1.0, eta_s=0.5, mu=mu)
+    assert got_mu == mu
+    lam_w = np.linalg.eigvalsh(P.matrix)[1]
+    mb, _ = m_beta(float(bounds.m.sum()), bounds.n_agents, bounds.max_M, 1.0, lam_w)
+    assert check_D_condition(alphas, bounds, 0.5, mb, 1.0, P).passed
+
+
+@pytest.mark.parametrize("beta, eta", [(1.0, 0.5), (0.3, 0.2), (4.0, 0.9)])
+def test_proximal_alphas_default_mu_is_the_bound_plus_headroom(beta, eta):
+    P, bounds = heterogeneous_setup(seed=2)
+    alphas, mu = proximal_alphas(bounds, P, beta=beta, eta_s=eta)
+    want = max(recipe_mu_min(P, bounds, beta, eta), 0.0) + 0.05 * max(bounds.max_M, 1.0)
+    assert abs(mu - want) <= 1e-12 * want
+    lam_max = np.linalg.eigvalsh(P.matrix)[-1]
+    assert np.allclose(alphas, (0.5 + lam_max) * beta + mu, rtol=1e-12, atol=0.0)
+
+
+def test_proximal_alphas_reject_small_mu():
+    # Homogeneous agents: the margin is exactly mu minus the bound.
+    P = ring_P(5)
+    bounds = homogeneous_bounds(5, 0.1, 0.3)
+    lo = recipe_mu_min(P, bounds, 1.0, 0.5)
+    with pytest.raises(ConfigurationError, match="below the required bound") as e:
+        proximal_alphas(bounds, P, beta=1.0, eta_s=0.5, mu=0.5 * lo)
+    assert f"mu={0.5 * lo} " in str(e.value)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, -0.1, 1.5])
+def test_proximal_alphas_reject_eta_s_outside_the_unit_interval(eta):
+    P, bounds = heterogeneous_setup()
+    with pytest.raises(ConfigurationError, match=r"eta_s must lie in \(0,1\)"):
+        proximal_alphas(bounds, P, beta=1.0, eta_s=eta)
+
+
+@pytest.mark.parametrize("mu", [0.0, -2.0])
+def test_proximal_alphas_reject_a_nonpositive_mu(mu):
+    P, bounds = heterogeneous_setup()
+    with pytest.raises(ConfigurationError, match="mu must be positive"):
+        proximal_alphas(bounds, P, beta=1.0, eta_s=0.5, mu=mu)
+
+
 # ---------------------------------------------------------------- kappa
 
 
@@ -224,14 +299,7 @@ def certified_setup(seed=0, n=5, beta=1.0, eta=0.5, mu_extra=0.3):
     m = np.full(n, 0.1)
     M = 0.2 + 0.2 * rng.random(n)
     bounds = SmoothnessBounds(m=m, M=M)
-    lam_w = np.linalg.eigvalsh(P.matrix)[1]
-    mb, _ = m_beta(float(m.sum()), n, float(M.max()), beta, lam_w)
-    mu_min = (
-        (M.max() - 3 * m.min()) / 2
-        + M.max() / (2 * (1 - eta))
-        + (M.max() - m.min()) ** 2 / (8 * eta * mb)
-    )
-    alphas = recipe_alphas(P, bounds, beta, mu_min + mu_extra)
+    alphas = recipe_alphas(P, bounds, beta, recipe_mu_min(P, bounds, beta, eta) + mu_extra)
     return P, bounds, alphas, beta, eta
 
 

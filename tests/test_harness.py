@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from soprolab import certificate
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation
 from soprolab.harness import reference
 from soprolab.harness.cli import main
@@ -15,7 +16,7 @@ from soprolab.harness.experiment import (
 )
 from soprolab.harness.metrics import MetricRow, MetricsTrace, aggregate_traces
 from soprolab.harness.tuning import tune_baseline
-from soprolab.loss import LocalDataset
+from soprolab.loss import LocalDataset, full_grad
 
 
 def one_hot_problem(n_agents, per_agent, d, active, seed, lam=0.01):
@@ -41,7 +42,7 @@ def test_solve_reference_passes_the_rounding_level_of_the_objective():
     sol = reference.solve_reference(datasets)
     assert sol.grad_norm <= 1e-12
     assert sol.iterations <= 10
-    g = sum(reference.full_grad(sol.x, ds) for ds in datasets)
+    g = sum(full_grad(sol.x, ds) for ds in datasets)
     assert np.linalg.norm(g) == sol.grad_norm
 
 
@@ -182,3 +183,47 @@ def test_cli_rejects_a_non_finite_value(flag, value, capsys):
 def test_config_rejects_a_non_finite_value(value):
     with pytest.raises(ConfigurationError, match="key 'beta' needs a finite value"):
         config_from_mapping({"beta": value})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("seeds", math.inf, "bad value inf for key 'seeds'"),
+        ("seeds", math.nan, "bad value nan for key 'seeds'"),
+        ("dim", 4.7, "key 'dim' needs an integer, got 4.7"),
+        ("max_iters", -0.5, "key 'max_iters' needs an integer, got -0.5"),
+    ],
+)
+def test_config_rejects_a_non_integral_value_for_an_integer_key(key, value, message):
+    with pytest.raises(ConfigurationError, match=message):
+        config_from_mapping({key: value})
+
+
+def test_config_keeps_integral_values():
+    config = config_from_mapping({"dim": 4.0, "seeds": 3, "beta": 2})
+    assert (config.dim, config.seeds, config.beta) == (4, 3, 2.0)
+    assert type(config.dim) is int and type(config.beta) is float
+
+
+def test_experiment_chooses_the_proximal_alphas_once(monkeypatch):
+    calls = []
+    real = certificate.proximal_alphas
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certificate, "proximal_alphas", counted)
+    config = ExperimentConfig(
+        dim=6, n_agents=4, per_agent=30, test_size=20, batch_g=5, batch_s=5,
+        max_iters=3, seeds=2,
+    )
+    result = run_experiment(config)
+    assert len(result.traces) == 2
+    assert len(calls) == 1
+
+
+def test_cli_certify_rejects_a_mu_below_the_recipe_bound(capsys):
+    assert main(["certify", *SMALL, "--mu", "1e-9"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mu=1e-09 " in err

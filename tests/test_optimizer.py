@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from soprolab.certificate import check_D_condition, m_beta
+from soprolab.certificate import proximal_alphas
 from soprolab.errors import ConfigurationError, ParameterError
 from soprolab.loss import (
     LocalDataset,
@@ -14,12 +14,10 @@ from soprolab.optimizer import (
     PURPOSE_HESS,
     PURPOSE_INIT,
     RunConfig,
-    choose_D,
     draw_batches,
     exchange_and_dual_update,
     init_network,
     local_step,
-    recipe_mu_lower_bound,
     run,
     sample_batches,
     substream,
@@ -40,11 +38,14 @@ def make_problem(n=5, d=10, C=50, lam=0.1, seed=0, noise=0.5, avg_degree=2.0):
 
 def base_config(**kw):
     defaults = dict(
-        batch_g=10, batch_s=10, max_iters=50, seed=3, beta=1.0, eta_s=0.5,
-        algorithm="st_sopro",
+        batch_g=10, batch_s=10, max_iters=50, seed=3, beta=1.0, algorithm="st_sopro",
     )
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def certified_alphas(P, datasets):
+    return proximal_alphas(SmoothnessBounds.from_datasets(datasets), P, 1.0, 0.5)[0]
 
 
 # ------------------------------------------------------------- substreams
@@ -140,8 +141,7 @@ def test_init_two_agents_disagreement():
         LocalDataset(features=feats, labels=np.array([1]), lambda_reg=lam)
         for _ in range(2)
     ]
-    cfg = base_config(batch_g=1, batch_s=1, mu=2.0)
-    state = init_network(P, datasets, cfg)
+    state = init_network(P, datasets, base_config(batch_g=1, batch_s=1))
     e1 = state.x[0] - state.x[1]
     assert np.allclose(state.y[0], e1)
     assert np.allclose(state.y[1], -e1)
@@ -243,7 +243,7 @@ def test_exchange_two_agents_antisymmetric_update():
         LocalDataset(features=feats, labels=np.array([1]), lambda_reg=lam)
         for _ in range(2)
     ]
-    state = init_network(P, datasets, base_config(batch_g=1, batch_s=1, mu=2.0, x0_mode="zeros"))
+    state = init_network(P, datasets, base_config(batch_g=1, batch_s=1, x0_mode="zeros"))
     v = np.array([0.4, -0.2])
     state.x[0] = v
     state.x[1] = 0.0
@@ -257,40 +257,9 @@ def test_exchange_communication_accounting():
     P, datasets = make_problem()
     d = datasets[0].dim
     cfg = base_config(max_iters=7)
-    state = run(P, datasets, cfg)
+    state = run(P, datasets, cfg, certified_alphas(P, datasets))
     per_round = 2 * P.graph.n_edges * d
     assert state.comm_scalars == 7 * per_round + per_round
-
-
-# ------------------------------------------------------------- choose_D
-
-
-def test_choose_d_alpha_formula():
-    # Triangle with unit weights: lambda_max = 3, so alpha = beta*3.5 + mu.
-    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    P = laplacian_weights(g, 1.0)
-    bounds = SmoothnessBounds(m=np.full(3, 0.3), M=np.full(3, 0.3))
-    alphas = choose_D(bounds, beta=1.0, mu=2.0, P=P, eta_s=0.5)
-    assert np.allclose(alphas, 5.5)
-
-
-def test_choose_d_passes_condition_check():
-    P, datasets = make_problem()
-    bounds = SmoothnessBounds.from_datasets(datasets)
-    mu = recipe_mu_lower_bound(bounds, 1.0, 0.5, P) + 0.2
-    alphas = choose_D(bounds, beta=1.0, mu=mu, P=P, eta_s=0.5)
-    lam_w = np.linalg.eigvalsh(P.matrix)[1]
-    mb, _ = m_beta(float(bounds.m.sum()), bounds.n_agents, bounds.max_M, 1.0, lam_w)
-    assert check_D_condition(alphas, bounds, 0.5, mb, 1.0, P).passed
-
-
-def test_choose_d_rejects_small_mu():
-    P, datasets = make_problem()
-    bounds = SmoothnessBounds.from_datasets(datasets)
-    lo = recipe_mu_lower_bound(bounds, 1.0, 0.5, P)
-    with pytest.raises(ConfigurationError) as e:
-        choose_D(bounds, beta=1.0, mu=max(lo - 1.0, 1e-6), P=P, eta_s=0.5)
-    assert "mu" in str(e.value)
 
 
 # ------------------------------------------------------------- full runs
@@ -298,23 +267,24 @@ def test_choose_d_rejects_small_mu():
 
 def test_run_deterministic_per_seed():
     P, datasets = make_problem()
-    cfg = base_config(max_iters=20, seed=13)
-    s1 = run(P, datasets, cfg)
-    s2 = run(P, datasets, base_config(max_iters=20, seed=13))
+    alphas = certified_alphas(P, datasets)
+    s1 = run(P, datasets, base_config(max_iters=20, seed=13), alphas)
+    s2 = run(P, datasets, base_config(max_iters=20, seed=13), alphas)
     assert np.array_equal(s1.x, s2.x)
     assert np.array_equal(s1.q, s2.q)
-    s3 = run(P, datasets, base_config(max_iters=20, seed=14))
+    s3 = run(P, datasets, base_config(max_iters=20, seed=14), alphas)
     assert not np.array_equal(s1.x, s3.x)
 
 
 def test_full_batch_stochastic_equals_deterministic():
     P, datasets = make_problem()
     C = datasets[0].n_samples
+    alphas = certified_alphas(P, datasets)
     hist = {"st": [], "so": []}
     run(P, datasets, base_config(batch_g=C, batch_s=C, max_iters=15, algorithm="st_sopro"),
-        callbacks=[lambda k, s: hist["st"].append(s.x.copy())])
+        alphas, callbacks=[lambda k, s: hist["st"].append(s.x.copy())])
     run(P, datasets, base_config(batch_g=C, batch_s=C, max_iters=15, algorithm="sopro"),
-        callbacks=[lambda k, s: hist["so"].append(s.x.copy())])
+        alphas, callbacks=[lambda k, s: hist["so"].append(s.x.copy())])
     for a, b in zip(hist["st"], hist["so"]):
         assert np.array_equal(a, b)
 
@@ -329,7 +299,7 @@ def test_dual_conservation_over_long_run():
         scales.append(np.linalg.norm(state.q))
         drifts.append(float(np.abs(state.q.sum(axis=0)).max()))
 
-    run(P, datasets, cfg, callbacks=[watch])
+    run(P, datasets, cfg, certified_alphas(P, datasets), callbacks=[watch])
     assert max(drifts) <= 1e-10 * max(max(scales), 1.0)
 
 
@@ -338,6 +308,7 @@ def test_fixed_point_of_full_batch_dynamics():
     ref = solve_reference(datasets, tol=1e-12)
     n = P.n_agents
     cfg = base_config(batch_g=50, batch_s=50, max_iters=5, x0_mode="zeros")
+    alphas = certified_alphas(P, datasets)
     state = init_network(P, datasets, cfg)
     state.x[:] = ref.x
     state.q[:] = np.stack([-full_grad(ref.x, ds) for ds in datasets])
@@ -357,7 +328,7 @@ def test_fixed_point_of_full_batch_dynamics():
             h = batch_hess(state.x[i], datasets[i], g_idx)
             state.x[i] = local_step(
                 state.x[i], state.y[i], state.q[i], h, g,
-                state.alphas[i], cfg.beta, agent=i,
+                alphas[i], cfg.beta, agent=i,
             )
         exchange_and_dual_update(state, P, cfg.beta)
         watch(k, state)
@@ -366,9 +337,8 @@ def test_fixed_point_of_full_batch_dynamics():
 
 def test_h_plus_d_stays_positive_definite():
     P, datasets = make_problem()
-    cfg = base_config(max_iters=100, batch_s=3)
     bounds = SmoothnessBounds.from_datasets(datasets)
-    state = init_network(P, datasets, cfg)
+    alphas = certified_alphas(P, datasets)
     rng = np.random.default_rng(0)
     from soprolab.loss import batch_hess
 
@@ -376,10 +346,10 @@ def test_h_plus_d_stays_positive_definite():
         i = int(rng.integers(0, P.n_agents))
         x = rng.standard_normal(datasets[i].dim) * rng.choice((0.1, 1.0, 5.0))
         s_idx = np.sort(rng.choice(50, 3, replace=False))
-        H = batch_hess(x, datasets[i], s_idx).dense() + state.alphas[i] * np.eye(
+        H = batch_hess(x, datasets[i], s_idx).dense() + alphas[i] * np.eye(
             datasets[i].dim
         )
-        assert np.linalg.eigvalsh(H)[0] >= state.alphas[i] + bounds.m[i] - 1e-10
+        assert np.linalg.eigvalsh(H)[0] >= alphas[i] + bounds.m[i] - 1e-10
 
 
 def test_run_config_validation():
@@ -388,8 +358,25 @@ def test_run_config_validation():
     with pytest.raises(ConfigurationError):
         base_config(beta=-1.0).validate()
     with pytest.raises(ConfigurationError):
-        base_config(eta_s=1.0).validate()
-    with pytest.raises(ConfigurationError):
         base_config(batch_g=100).validate(n_samples=50)
     with pytest.raises(ConfigurationError):
-        run(*make_problem()[:2], base_config(algorithm="dsgd"))
+        run(*make_problem()[:2], base_config(algorithm="dsgd"), np.ones(5))
+
+
+@pytest.mark.parametrize(
+    "alphas, message",
+    [
+        (np.ones(4), r"alphas must have shape \(5,\), got \(4,\)"),
+        (np.ones((5, 1)), r"alphas must have shape \(5,\), got \(5, 1\)"),
+        (3.0, r"alphas must have shape \(5,\), got \(\)"),
+        (np.array([1.0, 1.0, np.nan, 1.0, 1.0]), "alphas must be finite"),
+        (np.full(5, np.inf), "alphas must be finite"),
+    ],
+    ids=["short", "column", "scalar", "nan", "inf"],
+)
+def test_run_rejects_alphas_that_are_not_a_finite_vector_per_agent(alphas, message):
+    P, datasets = make_problem()
+    rounds = []
+    with pytest.raises(ConfigurationError, match=message):
+        run(P, datasets, base_config(), alphas, callbacks=[lambda k, s: rounds.append(k)])
+    assert rounds == []
