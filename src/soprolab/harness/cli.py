@@ -128,7 +128,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SoprolabError as exc:
+    except (SoprolabError, OSError) as exc:
+        # OSError: a config, grid, dataset or topology file that cannot be read.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -88,6 +88,13 @@ class ExperimentConfig:
     target_error: float | None = None
     out: str | None = None
 
+    def __post_init__(self):
+        for key, least in _LEAST.items():
+            if getattr(self, key) < least:
+                raise ConfigurationError(
+                    f"key {key!r} needs at least {least}, got {getattr(self, key)}"
+                )
+
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
         coerced = _coerce_mapping(overrides)
         return replace(self, **coerced)
@@ -110,6 +117,8 @@ class ExperimentConfig:
         return {f.name: getattr(self, f.name) for f in fields(ExperimentConfig)}
 
 
+# Checked whenever a config is made, by coercion, replace() or directly.
+_LEAST = {"seeds": 1, "test_size": 0}
 _OPTIONAL_FLOATS = {"mu", "step_size", "target_error"}
 _OPTIONAL_INTS = {"topology_seed", "data_seed"}
 _OPTIONAL_STRS = {"topology_file", "out"}

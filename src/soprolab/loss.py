@@ -42,6 +42,8 @@ __all__ = [
     "stack_local_sets",
     "stacked_grad",
     "stacked_curvature",
+    "logistic_coef",
+    "logistic_curvature",
     "smoothness",
     "sigma_sq_estimate",
     "predict",
@@ -458,7 +460,7 @@ def stacked_grad(
     ``(N,)``.  Row ``i`` equals :func:`batch_grad` on the same rows: with
     one BLAS thread, stacked ``matmul`` makes the same calls per agent.
     """
-    coef = labels * expit(-labels * (feats @ x[:, :, None])[:, :, 0])
+    coef = logistic_coef((feats @ x[:, :, None])[:, :, 0], labels)
     return (
         lam[:, None] * x
         - (feats.transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0] / counts[:, None]
@@ -470,8 +472,20 @@ def stacked_curvature(x: np.ndarray, feats: np.ndarray, counts: np.ndarray) -> n
 
     Agent ``i``'s batch Hessian is ``lam_i I + feats[i]^T diag(w[i]) feats[i]``.
     """
-    p = expit((feats @ x[:, :, None])[:, :, 0])
-    return p * (1.0 - p) / counts[:, None]
+    return logistic_curvature((feats @ x[:, :, None])[:, :, 0]) / counts[:, None]
+
+
+def logistic_coef(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row gradient coefficients ``b * sigmoid(-b u)`` of the margins
+    ``u = F x``: a batch gradient is ``lam x - F^T coef / count``."""
+    return labels * expit(-labels * margins)
+
+
+def logistic_curvature(margins: np.ndarray) -> np.ndarray:
+    """Per-row Hessian weights ``p (1 - p)``, ``p = sigmoid(u)``, of the
+    margins ``u = F x``."""
+    p = expit(margins)
+    return p * (1.0 - p)
 
 
 def smoothness(ds: LocalDataset) -> tuple[float, float]:

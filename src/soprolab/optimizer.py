@@ -12,9 +12,10 @@ special case where both batches are the whole local dataset.
 
 A round is a few array operations over all agents at once, with no loop
 over agents.  One draw per purpose gives every agent's batch as a row of
-an ``(N, G)`` index array (:func:`draw_batches`).  The rows are gathered
-from the stacked local sets (:class:`LocalSets`) into one buffer that
-every round reuses, and stacked matrix products give all batch gradients
+an ``(N, G)`` index array (:func:`draw_batches`).  On the row paths
+below, the rows are gathered from the stacked local sets
+(:class:`LocalSets`) into one buffer that every round reuses, and
+stacked matrix products give all batch gradients
 ``g_i`` and Hessian weights ``w_i`` (``h_i = lam I + B_i^T B_i`` with the
 factor ``B_i = sqrt(w_i) F_{S_i}``, which is scaled in place in that
 buffer).  Every proximal matrix is ``D_i = alpha_i I``, and the engine
@@ -23,14 +24,26 @@ them is :func:`soprolab.certificate.proximal_alphas`'s job.  Agent
 ``i``'s system is ``c_i I + B_i^T B_i`` with ``c_i = lam_i + alpha_i``.
 One batched step then moves all agents: one stacked product builds every
 agent's symmetric positive definite system, and one Cholesky
-factor-and-solve per agent, in place, solves it.  When the Hessian batch
-has fewer rows than the dimension, :func:`woodbury_step` reduces each
-agent's ``d x d`` system to the ``S x S`` system ``c_i I + B_i B_i^T``.
-Otherwise (``S >= d``, including full-batch SoPro) :func:`dense_step`
-forms every ``B_i^T B_i`` with one symmetric product and factors the
-shifted ``d x d`` systems.  A factorisation that fails names the agent
-whose system is not positive definite.
-:func:`local_step` steps one agent alone by Cholesky: it is the per-agent
+factor-and-solve per agent, in place, solves it.  The step takes one of
+three paths, chosen once per run from the shapes:
+
+* ``S >= d`` (including full-batch SoPro on sets of at least ``d`` rows),
+  a row path: :func:`dense_step` forms every ``B_i^T B_i`` with one symmetric product
+  and factors the shifted ``d x d`` systems.
+* ``S < d`` and no local set wider than ``d`` (``W <= d``):
+  :func:`gram_step`.  By the Woodbury identity each agent solves the
+  ``S x S`` system ``c_i I + B_i B_i^T``, which is a principal submatrix
+  of the local Gram ``F_i F_i^T`` scaled by the curvature weights.  That
+  Gram stack is computed once per run, before round 0, and a round
+  then needs two passes over the local sets, with no row gather.  The
+  rule keeps the cached ``N W^2`` floats no larger than the ``N W d`` of
+  the local sets themselves.
+* ``S < d < W``, a row path: :func:`woodbury_step` solves the same ``S x S`` systems
+  from the gathered and scaled batch rows ``B_i``, because a Gram stack
+  would be larger than the data.
+
+A factorisation that fails names the agent whose system is not positive
+definite.  :func:`local_step` steps one agent alone by Cholesky: it is the per-agent
 oracle the batched steps are tested against.  A round whose iterate is
 not finite raises :class:`~soprolab.errors.DivergenceError`.
 
@@ -57,6 +70,8 @@ from .loss import (
     LowRankHessian,
     batch_grad,
     batch_hess,
+    logistic_coef,
+    logistic_curvature,
     stack_local_sets,
     stacked_curvature,
     stacked_grad,
@@ -81,6 +96,7 @@ __all__ = [
     "local_step",
     "woodbury_step",
     "dense_step",
+    "gram_step",
     "exchange_and_dual_update",
     "run",
 ]
@@ -267,20 +283,33 @@ class LocalSets:
             self._buf = np.empty(n * k * d)
         return self._buf[: n * k * d].reshape(n, k, d)
 
+    def draw(self, size: int | None, round_idx: int, purpose: int) -> np.ndarray | None:
+        """``(N, size)`` positions of every agent's batch in its local set,
+        or ``None`` when the batches are the whole sets (``size=None``, or
+        the size of every local set), which need no draw.
+
+        Every position is checked to lie inside its agent's set: the
+        gathers that use them do not check.
+        """
+        if size is None or np.all(self.counts == size):
+            return None
+        idx = draw_batches(self.counts, size, self.seed, round_idx, purpose)
+        if idx.min() < 0 or np.any(idx.max(axis=1) >= self.counts):
+            raise InvariantViolation(f"round {round_idx}: drawn index outside a local set")
+        return idx
+
     def batch(self, size: int | None, round_idx: int, purpose: int):
         """``(N, k, d)`` rows, ``(N, k)`` labels and ``(N,)`` row counts of
         every agent's batch.
 
-        ``size=None``, or the size of every local set, is the whole sets:
-        the stacked block itself, with no draw and no copy.
+        Whole sets (see :meth:`draw`) are the stacked block itself, with
+        no copy.
         """
-        if size is None or np.all(self.counts == size):
+        idx = self.draw(size, round_idx, purpose)
+        if idx is None:
             return self.feats, self.labels, self.counts
-        idx = draw_batches(self.counts, size, self.seed, round_idx, purpose)
         # mode="clip" gathers straight into the buffer (the default "raise"
-        # gathers into a temporary first), so the range is checked here.
-        if idx.min() < 0 or np.any(idx.max(axis=1) >= self.counts):
-            raise InvariantViolation(f"round {round_idx}: drawn index outside a local set")
+        # gathers into a temporary first); draw() checked the range.
         rows = np.take(
             self._flat, idx + self._offsets, axis=0, out=self.buffer(size), mode="clip"
         )
@@ -445,6 +474,70 @@ def dense_step(
     return x - _cholesky_solve(H, rhs.copy())
 
 
+def gram_step(
+    x: np.ndarray,
+    t: np.ndarray,
+    sets: LocalSets,
+    gram: np.ndarray,
+    g_idx: np.ndarray | None,
+    s_idx: np.ndarray | None,
+    c: np.ndarray,
+) -> np.ndarray:
+    """Proximal steps of all agents, batch gradients included, from the
+    Gram matrices of their local sets.
+
+    ``x`` and ``t = lam x + beta y + q`` are ``(N, d)``; ``gram`` is the
+    ``(N, W, W)`` stack of ``F_i F_i^T`` over the local sets
+    ``F = sets.feats``; ``g_idx`` and ``s_idx`` are the gradient and
+    Hessian batches from :meth:`LocalSets.draw` (``None``: whole sets);
+    ``c`` is ``(N,)``.
+
+    With ``chat_i`` the gradient coefficients of agent ``i``'s G batch
+    (zero off it), the right-hand side is ``r_i = g_i + beta y_i + q_i =
+    t_i - F_i^T chat_i``.  The Woodbury form of :func:`woodbury_step`
+    needs ``B_i B_i^T``, which is ``gram[i]`` restricted to ``S_i`` and
+    scaled by ``sqrt(w_i)`` on both sides, and ``B_i r_i = sqrt(w_i)
+    (F_i t_i - gram[i] chat_i)[S_i]``.  So one product ``F [x, t]`` gives
+    the margins ``F x`` (hence ``chat`` and ``w``) and ``F t``; one
+    Cholesky factor-and-solve per agent gives ``z_i``; and one product
+    ``F^T v``, ``v_i = chat_i + scatter(sqrt(w_i) z_i)``, gives the step
+    ``(t - F^T v) / c``: two passes over the local sets and no row gather.
+    This path runs with ``S < d``, so, as in :func:`woodbury_step`,
+    ``c_i > 0`` is checked first.  Zero padding rows add nothing.
+    """
+    _check_shift(c)
+    F = sets.feats
+    n, width, _ = F.shape
+    agents = np.arange(n)[:, None]
+    u, Ft = np.moveaxis(F @ np.stack([x, t], axis=2), 2, 0)
+    if g_idx is None:
+        coef = logistic_coef(u, sets.labels) / sets.counts[:, None]
+    else:
+        coef = np.zeros((n, width))
+        labels = np.take_along_axis(sets.labels, g_idx, axis=1)
+        coef[agents, g_idx] = logistic_coef(u[agents, g_idx], labels) / g_idx.shape[1]
+    Fr = Ft - (gram @ coef[:, :, None])[:, :, 0]  # F r: r = t - F^T chat
+    if s_idx is None:
+        sw = np.sqrt(logistic_curvature(u) / sets.counts[:, None])
+        K, z = gram.copy(), sw * Fr
+    else:
+        sw = np.sqrt(logistic_curvature(u[agents, s_idx]) / s_idx.shape[1])
+        # gram[i, a, b] sits at flat position (i W + a) W + b.
+        K = np.take(gram, (agents * width + s_idx)[:, :, None] * width + s_idx[:, None, :])
+        z = sw * Fr[agents, s_idx]
+    K *= sw[:, :, None] * sw[:, None, :]
+    diag = np.arange(K.shape[1])
+    K[:, diag, diag] += c[:, None]
+    _cholesky_solve(K, z)
+    z *= sw
+    if s_idx is None:
+        coef += z
+    else:
+        coef[agents, s_idx] += z
+    step = (t - (F.transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0]) / c[:, None]
+    return x - step
+
+
 def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> None:
     """Synchronous exchange: refresh disagreements, advance duals, count traffic."""
     state.y = P.disagreement(state.x)
@@ -459,9 +552,13 @@ def run(P: MatrixP, datasets, config: RunConfig, alphas, callbacks=()) -> Networ
     ``alphas`` is the ``(N,)`` vector of the proximal matrices
     ``D_i = alphas[i] I``; the engine runs with it as given (the certified
     choice is :func:`soprolab.certificate.proximal_alphas`).  Each round
-    steps all agents with one batched call: :func:`woodbury_step` when the
-    Hessian batch has fewer rows than the dimension, :func:`dense_step`
-    otherwise.
+    steps all agents with one batched call, on one of three paths chosen
+    before round 0 from the Hessian batch size ``S`` (the widest local set
+    in full batch), the widest local set ``W`` and the dimension ``d``:
+    :func:`dense_step` when ``S >= d``; otherwise :func:`gram_step` when
+    ``W <= d``, with the ``(N, W, W)`` Gram stack of the local sets
+    computed here once, and :func:`woodbury_step` on gathered rows when
+    ``W > d``, where that stack would take more memory than the local sets.
     ``callbacks`` are invoked as ``cb(round, state)`` after initialization
     (round 0) and after every completed round; states passed to callbacks
     must be treated as read-only.  The full-batch deterministic variant
@@ -485,19 +582,33 @@ def run(P: MatrixP, datasets, config: RunConfig, alphas, callbacks=()) -> Networ
     full = config.algorithm == "sopro"
     batch_g = None if full else config.batch_g
     batch_s = None if full else config.batch_s
-    rows_s = sets.feats.shape[1] if full else config.batch_s
+    width = sets.feats.shape[1]
+    rows_s = width if full else config.batch_s
     shift = sets.lam + alphas
-    step = woodbury_step if rows_s < state.dim else dense_step
+    if rows_s >= state.dim:
+        step, gram = dense_step, None
+    elif width <= state.dim:
+        # The Gram stack is N W^2 floats, no more than the N W d of the
+        # local sets themselves.
+        step, gram = gram_step, sets.feats @ sets.feats.transpose(0, 2, 1)
+    else:
+        step, gram = woodbury_step, None
     for cb in callbacks:
         cb(0, state)
     for k in range(config.max_iters):
-        grads = stacked_grad(state.x, *sets.batch(batch_g, k, PURPOSE_GRAD), sets.lam)
-        # Gathered after the gradient: both batches share the buffer.
-        F, _, counts = sets.batch(batch_s, k, PURPOSE_HESS)
-        w = stacked_curvature(state.x, F, counts)
-        # Rows past an agent's count are zero padding and stay zero.
-        B = np.multiply(np.sqrt(w)[:, :, None], F, out=sets.buffer(rows_s))
-        state.x = step(state.x, grads + config.beta * state.y + state.q, B, shift)
+        if gram is not None:
+            t = sets.lam[:, None] * state.x + config.beta * state.y + state.q
+            g_idx = sets.draw(batch_g, k, PURPOSE_GRAD)
+            s_idx = sets.draw(batch_s, k, PURPOSE_HESS)
+            state.x = step(state.x, t, sets, gram, g_idx, s_idx, shift)
+        else:
+            grads = stacked_grad(state.x, *sets.batch(batch_g, k, PURPOSE_GRAD), sets.lam)
+            # Gathered after the gradient: both batches share the buffer.
+            F, _, counts = sets.batch(batch_s, k, PURPOSE_HESS)
+            w = stacked_curvature(state.x, F, counts)
+            # Rows past an agent's count are zero padding and stay zero.
+            B = np.multiply(np.sqrt(w)[:, :, None], F, out=sets.buffer(rows_s))
+            state.x = step(state.x, grads + config.beta * state.y + state.q, B, shift)
         check_finite(state.x, k + 1)
         exchange_and_dual_update(state, P, config.beta)
         for cb in callbacks:

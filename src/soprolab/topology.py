@@ -284,6 +284,14 @@ def read_edge_list(src) -> MatrixP:
                 header = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise ParseError(f"bad header {ln!r}", line=lineno)
+            # Checked before anything is sized by n: a header cannot make
+            # the graph larger than the edges that follow it.
+            if header[1] < header[0] - 1:
+                raise ParseError(
+                    f"header promises {header[1]} edges, but a connected graph "
+                    f"on {header[0]} agents needs at least {header[0] - 1}",
+                    line=lineno,
+                )
             continue
         if len(parts) != 3:
             raise ParseError(f"expected 'i j weight', got {ln!r}", line=lineno)

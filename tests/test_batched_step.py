@@ -4,13 +4,18 @@ import pytest
 from soprolab import optimizer, topology
 from soprolab.baselines import metropolis_weights, run_baseline
 from soprolab.certificate import proximal_alphas
-from soprolab.errors import ConfigurationError, DivergenceError
+from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation
 from soprolab.harness.synthetic import gaussian_blob_samples
-from soprolab.loss import LocalDataset, LowRankHessian, SmoothnessBounds
+from soprolab.loss import LocalDataset, LowRankHessian, SmoothnessBounds, batch_grad, batch_hess
 from soprolab.optimizer import (
+    PURPOSE_GRAD,
+    PURPOSE_HESS,
+    LocalSets,
     RunConfig,
     agent_batch_stats,
     dense_step,
+    draw_batches,
+    gram_step,
     init_network,
     local_step,
     run,
@@ -118,6 +123,48 @@ def test_dense_step_takes_a_negative_shift_that_leaves_the_system_definite():
         assert rel_err(out[i], expected) <= 1e-10
 
 
+def test_gram_step_matches_dense_inverse_oracle():
+    rng = np.random.default_rng(8)
+    sizes, d, lam = [9, 12, 7, 12, 10], 14, 0.1
+    n = len(sizes)
+    datasets = [
+        LocalDataset((rng.random((m, d)) < 0.3).astype(float), rng.choice((-1, 1), m), lam)
+        for m in sizes
+    ]
+    sets = LocalSets(datasets, seed=0)
+    assert sets.feats.shape[1] == 12 and not sets.feats[2, 7:].any()  # zero padding
+    gram = sets.feats @ sets.feats.transpose(0, 2, 1)
+    alphas = np.geomspace(0.5, 800.0, n)
+    x = rng.standard_normal((n, d))
+    prox = rng.standard_normal((n, d))  # beta y + q
+    g_draw = draw_batches(sizes, 5, 3, 0, PURPOSE_GRAD)
+    s_draw = draw_batches(sizes, 4, 3, 0, PURPOSE_HESS)
+    # The two batches share rows, which both the gradient and the Hessian use.
+    assert any(np.intersect1d(g, s).size for g, s in zip(g_draw, s_draw))
+    for g_idx, s_idx in [(g_draw, s_draw), (None, None), (None, s_draw), (g_draw, None)]:
+        out = gram_step(x, lam * x + prox, sets, gram, g_idx, s_idx, lam + alphas)
+        for i, ds in enumerate(datasets):
+            whole = np.arange(sizes[i])
+            g = batch_grad(x[i], ds, whole if g_idx is None else g_idx[i])
+            h = batch_hess(x[i], ds, whole if s_idx is None else s_idx[i])
+            expected = x[i] - np.linalg.inv(h.dense() + alphas[i] * np.eye(d)) @ (g + prox[i])
+            assert rel_err(out[i], expected) <= 1e-10
+
+
+def test_gram_step_rejects_nonpositive_shift_with_definite_small_systems():
+    # Orthogonal rows of norm 2 at x = 0: every c I_S + B B^T is
+    # (0.2 + c) I_S, positive definite for these c, yet c I + B^T B has the
+    # eigenvalue c on the d - S directions the rows do not reach.
+    n, S, d = 4, 5, 8
+    datasets = [LocalDataset(2.0 * np.eye(S, d), np.ones(S), 0.1) for _ in range(n)]
+    sets = LocalSets(datasets, seed=0)
+    gram = sets.feats @ sets.feats.transpose(0, 2, 1)
+    c = np.array([1.0, 2.0, 0.0, -0.1])
+    with pytest.raises(ConfigurationError) as e:
+        gram_step(np.zeros((n, d)), np.ones((n, d)), sets, gram, None, None, c)
+    assert "agent 2" in str(e.value)
+
+
 def test_cholesky_solve_factors_and_solves_in_place():
     rng = np.random.default_rng(6)
     n, d = 5, 9
@@ -191,11 +238,11 @@ def reference_run(P, datasets, config, alphas):
     return history
 
 
-def engine_history(P, datasets, config, alphas, monkeypatch, expect_woodbury):
+def engine_history(P, datasets, config, alphas, monkeypatch, path):
     """The engine's iterates and duals after every round; each round must
-    make one batched step, by Woodbury or dense solve as expected, and
-    factor by Cholesky rather than by a general LU solve."""
-    calls = {"woodbury": 0, "dense": 0, "local": 0, "lu": 0}
+    make one batched step along ``path`` ("woodbury", "gram" or "dense"),
+    and factor by Cholesky rather than by a general LU solve."""
+    calls = {"woodbury": 0, "gram": 0, "dense": 0, "local": 0, "lu": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -205,18 +252,25 @@ def engine_history(P, datasets, config, alphas, monkeypatch, expect_woodbury):
         return wrapper
 
     monkeypatch.setattr(optimizer, "woodbury_step", counted("woodbury", woodbury_step))
+    monkeypatch.setattr(optimizer, "gram_step", counted("gram", gram_step))
     monkeypatch.setattr(optimizer, "dense_step", counted("dense", dense_step))
     monkeypatch.setattr(optimizer, "local_step", counted("local", local_step))
     monkeypatch.setattr(np.linalg, "solve", counted("lu", np.linalg.solve))
     history = []
     run(P, datasets, config, alphas,
         callbacks=[lambda k, s: history.append((s.x.copy(), s.q.copy()))])
-    rounds = config.max_iters
-    if expect_woodbury:
-        assert calls == {"woodbury": rounds, "dense": 0, "local": 0, "lu": 0}
-    else:
-        assert calls == {"woodbury": 0, "dense": rounds, "local": 0, "lu": 0}
+    expected = {"woodbury": 0, "gram": 0, "dense": 0, "local": 0, "lu": 0}
+    expected[path] = config.max_iters
+    assert calls == expected
     return history
+
+
+def low_rank_path(low_rank, width, d):
+    """The step a run takes: dense unless the Hessian batch has fewer rows
+    than d, then by Gram while no local set is wider than d."""
+    if not low_rank:
+        return "dense"
+    return "gram" if width <= d else "woodbury"
 
 
 def assert_histories_match(got, want):
@@ -227,41 +281,60 @@ def assert_histories_match(got, want):
 
 
 @pytest.mark.parametrize(
-    "algorithm, batch_s, d, woodbury",
+    "algorithm, batch_s, d, low_rank",
     [
-        ("st_sopro", 5, 15, True),  # S < d: Woodbury
+        ("st_sopro", 5, 15, True),  # S < d < C = 40: row Woodbury
         ("st_sopro", 20, 15, False),  # S >= d: dense
-        ("sopro", None, 60, True),  # full batch, C = 40 < d
+        ("st_sopro", 5, 60, True),  # S < C = 40 <= d: Gram
+        ("sopro", None, 60, True),  # full batch, C = 40 < d: Gram
         ("sopro", None, 15, False),  # full batch, C = 40 >= d
     ],
 )
-def test_run_matches_per_agent_reference(algorithm, batch_s, d, woodbury, monkeypatch):
+def test_run_matches_per_agent_reference(algorithm, batch_s, d, low_rank, monkeypatch):
     P, datasets = make_problem([40] * 6, d)
     config = RunConfig(
         batch_g=10, batch_s=batch_s or 40, max_iters=20, seed=5, algorithm=algorithm
     )
     alphas = certified_alphas(P, datasets)
     want = reference_run(P, datasets, config, alphas)
-    got = engine_history(P, datasets, config, alphas, monkeypatch, expect_woodbury=woodbury)
+    path = low_rank_path(low_rank, 40, d)
+    got = engine_history(P, datasets, config, alphas, monkeypatch, path)
     assert_histories_match(got, want)
 
 
 @pytest.mark.parametrize(
-    "algorithm, d, woodbury",
+    "algorithm, d, low_rank",
     [
-        ("st_sopro", 50, True),
+        ("st_sopro", 50, True),  # the widest set, 45 rows, fits: Gram
+        ("st_sopro", 45, True),  # W = d: Gram
+        ("st_sopro", 44, True),  # W = d + 1: row Woodbury
         ("sopro", 50, True),  # Hessian batches of 20..45 rows, padded to 45
         ("sopro", 30, False),  # some local sets have more rows than d
     ],
 )
-def test_run_accepts_unequal_local_datasets(algorithm, d, woodbury, monkeypatch):
+def test_run_accepts_unequal_local_datasets(algorithm, d, low_rank, monkeypatch):
     P, datasets = make_problem([20, 30, 45, 25, 35], d, seed=1)
     config = RunConfig(batch_g=8, batch_s=6, max_iters=20, seed=2, algorithm=algorithm)
     alphas = certified_alphas(P, datasets)
     want = reference_run(P, datasets, config, alphas)
-    got = engine_history(P, datasets, config, alphas, monkeypatch, expect_woodbury=woodbury)
+    path = low_rank_path(low_rank, 45, d)
+    got = engine_history(P, datasets, config, alphas, monkeypatch, path)
     assert_histories_match(got, want)
     assert np.all(np.isfinite(got[-1][0]))
+
+
+@pytest.mark.parametrize("d", [15, 60])  # row Woodbury, Gram
+def test_run_refuses_a_drawn_index_outside_a_local_set(d, monkeypatch):
+    def past_the_end(sizes, size, *args):
+        idx = draw_batches(sizes, size, *args)
+        idx[1, -1] = sizes[1]  # a padding row of the 30-row set
+        return idx
+
+    monkeypatch.setattr(optimizer, "draw_batches", past_the_end)
+    P, datasets = make_problem([20, 30, 45, 25, 35], d, seed=1)
+    with pytest.raises(InvariantViolation, match="round 0: drawn index outside a local set"):
+        run(P, datasets, RunConfig(batch_g=8, batch_s=6, max_iters=3, seed=2),
+            certified_alphas(P, datasets))
 
 
 # ------------------------------------------------------------- shared parts

@@ -1,17 +1,23 @@
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soprolab import certificate
-from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation
+from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation, SoprolabError
 from soprolab.harness import reference
 from soprolab.harness.cli import main
 from soprolab.harness.experiment import (
+    CONFIG_SCHEMA,
     ExperimentConfig,
     config_from_mapping,
+    parse_config_file,
     run_experiment,
 )
 from soprolab.harness.metrics import MetricRow, MetricsTrace, aggregate_traces
@@ -227,3 +233,75 @@ def test_cli_certify_rejects_a_mu_below_the_recipe_bound(capsys):
     assert main(["certify", *SMALL, "--mu", "1e-9"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "mu=1e-09 " in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("run", "--seeds", "0"),
+        ("run", "--seeds", "-1"),
+        ("tune", "--seeds", "0"),
+        ("run", "--test-size", "-5"),
+    ],
+)
+def test_cli_refuses_no_seeds_and_a_negative_test_size(command, flag, value, tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("step_size=0.1\n")
+    argv = [command, *SMALL, "--out", str(tmp_path / "out"), flag, value]
+    if command == "tune":
+        argv += ["--algorithm", "dsgd", "--target-error", "0.1", "--grid", str(grid)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    least = 1 if key == "seeds" else 0
+    assert err.startswith("error: ") and f"key {key!r} needs at least {least}, got {value}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tuning_refuses_zero_seeds():
+    config = ExperimentConfig(
+        dim=4, n_agents=3, per_agent=10, test_size=5, batch_g=2, batch_s=2, max_iters=2,
+        algorithm="dsgd", target_error=0.1,
+    )
+    with pytest.raises(ConfigurationError, match="key 'seeds' needs at least 1, got 0"):
+        tune_baseline(config, [{"step_size": "0.1"}], n_seeds=0)
+
+
+@pytest.mark.parametrize("flag", ["--config", "--grid", "--dataset", "--topology-file"])
+def test_cli_reports_a_missing_file(flag, tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    grid = tmp_path / "grid.txt"
+    grid.write_text("step_size=0.1\n")
+    argv = ["tune", *SMALL, "--algorithm", "dsgd", "--target-error", "0.1",
+            "--grid", str(grid), flag, str(missing)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert str(missing) in err
+
+
+# Config text: lines of schema keys, junk keys and arbitrary values, with
+# and without '='.
+_CONFIG_KEYS = st.one_of(st.sampled_from(sorted(CONFIG_SCHEMA)), st.text(max_size=6))
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "3", "2.5", "1e3", "nan", "inf", "none", "auto", "", "st_sopro"]),
+    st.text(max_size=8),
+)
+_CONFIG_LINES = st.lists(
+    st.tuples(_CONFIG_KEYS, st.sampled_from([" = ", "=", " ", ""]), _CONFIG_VALUES).map("".join),
+    max_size=8,
+)
+
+
+@given(st.one_of(st.text(max_size=200), _CONFIG_LINES.map("\n".join)))
+@settings(max_examples=200, deadline=None, database=None)
+def test_config_text_parses_or_raises_a_package_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            config = config_from_mapping(parse_config_file(path))
+        except SoprolabError:
+            return
+    assert isinstance(config, ExperimentConfig)
+    assert config.seeds >= 1 and config.test_size >= 0

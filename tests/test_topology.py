@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soprolab.errors import InvariantViolation, ParameterError, ParseError
+from soprolab.errors import InvariantViolation, ParameterError, ParseError, SoprolabError
 from soprolab.topology import (
     Graph,
     build_random_connected_graph,
@@ -263,6 +263,42 @@ def test_edge_list_parse_errors():
     except ParseError as e:
         err = e
     assert err is not None and err.line == 2
+
+
+def test_edge_list_refuses_a_header_with_too_few_edges_before_sizing_the_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the graph was built")
+
+    monkeypatch.setattr(Graph, "from_edges", refuse)
+    with pytest.raises(ParseError, match="needs at least 999999999999") as e:
+        read_edge_list(io.StringIO("# huge\n1000000000000 0\n"))
+    assert e.value.line == 2
+    with pytest.raises(ParseError, match="needs at least 3"):
+        read_edge_list(io.StringIO("4 2\n0 1 1.0\n1 2 1.0\n"))
+
+
+# Edge-list text: a header, then lines of small integers, weights and
+# junk.  Agent counts stay small, so any graph the text describes is tiny.
+_EDGE_TOKENS = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.sampled_from(["0.5", "1.0", "-1", "0", "nan", "inf", "1e400", "1e-320", "x", "#", "1 2"]),
+    st.text(max_size=4),
+)
+_EDGE_LINES = st.lists(st.lists(_EDGE_TOKENS, max_size=4).map(" ".join), max_size=12)
+_EDGE_TEXT = st.builds(
+    "{} {}\n{}".format, st.integers(0, 4), st.integers(-1, 5), _EDGE_LINES.map("\n".join)
+)
+
+
+@given(st.one_of(st.text(max_size=200), _EDGE_LINES.map("\n".join), _EDGE_TEXT))
+@settings(max_examples=200, deadline=None, database=None)
+def test_read_edge_list_parses_or_raises_a_package_error_on_any_text(text):
+    try:
+        p = read_edge_list(io.StringIO(text))
+    except SoprolabError:
+        return
+    assert p.graph.is_connected()
+    assert np.isfinite(p.matrix).all()
 
 
 def test_matrix_is_immutable():
