@@ -94,9 +94,16 @@ def m_beta(m_fbar: float, n_agents: int, M: float, beta: float, lambda_w: float)
 def _lambda_min_shifted(
     alphas: np.ndarray, t: np.ndarray, beta: float, P: MatrixP
 ) -> float:
-    """Smallest eigenvalue of ``diag(alphas + t) - beta * P``."""
-    A = -beta * P.matrix + np.diag(alphas + t)
-    return float(np.linalg.eigvalsh(A)[0])
+    """Smallest eigenvalue of ``diag(alphas + t) - beta * P``.
+
+    When the diagonal is one value ``s`` for every agent and ``beta >= 0``,
+    that is ``s - beta * lambda_max(P)`` from the spectral summary computed
+    once per matrix; a per-agent diagonal takes an N x N eigensolve.
+    """
+    diag = alphas + t
+    if beta >= 0 and np.all(diag == diag[0]):
+        return float(diag[0] - beta * P.spectral.lambda_max)
+    return float(np.linalg.eigvalsh(-beta * P.matrix + np.diag(diag))[0])
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,13 @@ Per sample ``(a, b)`` with ``b in {-1, +1}`` the loss at ``x`` is
 sample losses of one agent; batch gradients and Hessians average uniformly
 chosen subsets and are unbiased for the full quantities.
 
-Data stays in arrays from file to engine: :func:`parse_libsvm` returns one
-``(n, d)`` feature matrix and ``(n,)`` labels, :func:`partition` gathers
-the local sets into one ``(N, C, d)`` block, and the stacked functions
+Data stays in arrays from file to engine.  :func:`parse_libsvm` tokenizes
+each slice of ``_CHUNK_LINES`` lines as one array of code points, converts
+ASCII-digit indices and plain decimals (at most 15 significant digits, no
+exponent) with array arithmetic, and sends every other token through
+``int()``/``float()`` once per distinct string; it returns one ``(n, d)``
+feature matrix and ``(n,)`` labels.  :func:`partition` gathers the local
+sets into one ``(N, C, d)`` block, and the stacked functions
 (:func:`stacked_grad`, :func:`stacked_curvature`, :func:`sigma_sq_estimate`)
 work on all agents at once.  :class:`Sample` and the ``sample_*``
 functions are the per-sample definitions those are checked against.
@@ -15,7 +19,6 @@ functions are the per-sample definitions those are checked against.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,59 +147,191 @@ def _apply_label_map(raw: np.ndarray, linenos: list[int], label_map: dict) -> np
     return mapped
 
 
+# Lines per slice of a file: the tokenizer's arrays grow with a slice, not
+# with the file.
 _CHUNK_LINES = 1024
-# Two colons in one token: no whitespace between them.
-_DOUBLE_COLON = re.compile(r":[^\s:]*:")
+# The code points that ``str.split`` treats as whitespace, and those among
+# them that ``str.splitlines`` ends a line at; none lies above U+3000.
+_SPACES = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0, 0x1680,
+           *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+_BREAKS = (10, 11, 12, 13, 28, 29, 30, 0x85, 0x2028, 0x2029)
+# A carriage return ends a line only when no line feed follows it.
+_SPACE, _BREAK, _CR = 1, 2, 4
+_CLASS = np.zeros(0x3002, dtype=np.uint8)
+_CLASS[list(_SPACES)] |= _SPACE
+_CLASS[list(_BREAKS)] |= _BREAK
+_CLASS[13] |= _CR
+# The longest field converted with array arithmetic: a sign, a dot and 21
+# digits, so at most 22 digits follow the dot and 10**k is an exact double.
+_PLAIN_CHARS = 23
+_POW10 = np.array([float(10**k) for k in range(_PLAIN_CHARS)])
 
 
-def _parse_chunk(label_toks: list[str], bodies: list[str]):
-    """Raw labels, tokens per line, and the indices and values of a chunk of
-    data lines, or ``None`` when any token in it is malformed.
+def _class_of(c: np.ndarray) -> np.ndarray:
+    """Classes of the code points ``c``.  Those past the table read its
+    last entry, U+3001, which has no class."""
+    return _CLASS[c if c.dtype == np.uint8 else np.minimum(c, _CLASS.size - 1)]
 
-    A chunk is tokenized with whole-string operations.  It is well-formed
-    when every feature token holds exactly one colon with text on both
-    sides: as many colons as tokens, no token with two, and twice as many
-    pieces as tokens once colons become spaces.  ``int`` and ``float``
-    then convert the pieces, so a chunk is accepted exactly when each of
-    its tokens would be on its own.
+
+def _breaks(codes: np.ndarray, at: np.ndarray, cls: np.ndarray) -> np.ndarray:
+    """Mask of the positions ``at``, of classes ``cls``, whose characters
+    end a line as ``str.splitlines`` ends them: ``\\r\\n`` is one break,
+    ended by its ``\\n``."""
+    brk = cls & _BREAK > 0
+    cr = np.flatnonzero(cls & _CR)
+    brk[cr[codes[np.minimum(at[cr] + 1, codes.size - 1)] == 10]] = False
+    return brk
+
+
+def _plain_decimals(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Convert the fields ``codes[start:end]`` that are plain decimals.
+
+    A field is plain when it is an optional sign, then ASCII digits with at
+    most one dot among them, with at least one and at most 15 significant
+    digits, no exponent and at most ``_PLAIN_CHARS`` characters.  Its value
+    is ``M / 10**k``, ``M`` the digits read as one integer and ``k`` the
+    number of digits after the dot.  Both are exact doubles, so the one
+    division is correctly rounded, as ``float()`` is; the sign is applied
+    after it, so ``-0`` gives ``-0.0``.
+
+    Returns ``(value, plain, digits_only)``.  Where a field is plain and
+    made of ASCII digits alone, ``value`` is its ``int()``.
     """
-    joined = " ".join(bodies)
-    n_tokens = len(joined.split())
-    pieces = joined.replace(":", " ").split()
-    if (
-        joined.count(":") != n_tokens
-        or len(pieces) != 2 * n_tokens
-        or _DOUBLE_COLON.search(joined)
-    ):
-        return None
-    idx_strs = pieces[0::2]
+    size = end - start
+    value = np.zeros(start.size)
+    plain = np.zeros(start.size, dtype=bool)
+    digits_only = np.zeros(start.size, dtype=bool)
+    present = np.zeros(_PLAIN_CHARS + 2, dtype=bool)
+    present[np.minimum(size, _PLAIN_CHARS + 1)] = True
+    # The fields of one width at a time, as a (width, fields) array.
+    for width in np.flatnonzero(present[1:-1]).tolist():
+        width += 1
+        at = slice(None) if present.sum() == 1 else np.flatnonzero(size == width)
+        chars = codes[start[at] + np.arange(width)[:, None]]
+        digit = (chars >= 48) & (chars <= 57)
+        mant = np.zeros(chars.shape[1])
+        if digit.all():
+            for row in chars:
+                mant = 10.0 * mant + (row & 15)
+            value[at] = mant
+            plain[at] = mant < 1e15
+            digits_only[at] = True
+            continue
+        for row, d in zip(chars, digit):
+            mant = np.where(d, 10.0 * mant + (row & 15), mant)
+        dot = chars == 46
+        n_digits = digit.sum(axis=0)
+        n_dots = dot.sum(axis=0)
+        head = chars[0]
+        plain[at] = (
+            (n_digits + n_dots + ((head == 43) | (head == 45)) == width)
+            & (n_dots <= 1)
+            & (n_digits > 0)
+            & (mant < 1e15)
+        )
+        scale = (digit & np.logical_or.accumulate(dot, axis=0)).sum(axis=0)
+        mant /= _POW10[scale]
+        value[at] = np.where(head == 45, -mant, mant)
+        digits_only[at] = n_digits == width
+    return value, plain, digits_only
+
+
+def _convert(codes: np.ndarray, text: str, start: np.ndarray, end: np.ndarray, convert):
+    """``convert``, ``int`` or ``float``, of each field ``text[start:end]``.
+
+    Plain fields (see :func:`_plain_decimals`; for ``int``, only those of
+    ASCII digits alone) are converted with array arithmetic.  Every other
+    field goes through ``convert`` once per distinct string, so a field it
+    refuses raises its ``ValueError``.
+    """
+    value, plain, digits_only = _plain_decimals(codes, start, end)
+    if convert is int:
+        plain &= digits_only
+        value = np.where(plain, value, 0.0).astype(np.int64)
+    slow = np.flatnonzero(~plain)
+    if slow.size:
+        fields = [text[s:e] for s, e in zip(start[slow].tolist(), end[slow].tolist())]
+        converted = {f: convert(f) for f in set(fields)}
+        value[slow] = [converted[f] for f in fields]
+    return value
+
+
+def _tokenize(codes: np.ndarray, text: str):
+    """Lines, and the data lines' contents, of one slice of a file.
+
+    ``codes`` holds the code points of ``text``, which starts a line and
+    ends one.  Returns ``(n_lines, parsed)``: the number of line breaks in
+    the slice, and ``(lines, raw labels, tokens per line, indices, values)``
+    of its data lines, with ``lines`` 0-based within the slice, or ``None``
+    when any token in it is malformed.
+    """
+    # Whitespace and colons in text order, and a space past the end.
+    sep = np.flatnonzero((codes <= 32) | (codes == 58) | (codes >= 0x85))
+    c = codes[sep]
+    cls = _class_of(c)
+    kept = (cls > 0) | (c == 58)
+    sep, cls = np.append(sep[kept], codes.size), np.append(cls[kept], _SPACE)
+    space_at = np.flatnonzero(cls[:-1])
+    space = sep[space_at]
+    brk = np.flatnonzero(_breaks(codes, space, cls[space_at]))
+    # Tokens are the runs between whitespace: token k follows edge[gap[k]].
+    edge = np.concatenate(([-1], space, [codes.size]))
+    gap = np.flatnonzero(np.diff(edge) > 1)
+    start, end = edge[gap] + 1, edge[gap + 1]
+    # The separator after a token's start is its first colon, if it has one.
+    after = np.append(-1, space_at)[gap] + 1
+    colon = np.where(cls[after] == 0, sep[after], -1)
+    # Lines: edge[e] follows the breaks among space[:e].
+    line = np.repeat(np.arange(brk.size + 1), np.diff(np.concatenate(([0], brk + 1, [edge.size]))))
+    line = line[gap]
+    # The first token of a line is its label, or opens a comment.
+    head = np.ones(start.size, dtype=bool)
+    head[1:] = line[1:] != line[:-1]
+    labels = np.flatnonzero(head)
+    comment = codes[start[labels]] == 35
+    if comment.any():
+        in_comment = np.zeros(brk.size + 1, dtype=bool)
+        in_comment[line[labels[comment]]] = True
+        keep = ~in_comment[line]
+        start, end, line, head, colon = (a[keep] for a in (start, end, line, head, colon))
+        labels = np.flatnonzero(head)
+
+    lens = np.diff(np.append(labels, start.size)) - 1
+    feat = ~head
+    f_start, f_end, f_colon = start[feat], end[feat], colon[feat]
+    # A feature token splits at its first colon.  int() and float() refuse
+    # empty text and any other colon, so the conversions reject the rest.
+    if np.any(f_colon < 0):
+        return brk.size, None
     try:
-        raw = np.array(list(map(float, label_toks)))
-        # Files repeat at most d distinct indices, so each is converted once.
-        index_of = {s: int(s) for s in set(idx_strs)}
-        idx = np.array(list(map(index_of.__getitem__, idx_strs)), dtype=np.int64)
-        val = np.array(list(map(float, pieces[1::2])), dtype=float)
+        raw = _convert(codes, text, start[labels], end[labels], float)
+        idx = _convert(codes, text, f_start, f_colon, int)
+        val = _convert(codes, text, f_colon + 1, f_end, float)
     except ValueError:
-        return None
-    lens = np.array([b.count(":") for b in bodies])
+        return brk.size, None
     # Indices start above 0 and increase strictly within each line.
     prev = np.empty_like(idx)
     prev[1:] = idx[:-1]
     prev[(np.cumsum(lens) - lens)[lens > 0]] = 0
     if np.any(idx <= prev):
-        return None
-    return raw, lens, idx, val
+        return brk.size, None
+    return brk.size, (line[labels], raw, lens, idx, val)
 
 
-def _raise_first_error(linenos: list[int], label_toks: list[str], bodies: list[str]):
-    """Raise the error of the first malformed token of these data lines."""
-    for lineno, label, body in zip(linenos, label_toks, bodies):
+def _raise_first_error(text: str, first_line: int):
+    """Raise the error of the first malformed token in ``text``, whose
+    first line is line ``first_line`` of the file."""
+    for lineno, line in enumerate(text.splitlines(), start=first_line):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        label, *features = tokens
         try:
             float(label)
         except ValueError:
             raise ParseError(f"bad label token {label!r}", line=lineno) from None
         prev = 0
-        for tok in body.split():
+        for tok in features:
             try:
                 idx_s, val_s = tok.split(":", 1)
                 idx = int(idx_s)
@@ -211,7 +346,7 @@ def _raise_first_error(linenos: list[int], label_toks: list[str], bodies: list[s
                     line=lineno,
                 )
             prev = idx
-    raise InvariantViolation("a rejected chunk has no malformed token")
+    raise InvariantViolation("a rejected slice has no malformed token")
 
 
 def parse_libsvm(source, dim: int | None = None, label_map: dict | None = None):
@@ -219,56 +354,66 @@ def parse_libsvm(source, dim: int | None = None, label_map: dict | None = None):
 
     Each line that is neither blank nor a ``#`` comment is
     ``<label> <idx>:<val> ...`` with 1-based, strictly increasing indices.
-    Labels are mapped to +-1: raw ``{-1,+1}`` pass through, ``{1,2}`` maps
-    2 to -1, ``{0,1}`` maps 0 to -1; an explicit ``label_map`` overrides the
-    automatic rule.  The dimension is the largest index seen, overridable
-    upward via ``dim``.
+    Lines, blanks and tokens are as ``str.splitlines`` and ``str.split``
+    find them.  Labels are mapped to +-1: raw ``{-1,+1}`` pass through,
+    ``{1,2}`` maps 2 to -1, ``{0,1}`` maps 0 to -1; an explicit
+    ``label_map`` overrides the automatic rule.  The dimension is the
+    largest index seen, overridable upward via ``dim``.
 
-    Lines are tokenized in chunks with whole-string operations and the
-    entries scattered into one matrix.  A malformed chunk is walked token
-    by token, so the :class:`ParseError` names the first bad token or label
-    in file order and its line.
+    The text is cut into slices of ``_CHUNK_LINES`` lines at its ASCII line
+    breaks.  Each slice is tokenized as one array of code points: its ASCII
+    bytes, or its UTF-32 when it is not ASCII.  Indices of ASCII digits and
+    plain decimal labels and values (see :func:`_plain_decimals`) are
+    converted with array arithmetic, equal to ``int()`` and ``float()``.
+    Other fields, such as exponents, underscores, non-ASCII digits,
+    ``inf``/``nan`` and long digit strings, go through ``int()`` or
+    ``float()`` once per distinct string.  A slice with a malformed token is
+    walked token by token, so the :class:`ParseError` names the first bad
+    token or label in file order and its line.
 
     Returns ``(features, labels)``: ``(n, d)`` floats and ``(n,)`` ints.
     """
-    text = source.read() if hasattr(source, "read") else source
-    if isinstance(text, bytes):
-        text = text.decode()
+    data = source.read() if hasattr(source, "read") else source
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    elif not data.isascii():
+        data.decode()  # invalid UTF-8 fails before any line is parsed
 
-    linenos: list[int] = []
-    label_toks: list[str] = []
-    bodies: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        ln = line.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        head = ln.split(None, 1)
-        linenos.append(lineno)
-        label_toks.append(head[0])
-        bodies.append(head[1] if len(head) > 1 else "")
-
-    raw = np.empty(len(linenos))
-    rows, idxs, vals = [], [], []
-    for start in range(0, len(linenos), _CHUNK_LINES):
-        chunk = slice(start, start + _CHUNK_LINES)
-        parsed = _parse_chunk(label_toks[chunk], bodies[chunk])
+    whole = np.frombuffer(data, dtype=np.uint8)
+    # Bytes below 32 are never part of a multi-byte character.
+    low = np.flatnonzero(whole < 32)
+    ends = low[_breaks(whole, low, _class_of(whole[low]))][_CHUNK_LINES - 1 :: _CHUNK_LINES] + 1
+    cuts = np.unique(np.concatenate(([0], ends, [whole.size]))).tolist()
+    first_line = 1
+    linenos, raws, entries = [], [], []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        text = data[a:b].decode("utf-8", "surrogatepass")
+        if text.isascii():
+            codes = whole[a:b]
+        else:
+            codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        n_lines, parsed = _tokenize(codes, text)
         if parsed is None:
-            _raise_first_error(linenos[chunk], label_toks[chunk], bodies[chunk])
-        raw[chunk], lens, idx, val = parsed  # raw labels, tokens per line, entries
-        rows.append(np.repeat(np.arange(start, start + lens.shape[0]), lens))
-        idxs.append(idx)
-        vals.append(val)
+            _raise_first_error(text, first_line)
+        line, raw, lens, idx, val = parsed
+        linenos.append(first_line + line)
+        raws.append(raw)
+        entries.append((lens, idx, val))
+        first_line += n_lines
 
+    linenos = np.concatenate(linenos) if linenos else np.zeros(0, dtype=np.intp)
+    raw = np.concatenate(raws) if raws else np.zeros(0)
     if label_map is not None:
-        labels = _apply_label_map(raw, linenos, label_map)
+        labels = _apply_label_map(raw, linenos.tolist(), label_map)
     else:
-        labels = _map_labels(raw, linenos)
+        labels = _map_labels(raw, linenos.tolist())
 
-    idx = np.concatenate(idxs) if idxs else np.zeros(0, dtype=np.int64)
-    d = max(int(idx.max()) if idx.size else 0, dim or 0)
-    features = np.zeros((len(linenos), d))
-    if idx.size:
-        features[np.concatenate(rows), idx - 1] = np.concatenate(vals)
+    d = max(max((int(idx.max()) for _, idx, _ in entries if idx.size), default=0), dim or 0)
+    features = np.zeros((raw.size, d))
+    row = 0
+    for lens, idx, val in entries:
+        features[np.repeat(np.arange(row, row + lens.size), lens), idx - 1] = val
+        row += lens.size
     return features, labels
 
 

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from soprolab import certificate
 from soprolab.certificate import (
     QNormError,
     RateCertificate,
@@ -287,6 +289,28 @@ def test_kappa_range_validation():
         kappa(0.0, 0.5, alphas, bounds, 1.0, P)
     with pytest.raises(ParameterError):
         kappa(1.0, 0.5, alphas, bounds, 1.0, P, m_beta_value=0.1)
+
+
+@pytest.mark.parametrize(
+    "alphas, t, eigensolves",
+    [
+        (np.full(12, 9.5), -1.25, 0),
+        (np.full(12, 9.5), np.full(12, -1.25), 0),
+        (9.5 + np.linspace(0.0, 1.0, 12), np.linspace(-1.25, -1.0, 12) ** 2, 1),
+    ],
+    ids=["uniform", "uniform-per-agent-t", "per-agent"],
+)
+def test_lambda_min_shifted_matches_eigvalsh_and_skips_it_for_a_uniform_diagonal(
+    alphas, t, eigensolves
+):
+    P = laplacian_weights(build_random_connected_graph(12, 3.0, seed=3), 1.0)
+    beta = 0.7
+    want = np.linalg.eigvalsh(-beta * P.matrix + np.diag(alphas + t))[0]
+    P.spectral  # computed once per matrix, before counting
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+        got = certificate._lambda_min_shifted(alphas, t, beta, P)
+    assert eig.call_count == eigensolves
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 # ---------------------------------------------------------------- certify

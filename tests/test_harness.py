@@ -74,7 +74,7 @@ def test_trace_with_a_non_finite_value_is_refused_and_not_written():
     assert out.getvalue() == ""
 
 
-SETUP_PHASES = ("load_s", "reference_s", "certificate_s")
+SETUP_PHASES = ("data_s", "load_s", "reference_s", "certificate_s")
 
 
 def trace_lines(path):

@@ -1,7 +1,10 @@
 """Array set-up (parse, partition, reference solve, noise estimate) against
 the per-line, per-sample and per-agent loops of ``oracles.py``."""
 
+import io
 import json
+import sys
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -181,11 +184,91 @@ def test_parse_matches_per_token_parser_across_full_chunks():
         "1 1_0:2 1_1:3e1_0",  # int and float accept underscores
         "1 \u0661:2",  # and other Unicode digits
         "1 1:inf 2:-nan",
+        # 15, 16 and 17 significant digits: only the first are converted
+        # with array arithmetic.  Digits read into a double and divided
+        # would miss 81.399717223787401 by one unit in the last place.
+        "1 1:0.123456789012345 2:-98765432109876.5 3:000123456789012345"
+        " 4:0.1234567890123456 5:-9876543210987.654 6:1234567890123456"
+        " 7:0.30000000000000004 8:-81.399717223787401 9:12345678901234567",
+        # More than 22 digits after the dot: 10**23 is no exact double.
+        "1 1:.00000000000000000049114 2:-.0000000000000000000054305",
+        "-1 1:1e-3 2:1E+2 3:.5 4:5. 5:+2.5 6:-0 7:-0.0 8:+0",  # -0 keeps its sign
+        "-1.0 1:1 2:.",
+        "+1 00012:1 00000000000000000013:2",  # the second index has 20 digits
+        "1\xa01:1\u30002:1 3:1\xa0",
+        "1 1:1\x0b-1 2:1\x0c1 3:1\x1c-1 1:1\x85-1 2:1\u20281 3:1",
+        "1 1:1\r\n\r-1 2:1\x1d\x1e1 3:1\u2029",
+        "1 1:1\r\n-1 2:1\r\n1 3:x",  # \r\n ends one line
+        "1 1:1\u2028-1 2:1\x85 1 3:x",
+        "1 1:1 2:\ud800",  # a lone surrogate in a str
     ],
 )
-def test_parse_matches_per_token_parser_on_tricky_lines(line):
-    assert_same_outcome(line)
-    assert_same_outcome("1 1:1\n" * 5 + line)
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
+def test_parse_matches_per_token_parser_on_tricky_lines(line, chunk):
+    with mock.patch.object(loss, "_CHUNK_LINES", chunk):
+        assert_same_outcome(line)
+        assert_same_outcome("1 1:1\n" * 5 + line)
+
+
+def test_parse_refuses_an_index_beyond_int64_like_the_per_token_parser():
+    text = "1 1:1 12345678901234567890:1"
+    for parse in (parse_libsvm, parse_libsvm_per_token):
+        with pytest.raises(OverflowError):
+            parse(text)
+
+
+@pytest.mark.parametrize("edge", ["first", "last"])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
+def test_parse_reports_an_error_on_a_slice_edge_like_the_per_token_parser(chunk, edge):
+    lines = [f"{(-1) ** k} {k % 7 + 1}:0.5 9:{k}" for k in range(2 * chunk + 1)]
+    # Line chunk + 1 opens the second slice and line 2 * chunk closes it.
+    bad = chunk + 1 if edge == "first" else 2 * chunk
+    lines[bad - 1] = lines[bad - 1].replace(":0.5", ":x")
+    text = "\n".join(lines)
+    with mock.patch.object(loss, "_CHUNK_LINES", chunk), pytest.raises(ParseError) as e:
+        parse_libsvm(text)
+    assert e.value.line == bad
+    assert outcome(parse_libsvm_per_token, text) == (str(e.value), bad)
+
+
+def test_tokenizer_classes_are_those_of_str_split_and_splitlines():
+    codes = range(sys.maxunicode + 1)
+    spaces = [c for c in codes if chr(c).isspace()]
+    # Every code point, each followed by a NUL that breaks no line.
+    lines = "\0".join(map(chr, codes)).splitlines(keepends=True)
+    breaks = sorted(ord(line[-1]) for line in lines[:-1])
+    assert np.flatnonzero(loss._CLASS & loss._SPACE).tolist() == spaces
+    assert np.flatnonzero(loss._CLASS & loss._BREAK).tolist() == breaks
+
+
+def one_hot_libsvm(rows, attributes, columns, seed):
+    """Rows with one active column per attribute, each attribute owning a
+    contiguous range of columns, as the a4a and mushrooms files do."""
+    rng = np.random.default_rng(seed)
+    edges = np.linspace(0, columns, attributes + 1).astype(int)
+    cols = 1 + edges[:-1] + (rng.random((rows, attributes)) * np.diff(edges)).astype(int)
+    labels = rng.choice(["+1", "-1"], size=rows)
+    return "".join(
+        f"{b} " + " ".join(f"{c}:1" for c in row) + "\n" for b, row in zip(labels, cols.tolist())
+    )
+
+
+@pytest.mark.parametrize("rows, attributes, columns", [(4781, 14, 123), (8124, 22, 112)],
+                         ids=["a4a", "mushrooms"])
+def test_parse_of_benchmark_shaped_files_is_exact_and_peaks_below_twice_the_matrix(
+    rows, attributes, columns
+):
+    text = one_hot_libsvm(rows, attributes, columns, seed=rows)
+    source = io.BytesIO(text.encode())
+    tracemalloc.start()
+    try:
+        got = parse_libsvm(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_arrays(got, parse_libsvm_per_token(text))
+    assert got[0].shape == (rows, columns)
+    assert peak <= 2 * got[0].nbytes
 
 
 @pytest.mark.parametrize(
@@ -335,7 +418,7 @@ def test_trace_summary_records_the_set_up_phases(tmp_path):
     )
     result = experiment.run_experiment(config)
     summary = json.loads(result.trace_paths[0].read_text().splitlines()[-1])
-    phases = ("load_s", "reference_s", "certificate_s")
+    phases = ("data_s", "load_s", "reference_s", "certificate_s")
     assert summary["type"] == "summary"
     assert all(isinstance(summary[k], float) and summary[k] >= 0 for k in phases)
-    assert set(result.problem.timings) == {"load_s", "reference_s"}
+    assert set(result.problem.timings) == {"data_s", "load_s", "reference_s"}
