@@ -203,13 +203,16 @@ def _plain_decimals(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
     digits_only = np.zeros(start.size, dtype=bool)
     present = np.zeros(_PLAIN_CHARS + 2, dtype=bool)
     present[np.minimum(size, _PLAIN_CHARS + 1)] = True
-    # The fields of one width at a time, as a (width, fields) array.
-    for width in np.flatnonzero(present[1:-1]).tolist():
-        width += 1
-        at = slice(None) if present.sum() == 1 else np.flatnonzero(size == width)
+    # The fields of one width at a time, as a (width, fields) array; empty
+    # and overlong fields are not plain.
+    for width in range(1, _PLAIN_CHARS + 1):
+        if not present[width]:
+            continue
+        at = np.flatnonzero(size == width)
         chars = codes[start[at] + np.arange(width)[:, None]]
         digit = (chars >= 48) & (chars <= 57)
-        mant = np.zeros(chars.shape[1])
+        mant = np.zeros(at.size)
+        # ASCII digits alone, as indices are, need no dot or sign.
         if digit.all():
             for row in chars:
                 mant = 10.0 * mant + (row & 15)
@@ -282,8 +285,8 @@ def _tokenize(codes: np.ndarray, text: str):
     after = np.append(-1, space_at)[gap] + 1
     colon = np.where(cls[after] == 0, sep[after], -1)
     # Lines: edge[e] follows the breaks among space[:e].
-    line = np.repeat(np.arange(brk.size + 1), np.diff(np.concatenate(([0], brk + 1, [edge.size]))))
-    line = line[gap]
+    per_line = np.diff(np.concatenate(([0], brk + 1, [edge.size])))
+    line = np.repeat(np.arange(brk.size + 1), per_line)[gap]
     # The first token of a line is its label, or opens a comment.
     head = np.ones(start.size, dtype=bool)
     head[1:] = line[1:] != line[:-1]
@@ -385,7 +388,8 @@ def parse_libsvm(source, dim: int | None = None, label_map: dict | None = None):
     ends = low[_breaks(whole, low, _class_of(whole[low]))][_CHUNK_LINES - 1 :: _CHUNK_LINES] + 1
     cuts = np.unique(np.concatenate(([0], ends, [whole.size]))).tolist()
     first_line = 1
-    linenos, raws, entries = [], [], []
+    linenos: list[int] = []
+    raws, entries = [], []
     for a, b in zip(cuts[:-1], cuts[1:]):
         text = data[a:b].decode("utf-8", "surrogatepass")
         if text.isascii():
@@ -396,19 +400,18 @@ def parse_libsvm(source, dim: int | None = None, label_map: dict | None = None):
         if parsed is None:
             _raise_first_error(text, first_line)
         line, raw, lens, idx, val = parsed
-        linenos.append(first_line + line)
+        linenos += (first_line + line).tolist()
         raws.append(raw)
         entries.append((lens, idx, val))
         first_line += n_lines
 
-    linenos = np.concatenate(linenos) if linenos else np.zeros(0, dtype=np.intp)
     raw = np.concatenate(raws) if raws else np.zeros(0)
     if label_map is not None:
-        labels = _apply_label_map(raw, linenos.tolist(), label_map)
+        labels = _apply_label_map(raw, linenos, label_map)
     else:
-        labels = _map_labels(raw, linenos.tolist())
+        labels = _map_labels(raw, linenos)
 
-    d = max(max((int(idx.max()) for _, idx, _ in entries if idx.size), default=0), dim or 0)
+    d = max([dim or 0] + [int(idx.max()) for _, idx, _ in entries if idx.size])
     features = np.zeros((raw.size, d))
     row = 0
     for lens, idx, val in entries:

@@ -203,11 +203,11 @@ def test_parse_matches_per_token_parser_across_full_chunks():
         "1 1:1 2:\ud800",  # a lone surrogate in a str
     ],
 )
-@pytest.mark.parametrize("chunk", [1, 2, 3, 1024])
-def test_parse_matches_per_token_parser_on_tricky_lines(line, chunk):
-    with mock.patch.object(loss, "_CHUNK_LINES", chunk):
-        assert_same_outcome(line)
-        assert_same_outcome("1 1:1\n" * 5 + line)
+def test_parse_matches_per_token_parser_on_tricky_lines(line):
+    for chunk in (1, 2, 3, 1024):
+        with mock.patch.object(loss, "_CHUNK_LINES", chunk):
+            assert_same_outcome(line)
+            assert_same_outcome("1 1:1\n" * 5 + line)
 
 
 def test_parse_refuses_an_index_beyond_int64_like_the_per_token_parser():
