@@ -363,9 +363,10 @@ def parse_libsvm(source, dim: int | None = None, label_map: dict | None = None):
     ``label_map`` overrides the automatic rule.  The dimension is the
     largest index seen, overridable upward via ``dim``.
 
-    The text is cut into slices of ``_CHUNK_LINES`` lines at its ASCII line
-    breaks.  Each slice is tokenized as one array of code points: its ASCII
-    bytes, or its UTF-32 when it is not ASCII.  Indices of ASCII digits and
+    The text is cut after every ``_CHUNK_LINES``-th ASCII line break, so a
+    slice holds that many lines unless U+0085, U+2028 or U+2029 break more.
+    Each slice is tokenized as one array of code points: its ASCII bytes,
+    or its UTF-32 when it is not ASCII.  Indices of ASCII digits and
     plain decimal labels and values (see :func:`_plain_decimals`) are
     converted with array arithmetic, equal to ``int()`` and ``float()``.
     Other fields, such as exponents, underscores, non-ASCII digits,
