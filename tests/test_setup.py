@@ -68,7 +68,16 @@ LABELS = {
     "01": ["0", "1", "0.0", "+1"],
     "12": ["1", "2", "2.0"],
 }
-VALUES = st.floats(width=64).map(repr) | st.sampled_from(["1", "0", "-0", "1e-3", "+2.5"])
+# Plain decimals of up to 40 digits, either side of the 15 significant
+# digits that array arithmetic converts.
+DIGITS = st.text("0123456789", max_size=20)
+PLAIN = (
+    st.tuples(st.sampled_from(["", "+", "-"]), DIGITS, st.sampled_from(["", "."]), DIGITS)
+    .map("".join)
+    .filter(lambda v: any(c.isdigit() for c in v))
+)
+VALUES = (st.floats(width=64).map(repr) | PLAIN
+          | st.sampled_from(["1", "0", "-0", "1e-3", "+2.5"]))
 
 
 @st.composite
