@@ -7,9 +7,9 @@ chosen subsets and are unbiased for the full quantities.
 
 Data stays in arrays from file to engine.  :func:`parse_libsvm` tokenizes
 each slice of ``_CHUNK_LINES`` lines as one array of code points, converts
-ASCII-digit indices and plain decimals (at most 15 significant digits, no
-exponent) with array arithmetic, and sends every other token through
-``int()``/``float()`` once per distinct string; it returns one ``(n, d)``
+indices, labels and values made of ASCII digits and an optional sign with
+array arithmetic, and sends every other token through ``int()``/``float()``
+once per distinct string; it returns one ``(n, d)``
 feature matrix and ``(n,)`` labels.  :func:`partition` gathers the local
 sets into one ``(N, C, d)`` block, and the stacked functions
 (:func:`stacked_grad`, :func:`stacked_curvature`, :func:`sigma_sq_estimate`)
@@ -161,10 +161,9 @@ _CLASS = np.zeros(0x3002, dtype=np.uint8)
 _CLASS[list(_SPACES)] |= _SPACE
 _CLASS[list(_BREAKS)] |= _BREAK
 _CLASS[13] |= _CR
-# The longest field converted with array arithmetic: a sign, a dot and 21
-# digits, so at most 22 digits follow the dot and 10**k is an exact double.
-_PLAIN_CHARS = 23
-_POW10 = np.array([float(10**k) for k in range(_PLAIN_CHARS)])
+# The longest field converted with array arithmetic: room for a sign and
+# 15 digits.
+_PLAIN_CHARS = 16
 
 
 def _class_of(c: np.ndarray) -> np.ndarray:
@@ -183,74 +182,46 @@ def _breaks(codes: np.ndarray, at: np.ndarray, cls: np.ndarray) -> np.ndarray:
     return brk
 
 
-def _plain_decimals(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """Convert the fields ``codes[start:end]`` that are plain decimals.
+def _plain_integers(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Convert the fields ``codes[start:end]`` that are plain integers.
 
-    A field is plain when it is an optional sign, then ASCII digits with at
-    most one dot among them, with at least one and at most 15 significant
-    digits, no exponent and at most ``_PLAIN_CHARS`` characters.  Its value
-    is ``M / 10**k``, ``M`` the digits read as one integer and ``k`` the
-    number of digits after the dot.  Both are exact doubles, so the one
-    division is correctly rounded, as ``float()`` is; the sign is applied
-    after it, so ``-0`` gives ``-0.0``.
+    A field is plain when it is an optional sign and then ASCII digits, at
+    most ``_PLAIN_CHARS`` characters in all, whose value is below 10**15.
+    That value is an exact double and equals both ``int()`` and ``float()``
+    of the field; the sign is applied last, so ``-0`` gives ``-0.0``.
 
-    Returns ``(value, plain, digits_only)``.  Where a field is plain and
-    made of ASCII digits alone, ``value`` is its ``int()``.
+    Returns ``(value, plain)``; ``value`` is arbitrary where not ``plain``.
     """
     size = end - start
     value = np.zeros(start.size)
     plain = np.zeros(start.size, dtype=bool)
-    digits_only = np.zeros(start.size, dtype=bool)
-    present = np.zeros(_PLAIN_CHARS + 2, dtype=bool)
-    present[np.minimum(size, _PLAIN_CHARS + 1)] = True
+    count = np.bincount(np.minimum(size, _PLAIN_CHARS + 1), minlength=_PLAIN_CHARS + 2)
     # The fields of one width at a time, as a (width, fields) array; empty
     # and overlong fields are not plain.
-    for width in range(1, _PLAIN_CHARS + 1):
-        if not present[width]:
-            continue
+    for width in (np.flatnonzero(count[1 : _PLAIN_CHARS + 1]) + 1).tolist():
         at = np.flatnonzero(size == width)
         chars = codes[start[at] + np.arange(width)[:, None]]
-        digit = (chars >= 48) & (chars <= 57)
-        mant = np.zeros(at.size)
-        # ASCII digits alone, as indices are, need no dot or sign.
-        if digit.all():
-            for row in chars:
-                mant = 10.0 * mant + (row & 15)
-            value[at] = mant
-            plain[at] = mant < 1e15
-            digits_only[at] = True
-            continue
-        for row, d in zip(chars, digit):
-            mant = np.where(d, 10.0 * mant + (row & 15), mant)
-        dot = chars == 46
-        n_digits = digit.sum(axis=0)
-        n_dots = dot.sum(axis=0)
         head = chars[0]
-        plain[at] = (
-            (n_digits + n_dots + ((head == 43) | (head == 45)) == width)
-            & (n_dots <= 1)
-            & (n_digits > 0)
-            & (mant < 1e15)
-        )
-        scale = (digit & np.logical_or.accumulate(dot, axis=0)).sum(axis=0)
-        mant /= _POW10[scale]
+        digit = (chars >= 48) & (chars <= 57)
+        mant = np.where(digit[0], head & 15, 0.0)
+        for row in chars[1:]:
+            mant = 10.0 * mant + (row & 15)
+        signed = ((head == 43) | (head == 45)) & (width > 1)
+        plain[at] = (digit[0] | signed) & digit[1:].all(axis=0) & (mant < 1e15)
         value[at] = np.where(head == 45, -mant, mant)
-        digits_only[at] = n_digits == width
-    return value, plain, digits_only
+    return value, plain
 
 
 def _convert(codes: np.ndarray, text: str, start: np.ndarray, end: np.ndarray, convert):
     """``convert``, ``int`` or ``float``, of each field ``text[start:end]``.
 
-    Plain fields (see :func:`_plain_decimals`; for ``int``, only those of
-    ASCII digits alone) are converted with array arithmetic.  Every other
-    field goes through ``convert`` once per distinct string, so a field it
-    refuses raises its ``ValueError``.
+    Plain integer fields (see :func:`_plain_integers`) are converted with
+    array arithmetic.  Every other field goes through ``convert`` once per
+    distinct string, so a field it refuses raises its ``ValueError``.
     """
-    value, plain, digits_only = _plain_decimals(codes, start, end)
+    value, plain = _plain_integers(codes, start, end)
     if convert is int:
-        plain &= digits_only
-        value = np.where(plain, value, 0.0).astype(np.int64)
+        value = value.astype(np.int64)
     slow = np.flatnonzero(~plain)
     if slow.size:
         fields = [text[s:e] for s, e in zip(start[slow].tolist(), end[slow].tolist())]
@@ -366,14 +337,15 @@ def parse_libsvm(source, dim: int | None = None, label_map: dict | None = None):
     The text is cut after every ``_CHUNK_LINES``-th ASCII line break, so a
     slice holds that many lines unless U+0085, U+2028 or U+2029 break more.
     Each slice is tokenized as one array of code points: its ASCII bytes,
-    or its UTF-32 when it is not ASCII.  Indices of ASCII digits and
-    plain decimal labels and values (see :func:`_plain_decimals`) are
-    converted with array arithmetic, equal to ``int()`` and ``float()``.
-    Other fields, such as exponents, underscores, non-ASCII digits,
-    ``inf``/``nan`` and long digit strings, go through ``int()`` or
-    ``float()`` once per distinct string.  A slice with a malformed token is
-    walked token by token, so the :class:`ParseError` names the first bad
-    token or label in file order and its line.
+    or its UTF-32 when it is not ASCII.  Indices, labels and values that
+    are an optional sign and ASCII digits below 10**15 (see
+    :func:`_plain_integers`) are converted with array arithmetic, equal to
+    ``int()`` and ``float()``.  Other fields, such as decimals with a dot,
+    exponents, underscores, non-ASCII digits, ``inf``/``nan`` and long
+    digit strings, go through ``int()`` or ``float()`` once per distinct
+    string.  A slice with a malformed token is walked token by token, so
+    the :class:`ParseError` names the first bad token or label in file
+    order and its line.
 
     Returns ``(features, labels)``: ``(n, d)`` floats and ``(n,)`` ints.
     """

@@ -68,8 +68,8 @@ LABELS = {
     "01": ["0", "1", "0.0", "+1"],
     "12": ["1", "2", "2.0"],
 }
-# Plain decimals of up to 40 digits, either side of the 15 significant
-# digits that array arithmetic converts.
+# Plain decimals of up to 40 digits; those without a dot fall either side
+# of the 15 digits that array arithmetic converts.
 DIGITS = st.text("0123456789", max_size=20)
 PLAIN = (
     st.tuples(st.sampled_from(["", "+", "-"]), DIGITS, st.sampled_from(["", "."]), DIGITS)
@@ -193,13 +193,12 @@ def test_parse_matches_per_token_parser_across_full_chunks():
         "1 1_0:2 1_1:3e1_0",  # int and float accept underscores
         "1 \u0661:2",  # and other Unicode digits
         "1 1:inf 2:-nan",
-        # 15, 16 and 17 significant digits: only the first are converted
-        # with array arithmetic.  Digits read into a double and divided
-        # would miss 81.399717223787401 by one unit in the last place.
+        # 15, 16 and 17 significant digits.  Digits read into a double and
+        # divided would miss 81.399717223787401 by one unit in the last place.
         "1 1:0.123456789012345 2:-98765432109876.5 3:000123456789012345"
         " 4:0.1234567890123456 5:-9876543210987.654 6:1234567890123456"
         " 7:0.30000000000000004 8:-81.399717223787401 9:12345678901234567",
-        # More than 22 digits after the dot: 10**23 is no exact double.
+        # More than 22 digits after the dot, where 10**23 is no exact double.
         "1 1:.00000000000000000049114 2:-.0000000000000000000054305",
         "-1 1:1e-3 2:1E+2 3:.5 4:5. 5:+2.5 6:-0 7:-0.0 8:+0",  # -0 keeps its sign
         "-1.0 1:1 2:.",
@@ -238,6 +237,36 @@ def test_parse_reports_an_error_on_a_slice_edge_like_the_per_token_parser(chunk,
         parse_libsvm(text)
     assert e.value.line == bad
     assert outcome(parse_libsvm_per_token, text) == (str(e.value), bad)
+
+
+@pytest.mark.parametrize("convert", [int, float])
+def test_array_conversion_equals_int_and_float_at_its_boundaries(convert):
+    fields = [
+        "0", "7", "-0", "+0", "-7", "+12", "0000000000000012", "+000000000000012",
+        "999999999999999", "-999999999999999", "1000000000000000",
+        "9007199254740993", "-9007199254740993", "12345678901234567",
+        "1.5", ".5", "1e3", "+", "-", "+-1", "1-", "1+1", "x", "\u0661",
+    ]
+    text = " ".join(fields)
+    codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    end = np.cumsum([len(f) + 1 for f in fields]) - 1
+    start = end - [len(f) for f in fields]
+    accepted = []
+    for k, f in enumerate(fields):
+        one = start[k : k + 1], end[k : k + 1]
+        try:
+            want = convert(f)
+        except ValueError:
+            with pytest.raises(ValueError):
+                loss._convert(codes, text, *one, convert)
+            continue
+        accepted.append(k)
+        got = loss._convert(codes, text, *one, convert)
+        assert got.tobytes() == np.array([want], dtype=got.dtype).tobytes(), f
+    # The accepted fields at once, as one slice converts them.
+    got = loss._convert(codes, text, start[accepted], end[accepted], convert)
+    assert got.tolist() == [convert(fields[k]) for k in accepted]
+    assert got.dtype == (np.int64 if convert is int else np.float64)
 
 
 def test_tokenizer_classes_are_those_of_str_split_and_splitlines():
