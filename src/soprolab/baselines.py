@@ -148,8 +148,11 @@ def run_baseline(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> Netwo
     for cb in callbacks:
         cb(0, state)
     for _ in range(config.max_iters):
-        step_fn(state, W, sets, config, n_edges)
-        check_finite(state.x, state.round)
+        # A diverging round overflows; its non-finite iterate, not a numpy
+        # warning, is what reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            step_fn(state, W, sets, config, n_edges)
+            check_finite(state.x, state.round)
         for cb in callbacks:
             cb(state.round, state)
     return state

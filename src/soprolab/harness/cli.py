@@ -84,6 +84,7 @@ def _cmd_reference(args) -> int:
     ref = problem.reference
     print(f"dim = {ref.x.shape[0]}")
     print(f"newton_iterations = {ref.iterations}")
+    print(f"hessian_factorizations = {ref.factorizations}")
     print(f"grad_norm = {ref.grad_norm:.3e}")
     print(f"x_star_norm = {np.linalg.norm(ref.x):.12e}")
     print(f"x_star_head = {ref.x[: min(5, ref.x.shape[0])]}")

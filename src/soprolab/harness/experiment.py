@@ -38,7 +38,6 @@ from .metrics import (
 from .reference import (
     ReferenceSolution,
     estimate_sigma_sq,
-    local_gradients,
     solve_reference,
 )
 from .synthetic import gaussian_blob_samples
@@ -296,7 +295,7 @@ def build_certificate(config: ExperimentConfig, problem: Problem):
         tau_value,
         c1=config.c1,
     )
-    q_star = -local_gradients(problem.datasets, problem.reference.x)
+    q_star = -problem.reference.local_grads
     q_err = cert.QNormError(
         problem.P, rate.r_diag, config.beta, problem.reference.x, q_star
     )
@@ -354,6 +353,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "reference": {
             "grad_norm": problem.reference.grad_norm,
             "iterations": problem.reference.iterations,
+            "factorizations": problem.reference.factorizations,
         },
     }
 
@@ -366,20 +366,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         t0 = time.perf_counter()
 
         def on_round(k, state, _trace=trace, _t0=t0):
-            acc = (
-                accuracy(state.x.mean(axis=0), problem.test)
-                if len(problem.test)
-                else None
-            )
-            row = MetricRow(
-                round=k,
-                opt_err=optimality_error(state.x, problem.reference.x),
-                comm_bits=BITS_PER_SCALAR * state.comm_scalars,
-                q_err=q_err(state.x, state.q) if q_err is not None else None,
-                test_acc=acc,
-                wall_s=time.perf_counter() - _t0,
-            )
-            # Finite iterates far enough out overflow the squared errors.
+            # Finite iterates far enough out overflow the metrics; the
+            # check below reports that.
+            with np.errstate(over="ignore", invalid="ignore"):
+                acc = (
+                    accuracy(state.x.mean(axis=0), problem.test)
+                    if len(problem.test)
+                    else None
+                )
+                row = MetricRow(
+                    round=k,
+                    opt_err=optimality_error(state.x, problem.reference.x),
+                    comm_bits=BITS_PER_SCALAR * state.comm_scalars,
+                    q_err=q_err(state.x, state.q) if q_err is not None else None,
+                    test_acc=acc,
+                    wall_s=time.perf_counter() - _t0,
+                )
             for name in ("opt_err", "q_err"):
                 value = getattr(row, name)
                 if value is not None and not math.isfinite(value):

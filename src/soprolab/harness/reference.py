@@ -5,9 +5,19 @@ strongly convex, so a damped Newton iteration drives its gradient norm to
 essentially machine precision; the resulting point is the oracle against
 which every decentralized trajectory is measured.
 
+The iteration keeps its Cholesky factor of the Hessian from one step to
+the next while the gradient norm keeps falling fast: it factors the
+Hessian at the current point again only when the norm did not fall to
+``_REFACTOR_RATIO`` (0.1) times its value at the step before.  An old
+factor still gives a descent direction, and the Armijo search and the
+gradient tolerance are those of plain Newton, so only the path to the
+optimum changes, not where it stops.
+
 Every evaluation covers all agents at once over the stacked local sets
 (:func:`~soprolab.loss.stack_local_sets`): each row carries the weight
-``1/C_i`` of its agent's average, and padding rows weigh 0.
+``1/C_i`` of its agent's average, and padding rows weigh 0.  The margins
+``F x`` of a point are computed once and serve its objective, gradient
+and Hessian.
 """
 
 from __future__ import annotations
@@ -16,15 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit
 
 from ..errors import SoprolabError
-from ..loss import sigma_sq_estimate, stack_local_sets, stacked_grad
+from ..loss import (
+    logistic_curvature,
+    sigma_sq_estimate,
+    stack_local_sets,
+    stacked_grad,
+    stacked_margins,
+)
 
 __all__ = [
     "ReferenceSolution",
     "solve_reference",
-    "local_gradients",
     "probe_points",
     "estimate_sigma_sq",
 ]
@@ -35,11 +49,18 @@ class ReferenceSolution:
     x: np.ndarray
     grad_norm: float
     iterations: int
+    factorizations: int
+    # (N, d): row i is agent i's exact gradient at x; q* is its negative.
+    local_grads: np.ndarray
 
 
 # Relative rounding level of the summed objective, with room for the
 # error of summing many per-sample losses.
 _ROUNDING = 1e3 * np.finfo(float).eps
+
+# A Newton step keeps the last Cholesky factor when the gradient norm fell
+# to at most this fraction of its value at the step before.
+_REFACTOR_RATIO = 0.1
 
 # Rows per Hessian update: bounds the scaled copy of the rows to about 1 MB
 # at d = 123 instead of one copy of the whole stack.
@@ -56,24 +77,33 @@ class _Pool:
         width = self.feats.shape[1]
         self.weights = (np.arange(width) < self.counts[:, None]) / self.counts[:, None]
 
-    def objective(self, x: np.ndarray) -> float:
-        z = self.labels * (self.feats @ x)
-        logistic = float(np.sum(self.weights * np.logaddexp(0.0, -z)))
+    def _spread(self, x: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(x, (len(self.counts), x.shape[0]))
+
+    def margins(self, x: np.ndarray) -> np.ndarray:
+        """``(N, W)`` margins ``F x`` of every stacked row."""
+        return stacked_margins(self._spread(x), self.feats)
+
+    def objective(self, x: np.ndarray, u: np.ndarray) -> float:
+        """``F(x)`` from the margins ``u`` of ``x``."""
+        logistic = float(np.sum(self.weights * np.logaddexp(0.0, -self.labels * u)))
         return 0.5 * float(self.lam.sum()) * float(x @ x) + logistic
 
-    def local_gradients(self, x: np.ndarray) -> np.ndarray:
-        """``(N, d)``: row ``i`` is agent ``i``'s exact gradient at ``x``."""
-        X = np.broadcast_to(x, (len(self.counts), x.shape[0]))
-        return stacked_grad(X, self.feats, self.labels, self.counts, self.lam)
+    def local_gradients(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``(N, d)``: row ``i`` is agent ``i``'s exact gradient at ``x``,
+        from the margins ``u`` of ``x``."""
+        return stacked_grad(
+            self._spread(x), self.feats, self.labels, self.counts, self.lam, margins=u
+        )
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         # Rows added in agent order, as a sum of per-agent gradients would.
-        return self.local_gradients(x).sum(axis=0)
+        return self.local_gradients(x, self.margins(x)).sum(axis=0)
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        d = x.shape[0]
-        p = expit(self.feats @ x)
-        root = np.sqrt(self.weights * p * (1.0 - p)).reshape(-1)
+    def hessian(self, u: np.ndarray) -> np.ndarray:
+        """Hessian of ``F`` at the point whose margins are ``u``."""
+        d = self.feats.shape[2]
+        root = np.sqrt(self.weights * logistic_curvature(u)).reshape(-1)
         rows = self.feats.reshape(-1, d)
         H = np.zeros((d, d))
         for start in range(0, rows.shape[0], _HESS_CHUNK_ROWS):
@@ -84,39 +114,50 @@ class _Pool:
         return H
 
 
-def local_gradients(datasets, x: np.ndarray) -> np.ndarray:
-    """``(N, d)`` exact local gradients of all agents at one point ``x``."""
-    return _Pool(datasets).local_gradients(x)
-
-
 def solve_reference(datasets, tol: float = 1e-12, max_iters: int = 200) -> ReferenceSolution:
     """Minimize the aggregate objective by damped Newton.
 
-    Stops when the gradient norm drops to ``tol``.
+    Stops when the gradient norm drops to ``tol``.  The Hessian is factored
+    again only when the gradient norm did not fall by ``_REFACTOR_RATIO``
+    over the last step (see the module docstring).
     """
     pool = _Pool(datasets)
     x = np.zeros(pool.feats.shape[2])
-    f = pool.objective(x)
+    u = pool.margins(x)
+    f = pool.objective(x, u)
+    factor, factorizations, last_gn = None, 0, np.inf
     for it in range(max_iters):
-        g = pool.gradient(x)
+        grads = pool.local_gradients(x, u)
+        # Rows added in agent order, as a sum of per-agent gradients would.
+        g = grads.sum(axis=0)
         gn = float(np.linalg.norm(g))
         if gn <= tol:
-            return ReferenceSolution(x=x, grad_norm=gn, iterations=it)
-        step = cho_solve(cho_factor(pool.hessian(x)), g)
+            return ReferenceSolution(
+                x=x, grad_norm=gn, iterations=it, factorizations=factorizations,
+                local_grads=grads,
+            )
+        if factor is None or gn > _REFACTOR_RATIO * last_gn:
+            factor = cho_factor(pool.hessian(u))
+            factorizations += 1
+        last_gn = gn
+        step = cho_solve(factor, g)
         t = 1.0
         gTs = float(g @ step)
         if gTs <= _ROUNDING * abs(f):
             # The expected decrease is below what f resolves, so the Armijo
             # test would compare rounding noise; this close to the optimum
-            # the full Newton step converges quadratically.
+            # the full step converges, and a step that does not cut the
+            # gradient norm tenfold is followed by a fresh factor.
             x = x - step
-            f = pool.objective(x)
+            u = pool.margins(x)
+            f = pool.objective(x, u)
             continue
         while t > 1e-12:
             cand = x - t * step
-            fc = pool.objective(cand)
+            uc = pool.margins(cand)
+            fc = pool.objective(cand, uc)
             if fc <= f - 1e-4 * t * gTs:
-                x, f = cand, fc
+                x, u, f = cand, uc, fc
                 break
             t *= 0.5
         else:

@@ -12,9 +12,10 @@ array arithmetic, and sends every other token through ``int()``/``float()``
 once per distinct string; it returns one ``(n, d)``
 feature matrix and ``(n,)`` labels.  :func:`partition` gathers the local
 sets into one ``(N, C, d)`` block, and the stacked functions
-(:func:`stacked_grad`, :func:`stacked_curvature`, :func:`sigma_sq_estimate`)
-work on all agents at once.  :class:`Sample` and the ``sample_*``
-functions are the per-sample definitions those are checked against.
+(:func:`stacked_margins`, :func:`stacked_grad`, :func:`stacked_curvature`,
+:func:`sigma_sq_estimate`) work on all agents at once.  :class:`Sample`
+and the ``sample_*`` functions are the per-sample definitions those are
+checked against.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "full_grad",
     "full_hess",
     "stack_local_sets",
+    "stacked_margins",
     "stacked_grad",
     "stacked_curvature",
     "logistic_coef",
@@ -566,22 +568,33 @@ def full_hess(x: np.ndarray, ds: LocalDataset) -> LowRankHessian:
     return batch_hess(x, ds, np.arange(ds.n_samples))
 
 
+def stacked_margins(x: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """``(N, k)`` margins ``feats[i] @ x[i]`` of all agents' rows at their
+    ``(N, d)`` points ``x``."""
+    return (feats @ x[:, :, None])[:, :, 0]
+
+
 def stacked_grad(
     x: np.ndarray,
     feats: np.ndarray,
     labels: np.ndarray,
     counts: np.ndarray,
     lam: np.ndarray,
+    margins: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batch gradients of all agents at once, one row each.
 
     ``x`` is ``(N, d)``; agent ``i``'s batch is the rows ``feats[i]``
     (``(N, k, d)``) with labels ``labels[i]`` (``(N, k)``), of which the
     first ``counts[i]`` are real and the rest are zero padding; ``lam`` is
-    ``(N,)``.  Row ``i`` equals :func:`batch_grad` on the same rows: with
-    one BLAS thread, stacked ``matmul`` makes the same calls per agent.
+    ``(N,)``.  ``margins``, if given, are :func:`stacked_margins` of ``x``
+    and ``feats``, computed once for several uses.  Row ``i`` equals
+    :func:`batch_grad` on the same rows: with one BLAS thread, stacked
+    ``matmul`` makes the same calls per agent.
     """
-    coef = logistic_coef((feats @ x[:, :, None])[:, :, 0], labels)
+    if margins is None:
+        margins = stacked_margins(x, feats)
+    coef = logistic_coef(margins, labels)
     return (
         lam[:, None] * x
         - (feats.transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0] / counts[:, None]
@@ -593,7 +606,7 @@ def stacked_curvature(x: np.ndarray, feats: np.ndarray, counts: np.ndarray) -> n
 
     Agent ``i``'s batch Hessian is ``lam_i I + feats[i]^T diag(w[i]) feats[i]``.
     """
-    return logistic_curvature((feats @ x[:, :, None])[:, :, 0]) / counts[:, None]
+    return logistic_curvature(stacked_margins(x, feats)) / counts[:, None]
 
 
 def logistic_coef(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -660,33 +673,36 @@ def sigma_sq_estimate(datasets, probe_points) -> float:
     Maximum over agents, samples, and probe points of
     ``||grad l_ij(x) - grad f_i(x)||^2``.  The max over samples dominates the
     in-expectation deviation the certificates need, making the reported
-    steady-state bounds conservative.  Each probe is evaluated for all
-    agents at once over :func:`stack_local_sets`; padding rows are masked.
+    steady-state bounds conservative.  The ``P`` probes are evaluated
+    together as the columns of one ``(d, P)`` block, for all agents at once
+    over :func:`stack_local_sets`: one matrix product gives every margin,
+    and stacked products give the agents' mean terms; padding rows are
+    masked.
     """
-    probes = list(probe_points)
+    probes = [np.asarray(x, dtype=float) for x in probe_points]
     if not probes:
         raise ParameterError("need at least one probe point")
     feats, labels = stack_local_sets(datasets)
-    _, width, d = feats.shape
+    n, width, d = feats.shape
+    for x in probes:
+        _check_dim(x, d)
+    X = np.stack(probes, axis=1)
     counts = np.array([ds.n_samples for ds in datasets])
     real = np.arange(width) < counts[:, None]
     row_sq = np.einsum("nwd,nwd->nw", feats, feats)
-    worst = 0.0
-    for x in probes:
-        x = np.asarray(x, dtype=float)
-        _check_dim(x, d)
-        # per-sample grad_j = lam*x - c_j a_j and full grad = lam*x - u with
-        # u the mean of c_j a_j, so the deviation is u - c_j a_j, whose
-        # squared norm expands without forming it.
-        c = labels * expit(-labels * (feats @ x))
-        u = (feats.transpose(0, 2, 1) @ c[:, :, None])[:, :, 0] / counts[:, None]
-        dev_sq = (
-            np.einsum("nd,nd->n", u, u)[:, None]
-            - 2.0 * c * (feats @ u[:, :, None])[:, :, 0]
-            + c * c * row_sq
-        )
-        worst = max(worst, float(dev_sq[real].max()))
-    return worst
+    # per-sample grad_j = lam*x - c_j a_j and full grad = lam*x - u with
+    # u the mean of c_j a_j, so the deviation is u - c_j a_j, whose
+    # squared norm c_j (c_j |a_j|^2 - 2 a_j.u) + |u|^2 expands without
+    # forming it.  Axis -1 runs over probes.  The sum is built in place,
+    # so at most three (N, W, P) blocks are alive at once.
+    c = logistic_coef((feats.reshape(-1, d) @ X).reshape(n, width, -1), labels[:, :, None])
+    u = (feats.transpose(0, 2, 1) @ c) / counts[:, None, None]
+    dev_sq = feats @ u
+    dev_sq *= -2.0
+    dev_sq += c * row_sq[:, :, None]
+    dev_sq *= c
+    dev_sq += np.einsum("ndp,ndp->np", u, u)[:, None, :]
+    return max(0.0, float(dev_sq[real].max()))
 
 
 def predict(x: np.ndarray, features: np.ndarray) -> np.ndarray:

@@ -45,7 +45,9 @@ three paths, chosen once per run from the shapes:
 A factorisation that fails names the agent whose system is not positive
 definite.  :func:`local_step` steps one agent alone by Cholesky: it is the per-agent
 oracle the batched steps are tested against.  A round whose iterate is
-not finite raises :class:`~soprolab.errors.DivergenceError`.
+not finite raises :class:`~soprolab.errors.DivergenceError`; the round
+runs under ``np.errstate(over="ignore", invalid="ignore")``, so that error
+is the only signal of a divergence, not a numpy warning before it.
 
 Randomness comes from counter-based substreams of the master seed.  The
 initial iterates use one substream per agent.  The batches of one (round,
@@ -596,21 +598,22 @@ def run(P: MatrixP, datasets, config: RunConfig, alphas, callbacks=()) -> Networ
     for cb in callbacks:
         cb(0, state)
     for k in range(config.max_iters):
-        if gram is not None:
-            t = sets.lam[:, None] * state.x + config.beta * state.y + state.q
-            g_idx = sets.draw(batch_g, k, PURPOSE_GRAD)
-            s_idx = sets.draw(batch_s, k, PURPOSE_HESS)
-            state.x = step(state.x, t, sets, gram, g_idx, s_idx, shift)
-        else:
-            grads = stacked_grad(state.x, *sets.batch(batch_g, k, PURPOSE_GRAD), sets.lam)
-            # Gathered after the gradient: both batches share the buffer.
-            F, _, counts = sets.batch(batch_s, k, PURPOSE_HESS)
-            w = stacked_curvature(state.x, F, counts)
-            # Rows past an agent's count are zero padding and stay zero.
-            B = np.multiply(np.sqrt(w)[:, :, None], F, out=sets.buffer(rows_s))
-            state.x = step(state.x, grads + config.beta * state.y + state.q, B, shift)
-        check_finite(state.x, k + 1)
-        exchange_and_dual_update(state, P, config.beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if gram is not None:
+                t = sets.lam[:, None] * state.x + config.beta * state.y + state.q
+                g_idx = sets.draw(batch_g, k, PURPOSE_GRAD)
+                s_idx = sets.draw(batch_s, k, PURPOSE_HESS)
+                state.x = step(state.x, t, sets, gram, g_idx, s_idx, shift)
+            else:
+                grads = stacked_grad(state.x, *sets.batch(batch_g, k, PURPOSE_GRAD), sets.lam)
+                # Gathered after the gradient: both batches share the buffer.
+                F, _, counts = sets.batch(batch_s, k, PURPOSE_HESS)
+                w = stacked_curvature(state.x, F, counts)
+                # Rows past an agent's count are zero padding and stay zero.
+                B = np.multiply(np.sqrt(w)[:, :, None], F, out=sets.buffer(rows_s))
+                state.x = step(state.x, grads + config.beta * state.y + state.q, B, shift)
+            check_finite(state.x, k + 1)
+            exchange_and_dual_update(state, P, config.beta)
         for cb in callbacks:
             cb(state.round, state)
     return state

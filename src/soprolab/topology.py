@@ -137,14 +137,13 @@ def build_random_connected_graph(n: int, target_avg_degree: float, seed: int) ->
     chosen = set(tree)
     missing = m_target - len(chosen)
     if missing > 0:
-        pool = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (i, j) not in chosen
-        ]
-        picks = rng.choice(len(pool), size=missing, replace=False)
-        chosen.update(pool[k] for k in picks)
+        # The non-edges i < j in lexicographic order, as np.nonzero lists
+        # the entries of the upper triangle.
+        free = np.triu(np.ones((n, n), dtype=bool), k=1)
+        free[tuple(np.array(tree).T)] = False
+        rows, cols = np.nonzero(free)
+        picks = rng.choice(rows.size, size=missing, replace=False)
+        chosen.update(zip(rows[picks].tolist(), cols[picks].tolist()))
     return Graph.from_edges(n, chosen)
 
 

@@ -1,8 +1,11 @@
-"""Per-line, per-sample and per-agent versions of the array set-up code.
+"""Per-line, per-sample, per-pair and per-agent versions of the array
+set-up code.
 
 Each function here is the plain loop that an array routine of
 ``soprolab`` replaced; the tests check the array routines against them.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -16,6 +19,7 @@ from soprolab.loss import (
     full_grad,
     full_hess,
 )
+from soprolab.topology import Graph, _tree_from_pruefer
 
 # Raw label sets LIBSVM files use, in the order they are tried, as maps to +-1.
 LABEL_CONVENTIONS = ({-1.0: -1, 1.0: 1}, {1.0: 1, 2.0: -1}, {0.0: -1, 1.0: 1})
@@ -156,3 +160,18 @@ def sigma_sq_per_agent(datasets, probes):
             dev_sq = float(u @ u) - 2.0 * c * (F @ u) + c * c * row_sq
             worst = max(worst, float(dev_sq.max()))
     return worst
+
+
+def random_connected_graph_per_pair(n, target_avg_degree, seed):
+    """``build_random_connected_graph`` drawing its extra edges from a
+    Python list of every non-edge pair."""
+    m_target = math.ceil(n * target_avg_degree / 2.0)
+    rng = np.random.default_rng(seed)
+    tree = [(0, 1)] if n == 2 else _tree_from_pruefer(rng.integers(0, n, size=n - 2), n)
+    chosen = set(tree)
+    missing = m_target - len(chosen)
+    if missing > 0:
+        pool = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in chosen]
+        picks = rng.choice(len(pool), size=missing, replace=False)
+        chosen.update(pool[k] for k in picks)
+    return Graph.from_edges(n, chosen)

@@ -432,9 +432,8 @@ def test_baselines_fail_loudly_on_divergence(algorithm):
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=300, seed=7, algorithm=algorithm, step_size=1e3
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError, match=r"round \d+: agent \d+ has a non-finite"):
-            run_baseline(P, datasets, config)
+    with pytest.raises(DivergenceError, match=r"round \d+: agent \d+ has a non-finite"):
+        run_baseline(P, datasets, config)
 
 
 def test_check_finite_names_round_and_agent():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import newton_per_agent
 from soprolab import certificate
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation, SoprolabError
 from soprolab.harness import reference
@@ -16,6 +17,8 @@ from soprolab.harness.cli import main
 from soprolab.harness.experiment import (
     CONFIG_SCHEMA,
     ExperimentConfig,
+    build_certificate,
+    build_problem,
     config_from_mapping,
     parse_config_file,
     run_experiment,
@@ -50,6 +53,30 @@ def test_solve_reference_passes_the_rounding_level_of_the_objective():
     assert sol.iterations <= 10
     g = sum(full_grad(sol.x, ds) for ds in datasets)
     assert np.linalg.norm(g) == sol.grad_norm
+    want = newton_per_agent(datasets)
+    assert np.linalg.norm(sol.x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_solve_reference_reuses_its_factor_at_the_a4a_shape():
+    # d = 123, N = 20, C = 239 with 14 active columns a row, as in a4a:
+    # plain Newton factors the Hessian at every one of its 5 steps.
+    datasets = one_hot_problem(20, 239, 123, 14, seed=0)
+    sol = reference.solve_reference(datasets)
+    assert sol.grad_norm <= 1e-12
+    assert sol.factorizations <= 3
+
+
+def test_certificate_reads_q_star_from_the_reference_solve():
+    config = ExperimentConfig(dim=6, n_agents=5, per_agent=30, test_size=0, batch_g=5,
+                              batch_s=5, max_iters=0)
+    problem = build_problem(config)
+    x_star = problem.reference.x
+    q_star = -np.array([full_grad(x_star, ds) for ds in problem.datasets])
+    assert np.linalg.norm(-problem.reference.local_grads - q_star) <= (
+        1e-12 * np.linalg.norm(q_star)
+    )
+    *_, q_err = build_certificate(config, problem)
+    assert q_err(np.tile(x_star, (5, 1)), -problem.reference.local_grads) == 0.0
 
 
 def test_tuning_scores_a_diverging_point_as_never_reaching_the_target():
@@ -57,8 +84,7 @@ def test_tuning_scores_a_diverging_point_as_never_reaching_the_target():
         dim=5, n_agents=4, per_agent=20, test_size=20, algorithm="dsgd",
         batch_g=5, max_iters=300, target_error=1e-2,
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = tune_baseline(config, [{"step_size": 0.1}, {"step_size": 1e3}])
+    result = tune_baseline(config, [{"step_size": 0.1}, {"step_size": 1e3}])
     stable, diverged = result.table
     assert math.isinf(diverged.mean_rounds) and math.isinf(diverged.mean_final_err)
     assert result.best is stable and math.isfinite(stable.mean_final_err)
@@ -108,9 +134,8 @@ def test_diverged_run_writes_its_rows_and_a_diverged_summary_then_raises(tmp_pat
         dim=15, n_agents=6, per_agent=40, test_size=20, batch_g=10, max_iters=300,
         algorithm="dsgd", step_size=1e3, out=str(tmp_path),
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError, match=r"round \d+: opt_err is not finite") as e:
-            run_experiment(config)
+    with pytest.raises(DivergenceError, match=r"round \d+: opt_err is not finite") as e:
+        run_experiment(config)
     k = e.value.round
     assert 0 < k < config.max_iters
     header, *rows, summary = (tmp_path / "dsgd_seed000.jsonl").read_text().splitlines()

@@ -413,10 +413,11 @@ def test_stacked_objective_gradient_and_hessian_match_per_agent_sums(sizes):
     pool = reference._Pool(datasets)
     rng = np.random.default_rng(1)
     for x in (np.zeros(6), rng.standard_normal(6)):
+        u = pool.margins(x)
         want = objective_per_agent(x, datasets)
-        assert abs(pool.objective(x) - want) <= 1e-13 * abs(want)
+        assert abs(pool.objective(x, u) - want) <= 1e-13 * abs(want)
         assert rel_err(pool.gradient(x), gradient_per_agent(x, datasets)) <= 1e-13
-        assert rel_err(pool.hessian(x), hessian_per_agent(x, datasets)) <= 1e-13
+        assert rel_err(pool.hessian(u), hessian_per_agent(x, datasets)) <= 1e-13
 
 
 @pytest.mark.parametrize("sizes", SIZES)
@@ -426,6 +427,7 @@ def test_solve_reference_matches_per_agent_newton(sizes):
     want = newton_per_agent(datasets)
     assert sol.grad_norm <= 1e-12
     assert np.max(np.abs(sol.x - want)) <= 1e-10
+    assert rel_err(sol.x, want) <= 1e-12
 
 
 @pytest.mark.parametrize("sizes", SIZES)

@@ -1,10 +1,12 @@
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import random_connected_graph_per_pair
 from soprolab.errors import InvariantViolation, ParameterError, ParseError, SoprolabError
 from soprolab.topology import (
     Graph,
@@ -33,6 +35,19 @@ def bfs_connected(n, edges):
                     nxt.append(v)
         frontier = nxt
     return len(seen) == n
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 20, 57, 200])
+def test_random_graph_matches_the_per_pair_draw(n):
+    # Average degree 2, 5 and the complete graph, where each is possible.
+    degrees = [deg for deg in (2.0, 5.0, n - 1.0)
+               if n - 1 <= math.ceil(n * deg / 2) <= n * (n - 1) // 2]
+    assert degrees
+    for deg in degrees:
+        for seed in range(5):
+            got = build_random_connected_graph(n, deg, seed)
+            want = random_connected_graph_per_pair(n, deg, seed)
+            assert got.edges == want.edges
 
 
 def test_paper_scale_graph_20_nodes_degree_5():
