@@ -1,0 +1,106 @@
+"""Golden traces: small experiments whose numbers a behaviour-keeping
+change must reproduce.
+
+Each case is one :func:`~soprolab.harness.experiment.run_experiment` on
+synthetic data (d <= 40, 30 rounds): St-SoPro on each of its three
+proximal paths (dense, Gram, row Woodbury), full-batch SoPro, DSGD and
+DSGT.  A golden file holds, per round, ``opt_err``, ``q_err``,
+``comm_bits`` and ``test_acc``; and per run the path the proximal step
+took, the alphas and every certificate field.  ``test_golden.py``
+compares a fresh run with the file at a relative tolerance of 1e-9.
+
+A change that moves these numbers on purpose writes the files again::
+
+    PYTHONPATH=src python tests/golden/make_golden.py
+
+and states in CHANGES.md that it did, with the largest relative change.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+from soprolab import optimizer
+from soprolab.harness.experiment import ExperimentConfig, build_certificate, run_experiment
+
+HERE = Path(__file__).resolve().parent
+
+COMMON = dict(
+    n_agents=6, avg_degree=2.0, test_size=60, lambda_reg=0.05, max_iters=30, master_seed=3,
+)
+
+# name: (the proximal step every round must take, config).  The engine
+# picks dense when S >= d, Gram when S < d and C <= d, and row Woodbury
+# when S < d < C.
+CASES = {
+    "st_sopro_dense": ("dense_step", dict(algorithm="st_sopro", dim=8, per_agent=30,
+                                          batch_g=10, batch_s=10)),
+    "st_sopro_gram": ("gram_step", dict(algorithm="st_sopro", dim=40, per_agent=30,
+                                        batch_g=10, batch_s=10)),
+    "st_sopro_woodbury": ("woodbury_step", dict(algorithm="st_sopro", dim=20, per_agent=40,
+                                                batch_g=10, batch_s=8)),
+    "sopro": ("dense_step", dict(algorithm="sopro", dim=10, per_agent=30)),
+    "dsgd": (None, dict(algorithm="dsgd", dim=10, per_agent=30, batch_g=10, step_size=0.5)),
+    "dsgt": (None, dict(algorithm="dsgt", dim=10, per_agent=30, batch_g=10, step_size=0.5)),
+}
+
+STEPS = ("dense_step", "gram_step", "woodbury_step")
+
+
+def config(name: str) -> ExperimentConfig:
+    return ExperimentConfig(**COMMON, **CASES[name][1])
+
+
+def record(name: str) -> dict:
+    """The golden record of case ``name``, computed now."""
+    cfg = config(name)
+    calls = dict.fromkeys(STEPS, 0)
+
+    def counted(step):
+        fn = getattr(optimizer, step)
+
+        def wrapper(*args, **kwargs):
+            calls[step] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with mock.patch.multiple(optimizer, **{step: counted(step) for step in STEPS}):
+        result = run_experiment(cfg)
+    _, alphas, _, _ = build_certificate(cfg, result.problem)
+    taken = [step for step, n in calls.items() if n]
+    return {
+        "config": cfg.to_dict(),
+        "path": taken[0] if len(taken) == 1 else taken or None,
+        "alphas": None if alphas is None else np.asarray(alphas).tolist(),
+        "certificate": None if result.certificate is None else result.certificate.to_dict(),
+        "rows": [
+            {"round": r.round, "opt_err": r.opt_err, "q_err": r.q_err,
+             "comm_bits": r.comm_bits, "test_acc": r.test_acc}
+            for r in result.traces[0].rows
+        ],
+    }
+
+
+def golden_path(name: str) -> Path:
+    return HERE / f"{name}.json"
+
+
+def main() -> int:
+    for name, (path, _) in CASES.items():
+        rec = record(name)
+        if rec["path"] != path:
+            print(f"{name}: the run took {rec['path']}, not {path}", file=sys.stderr)
+            return 1
+        golden_path(name).write_text(json.dumps(rec, indent=1) + "\n")
+        print(f"wrote {golden_path(name)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
