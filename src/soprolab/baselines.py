@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .loss import stacked_grad
+from .loss import StackedSets, stacked_grad
 from .optimizer import (
     PURPOSE_GRAD,
     LocalSets,
@@ -81,7 +81,7 @@ def _step_size(config: RunConfig, k: int) -> float:
 
 
 def _batch_grads(x, sets: LocalSets, config: RunConfig, round_idx: int) -> np.ndarray:
-    return stacked_grad(x, *sets.batch(config.batch_g, round_idx, PURPOSE_GRAD), sets.lam)
+    return stacked_grad(x, *sets.batch(config.batch_g, round_idx, PURPOSE_GRAD), sets.local.lam)
 
 
 def dsgd_round(
@@ -116,12 +116,12 @@ def dsgt_round(
     state.round += 1
 
 
-def init_baseline(P: MatrixP, datasets, config: RunConfig, sets: LocalSets) -> NetworkState:
+def init_baseline(P: MatrixP, config: RunConfig, sets: LocalSets) -> NetworkState:
     """Shared initial iterates with the proximal engine (same seed, same x0).
 
     DSGT's tracker starts at the round-0 batch gradients drawn from ``sets``.
     """
-    x = initial_iterates(P, datasets, config)
+    x = initial_iterates(P, sets.local, config)
     n, d = x.shape
     state = NetworkState(
         x=x,
@@ -136,14 +136,14 @@ def init_baseline(P: MatrixP, datasets, config: RunConfig, sets: LocalSets) -> N
     return state
 
 
-def run_baseline(P: MatrixP, datasets, config: RunConfig, callbacks=()) -> NetworkState:
+def run_baseline(P: MatrixP, local: StackedSets, config: RunConfig, callbacks=()) -> NetworkState:
     """Drive DSGD or DSGT for ``max_iters`` rounds under the engine contract."""
     if config.algorithm not in ("dsgd", "dsgt"):
         raise ConfigurationError(f"run_baseline() got {config.algorithm!r}")
     W = metropolis_weights(P.graph)
     n_edges = P.graph.n_edges
-    sets = LocalSets(datasets, config.seed)
-    state = init_baseline(P, datasets, config, sets)
+    sets = LocalSets(local, config.seed)
+    state = init_baseline(P, config, sets)
     step_fn = dsgd_round if config.algorithm == "dsgd" else dsgt_round
     for cb in callbacks:
         cb(0, state)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import baselines, certificate as cert, optimizer
 from ..errors import ConfigurationError, DivergenceError
-from ..loss import SmoothnessBounds, TestSet, parse_libsvm, partition
+from ..loss import SmoothnessBounds, StackedSets, TestSet, parse_libsvm, partition
 from ..topology import (
     MatrixP,
     build_random_connected_graph,
@@ -237,7 +237,7 @@ def _load_data(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class Problem:
     P: MatrixP
-    datasets: list
+    local: StackedSets
     test: TestSet
     bounds: SmoothnessBounds
     reference: ReferenceSolution
@@ -255,17 +255,17 @@ def build_problem(config: ExperimentConfig) -> Problem:
     seed = config.data_seed if config.data_seed is not None else config.master_seed
     # partition copies what it keeps, so the loaded arrays are freed here,
     # before the reference solve.
-    datasets, test = partition(data, config.n_agents, config.per_agent, seed, config.lambda_reg)
+    local, test = partition(data, config.n_agents, config.per_agent, seed, config.lambda_reg)
     del data
-    bounds = SmoothnessBounds.from_datasets(datasets)
+    bounds = SmoothnessBounds.from_sets(local)
     loaded = time.perf_counter()
-    ref = solve_reference(datasets)
+    ref = solve_reference(local)
     timings = {
         "data_s": data_end - data_start,
         "load_s": (data_start - start) + (loaded - data_end),
         "reference_s": time.perf_counter() - loaded,
     }
-    return Problem(P=P, datasets=datasets, test=test, bounds=bounds, reference=ref,
+    return Problem(P=P, local=local, test=test, bounds=bounds, reference=ref,
                    timings=timings)
 
 
@@ -279,7 +279,7 @@ def build_certificate(config: ExperimentConfig, problem: Problem):
     """
     if config.algorithm not in ("st_sopro", "sopro"):
         return None, None, config.mu, None
-    sigma_sq = estimate_sigma_sq(problem.datasets, problem.reference.x)
+    sigma_sq = estimate_sigma_sq(problem.local, problem.reference.x)
     G = config.per_agent if config.algorithm == "sopro" else config.batch_g
     tau_value = cert.tau(config.per_agent, G)
     alphas, mu = cert.proximal_alphas(
@@ -394,9 +394,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         run_header = {**header, "run_index": run_idx, "run_seed": seed}
         try:
             if config.algorithm in ("st_sopro", "sopro"):
-                optimizer.run(problem.P, problem.datasets, rc, alphas, [on_round])
+                optimizer.run(problem.P, problem.local, rc, alphas, [on_round])
             else:
-                baselines.run_baseline(problem.P, problem.datasets, rc, [on_round])
+                baselines.run_baseline(problem.P, problem.local, rc, [on_round])
         except DivergenceError as exc:
             if path is not None:
                 trace.write_jsonl(

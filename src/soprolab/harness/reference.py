@@ -14,7 +14,7 @@ gradient tolerance are those of plain Newton, so only the path to the
 optimum changes, not where it stops.
 
 Every evaluation covers all agents at once over the stacked local sets
-(:func:`~soprolab.loss.stack_local_sets`): each row carries the weight
+(:class:`~soprolab.loss.StackedSets`): each row carries the weight
 ``1/C_i`` of its agent's average, and padding rows weigh 0.  The margins
 ``F x`` of a point are computed once and serve its objective, gradient
 and Hessian.
@@ -29,9 +29,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import SoprolabError
 from ..loss import (
+    SmoothnessBounds,
+    StackedSets,
     logistic_curvature,
     sigma_sq_estimate,
-    stack_local_sets,
     stacked_grad,
     stacked_margins,
 )
@@ -68,32 +69,30 @@ _HESS_CHUNK_ROWS = 1024
 
 
 class _Pool:
-    """All local sets stacked, with the per-row weights of the averages."""
+    """The stacked local sets, with the per-row weights of the averages."""
 
-    def __init__(self, datasets):
-        self.feats, self.labels = stack_local_sets(datasets)
-        self.counts = np.array([ds.n_samples for ds in datasets])
-        self.lam = np.array([ds.lambda_reg for ds in datasets])
-        width = self.feats.shape[1]
-        self.weights = (np.arange(width) < self.counts[:, None]) / self.counts[:, None]
+    def __init__(self, local: StackedSets):
+        self.local = local
+        self.weights = local.real / local.counts[:, None]
 
     def _spread(self, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(x, (len(self.counts), x.shape[0]))
+        return np.broadcast_to(x, (len(self.local.counts), x.shape[0]))
 
     def margins(self, x: np.ndarray) -> np.ndarray:
         """``(N, W)`` margins ``F x`` of every stacked row."""
-        return stacked_margins(self._spread(x), self.feats)
+        return stacked_margins(self._spread(x), self.local.feats)
 
     def objective(self, x: np.ndarray, u: np.ndarray) -> float:
         """``F(x)`` from the margins ``u`` of ``x``."""
-        logistic = float(np.sum(self.weights * np.logaddexp(0.0, -self.labels * u)))
-        return 0.5 * float(self.lam.sum()) * float(x @ x) + logistic
+        logistic = float(np.sum(self.weights * np.logaddexp(0.0, -self.local.labels * u)))
+        return 0.5 * float(self.local.lam.sum()) * float(x @ x) + logistic
 
     def local_gradients(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``(N, d)``: row ``i`` is agent ``i``'s exact gradient at ``x``,
         from the margins ``u`` of ``x``."""
+        local = self.local
         return stacked_grad(
-            self._spread(x), self.feats, self.labels, self.counts, self.lam, margins=u
+            self._spread(x), local.feats, local.labels, local.counts, local.lam, margins=u
         )
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -102,27 +101,29 @@ class _Pool:
 
     def hessian(self, u: np.ndarray) -> np.ndarray:
         """Hessian of ``F`` at the point whose margins are ``u``."""
-        d = self.feats.shape[2]
+        d = self.local.feats.shape[2]
         root = np.sqrt(self.weights * logistic_curvature(u)).reshape(-1)
-        rows = self.feats.reshape(-1, d)
+        rows = self.local.feats.reshape(-1, d)
         H = np.zeros((d, d))
         for start in range(0, rows.shape[0], _HESS_CHUNK_ROWS):
             chunk = slice(start, start + _HESS_CHUNK_ROWS)
             B = rows[chunk] * root[chunk, None]
             H += B.T @ B
-        H.flat[:: d + 1] += self.lam.sum()
+        H.flat[:: d + 1] += self.local.lam.sum()
         return H
 
 
-def solve_reference(datasets, tol: float = 1e-12, max_iters: int = 200) -> ReferenceSolution:
-    """Minimize the aggregate objective by damped Newton.
+def solve_reference(
+    local: StackedSets, tol: float = 1e-12, max_iters: int = 200
+) -> ReferenceSolution:
+    """Minimize the aggregate objective of the local sets by damped Newton.
 
     Stops when the gradient norm drops to ``tol``.  The Hessian is factored
     again only when the gradient norm did not fall by ``_REFACTOR_RATIO``
     over the last step (see the module docstring).
     """
-    pool = _Pool(datasets)
-    x = np.zeros(pool.feats.shape[2])
+    pool = _Pool(local)
+    x = np.zeros(local.feats.shape[2])
     u = pool.margins(x)
     f = pool.objective(x, u)
     factor, factorizations, last_gn = None, 0, np.inf
@@ -167,13 +168,12 @@ def solve_reference(datasets, tol: float = 1e-12, max_iters: int = 200) -> Refer
     )
 
 
-def probe_points(datasets, x_star: np.ndarray, n_steps: int = 8) -> list[np.ndarray]:
+def probe_points(local: StackedSets, x_star: np.ndarray, n_steps: int = 8) -> list[np.ndarray]:
     """Probes for the gradient-noise estimate: origin, optimum, and the
     iterates of a short deterministic gradient descent between them."""
-    pool = _Pool(datasets)
+    pool = _Pool(local)
     probes = [np.zeros_like(x_star), x_star]
-    row_sq = np.einsum("nwd,nwd->nw", pool.feats, pool.feats)
-    total_M = float(np.sum(pool.lam + 0.25 * row_sq.max(axis=1)))
+    total_M = float(SmoothnessBounds.from_sets(local).M.sum())
     x = np.zeros_like(x_star)
     step = 1.0 / max(total_M, 1e-12)
     for _ in range(n_steps):
@@ -182,6 +182,6 @@ def probe_points(datasets, x_star: np.ndarray, n_steps: int = 8) -> list[np.ndar
     return probes
 
 
-def estimate_sigma_sq(datasets, x_star: np.ndarray) -> float:
+def estimate_sigma_sq(local: StackedSets, x_star: np.ndarray) -> float:
     """Gradient-deviation bound over the default probe set."""
-    return sigma_sq_estimate(datasets, probe_points(datasets, x_star))
+    return sigma_sq_estimate(local, probe_points(local, x_star))

@@ -11,16 +11,18 @@ indices, labels and values made of ASCII digits and an optional sign with
 array arithmetic, and sends every other token through ``int()``/``float()``
 once per distinct string; it returns one ``(n, d)``
 feature matrix and ``(n,)`` labels.  :func:`partition` gathers the local
-sets into one ``(N, C, d)`` block, and the stacked functions
-(:func:`stacked_margins`, :func:`stacked_grad`, :func:`stacked_curvature`,
-:func:`sigma_sq_estimate`) work on all agents at once.  :class:`Sample`
-and the ``sample_*`` functions are the per-sample definitions those are
-checked against.
+sets into the ``(N, C, d)`` block of one :class:`StackedSets`, which every
+later layer takes, and the stacked functions (:func:`stacked_margins`,
+:func:`stacked_grad`, :func:`stacked_curvature`, :func:`sigma_sq_estimate`)
+work on all agents at once.  :class:`Sample`, the ``sample_*`` functions,
+the per-agent :class:`LocalDataset` and the ``batch_*`` functions are the
+definitions those are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -30,6 +32,7 @@ from .errors import InvariantViolation, ParameterError, ParseError
 __all__ = [
     "Sample",
     "LocalDataset",
+    "StackedSets",
     "TestSet",
     "SmoothnessBounds",
     "LowRankHessian",
@@ -43,13 +46,11 @@ __all__ = [
     "batch_hess",
     "full_grad",
     "full_hess",
-    "stack_local_sets",
     "stacked_margins",
     "stacked_grad",
     "stacked_curvature",
     "logistic_coef",
     "logistic_curvature",
-    "smoothness",
     "sigma_sq_estimate",
     "predict",
 ]
@@ -100,8 +101,61 @@ class LocalDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def sample(self, i: int) -> Sample:
-        return Sample(features=self.features[i].copy(), label=int(self.labels[i]))
+
+@dataclass(frozen=True)
+class StackedSets:
+    """All agents' local sets as one block, with their regularizers.
+
+    Agent ``i``'s samples are the first ``counts[i]`` rows of ``feats[i]``
+    with labels ``labels[i]``; ``W`` is the largest local set, and the
+    rows past an agent's count are zero padding labelled 0, which adds
+    nothing to a batch sum.  The arrays are read-only.
+    """
+
+    feats: np.ndarray  # (N, W, d)
+    labels: np.ndarray  # (N, W) floats: +-1, then 0 on padding
+    counts: np.ndarray  # (N,) in 1..W
+    lam: np.ndarray  # (N,) positive
+
+    def __post_init__(self):
+        shapes = (self.feats.shape, self.labels.shape, self.counts.shape, self.lam.shape)
+        if len(shapes[0]) != 3 or shapes[1:] != (shapes[0][:2], shapes[0][:1], shapes[0][:1]):
+            raise ParameterError(f"need (N, W, d), (N, W), (N,) and (N,) arrays, got {shapes}")
+        width = shapes[0][1]
+        if not np.all((self.counts >= 1) & (self.counts <= width)):
+            raise ParameterError(f"local set sizes must lie in 1..{width}, got {self.counts}")
+        if not np.all(self.lam > 0):
+            raise ParameterError(f"lambda_reg must be positive, got {self.lam}")
+        real = self.real
+        if not np.all(np.abs(self.labels[real]) == 1):
+            raise ParameterError("labels must be +-1")
+        if self.labels[~real].any() or self.feats[~real].any():
+            raise ParameterError("padding rows and their labels must be zero")
+        for a in (self.feats, self.labels, self.counts, self.lam):
+            a.setflags(write=False)
+
+    @classmethod
+    def padded(cls, features, labels, lam) -> "StackedSets":
+        """Stack ``(C_i, d)`` features and ``(C_i,)`` +-1 labels of unequal
+        sizes; ``lam`` is one regularizer for all agents or one each."""
+        counts = np.array([len(b) for b in labels])
+        feats = np.zeros((counts.size, counts.max(), np.shape(features[0])[1]))
+        stacked = np.zeros(feats.shape[:2])
+        for i, (a, b) in enumerate(zip(features, labels)):
+            feats[i, : counts[i]] = a
+            stacked[i, : counts[i]] = b
+        lam = np.array(np.broadcast_to(np.asarray(lam, dtype=float), counts.shape))
+        return cls(feats, stacked, counts, lam)
+
+    @property
+    def real(self) -> np.ndarray:
+        """``(N, W)`` mask of the rows that are samples, not padding."""
+        return np.arange(self.feats.shape[1]) < self.counts[:, None]
+
+    @cached_property
+    def row_sq(self) -> np.ndarray:
+        """``(N, W)`` squared norms ``|a_j|^2`` of every row, computed once."""
+        return np.einsum("nwd,nwd->nw", self.feats, self.feats)
 
 
 @dataclass
@@ -397,15 +451,15 @@ def parse_libsvm(source, dim: int | None = None, label_map: dict | None = None):
 
 def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float):
     """Split uniformly permuted rows of ``data = (features, labels)`` into
-    equal local datasets.
+    equal local sets.
 
     ``features`` is ``(n, d)`` and ``labels`` ``(n,)`` of +-1, as
     :func:`parse_libsvm` returns them.  The first ``n_agents * per_agent``
     permuted rows form contiguous blocks of ``per_agent``; leftovers become
     the test set.  Deterministic per seed.  One gather stores the local
-    features as a read-only ``(n_agents, per_agent, d)`` block whose rows
-    the datasets view (see :func:`stack_local_sets`); neither it nor the
-    test set shares memory with ``data``.  Returns ``(datasets, test_set)``.
+    features as the ``(n_agents, per_agent, d)`` block of a
+    :class:`StackedSets`; neither it nor the test set shares memory with
+    ``data``.  Returns ``(local_sets, test_set)``.
     """
     if n_agents < 1 or per_agent < 1:
         raise ParameterError(f"need agents and samples per agent, got {n_agents} x {per_agent}")
@@ -426,45 +480,11 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
     # A permutation is in range, and mode="clip" gathers straight into the
     # block where the default "raise" would gather into a temporary first.
     np.take(features, perm[:need], axis=0, out=block.reshape(need, -1), mode="clip")
-    block.setflags(write=False)
-    local_labels = labels[perm[:need]].reshape(n_agents, per_agent)
-    datasets = [LocalDataset(block[i], local_labels[i], lambda_reg) for i in range(n_agents)]
+    local_labels = labels[perm[:need]].reshape(n_agents, per_agent).astype(float)
+    lam = np.full(n_agents, float(lambda_reg))
+    local = StackedSets(block, local_labels, np.full(n_agents, per_agent), lam)
     rest = perm[need:]
-    return datasets, TestSet(features=features[rest], labels=labels[rest])
-
-
-def stack_local_sets(datasets) -> tuple[np.ndarray, np.ndarray]:
-    """All local sets as ``(N, W, d)`` features and ``(N, W)`` float labels.
-
-    ``W`` is the largest local set.  Datasets that view consecutive rows of
-    one block, as :func:`partition` makes them, return that block itself,
-    so the features are stored once.  Other sets are copied, and smaller
-    ones padded with zero rows labelled 0, which add nothing to a batch sum.
-    """
-    block = datasets[0].features.base
-    if (
-        isinstance(block, np.ndarray)
-        and block.ndim == 3
-        and block.shape[0] == len(datasets)
-        and all(_is_row(ds.features, block, i) for i, ds in enumerate(datasets))
-    ):
-        return block, np.stack([ds.labels for ds in datasets]).astype(float)
-    width = max(ds.n_samples for ds in datasets)
-    feats = np.zeros((len(datasets), width, datasets[0].dim))
-    labels = np.zeros((len(datasets), width))
-    for i, ds in enumerate(datasets):
-        feats[i, : ds.n_samples] = ds.features
-        labels[i, : ds.n_samples] = ds.labels
-    return feats, labels
-
-
-def _is_row(features: np.ndarray, block: np.ndarray, i: int) -> bool:
-    row = block[i]
-    return (
-        features.shape == row.shape
-        and features.strides == row.strides
-        and features.ctypes.data == row.ctypes.data
-    )
+    return local, TestSet(features=features[rest], labels=labels[rest])
 
 
 @dataclass
@@ -622,16 +642,6 @@ def logistic_curvature(margins: np.ndarray) -> np.ndarray:
     return p * (1.0 - p)
 
 
-def smoothness(ds: LocalDataset) -> tuple[float, float]:
-    """Per-agent curvature bounds ``(m_i, M_i)``.
-
-    The regularizer gives ``m_i = lam``; the tight per-sample logistic bound
-    gives ``M_i = lam + max_j ||a_j||^2 / 4``.
-    """
-    sq = np.einsum("ij,ij->i", ds.features, ds.features)
-    return ds.lambda_reg, ds.lambda_reg + 0.25 * float(sq.max())
-
-
 @dataclass(frozen=True)
 class SmoothnessBounds:
     """Network-level curvature bounds: vectors of the per-agent m_i, M_i."""
@@ -648,11 +658,9 @@ class SmoothnessBounds:
         self.M.setflags(write=False)
 
     @classmethod
-    def from_datasets(cls, datasets) -> "SmoothnessBounds":
-        pairs = [smoothness(ds) for ds in datasets]
-        return cls(
-            m=np.array([p[0] for p in pairs]), M=np.array([p[1] for p in pairs])
-        )
+    def from_sets(cls, local: StackedSets) -> "SmoothnessBounds":
+        """``m_i = lam_i`` and the tight logistic ``M_i = lam_i + max_j |a_j|^2 / 4``."""
+        return cls(m=local.lam, M=local.lam + 0.25 * local.row_sq.max(axis=1))
 
     @property
     def n_agents(self) -> int:
@@ -667,7 +675,7 @@ class SmoothnessBounds:
         return float(self.m.min())
 
 
-def sigma_sq_estimate(datasets, probe_points) -> float:
+def sigma_sq_estimate(local: StackedSets, probe_points) -> float:
     """Empirical gradient-deviation bound.
 
     Maximum over agents, samples, and probe points of
@@ -675,34 +683,31 @@ def sigma_sq_estimate(datasets, probe_points) -> float:
     in-expectation deviation the certificates need, making the reported
     steady-state bounds conservative.  The ``P`` probes are evaluated
     together as the columns of one ``(d, P)`` block, for all agents at once
-    over :func:`stack_local_sets`: one matrix product gives every margin,
+    over the stacked local sets: one matrix product gives every margin,
     and stacked products give the agents' mean terms; padding rows are
     masked.
     """
     probes = [np.asarray(x, dtype=float) for x in probe_points]
     if not probes:
         raise ParameterError("need at least one probe point")
-    feats, labels = stack_local_sets(datasets)
+    feats, counts = local.feats, local.counts
     n, width, d = feats.shape
     for x in probes:
         _check_dim(x, d)
     X = np.stack(probes, axis=1)
-    counts = np.array([ds.n_samples for ds in datasets])
-    real = np.arange(width) < counts[:, None]
-    row_sq = np.einsum("nwd,nwd->nw", feats, feats)
     # per-sample grad_j = lam*x - c_j a_j and full grad = lam*x - u with
     # u the mean of c_j a_j, so the deviation is u - c_j a_j, whose
     # squared norm c_j (c_j |a_j|^2 - 2 a_j.u) + |u|^2 expands without
     # forming it.  Axis -1 runs over probes.  The sum is built in place,
     # so at most three (N, W, P) blocks are alive at once.
-    c = logistic_coef((feats.reshape(-1, d) @ X).reshape(n, width, -1), labels[:, :, None])
+    c = logistic_coef((feats.reshape(-1, d) @ X).reshape(n, width, -1), local.labels[:, :, None])
     u = (feats.transpose(0, 2, 1) @ c) / counts[:, None, None]
     dev_sq = feats @ u
     dev_sq *= -2.0
-    dev_sq += c * row_sq[:, :, None]
+    dev_sq += c * local.row_sq[:, :, None]
     dev_sq *= c
     dev_sq += np.einsum("ndp,ndp->np", u, u)[:, None, :]
-    return max(0.0, float(dev_sq[real].max()))
+    return max(0.0, float(dev_sq[local.real].max()))
 
 
 def predict(x: np.ndarray, features: np.ndarray) -> np.ndarray:

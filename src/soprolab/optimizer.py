@@ -13,9 +13,9 @@ special case where both batches are the whole local dataset.
 A round is a few array operations over all agents at once, with no loop
 over agents.  One draw per purpose gives every agent's batch as a row of
 an ``(N, G)`` index array (:func:`draw_batches`).  On the row paths
-below, the rows are gathered from the stacked local sets
-(:class:`LocalSets`) into one buffer that every round reuses, and
-stacked matrix products give all batch gradients
+below, :class:`LocalSets` gathers the rows from the stacked local sets
+(:class:`~soprolab.loss.StackedSets`) into one buffer that every round
+reuses, and stacked matrix products give all batch gradients
 ``g_i`` and Hessian weights ``w_i`` (``h_i = lam I + B_i^T B_i`` with the
 factor ``B_i = sqrt(w_i) F_{S_i}``, which is scaled in place in that
 buffer).  Every proximal matrix is ``D_i = alpha_i I``, and the engine
@@ -70,11 +70,11 @@ from scipy.linalg.lapack import dposv
 from .errors import ConfigurationError, DivergenceError, InvariantViolation, ParameterError
 from .loss import (
     LowRankHessian,
+    StackedSets,
     batch_grad,
     batch_hess,
     logistic_coef,
     logistic_curvature,
-    stack_local_sets,
     stacked_curvature,
     stacked_grad,
 )
@@ -262,25 +262,23 @@ def agent_batch_stats(
 
 
 class LocalSets:
-    """All agents' local sets, stacked, and the rows of each round's batches.
+    """The rows of each round's batches, drawn from the stacked local sets.
 
     Gathered rows go to one buffer of ``N * k * d`` floats that every round
     reuses; the proximal engine also builds its Hessian factors there.
     """
 
-    def __init__(self, datasets, seed: int):
-        self.feats, self.labels = stack_local_sets(datasets)
-        self.counts = np.array([ds.n_samples for ds in datasets])
-        self.lam = np.array([ds.lambda_reg for ds in datasets])
+    def __init__(self, local: StackedSets, seed: int):
+        self.local = local
         self.seed = seed
-        n, width, d = self.feats.shape
-        self._flat = self.feats.reshape(n * width, d)
+        n, width, d = local.feats.shape
+        self._flat = local.feats.reshape(n * width, d)
         self._offsets = width * np.arange(n)[:, None]
         self._buf = np.empty(0)
 
     def buffer(self, k: int) -> np.ndarray:
         """The shared buffer as ``(N, k, d)``, grown first if too small."""
-        n, _, d = self.feats.shape
+        n, _, d = self.local.feats.shape
         if self._buf.size < n * k * d:
             self._buf = np.empty(n * k * d)
         return self._buf[: n * k * d].reshape(n, k, d)
@@ -293,10 +291,11 @@ class LocalSets:
         Every position is checked to lie inside its agent's set: the
         gathers that use them do not check.
         """
-        if size is None or np.all(self.counts == size):
+        counts = self.local.counts
+        if size is None or np.all(counts == size):
             return None
-        idx = draw_batches(self.counts, size, self.seed, round_idx, purpose)
-        if idx.min() < 0 or np.any(idx.max(axis=1) >= self.counts):
+        idx = draw_batches(counts, size, self.seed, round_idx, purpose)
+        if idx.min() < 0 or np.any(idx.max(axis=1) >= counts):
             raise InvariantViolation(f"round {round_idx}: drawn index outside a local set")
         return idx
 
@@ -309,13 +308,13 @@ class LocalSets:
         """
         idx = self.draw(size, round_idx, purpose)
         if idx is None:
-            return self.feats, self.labels, self.counts
+            return self.local.feats, self.local.labels, self.local.counts
         # mode="clip" gathers straight into the buffer (the default "raise"
         # gathers into a temporary first); draw() checked the range.
         rows = np.take(
             self._flat, idx + self._offsets, axis=0, out=self.buffer(size), mode="clip"
         )
-        return rows, np.take_along_axis(self.labels, idx, axis=1), np.full(len(idx), size)
+        return rows, np.take_along_axis(self.local.labels, idx, axis=1), np.full(len(idx), size)
 
 
 def check_finite(x: np.ndarray, round_idx: int) -> None:
@@ -330,22 +329,17 @@ def check_finite(x: np.ndarray, round_idx: int) -> None:
         )
 
 
-def initial_iterates(P: MatrixP, datasets, config: RunConfig) -> np.ndarray:
-    """Check the run against its network and data; return the ``(N, d)`` x0.
+def initial_iterates(P: MatrixP, local: StackedSets, config: RunConfig) -> np.ndarray:
+    """Check the run against its network and local sets; return the ``(N, d)`` x0.
 
     Primals are i.i.d. uniform on [-1, 1]^d per agent (or zero on request),
     each agent drawing from its own substream.
     """
     n = P.n_agents
-    if len(datasets) != n:
-        raise ConfigurationError(
-            f"{len(datasets)} datasets for {n} agents"
-        )
-    config.validate(n_samples=min(ds.n_samples for ds in datasets))
-    dims = {ds.dim for ds in datasets}
-    if len(dims) != 1:
-        raise ConfigurationError(f"datasets disagree on dimension: {sorted(dims)}")
-    d = dims.pop()
+    n_sets, _, d = local.feats.shape
+    if n_sets != n:
+        raise ConfigurationError(f"{n_sets} local sets for {n} agents")
+    config.validate(n_samples=int(local.counts.min()))
 
     if config.x0_mode == "zeros":
         return np.zeros((n, d))
@@ -355,14 +349,14 @@ def initial_iterates(P: MatrixP, datasets, config: RunConfig) -> np.ndarray:
     return x
 
 
-def init_network(P: MatrixP, datasets, config: RunConfig) -> NetworkState:
+def init_network(P: MatrixP, local: StackedSets, config: RunConfig) -> NetworkState:
     """Initialize primal/dual variables and perform the first exchange.
 
     Duals start at zero (hence conserved at zero sum), primals come from
     :func:`initial_iterates`, and the disagreements are computed from the
     initial exchange, which is charged to the communication counter.
     """
-    x = initial_iterates(P, datasets, config)
+    x = initial_iterates(P, local, config)
     n, d = x.shape
     return NetworkState(
         x=x,
@@ -479,7 +473,7 @@ def dense_step(
 def gram_step(
     x: np.ndarray,
     t: np.ndarray,
-    sets: LocalSets,
+    local: StackedSets,
     gram: np.ndarray,
     g_idx: np.ndarray | None,
     s_idx: np.ndarray | None,
@@ -489,8 +483,8 @@ def gram_step(
     Gram matrices of their local sets.
 
     ``x`` and ``t = lam x + beta y + q`` are ``(N, d)``; ``gram`` is the
-    ``(N, W, W)`` stack of ``F_i F_i^T`` over the local sets
-    ``F = sets.feats``; ``g_idx`` and ``s_idx`` are the gradient and
+    ``(N, W, W)`` stack of ``F_i F_i^T`` over the stacked local sets
+    ``F = local.feats``; ``g_idx`` and ``s_idx`` are the gradient and
     Hessian batches from :meth:`LocalSets.draw` (``None``: whole sets);
     ``c`` is ``(N,)``.
 
@@ -508,19 +502,19 @@ def gram_step(
     ``c_i > 0`` is checked first.  Zero padding rows add nothing.
     """
     _check_shift(c)
-    F = sets.feats
+    F = local.feats
     n, width, _ = F.shape
     agents = np.arange(n)[:, None]
     u, Ft = np.moveaxis(F @ np.stack([x, t], axis=2), 2, 0)
     if g_idx is None:
-        coef = logistic_coef(u, sets.labels) / sets.counts[:, None]
+        coef = logistic_coef(u, local.labels) / local.counts[:, None]
     else:
         coef = np.zeros((n, width))
-        labels = np.take_along_axis(sets.labels, g_idx, axis=1)
+        labels = np.take_along_axis(local.labels, g_idx, axis=1)
         coef[agents, g_idx] = logistic_coef(u[agents, g_idx], labels) / g_idx.shape[1]
     Fr = Ft - (gram @ coef[:, :, None])[:, :, 0]  # F r: r = t - F^T chat
     if s_idx is None:
-        sw = np.sqrt(logistic_curvature(u) / sets.counts[:, None])
+        sw = np.sqrt(logistic_curvature(u) / local.counts[:, None])
         K, z = gram.copy(), sw * Fr
     else:
         sw = np.sqrt(logistic_curvature(u[agents, s_idx]) / s_idx.shape[1])
@@ -548,7 +542,7 @@ def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> No
     state.round += 1
 
 
-def run(P: MatrixP, datasets, config: RunConfig, alphas, callbacks=()) -> NetworkState:
+def run(P: MatrixP, local: StackedSets, config: RunConfig, alphas, callbacks=()) -> NetworkState:
     """Execute ``max_iters`` synchronous rounds and return the final state.
 
     ``alphas`` is the ``(N,)`` vector of the proximal matrices
@@ -565,7 +559,7 @@ def run(P: MatrixP, datasets, config: RunConfig, alphas, callbacks=()) -> Networ
     (round 0) and after every completed round; states passed to callbacks
     must be treated as read-only.  The full-batch deterministic variant
     follows the identical code path with both batches forced to the whole
-    dataset, so its trace is bitwise identical to the stochastic method at
+    local sets, so its trace is bitwise identical to the stochastic method at
     ``G = S = C``.
     """
     if config.algorithm not in ("st_sopro", "sopro"):
@@ -579,20 +573,20 @@ def run(P: MatrixP, datasets, config: RunConfig, alphas, callbacks=()) -> Networ
         )
     if not np.isfinite(alphas).all():
         raise ConfigurationError("alphas must be finite")
-    state = init_network(P, datasets, config)
-    sets = LocalSets(datasets, config.seed)
+    state = init_network(P, local, config)
+    sets = LocalSets(local, config.seed)
     full = config.algorithm == "sopro"
     batch_g = None if full else config.batch_g
     batch_s = None if full else config.batch_s
-    width = sets.feats.shape[1]
+    width = local.feats.shape[1]
     rows_s = width if full else config.batch_s
-    shift = sets.lam + alphas
+    shift = local.lam + alphas
     if rows_s >= state.dim:
         step, gram = dense_step, None
     elif width <= state.dim:
         # The Gram stack is N W^2 floats, no more than the N W d of the
         # local sets themselves.
-        step, gram = gram_step, sets.feats @ sets.feats.transpose(0, 2, 1)
+        step, gram = gram_step, local.feats @ local.feats.transpose(0, 2, 1)
     else:
         step, gram = woodbury_step, None
     for cb in callbacks:
@@ -600,12 +594,12 @@ def run(P: MatrixP, datasets, config: RunConfig, alphas, callbacks=()) -> Networ
     for k in range(config.max_iters):
         with np.errstate(over="ignore", invalid="ignore"):
             if gram is not None:
-                t = sets.lam[:, None] * state.x + config.beta * state.y + state.q
+                t = local.lam[:, None] * state.x + config.beta * state.y + state.q
                 g_idx = sets.draw(batch_g, k, PURPOSE_GRAD)
                 s_idx = sets.draw(batch_s, k, PURPOSE_HESS)
-                state.x = step(state.x, t, sets, gram, g_idx, s_idx, shift)
+                state.x = step(state.x, t, local, gram, g_idx, s_idx, shift)
             else:
-                grads = stacked_grad(state.x, *sets.batch(batch_g, k, PURPOSE_GRAD), sets.lam)
+                grads = stacked_grad(state.x, *sets.batch(batch_g, k, PURPOSE_GRAD), local.lam)
                 # Gathered after the gradient: both batches share the buffer.
                 F, _, counts = sets.batch(batch_s, k, PURPOSE_HESS)
                 w = stacked_curvature(state.x, F, counts)

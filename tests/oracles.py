@@ -14,6 +14,7 @@ from scipy.special import expit
 from soprolab.errors import ParseError, SoprolabError
 from soprolab.loss import (
     LocalDataset,
+    StackedSets,
     TestSet,
     batch_loss,
     full_grad,
@@ -99,6 +100,24 @@ def partition_samples(samples, n_agents, per_agent, seed, lambda_reg):
         labels=np.array([s.label for s in leftovers], dtype=int),
     )
     return datasets, test
+
+
+def agent_datasets(local):
+    """Per-agent views of the stacked local sets ``local``, for the
+    per-agent oracles."""
+    return [
+        LocalDataset(local.feats[i, :c], local.labels[i, :c], float(local.lam[i]))
+        for i, c in enumerate(local.counts.tolist())
+    ]
+
+
+def stacked(datasets):
+    """Per-agent local sets as one :class:`StackedSets`, padded."""
+    return StackedSets.padded(
+        [ds.features for ds in datasets],
+        [ds.labels for ds in datasets],
+        [ds.lambda_reg for ds in datasets],
+    )
 
 
 def objective_per_agent(x, datasets):

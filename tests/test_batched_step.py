@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
+from oracles import agent_datasets, stacked
 from soprolab import optimizer, topology
 from soprolab.baselines import metropolis_weights, run_baseline
 from soprolab.certificate import proximal_alphas
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation
 from soprolab.harness.synthetic import gaussian_blob_samples
-from soprolab.loss import LocalDataset, LowRankHessian, SmoothnessBounds, batch_grad, batch_hess
+from soprolab.loss import (
+    LocalDataset,
+    LowRankHessian,
+    SmoothnessBounds,
+    StackedSets,
+    batch_grad,
+    batch_hess,
+)
 from soprolab.optimizer import (
     PURPOSE_GRAD,
     PURPOSE_HESS,
-    LocalSets,
     RunConfig,
     agent_batch_stats,
     dense_step,
@@ -131,9 +138,9 @@ def test_gram_step_matches_dense_inverse_oracle():
         LocalDataset((rng.random((m, d)) < 0.3).astype(float), rng.choice((-1, 1), m), lam)
         for m in sizes
     ]
-    sets = LocalSets(datasets, seed=0)
-    assert sets.feats.shape[1] == 12 and not sets.feats[2, 7:].any()  # zero padding
-    gram = sets.feats @ sets.feats.transpose(0, 2, 1)
+    local = stacked(datasets)
+    assert local.feats.shape[1] == 12 and not local.feats[2, 7:].any()  # zero padding
+    gram = local.feats @ local.feats.transpose(0, 2, 1)
     alphas = np.geomspace(0.5, 800.0, n)
     x = rng.standard_normal((n, d))
     prox = rng.standard_normal((n, d))  # beta y + q
@@ -142,7 +149,7 @@ def test_gram_step_matches_dense_inverse_oracle():
     # The two batches share rows, which both the gradient and the Hessian use.
     assert any(np.intersect1d(g, s).size for g, s in zip(g_draw, s_draw))
     for g_idx, s_idx in [(g_draw, s_draw), (None, None), (None, s_draw), (g_draw, None)]:
-        out = gram_step(x, lam * x + prox, sets, gram, g_idx, s_idx, lam + alphas)
+        out = gram_step(x, lam * x + prox, local, gram, g_idx, s_idx, lam + alphas)
         for i, ds in enumerate(datasets):
             whole = np.arange(sizes[i])
             g = batch_grad(x[i], ds, whole if g_idx is None else g_idx[i])
@@ -156,12 +163,11 @@ def test_gram_step_rejects_nonpositive_shift_with_definite_small_systems():
     # (0.2 + c) I_S, positive definite for these c, yet c I + B^T B has the
     # eigenvalue c on the d - S directions the rows do not reach.
     n, S, d = 4, 5, 8
-    datasets = [LocalDataset(2.0 * np.eye(S, d), np.ones(S), 0.1) for _ in range(n)]
-    sets = LocalSets(datasets, seed=0)
-    gram = sets.feats @ sets.feats.transpose(0, 2, 1)
+    local = StackedSets.padded([2.0 * np.eye(S, d)] * n, [np.ones(S)] * n, 0.1)
+    gram = local.feats @ local.feats.transpose(0, 2, 1)
     c = np.array([1.0, 2.0, 0.0, -0.1])
     with pytest.raises(ConfigurationError) as e:
-        gram_step(np.zeros((n, d)), np.ones((n, d)), sets, gram, None, None, c)
+        gram_step(np.zeros((n, d)), np.ones((n, d)), local, gram, None, None, c)
     assert "agent 2" in str(e.value)
 
 
@@ -196,15 +202,12 @@ def make_problem(sizes, d, seed=0, lam=0.1):
     n = len(sizes)
     P = laplacian_weights(build_random_connected_graph(n, 2.0, seed=seed), 1.0)
     feats, labels = gaussian_blob_samples(sum(sizes), d, seed, separation=1.0, noise=0.5)
-    bounds = np.cumsum([0, *sizes])
-    datasets = [
-        LocalDataset(feats[a:b], labels[a:b], lam) for a, b in zip(bounds, bounds[1:])
-    ]
-    return P, datasets
+    split = np.cumsum(sizes)[:-1]
+    return P, StackedSets.padded(np.split(feats, split), np.split(labels, split), lam)
 
 
-def certified_alphas(P, datasets):
-    return proximal_alphas(SmoothnessBounds.from_datasets(datasets), P, 1.0, 0.5)[0]
+def certified_alphas(P, local):
+    return proximal_alphas(SmoothnessBounds.from_sets(local), P, 1.0, 0.5)[0]
 
 
 def neighbor_disagreement(P, x):
@@ -215,15 +218,15 @@ def neighbor_disagreement(P, x):
     return y
 
 
-def reference_run(P, datasets, config, alphas):
+def reference_run(P, local, config, alphas):
     """Per-agent rounds: fresh substreams, dense Cholesky steps, neighbor sums."""
-    state = init_network(P, datasets, config)
+    state = init_network(P, local, config)
     state.y = neighbor_disagreement(P, state.x)
     full = config.algorithm == "sopro"
-    width = max(ds.n_samples for ds in datasets)  # the batched draw's key rows
+    width = local.feats.shape[1]  # the batched draw's key rows
     history = [(state.x.copy(), state.q.copy())]
     for k in range(config.max_iters):
-        for i, ds in enumerate(datasets):
+        for i, ds in enumerate(agent_datasets(local)):
             C = ds.n_samples
             G = C if full else config.batch_g
             S = C if full else config.batch_s
@@ -238,7 +241,7 @@ def reference_run(P, datasets, config, alphas):
     return history
 
 
-def engine_history(P, datasets, config, alphas, monkeypatch, path):
+def engine_history(P, local, config, alphas, monkeypatch, path):
     """The engine's iterates and duals after every round; each round must
     make one batched step along ``path`` ("woodbury", "gram" or "dense"),
     and factor by Cholesky rather than by a general LU solve."""
@@ -257,7 +260,7 @@ def engine_history(P, datasets, config, alphas, monkeypatch, path):
     monkeypatch.setattr(optimizer, "local_step", counted("local", local_step))
     monkeypatch.setattr(np.linalg, "solve", counted("lu", np.linalg.solve))
     history = []
-    run(P, datasets, config, alphas,
+    run(P, local, config, alphas,
         callbacks=[lambda k, s: history.append((s.x.copy(), s.q.copy()))])
     expected = {"woodbury": 0, "gram": 0, "dense": 0, "local": 0, "lu": 0}
     expected[path] = config.max_iters
@@ -291,14 +294,14 @@ def assert_histories_match(got, want):
     ],
 )
 def test_run_matches_per_agent_reference(algorithm, batch_s, d, low_rank, monkeypatch):
-    P, datasets = make_problem([40] * 6, d)
+    P, local = make_problem([40] * 6, d)
     config = RunConfig(
         batch_g=10, batch_s=batch_s or 40, max_iters=20, seed=5, algorithm=algorithm
     )
-    alphas = certified_alphas(P, datasets)
-    want = reference_run(P, datasets, config, alphas)
+    alphas = certified_alphas(P, local)
+    want = reference_run(P, local, config, alphas)
     path = low_rank_path(low_rank, 40, d)
-    got = engine_history(P, datasets, config, alphas, monkeypatch, path)
+    got = engine_history(P, local, config, alphas, monkeypatch, path)
     assert_histories_match(got, want)
 
 
@@ -313,12 +316,12 @@ def test_run_matches_per_agent_reference(algorithm, batch_s, d, low_rank, monkey
     ],
 )
 def test_run_accepts_unequal_local_datasets(algorithm, d, low_rank, monkeypatch):
-    P, datasets = make_problem([20, 30, 45, 25, 35], d, seed=1)
+    P, local = make_problem([20, 30, 45, 25, 35], d, seed=1)
     config = RunConfig(batch_g=8, batch_s=6, max_iters=20, seed=2, algorithm=algorithm)
-    alphas = certified_alphas(P, datasets)
-    want = reference_run(P, datasets, config, alphas)
+    alphas = certified_alphas(P, local)
+    want = reference_run(P, local, config, alphas)
     path = low_rank_path(low_rank, 45, d)
-    got = engine_history(P, datasets, config, alphas, monkeypatch, path)
+    got = engine_history(P, local, config, alphas, monkeypatch, path)
     assert_histories_match(got, want)
     assert np.all(np.isfinite(got[-1][0]))
 
@@ -331,10 +334,10 @@ def test_run_refuses_a_drawn_index_outside_a_local_set(d, monkeypatch):
         return idx
 
     monkeypatch.setattr(optimizer, "draw_batches", past_the_end)
-    P, datasets = make_problem([20, 30, 45, 25, 35], d, seed=1)
+    P, local = make_problem([20, 30, 45, 25, 35], d, seed=1)
     with pytest.raises(InvariantViolation, match="round 0: drawn index outside a local set"):
-        run(P, datasets, RunConfig(batch_g=8, batch_s=6, max_iters=3, seed=2),
-            certified_alphas(P, datasets))
+        run(P, local, RunConfig(batch_g=8, batch_s=6, max_iters=3, seed=2),
+            certified_alphas(P, local))
 
 
 # ------------------------------------------------------------- shared parts
@@ -344,16 +347,16 @@ def test_spectral_summary_computed_once_per_matrix(monkeypatch):
     calls = []
     real = topology.spectral_summary
     monkeypatch.setattr(topology, "spectral_summary", lambda p: calls.append(p) or real(p))
-    P, datasets = make_problem([40] * 6, 15)
-    run(P, datasets, RunConfig(batch_g=10, batch_s=5, max_iters=2, seed=0),
-        certified_alphas(P, datasets))
+    P, local = make_problem([40] * 6, 15)
+    run(P, local, RunConfig(batch_g=10, batch_s=5, max_iters=2, seed=0),
+        certified_alphas(P, local))
     assert P.spectral == real(P)
     assert len(calls) == 1 and calls[0] is P
 
 
 @pytest.mark.parametrize("algorithm, per_edge", [("dsgd", 2), ("dsgt", 4)])
 def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
-    P, datasets = make_problem([40] * 6, 15)
+    P, local = make_problem([40] * 6, 15)
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=3, seed=7, algorithm=algorithm, step_size=0.5
     )
@@ -363,24 +366,24 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
         states.append(s.x.copy())
         comm.append(s.comm_scalars)
 
-    run_baseline(P, datasets, config, callbacks=[record])
+    run_baseline(P, local, config, callbacks=[record])
     assert len(states) == 4
-    d = datasets[0].dim
+    d = local.feats.shape[2]
     assert comm == [k * per_edge * P.graph.n_edges * d for k in range(4)]
-    final = run_baseline(P, datasets, config)
+    final = run_baseline(P, local, config)
     assert final.comm_scalars == 3 * per_edge * P.graph.n_edges * d
     if algorithm == "dsgd":
         # Round 0 steps along the gradients of the engine's own G-draws.
         grads = np.stack([
             agent_batch_stats(states[0][i], ds, 10, 10, 7, i, 0)[0]
-            for i, ds in enumerate(datasets)
+            for i, ds in enumerate(agent_datasets(local))
         ])
         W = metropolis_weights(P.graph).matrix
         assert np.array_equal(states[1], W @ states[0] - 0.5 * grads)
 
 
 def test_dsgt_tracker_sum_equals_last_gradient_sum():
-    P, datasets = make_problem([40] * 6, 15)
+    P, local = make_problem([40] * 6, 15)
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=30, seed=7, algorithm="dsgt", step_size=0.5
     )
@@ -390,24 +393,24 @@ def test_dsgt_tracker_sum_equals_last_gradient_sum():
         want = s._last_grads.sum(axis=0)
         gaps.append(np.linalg.norm(s.tracker.sum(axis=0) - want) / np.linalg.norm(want))
 
-    run_baseline(P, datasets, config, callbacks=[record])
+    run_baseline(P, local, config, callbacks=[record])
     assert len(gaps) == 31
     assert max(gaps) <= 1e-12
 
 
 def test_one_over_k_schedule_divides_the_step_by_one_plus_the_round():
-    P, datasets = make_problem([40] * 6, 15)
+    P, local = make_problem([40] * 6, 15)
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=3, seed=7, algorithm="dsgd", step_size=0.5,
         step_schedule="one_over_k",
     )
     states = []
-    run_baseline(P, datasets, config, callbacks=[lambda k, s: states.append(s.x.copy())])
+    run_baseline(P, local, config, callbacks=[lambda k, s: states.append(s.x.copy())])
     W = metropolis_weights(P.graph).matrix
     for k in range(3):
         grads = np.stack([
             agent_batch_stats(states[k][i], ds, 10, 10, 7, i, k)[0]
-            for i, ds in enumerate(datasets)
+            for i, ds in enumerate(agent_datasets(local))
         ])
         assert np.array_equal(states[k + 1], W @ states[k] - 0.5 / (1 + k) * grads)
 
@@ -415,25 +418,25 @@ def test_one_over_k_schedule_divides_the_step_by_one_plus_the_round():
 @pytest.mark.parametrize("step_size", [None, 0.0, -0.5, np.nan])
 @pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
 def test_baselines_refuse_a_missing_step_size_before_round_0(algorithm, step_size):
-    P, datasets = make_problem([40] * 6, 15)
+    P, local = make_problem([40] * 6, 15)
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=0, seed=7, algorithm=algorithm,
         step_size=step_size,
     )
     rounds = []
     with pytest.raises(ConfigurationError, match="baselines need a positive step_size"):
-        run_baseline(P, datasets, config, callbacks=[lambda k, s: rounds.append(k)])
+        run_baseline(P, local, config, callbacks=[lambda k, s: rounds.append(k)])
     assert rounds == []
 
 
 @pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
 def test_baselines_fail_loudly_on_divergence(algorithm):
-    P, datasets = make_problem([40] * 6, 15)
+    P, local = make_problem([40] * 6, 15)
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=300, seed=7, algorithm=algorithm, step_size=1e3
     )
     with pytest.raises(DivergenceError, match=r"round \d+: agent \d+ has a non-finite"):
-        run_baseline(P, datasets, config)
+        run_baseline(P, local, config)
 
 
 def test_check_finite_names_round_and_agent():
@@ -456,8 +459,8 @@ def test_run_fails_loudly_on_divergence(monkeypatch):
 
     calls = []
     monkeypatch.setattr(optimizer, "woodbury_step", poisoned)
-    P, datasets = make_problem([40] * 6, 15)
+    P, local = make_problem([40] * 6, 15)
     with pytest.raises(DivergenceError, match="round 3: agent 3 "):
-        run(P, datasets, RunConfig(batch_g=10, batch_s=5, max_iters=5, seed=0),
-            certified_alphas(P, datasets))
+        run(P, local, RunConfig(batch_g=10, batch_s=5, max_iters=5, seed=0),
+            certified_alphas(P, local))
     assert len(calls) == 3

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import newton_per_agent
+from oracles import agent_datasets, newton_per_agent
 from soprolab import certificate
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation, SoprolabError
 from soprolab.harness import reference
@@ -25,7 +25,7 @@ from soprolab.harness.experiment import (
 )
 from soprolab.harness.metrics import MetricRow, MetricsTrace, aggregate_traces
 from soprolab.harness.tuning import tune_baseline
-from soprolab.loss import LocalDataset, full_grad
+from soprolab.loss import StackedSets, full_grad
 
 
 def one_hot_problem(n_agents, per_agent, d, active, seed, lam=0.01):
@@ -37,20 +37,23 @@ def one_hot_problem(n_agents, per_agent, d, active, seed, lam=0.01):
     feats[np.arange(rows)[:, None], cols] = 1.0
     w = rng.standard_normal(d)
     labels = np.where(rng.random(rows) < 1.0 / (1.0 + np.exp(-feats @ w)), 1, -1)
-    return [
-        LocalDataset(feats[rows_i].copy(), labels[rows_i].copy(), lam)
-        for rows_i in np.split(np.arange(rows), n_agents)
-    ]
+    return StackedSets(
+        feats.reshape(n_agents, per_agent, d),
+        labels.reshape(n_agents, per_agent).astype(float),
+        np.full(n_agents, per_agent),
+        np.full(n_agents, lam),
+    )
 
 
 def test_solve_reference_passes_the_rounding_level_of_the_objective():
     # Near the optimum of this problem the Newton decrement g.step falls
     # below the rounding level of F, where an Armijo test on F sees only
     # noise; the solve must still reach its gradient tolerance.
-    datasets = one_hot_problem(10, 40, 60, 8, seed=13)
-    sol = reference.solve_reference(datasets)
+    local = one_hot_problem(10, 40, 60, 8, seed=13)
+    sol = reference.solve_reference(local)
     assert sol.grad_norm <= 1e-12
     assert sol.iterations <= 10
+    datasets = agent_datasets(local)
     g = sum(full_grad(sol.x, ds) for ds in datasets)
     assert np.linalg.norm(g) == sol.grad_norm
     want = newton_per_agent(datasets)
@@ -60,8 +63,8 @@ def test_solve_reference_passes_the_rounding_level_of_the_objective():
 def test_solve_reference_reuses_its_factor_at_the_a4a_shape():
     # d = 123, N = 20, C = 239 with 14 active columns a row, as in a4a:
     # plain Newton factors the Hessian at every one of its 5 steps.
-    datasets = one_hot_problem(20, 239, 123, 14, seed=0)
-    sol = reference.solve_reference(datasets)
+    local = one_hot_problem(20, 239, 123, 14, seed=0)
+    sol = reference.solve_reference(local)
     assert sol.grad_norm <= 1e-12
     assert sol.factorizations <= 3
 
@@ -71,7 +74,7 @@ def test_certificate_reads_q_star_from_the_reference_solve():
                               batch_s=5, max_iters=0)
     problem = build_problem(config)
     x_star = problem.reference.x
-    q_star = -np.array([full_grad(x_star, ds) for ds in problem.datasets])
+    q_star = -np.array([full_grad(x_star, ds) for ds in agent_datasets(problem.local)])
     assert np.linalg.norm(-problem.reference.local_grads - q_star) <= (
         1e-12 * np.linalg.norm(q_star)
     )

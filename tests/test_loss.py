@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import agent_datasets, stacked
 from soprolab.errors import ParameterError, ParseError
 from soprolab.loss import (
     LocalDataset,
     Sample,
     SmoothnessBounds,
+    StackedSets,
     batch_grad,
     batch_hess,
     batch_loss,
@@ -19,8 +21,6 @@ from soprolab.loss import (
     sample_hess,
     sample_loss,
     sigma_sq_estimate,
-    smoothness,
-    stack_local_sets,
     stacked_curvature,
     stacked_grad,
 )
@@ -30,6 +30,16 @@ def make_dataset(rng, C=6, d=4, lam=0.01, scale=1.0):
     feats = scale * rng.standard_normal((C, d))
     labels = rng.choice((-1, 1), size=C)
     return LocalDataset(features=feats, labels=labels, lambda_reg=lam)
+
+
+def sample(ds, j):
+    return Sample(features=ds.features[j], label=int(ds.labels[j]))
+
+
+def bounds_of(ds):
+    """``(m, M)`` of one agent's local set."""
+    b = SmoothnessBounds.from_sets(stacked([ds]))
+    return float(b.m[0]), float(b.M[0])
 
 
 # ---------------------------------------------------------------- parsing
@@ -102,24 +112,24 @@ def _dummy_samples(n, d=3):
 
 def test_partition_paper_a4a_shape():
     samples = _dummy_samples(4781)
-    datasets, test = partition(samples, 20, 239, seed=0, lambda_reg=0.01)
-    assert len(datasets) == 20
-    assert all(ds.n_samples == 239 for ds in datasets)
+    local, test = partition(samples, 20, 239, seed=0, lambda_reg=0.01)
+    assert len(local.counts) == 20
+    assert np.all(local.counts == 239) and local.feats.shape[1] == 239
     assert len(test) == 4781 - 20 * 239
 
 
 def test_partition_paper_mushrooms_shape():
     samples = _dummy_samples(8124)
-    datasets, test = partition(samples, 10, 600, seed=0, lambda_reg=0.01)
-    assert len(datasets) == 10
-    assert all(ds.n_samples == 600 for ds in datasets)
+    local, test = partition(samples, 10, 600, seed=0, lambda_reg=0.01)
+    assert len(local.counts) == 10
+    assert np.all(local.counts == 600) and local.feats.shape[1] == 600
     assert len(test) == 8124 - 6000
 
 
 def test_partition_single_agent_takes_everything():
     samples = _dummy_samples(50)
-    datasets, test = partition(samples, 1, 50, seed=1, lambda_reg=0.1)
-    assert len(datasets) == 1 and datasets[0].n_samples == 50
+    local, test = partition(samples, 1, 50, seed=1, lambda_reg=0.1)
+    assert len(local.counts) == 1 and local.counts.tolist() == [50]
     assert len(test) == 0
 
 
@@ -127,11 +137,10 @@ def test_partition_is_a_disjoint_cover_and_deterministic():
     samples = _dummy_samples(40)
     d1, t1 = partition(samples, 3, 10, seed=7, lambda_reg=0.1)
     d2, t2 = partition(samples, 3, 10, seed=7, lambda_reg=0.1)
-    for a, b in zip(d1, d2):
-        assert np.array_equal(a.features, b.features)
+    assert np.array_equal(d1.feats, d2.feats) and np.array_equal(d1.labels, d2.labels)
     assert np.array_equal(t1.features, t2.features)
     seen = sorted(
-        float(v[0]) for ds in d1 for v in ds.features
+        float(v[0]) for v in d1.feats.reshape(-1, 3)
     ) + sorted(float(v[0]) for v in t1.features)
     assert sorted(seen) == [float(i) for i in range(40)]
 
@@ -145,38 +154,49 @@ def test_partition_features_share_memory_with_stacked_block():
     rng = np.random.default_rng(2)
     labels = rng.choice((-1, 1), 50)
     samples = (rng.standard_normal((50, 5)), labels)
-    datasets, _ = partition(samples, 4, 10, seed=3, lambda_reg=0.1)
-    feats, labels = stack_local_sets(datasets)
-    assert feats.shape == (4, 10, 5) and not feats.flags.writeable
-    for i, ds in enumerate(datasets):
-        assert np.shares_memory(ds.features, feats)
-        assert np.array_equal(feats[i], ds.features)
-        assert np.array_equal(labels[i], ds.labels)
+    local, _ = partition(samples, 4, 10, seed=3, lambda_reg=0.1)
+    assert local.feats.shape == (4, 10, 5) and local.labels.dtype == float
+    for a in (local.feats, local.labels, local.counts, local.lam):
+        assert not a.flags.writeable
+    # The block is the one gather of the permuted rows: agent i holds rows
+    # 10 i .. 10 i + 9 of the permutation, with no copy per agent.
+    perm = np.random.default_rng(3).permutation(50)[:40]
+    assert np.array_equal(local.feats.reshape(40, 5), samples[0][perm])
+    assert np.array_equal(local.labels.reshape(40), labels[perm])
+    assert local.counts.tolist() == [10] * 4 and local.lam.tolist() == [0.1] * 4
+    for i, ds in enumerate(agent_datasets(local)):
+        assert np.shares_memory(ds.features, local.feats)
+        assert np.array_equal(local.feats[i], ds.features)
 
 
-def test_stack_local_sets_pads_unequal_sets_with_zero_rows():
+def test_padded_sets_pad_unequal_sets_with_zero_rows():
     rng = np.random.default_rng(3)
-    datasets = [make_dataset(rng, C=C) for C in (3, 6, 4)]
-    feats, labels = stack_local_sets(datasets)
-    assert feats.shape == (3, 6, 4) and labels.shape == (3, 6)
+    datasets = [make_dataset(rng, C=C, lam=0.1 * (i + 1)) for i, C in enumerate((3, 6, 4))]
+    local = stacked(datasets)
+    assert local.feats.shape == (3, 6, 4) and local.labels.shape == (3, 6)
+    assert local.counts.tolist() == [3, 6, 4]
+    assert np.array_equal(local.lam, [0.1, 0.2, 0.1 * 3])
+    assert np.array_equal(local.real, [[1, 1, 1, 0, 0, 0], [1] * 6, [1, 1, 1, 1, 0, 0]])
     for i, ds in enumerate(datasets):
         C = ds.n_samples
-        assert not np.shares_memory(ds.features, feats)
-        assert np.array_equal(feats[i, :C], ds.features)
-        assert np.array_equal(labels[i, :C], ds.labels)
-        assert not feats[i, C:].any() and not labels[i, C:].any()
+        assert not np.shares_memory(ds.features, local.feats)
+        assert np.array_equal(local.feats[i, :C], ds.features)
+        assert np.array_equal(local.labels[i, :C], ds.labels)
+        assert not local.feats[i, C:].any() and not local.labels[i, C:].any()
+    one_lam = StackedSets.padded([ds.features for ds in datasets],
+                                 [ds.labels for ds in datasets], 0.5)
+    assert one_lam.lam.tolist() == [0.5] * 3
 
 
 @pytest.mark.parametrize("sizes", [(20, 20, 20), (8, 20, 13)])
 def test_stacked_batch_statistics_match_per_agent_batches(sizes):
     rng = np.random.default_rng(4)
     datasets = [make_dataset(rng, C=C, d=7, lam=0.05 * (i + 1)) for i, C in enumerate(sizes)]
-    feats, labels = stack_local_sets(datasets)
+    local = stacked(datasets)
+    feats = local.feats
     x = rng.standard_normal((len(sizes), 7))
-    counts = np.array(sizes)
-    lam = np.array([ds.lambda_reg for ds in datasets])
-    grads = stacked_grad(x, feats, labels, counts, lam)
-    weights = stacked_curvature(x, feats, counts)
+    grads = stacked_grad(x, feats, local.labels, local.counts, local.lam)
+    weights = stacked_curvature(x, feats, local.counts)
     for i, ds in enumerate(datasets):
         C = ds.n_samples
         want = batch_grad(x[i], ds, np.arange(C))
@@ -258,7 +278,7 @@ def test_batch_singleton_equals_sample_grad():
     x = rng.standard_normal(ds.dim)
     for j in range(ds.n_samples):
         bg = batch_grad(x, ds, [j])
-        sg = sample_grad(x, ds.sample(j), ds.lambda_reg)
+        sg = sample_grad(x, sample(ds, j), ds.lambda_reg)
         assert np.allclose(bg, sg, atol=1e-15)
 
 
@@ -306,7 +326,7 @@ def test_smoothness_zero_features_is_pure_quadratic():
     ds = LocalDataset(
         features=np.zeros((3, 2)), labels=np.array([1, -1, 1]), lambda_reg=0.2
     )
-    m, M = smoothness(ds)
+    m, M = bounds_of(ds)
     assert m == 0.2 and M == 0.2
 
 
@@ -314,7 +334,7 @@ def test_smoothness_single_sample_value():
     ds = LocalDataset(
         features=np.array([[2.0, 0.0]]), labels=np.array([1]), lambda_reg=0.01
     )
-    m, M = smoothness(ds)
+    m, M = bounds_of(ds)
     assert m == 0.01
     assert abs(M - 1.01) <= 1e-15
 
@@ -322,11 +342,11 @@ def test_smoothness_single_sample_value():
 def test_hessian_eigenvalues_within_bounds():
     rng = np.random.default_rng(9)
     ds = make_dataset(rng, C=4, d=5, lam=0.05)
-    m, M = smoothness(ds)
+    m, M = bounds_of(ds)
     for _ in range(1000):
         x = rng.standard_normal(5) * rng.choice((0.1, 1.0, 10.0))
         j = int(rng.integers(0, 4))
-        eigs = np.linalg.eigvalsh(sample_hess(x, ds.sample(j), ds.lambda_reg).dense())
+        eigs = np.linalg.eigvalsh(sample_hess(x, sample(ds, j), ds.lambda_reg).dense())
         assert eigs[0] >= m - 1e-12
         assert eigs[-1] <= M + 1e-12
 
@@ -334,10 +354,10 @@ def test_hessian_eigenvalues_within_bounds():
 def test_gradient_monotonicity_convexity():
     rng = np.random.default_rng(10)
     ds = make_dataset(rng, C=5, d=4, lam=0.05)
-    m, _ = smoothness(ds)
+    m, _ = bounds_of(ds)
     for _ in range(200):
         j = int(rng.integers(0, 5))
-        s = ds.sample(j)
+        s = sample(ds, j)
         x, y = rng.standard_normal(4), rng.standard_normal(4)
         inner = (sample_grad(x, s, ds.lambda_reg) - sample_grad(y, s, ds.lambda_reg)) @ (
             x - y
@@ -356,10 +376,14 @@ def test_loss_stable_at_extreme_margins():
 
 def test_smoothness_bounds_network_aggregate():
     rng = np.random.default_rng(11)
-    datasets = [make_dataset(rng, C=4, lam=0.1) for _ in range(3)]
-    b = SmoothnessBounds.from_datasets(datasets)
+    datasets = [make_dataset(rng, C=C, lam=0.1) for C in (4, 2, 5)]
+    b = SmoothnessBounds.from_sets(stacked(datasets))
     assert b.n_agents == 3
-    assert b.max_M == max(smoothness(ds)[1] for ds in datasets)
+    # M_i = lam + max_j |a_j|^2 / 4 over agent i's rows, padding aside.
+    want = [0.1 + 0.25 * float(np.einsum("ij,ij->i", ds.features, ds.features).max())
+            for ds in datasets]
+    assert b.M.tolist() == want
+    assert b.max_M == max(want)
     assert np.all(b.m == 0.1)
     with pytest.raises(ParameterError):
         SmoothnessBounds(m=np.array([1.0]), M=np.array([0.5]))
@@ -372,13 +396,13 @@ def test_sigma_sq_single_sample_is_zero():
     ds = LocalDataset(
         features=np.array([[1.0, 2.0]]), labels=np.array([1]), lambda_reg=0.1
     )
-    assert sigma_sq_estimate([ds], [np.zeros(2), np.ones(2)]) == 0.0
+    assert sigma_sq_estimate(stacked([ds]), [np.zeros(2), np.ones(2)]) == 0.0
 
 
 def test_sigma_sq_duplicated_samples_is_zero():
     f = np.array([[1.0, -1.0]] * 4)
     ds = LocalDataset(features=f, labels=np.array([1, 1, 1, 1]), lambda_reg=0.1)
-    assert sigma_sq_estimate([ds], [np.array([0.3, 0.7])]) <= 1e-30
+    assert sigma_sq_estimate(stacked([ds]), [np.array([0.3, 0.7])]) <= 1e-30
 
 
 def test_sigma_sq_two_opposed_samples():
@@ -389,14 +413,14 @@ def test_sigma_sq_two_opposed_samples():
         labels=np.array([1, 1]),
         lambda_reg=0.1,
     )
-    est = sigma_sq_estimate([ds], [np.zeros(2)])
+    est = sigma_sq_estimate(stacked([ds]), [np.zeros(2)])
     assert abs(est - 0.25) <= 1e-15
 
 
 def test_sigma_sq_requires_probes():
     ds = LocalDataset(features=np.eye(2), labels=np.array([1, -1]), lambda_reg=0.1)
     with pytest.raises(ParameterError):
-        sigma_sq_estimate([ds], [])
+        sigma_sq_estimate(stacked([ds]), [])
 
 
 def test_sigma_sq_matches_bruteforce():
@@ -408,9 +432,9 @@ def test_sigma_sq_matches_bruteforce():
         for x in probes:
             full = full_grad(x, ds)
             for j in range(ds.n_samples):
-                dev = sample_grad(x, ds.sample(j), ds.lambda_reg) - full
+                dev = sample_grad(x, sample(ds, j), ds.lambda_reg) - full
                 worst = max(worst, float(dev @ dev))
-    est = sigma_sq_estimate(datasets, probes)
+    est = sigma_sq_estimate(stacked(datasets), probes)
     assert abs(est - worst) <= 1e-12 * max(worst, 1.0)
 
 
@@ -427,7 +451,7 @@ def test_batch_loss_matches_mean_of_sample_losses():
     rng = np.random.default_rng(13)
     ds = make_dataset(rng, C=6, d=3, lam=0.2)
     x = rng.standard_normal(3)
-    vals = [sample_loss(x, ds.sample(j), ds.lambda_reg) for j in range(6)]
+    vals = [sample_loss(x, sample(ds, j), ds.lambda_reg) for j in range(6)]
     assert abs(batch_loss(x, ds, range(6)) - np.mean(vals)) <= 1e-12
 
 
@@ -440,3 +464,40 @@ def test_dataset_validation():
         LocalDataset(features=np.zeros((1, 2)), labels=np.array([1]), lambda_reg=0.0)
     with pytest.raises(ParameterError):
         Sample(features=np.zeros(2), label=0)
+
+    def stacked_fields():
+        # Agent 1 holds two samples and one padding row.
+        feats = np.arange(1.0, 13.0).reshape(2, 3, 2)
+        feats[1, 2] = 0.0
+        labels = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 0.0]])
+        return dict(feats=feats, labels=labels, counts=np.array([3, 2]),
+                    lam=np.array([0.1, 0.2]))
+
+    StackedSets(**stacked_fields())
+    # (field, position, bad value, what the error says), one per check.
+    bad_values = [
+        ("labels", (0, 1), 2.0, "labels must be"),
+        ("labels", (1, 0), 0.0, "labels must be"),
+        ("feats", (1, 2, 1), 0.5, "padding rows"),
+        ("labels", (1, 2), 1.0, "padding rows"),
+        ("lam", 1, 0.0, "lambda_reg"),
+        ("lam", 0, -0.1, "lambda_reg"),
+        ("lam", 0, np.nan, "lambda_reg"),
+        ("counts", 1, 0, "sizes must lie in 1..3"),
+        ("counts", 0, 4, "sizes must lie in 1..3"),
+    ]
+    for name, at, value, message in bad_values:
+        fields = stacked_fields()
+        fields[name][at] = value
+        with pytest.raises(ParameterError, match=message):
+            StackedSets(**fields)
+    bad_shapes = [
+        ("feats", np.zeros((6, 2))),
+        ("feats", np.zeros((2, 4, 2))),
+        ("labels", np.zeros((2, 2))),
+        ("counts", np.array([3, 2, 1])),
+        ("lam", np.array([0.1])),
+    ]
+    for name, value in bad_shapes:
+        with pytest.raises(ParameterError, match=r"need \(N, W, d\), \(N, W\), \(N,\)"):
+            StackedSets(**{**stacked_fields(), name: value})

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import agent_datasets
 from soprolab.certificate import proximal_alphas
 from soprolab.errors import ConfigurationError, ParameterError
 from soprolab.loss import (
-    LocalDataset,
     LowRankHessian,
     SmoothnessBounds,
+    StackedSets,
     full_grad,
 )
 from soprolab.optimizer import (
@@ -32,8 +33,8 @@ def make_problem(n=5, d=10, C=50, lam=0.1, seed=0, noise=0.5, avg_degree=2.0):
     g = build_random_connected_graph(n, avg_degree, seed=seed)
     P = laplacian_weights(g, 1.0)
     samples = gaussian_blob_samples(n * C, d, seed, separation=1.0, noise=noise)
-    datasets, _ = partition(samples, n, C, seed, lam)
-    return P, datasets
+    local, _ = partition(samples, n, C, seed, lam)
+    return P, local
 
 
 def base_config(**kw):
@@ -44,8 +45,8 @@ def base_config(**kw):
     return RunConfig(**defaults)
 
 
-def certified_alphas(P, datasets):
-    return proximal_alphas(SmoothnessBounds.from_datasets(datasets), P, 1.0, 0.5)[0]
+def certified_alphas(P, local):
+    return proximal_alphas(SmoothnessBounds.from_sets(local), P, 1.0, 0.5)[0]
 
 
 # ------------------------------------------------------------- substreams
@@ -125,8 +126,8 @@ def test_sample_batches_range_errors():
 
 
 def test_init_zeros_mode_gives_zero_disagreement():
-    P, datasets = make_problem()
-    state = init_network(P, datasets, base_config(x0_mode="zeros"))
+    P, local = make_problem()
+    state = init_network(P, local, base_config(x0_mode="zeros"))
     assert np.all(state.x == 0.0)
     assert np.all(state.y == 0.0)
     assert np.all(state.q == 0.0)
@@ -137,27 +138,25 @@ def test_init_two_agents_disagreement():
     P = laplacian_weights(g, 1.0)
     lam = 0.5
     feats = np.array([[0.3, 0.1]])
-    datasets = [
-        LocalDataset(features=feats, labels=np.array([1]), lambda_reg=lam)
-        for _ in range(2)
-    ]
-    state = init_network(P, datasets, base_config(batch_g=1, batch_s=1))
+    local = StackedSets.padded([feats, feats], [np.array([1])] * 2, lam)
+    state = init_network(P, local, base_config(batch_g=1, batch_s=1))
     e1 = state.x[0] - state.x[1]
     assert np.allclose(state.y[0], e1)
     assert np.allclose(state.y[1], -e1)
 
 
 def test_init_dual_sum_zero_and_comm_charge():
-    P, datasets = make_problem()
-    state = init_network(P, datasets, base_config())
+    P, local = make_problem()
+    state = init_network(P, local, base_config())
     assert np.all(state.q == 0.0)
-    assert state.comm_scalars == 2 * P.graph.n_edges * datasets[0].dim
+    assert state.comm_scalars == 2 * P.graph.n_edges * local.feats.shape[2]
 
 
 def test_init_size_mismatch():
-    P, datasets = make_problem()
-    with pytest.raises(ConfigurationError):
-        init_network(P, datasets[:-1], base_config())
+    P, local = make_problem()
+    fewer = StackedSets(local.feats[:-1], local.labels[:-1], local.counts[:-1], local.lam[:-1])
+    with pytest.raises(ConfigurationError, match="4 local sets for 5 agents"):
+        init_network(P, fewer, base_config())
 
 
 # ------------------------------------------------------------- local step
@@ -215,8 +214,8 @@ def test_local_step_rejects_indefinite_system():
 
 
 def test_exchange_consensus_leaves_duals():
-    P, datasets = make_problem()
-    state = init_network(P, datasets, base_config(x0_mode="zeros"))
+    P, local = make_problem()
+    state = init_network(P, local, base_config(x0_mode="zeros"))
     q_before = state.q.copy()
     exchange_and_dual_update(state, P, beta=2.0)
     assert np.all(state.y == 0.0)
@@ -225,8 +224,8 @@ def test_exchange_consensus_leaves_duals():
 
 def test_exchange_dual_sum_preserved():
     rng = np.random.default_rng(2)
-    P, datasets = make_problem()
-    state = init_network(P, datasets, base_config())
+    P, local = make_problem()
+    state = init_network(P, local, base_config())
     state.x = rng.standard_normal(state.x.shape)
     exchange_and_dual_update(state, P, beta=1.3)
     scale = max(np.abs(state.q).max(), 1.0)
@@ -239,11 +238,8 @@ def test_exchange_two_agents_antisymmetric_update():
     P = laplacian_weights(g, 1.0)
     lam = 0.5
     feats = np.array([[0.3, 0.1]])
-    datasets = [
-        LocalDataset(features=feats, labels=np.array([1]), lambda_reg=lam)
-        for _ in range(2)
-    ]
-    state = init_network(P, datasets, base_config(batch_g=1, batch_s=1, x0_mode="zeros"))
+    local = StackedSets.padded([feats, feats], [np.array([1])] * 2, lam)
+    state = init_network(P, local, base_config(batch_g=1, batch_s=1, x0_mode="zeros"))
     v = np.array([0.4, -0.2])
     state.x[0] = v
     state.x[1] = 0.0
@@ -254,10 +250,10 @@ def test_exchange_two_agents_antisymmetric_update():
 
 
 def test_exchange_communication_accounting():
-    P, datasets = make_problem()
-    d = datasets[0].dim
+    P, local = make_problem()
+    d = local.feats.shape[2]
     cfg = base_config(max_iters=7)
-    state = run(P, datasets, cfg, certified_alphas(P, datasets))
+    state = run(P, local, cfg, certified_alphas(P, local))
     per_round = 2 * P.graph.n_edges * d
     assert state.comm_scalars == 7 * per_round + per_round
 
@@ -266,31 +262,31 @@ def test_exchange_communication_accounting():
 
 
 def test_run_deterministic_per_seed():
-    P, datasets = make_problem()
-    alphas = certified_alphas(P, datasets)
-    s1 = run(P, datasets, base_config(max_iters=20, seed=13), alphas)
-    s2 = run(P, datasets, base_config(max_iters=20, seed=13), alphas)
+    P, local = make_problem()
+    alphas = certified_alphas(P, local)
+    s1 = run(P, local, base_config(max_iters=20, seed=13), alphas)
+    s2 = run(P, local, base_config(max_iters=20, seed=13), alphas)
     assert np.array_equal(s1.x, s2.x)
     assert np.array_equal(s1.q, s2.q)
-    s3 = run(P, datasets, base_config(max_iters=20, seed=14), alphas)
+    s3 = run(P, local, base_config(max_iters=20, seed=14), alphas)
     assert not np.array_equal(s1.x, s3.x)
 
 
 def test_full_batch_stochastic_equals_deterministic():
-    P, datasets = make_problem()
-    C = datasets[0].n_samples
-    alphas = certified_alphas(P, datasets)
+    P, local = make_problem()
+    C = local.feats.shape[1]
+    alphas = certified_alphas(P, local)
     hist = {"st": [], "so": []}
-    run(P, datasets, base_config(batch_g=C, batch_s=C, max_iters=15, algorithm="st_sopro"),
+    run(P, local, base_config(batch_g=C, batch_s=C, max_iters=15, algorithm="st_sopro"),
         alphas, callbacks=[lambda k, s: hist["st"].append(s.x.copy())])
-    run(P, datasets, base_config(batch_g=C, batch_s=C, max_iters=15, algorithm="sopro"),
+    run(P, local, base_config(batch_g=C, batch_s=C, max_iters=15, algorithm="sopro"),
         alphas, callbacks=[lambda k, s: hist["so"].append(s.x.copy())])
     for a, b in zip(hist["st"], hist["so"]):
         assert np.array_equal(a, b)
 
 
 def test_dual_conservation_over_long_run():
-    P, datasets = make_problem()
+    P, local = make_problem()
     cfg = base_config(max_iters=2000, batch_g=5, batch_s=5)
     scales = []
     drifts = []
@@ -299,19 +295,20 @@ def test_dual_conservation_over_long_run():
         scales.append(np.linalg.norm(state.q))
         drifts.append(float(np.abs(state.q.sum(axis=0)).max()))
 
-    run(P, datasets, cfg, certified_alphas(P, datasets), callbacks=[watch])
+    run(P, local, cfg, certified_alphas(P, local), callbacks=[watch])
     assert max(drifts) <= 1e-10 * max(max(scales), 1.0)
 
 
 def test_fixed_point_of_full_batch_dynamics():
-    P, datasets = make_problem()
-    ref = solve_reference(datasets, tol=1e-12)
+    P, local = make_problem()
+    ref = solve_reference(local, tol=1e-12)
     n = P.n_agents
     cfg = base_config(batch_g=50, batch_s=50, max_iters=5, x0_mode="zeros")
-    alphas = certified_alphas(P, datasets)
-    state = init_network(P, datasets, cfg)
+    alphas = certified_alphas(P, local)
+    state = init_network(P, local, cfg)
     state.x[:] = ref.x
-    state.q[:] = np.stack([-full_grad(ref.x, ds) for ds in datasets])
+    views = agent_datasets(local)
+    state.q[:] = np.stack([-full_grad(ref.x, ds) for ds in views])
     state.y = P.disagreement(state.x)
     moves = []
 
@@ -324,8 +321,8 @@ def test_fixed_point_of_full_batch_dynamics():
     for k in range(5):
         for i in range(n):
             g_idx = np.arange(50)
-            g = batch_grad(state.x[i], datasets[i], g_idx)
-            h = batch_hess(state.x[i], datasets[i], g_idx)
+            g = batch_grad(state.x[i], views[i], g_idx)
+            h = batch_hess(state.x[i], views[i], g_idx)
             state.x[i] = local_step(
                 state.x[i], state.y[i], state.q[i], h, g,
                 alphas[i], cfg.beta, agent=i,
@@ -336,19 +333,18 @@ def test_fixed_point_of_full_batch_dynamics():
 
 
 def test_h_plus_d_stays_positive_definite():
-    P, datasets = make_problem()
-    bounds = SmoothnessBounds.from_datasets(datasets)
-    alphas = certified_alphas(P, datasets)
+    P, local = make_problem()
+    bounds = SmoothnessBounds.from_sets(local)
+    alphas = certified_alphas(P, local)
     rng = np.random.default_rng(0)
     from soprolab.loss import batch_hess
 
+    views = agent_datasets(local)
     for _ in range(100):
         i = int(rng.integers(0, P.n_agents))
-        x = rng.standard_normal(datasets[i].dim) * rng.choice((0.1, 1.0, 5.0))
+        x = rng.standard_normal(views[i].dim) * rng.choice((0.1, 1.0, 5.0))
         s_idx = np.sort(rng.choice(50, 3, replace=False))
-        H = batch_hess(x, datasets[i], s_idx).dense() + alphas[i] * np.eye(
-            datasets[i].dim
-        )
+        H = batch_hess(x, views[i], s_idx).dense() + alphas[i] * np.eye(views[i].dim)
         assert np.linalg.eigvalsh(H)[0] >= alphas[i] + bounds.m[i] - 1e-10
 
 
@@ -375,8 +371,8 @@ def test_run_config_validation():
     ids=["short", "column", "scalar", "nan", "inf"],
 )
 def test_run_rejects_alphas_that_are_not_a_finite_vector_per_agent(alphas, message):
-    P, datasets = make_problem()
+    P, local = make_problem()
     rounds = []
     with pytest.raises(ConfigurationError, match=message):
-        run(P, datasets, base_config(), alphas, callbacks=[lambda k, s: rounds.append(k)])
+        run(P, local, base_config(), alphas, callbacks=[lambda k, s: rounds.append(k)])
     assert rounds == []

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    agent_datasets,
     gradient_per_agent,
     hessian_per_agent,
     newton_per_agent,
@@ -27,7 +28,7 @@ from soprolab.errors import ParseError
 from soprolab.harness import experiment, reference
 from soprolab.harness.cli import main
 from soprolab.harness.synthetic import gaussian_blob_samples
-from soprolab.loss import LocalDataset, Sample, parse_libsvm, partition, sigma_sq_estimate
+from soprolab.loss import Sample, StackedSets, parse_libsvm, partition, sigma_sq_estimate
 
 # Small files parse in well under a millisecond; these bounds keep the
 # property tests to about a second each.
@@ -358,13 +359,14 @@ def test_partition_matches_the_sample_list_path_bitwise():
     ):
         samples = [Sample(features=f, label=int(b)) for f, b in zip(feats, labels)]
         n, per_agent = 4, len(labels) // 5
-        got_sets, got_test = partition((feats, labels), n, per_agent, seed=11, lambda_reg=0.1)
+        got, got_test = partition((feats, labels), n, per_agent, seed=11, lambda_reg=0.1)
         want_sets, want_test = partition_samples(samples, n, per_agent, 11, 0.1)
-        for g, w in zip(got_sets, want_sets):
-            assert_same_arrays((g.features, g.labels), (w.features, w.labels))
+        assert len(want_sets) == len(got.counts)
+        for g, w in zip(agent_datasets(got), want_sets):
+            assert_same_arrays((g.features, g.labels.astype(int)), (w.features, w.labels))
         assert_same_arrays((got_test.features, got_test.labels),
                            (want_test.features, want_test.labels))
-        block, _ = loss.stack_local_sets(got_sets)
+        block = got.feats
         assert not block.flags.writeable
         assert not np.shares_memory(block, feats)
         assert not np.shares_memory(got_test.features, feats)
@@ -381,9 +383,9 @@ def test_build_problem_frees_the_parsed_matrix_before_the_reference_solve(tmp_pa
         parsed.append(weakref.ref(out[0]))
         return out
 
-    def solve(datasets):
+    def solve(local):
         alive.append(parsed[0]() is not None)
-        return reference.solve_reference(datasets)
+        return reference.solve_reference(local)
 
     with mock.patch.object(experiment, "parse_libsvm", parse), \
             mock.patch.object(experiment, "solve_reference", solve):
@@ -397,11 +399,9 @@ def test_build_problem_frees_the_parsed_matrix_before_the_reference_solve(tmp_pa
 def unequal_sets(sizes, d, seed=0, lam=0.05):
     """Local sets of different sizes, so the stacked block is padded."""
     feats, labels = gaussian_blob_samples(sum(sizes), d, seed, separation=1.5, noise=0.7)
-    bounds = np.cumsum([0, *sizes])
-    return [
-        LocalDataset(feats[a:b], labels[a:b], lam * (1 + i % 3))
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
-    ]
+    split = np.cumsum(sizes)[:-1]
+    lams = [lam * (1 + i % 3) for i in range(len(sizes))]
+    return StackedSets.padded(np.split(feats, split), np.split(labels, split), lams)
 
 
 SIZES = [(20, 35, 27, 8), (40, 40, 40)]
@@ -409,8 +409,9 @@ SIZES = [(20, 35, 27, 8), (40, 40, 40)]
 
 @pytest.mark.parametrize("sizes", SIZES)
 def test_stacked_objective_gradient_and_hessian_match_per_agent_sums(sizes):
-    datasets = unequal_sets(sizes, 6)
-    pool = reference._Pool(datasets)
+    local = unequal_sets(sizes, 6)
+    datasets = agent_datasets(local)
+    pool = reference._Pool(local)
     rng = np.random.default_rng(1)
     for x in (np.zeros(6), rng.standard_normal(6)):
         u = pool.margins(x)
@@ -422,9 +423,9 @@ def test_stacked_objective_gradient_and_hessian_match_per_agent_sums(sizes):
 
 @pytest.mark.parametrize("sizes", SIZES)
 def test_solve_reference_matches_per_agent_newton(sizes):
-    datasets = unequal_sets(sizes, 8, seed=2)
-    sol = reference.solve_reference(datasets)
-    want = newton_per_agent(datasets)
+    local = unequal_sets(sizes, 8, seed=2)
+    sol = reference.solve_reference(local)
+    want = newton_per_agent(agent_datasets(local))
     assert sol.grad_norm <= 1e-12
     assert np.max(np.abs(sol.x - want)) <= 1e-10
     assert rel_err(sol.x, want) <= 1e-12
@@ -432,20 +433,24 @@ def test_solve_reference_matches_per_agent_newton(sizes):
 
 @pytest.mark.parametrize("sizes", SIZES)
 def test_sigma_sq_estimate_matches_per_agent_loop(sizes):
-    datasets = unequal_sets(sizes, 5, seed=4)
+    local = unequal_sets(sizes, 5, seed=4)
+    datasets = agent_datasets(local)
     x_star = newton_per_agent(datasets)
-    probes = reference.probe_points(datasets, x_star)
+    probes = reference.probe_points(local, x_star)
     want = sigma_sq_per_agent(datasets, probes)
-    assert abs(sigma_sq_estimate(datasets, probes) - want) <= 1e-12 * want
-    assert abs(reference.estimate_sigma_sq(datasets, x_star) - want) <= 1e-12 * want
+    assert abs(sigma_sq_estimate(local, probes) - want) <= 1e-12 * want
+    assert abs(reference.estimate_sigma_sq(local, x_star) - want) <= 1e-12 * want
 
 
 def test_sigma_sq_estimate_ignores_padding_rows():
     # Every agent repeats one sample, so no sample deviates from its
     # agent's mean; a padding row would deviate by the whole mean.
-    a = LocalDataset(np.array([[1.0, 2.0]] * 2), np.array([1, 1]), 0.1)
-    b = LocalDataset(np.array([[-0.5, 1.0]] * 4), np.array([-1] * 4), 0.1)
-    assert sigma_sq_estimate([a, b], [np.array([0.3, -0.2])]) <= 1e-30
+    local = StackedSets.padded(
+        [np.array([[1.0, 2.0]] * 2), np.array([[-0.5, 1.0]] * 4)],
+        [np.array([1, 1]), np.array([-1] * 4)],
+        0.1,
+    )
+    assert sigma_sq_estimate(local, [np.array([0.3, -0.2])]) <= 1e-30
 
 
 # ------------------------------------------------------------- phase timers
