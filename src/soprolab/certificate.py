@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import CertificationError, ConfigurationError, InvariantViolation, ParameterError
 from .loss import SmoothnessBounds
@@ -39,6 +38,60 @@ __all__ = [
     "kappa",
     "certify",
 ]
+
+
+def _bracketed_root(f, a, b, fa=None, fb=None):
+    """A root of ``f`` on ``[a, b]`` by Brent's method.
+
+    ``f(a)`` and ``f(b)`` (``fa`` and ``fb`` when given) must differ in
+    sign or one of them be zero.  This is the iteration of scipy's
+    ``brentq`` at ``xtol=1e-300``, ``rtol=8.9e-16`` and 200 steps: it stops
+    once the bracket is narrower than ``1e-300 + 8.9e-16 |x|``.  An
+    interpolation step pointing away from the far end of the bracket
+    bisects instead, so ``f`` is never evaluated outside ``[a, b]``.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre = f(xpre) if fa is None else fa
+    fcur = f(xcur) if fb is None else fb
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise CertificationError(
+            f"root not bracketed on [{a}, {b}]: f(a)={fpre}, f(b)={fcur}"
+        )
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(200):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-300 + 8.9e-16 * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = 0.0
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                num, den = -fcur * (xcur - xpre), fcur - fpre
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                num = -fcur * (fblk * dblk - fpre * dpre)
+                den = dblk * dpre * (fblk - fpre)
+            if den != 0.0:
+                stry = num / den
+        if stry * sbis > 0.0 and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise CertificationError(f"no root of f on [{a}, {b}] within 200 steps")
 
 
 def tau(C: int, G: int) -> float:
@@ -76,7 +129,7 @@ def m_beta(m_fbar: float, n_agents: int, M: float, beta: float, lambda_w: float)
             f"cubic root not bracketed on (0, {hi}): "
             f"f(0)={cubic(0.0)}, f(hi)={cubic(hi)}"
         )
-    gamma = brentq(cubic, 0.0, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+    gamma = _bracketed_root(cubic, 0.0, hi)
     scale = max(abs(a3), abs(a2), abs(a1), abs(a0))
     if abs(cubic(gamma)) > 1e-12 * scale:
         raise CertificationError(
@@ -131,15 +184,20 @@ def check_D_condition(
         raise ParameterError(f"eta_s must lie in (0,1), got {eta_s}")
     if m_beta_value <= 0 or beta <= 0:
         raise ParameterError("m_beta and beta must be positive")
+    t = _condition_shift(bounds, eta_s, m_beta_value, beta)
+    margin = _lambda_min_shifted(alphas, t, beta, P)
+    return DConditionResult(passed=margin > 0.0, margin=margin)
+
+
+def _condition_shift(bounds, eta_s, m_beta_value, beta):
+    """The ``(N,)`` diagonal that the proximal condition subtracts from D."""
     m, M = bounds.m, bounds.M
-    t = -(
+    return -(
         M / (2.0 * (1.0 - eta_s))
         + (M - m) ** 2 / (8.0 * eta_s * m_beta_value)
         + (M - 3.0 * m) / 2.0
         + beta / 2.0
     )
-    margin = _lambda_min_shifted(alphas, t, beta, P)
-    return DConditionResult(passed=margin > 0.0, margin=margin)
 
 
 def proximal_alphas(
@@ -269,49 +327,46 @@ class RateCertificate:
         return cls(**data)
 
 
-def _delta_terms(alphas, bounds, beta, lambda_w, eta_s, m_b, c1, c0, P, norm_sq):
-    """min over the three rate terms, with the c2 trade-off solved exactly.
+def _delta_terms(gap, alphas, bounds, beta, lambda_w, eta_s, m_b, c1, P, norm_sq):
+    """The rate terms at ``c0 = 2 eta_s m_b - gap``, with c2 in closed form.
 
-    Term one is c2-free.  The second term decreases and the third increases
-    in c2, both spanning (0, max), so their pointwise min peaks at the unique
-    crossing; brentq in log(c2) finds it.
+    Term one, ``beta lambda_w kappa(c0) / (2 (1 + c1) ||LM + D||^2)``, is
+    free of c2.  With ``A = (1 - eta_s) / (1 + 1/c1)``, ``K = gap``,
+    ``b_i = (1 + 1/c1) M_i^2 / (beta lambda_w)`` and
+    ``s_i = (m_i + M_i)/2 + alpha_i + b_i``, term two is ``A / (1 + c2)``
+    and term three is ``min_i K / (s_i + b_i / c2)``.  Term two falls and
+    term three rises in c2, so their min peaks where they cross.  Agent i's
+    part of term three meets term two at the positive root of
+    ``K c^2 + (K - A s_i) c - A b_i = 0``; term two lies above it below
+    that root and under it beyond, so the crossing is the largest root
+    ``c2*`` and its value is ``A / (1 + c2*)``.  Each root takes the form
+    without cancellation for the sign of ``K - A s_i``.
+
+    kappa is the rate matrix at the top end ``c0 = hi``, whose smallest
+    eigenvalue is the proximal-condition margin, less
+    ``diag((M - m)^2 / 4 (1/c0 - 1/hi))``.  The alphas cancel against the
+    condition's terms once, in that matrix, so kappa follows the gap
+    smoothly instead of in steps of the alphas' last bit.
+
+    The caller passes the gap rather than c0 because the best c0 can sit
+    within a relative 1e-7 of its upper end, where ``K`` computed from c0
+    would keep only its leading bits.  Returns ``(term1, crossing value,
+    c2*, kappa)``; term one is negative where kappa is.
     """
-    k = kappa(c0, eta_s, alphas, bounds, beta, P, m_beta_value=m_b)
-    if k <= 0.0:
-        return None
+    hi = 2.0 * eta_s * m_b
+    top = alphas + _condition_shift(bounds, eta_s, m_b, beta)
+    drop = 0.25 * (bounds.M - bounds.m) ** 2 * gap / (hi * (hi - gap))
+    k = _lambda_min_shifted(top, -drop, beta, P)
     term1 = beta * lambda_w * k / (2.0 * (1.0 + c1) * norm_sq)
-    num3 = 2.0 * eta_s * m_b - c0
-    if num3 <= 0.0:
-        return None
     cc1 = 1.0 + 1.0 / c1
-
-    def t2(c2):
-        return (1.0 - eta_s) / (cc1 * (1.0 + c2))
-
-    def t3(c2):
-        extra = cc1 * (1.0 + 1.0 / c2) * bounds.M**2 / (beta * lambda_w)
-        # Largest eigenvalue of R + diag(extra_i I), R = (Lm+LM)/2 + D.
-        return num3 / float(np.max(0.5 * (bounds.m + bounds.M) + alphas + extra))
-
-    def gap(u):
-        c2 = math.exp(u)
-        return t2(c2) - t3(c2)
-
-    lo, hi = -40.0, 40.0
-    glo, ghi = gap(lo), gap(hi)
-    if not (glo > 0.0 > ghi):  # pathological scales; widen
-        while glo <= 0.0 and lo > -700:
-            lo -= 100.0
-            glo = gap(lo)
-        while ghi >= 0.0 and hi < 700:
-            hi += 100.0
-            ghi = gap(hi)
-        if not (glo > 0.0 > ghi):
-            return None
-    u = brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    c2 = math.exp(u)
-    val = min(t2(c2), t3(c2))
-    return min(term1, val), c2, k
+    A = (1.0 - eta_s) / cc1
+    b = cc1 * bounds.M**2 / (beta * lambda_w)
+    B = gap - A * (0.5 * (bounds.m + bounds.M) + alphas + b)
+    q = np.abs(B) + np.sqrt(B * B + 4.0 * gap * A * b)
+    falls = B < 0.0
+    roots = np.where(falls, q, 2.0 * A * b) / np.where(falls, 2.0 * gap, q)
+    c2 = float(roots.max())
+    return term1, A / (1.0 + c2), c2, k
 
 
 def certify(
@@ -327,10 +382,15 @@ def certify(
 ) -> RateCertificate:
     """Compute the full rate certificate for a parameter choice.
 
-    The contraction factor is the sup over the free constants: the c2
-    trade-off is solved exactly for each c0 and c0 is optimized over
-    ``(0, 2 eta_s m_beta)``, where ``min(term1(c0), crossing(c0))`` is
-    unimodal (term1 increases, the crossing value decreases).  Fails with
+    The contraction factor ``delta_s`` is the sup over c0 and c2 of the
+    min of the three rate terms.  For each c0 the c2 trade-off has the
+    closed form of :func:`_delta_terms`.  Over ``c0`` in
+    ``(0, 2 eta_s m_beta)``, term one follows kappa and does not
+    decrease, while the crossing value of terms two and three decreases
+    (a smaller ``K`` lowers term three for every c2).  The max of their
+    min is therefore where they cross, found as one bracketed root, or an
+    endpoint when term one minus the crossing value keeps its sign.  The
+    search runs on the gap ``2 eta_s m_beta - c0``.  Fails with
     diagnostics when the proximal condition fails or no positive rate
     exists.
     """
@@ -360,39 +420,31 @@ def certify(
     norm_sq = float(np.max(bounds.M + alphas) ** 2)  # ||LM + D||^2
     hi = 2.0 * eta_s * m_b
 
-    # kappa is nondecreasing in c0 and positive at the upper end (it equals
-    # the proximal-condition margin there), so the feasible c0 region is an
-    # interval (c_crit, hi); bracket its left edge before optimizing.
-    c_hi = hi * (1.0 - 1e-12)
-    c_lo = hi * 1e-12
+    def terms(gap):
+        return _delta_terms(gap, alphas, bounds, beta, lambda_w, eta_s, m_b, c1, P, norm_sq)
 
-    def kap_at(c0):
-        return kappa(c0, eta_s, alphas, bounds, beta, P, m_beta_value=m_b)
+    def excess(gap):  # term one minus the crossing value; falls as the gap grows
+        term1, val, _, _ = terms(gap)
+        return term1 - val
 
-    if kap_at(c_lo) <= 0.0:
-        c_lo = brentq(kap_at, c_lo, c_hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
-
-    def neg_delta(c0):
-        res = _delta_terms(alphas, bounds, beta, lambda_w, eta_s, m_b, c1, c0, P, norm_sq)
-        # Feasible values lie in (-1, 0); 1.0 is always worse and keeps the
-        # bounded Brent iteration free of non-finite arithmetic.
-        return 1.0 if res is None else -res[0]
-
-    opt = minimize_scalar(
-        neg_delta,
-        bounds=(c_lo, c_hi),
-        method="bounded",
-        options={"xatol": hi * 1e-13, "maxiter": 300},
-    )
-    best = _delta_terms(
-        alphas, bounds, beta, lambda_w, eta_s, m_b, c1, float(opt.x), P, norm_sq
-    )
-    if best is None or best[0] <= 0.0:
+    # Term one is negative past the kappa edge, so the whole range of c0 is
+    # one bracket and the edge needs no search of its own.
+    gap_lo, gap_hi = hi * 1e-12, hi * (1.0 - 1e-12)
+    f_lo, f_hi = excess(gap_lo), excess(gap_hi)
+    if f_lo <= 0.0:  # term one binds everywhere and peaks at the largest c0
+        gap = gap_lo
+    elif f_hi >= 0.0:  # the crossing value binds everywhere and peaks at the smallest c0
+        gap = gap_hi
+    else:
+        gap = _bracketed_root(excess, gap_lo, gap_hi, f_lo, f_hi)
+    term1, val, c2_star, kap = terms(gap)
+    delta_s = min(term1, val)
+    c0_star = hi - gap
+    if not (kap > 0.0 and delta_s > 0.0):
         raise CertificationError(
-            f"no positive contraction factor found (best delta at c0={opt.x}: {best})"
+            f"no positive contraction factor found (best delta at c0={c0_star}: "
+            f"{delta_s}, kappa {kap})"
         )
-    delta_s, c2_star, kap = best
-    c0_star = float(opt.x)
     if delta_s >= 1.0:  # theory guarantees < 1; guard anyway
         raise CertificationError(f"delta_s={delta_s} not in (0,1)")
 

@@ -1,16 +1,19 @@
 """Per-line, per-sample, per-pair and per-agent versions of the array
-set-up code.
+set-up code, and the numerical search the certificate's closed forms
+replaced.
 
-Each function here is the plain loop that an array routine of
-``soprolab`` replaced; the tests check the array routines against them.
+Each function here is the plain loop or search that a routine of
+``soprolab`` replaced; the tests check the routines against them.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import expit
 
+from soprolab.certificate import kappa, m_beta
 from soprolab.errors import ParseError, SoprolabError
 from soprolab.loss import (
     LocalDataset,
@@ -194,3 +197,68 @@ def random_connected_graph_per_pair(n, target_avg_degree, seed):
         picks = rng.choice(len(pool), size=missing, replace=False)
         chosen.update(pool[k] for k in picks)
     return Graph.from_edges(n, chosen)
+
+
+def delta_terms_nested(alphas, bounds, beta, lambda_w, eta_s, m_b, c1, c0, P, norm_sq):
+    """min of the three rate terms at ``c0``, with c2 found by ``brentq`` in
+    log(c2) where terms two and three cross.  Returns ``(delta, c2, kappa)``,
+    or None where kappa or the third term's numerator is not positive."""
+    k = kappa(c0, eta_s, alphas, bounds, beta, P, m_beta_value=m_b)
+    if k <= 0.0:
+        return None
+    term1 = beta * lambda_w * k / (2.0 * (1.0 + c1) * norm_sq)
+    num3 = 2.0 * eta_s * m_b - c0
+    if num3 <= 0.0:
+        return None
+    cc1 = 1.0 + 1.0 / c1
+
+    def t2(c2):
+        return (1.0 - eta_s) / (cc1 * (1.0 + c2))
+
+    def t3(c2):
+        extra = cc1 * (1.0 + 1.0 / c2) * bounds.M**2 / (beta * lambda_w)
+        return num3 / float(np.max(0.5 * (bounds.m + bounds.M) + alphas + extra))
+
+    def gap(u):
+        c2 = math.exp(u)
+        return t2(c2) - t3(c2)
+
+    lo, hi = -40.0, 40.0
+    glo, ghi = gap(lo), gap(hi)
+    if not (glo > 0.0 > ghi):  # pathological scales; widen
+        while glo <= 0.0 and lo > -700:
+            lo -= 100.0
+            glo = gap(lo)
+        while ghi >= 0.0 and hi < 700:
+            hi += 100.0
+            ghi = gap(hi)
+        if not (glo > 0.0 > ghi):
+            return None
+    c2 = math.exp(brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
+    return min(term1, t2(c2), t3(c2)), c2, k
+
+
+def certify_delta_nested(bounds, P, beta, alphas, eta_s, c1):
+    """``(delta_s, c0)`` by a bounded Brent search over c0 of
+    :func:`delta_terms_nested`, after a ``brentq`` for the kappa edge."""
+    lambda_w = P.spectral.lambda_w
+    m_b, _ = m_beta(float(bounds.m.sum()), bounds.n_agents, bounds.max_M, beta, lambda_w)
+    norm_sq = float(np.max(bounds.M + alphas) ** 2)
+    hi = 2.0 * eta_s * m_b
+    c_lo, c_hi = hi * 1e-12, hi * (1.0 - 1e-12)
+
+    def kap_at(c0):
+        return kappa(c0, eta_s, alphas, bounds, beta, P, m_beta_value=m_b)
+
+    if kap_at(c_lo) <= 0.0:
+        c_lo = brentq(kap_at, c_lo, c_hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+
+    def neg_delta(c0):
+        res = delta_terms_nested(alphas, bounds, beta, lambda_w, eta_s, m_b, c1, c0, P, norm_sq)
+        return 1.0 if res is None else -res[0]
+
+    opt = minimize_scalar(
+        neg_delta, bounds=(c_lo, c_hi), method="bounded",
+        options={"xatol": hi * 1e-13, "maxiter": 300},
+    )
+    return -neg_delta(float(opt.x)), float(opt.x)

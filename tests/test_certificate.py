@@ -1,9 +1,14 @@
+import math
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from oracles import certify_delta_nested
 from soprolab import certificate
 from soprolab.certificate import (
     QNormError,
@@ -32,6 +37,79 @@ def ring_P(n=5, w=1.0):
 
 def homogeneous_bounds(n, m, M):
     return SmoothnessBounds(m=np.full(n, m), M=np.full(n, M))
+
+
+# ------------------------------------------------------------ root finder
+
+
+def counted(f):
+    """``f`` that records every point it is evaluated at."""
+    def wrapper(x):
+        wrapper.points.append(x)
+        return f(x)
+
+    wrapper.points = []
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "f, a, b, root",
+    [
+        (lambda x: 4.0 * x - 1.0, 0.0, 1.0, 0.25),
+        (lambda x: 0.75 - 3.0 * x, 0.0, 1.0, 0.25),
+        (lambda x: x**3 - 8.0, 0.0, 5.0, 2.0),
+        (lambda x: 8.0 - x**3, 0.0, 5.0, 2.0),
+        (lambda x: math.exp(-x) - 0.5, 0.0, 5.0, math.log(2.0)),
+        (lambda x: math.atan(1e8 * (x - 0.125)), -3.0, 7.0, 0.125),
+    ],
+    ids=["linear-up", "linear-down", "cubic-up", "cubic-down", "exp-down", "atan-step"],
+)
+def test_bracketed_root_finds_roots_of_monotone_functions(f, a, b, root):
+    got = certificate._bracketed_root(f, a, b)
+    assert abs(got - root) <= 8.9e-16 * abs(root)
+    assert certificate._bracketed_root(f, b, a) == pytest.approx(root, rel=8.9e-16, abs=0.0)
+
+
+def test_bracketed_root_returns_an_endpoint_root_without_searching():
+    f = counted(lambda x: x - 1.0)
+    assert certificate._bracketed_root(f, 1.0, 3.0) == 1.0
+    assert certificate._bracketed_root(f, -2.0, 1.0) == 1.0
+    assert f.points == [1.0, 3.0, -2.0, 1.0]
+    g = counted(lambda x: x - 1.0)
+    assert certificate._bracketed_root(g, 1.0, 3.0, 0.0, 2.0) == 1.0
+    assert g.points == []
+
+
+@pytest.mark.parametrize("root", [1e-300, 1e-200, 1e-100])
+def test_bracketed_root_resolves_a_root_near_the_smallest_tolerance(root):
+    # The kappa edge has the shape a - b / c0.
+    got = certificate._bracketed_root(lambda c0: 1.0 - root / c0, root / 10.0, root * 1e10)
+    assert abs(got - root) <= 1e-300 + 8.9e-16 * root
+
+
+def test_bracketed_root_raises_without_a_sign_change():
+    with pytest.raises(CertificationError, match="not bracketed"):
+        certificate._bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(CertificationError, match="not bracketed"):
+        certificate._bracketed_root(lambda x: x - 5.0, 0.0, 1.0, -5.0, -4.0)
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
+        (lambda x: (x - 0.7) ** 9, 0.0, 1.0),
+        (lambda x: math.exp(12.0 * (x - 0.05)) - 1.0, 0.0, 1.0),
+        (lambda x: 1.0 - 1e-300 / x, 1e-301, 1e-290),
+        (lambda x: x - 0.1 if x < 0.1 else 1e6 * (x - 0.1), 0.0, 1.0),
+    ],
+    ids=["tanh", "ninth-power", "exp", "hyperbola", "kink"],
+)
+def test_bracketed_root_never_evaluates_outside_the_bracket(f, a, b):
+    g = counted(f)
+    got = certificate._bracketed_root(g, a, b)
+    assert a <= got <= b
+    assert all(a <= x <= b for x in g.points)
 
 
 # ---------------------------------------------------------------- tau
@@ -98,6 +176,21 @@ def test_m_beta_varied_parameters():
         grid = np.linspace(hi * 1e-6, hi * (1 - 1e-9), 2000)
         best = max(zeta(x, m_fbar, n, M, beta, lam_w) for x in grid)
         assert val >= best - 1e-8
+
+
+def test_m_beta_root_matches_brentq():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        m_fbar, M, beta, lam_w = 10.0 ** rng.uniform([-2, -1, -1, -2], [1, 2, 1, 1])
+        n = int(rng.integers(2, 300))
+        coeffs = [4 * M * n, beta * n * lam_w - 2 * m_fbar, 4 * M * n, -2 * m_fbar]
+
+        def cubic(g):
+            return ((coeffs[0] * g + coeffs[1]) * g + coeffs[2]) * g + coeffs[3]
+
+        want = brentq(cubic, 0.0, m_fbar / (2 * M * n), xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        _, got = m_beta(m_fbar, n, M, beta, lam_w)
+        assert abs(got - want) <= 8.9e-16 * want
 
 
 def test_m_beta_rejects_bad_inputs():
@@ -358,6 +451,101 @@ def test_certify_beats_dense_grid():
     assert cert.delta_s >= oracle - 1e-6
     assert 0 < cert.delta_s < 1
     assert cert.kappa > 0
+
+
+@st.composite
+def certified_problems(draw):
+    """Random connected graphs with heterogeneous m_i, M_i and alpha_i
+    (the recipe alphas plus a per-agent surplus), beta, eta_s and c1."""
+    n = draw(st.integers(3, 8))
+    graph = build_random_connected_graph(
+        n, draw(st.floats(2.0, n - 1.0)), seed=draw(st.integers(0, 2**16))
+    )
+    P = laplacian_weights(graph, draw(st.floats(0.2, 2.0)))
+    per_agent = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
+    m = 0.01 + 0.49 * draw(per_agent)
+    bounds = SmoothnessBounds(m=m, M=m + draw(per_agent))
+    beta, eta = draw(st.floats(0.1, 5.0)), draw(st.floats(0.05, 0.95))
+    c1 = 10.0 ** draw(st.floats(-1.0, 1.0))
+    alphas, _ = proximal_alphas(bounds, P, beta, eta)
+    alphas = alphas + 10.0 ** draw(st.floats(-3.0, 1.0)) * draw(per_agent)
+    return P, bounds, alphas, beta, eta, c1
+
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+
+def network_m_beta(bounds, P, beta):
+    return m_beta(float(bounds.m.sum()), bounds.n_agents, bounds.max_M, beta, P.spectral.lambda_w)[0]
+
+
+@given(certified_problems())
+@PROPERTY
+def test_certify_is_at_least_the_nested_search(problem):
+    P, bounds, alphas, beta, eta, c1 = problem
+    cert = certify(bounds, P, beta, alphas, eta, sigma_sq=0.2, tau_value=0.05, c1=c1)
+    want, _ = certify_delta_nested(bounds, P, beta, alphas, eta, c1)
+    assert cert.delta_s >= want * (1.0 - 1e-12)
+
+
+def assert_c2_is_the_crossing(P, bounds, alphas, beta, eta, c1, fraction):
+    """The closed-form c2* at ``gap = fraction * 2 eta m_beta`` against a
+    ``brentq`` crossing of terms two and three in log(c2)."""
+    lam_w = P.spectral.lambda_w
+    m_b = network_m_beta(bounds, P, beta)
+    gap = fraction * 2 * eta * m_b
+    norm_sq = float(np.max(bounds.M + alphas) ** 2)
+    _, val, c2, _ = certificate._delta_terms(
+        gap, alphas, bounds, beta, lam_w, eta, m_b, c1, P, norm_sq
+    )
+    cc1 = 1 + 1 / c1
+    r = 0.5 * (bounds.m + bounds.M) + alphas
+
+    def t2(c):
+        return (1 - eta) / (cc1 * (1 + c))
+
+    def t3(c):
+        return gap / float(np.max(r + cc1 * (1 + 1 / c) * bounds.M**2 / (beta * lam_w)))
+
+    u = brentq(lambda u: t2(math.exp(u)) - t3(math.exp(u)), -745.0, 709.0,
+               xtol=1e-300, rtol=8.9e-16, maxiter=500)
+    assert abs(c2 - math.exp(u)) <= 1e-12 * c2
+    assert abs(val - t2(math.exp(u))) <= 1e-12 * val
+
+
+@given(certified_problems(), st.sampled_from([1e-10, 1e-6, 1e-2, 0.5, 1.0 - 1e-9]))
+@PROPERTY
+def test_closed_form_c2_is_the_crossing_of_terms_two_and_three(problem, fraction):
+    assert_c2_is_the_crossing(*problem, fraction)
+
+
+@pytest.mark.parametrize("m", [1e-4, 1e-3])
+def test_closed_form_c2_keeps_its_digits_when_term_two_is_small(m):
+    # With a tiny c1 and small curvature, K - A s_i is positive for every
+    # agent, and the textbook root formula would cancel.
+    P = laplacian_weights(Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i)]), 2.0)
+    bounds = homogeneous_bounds(4, m, m)
+    alphas, _ = proximal_alphas(bounds, P, 5.0, 0.95)
+    assert_c2_is_the_crossing(P, bounds, alphas, 5.0, 0.95, 1e-8, 0.5)
+
+
+@given(certified_problems())
+@PROPERTY
+def test_no_nearby_c0_beats_the_certified_one(problem):
+    P, bounds, alphas, beta, eta, c1 = problem
+    cert = certify(bounds, P, beta, alphas, eta, sigma_sq=0.2, tau_value=0.05, c1=c1)
+    m_b = network_m_beta(bounds, P, beta)
+    hi = 2.0 * eta * m_b
+    norm_sq = float(np.max(bounds.M + alphas) ** 2)
+    gap = hi - cert.c0
+    offsets = 10.0 ** np.linspace(-6.0, -1.0, 11)
+    for g in gap * np.concatenate([1.0 - offsets, 1.0 + offsets]):
+        if not hi * 1e-12 <= g <= hi * (1 - 1e-12):
+            continue
+        term1, val, _, _ = certificate._delta_terms(
+            float(g), alphas, bounds, beta, P.spectral.lambda_w, eta, m_b, c1, P, norm_sq
+        )
+        assert min(term1, val) <= cert.delta_s * (1 + 1e-12)
 
 
 def test_certify_zero_tau_gives_zero_bound():

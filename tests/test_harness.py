@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soprolab
 from oracles import agent_datasets, newton_per_agent
 from soprolab import certificate
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation, SoprolabError
@@ -255,6 +259,22 @@ def test_experiment_chooses_the_proximal_alphas_once(monkeypatch):
     result = run_experiment(config)
     assert len(result.traces) == 2
     assert len(calls) == 1
+
+
+def test_package_and_cli_import_no_optimizer_or_sparse_scipy():
+    # scipy.optimize pulls in scipy.sparse, scipy.spatial and more: about
+    # 17 MB of resident memory that no step of an experiment needs.
+    code = (
+        "import sys, soprolab, soprolab.harness.cli; "
+        "print(*[m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.spatial')"
+        " if m in sys.modules])"
+    )
+    src = str(Path(soprolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []
 
 
 def test_cli_certify_rejects_a_mu_below_the_recipe_bound(capsys):
