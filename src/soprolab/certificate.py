@@ -184,14 +184,14 @@ def check_D_condition(
         raise ParameterError(f"eta_s must lie in (0,1), got {eta_s}")
     if m_beta_value <= 0 or beta <= 0:
         raise ParameterError("m_beta and beta must be positive")
-    t = _condition_shift(bounds, eta_s, m_beta_value, beta)
+    t = _condition_shift(bounds.m, bounds.M, eta_s, m_beta_value, beta)
     margin = _lambda_min_shifted(alphas, t, beta, P)
     return DConditionResult(passed=margin > 0.0, margin=margin)
 
 
-def _condition_shift(bounds, eta_s, m_beta_value, beta):
-    """The ``(N,)`` diagonal that the proximal condition subtracts from D."""
-    m, M = bounds.m, bounds.M
+def _condition_shift(m, M, eta_s, m_beta_value, beta):
+    """The diagonal that the proximal condition subtracts from D, for the
+    curvature bounds ``m``, ``M`` (per agent or one pair)."""
     return -(
         M / (2.0 * (1.0 - eta_s))
         + (M - m) ** 2 / (8.0 * eta_s * m_beta_value)
@@ -228,11 +228,7 @@ def proximal_alphas(
         float(bounds.m.sum()), bounds.n_agents, bounds.max_M, beta, spec.lambda_w
     )
     m, M = bounds.min_m, bounds.max_M
-    lower = (
-        (M - 3.0 * m) / 2.0
-        + M / (2.0 * (1.0 - eta_s))
-        + (M - m) ** 2 / (8.0 * eta_s * m_b)
-    )
+    lower = -_condition_shift(m, M, eta_s, m_b, beta) - beta / 2.0
     if mu is None:
         mu = max(lower, 0.0) + 0.05 * max(M, 1.0)
     alphas = np.full(bounds.n_agents, (0.5 + spec.lambda_max) * beta + mu)
@@ -257,9 +253,10 @@ def kappa(
     """Contraction margin: smallest eigenvalue of the rate matrix.
 
     Evaluates ``lambda_min(R - LM/(2(1-eta)) - (LM-Lm)^2/(4 c0) + Lm - LM
-    - beta (I/2 + W))`` with ``R = (Lm+LM)/2 + D``.  At
-    ``c0 = 2 eta_s m_beta`` this coincides with the proximal-condition
-    margin, so a strictly feasible ``D`` always admits ``kappa > 0``.
+    - beta (I/2 + W))`` with ``R = (Lm+LM)/2 + D``: the proximal
+    condition's matrix with ``2 eta_s m_beta`` replaced by ``c0``.  At
+    ``c0 = 2 eta_s m_beta`` it is the proximal-condition margin, so a
+    strictly feasible ``D`` always admits ``kappa > 0``.
     """
     if c0 <= 0:
         raise ParameterError(f"c0 must be positive, got {c0}")
@@ -267,15 +264,7 @@ def kappa(
         raise ParameterError(
             f"c0={c0} outside (0, 2*eta_s*m_beta={2.0 * eta_s * m_beta_value})"
         )
-    m, M = bounds.m, bounds.M
-    t = (
-        0.5 * (m + M)
-        - M / (2.0 * (1.0 - eta_s))
-        - (M - m) ** 2 / (4.0 * c0)
-        + m
-        - M
-        - beta / 2.0
-    )
+    t = _condition_shift(bounds.m, bounds.M, eta_s, c0 / (2.0 * eta_s), beta)
     return _lambda_min_shifted(alphas, t, beta, P)
 
 
@@ -354,7 +343,7 @@ def _delta_terms(gap, alphas, bounds, beta, lambda_w, eta_s, m_b, c1, P, norm_sq
     c2*, kappa)``; term one is negative where kappa is.
     """
     hi = 2.0 * eta_s * m_b
-    top = alphas + _condition_shift(bounds, eta_s, m_b, beta)
+    top = alphas + _condition_shift(bounds.m, bounds.M, eta_s, m_b, beta)
     drop = 0.25 * (bounds.M - bounds.m) ** 2 * gap / (hi * (hi - gap))
     k = _lambda_min_shifted(top, -drop, beta, P)
     term1 = beta * lambda_w * k / (2.0 * (1.0 + c1) * norm_sq)

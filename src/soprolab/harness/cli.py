@@ -94,7 +94,7 @@ def _cmd_reference(args) -> int:
 def _cmd_tune(args) -> int:
     config = _build_config(args)
     grid = parse_grid_file(args.grid)
-    result = tune_baseline(config, grid, target_error=config.target_error)
+    result = tune_baseline(config, grid)
     print("overrides | mean_rounds_to_target | mean_final_err")
     for point in result.table:
         print(f"{point.overrides} | {point.mean_rounds} | {point.mean_final_err:.6e}")
@@ -121,7 +121,11 @@ def main(argv=None) -> int:
     _add_config_flags(p_ref)
     p_ref.set_defaults(func=_cmd_reference)
 
-    p_tune = sub.add_parser("tune", help="grid-search hyperparameters")
+    tune_help = (
+        "grid-search hyperparameters: each point runs min(--seeds, 3) seeds"
+        " and is scored by its rounds to reach --target-error"
+    )
+    p_tune = sub.add_parser("tune", help=tune_help, description=tune_help)
     _add_config_flags(p_tune)
     p_tune.add_argument("--grid", required=True, help="grid file: key=value pairs per line")
     p_tune.set_defaults(func=_cmd_tune)

@@ -1,7 +1,11 @@
 """Experiment orchestration: config schema, problem assembly, trace output.
 
-A flat key-value config file (every key doubles as a CLI flag) describes
-the dataset, the network, and the run parameters.  One experiment builds a
+A flat key-value config file describes the dataset, the network, and the
+run parameters.  The keys are the fields of :class:`ExperimentConfig`, and
+each field's type is its key's type: a ``T | None`` field takes a ``T`` or
+may be unset.  Every key doubles as a CLI flag, so a new key is one new
+field.  The run parameters are checked by the engine's own rules
+(``RunConfig.validate``) before any set-up work.  One experiment builds a
 pinned topology and data split, solves the centralized reference problem,
 certifies the proximal method when applicable, and runs each seed to a
 JSONL trace plus one seed-averaged CSV.  The proximal alphas are chosen
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -99,18 +104,16 @@ class ExperimentConfig:
         return replace(self, **coerced)
 
     def to_run_config(self, seed: int) -> optimizer.RunConfig:
-        full = self.algorithm == "sopro"
-        return optimizer.RunConfig(
-            batch_g=self.per_agent if full else self.batch_g,
-            batch_s=self.per_agent if full else self.batch_s,
-            max_iters=self.max_iters,
-            seed=seed,
-            beta=self.beta,
-            algorithm=self.algorithm,
-            x0_mode=self.x0_mode,
-            step_size=self.step_size,
-            step_schedule=self.step_schedule,
-        )
+        """The engine's parameters: every ``RunConfig`` field that is also a
+        config key, with this ``seed``; SoPro's batches are whole local sets."""
+        shared = {
+            f.name: getattr(self, f.name)
+            for f in fields(optimizer.RunConfig)
+            if f.name in CONFIG_SCHEMA
+        }
+        if self.algorithm == "sopro":
+            shared.update(batch_g=self.per_agent, batch_s=self.per_agent)
+        return optimizer.RunConfig(**shared, seed=seed)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(ExperimentConfig)}
@@ -118,39 +121,23 @@ class ExperimentConfig:
 
 # Checked whenever a config is made, by coercion, replace() or directly.
 _LEAST = {"seeds": 1, "test_size": 0}
-_OPTIONAL_FLOATS = {"mu", "step_size", "target_error"}
-_OPTIONAL_INTS = {"topology_seed", "data_seed"}
-_OPTIONAL_STRS = {"topology_file", "out"}
 
-CONFIG_SCHEMA: dict[str, type] = {
-    "dataset": str,
-    "dim": int,
-    "n_agents": int,
-    "avg_degree": float,
-    "per_agent": int,
-    "test_size": int,
-    "separation": float,
-    "noise": float,
-    "lambda_reg": float,
-    "beta": float,
-    "eta_s": float,
-    "mu": float,
-    "c1": float,
-    "batch_g": int,
-    "batch_s": int,
-    "max_iters": int,
-    "algorithm": str,
-    "x0_mode": str,
-    "step_size": float,
-    "step_schedule": str,
-    "seeds": int,
-    "master_seed": int,
-    "topology_seed": int,
-    "data_seed": int,
-    "topology_file": str,
-    "target_error": float,
-    "out": str,
-}
+
+def _schema() -> tuple[dict[str, type], frozenset[str]]:
+    """Each field's type, and the fields that may be unset (``T | None``)."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    schema, optional = {}, set()
+    for f in fields(ExperimentConfig):
+        hint = hints[f.name]
+        args = typing.get_args(hint)
+        if type(None) in args:
+            (hint,) = [t for t in args if t is not type(None)]
+            optional.add(f.name)
+        schema[f.name] = hint
+    return schema, frozenset(optional)
+
+
+CONFIG_SCHEMA, _UNSETTABLE = _schema()
 
 
 def _coerce_one(key: str, value):
@@ -183,9 +170,7 @@ def _coerce_mapping(mapping: dict) -> dict:
     for k, v in mapping.items():
         key = k.replace("-", "_")
         coerced = _coerce_one(key, v)
-        if coerced is None and key not in (
-            _OPTIONAL_FLOATS | _OPTIONAL_INTS | _OPTIONAL_STRS
-        ):
+        if coerced is None and key not in _UNSETTABLE:
             raise ConfigurationError(f"key {key!r} cannot be unset")
         out[key] = coerced
     return out
@@ -327,11 +312,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     values: ``wall_s_total`` and the set-up phases ``data_s``, ``load_s``,
     ``reference_s`` and ``certificate_s``.
 
+    Run parameters that the engine refuses raise
+    :class:`~soprolab.errors.ConfigurationError` before any set-up work,
+    and before ``out`` is created.
+
     A run whose iterate, optimality error or Q-norm error stops being
     finite raises :class:`~soprolab.errors.DivergenceError`.  With ``out``
     set, its trace is written first: the rows so far and a summary that
     adds ``status: "diverged"``, the ``round`` and the ``message``.
     """
+    # Seeds differ only in ``seed``, so one check covers every run.
+    config.to_run_config(0).validate(n_samples=config.per_agent)
     problem = build_problem(config)
     certifying = time.perf_counter()
     rate, alphas, mu_resolved, q_err = build_certificate(config, problem)

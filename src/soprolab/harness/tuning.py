@@ -32,20 +32,19 @@ class TuneResult:
     table: list[TunePoint]
 
 
-def tune_baseline(
-    config: ExperimentConfig,
-    grid,
-    target_error: float | None = None,
-    n_seeds: int | None = None,
-) -> TuneResult:
-    """Evaluate each grid point and return the fastest-to-target one."""
+def tune_baseline(config: ExperimentConfig, grid) -> TuneResult:
+    """Evaluate each grid point and return the fastest-to-target one.
+
+    The target is ``config.target_error``; each point runs
+    ``min(config.seeds, 3)`` seeds.
+    """
     grid = list(grid)
     if not grid:
         raise ParameterError("empty tuning grid")
-    target = target_error if target_error is not None else config.target_error
+    target = config.target_error
     if target is None:
         raise ParameterError("no target error given (config.target_error is unset)")
-    seeds = n_seeds if n_seeds is not None else min(config.seeds, 3)
+    seeds = min(config.seeds, 3)
 
     table = []
     for overrides in grid:

@@ -191,18 +191,6 @@ def _map_labels(raw: np.ndarray, linenos: list[int]) -> np.ndarray:
     raise ParseError(f"unmappable label {float(raw[k])}", line=linenos[k])
 
 
-def _apply_label_map(raw: np.ndarray, linenos: list[int], label_map: dict) -> np.ndarray:
-    table = {float(k): int(v) for k, v in label_map.items()}
-    mapped = np.empty(raw.shape[0], dtype=int)
-    for k, (v, lineno) in enumerate(zip(raw.tolist(), linenos)):
-        if v not in table:
-            raise ParseError(f"unmappable label {v}", line=lineno)
-        if table[v] not in (-1, 1):
-            raise ParseError(f"label map sends {v} outside +-1", line=lineno)
-        mapped[k] = table[v]
-    return mapped
-
-
 # Lines per slice of a file: the tokenizer's arrays grow with a slice, not
 # with the file.
 _CHUNK_LINES = 1024
@@ -379,15 +367,14 @@ def _raise_first_error(text: str, first_line: int):
     raise InvariantViolation("a rejected slice has no malformed token")
 
 
-def parse_libsvm(source, dim: int | None = None, label_map: dict | None = None):
+def parse_libsvm(source, dim: int | None = None):
     """Parse LIBSVM text into a dense feature matrix and +-1 labels.
 
     Each line that is neither blank nor a ``#`` comment is
     ``<label> <idx>:<val> ...`` with 1-based, strictly increasing indices.
     Lines, blanks and tokens are as ``str.splitlines`` and ``str.split``
     find them.  Labels are mapped to +-1: raw ``{-1,+1}`` pass through,
-    ``{1,2}`` maps 2 to -1, ``{0,1}`` maps 0 to -1; an explicit
-    ``label_map`` overrides the automatic rule.  The dimension is the
+    ``{1,2}`` maps 2 to -1, ``{0,1}`` maps 0 to -1.  The dimension is the
     largest index seen, overridable upward via ``dim``.
 
     The text is cut after every ``_CHUNK_LINES``-th ASCII line break, so a
@@ -435,10 +422,7 @@ def parse_libsvm(source, dim: int | None = None, label_map: dict | None = None):
         first_line += n_lines
 
     raw = np.concatenate(raws) if raws else np.zeros(0)
-    if label_map is not None:
-        labels = _apply_label_map(raw, linenos, label_map)
-    else:
-        labels = _map_labels(raw, linenos)
+    labels = _map_labels(raw, linenos)
 
     d = max([dim or 0] + [int(idx.max()) for _, idx, _ in entries if idx.size])
     features = np.zeros((raw.size, d))

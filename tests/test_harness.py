@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import soprolab
 from oracles import agent_datasets, newton_per_agent
 from soprolab import certificate
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation, SoprolabError
-from soprolab.harness import reference
+from soprolab.harness import experiment, reference
 from soprolab.harness.cli import main
 from soprolab.harness.experiment import (
     CONFIG_SCHEMA,
@@ -306,13 +308,78 @@ def test_cli_refuses_no_seeds_and_a_negative_test_size(command, flag, value, tmp
     assert not (tmp_path / "out").exists()
 
 
-def test_tuning_refuses_zero_seeds():
-    config = ExperimentConfig(
-        dim=4, n_agents=3, per_agent=10, test_size=5, batch_g=2, batch_s=2, max_iters=2,
-        algorithm="dsgd", target_error=0.1,
-    )
-    with pytest.raises(ConfigurationError, match="key 'seeds' needs at least 1, got 0"):
-        tune_baseline(config, [{"step_size": "0.1"}], n_seeds=0)
+def test_config_schema_is_the_fields_of_experiment_config():
+    hints = typing.get_type_hints(ExperimentConfig)
+    assert list(CONFIG_SCHEMA) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    for key, kind in CONFIG_SCHEMA.items():
+        assert hints[key] in (kind, kind | None), key
+
+
+def test_the_keys_that_may_be_unset_are_the_optional_fields():
+    hints = typing.get_type_hints(ExperimentConfig)
+    unsettable = set()
+    for key in CONFIG_SCHEMA:
+        try:
+            config = config_from_mapping({key: "none"})
+        except ConfigurationError as exc:
+            assert f"key {key!r} cannot be unset" in str(exc)
+            continue
+        assert getattr(config, key) is None
+        unsettable.add(key)
+    assert unsettable == {k for k, hint in hints.items() if type(None) in typing.get_args(hint)}
+    assert unsettable >= {"mu", "step_size", "target_error", "out"}
+
+
+@pytest.mark.parametrize("command", ["run", "certify", "reference", "tune"])
+def test_every_config_key_is_a_flag_of_every_subcommand(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    missing = [key for key in CONFIG_SCHEMA
+               if f"--{key.replace('_', '-')} {key.upper()}" not in usage]
+    assert missing == []
+
+
+def _refuse_set_up(config):
+    raise AssertionError("set-up ran for a run that should have been refused")
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"algorithm": "foo"}, "unknown algorithm 'foo'"),
+        ({"x0_mode": "bogus"}, "unknown x0_mode 'bogus'"),
+        ({"algorithm": "dsgd", "step_size": 0.1, "step_schedule": "x"},
+         "unknown step_schedule 'x'"),
+        ({"beta": -1}, "beta must be positive"),
+        ({"algorithm": "dsgd"}, "baselines need a positive step_size"),
+        ({"batch_g": 11}, "batch_g=11 outside 1..10"),
+        ({"max_iters": -1}, "max_iters must be nonnegative"),
+    ],
+    ids=["algorithm", "x0_mode", "step_schedule", "beta", "no_step_size", "batch_g",
+         "max_iters"],
+)
+def test_run_parameters_are_refused_before_set_up(overrides, message, monkeypatch, tmp_path):
+    monkeypatch.setattr(experiment, "build_problem", _refuse_set_up)
+    small = dict(dim=4, n_agents=3, per_agent=10, test_size=5, batch_g=2, batch_s=2, max_iters=2)
+    config = ExperimentConfig(**{**small, **overrides, "out": str(tmp_path / "out")})
+    with pytest.raises(ConfigurationError, match=message):
+        run_experiment(config)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "tune"])
+def test_cli_refuses_a_bad_run_parameter_before_set_up(command, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(experiment, "build_problem", _refuse_set_up)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("step_size=0.1\n")
+    argv = [command, *SMALL, "--x0-mode", "bogus", "--out", str(tmp_path / "out")]
+    if command == "tune":
+        argv += ["--algorithm", "dsgd", "--target-error", "0.1", "--grid", str(grid)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: unknown x0_mode 'bogus'\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag", ["--config", "--grid", "--dataset", "--topology-file"])

@@ -59,11 +59,6 @@ def test_parse_zero_one_labels():
     assert np.array_equal(feats[0], np.array([0.0, 1.0]))
 
 
-def test_parse_explicit_label_map():
-    _, labels = parse_libsvm("0 2:1", label_map={0: -1, 1: +1})
-    assert labels[0] == -1
-
-
 def test_parse_one_two_labels_mushrooms_convention():
     _, labels = parse_libsvm("1 1:1\n2 1:2\n")
     assert labels[0] == 1 and labels[1] == -1

@@ -342,7 +342,8 @@ def test_cli_run_reports_a_bad_dataset_with_its_line_and_exit_code_1(
     path = tmp_path / "bad.svm"
     path.write_text(text)
     code = main(["run", "--dataset", str(path), "--dim", "3", "--n-agents", "3",
-                 "--per-agent", "1", "--out", str(tmp_path / "out")])
+                 "--per-agent", "1", "--batch-g", "1", "--batch-s", "1",
+                 "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: {message}\n"
