@@ -489,14 +489,13 @@ class QNormError:
         self._r = np.asarray(r, dtype=float)
         self._x_star = np.asarray(x_star, dtype=float)
         self._q_star = np.asarray(q_star, dtype=float)
+        self._q_star_norm = float(np.linalg.norm(self._q_star))
         self._n = P.n_agents
 
     def __call__(self, x: np.ndarray, q: np.ndarray) -> float:
         dq = q - self._q_star
         mean_comp = dq.mean(axis=0)
-        scale = max(
-            float(np.linalg.norm(q)), float(np.linalg.norm(self._q_star)), 1.0
-        )
+        scale = max(float(np.linalg.norm(q)), self._q_star_norm, 1.0)
         if math.sqrt(self._n) * float(np.linalg.norm(mean_comp)) > 1e-8 * scale:
             raise InvariantViolation(
                 "dual iterate left the range of the network matrix "

@@ -5,18 +5,21 @@ Per sample ``(a, b)`` with ``b in {-1, +1}`` the loss at ``x`` is
 sample losses of one agent; batch gradients and Hessians average uniformly
 chosen subsets and are unbiased for the full quantities.
 
-Data stays in arrays from file to engine.  :func:`parse_libsvm` tokenizes
-each slice of ``_CHUNK_LINES`` lines as one array of code points, converts
-indices, labels and values made of ASCII digits and an optional sign with
-array arithmetic, and sends every other token through ``int()``/``float()``
-once per distinct string; it returns one ``(n, d)``
-feature matrix and ``(n,)`` labels.  :func:`partition` gathers the local
-sets into the ``(N, C, d)`` block of one :class:`StackedSets`, which every
-later layer takes, and the stacked functions (:func:`stacked_margins`,
-:func:`stacked_grad`, :func:`stacked_curvature`, :func:`sigma_sq_estimate`)
-work on all agents at once.  :class:`Sample`, the ``sample_*`` functions,
-the per-agent :class:`LocalDataset` and the ``batch_*`` functions are the
-definitions those are checked against.
+Data stays in arrays from file to engine, and each phase holds the
+training data once.  :func:`parse_libsvm` tokenizes each slice of
+``_CHUNK_LINES`` lines as one array of code points, converts indices,
+labels and values made of ASCII digits and an optional sign with array
+arithmetic, and sends every other token through ``int()``/``float()`` once
+per distinct string; it returns the rows as :class:`SparseRows`, in
+compressed sparse row (CSR) form, and ``(n,)`` labels.  :func:`partition`
+writes each row once into its slot: the zero-filled ``(N, C, d)`` block of
+one :class:`StackedSets`, which every later layer takes, or the test set.
+The stacked functions (:func:`stacked_margins`, :func:`stacked_grad`,
+:func:`sigma_sq_estimate`, and :func:`logistic_coef` and
+:func:`logistic_curvature` of stacked margins) work on all agents at once.
+:class:`Sample`, the ``sample_*`` functions, the per-agent
+:class:`LocalDataset` and the ``batch_*`` functions are the definitions
+those are checked against.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "LocalDataset",
     "StackedSets",
     "TestSet",
+    "SparseRows",
     "SmoothnessBounds",
     "LowRankHessian",
     "parse_libsvm",
@@ -48,7 +52,6 @@ __all__ = [
     "full_hess",
     "stacked_margins",
     "stacked_grad",
-    "stacked_curvature",
     "logistic_coef",
     "logistic_curvature",
     "sigma_sq_estimate",
@@ -169,6 +172,69 @@ class TestSet:
         return self.features.shape[0]
 
 
+@dataclass(frozen=True)
+class SparseRows:
+    """The rows of an ``(n, dim)`` matrix in compressed sparse row form.
+
+    Row ``k`` holds ``values[indptr[k] : indptr[k + 1]]`` at the 0-based
+    columns ``indices[indptr[k] : indptr[k + 1]]``; every other entry is
+    zero.  The arrays are read-only.
+    """
+
+    indptr: np.ndarray  # (n + 1,) from 0, nondecreasing, to nnz
+    indices: np.ndarray  # (nnz,) in 0..dim-1
+    values: np.ndarray  # (nnz,) floats
+    dim: int
+
+    def __post_init__(self):
+        ptr, idx, val = self.indptr, self.indices, self.values
+        if not (ptr.ndim == idx.ndim == val.ndim == 1 and ptr.size >= 1
+                and idx.size == val.size and ptr[0] == 0 and ptr[-1] == idx.size):
+            raise ParameterError(
+                "need (n + 1,) row pointers from 0 to nnz and (nnz,) indices and values, "
+                f"got {ptr.shape}, {idx.shape} and {val.shape}"
+            )
+        if np.any(ptr[1:] < ptr[:-1]):
+            raise ParameterError("row pointers must not decrease")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.dim):
+            raise ParameterError(
+                f"column indices must lie in 0..{self.dim - 1}, got {idx.min()}..{idx.max()}"
+            )
+        for a in (ptr, idx, val):
+            a.setflags(write=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.indptr.size - 1, self.dim
+
+    def dense(self) -> np.ndarray:
+        """The ``(n, dim)`` matrix."""
+        return self.take(np.arange(self.shape[0]), np.zeros(self.shape))
+
+    def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the rows ``rows``, in order, into the zero-filled,
+        C-contiguous ``(len(rows), dim)`` array ``out`` and return it.
+
+        Only stored entries are written, ``_CHUNK_LINES`` rows at a time,
+        so the index arrays grow with that count, not with ``rows``.
+        """
+        d = self.dim
+        if out.shape != (len(rows), d) or not out.flags.c_contiguous:
+            raise ParameterError(f"need a C-contiguous ({len(rows)}, {d}) array, got {out.shape}")
+        flat, ptr = out.reshape(-1), self.indptr
+        for a in range(0, len(rows), _CHUNK_LINES):
+            part = rows[a : a + _CHUNK_LINES]
+            start = ptr[part]
+            lens = ptr[part + 1] - start
+            # The stored entries of the part's rows, row by row, and their
+            # places in out.
+            at = np.repeat(start - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
+            dest = np.repeat(np.arange(a, a + len(part)) * d, lens)
+            dest += self.indices[at]
+            flat[dest] = self.values[at]
+        return out
+
+
 # Raw label sets the automatic rule accepts, in the order it tries them,
 # and the raw label each maps to -1.
 _LABEL_CONVENTIONS = (((-1.0, 1.0), -1.0), ((1.0, 2.0), 2.0), ((0.0, 1.0), 0.0))
@@ -191,8 +257,9 @@ def _map_labels(raw: np.ndarray, linenos: list[int]) -> np.ndarray:
     raise ParseError(f"unmappable label {float(raw[k])}", line=linenos[k])
 
 
-# Lines per slice of a file: the tokenizer's arrays grow with a slice, not
-# with the file.
+# Lines per slice of a file, and rows per piece of SparseRows.take: the
+# tokenizer's and take's index arrays grow with a slice, not with the
+# file.
 _CHUNK_LINES = 1024
 # The code points that ``str.split`` treats as whitespace, and those among
 # them that ``str.splitlines`` ends a line at; none lies above U+3000.
@@ -368,7 +435,7 @@ def _raise_first_error(text: str, first_line: int):
 
 
 def parse_libsvm(source, dim: int | None = None):
-    """Parse LIBSVM text into a dense feature matrix and +-1 labels.
+    """Parse LIBSVM text into sparse rows and +-1 labels.
 
     Each line that is neither blank nor a ``#`` comment is
     ``<label> <idx>:<val> ...`` with 1-based, strictly increasing indices.
@@ -390,7 +457,8 @@ def parse_libsvm(source, dim: int | None = None):
     the :class:`ParseError` names the first bad token or label in file
     order and its line.
 
-    Returns ``(features, labels)``: ``(n, d)`` floats and ``(n,)`` ints.
+    Returns ``(rows, labels)``: the ``(n, d)`` rows as :class:`SparseRows`,
+    which hold only the parsed entries, and ``(n,)`` ints.
     """
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, str):
@@ -405,7 +473,9 @@ def parse_libsvm(source, dim: int | None = None):
     cuts = np.unique(np.concatenate(([0], ends, [whole.size]))).tolist()
     first_line = 1
     linenos: list[int] = []
-    raws, entries = [], []
+    raws = []
+    # Tokens per line, indices and values of each slice, after an empty one.
+    entries = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
     for a, b in zip(cuts[:-1], cuts[1:]):
         text = data[a:b].decode("utf-8", "surrogatepass")
         if text.isascii():
@@ -424,51 +494,59 @@ def parse_libsvm(source, dim: int | None = None):
     raw = np.concatenate(raws) if raws else np.zeros(0)
     labels = _map_labels(raw, linenos)
 
-    d = max([dim or 0] + [int(idx.max()) for _, idx, _ in entries if idx.size])
-    features = np.zeros((raw.size, d))
-    row = 0
-    for lens, idx, val in entries:
-        features[np.repeat(np.arange(row, row + lens.size), lens), idx - 1] = val
-        row += lens.size
-    return features, labels
+    lens, idx, val = map(np.concatenate, zip(*entries))
+    d = max(dim or 0, int(idx.max()) if idx.size else 0)
+    idx -= 1
+    return SparseRows(np.concatenate(([0], np.cumsum(lens))), idx, val, d), labels
 
 
 def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float):
-    """Split uniformly permuted rows of ``data = (features, labels)`` into
+    """Split uniformly permuted rows of ``data = (rows, labels)`` into
     equal local sets.
 
-    ``features`` is ``(n, d)`` and ``labels`` ``(n,)`` of +-1, as
-    :func:`parse_libsvm` returns them.  The first ``n_agents * per_agent``
-    permuted rows form contiguous blocks of ``per_agent``; leftovers become
-    the test set.  Deterministic per seed.  One gather stores the local
-    features as the ``(n_agents, per_agent, d)`` block of a
-    :class:`StackedSets`; neither it nor the test set shares memory with
-    ``data``.  Returns ``(local_sets, test_set)``.
+    ``rows`` is ``(n, d)``, as :class:`SparseRows` from :func:`parse_libsvm`
+    or as a dense array, and ``labels`` ``(n,)`` of +-1.  The first
+    ``n_agents * per_agent`` permuted rows form contiguous blocks of
+    ``per_agent``; leftovers become the test set.  Deterministic per seed.
+    Each row is written once into its slot, in the zero-filled
+    ``(n_agents, per_agent, d)`` block of a :class:`StackedSets` or in the
+    test set; neither shares memory with ``data``.  Returns
+    ``(local_sets, test_set)``.
     """
     if n_agents < 1 or per_agent < 1:
         raise ParameterError(f"need agents and samples per agent, got {n_agents} x {per_agent}")
-    features = np.asarray(data[0], dtype=float)
-    labels = np.asarray(data[1])
-    if features.ndim != 2 or labels.shape != features.shape[:1]:
+    rows, labels = data
+    sparse = isinstance(rows, SparseRows)
+    rows = rows if sparse else np.asarray(rows, dtype=float)
+    labels = np.asarray(labels)
+    if len(rows.shape) != 2 or labels.shape != rows.shape[:1]:
         raise ParameterError(
-            f"need (n, d) features and (n,) labels, got {features.shape} and {labels.shape}"
+            f"need (n, d) rows and (n,) labels, got {rows.shape} and {labels.shape}"
         )
-    total = labels.shape[0]
+    total, d = rows.shape
     need = n_agents * per_agent
     if need > total:
         raise ParameterError(
             f"{n_agents} agents x {per_agent} samples need {need}, only {total} available"
         )
     perm = np.random.default_rng(seed).permutation(total)
-    block = np.empty((n_agents, per_agent, features.shape[1]))
-    # A permutation is in range, and mode="clip" gathers straight into the
-    # block where the default "raise" would gather into a temporary first.
-    np.take(features, perm[:need], axis=0, out=block.reshape(need, -1), mode="clip")
+
+    def place(idx):
+        # The block and the test set are separate arrays: one shared
+        # (n, d) buffer raised the benchmark's peak RSS at mushrooms.
+        out = np.zeros((idx.size, d))
+        if sparse:
+            return rows.take(idx, out)
+        # A permutation is in range, and mode="clip" gathers straight into
+        # out where the default "raise" would gather into a temporary first.
+        return np.take(rows, idx, axis=0, out=out, mode="clip")
+
+    block = place(perm[:need]).reshape(n_agents, per_agent, d)
     local_labels = labels[perm[:need]].reshape(n_agents, per_agent).astype(float)
     lam = np.full(n_agents, float(lambda_reg))
     local = StackedSets(block, local_labels, np.full(n_agents, per_agent), lam)
     rest = perm[need:]
-    return local, TestSet(features=features[rest], labels=labels[rest])
+    return local, TestSet(features=place(rest), labels=labels[rest])
 
 
 @dataclass
@@ -603,14 +681,6 @@ def stacked_grad(
         lam[:, None] * x
         - (feats.transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0] / counts[:, None]
     )
-
-
-def stacked_curvature(x: np.ndarray, feats: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``(N, k)`` Hessian weights of all agents' batches, as in :func:`batch_hess`.
-
-    Agent ``i``'s batch Hessian is ``lam_i I + feats[i]^T diag(w[i]) feats[i]``.
-    """
-    return logistic_curvature(stacked_margins(x, feats)) / counts[:, None]
 
 
 def logistic_coef(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -10,26 +10,28 @@ then a synchronous exchange refreshes the weighted disagreements
 ``q_i <- q_i + beta y_i``.  The deterministic parent method is the exact
 special case where both batches are the whole local dataset.
 
-A round is a few array operations over all agents at once, with no loop
-over agents.  One draw per purpose gives every agent's batch as a row of
-an ``(N, G)`` index array (:func:`draw_batches`).  On the row paths
-below, :class:`LocalSets` gathers the rows from the stacked local sets
-(:class:`~soprolab.loss.StackedSets`) into one buffer that every round
-reuses, and stacked matrix products give all batch gradients
-``g_i`` and Hessian weights ``w_i`` (``h_i = lam I + B_i^T B_i`` with the
-factor ``B_i = sqrt(w_i) F_{S_i}``, which is scaled in place in that
-buffer).  Every proximal matrix is ``D_i = alpha_i I``, and the engine
+A round is a few array operations over all agents at once; only the
+factorisations loop over agents.  One draw per purpose gives every
+agent's batch as a row of an ``(N, G)`` index array (:func:`draw_batches`).
+On the row paths below, :class:`LocalSets` gathers the rows from the
+stacked local sets (:class:`~soprolab.loss.StackedSets`) into one buffer
+that every round reuses (whole sets need no gather), and stacked matrix
+products give all batch gradients ``g_i`` and Hessian weights ``w_i``
+(``h_i = lam I + B_i^T B_i`` with the factor ``B_i = sqrt(w_i)
+F_{S_i}``).  Every proximal matrix is ``D_i = alpha_i I``, and the engine
 runs with the ``(N,)`` vector of the ``alpha_i`` it is given: choosing
 them is :func:`soprolab.certificate.proximal_alphas`'s job.  Agent
 ``i``'s system is ``c_i I + B_i^T B_i`` with ``c_i = lam_i + alpha_i``.
-One batched step then moves all agents: one stacked product builds every
-agent's symmetric positive definite system, and one Cholesky
-factor-and-solve per agent, in place, solves it.  The step takes one of
-three paths, chosen once per run from the shapes:
+One batched step then moves all agents, by one Cholesky factor-and-solve
+per agent, in place.  The step takes one of three paths, chosen once per
+run from the shapes:
 
 * ``S >= d`` (including full-batch SoPro on sets of at least ``d`` rows),
-  a row path: :func:`dense_step` forms every ``B_i^T B_i`` with one symmetric product
-  and factors the shifted ``d x d`` systems.
+  a row path: :func:`dense_step` takes the rows and ``sqrt(w_i)`` and,
+  one agent at a time, scales the agent's rows into one ``S x d``
+  scratch, forms ``B_i^T B_i`` with one symmetric product and factors
+  the shifted ``d x d`` system, so no ``(N, S, d)`` factor is built.  In
+  full batch the gradient and the curvature share one margins pass.
 * ``S < d`` and no local set wider than ``d`` (``W <= d``):
   :func:`gram_step`.  By the Woodbury identity each agent solves the
   ``S x S`` system ``c_i I + B_i B_i^T``, which is a principal submatrix
@@ -39,8 +41,8 @@ three paths, chosen once per run from the shapes:
   rule keeps the cached ``N W^2`` floats no larger than the ``N W d`` of
   the local sets themselves.
 * ``S < d < W``, a row path: :func:`woodbury_step` solves the same ``S x S`` systems
-  from the gathered and scaled batch rows ``B_i``, because a Gram stack
-  would be larger than the data.
+  from the gathered batch rows, scaled in place in the buffer into the
+  ``B_i``, because a Gram stack would be larger than the data.
 
 A factorisation that fails names the agent whose system is not positive
 definite.  :func:`local_step` steps one agent alone by Cholesky: it is the per-agent
@@ -75,8 +77,8 @@ from .loss import (
     batch_hess,
     logistic_coef,
     logistic_curvature,
-    stacked_curvature,
     stacked_grad,
+    stacked_margins,
 )
 from .topology import MatrixP
 
@@ -211,7 +213,8 @@ def draw_batches(
     if width < sizes.max():
         raise ParameterError(f"key width {width} below the largest local set {sizes.max()}")
     keys = substream(seed, 0, round_idx, purpose).random((sizes.size, width))
-    keys[np.arange(width) >= sizes[:, None]] = np.inf
+    if sizes.min() < width:
+        keys[np.arange(width) >= sizes[:, None]] = np.inf
     idx = np.argpartition(keys, size - 1, axis=1)[:, :size]
     idx.sort(axis=1)
     return idx
@@ -417,9 +420,9 @@ def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``b[i]`` with the solution, with no copy.  A failed factorisation
     raises for the first agent whose matrix is not positive definite.
     """
-    for i in range(len(A)):
-        info = dposv(A[i].T, b[i], lower=1, overwrite_a=1, overwrite_b=1)[2]
-        if info > 0:
+    for i, (a, r) in enumerate(zip(A.transpose(0, 2, 1), b)):
+        # dposv(a, b, lower, overwrite_a, overwrite_b), positionally.
+        if dposv(a, r, 1, 1, 1)[2] > 0:
             raise _not_positive_definite(i)
     return b
 
@@ -453,21 +456,33 @@ def woodbury_step(
 
 
 def dense_step(
-    x: np.ndarray, rhs: np.ndarray, B: np.ndarray, c: np.ndarray
+    x: np.ndarray, rhs: np.ndarray, F: np.ndarray, sw: np.ndarray, c: np.ndarray
 ) -> np.ndarray:
-    """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``.
+    """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``
+    with ``B_i = sw_i F_i``.
 
-    ``x`` and ``rhs`` are ``(N, d)``, ``B`` is ``(N, S, d)`` for any ``S``
-    and ``c`` is ``(N,)``.  Every Gram matrix ``B_i^T B_i`` comes from one
-    product of ``B`` with its own transpose, and one Cholesky
-    factor-and-solve per agent, in place, steps all agents.  The
-    factorisation is the positive-definiteness check: the first agent
-    whose system fails it is named.  Zero rows in ``B_i`` add nothing.
+    ``x`` and ``rhs`` are ``(N, d)``, the rows ``F`` are ``(N, S, d)`` for
+    any ``S``, their scales ``sw`` (the square roots of the curvature
+    weights) ``(N, S)`` and ``c`` is ``(N,)``.  One agent at a time, its
+    rows are scaled into one ``S x d`` scratch ``b``, one symmetric
+    product forms ``b^T b`` into a ``d x d`` system, its diagonal is
+    shifted by ``c_i``, and one Cholesky factor-and-solve solves it in
+    place: the calls the stacked ``B^T B`` product and
+    :func:`_cholesky_solve` make for each agent, without an ``(N, S, d)``
+    factor.  The factorisation is the positive-definiteness check: the
+    first agent whose system fails it is named.  Zero rows in ``F_i`` add
+    nothing.
     """
-    H = B.transpose(0, 2, 1) @ B
-    diag = np.arange(H.shape[1])
-    H[:, diag, diag] += c[:, None]
-    return x - _cholesky_solve(H, rhs.copy())
+    n, rows, d = F.shape
+    b, h = np.empty((rows, d)), np.empty((d, d))
+    z = rhs.copy()
+    for i in range(n):
+        np.multiply(sw[i, :, None], F[i], out=b)
+        np.matmul(b.T, b, out=h)
+        h.flat[:: d + 1] += c[i]
+        if dposv(h.T, z[i], 1, 1, 1)[2] > 0:
+            raise _not_positive_definite(i)
+    return x - z
 
 
 def gram_step(
@@ -558,9 +573,10 @@ def run(P: MatrixP, local: StackedSets, config: RunConfig, alphas, callbacks=())
     ``callbacks`` are invoked as ``cb(round, state)`` after initialization
     (round 0) and after every completed round; states passed to callbacks
     must be treated as read-only.  The full-batch deterministic variant
-    follows the identical code path with both batches forced to the whole
-    local sets, so its trace is bitwise identical to the stochastic method at
-    ``G = S = C``.
+    follows the same code path with both batches forced to the whole
+    local sets, its curvature taken from the gradient's margins (the same
+    rows at the same point), so its trace is bitwise identical to the
+    stochastic method at ``G = S = C``.
     """
     if config.algorithm not in ("st_sopro", "sopro"):
         raise ConfigurationError(
@@ -599,13 +615,23 @@ def run(P: MatrixP, local: StackedSets, config: RunConfig, alphas, callbacks=())
                 s_idx = sets.draw(batch_s, k, PURPOSE_HESS)
                 state.x = step(state.x, t, local, gram, g_idx, s_idx, shift)
             else:
-                grads = stacked_grad(state.x, *sets.batch(batch_g, k, PURPOSE_GRAD), local.lam)
-                # Gathered after the gradient: both batches share the buffer.
-                F, _, counts = sets.batch(batch_s, k, PURPOSE_HESS)
-                w = stacked_curvature(state.x, F, counts)
+                rows = sets.batch(batch_g, k, PURPOSE_GRAD)
+                u = stacked_margins(state.x, rows[0])
+                grads = stacked_grad(state.x, *rows, local.lam, margins=u)
+                if not full:
+                    # Gathered after the gradient: both batches share the buffer.
+                    rows = sets.batch(batch_s, k, PURPOSE_HESS)
+                    u = stacked_margins(state.x, rows[0])
+                F, _, counts = rows
                 # Rows past an agent's count are zero padding and stay zero.
-                B = np.multiply(np.sqrt(w)[:, :, None], F, out=sets.buffer(rows_s))
-                state.x = step(state.x, grads + config.beta * state.y + state.q, B, shift)
+                sw = np.sqrt(logistic_curvature(u) / counts[:, None])
+                rhs = grads + config.beta * state.y + state.q
+                if step is woodbury_step:
+                    # S < W: the rows were gathered into the buffer, and
+                    # are scaled there into the factors B.
+                    state.x = step(state.x, rhs, np.multiply(sw[:, :, None], F, out=F), shift)
+                else:
+                    state.x = step(state.x, rhs, F, sw, shift)
             check_finite(state.x, k + 1)
             exchange_and_dual_update(state, P, config.beta)
         for cb in callbacks:

@@ -1,6 +1,7 @@
 """Per-line, per-sample, per-pair and per-agent versions of the array
-set-up code, and the numerical search the certificate's closed forms
-replaced.
+set-up code, the dense and stacked forms that the sparse set-up and the
+per-agent dense step replaced, and the numerical search the certificate's
+closed forms replaced.
 
 Each function here is the plain loop or search that a routine of
 ``soprolab`` replaced; the tests check the routines against them.
@@ -10,11 +11,12 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dposv
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import expit
 
 from soprolab.certificate import kappa, m_beta
-from soprolab.errors import ParseError, SoprolabError
+from soprolab.errors import ConfigurationError, ParseError, SoprolabError
 from soprolab.loss import (
     LocalDataset,
     StackedSets,
@@ -83,6 +85,38 @@ def parse_libsvm_per_token(text, dim=None):
         if idxs.size:
             features[k, idxs - 1] = vals
     return features, np.array(labels, dtype=int)
+
+
+def parse_and_partition_dense(text, n_agents, per_agent, seed, lambda_reg, dim=None):
+    """Parse ``text`` into a dense matrix with :func:`parse_libsvm_per_token`,
+    then gather the permuted rows into the local block and the test set
+    with one dense ``np.take`` and one fancy index."""
+    features, labels = parse_libsvm_per_token(text, dim=dim)
+    need = n_agents * per_agent
+    perm = np.random.default_rng(seed).permutation(labels.shape[0])
+    block = np.empty((n_agents, per_agent, features.shape[1]))
+    np.take(features, perm[:need], axis=0, out=block.reshape(need, -1), mode="clip")
+    local_labels = labels[perm[:need]].reshape(n_agents, per_agent).astype(float)
+    lam = np.full(n_agents, float(lambda_reg))
+    local = StackedSets(block, local_labels, np.full(n_agents, per_agent), lam)
+    rest = perm[need:]
+    return local, TestSet(features=features[rest], labels=labels[rest])
+
+
+def dense_step_stacked(x, rhs, F, sw, c):
+    """``dense_step`` with every factor ``B_i = sw_i F_i`` stacked: one
+    product builds all ``B_i^T B_i``, then one ``dposv`` per agent solves
+    its shifted system.  The first failing agent is named as
+    ``agent i:``."""
+    B = sw[:, :, None] * F
+    H = B.transpose(0, 2, 1) @ B
+    diag = np.arange(H.shape[1])
+    H[:, diag, diag] += c[:, None]
+    z = rhs.copy()
+    for i in range(len(H)):
+        if dposv(H[i].T, z[i], lower=1, overwrite_a=1, overwrite_b=1)[2] > 0:
+            raise ConfigurationError(f"agent {i}: not positive definite")
+    return x - z
 
 
 def partition_samples(samples, n_agents, per_agent, seed, lambda_reg):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import agent_datasets, stacked
+from oracles import agent_datasets, dense_step_stacked, stacked
 from soprolab import optimizer, topology
 from soprolab.baselines import metropolis_weights, run_baseline
 from soprolab.certificate import proximal_alphas
@@ -18,6 +18,7 @@ from soprolab.loss import (
 from soprolab.optimizer import (
     PURPOSE_GRAD,
     PURPOSE_HESS,
+    LocalSets,
     RunConfig,
     agent_batch_stats,
     dense_step,
@@ -96,10 +97,12 @@ def test_dense_step_matches_dense_inverse_oracle():
         h = LowRankHessian(lam=lam, weights=weights[i], feats=feats[i])
         expected[i] = x[i] - np.linalg.inv(h.dense() + alphas[i] * np.eye(d)) @ rhs[i]
 
-    out = dense_step(x, rhs, B, lam + alphas)
+    sw = np.sqrt(weights)
+    out = dense_step(x, rhs, feats, sw, lam + alphas)
     # Trailing zero rows stand for agents with smaller Hessian batches.
-    padded = np.concatenate([B, np.zeros((n, 3, d))], axis=1)
-    out_padded = dense_step(x, rhs, padded, lam + alphas)
+    padded = np.concatenate([feats, np.zeros((n, 3, d))], axis=1)
+    out_padded = dense_step(x, rhs, padded, np.concatenate([sw, np.ones((n, 3))], axis=1),
+                            lam + alphas)
     for i in range(n):
         assert rel_err(out[i], expected[i]) <= 1e-10
         assert rel_err(out_padded[i], expected[i]) <= 1e-10
@@ -110,7 +113,7 @@ def test_dense_step_rejects_nonpositive_shift():
     B = np.ones((n, S, d))
     c = np.array([1.0, 2.0, 0.0, -1.0])
     with pytest.raises(ConfigurationError) as e:
-        dense_step(np.zeros((n, d)), np.ones((n, d)), B, c)
+        dense_step(np.zeros((n, d)), np.ones((n, d)), B, np.ones((n, S)), c)
     assert "agent 2" in str(e.value)
 
 
@@ -124,7 +127,7 @@ def test_dense_step_takes_a_negative_shift_that_leaves_the_system_definite():
     rhs = rng.standard_normal((n, d))
     H = B.transpose(0, 2, 1) @ B
     c = -0.5 * np.linalg.eigvalsh(H)[:, 0]
-    out = dense_step(x, rhs, B, c)
+    out = dense_step(x, rhs, B, np.ones((n, S)), c)
     for i in range(n):
         expected = x[i] - np.linalg.inv(H[i] + c[i] * np.eye(d)) @ rhs[i]
         assert rel_err(out[i], expected) <= 1e-10
@@ -191,8 +194,33 @@ def test_dense_step_names_the_last_agent_when_only_its_system_is_indefinite():
     B = np.zeros((n, S, d))
     c = np.array([1.0, 2.0, 3.0, -1.0])
     with pytest.raises(ConfigurationError) as e:
-        dense_step(np.zeros((n, d)), np.ones((n, d)), B, c)
+        dense_step(np.zeros((n, d)), np.ones((n, d)), B, np.ones((n, S)), c)
     assert f"agent {n - 1}" in str(e.value)
+
+
+def failure(step, *args):
+    """The step's result, or the ``agent i:`` prefix of its refusal."""
+    try:
+        return step(*args)
+    except ConfigurationError as e:
+        return str(e).split(":")[0]
+
+
+@pytest.mark.parametrize("n, S, d", [(7, 20, 15), (5, 15, 15), (3, 60, 112), (1, 9, 4)])
+def test_dense_step_equals_the_stacked_product_bitwise_and_names_the_failing_agent(n, S, d):
+    rng = np.random.default_rng(S * d)
+    F = (rng.random((n, S, d)) < 0.3).astype(float)
+    F[0, S // 2 :] = 0.0  # a padded agent
+    sw = np.sqrt(rng.uniform(0.0, 0.25, (n, S)) / S)
+    x, rhs = rng.standard_normal((2, n, d))
+    c = np.geomspace(0.01, 50.0, n)
+    got = dense_step(x, rhs, F, sw, c)
+    assert got.tobytes() == dense_step_stacked(x, rhs, F, sw, c).tobytes()
+    # A shift below minus the smallest eigenvalue makes one system indefinite.
+    bad = n // 2
+    c[bad] = -10.0
+    assert failure(dense_step, x, rhs, F, sw, c) == f"agent {bad}"
+    assert failure(dense_step_stacked, x, rhs, F, sw, c) == f"agent {bad}"
 
 
 # ------------------------------------------------------------- full runs
@@ -324,6 +352,34 @@ def test_run_accepts_unequal_local_datasets(algorithm, d, low_rank, monkeypatch)
     got = engine_history(P, local, config, alphas, monkeypatch, path)
     assert_histories_match(got, want)
     assert np.all(np.isfinite(got[-1][0]))
+
+
+@pytest.mark.parametrize(
+    "algorithm, margins_per_round, buffer_rows",
+    [("sopro", 1, []), ("st_sopro", 2, [10, 20])],  # dense path: S >= d
+)
+def test_dense_path_rounds_share_margins_in_full_batch_and_build_no_stacked_factor(
+    algorithm, margins_per_round, buffer_rows, monkeypatch
+):
+    P, local = make_problem([40] * 6, 15)
+    margins, buffers = [], []
+    real_margins, real_buffer = optimizer.stacked_margins, LocalSets.buffer
+
+    def count_margins(x, feats):
+        margins.append(feats.shape)
+        return real_margins(x, feats)
+
+    def record_buffer(self, k):
+        buffers.append(k)
+        return real_buffer(self, k)
+
+    monkeypatch.setattr(optimizer, "stacked_margins", count_margins)
+    monkeypatch.setattr(LocalSets, "buffer", record_buffer)
+    config = RunConfig(batch_g=10, batch_s=20, max_iters=3, seed=1, algorithm=algorithm)
+    run(P, local, config, certified_alphas(P, local))
+    assert len(margins) == margins_per_round * config.max_iters
+    # SoPro asks for no buffer; St-SoPro only for its gathered G and S rows.
+    assert buffers == buffer_rows * config.max_iters
 
 
 @pytest.mark.parametrize("d", [15, 60])  # row Woodbury, Gram

@@ -18,7 +18,7 @@ import soprolab
 from oracles import agent_datasets, newton_per_agent
 from soprolab import certificate
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation, SoprolabError
-from soprolab.harness import experiment, reference
+from soprolab.harness import cli, experiment, reference
 from soprolab.harness.cli import main
 from soprolab.harness.experiment import (
     CONFIG_SCHEMA,
@@ -380,6 +380,23 @@ def test_cli_refuses_a_bad_run_parameter_before_set_up(command, monkeypatch, tmp
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: unknown x0_mode 'bogus'\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--batch-g", "0"], "batch_g=0 outside 1..10"),
+        (["--beta", "-1"], "beta must be positive, got -1.0"),
+        (["--x0-mode", "bogus"], "unknown x0_mode 'bogus'"),
+    ],
+    ids=["batch_g", "beta", "x0_mode"],
+)
+def test_cli_certify_refuses_a_bad_run_parameter_before_set_up(flags, message, monkeypatch,
+                                                               capsys):
+    monkeypatch.setattr(experiment, "build_problem", _refuse_set_up)
+    monkeypatch.setattr(cli, "build_problem", _refuse_set_up)
+    assert main(["certify", *SMALL, *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flag", ["--config", "--grid", "--dataset", "--topology-file"])

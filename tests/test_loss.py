@@ -14,6 +14,7 @@ from soprolab.loss import (
     batch_hess,
     batch_loss,
     full_grad,
+    logistic_curvature,
     parse_libsvm,
     partition,
     predict,
@@ -21,8 +22,8 @@ from soprolab.loss import (
     sample_hess,
     sample_loss,
     sigma_sq_estimate,
-    stacked_curvature,
     stacked_grad,
+    stacked_margins,
 )
 
 
@@ -46,14 +47,16 @@ def bounds_of(ds):
 
 
 def test_parse_basic_line():
-    feats, labels = parse_libsvm("+1 1:0.5 3:1.0")
-    assert feats.shape[1] == 3
+    rows, labels = parse_libsvm("+1 1:0.5 3:1.0")
+    assert rows.shape == (1, 3) and rows.values.size == 2
+    feats = rows.dense()
     assert np.array_equal(feats[0], np.array([0.5, 0.0, 1.0]))
     assert labels[0] == 1
 
 
 def test_parse_zero_one_labels():
-    feats, labels = parse_libsvm("0 2:1\n1 1:1\n")
+    rows, labels = parse_libsvm("0 2:1\n1 1:1\n")
+    feats = rows.dense()
     assert feats.shape[1] == 2
     assert labels[0] == -1 and labels[1] == 1
     assert np.array_equal(feats[0], np.array([0.0, 1.0]))
@@ -65,7 +68,8 @@ def test_parse_one_two_labels_mushrooms_convention():
 
 
 def test_parse_dim_override_upward():
-    feats, _ = parse_libsvm("+1 1:1 5:2", dim=123)
+    rows, _ = parse_libsvm("+1 1:1 5:2", dim=123)
+    feats = rows.dense()
     assert feats.shape[1] == 123
     assert feats[0].shape == (123,)
     assert feats[0][4] == 2.0
@@ -87,7 +91,7 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_parse_accepts_bytes_and_streams(tmp_path):
-    feats, _ = parse_libsvm(b"+1 2:1.5\n")
+    feats = parse_libsvm(b"+1 2:1.5\n")[0].dense()
     assert feats.shape[1] == 2 and feats[0][1] == 1.5
     path = tmp_path / "data.txt"
     path.write_text("-1 1:2\n")
@@ -191,7 +195,7 @@ def test_stacked_batch_statistics_match_per_agent_batches(sizes):
     feats = local.feats
     x = rng.standard_normal((len(sizes), 7))
     grads = stacked_grad(x, feats, local.labels, local.counts, local.lam)
-    weights = stacked_curvature(x, feats, local.counts)
+    weights = logistic_curvature(stacked_margins(x, feats)) / local.counts[:, None]
     for i, ds in enumerate(datasets):
         C = ds.n_samples
         want = batch_grad(x[i], ds, np.arange(C))

@@ -1,5 +1,6 @@
 """Array set-up (parse, partition, reference solve, noise estimate) against
-the per-line, per-sample and per-agent loops of ``oracles.py``."""
+the per-line, per-sample and per-agent loops and the dense set-up of
+``oracles.py``."""
 
 import io
 import json
@@ -19,16 +20,24 @@ from oracles import (
     hessian_per_agent,
     newton_per_agent,
     objective_per_agent,
+    parse_and_partition_dense,
     parse_libsvm_per_token,
     partition_samples,
     sigma_sq_per_agent,
 )
 from soprolab import loss
-from soprolab.errors import ParseError
+from soprolab.errors import ParameterError, ParseError
 from soprolab.harness import experiment, reference
 from soprolab.harness.cli import main
 from soprolab.harness.synthetic import gaussian_blob_samples
-from soprolab.loss import Sample, StackedSets, parse_libsvm, partition, sigma_sq_estimate
+from soprolab.loss import (
+    Sample,
+    SparseRows,
+    StackedSets,
+    parse_libsvm,
+    partition,
+    sigma_sq_estimate,
+)
 
 # Small files parse in well under a millisecond; these bounds keep the
 # property tests to about a second each.
@@ -46,11 +55,12 @@ def assert_same_arrays(got, want):
 
 
 def outcome(parse, text, **kw):
-    """Arrays, or the message and line of the ParseError raised."""
+    """Dense rows and labels, or the message and line of the ParseError raised."""
     try:
-        return parse(text, **kw)
+        rows, labels = parse(text, **kw)
     except ParseError as e:
         return str(e), e.line
+    return (rows.dense() if isinstance(rows, SparseRows) else rows), labels
 
 
 def assert_same_outcome(text, dim=None):
@@ -123,10 +133,74 @@ def test_parse_matches_per_token_parser_on_valid_files(
     entries, dim = lines
     text = render(entries, newline, pad)
     with mock.patch.object(loss, "_CHUNK_LINES", chunk):
-        got = parse_libsvm(text, dim=dim + extra_dim if override else None)
+        rows, labels = parse_libsvm(text, dim=dim + extra_dim if override else None)
+        got = rows.dense(), labels
     want = parse_libsvm_per_token(text, dim=dim + extra_dim if override else None)
     assert_same_arrays(got, want)
     assert set(np.unique(got[1])) <= {-1, 1}
+    # The rows hold the parsed entries only.
+    n_tokens = sum(len(e[1]) for e in entries if not isinstance(e, str))
+    assert rows.indices.size == rows.values.size == n_tokens
+
+
+@PROPERTY
+@given(libsvm_lines(), st.integers(0, 3), st.booleans(), CHUNK_LINES, st.data())
+def test_partition_of_parsed_rows_equals_the_dense_route_bitwise(
+    lines, extra_dim, override, chunk, data
+):
+    # Comments, blanks, label-only rows and rows of unequal lengths come
+    # from the strategy; each row is placed once from the sparse rows.
+    entries, dim = lines
+    n_rows = sum(not isinstance(e, str) for e in entries)
+    if n_rows == 0:
+        entries.append(["1", [], " "])
+        n_rows = 1
+    text = render(entries, "\n")
+    n_agents = data.draw(st.integers(1, n_rows))
+    per_agent = data.draw(st.integers(1, n_rows // n_agents))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    dim = dim + extra_dim if override else None
+    with mock.patch.object(loss, "_CHUNK_LINES", chunk):
+        got, got_test = partition(parse_libsvm(text, dim=dim), n_agents, per_agent, seed, 0.1)
+    want, want_test = parse_and_partition_dense(text, n_agents, per_agent, seed, 0.1, dim=dim)
+    assert_same_arrays((got.feats, got.labels, got.counts, got.lam),
+                       (want.feats, want.labels, want.counts, want.lam))
+    assert_same_arrays((got_test.features, got_test.labels),
+                       (want_test.features, want_test.labels))
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, values, dim, message",
+    [
+        ([0, 2, 1, 3], [0, 1, 2], [1.0, 2.0, 3.0], 3, "row pointers must not decrease"),
+        ([0, 1, 2], [0, 3], [1.0, 2.0], 3, r"column indices must lie in 0\.\.2, got 0\.\.3"),
+        ([0, 1, 2], [-1, 0], [1.0, 2.0], 3, r"column indices must lie in 0\.\.2, got -1\.\.0"),
+        ([0, 1, 2], [0, 1], [1.0], 3, "need \\(n \\+ 1,\\) row pointers"),
+        ([0, 1, 3], [0, 1], [1.0, 2.0], 3, "need \\(n \\+ 1,\\) row pointers"),
+        ([1, 2], [0, 1], [1.0, 2.0], 3, "need \\(n \\+ 1,\\) row pointers"),
+        ([], [], [], 3, "need \\(n \\+ 1,\\) row pointers"),
+    ],
+    ids=["decreasing-indptr", "index-past-dim", "negative-index", "fewer-values",
+         "indptr-past-nnz", "indptr-from-1", "no-indptr"],
+)
+def test_sparse_rows_refuse_inconsistent_arrays(indptr, indices, values, dim, message):
+    with pytest.raises(ParameterError, match=message):
+        SparseRows(np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+                   np.array(values), dim)
+
+
+def test_sparse_rows_take_writes_the_chosen_rows_in_order():
+    rows = SparseRows(np.array([0, 2, 2, 3]), np.array([0, 2, 1]), np.array([1.0, -0.0, 5.0]), 3)
+    assert not rows.values.flags.writeable
+    want = np.array([[1.0, 0.0, -0.0], [0.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
+    assert rows.dense().tobytes() == want.tobytes()
+    for chunk in (1, 2, 1024):
+        with mock.patch.object(loss, "_CHUNK_LINES", chunk):
+            got = rows.take(np.array([2, 0, 2, 1]), np.zeros((4, 3)))
+        assert got.tobytes() == want[[2, 0, 2, 1]].tobytes()
+    for out in (np.zeros((3, 3)), np.zeros((4, 4)), np.zeros((4, 6))[:, ::2]):
+        with pytest.raises(ParameterError):
+            rows.take(np.array([2, 0, 2, 1]), out)
 
 
 MUTATIONS = ("bad token", "zero index", "repeat index", "1:2:3", ":5", "5:",
@@ -292,22 +366,30 @@ def one_hot_libsvm(rows, attributes, columns, seed):
     )
 
 
-@pytest.mark.parametrize("rows, attributes, columns", [(4781, 14, 123), (8124, 22, 112)],
-                         ids=["a4a", "mushrooms"])
-def test_parse_of_benchmark_shaped_files_is_exact_and_peaks_below_twice_the_matrix(
-    rows, attributes, columns
+@pytest.mark.parametrize(
+    "rows, attributes, columns, n_agents, per_agent",
+    [(4781, 14, 123, 20, 239), (8124, 22, 112, 10, 600), (9000, 14, 123, 200, 40)],
+    ids=["a4a", "mushrooms", "scale200"],
+)
+def test_parse_and_partition_are_exact_and_peak_below_1_75x_the_matrix(
+    rows, attributes, columns, n_agents, per_agent
 ):
+    # The benchmark's file and split shapes.  Parsing to a dense matrix and
+    # gathering the local block from it peaked at 2.03-2.04x that matrix.
     text = one_hot_libsvm(rows, attributes, columns, seed=rows)
     source = io.BytesIO(text.encode())
     tracemalloc.start()
     try:
-        got = parse_libsvm(source)
+        parsed = parse_libsvm(source)
+        local, test = partition(parsed, n_agents, per_agent, seed=1, lambda_reg=0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert_same_arrays(got, parse_libsvm_per_token(text))
-    assert got[0].shape == (rows, columns)
-    assert peak <= 2 * got[0].nbytes
+    assert_same_arrays((parsed[0].dense(), parsed[1]), parse_libsvm_per_token(text))
+    want, want_test = parse_and_partition_dense(text, n_agents, per_agent, 1, 0.01)
+    assert_same_arrays((local.feats, local.labels, test.features, test.labels),
+                       (want.feats, want.labels, want_test.features, want_test.labels))
+    assert peak <= 1.75 * rows * columns * 8
 
 
 @pytest.mark.parametrize(
@@ -354,13 +436,14 @@ def test_cli_run_reports_a_bad_dataset_with_its_line_and_exit_code_1(
 
 
 def test_partition_matches_the_sample_list_path_bitwise():
-    for feats, labels in (
+    for rows, labels in (
         gaussian_blob_samples(130, 7, seed=3),
         parse_libsvm("\n".join(f"{(-1) ** k} {k % 5 + 1}:1 9:{k / 7!r}" for k in range(60))),
     ):
+        feats = rows if isinstance(rows, np.ndarray) else rows.dense()
         samples = [Sample(features=f, label=int(b)) for f, b in zip(feats, labels)]
         n, per_agent = 4, len(labels) // 5
-        got, got_test = partition((feats, labels), n, per_agent, seed=11, lambda_reg=0.1)
+        got, got_test = partition((rows, labels), n, per_agent, seed=11, lambda_reg=0.1)
         want_sets, want_test = partition_samples(samples, n, per_agent, 11, 0.1)
         assert len(want_sets) == len(got.counts)
         for g, w in zip(agent_datasets(got), want_sets):
