@@ -1,14 +1,15 @@
-"""First-order stochastic baselines run under the same harness contract.
+"""First-order stochastic baselines, as methods of :func:`soprolab.optimizer.run`.
 
 DSGD mixes neighbor iterates and steps along a batch gradient; DSGT
 additionally exchanges a gradient tracker whose network sum always equals
-the sum of the current batch gradients.  A round is array operations over
-all agents: the gradient batches come from the proximal engine's batched
-draw (one substream per round keys every agent's batch, see
+the sum of the current batch gradients.  :func:`first_order` sets either
+up for the engine's round loop, which checks every iterate and counts the
+traffic.  A round is array operations over all agents: the gradient
+batches come from the proximal engine's batched draw (one substream per
+round keys every agent's batch, see
 :func:`soprolab.optimizer.draw_batches`) and its stacked gradient, so
 comparisons against the proximal methods share identical data, topology,
-and noise realizations.  A round whose iterate is not finite raises
-:class:`~soprolab.errors.DivergenceError`.
+and noise realizations.
 """
 
 from __future__ import annotations
@@ -17,16 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ParameterError
 from .loss import StackedSets, stacked_grad
-from .optimizer import (
-    PURPOSE_GRAD,
-    LocalSets,
-    NetworkState,
-    RunConfig,
-    check_finite,
-    initial_iterates,
-)
+from .optimizer import PURPOSE_GRAD, LocalSets, NetworkState, RunConfig, initial_iterates
 from .topology import Graph, MatrixP
 
 __all__ = [
@@ -34,8 +28,7 @@ __all__ = [
     "metropolis_weights",
     "dsgd_round",
     "dsgt_round",
-    "init_baseline",
-    "run_baseline",
+    "first_order",
 ]
 
 
@@ -84,75 +77,48 @@ def _batch_grads(x, sets: LocalSets, config: RunConfig, round_idx: int) -> np.nd
     return stacked_grad(x, *sets.batch(config.batch_g, round_idx, PURPOSE_GRAD), sets.local.lam)
 
 
-def dsgd_round(
-    state: NetworkState,
-    W: MixingMatrix,
-    sets: LocalSets,
-    config: RunConfig,
-    n_edges: int,
-) -> None:
-    """One synchronous round: mix neighbor iterates, step along the batch gradient."""
-    step = _step_size(config, state.round)
-    grads = _batch_grads(state.x, sets, config, state.round)
-    state.x = W.matrix @ state.x - step * grads
-    state.comm_scalars += 2 * n_edges * state.dim
-    state.round += 1
+def dsgd_round(x, W: np.ndarray, sets: LocalSets, config: RunConfig, k: int) -> np.ndarray:
+    """Round ``k``: mix neighbor iterates, step along the batch gradient;
+    return the new iterates."""
+    return W @ x - _step_size(config, k) * _batch_grads(x, sets, config, k)
 
 
-def dsgt_round(
-    state: NetworkState,
-    W: MixingMatrix,
-    sets: LocalSets,
-    config: RunConfig,
-    n_edges: int,
-) -> None:
-    """One gradient-tracking round; iterates and trackers are both exchanged."""
-    step = _step_size(config, state.round)
-    state.x = W.matrix @ state.x - step * state.tracker
-    grads = _batch_grads(state.x, sets, config, state.round + 1)
-    state.tracker = W.matrix @ state.tracker + grads - state._last_grads
-    state._last_grads = grads
-    state.comm_scalars += 2 * 2 * n_edges * state.dim
-    state.round += 1
+def dsgt_round(x, tracker, last_grads, W: np.ndarray, sets: LocalSets, config: RunConfig, k: int):
+    """Gradient-tracking round ``k``; iterates and trackers are both exchanged.
 
-
-def init_baseline(P: MatrixP, config: RunConfig, sets: LocalSets) -> NetworkState:
-    """Shared initial iterates with the proximal engine (same seed, same x0).
-
-    DSGT's tracker starts at the round-0 batch gradients drawn from ``sets``.
+    Returns the new iterates, the new tracker and the batch gradients at
+    the new iterates, which the next round's tracker update subtracts.
     """
-    x = initial_iterates(P, sets.local, config)
-    n, d = x.shape
-    state = NetworkState(
-        x=x,
-        q=np.zeros((n, d)),
-        y=np.zeros((n, d)),
-        round=0,
-        comm_scalars=0,
-    )
-    if config.algorithm == "dsgt":
-        state.tracker = _batch_grads(x, sets, config, 0)
-        state._last_grads = state.tracker.copy()
-    return state
+    x = W @ x - _step_size(config, k) * tracker
+    grads = _batch_grads(x, sets, config, k + 1)
+    return x, W @ tracker + grads - last_grads, grads
 
 
-def run_baseline(P: MatrixP, local: StackedSets, config: RunConfig, callbacks=()) -> NetworkState:
-    """Drive DSGD or DSGT for ``max_iters`` rounds under the engine contract."""
-    if config.algorithm not in ("dsgd", "dsgt"):
-        raise ConfigurationError(f"run_baseline() got {config.algorithm!r}")
-    W = metropolis_weights(P.graph)
-    n_edges = P.graph.n_edges
+def first_order(P: MatrixP, local: StackedSets, config: RunConfig):
+    """DSGD or DSGT, set up for :func:`soprolab.optimizer.run`.
+
+    The initial iterates are the proximal engine's (same seed, same x0),
+    and the mixing weights are Metropolis.  DSGT's tracker starts at the
+    round-0 batch gradients, and it lives in the round function, with the
+    last gradients.  Returns the initial state, the round function, and
+    the scalars sent: none at set-up, ``2 |E| d`` per DSGD round and
+    ``4 |E| d`` per DSGT round.
+    """
+    W = metropolis_weights(P.graph).matrix
     sets = LocalSets(local, config.seed)
-    state = init_baseline(P, config, sets)
-    step_fn = dsgd_round if config.algorithm == "dsgd" else dsgt_round
-    for cb in callbacks:
-        cb(0, state)
-    for _ in range(config.max_iters):
-        # A diverging round overflows; its non-finite iterate, not a numpy
-        # warning, is what reports it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            step_fn(state, W, sets, config, n_edges)
-            check_finite(state.x, state.round)
-        for cb in callbacks:
-            cb(state.round, state)
-    return state
+    x = initial_iterates(P, local, config)
+    state = NetworkState(x=x, q=np.zeros_like(x), y=np.zeros_like(x))
+    sent = 2 * P.graph.n_edges * state.dim
+    if config.algorithm == "dsgd":
+        def dsgd(state: NetworkState, k: int) -> None:
+            state.x = dsgd_round(state.x, W, sets, config, k)
+
+        return state, dsgd, 0, sent
+
+    tracker = grads = _batch_grads(x, sets, config, 0)
+
+    def dsgt(state: NetworkState, k: int) -> None:
+        nonlocal tracker, grads
+        state.x, tracker, grads = dsgt_round(state.x, tracker, grads, W, sets, config, k)
+
+    return state, dsgt, 0, 2 * sent

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from ..errors import SoprolabError
+from ..optimizer import PROXIMAL
 from .experiment import (
     CONFIG_SCHEMA,
     build_certificate,
@@ -66,7 +67,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_certify(args) -> int:
     config = _build_config(args)
-    if config.algorithm not in ("st_sopro", "sopro"):
+    if config.algorithm not in PROXIMAL:
         print(f"algorithm {config.algorithm!r} has no certificate", file=sys.stderr)
         return 1
     # The run parameters are checked before the set-up, as run_experiment does.

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import baselines, certificate as cert, optimizer
+from .. import certificate as cert, optimizer
 from ..errors import ConfigurationError, DivergenceError
 from ..loss import SmoothnessBounds, StackedSets, TestSet, parse_libsvm, partition
 from ..topology import (
@@ -264,7 +264,7 @@ def build_certificate(config: ExperimentConfig, problem: Problem):
     ``tau = 0`` and hence a zero steady-state bound.  The baselines get no
     certificate, no alphas and no evaluator, and ``mu`` as configured.
     """
-    if config.algorithm not in ("st_sopro", "sopro"):
+    if config.algorithm not in optimizer.PROXIMAL:
         return None, None, config.mu, None
     sigma_sq = estimate_sigma_sq(problem.local, problem.reference.x)
     G = config.per_agent if config.algorithm == "sopro" else config.batch_g
@@ -386,10 +386,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         path = out_dir / f"{config.algorithm}_seed{run_idx:03d}.jsonl" if out_dir else None
         run_header = {**header, "run_index": run_idx, "run_seed": seed}
         try:
-            if config.algorithm in ("st_sopro", "sopro"):
-                optimizer.run(problem.P, problem.local, rc, alphas, [on_round])
-            else:
-                baselines.run_baseline(problem.P, problem.local, rc, [on_round])
+            optimizer.run(problem.P, problem.local, rc, alphas, [on_round])
         except DivergenceError as exc:
             if path is not None:
                 trace.write_jsonl(

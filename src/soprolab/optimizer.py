@@ -1,6 +1,16 @@
-"""Round-synchronous engine for the stochastic second-order proximal method.
+"""The round loop of every method, and the stochastic second-order proximal method.
 
-Each round every agent independently draws two uniform sample batches,
+:func:`run` is the one loop over rounds.  Before round 0 it sets up the
+method that ``config.algorithm`` names: :func:`proximal` for St-SoPro and
+SoPro, :func:`soprolab.baselines.first_order` for DSGD and DSGT.  A
+method's set-up returns the initial state, its round function and the
+scalars it sends at set-up and per round; the loop owns the callbacks,
+the round counter and the communication count.  A round whose iterate is
+not finite raises :class:`~soprolab.errors.DivergenceError`; rounds run
+under ``np.errstate(over="ignore", invalid="ignore")``, so that error is
+the only signal of a divergence, not a numpy warning before it.
+
+In a proximal round every agent independently draws two uniform sample batches,
 takes the proximal Newton-type step
 
     ``x_i <- x_i - (h_i + D_i)^{-1} (g_i + beta y_i + q_i)``,
@@ -46,10 +56,7 @@ run from the shapes:
 
 A factorisation that fails names the agent whose system is not positive
 definite.  :func:`local_step` steps one agent alone by Cholesky: it is the per-agent
-oracle the batched steps are tested against.  A round whose iterate is
-not finite raises :class:`~soprolab.errors.DivergenceError`; the round
-runs under ``np.errstate(over="ignore", invalid="ignore")``, so that error
-is the only signal of a divergence, not a numpy warning before it.
+oracle the batched steps are tested against.
 
 Randomness comes from counter-based substreams of the master seed.  The
 initial iterates use one substream per agent.  The batches of one (round,
@@ -63,7 +70,7 @@ the same batches as the proximal methods.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -83,6 +90,7 @@ from .loss import (
 from .topology import MatrixP
 
 __all__ = [
+    "PROXIMAL",
     "ALGORITHMS",
     "PURPOSE_INIT",
     "PURPOSE_GRAD",
@@ -102,10 +110,12 @@ __all__ = [
     "dense_step",
     "gram_step",
     "exchange_and_dual_update",
+    "proximal",
     "run",
 ]
 
-ALGORITHMS = ("st_sopro", "sopro", "dsgd", "dsgt")
+PROXIMAL = ("st_sopro", "sopro")
+ALGORITHMS = PROXIMAL + ("dsgd", "dsgt")
 
 PURPOSE_INIT = 0
 PURPOSE_GRAD = 1
@@ -147,7 +157,7 @@ class RunConfig:
             )
         if self.beta <= 0:
             raise ConfigurationError(f"beta must be positive, got {self.beta}")
-        if self.algorithm in ("dsgd", "dsgt") and not (
+        if self.algorithm not in PROXIMAL and not (
             self.step_size is not None and self.step_size > 0
         ):
             raise ConfigurationError("baselines need a positive step_size")
@@ -176,8 +186,6 @@ class NetworkState:
     y: np.ndarray
     round: int = 0
     comm_scalars: int = 0
-    tracker: np.ndarray | None = None  # baselines only
-    _last_grads: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_agents(self) -> int:
@@ -357,17 +365,10 @@ def init_network(P: MatrixP, local: StackedSets, config: RunConfig) -> NetworkSt
 
     Duals start at zero (hence conserved at zero sum), primals come from
     :func:`initial_iterates`, and the disagreements are computed from the
-    initial exchange, which is charged to the communication counter.
+    initial exchange, whose traffic :func:`run` counts.
     """
     x = initial_iterates(P, local, config)
-    n, d = x.shape
-    return NetworkState(
-        x=x,
-        q=np.zeros((n, d)),
-        y=P.disagreement(x),
-        round=0,
-        comm_scalars=2 * P.graph.n_edges * d,
-    )
+    return NetworkState(x=x, q=np.zeros_like(x), y=P.disagreement(x))
 
 
 def _not_positive_definite(agent: int) -> ConfigurationError:
@@ -550,90 +551,112 @@ def gram_step(
 
 
 def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> None:
-    """Synchronous exchange: refresh disagreements, advance duals, count traffic."""
+    """Synchronous exchange: refresh disagreements and advance duals."""
     state.y = P.disagreement(state.x)
     state.q = state.q + beta * state.y
-    state.comm_scalars += 2 * P.graph.n_edges * state.dim
-    state.round += 1
 
 
-def run(P: MatrixP, local: StackedSets, config: RunConfig, alphas, callbacks=()) -> NetworkState:
-    """Execute ``max_iters`` synchronous rounds and return the final state.
+def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
+    """St-SoPro or SoPro, set up for :func:`run`.
 
     ``alphas`` is the ``(N,)`` vector of the proximal matrices
-    ``D_i = alphas[i] I``; the engine runs with it as given (the certified
-    choice is :func:`soprolab.certificate.proximal_alphas`).  Each round
-    steps all agents with one batched call, on one of three paths chosen
-    before round 0 from the Hessian batch size ``S`` (the widest local set
-    in full batch), the widest local set ``W`` and the dimension ``d``:
-    :func:`dense_step` when ``S >= d``; otherwise :func:`gram_step` when
-    ``W <= d``, with the ``(N, W, W)`` Gram stack of the local sets
-    computed here once, and :func:`woodbury_step` on gathered rows when
-    ``W > d``, where that stack would take more memory than the local sets.
-    ``callbacks`` are invoked as ``cb(round, state)`` after initialization
-    (round 0) and after every completed round; states passed to callbacks
-    must be treated as read-only.  The full-batch deterministic variant
-    follows the same code path with both batches forced to the whole
-    local sets, its curvature taken from the gradient's margins (the same
-    rows at the same point), so its trace is bitwise identical to the
-    stochastic method at ``G = S = C``.
+    ``D_i = alphas[i] I``.  The round steps all agents with one batched
+    call, on the path chosen here from the Hessian batch size ``S`` (the
+    widest local set in full batch), the widest local set ``W`` and the
+    dimension ``d``: :func:`dense_step`, :func:`gram_step` (its Gram stack
+    computed here once) or :func:`woodbury_step`, by the rules above.
+    The full-batch deterministic variant follows the same code path with
+    both batches forced to the whole local sets, its curvature taken from
+    the gradient's margins (the same rows at the same point), so its trace
+    is bitwise identical to the stochastic method at ``G = S = C``.
+
+    Returns the state after the initial exchange, the round function, and
+    the ``2 |E| d`` scalars each exchange sends, at set-up and per round.
     """
-    if config.algorithm not in ("st_sopro", "sopro"):
-        raise ConfigurationError(
-            f"run() drives the proximal methods, not {config.algorithm!r}"
-        )
+    shape = None if alphas is None else np.shape(alphas)
+    if shape != (P.n_agents,):
+        raise ConfigurationError(f"alphas must have shape ({P.n_agents},), got {shape}")
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.shape != (P.n_agents,):
-        raise ConfigurationError(
-            f"alphas must have shape ({P.n_agents},), got {alphas.shape}"
-        )
     if not np.isfinite(alphas).all():
         raise ConfigurationError("alphas must be finite")
     state = init_network(P, local, config)
     sets = LocalSets(local, config.seed)
-    full = config.algorithm == "sopro"
+    beta, full = config.beta, config.algorithm == "sopro"
     batch_g = None if full else config.batch_g
     batch_s = None if full else config.batch_s
     width = local.feats.shape[1]
     rows_s = width if full else config.batch_s
     shift = local.lam + alphas
-    if rows_s >= state.dim:
-        step, gram = dense_step, None
-    elif width <= state.dim:
+    sent = 2 * P.graph.n_edges * state.dim
+
+    if rows_s < state.dim and width <= state.dim:
         # The Gram stack is N W^2 floats, no more than the N W d of the
         # local sets themselves.
-        step, gram = gram_step, local.feats @ local.feats.transpose(0, 2, 1)
+        gram = local.feats @ local.feats.transpose(0, 2, 1)
+
+        def gram_round(state: NetworkState, k: int) -> None:
+            t = local.lam[:, None] * state.x + beta * state.y + state.q
+            g_idx = sets.draw(batch_g, k, PURPOSE_GRAD)
+            s_idx = sets.draw(batch_s, k, PURPOSE_HESS)
+            state.x = gram_step(state.x, t, local, gram, g_idx, s_idx, shift)
+            exchange_and_dual_update(state, P, beta)
+
+        return state, gram_round, sent, sent
+
+    if rows_s >= state.dim:
+        def solve(x, rhs, F, sw):
+            return dense_step(x, rhs, F, sw, shift)
     else:
-        step, gram = woodbury_step, None
+        def solve(x, rhs, F, sw):
+            # S < W: the rows were gathered into the buffer, and are
+            # scaled there into the factors B.
+            return woodbury_step(x, rhs, np.multiply(sw[:, :, None], F, out=F), shift)
+
+    def row_round(state: NetworkState, k: int) -> None:
+        rows = sets.batch(batch_g, k, PURPOSE_GRAD)
+        u = stacked_margins(state.x, rows[0])
+        grads = stacked_grad(state.x, *rows, local.lam, margins=u)
+        if not full:
+            # Gathered after the gradient: both batches share the buffer.
+            rows = sets.batch(batch_s, k, PURPOSE_HESS)
+            u = stacked_margins(state.x, rows[0])
+        F, _, counts = rows
+        # Rows past an agent's count are zero padding and stay zero.
+        sw = np.sqrt(logistic_curvature(u) / counts[:, None])
+        state.x = solve(state.x, grads + beta * state.y + state.q, F, sw)
+        exchange_and_dual_update(state, P, beta)
+
+    return state, row_round, sent, sent
+
+
+def run(P: MatrixP, local: StackedSets, config: RunConfig, alphas=None, callbacks=()) -> NetworkState:
+    """Execute ``max_iters`` synchronous rounds of ``config.algorithm`` and
+    return the final state.
+
+    The proximal methods take their ``(N,)`` ``alphas`` (see
+    :func:`proximal`); the first-order baselines take none.  Both are
+    checked before round 0, as is ``config``.  ``callbacks`` are invoked
+    as ``cb(round, state)`` after initialization (round 0) and after every
+    completed round; states passed to callbacks must be treated as
+    read-only.
+    """
+    if config.algorithm in PROXIMAL:
+        state, step, sent_at_setup, sent_per_round = proximal(P, local, config, alphas)
+    elif alphas is not None:
+        raise ConfigurationError(f"{config.algorithm!r} takes no alphas; {PROXIMAL} do")
+    else:
+        from .baselines import first_order  # baselines imports this module
+
+        state, step, sent_at_setup, sent_per_round = first_order(P, local, config)
+    state.comm_scalars = sent_at_setup
     for cb in callbacks:
         cb(0, state)
     for k in range(config.max_iters):
         with np.errstate(over="ignore", invalid="ignore"):
-            if gram is not None:
-                t = local.lam[:, None] * state.x + config.beta * state.y + state.q
-                g_idx = sets.draw(batch_g, k, PURPOSE_GRAD)
-                s_idx = sets.draw(batch_s, k, PURPOSE_HESS)
-                state.x = step(state.x, t, local, gram, g_idx, s_idx, shift)
-            else:
-                rows = sets.batch(batch_g, k, PURPOSE_GRAD)
-                u = stacked_margins(state.x, rows[0])
-                grads = stacked_grad(state.x, *rows, local.lam, margins=u)
-                if not full:
-                    # Gathered after the gradient: both batches share the buffer.
-                    rows = sets.batch(batch_s, k, PURPOSE_HESS)
-                    u = stacked_margins(state.x, rows[0])
-                F, _, counts = rows
-                # Rows past an agent's count are zero padding and stay zero.
-                sw = np.sqrt(logistic_curvature(u) / counts[:, None])
-                rhs = grads + config.beta * state.y + state.q
-                if step is woodbury_step:
-                    # S < W: the rows were gathered into the buffer, and
-                    # are scaled there into the factors B.
-                    state.x = step(state.x, rhs, np.multiply(sw[:, :, None], F, out=F), shift)
-                else:
-                    state.x = step(state.x, rhs, F, sw, shift)
+            step(state, k)
             check_finite(state.x, k + 1)
-            exchange_and_dual_update(state, P, config.beta)
+        state.round = k + 1
+        state.comm_scalars += sent_per_round
         for cb in callbacks:
             cb(state.round, state)
     return state

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import agent_datasets, dense_step_stacked, stacked
 from soprolab import optimizer, topology
-from soprolab.baselines import metropolis_weights, run_baseline
+from soprolab.baselines import dsgt_round, metropolis_weights
 from soprolab.certificate import proximal_alphas
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation
 from soprolab.harness.synthetic import gaussian_blob_samples
@@ -14,6 +14,7 @@ from soprolab.loss import (
     StackedSets,
     batch_grad,
     batch_hess,
+    stacked_grad,
 )
 from soprolab.optimizer import (
     PURPOSE_GRAD,
@@ -410,24 +411,32 @@ def test_spectral_summary_computed_once_per_matrix(monkeypatch):
     assert len(calls) == 1 and calls[0] is P
 
 
-@pytest.mark.parametrize("algorithm, per_edge", [("dsgd", 2), ("dsgt", 4)])
+@pytest.mark.parametrize(
+    "algorithm, per_edge", [("dsgd", 2), ("dsgt", 4), ("st_sopro", 2), ("sopro", 2)]
+)
 def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
     P, local = make_problem([40] * 6, 15)
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=3, seed=7, algorithm=algorithm, step_size=0.5
     )
-    states, comm = [], []
+    alphas = certified_alphas(P, local) if algorithm in optimizer.PROXIMAL else None
+    states, rounds, comm = [], [], []
 
     def record(k, s):
         states.append(s.x.copy())
+        rounds.append(k)
         comm.append(s.comm_scalars)
 
-    run_baseline(P, local, config, callbacks=[record])
-    assert len(states) == 4
+    run(P, local, config, alphas, callbacks=[record])
+    assert rounds == [0, 1, 2, 3]
     d = local.feats.shape[2]
-    assert comm == [k * per_edge * P.graph.n_edges * d for k in range(4)]
-    final = run_baseline(P, local, config)
-    assert final.comm_scalars == 3 * per_edge * P.graph.n_edges * d
+    per_round = per_edge * P.graph.n_edges * d
+    # The proximal methods also send their initial exchange.
+    setup = per_round if algorithm in optimizer.PROXIMAL else 0
+    assert comm == [setup + k * per_round for k in range(4)]
+    final = run(P, local, config, alphas)
+    assert final.comm_scalars == setup + 3 * per_round
+    assert final.round == 3
     if algorithm == "dsgd":
         # Round 0 steps along the gradients of the engine's own G-draws.
         grads = np.stack([
@@ -443,13 +452,16 @@ def test_dsgt_tracker_sum_equals_last_gradient_sum():
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=30, seed=7, algorithm="dsgt", step_size=0.5
     )
+    W = metropolis_weights(P.graph).matrix
+    sets = LocalSets(local, config.seed)
+    x = optimizer.initial_iterates(P, local, config)
+    tracker = grads = stacked_grad(x, *sets.batch(10, 0, PURPOSE_GRAD), local.lam)
     gaps = []
-
-    def record(k, s):
-        want = s._last_grads.sum(axis=0)
-        gaps.append(np.linalg.norm(s.tracker.sum(axis=0) - want) / np.linalg.norm(want))
-
-    run_baseline(P, local, config, callbacks=[record])
+    for k in range(config.max_iters + 1):
+        want = grads.sum(axis=0)
+        gaps.append(np.linalg.norm(tracker.sum(axis=0) - want) / np.linalg.norm(want))
+        if k < config.max_iters:
+            x, tracker, grads = dsgt_round(x, tracker, grads, W, sets, config, k)
     assert len(gaps) == 31
     assert max(gaps) <= 1e-12
 
@@ -461,7 +473,7 @@ def test_one_over_k_schedule_divides_the_step_by_one_plus_the_round():
         step_schedule="one_over_k",
     )
     states = []
-    run_baseline(P, local, config, callbacks=[lambda k, s: states.append(s.x.copy())])
+    run(P, local, config, callbacks=[lambda k, s: states.append(s.x.copy())])
     W = metropolis_weights(P.graph).matrix
     for k in range(3):
         grads = np.stack([
@@ -481,7 +493,7 @@ def test_baselines_refuse_a_missing_step_size_before_round_0(algorithm, step_siz
     )
     rounds = []
     with pytest.raises(ConfigurationError, match="baselines need a positive step_size"):
-        run_baseline(P, local, config, callbacks=[lambda k, s: rounds.append(k)])
+        run(P, local, config, callbacks=[lambda k, s: rounds.append(k)])
     assert rounds == []
 
 
@@ -492,7 +504,7 @@ def test_baselines_fail_loudly_on_divergence(algorithm):
         batch_g=10, batch_s=10, max_iters=300, seed=7, algorithm=algorithm, step_size=1e3
     )
     with pytest.raises(DivergenceError, match=r"round \d+: agent \d+ has a non-finite"):
-        run_baseline(P, local, config)
+        run(P, local, config)
 
 
 def test_check_finite_names_round_and_agent():

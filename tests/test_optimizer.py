@@ -149,6 +149,8 @@ def test_init_dual_sum_zero_and_comm_charge():
     P, local = make_problem()
     state = init_network(P, local, base_config())
     assert np.all(state.q == 0.0)
+    # run() charges the initial exchange.
+    state = run(P, local, base_config(max_iters=0), certified_alphas(P, local))
     assert state.comm_scalars == 2 * P.graph.n_edges * local.feats.shape[2]
 
 
@@ -355,8 +357,11 @@ def test_run_config_validation():
         base_config(beta=-1.0).validate()
     with pytest.raises(ConfigurationError):
         base_config(batch_g=100).validate(n_samples=50)
-    with pytest.raises(ConfigurationError):
-        run(*make_problem()[:2], base_config(algorithm="dsgd"), np.ones(5))
+    rounds = []
+    with pytest.raises(ConfigurationError, match="'dsgd' takes no alphas"):
+        run(*make_problem()[:2], base_config(algorithm="dsgd", step_size=0.5), np.ones(5),
+            callbacks=[lambda k, s: rounds.append(k)])
+    assert rounds == []
 
 
 @pytest.mark.parametrize(
@@ -367,8 +372,9 @@ def test_run_config_validation():
         (3.0, r"alphas must have shape \(5,\), got \(\)"),
         (np.array([1.0, 1.0, np.nan, 1.0, 1.0]), "alphas must be finite"),
         (np.full(5, np.inf), "alphas must be finite"),
+        (None, r"alphas must have shape \(5,\), got None"),
     ],
-    ids=["short", "column", "scalar", "nan", "inf"],
+    ids=["short", "column", "scalar", "nan", "inf", "none"],
 )
 def test_run_rejects_alphas_that_are_not_a_finite_vector_per_agent(alphas, message):
     P, local = make_problem()
