@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -312,7 +312,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     runs vary only in their own seed, so seed-averaged statistics measure
     sampling noise alone.  Each trace's summary line holds the wall-clock
     values: ``wall_s_total`` and the set-up phases ``data_s``, ``load_s``,
-    ``reference_s`` and ``certificate_s``.
+    ``reference_s`` and ``certificate_s``.  A proximal run's header names
+    the path and the solve of its step under ``engine`` (see
+    :func:`~soprolab.optimizer.proximal_engine`); a baseline's is ``None``.
 
     Run parameters that the engine refuses raise
     :class:`~soprolab.errors.ConfigurationError` before any set-up work,
@@ -348,6 +350,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "iterations": problem.reference.iterations,
             "factorizations": problem.reference.factorizations,
         },
+        # The proximal step's path and solve; every seed takes the same.
+        "engine": None if alphas is None else asdict(
+            optimizer.proximal_engine(problem.local, config.to_run_config(0), alphas)
+        ),
     }
 
     traces = []

@@ -33,7 +33,8 @@ runs with the ``(N,)`` vector of the ``alpha_i`` it is given: choosing
 them is :func:`soprolab.certificate.proximal_alphas`'s job.  Agent
 ``i``'s system is ``c_i I + B_i^T B_i`` with ``c_i = lam_i + alpha_i``.
 One batched step then moves all agents, by one Cholesky factor-and-solve
-per agent, in place.  The step takes one of three paths, chosen once per
+per agent, in place, or by a truncated Neumann series for all agents at
+once (see below).  The step takes one of three paths, chosen once per
 run from the shapes:
 
 * ``S >= d`` (including full-batch SoPro on sets of at least ``d`` rows),
@@ -54,6 +55,33 @@ run from the shapes:
   from the gathered batch rows, scaled in place in the buffer into the
   ``B_i``, because a Gram stack would be larger than the data.
 
+Each path solves its systems one of two ways, chosen once per run by
+:func:`proximal_engine`.  The curvature part of a system is bounded
+before round 0: ``B_i^T B_i = sum_r w_r a_r a_r^T`` with the logistic
+weights ``w_r = p_r (1 - p_r) / count <= 1 / (4 count)`` over the
+``count`` rows of the batch, so ``||B_i^T B_i|| <= max_r |a_r|^2 / 4``
+over agent ``i``'s local set.  When every ``c_i > 0``,
+
+    ``rho = max_i max_r |a_r|^2 / (4 c_i)``
+
+bounds every ``||B_i^T B_i|| / c_i``.  If ``rho < 1``, the series
+``s = r / c``, then ``k`` times ``s <- (r - B^T B s) / c``, is the
+Richardson iteration with the shift as preconditioner (Saad 2003,
+*Iterative Methods for Sparse Linear Systems*, ch. 4), and its relative
+error is at most ``rho^(k+1)``.  The term count ``k`` is the least with
+``rho^(k+1) <= 2^-53``, so the series is exact to roundoff.  It runs when
+its multiply-adds per agent are fewer than the factorisation's:
+
+* dense: ``2 k S d`` against ``S d^2 / 2 + d^3 / 6``;
+* row Woodbury: ``2 k S d`` against ``S^2 d + S^3 / 6``;
+* Gram: ``k S^2`` against ``S^3 / 6``, applying the gathered ``S x S``
+  block of the Gram stack.
+
+The row paths apply ``B_i^T (B_i v)`` to the rows they already hold.
+Under certified alphas the shift dwarfs the curvature (``rho`` about
+1e-6 on the a4a- and mushrooms-shaped problems, ``k = 2``).  Otherwise,
+and whenever a shift is not positive, the factorisation runs.
+
 A factorisation that fails names the agent whose system is not positive
 definite.  :func:`local_step` steps one agent alone by Cholesky: it is the per-agent
 oracle the batched steps are tested against.
@@ -70,6 +98,7 @@ the same batches as the proximal methods.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +139,8 @@ __all__ = [
     "dense_step",
     "gram_step",
     "exchange_and_dual_update",
+    "Engine",
+    "proximal_engine",
     "proximal",
     "run",
 ]
@@ -428,8 +459,32 @@ def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
+def _series_solve(apply_h, r: np.ndarray, c: np.ndarray, terms: int) -> np.ndarray:
+    """Every ``(c_i I + H_i)^{-1} r_i`` by a truncated Neumann series.
+
+    ``apply_h(v)`` returns the ``H_i v_i`` of an ``(N, n)`` array ``v``.
+    The series starts at ``s = r / c`` and takes ``terms`` Richardson steps
+    ``s <- (r - H s) / c``; with every ``||H_i|| <= rho c_i``, ``rho < 1``,
+    its relative error is at most ``rho^(terms + 1)``.
+    """
+    c = c[:, None]
+    s = r / c
+    for _ in range(terms):
+        s = (r - apply_h(s)) / c
+    return s
+
+
+def _normal_product(F: np.ndarray, v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """``F_i^T (w_i * (F_i v_i))`` for every agent, from the ``(N, S, d)``
+    rows and ``(N, S)`` weights (``None``: ones): ``H_i v_i`` without ``H_i``."""
+    u = (F @ v[:, :, None])[:, :, 0]
+    if w is not None:
+        u *= w
+    return (u[:, None, :] @ F)[:, 0, :]
+
+
 def woodbury_step(
-    x: np.ndarray, rhs: np.ndarray, B: np.ndarray, c: np.ndarray
+    x: np.ndarray, rhs: np.ndarray, B: np.ndarray, c: np.ndarray, terms: int | None = None
 ) -> np.ndarray:
     """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``.
 
@@ -445,8 +500,14 @@ def woodbury_step(
     ``c_i > 0``, which is checked first, since a positive definite
     ``c_i I_S + B_i B_i^T`` does not imply it.  Zero rows in ``B_i`` leave
     the step unchanged.
+
+    With ``terms`` (see :func:`proximal_engine`) the ``d x d`` systems are
+    solved instead by that many terms of the Neumann series, each applying
+    ``B_i^T (B_i v)`` to the rows, and no ``B B^T`` is formed.
     """
     _check_shift(c)
+    if terms is not None:
+        return x - _series_solve(lambda v: _normal_product(B, v), rhs, c, terms)
     K = B @ B.transpose(0, 2, 1)
     diag = np.arange(B.shape[1])
     K[:, diag, diag] += c[:, None]
@@ -457,7 +518,12 @@ def woodbury_step(
 
 
 def dense_step(
-    x: np.ndarray, rhs: np.ndarray, F: np.ndarray, sw: np.ndarray, c: np.ndarray
+    x: np.ndarray,
+    rhs: np.ndarray,
+    F: np.ndarray,
+    sw: np.ndarray,
+    c: np.ndarray,
+    terms: int | None = None,
 ) -> np.ndarray:
     """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``
     with ``B_i = sw_i F_i``.
@@ -473,7 +539,16 @@ def dense_step(
     factor.  The factorisation is the positive-definiteness check: the
     first agent whose system fails it is named.  Zero rows in ``F_i`` add
     nothing.
+
+    With ``terms`` (see :func:`proximal_engine`) every ``c_i`` must be
+    positive, and all agents are solved at once by that many terms of the
+    Neumann series, each applying ``F_i^T (sw_i^2 (F_i v))`` to the rows:
+    no ``d x d`` system is formed.
     """
+    if terms is not None:
+        _check_shift(c)
+        w = sw * sw
+        return x - _series_solve(lambda v: _normal_product(F, v, w), rhs, c, terms)
     n, rows, d = F.shape
     b, h = np.empty((rows, d)), np.empty((d, d))
     z = rhs.copy()
@@ -494,6 +569,7 @@ def gram_step(
     g_idx: np.ndarray | None,
     s_idx: np.ndarray | None,
     c: np.ndarray,
+    terms: int | None = None,
 ) -> np.ndarray:
     """Proximal steps of all agents, batch gradients included, from the
     Gram matrices of their local sets.
@@ -516,6 +592,10 @@ def gram_step(
     ``(t - F^T v) / c``: two passes over the local sets and no row gather.
     This path runs with ``S < d``, so, as in :func:`woodbury_step`,
     ``c_i > 0`` is checked first.  Zero padding rows add nothing.
+
+    With ``terms`` (see :func:`proximal_engine`) each ``S x S`` system is
+    solved instead by that many terms of the Neumann series, each applying
+    the unshifted ``B_i B_i^T``.
     """
     _check_shift(c)
     F = local.feats
@@ -538,9 +618,12 @@ def gram_step(
         K = np.take(gram, (agents * width + s_idx)[:, :, None] * width + s_idx[:, None, :])
         z = sw * Fr[agents, s_idx]
     K *= sw[:, :, None] * sw[:, None, :]
-    diag = np.arange(K.shape[1])
-    K[:, diag, diag] += c[:, None]
-    _cholesky_solve(K, z)
+    if terms is None:
+        diag = np.arange(K.shape[1])
+        K[:, diag, diag] += c[:, None]
+        _cholesky_solve(K, z)
+    else:
+        z = _series_solve(lambda v: (K @ v[:, :, None])[:, :, 0], z, c, terms)
     z *= sw
     if s_idx is None:
         coef += z
@@ -556,19 +639,77 @@ def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> No
     state.q = state.q + beta * state.y
 
 
+@dataclass(frozen=True)
+class Engine:
+    """How a proximal run steps, chosen once before round 0.
+
+    ``path`` is the step function (``"dense_step"``, ``"gram_step"`` or
+    ``"woodbury_step"``); ``solve`` is ``"cholesky"`` or ``"series"``;
+    ``terms`` is the series' term count, ``None`` on the factorisation;
+    ``rho_bound`` bounds every ``||h_i - lam_i I|| / c_i``, ``None`` when a
+    shift ``c_i`` is not positive.
+    """
+
+    path: str
+    solve: str
+    terms: int | None
+    rho_bound: float | None
+
+
+def _series_terms(rho: float) -> int | None:
+    """The least ``k`` with ``rho^(k+1) <= 2^-53``; ``None`` if ``rho >= 1``."""
+    if not rho < 1.0:
+        return None
+    if rho == 0.0:
+        return 0
+    k = max(math.ceil(-53.0 * math.log(2.0) / math.log(rho)) - 1, 0)
+    while k > 0 and rho**k <= 2.0**-53:
+        k -= 1
+    while rho ** (k + 1) > 2.0**-53:
+        k += 1
+    return k
+
+
+def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
+    """The path and the solve :func:`proximal` takes for this run.
+
+    The path follows from the Hessian batch size ``S`` (the widest local
+    set ``W`` in full batch), ``W`` and ``d`` (see the module docstring).
+    The solve is the Neumann series when its multiply-adds per agent are
+    fewer than the factorisation's, else Cholesky.
+    """
+    _, width, d = local.feats.shape
+    rows = width if config.algorithm == "sopro" else config.batch_s
+    if rows >= d:
+        path, factor = "dense_step", rows * d * d / 2 + d**3 / 6
+    elif width <= d:
+        path, factor = "gram_step", rows**3 / 6
+    else:
+        path, factor = "woodbury_step", rows * rows * d + rows**3 / 6
+    shift = local.lam + np.asarray(alphas, dtype=float)
+    if not np.all(shift > 0.0):
+        return Engine(path, "cholesky", None, None)
+    rho = float(np.max(0.25 * local.row_sq.max(axis=1) / shift))
+    terms = _series_terms(rho)
+    per_term = rows * rows if path == "gram_step" else 2 * rows * d
+    if terms is None or terms * per_term >= factor:
+        return Engine(path, "cholesky", None, rho)
+    return Engine(path, "series", terms, rho)
+
+
 def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     """St-SoPro or SoPro, set up for :func:`run`.
 
     ``alphas`` is the ``(N,)`` vector of the proximal matrices
     ``D_i = alphas[i] I``.  The round steps all agents with one batched
-    call, on the path chosen here from the Hessian batch size ``S`` (the
-    widest local set in full batch), the widest local set ``W`` and the
-    dimension ``d``: :func:`dense_step`, :func:`gram_step` (its Gram stack
-    computed here once) or :func:`woodbury_step`, by the rules above.
-    The full-batch deterministic variant follows the same code path with
-    both batches forced to the whole local sets, its curvature taken from
-    the gradient's margins (the same rows at the same point), so its trace
-    is bitwise identical to the stochastic method at ``G = S = C``.
+    call, on the path and with the solve :func:`proximal_engine` chooses
+    here: :func:`dense_step`, :func:`gram_step` (its Gram stack computed
+    here once) or :func:`woodbury_step`, each by Cholesky or by the
+    Neumann series.  The full-batch deterministic variant follows the same
+    code path with both batches forced to the whole local sets, its
+    curvature taken from the gradient's margins (the same rows at the same
+    point), so its trace is bitwise identical to the stochastic method at
+    ``G = S = C``.
 
     Returns the state after the initial exchange, the round function, and
     the ``2 |E| d`` scalars each exchange sends, at set-up and per round.
@@ -580,16 +721,16 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     if not np.isfinite(alphas).all():
         raise ConfigurationError("alphas must be finite")
     state = init_network(P, local, config)
+    engine = proximal_engine(local, config, alphas)
+    terms = engine.terms
     sets = LocalSets(local, config.seed)
     beta, full = config.beta, config.algorithm == "sopro"
     batch_g = None if full else config.batch_g
     batch_s = None if full else config.batch_s
-    width = local.feats.shape[1]
-    rows_s = width if full else config.batch_s
     shift = local.lam + alphas
     sent = 2 * P.graph.n_edges * state.dim
 
-    if rows_s < state.dim and width <= state.dim:
+    if engine.path == "gram_step":
         # The Gram stack is N W^2 floats, no more than the N W d of the
         # local sets themselves.
         gram = local.feats @ local.feats.transpose(0, 2, 1)
@@ -598,19 +739,19 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
             t = local.lam[:, None] * state.x + beta * state.y + state.q
             g_idx = sets.draw(batch_g, k, PURPOSE_GRAD)
             s_idx = sets.draw(batch_s, k, PURPOSE_HESS)
-            state.x = gram_step(state.x, t, local, gram, g_idx, s_idx, shift)
+            state.x = gram_step(state.x, t, local, gram, g_idx, s_idx, shift, terms)
             exchange_and_dual_update(state, P, beta)
 
         return state, gram_round, sent, sent
 
-    if rows_s >= state.dim:
+    if engine.path == "dense_step":
         def solve(x, rhs, F, sw):
-            return dense_step(x, rhs, F, sw, shift)
+            return dense_step(x, rhs, F, sw, shift, terms)
     else:
         def solve(x, rhs, F, sw):
             # S < W: the rows were gathered into the buffer, and are
             # scaled there into the factors B.
-            return woodbury_step(x, rhs, np.multiply(sw[:, :, None], F, out=F), shift)
+            return woodbury_step(x, rhs, np.multiply(sw[:, :, None], F, out=F), shift, terms)
 
     def row_round(state: NetworkState, k: int) -> None:
         rows = sets.batch(batch_g, k, PURPOSE_GRAD)

@@ -172,6 +172,15 @@ class MatrixP:
         """:func:`spectral_summary` of this matrix, computed on first use."""
         return spectral_summary(self)
 
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending eigenvalues and orthonormal eigenvectors of the
+        matrix, read-only: its one eigendecomposition, computed on first use."""
+        w, U = np.linalg.eigh(self.matrix)
+        w.setflags(write=False)
+        U.setflags(write=False)
+        return w, U
+
     def disagreement(self, x: np.ndarray) -> np.ndarray:
         """Apply the Kronecker lift to stacked agent vectors.
 
@@ -220,7 +229,8 @@ class SpectralSummary:
 
 
 def spectral_summary(p: MatrixP) -> SpectralSummary:
-    """Eigenvalue summary via a dense symmetric solver.
+    """Eigenvalue summary from the matrix's eigendecomposition
+    (:attr:`MatrixP.eigh`).
 
     The lift ``P (x) I_d`` shares the spectrum of ``P`` up to multiplicity,
     so the n x n problem suffices at any dimension.
@@ -230,7 +240,7 @@ def spectral_summary(p: MatrixP) -> SpectralSummary:
     scale = max(np.max(np.abs(A)), 1.0)
     if sym_err > 1e-12 * scale:
         raise InvariantViolation(f"matrix not symmetric (max asymmetry {sym_err})")
-    eigs = np.linalg.eigvalsh(A)
+    eigs = p.eigh[0]
     lam_max = eigs[-1]
     if eigs[0] < -1e-10 * max(lam_max, 1.0):
         raise InvariantViolation(f"matrix indefinite (min eigenvalue {eigs[0]})")

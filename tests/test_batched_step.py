@@ -4,7 +4,7 @@ import pytest
 from oracles import agent_datasets, dense_step_stacked, stacked
 from soprolab import optimizer, topology
 from soprolab.baselines import dsgt_round, metropolis_weights
-from soprolab.certificate import proximal_alphas
+from soprolab.certificate import QNormError, proximal_alphas
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation
 from soprolab.harness.synthetic import gaussian_blob_samples
 from soprolab.loss import (
@@ -37,6 +37,28 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
+def rho_bound(feats, c):
+    """The engine's bound on every ``||B_i^T B_i|| / c_i``: a quarter of the
+    largest squared row norm over the shift, at the worst agent."""
+    return float(np.max(0.25 * np.einsum("nsd,nsd->ns", feats, feats).max(axis=1) / c))
+
+
+# Neumann series targets: each oracle test scales its rows until the
+# bound is each of these, then steps with the least term count that the
+# bound allows.
+SERIES_RHOS = (1e-6, 1e-3, 0.3)
+
+
+def tight_first_agent(feats, weights):
+    """Copies in which agent 0 repeats its longest row at the largest
+    curvature weight ``1 / (4 S)``: its ``||B^T B||`` then equals the bound,
+    so the series' error there is as large as the bound allows."""
+    feats, weights = feats.copy(), weights.copy()
+    feats[0] = feats[0, np.argmax(np.einsum("sd,sd->s", feats[0], feats[0]))]
+    weights[0] = 0.25 / weights.shape[1]
+    return feats, weights
+
+
 # ------------------------------------------------------------- batched step
 
 
@@ -61,6 +83,17 @@ def test_woodbury_step_matches_dense_inverse_oracle():
     for i in range(n):
         assert rel_err(out[i], expected[i]) <= 1e-10
         assert rel_err(out_padded[i], expected[i]) <= 1e-10
+
+    c = lam + alphas
+    feats, weights = tight_first_agent(feats, weights)
+    assert rho_bound(feats[:1], c[:1]) == rho_bound(feats, c)
+    for rho in SERIES_RHOS:
+        Bs = np.sqrt(weights * rho / rho_bound(feats, c))[:, :, None] * feats
+        terms = optimizer._series_terms(rho)
+        out = woodbury_step(x, rhs, Bs, c, terms)
+        for i in range(n):
+            A = Bs[i].T @ Bs[i] + c[i] * np.eye(d)
+            assert rel_err(out[i], x[i] - np.linalg.inv(A) @ rhs[i]) <= 1e-12
 
 
 def test_woodbury_step_rejects_nonpositive_shift():
@@ -108,6 +141,22 @@ def test_dense_step_matches_dense_inverse_oracle():
         assert rel_err(out[i], expected[i]) <= 1e-10
         assert rel_err(out_padded[i], expected[i]) <= 1e-10
 
+    c = lam + alphas
+    feats, weights = tight_first_agent(feats, weights)
+    assert rho_bound(feats[:1], c[:1]) == rho_bound(feats, c)
+    sw = np.sqrt(weights)
+    sw_padded = np.concatenate([sw, np.ones((n, 3))], axis=1)
+    for rho in SERIES_RHOS:
+        Fs = feats * np.sqrt(rho / rho_bound(feats, c))
+        terms = optimizer._series_terms(rho)
+        padded = np.concatenate([Fs, np.zeros((n, 3, d))], axis=1)
+        for out in (dense_step(x, rhs, Fs, sw, c, terms),
+                    dense_step(x, rhs, padded, sw_padded, c, terms)):
+            for i in range(n):
+                B = sw[i, :, None] * Fs[i]
+                A = B.T @ B + c[i] * np.eye(d)
+                assert rel_err(out[i], x[i] - np.linalg.inv(A) @ rhs[i]) <= 1e-12
+
 
 def test_dense_step_rejects_nonpositive_shift():
     n, S, d = 4, 6, 5
@@ -138,13 +187,8 @@ def test_gram_step_matches_dense_inverse_oracle():
     rng = np.random.default_rng(8)
     sizes, d, lam = [9, 12, 7, 12, 10], 14, 0.1
     n = len(sizes)
-    datasets = [
-        LocalDataset((rng.random((m, d)) < 0.3).astype(float), rng.choice((-1, 1), m), lam)
-        for m in sizes
-    ]
-    local = stacked(datasets)
-    assert local.feats.shape[1] == 12 and not local.feats[2, 7:].any()  # zero padding
-    gram = local.feats @ local.feats.transpose(0, 2, 1)
+    rows = [(rng.random((m, d)) < 0.3).astype(float) for m in sizes]
+    labels = [rng.choice((-1, 1), m) for m in sizes]
     alphas = np.geomspace(0.5, 800.0, n)
     x = rng.standard_normal((n, d))
     prox = rng.standard_normal((n, d))  # beta y + q
@@ -152,14 +196,29 @@ def test_gram_step_matches_dense_inverse_oracle():
     s_draw = draw_batches(sizes, 4, 3, 0, PURPOSE_HESS)
     # The two batches share rows, which both the gradient and the Hessian use.
     assert any(np.intersect1d(g, s).size for g, s in zip(g_draw, s_draw))
-    for g_idx, s_idx in [(g_draw, s_draw), (None, None), (None, s_draw), (g_draw, None)]:
-        out = gram_step(x, lam * x + prox, local, gram, g_idx, s_idx, lam + alphas)
-        for i, ds in enumerate(datasets):
-            whole = np.arange(sizes[i])
-            g = batch_grad(x[i], ds, whole if g_idx is None else g_idx[i])
-            h = batch_hess(x[i], ds, whole if s_idx is None else s_idx[i])
-            expected = x[i] - np.linalg.inv(h.dense() + alphas[i] * np.eye(d)) @ (g + prox[i])
-            assert rel_err(out[i], expected) <= 1e-10
+    # Agent 0 repeats its longest row and sits at x = 0, where every
+    # curvature weight is 1 / (4 count): its ||B^T B|| equals the bound.
+    rows[0][:] = rows[0][np.argmax(np.einsum("sd,sd->s", rows[0], rows[0]))]
+    x[0] = 0.0
+    feats = stacked([LocalDataset(a, b, lam) for a, b in zip(rows, labels)]).feats
+    rho_unscaled = rho_bound(feats, lam + alphas)
+    assert rho_bound(feats[:1], lam + alphas[:1]) == rho_unscaled
+    for rho in (None, *SERIES_RHOS):
+        scale = 1.0 if rho is None else np.sqrt(rho / rho_unscaled)
+        terms = None if rho is None else optimizer._series_terms(rho)
+        tol = 1e-10 if rho is None else 1e-12
+        datasets = [LocalDataset(scale * a, b, lam) for a, b in zip(rows, labels)]
+        local = stacked(datasets)
+        assert local.feats.shape[1] == 12 and not local.feats[2, 7:].any()  # zero padding
+        gram = local.feats @ local.feats.transpose(0, 2, 1)
+        for g_idx, s_idx in [(g_draw, s_draw), (None, None), (None, s_draw), (g_draw, None)]:
+            out = gram_step(x, lam * x + prox, local, gram, g_idx, s_idx, lam + alphas, terms)
+            for i, ds in enumerate(datasets):
+                whole = np.arange(sizes[i])
+                g = batch_grad(x[i], ds, whole if g_idx is None else g_idx[i])
+                h = batch_hess(x[i], ds, whole if s_idx is None else s_idx[i])
+                A = h.dense() + alphas[i] * np.eye(d)
+                assert rel_err(out[i], x[i] - np.linalg.inv(A) @ (g + prox[i])) <= tol
 
 
 def test_gram_step_rejects_nonpositive_shift_with_definite_small_systems():
@@ -227,12 +286,14 @@ def test_dense_step_equals_the_stacked_product_bitwise_and_names_the_failing_age
 # ------------------------------------------------------------- full runs
 
 
-def make_problem(sizes, d, seed=0, lam=0.1):
+def make_problem(sizes, d, seed=0, lam=0.1, scale=1.0):
+    """A network and blob data split into ``sizes``; ``scale`` multiplies
+    the rows, and small rows make the certified shifts dominate."""
     n = len(sizes)
     P = laplacian_weights(build_random_connected_graph(n, 2.0, seed=seed), 1.0)
     feats, labels = gaussian_blob_samples(sum(sizes), d, seed, separation=1.0, noise=0.5)
     split = np.cumsum(sizes)[:-1]
-    return P, StackedSets.padded(np.split(feats, split), np.split(labels, split), lam)
+    return P, StackedSets.padded(np.split(scale * feats, split), np.split(labels, split), lam)
 
 
 def certified_alphas(P, local):
@@ -270,11 +331,12 @@ def reference_run(P, local, config, alphas):
     return history
 
 
-def engine_history(P, local, config, alphas, monkeypatch, path):
+def engine_history(P, local, config, alphas, monkeypatch, path, solve="cholesky"):
     """The engine's iterates and duals after every round; each round must
     make one batched step along ``path`` ("woodbury", "gram" or "dense"),
-    and factor by Cholesky rather than by a general LU solve."""
-    calls = {"woodbury": 0, "gram": 0, "dense": 0, "local": 0, "lu": 0}
+    solved by ``solve``: by Cholesky rather than by a general LU solve, or
+    by one Neumann series."""
+    calls = {"woodbury": 0, "gram": 0, "dense": 0, "local": 0, "lu": 0, "series": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -288,11 +350,14 @@ def engine_history(P, local, config, alphas, monkeypatch, path):
     monkeypatch.setattr(optimizer, "dense_step", counted("dense", dense_step))
     monkeypatch.setattr(optimizer, "local_step", counted("local", local_step))
     monkeypatch.setattr(np.linalg, "solve", counted("lu", np.linalg.solve))
+    monkeypatch.setattr(optimizer, "_series_solve", counted("series", optimizer._series_solve))
     history = []
     run(P, local, config, alphas,
         callbacks=[lambda k, s: history.append((s.x.copy(), s.q.copy()))])
-    expected = {"woodbury": 0, "gram": 0, "dense": 0, "local": 0, "lu": 0}
+    expected = {"woodbury": 0, "gram": 0, "dense": 0, "local": 0, "lu": 0, "series": 0}
     expected[path] = config.max_iters
+    if solve == "series":
+        expected["series"] = config.max_iters
     assert calls == expected
     return history
 
@@ -312,25 +377,41 @@ def assert_histories_match(got, want):
         assert rel_err(q, q_ref) <= 1e-10
 
 
+RUN_CASES = [
+    ("st_sopro", 5, 15, True, 1.0),  # S < d < C = 40: row Woodbury
+    ("st_sopro", 20, 15, False, 1.0),  # S >= d: dense
+    ("st_sopro", 5, 60, True, 1.0),  # S < C = 40 <= d: Gram
+    ("sopro", None, 60, True, 1.0),  # full batch, C = 40 < d: Gram
+    ("sopro", None, 15, False, 1.0),  # full batch, C = 40 >= d
+    # Rows scaled down until the Neumann series costs less than the
+    # factorisation.  Gram at S = 5 never does: k S^2 > S^3 / 6 for k >= 1.
+    ("st_sopro", 5, 15, True, 0.01),  # row Woodbury, 2 terms
+    ("st_sopro", 20, 15, False, 0.1),  # dense, 4 terms
+    ("sopro", None, 60, True, 0.1),  # Gram, 4 terms
+    ("sopro", None, 15, False, 0.1),  # dense, 4 terms
+]
+
+
+def run_case_id(case):
+    *shape, scale = case
+    return "-".join(map(str, shape)) + ("" if scale == 1.0 else "-series")
+
+
 @pytest.mark.parametrize(
-    "algorithm, batch_s, d, low_rank",
-    [
-        ("st_sopro", 5, 15, True),  # S < d < C = 40: row Woodbury
-        ("st_sopro", 20, 15, False),  # S >= d: dense
-        ("st_sopro", 5, 60, True),  # S < C = 40 <= d: Gram
-        ("sopro", None, 60, True),  # full batch, C = 40 < d: Gram
-        ("sopro", None, 15, False),  # full batch, C = 40 >= d
-    ],
+    "algorithm, batch_s, d, low_rank, scale",
+    [pytest.param(*case, id=run_case_id(case)) for case in RUN_CASES],
 )
-def test_run_matches_per_agent_reference(algorithm, batch_s, d, low_rank, monkeypatch):
-    P, local = make_problem([40] * 6, d)
+def test_run_matches_per_agent_reference(algorithm, batch_s, d, low_rank, scale, monkeypatch):
+    P, local = make_problem([40] * 6, d, scale=scale)
     config = RunConfig(
         batch_g=10, batch_s=batch_s or 40, max_iters=20, seed=5, algorithm=algorithm
     )
     alphas = certified_alphas(P, local)
+    solve = "cholesky" if scale == 1.0 else "series"
+    assert optimizer.proximal_engine(local, config, alphas).solve == solve
     want = reference_run(P, local, config, alphas)
     path = low_rank_path(low_rank, 40, d)
-    got = engine_history(P, local, config, alphas, monkeypatch, path)
+    got = engine_history(P, local, config, alphas, monkeypatch, path, solve)
     assert_histories_match(got, want)
 
 
@@ -377,10 +458,18 @@ def test_dense_path_rounds_share_margins_in_full_batch_and_build_no_stacked_fact
     monkeypatch.setattr(optimizer, "stacked_margins", count_margins)
     monkeypatch.setattr(LocalSets, "buffer", record_buffer)
     config = RunConfig(batch_g=10, batch_s=20, max_iters=3, seed=1, algorithm=algorithm)
-    run(P, local, config, certified_alphas(P, local))
-    assert len(margins) == margins_per_round * config.max_iters
-    # SoPro asks for no buffer; St-SoPro only for its gathered G and S rows.
-    assert buffers == buffer_rows * config.max_iters
+    alphas = certified_alphas(P, local)
+    # The factorisation, then the series at shifts that make it cheaper:
+    # its products go through neither counted function.
+    for solve, shift_scale in (("cholesky", 1.0), ("series", 1e3)):
+        margins.clear()
+        buffers.clear()
+        scaled = shift_scale * (local.lam + alphas) - local.lam
+        assert optimizer.proximal_engine(local, config, scaled).solve == solve
+        run(P, local, config, scaled)
+        assert len(margins) == margins_per_round * config.max_iters
+        # SoPro asks for no buffer; St-SoPro only for its gathered G and S rows.
+        assert buffers == buffer_rows * config.max_iters
 
 
 @pytest.mark.parametrize("d", [15, 60])  # row Woodbury, Gram
@@ -397,18 +486,107 @@ def test_run_refuses_a_drawn_index_outside_a_local_set(d, monkeypatch):
             certified_alphas(P, local))
 
 
+# ------------------------------------------------------------- engine choice
+
+
+def test_series_terms_are_the_least_that_reach_roundoff():
+    assert optimizer._series_terms(0.0) == 0
+    assert optimizer._series_terms(1.6e-6) == 2
+    for rho in (1.0, 1.5, np.inf, np.nan):
+        assert optimizer._series_terms(rho) is None
+    for rho in np.geomspace(1e-12, 0.999, 60):
+        k = optimizer._series_terms(rho)
+        assert rho ** (k + 1) <= 2.0**-53
+        assert k == 0 or rho**k > 2.0**-53
+
+
+def one_hot_sets(n, count, attributes, columns, seed=0, lam=0.01):
+    """Local sets shaped like categorical LIBSVM files: every row one-hot
+    encodes ``attributes`` categories over ``columns`` binary columns."""
+    rng = np.random.default_rng(seed)
+    edges = np.linspace(0, columns, attributes + 1).astype(int)
+    feats = np.zeros((n, count, columns))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.put_along_axis(feats, rng.integers(lo, hi, (n, count, 1)), 1.0, axis=2)
+    labels = rng.choice((-1.0, 1.0), (n, count))
+    return StackedSets(feats, labels, np.full(n, count), np.full(n, lam))
+
+
+@pytest.mark.parametrize(
+    "n, count, attributes, columns, degree, algorithm, batch, path",
+    [
+        (20, 239, 14, 123, 5.0, "st_sopro", 80, "woodbury_step"),  # a4a-like
+        (10, 600, 22, 112, 4.0, "sopro", 80, "dense_step"),  # mushrooms-like, full batch
+        (200, 40, 14, 123, 5.0, "st_sopro", 20, "gram_step"),  # many small agents
+    ],
+)
+def test_certified_runs_of_benchmark_shapes_take_the_series_with_two_terms(
+    n, count, attributes, columns, degree, algorithm, batch, path
+):
+    local = one_hot_sets(n, count, attributes, columns)
+    P = laplacian_weights(build_random_connected_graph(n, degree, seed=0), 1.0)
+    config = RunConfig(batch_g=batch, batch_s=batch, max_iters=1, seed=0, algorithm=algorithm)
+    engine = optimizer.proximal_engine(local, config, certified_alphas(P, local))
+    assert (engine.path, engine.solve, engine.terms) == (path, "series", 2)
+    assert engine.rho_bound < 2e-6
+
+
+def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift():
+    _, local = make_problem([40] * 6, 15)
+    config = RunConfig(batch_g=10, batch_s=20, max_iters=1, seed=0)  # dense
+    edge = np.full(6, 0.25 * local.row_sq.max())  # the shift at which rho = 1
+    for c, rho in ((edge, 1.0), (edge / 2, 2.0)):
+        engine = optimizer.proximal_engine(local, config, c - local.lam)
+        assert (engine.solve, engine.terms) == ("cholesky", None)
+        assert engine.rho_bound == pytest.approx(rho, rel=1e-12)
+    c = 1e6 * edge
+    assert optimizer.proximal_engine(local, config, c - local.lam).solve == "series"
+    for bad in (0.0, -1.0):
+        c[3] = bad
+        engine = optimizer.proximal_engine(local, config, c - local.lam)
+        assert engine == optimizer.Engine("dense_step", "cholesky", None, None)
+
+
+def test_run_accepts_a_negative_shift_that_leaves_a_dense_system_definite(monkeypatch):
+    # At x = 0 every curvature weight is 1/(4 C), so each h_i - lam_i I is
+    # F_i^T F_i / (4 C), and half its smallest eigenvalue below zero keeps
+    # every system definite.
+    P, local = make_problem([40] * 6, 15)
+    config = RunConfig(batch_g=10, batch_s=40, max_iters=1, seed=5, algorithm="sopro",
+                       x0_mode="zeros")
+    gram = local.feats.transpose(0, 2, 1) @ local.feats / (4 * 40)
+    alphas = -local.lam - 0.5 * np.linalg.eigvalsh(gram)[:, 0]
+    engine = optimizer.proximal_engine(local, config, alphas)
+    assert engine == optimizer.Engine("dense_step", "cholesky", None, None)
+    want = reference_run(P, local, config, alphas)
+    assert_histories_match(engine_history(P, local, config, alphas, monkeypatch, "dense"), want)
+
+
 # ------------------------------------------------------------- shared parts
 
 
 def test_spectral_summary_computed_once_per_matrix(monkeypatch):
-    calls = []
+    calls, decompositions = [], []
     real = topology.spectral_summary
     monkeypatch.setattr(topology, "spectral_summary", lambda p: calls.append(p) or real(p))
     P, local = make_problem([40] * 6, 15)
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            if a is P.matrix:
+                decompositions.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    n, d = local.feats.shape[0], local.feats.shape[2]
+    # The Q-norm error decomposes P as well: both share one eigh.
+    q_err = QNormError(P, np.ones(n), 1.0, np.zeros((n, d)), np.zeros((n, d)))
+    errors = []
     run(P, local, RunConfig(batch_g=10, batch_s=5, max_iters=2, seed=0),
-        certified_alphas(P, local))
+        certified_alphas(P, local), callbacks=[lambda k, s: errors.append(q_err(s.x, s.q))])
     assert P.spectral == real(P)
     assert len(calls) == 1 and calls[0] is P
+    assert decompositions == ["eigh"]
+    assert len(errors) == 3 and np.all(np.isfinite(errors))
 
 
 @pytest.mark.parametrize(
@@ -518,8 +696,8 @@ def test_check_finite_names_round_and_agent():
 
 def test_run_fails_loudly_on_divergence(monkeypatch):
     # The certified parameters do not diverge, so a step is made to.
-    def poisoned(x, rhs, B, c):
-        out = woodbury_step(x, rhs, B, c)
+    def poisoned(*args):
+        out = woodbury_step(*args)
         if len(calls) == 2:
             out[3] = np.nan
         calls.append(1)

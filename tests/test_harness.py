@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import soprolab
 from oracles import agent_datasets, newton_per_agent
-from soprolab import certificate
+from soprolab import certificate, optimizer
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation, SoprolabError
 from soprolab.harness import cli, experiment, reference
 from soprolab.harness.cli import main
@@ -133,6 +133,30 @@ def test_rerun_writes_identical_trace_apart_from_out_dir(tmp_path):
     for a, b in zip(first.trace_paths, second.trace_paths):
         assert a.name == b.name
         assert trace_lines(a) == trace_lines(b)
+
+
+@pytest.mark.parametrize(
+    "algorithm, spread, solve",
+    [("st_sopro", 1.0, "cholesky"), ("st_sopro", 1e-3, "series"), ("sopro", 1e-3, "series"),
+     ("dsgd", 1.0, None)],
+)
+def test_trace_header_names_the_proximal_engine(tmp_path, algorithm, spread, solve):
+    # Rows shrunk by ``spread`` leave the certified shifts dominant, and the
+    # Neumann series then costs less than the factorisation.
+    config = ExperimentConfig(
+        dim=20, n_agents=4, per_agent=30, test_size=20, batch_g=5, batch_s=5, max_iters=3,
+        separation=spread, noise=spread, algorithm=algorithm,
+        step_size=0.5 if algorithm == "dsgd" else None, out=str(tmp_path),
+    )
+    result = run_experiment(config)
+    header, _ = trace_lines(result.trace_paths[0])
+    if solve is None:
+        assert header["engine"] is None
+        return
+    _, alphas, _, _ = build_certificate(config, result.problem)
+    engine = optimizer.proximal_engine(result.problem.local, config.to_run_config(0), alphas)
+    assert engine.solve == solve
+    assert header["engine"] == dataclasses.asdict(engine)
 
 
 def test_diverged_run_writes_its_rows_and_a_diverged_summary_then_raises(tmp_path):
