@@ -467,10 +467,9 @@ class QNormError:
 
     ``Q = diag(beta R, I)`` acts on ``z = (x, v)`` with ``v`` the preimage of
     the dual surrogate under the square root of the lift of ``P``.  The dual
-    part is evaluated through the eigendecomposition of ``P`` that its
-    spectral summary also reads (:attr:`~soprolab.topology.MatrixP.eigh`),
-    with the zero eigenvalue annihilated, which is exact because conserved
-    dual iterates stay in the range of the lift.  ``r`` is the ``(N,)`` vector of the
+    part is evaluated through the eigendecomposition of ``P`` with the zero
+    eigenvalue annihilated, which is exact because conserved dual iterates
+    stay in the range of the lift.  ``r`` is the ``(N,)`` vector of the
     scalars ``r_i`` of ``R_i = r_i I``, and ``q_star`` is the stacked
     ``-grad f_i(x_star)`` blocks.
     """
@@ -478,7 +477,7 @@ class QNormError:
     def __init__(
         self, P: MatrixP, r, beta: float, x_star: np.ndarray, q_star: np.ndarray
     ):
-        w, U = P.eigh
+        w, U = np.linalg.eigh(P.matrix)
         nz = w > 1e-12 * max(w[-1], 1.0)
         if np.count_nonzero(~nz) != 1:
             raise InvariantViolation(

@@ -350,10 +350,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "iterations": problem.reference.iterations,
             "factorizations": problem.reference.factorizations,
         },
-        # The proximal step's path and solve; every seed takes the same.
-        "engine": None if alphas is None else asdict(
-            optimizer.proximal_engine(problem.local, config.to_run_config(0), alphas)
-        ),
     }
 
     traces = []
@@ -362,9 +358,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         seed = _run_seed_value(config.master_seed, run_idx)
         rc = config.to_run_config(seed)
         trace = MetricsTrace()
+        path = out_dir / f"{config.algorithm}_seed{run_idx:03d}.jsonl" if out_dir else None
+        run_header = {**header, "engine": None, "run_index": run_idx, "run_seed": seed}
         t0 = time.perf_counter()
 
-        def on_round(k, state, _trace=trace, _t0=t0):
+        def on_round(k, state, _trace=trace, _t0=t0, _header=run_header):
+            if k == 0 and state.engine is not None:
+                # The path and the solve the run chose at set-up.
+                _header["engine"] = asdict(state.engine)
             # Finite iterates far enough out overflow the metrics; the
             # check below reports that.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -389,8 +390,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     )
             _trace.append(row)
 
-        path = out_dir / f"{config.algorithm}_seed{run_idx:03d}.jsonl" if out_dir else None
-        run_header = {**header, "run_index": run_idx, "run_seed": seed}
         try:
             optimizer.run(problem.P, problem.local, rc, alphas, [on_round])
         except DivergenceError as exc:

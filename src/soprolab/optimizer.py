@@ -69,18 +69,13 @@ bounds every ``||B_i^T B_i|| / c_i``.  If ``rho < 1``, the series
 Richardson iteration with the shift as preconditioner (Saad 2003,
 *Iterative Methods for Sparse Linear Systems*, ch. 4), and its relative
 error is at most ``rho^(k+1)``.  The term count ``k`` is the least with
-``rho^(k+1) <= 2^-53``, so the series is exact to roundoff.  It runs when
-its multiply-adds per agent are fewer than the factorisation's:
-
-* dense: ``2 k S d`` against ``S d^2 / 2 + d^3 / 6``;
-* row Woodbury: ``2 k S d`` against ``S^2 d + S^3 / 6``;
-* Gram: ``k S^2`` against ``S^3 / 6``, applying the gathered ``S x S``
-  block of the Gram stack.
-
-The row paths apply ``B_i^T (B_i v)`` to the rows they already hold.
-Under certified alphas the shift dwarfs the curvature (``rho`` about
-1e-6 on the a4a- and mushrooms-shaped problems, ``k = 2``).  Otherwise,
-and whenever a shift is not positive, the factorisation runs.
+``rho^(k+1) <= 2^-53``, so the series is exact to roundoff.  It runs
+whenever ``rho < 1``: the row paths apply ``B_i^T (B_i v)`` to the rows
+they already hold, and Gram applies the gathered ``S x S`` block of its
+Gram stack.  Under certified alphas the shift dwarfs the curvature
+(``rho`` about 1e-6 on the a4a- and mushrooms-shaped problems, ``k = 2``).
+At ``rho >= 1``, and whenever a shift is not positive, the factorisation
+runs.
 
 A factorisation that fails names the agent whose system is not positive
 definite.  :func:`local_step` steps one agent alone by Cholesky: it is the per-agent
@@ -217,6 +212,7 @@ class NetworkState:
     y: np.ndarray
     round: int = 0
     comm_scalars: int = 0
+    engine: Engine | None = None  # a proximal run's path and solve
 
     @property
     def n_agents(self) -> int:
@@ -675,26 +671,23 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
 
     The path follows from the Hessian batch size ``S`` (the widest local
     set ``W`` in full batch), ``W`` and ``d`` (see the module docstring).
-    The solve is the Neumann series when its multiply-adds per agent are
-    fewer than the factorisation's, else Cholesky.
+    The solve is the Neumann series when every shift is positive and
+    ``rho < 1``, else Cholesky.
     """
     _, width, d = local.feats.shape
     rows = width if config.algorithm == "sopro" else config.batch_s
     if rows >= d:
-        path, factor = "dense_step", rows * d * d / 2 + d**3 / 6
+        path = "dense_step"
     elif width <= d:
-        path, factor = "gram_step", rows**3 / 6
+        path = "gram_step"
     else:
-        path, factor = "woodbury_step", rows * rows * d + rows**3 / 6
+        path = "woodbury_step"
     shift = local.lam + np.asarray(alphas, dtype=float)
     if not np.all(shift > 0.0):
         return Engine(path, "cholesky", None, None)
     rho = float(np.max(0.25 * local.row_sq.max(axis=1) / shift))
     terms = _series_terms(rho)
-    per_term = rows * rows if path == "gram_step" else 2 * rows * d
-    if terms is None or terms * per_term >= factor:
-        return Engine(path, "cholesky", None, rho)
-    return Engine(path, "series", terms, rho)
+    return Engine(path, "cholesky" if terms is None else "series", terms, rho)
 
 
 def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
@@ -711,8 +704,9 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     point), so its trace is bitwise identical to the stochastic method at
     ``G = S = C``.
 
-    Returns the state after the initial exchange, the round function, and
-    the ``2 |E| d`` scalars each exchange sends, at set-up and per round.
+    Returns the state after the initial exchange, its ``engine`` set, the
+    round function, and the ``2 |E| d`` scalars each exchange sends, at
+    set-up and per round.
     """
     shape = None if alphas is None else np.shape(alphas)
     if shape != (P.n_agents,):
@@ -721,7 +715,7 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     if not np.isfinite(alphas).all():
         raise ConfigurationError("alphas must be finite")
     state = init_network(P, local, config)
-    engine = proximal_engine(local, config, alphas)
+    engine = state.engine = proximal_engine(local, config, alphas)
     terms = engine.terms
     sets = LocalSets(local, config.seed)
     beta, full = config.beta, config.algorithm == "sopro"

@@ -172,15 +172,6 @@ class MatrixP:
         """:func:`spectral_summary` of this matrix, computed on first use."""
         return spectral_summary(self)
 
-    @cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ascending eigenvalues and orthonormal eigenvectors of the
-        matrix, read-only: its one eigendecomposition, computed on first use."""
-        w, U = np.linalg.eigh(self.matrix)
-        w.setflags(write=False)
-        U.setflags(write=False)
-        return w, U
-
     def disagreement(self, x: np.ndarray) -> np.ndarray:
         """Apply the Kronecker lift to stacked agent vectors.
 
@@ -229,8 +220,7 @@ class SpectralSummary:
 
 
 def spectral_summary(p: MatrixP) -> SpectralSummary:
-    """Eigenvalue summary from the matrix's eigendecomposition
-    (:attr:`MatrixP.eigh`).
+    """Eigenvalue summary via a dense symmetric solver.
 
     The lift ``P (x) I_d`` shares the spectrum of ``P`` up to multiplicity,
     so the n x n problem suffices at any dimension.
@@ -240,7 +230,7 @@ def spectral_summary(p: MatrixP) -> SpectralSummary:
     scale = max(np.max(np.abs(A)), 1.0)
     if sym_err > 1e-12 * scale:
         raise InvariantViolation(f"matrix not symmetric (max asymmetry {sym_err})")
-    eigs = p.eigh[0]
+    eigs = np.linalg.eigvalsh(A)
     lam_max = eigs[-1]
     if eigs[0] < -1e-10 * max(lam_max, 1.0):
         raise InvariantViolation(f"matrix indefinite (min eigenvalue {eigs[0]})")

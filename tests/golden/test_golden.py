@@ -6,9 +6,7 @@ import math
 
 import pytest
 
-from make_golden import CASES, config, golden_path, record
-from soprolab import optimizer
-from soprolab.harness.experiment import build_certificate, build_problem
+from make_golden import CASES, golden_path, record
 
 RTOL = 1e-9
 
@@ -41,14 +39,3 @@ def test_run_reproduces_its_golden_trace(name):
     assert want["path"] == CASES[name][0]
     got = json.loads(json.dumps(record(name)))
     assert mismatches(got, want) == []
-
-
-@pytest.mark.parametrize("name", [name for name, (path, _) in CASES.items() if path])
-def test_golden_cases_solve_by_cholesky(name):
-    # The golden files pin the factorisation's numbers: at these small
-    # shapes the Neumann series needs more multiply-adds than it does.
-    cfg = config(name)
-    problem = build_problem(cfg)
-    _, alphas, _, _ = build_certificate(cfg, problem)
-    engine = optimizer.proximal_engine(problem.local, cfg.to_run_config(0), alphas)
-    assert (engine.path, engine.solve) == (CASES[name][0], "cholesky")
