@@ -23,26 +23,17 @@ special case where both batches are the whole local dataset.
 A round is a few array operations over all agents at once; only the
 factorisations loop over agents.  One draw per purpose gives every
 agent's batch as a row of an ``(N, G)`` index array (:func:`draw_batches`).
-On the row paths below, :class:`LocalSets` gathers the rows from the
-stacked local sets (:class:`~soprolab.loss.StackedSets`) into one buffer
-that every round reuses (whole sets need no gather), and stacked matrix
-products give all batch gradients ``g_i`` and Hessian weights ``w_i``
-(``h_i = lam I + B_i^T B_i`` with the factor ``B_i = sqrt(w_i)
-F_{S_i}``).  Every proximal matrix is ``D_i = alpha_i I``, and the engine
-runs with the ``(N,)`` vector of the ``alpha_i`` it is given: choosing
-them is :func:`soprolab.certificate.proximal_alphas`'s job.  Agent
-``i``'s system is ``c_i I + B_i^T B_i`` with ``c_i = lam_i + alpha_i``.
-One batched step then moves all agents, by one Cholesky factor-and-solve
-per agent, in place, or by a truncated Neumann series for all agents at
-once (see below).  The step takes one of three paths, chosen once per
-run from the shapes:
+Every proximal matrix is ``D_i = alpha_i I``, and the engine runs with
+the ``(N,)`` vector of the ``alpha_i`` it is given: choosing them is
+:func:`soprolab.certificate.proximal_alphas`'s job.  Agent ``i``'s
+system is ``c_i I + B_i^T B_i`` with ``c_i = lam_i + alpha_i`` and the
+factor ``B_i = sqrt(w_i) F_{S_i}`` of its Hessian batch's rows under the
+curvature weights ``w_i`` (``h_i = lam I + B_i^T B_i``).  One batched
+step moves all agents, by one Cholesky factor-and-solve per agent, in
+place, or by a truncated Neumann series for all agents at once (see
+below).  The step takes one of two paths, chosen once per run from the
+Hessian batch size ``S``, the widest local set ``W`` and ``d``:
 
-* ``S >= d`` (including full-batch SoPro on sets of at least ``d`` rows),
-  a row path: :func:`dense_step` takes the rows and ``sqrt(w_i)`` and,
-  one agent at a time, scales the agent's rows into one ``S x d``
-  scratch, forms ``B_i^T B_i`` with one symmetric product and factors
-  the shifted ``d x d`` system, so no ``(N, S, d)`` factor is built.  In
-  full batch the gradient and the curvature share one margins pass.
 * ``S < d`` and no local set wider than ``d`` (``W <= d``):
   :func:`gram_step`.  By the Woodbury identity each agent solves the
   ``S x S`` system ``c_i I + B_i B_i^T``, which is a principal submatrix
@@ -51,9 +42,17 @@ run from the shapes:
   then needs two passes over the local sets, with no row gather.  The
   rule keeps the cached ``N W^2`` floats no larger than the ``N W d`` of
   the local sets themselves.
-* ``S < d < W``, a row path: :func:`woodbury_step` solves the same ``S x S`` systems
-  from the gathered batch rows, scaled in place in the buffer into the
-  ``B_i``, because a Gram stack would be larger than the data.
+* otherwise :func:`row_step`.  :class:`LocalSets` gathers the batch rows
+  from the stacked local sets (:class:`~soprolab.loss.StackedSets`) into
+  one buffer that every round reuses (whole sets need no gather), and
+  stacked matrix products give all batch gradients ``g_i`` and the
+  ``sqrt(w_i)``; the step takes the rows and those scales.  In full
+  batch the gradient and the curvature share one margins pass.  Only its
+  factorisation looks at ``S`` against ``d``: at ``S >= d`` it factors
+  each agent's shifted ``d x d`` system, scaling one agent's rows at a
+  time into an ``S x d`` scratch, so no ``(N, S, d)`` factor is built;
+  at ``S < d`` (with ``W > d``, where a Gram stack would be larger than
+  the data) it factors the Woodbury ``S x S`` systems from the rows.
 
 Each path solves its systems one of two ways, chosen once per run by
 :func:`proximal_engine`.  The curvature part of a system is bounded
@@ -70,12 +69,12 @@ Richardson iteration with the shift as preconditioner (Saad 2003,
 *Iterative Methods for Sparse Linear Systems*, ch. 4), and its relative
 error is at most ``rho^(k+1)``.  The term count ``k`` is the least with
 ``rho^(k+1) <= 2^-53``, so the series is exact to roundoff.  It runs
-whenever ``rho < 1``: the row paths apply ``B_i^T (B_i v)`` to the rows
-they already hold, and Gram applies the gathered ``S x S`` block of its
-Gram stack.  Under certified alphas the shift dwarfs the curvature
-(``rho`` about 1e-6 on the a4a- and mushrooms-shaped problems, ``k = 2``).
-At ``rho >= 1``, and whenever a shift is not positive, the factorisation
-runs.
+whenever ``rho < 1``, for every ``S``: the row path applies
+``F_i^T (w_i (F_i v))`` to the rows it already holds, and Gram applies
+the gathered ``S x S`` block of its Gram stack.  Under certified alphas
+the shift dwarfs the curvature (``rho`` about 1e-6 on the a4a- and
+mushrooms-shaped problems, ``k = 2``).  At ``rho >= 1``, and whenever a
+shift is not positive, the factorisation runs.
 
 A factorisation that fails names the agent whose system is not positive
 definite.  :func:`local_step` steps one agent alone by Cholesky: it is the per-agent
@@ -130,8 +129,7 @@ __all__ = [
     "initial_iterates",
     "init_network",
     "local_step",
-    "woodbury_step",
-    "dense_step",
+    "row_step",
     "gram_step",
     "exchange_and_dual_update",
     "Engine",
@@ -303,7 +301,7 @@ class LocalSets:
     """The rows of each round's batches, drawn from the stacked local sets.
 
     Gathered rows go to one buffer of ``N * k * d`` floats that every round
-    reuses; the proximal engine also builds its Hessian factors there.
+    reuses; a round reads them there and does not write them.
     """
 
     def __init__(self, local: StackedSets, seed: int):
@@ -425,8 +423,8 @@ def local_step(
 ) -> np.ndarray:
     """One agent's proximal step alone, by Cholesky of its dense ``h_i + alpha I``.
 
-    The per-agent oracle of :func:`woodbury_step` and :func:`dense_step`,
-    which step all agents at once; the engine's round does not call it.
+    The per-agent oracle of :func:`row_step` and :func:`gram_step`, which
+    step all agents at once; the engine's round does not call it.
     """
     A = hess.dense()
     A.flat[:: A.shape[0] + 1] += float(alpha)
@@ -479,41 +477,16 @@ def _normal_product(F: np.ndarray, v: np.ndarray, w: np.ndarray | None = None) -
     return (u[:, None, :] @ F)[:, 0, :]
 
 
-def woodbury_step(
-    x: np.ndarray, rhs: np.ndarray, B: np.ndarray, c: np.ndarray, terms: int | None = None
-) -> np.ndarray:
-    """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``.
-
-    ``x`` and ``rhs`` are ``(N, d)``, ``B`` is ``(N, S, d)`` with ``S < d``
-    and ``c`` is ``(N,)``.  By the Woodbury identity
-
-        ``(c I + B^T B)^{-1} r = (r - B^T (c I_S + B B^T)^{-1} B r) / c``,
-
-    so each agent solves an ``S x S`` system instead of a ``d x d`` one, by
-    one Cholesky factor-and-solve per agent, in place.  ``B_i^T B_i`` has
-    rank at most ``S < d``, so the smallest eigenvalue of ``h_i + D_i`` is
-    exactly ``c_i``: the system is positive definite if and only if
-    ``c_i > 0``, which is checked first, since a positive definite
-    ``c_i I_S + B_i B_i^T`` does not imply it.  Zero rows in ``B_i`` leave
-    the step unchanged.
-
-    With ``terms`` (see :func:`proximal_engine`) the ``d x d`` systems are
-    solved instead by that many terms of the Neumann series, each applying
-    ``B_i^T (B_i v)`` to the rows, and no ``B B^T`` is formed.
-    """
-    _check_shift(c)
-    if terms is not None:
-        return x - _series_solve(lambda v: _normal_product(B, v), rhs, c, terms)
-    K = B @ B.transpose(0, 2, 1)
-    diag = np.arange(B.shape[1])
+def _shifted_cholesky_solve(K: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve every ``(K_i + c_i I) z_i = b_i`` in place, shifting ``K``'s
+    diagonal first; return ``b``, now holding the ``z_i`` (see
+    :func:`_cholesky_solve`)."""
+    diag = np.arange(K.shape[1])
     K[:, diag, diag] += c[:, None]
-    z = B @ rhs[:, :, None]
-    _cholesky_solve(K, z[:, :, 0])
-    step = (rhs - (B.transpose(0, 2, 1) @ z)[:, :, 0]) / c[:, None]
-    return x - step
+    return _cholesky_solve(K, b)
 
 
-def dense_step(
+def row_step(
     x: np.ndarray,
     rhs: np.ndarray,
     F: np.ndarray,
@@ -522,30 +495,48 @@ def dense_step(
     terms: int | None = None,
 ) -> np.ndarray:
     """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``
-    with ``B_i = sw_i F_i``.
+    with ``B_i = sw_i F_i``, from the rows.
 
     ``x`` and ``rhs`` are ``(N, d)``, the rows ``F`` are ``(N, S, d)`` for
     any ``S``, their scales ``sw`` (the square roots of the curvature
-    weights) ``(N, S)`` and ``c`` is ``(N,)``.  One agent at a time, its
-    rows are scaled into one ``S x d`` scratch ``b``, one symmetric
-    product forms ``b^T b`` into a ``d x d`` system, its diagonal is
-    shifted by ``c_i``, and one Cholesky factor-and-solve solves it in
-    place: the calls the stacked ``B^T B`` product and
-    :func:`_cholesky_solve` make for each agent, without an ``(N, S, d)``
-    factor.  The factorisation is the positive-definiteness check: the
-    first agent whose system fails it is named.  Zero rows in ``F_i`` add
-    nothing.
+    weights) ``(N, S)`` and ``c`` is ``(N,)``.  ``F`` and ``sw`` are not
+    written.  Zero rows in ``F_i`` add nothing.
 
     With ``terms`` (see :func:`proximal_engine`) every ``c_i`` must be
     positive, and all agents are solved at once by that many terms of the
     Neumann series, each applying ``F_i^T (sw_i^2 (F_i v))`` to the rows:
-    no ``d x d`` system is formed.
+    no system is formed.
+
+    Without, each agent's system is factored, and ``S`` against ``d``
+    picks the smaller one:
+
+    * ``S >= d``: one agent at a time, its rows are scaled into one
+      ``S x d`` scratch ``b``, one symmetric product forms ``b^T b`` into
+      a ``d x d`` system, its diagonal is shifted by ``c_i``, and one
+      Cholesky factor-and-solve solves it in place, without an
+      ``(N, S, d)`` factor.  The factorisation is the positive-definiteness
+      check: the first agent whose system fails it is named.
+    * ``S < d``: by the Woodbury identity
+
+          ``(c I + B^T B)^{-1} r = (r - B^T (c I_S + B B^T)^{-1} B r) / c``,
+
+      each agent factors an ``S x S`` system instead.  ``B_i^T B_i`` has
+      rank at most ``S < d``, so the smallest eigenvalue of ``h_i + D_i``
+      is exactly ``c_i``: the system is positive definite if and only if
+      ``c_i > 0``, which is checked first, since a positive definite
+      ``c_i I_S + B_i B_i^T`` does not imply it.
     """
     if terms is not None:
         _check_shift(c)
         w = sw * sw
         return x - _series_solve(lambda v: _normal_product(F, v, w), rhs, c, terms)
     n, rows, d = F.shape
+    if rows < d:
+        _check_shift(c)
+        B = sw[:, :, None] * F
+        Bt = B.transpose(0, 2, 1)
+        z = _shifted_cholesky_solve(B @ Bt, c, (B @ rhs[:, :, None])[:, :, 0])
+        return x - (rhs - (Bt @ z[:, :, None])[:, :, 0]) / c[:, None]
     b, h = np.empty((rows, d)), np.empty((d, d))
     z = rhs.copy()
     for i in range(n):
@@ -578,16 +569,16 @@ def gram_step(
 
     With ``chat_i`` the gradient coefficients of agent ``i``'s G batch
     (zero off it), the right-hand side is ``r_i = g_i + beta y_i + q_i =
-    t_i - F_i^T chat_i``.  The Woodbury form of :func:`woodbury_step`
-    needs ``B_i B_i^T``, which is ``gram[i]`` restricted to ``S_i`` and
-    scaled by ``sqrt(w_i)`` on both sides, and ``B_i r_i = sqrt(w_i)
-    (F_i t_i - gram[i] chat_i)[S_i]``.  So one product ``F [x, t]`` gives
+    t_i - F_i^T chat_i``.  The Woodbury form of :func:`row_step` at
+    ``S < d`` needs ``B_i B_i^T``, which is ``gram[i]`` restricted to
+    ``S_i`` and scaled by ``sqrt(w_i)`` on both sides, and ``B_i r_i =
+    sqrt(w_i) (F_i t_i - gram[i] chat_i)[S_i]``.  So one product ``F [x, t]`` gives
     the margins ``F x`` (hence ``chat`` and ``w``) and ``F t``; one
     Cholesky factor-and-solve per agent gives ``z_i``; and one product
     ``F^T v``, ``v_i = chat_i + scatter(sqrt(w_i) z_i)``, gives the step
     ``(t - F^T v) / c``: two passes over the local sets and no row gather.
-    This path runs with ``S < d``, so, as in :func:`woodbury_step`,
-    ``c_i > 0`` is checked first.  Zero padding rows add nothing.
+    This path runs with ``S < d``, so, as in :func:`row_step`'s Woodbury
+    form, ``c_i > 0`` is checked first.  Zero padding rows add nothing.
 
     With ``terms`` (see :func:`proximal_engine`) each ``S x S`` system is
     solved instead by that many terms of the Neumann series, each applying
@@ -615,9 +606,7 @@ def gram_step(
         z = sw * Fr[agents, s_idx]
     K *= sw[:, :, None] * sw[:, None, :]
     if terms is None:
-        diag = np.arange(K.shape[1])
-        K[:, diag, diag] += c[:, None]
-        _cholesky_solve(K, z)
+        _shifted_cholesky_solve(K, c, z)
     else:
         z = _series_solve(lambda v: (K @ v[:, :, None])[:, :, 0], z, c, terms)
     z *= sw
@@ -639,8 +628,8 @@ def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> No
 class Engine:
     """How a proximal run steps, chosen once before round 0.
 
-    ``path`` is the step function (``"dense_step"``, ``"gram_step"`` or
-    ``"woodbury_step"``); ``solve`` is ``"cholesky"`` or ``"series"``;
+    ``path`` is the step function, ``"row_step"`` or ``"gram_step"``;
+    ``solve`` is ``"cholesky"`` or ``"series"``;
     ``terms`` is the series' term count, ``None`` on the factorisation;
     ``rho_bound`` bounds every ``||h_i - lam_i I|| / c_i``, ``None`` when a
     shift ``c_i`` is not positive.
@@ -676,12 +665,7 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     """
     _, width, d = local.feats.shape
     rows = width if config.algorithm == "sopro" else config.batch_s
-    if rows >= d:
-        path = "dense_step"
-    elif width <= d:
-        path = "gram_step"
-    else:
-        path = "woodbury_step"
+    path = "gram_step" if rows < d and width <= d else "row_step"
     shift = local.lam + np.asarray(alphas, dtype=float)
     if not np.all(shift > 0.0):
         return Engine(path, "cholesky", None, None)
@@ -696,8 +680,8 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     ``alphas`` is the ``(N,)`` vector of the proximal matrices
     ``D_i = alphas[i] I``.  The round steps all agents with one batched
     call, on the path and with the solve :func:`proximal_engine` chooses
-    here: :func:`dense_step`, :func:`gram_step` (its Gram stack computed
-    here once) or :func:`woodbury_step`, each by Cholesky or by the
+    here: :func:`row_step` on the gathered batch rows, or :func:`gram_step`
+    (its Gram stack computed here once), each by Cholesky or by the
     Neumann series.  The full-batch deterministic variant follows the same
     code path with both batches forced to the whole local sets, its
     curvature taken from the gradient's margins (the same rows at the same
@@ -738,15 +722,6 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
 
         return state, gram_round, sent, sent
 
-    if engine.path == "dense_step":
-        def solve(x, rhs, F, sw):
-            return dense_step(x, rhs, F, sw, shift, terms)
-    else:
-        def solve(x, rhs, F, sw):
-            # S < W: the rows were gathered into the buffer, and are
-            # scaled there into the factors B.
-            return woodbury_step(x, rhs, np.multiply(sw[:, :, None], F, out=F), shift, terms)
-
     def row_round(state: NetworkState, k: int) -> None:
         rows = sets.batch(batch_g, k, PURPOSE_GRAD)
         u = stacked_margins(state.x, rows[0])
@@ -758,7 +733,7 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
         F, _, counts = rows
         # Rows past an agent's count are zero padding and stay zero.
         sw = np.sqrt(logistic_curvature(u) / counts[:, None])
-        state.x = solve(state.x, grads + beta * state.y + state.q, F, sw)
+        state.x = row_step(state.x, grads + beta * state.y + state.q, F, sw, shift, terms)
         exchange_and_dual_update(state, P, beta)
 
     return state, row_round, sent, sent

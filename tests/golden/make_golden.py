@@ -2,12 +2,13 @@
 change must reproduce.
 
 Each case is one :func:`~soprolab.harness.experiment.run_experiment` on
-synthetic data (d <= 40, 30 rounds): St-SoPro on each of its three
-proximal paths (dense, Gram, row Woodbury), full-batch SoPro, DSGD and
-DSGT.  A golden file holds, per round, ``opt_err``, ``q_err``,
-``comm_bits`` and ``test_acc``; and per run the path the proximal step
-took, the alphas and every certificate field.  ``test_golden.py``
-compares a fresh run with the file at a relative tolerance of 1e-9.
+synthetic data (d <= 40, 30 rounds): St-SoPro on the row path with
+``S >= d`` and with ``S < d < C``, and on the Gram path; full-batch
+SoPro, DSGD and DSGT.  A golden file holds, per round, ``opt_err``,
+``q_err``, ``comm_bits`` and ``test_acc``; and per run the path the
+proximal step took, the alphas and every certificate field.
+``test_golden.py`` compares a fresh run with the file at a relative
+tolerance of 1e-9.
 
 A change that moves these numbers on purpose writes the files again::
 
@@ -35,21 +36,22 @@ COMMON = dict(
 )
 
 # name: (the proximal step every round must take, config).  The engine
-# picks dense when S >= d, Gram when S < d and C <= d, and row Woodbury
-# when S < d < C.
+# picks Gram when S < d and C <= d, and the row step otherwise: with
+# S >= d ("dense") or S < d < C ("woodbury"), the two factorisations it
+# holds, though these runs take the series.
 CASES = {
-    "st_sopro_dense": ("dense_step", dict(algorithm="st_sopro", dim=8, per_agent=30,
-                                          batch_g=10, batch_s=10)),
+    "st_sopro_dense": ("row_step", dict(algorithm="st_sopro", dim=8, per_agent=30,
+                                        batch_g=10, batch_s=10)),
     "st_sopro_gram": ("gram_step", dict(algorithm="st_sopro", dim=40, per_agent=30,
                                         batch_g=10, batch_s=10)),
-    "st_sopro_woodbury": ("woodbury_step", dict(algorithm="st_sopro", dim=20, per_agent=40,
-                                                batch_g=10, batch_s=8)),
-    "sopro": ("dense_step", dict(algorithm="sopro", dim=10, per_agent=30)),
+    "st_sopro_woodbury": ("row_step", dict(algorithm="st_sopro", dim=20, per_agent=40,
+                                           batch_g=10, batch_s=8)),
+    "sopro": ("row_step", dict(algorithm="sopro", dim=10, per_agent=30)),
     "dsgd": (None, dict(algorithm="dsgd", dim=10, per_agent=30, batch_g=10, step_size=0.5)),
     "dsgt": (None, dict(algorithm="dsgt", dim=10, per_agent=30, batch_g=10, step_size=0.5)),
 }
 
-STEPS = ("dense_step", "gram_step", "woodbury_step")
+STEPS = ("row_step", "gram_step")
 
 
 def config(name: str) -> ExperimentConfig:

@@ -104,10 +104,10 @@ def parse_and_partition_dense(text, n_agents, per_agent, seed, lambda_reg, dim=N
 
 
 def dense_step_stacked(x, rhs, F, sw, c):
-    """``dense_step`` with every factor ``B_i = sw_i F_i`` stacked: one
-    product builds all ``B_i^T B_i``, then one ``dposv`` per agent solves
-    its shifted system.  The first failing agent is named as
-    ``agent i:``."""
+    """The dense ``d x d`` factorisation of ``row_step`` (``S >= d``) with
+    every factor ``B_i = sw_i F_i`` stacked: one product builds all
+    ``B_i^T B_i``, then one ``dposv`` per agent solves its shifted system.
+    The first failing agent is named as ``agent i:``."""
     B = sw[:, :, None] * F
     H = B.transpose(0, 2, 1) @ B
     diag = np.arange(H.shape[1])

@@ -24,13 +24,12 @@ from soprolab.optimizer import (
     LocalSets,
     RunConfig,
     agent_batch_stats,
-    dense_step,
     draw_batches,
     gram_step,
     init_network,
     local_step,
+    row_step,
     run,
-    woodbury_step,
 )
 from soprolab.topology import build_random_connected_graph, laplacian_weights
 
@@ -64,125 +63,78 @@ def tight_first_agent(feats, weights):
 # ------------------------------------------------------------- batched step
 
 
-def test_woodbury_step_matches_dense_inverse_oracle():
-    rng = np.random.default_rng(4)
-    n, S, d, lam = 7, 6, 15, 0.1
+# S < d factors the Woodbury S x S systems, S >= d the d x d ones; the
+# series takes the same products for both.
+@pytest.mark.parametrize("S", [6, 20], ids=["woodbury", "dense"])
+def test_row_step_matches_dense_inverse_oracle(S):
+    rng = np.random.default_rng(S)
+    n, d, lam = 7, 15, 0.1
     alphas = np.geomspace(0.5, 800.0, n)
     weights = rng.uniform(0.0, 0.25, (n, S)) / S
     feats = (rng.random((n, S, d)) < 0.3).astype(float)
     x = rng.standard_normal((n, d))
     rhs = rng.standard_normal((n, d))
-    B = np.sqrt(weights)[:, :, None] * feats
     expected = np.empty((n, d))
     for i in range(n):
         h = LowRankHessian(lam=lam, weights=weights[i], feats=feats[i])
         expected[i] = x[i] - np.linalg.inv(h.dense() + alphas[i] * np.eye(d)) @ rhs[i]
 
-    out = woodbury_step(x, rhs, B, lam + alphas)
+    def step(F, sw, c, terms=None):
+        """``row_step`` on ``F`` and ``sw``, which it must leave as they were."""
+        F_in, sw_in = F.copy(), sw.copy()
+        out = row_step(x, rhs, F, sw, c, terms)
+        assert np.array_equal(F, F_in) and np.array_equal(sw, sw_in)
+        return out
+
     # Trailing zero rows stand for agents with smaller Hessian batches.
-    padded = np.concatenate([B, np.zeros((n, 3, d))], axis=1)
-    out_padded = woodbury_step(x, rhs, padded, lam + alphas)
-    for i in range(n):
-        assert rel_err(out[i], expected[i]) <= 1e-10
-        assert rel_err(out_padded[i], expected[i]) <= 1e-10
+    def padded(F, sw):
+        return (np.concatenate([F, np.zeros((n, 3, d))], axis=1),
+                np.concatenate([sw, np.ones((n, 3))], axis=1))
 
     c = lam + alphas
-    feats, weights = tight_first_agent(feats, weights)
-    assert rho_bound(feats[:1], c[:1]) == rho_bound(feats, c)
-    for rho in SERIES_RHOS:
-        Bs = np.sqrt(weights * rho / rho_bound(feats, c))[:, :, None] * feats
-        terms = optimizer._series_terms(rho)
-        out = woodbury_step(x, rhs, Bs, c, terms)
+    sw = np.sqrt(weights)
+    for out in (step(feats, sw, c), step(*padded(feats, sw), c)):
         for i in range(n):
-            A = Bs[i].T @ Bs[i] + c[i] * np.eye(d)
-            assert rel_err(out[i], x[i] - np.linalg.inv(A) @ rhs[i]) <= 1e-12
+            assert rel_err(out[i], expected[i]) <= 1e-10
 
-
-def test_woodbury_step_rejects_nonpositive_shift():
-    n, S, d = 4, 2, 5
-    B = np.ones((n, S, d))
-    c = np.array([1.0, 2.0, 0.0, -1.0])
-    with pytest.raises(ConfigurationError) as e:
-        woodbury_step(np.zeros((n, d)), np.ones((n, d)), B, c)
-    assert "agent 2" in str(e.value)
-
-
-def test_woodbury_step_rejects_nonpositive_shift_with_a_definite_small_system():
-    # c I_S + B B^T = 3 I_S is positive definite, yet c I + B^T B has the
-    # eigenvalue c = -1 on the d - S directions B does not reach.
-    n, S, d = 3, 2, 5
-    B = np.zeros((n, S, d))
-    B[:, [0, 1], [0, 1]] = 2.0
-    c = np.array([1.0, 1.0, -1.0])
-    with pytest.raises(ConfigurationError) as e:
-        woodbury_step(np.zeros((n, d)), np.ones((n, d)), B, c)
-    assert "agent 2" in str(e.value)
-
-
-def test_dense_step_matches_dense_inverse_oracle():
-    rng = np.random.default_rng(5)
-    n, S, d, lam = 7, 20, 15, 0.1
-    alphas = np.geomspace(0.5, 800.0, n)
-    weights = rng.uniform(0.0, 0.25, (n, S)) / S
-    feats = (rng.random((n, S, d)) < 0.3).astype(float)
-    x = rng.standard_normal((n, d))
-    rhs = rng.standard_normal((n, d))
-    B = np.sqrt(weights)[:, :, None] * feats
-    expected = np.empty((n, d))
-    for i in range(n):
-        h = LowRankHessian(lam=lam, weights=weights[i], feats=feats[i])
-        expected[i] = x[i] - np.linalg.inv(h.dense() + alphas[i] * np.eye(d)) @ rhs[i]
-
-    sw = np.sqrt(weights)
-    out = dense_step(x, rhs, feats, sw, lam + alphas)
-    # Trailing zero rows stand for agents with smaller Hessian batches.
-    padded = np.concatenate([feats, np.zeros((n, 3, d))], axis=1)
-    out_padded = dense_step(x, rhs, padded, np.concatenate([sw, np.ones((n, 3))], axis=1),
-                            lam + alphas)
-    for i in range(n):
-        assert rel_err(out[i], expected[i]) <= 1e-10
-        assert rel_err(out_padded[i], expected[i]) <= 1e-10
-
-    c = lam + alphas
     feats, weights = tight_first_agent(feats, weights)
     assert rho_bound(feats[:1], c[:1]) == rho_bound(feats, c)
     sw = np.sqrt(weights)
-    sw_padded = np.concatenate([sw, np.ones((n, 3))], axis=1)
     for rho in SERIES_RHOS:
         Fs = feats * np.sqrt(rho / rho_bound(feats, c))
         terms = optimizer._series_terms(rho)
-        padded = np.concatenate([Fs, np.zeros((n, 3, d))], axis=1)
-        for out in (dense_step(x, rhs, Fs, sw, c, terms),
-                    dense_step(x, rhs, padded, sw_padded, c, terms)):
+        for out in (step(Fs, sw, c, terms), step(*padded(Fs, sw), c, terms)):
             for i in range(n):
                 B = sw[i, :, None] * Fs[i]
                 A = B.T @ B + c[i] * np.eye(d)
                 assert rel_err(out[i], x[i] - np.linalg.inv(A) @ rhs[i]) <= 1e-12
 
 
-def test_dense_step_rejects_nonpositive_shift():
-    n, S, d = 4, 6, 5
-    B = np.ones((n, S, d))
-    c = np.array([1.0, 2.0, 0.0, -1.0])
+def definite_small_systems(n, S, d):
+    """Rows ``2 e_j``: every ``c I_S + B B^T`` is ``(4 + c) I_S``, positive
+    definite for ``c > -4``, yet with ``S < d`` the system ``c I + B^T B``
+    has the eigenvalue ``c`` on the ``d - S`` directions the rows do not
+    reach."""
+    F = np.zeros((n, S, d))
+    F[:, np.arange(S), np.arange(S)] = 2.0
+    return F
+
+
+@pytest.mark.parametrize(
+    "F, c",
+    [
+        (np.ones((4, 2, 5)), [1.0, 2.0, 0.0, -1.0]),  # S < d
+        (definite_small_systems(4, 2, 5), [1.0, 1.0, -1.0, 1.0]),
+        (np.ones((4, 6, 5)), [1.0, 2.0, 0.0, -1.0]),  # S >= d
+    ],
+    ids=["woodbury", "woodbury-definite-small-system", "dense"],
+)
+@pytest.mark.parametrize("terms", [None, 2], ids=["factored", "series"])
+def test_row_step_rejects_nonpositive_shift(F, c, terms):
+    n, S, d = F.shape
     with pytest.raises(ConfigurationError) as e:
-        dense_step(np.zeros((n, d)), np.ones((n, d)), B, np.ones((n, S)), c)
+        row_step(np.zeros((n, d)), np.ones((n, d)), F, np.ones((n, S)), np.array(c), terms)
     assert "agent 2" in str(e.value)
-
-
-def test_dense_step_takes_a_negative_shift_that_leaves_the_system_definite():
-    # With S >= d the Gram can be positive definite on its own; the
-    # factorisation, not the sign of c_i, decides.
-    rng = np.random.default_rng(7)
-    n, S, d = 4, 20, 6
-    B = rng.standard_normal((n, S, d))
-    x = rng.standard_normal((n, d))
-    rhs = rng.standard_normal((n, d))
-    H = B.transpose(0, 2, 1) @ B
-    c = -0.5 * np.linalg.eigvalsh(H)[:, 0]
-    out = dense_step(x, rhs, B, np.ones((n, S)), c)
-    for i in range(n):
-        expected = x[i] - np.linalg.inv(H[i] + c[i] * np.eye(d)) @ rhs[i]
-        assert rel_err(out[i], expected) <= 1e-10
 
 
 def test_gram_step_matches_dense_inverse_oracle():
@@ -258,12 +210,31 @@ def test_cholesky_solve_factors_and_solves_in_place():
         assert rel_err(np.triu(A[i]), np.linalg.cholesky(A0[i]).T) <= 1e-12
 
 
+# The dense factorisation: at S >= d, row_step factors each d x d system.
+
+
+def test_dense_step_takes_a_negative_shift_that_leaves_the_system_definite():
+    # With S >= d the Gram can be positive definite on its own; the d x d
+    # factorisation, not the sign of c_i, decides.
+    rng = np.random.default_rng(7)
+    n, S, d = 4, 20, 6
+    B = rng.standard_normal((n, S, d))
+    x = rng.standard_normal((n, d))
+    rhs = rng.standard_normal((n, d))
+    H = B.transpose(0, 2, 1) @ B
+    c = -0.5 * np.linalg.eigvalsh(H)[:, 0]
+    out = row_step(x, rhs, B, np.ones((n, S)), c)
+    for i in range(n):
+        expected = x[i] - np.linalg.inv(H[i] + c[i] * np.eye(d)) @ rhs[i]
+        assert rel_err(out[i], expected) <= 1e-10
+
+
 def test_dense_step_names_the_last_agent_when_only_its_system_is_indefinite():
     n, S, d = 4, 6, 5
     B = np.zeros((n, S, d))
     c = np.array([1.0, 2.0, 3.0, -1.0])
     with pytest.raises(ConfigurationError) as e:
-        dense_step(np.zeros((n, d)), np.ones((n, d)), B, np.ones((n, S)), c)
+        row_step(np.zeros((n, d)), np.ones((n, d)), B, np.ones((n, S)), c)
     assert f"agent {n - 1}" in str(e.value)
 
 
@@ -275,7 +246,7 @@ def failure(step, *args):
         return str(e).split(":")[0]
 
 
-@pytest.mark.parametrize("n, S, d", [(7, 20, 15), (5, 15, 15), (3, 60, 112), (1, 9, 4)])
+@pytest.mark.parametrize("n, S, d", [(7, 20, 15), (5, 15, 15), (3, 120, 112), (1, 9, 4)])
 def test_dense_step_equals_the_stacked_product_bitwise_and_names_the_failing_agent(n, S, d):
     rng = np.random.default_rng(S * d)
     F = (rng.random((n, S, d)) < 0.3).astype(float)
@@ -283,12 +254,12 @@ def test_dense_step_equals_the_stacked_product_bitwise_and_names_the_failing_age
     sw = np.sqrt(rng.uniform(0.0, 0.25, (n, S)) / S)
     x, rhs = rng.standard_normal((2, n, d))
     c = np.geomspace(0.01, 50.0, n)
-    got = dense_step(x, rhs, F, sw, c)
+    got = row_step(x, rhs, F, sw, c)
     assert got.tobytes() == dense_step_stacked(x, rhs, F, sw, c).tobytes()
     # A shift below minus the smallest eigenvalue makes one system indefinite.
     bad = n // 2
     c[bad] = -10.0
-    assert failure(dense_step, x, rhs, F, sw, c) == f"agent {bad}"
+    assert failure(row_step, x, rhs, F, sw, c) == f"agent {bad}"
     assert failure(dense_step_stacked, x, rhs, F, sw, c) == f"agent {bad}"
 
 
@@ -346,10 +317,10 @@ def reference_run(P, local, config, alphas):
 
 def engine_history(P, local, config, alphas, monkeypatch, path, solve):
     """The engine's iterates and duals after every round; each round must
-    make one batched step along ``path`` ("woodbury", "gram" or "dense"),
-    solved by ``solve``: by Cholesky rather than by a general LU solve, or
-    by one Neumann series."""
-    calls = {"woodbury": 0, "gram": 0, "dense": 0, "local": 0, "lu": 0, "series": 0}
+    make one batched step along ``path`` ("row" or "gram"), solved by
+    ``solve``: by Cholesky rather than by a general LU solve, or by one
+    Neumann series."""
+    calls = {"row": 0, "gram": 0, "local": 0, "lu": 0, "series": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -358,16 +329,15 @@ def engine_history(P, local, config, alphas, monkeypatch, path, solve):
 
         return wrapper
 
-    monkeypatch.setattr(optimizer, "woodbury_step", counted("woodbury", woodbury_step))
+    monkeypatch.setattr(optimizer, "row_step", counted("row", row_step))
     monkeypatch.setattr(optimizer, "gram_step", counted("gram", gram_step))
-    monkeypatch.setattr(optimizer, "dense_step", counted("dense", dense_step))
     monkeypatch.setattr(optimizer, "local_step", counted("local", local_step))
     monkeypatch.setattr(np.linalg, "solve", counted("lu", np.linalg.solve))
     monkeypatch.setattr(optimizer, "_series_solve", counted("series", optimizer._series_solve))
     history = []
     run(P, local, config, alphas,
         callbacks=[lambda k, s: history.append((s.x.copy(), s.q.copy()))])
-    expected = {"woodbury": 0, "gram": 0, "dense": 0, "local": 0, "lu": 0, "series": 0}
+    expected = {"row": 0, "gram": 0, "local": 0, "lu": 0, "series": 0}
     expected[path] = config.max_iters
     if solve == "series":
         expected["series"] = config.max_iters
@@ -376,11 +346,9 @@ def engine_history(P, local, config, alphas, monkeypatch, path, solve):
 
 
 def low_rank_path(low_rank, width, d):
-    """The step a run takes: dense unless the Hessian batch has fewer rows
-    than d, then by Gram while no local set is wider than d."""
-    if not low_rank:
-        return "dense"
-    return "gram" if width <= d else "woodbury"
+    """The step a run takes: Gram when the Hessian batch has fewer rows
+    than d and no local set is wider than d, else the row step."""
+    return "gram" if low_rank and width <= d else "row"
 
 
 def assert_histories_match(got, want):
@@ -391,8 +359,8 @@ def assert_histories_match(got, want):
 
 
 RUN_SHAPES = [
-    ("st_sopro", 5, 15, True),  # S < d < C = 40: row Woodbury
-    ("st_sopro", 20, 15, False),  # S >= d: dense
+    ("st_sopro", 5, 15, True),  # S < d < C = 40: rows, Woodbury factorisation
+    ("st_sopro", 20, 15, False),  # S >= d: rows, d x d factorisation
     ("st_sopro", 5, 60, True),  # S < C = 40 <= d: Gram
     ("sopro", None, 60, True),  # full batch, C = 40 < d: Gram
     ("sopro", None, 15, False),  # full batch, C = 40 >= d
@@ -425,7 +393,7 @@ def test_run_matches_per_agent_reference(algorithm, batch_s, d, low_rank, solve,
     [
         ("st_sopro", 50, True),  # the widest set, 45 rows, fits: Gram
         ("st_sopro", 45, True),  # W = d: Gram
-        ("st_sopro", 44, True),  # W = d + 1: row Woodbury
+        ("st_sopro", 44, True),  # W = d + 1: rows
         ("sopro", 50, True),  # Hessian batches of 20..45 rows, padded to 45
         ("sopro", 30, False),  # some local sets have more rows than d
     ],
@@ -443,7 +411,7 @@ def test_run_accepts_unequal_local_datasets(algorithm, d, low_rank, monkeypatch)
 
 @pytest.mark.parametrize(
     "algorithm, margins_per_round, buffer_rows",
-    [("sopro", 1, []), ("st_sopro", 2, [10, 20])],  # dense path: S >= d
+    [("sopro", 1, []), ("st_sopro", 2, [10, 20])],  # row step, S >= d
 )
 def test_dense_path_rounds_share_margins_in_full_batch_and_build_no_stacked_factor(
     algorithm, margins_per_round, buffer_rows, monkeypatch
@@ -475,7 +443,7 @@ def test_dense_path_rounds_share_margins_in_full_batch_and_build_no_stacked_fact
         assert buffers == buffer_rows * config.max_iters
 
 
-@pytest.mark.parametrize("d", [15, 60])  # row Woodbury, Gram
+@pytest.mark.parametrize("d", [15, 60])  # rows, Gram
 def test_run_refuses_a_drawn_index_outside_a_local_set(d, monkeypatch):
     def past_the_end(sizes, size, *args):
         idx = draw_batches(sizes, size, *args)
@@ -518,8 +486,8 @@ def one_hot_sets(n, count, attributes, columns, seed=0, lam=0.01):
 @pytest.mark.parametrize(
     "n, count, attributes, columns, degree, algorithm, batch, path",
     [
-        (20, 239, 14, 123, 5.0, "st_sopro", 80, "woodbury_step"),  # a4a-like
-        (10, 600, 22, 112, 4.0, "sopro", 80, "dense_step"),  # mushrooms-like, full batch
+        (20, 239, 14, 123, 5.0, "st_sopro", 80, "row_step"),  # a4a-like
+        (10, 600, 22, 112, 4.0, "sopro", 80, "row_step"),  # mushrooms-like, full batch
         (200, 40, 14, 123, 5.0, "st_sopro", 20, "gram_step"),  # many small agents
     ],
 )
@@ -534,9 +502,9 @@ def test_certified_runs_of_benchmark_shapes_take_the_series_with_two_terms(
     assert engine.rho_bound < 2e-6
 
 
-def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift():
-    _, local = make_problem([40] * 6, 15)
-    config = RunConfig(batch_g=10, batch_s=20, max_iters=1, seed=0)  # dense
+def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift(monkeypatch):
+    P, local = make_problem([40] * 6, 15)
+    config = RunConfig(batch_g=10, batch_s=20, max_iters=1, seed=0)  # S >= d
     edge = np.full(6, 0.25 * local.row_sq.max())  # the shift at which rho = 1
     for c, rho in ((edge, 1.0), (edge / 2, 2.0)):
         engine = optimizer.proximal_engine(local, config, c - local.lam)
@@ -547,7 +515,24 @@ def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift
     for bad in (0.0, -1.0):
         c[3] = bad
         engine = optimizer.proximal_engine(local, config, c - local.lam)
-        assert engine == optimizer.Engine("dense_step", "cholesky", None, None)
+        assert engine == optimizer.Engine("row_step", "cholesky", None, None)
+
+    # S < d < W at rho = 2: every round factors the Woodbury S x S
+    # systems, and no d x d one.
+    config = RunConfig(batch_g=10, batch_s=5, max_iters=3, seed=0)
+    alphas = edge / 2 - local.lam
+    engine = optimizer.proximal_engine(local, config, alphas)
+    assert engine == optimizer.Engine("row_step", "cholesky", None, engine.rho_bound)
+    assert engine.rho_bound == pytest.approx(2.0, rel=1e-12)
+    solves, factored = [], []
+    real_solve, real_dposv = optimizer._cholesky_solve, optimizer.dposv
+    monkeypatch.setattr(optimizer, "_cholesky_solve",
+                        lambda A, b: solves.append(A.shape) or real_solve(A, b))
+    monkeypatch.setattr(optimizer, "dposv",
+                        lambda a, *args: factored.append(a.shape) or real_dposv(a, *args))
+    run(P, local, config, alphas)
+    assert solves == [(6, 5, 5)] * config.max_iters
+    assert factored == [(5, 5)] * (6 * config.max_iters)
 
 
 def test_run_accepts_a_negative_shift_that_leaves_a_dense_system_definite(monkeypatch):
@@ -560,9 +545,9 @@ def test_run_accepts_a_negative_shift_that_leaves_a_dense_system_definite(monkey
     gram = local.feats.transpose(0, 2, 1) @ local.feats / (4 * 40)
     alphas = -local.lam - 0.5 * np.linalg.eigvalsh(gram)[:, 0]
     engine = optimizer.proximal_engine(local, config, alphas)
-    assert engine == optimizer.Engine("dense_step", "cholesky", None, None)
+    assert engine == optimizer.Engine("row_step", "cholesky", None, None)
     want = reference_run(P, local, config, alphas)
-    assert_histories_match(engine_history(P, local, config, alphas, monkeypatch, "dense",
+    assert_histories_match(engine_history(P, local, config, alphas, monkeypatch, "row",
                                          "cholesky"), want)
 
 
@@ -688,14 +673,14 @@ def test_check_finite_names_round_and_agent():
 def test_run_fails_loudly_on_divergence(monkeypatch):
     # The certified parameters do not diverge, so a step is made to.
     def poisoned(*args):
-        out = woodbury_step(*args)
+        out = row_step(*args)
         if len(calls) == 2:
             out[3] = np.nan
         calls.append(1)
         return out
 
     calls = []
-    monkeypatch.setattr(optimizer, "woodbury_step", poisoned)
+    monkeypatch.setattr(optimizer, "row_step", poisoned)
     P, local = make_problem([40] * 6, 15)
     with pytest.raises(DivergenceError, match="round 3: agent 3 "):
         run(P, local, RunConfig(batch_g=10, batch_s=5, max_iters=5, seed=0),
