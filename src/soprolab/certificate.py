@@ -35,7 +35,6 @@ __all__ = [
     "m_beta",
     "check_D_condition",
     "proximal_alphas",
-    "kappa",
     "certify",
 ]
 
@@ -239,33 +238,6 @@ def proximal_alphas(
             f" (mu={mu} is below the required bound {lower})"
         )
     return alphas, mu
-
-
-def kappa(
-    c0: float,
-    eta_s: float,
-    alphas: np.ndarray,
-    bounds: SmoothnessBounds,
-    beta: float,
-    P: MatrixP,
-    m_beta_value: float | None = None,
-) -> float:
-    """Contraction margin: smallest eigenvalue of the rate matrix.
-
-    Evaluates ``lambda_min(R - LM/(2(1-eta)) - (LM-Lm)^2/(4 c0) + Lm - LM
-    - beta (I/2 + W))`` with ``R = (Lm+LM)/2 + D``: the proximal
-    condition's matrix with ``2 eta_s m_beta`` replaced by ``c0``.  At
-    ``c0 = 2 eta_s m_beta`` it is the proximal-condition margin, so a
-    strictly feasible ``D`` always admits ``kappa > 0``.
-    """
-    if c0 <= 0:
-        raise ParameterError(f"c0 must be positive, got {c0}")
-    if m_beta_value is not None and not c0 < 2.0 * eta_s * m_beta_value:
-        raise ParameterError(
-            f"c0={c0} outside (0, 2*eta_s*m_beta={2.0 * eta_s * m_beta_value})"
-        )
-    t = _condition_shift(bounds.m, bounds.M, eta_s, c0 / (2.0 * eta_s), beta)
-    return _lambda_min_shifted(alphas, t, beta, P)
 
 
 @dataclass

@@ -14,9 +14,12 @@ per distinct string; it returns the rows as :class:`SparseRows`, in
 compressed sparse row (CSR) form, and ``(n,)`` labels.  :func:`partition`
 writes each row once into its slot: the zero-filled ``(N, C, d)`` block of
 one :class:`StackedSets`, which every later layer takes, or the test set.
+Sparse enough rows also give the sets a block-diagonal CSR operator,
+written in the same pass, through which the rounds read them.
 The stacked functions (:func:`stacked_margins`, :func:`stacked_grad`,
-:func:`sigma_sq_estimate`, and :func:`logistic_coef` and
-:func:`logistic_curvature` of stacked margins) work on all agents at once.
+:func:`sets_grad`, :func:`sigma_sq_estimate`, and :func:`logistic_coef`
+and :func:`logistic_curvature` of stacked margins) work on all agents at
+once.
 :class:`Sample`, the ``sample_*`` functions, the per-agent
 :class:`LocalDataset` and the ``batch_*`` functions are the definitions
 those are checked against.
@@ -24,13 +27,17 @@ those are checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import InvariantViolation, ParameterError, ParseError
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "Sample",
@@ -52,6 +59,9 @@ __all__ = [
     "full_hess",
     "stacked_margins",
     "stacked_grad",
+    "on_batches",
+    "batch_coef",
+    "sets_grad",
     "logistic_coef",
     "logistic_curvature",
     "sigma_sq_estimate",
@@ -113,18 +123,27 @@ class StackedSets:
     with labels ``labels[i]``; ``W`` is the largest local set, and the
     rows past an agent's count are zero padding labelled 0, which adds
     nothing to a batch sum.  The arrays are read-only.
+
+    ``csr``, when set, holds the same rows as one block-diagonal
+    ``(N W, N d)`` CSR matrix: agent ``i``'s row ``j`` is row ``i W + j``
+    and its column ``c`` is column ``i d + c``; padding rows are empty.
+    :meth:`matvec` and :meth:`rmatvec` then read the sets through it (and
+    its transpose, made once) instead of the dense block, which stays for
+    the reference solve, the bounds and the gathered rows of a
+    factorisation.  :func:`partition` sets it for sparse rows.
     """
 
     feats: np.ndarray  # (N, W, d)
     labels: np.ndarray  # (N, W) floats: +-1, then 0 on padding
     counts: np.ndarray  # (N,) in 1..W
     lam: np.ndarray  # (N,) positive
+    csr: csr_matrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         shapes = (self.feats.shape, self.labels.shape, self.counts.shape, self.lam.shape)
         if len(shapes[0]) != 3 or shapes[1:] != (shapes[0][:2], shapes[0][:1], shapes[0][:1]):
             raise ParameterError(f"need (N, W, d), (N, W), (N,) and (N,) arrays, got {shapes}")
-        width = shapes[0][1]
+        n, width, d = shapes[0]
         if not np.all((self.counts >= 1) & (self.counts <= width)):
             raise ParameterError(f"local set sizes must lie in 1..{width}, got {self.counts}")
         if not np.all(self.lam > 0):
@@ -134,7 +153,16 @@ class StackedSets:
             raise ParameterError("labels must be +-1")
         if self.labels[~real].any() or self.feats[~real].any():
             raise ParameterError("padding rows and their labels must be zero")
-        for a in (self.feats, self.labels, self.counts, self.lam):
+        arrays = [self.feats, self.labels, self.counts, self.lam]
+        if self.csr is not None:
+            if self.csr.shape != (n * width, n * d):
+                raise ParameterError(
+                    f"need a ({n * width}, {n * d}) operator, got {self.csr.shape}"
+                )
+            if np.diff(self.csr.indptr).reshape(n, width)[~real].any():
+                raise ParameterError("padding rows of the operator must be empty")
+            arrays += [self.csr.data, self.csr.indices, self.csr.indptr]
+        for a in arrays:
             a.setflags(write=False)
 
     @classmethod
@@ -159,6 +187,25 @@ class StackedSets:
     def row_sq(self) -> np.ndarray:
         """``(N, W)`` squared norms ``|a_j|^2`` of every row, computed once."""
         return np.einsum("nwd,nwd->nw", self.feats, self.feats)
+
+    @cached_property
+    def csr_t(self):
+        """The transpose of ``csr``: a CSC matrix over the same arrays."""
+        return self.csr.T
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``(N, W)`` products ``F_i x_i`` of every agent's rows with its
+        row of the ``(N, d)`` ``x``."""
+        if self.csr is None:
+            return stacked_margins(x, self.feats)
+        return (self.csr @ x.ravel()).reshape(self.feats.shape[:2])
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """``(N, d)`` sums ``F_i^T v_i`` of every agent's rows under its row
+        of the ``(N, W)`` weights ``v``."""
+        if self.csr is None:
+            return (self.feats.transpose(0, 2, 1) @ v[:, :, None])[:, :, 0]
+        return (self.csr_t @ v.ravel()).reshape(v.shape[0], -1)
 
 
 @dataclass
@@ -211,6 +258,24 @@ class SparseRows:
         """The ``(n, dim)`` matrix."""
         return self.take(np.arange(self.shape[0]), np.zeros(self.shape))
 
+    def _pieces(self, rows: np.ndarray, out: np.ndarray):
+        """Check ``out`` for :meth:`take`; then, ``_CHUNK_LINES`` rows of
+        ``rows`` at a time, yield the piece's first position in ``rows``,
+        its rows' lengths, and the positions of their stored entries in
+        ``indices`` and ``values``, row by row."""
+        if out.shape != (len(rows), self.dim) or not out.flags.c_contiguous:
+            raise ParameterError(
+                f"need a C-contiguous ({len(rows)}, {self.dim}) array, got {out.shape}"
+            )
+        ptr = self.indptr
+        for a in range(0, len(rows), _CHUNK_LINES):
+            part = rows[a : a + _CHUNK_LINES]
+            start = ptr[part]
+            lens = ptr[part + 1] - start
+            at = np.repeat(start - (np.cumsum(lens) - lens), lens)
+            at += np.arange(at.size)
+            yield a, lens, at
+
     def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the rows ``rows``, in order, into the zero-filled,
         C-contiguous ``(len(rows), dim)`` array ``out`` and return it.
@@ -218,21 +283,44 @@ class SparseRows:
         Only stored entries are written, ``_CHUNK_LINES`` rows at a time,
         so the index arrays grow with that count, not with ``rows``.
         """
-        d = self.dim
-        if out.shape != (len(rows), d) or not out.flags.c_contiguous:
-            raise ParameterError(f"need a C-contiguous ({len(rows)}, {d}) array, got {out.shape}")
-        flat, ptr = out.reshape(-1), self.indptr
-        for a in range(0, len(rows), _CHUNK_LINES):
-            part = rows[a : a + _CHUNK_LINES]
-            start = ptr[part]
-            lens = ptr[part + 1] - start
-            # The stored entries of the part's rows, row by row, and their
-            # places in out.
-            at = np.repeat(start - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
-            dest = np.repeat(np.arange(a, a + len(part)) * d, lens)
+        flat, d = out.reshape(-1), self.dim
+        for a, lens, at in self._pieces(rows, out):
+            dest = np.repeat(np.arange(a, a + lens.size) * d, lens)
             dest += self.indices[at]
             flat[dest] = self.values[at]
         return out
+
+    def take_block(self, rows: np.ndarray, out: np.ndarray, width: int):
+        """:meth:`take`, and the same rows as one block-diagonal CSR matrix.
+
+        Every ``width`` consecutive rows of ``rows`` form one block, whose
+        columns start ``dim`` past the previous block's: row ``r``'s entry
+        in column ``c`` sits at column ``(r // width) dim + c`` of the
+        ``(len(rows), (len(rows) // width) dim)`` matrix.  Both are written
+        from the same entry positions, in one pass.  Returns ``(out, csr)``.
+        """
+        # Imported here: only sparse local sets need scipy.sparse, and it
+        # costs resident memory.
+        from scipy.sparse import csr_matrix
+
+        n, d = len(rows), self.dim
+        lens = self.indptr[rows + 1] - self.indptr[rows]
+        shape = (n, n // width * d)
+        index = np.int32 if max(lens.sum(), *shape) < 2**31 else np.int64
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(lens, out=indptr[1:])
+        indices, data = np.empty(indptr[-1], dtype=index), np.empty(indptr[-1])
+        flat = out.reshape(-1)
+        for a, part, at in self._pieces(rows, out):
+            lo, hi = indptr[a], indptr[a + part.size]
+            np.take(self.values, at, out=data[lo:hi])
+            cols = self.indices[at]
+            r = np.arange(a, a + part.size)
+            dest = np.repeat(r * d, part)
+            dest += cols
+            flat[dest] = data[lo:hi]
+            indices[lo:hi] = np.repeat(r // width * d, part) + cols
+        return out, csr_matrix((data, indices, indptr), shape=shape, copy=False)
 
 
 # Raw label sets the automatic rule accepts, in the order it tries them,
@@ -475,7 +563,10 @@ def parse_libsvm(source, dim: int | None = None):
     linenos: list[int] = []
     raws = []
     # Tokens per line, indices and values of each slice, after an empty one.
-    entries = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    # Indices that fit are kept as int32, so the rows take 12 bytes an
+    # entry, not 16, while partition holds them; one slice past int32
+    # makes the concatenation int64.
+    entries = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0))]
     for a, b in zip(cuts[:-1], cuts[1:]):
         text = data[a:b].decode("utf-8", "surrogatepass")
         if text.isascii():
@@ -488,7 +579,7 @@ def parse_libsvm(source, dim: int | None = None):
         line, raw, lens, idx, val = parsed
         linenos += (first_line + line).tolist()
         raws.append(raw)
-        entries.append((lens, idx, val))
+        entries.append((lens, idx.astype(np.int32) if idx.max(initial=0) < 2**31 else idx, val))
         first_line += n_lines
 
     raw = np.concatenate(raws) if raws else np.zeros(0)
@@ -498,6 +589,15 @@ def parse_libsvm(source, dim: int | None = None):
     d = max(dim or 0, int(idx.max()) if idx.size else 0)
     idx -= 1
     return SparseRows(np.concatenate(([0], np.cumsum(lens))), idx, val, d), labels
+
+
+# The largest share of stored entries among the N W d of the local sets
+# at which partition also builds the sets' CSR operator (see StackedSets).
+# One product F x and one F^T v over the whole sets broke even between the
+# operator and the dense block at densities of 0.27-0.38 on the benchmark
+# shapes (one BLAS thread, 2-vCPU x86 VM); on fully dense rows the
+# operator was 1.9-2.4x slower.
+CSR_MAX_DENSITY = 0.3
 
 
 def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float):
@@ -510,8 +610,13 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
     ``per_agent``; leftovers become the test set.  Deterministic per seed.
     Each row is written once into its slot, in the zero-filled
     ``(n_agents, per_agent, d)`` block of a :class:`StackedSets` or in the
-    test set; neither shares memory with ``data``.  Returns
-    ``(local_sets, test_set)``.
+    test set; neither shares memory with ``data``.
+
+    Sparse rows whose stored entries in the local sets are at most
+    ``CSR_MAX_DENSITY`` of the block's also give the sets their
+    block-diagonal CSR operator, written in the same pass as the block
+    (:meth:`SparseRows.take_block`).  Dense rows, and denser sparse ones,
+    give none.  Returns ``(local_sets, test_set)``.
     """
     if n_agents < 1 or per_agent < 1:
         raise ParameterError(f"need agents and samples per agent, got {n_agents} x {per_agent}")
@@ -541,10 +646,18 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
         # out where the default "raise" would gather into a temporary first.
         return np.take(rows, idx, axis=0, out=out, mode="clip")
 
-    block = place(perm[:need]).reshape(n_agents, per_agent, d)
-    local_labels = labels[perm[:need]].reshape(n_agents, per_agent).astype(float)
+    csr = None
+    chosen = perm[:need]
+    if sparse and (
+        np.sum(rows.indptr[chosen + 1] - rows.indptr[chosen]) <= CSR_MAX_DENSITY * need * d
+    ):
+        block, csr = rows.take_block(chosen, np.zeros((need, d)), per_agent)
+    else:
+        block = place(chosen)
+    local_labels = labels[chosen].reshape(n_agents, per_agent).astype(float)
     lam = np.full(n_agents, float(lambda_reg))
-    local = StackedSets(block, local_labels, np.full(n_agents, per_agent), lam)
+    local = StackedSets(block.reshape(n_agents, per_agent, d), local_labels,
+                        np.full(n_agents, per_agent), lam, csr)
     rest = perm[need:]
     return local, TestSet(features=place(rest), labels=labels[rest])
 
@@ -681,6 +794,49 @@ def stacked_grad(
         lam[:, None] * x
         - (feats.transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0] / counts[:, None]
     )
+
+
+def on_batches(idx: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
+    """``(N, width)`` zeros holding every agent's ``(N, k)`` ``values`` at
+    its positions ``idx``."""
+    out = np.zeros((len(idx), width))
+    out[np.arange(len(idx))[:, None], idx] = values
+    return out
+
+
+def batch_coef(local: StackedSets, margins: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
+    """``(N, W)`` gradient coefficients of every agent's batch, each divided
+    by its batch size and zero off the batch.
+
+    ``margins`` are ``local.matvec(x)`` over the whole local sets and
+    ``idx`` the ``(N, k)`` positions of the batches in them (``None``: the
+    whole sets): the batch gradients are ``lam x - F^T coef``.
+    """
+    if idx is None:
+        return logistic_coef(margins, local.labels) / local.counts[:, None]
+    agents = np.arange(len(idx))[:, None]
+    values = logistic_coef(margins[agents, idx], local.labels[agents, idx]) / idx.shape[1]
+    return on_batches(idx, values, margins.shape[1])
+
+
+def sets_grad(
+    x: np.ndarray,
+    local: StackedSets,
+    idx: np.ndarray | None,
+    margins: np.ndarray | None = None,
+) -> np.ndarray:
+    """Batch gradients of all agents at once, one row each, read from the
+    whole local sets through ``local.matvec`` and ``local.rmatvec``.
+
+    ``idx`` are the ``(N, k)`` positions of every agent's batch in its
+    local set (``None``: the whole sets) and ``margins``, if given,
+    ``local.matvec(x)``.  No row is gathered: the coefficients off the
+    batch are zero (:func:`batch_coef`).  Row ``i`` equals
+    :func:`batch_grad` on the same rows up to summation order.
+    """
+    if margins is None:
+        margins = local.matvec(x)
+    return local.lam[:, None] * x - local.rmatvec(batch_coef(local, margins, idx))
 
 
 def logistic_coef(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:

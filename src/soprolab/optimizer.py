@@ -76,6 +76,22 @@ the shift dwarfs the curvature (``rho`` about 1e-6 on the a4a- and
 mushrooms-shaped problems, ``k = 2``).  At ``rho >= 1``, and whenever a
 shift is not positive, the factorisation runs.
 
+Local sets parsed from sparse rows carry a block-diagonal CSR operator
+(see :func:`~soprolab.loss.partition` for when), and
+:func:`proximal_engine` also names what a round's passes read:
+
+* ``"csr"``, on the Gram path and on the row path with the series.  Every
+  pass is one sparse product over the whole local sets, ``F x`` or
+  ``F^T v``; no row is gathered.  Both batches are drawn at the same
+  ``x``, so one margins pass serves the gradient and the curvature, and
+  the gradient coefficients and curvature weights are zero-filled
+  ``(N, W)`` arrays that hold the batch rows' values at their positions:
+  a row off its batch adds nothing.  The row step's series then applies
+  ``F_i^T (w_i (F_i v))`` through the operator.
+* ``"dense"`` otherwise: the stacked-block products above, bit for bit.
+  The row path's factorisation gathers dense rows even when an operator
+  is present.
+
 A factorisation that fails names the agent whose system is not positive
 definite.  :func:`local_step` steps one agent alone by Cholesky: it is the per-agent
 oracle the batched steps are tested against.
@@ -103,10 +119,12 @@ from .errors import ConfigurationError, DivergenceError, InvariantViolation, Par
 from .loss import (
     LowRankHessian,
     StackedSets,
+    batch_coef,
     batch_grad,
     batch_hess,
-    logistic_coef,
     logistic_curvature,
+    on_batches,
+    sets_grad,
     stacked_grad,
     stacked_margins,
 )
@@ -468,9 +486,16 @@ def _series_solve(apply_h, r: np.ndarray, c: np.ndarray, terms: int) -> np.ndarr
     return s
 
 
-def _normal_product(F: np.ndarray, v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+def _normal_product(F, v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """``F_i^T (w_i * (F_i v_i))`` for every agent, from the ``(N, S, d)``
-    rows and ``(N, S)`` weights (``None``: ones): ``H_i v_i`` without ``H_i``."""
+    rows or through the operator of the local sets ``F`` (a
+    :class:`~soprolab.loss.StackedSets`), and ``(N, S)`` weights
+    (``None``: ones): ``H_i v_i`` without ``H_i``."""
+    if isinstance(F, StackedSets):
+        u = F.matvec(v)
+        if w is not None:
+            u *= w
+        return F.rmatvec(u)
     u = (F @ v[:, :, None])[:, :, 0]
     if w is not None:
         u *= w
@@ -505,7 +530,10 @@ def row_step(
     With ``terms`` (see :func:`proximal_engine`) every ``c_i`` must be
     positive, and all agents are solved at once by that many terms of the
     Neumann series, each applying ``F_i^T (sw_i^2 (F_i v))`` to the rows:
-    no system is formed.
+    no system is formed.  ``F`` may then also be the whole local sets, a
+    :class:`~soprolab.loss.StackedSets` with a CSR operator, and ``sw``
+    ``(N, W)``, zero off the Hessian batches: the products go through
+    the operator, and no row is gathered.
 
     Without, each agent's system is factored, and ``S`` against ``d``
     picks the smaller one:
@@ -583,23 +611,24 @@ def gram_step(
     With ``terms`` (see :func:`proximal_engine`) each ``S x S`` system is
     solved instead by that many terms of the Neumann series, each applying
     the unshifted ``B_i B_i^T``.
+
+    When ``local`` has a CSR operator, both passes go through it
+    (``local.matvec`` of ``x`` and of ``t``, then ``local.rmatvec``); the
+    Gram stack and its gather are the same either way.
     """
     _check_shift(c)
-    F = local.feats
-    n, width, _ = F.shape
-    agents = np.arange(n)[:, None]
-    u, Ft = np.moveaxis(F @ np.stack([x, t], axis=2), 2, 0)
-    if g_idx is None:
-        coef = logistic_coef(u, local.labels) / local.counts[:, None]
+    agents = np.arange(len(local.counts))[:, None]
+    if local.csr is None:
+        u, Ft = np.moveaxis(local.feats @ np.stack([x, t], axis=2), 2, 0)
     else:
-        coef = np.zeros((n, width))
-        labels = np.take_along_axis(local.labels, g_idx, axis=1)
-        coef[agents, g_idx] = logistic_coef(u[agents, g_idx], labels) / g_idx.shape[1]
+        u, Ft = local.matvec(x), local.matvec(t)
+    coef = batch_coef(local, u, g_idx)
     Fr = Ft - (gram @ coef[:, :, None])[:, :, 0]  # F r: r = t - F^T chat
     if s_idx is None:
         sw = np.sqrt(logistic_curvature(u) / local.counts[:, None])
         K, z = gram.copy(), sw * Fr
     else:
+        width = u.shape[1]
         sw = np.sqrt(logistic_curvature(u[agents, s_idx]) / s_idx.shape[1])
         # gram[i, a, b] sits at flat position (i W + a) W + b.
         K = np.take(gram, (agents * width + s_idx)[:, :, None] * width + s_idx[:, None, :])
@@ -614,8 +643,7 @@ def gram_step(
         coef += z
     else:
         coef[agents, s_idx] += z
-    step = (t - (F.transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0]) / c[:, None]
-    return x - step
+    return x - (t - local.rmatvec(coef)) / c[:, None]
 
 
 def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> None:
@@ -632,13 +660,16 @@ class Engine:
     ``solve`` is ``"cholesky"`` or ``"series"``;
     ``terms`` is the series' term count, ``None`` on the factorisation;
     ``rho_bound`` bounds every ``||h_i - lam_i I|| / c_i``, ``None`` when a
-    shift ``c_i`` is not positive.
+    shift ``c_i`` is not positive;
+    ``operator`` is what a round's passes read the local sets through:
+    ``"csr"``, the sets' CSR operator, or ``"dense"``, the stacked block.
     """
 
     path: str
     solve: str
     terms: int | None
     rho_bound: float | None
+    operator: str
 
 
 def _series_terms(rho: float) -> int | None:
@@ -656,22 +687,27 @@ def _series_terms(rho: float) -> int | None:
 
 
 def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
-    """The path and the solve :func:`proximal` takes for this run.
+    """The path, the solve and the operator :func:`proximal` takes for this run.
 
     The path follows from the Hessian batch size ``S`` (the widest local
     set ``W`` in full batch), ``W`` and ``d`` (see the module docstring).
     The solve is the Neumann series when every shift is positive and
-    ``rho < 1``, else Cholesky.
+    ``rho < 1``, else Cholesky.  The rounds read the local sets through
+    their CSR operator, when they have one, on the Gram path and on the
+    row path with the series; the row path's factorisation gathers dense
+    rows.
     """
     _, width, d = local.feats.shape
     rows = width if config.algorithm == "sopro" else config.batch_s
     path = "gram_step" if rows < d and width <= d else "row_step"
     shift = local.lam + np.asarray(alphas, dtype=float)
-    if not np.all(shift > 0.0):
-        return Engine(path, "cholesky", None, None)
-    rho = float(np.max(0.25 * local.row_sq.max(axis=1) / shift))
-    terms = _series_terms(rho)
-    return Engine(path, "cholesky" if terms is None else "series", terms, rho)
+    rho = terms = None
+    if np.all(shift > 0.0):
+        rho = float(np.max(0.25 * local.row_sq.max(axis=1) / shift))
+        terms = _series_terms(rho)
+    sparse = local.csr is not None and (path == "gram_step" or terms is not None)
+    return Engine(path, "cholesky" if terms is None else "series", terms, rho,
+                  "csr" if sparse else "dense")
 
 
 def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
@@ -679,14 +715,15 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
 
     ``alphas`` is the ``(N,)`` vector of the proximal matrices
     ``D_i = alphas[i] I``.  The round steps all agents with one batched
-    call, on the path and with the solve :func:`proximal_engine` chooses
-    here: :func:`row_step` on the gathered batch rows, or :func:`gram_step`
-    (its Gram stack computed here once), each by Cholesky or by the
-    Neumann series.  The full-batch deterministic variant follows the same
-    code path with both batches forced to the whole local sets, its
-    curvature taken from the gradient's margins (the same rows at the same
-    point), so its trace is bitwise identical to the stochastic method at
-    ``G = S = C``.
+    call, on the path, with the solve and through the operator
+    :func:`proximal_engine` chooses here: :func:`row_step` on the gathered
+    batch rows or, through the CSR operator, on the whole local sets; or
+    :func:`gram_step` (its Gram stack computed here once), each by
+    Cholesky or by the Neumann series.  The full-batch deterministic
+    variant follows the same code path with both batches forced to the
+    whole local sets, its curvature taken from the gradient's margins (the
+    same rows at the same point), so its trace is bitwise identical to the
+    stochastic method at ``G = S = C``.
 
     Returns the state after the initial exchange, its ``engine`` set, the
     round function, and the ``2 |E| d`` scalars each exchange sends, at
@@ -721,6 +758,27 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
             exchange_and_dual_update(state, P, beta)
 
         return state, gram_round, sent, sent
+
+    if engine.operator == "csr":
+        width = local.feats.shape[1]
+        agents = np.arange(P.n_agents)[:, None]
+
+        def csr_row_round(state: NetworkState, k: int) -> None:
+            # Both batches are drawn at the same x, so one pass over the
+            # whole sets gives every margin; off its batch a row's weights
+            # are zero.
+            u = local.matvec(state.x)
+            grads = sets_grad(state.x, local, sets.draw(batch_g, k, PURPOSE_GRAD), u)
+            s_idx = sets.draw(batch_s, k, PURPOSE_HESS)
+            if s_idx is None:
+                w = logistic_curvature(u) / local.counts[:, None]
+            else:
+                w = on_batches(s_idx, logistic_curvature(u[agents, s_idx]) / batch_s, width)
+            rhs = grads + beta * state.y + state.q
+            state.x = row_step(state.x, rhs, local, np.sqrt(w), shift, terms)
+            exchange_and_dual_update(state, P, beta)
+
+        return state, csr_row_round, sent, sent
 
     def row_round(state: NetworkState, k: int) -> None:
         rows = sets.batch(batch_g, k, PURPOSE_GRAD)

@@ -4,11 +4,13 @@ change must reproduce.
 Each case is one :func:`~soprolab.harness.experiment.run_experiment` on
 synthetic data (d <= 40, 30 rounds): St-SoPro on the row path with
 ``S >= d`` and with ``S < d < C``, and on the Gram path; full-batch
-SoPro, DSGD and DSGT.  A golden file holds, per round, ``opt_err``,
-``q_err``, ``comm_bits`` and ``test_acc``; and per run the path the
-proximal step took, the alphas and every certificate field.
+SoPro, DSGD and DSGT.  One more reads a small one-hot LIBSVM file, which
+:func:`record` writes to a temporary directory first, so its rounds read
+the local sets through their CSR operator.  A golden file holds, per
+round, ``opt_err``, ``q_err``, ``comm_bits`` and ``test_acc``; and per run
+the path the proximal step took, the alphas and every certificate field.
 ``test_golden.py`` compares a fresh run with the file at a relative
-tolerance of 1e-9.
+tolerance of 1e-9, and checks the operator the run read its sets through.
 
 A change that moves these numbers on purpose writes the files again::
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -35,33 +38,54 @@ COMMON = dict(
     n_agents=6, avg_degree=2.0, test_size=60, lambda_reg=0.05, max_iters=30, master_seed=3,
 )
 
-# name: (the proximal step every round must take, config).  The engine
-# picks Gram when S < d and C <= d, and the row step otherwise: with
-# S >= d ("dense") or S < d < C ("woodbury"), the two factorisations it
-# holds, though these runs take the series.
+# A case whose dataset is ONE_HOT reads a file of 220 rows, each one-hot
+# encoding 3 attributes over 12 columns (density 1/4), from write_one_hot.
+ONE_HOT = "one_hot.svm"
+
+# name: (the proximal step every round must take, the operator its rounds
+# read the local sets through, config).  The engine picks Gram when S < d
+# and C <= d, and the row step otherwise: with S >= d ("dense") or
+# S < d < C ("woodbury"), the two factorisations it holds, though these
+# runs take the series.
 CASES = {
-    "st_sopro_dense": ("row_step", dict(algorithm="st_sopro", dim=8, per_agent=30,
-                                        batch_g=10, batch_s=10)),
-    "st_sopro_gram": ("gram_step", dict(algorithm="st_sopro", dim=40, per_agent=30,
-                                        batch_g=10, batch_s=10)),
-    "st_sopro_woodbury": ("row_step", dict(algorithm="st_sopro", dim=20, per_agent=40,
-                                           batch_g=10, batch_s=8)),
-    "sopro": ("row_step", dict(algorithm="sopro", dim=10, per_agent=30)),
-    "dsgd": (None, dict(algorithm="dsgd", dim=10, per_agent=30, batch_g=10, step_size=0.5)),
-    "dsgt": (None, dict(algorithm="dsgt", dim=10, per_agent=30, batch_g=10, step_size=0.5)),
+    "st_sopro_dense": ("row_step", "dense", dict(algorithm="st_sopro", dim=8, per_agent=30,
+                                                 batch_g=10, batch_s=10)),
+    "st_sopro_gram": ("gram_step", "dense", dict(algorithm="st_sopro", dim=40, per_agent=30,
+                                                 batch_g=10, batch_s=10)),
+    "st_sopro_woodbury": ("row_step", "dense", dict(algorithm="st_sopro", dim=20,
+                                                    per_agent=40, batch_g=10, batch_s=8)),
+    "sopro": ("row_step", "dense", dict(algorithm="sopro", dim=10, per_agent=30)),
+    "dsgd": (None, None, dict(algorithm="dsgd", dim=10, per_agent=30, batch_g=10,
+                              step_size=0.5)),
+    "dsgt": (None, None, dict(algorithm="dsgt", dim=10, per_agent=30, batch_g=10,
+                              step_size=0.5)),
+    "st_sopro_one_hot": ("row_step", "csr", dict(algorithm="st_sopro", dataset=ONE_HOT, dim=12,
+                                                 per_agent=30, batch_g=10, batch_s=8)),
 }
 
 STEPS = ("row_step", "gram_step")
 
 
+def write_one_hot(path: Path) -> None:
+    """The ONE_HOT file: 220 rows, each with one of four columns set in
+    each of three column groups, and +-1 labels."""
+    rng = np.random.default_rng(5)
+    cols = 1 + 4 * np.arange(3) + rng.integers(0, 4, (220, 3))
+    labels = rng.choice(["+1", "-1"], 220)
+    path.write_text("".join(f"{b} " + " ".join(f"{c}:1" for c in row) + "\n"
+                            for b, row in zip(labels, cols.tolist())))
+
+
 def config(name: str) -> ExperimentConfig:
-    return ExperimentConfig(**COMMON, **CASES[name][1])
+    return ExperimentConfig(**COMMON, **CASES[name][2])
 
 
-def record(name: str) -> dict:
-    """The golden record of case ``name``, computed now."""
+def record(name: str, engines: list | None = None) -> dict:
+    """The golden record of case ``name``, computed now; the engine each
+    proximal run chose is appended to ``engines``, if given."""
     cfg = config(name)
     calls = dict.fromkeys(STEPS, 0)
+    chosen = [] if engines is None else engines
 
     def counted(step):
         fn = getattr(optimizer, step)
@@ -72,9 +96,20 @@ def record(name: str) -> dict:
 
         return wrapper
 
-    with mock.patch.multiple(optimizer, **{step: counted(step) for step in STEPS}):
-        result = run_experiment(cfg)
-    _, alphas, _, _ = build_certificate(cfg, result.problem)
+    def recorded(*args):
+        chosen.append(real_engine(*args))
+        return chosen[-1]
+
+    real_engine = optimizer.proximal_engine
+    patches = {step: counted(step) for step in STEPS}
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.multiple(optimizer, **patches, proximal_engine=recorded):
+        run_cfg = cfg
+        if cfg.dataset == ONE_HOT:
+            write_one_hot(Path(tmp) / ONE_HOT)
+            run_cfg = cfg.with_overrides({"dataset": str(Path(tmp) / ONE_HOT)})
+        result = run_experiment(run_cfg)
+        _, alphas, _, _ = build_certificate(run_cfg, result.problem)
     taken = [step for step, n in calls.items() if n]
     return {
         "config": cfg.to_dict(),
@@ -94,10 +129,15 @@ def golden_path(name: str) -> Path:
 
 
 def main() -> int:
-    for name, (path, _) in CASES.items():
-        rec = record(name)
+    for name, (path, operator, _) in CASES.items():
+        engines = []
+        rec = record(name, engines)
         if rec["path"] != path:
             print(f"{name}: the run took {rec['path']}, not {path}", file=sys.stderr)
+            return 1
+        if [e.operator for e in engines] != ([] if operator is None else [operator]):
+            print(f"{name}: the run read its sets through {engines}, not {operator}",
+                  file=sys.stderr)
             return 1
         golden_path(name).write_text(json.dumps(rec, indent=1) + "\n")
         print(f"wrote {golden_path(name)}")

@@ -1,7 +1,7 @@
 """Per-line, per-sample, per-pair and per-agent versions of the array
 set-up code, the dense and stacked forms that the sparse set-up and the
-per-agent dense step replaced, and the numerical search the certificate's
-closed forms replaced.
+per-agent dense step replaced, and the numerical search (with the plain
+``kappa`` evaluation) that the certificate's closed forms replaced.
 
 Each function here is the plain loop or search that a routine of
 ``soprolab`` replaced; the tests check the routines against them.
@@ -15,8 +15,8 @@ from scipy.linalg.lapack import dposv
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import expit
 
-from soprolab.certificate import kappa, m_beta
-from soprolab.errors import ConfigurationError, ParseError, SoprolabError
+from soprolab.certificate import _condition_shift, _lambda_min_shifted, m_beta
+from soprolab.errors import ConfigurationError, ParameterError, ParseError, SoprolabError
 from soprolab.loss import (
     LocalDataset,
     StackedSets,
@@ -231,6 +231,27 @@ def random_connected_graph_per_pair(n, target_avg_degree, seed):
         picks = rng.choice(len(pool), size=missing, replace=False)
         chosen.update(pool[k] for k in picks)
     return Graph.from_edges(n, chosen)
+
+
+def kappa(c0, eta_s, alphas, bounds, beta, P, m_beta_value=None):
+    """Contraction margin: smallest eigenvalue of the rate matrix.
+
+    Evaluates ``lambda_min(R - LM/(2(1-eta)) - (LM-Lm)^2/(4 c0) + Lm - LM
+    - beta (I/2 + W))`` with ``R = (Lm+LM)/2 + D``: the proximal
+    condition's matrix with ``2 eta_s m_beta`` replaced by ``c0``.  At
+    ``c0 = 2 eta_s m_beta`` it is the proximal-condition margin, so a
+    strictly feasible ``D`` always admits ``kappa > 0``.  The alphas are
+    added before ``beta lambda_max`` is subtracted, so the value steps by
+    the alphas' last bit; ``certify`` follows the gap form instead.
+    """
+    if c0 <= 0:
+        raise ParameterError(f"c0 must be positive, got {c0}")
+    if m_beta_value is not None and not c0 < 2.0 * eta_s * m_beta_value:
+        raise ParameterError(
+            f"c0={c0} outside (0, 2*eta_s*m_beta={2.0 * eta_s * m_beta_value})"
+        )
+    t = _condition_shift(bounds.m, bounds.M, eta_s, c0 / (2.0 * eta_s), beta)
+    return _lambda_min_shifted(alphas, t, beta, P)
 
 
 def delta_terms_nested(alphas, bounds, beta, lambda_w, eta_s, m_b, c1, c0, P, norm_sq):

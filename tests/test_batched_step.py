@@ -2,20 +2,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import block_diag, csr_matrix
 
 from oracles import agent_datasets, dense_step_stacked, stacked
 from soprolab import optimizer, topology
 from soprolab.baselines import dsgt_round, metropolis_weights
-from soprolab.certificate import proximal_alphas
+from soprolab.certificate import QNormError, proximal_alphas
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation
+from soprolab.harness.metrics import optimality_error
+from soprolab.harness.reference import solve_reference
 from soprolab.harness.synthetic import gaussian_blob_samples
 from soprolab.loss import (
     LocalDataset,
     LowRankHessian,
     SmoothnessBounds,
+    SparseRows,
     StackedSets,
     batch_grad,
     batch_hess,
+    partition,
     stacked_grad,
 )
 from soprolab.optimizer import (
@@ -274,6 +279,19 @@ def make_problem(sizes, d, seed=0, lam=0.1):
     return P, StackedSets.padded(np.split(feats, split), np.split(labels, split), lam)
 
 
+def with_operator(local):
+    """The same local sets with a block-diagonal CSR operator, built from
+    the dense block: padding rows are empty rows."""
+    return replace(local, csr=block_diag([csr_matrix(f) for f in local.feats], format="csr"))
+
+
+def expected_operator(local, path, solve):
+    """What the rounds read the sets through: the operator on the Gram path
+    and on the row path's series, the dense block otherwise."""
+    sparse = local.csr is not None and (path == "gram" or solve == "series")
+    return "csr" if sparse else "dense"
+
+
 def certified_alphas(P, local):
     return proximal_alphas(SmoothnessBounds.from_sets(local), P, 1.0, 0.5)[0]
 
@@ -369,44 +387,122 @@ RUN_SHAPES = [
 
 # Certified alphas take the Neumann series on every path; alphas at
 # rho = 2 take the factorisation.
+# The same runs with a CSR operator on the local sets: its rounds must
+# match the per-agent reference too, the factorisation included (it
+# gathers dense rows with the operator present).
 @pytest.mark.parametrize(
-    "algorithm, batch_s, d, low_rank, solve",
-    [pytest.param(*shape, "series", id="-".join(map(str, shape))) for shape in RUN_SHAPES]
-    + [pytest.param(*shape, "cholesky", id="-".join(map(str, shape)) + "-cholesky")
-       for shape in RUN_SHAPES],
+    "algorithm, batch_s, d, low_rank, solve, operator",
+    [pytest.param(*shape, solve, operator,
+                  id="-".join(map(str, shape)) + suffix + ("-csr" if operator == "csr" else ""))
+     for operator in ("dense", "csr")
+     for solve, suffix in (("series", ""), ("cholesky", "-cholesky"))
+     for shape in RUN_SHAPES],
 )
-def test_run_matches_per_agent_reference(algorithm, batch_s, d, low_rank, solve, monkeypatch):
+def test_run_matches_per_agent_reference(
+    algorithm, batch_s, d, low_rank, solve, operator, monkeypatch
+):
     P, local = make_problem([40] * 6, d)
+    if operator == "csr":
+        local = with_operator(local)
     config = RunConfig(
         batch_g=10, batch_s=batch_s or 40, max_iters=20, seed=5, algorithm=algorithm
     )
     alphas = certified_alphas(P, local) if solve == "series" else factorising_alphas(local)
-    assert optimizer.proximal_engine(local, config, alphas).solve == solve
-    want = reference_run(P, local, config, alphas)
     path = low_rank_path(low_rank, 40, d)
+    engine = optimizer.proximal_engine(local, config, alphas)
+    assert (engine.solve, engine.operator) == (solve, expected_operator(local, path, solve))
+    want = reference_run(P, local, config, alphas)
     got = engine_history(P, local, config, alphas, monkeypatch, path, solve)
     assert_histories_match(got, want)
 
 
+# With an operator, the padding rows are empty CSR rows.
+UNEQUAL_SHAPES = [
+    ("st_sopro", 50, True),  # the widest set, 45 rows, fits: Gram
+    ("st_sopro", 45, True),  # W = d: Gram
+    ("st_sopro", 44, True),  # W = d + 1: rows
+    ("sopro", 50, True),  # Hessian batches of 20..45 rows, padded to 45
+    ("sopro", 30, False),  # some local sets have more rows than d
+]
+
+
 @pytest.mark.parametrize(
-    "algorithm, d, low_rank",
-    [
-        ("st_sopro", 50, True),  # the widest set, 45 rows, fits: Gram
-        ("st_sopro", 45, True),  # W = d: Gram
-        ("st_sopro", 44, True),  # W = d + 1: rows
-        ("sopro", 50, True),  # Hessian batches of 20..45 rows, padded to 45
-        ("sopro", 30, False),  # some local sets have more rows than d
-    ],
+    "algorithm, d, low_rank, operator",
+    [pytest.param(*shape, operator,
+                  id="-".join(map(str, shape)) + ("-csr" if operator == "csr" else ""))
+     for operator in ("dense", "csr") for shape in UNEQUAL_SHAPES],
 )
-def test_run_accepts_unequal_local_datasets(algorithm, d, low_rank, monkeypatch):
+def test_run_accepts_unequal_local_datasets(algorithm, d, low_rank, operator, monkeypatch):
     P, local = make_problem([20, 30, 45, 25, 35], d, seed=1)
+    if operator == "csr":
+        local = with_operator(local)
+        assert local.csr.nnz == np.count_nonzero(local.feats)
     config = RunConfig(batch_g=8, batch_s=6, max_iters=20, seed=2, algorithm=algorithm)
     alphas = certified_alphas(P, local)
+    assert optimizer.proximal_engine(local, config, alphas).operator == operator
     want = reference_run(P, local, config, alphas)
     path = low_rank_path(low_rank, 45, d)
     got = engine_history(P, local, config, alphas, monkeypatch, path, "series")
     assert_histories_match(got, want)
     assert np.all(np.isfinite(got[-1][0]))
+
+
+def one_hot_rows(rows, attributes, columns, seed):
+    """``rows`` one-hot rows as :class:`SparseRows`, each encoding
+    ``attributes`` categories over ``columns`` binary columns, and +-1
+    labels."""
+    rng = np.random.default_rng(seed)
+    edges = np.linspace(0, columns, attributes + 1).astype(int)
+    cols = edges[:-1] + (rng.random((rows, attributes)) * np.diff(edges)).astype(int)
+    indptr = np.arange(0, rows * attributes + 1, attributes)
+    sparse = SparseRows(indptr, cols.ravel(), np.ones(cols.size), columns)
+    return sparse, rng.choice((-1, 1), rows)
+
+
+# (algorithm, columns, batch_s, alphas, the step the run takes).  Three
+# attributes a row: density 1/4 at 12 columns, 3/40 at 40.
+ONE_HOT_RUNS = {
+    "st_sopro-row-series": ("st_sopro", 12, 8, "certified", "row"),  # S < d < C
+    "sopro-row-series": ("sopro", 12, None, "certified", "row"),
+    "st_sopro-gram-series": ("st_sopro", 40, 8, "certified", "gram"),  # S < C <= d
+    "st_sopro-row-cholesky": ("st_sopro", 12, 8, "factorising", "row"),
+    "st_sopro-gram-cholesky": ("st_sopro", 40, 8, "factorising", "gram"),
+    "dsgd": ("dsgd", 12, 8, None, None),
+    "dsgt": ("dsgt", 12, 8, None, None),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_HOT_RUNS))
+def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
+    algorithm, columns, batch_s, alpha_mode, path = ONE_HOT_RUNS[case]
+    n, count = 6, 30
+    rows, labels = one_hot_rows(n * count + 20, 3, columns, seed=columns)
+    sparse, _ = partition((rows, labels), n, count, seed=4, lambda_reg=0.05)
+    dense, _ = partition((rows.dense(), labels), n, count, seed=4, lambda_reg=0.05)
+    assert sparse.csr is not None and dense.csr is None
+    assert np.array_equal(sparse.feats, dense.feats)
+    P = laplacian_weights(build_random_connected_graph(n, 2.0, seed=0), 1.0)
+    config = RunConfig(batch_g=10, batch_s=batch_s or count, max_iters=30, seed=9,
+                       algorithm=algorithm, step_size=0.5)
+    alphas = {"certified": certified_alphas(P, dense), "factorising": factorising_alphas(dense),
+              None: None}[alpha_mode]
+    if path is not None:
+        engine = optimizer.proximal_engine(sparse, config, alphas)
+        assert engine.path == f"{path}_step"
+        assert engine.operator == expected_operator(sparse, path, engine.solve)
+    ref = solve_reference(dense)
+    q_err = QNormError(P, np.full(n, 2.0), 1.0, ref.x, -ref.local_grads)
+    histories = []
+    for local in (sparse, dense):
+        history = []
+        run(P, local, config, alphas,
+            callbacks=[lambda k, s: history.append((s.x.copy(), s.q.copy()))])
+        histories.append(history)
+    assert_histories_match(*histories)
+    for (x, q), (x_dense, q_dense) in zip(*histories):
+        for got, want in ((optimality_error(x, ref.x), optimality_error(x_dense, ref.x)),
+                          (q_err(x, q), q_err(x_dense, q_dense))):
+            assert abs(got - want) <= 1e-10 * abs(want)
 
 
 @pytest.mark.parametrize(
@@ -515,14 +611,14 @@ def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift
     for bad in (0.0, -1.0):
         c[3] = bad
         engine = optimizer.proximal_engine(local, config, c - local.lam)
-        assert engine == optimizer.Engine("row_step", "cholesky", None, None)
+        assert engine == optimizer.Engine("row_step", "cholesky", None, None, "dense")
 
     # S < d < W at rho = 2: every round factors the Woodbury S x S
     # systems, and no d x d one.
     config = RunConfig(batch_g=10, batch_s=5, max_iters=3, seed=0)
     alphas = edge / 2 - local.lam
     engine = optimizer.proximal_engine(local, config, alphas)
-    assert engine == optimizer.Engine("row_step", "cholesky", None, engine.rho_bound)
+    assert engine == optimizer.Engine("row_step", "cholesky", None, engine.rho_bound, "dense")
     assert engine.rho_bound == pytest.approx(2.0, rel=1e-12)
     solves, factored = [], []
     real_solve, real_dposv = optimizer._cholesky_solve, optimizer.dposv
@@ -545,7 +641,7 @@ def test_run_accepts_a_negative_shift_that_leaves_a_dense_system_definite(monkey
     gram = local.feats.transpose(0, 2, 1) @ local.feats / (4 * 40)
     alphas = -local.lam - 0.5 * np.linalg.eigvalsh(gram)[:, 0]
     engine = optimizer.proximal_engine(local, config, alphas)
-    assert engine == optimizer.Engine("row_step", "cholesky", None, None)
+    assert engine == optimizer.Engine("row_step", "cholesky", None, None, "dense")
     want = reference_run(P, local, config, alphas)
     assert_histories_match(engine_history(P, local, config, alphas, monkeypatch, "row",
                                          "cholesky"), want)

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from oracles import certify_delta_nested
+from oracles import certify_delta_nested, kappa
 from soprolab import certificate
 from soprolab.certificate import (
     QNormError,
     RateCertificate,
     certify,
     check_D_condition,
-    kappa,
     m_beta,
     proximal_alphas,
     tau,

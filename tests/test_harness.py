@@ -135,11 +135,20 @@ def test_rerun_writes_identical_trace_apart_from_out_dir(tmp_path):
         assert trace_lines(a) == trace_lines(b)
 
 
-@pytest.mark.parametrize("algorithm", ["st_sopro", "sopro", "dsgd"])
+# st_sopro_one_hot reads a LIBSVM file whose rows set 4 of 20 columns, so
+# its rounds read the local sets through their CSR operator.
+@pytest.mark.parametrize("algorithm", ["st_sopro", "sopro", "dsgd", "st_sopro_one_hot"])
 def test_trace_header_names_the_proximal_engine(tmp_path, algorithm):
+    dataset = "synthetic"
+    if algorithm == "st_sopro_one_hot":
+        algorithm, dataset = "st_sopro", str(tmp_path / "one_hot.svm")
+        Path(dataset).write_text("".join(
+            f"{(-1) ** k} " + " ".join(f"{5 * a + (k * (a + 1)) % 5 + 1}:1" for a in range(4))
+            + "\n" for k in range(140)))
     config = ExperimentConfig(
-        dim=20, n_agents=4, per_agent=30, test_size=20, batch_g=5, batch_s=5, max_iters=3,
-        algorithm=algorithm, step_size=0.5 if algorithm == "dsgd" else None, out=str(tmp_path),
+        dataset=dataset, dim=20, n_agents=4, per_agent=30, test_size=20, batch_g=5,
+        batch_s=5, max_iters=3, algorithm=algorithm,
+        step_size=0.5 if algorithm == "dsgd" else None, out=str(tmp_path),
     )
     result = run_experiment(config)
     header, _ = trace_lines(result.trace_paths[0])
@@ -149,6 +158,7 @@ def test_trace_header_names_the_proximal_engine(tmp_path, algorithm):
     _, alphas, _, _ = build_certificate(config, result.problem)
     engine = optimizer.proximal_engine(result.problem.local, config.to_run_config(0), alphas)
     assert engine.solve == "series"
+    assert engine.operator == ("dense" if dataset == "synthetic" else "csr")
     assert header["engine"] == dataclasses.asdict(engine)
 
 
@@ -283,6 +293,8 @@ def test_experiment_chooses_the_proximal_alphas_once(monkeypatch):
 def test_package_and_cli_import_no_optimizer_or_sparse_scipy():
     # scipy.optimize pulls in scipy.sparse, scipy.spatial and more: about
     # 17 MB of resident memory that no step of an experiment needs.
+    # scipy.sparse alone (about 1.5 MB) is imported only when partition
+    # builds the CSR operator of sparse local sets.
     code = (
         "import sys, soprolab, soprolab.harness.cli; "
         "print(*[m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.spatial')"

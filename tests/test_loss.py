@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse import csr_matrix
 
 from oracles import agent_datasets, stacked
 from soprolab.errors import ParameterError, ParseError
@@ -21,6 +23,7 @@ from soprolab.loss import (
     sample_grad,
     sample_hess,
     sample_loss,
+    sets_grad,
     sigma_sq_estimate,
     stacked_grad,
     stacked_margins,
@@ -207,6 +210,24 @@ def test_stacked_batch_statistics_match_per_agent_batches(sizes):
             assert np.allclose(grads[i], want, rtol=1e-13, atol=1e-15)
             want_w = batch_hess(x[i], ds, np.arange(C)).weights
             assert np.allclose(weights[i, :C], want_w, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("operator", [False, True], ids=["dense", "csr"])
+def test_set_gradients_of_drawn_batches_match_per_agent_batches(operator):
+    # Unequal sets: agent 1's padding rows are empty rows of the operator.
+    rng = np.random.default_rng(5)
+    datasets = [make_dataset(rng, C=C, d=7, lam=0.05) for C in (12, 9, 12)]
+    local = stacked(datasets)
+    if operator:
+        local = StackedSets(local.feats, local.labels, local.counts, local.lam,
+                            csr_matrix(scipy.linalg.block_diag(*local.feats)))
+    x = rng.standard_normal((3, 7))
+    idx = np.sort(np.stack([rng.choice(9, 4, replace=False) for _ in range(3)]), axis=1)
+    for batches in (idx, None):
+        grads = sets_grad(x, local, batches)
+        for i, ds in enumerate(datasets):
+            rows = np.arange(ds.n_samples) if batches is None else batches[i]
+            assert np.allclose(grads[i], batch_grad(x[i], ds, rows), rtol=1e-13, atol=1e-15)
 
 
 # ---------------------------------------------------------------- calculus
@@ -500,3 +521,18 @@ def test_dataset_validation():
     for name, value in bad_shapes:
         with pytest.raises(ParameterError, match=r"need \(N, W, d\), \(N, W\), \(N,\)"):
             StackedSets(**{**stacked_fields(), name: value})
+
+
+def test_stacked_sets_refuse_an_operator_of_another_shape_or_with_padding_entries():
+    fields = dict(feats=np.arange(1.0, 13.0).reshape(2, 3, 2), labels=np.ones((2, 3)),
+                  counts=np.array([3, 2]), lam=np.array([0.1, 0.2]))
+    fields["feats"][1, 2] = 0.0
+    fields["labels"][1, 2] = 0.0
+    block = scipy.linalg.block_diag(*fields["feats"])
+    local = StackedSets(**fields, csr=csr_matrix(block))
+    assert not local.csr.data.flags.writeable
+    with pytest.raises(ParameterError, match=r"need a \(6, 4\) operator"):
+        StackedSets(**fields, csr=csr_matrix(block[:, :3]))
+    block[5, 2] = 1.0  # agent 1's padding row
+    with pytest.raises(ParameterError, match="padding rows of the operator must be empty"):
+        StackedSets(**fields, csr=csr_matrix(block))

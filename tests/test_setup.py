@@ -11,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -389,6 +390,9 @@ def test_parse_and_partition_are_exact_and_peak_below_1_75x_the_matrix(
     want, want_test = parse_and_partition_dense(text, n_agents, per_agent, 1, 0.01)
     assert_same_arrays((local.feats, local.labels, test.features, test.labels),
                        (want.feats, want.labels, want_test.features, want_test.labels))
+    # The peak includes the sets' CSR operator: every benchmark shape is
+    # sparse enough to get one.
+    assert local.csr is not None
     assert peak <= 1.75 * rows * columns * 8
 
 
@@ -454,6 +458,44 @@ def test_partition_matches_the_sample_list_path_bitwise():
         assert not block.flags.writeable
         assert not np.shares_memory(block, feats)
         assert not np.shares_memory(got_test.features, feats)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1024])
+def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(chunk):
+    # Rows of 0-3 stored entries over 10 columns, one of them an explicit
+    # zero: at most 0.3 of the local block's entries are stored.
+    rng = np.random.default_rng(chunk)
+    text = "".join(
+        f"{(-1) ** k} " + " ".join(f"{c}:{v}" for c, v in zip(
+            np.sort(rng.choice(np.arange(1, 11), k % 4, replace=False)), (k % 5, 1.5, -2))) + "\n"
+        for k in range(50)
+    )
+    rows, labels = parse_libsvm(text, dim=10)
+    assert rows.indices.dtype == np.int32
+    with mock.patch.object(loss, "_CHUNK_LINES", chunk):
+        local, test = partition((rows, labels), 4, 10, seed=3, lambda_reg=0.1)
+    want, want_test = partition((rows.dense(), labels), 4, 10, seed=3, lambda_reg=0.1)
+    assert want.csr is None
+    assert_same_arrays((local.feats, local.labels, test.features),
+                       (want.feats, want.labels, want_test.features))
+    A = local.csr
+    assert A.format == "csr" and A.shape == (40, 40)
+    assert np.array_equal(A.toarray(), scipy.linalg.block_diag(*want.feats))
+    # Only the local rows' parsed entries, explicit zeros included.
+    perm = np.random.default_rng(3).permutation(50)[:40]
+    assert A.nnz == np.sum(rows.indptr[perm + 1] - rows.indptr[perm])
+    assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr))
+    assert np.shares_memory(local.csr_t.data, A.data) and local.csr_t is local.csr_t
+    x, v = rng.standard_normal((4, 10)), rng.standard_normal((4, 10))
+    assert rel_err(local.matvec(x), want.matvec(x)) <= 1e-15
+    assert rel_err(local.rmatvec(v), want.rmatvec(v)) <= 1e-15
+
+
+def test_partition_builds_no_operator_for_denser_rows():
+    # Four of ten columns stored in every row: density 0.4.
+    text = "".join(f"{(-1) ** k} 1:1 {k % 5 + 2}:1 8:2 10:1\n" for k in range(30))
+    local, _ = partition(parse_libsvm(text), 3, 10, seed=0, lambda_reg=0.1)
+    assert local.csr is None and loss.CSR_MAX_DENSITY < 0.4
 
 
 def test_build_problem_frees_the_parsed_matrix_before_the_reference_solve(tmp_path):
