@@ -9,9 +9,10 @@ batches come from the proximal engine's batched draw (one substream per
 round keys every agent's batch, see
 :func:`soprolab.optimizer.draw_batches`) and its stacked gradient, so
 comparisons against the proximal methods share identical data, topology,
-and noise realizations.  Local sets with a CSR operator give the
-gradients as the proximal rounds do: one pass over the whole sets for the
-margins, one for the zero-filled batch coefficients.
+and noise realizations.  A gradient is one
+:func:`~soprolab.loss.sets_grad` of the batch that
+:meth:`~soprolab.optimizer.LocalSets.batch` gives, as in the proximal
+rounds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .loss import StackedSets, sets_grad, stacked_grad
+from .loss import StackedSets, sets_grad
 from .optimizer import PURPOSE_GRAD, LocalSets, NetworkState, RunConfig, initial_iterates
 from .topology import Graph, MatrixP
 
@@ -76,12 +77,8 @@ def _step_size(config: RunConfig, k: int) -> float:
 
 
 def _batch_grads(x, sets: LocalSets, config: RunConfig, round_idx: int) -> np.ndarray:
-    """The round's batch gradients: through the local sets' CSR operator
-    when they have one, with no row gathered, else from the gathered rows."""
-    local = sets.local
-    if local.csr is not None:
-        return sets_grad(x, local, sets.draw(config.batch_g, round_idx, PURPOSE_GRAD))
-    return stacked_grad(x, *sets.batch(config.batch_g, round_idx, PURPOSE_GRAD), local.lam)
+    """The round's batch gradients."""
+    return sets_grad(x, *sets.batch(config.batch_g, round_idx, PURPOSE_GRAD))
 
 
 def dsgd_round(x, W: np.ndarray, sets: LocalSets, config: RunConfig, k: int) -> np.ndarray:

@@ -399,6 +399,18 @@ def certify(
     else:
         gap = _bracketed_root(excess, gap_lo, gap_hi, f_lo, f_hi)
     term1, val, c2_star, kap = terms(gap)
+    if f_lo > 0.0 > f_hi and term1 < val:
+        # Where c0 is a small part of its range, term one moves by more
+        # than its last bits from one float gap to the next, so a root at
+        # which it binds can sit below the crossing value.  The first
+        # smaller gap at which the crossing value binds lies in Brent's
+        # last bracket, a few floats away; the larger min of the two is kept.
+        below, t = gap, (term1, val)
+        while t[0] < t[1]:
+            below = math.nextafter(below, 0.0)
+            t = terms(below)
+        if t[1] > term1:
+            gap, (term1, val, c2_star, kap) = below, t
     delta_s = min(term1, val)
     c0_star = hi - gap
     if not (kap > 0.0 and delta_s > 0.0):

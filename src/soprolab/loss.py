@@ -15,11 +15,13 @@ compressed sparse row (CSR) form, and ``(n,)`` labels.  :func:`partition`
 writes each row once into its slot: the zero-filled ``(N, C, d)`` block of
 one :class:`StackedSets`, which every later layer takes, or the test set.
 Sparse enough rows also give the sets a block-diagonal CSR operator,
-written in the same pass, through which the rounds read them.
-The stacked functions (:func:`stacked_margins`, :func:`stacked_grad`,
-:func:`sets_grad`, :func:`sigma_sq_estimate`, and :func:`logistic_coef`
-and :func:`logistic_curvature` of stacked margins) work on all agents at
-once.
+written in the same pass.  Rounds read any sets, whole or gathered batch
+rows, through :meth:`StackedSets.matvec` (or :meth:`~StackedSets.matvecs`)
+and :meth:`StackedSets.rmatvec`.
+The stacked functions (:func:`sets_grad`, :func:`on_batches`,
+:func:`stacked_margins`, :func:`stacked_grad`, :func:`sigma_sq_estimate`,
+and :func:`logistic_coef` and :func:`logistic_curvature` of stacked
+margins) work on all agents at once.
 :class:`Sample`, the ``sample_*`` functions, the per-agent
 :class:`LocalDataset` and the ``batch_*`` functions are the definitions
 those are checked against.
@@ -60,7 +62,6 @@ __all__ = [
     "stacked_margins",
     "stacked_grad",
     "on_batches",
-    "batch_coef",
     "sets_grad",
     "logistic_coef",
     "logistic_curvature",
@@ -129,8 +130,8 @@ class StackedSets:
     and its column ``c`` is column ``i d + c``; padding rows are empty.
     :meth:`matvec` and :meth:`rmatvec` then read the sets through it (and
     its transpose, made once) instead of the dense block, which stays for
-    the reference solve, the bounds and the gathered rows of a
-    factorisation.  :func:`partition` sets it for sparse rows.
+    the reference solve, the bounds and gathered batch rows.
+    :func:`partition` sets it for sparse rows.
     """
 
     feats: np.ndarray  # (N, W, d)
@@ -199,6 +200,15 @@ class StackedSets:
         if self.csr is None:
             return stacked_margins(x, self.feats)
         return (self.csr @ x.ravel()).reshape(self.feats.shape[:2])
+
+    def matvecs(self, *xs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """:meth:`matvec` of each ``(N, d)`` point in ``xs``: one stacked
+        product of the dense block, or one sparse product a point, which
+        copies no point (at the scale200 shape, one sparse product of the
+        stacked points, or stacking them, was slower)."""
+        if self.csr is None:
+            return tuple(np.moveaxis(self.feats @ np.stack(xs, axis=2), 2, 0))
+        return tuple(self.matvec(x) for x in xs)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """``(N, d)`` sums ``F_i^T v_i`` of every agent's rows under its row
@@ -796,27 +806,22 @@ def stacked_grad(
     )
 
 
-def on_batches(idx: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
-    """``(N, width)`` zeros holding every agent's ``(N, k)`` ``values`` at
-    its positions ``idx``."""
-    out = np.zeros((len(idx), width))
-    out[np.arange(len(idx))[:, None], idx] = values
-    return out
+def on_batches(local: StackedSets, idx: np.ndarray | None, fn, *rows: np.ndarray):
+    """``fn`` of every agent's batch, and the batch sizes.
 
-
-def batch_coef(local: StackedSets, margins: np.ndarray, idx: np.ndarray | None) -> np.ndarray:
-    """``(N, W)`` gradient coefficients of every agent's batch, each divided
-    by its batch size and zero off the batch.
-
-    ``margins`` are ``local.matvec(x)`` over the whole local sets and
-    ``idx`` the ``(N, k)`` positions of the batches in them (``None``: the
-    whole sets): the batch gradients are ``lam x - F^T coef``.
+    ``rows`` are ``(N, W)`` arrays over the whole local sets, such as
+    ``local.matvec(x)`` and ``local.labels``, and ``idx`` the ``(N, k)``
+    positions of the batches in them (``None``: the whole sets).  Returns
+    ``(values, size)``: ``(N, W)`` values of ``fn`` at the batch rows and
+    zero off them, and the ``(N, 1)`` counts of the whole sets or the
+    batch size ``k``, which a batch mean divides by.
     """
     if idx is None:
-        return logistic_coef(margins, local.labels) / local.counts[:, None]
+        return fn(*rows), local.counts[:, None]
     agents = np.arange(len(idx))[:, None]
-    values = logistic_coef(margins[agents, idx], local.labels[agents, idx]) / idx.shape[1]
-    return on_batches(idx, values, margins.shape[1])
+    values = np.zeros(rows[0].shape)
+    values[agents, idx] = fn(*(r[agents, idx] for r in rows))
+    return values, idx.shape[1]
 
 
 def sets_grad(
@@ -825,18 +830,20 @@ def sets_grad(
     idx: np.ndarray | None,
     margins: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batch gradients of all agents at once, one row each, read from the
-    whole local sets through ``local.matvec`` and ``local.rmatvec``.
+    """Batch gradients of all agents at once, one row each, read through
+    ``local.matvec`` and ``local.rmatvec``.
 
     ``idx`` are the ``(N, k)`` positions of every agent's batch in its
     local set (``None``: the whole sets) and ``margins``, if given,
-    ``local.matvec(x)``.  No row is gathered: the coefficients off the
-    batch are zero (:func:`batch_coef`).  Row ``i`` equals
-    :func:`batch_grad` on the same rows up to summation order.
+    ``local.matvec(x)``.  The coefficients off the batch are zero
+    (:func:`on_batches`).  On whole dense sets this makes the calls of
+    :func:`stacked_grad`.  Row ``i`` equals :func:`batch_grad` on the same
+    rows up to summation order.
     """
     if margins is None:
         margins = local.matvec(x)
-    return local.lam[:, None] * x - local.rmatvec(batch_coef(local, margins, idx))
+    coef, size = on_batches(local, idx, logistic_coef, margins, local.labels)
+    return local.lam[:, None] * x - local.rmatvec(coef) / size
 
 
 def logistic_coef(margins: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -42,17 +42,16 @@ Hessian batch size ``S``, the widest local set ``W`` and ``d``:
   then needs two passes over the local sets, with no row gather.  The
   rule keeps the cached ``N W^2`` floats no larger than the ``N W d`` of
   the local sets themselves.
-* otherwise :func:`row_step`.  :class:`LocalSets` gathers the batch rows
-  from the stacked local sets (:class:`~soprolab.loss.StackedSets`) into
-  one buffer that every round reuses (whole sets need no gather), and
-  stacked matrix products give all batch gradients ``g_i`` and the
-  ``sqrt(w_i)``; the step takes the rows and those scales.  In full
-  batch the gradient and the curvature share one margins pass.  Only its
-  factorisation looks at ``S`` against ``d``: at ``S >= d`` it factors
-  each agent's shifted ``d x d`` system, scaling one agent's rows at a
-  time into an ``S x d`` scratch, so no ``(N, S, d)`` factor is built;
-  at ``S < d`` (with ``W > d``, where a Gram stack would be larger than
-  the data) it factors the Woodbury ``S x S`` systems from the rows.
+* otherwise :func:`row_step`, on the batches of :class:`LocalSets`.
+  Every batch is a :class:`~soprolab.loss.StackedSets` read through its
+  ``matvec`` and ``rmatvec``: one margins pass gives the batch gradients
+  ``g_i`` (:func:`~soprolab.loss.sets_grad`) and the ``sqrt(w_i)``, and
+  the step takes the batch and those scales.  Only its factorisation
+  looks at ``S`` against ``d``: at ``S >= d`` it factors each agent's
+  shifted ``d x d`` system, scaling one agent's rows at a time into an
+  ``S x d`` scratch, so no ``(N, S, d)`` factor is built; at ``S < d``
+  (with ``W > d``, where a Gram stack would be larger than the data) it
+  factors the Woodbury ``S x S`` systems from the rows.
 
 Each path solves its systems one of two ways, chosen once per run by
 :func:`proximal_engine`.  The curvature part of a system is bounded
@@ -70,27 +69,25 @@ Richardson iteration with the shift as preconditioner (Saad 2003,
 error is at most ``rho^(k+1)``.  The term count ``k`` is the least with
 ``rho^(k+1) <= 2^-53``, so the series is exact to roundoff.  It runs
 whenever ``rho < 1``, for every ``S``: the row path applies
-``F_i^T (w_i (F_i v))`` to the rows it already holds, and Gram applies
-the gathered ``S x S`` block of its Gram stack.  Under certified alphas
-the shift dwarfs the curvature (``rho`` about 1e-6 on the a4a- and
-mushrooms-shaped problems, ``k = 2``).  At ``rho >= 1``, and whenever a
-shift is not positive, the factorisation runs.
+``F_i^T (w_i (F_i v))`` through the batch's ``matvec`` and ``rmatvec``,
+and Gram applies the gathered ``S x S`` block of its Gram stack.  Under
+certified alphas the shift dwarfs the curvature (``rho`` about 1e-6 on
+the a4a- and mushrooms-shaped problems, ``k = 2``).  At ``rho >= 1``,
+and whenever a shift is not positive, the factorisation runs.
 
-Local sets parsed from sparse rows carry a block-diagonal CSR operator
-(see :func:`~soprolab.loss.partition` for when), and
-:func:`proximal_engine` also names what a round's passes read:
+What a batch holds is decided in one place, :func:`batch_operator`, and
+the engine's ``operator`` reports it:
 
-* ``"csr"``, on the Gram path and on the row path with the series.  Every
-  pass is one sparse product over the whole local sets, ``F x`` or
-  ``F^T v``; no row is gathered.  Both batches are drawn at the same
-  ``x``, so one margins pass serves the gradient and the curvature, and
-  the gradient coefficients and curvature weights are zero-filled
-  ``(N, W)`` arrays that hold the batch rows' values at their positions:
-  a row off its batch adds nothing.  The row step's series then applies
-  ``F_i^T (w_i (F_i v))`` through the operator.
-* ``"dense"`` otherwise: the stacked-block products above, bit for bit.
-  The row path's factorisation gathers dense rows even when an operator
-  is present.
+* ``"csr"``: local sets parsed from sparse rows carry a block-diagonal CSR
+  operator (see :func:`~soprolab.loss.partition` for when).  Unless the
+  row path factors its rows, a batch is the whole sets and the drawn
+  positions, every pass is one sparse product over the whole sets, and
+  the values of a row off its batch are zero
+  (:func:`~soprolab.loss.on_batches`).  Both batches are drawn at the
+  same ``x``, so the gradient and the curvature share one margins pass.
+* ``"dense"`` otherwise: a batch is its rows, gathered from the stacked
+  block into one buffer that every round reuses, with its own margins
+  pass.  Whole sets need no gather.  The Gram path reads whole sets.
 
 A factorisation that fails names the agent whose system is not positive
 definite.  :func:`local_step` steps one agent alone by Cholesky: it is the per-agent
@@ -119,14 +116,12 @@ from .errors import ConfigurationError, DivergenceError, InvariantViolation, Par
 from .loss import (
     LowRankHessian,
     StackedSets,
-    batch_coef,
     batch_grad,
     batch_hess,
+    logistic_coef,
     logistic_curvature,
     on_batches,
     sets_grad,
-    stacked_grad,
-    stacked_margins,
 )
 from .topology import MatrixP
 
@@ -142,6 +137,7 @@ __all__ = [
     "draw_batches",
     "sample_batches",
     "agent_batch_stats",
+    "batch_operator",
     "LocalSets",
     "check_finite",
     "initial_iterates",
@@ -315,16 +311,38 @@ def agent_batch_stats(
     return batch_grad(x_i, ds, g_idx), batch_hess(x_i, ds, s_idx)
 
 
+def batch_operator(local: StackedSets, factors: bool = False) -> str:
+    """What a round reads its batches through, the one place where the
+    format of the local sets decides a round: ``"csr"``, the whole sets
+    through their CSR operator, when they have one and the step does not
+    factor the batch rows (``factors``); else ``"dense"``, the batch rows
+    gathered from the stacked block (reading whole dense sets instead was
+    1.4x slower at the a4a shape)."""
+    return "dense" if local.csr is None or factors else "csr"
+
+
+class _BatchRows(StackedSets):
+    """Batch rows that :class:`LocalSets` gathered: real rows of checked
+    local sets at positions :meth:`LocalSets.draw` checked, so they are not
+    checked again (the check took 40 us a batch at the a4a shape, 8% of a
+    dense DSGT round, on one BLAS thread of a 2-vCPU x86 VM)."""
+
+    def __post_init__(self):
+        pass
+
+
 class LocalSets:
-    """The rows of each round's batches, drawn from the stacked local sets.
+    """Each round's batches, read through ``operator`` (default:
+    :func:`batch_operator` of a step that factors no rows).
 
     Gathered rows go to one buffer of ``N * k * d`` floats that every round
     reuses; a round reads them there and does not write them.
     """
 
-    def __init__(self, local: StackedSets, seed: int):
+    def __init__(self, local: StackedSets, seed: int, operator: str | None = None):
         self.local = local
         self.seed = seed
+        self.whole = (operator or batch_operator(local)) == "csr"
         n, width, d = local.feats.shape
         self._flat = local.feats.reshape(n * width, d)
         self._offsets = width * np.arange(n)[:, None]
@@ -343,7 +361,7 @@ class LocalSets:
         the size of every local set), which need no draw.
 
         Every position is checked to lie inside its agent's set: the
-        gathers that use them do not check.
+        gathers and scatters that use them do not check.
         """
         counts = self.local.counts
         if size is None or np.all(counts == size):
@@ -354,21 +372,22 @@ class LocalSets:
         return idx
 
     def batch(self, size: int | None, round_idx: int, purpose: int):
-        """``(N, k, d)`` rows, ``(N, k)`` labels and ``(N,)`` row counts of
-        every agent's batch.
-
-        Whole sets (see :meth:`draw`) are the stacked block itself, with
-        no copy.
+        """Every agent's batch as ``(sets, positions)``, to read through
+        ``sets.matvec`` and ``sets.rmatvec``: the local sets and the drawn
+        ``(N, k)`` positions when read through the operator or whole (see
+        :meth:`draw`; positions ``None``), else the batch rows gathered into
+        the shared buffer, with their labels, and ``None``.
         """
         idx = self.draw(size, round_idx, purpose)
-        if idx is None:
-            return self.local.feats, self.local.labels, self.local.counts
+        if idx is None or self.whole:
+            return self.local, idx
         # mode="clip" gathers straight into the buffer (the default "raise"
         # gathers into a temporary first); draw() checked the range.
         rows = np.take(
             self._flat, idx + self._offsets, axis=0, out=self.buffer(size), mode="clip"
         )
-        return rows, np.take_along_axis(self.local.labels, idx, axis=1), np.full(len(idx), size)
+        labels = np.take_along_axis(self.local.labels, idx, axis=1)
+        return _BatchRows(rows, labels, np.full(len(idx), size), self.local.lam), None
 
 
 def check_finite(x: np.ndarray, round_idx: int) -> None:
@@ -486,22 +505,6 @@ def _series_solve(apply_h, r: np.ndarray, c: np.ndarray, terms: int) -> np.ndarr
     return s
 
 
-def _normal_product(F, v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """``F_i^T (w_i * (F_i v_i))`` for every agent, from the ``(N, S, d)``
-    rows or through the operator of the local sets ``F`` (a
-    :class:`~soprolab.loss.StackedSets`), and ``(N, S)`` weights
-    (``None``: ones): ``H_i v_i`` without ``H_i``."""
-    if isinstance(F, StackedSets):
-        u = F.matvec(v)
-        if w is not None:
-            u *= w
-        return F.rmatvec(u)
-    u = (F @ v[:, :, None])[:, :, 0]
-    if w is not None:
-        u *= w
-    return (u[:, None, :] @ F)[:, 0, :]
-
-
 def _shifted_cholesky_solve(K: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve every ``(K_i + c_i I) z_i = b_i`` in place, shifting ``K``'s
     diagonal first; return ``b``, now holding the ``z_i`` (see
@@ -514,29 +517,27 @@ def _shifted_cholesky_solve(K: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.n
 def row_step(
     x: np.ndarray,
     rhs: np.ndarray,
-    F: np.ndarray,
+    F: StackedSets,
     sw: np.ndarray,
     c: np.ndarray,
     terms: int | None = None,
 ) -> np.ndarray:
     """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``
-    with ``B_i = sw_i F_i``, from the rows.
+    with ``B_i = sw_i F_i``, from the rows of a batch.
 
-    ``x`` and ``rhs`` are ``(N, d)``, the rows ``F`` are ``(N, S, d)`` for
-    any ``S``, their scales ``sw`` (the square roots of the curvature
-    weights) ``(N, S)`` and ``c`` is ``(N,)``.  ``F`` and ``sw`` are not
-    written.  Zero rows in ``F_i`` add nothing.
+    ``x`` and ``rhs`` are ``(N, d)``; ``F`` is a batch from
+    :meth:`LocalSets.batch`, its ``(N, S, d)`` rows for any ``S``, and
+    ``sw`` the ``(N, S)`` scales of its rows (the square roots of the
+    curvature weights, zero on a row off the Hessian batch); ``c`` is
+    ``(N,)``.  ``F`` and ``sw`` are not written.  Zero rows add nothing.
 
     With ``terms`` (see :func:`proximal_engine`) every ``c_i`` must be
     positive, and all agents are solved at once by that many terms of the
-    Neumann series, each applying ``F_i^T (sw_i^2 (F_i v))`` to the rows:
-    no system is formed.  ``F`` may then also be the whole local sets, a
-    :class:`~soprolab.loss.StackedSets` with a CSR operator, and ``sw``
-    ``(N, W)``, zero off the Hessian batches: the products go through
-    the operator, and no row is gathered.
+    Neumann series, each applying ``F_i^T (sw_i^2 (F_i v))`` through
+    ``F.matvec`` and ``F.rmatvec``: no system is formed.
 
-    Without, each agent's system is factored, and ``S`` against ``d``
-    picks the smaller one:
+    Without, each agent's system is factored from the rows ``F.feats``,
+    and ``S`` against ``d`` picks the smaller one:
 
     * ``S >= d``: one agent at a time, its rows are scaled into one
       ``S x d`` scratch ``b``, one symmetric product forms ``b^T b`` into
@@ -557,18 +558,19 @@ def row_step(
     if terms is not None:
         _check_shift(c)
         w = sw * sw
-        return x - _series_solve(lambda v: _normal_product(F, v, w), rhs, c, terms)
-    n, rows, d = F.shape
+        return x - _series_solve(lambda v: F.rmatvec(w * F.matvec(v)), rhs, c, terms)
+    feats = F.feats
+    n, rows, d = feats.shape
     if rows < d:
         _check_shift(c)
-        B = sw[:, :, None] * F
+        B = sw[:, :, None] * feats
         Bt = B.transpose(0, 2, 1)
         z = _shifted_cholesky_solve(B @ Bt, c, (B @ rhs[:, :, None])[:, :, 0])
         return x - (rhs - (Bt @ z[:, :, None])[:, :, 0]) / c[:, None]
     b, h = np.empty((rows, d)), np.empty((d, d))
     z = rhs.copy()
     for i in range(n):
-        np.multiply(sw[i, :, None], F[i], out=b)
+        np.multiply(sw[i, :, None], feats[i], out=b)
         np.matmul(b.T, b, out=h)
         h.flat[:: d + 1] += c[i]
         if dposv(h.T, z[i], 1, 1, 1)[2] > 0:
@@ -590,8 +592,8 @@ def gram_step(
     Gram matrices of their local sets.
 
     ``x`` and ``t = lam x + beta y + q`` are ``(N, d)``; ``gram`` is the
-    ``(N, W, W)`` stack of ``F_i F_i^T`` over the stacked local sets
-    ``F = local.feats``; ``g_idx`` and ``s_idx`` are the gradient and
+    ``(N, W, W)`` stack of ``F_i F_i^T`` over the local sets ``F``
+    (``local``); ``g_idx`` and ``s_idx`` are the gradient and
     Hessian batches from :meth:`LocalSets.draw` (``None``: whole sets);
     ``c`` is ``(N,)``.
 
@@ -600,29 +602,24 @@ def gram_step(
     t_i - F_i^T chat_i``.  The Woodbury form of :func:`row_step` at
     ``S < d`` needs ``B_i B_i^T``, which is ``gram[i]`` restricted to
     ``S_i`` and scaled by ``sqrt(w_i)`` on both sides, and ``B_i r_i =
-    sqrt(w_i) (F_i t_i - gram[i] chat_i)[S_i]``.  So one product ``F [x, t]`` gives
-    the margins ``F x`` (hence ``chat`` and ``w``) and ``F t``; one
-    Cholesky factor-and-solve per agent gives ``z_i``; and one product
-    ``F^T v``, ``v_i = chat_i + scatter(sqrt(w_i) z_i)``, gives the step
-    ``(t - F^T v) / c``: two passes over the local sets and no row gather.
+    sqrt(w_i) (F_i t_i - gram[i] chat_i)[S_i]``.  So one
+    ``local.matvecs(x, t)`` gives the margins ``F x`` (hence ``chat`` and
+    ``w``) and ``F t``; one Cholesky factor-and-solve per agent gives
+    ``z_i``; and one ``local.rmatvec`` of ``v``, ``v_i = chat_i +
+    scatter(sqrt(w_i) z_i)``, gives the step ``(t - F^T v) / c``: two
+    passes over the local sets and no row gather.
     This path runs with ``S < d``, so, as in :func:`row_step`'s Woodbury
     form, ``c_i > 0`` is checked first.  Zero padding rows add nothing.
 
     With ``terms`` (see :func:`proximal_engine`) each ``S x S`` system is
     solved instead by that many terms of the Neumann series, each applying
     the unshifted ``B_i B_i^T``.
-
-    When ``local`` has a CSR operator, both passes go through it
-    (``local.matvec`` of ``x`` and of ``t``, then ``local.rmatvec``); the
-    Gram stack and its gather are the same either way.
     """
     _check_shift(c)
     agents = np.arange(len(local.counts))[:, None]
-    if local.csr is None:
-        u, Ft = np.moveaxis(local.feats @ np.stack([x, t], axis=2), 2, 0)
-    else:
-        u, Ft = local.matvec(x), local.matvec(t)
-    coef = batch_coef(local, u, g_idx)
+    u, Ft = local.matvecs(x, t)
+    coef, size = on_batches(local, g_idx, logistic_coef, u, local.labels)
+    coef /= size
     Fr = Ft - (gram @ coef[:, :, None])[:, :, 0]  # F r: r = t - F^T chat
     if s_idx is None:
         sw = np.sqrt(logistic_curvature(u) / local.counts[:, None])
@@ -661,8 +658,9 @@ class Engine:
     ``terms`` is the series' term count, ``None`` on the factorisation;
     ``rho_bound`` bounds every ``||h_i - lam_i I|| / c_i``, ``None`` when a
     shift ``c_i`` is not positive;
-    ``operator`` is what a round's passes read the local sets through:
-    ``"csr"``, the sets' CSR operator, or ``"dense"``, the stacked block.
+    ``operator`` is what a round reads its batches through (see
+    :func:`batch_operator`): ``"csr"``, the whole sets through their CSR
+    operator, or ``"dense"``, the stacked block.
     """
 
     path: str
@@ -692,10 +690,8 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     The path follows from the Hessian batch size ``S`` (the widest local
     set ``W`` in full batch), ``W`` and ``d`` (see the module docstring).
     The solve is the Neumann series when every shift is positive and
-    ``rho < 1``, else Cholesky.  The rounds read the local sets through
-    their CSR operator, when they have one, on the Gram path and on the
-    row path with the series; the row path's factorisation gathers dense
-    rows.
+    ``rho < 1``, else Cholesky.  The operator is :func:`batch_operator`'s;
+    only the row path's factorisation factors its batch rows.
     """
     _, width, d = local.feats.shape
     rows = width if config.algorithm == "sopro" else config.batch_s
@@ -705,9 +701,8 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     if np.all(shift > 0.0):
         rho = float(np.max(0.25 * local.row_sq.max(axis=1) / shift))
         terms = _series_terms(rho)
-    sparse = local.csr is not None and (path == "gram_step" or terms is not None)
     return Engine(path, "cholesky" if terms is None else "series", terms, rho,
-                  "csr" if sparse else "dense")
+                  batch_operator(local, path == "row_step" and terms is None))
 
 
 def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
@@ -716,14 +711,13 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     ``alphas`` is the ``(N,)`` vector of the proximal matrices
     ``D_i = alphas[i] I``.  The round steps all agents with one batched
     call, on the path, with the solve and through the operator
-    :func:`proximal_engine` chooses here: :func:`row_step` on the gathered
-    batch rows or, through the CSR operator, on the whole local sets; or
-    :func:`gram_step` (its Gram stack computed here once), each by
-    Cholesky or by the Neumann series.  The full-batch deterministic
-    variant follows the same code path with both batches forced to the
-    whole local sets, its curvature taken from the gradient's margins (the
-    same rows at the same point), so its trace is bitwise identical to the
-    stochastic method at ``G = S = C``.
+    :func:`proximal_engine` chooses here: :func:`row_step` on the batches
+    of :meth:`LocalSets.batch`, or :func:`gram_step` (its Gram stack
+    computed here once), each by Cholesky or by the Neumann series.  The
+    full-batch deterministic variant follows the same code path with both
+    batches forced to the whole local sets, its curvature taken from the
+    gradient's margins (the same rows at the same point), so its trace is
+    bitwise identical to the stochastic method at ``G = S = C``.
 
     Returns the state after the initial exchange, its ``engine`` set, the
     round function, and the ``2 |E| d`` scalars each exchange sends, at
@@ -738,7 +732,7 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     state = init_network(P, local, config)
     engine = state.engine = proximal_engine(local, config, alphas)
     terms = engine.terms
-    sets = LocalSets(local, config.seed)
+    sets = LocalSets(local, config.seed, engine.operator)
     beta, full = config.beta, config.algorithm == "sopro"
     batch_g = None if full else config.batch_g
     batch_s = None if full else config.batch_s
@@ -759,39 +753,20 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
 
         return state, gram_round, sent, sent
 
-    if engine.operator == "csr":
-        width = local.feats.shape[1]
-        agents = np.arange(P.n_agents)[:, None]
-
-        def csr_row_round(state: NetworkState, k: int) -> None:
-            # Both batches are drawn at the same x, so one pass over the
-            # whole sets gives every margin; off its batch a row's weights
-            # are zero.
-            u = local.matvec(state.x)
-            grads = sets_grad(state.x, local, sets.draw(batch_g, k, PURPOSE_GRAD), u)
-            s_idx = sets.draw(batch_s, k, PURPOSE_HESS)
-            if s_idx is None:
-                w = logistic_curvature(u) / local.counts[:, None]
-            else:
-                w = on_batches(s_idx, logistic_curvature(u[agents, s_idx]) / batch_s, width)
-            rhs = grads + beta * state.y + state.q
-            state.x = row_step(state.x, rhs, local, np.sqrt(w), shift, terms)
-            exchange_and_dual_update(state, P, beta)
-
-        return state, csr_row_round, sent, sent
-
     def row_round(state: NetworkState, k: int) -> None:
-        rows = sets.batch(batch_g, k, PURPOSE_GRAD)
-        u = stacked_margins(state.x, rows[0])
-        grads = stacked_grad(state.x, *rows, local.lam, margins=u)
-        if not full:
-            # Gathered after the gradient: both batches share the buffer.
-            rows = sets.batch(batch_s, k, PURPOSE_HESS)
-            u = stacked_margins(state.x, rows[0])
-        F, _, counts = rows
-        # Rows past an agent's count are zero padding and stay zero.
-        sw = np.sqrt(logistic_curvature(u) / counts[:, None])
-        state.x = row_step(state.x, grads + beta * state.y + state.q, F, sw, shift, terms)
+        G, g_idx = sets.batch(batch_g, k, PURPOSE_GRAD)
+        u = G.matvec(state.x)
+        grads = sets_grad(state.x, G, g_idx, u)
+        # Taken after the gradient: gathered batches share the buffer.  A
+        # batch of the same sets (read through the operator, or whole)
+        # keeps the gradient's margins: both are drawn at the same x.
+        F, s_idx = sets.batch(batch_s, k, PURPOSE_HESS)
+        if F is not G:
+            u = F.matvec(state.x)
+        # A row off the Hessian batch weighs nothing; padding rows are zero.
+        w, size = on_batches(F, s_idx, logistic_curvature, u)
+        rhs = grads + beta * state.y + state.q
+        state.x = row_step(state.x, rhs, F, np.sqrt(w / size), shift, terms)
         exchange_and_dual_update(state, P, beta)
 
     return state, row_round, sent, sent

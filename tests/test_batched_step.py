@@ -21,7 +21,7 @@ from soprolab.loss import (
     batch_grad,
     batch_hess,
     partition,
-    stacked_grad,
+    sets_grad,
 )
 from soprolab.optimizer import (
     PURPOSE_GRAD,
@@ -68,6 +68,13 @@ def tight_first_agent(feats, weights):
 # ------------------------------------------------------------- batched step
 
 
+def rows(F):
+    """The ``(N, S, d)`` rows ``F`` as a batch for ``row_step``: local sets
+    in which every row is a sample."""
+    n, S, _ = F.shape
+    return StackedSets(F, np.ones((n, S)), np.full(n, S), np.ones(n))
+
+
 # S < d factors the Woodbury S x S systems, S >= d the d x d ones; the
 # series takes the same products for both.
 @pytest.mark.parametrize("S", [6, 20], ids=["woodbury", "dense"])
@@ -87,7 +94,7 @@ def test_row_step_matches_dense_inverse_oracle(S):
     def step(F, sw, c, terms=None):
         """``row_step`` on ``F`` and ``sw``, which it must leave as they were."""
         F_in, sw_in = F.copy(), sw.copy()
-        out = row_step(x, rhs, F, sw, c, terms)
+        out = row_step(x, rhs, rows(F), sw, c, terms)
         assert np.array_equal(F, F_in) and np.array_equal(sw, sw_in)
         return out
 
@@ -138,7 +145,7 @@ def definite_small_systems(n, S, d):
 def test_row_step_rejects_nonpositive_shift(F, c, terms):
     n, S, d = F.shape
     with pytest.raises(ConfigurationError) as e:
-        row_step(np.zeros((n, d)), np.ones((n, d)), F, np.ones((n, S)), np.array(c), terms)
+        row_step(np.zeros((n, d)), np.ones((n, d)), rows(F), np.ones((n, S)), np.array(c), terms)
     assert "agent 2" in str(e.value)
 
 
@@ -228,7 +235,7 @@ def test_dense_step_takes_a_negative_shift_that_leaves_the_system_definite():
     rhs = rng.standard_normal((n, d))
     H = B.transpose(0, 2, 1) @ B
     c = -0.5 * np.linalg.eigvalsh(H)[:, 0]
-    out = row_step(x, rhs, B, np.ones((n, S)), c)
+    out = row_step(x, rhs, rows(B), np.ones((n, S)), c)
     for i in range(n):
         expected = x[i] - np.linalg.inv(H[i] + c[i] * np.eye(d)) @ rhs[i]
         assert rel_err(out[i], expected) <= 1e-10
@@ -239,7 +246,7 @@ def test_dense_step_names_the_last_agent_when_only_its_system_is_indefinite():
     B = np.zeros((n, S, d))
     c = np.array([1.0, 2.0, 3.0, -1.0])
     with pytest.raises(ConfigurationError) as e:
-        row_step(np.zeros((n, d)), np.ones((n, d)), B, np.ones((n, S)), c)
+        row_step(np.zeros((n, d)), np.ones((n, d)), rows(B), np.ones((n, S)), c)
     assert f"agent {n - 1}" in str(e.value)
 
 
@@ -259,12 +266,12 @@ def test_dense_step_equals_the_stacked_product_bitwise_and_names_the_failing_age
     sw = np.sqrt(rng.uniform(0.0, 0.25, (n, S)) / S)
     x, rhs = rng.standard_normal((2, n, d))
     c = np.geomspace(0.01, 50.0, n)
-    got = row_step(x, rhs, F, sw, c)
+    got = row_step(x, rhs, rows(F), sw, c)
     assert got.tobytes() == dense_step_stacked(x, rhs, F, sw, c).tobytes()
     # A shift below minus the smallest eigenvalue makes one system indefinite.
     bad = n // 2
     c[bad] = -10.0
-    assert failure(row_step, x, rhs, F, sw, c) == f"agent {bad}"
+    assert failure(row_step, x, rhs, rows(F), sw, c) == f"agent {bad}"
     assert failure(dense_step_stacked, x, rhs, F, sw, c) == f"agent {bad}"
 
 
@@ -505,42 +512,62 @@ def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
             assert abs(got - want) <= 1e-10 * abs(want)
 
 
-@pytest.mark.parametrize(
-    "algorithm, margins_per_round, buffer_rows",
-    [("sopro", 1, []), ("st_sopro", 2, [10, 20])],  # row step, S >= d
-)
-def test_dense_path_rounds_share_margins_in_full_batch_and_build_no_stacked_factor(
-    algorithm, margins_per_round, buffer_rows, monkeypatch
-):
-    P, local = make_problem([40] * 6, 15)
-    margins, buffers = [], []
-    real_margins, real_buffer = optimizer.stacked_margins, LocalSets.buffer
+# (margins passes, rows gathered into the shared buffer) a round takes, by
+# the operator its batches are read through: the whole sets through the
+# operator share one margins pass, gathered G and S rows take one each.
+ROW_ROUND_READS = {
+    ("sopro", "dense"): (1, []),
+    ("sopro", "csr"): (1, []),
+    ("st_sopro", "dense"): (2, [10, 20]),
+    ("st_sopro", "csr"): (1, []),
+}
 
-    def count_margins(x, feats):
-        margins.append(feats.shape)
-        return real_margins(x, feats)
+
+@pytest.mark.parametrize("sets", ["dense", "csr"])
+@pytest.mark.parametrize("algorithm", ["sopro", "st_sopro"])  # row step, S >= d
+def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
+    P, local = make_problem([40] * 6, 15)
+    if sets == "csr":
+        local = with_operator(local)
+    whole, buffers = [], []
+    real_matvec, real_buffer = StackedSets.matvec, LocalSets.buffer
+
+    def count_matvec(self, x):
+        whole.append(self is local)
+        return real_matvec(self, x)
 
     def record_buffer(self, k):
         buffers.append(k)
         return real_buffer(self, k)
 
-    monkeypatch.setattr(optimizer, "stacked_margins", count_margins)
+    monkeypatch.setattr(StackedSets, "matvec", count_matvec)
     monkeypatch.setattr(LocalSets, "buffer", record_buffer)
     config = RunConfig(batch_g=10, batch_s=20, max_iters=3, seed=1, algorithm=algorithm)
-    # The series' products go through neither counted function.
+    operators = []
     for solve, alphas in (("cholesky", factorising_alphas(local)),
                           ("series", certified_alphas(P, local))):
-        margins.clear()
+        whole.clear()
         buffers.clear()
-        assert optimizer.proximal_engine(local, config, alphas).solve == solve
+        engine = optimizer.proximal_engine(local, config, alphas)
+        assert engine.solve == solve
+        operators.append(engine.operator)
         run(P, local, config, alphas)
-        assert len(margins) == margins_per_round * config.max_iters
-        # SoPro asks for no buffer; St-SoPro only for its gathered G and S rows.
-        assert buffers == buffer_rows * config.max_iters
+        margins, gathered = ROW_ROUND_READS[algorithm, engine.operator]
+        # Each term of the series applies F^T (w (F v)): one more matvec.
+        assert len(whole) == (margins + (engine.terms or 0)) * config.max_iters
+        # Gathered rows are never the whole sets; the operator reads only them.
+        assert whole == [not gathered] * len(whole)
+        assert buffers == gathered * config.max_iters
+    # The factorisation gathers dense rows, the series reads the operator.
+    assert operators == ["dense", sets]
 
 
-@pytest.mark.parametrize("d", [15, 60])  # rows, Gram
-def test_run_refuses_a_drawn_index_outside_a_local_set(d, monkeypatch):
+@pytest.mark.parametrize(
+    "d, operator",
+    [pytest.param(d, operator, id=str(d) + ("-csr" if operator else ""))
+     for operator in (False, True) for d in (15, 60)],  # rows, Gram
+)
+def test_run_refuses_a_drawn_index_outside_a_local_set(d, operator, monkeypatch):
     def past_the_end(sizes, size, *args):
         idx = draw_batches(sizes, size, *args)
         idx[1, -1] = sizes[1]  # a padding row of the 30-row set
@@ -548,9 +575,15 @@ def test_run_refuses_a_drawn_index_outside_a_local_set(d, monkeypatch):
 
     monkeypatch.setattr(optimizer, "draw_batches", past_the_end)
     P, local = make_problem([20, 30, 45, 25, 35], d, seed=1)
+    if operator:
+        # The whole-set scatter reads the drawn positions, as the gather does.
+        local = with_operator(local)
+    config = RunConfig(batch_g=8, batch_s=6, max_iters=3, seed=2)
+    alphas = certified_alphas(P, local)
+    assert optimizer.proximal_engine(local, config, alphas).operator == (
+        "csr" if operator else "dense")
     with pytest.raises(InvariantViolation, match="round 0: drawn index outside a local set"):
-        run(P, local, RunConfig(batch_g=8, batch_s=6, max_iters=3, seed=2),
-            certified_alphas(P, local))
+        run(P, local, config, alphas)
 
 
 # ------------------------------------------------------------- engine choice
@@ -705,7 +738,7 @@ def test_dsgt_tracker_sum_equals_last_gradient_sum():
     W = metropolis_weights(P.graph).matrix
     sets = LocalSets(local, config.seed)
     x = optimizer.initial_iterates(P, local, config)
-    tracker = grads = stacked_grad(x, *sets.batch(10, 0, PURPOSE_GRAD), local.lam)
+    tracker = grads = sets_grad(x, *sets.batch(10, 0, PURPOSE_GRAD))
     gaps = []
     for k in range(config.max_iters + 1):
         want = grads.sum(axis=0)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -478,7 +478,21 @@ def network_m_beta(bounds, P, beta):
     return m_beta(float(bounds.m.sum()), bounds.n_agents, bounds.max_M, beta, P.spectral.lambda_w)[0]
 
 
+def small_c0_crossing():
+    """A drawn problem whose best c0 is about 4e-5 of its range.  There
+    term one moves by about 3e-11 of its value from one float gap to the
+    next, and a root at which term one bound left delta_s 5.3e-12 below
+    the nested search (a high-precision evaluation put the crossing at
+    0.00433872179041083011)."""
+    P = ring_P(3)  # the complete graph on 3 agents
+    bounds = SmoothnessBounds(m=np.array([0.01, 0.5, 0.01]),
+                              M=np.array([0.01, 0.5, 0.01390625]))
+    alphas, _ = proximal_alphas(bounds, P, 1.0, 0.5)
+    return P, bounds, alphas, 1.0, 0.5, 1.0
+
+
 @given(certified_problems())
+@example(small_c0_crossing())
 @PROPERTY
 def test_certify_is_at_least_the_nested_search(problem):
     P, bounds, alphas, beta, eta, c1 = problem

@@ -213,6 +213,28 @@ def test_stacked_batch_statistics_match_per_agent_batches(sizes):
 
 
 @pytest.mark.parametrize("operator", [False, True], ids=["dense", "csr"])
+def test_matvecs_of_several_points_are_their_matvecs(operator):
+    rng = np.random.default_rng(11)
+    local = stacked([make_dataset(rng, C=C, d=7, lam=0.05) for C in (12, 9, 12)])
+    if operator:
+        local = StackedSets(local.feats, local.labels, local.counts, local.lam,
+                            csr_matrix(scipy.linalg.block_diag(*local.feats)))
+    points = rng.standard_normal((4, 3, 7))
+    got = local.matvecs(*points)
+    assert len(got) == 4
+    for product, x in zip(got, points):
+        if operator:  # one sparse product a point
+            assert np.array_equal(product, local.matvec(x))
+        else:
+            # BLAS may sum one product of several points in another order
+            # than a product of one.
+            assert np.allclose(product, local.matvec(x), rtol=1e-14, atol=1e-15)
+    if not operator:  # the dense block takes the points in one stacked product
+        fused = local.feats @ np.stack(points, axis=2)
+        assert all(np.array_equal(product, fused[:, :, j]) for j, product in enumerate(got))
+
+
+@pytest.mark.parametrize("operator", [False, True], ids=["dense", "csr"])
 def test_set_gradients_of_drawn_batches_match_per_agent_batches(operator):
     # Unequal sets: agent 1's padding rows are empty rows of the operator.
     rng = np.random.default_rng(5)
