@@ -20,78 +20,66 @@ then a synchronous exchange refreshes the weighted disagreements
 ``q_i <- q_i + beta y_i``.  The deterministic parent method is the exact
 special case where both batches are the whole local dataset.
 
-A round is a few array operations over all agents at once; only the
-factorisations loop over agents.  One draw per purpose gives every
-agent's batch as a row of an ``(N, G)`` index array (:func:`draw_batches`).
-Every proximal matrix is ``D_i = alpha_i I``, and the engine runs with
-the ``(N,)`` vector of the ``alpha_i`` it is given: choosing them is
-:func:`soprolab.certificate.proximal_alphas`'s job.  Agent ``i``'s
-system is ``c_i I + B_i^T B_i`` with ``c_i = lam_i + alpha_i`` and the
-factor ``B_i = sqrt(w_i) F_{S_i}`` of its Hessian batch's rows under the
-curvature weights ``w_i`` (``h_i = lam I + B_i^T B_i``).  One batched
-step moves all agents, by one Cholesky factor-and-solve per agent, in
-place, or by a truncated Neumann series for all agents at once (see
-below).  The step takes one of two paths, chosen once per run from the
-Hessian batch size ``S``, the widest local set ``W`` and ``d``:
+A round is a few array operations over all agents at once.  One draw
+per purpose gives every agent's batch as a row of an ``(N, G)`` index
+array (:func:`draw_batches`).  Every proximal matrix is ``D_i = alpha_i
+I``, and the engine runs with the ``(N,)`` vector of the ``alpha_i`` it
+is given: choosing them is :func:`soprolab.certificate.proximal_alphas`'s
+job.  Agent ``i``'s system is ``c_i I + B_i^T B_i`` with ``c_i = lam_i +
+alpha_i`` and the factor ``B_i = sqrt(w_i) F_{S_i}`` of its Hessian
+batch's rows under the curvature weights ``w_i`` (``h_i = lam I + B_i^T
+B_i``).  Every shift ``c_i`` must be positive: a run refuses one that is
+not before round 0, naming the agent.
 
-* ``S < d`` and no local set wider than ``d`` (``W <= d``):
-  :func:`gram_step`.  By the Woodbury identity each agent solves the
-  ``S x S`` system ``c_i I + B_i B_i^T``, which is a principal submatrix
-  of the local Gram ``F_i F_i^T`` scaled by the curvature weights.  That
-  Gram stack is computed once per run, before round 0, and a round
-  then needs two passes over the local sets, with no row gather.  The
-  rule keeps the cached ``N W^2`` floats no larger than the ``N W d`` of
-  the local sets themselves.
-* otherwise :func:`row_step`, on the batches of :class:`LocalSets`.
-  Every batch is a :class:`~soprolab.loss.StackedSets` read through its
-  ``matvec`` and ``rmatvec``: one margins pass gives the batch gradients
-  ``g_i`` (:func:`~soprolab.loss.sets_grad`) and the ``sqrt(w_i)``, and
-  the step takes the batch and those scales.  Only its factorisation
-  looks at ``S`` against ``d``: at ``S >= d`` it factors each agent's
-  shifted ``d x d`` system, scaling one agent's rows at a time into an
-  ``S x d`` scratch, so no ``(N, S, d)`` factor is built; at ``S < d``
-  (with ``W > d``, where a Gram stack would be larger than the data) it
-  factors the Woodbury ``S x S`` systems from the rows.
-
-Each path solves its systems one of two ways, chosen once per run by
-:func:`proximal_engine`.  The curvature part of a system is bounded
-before round 0: ``B_i^T B_i = sum_r w_r a_r a_r^T`` with the logistic
-weights ``w_r = p_r (1 - p_r) / count <= 1 / (4 count)`` over the
-``count`` rows of the batch, so ``||B_i^T B_i|| <= max_r |a_r|^2 / 4``
-over agent ``i``'s local set.  When every ``c_i > 0``,
+The curvature part of a system is bounded before round 0: ``B_i^T B_i =
+sum_r w_r a_r a_r^T`` with the logistic weights ``w_r = p_r (1 - p_r) /
+count <= 1 / (4 count)`` over the ``count`` rows of the batch, so
+``||B_i^T B_i|| <= max_r |a_r|^2 / 4`` over agent ``i``'s local set, and
 
     ``rho = max_i max_r |a_r|^2 / (4 c_i)``
 
-bounds every ``||B_i^T B_i|| / c_i``.  If ``rho < 1``, the series
-``s = r / c``, then ``k`` times ``s <- (r - B^T B s) / c``, is the
-Richardson iteration with the shift as preconditioner (Saad 2003,
-*Iterative Methods for Sparse Linear Systems*, ch. 4), and its relative
-error is at most ``rho^(k+1)``.  The term count ``k`` is the least with
-``rho^(k+1) <= 2^-53``, so the series is exact to roundoff.  It runs
-whenever ``rho < 1``, for every ``S``: the row path applies
-``F_i^T (w_i (F_i v))`` through the batch's ``matvec`` and ``rmatvec``,
-and Gram applies the gathered ``S x S`` block of its Gram stack.  Under
-certified alphas the shift dwarfs the curvature (``rho`` about 1e-6 on
-the a4a- and mushrooms-shaped problems, ``k = 2``).  At ``rho >= 1``,
-and whenever a shift is not positive, the factorisation runs.
+bounds every ``||B_i^T B_i|| / c_i``.  From ``rho``, the Hessian batch
+size ``S`` (the widest local set ``W`` in full batch), ``W`` and ``d``,
+:func:`proximal_engine` chooses once per run one of three solves:
 
-What a batch holds is decided in one place, :func:`batch_operator`, and
-the engine's ``operator`` reports it:
+* ``rho < 1``, any shape: :func:`row_step` with the truncated Neumann
+  series ``s = r / c``, then ``k`` times ``s <- (r - B^T B s) / c``.  It
+  is the Richardson iteration with the shift as preconditioner (Saad
+  2003, *Iterative Methods for Sparse Linear Systems*, ch. 4), and its
+  relative error is at most ``rho^(k+1)``; ``k`` is the least with
+  ``rho^(k+1) <= 2^-53``, so the series is exact to roundoff.  Under
+  certified alphas the shift dwarfs the curvature (``rho`` about 1e-6 on
+  the a4a- and mushrooms-shaped problems, ``k = 2``).
+* ``rho >= 1``, ``S < d`` and no local set wider than ``d`` (``W <=
+  d``): :func:`gram_step`, which factors each agent's ``S x S`` Woodbury
+  system from the Gram stack of its local set, computed once before
+  round 0.  The rule keeps the cached ``N W^2`` floats no larger than the
+  ``N W d`` of the local sets themselves.
+* ``rho >= 1`` otherwise: :func:`row_step` with conjugate gradients
+  (Hestenes & Stiefel 1952) on all agents at once.  ``B_i^T B_i`` has
+  rank at most ``S``, so ``c_i I + B_i^T B_i`` has at most ``S + 1``
+  distinct eigenvalues and CG ends in at most ``S + 1`` iterations in
+  exact arithmetic; its condition number is at most ``1 + rho``.  Each
+  agent stops once its residual is ``CG_TOL`` of its right-hand side's.
+
+Both row solves apply ``F_i^T (w_i (F_i v))`` through the batch's
+``matvec`` and ``rmatvec``: no system is formed and no row is factored.
+What a batch holds follows from the local sets alone, and the engine's
+``operator`` reports it:
 
 * ``"csr"``: local sets parsed from sparse rows carry a block-diagonal CSR
-  operator (see :func:`~soprolab.loss.partition` for when).  Unless the
-  row path factors its rows, a batch is the whole sets and the drawn
-  positions, every pass is one sparse product over the whole sets, and
-  the values of a row off its batch are zero
-  (:func:`~soprolab.loss.on_batches`).  Both batches are drawn at the
-  same ``x``, so the gradient and the curvature share one margins pass.
+  operator (see :func:`~soprolab.loss.partition` for when).  A batch is
+  the whole sets and the drawn positions, every pass is one sparse
+  product over the whole sets, and the values of a row off its batch are
+  zero (:func:`~soprolab.loss.on_batches`).  Both batches are drawn at
+  the same ``x``, so the gradient and the curvature share one margins
+  pass.
 * ``"dense"`` otherwise: a batch is its rows, gathered from the stacked
   block into one buffer that every round reuses, with its own margins
   pass.  Whole sets need no gather.  The Gram path reads whole sets.
 
-A factorisation that fails names the agent whose system is not positive
-definite.  :func:`local_step` steps one agent alone by Cholesky: it is the per-agent
-oracle the batched steps are tested against.
+:func:`local_step` steps one agent alone by Cholesky: it is the
+per-agent oracle the batched steps are tested against.
 
 Randomness comes from counter-based substreams of the master seed.  The
 initial iterates use one substream per agent.  The batches of one (round,
@@ -137,7 +125,6 @@ __all__ = [
     "draw_batches",
     "sample_batches",
     "agent_batch_stats",
-    "batch_operator",
     "LocalSets",
     "check_finite",
     "initial_iterates",
@@ -311,16 +298,6 @@ def agent_batch_stats(
     return batch_grad(x_i, ds, g_idx), batch_hess(x_i, ds, s_idx)
 
 
-def batch_operator(local: StackedSets, factors: bool = False) -> str:
-    """What a round reads its batches through, the one place where the
-    format of the local sets decides a round: ``"csr"``, the whole sets
-    through their CSR operator, when they have one and the step does not
-    factor the batch rows (``factors``); else ``"dense"``, the batch rows
-    gathered from the stacked block (reading whole dense sets instead was
-    1.4x slower at the a4a shape)."""
-    return "dense" if local.csr is None or factors else "csr"
-
-
 class _BatchRows(StackedSets):
     """Batch rows that :class:`LocalSets` gathered: real rows of checked
     local sets at positions :meth:`LocalSets.draw` checked, so they are not
@@ -332,17 +309,19 @@ class _BatchRows(StackedSets):
 
 
 class LocalSets:
-    """Each round's batches, read through ``operator`` (default:
-    :func:`batch_operator` of a step that factors no rows).
+    """Each round's batches: the whole sets, read through their CSR
+    operator, when they have one; else the batch rows gathered from the
+    stacked block (reading whole dense sets instead was 1.4x slower at the
+    a4a shape).
 
     Gathered rows go to one buffer of ``N * k * d`` floats that every round
     reuses; a round reads them there and does not write them.
     """
 
-    def __init__(self, local: StackedSets, seed: int, operator: str | None = None):
+    def __init__(self, local: StackedSets, seed: int):
         self.local = local
         self.seed = seed
-        self.whole = (operator or batch_operator(local)) == "csr"
+        self.whole = local.csr is not None
         n, width, d = local.feats.shape
         self._flat = local.feats.reshape(n * width, d)
         self._offsets = width * np.arange(n)[:, None]
@@ -441,11 +420,17 @@ def _not_positive_definite(agent: int) -> ConfigurationError:
 
 
 def _check_shift(c: np.ndarray) -> None:
-    """``c_i I + B_i^T B_i`` is positive definite iff ``c_i > 0``: raise
-    for the first agent where it is not."""
+    """Raise for the first agent whose shift ``c_i`` is not positive: every
+    solve divides by it, and with ``S < d`` it is the smallest eigenvalue
+    of ``c_i I + B_i^T B_i``, which a definite ``c_i I_S + B_i B_i^T``
+    does not imply."""
     bad = np.flatnonzero(~(c > 0.0))
     if bad.size:
-        raise _not_positive_definite(int(bad[0]))
+        i = int(bad[0])
+        raise ConfigurationError(
+            f"agent {i}: the shift lam_i + alpha_i = {c[i]:g} is not positive; "
+            "the proximal blocks are too small for this problem"
+        )
 
 
 def local_step(
@@ -505,13 +490,41 @@ def _series_solve(apply_h, r: np.ndarray, c: np.ndarray, terms: int) -> np.ndarr
     return s
 
 
-def _shifted_cholesky_solve(K: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve every ``(K_i + c_i I) z_i = b_i`` in place, shifting ``K``'s
-    diagonal first; return ``b``, now holding the ``z_i`` (see
-    :func:`_cholesky_solve`)."""
-    diag = np.arange(K.shape[1])
-    K[:, diag, diag] += c[:, None]
-    return _cholesky_solve(K, b)
+# CG stops an agent once its residual is at most this fraction of its
+# right-hand side.
+CG_TOL = 1e-13
+
+
+def _cg_solve(apply_h, r: np.ndarray, c: np.ndarray, iterations: int) -> np.ndarray:
+    """Every ``(c_i I + H_i)^{-1} r_i`` by conjugate gradients, all agents at once.
+
+    ``apply_h`` is as for :func:`_series_solve` and returns a new array;
+    each ``H_i`` is symmetric positive semidefinite and each ``c_i > 0``.
+    From ``z = 0``, each CG iteration applies ``H`` once to every agent's
+    search direction.  An agent stops once its residual is finite and at
+    most ``CG_TOL`` times its ``|r_i|``, and all agents stop after
+    ``iterations``.  A residual that is not finite never stops its agent,
+    so a NaN or inf right-hand side reaches ``z`` rather than leaving it
+    at zero.
+    """
+    c = c[:, None]
+    z = np.zeros_like(r)
+    res, p = r.copy(), r.copy()
+    rs = np.einsum("ij,ij->i", r, r)
+    stop = CG_TOL**2 * rs
+    for _ in range(iterations):
+        live = ~(np.isfinite(rs) & (rs <= stop))
+        if not live.any():
+            break
+        q = apply_h(p)
+        q += c * p
+        step = np.divide(rs, np.einsum("ij,ij->i", p, q), out=np.zeros_like(rs), where=live)
+        z += step[:, None] * p
+        res -= step[:, None] * q
+        rs, last = np.einsum("ij,ij->i", res, res), rs
+        p *= np.divide(rs, last, out=np.zeros_like(rs), where=live)[:, None]
+        p += res
+    return z
 
 
 def row_step(
@@ -520,7 +533,8 @@ def row_step(
     F: StackedSets,
     sw: np.ndarray,
     c: np.ndarray,
-    terms: int | None = None,
+    solve: str,
+    terms: int,
 ) -> np.ndarray:
     """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``
     with ``B_i = sw_i F_i``, from the rows of a batch.
@@ -529,53 +543,21 @@ def row_step(
     :meth:`LocalSets.batch`, its ``(N, S, d)`` rows for any ``S``, and
     ``sw`` the ``(N, S)`` scales of its rows (the square roots of the
     curvature weights, zero on a row off the Hessian batch); ``c`` is
-    ``(N,)``.  ``F`` and ``sw`` are not written.  Zero rows add nothing.
+    ``(N,)``, every entry positive (checked, naming the first agent whose
+    is not).  ``F`` and ``sw`` are not written.  Zero rows add nothing.
 
-    With ``terms`` (see :func:`proximal_engine`) every ``c_i`` must be
-    positive, and all agents are solved at once by that many terms of the
-    Neumann series, each applying ``F_i^T (sw_i^2 (F_i v))`` through
-    ``F.matvec`` and ``F.rmatvec``: no system is formed.
-
-    Without, each agent's system is factored from the rows ``F.feats``,
-    and ``S`` against ``d`` picks the smaller one:
-
-    * ``S >= d``: one agent at a time, its rows are scaled into one
-      ``S x d`` scratch ``b``, one symmetric product forms ``b^T b`` into
-      a ``d x d`` system, its diagonal is shifted by ``c_i``, and one
-      Cholesky factor-and-solve solves it in place, without an
-      ``(N, S, d)`` factor.  The factorisation is the positive-definiteness
-      check: the first agent whose system fails it is named.
-    * ``S < d``: by the Woodbury identity
-
-          ``(c I + B^T B)^{-1} r = (r - B^T (c I_S + B B^T)^{-1} B r) / c``,
-
-      each agent factors an ``S x S`` system instead.  ``B_i^T B_i`` has
-      rank at most ``S < d``, so the smallest eigenvalue of ``h_i + D_i``
-      is exactly ``c_i``: the system is positive definite if and only if
-      ``c_i > 0``, which is checked first, since a positive definite
-      ``c_i I_S + B_i B_i^T`` does not imply it.
+    All agents are solved at once, with ``solve`` (see
+    :func:`proximal_engine`): ``"series"``, ``terms`` terms of the
+    Neumann series, or ``"cg"``, conjugate gradients for at most ``terms``
+    iterations (in exact arithmetic CG ends within ``S + 1``, the most
+    distinct eigenvalues a system can have).  Either applies ``F_i^T
+    (sw_i^2 (F_i v))`` through ``F.matvec`` and ``F.rmatvec`` once a term
+    or iteration: no system is formed.
     """
-    if terms is not None:
-        _check_shift(c)
-        w = sw * sw
-        return x - _series_solve(lambda v: F.rmatvec(w * F.matvec(v)), rhs, c, terms)
-    feats = F.feats
-    n, rows, d = feats.shape
-    if rows < d:
-        _check_shift(c)
-        B = sw[:, :, None] * feats
-        Bt = B.transpose(0, 2, 1)
-        z = _shifted_cholesky_solve(B @ Bt, c, (B @ rhs[:, :, None])[:, :, 0])
-        return x - (rhs - (Bt @ z[:, :, None])[:, :, 0]) / c[:, None]
-    b, h = np.empty((rows, d)), np.empty((d, d))
-    z = rhs.copy()
-    for i in range(n):
-        np.multiply(sw[i, :, None], feats[i], out=b)
-        np.matmul(b.T, b, out=h)
-        h.flat[:: d + 1] += c[i]
-        if dposv(h.T, z[i], 1, 1, 1)[2] > 0:
-            raise _not_positive_definite(i)
-    return x - z
+    _check_shift(c)
+    w = sw * sw
+    solver = _series_solve if solve == "series" else _cg_solve
+    return x - solver(lambda v: F.rmatvec(w * F.matvec(v)), rhs, c, terms)
 
 
 def gram_step(
@@ -586,34 +568,33 @@ def gram_step(
     g_idx: np.ndarray | None,
     s_idx: np.ndarray | None,
     c: np.ndarray,
-    terms: int | None = None,
 ) -> np.ndarray:
     """Proximal steps of all agents, batch gradients included, from the
-    Gram matrices of their local sets.
+    Gram matrices of their local sets, by one Cholesky factorisation of a
+    Woodbury ``S x S`` system per agent.
 
     ``x`` and ``t = lam x + beta y + q`` are ``(N, d)``; ``gram`` is the
     ``(N, W, W)`` stack of ``F_i F_i^T`` over the local sets ``F``
     (``local``); ``g_idx`` and ``s_idx`` are the gradient and
     Hessian batches from :meth:`LocalSets.draw` (``None``: whole sets);
-    ``c`` is ``(N,)``.
+    ``c`` is ``(N,)``, every entry positive (checked, naming the first
+    agent whose is not).
 
-    With ``chat_i`` the gradient coefficients of agent ``i``'s G batch
-    (zero off it), the right-hand side is ``r_i = g_i + beta y_i + q_i =
-    t_i - F_i^T chat_i``.  The Woodbury form of :func:`row_step` at
-    ``S < d`` needs ``B_i B_i^T``, which is ``gram[i]`` restricted to
-    ``S_i`` and scaled by ``sqrt(w_i)`` on both sides, and ``B_i r_i =
-    sqrt(w_i) (F_i t_i - gram[i] chat_i)[S_i]``.  So one
-    ``local.matvecs(x, t)`` gives the margins ``F x`` (hence ``chat`` and
-    ``w``) and ``F t``; one Cholesky factor-and-solve per agent gives
-    ``z_i``; and one ``local.rmatvec`` of ``v``, ``v_i = chat_i +
-    scatter(sqrt(w_i) z_i)``, gives the step ``(t - F^T v) / c``: two
-    passes over the local sets and no row gather.
-    This path runs with ``S < d``, so, as in :func:`row_step`'s Woodbury
-    form, ``c_i > 0`` is checked first.  Zero padding rows add nothing.
+    By the Woodbury identity
 
-    With ``terms`` (see :func:`proximal_engine`) each ``S x S`` system is
-    solved instead by that many terms of the Neumann series, each applying
-    the unshifted ``B_i B_i^T``.
+        ``(c I + B^T B)^{-1} r = (r - B^T (c I_S + B B^T)^{-1} B r) / c``,
+
+    each agent solves an ``S x S`` system.  With ``chat_i`` the gradient
+    coefficients of agent ``i``'s G batch (zero off it), the right-hand
+    side is ``r_i = g_i + beta y_i + q_i = t_i - F_i^T chat_i``.
+    ``B_i B_i^T`` is ``gram[i]`` restricted to ``S_i`` and scaled by
+    ``sqrt(w_i)`` on both sides, and ``B_i r_i = sqrt(w_i) (F_i t_i -
+    gram[i] chat_i)[S_i]``.  So one ``local.matvecs(x, t)`` gives the
+    margins ``F x`` (hence ``chat`` and ``w``) and ``F t``; one Cholesky
+    factor-and-solve per agent gives ``z_i``; and one ``local.rmatvec`` of
+    ``v``, ``v_i = chat_i + scatter(sqrt(w_i) z_i)``, gives the step
+    ``(t - F^T v) / c``: two passes over the local sets and no row gather.
+    Zero padding rows add nothing.
     """
     _check_shift(c)
     agents = np.arange(len(local.counts))[:, None]
@@ -631,10 +612,9 @@ def gram_step(
         K = np.take(gram, (agents * width + s_idx)[:, :, None] * width + s_idx[:, None, :])
         z = sw * Fr[agents, s_idx]
     K *= sw[:, :, None] * sw[:, None, :]
-    if terms is None:
-        _shifted_cholesky_solve(K, c, z)
-    else:
-        z = _series_solve(lambda v: (K @ v[:, :, None])[:, :, 0], z, c, terms)
+    diag = np.arange(K.shape[1])
+    K[:, diag, diag] += c[:, None]
+    _cholesky_solve(K, z)
     z *= sw
     if s_idx is None:
         coef += z
@@ -654,19 +634,18 @@ class Engine:
     """How a proximal run steps, chosen once before round 0.
 
     ``path`` is the step function, ``"row_step"`` or ``"gram_step"``;
-    ``solve`` is ``"cholesky"`` or ``"series"``;
-    ``terms`` is the series' term count, ``None`` on the factorisation;
-    ``rho_bound`` bounds every ``||h_i - lam_i I|| / c_i``, ``None`` when a
-    shift ``c_i`` is not positive;
-    ``operator`` is what a round reads its batches through (see
-    :func:`batch_operator`): ``"csr"``, the whole sets through their CSR
-    operator, or ``"dense"``, the stacked block.
+    ``solve`` is ``"series"`` or ``"cg"`` on the row path, ``"cholesky"``
+    on the Gram path; ``terms`` is the series' term count or CG's
+    iteration cap, ``None`` on Cholesky; ``rho_bound`` bounds every
+    ``||h_i - lam_i I|| / c_i``; ``operator`` is what a round reads its
+    batches through (see :class:`LocalSets`): ``"csr"``, the whole sets
+    through their CSR operator, or ``"dense"``, the stacked block.
     """
 
     path: str
     solve: str
     terms: int | None
-    rho_bound: float | None
+    rho_bound: float
     operator: str
 
 
@@ -684,25 +663,40 @@ def _series_terms(rho: float) -> int | None:
     return k
 
 
+def _cg_iterations(rho: float) -> int:
+    """CG's iteration cap at ``rho >= 1``: the least ``k`` with ``2
+    sqrt(kappa) q^k <= CG_TOL``, ``q = (sqrt(kappa) - 1) / (sqrt(kappa) +
+    1)``, ``kappa = 1 + rho``.  That is CG's a-priori bound on the relative
+    residual after ``k`` iterations on a system whose condition number is
+    at most ``kappa`` (Saad 2003, section 6.11.3)."""
+    root = math.sqrt(1.0 + rho)
+    return math.ceil(math.log(CG_TOL / (2.0 * root)) / math.log((root - 1.0) / (root + 1.0)))
+
+
 def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     """The path, the solve and the operator :func:`proximal` takes for this run.
 
-    The path follows from the Hessian batch size ``S`` (the widest local
-    set ``W`` in full batch), ``W`` and ``d`` (see the module docstring).
-    The solve is the Neumann series when every shift is positive and
-    ``rho < 1``, else Cholesky.  The operator is :func:`batch_operator`'s;
-    only the row path's factorisation factors its batch rows.
+    Every shift ``lam_i + alpha_i`` must be positive: the first agent whose
+    is not is named in a :class:`~soprolab.errors.ConfigurationError`.  The
+    solve follows from the bound ``rho``, the Hessian batch size ``S``
+    (the widest local set ``W`` in full batch), ``W`` and ``d`` (see the
+    module docstring): the series when ``rho < 1``, else Cholesky on the
+    Gram path when ``S < d`` and ``W <= d``, else CG.  The operator is
+    ``"csr"`` when the local sets have a CSR operator, else ``"dense"``.
     """
     _, width, d = local.feats.shape
-    rows = width if config.algorithm == "sopro" else config.batch_s
-    path = "gram_step" if rows < d and width <= d else "row_step"
     shift = local.lam + np.asarray(alphas, dtype=float)
-    rho = terms = None
-    if np.all(shift > 0.0):
-        rho = float(np.max(0.25 * local.row_sq.max(axis=1) / shift))
-        terms = _series_terms(rho)
-    return Engine(path, "cholesky" if terms is None else "series", terms, rho,
-                  batch_operator(local, path == "row_step" and terms is None))
+    _check_shift(shift)
+    rho = float(np.max(0.25 * local.row_sq.max(axis=1) / shift))
+    rows = width if config.algorithm == "sopro" else config.batch_s
+    terms = _series_terms(rho)
+    if terms is not None:
+        path, solve = "row_step", "series"
+    elif rows < d and width <= d:
+        path, solve = "gram_step", "cholesky"
+    else:
+        path, solve, terms = "row_step", "cg", _cg_iterations(rho)
+    return Engine(path, solve, terms, rho, "dense" if local.csr is None else "csr")
 
 
 def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
@@ -710,14 +704,14 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
 
     ``alphas`` is the ``(N,)`` vector of the proximal matrices
     ``D_i = alphas[i] I``.  The round steps all agents with one batched
-    call, on the path, with the solve and through the operator
-    :func:`proximal_engine` chooses here: :func:`row_step` on the batches
-    of :meth:`LocalSets.batch`, or :func:`gram_step` (its Gram stack
-    computed here once), each by Cholesky or by the Neumann series.  The
-    full-batch deterministic variant follows the same code path with both
-    batches forced to the whole local sets, its curvature taken from the
-    gradient's margins (the same rows at the same point), so its trace is
-    bitwise identical to the stochastic method at ``G = S = C``.
+    call, on the path and with the solve :func:`proximal_engine` chooses
+    here: :func:`row_step` on the batches of :meth:`LocalSets.batch`, by
+    the Neumann series or by CG, or :func:`gram_step` (its Gram stack
+    computed here once), by Cholesky.  The full-batch deterministic
+    variant follows the same code path with both batches forced to the
+    whole local sets, its curvature taken from the gradient's margins
+    (the same rows at the same point), so its trace is bitwise identical
+    to the stochastic method at ``G = S = C``.
 
     Returns the state after the initial exchange, its ``engine`` set, the
     round function, and the ``2 |E| d`` scalars each exchange sends, at
@@ -731,8 +725,8 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
         raise ConfigurationError("alphas must be finite")
     state = init_network(P, local, config)
     engine = state.engine = proximal_engine(local, config, alphas)
-    terms = engine.terms
-    sets = LocalSets(local, config.seed, engine.operator)
+    solve, terms = engine.solve, engine.terms
+    sets = LocalSets(local, config.seed)
     beta, full = config.beta, config.algorithm == "sopro"
     batch_g = None if full else config.batch_g
     batch_s = None if full else config.batch_s
@@ -748,7 +742,7 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
             t = local.lam[:, None] * state.x + beta * state.y + state.q
             g_idx = sets.draw(batch_g, k, PURPOSE_GRAD)
             s_idx = sets.draw(batch_s, k, PURPOSE_HESS)
-            state.x = gram_step(state.x, t, local, gram, g_idx, s_idx, shift, terms)
+            state.x = gram_step(state.x, t, local, gram, g_idx, s_idx, shift)
             exchange_and_dual_update(state, P, beta)
 
         return state, gram_round, sent, sent
@@ -766,7 +760,7 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
         # A row off the Hessian batch weighs nothing; padding rows are zero.
         w, size = on_batches(F, s_idx, logistic_curvature, u)
         rhs = grads + beta * state.y + state.q
-        state.x = row_step(state.x, rhs, F, np.sqrt(w / size), shift, terms)
+        state.x = row_step(state.x, rhs, F, np.sqrt(w / size), shift, solve, terms)
         exchange_and_dual_update(state, P, beta)
 
     return state, row_round, sent, sent

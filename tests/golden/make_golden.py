@@ -2,9 +2,10 @@
 change must reproduce.
 
 Each case is one :func:`~soprolab.harness.experiment.run_experiment` on
-synthetic data (d <= 40, 30 rounds): St-SoPro on the row path with
-``S >= d`` and with ``S < d < C``, and on the Gram path; full-batch
-SoPro, DSGD and DSGT.  One more reads a small one-hot LIBSVM file, which
+synthetic data (d <= 40, 30 rounds): St-SoPro with ``S >= d``, with
+``S < d < C`` and with ``S < C <= d``; full-batch SoPro, DSGD and DSGT.
+Every proximal case runs at certified alphas, so it takes the row step
+with the Neumann series.  One more reads a small one-hot LIBSVM file, which
 :func:`record` writes to a temporary directory first, so its rounds read
 the local sets through their CSR operator.  A golden file holds, per
 round, ``opt_err``, ``q_err``, ``comm_bits`` and ``test_acc``; and per run
@@ -43,15 +44,15 @@ COMMON = dict(
 ONE_HOT = "one_hot.svm"
 
 # name: (the proximal step every round must take, the operator its rounds
-# read the local sets through, config).  The engine picks Gram when S < d
-# and C <= d, and the row step otherwise: with S >= d ("dense") or
-# S < d < C ("woodbury"), the two factorisations it holds, though these
-# runs take the series.
+# read the local sets through, config).  The names give the shape: S >= d
+# ("dense"), S < d < C ("woodbury") and S < C <= d ("gram"), where the
+# engine factors the Woodbury systems from the Gram stack at rho >= 1.
+# At the certified alphas every case takes the series on the row step.
 CASES = {
     "st_sopro_dense": ("row_step", "dense", dict(algorithm="st_sopro", dim=8, per_agent=30,
                                                  batch_g=10, batch_s=10)),
-    "st_sopro_gram": ("gram_step", "dense", dict(algorithm="st_sopro", dim=40, per_agent=30,
-                                                 batch_g=10, batch_s=10)),
+    "st_sopro_gram": ("row_step", "dense", dict(algorithm="st_sopro", dim=40, per_agent=30,
+                                                batch_g=10, batch_s=10)),
     "st_sopro_woodbury": ("row_step", "dense", dict(algorithm="st_sopro", dim=20,
                                                     per_agent=40, batch_g=10, batch_s=8)),
     "sopro": ("row_step", "dense", dict(algorithm="sopro", dim=10, per_agent=30)),
@@ -63,6 +64,7 @@ CASES = {
                                                  per_agent=30, batch_g=10, batch_s=8)),
 }
 
+# The proximal step functions; a case's runs must call exactly one.
 STEPS = ("row_step", "gram_step")
 
 

@@ -104,8 +104,8 @@ def parse_and_partition_dense(text, n_agents, per_agent, seed, lambda_reg, dim=N
 
 
 def dense_step_stacked(x, rhs, F, sw, c):
-    """The dense ``d x d`` factorisation of ``row_step`` (``S >= d``) with
-    every factor ``B_i = sw_i F_i`` stacked: one product builds all
+    """The proximal step of ``row_step`` by dense ``d x d`` factorisations,
+    with every factor ``B_i = sw_i F_i`` stacked: one product builds all
     ``B_i^T B_i``, then one ``dposv`` per agent solves its shifted system.
     The first failing agent is named as ``agent i:``."""
     B = sw[:, :, None] * F

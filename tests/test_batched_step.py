@@ -75,8 +75,20 @@ def rows(F):
     return StackedSets(F, np.ones((n, S)), np.full(n, S), np.ones(n))
 
 
-# S < d factors the Woodbury S x S systems, S >= d the d x d ones; the
-# series takes the same products for both.
+def with_operator(local):
+    """The same local sets with a block-diagonal CSR operator, built from
+    the dense block: padding rows are empty rows."""
+    return replace(local, csr=block_diag([csr_matrix(f) for f in local.feats], format="csr"))
+
+
+def csr_rows(F):
+    """:func:`rows` read through a CSR operator."""
+    return with_operator(rows(F))
+
+
+# S < d ("woodbury") and S >= d ("dense"): CG at rho >= 1 and the series
+# at rho < 1 take the same products for both, on dense rows and through a
+# CSR operator.
 @pytest.mark.parametrize("S", [6, 20], ids=["woodbury", "dense"])
 def test_row_step_matches_dense_inverse_oracle(S):
     rng = np.random.default_rng(S)
@@ -91,10 +103,10 @@ def test_row_step_matches_dense_inverse_oracle(S):
         h = LowRankHessian(lam=lam, weights=weights[i], feats=feats[i])
         expected[i] = x[i] - np.linalg.inv(h.dense() + alphas[i] * np.eye(d)) @ rhs[i]
 
-    def step(F, sw, c, terms=None):
+    def step(sets, F, sw, c, solve, terms):
         """``row_step`` on ``F`` and ``sw``, which it must leave as they were."""
         F_in, sw_in = F.copy(), sw.copy()
-        out = row_step(x, rhs, rows(F), sw, c, terms)
+        out = row_step(x, rhs, sets(F), sw, c, solve, terms)
         assert np.array_equal(F, F_in) and np.array_equal(sw, sw_in)
         return out
 
@@ -105,9 +117,16 @@ def test_row_step_matches_dense_inverse_oracle(S):
 
     c = lam + alphas
     sw = np.sqrt(weights)
-    for out in (step(feats, sw, c), step(*padded(feats, sw), c)):
-        for i in range(n):
-            assert rel_err(out[i], expected[i]) <= 1e-10
+    rho = rho_bound(feats, c)
+    assert rho >= 1.0
+    iterations = optimizer._cg_iterations(rho)
+    for sets in (rows, csr_rows):
+        for F, sw_ in ((feats, sw), padded(feats, sw)):
+            out = step(sets, F, sw_, c, "cg", iterations)
+            oracle = dense_step_stacked(x, rhs, F, sw_, c)
+            for i in range(n):
+                assert rel_err(out[i], expected[i]) <= 1e-10
+                assert rel_err(out[i], oracle[i]) <= 1e-10
 
     feats, weights = tight_first_agent(feats, weights)
     assert rho_bound(feats[:1], c[:1]) == rho_bound(feats, c)
@@ -115,11 +134,13 @@ def test_row_step_matches_dense_inverse_oracle(S):
     for rho in SERIES_RHOS:
         Fs = feats * np.sqrt(rho / rho_bound(feats, c))
         terms = optimizer._series_terms(rho)
-        for out in (step(Fs, sw, c, terms), step(*padded(Fs, sw), c, terms)):
-            for i in range(n):
-                B = sw[i, :, None] * Fs[i]
-                A = B.T @ B + c[i] * np.eye(d)
-                assert rel_err(out[i], x[i] - np.linalg.inv(A) @ rhs[i]) <= 1e-12
+        for sets in (rows, csr_rows):
+            for F, sw_ in ((Fs, sw), padded(Fs, sw)):
+                out = step(sets, F, sw_, c, "series", terms)
+                for i in range(n):
+                    B = sw[i, :, None] * Fs[i]
+                    A = B.T @ B + c[i] * np.eye(d)
+                    assert rel_err(out[i], x[i] - np.linalg.inv(A) @ rhs[i]) <= 1e-12
 
 
 def definite_small_systems(n, S, d):
@@ -141,11 +162,12 @@ def definite_small_systems(n, S, d):
     ],
     ids=["woodbury", "woodbury-definite-small-system", "dense"],
 )
-@pytest.mark.parametrize("terms", [None, 2], ids=["factored", "series"])
-def test_row_step_rejects_nonpositive_shift(F, c, terms):
+@pytest.mark.parametrize("solve, terms", [("cg", 8), ("series", 2)], ids=["cg", "series"])
+def test_row_step_rejects_nonpositive_shift(F, c, solve, terms):
     n, S, d = F.shape
     with pytest.raises(ConfigurationError) as e:
-        row_step(np.zeros((n, d)), np.ones((n, d)), rows(F), np.ones((n, S)), np.array(c), terms)
+        row_step(np.zeros((n, d)), np.ones((n, d)), rows(F), np.ones((n, S)), np.array(c),
+                 solve, terms)
     assert "agent 2" in str(e.value)
 
 
@@ -164,34 +186,18 @@ def test_gram_step_matches_dense_inverse_oracle():
     s_draw = draw_batches(sizes, 4, 3, 0, PURPOSE_HESS)
     # The two batches share rows, which both the gradient and the Hessian use.
     assert any(np.intersect1d(g, s).size for g, s in zip(g_draw, s_draw))
-    # The series runs on copies in which agent 0 repeats its longest row and
-    # sits at x = 0, where every curvature weight is 1 / (4 count): its
-    # ||B^T B|| then equals the bound.
-    first = datasets[0].features
-    tight = [replace(datasets[0], features=np.tile(first[np.argmax((first * first).sum(1))],
-                                                   (sizes[0], 1))), *datasets[1:]]
-    x_tight = x.copy()
-    x_tight[0] = 0.0
-    rho_unscaled = rho_bound(stacked(tight).feats, lam + alphas)
-    assert rho_bound(stacked(tight[:1]).feats, lam + alphas[:1]) == rho_unscaled
-    cases = [(datasets, x, None)] + [
-        ([replace(ds, features=np.sqrt(rho / rho_unscaled) * ds.features) for ds in tight],
-         x_tight, optimizer._series_terms(rho))
-        for rho in SERIES_RHOS
-    ]
-    for sets, x0, terms in cases:
-        local = stacked(sets)
-        assert local.feats.shape[1] == 12 and not local.feats[2, 7:].any()  # zero padding
-        gram = local.feats @ local.feats.transpose(0, 2, 1)
-        for g_idx, s_idx in [(g_draw, s_draw), (None, None), (None, s_draw), (g_draw, None)]:
-            out = gram_step(x0, lam * x0 + prox, local, gram, g_idx, s_idx, lam + alphas, terms)
-            for i, ds in enumerate(sets):
-                whole = np.arange(sizes[i])
-                g = batch_grad(x0[i], ds, whole if g_idx is None else g_idx[i])
-                h = batch_hess(x0[i], ds, whole if s_idx is None else s_idx[i])
-                A = h.dense() + alphas[i] * np.eye(d)
-                expected = x0[i] - np.linalg.inv(A) @ (g + prox[i])
-                assert rel_err(out[i], expected) <= (1e-10 if terms is None else 1e-12)
+    local = stacked(datasets)
+    assert local.feats.shape[1] == 12 and not local.feats[2, 7:].any()  # zero padding
+    gram = local.feats @ local.feats.transpose(0, 2, 1)
+    for g_idx, s_idx in [(g_draw, s_draw), (None, None), (None, s_draw), (g_draw, None)]:
+        out = gram_step(x, lam * x + prox, local, gram, g_idx, s_idx, lam + alphas)
+        for i, ds in enumerate(datasets):
+            whole = np.arange(sizes[i])
+            g = batch_grad(x[i], ds, whole if g_idx is None else g_idx[i])
+            h = batch_hess(x[i], ds, whole if s_idx is None else s_idx[i])
+            A = h.dense() + alphas[i] * np.eye(d)
+            expected = x[i] - np.linalg.inv(A) @ (g + prox[i])
+            assert rel_err(out[i], expected) <= 1e-10
 
 
 def test_gram_step_rejects_nonpositive_shift_with_definite_small_systems():
@@ -222,23 +228,22 @@ def test_cholesky_solve_factors_and_solves_in_place():
         assert rel_err(np.triu(A[i]), np.linalg.cholesky(A0[i]).T) <= 1e-12
 
 
-# The dense factorisation: at S >= d, row_step factors each d x d system.
+# With S >= d the curvature can make c_i I + B_i^T B_i definite on its
+# own, yet a shift that is not positive is refused.
 
 
-def test_dense_step_takes_a_negative_shift_that_leaves_the_system_definite():
-    # With S >= d the Gram can be positive definite on its own; the d x d
-    # factorisation, not the sign of c_i, decides.
+def test_row_step_refuses_a_negative_shift_that_leaves_the_system_definite():
     rng = np.random.default_rng(7)
     n, S, d = 4, 20, 6
     B = rng.standard_normal((n, S, d))
-    x = rng.standard_normal((n, d))
-    rhs = rng.standard_normal((n, d))
     H = B.transpose(0, 2, 1) @ B
-    c = -0.5 * np.linalg.eigvalsh(H)[:, 0]
-    out = row_step(x, rhs, rows(B), np.ones((n, S)), c)
-    for i in range(n):
-        expected = x[i] - np.linalg.inv(H[i] + c[i] * np.eye(d)) @ rhs[i]
-        assert rel_err(out[i], expected) <= 1e-10
+    c = np.ones(n)
+    c[2] = -0.5 * np.linalg.eigvalsh(H[2])[0]
+    assert np.all(np.linalg.eigvalsh(H[2] + c[2] * np.eye(d)) > 0)
+    for solve, terms in (("cg", 8), ("series", 2)):
+        with pytest.raises(ConfigurationError, match="agent 2: the shift"):
+            row_step(np.zeros((n, d)), np.ones((n, d)), rows(B), np.ones((n, S)), c,
+                     solve, terms)
 
 
 def test_dense_step_names_the_last_agent_when_only_its_system_is_indefinite():
@@ -246,33 +251,45 @@ def test_dense_step_names_the_last_agent_when_only_its_system_is_indefinite():
     B = np.zeros((n, S, d))
     c = np.array([1.0, 2.0, 3.0, -1.0])
     with pytest.raises(ConfigurationError) as e:
-        row_step(np.zeros((n, d)), np.ones((n, d)), rows(B), np.ones((n, S)), c)
+        row_step(np.zeros((n, d)), np.ones((n, d)), rows(B), np.ones((n, S)), c, "cg", 4)
     assert f"agent {n - 1}" in str(e.value)
 
 
-def failure(step, *args):
-    """The step's result, or the ``agent i:`` prefix of its refusal."""
-    try:
-        return step(*args)
-    except ConfigurationError as e:
-        return str(e).split(":")[0]
+def test_cg_passes_a_non_finite_right_hand_side_to_the_iterate(monkeypatch):
+    # An agent whose right-hand side is NaN or inf must not count as
+    # converged: its step is NaN, and the run raises a divergence.  The
+    # other agents' right-hand sides are zero, so they are converged from
+    # the start and only the non-finite one can keep CG going.
+    rng = np.random.default_rng(3)
+    n, S, d = 4, 6, 5
+    F = rng.standard_normal((n, S, d))
+    sw = np.full((n, S), 0.5)
+    x = rng.standard_normal((n, d))
+    c = np.full(n, 0.1)
+    for bad in (np.nan, np.inf):
+        rhs = np.zeros((n, d))
+        rhs[2, 1] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = row_step(x, rhs, rows(F), sw, c, "cg",
+                           optimizer._cg_iterations(rho_bound(F, c)))
+        assert np.isnan(out[2]).all()
+        assert np.array_equal(out[[0, 1, 3]], x[[0, 1, 3]])
 
+    def poisoned(x, G, idx, u):
+        grads = real_grad(x, G, idx, u)
+        if len(calls) == 2:
+            grads[3, 0] = np.nan
+        calls.append(1)
+        return grads
 
-@pytest.mark.parametrize("n, S, d", [(7, 20, 15), (5, 15, 15), (3, 120, 112), (1, 9, 4)])
-def test_dense_step_equals_the_stacked_product_bitwise_and_names_the_failing_agent(n, S, d):
-    rng = np.random.default_rng(S * d)
-    F = (rng.random((n, S, d)) < 0.3).astype(float)
-    F[0, S // 2 :] = 0.0  # a padded agent
-    sw = np.sqrt(rng.uniform(0.0, 0.25, (n, S)) / S)
-    x, rhs = rng.standard_normal((2, n, d))
-    c = np.geomspace(0.01, 50.0, n)
-    got = row_step(x, rhs, rows(F), sw, c)
-    assert got.tobytes() == dense_step_stacked(x, rhs, F, sw, c).tobytes()
-    # A shift below minus the smallest eigenvalue makes one system indefinite.
-    bad = n // 2
-    c[bad] = -10.0
-    assert failure(row_step, x, rhs, rows(F), sw, c) == f"agent {bad}"
-    assert failure(dense_step_stacked, x, rhs, F, sw, c) == f"agent {bad}"
+    calls, real_grad = [], optimizer.sets_grad
+    monkeypatch.setattr(optimizer, "sets_grad", poisoned)
+    P, local = make_problem([40] * 6, 15)
+    config = RunConfig(batch_g=10, batch_s=5, max_iters=5, seed=0)
+    assert optimizer.proximal_engine(local, config, factorising_alphas(local)).solve == "cg"
+    with pytest.raises(DivergenceError, match="round 3: agent 3 "):
+        run(P, local, config, factorising_alphas(local))
+    assert len(calls) == 3
 
 
 # ------------------------------------------------------------- full runs
@@ -286,17 +303,10 @@ def make_problem(sizes, d, seed=0, lam=0.1):
     return P, StackedSets.padded(np.split(feats, split), np.split(labels, split), lam)
 
 
-def with_operator(local):
-    """The same local sets with a block-diagonal CSR operator, built from
-    the dense block: padding rows are empty rows."""
-    return replace(local, csr=block_diag([csr_matrix(f) for f in local.feats], format="csr"))
-
-
-def expected_operator(local, path, solve):
-    """What the rounds read the sets through: the operator on the Gram path
-    and on the row path's series, the dense block otherwise."""
-    sparse = local.csr is not None and (path == "gram" or solve == "series")
-    return "csr" if sparse else "dense"
+def expected_operator(local):
+    """What the rounds read the sets through: the operator, when the sets
+    have one, on every path and solve."""
+    return "dense" if local.csr is None else "csr"
 
 
 def certified_alphas(P, local):
@@ -305,7 +315,7 @@ def certified_alphas(P, local):
 
 def factorising_alphas(local):
     """Positive alphas whose shifts put the engine's bound at rho = 2, so
-    that a run keeps the Cholesky factorisation."""
+    that a run factors on the Gram path and takes CG on the row path."""
     return np.full(len(local.lam), 0.125 * local.row_sq.max()) - local.lam
 
 
@@ -344,8 +354,8 @@ def engine_history(P, local, config, alphas, monkeypatch, path, solve):
     """The engine's iterates and duals after every round; each round must
     make one batched step along ``path`` ("row" or "gram"), solved by
     ``solve``: by Cholesky rather than by a general LU solve, or by one
-    Neumann series."""
-    calls = {"row": 0, "gram": 0, "local": 0, "lu": 0, "series": 0}
+    Neumann series or one CG solve."""
+    calls = {"row": 0, "gram": 0, "local": 0, "lu": 0, "series": 0, "cg": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -359,21 +369,27 @@ def engine_history(P, local, config, alphas, monkeypatch, path, solve):
     monkeypatch.setattr(optimizer, "local_step", counted("local", local_step))
     monkeypatch.setattr(np.linalg, "solve", counted("lu", np.linalg.solve))
     monkeypatch.setattr(optimizer, "_series_solve", counted("series", optimizer._series_solve))
+    monkeypatch.setattr(optimizer, "_cg_solve", counted("cg", optimizer._cg_solve))
     history = []
     run(P, local, config, alphas,
         callbacks=[lambda k, s: history.append((s.x.copy(), s.q.copy()))])
-    expected = {"row": 0, "gram": 0, "local": 0, "lu": 0, "series": 0}
+    expected = {"row": 0, "gram": 0, "local": 0, "lu": 0, "series": 0, "cg": 0}
     expected[path] = config.max_iters
-    if solve == "series":
-        expected["series"] = config.max_iters
+    if solve != "cholesky":
+        expected[solve] = config.max_iters
     assert calls == expected
     return history
 
 
 def low_rank_path(low_rank, width, d):
-    """The step a run takes: Gram when the Hessian batch has fewer rows
-    than d and no local set is wider than d, else the row step."""
+    """The step a run takes at rho >= 1: Gram when the Hessian batch has
+    fewer rows than d and no local set is wider than d, else the row
+    step.  At rho < 1 every run takes the row step."""
     return "gram" if low_rank and width <= d else "row"
+
+
+# The solve each path takes at rho >= 1.
+FACTORISING_SOLVE = {"row": "cg", "gram": "cholesky"}
 
 
 def assert_histories_match(got, want):
@@ -384,29 +400,28 @@ def assert_histories_match(got, want):
 
 
 RUN_SHAPES = [
-    ("st_sopro", 5, 15, True),  # S < d < C = 40: rows, Woodbury factorisation
-    ("st_sopro", 20, 15, False),  # S >= d: rows, d x d factorisation
-    ("st_sopro", 5, 60, True),  # S < C = 40 <= d: Gram
-    ("sopro", None, 60, True),  # full batch, C = 40 < d: Gram
-    ("sopro", None, 15, False),  # full batch, C = 40 >= d
+    ("st_sopro", 5, 15, True),  # S < d < C = 40: rows
+    ("st_sopro", 20, 15, False),  # S >= d: rows
+    ("st_sopro", 5, 60, True),  # S < C = 40 <= d: Gram at rho >= 1
+    ("sopro", None, 60, True),  # full batch, C = 40 < d: Gram at rho >= 1
+    ("sopro", None, 15, False),  # full batch, C = 40 >= d: rows
 ]
 
 
-# Certified alphas take the Neumann series on every path; alphas at
-# rho = 2 take the factorisation.
-# The same runs with a CSR operator on the local sets: its rounds must
-# match the per-agent reference too, the factorisation included (it
-# gathers dense rows with the operator present).
+# Certified alphas take the Neumann series on the row path for every
+# shape; alphas at rho = 2 (ids ending in "-cholesky") factor on the Gram
+# path and take CG on the row path.  The same runs with a CSR operator on
+# the local sets must match the per-agent reference too.
 @pytest.mark.parametrize(
-    "algorithm, batch_s, d, low_rank, solve, operator",
-    [pytest.param(*shape, solve, operator,
+    "algorithm, batch_s, d, low_rank, certified, operator",
+    [pytest.param(*shape, certified, operator,
                   id="-".join(map(str, shape)) + suffix + ("-csr" if operator == "csr" else ""))
      for operator in ("dense", "csr")
-     for solve, suffix in (("series", ""), ("cholesky", "-cholesky"))
+     for certified, suffix in ((True, ""), (False, "-cholesky"))
      for shape in RUN_SHAPES],
 )
 def test_run_matches_per_agent_reference(
-    algorithm, batch_s, d, low_rank, solve, operator, monkeypatch
+    algorithm, batch_s, d, low_rank, certified, operator, monkeypatch
 ):
     P, local = make_problem([40] * 6, d)
     if operator == "csr":
@@ -414,22 +429,27 @@ def test_run_matches_per_agent_reference(
     config = RunConfig(
         batch_g=10, batch_s=batch_s or 40, max_iters=20, seed=5, algorithm=algorithm
     )
-    alphas = certified_alphas(P, local) if solve == "series" else factorising_alphas(local)
-    path = low_rank_path(low_rank, 40, d)
+    if certified:
+        alphas, path, solve = certified_alphas(P, local), "row", "series"
+    else:
+        alphas, path = factorising_alphas(local), low_rank_path(low_rank, 40, d)
+        solve = FACTORISING_SOLVE[path]
     engine = optimizer.proximal_engine(local, config, alphas)
-    assert (engine.solve, engine.operator) == (solve, expected_operator(local, path, solve))
+    assert (engine.path, engine.solve, engine.operator) == (
+        f"{path}_step", solve, expected_operator(local))
     want = reference_run(P, local, config, alphas)
     got = engine_history(P, local, config, alphas, monkeypatch, path, solve)
     assert_histories_match(got, want)
 
 
-# With an operator, the padding rows are empty CSR rows.
+# With an operator, the padding rows are empty CSR rows.  The runs take
+# the series on the row path; the path named is the one at rho >= 1.
 UNEQUAL_SHAPES = [
     ("st_sopro", 50, True),  # the widest set, 45 rows, fits: Gram
     ("st_sopro", 45, True),  # W = d: Gram
     ("st_sopro", 44, True),  # W = d + 1: rows
-    ("sopro", 50, True),  # Hessian batches of 20..45 rows, padded to 45
-    ("sopro", 30, False),  # some local sets have more rows than d
+    ("sopro", 50, True),  # Hessian batches of 20..45 rows, padded to 45: Gram
+    ("sopro", 30, False),  # some local sets have more rows than d: rows
 ]
 
 
@@ -447,9 +467,10 @@ def test_run_accepts_unequal_local_datasets(algorithm, d, low_rank, operator, mo
     config = RunConfig(batch_g=8, batch_s=6, max_iters=20, seed=2, algorithm=algorithm)
     alphas = certified_alphas(P, local)
     assert optimizer.proximal_engine(local, config, alphas).operator == operator
+    at_rho_two = optimizer.proximal_engine(local, config, factorising_alphas(local))
+    assert at_rho_two.path == f"{low_rank_path(low_rank, 45, d)}_step"
     want = reference_run(P, local, config, alphas)
-    path = low_rank_path(low_rank, 45, d)
-    got = engine_history(P, local, config, alphas, monkeypatch, path, "series")
+    got = engine_history(P, local, config, alphas, monkeypatch, "row", "series")
     assert_histories_match(got, want)
     assert np.all(np.isfinite(got[-1][0]))
 
@@ -467,11 +488,14 @@ def one_hot_rows(rows, attributes, columns, seed):
 
 
 # (algorithm, columns, batch_s, alphas, the step the run takes).  Three
-# attributes a row: density 1/4 at 12 columns, 3/40 at 40.
+# attributes a row: density 1/4 at 12 columns, 3/40 at 40.  A key names
+# the algorithm, the step its shape takes at rho >= 1, and the alphas:
+# certified ("series") or at rho = 2 ("cholesky", where the row step
+# takes CG).
 ONE_HOT_RUNS = {
     "st_sopro-row-series": ("st_sopro", 12, 8, "certified", "row"),  # S < d < C
     "sopro-row-series": ("sopro", 12, None, "certified", "row"),
-    "st_sopro-gram-series": ("st_sopro", 40, 8, "certified", "gram"),  # S < C <= d
+    "st_sopro-gram-series": ("st_sopro", 40, 8, "certified", "row"),  # S < C <= d
     "st_sopro-row-cholesky": ("st_sopro", 12, 8, "factorising", "row"),
     "st_sopro-gram-cholesky": ("st_sopro", 40, 8, "factorising", "gram"),
     "dsgd": ("dsgd", 12, 8, None, None),
@@ -496,7 +520,7 @@ def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
     if path is not None:
         engine = optimizer.proximal_engine(sparse, config, alphas)
         assert engine.path == f"{path}_step"
-        assert engine.operator == expected_operator(sparse, path, engine.solve)
+        assert engine.operator == "csr"
     ref = solve_reference(dense)
     q_err = QNormError(P, np.full(n, 2.0), 1.0, ref.x, -ref.local_grads)
     histories = []
@@ -544,22 +568,28 @@ def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
     monkeypatch.setattr(LocalSets, "buffer", record_buffer)
     config = RunConfig(batch_g=10, batch_s=20, max_iters=3, seed=1, algorithm=algorithm)
     operators = []
-    for solve, alphas in (("cholesky", factorising_alphas(local)),
+    for solve, alphas in (("cg", factorising_alphas(local)),
                           ("series", certified_alphas(P, local))):
         whole.clear()
         buffers.clear()
         engine = optimizer.proximal_engine(local, config, alphas)
-        assert engine.solve == solve
+        assert (engine.path, engine.solve) == ("row_step", solve)
         operators.append(engine.operator)
         run(P, local, config, alphas)
         margins, gathered = ROW_ROUND_READS[algorithm, engine.operator]
-        # Each term of the series applies F^T (w (F v)): one more matvec.
-        assert len(whole) == (margins + (engine.terms or 0)) * config.max_iters
+        # Each term of the series, and each CG iteration, applies
+        # F^T (w (F v)): one more matvec.  CG may stop before its cap.
+        passes = len(whole) - margins * config.max_iters
+        if solve == "series":
+            assert passes == engine.terms * config.max_iters
+        else:
+            assert config.max_iters <= passes <= engine.terms * config.max_iters
         # Gathered rows are never the whole sets; the operator reads only them.
         assert whole == [not gathered] * len(whole)
         assert buffers == gathered * config.max_iters
-    # The factorisation gathers dense rows, the series reads the operator.
-    assert operators == ["dense", sets]
+    # Both solves read the batches the same way: through the operator when
+    # the sets have one.
+    assert operators == [sets, sets]
 
 
 @pytest.mark.parametrize(
@@ -617,7 +647,7 @@ def one_hot_sets(n, count, attributes, columns, seed=0, lam=0.01):
     [
         (20, 239, 14, 123, 5.0, "st_sopro", 80, "row_step"),  # a4a-like
         (10, 600, 22, 112, 4.0, "sopro", 80, "row_step"),  # mushrooms-like, full batch
-        (200, 40, 14, 123, 5.0, "st_sopro", 20, "gram_step"),  # many small agents
+        (200, 40, 14, 123, 5.0, "st_sopro", 20, "row_step"),  # many small agents
     ],
 )
 def test_certified_runs_of_benchmark_shapes_take_the_series_with_two_terms(
@@ -631,53 +661,104 @@ def test_certified_runs_of_benchmark_shapes_take_the_series_with_two_terms(
     assert engine.rho_bound < 2e-6
 
 
+def test_cg_iterations_are_the_least_that_the_a_priori_bound_allows():
+    def bound(rho, k):
+        root = np.sqrt(1.0 + rho)
+        return 2.0 * root * ((root - 1.0) / (root + 1.0)) ** k
+
+    assert optimizer._cg_iterations(16.90821256038647) == 67
+    for rho in np.geomspace(1.0, 1e6, 40):
+        k = optimizer._cg_iterations(rho)
+        assert bound(rho, k) <= optimizer.CG_TOL * (1 + 1e-9)
+        assert bound(rho, k - 1) > optimizer.CG_TOL * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("rho", [1.0, 17.0, 1e3])
+def test_cg_meets_its_tolerance_before_its_iteration_cap(rho):
+    # Agent 0's curvature reaches the bound rho c_0, where the cap is
+    # tightest; the residual, not the cap, must stop every agent.
+    rng = np.random.default_rng(int(rho))
+    n, S, d = 5, 12, 15
+    feats, weights = tight_first_agent(rng.standard_normal((n, S, d)),
+                                       rng.uniform(0.0, 0.25, (n, S)) / S)
+    c = np.geomspace(0.5, 2.0, n)
+    feats *= np.sqrt(rho / rho_bound(feats, c))
+    sets, w = rows(feats), weights
+    rhs = rng.standard_normal((n, d))
+    applied = []
+
+    def apply_h(v):
+        applied.append(1)
+        return sets.rmatvec(w * sets.matvec(v))
+
+    cap = optimizer._cg_iterations(rho)
+    z = optimizer._cg_solve(apply_h, rhs, c, cap)
+    assert len(applied) < cap
+    residual = rhs - c[:, None] * z - apply_h(z)
+    assert np.all(np.linalg.norm(residual, axis=1) <= 1e-12 * np.linalg.norm(rhs, axis=1))
+
+
 def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift(monkeypatch):
+    # Only the Gram path factors, and only at rho >= 1; a shift that is not
+    # positive is refused.
     P, local = make_problem([40] * 6, 15)
     config = RunConfig(batch_g=10, batch_s=20, max_iters=1, seed=0)  # S >= d
     edge = np.full(6, 0.25 * local.row_sq.max())  # the shift at which rho = 1
     for c, rho in ((edge, 1.0), (edge / 2, 2.0)):
         engine = optimizer.proximal_engine(local, config, c - local.lam)
-        assert (engine.solve, engine.terms) == ("cholesky", None)
+        assert engine == optimizer.Engine(
+            "row_step", "cg", optimizer._cg_iterations(engine.rho_bound), engine.rho_bound,
+            "dense")
         assert engine.rho_bound == pytest.approx(rho, rel=1e-12)
     c = 1e6 * edge
     assert optimizer.proximal_engine(local, config, c - local.lam).solve == "series"
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, np.nan):
         c[3] = bad
-        engine = optimizer.proximal_engine(local, config, c - local.lam)
-        assert engine == optimizer.Engine("row_step", "cholesky", None, None, "dense")
+        with pytest.raises(ConfigurationError, match="agent 3: the shift"):
+            optimizer.proximal_engine(local, config, c - local.lam)
 
-    # S < d < W at rho = 2: every round factors the Woodbury S x S
-    # systems, and no d x d one.
-    config = RunConfig(batch_g=10, batch_s=5, max_iters=3, seed=0)
-    alphas = edge / 2 - local.lam
-    engine = optimizer.proximal_engine(local, config, alphas)
-    assert engine == optimizer.Engine("row_step", "cholesky", None, engine.rho_bound, "dense")
-    assert engine.rho_bound == pytest.approx(2.0, rel=1e-12)
-    solves, factored = [], []
-    real_solve, real_dposv = optimizer._cholesky_solve, optimizer.dposv
-    monkeypatch.setattr(optimizer, "_cholesky_solve",
-                        lambda A, b: solves.append(A.shape) or real_solve(A, b))
+    factored, reads = [], []
+    real_dposv, real_matvec = optimizer.dposv, StackedSets.matvec
     monkeypatch.setattr(optimizer, "dposv",
                         lambda a, *args: factored.append(a.shape) or real_dposv(a, *args))
-    run(P, local, config, alphas)
+    monkeypatch.setattr(StackedSets, "matvec",
+                        lambda self, x: reads.append(self is sets) or real_matvec(self, x))
+    # S < d < W at rho = 2: CG through the operator, no factorisation.
+    config = RunConfig(batch_g=10, batch_s=5, max_iters=3, seed=0)
+    sets = with_operator(local)
+    alphas = edge / 2 - local.lam
+    engine = optimizer.proximal_engine(sets, config, alphas)
+    assert (engine.path, engine.solve, engine.operator) == ("row_step", "cg", "csr")
+    run(P, sets, config, alphas)
+    assert factored == [] and reads and all(reads)
+    # S < W <= d at rho = 2: every round factors the Woodbury S x S systems
+    # from the Gram stack, and no d x d one.
+    P, sets = make_problem([40] * 6, 60)
+    alphas = np.full(6, 0.125 * sets.row_sq.max()) - sets.lam
+    assert optimizer.proximal_engine(sets, config, alphas).path == "gram_step"
+    solves = []
+    real_solve = optimizer._cholesky_solve
+    monkeypatch.setattr(optimizer, "_cholesky_solve",
+                        lambda A, b: solves.append(A.shape) or real_solve(A, b))
+    run(P, sets, config, alphas)
     assert solves == [(6, 5, 5)] * config.max_iters
     assert factored == [(5, 5)] * (6 * config.max_iters)
 
 
-def test_run_accepts_a_negative_shift_that_leaves_a_dense_system_definite(monkeypatch):
+def test_run_refuses_a_negative_shift_that_leaves_a_dense_system_definite():
     # At x = 0 every curvature weight is 1/(4 C), so each h_i - lam_i I is
     # F_i^T F_i / (4 C), and half its smallest eigenvalue below zero keeps
-    # every system definite.
+    # agent 4's system definite; the run refuses it before round 0.
     P, local = make_problem([40] * 6, 15)
     config = RunConfig(batch_g=10, batch_s=40, max_iters=1, seed=5, algorithm="sopro",
                        x0_mode="zeros")
     gram = local.feats.transpose(0, 2, 1) @ local.feats / (4 * 40)
-    alphas = -local.lam - 0.5 * np.linalg.eigvalsh(gram)[:, 0]
-    engine = optimizer.proximal_engine(local, config, alphas)
-    assert engine == optimizer.Engine("row_step", "cholesky", None, None, "dense")
-    want = reference_run(P, local, config, alphas)
-    assert_histories_match(engine_history(P, local, config, alphas, monkeypatch, "row",
-                                         "cholesky"), want)
+    alphas = certified_alphas(P, local)
+    alphas[4] = -local.lam[4] - 0.5 * np.linalg.eigvalsh(gram[4])[0]
+    rounds = []
+    with pytest.raises(ConfigurationError, match="agent 4: the shift"):
+        run(P, local, config, alphas, callbacks=[lambda k, s: rounds.append(k)])
+    assert rounds == []
 
 
 # ------------------------------------------------------------- shared parts
