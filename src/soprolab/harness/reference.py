@@ -17,7 +17,11 @@ Every evaluation covers all agents at once over the stacked local sets
 (:class:`~soprolab.loss.StackedSets`): each row carries the weight
 ``1/C_i`` of its agent's average, and padding rows weigh 0.  The margins
 ``F x`` of a point are computed once and serve its objective, gradient
-and Hessian.
+and Hessian.  Margins and gradients read the sets through
+:meth:`~soprolab.loss.StackedSets.matvec` and
+:func:`~soprolab.loss.sets_grad`, as the rounds do, so through the CSR
+operator when the sets have one; only the Hessian reads the dense
+``(N, W, d)`` block.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ from ..loss import (
     SmoothnessBounds,
     StackedSets,
     logistic_curvature,
+    sets_grad,
     sigma_sq_estimate,
-    stacked_grad,
-    stacked_margins,
 )
 
 __all__ = [
@@ -80,7 +83,7 @@ class _Pool:
 
     def margins(self, x: np.ndarray) -> np.ndarray:
         """``(N, W)`` margins ``F x`` of every stacked row."""
-        return stacked_margins(self._spread(x), self.local.feats)
+        return self.local.matvec(self._spread(x))
 
     def objective(self, x: np.ndarray, u: np.ndarray) -> float:
         """``F(x)`` from the margins ``u`` of ``x``."""
@@ -90,10 +93,7 @@ class _Pool:
     def local_gradients(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``(N, d)``: row ``i`` is agent ``i``'s exact gradient at ``x``,
         from the margins ``u`` of ``x``."""
-        local = self.local
-        return stacked_grad(
-            self._spread(x), local.feats, local.labels, local.counts, local.lam, margins=u
-        )
+        return sets_grad(self._spread(x), self.local, None, u)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         # Rows added in agent order, as a sum of per-agent gradients would.
@@ -123,7 +123,7 @@ def solve_reference(
     over the last step (see the module docstring).
     """
     pool = _Pool(local)
-    x = np.zeros(local.feats.shape[2])
+    x = np.zeros(local.dim)
     u = pool.margins(x)
     f = pool.objective(x, u)
     factor, factorizations, last_gn = None, 0, np.inf

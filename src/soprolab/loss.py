@@ -19,9 +19,10 @@ written in the same pass.  Rounds read any sets, whole or gathered batch
 rows, through :meth:`StackedSets.matvec` (or :meth:`~StackedSets.matvecs`)
 and :meth:`StackedSets.rmatvec`.
 The stacked functions (:func:`sets_grad`, :func:`on_batches`,
-:func:`stacked_margins`, :func:`stacked_grad`, :func:`sigma_sq_estimate`,
-and :func:`logistic_coef` and :func:`logistic_curvature` of stacked
-margins) work on all agents at once.
+:func:`sigma_sq_estimate`, and :func:`logistic_coef` and
+:func:`logistic_curvature` of stacked margins) work on all agents at
+once; :func:`sets_grad` is the one gradient over stacked sets, for the
+set-up, the proximal rounds and the baselines alike.
 :class:`Sample`, the ``sample_*`` functions, the per-agent
 :class:`LocalDataset` and the ``batch_*`` functions are the definitions
 those are checked against.
@@ -59,8 +60,6 @@ __all__ = [
     "batch_hess",
     "full_grad",
     "full_hess",
-    "stacked_margins",
-    "stacked_grad",
     "on_batches",
     "sets_grad",
     "logistic_coef",
@@ -180,6 +179,10 @@ class StackedSets:
         return cls(feats, stacked, counts, lam)
 
     @property
+    def dim(self) -> int:
+        return self.feats.shape[2]
+
+    @property
     def real(self) -> np.ndarray:
         """``(N, W)`` mask of the rows that are samples, not padding."""
         return np.arange(self.feats.shape[1]) < self.counts[:, None]
@@ -198,7 +201,7 @@ class StackedSets:
         """``(N, W)`` products ``F_i x_i`` of every agent's rows with its
         row of the ``(N, d)`` ``x``."""
         if self.csr is None:
-            return stacked_margins(x, self.feats)
+            return (self.feats @ x[:, :, None])[:, :, 0]
         return (self.csr @ x.ravel()).reshape(self.feats.shape[:2])
 
     def matvecs(self, *xs: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -622,6 +625,10 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
     ``(n_agents, per_agent, d)`` block of a :class:`StackedSets` or in the
     test set; neither shares memory with ``data``.
 
+    Rows with a non-finite value, local or test, are refused with a
+    :class:`ParameterError` that names the first of them (0-based, in data
+    order) before any block is written.
+
     Sparse rows whose stored entries in the local sets are at most
     ``CSR_MAX_DENSITY`` of the block's also give the sets their
     block-diagonal CSR operator, written in the same pass as the block
@@ -639,6 +646,14 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
             f"need (n, d) rows and (n,) labels, got {rows.shape} and {labels.shape}"
         )
     total, d = rows.shape
+    values = (rows.values if sparse else rows).ravel()
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        row = np.searchsorted(rows.indptr, k, side="right") - 1 if sparse else k // d
+        raise ParameterError(
+            f"row {row} (0-based, in data order) has a non-finite feature value {values[k]}"
+        )
     need = n_agents * per_agent
     if need > total:
         raise ParameterError(
@@ -773,39 +788,6 @@ def full_hess(x: np.ndarray, ds: LocalDataset) -> LowRankHessian:
     return batch_hess(x, ds, np.arange(ds.n_samples))
 
 
-def stacked_margins(x: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """``(N, k)`` margins ``feats[i] @ x[i]`` of all agents' rows at their
-    ``(N, d)`` points ``x``."""
-    return (feats @ x[:, :, None])[:, :, 0]
-
-
-def stacked_grad(
-    x: np.ndarray,
-    feats: np.ndarray,
-    labels: np.ndarray,
-    counts: np.ndarray,
-    lam: np.ndarray,
-    margins: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batch gradients of all agents at once, one row each.
-
-    ``x`` is ``(N, d)``; agent ``i``'s batch is the rows ``feats[i]``
-    (``(N, k, d)``) with labels ``labels[i]`` (``(N, k)``), of which the
-    first ``counts[i]`` are real and the rest are zero padding; ``lam`` is
-    ``(N,)``.  ``margins``, if given, are :func:`stacked_margins` of ``x``
-    and ``feats``, computed once for several uses.  Row ``i`` equals
-    :func:`batch_grad` on the same rows: with one BLAS thread, stacked
-    ``matmul`` makes the same calls per agent.
-    """
-    if margins is None:
-        margins = stacked_margins(x, feats)
-    coef = logistic_coef(margins, labels)
-    return (
-        lam[:, None] * x
-        - (feats.transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0] / counts[:, None]
-    )
-
-
 def on_batches(local: StackedSets, idx: np.ndarray | None, fn, *rows: np.ndarray):
     """``fn`` of every agent's batch, and the batch sizes.
 
@@ -836,9 +818,11 @@ def sets_grad(
     ``idx`` are the ``(N, k)`` positions of every agent's batch in its
     local set (``None``: the whole sets) and ``margins``, if given,
     ``local.matvec(x)``.  The coefficients off the batch are zero
-    (:func:`on_batches`).  On whole dense sets this makes the calls of
-    :func:`stacked_grad`.  Row ``i`` equals :func:`batch_grad` on the same
-    rows up to summation order.
+    (:func:`on_batches`).  On whole dense sets without padding, row ``i``
+    equals :func:`batch_grad` on the same rows bitwise: with one BLAS
+    thread, the stacked ``matmul`` of :meth:`StackedSets.matvec` and
+    :meth:`StackedSets.rmatvec` makes the same calls per agent.  Otherwise
+    it equals it up to summation order.
     """
     if margins is None:
         margins = local.matvec(x)

@@ -25,8 +25,6 @@ from soprolab.loss import (
     sample_loss,
     sets_grad,
     sigma_sq_estimate,
-    stacked_grad,
-    stacked_margins,
 )
 
 
@@ -194,22 +192,25 @@ def test_padded_sets_pad_unequal_sets_with_zero_rows():
 def test_stacked_batch_statistics_match_per_agent_batches(sizes):
     rng = np.random.default_rng(4)
     datasets = [make_dataset(rng, C=C, d=7, lam=0.05 * (i + 1)) for i, C in enumerate(sizes)]
-    local = stacked(datasets)
-    feats = local.feats
+    dense = stacked(datasets)
+    operator = StackedSets(dense.feats, dense.labels, dense.counts, dense.lam,
+                           csr_matrix(scipy.linalg.block_diag(*dense.feats)))
     x = rng.standard_normal((len(sizes), 7))
-    grads = stacked_grad(x, feats, local.labels, local.counts, local.lam)
-    weights = logistic_curvature(stacked_margins(x, feats)) / local.counts[:, None]
-    for i, ds in enumerate(datasets):
-        C = ds.n_samples
-        want = batch_grad(x[i], ds, np.arange(C))
-        if C == feats.shape[1]:
-            assert np.array_equal(grads[i], want)
-            assert np.array_equal(weights[i], batch_hess(x[i], ds, np.arange(C)).weights)
-        else:
-            # Zero padding may change the BLAS summation order.
-            assert np.allclose(grads[i], want, rtol=1e-13, atol=1e-15)
+    for local in (dense, operator):
+        grads = sets_grad(x, local, None)
+        weights = logistic_curvature(local.matvec(x)) / local.counts[:, None]
+        for i, ds in enumerate(datasets):
+            C = ds.n_samples
+            want = batch_grad(x[i], ds, np.arange(C))
             want_w = batch_hess(x[i], ds, np.arange(C)).weights
-            assert np.allclose(weights[i, :C], want_w, rtol=1e-13, atol=0)
+            if C == local.feats.shape[1] and local.csr is None:
+                assert np.array_equal(grads[i], want)
+                assert np.array_equal(weights[i], want_w)
+            else:
+                # Zero padding, or the operator's sparse products, may
+                # change the summation order.
+                assert np.allclose(grads[i], want, rtol=1e-13, atol=1e-15)
+                assert np.allclose(weights[i, :C], want_w, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("operator", [False, True], ids=["dense", "csr"])

@@ -7,6 +7,7 @@ import json
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -151,6 +152,8 @@ def test_partition_of_parsed_rows_equals_the_dense_route_bitwise(
 ):
     # Comments, blanks, label-only rows and rows of unequal lengths come
     # from the strategy; each row is placed once from the sparse rows.
+    # Rows with a non-finite value, which the parser accepts, are refused
+    # by partition on both routes.
     entries, dim = lines
     n_rows = sum(not isinstance(e, str) for e in entries)
     if n_rows == 0:
@@ -161,6 +164,12 @@ def test_partition_of_parsed_rows_equals_the_dense_route_bitwise(
     per_agent = data.draw(st.integers(1, n_rows // n_agents))
     seed = data.draw(st.integers(0, 2**32 - 1))
     dim = dim + extra_dim if override else None
+    bad = np.flatnonzero(~np.isfinite(parse_libsvm_per_token(text, dim=dim)[0]).all(axis=1))
+    if bad.size:
+        for rows in (parse_libsvm(text, dim=dim), parse_libsvm_per_token(text, dim=dim)):
+            with pytest.raises(ParameterError, match=rf"^row {bad[0]} \(0-based"):
+                partition(rows, n_agents, per_agent, seed, 0.1)
+        return
     with mock.patch.object(loss, "_CHUNK_LINES", chunk):
         got, got_test = partition(parse_libsvm(text, dim=dim), n_agents, per_agent, seed, 0.1)
     want, want_test = parse_and_partition_dense(text, n_agents, per_agent, seed, 0.1, dim=dim)
@@ -491,6 +500,47 @@ def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(chunk):
     assert rel_err(local.rmatvec(v), want.rmatvec(v)) <= 1e-15
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+@pytest.mark.parametrize("row", [0, 4, 8])
+def test_partition_refuses_parsed_rows_with_a_non_finite_value_and_names_the_row(value, row):
+    # Seed 0 leaves rows 8 and 1 to the test set; the check covers them too.
+    assert np.random.default_rng(0).permutation(10)[8:].tolist() == [8, 1]
+    lines = [f"{(-1) ** k} 1:1 2:{k}" for k in range(10)]
+    lines[row] = f"1 1:1 3:{value}"
+    if row == 0:
+        lines[7] = "-1 2:nan"  # only the first row is named
+    parsed = parse_libsvm("\n".join(lines), dim=3)
+    assert not np.isfinite(parsed[0].values).all()  # the parser keeps what it was given
+    with pytest.raises(ParameterError,
+                       match=rf"^row {row} \(0-based, in data order\) has a non-finite"):
+        partition(parsed, 2, 4, seed=0, lambda_reg=0.1)
+
+
+def test_partition_refuses_a_dense_row_with_a_nan_and_names_it():
+    rows, labels = gaussian_blob_samples(12, 3, seed=0)
+    # In column-major memory row 7's bad value comes first; rows are named
+    # in row order.
+    rows = np.asfortranarray(rows)
+    rows[5, 2] = np.nan
+    rows[7, 0] = np.inf
+    with pytest.raises(ParameterError, match=r"^row 5 \(0-based, in data order\) .* nan$"):
+        partition((rows, labels), 2, 5, seed=0, lambda_reg=0.1)
+
+
+def test_cli_run_refuses_a_non_finite_value_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "nan.svm"
+    path.write_text("1 1:1 3:nan\n-1 2:1\n1 1:1\n")
+    code = main(["run", "--dataset", str(path), "--dim", "3", "--n-agents", "3",
+                 "--per-agent", "1", "--batch-g", "1", "--batch-s", "1",
+                 "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "error: row 0 (0-based, in data order) has a non-finite feature value nan\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_partition_builds_no_operator_for_denser_rows():
     # Four of ten columns stored in every row: density 0.4.
     text = "".join(f"{(-1) ** k} 1:1 {k % 5 + 2}:1 8:2 10:1\n" for k in range(30))
@@ -530,12 +580,26 @@ def unequal_sets(sizes, d, seed=0, lam=0.05):
     return StackedSets.padded(np.split(feats, split), np.split(labels, split), lams)
 
 
-SIZES = [(20, 35, 27, 8), (40, 40, 40)]
+def one_hot_sets(d, seed=0, lam=0.05):
+    """Four equal local sets of one-hot rows, which partition gives a CSR
+    operator."""
+    text = one_hot_libsvm(60, max(1, d // 4), d, seed)
+    local, _ = partition(parse_libsvm(text, dim=d), 4, 12, seed, lam)
+    assert local.csr is not None
+    return local
+
+
+def local_sets(sizes, d, seed=0):
+    return one_hot_sets(d, seed) if sizes == "one-hot" else unequal_sets(sizes, d, seed)
+
+
+# Padded and equal dense sets, and sets with a CSR operator.
+SIZES = [(20, 35, 27, 8), (40, 40, 40), "one-hot"]
 
 
 @pytest.mark.parametrize("sizes", SIZES)
 def test_stacked_objective_gradient_and_hessian_match_per_agent_sums(sizes):
-    local = unequal_sets(sizes, 6)
+    local = local_sets(sizes, 6)
     datasets = agent_datasets(local)
     pool = reference._Pool(local)
     rng = np.random.default_rng(1)
@@ -549,7 +613,7 @@ def test_stacked_objective_gradient_and_hessian_match_per_agent_sums(sizes):
 
 @pytest.mark.parametrize("sizes", SIZES)
 def test_solve_reference_matches_per_agent_newton(sizes):
-    local = unequal_sets(sizes, 8, seed=2)
+    local = local_sets(sizes, 8, seed=2)
     sol = reference.solve_reference(local)
     want = newton_per_agent(agent_datasets(local))
     assert sol.grad_norm <= 1e-12
@@ -557,9 +621,17 @@ def test_solve_reference_matches_per_agent_newton(sizes):
     assert rel_err(sol.x, want) <= 1e-12
 
 
+def test_solve_reference_through_the_operator_matches_the_dense_block():
+    local = one_hot_sets(12, seed=3)
+    sparse = reference.solve_reference(local)
+    dense = reference.solve_reference(replace(local, csr=None))
+    assert rel_err(sparse.x, dense.x) <= 1e-12
+    assert rel_err(sparse.local_grads, dense.local_grads) <= 1e-12
+
+
 @pytest.mark.parametrize("sizes", SIZES)
 def test_sigma_sq_estimate_matches_per_agent_loop(sizes):
-    local = unequal_sets(sizes, 5, seed=4)
+    local = local_sets(sizes, 5, seed=4)
     datasets = agent_datasets(local)
     x_star = newton_per_agent(datasets)
     probes = reference.probe_points(local, x_star)
