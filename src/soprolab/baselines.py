@@ -10,8 +10,8 @@ round keys every agent's batch, see
 :func:`soprolab.optimizer.draw_batches`) and its stacked gradient, so
 comparisons against the proximal methods share identical data, topology,
 and noise realizations.  A gradient is one
-:func:`~soprolab.loss.sets_grad` of the batch that
-:meth:`~soprolab.optimizer.LocalSets.batch` gives, as in the proximal
+:func:`~soprolab.loss.sets_grad` of the whole local sets at the positions
+:func:`~soprolab.optimizer.batch_positions` draws, as in the proximal
 rounds.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .loss import StackedSets, sets_grad
-from .optimizer import PURPOSE_GRAD, LocalSets, NetworkState, RunConfig, initial_iterates
+from .optimizer import PURPOSE_GRAD, NetworkState, RunConfig, batch_positions, initial_iterates
 from .topology import Graph, MatrixP
 
 __all__ = [
@@ -76,25 +76,28 @@ def _step_size(config: RunConfig, k: int) -> float:
     return config.step_size
 
 
-def _batch_grads(x, sets: LocalSets, config: RunConfig, round_idx: int) -> np.ndarray:
+def _batch_grads(x, local: StackedSets, config: RunConfig, round_idx: int) -> np.ndarray:
     """The round's batch gradients."""
-    return sets_grad(x, *sets.batch(config.batch_g, round_idx, PURPOSE_GRAD))
+    idx = batch_positions(local, config.batch_g, config.seed, round_idx, PURPOSE_GRAD)
+    return sets_grad(x, local, idx)
 
 
-def dsgd_round(x, W: np.ndarray, sets: LocalSets, config: RunConfig, k: int) -> np.ndarray:
+def dsgd_round(x, W: np.ndarray, local: StackedSets, config: RunConfig, k: int) -> np.ndarray:
     """Round ``k``: mix neighbor iterates, step along the batch gradient;
     return the new iterates."""
-    return W @ x - _step_size(config, k) * _batch_grads(x, sets, config, k)
+    return W @ x - _step_size(config, k) * _batch_grads(x, local, config, k)
 
 
-def dsgt_round(x, tracker, last_grads, W: np.ndarray, sets: LocalSets, config: RunConfig, k: int):
+def dsgt_round(
+    x, tracker, last_grads, W: np.ndarray, local: StackedSets, config: RunConfig, k: int
+):
     """Gradient-tracking round ``k``; iterates and trackers are both exchanged.
 
     Returns the new iterates, the new tracker and the batch gradients at
     the new iterates, which the next round's tracker update subtracts.
     """
     x = W @ x - _step_size(config, k) * tracker
-    grads = _batch_grads(x, sets, config, k + 1)
+    grads = _batch_grads(x, local, config, k + 1)
     return x, W @ tracker + grads - last_grads, grads
 
 
@@ -109,20 +112,19 @@ def first_order(P: MatrixP, local: StackedSets, config: RunConfig):
     ``4 |E| d`` per DSGT round.
     """
     W = metropolis_weights(P.graph).matrix
-    sets = LocalSets(local, config.seed)
     x = initial_iterates(P, local, config)
     state = NetworkState(x=x, q=np.zeros_like(x), y=np.zeros_like(x))
     sent = 2 * P.graph.n_edges * state.dim
     if config.algorithm == "dsgd":
         def dsgd(state: NetworkState, k: int) -> None:
-            state.x = dsgd_round(state.x, W, sets, config, k)
+            state.x = dsgd_round(state.x, W, local, config, k)
 
         return state, dsgd, 0, sent
 
-    tracker = grads = _batch_grads(x, sets, config, 0)
+    tracker = grads = _batch_grads(x, local, config, 0)
 
     def dsgt(state: NetworkState, k: int) -> None:
         nonlocal tracker, grads
-        state.x, tracker, grads = dsgt_round(state.x, tracker, grads, W, sets, config, k)
+        state.x, tracker, grads = dsgt_round(state.x, tracker, grads, W, local, config, k)
 
     return state, dsgt, 0, 2 * sent

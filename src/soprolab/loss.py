@@ -15,9 +15,9 @@ compressed sparse row (CSR) form, and ``(n,)`` labels.  :func:`partition`
 writes each row once into its slot: the zero-filled ``(N, C, d)`` block of
 one :class:`StackedSets`, which every later layer takes, or the test set.
 Sparse enough rows also give the sets a block-diagonal CSR operator,
-written in the same pass.  Rounds read any sets, whole or gathered batch
-rows, through :meth:`StackedSets.matvec` (or :meth:`~StackedSets.matvecs`)
-and :meth:`StackedSets.rmatvec`.
+written in the same pass.  Rounds read the whole local sets, at the
+positions of their batches, through :meth:`StackedSets.matvec` (or
+:meth:`~StackedSets.matvecs`) and :meth:`StackedSets.rmatvec`.
 The stacked functions (:func:`sets_grad`, :func:`on_batches`,
 :func:`sigma_sq_estimate`, and :func:`logistic_coef` and
 :func:`logistic_curvature` of stacked margins) work on all agents at
@@ -129,7 +129,8 @@ class StackedSets:
     and its column ``c`` is column ``i d + c``; padding rows are empty.
     :meth:`matvec` and :meth:`rmatvec` then read the sets through it (and
     its transpose, made once) instead of the dense block, which stays for
-    the reference solve, the bounds and gathered batch rows.
+    the reference Hessian, the noise estimate, the bounds and the Gram
+    stack.
     :func:`partition` sets it for sparse rows.
     """
 

@@ -62,21 +62,20 @@ size ``S`` (the widest local set ``W`` in full batch), ``W`` and ``d``,
   exact arithmetic; its condition number is at most ``1 + rho``.  Each
   agent stops once its residual is ``CG_TOL`` of its right-hand side's.
 
-Both row solves apply ``F_i^T (w_i (F_i v))`` through the batch's
+Both row solves apply ``F_i^T (w_i (F_i v))`` through the local sets'
 ``matvec`` and ``rmatvec``: no system is formed and no row is factored.
-What a batch holds follows from the local sets alone, and the engine's
-``operator`` reports it:
+A batch is always the whole local sets and the drawn ``(N, k)``
+positions (:func:`batch_positions`); the values of a row off its batch
+are zero (:func:`~soprolab.loss.on_batches`).  Both batches are drawn at
+the same ``x``, so the gradient and the curvature share one margins
+pass.  Only the product differs, and the engine's ``operator`` reports
+it:
 
 * ``"csr"``: local sets parsed from sparse rows carry a block-diagonal CSR
-  operator (see :func:`~soprolab.loss.partition` for when).  A batch is
-  the whole sets and the drawn positions, every pass is one sparse
-  product over the whole sets, and the values of a row off its batch are
-  zero (:func:`~soprolab.loss.on_batches`).  Both batches are drawn at
-  the same ``x``, so the gradient and the curvature share one margins
-  pass.
-* ``"dense"`` otherwise: a batch is its rows, gathered from the stacked
-  block into one buffer that every round reuses, with its own margins
-  pass.  Whole sets need no gather.  The Gram path reads whole sets.
+  operator (see :func:`~soprolab.loss.partition` for when), and every
+  pass is one sparse product over the whole sets.
+* ``"dense"`` otherwise: every pass is one stacked product of the dense
+  ``(N, W, d)`` block.
 
 :func:`local_step` steps one agent alone by Cholesky: it is the
 per-agent oracle the batched steps are tested against.
@@ -125,7 +124,7 @@ __all__ = [
     "draw_batches",
     "sample_batches",
     "agent_batch_stats",
-    "LocalSets",
+    "batch_positions",
     "check_finite",
     "initial_iterates",
     "init_network",
@@ -298,75 +297,25 @@ def agent_batch_stats(
     return batch_grad(x_i, ds, g_idx), batch_hess(x_i, ds, s_idx)
 
 
-class _BatchRows(StackedSets):
-    """Batch rows that :class:`LocalSets` gathered: real rows of checked
-    local sets at positions :meth:`LocalSets.draw` checked, so they are not
-    checked again (the check took 40 us a batch at the a4a shape, 8% of a
-    dense DSGT round, on one BLAS thread of a 2-vCPU x86 VM)."""
+def batch_positions(
+    local: StackedSets, size: int | None, seed: int, round_idx: int, purpose: int
+) -> np.ndarray | None:
+    """``(N, size)`` positions of every agent's batch in its local set, or
+    ``None`` when the batches are the whole sets (``size=None``, or the
+    size of every local set), which need no draw.
 
-    def __post_init__(self):
-        pass
-
-
-class LocalSets:
-    """Each round's batches: the whole sets, read through their CSR
-    operator, when they have one; else the batch rows gathered from the
-    stacked block (reading whole dense sets instead was 1.4x slower at the
-    a4a shape).
-
-    Gathered rows go to one buffer of ``N * k * d`` floats that every round
-    reuses; a round reads them there and does not write them.
+    A round reads the whole sets ``local`` at these positions (see
+    :func:`~soprolab.loss.on_batches`).  Every position is checked to lie
+    inside its agent's set: the scatters that use them check only against
+    the widest set, so a padding row would pass them.
     """
-
-    def __init__(self, local: StackedSets, seed: int):
-        self.local = local
-        self.seed = seed
-        self.whole = local.csr is not None
-        n, width, d = local.feats.shape
-        self._flat = local.feats.reshape(n * width, d)
-        self._offsets = width * np.arange(n)[:, None]
-        self._buf = np.empty(0)
-
-    def buffer(self, k: int) -> np.ndarray:
-        """The shared buffer as ``(N, k, d)``, grown first if too small."""
-        n, _, d = self.local.feats.shape
-        if self._buf.size < n * k * d:
-            self._buf = np.empty(n * k * d)
-        return self._buf[: n * k * d].reshape(n, k, d)
-
-    def draw(self, size: int | None, round_idx: int, purpose: int) -> np.ndarray | None:
-        """``(N, size)`` positions of every agent's batch in its local set,
-        or ``None`` when the batches are the whole sets (``size=None``, or
-        the size of every local set), which need no draw.
-
-        Every position is checked to lie inside its agent's set: the
-        gathers and scatters that use them do not check.
-        """
-        counts = self.local.counts
-        if size is None or np.all(counts == size):
-            return None
-        idx = draw_batches(counts, size, self.seed, round_idx, purpose)
-        if idx.min() < 0 or np.any(idx.max(axis=1) >= counts):
-            raise InvariantViolation(f"round {round_idx}: drawn index outside a local set")
-        return idx
-
-    def batch(self, size: int | None, round_idx: int, purpose: int):
-        """Every agent's batch as ``(sets, positions)``, to read through
-        ``sets.matvec`` and ``sets.rmatvec``: the local sets and the drawn
-        ``(N, k)`` positions when read through the operator or whole (see
-        :meth:`draw`; positions ``None``), else the batch rows gathered into
-        the shared buffer, with their labels, and ``None``.
-        """
-        idx = self.draw(size, round_idx, purpose)
-        if idx is None or self.whole:
-            return self.local, idx
-        # mode="clip" gathers straight into the buffer (the default "raise"
-        # gathers into a temporary first); draw() checked the range.
-        rows = np.take(
-            self._flat, idx + self._offsets, axis=0, out=self.buffer(size), mode="clip"
-        )
-        labels = np.take_along_axis(self.local.labels, idx, axis=1)
-        return _BatchRows(rows, labels, np.full(len(idx), size), self.local.lam), None
+    counts = local.counts
+    if size is None or np.all(counts == size):
+        return None
+    idx = draw_batches(counts, size, seed, round_idx, purpose)
+    if idx.min() < 0 or np.any(idx.max(axis=1) >= counts):
+        raise InvariantViolation(f"round {round_idx}: drawn index outside a local set")
+    return idx
 
 
 def check_finite(x: np.ndarray, round_idx: int) -> None:
@@ -531,31 +480,29 @@ def row_step(
     x: np.ndarray,
     rhs: np.ndarray,
     F: StackedSets,
-    sw: np.ndarray,
+    w: np.ndarray,
     c: np.ndarray,
     solve: str,
     terms: int,
 ) -> np.ndarray:
     """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``
-    with ``B_i = sw_i F_i``, from the rows of a batch.
+    with ``B_i^T B_i = F_i^T diag(w_i) F_i``, from their local sets.
 
-    ``x`` and ``rhs`` are ``(N, d)``; ``F`` is a batch from
-    :meth:`LocalSets.batch`, its ``(N, S, d)`` rows for any ``S``, and
-    ``sw`` the ``(N, S)`` scales of its rows (the square roots of the
-    curvature weights, zero on a row off the Hessian batch); ``c`` is
-    ``(N,)``, every entry positive (checked, naming the first agent whose
-    is not).  ``F`` and ``sw`` are not written.  Zero rows add nothing.
+    ``x`` and ``rhs`` are ``(N, d)``; ``F`` is the local sets, ``(N, W,
+    d)``, and ``w`` the ``(N, W)`` curvature weights of their rows
+    (nonnegative, zero on a row off the Hessian batch); ``c`` is ``(N,)``,
+    every entry positive (checked, naming the first agent whose is not).
+    ``w`` is not written.  Zero rows add nothing.
 
     All agents are solved at once, with ``solve`` (see
     :func:`proximal_engine`): ``"series"``, ``terms`` terms of the
     Neumann series, or ``"cg"``, conjugate gradients for at most ``terms``
     iterations (in exact arithmetic CG ends within ``S + 1``, the most
-    distinct eigenvalues a system can have).  Either applies ``F_i^T
-    (sw_i^2 (F_i v))`` through ``F.matvec`` and ``F.rmatvec`` once a term
-    or iteration: no system is formed.
+    distinct eigenvalues a system of ``S`` weighted rows can have).
+    Either applies ``F_i^T (w_i (F_i v))`` through ``F.matvec`` and
+    ``F.rmatvec`` once a term or iteration: no system is formed.
     """
     _check_shift(c)
-    w = sw * sw
     solver = _series_solve if solve == "series" else _cg_solve
     return x - solver(lambda v: F.rmatvec(w * F.matvec(v)), rhs, c, terms)
 
@@ -576,7 +523,7 @@ def gram_step(
     ``x`` and ``t = lam x + beta y + q`` are ``(N, d)``; ``gram`` is the
     ``(N, W, W)`` stack of ``F_i F_i^T`` over the local sets ``F``
     (``local``); ``g_idx`` and ``s_idx`` are the gradient and
-    Hessian batches from :meth:`LocalSets.draw` (``None``: whole sets);
+    Hessian batches from :func:`batch_positions` (``None``: whole sets);
     ``c`` is ``(N,)``, every entry positive (checked, naming the first
     agent whose is not).
 
@@ -637,9 +584,9 @@ class Engine:
     ``solve`` is ``"series"`` or ``"cg"`` on the row path, ``"cholesky"``
     on the Gram path; ``terms`` is the series' term count or CG's
     iteration cap, ``None`` on Cholesky; ``rho_bound`` bounds every
-    ``||h_i - lam_i I|| / c_i``; ``operator`` is what a round reads its
-    batches through (see :class:`LocalSets`): ``"csr"``, the whole sets
-    through their CSR operator, or ``"dense"``, the stacked block.
+    ``||h_i - lam_i I|| / c_i``; ``operator`` is what a round reads the
+    whole local sets through: ``"csr"``, their CSR operator, or
+    ``"dense"``, the stacked block.
     """
 
     path: str
@@ -668,9 +615,12 @@ def _cg_iterations(rho: float) -> int:
     sqrt(kappa) q^k <= CG_TOL``, ``q = (sqrt(kappa) - 1) / (sqrt(kappa) +
     1)``, ``kappa = 1 + rho``.  That is CG's a-priori bound on the relative
     residual after ``k`` iterations on a system whose condition number is
-    at most ``kappa`` (Saad 2003, section 6.11.3)."""
+    at most ``kappa`` (Saad 2003, section 6.11.3).  ``log q`` is taken as
+    ``log1p(-2 / (sqrt(kappa) + 1))``, which stays below zero, and the cap
+    finite, for every finite ``rho`` (``q`` itself rounds to 1 above
+    ``rho`` of about 4e32)."""
     root = math.sqrt(1.0 + rho)
-    return math.ceil(math.log(CG_TOL / (2.0 * root)) / math.log((root - 1.0) / (root + 1.0)))
+    return math.ceil(math.log(CG_TOL / (2.0 * root)) / math.log1p(-2.0 / (root + 1.0)))
 
 
 def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
@@ -683,11 +633,22 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     module docstring): the series when ``rho < 1``, else Cholesky on the
     Gram path when ``S < d`` and ``W <= d``, else CG.  The operator is
     ``"csr"`` when the local sets have a CSR operator, else ``"dense"``.
+    A bound that is not finite (a shift so small that it overflows) is
+    refused the same way, naming the first agent whose is not.
     """
     _, width, d = local.feats.shape
     shift = local.lam + np.asarray(alphas, dtype=float)
     _check_shift(shift)
-    rho = float(np.max(0.25 * local.row_sq.max(axis=1) / shift))
+    with np.errstate(over="ignore"):
+        ratios = 0.25 * local.row_sq.max(axis=1) / shift
+    bad = np.flatnonzero(~np.isfinite(ratios))
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigurationError(
+            f"agent {i}: the curvature bound over the shift lam_i + alpha_i = {shift[i]:g} "
+            "is not finite; the proximal blocks are too small for this problem"
+        )
+    rho = float(ratios.max())
     rows = width if config.algorithm == "sopro" else config.batch_s
     terms = _series_terms(rho)
     if terms is not None:
@@ -705,13 +666,15 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     ``alphas`` is the ``(N,)`` vector of the proximal matrices
     ``D_i = alphas[i] I``.  The round steps all agents with one batched
     call, on the path and with the solve :func:`proximal_engine` chooses
-    here: :func:`row_step` on the batches of :meth:`LocalSets.batch`, by
-    the Neumann series or by CG, or :func:`gram_step` (its Gram stack
-    computed here once), by Cholesky.  The full-batch deterministic
+    here: :func:`row_step` by the Neumann series or by CG, or
+    :func:`gram_step` (its Gram stack computed here once) by Cholesky.
+    Either reads the whole local sets at the positions
+    :func:`batch_positions` draws for the gradient and Hessian batches,
+    and the gradient and the curvature share one margins pass: both
+    batches are drawn at the same ``x``.  The full-batch deterministic
     variant follows the same code path with both batches forced to the
-    whole local sets, its curvature taken from the gradient's margins
-    (the same rows at the same point), so its trace is bitwise identical
-    to the stochastic method at ``G = S = C``.
+    whole local sets, so its trace is bitwise identical to the stochastic
+    method at ``G = S = C``.
 
     Returns the state after the initial exchange, its ``engine`` set, the
     round function, and the ``2 |E| d`` scalars each exchange sends, at
@@ -726,8 +689,7 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     state = init_network(P, local, config)
     engine = state.engine = proximal_engine(local, config, alphas)
     solve, terms = engine.solve, engine.terms
-    sets = LocalSets(local, config.seed)
-    beta, full = config.beta, config.algorithm == "sopro"
+    beta, seed, full = config.beta, config.seed, config.algorithm == "sopro"
     batch_g = None if full else config.batch_g
     batch_s = None if full else config.batch_s
     shift = local.lam + alphas
@@ -740,27 +702,23 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
 
         def gram_round(state: NetworkState, k: int) -> None:
             t = local.lam[:, None] * state.x + beta * state.y + state.q
-            g_idx = sets.draw(batch_g, k, PURPOSE_GRAD)
-            s_idx = sets.draw(batch_s, k, PURPOSE_HESS)
+            g_idx = batch_positions(local, batch_g, seed, k, PURPOSE_GRAD)
+            s_idx = batch_positions(local, batch_s, seed, k, PURPOSE_HESS)
             state.x = gram_step(state.x, t, local, gram, g_idx, s_idx, shift)
             exchange_and_dual_update(state, P, beta)
 
         return state, gram_round, sent, sent
 
     def row_round(state: NetworkState, k: int) -> None:
-        G, g_idx = sets.batch(batch_g, k, PURPOSE_GRAD)
-        u = G.matvec(state.x)
-        grads = sets_grad(state.x, G, g_idx, u)
-        # Taken after the gradient: gathered batches share the buffer.  A
-        # batch of the same sets (read through the operator, or whole)
-        # keeps the gradient's margins: both are drawn at the same x.
-        F, s_idx = sets.batch(batch_s, k, PURPOSE_HESS)
-        if F is not G:
-            u = F.matvec(state.x)
+        g_idx = batch_positions(local, batch_g, seed, k, PURPOSE_GRAD)
+        s_idx = batch_positions(local, batch_s, seed, k, PURPOSE_HESS)
+        u = local.matvec(state.x)
+        grads = sets_grad(state.x, local, g_idx, u)
         # A row off the Hessian batch weighs nothing; padding rows are zero.
-        w, size = on_batches(F, s_idx, logistic_curvature, u)
+        w, size = on_batches(local, s_idx, logistic_curvature, u)
+        w /= size
         rhs = grads + beta * state.y + state.q
-        state.x = row_step(state.x, rhs, F, np.sqrt(w / size), shift, solve, terms)
+        state.x = row_step(state.x, rhs, local, w, shift, solve, terms)
         exchange_and_dual_update(state, P, beta)
 
     return state, row_round, sent, sent

@@ -103,13 +103,12 @@ def parse_and_partition_dense(text, n_agents, per_agent, seed, lambda_reg, dim=N
     return local, TestSet(features=features[rest], labels=labels[rest])
 
 
-def dense_step_stacked(x, rhs, F, sw, c):
+def dense_step_stacked(x, rhs, F, w, c):
     """The proximal step of ``row_step`` by dense ``d x d`` factorisations,
-    with every factor ``B_i = sw_i F_i`` stacked: one product builds all
-    ``B_i^T B_i``, then one ``dposv`` per agent solves its shifted system.
-    The first failing agent is named as ``agent i:``."""
-    B = sw[:, :, None] * F
-    H = B.transpose(0, 2, 1) @ B
+    with every ``B_i^T B_i = F_i^T diag(w_i) F_i`` stacked: one product
+    builds them all, then one ``dposv`` per agent solves its shifted
+    system.  The first failing agent is named as ``agent i:``."""
+    H = F.transpose(0, 2, 1) @ (w[:, :, None] * F)
     diag = np.arange(H.shape[1])
     H[:, diag, diag] += c[:, None]
     z = rhs.copy()

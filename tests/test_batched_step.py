@@ -26,9 +26,9 @@ from soprolab.loss import (
 from soprolab.optimizer import (
     PURPOSE_GRAD,
     PURPOSE_HESS,
-    LocalSets,
     RunConfig,
     agent_batch_stats,
+    batch_positions,
     draw_batches,
     gram_step,
     init_network,
@@ -103,43 +103,40 @@ def test_row_step_matches_dense_inverse_oracle(S):
         h = LowRankHessian(lam=lam, weights=weights[i], feats=feats[i])
         expected[i] = x[i] - np.linalg.inv(h.dense() + alphas[i] * np.eye(d)) @ rhs[i]
 
-    def step(sets, F, sw, c, solve, terms):
-        """``row_step`` on ``F`` and ``sw``, which it must leave as they were."""
-        F_in, sw_in = F.copy(), sw.copy()
-        out = row_step(x, rhs, sets(F), sw, c, solve, terms)
-        assert np.array_equal(F, F_in) and np.array_equal(sw, sw_in)
+    def step(sets, F, w, c, solve, terms):
+        """``row_step`` on ``F`` and ``w``, which it must leave as they were."""
+        F_in, w_in = F.copy(), w.copy()
+        out = row_step(x, rhs, sets(F), w, c, solve, terms)
+        assert np.array_equal(F, F_in) and np.array_equal(w, w_in)
         return out
 
     # Trailing zero rows stand for agents with smaller Hessian batches.
-    def padded(F, sw):
+    def padded(F, w):
         return (np.concatenate([F, np.zeros((n, 3, d))], axis=1),
-                np.concatenate([sw, np.ones((n, 3))], axis=1))
+                np.concatenate([w, np.ones((n, 3))], axis=1))
 
     c = lam + alphas
-    sw = np.sqrt(weights)
     rho = rho_bound(feats, c)
     assert rho >= 1.0
     iterations = optimizer._cg_iterations(rho)
     for sets in (rows, csr_rows):
-        for F, sw_ in ((feats, sw), padded(feats, sw)):
-            out = step(sets, F, sw_, c, "cg", iterations)
-            oracle = dense_step_stacked(x, rhs, F, sw_, c)
+        for F, w in ((feats, weights), padded(feats, weights)):
+            out = step(sets, F, w, c, "cg", iterations)
+            oracle = dense_step_stacked(x, rhs, F, w, c)
             for i in range(n):
                 assert rel_err(out[i], expected[i]) <= 1e-10
                 assert rel_err(out[i], oracle[i]) <= 1e-10
 
     feats, weights = tight_first_agent(feats, weights)
     assert rho_bound(feats[:1], c[:1]) == rho_bound(feats, c)
-    sw = np.sqrt(weights)
     for rho in SERIES_RHOS:
         Fs = feats * np.sqrt(rho / rho_bound(feats, c))
         terms = optimizer._series_terms(rho)
         for sets in (rows, csr_rows):
-            for F, sw_ in ((Fs, sw), padded(Fs, sw)):
-                out = step(sets, F, sw_, c, "series", terms)
+            for F, w in ((Fs, weights), padded(Fs, weights)):
+                out = step(sets, F, w, c, "series", terms)
                 for i in range(n):
-                    B = sw[i, :, None] * Fs[i]
-                    A = B.T @ B + c[i] * np.eye(d)
+                    A = Fs[i].T @ (weights[i, :, None] * Fs[i]) + c[i] * np.eye(d)
                     assert rel_err(out[i], x[i] - np.linalg.inv(A) @ rhs[i]) <= 1e-12
 
 
@@ -263,14 +260,14 @@ def test_cg_passes_a_non_finite_right_hand_side_to_the_iterate(monkeypatch):
     rng = np.random.default_rng(3)
     n, S, d = 4, 6, 5
     F = rng.standard_normal((n, S, d))
-    sw = np.full((n, S), 0.5)
+    w = np.full((n, S), 0.25)
     x = rng.standard_normal((n, d))
     c = np.full(n, 0.1)
     for bad in (np.nan, np.inf):
         rhs = np.zeros((n, d))
         rhs[2, 1] = bad
         with np.errstate(invalid="ignore", over="ignore"):
-            out = row_step(x, rhs, rows(F), sw, c, "cg",
+            out = row_step(x, rhs, rows(F), w, c, "cg",
                            optimizer._cg_iterations(rho_bound(F, c)))
         assert np.isnan(out[2]).all()
         assert np.array_equal(out[[0, 1, 3]], x[[0, 1, 3]])
@@ -536,60 +533,38 @@ def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
             assert abs(got - want) <= 1e-10 * abs(want)
 
 
-# (margins passes, rows gathered into the shared buffer) a round takes, by
-# the operator its batches are read through: the whole sets through the
-# operator share one margins pass, gathered G and S rows take one each.
-ROW_ROUND_READS = {
-    ("sopro", "dense"): (1, []),
-    ("sopro", "csr"): (1, []),
-    ("st_sopro", "dense"): (2, [10, 20]),
-    ("st_sopro", "csr"): (1, []),
-}
-
-
 @pytest.mark.parametrize("sets", ["dense", "csr"])
 @pytest.mark.parametrize("algorithm", ["sopro", "st_sopro"])  # row step, S >= d
 def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
+    # Every round reads the whole local sets, whatever they are stored as:
+    # the gradient and the curvature share one margins pass, and each term
+    # of the series, or each CG iteration, one more.  No batch row is
+    # gathered, so every matvec reads the local sets themselves.
     P, local = make_problem([40] * 6, 15)
     if sets == "csr":
         local = with_operator(local)
-    whole, buffers = [], []
-    real_matvec, real_buffer = StackedSets.matvec, LocalSets.buffer
+    whole = []
+    real_matvec = StackedSets.matvec
 
     def count_matvec(self, x):
         whole.append(self is local)
         return real_matvec(self, x)
 
-    def record_buffer(self, k):
-        buffers.append(k)
-        return real_buffer(self, k)
-
     monkeypatch.setattr(StackedSets, "matvec", count_matvec)
-    monkeypatch.setattr(LocalSets, "buffer", record_buffer)
     config = RunConfig(batch_g=10, batch_s=20, max_iters=3, seed=1, algorithm=algorithm)
-    operators = []
     for solve, alphas in (("cg", factorising_alphas(local)),
                           ("series", certified_alphas(P, local))):
         whole.clear()
-        buffers.clear()
         engine = optimizer.proximal_engine(local, config, alphas)
-        assert (engine.path, engine.solve) == ("row_step", solve)
-        operators.append(engine.operator)
+        assert (engine.path, engine.solve, engine.operator) == ("row_step", solve, sets)
         run(P, local, config, alphas)
-        margins, gathered = ROW_ROUND_READS[algorithm, engine.operator]
-        # Each term of the series, and each CG iteration, applies
-        # F^T (w (F v)): one more matvec.  CG may stop before its cap.
-        passes = len(whole) - margins * config.max_iters
+        # CG may stop before its cap.
+        passes = len(whole) - config.max_iters
         if solve == "series":
             assert passes == engine.terms * config.max_iters
         else:
             assert config.max_iters <= passes <= engine.terms * config.max_iters
-        # Gathered rows are never the whole sets; the operator reads only them.
-        assert whole == [not gathered] * len(whole)
-        assert buffers == gathered * config.max_iters
-    # Both solves read the batches the same way: through the operator when
-    # the sets have one.
-    assert operators == [sets, sets]
+        assert whole == [True] * len(whole)
 
 
 @pytest.mark.parametrize(
@@ -606,7 +581,6 @@ def test_run_refuses_a_drawn_index_outside_a_local_set(d, operator, monkeypatch)
     monkeypatch.setattr(optimizer, "draw_batches", past_the_end)
     P, local = make_problem([20, 30, 45, 25, 35], d, seed=1)
     if operator:
-        # The whole-set scatter reads the drawn positions, as the gather does.
         local = with_operator(local)
     config = RunConfig(batch_g=8, batch_s=6, max_iters=3, seed=2)
     alphas = certified_alphas(P, local)
@@ -671,6 +645,33 @@ def test_cg_iterations_are_the_least_that_the_a_priori_bound_allows():
         k = optimizer._cg_iterations(rho)
         assert bound(rho, k) <= optimizer.CG_TOL * (1 + 1e-9)
         assert bound(rho, k - 1) > optimizer.CG_TOL * (1 - 1e-9)
+
+
+def test_cg_iterations_stay_finite_where_the_contraction_rounds_to_one():
+    # Above rho of about 4e32, (sqrt(kappa) - 1) / (sqrt(kappa) + 1) rounds
+    # to 1 and its log to 0; the cap must still be a finite count that
+    # grows with rho.
+    rhos = [1e32, 4e32, 1e34, 1e300, np.finfo(float).max]
+    caps = [optimizer._cg_iterations(rho) for rho in rhos]
+    assert all(isinstance(k, int) for k in caps)
+    assert caps == sorted(caps) and caps[0] > 0
+
+
+def test_run_steps_at_a_tiny_shift_and_refuses_one_whose_bound_overflows():
+    config = RunConfig(batch_g=10, batch_s=10, max_iters=2, seed=1)
+    # lam = 1e-34: rho is about 3e33, past where the contraction rounds to
+    # 1; CG still converges on the curvature of S >= d rows.
+    P, local = make_problem([40] * 4, 8, lam=1e-34)
+    engine = optimizer.proximal_engine(local, config, np.zeros(4))
+    assert (engine.solve, engine.rho_bound > 4e32) == ("cg", True)
+    assert np.isfinite(run(P, local, config, np.zeros(4)).x).all()
+    # lam = 1e-320: rho overflows to inf, which is refused before round 0
+    # with no overflow warning first (warnings are errors here).
+    P, local = make_problem([40] * 4, 8, lam=1e-320)
+    rounds = []
+    with pytest.raises(ConfigurationError, match="agent 0: the curvature bound .* not finite"):
+        run(P, local, config, np.zeros(4), callbacks=[lambda k, s: rounds.append(k)])
+    assert rounds == []
 
 
 @pytest.mark.parametrize("rho", [1.0, 17.0, 1e3])
@@ -808,7 +809,26 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
             for i, ds in enumerate(agent_datasets(local))
         ])
         W = metropolis_weights(P.graph).matrix
-        assert np.array_equal(states[1], W @ states[0] - 0.5 * grads)
+        # A round sums over the whole sets, with zero coefficients off the
+        # batch: equal up to summation order.
+        assert rel_err(states[1], W @ states[0] - 0.5 * grads) <= 1e-13
+
+
+def test_whole_set_gradients_equal_the_per_agent_gradients_bitwise():
+    # At G = C a batch is the whole set, with no zero coefficients, and
+    # sets_grad makes the same products as batch_grad per agent.
+    P, local = make_problem([40] * 6, 15)
+    config = RunConfig(batch_g=40, batch_s=40, max_iters=1, seed=7, algorithm="dsgd",
+                       step_size=0.5)
+    assert batch_positions(local, 40, 7, 0, PURPOSE_GRAD) is None
+    states = []
+    run(P, local, config, callbacks=[lambda k, s: states.append(s.x.copy())])
+    grads = np.stack([
+        agent_batch_stats(states[0][i], ds, 40, 40, 7, i, 0)[0]
+        for i, ds in enumerate(agent_datasets(local))
+    ])
+    W = metropolis_weights(P.graph).matrix
+    assert np.array_equal(states[1], W @ states[0] - 0.5 * grads)
 
 
 def test_dsgt_tracker_sum_equals_last_gradient_sum():
@@ -817,15 +837,14 @@ def test_dsgt_tracker_sum_equals_last_gradient_sum():
         batch_g=10, batch_s=10, max_iters=30, seed=7, algorithm="dsgt", step_size=0.5
     )
     W = metropolis_weights(P.graph).matrix
-    sets = LocalSets(local, config.seed)
     x = optimizer.initial_iterates(P, local, config)
-    tracker = grads = sets_grad(x, *sets.batch(10, 0, PURPOSE_GRAD))
+    tracker = grads = sets_grad(x, local, batch_positions(local, 10, 7, 0, PURPOSE_GRAD))
     gaps = []
     for k in range(config.max_iters + 1):
         want = grads.sum(axis=0)
         gaps.append(np.linalg.norm(tracker.sum(axis=0) - want) / np.linalg.norm(want))
         if k < config.max_iters:
-            x, tracker, grads = dsgt_round(x, tracker, grads, W, sets, config, k)
+            x, tracker, grads = dsgt_round(x, tracker, grads, W, local, config, k)
     assert len(gaps) == 31
     assert max(gaps) <= 1e-12
 
@@ -844,7 +863,7 @@ def test_one_over_k_schedule_divides_the_step_by_one_plus_the_round():
             agent_batch_stats(states[k][i], ds, 10, 10, 7, i, k)[0]
             for i, ds in enumerate(agent_datasets(local))
         ])
-        assert np.array_equal(states[k + 1], W @ states[k] - 0.5 / (1 + k) * grads)
+        assert rel_err(states[k + 1], W @ states[k] - 0.5 / (1 + k) * grads) <= 1e-13
 
 
 @pytest.mark.parametrize("step_size", [None, 0.0, -0.5, np.nan])
