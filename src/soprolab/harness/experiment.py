@@ -239,9 +239,9 @@ def build_problem(config: ExperimentConfig) -> Problem:
     data = _load_data(config)
     data_end = time.perf_counter()
     seed = config.data_seed if config.data_seed is not None else config.master_seed
-    # partition writes each row once into the stacked block or the test
-    # set, and keeps nothing of the loaded rows, so they are freed here,
-    # before the reference solve.
+    # partition writes each row once into the local sets or the test set,
+    # and keeps nothing of the loaded rows, so they are freed here, before
+    # the reference solve.
     local, test = partition(data, config.n_agents, config.per_agent, seed, config.lambda_reg)
     del data
     bounds = SmoothnessBounds.from_sets(local)

@@ -116,7 +116,8 @@ def optimality_error(x: np.ndarray, x_star: np.ndarray) -> float:
 
 
 def accuracy(x: np.ndarray, test: TestSet) -> float:
-    """Fraction of test samples classified correctly by ``sign(a^T x)``."""
+    """Fraction of test samples classified correctly by ``sign(a^T x)``,
+    read through ``test.features @ x`` (a dense or a CSR test set)."""
     if len(test) == 0:
         raise InvariantViolation("accuracy needs a nonempty test set")
     return float(np.mean(predict(x, test.features) == test.labels))

@@ -20,8 +20,10 @@ Every evaluation covers all agents at once over the stacked local sets
 and Hessian.  Margins and gradients read the sets through
 :meth:`~soprolab.loss.StackedSets.matvec` and
 :func:`~soprolab.loss.sets_grad`, as the rounds do, so through the CSR
-operator when the sets have one; only the Hessian reads the dense
-``(N, W, d)`` block.
+operator when the sets are held as one.  The Hessian reads the rows
+densely, ``_HESS_CHUNK_ROWS`` at a time, through
+:meth:`~soprolab.loss.StackedSets.dense_rows`, and scales each chunk in
+one buffer per solve; no ``(N, W, d)`` block is formed.
 """
 
 from __future__ import annotations
@@ -66,8 +68,9 @@ _ROUNDING = 1e3 * np.finfo(float).eps
 # to at most this fraction of its value at the step before.
 _REFACTOR_RATIO = 0.1
 
-# Rows per Hessian update: bounds the scaled copy of the rows to about 1 MB
-# at d = 123 instead of one copy of the whole stack.
+# Rows per Hessian update: bounds the buffer the rows are read into and
+# scaled in to about 1 MB at d = 123 instead of one copy of the whole
+# stack.
 _HESS_CHUNK_ROWS = 1024
 
 
@@ -77,6 +80,11 @@ class _Pool:
     def __init__(self, local: StackedSets):
         self.local = local
         self.weights = local.real / local.counts[:, None]
+        n, width, d = local.shape
+        # Every Hessian build scales each chunk in it (a CSR operator's
+        # rows are first written there): a new array a chunk cost more
+        # than the scaling.
+        self.rows = np.empty((min(_HESS_CHUNK_ROWS, n * width), d))
 
     def _spread(self, x: np.ndarray) -> np.ndarray:
         return np.broadcast_to(x, (len(self.local.counts), x.shape[0]))
@@ -101,13 +109,13 @@ class _Pool:
 
     def hessian(self, u: np.ndarray) -> np.ndarray:
         """Hessian of ``F`` at the point whose margins are ``u``."""
-        d = self.local.feats.shape[2]
+        d = self.local.dim
         root = np.sqrt(self.weights * logistic_curvature(u)).reshape(-1)
-        rows = self.local.feats.reshape(-1, d)
         H = np.zeros((d, d))
-        for start in range(0, rows.shape[0], _HESS_CHUNK_ROWS):
-            chunk = slice(start, start + _HESS_CHUNK_ROWS)
-            B = rows[chunk] * root[chunk, None]
+        for start in range(0, root.size, _HESS_CHUNK_ROWS):
+            stop = min(start + _HESS_CHUNK_ROWS, root.size)
+            B = self.rows[: stop - start]
+            np.multiply(self.local.dense_rows(start, stop, B), root[start:stop, None], out=B)
             H += B.T @ B
         H.flat[:: d + 1] += self.local.lam.sum()
         return H

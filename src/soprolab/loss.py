@@ -12,12 +12,14 @@ labels and values made of ASCII digits and an optional sign with array
 arithmetic, and sends every other token through ``int()``/``float()`` once
 per distinct string; it returns the rows as :class:`SparseRows`, in
 compressed sparse row (CSR) form, and ``(n,)`` labels.  :func:`partition`
-writes each row once into its slot: the zero-filled ``(N, C, d)`` block of
-one :class:`StackedSets`, which every later layer takes, or the test set.
-Sparse enough rows also give the sets a block-diagonal CSR operator,
-written in the same pass.  Rounds read the whole local sets, at the
-positions of their batches, through :meth:`StackedSets.matvec` (or
-:meth:`~StackedSets.matvecs`) and :meth:`StackedSets.rmatvec`.
+writes each row once into its slot in one :class:`StackedSets`, which
+every later layer takes, or in the test set.  Sparse enough rows go into
+the sets' block-diagonal CSR operator only; other rows go into a
+zero-filled ``(N, C, d)`` block.  Rounds read the whole local sets, at
+the positions of their batches, through :meth:`StackedSets.matvec` (or
+:meth:`~StackedSets.matvecs`) and :meth:`StackedSets.rmatvec`; the
+set-up reads them densely, a bounded chunk of rows at a time, through
+:meth:`StackedSets.dense_rows`.
 The stacked functions (:func:`sets_grad`, :func:`on_batches`,
 :func:`sigma_sq_estimate`, and :func:`logistic_coef` and
 :func:`logistic_curvature` of stacked margins) work on all agents at
@@ -117,34 +119,48 @@ class LocalDataset:
 
 @dataclass(frozen=True)
 class StackedSets:
-    """All agents' local sets as one block, with their regularizers.
+    """All agents' local sets, stacked, with their regularizers.
 
-    Agent ``i``'s samples are the first ``counts[i]`` rows of ``feats[i]``
-    with labels ``labels[i]``; ``W`` is the largest local set, and the
-    rows past an agent's count are zero padding labelled 0, which adds
-    nothing to a batch sum.  The arrays are read-only.
+    Agent ``i``'s samples are its first ``counts[i]`` rows, with labels
+    ``labels[i]``; ``W`` is the largest local set, and the rows past an
+    agent's count are zero padding labelled 0, which adds nothing to a
+    batch sum.  The arrays are read-only.
 
-    ``csr``, when set, holds the same rows as one block-diagonal
-    ``(N W, N d)`` CSR matrix: agent ``i``'s row ``j`` is row ``i W + j``
-    and its column ``c`` is column ``i d + c``; padding rows are empty.
-    :meth:`matvec` and :meth:`rmatvec` then read the sets through it (and
-    its transpose, made once) instead of the dense block, which stays for
-    the reference Hessian, the noise estimate, the bounds and the Gram
-    stack.
-    :func:`partition` sets it for sparse rows.
+    The rows are held in one of two forms, never both:
+
+    - ``feats``, a dense ``(N, W, d)`` block: agent ``i``'s rows are
+      ``feats[i]``;
+    - ``csr``, one block-diagonal ``(N W, N d)`` CSR matrix: agent ``i``'s
+      row ``j`` is row ``i W + j`` and its column ``c`` is column
+      ``i d + c``; padding rows are empty.
+
+    :meth:`matvec` and :meth:`rmatvec` read either (the operator through
+    its transpose, made once, for :meth:`rmatvec`).  The set-up reads
+    either densely, a bounded chunk of rows at a time, through
+    :meth:`dense_rows`.  :func:`partition` gives sparse rows the operator.
     """
 
-    feats: np.ndarray  # (N, W, d)
+    feats: np.ndarray | None  # (N, W, d), or None when csr holds the rows
     labels: np.ndarray  # (N, W) floats: +-1, then 0 on padding
     counts: np.ndarray  # (N,) in 1..W
     lam: np.ndarray  # (N,) positive
     csr: csr_matrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        shapes = (self.feats.shape, self.labels.shape, self.counts.shape, self.lam.shape)
-        if len(shapes[0]) != 3 or shapes[1:] != (shapes[0][:2], shapes[0][:1], shapes[0][:1]):
-            raise ParameterError(f"need (N, W, d), (N, W), (N,) and (N,) arrays, got {shapes}")
-        n, width, d = shapes[0]
+        dense = self.feats is not None
+        if dense == (self.csr is not None):
+            raise ParameterError(
+                "need the rows as an (N, W, d) block or as a CSR operator, got "
+                + ("both" if dense else "neither")
+            )
+        shapes = (self.labels.shape, self.counts.shape, self.lam.shape)
+        if dense:
+            shapes = (self.feats.shape, *shapes)
+        n_w = shapes[0][:2]
+        if len(shapes[0]) != 2 + dense or shapes[-3:] != (n_w, n_w[:1], n_w[:1]):
+            rows = "(N, W, d), " if dense else ""
+            raise ParameterError(f"need {rows}(N, W), (N,) and (N,) arrays, got {shapes}")
+        n, width = n_w
         if not np.all((self.counts >= 1) & (self.counts <= width)):
             raise ParameterError(f"local set sizes must lie in 1..{width}, got {self.counts}")
         if not np.all(self.lam > 0):
@@ -152,13 +168,15 @@ class StackedSets:
         real = self.real
         if not np.all(np.abs(self.labels[real]) == 1):
             raise ParameterError("labels must be +-1")
-        if self.labels[~real].any() or self.feats[~real].any():
+        if self.labels[~real].any() or (dense and self.feats[~real].any()):
             raise ParameterError("padding rows and their labels must be zero")
-        arrays = [self.feats, self.labels, self.counts, self.lam]
-        if self.csr is not None:
-            if self.csr.shape != (n * width, n * d):
+        arrays = [self.labels, self.counts, self.lam]
+        if dense:
+            arrays.append(self.feats)
+        else:
+            if n < 1 or self.csr.shape[0] != n * width or self.csr.shape[1] % n:
                 raise ParameterError(
-                    f"need a ({n * width}, {n * d}) operator, got {self.csr.shape}"
+                    f"need a ({n * width}, {n} d) operator, got {self.csr.shape}"
                 )
             if np.diff(self.csr.indptr).reshape(n, width)[~real].any():
                 raise ParameterError("padding rows of the operator must be empty")
@@ -169,7 +187,8 @@ class StackedSets:
     @classmethod
     def padded(cls, features, labels, lam) -> "StackedSets":
         """Stack ``(C_i, d)`` features and ``(C_i,)`` +-1 labels of unequal
-        sizes; ``lam`` is one regularizer for all agents or one each."""
+        sizes into a dense block; ``lam`` is one regularizer for all agents
+        or one each."""
         counts = np.array([len(b) for b in labels])
         feats = np.zeros((counts.size, counts.max(), np.shape(features[0])[1]))
         stacked = np.zeros(feats.shape[:2])
@@ -180,30 +199,90 @@ class StackedSets:
         return cls(feats, stacked, counts, lam)
 
     @property
+    def shape(self) -> tuple[int, int, int]:
+        """``(N, W, d)``: the agents, the widest local set and the dimension."""
+        if self.csr is None:
+            return self.feats.shape
+        n, width = self.labels.shape
+        return n, width, self.csr.shape[1] // n
+
+    @property
     def dim(self) -> int:
-        return self.feats.shape[2]
+        return self.shape[2]
 
     @property
     def real(self) -> np.ndarray:
         """``(N, W)`` mask of the rows that are samples, not padding."""
-        return np.arange(self.feats.shape[1]) < self.counts[:, None]
+        return np.arange(self.labels.shape[1]) < self.counts[:, None]
 
     @cached_property
     def row_sq(self) -> np.ndarray:
-        """``(N, W)`` squared norms ``|a_j|^2`` of every row, computed once."""
-        return np.einsum("nwd,nwd->nw", self.feats, self.feats)
+        """``(N, W)`` squared norms ``|a_j|^2`` of every row, computed once
+        from :meth:`agent_chunks`."""
+        out = np.empty(self.labels.shape)
+        for a, b, feats in self.agent_chunks():
+            np.einsum("nwd,nwd->nw", feats, feats, out=out[a:b])
+        return out
 
     @cached_property
     def csr_t(self):
         """The transpose of ``csr``: a CSC matrix over the same arrays."""
         return self.csr.T
 
+    @cached_property
+    def _flat_positions(self) -> np.ndarray:
+        """Where each stored entry of ``csr`` sits in the flat ``(N W, d)``
+        stack of the rows: row ``r``'s entry in column ``i d + c`` (``i =
+        r // W``) at ``r d + c``.  Computed once, for :meth:`dense_rows`."""
+        n, width, d = self.shape
+        index = np.int32 if n * width * d < 2**31 else np.int64
+        rows = np.repeat(np.arange(n * width, dtype=index), np.diff(self.csr.indptr))
+        rows -= rows // width
+        rows *= d
+        return np.add(rows, self.csr.indices, dtype=index)
+
+    def dense_rows(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Rows ``start`` to ``stop`` of the flat ``(N W, d)`` stack of the
+        rows (agent ``i``'s row ``j`` is row ``i W + j``), as a dense array.
+
+        A dense block returns a read-only view and leaves ``out`` alone.  A
+        CSR operator zeroes the C-contiguous ``(stop - start, d)`` array
+        ``out``, writes the rows' stored entries into it and returns it.
+        Both give the same values, bitwise.
+        """
+        if self.csr is None:
+            return self.feats.reshape(-1, self.feats.shape[2])[start:stop]
+        d = self.dim
+        if out.shape != (stop - start, d) or not out.flags.c_contiguous:
+            raise ParameterError(
+                f"need a C-contiguous ({stop - start}, {d}) array, got {out.shape}"
+            )
+        lo, hi = self.csr.indptr[start], self.csr.indptr[stop]
+        out.fill(0.0)
+        out.reshape(-1)[self._flat_positions[lo:hi] - start * d] = self.csr.data[lo:hi]
+        return out
+
+    def agent_chunks(self):
+        """Yield ``(a, b, feats)`` over consecutive runs of whole agents:
+        ``feats`` is the ``(b - a, W, d)`` rows of agents ``a`` to ``b``,
+        read by :meth:`dense_rows`.  A run holds at most
+        ``_READ_CHUNK_ROWS`` rows, or one agent; every run of a CSR
+        operator is written into the same buffer, so ``feats`` is valid
+        until the next run."""
+        n, width, d = self.shape
+        step = max(1, _READ_CHUNK_ROWS // width)
+        buffer = np.empty((min(step, n) * width, d))
+        for a in range(0, n, step):
+            b = min(a + step, n)
+            rows = self.dense_rows(a * width, b * width, buffer[: (b - a) * width])
+            yield a, b, rows.reshape(b - a, width, d)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``(N, W)`` products ``F_i x_i`` of every agent's rows with its
         row of the ``(N, d)`` ``x``."""
         if self.csr is None:
             return (self.feats @ x[:, :, None])[:, :, 0]
-        return (self.csr @ x.ravel()).reshape(self.feats.shape[:2])
+        return (self.csr @ x.ravel()).reshape(self.labels.shape)
 
     def matvecs(self, *xs: np.ndarray) -> tuple[np.ndarray, ...]:
         """:meth:`matvec` of each ``(N, d)`` point in ``xs``: one stacked
@@ -224,9 +303,14 @@ class StackedSets:
 
 @dataclass
 class TestSet:
-    """Held-out samples for accuracy reporting; may be empty."""
+    """Held-out samples for accuracy reporting; may be empty.
 
-    features: np.ndarray
+    ``features`` is an ``(n, d)`` array, or an ``(n, d)`` CSR matrix when
+    :func:`partition` took the rows from :class:`SparseRows`; either is
+    read through ``features @ x``.
+    """
+
+    features: np.ndarray | csr_matrix
     labels: np.ndarray
 
     def __len__(self) -> int:
@@ -272,15 +356,10 @@ class SparseRows:
         """The ``(n, dim)`` matrix."""
         return self.take(np.arange(self.shape[0]), np.zeros(self.shape))
 
-    def _pieces(self, rows: np.ndarray, out: np.ndarray):
-        """Check ``out`` for :meth:`take`; then, ``_CHUNK_LINES`` rows of
-        ``rows`` at a time, yield the piece's first position in ``rows``,
-        its rows' lengths, and the positions of their stored entries in
-        ``indices`` and ``values``, row by row."""
-        if out.shape != (len(rows), self.dim) or not out.flags.c_contiguous:
-            raise ParameterError(
-                f"need a C-contiguous ({len(rows)}, {self.dim}) array, got {out.shape}"
-            )
+    def _pieces(self, rows: np.ndarray):
+        """``_CHUNK_LINES`` rows of ``rows`` at a time, yield the piece's
+        first position in ``rows``, its rows' lengths, and the positions of
+        their stored entries in ``indices`` and ``values``, row by row."""
         ptr = self.indptr
         for a in range(0, len(rows), _CHUNK_LINES):
             part = rows[a : a + _CHUNK_LINES]
@@ -297,44 +376,45 @@ class SparseRows:
         Only stored entries are written, ``_CHUNK_LINES`` rows at a time,
         so the index arrays grow with that count, not with ``rows``.
         """
+        if out.shape != (len(rows), self.dim) or not out.flags.c_contiguous:
+            raise ParameterError(
+                f"need a C-contiguous ({len(rows)}, {self.dim}) array, got {out.shape}"
+            )
         flat, d = out.reshape(-1), self.dim
-        for a, lens, at in self._pieces(rows, out):
+        for a, lens, at in self._pieces(rows):
             dest = np.repeat(np.arange(a, a + lens.size) * d, lens)
             dest += self.indices[at]
             flat[dest] = self.values[at]
         return out
 
-    def take_block(self, rows: np.ndarray, out: np.ndarray, width: int):
-        """:meth:`take`, and the same rows as one block-diagonal CSR matrix.
+    def take_block(self, rows: np.ndarray, width: int | None = None):
+        """The rows ``rows``, in order, as one CSR matrix of their stored
+        entries: ``(len(rows), dim)``, or block-diagonal given ``width``.
 
-        Every ``width`` consecutive rows of ``rows`` form one block, whose
-        columns start ``dim`` past the previous block's: row ``r``'s entry
-        in column ``c`` sits at column ``(r // width) dim + c`` of the
-        ``(len(rows), (len(rows) // width) dim)`` matrix.  Both are written
-        from the same entry positions, in one pass.  Returns ``(out, csr)``.
+        Every ``width`` consecutive rows of ``rows`` then form one block,
+        whose columns start ``dim`` past the previous block's: row ``r``'s
+        entry in column ``c`` sits at column ``(r // width) dim + c`` of the
+        ``(len(rows), (len(rows) // width) dim)`` matrix.  The entries are
+        copied ``_CHUNK_LINES`` rows at a time, as :meth:`take` writes them.
         """
-        # Imported here: only sparse local sets need scipy.sparse, and it
-        # costs resident memory.
+        # Imported here: only sparse rows need scipy.sparse, and it costs
+        # resident memory.
         from scipy.sparse import csr_matrix
 
         n, d = len(rows), self.dim
         lens = self.indptr[rows + 1] - self.indptr[rows]
-        shape = (n, n // width * d)
+        shape = (n, d if width is None else n // width * d)
         index = np.int32 if max(lens.sum(), *shape) < 2**31 else np.int64
         indptr = np.zeros(n + 1, dtype=index)
         np.cumsum(lens, out=indptr[1:])
         indices, data = np.empty(indptr[-1], dtype=index), np.empty(indptr[-1])
-        flat = out.reshape(-1)
-        for a, part, at in self._pieces(rows, out):
+        for a, part, at in self._pieces(rows):
             lo, hi = indptr[a], indptr[a + part.size]
             np.take(self.values, at, out=data[lo:hi])
-            cols = self.indices[at]
-            r = np.arange(a, a + part.size)
-            dest = np.repeat(r * d, part)
-            dest += cols
-            flat[dest] = data[lo:hi]
-            indices[lo:hi] = np.repeat(r // width * d, part) + cols
-        return out, csr_matrix((data, indices, indptr), shape=shape, copy=False)
+            indices[lo:hi] = self.indices[at]
+            if width is not None:
+                indices[lo:hi] += np.repeat(np.arange(a, a + part.size) // width * d, part)
+        return csr_matrix((data, indices, indptr), shape=shape, copy=False)
 
 
 # Raw label sets the automatic rule accepts, in the order it tries them,
@@ -363,6 +443,9 @@ def _map_labels(raw: np.ndarray, linenos: list[int]) -> np.ndarray:
 # tokenizer's and take's index arrays grow with a slice, not with the
 # file.
 _CHUNK_LINES = 1024
+# Rows per run of StackedSets.agent_chunks (whole agents, at least one):
+# the buffer a CSR operator is read into is about 1 MB at d = 123.
+_READ_CHUNK_ROWS = 1024
 # The code points that ``str.split`` treats as whitespace, and those among
 # them that ``str.splitlines`` ends a line at; none lies above U+3000.
 _SPACES = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0, 0x1680,
@@ -622,19 +705,21 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
     or as a dense array, and ``labels`` ``(n,)`` of +-1.  The first
     ``n_agents * per_agent`` permuted rows form contiguous blocks of
     ``per_agent``; leftovers become the test set.  Deterministic per seed.
-    Each row is written once into its slot, in the zero-filled
-    ``(n_agents, per_agent, d)`` block of a :class:`StackedSets` or in the
-    test set; neither shares memory with ``data``.
+    Each row is written once into its slot, in the local sets of a
+    :class:`StackedSets` or in the test set; neither shares memory with
+    ``data``.
 
     Rows with a non-finite value, local or test, are refused with a
     :class:`ParameterError` that names the first of them (0-based, in data
-    order) before any block is written.
+    order) before any set is written.
 
     Sparse rows whose stored entries in the local sets are at most
-    ``CSR_MAX_DENSITY`` of the block's also give the sets their
-    block-diagonal CSR operator, written in the same pass as the block
-    (:meth:`SparseRows.take_block`).  Dense rows, and denser sparse ones,
-    give none.  Returns ``(local_sets, test_set)``.
+    ``CSR_MAX_DENSITY`` of the ``n_agents * per_agent * d`` entries of the
+    sets are held as their block-diagonal CSR operator only
+    (:meth:`SparseRows.take_block`); no dense block is formed.  Dense rows,
+    and denser sparse ones, fill a zero-filled ``(n_agents, per_agent, d)``
+    block.  Sparse rows give the test set a CSR matrix, dense rows a dense
+    one.  Returns ``(local_sets, test_set)``.
     """
     if n_agents < 1 or per_agent < 1:
         raise ParameterError(f"need agents and samples per agent, got {n_agents} x {per_agent}")
@@ -672,20 +757,19 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
         # out where the default "raise" would gather into a temporary first.
         return np.take(rows, idx, axis=0, out=out, mode="clip")
 
-    csr = None
-    chosen = perm[:need]
+    chosen, rest = perm[:need], perm[need:]
+    block = csr = None
     if sparse and (
         np.sum(rows.indptr[chosen + 1] - rows.indptr[chosen]) <= CSR_MAX_DENSITY * need * d
     ):
-        block, csr = rows.take_block(chosen, np.zeros((need, d)), per_agent)
+        csr = rows.take_block(chosen, per_agent)
     else:
-        block = place(chosen)
+        block = place(chosen).reshape(n_agents, per_agent, d)
     local_labels = labels[chosen].reshape(n_agents, per_agent).astype(float)
     lam = np.full(n_agents, float(lambda_reg))
-    local = StackedSets(block.reshape(n_agents, per_agent, d), local_labels,
-                        np.full(n_agents, per_agent), lam, csr)
-    rest = perm[need:]
-    return local, TestSet(features=place(rest), labels=labels[rest])
+    local = StackedSets(block, local_labels, np.full(n_agents, per_agent), lam, csr)
+    test = rows.take_block(rest) if sparse else place(rest)
+    return local, TestSet(features=test, labels=labels[rest])
 
 
 @dataclass
@@ -884,34 +968,38 @@ def sigma_sq_estimate(local: StackedSets, probe_points) -> float:
     ``||grad l_ij(x) - grad f_i(x)||^2``.  The max over samples dominates the
     in-expectation deviation the certificates need, making the reported
     steady-state bounds conservative.  The ``P`` probes are evaluated
-    together as the columns of one ``(d, P)`` block, for all agents at once
-    over the stacked local sets: one matrix product gives every margin,
-    and stacked products give the agents' mean terms; padding rows are
-    masked.
+    together as the columns of one ``(d, P)`` block, over the runs of whole
+    agents of :meth:`StackedSets.agent_chunks`: one matrix product gives
+    every margin of a run, and stacked products give its agents' mean
+    terms; padding rows are masked.
     """
     probes = [np.asarray(x, dtype=float) for x in probe_points]
     if not probes:
         raise ParameterError("need at least one probe point")
-    feats, counts = local.feats, local.counts
-    n, width, d = feats.shape
+    _, width, d = local.shape
     for x in probes:
         _check_dim(x, d)
     X = np.stack(probes, axis=1)
+    row_sq, real, worst = local.row_sq, local.real, 0.0
     # per-sample grad_j = lam*x - c_j a_j and full grad = lam*x - u with
     # u the mean of c_j a_j, so the deviation is u - c_j a_j, whose
     # squared norm c_j (c_j |a_j|^2 - 2 a_j.u) + |u|^2 expands without
     # forming it.  Axis -1 runs over probes.  The sum is built in place,
-    # so at most three (N, W, P) blocks are alive at once.
-    c = logistic_coef((feats.reshape(-1, d) @ X).reshape(n, width, -1), local.labels[:, :, None])
-    u = (feats.transpose(0, 2, 1) @ c) / counts[:, None, None]
-    dev_sq = feats @ u
-    dev_sq *= -2.0
-    dev_sq += c * local.row_sq[:, :, None]
-    dev_sq *= c
-    dev_sq += np.einsum("ndp,ndp->np", u, u)[:, None, :]
-    return max(0.0, float(dev_sq[local.real].max()))
+    # so at most three (b - a, W, P) blocks are alive at once.
+    for a, b, feats in local.agent_chunks():
+        margins = (feats.reshape(-1, d) @ X).reshape(b - a, width, -1)
+        c = logistic_coef(margins, local.labels[a:b, :, None])
+        u = (feats.transpose(0, 2, 1) @ c) / local.counts[a:b, None, None]
+        dev_sq = feats @ u
+        dev_sq *= -2.0
+        dev_sq += c * row_sq[a:b, :, None]
+        dev_sq *= c
+        dev_sq += np.einsum("ndp,ndp->np", u, u)[:, None, :]
+        worst = max(worst, float(dev_sq[real[a:b]].max()))
+    return worst
 
 
-def predict(x: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Classification rule ``sign(a^T x)`` with ties counted as +1."""
+def predict(x: np.ndarray, features) -> np.ndarray:
+    """Classification rule ``sign(a^T x)`` with ties counted as +1, for the
+    ``(n, d)`` rows ``features``, an array or a sparse matrix."""
     return np.where(features @ x >= 0.0, 1, -1)

@@ -53,8 +53,8 @@ size ``S`` (the widest local set ``W`` in full batch), ``W`` and ``d``,
 * ``rho >= 1``, ``S < d`` and no local set wider than ``d`` (``W <=
   d``): :func:`gram_step`, which factors each agent's ``S x S`` Woodbury
   system from the Gram stack of its local set, computed once before
-  round 0.  The rule keeps the cached ``N W^2`` floats no larger than the
-  ``N W d`` of the local sets themselves.
+  round 0 (:func:`gram_stack`).  The rule keeps the cached ``N W^2``
+  floats no larger than the ``N W d`` of a dense block of the local sets.
 * ``rho >= 1`` otherwise: :func:`row_step` with conjugate gradients
   (Hestenes & Stiefel 1952) on all agents at once.  ``B_i^T B_i`` has
   rank at most ``S``, so ``c_i I + B_i^T B_i`` has at most ``S + 1``
@@ -71,9 +71,9 @@ the same ``x``, so the gradient and the curvature share one margins
 pass.  Only the product differs, and the engine's ``operator`` reports
 it:
 
-* ``"csr"``: local sets parsed from sparse rows carry a block-diagonal CSR
-  operator (see :func:`~soprolab.loss.partition` for when), and every
-  pass is one sparse product over the whole sets.
+* ``"csr"``: local sets parsed from sparse rows are held as a
+  block-diagonal CSR operator (see :func:`~soprolab.loss.partition` for
+  when), and every pass is one sparse product over the whole sets.
 * ``"dense"`` otherwise: every pass is one stacked product of the dense
   ``(N, W, d)`` block.
 
@@ -130,6 +130,7 @@ __all__ = [
     "init_network",
     "local_step",
     "row_step",
+    "gram_stack",
     "gram_step",
     "exchange_and_dual_update",
     "Engine",
@@ -337,7 +338,7 @@ def initial_iterates(P: MatrixP, local: StackedSets, config: RunConfig) -> np.nd
     each agent drawing from its own substream.
     """
     n = P.n_agents
-    n_sets, _, d = local.feats.shape
+    n_sets, _, d = local.shape
     if n_sets != n:
         raise ConfigurationError(f"{n_sets} local sets for {n} agents")
     config.validate(n_samples=int(local.counts.min()))
@@ -507,6 +508,19 @@ def row_step(
     return x - solver(lambda v: F.rmatvec(w * F.matvec(v)), rhs, c, terms)
 
 
+def gram_stack(local: StackedSets) -> np.ndarray:
+    """The ``(N, W, W)`` stack of ``F_i F_i^T`` over the local sets, for
+    :func:`gram_step`, read a run of whole agents at a time through
+    :meth:`~soprolab.loss.StackedSets.agent_chunks`.  It is ``N W^2``
+    floats, no more than the ``N W d`` of a dense block of the sets on the
+    Gram path, where ``W <= d``."""
+    n, width, _ = local.shape
+    gram = np.empty((n, width, width))
+    for a, b, feats in local.agent_chunks():
+        np.matmul(feats, feats.transpose(0, 2, 1), out=gram[a:b])
+    return gram
+
+
 def gram_step(
     x: np.ndarray,
     t: np.ndarray,
@@ -636,7 +650,7 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     A bound that is not finite (a shift so small that it overflows) is
     refused the same way, naming the first agent whose is not.
     """
-    _, width, d = local.feats.shape
+    _, width, d = local.shape
     shift = local.lam + np.asarray(alphas, dtype=float)
     _check_shift(shift)
     with np.errstate(over="ignore"):
@@ -696,9 +710,7 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     sent = 2 * P.graph.n_edges * state.dim
 
     if engine.path == "gram_step":
-        # The Gram stack is N W^2 floats, no more than the N W d of the
-        # local sets themselves.
-        gram = local.feats @ local.feats.transpose(0, 2, 1)
+        gram = gram_stack(local)
 
         def gram_round(state: NetworkState, k: int) -> None:
             t = local.lam[:, None] * state.x + beta * state.y + state.q

@@ -8,11 +8,13 @@ Each function here is the plain loop or search that a routine of
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dposv
 from scipy.optimize import brentq, minimize_scalar
+from scipy.sparse import block_diag, csr_matrix
 from scipy.special import expit
 
 from soprolab.certificate import _condition_shift, _lambda_min_shifted, m_beta
@@ -139,12 +141,22 @@ def partition_samples(samples, n_agents, per_agent, seed, lambda_reg):
 
 
 def agent_datasets(local):
-    """Per-agent views of the stacked local sets ``local``, for the
-    per-agent oracles."""
+    """Per-agent rows of the stacked local sets ``local``, read through
+    ``StackedSets.dense_rows`` (views of a dense block), for the per-agent
+    oracles."""
+    _, width, d = local.shape
     return [
-        LocalDataset(local.feats[i, :c], local.labels[i, :c], float(local.lam[i]))
+        LocalDataset(local.dense_rows(i * width, i * width + c, np.empty((c, d))),
+                     local.labels[i, :c], float(local.lam[i]))
         for i, c in enumerate(local.counts.tolist())
     ]
+
+
+def with_operator(local):
+    """The dense local sets ``local`` held as a block-diagonal CSR operator
+    only, built from the dense block: padding rows are empty rows."""
+    csr = block_diag([csr_matrix(f) for f in local.feats], format="csr")
+    return replace(local, feats=None, csr=csr)
 
 
 def stacked(datasets):

@@ -1,10 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
-from scipy.sparse import block_diag, csr_matrix
 
-from oracles import agent_datasets, dense_step_stacked, stacked
+from oracles import agent_datasets, dense_step_stacked, stacked, with_operator
 from soprolab import optimizer, topology
 from soprolab.baselines import dsgt_round, metropolis_weights
 from soprolab.certificate import QNormError, proximal_alphas
@@ -73,12 +70,6 @@ def rows(F):
     in which every row is a sample."""
     n, S, _ = F.shape
     return StackedSets(F, np.ones((n, S)), np.full(n, S), np.ones(n))
-
-
-def with_operator(local):
-    """The same local sets with a block-diagonal CSR operator, built from
-    the dense block: padding rows are empty rows."""
-    return replace(local, csr=block_diag([csr_matrix(f) for f in local.feats], format="csr"))
 
 
 def csr_rows(F):
@@ -329,7 +320,7 @@ def reference_run(P, local, config, alphas):
     state = init_network(P, local, config)
     state.y = neighbor_disagreement(P, state.x)
     full = config.algorithm == "sopro"
-    width = local.feats.shape[1]  # the batched draw's key rows
+    width = local.shape[1]  # the batched draw's key rows
     history = [(state.x.copy(), state.q.copy())]
     for k in range(config.max_iters):
         for i, ds in enumerate(agent_datasets(local)):
@@ -459,8 +450,8 @@ UNEQUAL_SHAPES = [
 def test_run_accepts_unequal_local_datasets(algorithm, d, low_rank, operator, monkeypatch):
     P, local = make_problem([20, 30, 45, 25, 35], d, seed=1)
     if operator == "csr":
-        local = with_operator(local)
-        assert local.csr.nnz == np.count_nonzero(local.feats)
+        dense, local = local, with_operator(local)
+        assert local.csr.nnz == np.count_nonzero(dense.feats)
     config = RunConfig(batch_g=8, batch_s=6, max_iters=20, seed=2, algorithm=algorithm)
     alphas = certified_alphas(P, local)
     assert optimizer.proximal_engine(local, config, alphas).operator == operator
@@ -507,8 +498,10 @@ def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
     rows, labels = one_hot_rows(n * count + 20, 3, columns, seed=columns)
     sparse, _ = partition((rows, labels), n, count, seed=4, lambda_reg=0.05)
     dense, _ = partition((rows.dense(), labels), n, count, seed=4, lambda_reg=0.05)
-    assert sparse.csr is not None and dense.csr is None
-    assert np.array_equal(sparse.feats, dense.feats)
+    assert sparse.feats is None and dense.csr is None
+    stacked_rows = n * count
+    assert np.array_equal(sparse.dense_rows(0, stacked_rows, np.empty((stacked_rows, columns))),
+                          dense.feats.reshape(stacked_rows, columns))
     P = laplacian_weights(build_random_connected_graph(n, 2.0, seed=0), 1.0)
     config = RunConfig(batch_g=10, batch_s=batch_s or count, max_iters=30, seed=9,
                        algorithm=algorithm, step_size=0.5)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.sparse import csr_matrix
 
-from oracles import agent_datasets, stacked
+from oracles import agent_datasets, stacked, with_operator
 from soprolab.errors import ParameterError, ParseError
 from soprolab.loss import (
     LocalDataset,
@@ -193,8 +193,7 @@ def test_stacked_batch_statistics_match_per_agent_batches(sizes):
     rng = np.random.default_rng(4)
     datasets = [make_dataset(rng, C=C, d=7, lam=0.05 * (i + 1)) for i, C in enumerate(sizes)]
     dense = stacked(datasets)
-    operator = StackedSets(dense.feats, dense.labels, dense.counts, dense.lam,
-                           csr_matrix(scipy.linalg.block_diag(*dense.feats)))
+    operator = with_operator(dense)
     x = rng.standard_normal((len(sizes), 7))
     for local in (dense, operator):
         grads = sets_grad(x, local, None)
@@ -203,7 +202,7 @@ def test_stacked_batch_statistics_match_per_agent_batches(sizes):
             C = ds.n_samples
             want = batch_grad(x[i], ds, np.arange(C))
             want_w = batch_hess(x[i], ds, np.arange(C)).weights
-            if C == local.feats.shape[1] and local.csr is None:
+            if C == local.shape[1] and local.csr is None:
                 assert np.array_equal(grads[i], want)
                 assert np.array_equal(weights[i], want_w)
             else:
@@ -218,8 +217,7 @@ def test_matvecs_of_several_points_are_their_matvecs(operator):
     rng = np.random.default_rng(11)
     local = stacked([make_dataset(rng, C=C, d=7, lam=0.05) for C in (12, 9, 12)])
     if operator:
-        local = StackedSets(local.feats, local.labels, local.counts, local.lam,
-                            csr_matrix(scipy.linalg.block_diag(*local.feats)))
+        local = with_operator(local)
     points = rng.standard_normal((4, 3, 7))
     got = local.matvecs(*points)
     assert len(got) == 4
@@ -242,8 +240,7 @@ def test_set_gradients_of_drawn_batches_match_per_agent_batches(operator):
     datasets = [make_dataset(rng, C=C, d=7, lam=0.05) for C in (12, 9, 12)]
     local = stacked(datasets)
     if operator:
-        local = StackedSets(local.feats, local.labels, local.counts, local.lam,
-                            csr_matrix(scipy.linalg.block_diag(*local.feats)))
+        local = with_operator(local)
     x = rng.standard_normal((3, 7))
     idx = np.sort(np.stack([rng.choice(9, 4, replace=False) for _ in range(3)]), axis=1)
     for batches in (idx, None):
@@ -547,15 +544,32 @@ def test_dataset_validation():
 
 
 def test_stacked_sets_refuse_an_operator_of_another_shape_or_with_padding_entries():
-    fields = dict(feats=np.arange(1.0, 13.0).reshape(2, 3, 2), labels=np.ones((2, 3)),
-                  counts=np.array([3, 2]), lam=np.array([0.1, 0.2]))
-    fields["feats"][1, 2] = 0.0
+    feats = np.arange(1.0, 13.0).reshape(2, 3, 2)
+    feats[1, 2] = 0.0
+    fields = dict(labels=np.ones((2, 3)), counts=np.array([3, 2]), lam=np.array([0.1, 0.2]))
     fields["labels"][1, 2] = 0.0
-    block = scipy.linalg.block_diag(*fields["feats"])
-    local = StackedSets(**fields, csr=csr_matrix(block))
+    block = scipy.linalg.block_diag(*feats)
+    local = StackedSets(None, **fields, csr=csr_matrix(block))
     assert not local.csr.data.flags.writeable
-    with pytest.raises(ParameterError, match=r"need a \(6, 4\) operator"):
-        StackedSets(**fields, csr=csr_matrix(block[:, :3]))
+    assert local.shape == (2, 3, 2) and local.dim == 2
+    # A row short, and 3 columns, which are not two blocks of d columns.
+    for bad in (block[:5], block[:, :3]):
+        with pytest.raises(ParameterError, match=r"need a \(6, 2 d\) operator"):
+            StackedSets(None, **fields, csr=csr_matrix(bad))
+    assert StackedSets(None, **fields, csr=csr_matrix(block[:, :2])).dim == 1  # d = 1
     block[5, 2] = 1.0  # agent 1's padding row
     with pytest.raises(ParameterError, match="padding rows of the operator must be empty"):
-        StackedSets(**fields, csr=csr_matrix(block))
+        StackedSets(None, **fields, csr=csr_matrix(block))
+
+
+def test_stacked_sets_hold_their_rows_in_one_form():
+    feats = np.arange(1.0, 13.0).reshape(2, 3, 2)
+    fields = dict(labels=np.ones((2, 3)), counts=np.array([3, 3]), lam=np.array([0.1, 0.2]))
+    csr = csr_matrix(scipy.linalg.block_diag(*feats))
+    with pytest.raises(ParameterError, match="block or as a CSR operator, got neither"):
+        StackedSets(None, **fields)
+    with pytest.raises(ParameterError, match="block or as a CSR operator, got both"):
+        StackedSets(feats, **fields, csr=csr)
+    for bad in (np.ones(6), np.ones((2, 3, 1))):
+        with pytest.raises(ParameterError, match=r"^need \(N, W\), \(N,\) and \(N,\) arrays"):
+            StackedSets(None, **{**fields, "labels": bad}, csr=csr)

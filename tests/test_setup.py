@@ -26,14 +26,17 @@ from oracles import (
     parse_libsvm_per_token,
     partition_samples,
     sigma_sq_per_agent,
+    with_operator,
 )
-from soprolab import loss
+from soprolab import loss, optimizer
 from soprolab.errors import ParameterError, ParseError
 from soprolab.harness import experiment, reference
 from soprolab.harness.cli import main
+from soprolab.harness.metrics import accuracy
 from soprolab.harness.synthetic import gaussian_blob_samples
 from soprolab.loss import (
     Sample,
+    SmoothnessBounds,
     SparseRows,
     StackedSets,
     parse_libsvm,
@@ -54,6 +57,25 @@ def assert_same_arrays(got, want):
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.dtype == w.dtype
         assert g.tobytes() == w.tobytes()
+
+
+def block_of(local):
+    """The ``(N, W, d)`` rows of ``local``, read through ``dense_rows``."""
+    n, width, d = local.shape
+    return local.dense_rows(0, n * width, np.empty((n * width, d))).reshape(n, width, d)
+
+
+def dense_features(test):
+    """The test set's rows as a dense array: partition gives sparse input
+    a CSR test set, whose stored entries are written, not added (as
+    ``toarray`` does), so that an explicit ``-0.0`` keeps its sign."""
+    features = test.features
+    if isinstance(features, np.ndarray):
+        return features
+    out = np.zeros(features.shape)
+    out[np.repeat(np.arange(features.shape[0]), np.diff(features.indptr)),
+        features.indices] = features.data
+    return out
 
 
 def outcome(parse, text, **kw):
@@ -173,9 +195,9 @@ def test_partition_of_parsed_rows_equals_the_dense_route_bitwise(
     with mock.patch.object(loss, "_CHUNK_LINES", chunk):
         got, got_test = partition(parse_libsvm(text, dim=dim), n_agents, per_agent, seed, 0.1)
     want, want_test = parse_and_partition_dense(text, n_agents, per_agent, seed, 0.1, dim=dim)
-    assert_same_arrays((got.feats, got.labels, got.counts, got.lam),
+    assert_same_arrays((block_of(got), got.labels, got.counts, got.lam),
                        (want.feats, want.labels, want.counts, want.lam))
-    assert_same_arrays((got_test.features, got_test.labels),
+    assert_same_arrays((dense_features(got_test), got_test.labels),
                        (want_test.features, want_test.labels))
 
 
@@ -381,28 +403,36 @@ def one_hot_libsvm(rows, attributes, columns, seed):
     [(4781, 14, 123, 20, 239), (8124, 22, 112, 10, 600), (9000, 14, 123, 200, 40)],
     ids=["a4a", "mushrooms", "scale200"],
 )
-def test_parse_and_partition_are_exact_and_peak_below_1_75x_the_matrix(
+def test_parse_and_partition_are_exact_and_peak_below_1_05x_the_matrix(
     rows, attributes, columns, n_agents, per_agent
 ):
     # The benchmark's file and split shapes.  Parsing to a dense matrix and
-    # gathering the local block from it peaked at 2.03-2.04x that matrix.
+    # gathering the local block from it peaked at 2.03-2.04x that matrix;
+    # writing a dense local block next to the sets' CSR operator, at
+    # 1.41-1.68x.  Every benchmark shape is sparse enough to be held as
+    # the operator only, with a CSR test set: parse then sets the peak, at
+    # 0.85 / 0.97 / 0.56x (a4a / mushrooms / scale200), and partition,
+    # with the parsed rows alive, peaks at 0.48 / 0.73 / 0.42x.  The
+    # bounds leave about 8% over the highest of each.
     text = one_hot_libsvm(rows, attributes, columns, seed=rows)
     source = io.BytesIO(text.encode())
+    matrix = rows * columns * 8
     tracemalloc.start()
     try:
         parsed = parse_libsvm(source)
-        local, test = partition(parsed, n_agents, per_agent, seed=1, lambda_reg=0.01)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        local, test = partition(parsed, n_agents, per_agent, seed=1, lambda_reg=0.01)
+        partition_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert_same_arrays((parsed[0].dense(), parsed[1]), parse_libsvm_per_token(text))
     want, want_test = parse_and_partition_dense(text, n_agents, per_agent, 1, 0.01)
-    assert_same_arrays((local.feats, local.labels, test.features, test.labels),
+    assert_same_arrays((block_of(local), local.labels, dense_features(test), test.labels),
                        (want.feats, want.labels, want_test.features, want_test.labels))
-    # The peak includes the sets' CSR operator: every benchmark shape is
-    # sparse enough to get one.
-    assert local.csr is not None
-    assert peak <= 1.75 * rows * columns * 8
+    assert local.feats is None and not isinstance(test.features, np.ndarray)
+    assert max(peak, partition_peak) <= 1.05 * matrix
+    assert partition_peak <= 0.8 * matrix
 
 
 @pytest.mark.parametrize(
@@ -461,12 +491,17 @@ def test_partition_matches_the_sample_list_path_bitwise():
         assert len(want_sets) == len(got.counts)
         for g, w in zip(agent_datasets(got), want_sets):
             assert_same_arrays((g.features, g.labels.astype(int)), (w.features, w.labels))
-        assert_same_arrays((got_test.features, got_test.labels),
+        assert_same_arrays((dense_features(got_test), got_test.labels),
                            (want_test.features, want_test.labels))
-        block = got.feats
+        # Sparse rows are held as the sets' operator and a CSR test set.
+        dense = isinstance(rows, np.ndarray)
+        assert (got.csr is None) == dense == isinstance(got_test.features, np.ndarray)
+        source = rows if dense else rows.values
+        block = got.feats if dense else got.csr.data
         assert not block.flags.writeable
-        assert not np.shares_memory(block, feats)
-        assert not np.shares_memory(got_test.features, feats)
+        assert not np.shares_memory(block, source)
+        test_rows = got_test.features if dense else got_test.features.data
+        assert not np.shares_memory(test_rows, source)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1024])
@@ -484,20 +519,34 @@ def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(chunk):
     with mock.patch.object(loss, "_CHUNK_LINES", chunk):
         local, test = partition((rows, labels), 4, 10, seed=3, lambda_reg=0.1)
     want, want_test = partition((rows.dense(), labels), 4, 10, seed=3, lambda_reg=0.1)
-    assert want.csr is None
-    assert_same_arrays((local.feats, local.labels, test.features),
+    assert want.csr is None and local.feats is None
+    assert_same_arrays((block_of(local), local.labels, dense_features(test)),
                        (want.feats, want.labels, want_test.features))
     A = local.csr
     assert A.format == "csr" and A.shape == (40, 40)
     assert np.array_equal(A.toarray(), scipy.linalg.block_diag(*want.feats))
-    # Only the local rows' parsed entries, explicit zeros included.
-    perm = np.random.default_rng(3).permutation(50)[:40]
-    assert A.nnz == np.sum(rows.indptr[perm + 1] - rows.indptr[perm])
+    # Only the parsed entries of the local rows and of the test rows,
+    # explicit zeros included.
+    perm = np.random.default_rng(3).permutation(50)
+    local_rows, test_rows = perm[:40], perm[40:]
+    assert A.nnz == np.sum(rows.indptr[local_rows + 1] - rows.indptr[local_rows])
+    assert test.features.format == "csr" and test.features.shape == (10, 10)
+    assert test.features.nnz == np.sum(rows.indptr[test_rows + 1] - rows.indptr[test_rows])
     assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr))
     assert np.shares_memory(local.csr_t.data, A.data) and local.csr_t is local.csr_t
     x, v = rng.standard_normal((4, 10)), rng.standard_normal((4, 10))
     assert rel_err(local.matvec(x), want.matvec(x)) <= 1e-15
     assert rel_err(local.rmatvec(v), want.rmatvec(v)) <= 1e-15
+
+
+def test_accuracy_reads_a_csr_test_set_as_the_dense_one():
+    text = one_hot_libsvm(200, 3, 12, seed=6)
+    _, sparse = partition(parse_libsvm(text, dim=12), 4, 30, seed=2, lambda_reg=0.1)
+    _, dense = partition(parse_libsvm_per_token(text, dim=12), 4, 30, seed=2, lambda_reg=0.1)
+    assert sparse.features.format == "csr" and isinstance(dense.features, np.ndarray)
+    for x in np.random.default_rng(0).standard_normal((5, 12)):
+        assert np.allclose(sparse.features @ x, dense.features @ x, rtol=0, atol=1e-14)
+        assert accuracy(x, sparse) == accuracy(x, dense)
 
 
 @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
@@ -624,7 +673,7 @@ def test_solve_reference_matches_per_agent_newton(sizes):
 def test_solve_reference_through_the_operator_matches_the_dense_block():
     local = one_hot_sets(12, seed=3)
     sparse = reference.solve_reference(local)
-    dense = reference.solve_reference(replace(local, csr=None))
+    dense = reference.solve_reference(replace(local, feats=block_of(local), csr=None))
     assert rel_err(sparse.x, dense.x) <= 1e-12
     assert rel_err(sparse.local_grads, dense.local_grads) <= 1e-12
 
@@ -649,6 +698,72 @@ def test_sigma_sq_estimate_ignores_padding_rows():
         0.1,
     )
     assert sigma_sq_estimate(local, [np.array([0.3, -0.2])]) <= 1e-30
+
+
+def reading_the_block(block):
+    """Serve every ``StackedSets.dense_rows`` from the dense ``(N, W, d)``
+    ``block``: the set-up's dense route."""
+    stack = block.reshape(-1, block.shape[2])
+    return mock.patch.object(StackedSets, "dense_rows",
+                             lambda self, start, stop, out: stack[start:stop])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1024])
+@pytest.mark.parametrize("sizes", [(20, 35, 27, 8), "one-hot"], ids=["padded", "one-hot"])
+def test_csr_sets_read_as_their_dense_block_bitwise_in_every_set_up_reader(sizes, chunk):
+    # CSR-only sets, from with_operator (padded Gaussian rows) and from
+    # partition (one-hot rows), against the same rows as a dense block.
+    if sizes == "one-hot":
+        text = one_hot_libsvm(60, 3, 12, seed=3)
+        sets, _ = partition(parse_libsvm(text, dim=12), 4, 12, 3, 0.05)
+        dense = parse_and_partition_dense(text, 4, 12, 3, 0.05, dim=12)[0]
+    else:
+        dense = unequal_sets(sizes, 9, seed=5)
+        sets = with_operator(dense)
+    assert sets.feats is None and dense.csr is None
+    n, width, d = dense.shape
+    assert sets.shape == dense.shape and sets.dim == d
+    stack = dense.feats.reshape(-1, d)
+    with mock.patch.object(loss, "_READ_CHUNK_ROWS", chunk), \
+            mock.patch.object(reference, "_HESS_CHUNK_ROWS", chunk):
+        # Any run of rows, written over whatever the buffer held.
+        buffer = np.full((n * width, d), np.nan)
+        last = n * width
+        for start, stop in ((0, last), (0, 1), (width - 1, width + 2), (last - 3, last), (5, 5)):
+            got = sets.dense_rows(start, stop, buffer[: stop - start])
+            view = dense.dense_rows(start, stop, None)
+            assert_same_arrays((got, view), (stack[start:stop],) * 2)
+        # Runs of whole agents, at most `chunk` rows or one agent each.
+        runs = [(a, b, feats.copy()) for a, b, feats in sets.agent_chunks()]
+        want_runs = list(dense.agent_chunks())
+        step = max(1, chunk // width)
+        assert [(a, b) for a, b, _ in runs] == [(a, b) for a, b, _ in want_runs] == [
+            (a, min(a + step, n)) for a in range(0, n, step)]
+        for (a, b, got), (_, _, want) in zip(runs, want_runs):
+            assert_same_arrays((got, want), (dense.feats[a:b],) * 2)
+        # row_sq, the bounds and the Gram stack equal the whole block's.
+        bounds, want_bounds = SmoothnessBounds.from_sets(sets), SmoothnessBounds.from_sets(dense)
+        assert_same_arrays((sets.row_sq, bounds.m, bounds.M),
+                           (dense.row_sq, want_bounds.m, want_bounds.M))
+        assert_same_arrays((dense.row_sq,), (np.einsum("nwd,nwd->nw", dense.feats, dense.feats),))
+        gram = dense.feats @ dense.feats.transpose(0, 2, 1)
+        assert_same_arrays((optimizer.gram_stack(sets), optimizer.gram_stack(dense)), (gram,) * 2)
+        # sigma^2 at given probes reads the rows through the runs only.
+        probes = list(np.random.default_rng(chunk).standard_normal((3, d)))
+        assert sigma_sq_estimate(sets, probes) == sigma_sq_estimate(dense, probes)
+        # The reference solve and the noise probes also read the rows
+        # through matvec and sets_grad, where the operator sums in another
+        # order than the block; so they are held against the same sets
+        # whose dense_rows serve the dense block.
+        got = reference.solve_reference(sets)
+        got_sigma = reference.estimate_sigma_sq(sets, got.x)
+        with reading_the_block(dense.feats):
+            fresh = replace(sets)  # nothing cached
+            want = reference.solve_reference(fresh)
+            want_sigma = reference.estimate_sigma_sq(fresh, want.x)
+    assert (got.iterations, got.factorizations) == (want.iterations, want.factorizations)
+    assert_same_arrays((got.x, got.local_grads), (want.x, want.local_grads))
+    assert got_sigma == want_sigma
 
 
 # ------------------------------------------------------------- phase timers
