@@ -6,13 +6,13 @@ the sum of the current batch gradients.  :func:`first_order` sets either
 up for the engine's round loop, which checks every iterate and counts the
 traffic.  A round is array operations over all agents: the gradient
 batches come from the proximal engine's batched draw (one substream per
-round keys every agent's batch, see
-:func:`soprolab.optimizer.draw_batches`) and its stacked gradient, so
+round keys every agent's batch with 53-bit integer keys, see
+:func:`soprolab.optimizer.draw_positions`) and its stacked gradient, so
 comparisons against the proximal methods share identical data, topology,
 and noise realizations.  A gradient is one
-:func:`~soprolab.loss.sets_grad` of the whole local sets at the positions
-:func:`~soprolab.optimizer.batch_positions` draws, as in the proximal
-rounds.
+:func:`~soprolab.loss.sets_grad` of the whole local sets at the flat
+positions ``i W + j`` that :func:`~soprolab.optimizer.batch_positions`
+draws, as in the proximal rounds.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _step_size(config: RunConfig, k: int) -> float:
 
 
 def _batch_grads(x, local: StackedSets, config: RunConfig, round_idx: int) -> np.ndarray:
-    """The round's batch gradients."""
+    """The round's batch gradients, at the flat positions of its draw."""
     idx = batch_positions(local, config.batch_g, config.seed, round_idx, PURPOSE_GRAD)
     return sets_grad(x, local, idx)
 

@@ -877,18 +877,20 @@ def on_batches(local: StackedSets, idx: np.ndarray | None, fn, *rows: np.ndarray
     """``fn`` of every agent's batch, and the batch sizes.
 
     ``rows`` are ``(N, W)`` arrays over the whole local sets, such as
-    ``local.matvec(x)`` and ``local.labels``, and ``idx`` the ``(N, k)``
-    positions of the batches in them (``None``: the whole sets).  Returns
-    ``(values, size)``: ``(N, W)`` values of ``fn`` at the batch rows and
-    zero off them, and the ``(N, 1)`` counts of the whole sets or the
-    batch size ``k``, which a batch mean divides by.
+    ``local.matvec(x)`` and ``local.labels``, and ``idx`` the ``(N k,)``
+    flat positions ``i W + j`` of the batches in them, ``k`` rows an agent
+    (see :func:`~soprolab.optimizer.batch_positions`; ``None``: the whole
+    sets).  The batch rows are read and written by 1-D takes of the
+    flattened arrays.  Returns ``(values, size)``: ``(N, W)`` values of
+    ``fn`` at the batch rows and zero off them, and the ``(N, 1)`` counts
+    of the whole sets or the batch size ``k``, which a batch mean divides
+    by.
     """
     if idx is None:
         return fn(*rows), local.counts[:, None]
-    agents = np.arange(len(idx))[:, None]
     values = np.zeros(rows[0].shape)
-    values[agents, idx] = fn(*(r[agents, idx] for r in rows))
-    return values, idx.shape[1]
+    values.ravel()[idx] = fn(*(r.ravel()[idx] for r in rows))  # a view: values is new
+    return values, idx.size // len(local.counts)
 
 
 def sets_grad(
@@ -900,14 +902,14 @@ def sets_grad(
     """Batch gradients of all agents at once, one row each, read through
     ``local.matvec`` and ``local.rmatvec``.
 
-    ``idx`` are the ``(N, k)`` positions of every agent's batch in its
-    local set (``None``: the whole sets) and ``margins``, if given,
-    ``local.matvec(x)``.  The coefficients off the batch are zero
-    (:func:`on_batches`).  On whole dense sets without padding, row ``i``
-    equals :func:`batch_grad` on the same rows bitwise: with one BLAS
-    thread, the stacked ``matmul`` of :meth:`StackedSets.matvec` and
-    :meth:`StackedSets.rmatvec` makes the same calls per agent.  Otherwise
-    it equals it up to summation order.
+    ``idx`` are the flat positions of every agent's batch in the ``(N,
+    W)`` rows of the local sets (``None``: the whole sets) and
+    ``margins``, if given, ``local.matvec(x)``.  The coefficients off the
+    batch are zero (:func:`on_batches`).  On whole dense sets without
+    padding, row ``i`` equals :func:`batch_grad` on the same rows bitwise:
+    with one BLAS thread, the stacked ``matmul`` of
+    :meth:`StackedSets.matvec` and :meth:`StackedSets.rmatvec` makes the
+    same calls per agent.  Otherwise it equals it up to summation order.
     """
     if margins is None:
         margins = local.matvec(x)

@@ -21,15 +21,16 @@ then a synchronous exchange refreshes the weighted disagreements
 special case where both batches are the whole local dataset.
 
 A round is a few array operations over all agents at once.  One draw
-per purpose gives every agent's batch as a row of an ``(N, G)`` index
-array (:func:`draw_batches`).  Every proximal matrix is ``D_i = alpha_i
-I``, and the engine runs with the ``(N,)`` vector of the ``alpha_i`` it
-is given: choosing them is :func:`soprolab.certificate.proximal_alphas`'s
-job.  Agent ``i``'s system is ``c_i I + B_i^T B_i`` with ``c_i = lam_i +
-alpha_i`` and the factor ``B_i = sqrt(w_i) F_{S_i}`` of its Hessian
-batch's rows under the curvature weights ``w_i`` (``h_i = lam I + B_i^T
-B_i``).  Every shift ``c_i`` must be positive: a run refuses one that is
-not before round 0, naming the agent.
+per purpose gives every agent's batch as ``G`` flat positions ``i W + j``
+in the ``(N, W)`` rows of the local sets (:func:`draw_positions`).  Every
+proximal matrix is ``D_i = alpha_i I``, and the engine runs with the
+``(N,)`` vector of the ``alpha_i`` it is given: choosing them is
+:func:`soprolab.certificate.proximal_alphas`'s job.  Agent ``i``'s
+system is ``c_i I + B_i^T B_i`` with ``c_i = lam_i + alpha_i`` and the
+factor ``B_i = sqrt(w_i) F_{S_i}`` of its Hessian batch's rows under the
+curvature weights ``w_i`` (``h_i = lam I + B_i^T B_i``).  Every shift
+``c_i`` must be positive: a run refuses one that is not before round 0,
+naming the agent.
 
 The curvature part of a system is bounded before round 0: ``B_i^T B_i =
 sum_r w_r a_r a_r^T`` with the logistic weights ``w_r = p_r (1 - p_r) /
@@ -42,31 +43,39 @@ bounds every ``||B_i^T B_i|| / c_i``.  From ``rho``, the Hessian batch
 size ``S`` (the widest local set ``W`` in full batch), ``W`` and ``d``,
 :func:`proximal_engine` chooses once per run one of three solves:
 
-* ``rho < 1``, any shape: :func:`row_step` with the truncated Neumann
-  series ``s = r / c``, then ``k`` times ``s <- (r - B^T B s) / c``.  It
-  is the Richardson iteration with the shift as preconditioner (Saad
-  2003, *Iterative Methods for Sparse Linear Systems*, ch. 4), and its
-  relative error is at most ``rho^(k+1)``; ``k`` is the least with
-  ``rho^(k+1) <= 2^-53``, so the series is exact to roundoff.  Under
-  certified alphas the shift dwarfs the curvature (``rho`` about 1e-6 on
-  the a4a- and mushrooms-shaped problems, ``k = 2``).
-* ``rho >= 1``, ``S < d`` and no local set wider than ``d`` (``W <=
+* ``rho < 1``, any shape, while ``k`` is at most twice CG's a-priori
+  iteration cap at ``rho`` (:func:`_cg_iterations`): :func:`row_step`
+  with the truncated Neumann series ``s = r / c``, then ``k`` times ``s
+  <- (r - B^T B s) / c``.  It is the Richardson iteration with the shift
+  as preconditioner (Saad 2003, *Iterative Methods for Sparse Linear
+  Systems*, ch. 4), and its relative error is at most ``rho^(k+1)``;
+  ``k`` is the least with ``rho^(k+1) <= 2^-53``, so the series is exact
+  to roundoff.  Under certified alphas the shift dwarfs the curvature
+  (``rho`` about 1e-6 on the a4a- and mushrooms-shaped problems, ``k =
+  2`` against a cap of 3); near ``rho = 1`` the series is far longer
+  than CG (270 terms against 17 at ``rho = 0.873``), and the rules below
+  apply.
+* Otherwise, when ``S < d`` and no local set is wider than ``d`` (``W <=
   d``): :func:`gram_step`, which factors each agent's ``S x S`` Woodbury
   system from the Gram stack of its local set, computed once before
   round 0 (:func:`gram_stack`).  The rule keeps the cached ``N W^2``
   floats no larger than the ``N W d`` of a dense block of the local sets.
-* ``rho >= 1`` otherwise: :func:`row_step` with conjugate gradients
-  (Hestenes & Stiefel 1952) on all agents at once.  ``B_i^T B_i`` has
-  rank at most ``S``, so ``c_i I + B_i^T B_i`` has at most ``S + 1``
-  distinct eigenvalues and CG ends in at most ``S + 1`` iterations in
-  exact arithmetic; its condition number is at most ``1 + rho``.  Each
-  agent stops once its residual is ``CG_TOL`` of its right-hand side's.
+* Otherwise: :func:`row_step` with conjugate gradients (Hestenes &
+  Stiefel 1952) on all agents at once.  ``B_i^T B_i`` has rank at most
+  ``S``, so ``c_i I + B_i^T B_i`` has at most ``min(S, d) + 1`` distinct
+  eigenvalues and CG ends in at most that many iterations in exact
+  arithmetic; its condition number is at most ``1 + rho``.  Each agent
+  stops once its residual is ``CG_TOL`` of its right-hand side's.  CG
+  runs at most the a-priori cap or ``CG_SLACK`` times ``min(S, d) + 1``
+  iterations, whichever is fewer; an agent still above ``CG_TOL`` then
+  raises a :class:`~soprolab.errors.DivergenceError` naming it and the
+  round, rather than iterate on a system too ill-conditioned to solve.
 
 Both row solves apply ``F_i^T (w_i (F_i v))`` through the local sets'
 ``matvec`` and ``rmatvec``: no system is formed and no row is factored.
-A batch is always the whole local sets and the drawn ``(N, k)``
-positions (:func:`batch_positions`); the values of a row off its batch
-are zero (:func:`~soprolab.loss.on_batches`).  Both batches are drawn at
+A batch is always the whole local sets and the drawn flat positions
+(:func:`batch_positions`); the values of a row off its batch are zero
+(:func:`~soprolab.loss.on_batches`).  Both batches are drawn at
 the same ``x``, so the gradient and the curvature share one margins
 pass.  Only the product differs, and the engine's ``operator`` reports
 it:
@@ -82,12 +91,17 @@ per-agent oracle the batched steps are tested against.
 
 Randomness comes from counter-based substreams of the master seed.  The
 initial iterates use one substream per agent.  The batches of one (round,
-purpose) come from the single substream ``(seed, 0, round, purpose)``: it
-yields an ``(N, W)`` array of uniform keys, ``W`` the largest local set,
-and agent ``i``'s batch is the positions of the ``G`` smallest keys among
-the first ``C_i`` of row ``i``.  Draws are thus a pure function of their
-label, independent of execution order, and the first-order baselines draw
-the same batches as the proximal methods.
+purpose) come from the single substream ``(seed, 0, round, purpose)``: its
+first ``N W`` raw 64-bit outputs, shifted right by 11 bits, are an ``(N,
+W)`` array of uniform 53-bit integer keys, ``W`` the width of the local
+sets (the integers whose doubles ``k 2^-53`` the generator's ``random``
+returns).  Agent ``i``'s batch is its ``G`` smallest keys among the first
+``C_i`` of row ``i``: those at or below the ``G``-th smallest, with the
+lowest positions first should several tie there.  One sort per row finds
+that threshold and one mask gives the batch as flat positions,
+agent-major and ascending.  Draws are thus a pure function of their
+label, independent of execution order, and the first-order baselines
+draw the same batches as the proximal methods.
 """
 
 from __future__ import annotations
@@ -121,6 +135,7 @@ __all__ = [
     "RunConfig",
     "NetworkState",
     "substream",
+    "draw_positions",
     "draw_batches",
     "sample_batches",
     "agent_batch_stats",
@@ -222,6 +237,62 @@ class NetworkState:
         return self.x.shape[1]
 
 
+def _batch_keys(seed: int, round_idx: int, purpose: int, count: int) -> np.ndarray:
+    """The ``count`` uniform 53-bit integer keys of one (round, purpose).
+
+    They are the top 53 bits of the substream's raw 64-bit outputs, the
+    integers whose doubles ``k 2^-53`` ``Generator.random`` returns, in
+    the same order: a draw ordered by them is the draw ordered by those
+    doubles.
+    """
+    raw = substream(seed, 0, round_idx, purpose).bit_generator.random_raw(count)
+    return np.right_shift(raw, np.uint64(11), out=raw)
+
+
+def draw_positions(
+    sizes,
+    size: int,
+    seed: int,
+    round_idx: int,
+    purpose: int,
+    width: int | None = None,
+) -> np.ndarray:
+    """Every agent's uniform ``size``-subset of its local set, as flat
+    positions in the ``(N, W)`` rows of the local sets.
+
+    ``sizes`` holds the local set sizes ``C_i`` and ``W = width`` or the
+    largest ``C_i``.  One substream per (round, purpose) yields an ``(N,
+    W)`` array of uniform 53-bit integer keys (:func:`_batch_keys`); keys
+    past ``C_i`` are padding, set above every other key, and never chosen.
+    Agent ``i``'s batch is its ``size`` smallest keys: the keys at or below
+    the ``size``-th smallest of its row.  Should several keys tie at that
+    threshold, the lowest positions among them fill the batch, so every
+    agent gets exactly ``size`` rows.  Returns the ``(N size,)`` flat
+    positions ``i W + j`` of the chosen keys, agent-major and ascending;
+    ascending order makes summation order canonical.
+    """
+    sizes = np.asarray(sizes)
+    least, most = sizes.min(), sizes.max()
+    if not 1 <= size <= least:
+        raise ParameterError(f"batch size {size} outside 1..{least}")
+    width = int(most) if width is None else width
+    if width < most:
+        raise ParameterError(f"key width {width} below the largest local set {most}")
+    n = sizes.size
+    keys = _batch_keys(seed, round_idx, purpose, n * width).reshape(n, width)
+    if least < width:
+        keys[np.arange(width) >= sizes[:, None]] = np.iinfo(np.uint64).max
+    threshold = np.sort(keys, axis=1)[:, size - 1, None]
+    chosen = keys <= threshold
+    flat = np.flatnonzero(chosen)
+    if flat.size > n * size:  # keys tied at some agent's threshold
+        below = keys < threshold
+        tied = chosen & ~below
+        room = size - np.count_nonzero(below, axis=1)
+        flat = np.flatnonzero(below | (tied & (np.cumsum(tied, axis=1) <= room[:, None])))
+    return flat
+
+
 def draw_batches(
     sizes,
     size: int,
@@ -232,26 +303,15 @@ def draw_batches(
 ) -> np.ndarray:
     """Every agent's uniform ``size``-subset of its local set, one row each.
 
-    ``sizes`` holds the local set sizes ``C_i``.  One substream per (round,
-    purpose) yields an ``(N, W)`` array of uniform keys, with ``W = width``
-    or the largest ``C_i``; agent ``i``'s batch is the positions of the
-    ``size`` smallest keys among the first ``C_i`` of row ``i``, ascending.
-    Keys past ``C_i`` are padding and never chosen.  Ascending order makes
-    summation order canonical, so a batch that is a whole local set is the
-    plain range.  Returns ``(N, size)``.
+    Row ``i`` holds the positions ``j`` of agent ``i``'s batch in its local
+    set, ascending: the :func:`draw_positions` of the same arguments, less
+    the offset ``i W`` of the agent's row.  A batch that is a whole local
+    set is the plain range.  Returns ``(N, size)``.
     """
-    sizes = np.asarray(sizes)
-    if not 1 <= size <= sizes.min():
-        raise ParameterError(f"batch size {size} outside 1..{sizes.min()}")
-    width = int(sizes.max()) if width is None else width
-    if width < sizes.max():
-        raise ParameterError(f"key width {width} below the largest local set {sizes.max()}")
-    keys = substream(seed, 0, round_idx, purpose).random((sizes.size, width))
-    if sizes.min() < width:
-        keys[np.arange(width) >= sizes[:, None]] = np.inf
-    idx = np.argpartition(keys, size - 1, axis=1)[:, :size]
-    idx.sort(axis=1)
-    return idx
+    width = int(np.max(sizes)) if width is None else width
+    rows = draw_positions(sizes, size, seed, round_idx, purpose, width).reshape(-1, size)
+    rows -= np.arange(len(rows))[:, None] * width
+    return rows
 
 
 def sample_batches(
@@ -301,22 +361,31 @@ def agent_batch_stats(
 def batch_positions(
     local: StackedSets, size: int | None, seed: int, round_idx: int, purpose: int
 ) -> np.ndarray | None:
-    """``(N, size)`` positions of every agent's batch in its local set, or
+    """The ``(N size,)`` flat positions ``i W + j`` of every agent's batch
+    in the ``(N, W)`` rows of the local sets (:func:`draw_positions`), or
     ``None`` when the batches are the whole sets (``size=None``, or the
     size of every local set), which need no draw.
 
     A round reads the whole sets ``local`` at these positions (see
-    :func:`~soprolab.loss.on_batches`).  Every position is checked to lie
-    inside its agent's set: the scatters that use them check only against
-    the widest set, so a padding row would pass them.
+    :func:`~soprolab.loss.on_batches`).  Every agent's ``size`` positions
+    are checked to lie inside its own set: the flat takes and scatters
+    that use them check only against the whole ``(N, W)`` array (and wrap
+    a negative position), so a padding row or another agent's row would
+    pass them.
     """
     counts = local.counts
     if size is None or np.all(counts == size):
         return None
-    idx = draw_batches(counts, size, seed, round_idx, purpose)
-    if idx.min() < 0 or np.any(idx.max(axis=1) >= counts):
+    n, width = local.labels.shape
+    flat = draw_positions(counts, size, seed, round_idx, purpose, width)
+    if flat.shape != (n * size,):
+        raise InvariantViolation(f"round {round_idx}: drew {flat.size} rows, not {n} x {size}")
+    # A position below its agent's row turns negative, and as unsigned
+    # exceeds every count: one comparison bounds both ends.
+    inside = flat.reshape(n, size) - np.arange(0, n * width, width)[:, None]
+    if not (inside.view(np.uint64) < counts.astype(np.uint64)[:, None]).all():
         raise InvariantViolation(f"round {round_idx}: drawn index outside a local set")
-    return idx
+    return flat
 
 
 def check_finite(x: np.ndarray, round_idx: int) -> None:
@@ -444,36 +513,56 @@ def _series_solve(apply_h, r: np.ndarray, c: np.ndarray, terms: int) -> np.ndarr
 # right-hand side.
 CG_TOL = 1e-13
 
+# CG runs at most this multiple of its exact-arithmetic bound, min(S, d) + 1
+# iterations: in floating point it can need more (d = 6 eigenvalues spread
+# over three decades left a relative residual of 2e-12 after 7).
+CG_SLACK = 4
 
-def _cg_solve(apply_h, r: np.ndarray, c: np.ndarray, iterations: int) -> np.ndarray:
+
+def _cg_solve(
+    apply_h, r: np.ndarray, c: np.ndarray, iterations: int, round_idx: int | None = None
+) -> np.ndarray:
     """Every ``(c_i I + H_i)^{-1} r_i`` by conjugate gradients, all agents at once.
 
     ``apply_h`` is as for :func:`_series_solve` and returns a new array;
     each ``H_i`` is symmetric positive semidefinite and each ``c_i > 0``.
     From ``z = 0``, each CG iteration applies ``H`` once to every agent's
     search direction.  An agent stops once its residual is finite and at
-    most ``CG_TOL`` times its ``|r_i|``, and all agents stop after
-    ``iterations``.  A residual that is not finite never stops its agent,
-    so a NaN or inf right-hand side reaches ``z`` rather than leaving it
-    at zero.
+    most ``CG_TOL`` times its ``|r_i|``.  An agent whose finite residual
+    is still above that after ``iterations`` raises a
+    :class:`~soprolab.errors.DivergenceError` naming it and ``round_idx``.
+    A residual that is not finite never stops its agent and raises
+    nothing here, so a NaN or inf right-hand side reaches ``z`` rather
+    than leaving it at zero.
     """
     c = c[:, None]
     z = np.zeros_like(r)
     res, p = r.copy(), r.copy()
-    rs = np.einsum("ij,ij->i", r, r)
-    stop = CG_TOL**2 * rs
+    rs = first = np.einsum("ij,ij->i", r, r)
+    stop = CG_TOL**2 * first
     for _ in range(iterations):
         live = ~(np.isfinite(rs) & (rs <= stop))
         if not live.any():
-            break
+            return z
         q = apply_h(p)
         q += c * p
-        step = np.divide(rs, np.einsum("ij,ij->i", p, q), out=np.zeros_like(rs), where=live)
+        # p^T q > 0 unless it underflows; such an agent stalls, and stays live.
+        pq = np.einsum("ij,ij->i", p, q)
+        step = np.divide(rs, pq, out=np.zeros_like(rs), where=live & (pq != 0.0))
         z += step[:, None] * p
         res -= step[:, None] * q
         rs, last = np.einsum("ij,ij->i", res, res), rs
         p *= np.divide(rs, last, out=np.zeros_like(rs), where=live)[:, None]
         p += res
+    stuck = np.flatnonzero(np.isfinite(rs) & (rs > stop))
+    if stuck.size:
+        i = int(stuck[0])
+        raise DivergenceError(
+            f"round {round_idx}: agent {i}: conjugate gradients left a relative residual "
+            f"of {math.sqrt(rs[i] / first[i]):.3g} after {iterations} iterations, above "
+            f"{CG_TOL:g}; the system is too ill-conditioned to solve",
+            round=round_idx,
+        )
     return z
 
 
@@ -485,6 +574,7 @@ def row_step(
     c: np.ndarray,
     solve: str,
     terms: int,
+    round_idx: int | None = None,
 ) -> np.ndarray:
     """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``
     with ``B_i^T B_i = F_i^T diag(w_i) F_i``, from their local sets.
@@ -499,13 +589,20 @@ def row_step(
     :func:`proximal_engine`): ``"series"``, ``terms`` terms of the
     Neumann series, or ``"cg"``, conjugate gradients for at most ``terms``
     iterations (in exact arithmetic CG ends within ``S + 1``, the most
-    distinct eigenvalues a system of ``S`` weighted rows can have).
+    distinct eigenvalues a system of ``S`` weighted rows can have); an
+    agent CG leaves above ``CG_TOL`` raises a
+    :class:`~soprolab.errors.DivergenceError` naming it and ``round_idx``.
     Either applies ``F_i^T (w_i (F_i v))`` through ``F.matvec`` and
     ``F.rmatvec`` once a term or iteration: no system is formed.
     """
     _check_shift(c)
-    solver = _series_solve if solve == "series" else _cg_solve
-    return x - solver(lambda v: F.rmatvec(w * F.matvec(v)), rhs, c, terms)
+
+    def apply_h(v):
+        return F.rmatvec(w * F.matvec(v))
+
+    if solve == "series":
+        return x - _series_solve(apply_h, rhs, c, terms)
+    return x - _cg_solve(apply_h, rhs, c, terms, round_idx)
 
 
 def gram_stack(local: StackedSets) -> np.ndarray:
@@ -536,8 +633,9 @@ def gram_step(
 
     ``x`` and ``t = lam x + beta y + q`` are ``(N, d)``; ``gram`` is the
     ``(N, W, W)`` stack of ``F_i F_i^T`` over the local sets ``F``
-    (``local``); ``g_idx`` and ``s_idx`` are the gradient and
-    Hessian batches from :func:`batch_positions` (``None``: whole sets);
+    (``local``); ``g_idx`` and ``s_idx`` are the flat positions of the
+    gradient and Hessian batches from :func:`batch_positions` (``None``:
+    whole sets);
     ``c`` is ``(N,)``, every entry positive (checked, naming the first
     agent whose is not).
 
@@ -558,7 +656,6 @@ def gram_step(
     Zero padding rows add nothing.
     """
     _check_shift(c)
-    agents = np.arange(len(local.counts))[:, None]
     u, Ft = local.matvecs(x, t)
     coef, size = on_batches(local, g_idx, logistic_coef, u, local.labels)
     coef /= size
@@ -567,11 +664,13 @@ def gram_step(
         sw = np.sqrt(logistic_curvature(u) / local.counts[:, None])
         K, z = gram.copy(), sw * Fr
     else:
-        width = u.shape[1]
-        sw = np.sqrt(logistic_curvature(u[agents, s_idx]) / s_idx.shape[1])
+        n, width = u.shape
+        rows = s_idx.reshape(n, -1)  # agent i's flat positions i W + j
+        sw = np.sqrt(logistic_curvature(u.ravel()[rows]) / rows.shape[1])
         # gram[i, a, b] sits at flat position (i W + a) W + b.
-        K = np.take(gram, (agents * width + s_idx)[:, :, None] * width + s_idx[:, None, :])
-        z = sw * Fr[agents, s_idx]
+        at = rows - np.arange(0, n * width, width)[:, None]
+        K = np.take(gram, rows[:, :, None] * width + at[:, None, :])
+        z = sw * Fr.ravel()[rows]
     K *= sw[:, :, None] * sw[:, None, :]
     diag = np.arange(K.shape[1])
     K[:, diag, diag] += c[:, None]
@@ -580,7 +679,7 @@ def gram_step(
     if s_idx is None:
         coef += z
     else:
-        coef[agents, s_idx] += z
+        coef.put(s_idx, coef.take(s_idx) + z.ravel())
     return x - (t - local.rmatvec(coef)) / c[:, None]
 
 
@@ -644,8 +743,10 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     is not is named in a :class:`~soprolab.errors.ConfigurationError`.  The
     solve follows from the bound ``rho``, the Hessian batch size ``S``
     (the widest local set ``W`` in full batch), ``W`` and ``d`` (see the
-    module docstring): the series when ``rho < 1``, else Cholesky on the
-    Gram path when ``S < d`` and ``W <= d``, else CG.  The operator is
+    module docstring): the series when ``rho < 1`` and its term count is
+    at most twice CG's a-priori cap, else Cholesky on the Gram path when
+    ``S < d`` and ``W <= d``, else CG, capped at the fewer of its a-priori
+    cap and ``CG_SLACK (min(S, d) + 1)`` iterations.  The operator is
     ``"csr"`` when the local sets have a CSR operator, else ``"dense"``.
     A bound that is not finite (a shift so small that it overflows) is
     refused the same way, naming the first agent whose is not.
@@ -664,13 +765,14 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
         )
     rho = float(ratios.max())
     rows = width if config.algorithm == "sopro" else config.batch_s
-    terms = _series_terms(rho)
-    if terms is not None:
+    terms, cg_terms = _series_terms(rho), _cg_iterations(rho)
+    if terms is not None and terms <= 2 * cg_terms:
         path, solve = "row_step", "series"
     elif rows < d and width <= d:
-        path, solve = "gram_step", "cholesky"
+        path, solve, terms = "gram_step", "cholesky", None
     else:
-        path, solve, terms = "row_step", "cg", _cg_iterations(rho)
+        path, solve = "row_step", "cg"
+        terms = min(cg_terms, CG_SLACK * (min(rows, d) + 1))
     return Engine(path, solve, terms, rho, "dense" if local.csr is None else "csr")
 
 
@@ -730,7 +832,7 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
         w, size = on_batches(local, s_idx, logistic_curvature, u)
         w /= size
         rhs = grads + beta * state.y + state.q
-        state.x = row_step(state.x, rhs, local, w, shift, solve, terms)
+        state.x = row_step(state.x, rhs, local, w, shift, solve, terms, k + 1)
         exchange_and_dual_update(state, P, beta)
 
     return state, row_round, sent, sent

@@ -27,6 +27,7 @@ from soprolab.loss import (
     full_grad,
     full_hess,
 )
+from soprolab.optimizer import substream
 from soprolab.topology import Graph, _tree_from_pruefer
 
 # Raw label sets LIBSVM files use, in the order they are tried, as maps to +-1.
@@ -118,6 +119,37 @@ def dense_step_stacked(x, rhs, F, w, c):
         if dposv(H[i].T, z[i], lower=1, overwrite_a=1, overwrite_b=1)[2] > 0:
             raise ConfigurationError(f"agent {i}: not positive definite")
     return x - z
+
+
+def draw_batches_argpartition(sizes, size, seed, round_idx, purpose, width=None):
+    """The batched draw by ``argpartition`` of the substream's uniform
+    doubles: padding keys set to inf, the ``size`` smallest of each row
+    taken, then sorted.  Which of several keys tied at the threshold it
+    takes is unspecified."""
+    sizes = np.asarray(sizes)
+    width = int(sizes.max()) if width is None else width
+    keys = substream(seed, 0, round_idx, purpose).random((sizes.size, width))
+    keys[np.arange(width) >= sizes[:, None]] = np.inf
+    idx = np.argpartition(keys, size - 1, axis=1)[:, :size]
+    idx.sort(axis=1)
+    return idx
+
+
+def flat_positions(idx, width):
+    """The flat positions ``i W + j`` of an ``(N, k)`` array of positions
+    ``j`` in ``(N, W)`` rows."""
+    return (np.arange(len(idx))[:, None] * width + idx).ravel()
+
+
+def on_batches_2d(local, idx, fn, *rows):
+    """``on_batches`` read and written by broadcast ``(agents, idx)``
+    indexing of ``(N, k)`` in-set positions."""
+    if idx is None:
+        return fn(*rows), local.counts[:, None]
+    agents = np.arange(len(idx))[:, None]
+    values = np.zeros(rows[0].shape)
+    values[agents, idx] = fn(*(r[agents, idx] for r in rows))
+    return values, idx.shape[1]
 
 
 def partition_samples(samples, n_agents, per_agent, seed, lambda_reg):

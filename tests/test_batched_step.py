@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import agent_datasets, dense_step_stacked, stacked, with_operator
+from oracles import agent_datasets, dense_step_stacked, flat_positions, stacked, with_operator
 from soprolab import optimizer, topology
 from soprolab.baselines import dsgt_round, metropolis_weights
 from soprolab.certificate import QNormError, proximal_alphas
@@ -27,6 +27,7 @@ from soprolab.optimizer import (
     agent_batch_stats,
     batch_positions,
     draw_batches,
+    draw_positions,
     gram_step,
     init_network,
     local_step,
@@ -178,7 +179,8 @@ def test_gram_step_matches_dense_inverse_oracle():
     assert local.feats.shape[1] == 12 and not local.feats[2, 7:].any()  # zero padding
     gram = local.feats @ local.feats.transpose(0, 2, 1)
     for g_idx, s_idx in [(g_draw, s_draw), (None, None), (None, s_draw), (g_draw, None)]:
-        out = gram_step(x, lam * x + prox, local, gram, g_idx, s_idx, lam + alphas)
+        g_flat, s_flat = (None if i is None else flat_positions(i, 12) for i in (g_idx, s_idx))
+        out = gram_step(x, lam * x + prox, local, gram, g_flat, s_flat, lam + alphas)
         for i, ds in enumerate(datasets):
             whole = np.arange(sizes[i])
             g = batch_grad(x[i], ds, whole if g_idx is None else g_idx[i])
@@ -566,12 +568,12 @@ def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
      for operator in (False, True) for d in (15, 60)],  # rows, Gram
 )
 def test_run_refuses_a_drawn_index_outside_a_local_set(d, operator, monkeypatch):
-    def past_the_end(sizes, size, *args):
-        idx = draw_batches(sizes, size, *args)
-        idx[1, -1] = sizes[1]  # a padding row of the 30-row set
-        return idx
+    def past_the_end(sizes, size, seed, round_idx, purpose, width):
+        flat = draw_positions(sizes, size, seed, round_idx, purpose, width)
+        flat[2 * size - 1] = width + sizes[1]  # a padding row of the 30-row set
+        return flat
 
-    monkeypatch.setattr(optimizer, "draw_batches", past_the_end)
+    monkeypatch.setattr(optimizer, "draw_positions", past_the_end)
     P, local = make_problem([20, 30, 45, 25, 35], d, seed=1)
     if operator:
         local = with_operator(local)
@@ -665,6 +667,72 @@ def test_run_steps_at_a_tiny_shift_and_refuses_one_whose_bound_overflows():
     with pytest.raises(ConfigurationError, match="agent 0: the curvature bound .* not finite"):
         run(P, local, config, np.zeros(4), callbacks=[lambda k, s: rounds.append(k)])
     assert rounds == []
+
+
+def test_cg_that_misses_its_tolerance_raises_within_its_product_budget(monkeypatch):
+    # lam = 1e-34 with S = 4 < d = 8 < W: the shift is all that holds up the
+    # d - S directions the Hessian batch does not reach, and CG does not
+    # meet its tolerance.  Its a-priori cap is past 1e18 iterations; the
+    # engine caps it at CG_SLACK (S + 1) products, and the solve names the
+    # agent and the round.
+    P, local = make_problem([40] * 4, 8, lam=1e-34)
+    config = RunConfig(batch_g=10, batch_s=4, max_iters=2, seed=1)
+    engine = optimizer.proximal_engine(local, config, np.zeros(4))
+    budget = optimizer.CG_SLACK * (4 + 1)
+    assert (engine.path, engine.solve, engine.terms) == ("row_step", "cg", budget)
+    assert optimizer._cg_iterations(engine.rho_bound) > 1e18
+    products, real_cg = [], optimizer._cg_solve
+
+    def counted(apply_h, *args):
+        def h(v):
+            products.append(1)
+            assert len(products) <= budget, "CG ran past its cap"
+            return apply_h(v)
+
+        return real_cg(h, *args)
+
+    monkeypatch.setattr(optimizer, "_cg_solve", counted)
+    with pytest.raises(DivergenceError, match=r"round 1: agent \d: conjugate gradients") as e:
+        run(P, local, config, np.zeros(4))
+    assert e.value.round == 1
+    assert len(products) == budget
+
+
+def test_cg_names_the_first_agent_it_leaves_above_its_tolerance():
+    # Agents 1 and 3 start converged (zero right-hand sides); two
+    # iterations cannot solve the d = 6 distinct eigenvalues of agents 0
+    # and 2, and only agent 0 is named.
+    rng = np.random.default_rng(4)
+    n, d = 4, 6
+    H = np.zeros((n, d, d))
+    H[:, np.arange(d), np.arange(d)] = np.geomspace(1.0, 1e3, d)
+    rhs = rng.standard_normal((n, d))
+    rhs[[1, 3]] = 0.0
+    with pytest.raises(DivergenceError, match="round 7: agent 0: ") as e:
+        optimizer._cg_solve(lambda v: (H @ v[:, :, None])[:, :, 0], rhs, np.ones(n), 2, 7)
+    assert e.value.round == 7
+    # In floating point d + 1 iterations leave about 2e-12 here; the
+    # engine's slack covers it.
+    z = optimizer._cg_solve(lambda v: (H @ v[:, :, None])[:, :, 0], rhs, np.ones(n),
+                            optimizer.CG_SLACK * (d + 1))
+    assert rel_err(z, np.linalg.solve(H + np.eye(d), rhs[:, :, None])[:, :, 0]) <= 1e-12
+
+
+@pytest.mark.parametrize("rho, solve", [(0.873, "cg"), (1.6e-6, "series")])
+def test_the_series_is_taken_only_while_it_is_at_most_twice_the_cg_cap(rho, solve):
+    # At rho = 0.873 the series needs 270 terms against CG's cap of 17; at
+    # the certified bench runs' rho it needs 2 against 3.  S >= d: no Gram
+    # path, so CG takes the row step.
+    P, local = make_problem([40] * 6, 15)
+    config = RunConfig(batch_g=10, batch_s=20, max_iters=2, seed=0)
+    shift = np.full(6, 0.25 * local.row_sq.max() / rho)
+    engine = optimizer.proximal_engine(local, config, shift - local.lam)
+    assert engine.rho_bound == pytest.approx(rho, rel=1e-12)
+    series, cap = optimizer._series_terms(rho), optimizer._cg_iterations(rho)
+    assert (series, cap) == ((270, 17) if solve == "cg" else (2, 3))
+    assert (engine.path, engine.solve, engine.terms) == (
+        "row_step", solve, cap if solve == "cg" else series)
+    assert np.isfinite(run(P, local, config, shift - local.lam).x).all()
 
 
 @pytest.mark.parametrize("rho", [1.0, 17.0, 1e3])

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.sparse import csr_matrix
 
-from oracles import agent_datasets, stacked, with_operator
+from oracles import agent_datasets, flat_positions, on_batches_2d, stacked, with_operator
 from soprolab.errors import ParameterError, ParseError
 from soprolab.loss import (
     LocalDataset,
@@ -16,7 +16,9 @@ from soprolab.loss import (
     batch_hess,
     batch_loss,
     full_grad,
+    logistic_coef,
     logistic_curvature,
+    on_batches,
     parse_libsvm,
     partition,
     predict,
@@ -244,10 +246,26 @@ def test_set_gradients_of_drawn_batches_match_per_agent_batches(operator):
     x = rng.standard_normal((3, 7))
     idx = np.sort(np.stack([rng.choice(9, 4, replace=False) for _ in range(3)]), axis=1)
     for batches in (idx, None):
-        grads = sets_grad(x, local, batches)
+        grads = sets_grad(x, local, None if batches is None else flat_positions(batches, 12))
         for i, ds in enumerate(datasets):
             rows = np.arange(ds.n_samples) if batches is None else batches[i]
             assert np.allclose(grads[i], batch_grad(x[i], ds, rows), rtol=1e-13, atol=1e-15)
+
+
+def test_on_batches_at_flat_positions_equals_the_two_dimensional_form():
+    # Unequal sets, and margins that are a strided view (the dense block's
+    # matvec), a C-ordered array and a transposed copy's transpose.
+    rng = np.random.default_rng(9)
+    local = stacked([make_dataset(rng, C=C, d=7, lam=0.05) for C in (12, 9, 12)])
+    idx = np.sort(np.stack([rng.choice(9, 4, replace=False) for _ in range(3)]), axis=1)
+    u = local.matvec(rng.standard_normal((3, 7)))
+    for margins in (u, np.ascontiguousarray(u), np.asfortranarray(u)):
+        for fn, rows in ((logistic_coef, (margins, local.labels)),
+                         (logistic_curvature, (margins,))):
+            got, size = on_batches(local, flat_positions(idx, 12), fn, *rows)
+            want, want_size = on_batches_2d(local, idx, fn, *rows)
+            assert np.array_equal(got, want) and size == want_size == 4
+            assert np.count_nonzero(got) == 12
 
 
 # ---------------------------------------------------------------- calculus

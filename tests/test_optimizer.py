@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import agent_datasets
+from oracles import agent_datasets, draw_batches_argpartition, flat_positions
+from soprolab import optimizer
 from soprolab.certificate import proximal_alphas
-from soprolab.errors import ConfigurationError, ParameterError
+from soprolab.errors import ConfigurationError, InvariantViolation, ParameterError
 from soprolab.loss import (
     LowRankHessian,
     SmoothnessBounds,
@@ -15,7 +18,9 @@ from soprolab.optimizer import (
     PURPOSE_HESS,
     PURPOSE_INIT,
     RunConfig,
+    batch_positions,
     draw_batches,
+    draw_positions,
     exchange_and_dual_update,
     init_network,
     local_step,
@@ -120,6 +125,64 @@ def test_sample_batches_range_errors():
         sample_batches(40, 5, 5, seed=0, agent=0, round_idx=0, width=20)
     with pytest.raises(ParameterError):
         draw_batches([20, 40], 5, seed=0, round_idx=0, purpose=PURPOSE_GRAD, width=20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=7),
+    seed=st.integers(0, 2**63),
+    round_idx=st.integers(0, 10**6),
+    purpose=st.sampled_from([PURPOSE_GRAD, PURPOSE_HESS]),
+    data=st.data(),
+)
+def test_flat_draw_equals_the_argpartition_draw(sizes, seed, round_idx, purpose, data):
+    # Unequal sizes give padding keys; the flat draw reads the same keys as
+    # integers and takes the same rows in the same order.
+    size = data.draw(st.integers(1, min(sizes)), label="size")
+    expected = draw_batches_argpartition(sizes, size, seed, round_idx, purpose)
+    flat = draw_positions(sizes, size, seed, round_idx, purpose)
+    assert np.array_equal(flat, flat_positions(expected, max(sizes)))
+    assert np.array_equal(draw_batches(sizes, size, seed, round_idx, purpose), expected)
+
+
+def test_keys_tied_at_the_threshold_fill_the_batch_from_the_lowest_positions(monkeypatch):
+    # Agent 0: keys 1 and 3 are below the threshold 7, which four keys
+    # share; agent 1: all eight keys tie; agent 2: no tie.  The zero keys
+    # past agents 0's and 2's sets are padding and never drawn.
+    keys = np.array([[7, 3, 7, 7, 1, 7, 0, 0],
+                     [5, 5, 5, 5, 5, 5, 5, 5],
+                     [4, 3, 2, 1, 0, 0, 0, 0]], dtype=np.uint64)
+    monkeypatch.setattr(optimizer, "_batch_keys", lambda *args: keys.ravel().copy())
+    sizes = np.array([6, 8, 5])
+    assert np.array_equal(draw_batches(sizes, 3, 0, 0, PURPOSE_GRAD),
+                          [[0, 1, 4], [0, 1, 2], [2, 3, 4]])
+    local = StackedSets.padded([np.ones((c, 2)) for c in sizes],
+                               [np.ones(c) for c in sizes], 0.1)
+    flat = batch_positions(local, 3, 0, 0, PURPOSE_GRAD)
+    assert np.array_equal(flat, [0, 1, 4, 8, 9, 10, 18, 19, 20])
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda flat, width: flat[:-1], "drew 8 rows, not 3 x 3"),
+        # Agent 0's batch is flat[:3]: -1 would wrap to the last row.
+        (lambda flat, width: np.r_[-1, flat[1:]], "drawn index outside a local set"),
+        (lambda flat, width: np.r_[flat[:2], width, flat[3:]], "drawn index outside a local set"),
+        (lambda flat, width: np.r_[flat[:2], 6, flat[3:]], "drawn index outside a local set"),
+    ],
+    ids=["short", "negative", "next-agent", "padding"],
+)
+def test_batch_positions_refuses_a_corrupted_draw(corrupt, message, monkeypatch):
+    def corrupted(sizes, size, seed, round_idx, purpose, width):
+        return corrupt(draw_positions(sizes, size, seed, round_idx, purpose, width), width)
+
+    monkeypatch.setattr(optimizer, "draw_positions", corrupted)
+    sizes = [6, 8, 5]  # agent 1 is the widest; agent 0 has padding rows 6 and 7
+    local = StackedSets.padded([np.ones((c, 2)) for c in sizes],
+                               [np.ones(c) for c in sizes], 0.1)
+    with pytest.raises(InvariantViolation, match=f"round 4: {message}"):
+        batch_positions(local, 3, 0, 4, PURPOSE_GRAD)
 
 
 # ------------------------------------------------------------- init
