@@ -308,6 +308,70 @@ def test_package_and_cli_import_no_optimizer_or_sparse_scipy():
     assert out.stdout.split() == []
 
 
+# Run in a fresh process: a dense synthetic experiment, then one on a one-hot
+# LIBSVM file (3 of 12 columns set in every row), whose local sets get a CSR
+# operator, then one Gram-path step held against its dense-inverse oracle.
+# It prints the scipy modules loaded after each stage.
+FRESH_RUNS = """
+import sys
+import numpy as np
+from soprolab import optimizer
+from soprolab.harness.experiment import ExperimentConfig, run_experiment
+from soprolab.loss import LocalDataset, StackedSets, batch_grad, batch_hess
+
+def loaded():
+    return [m for m in ("scipy.sparse", "scipy.special", "scipy.linalg") if m in sys.modules]
+
+small = dict(n_agents=3, per_agent=10, test_size=5, batch_g=2, batch_s=2, max_iters=3)
+for algorithm in ("st_sopro", "dsgt"):
+    run_experiment(ExperimentConfig(dim=4, algorithm=algorithm, step_size=0.1, **small))
+print(*loaded(), sep=",")
+with open(sys.argv[1], "w") as f:
+    for k in range(40):
+        f.write(f"{(-1) ** k:+d} {1 + k % 4}:1 {5 + 3 * k % 4}:1 {9 + 7 * k % 4}:1\\n")
+run_experiment(ExperimentConfig(dataset=sys.argv[1], dim=12, **small))
+print(*loaded(), sep=",")
+
+# S = W = 6 < d = 9 at rho = 2: the Gram path.
+rng = np.random.default_rng(8)
+n, width, d, lam = 4, 6, 9, 0.1
+feats = (rng.random((n, width, d)) < 0.4).astype(float)
+labels = rng.choice((-1.0, 1.0), (n, width))
+local = StackedSets(feats, labels, np.full(n, width), np.full(n, lam))
+config = optimizer.RunConfig(batch_g=width, batch_s=width, max_iters=1, seed=0)
+c = np.full(n, 0.125 * local.row_sq.max())
+assert optimizer.proximal_engine(local, config, c - lam).path == "gram_step"
+gram = optimizer.gram_stack(local)
+print(*loaded(), sep=",")
+x, prox = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+out = optimizer.gram_step(x, lam * x + prox, local, gram, None, None, c)
+err = 0.0
+for i in range(n):
+    ds, whole = LocalDataset(feats[i], labels[i], lam), np.arange(width)
+    A = batch_hess(x[i], ds, whole).dense() + (c[i] - lam) * np.eye(d)
+    want = x[i] - np.linalg.inv(A) @ (batch_grad(x[i], ds, whole) + prox[i])
+    err = max(err, np.linalg.norm(out[i] - want) / np.linalg.norm(want))
+print(*loaded(), sep=",")
+print(err)
+"""
+
+
+def test_runs_load_scipy_sparse_for_sparse_rows_and_scipy_linalg_for_the_gram_path_only(
+    tmp_path,
+):
+    # scipy.special and scipy.linalg cost about 12 MB resident together.
+    # The sigmoid is numpy's and only the Gram path and local_step call
+    # LAPACK, so dense and CSR runs on the row path import neither.
+    src = str(Path(soprolab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_RUNS, str(tmp_path / "one_hot.svm")],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    assert out[:4] == ["", "scipy.sparse", "scipy.sparse", "scipy.sparse,scipy.linalg"]
+    assert float(out[4]) <= 1e-10
+
+
 def test_cli_certify_rejects_a_mu_below_the_recipe_bound(capsys):
     assert main(["certify", *SMALL, "--mu", "1e-9"]) == 1
     err = capsys.readouterr().err

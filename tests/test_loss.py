@@ -1,9 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.sparse import csr_matrix
+from scipy.special import expit
 
 from oracles import agent_datasets, flat_positions, on_batches_2d, stacked, with_operator
 from soprolab.errors import ParameterError, ParseError
@@ -27,6 +29,7 @@ from soprolab.loss import (
     sample_loss,
     sets_grad,
     sigma_sq_estimate,
+    sigmoid,
 )
 
 
@@ -282,6 +285,42 @@ def test_grad_saturates_to_regularizer():
     x = np.array([2000.0, 0.0])  # b * a^T x huge
     g = sample_grad(x, s, lam=0.05)
     assert np.allclose(g, 0.05 * x, atol=1e-12)
+
+
+def test_sigmoid_is_scipy_expit_within_a_few_ulps():
+    # The same formula on two exps, each within 1 ulp of exact: at most 2
+    # ulps apart, or 4 where 1 + exp(-z) is at least 2^53 and rounds to even.
+    z = np.concatenate([np.linspace(-800.0, 800.0, 400_001),
+                        np.random.default_rng(0).uniform(-800.0, 800.0, 400_000)])
+    got, want = sigmoid(z), expit(z)
+    gap = np.abs(got.view(np.int64) - want.view(np.int64))  # in ulps: both are >= 0
+    tail = z < -53 * np.log(2.0)
+    assert gap[~tail].max() <= 2 and gap[tail].max() <= 4
+    assert np.mean(gap == 0) > 0.95
+    edges = np.array([-np.inf, -0.0, 0.0, np.inf])
+    assert np.array_equal(sigmoid(edges), expit(edges))
+    assert np.array_equal(sigmoid(edges), [0.0, 0.5, 0.5, 1.0])
+    assert np.isnan(sigmoid(np.nan)) and np.isnan(sigmoid(np.array([np.nan]))).all()
+    # A float gives the array's value, as sample_grad and sample_hess use it.
+    assert [sigmoid(float(v)) for v in z[::40_000]] == list(got[::40_000])
+
+
+def test_sigmoid_and_coefficients_warn_of_nothing_outside_a_rounds_errstate():
+    # exp(-z) overflows below z = -709.8: the result is 0, and no
+    # RuntimeWarning (an error under this suite's settings) may escape
+    # numpy's default error state.
+    z = np.array([-1e308, -800.0, -709.9, 0.0, 800.0, np.inf, -np.inf, np.nan])
+    with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        p = sigmoid(z)
+        assert sigmoid(-800.0) == 0.0
+        coef = logistic_coef(z[:6], np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]))
+        curvature = logistic_curvature(z[:6])
+        # A padding row (label 0) has a zero coefficient at any finite margin.
+        padding = logistic_coef(z[:5], np.zeros(5))
+    assert np.array_equal(p[:6], [0.0, 0.0, 0.0, 0.5, 1.0, 1.0]) and p[6] == 0.0
+    assert np.isfinite(coef).all() and np.isfinite(curvature).all()
+    assert np.array_equal(padding, np.zeros(5))
 
 
 def central_diff_grad(f, x, h):

@@ -65,6 +65,22 @@ def test_substream_deterministic_and_labelled():
         assert not np.array_equal(a, substream(*other).uniform(size=4))
 
 
+# numpy reads a list of words with one at or above 2^63 through float64,
+# which rounds it, so the labels stay below that.
+words = st.integers(0, 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=words, agent=words, round_idx=words, purpose=words)
+def test_substream_is_the_philox_keyed_by_the_seed(seed, agent, round_idx, purpose):
+    # The key-only seed sequence gives Philox the key it would take from
+    # key=[seed, 0], so the raw outputs are that generator's.
+    got = substream(seed, agent, round_idx, purpose).bit_generator
+    want = np.random.Philox(key=[seed, 0], counter=[0, agent, round_idx, purpose])
+    assert np.array_equal(got.random_raw(9), want.random_raw(9))
+    assert np.array_equal(got.state["state"]["key"], want.state["state"]["key"])
+
+
 def test_sample_batches_sizes_and_full_batch():
     g_idx, s_idx = sample_batches(239, 80, 10, seed=0, agent=0, round_idx=0)
     assert g_idx.size == 80 and s_idx.size == 10
