@@ -208,8 +208,8 @@ def build_topology(config: ExperimentConfig) -> MatrixP:
 
 
 def _load_data(config: ExperimentConfig):
-    """The whole data set as ``(rows, labels)``: a parsed file's rows as
-    :class:`~soprolab.loss.SparseRows`, synthetic rows as a dense array."""
+    """The whole data set as ``(rows, labels)``: a parsed file's rows as a
+    ``scipy.sparse`` CSR matrix, synthetic rows as a dense array."""
     if config.dataset == "synthetic":
         total = config.n_agents * config.per_agent + config.test_size
         seed = config.data_seed if config.data_seed is not None else config.master_seed
@@ -239,7 +239,7 @@ def build_problem(config: ExperimentConfig) -> Problem:
     data = _load_data(config)
     data_end = time.perf_counter()
     seed = config.data_seed if config.data_seed is not None else config.master_seed
-    # partition writes each row once into the local sets or the test set,
+    # partition copies each row once into the local sets or the test set,
     # and keeps nothing of the loaded rows, so they are freed here, before
     # the reference solve.
     local, test = partition(data, config.n_agents, config.per_agent, seed, config.lambda_reg)

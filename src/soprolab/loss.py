@@ -10,13 +10,14 @@ training data once.  :func:`parse_libsvm` tokenizes each slice of
 ``_CHUNK_LINES`` lines as one array of code points, converts indices,
 labels and values made of ASCII digits and an optional sign with array
 arithmetic, and sends every other token through ``int()``/``float()`` once
-per distinct string; it returns the rows as :class:`SparseRows`, in
-compressed sparse row (CSR) form, and ``(n,)`` labels.  :func:`partition`
-writes each row once into its slot in one :class:`StackedSets`, which
-every later layer takes, or in the test set.  Sparse enough rows go into
-the sets' block-diagonal CSR operator only; other rows go into a
-zero-filled ``(N, C, d)`` block.  Rounds read the whole local sets, at
-the positions of their batches, through :meth:`StackedSets.matvec` (or
+per distinct string; it returns the rows as one ``scipy.sparse``
+compressed sparse row (CSR) matrix, and ``(n,)`` labels.
+:func:`partition` takes the rows with scipy's row indexing and copies
+each once into its slot in one :class:`StackedSets`, which every later
+layer takes, or in the test set.  Sparse enough rows go into the sets'
+block-diagonal CSR operator only; other rows go into a zero-filled
+``(N, C, d)`` block.  Rounds read the whole local sets, at the positions
+of their batches, through :meth:`StackedSets.matvec` (or
 :meth:`~StackedSets.matvecs`) and :meth:`StackedSets.rmatvec`; the
 set-up reads them densely, a bounded chunk of rows at a time, through
 :meth:`StackedSets.dense_rows`.
@@ -51,7 +52,6 @@ __all__ = [
     "LocalDataset",
     "StackedSets",
     "TestSet",
-    "SparseRows",
     "SmoothnessBounds",
     "LowRankHessian",
     "parse_libsvm",
@@ -309,8 +309,8 @@ class TestSet:
     """Held-out samples for accuracy reporting; may be empty.
 
     ``features`` is an ``(n, d)`` array, or an ``(n, d)`` CSR matrix when
-    :func:`partition` took the rows from :class:`SparseRows`; either is
-    read through ``features @ x``.
+    :func:`partition` took sparse rows; either is read through
+    ``features @ x``.
     """
 
     features: np.ndarray | csr_matrix
@@ -318,106 +318,6 @@ class TestSet:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class SparseRows:
-    """The rows of an ``(n, dim)`` matrix in compressed sparse row form.
-
-    Row ``k`` holds ``values[indptr[k] : indptr[k + 1]]`` at the 0-based
-    columns ``indices[indptr[k] : indptr[k + 1]]``; every other entry is
-    zero.  The arrays are read-only.
-    """
-
-    indptr: np.ndarray  # (n + 1,) from 0, nondecreasing, to nnz
-    indices: np.ndarray  # (nnz,) in 0..dim-1
-    values: np.ndarray  # (nnz,) floats
-    dim: int
-
-    def __post_init__(self):
-        ptr, idx, val = self.indptr, self.indices, self.values
-        if not (ptr.ndim == idx.ndim == val.ndim == 1 and ptr.size >= 1
-                and idx.size == val.size and ptr[0] == 0 and ptr[-1] == idx.size):
-            raise ParameterError(
-                "need (n + 1,) row pointers from 0 to nnz and (nnz,) indices and values, "
-                f"got {ptr.shape}, {idx.shape} and {val.shape}"
-            )
-        if np.any(ptr[1:] < ptr[:-1]):
-            raise ParameterError("row pointers must not decrease")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.dim):
-            raise ParameterError(
-                f"column indices must lie in 0..{self.dim - 1}, got {idx.min()}..{idx.max()}"
-            )
-        for a in (ptr, idx, val):
-            a.setflags(write=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.indptr.size - 1, self.dim
-
-    def dense(self) -> np.ndarray:
-        """The ``(n, dim)`` matrix."""
-        return self.take(np.arange(self.shape[0]), np.zeros(self.shape))
-
-    def _pieces(self, rows: np.ndarray):
-        """``_CHUNK_LINES`` rows of ``rows`` at a time, yield the piece's
-        first position in ``rows``, its rows' lengths, and the positions of
-        their stored entries in ``indices`` and ``values``, row by row."""
-        ptr = self.indptr
-        for a in range(0, len(rows), _CHUNK_LINES):
-            part = rows[a : a + _CHUNK_LINES]
-            start = ptr[part]
-            lens = ptr[part + 1] - start
-            at = np.repeat(start - (np.cumsum(lens) - lens), lens)
-            at += np.arange(at.size)
-            yield a, lens, at
-
-    def take(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the rows ``rows``, in order, into the zero-filled,
-        C-contiguous ``(len(rows), dim)`` array ``out`` and return it.
-
-        Only stored entries are written, ``_CHUNK_LINES`` rows at a time,
-        so the index arrays grow with that count, not with ``rows``.
-        """
-        if out.shape != (len(rows), self.dim) or not out.flags.c_contiguous:
-            raise ParameterError(
-                f"need a C-contiguous ({len(rows)}, {self.dim}) array, got {out.shape}"
-            )
-        flat, d = out.reshape(-1), self.dim
-        for a, lens, at in self._pieces(rows):
-            dest = np.repeat(np.arange(a, a + lens.size) * d, lens)
-            dest += self.indices[at]
-            flat[dest] = self.values[at]
-        return out
-
-    def take_block(self, rows: np.ndarray, width: int | None = None):
-        """The rows ``rows``, in order, as one CSR matrix of their stored
-        entries: ``(len(rows), dim)``, or block-diagonal given ``width``.
-
-        Every ``width`` consecutive rows of ``rows`` then form one block,
-        whose columns start ``dim`` past the previous block's: row ``r``'s
-        entry in column ``c`` sits at column ``(r // width) dim + c`` of the
-        ``(len(rows), (len(rows) // width) dim)`` matrix.  The entries are
-        copied ``_CHUNK_LINES`` rows at a time, as :meth:`take` writes them.
-        """
-        # Imported here: only sparse rows need scipy.sparse, and it costs
-        # resident memory.
-        from scipy.sparse import csr_matrix
-
-        n, d = len(rows), self.dim
-        lens = self.indptr[rows + 1] - self.indptr[rows]
-        shape = (n, d if width is None else n // width * d)
-        index = np.int32 if max(lens.sum(), *shape) < 2**31 else np.int64
-        indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(lens, out=indptr[1:])
-        indices, data = np.empty(indptr[-1], dtype=index), np.empty(indptr[-1])
-        for a, part, at in self._pieces(rows):
-            lo, hi = indptr[a], indptr[a + part.size]
-            np.take(self.values, at, out=data[lo:hi])
-            indices[lo:hi] = self.indices[at]
-            if width is not None:
-                indices[lo:hi] += np.repeat(np.arange(a, a + part.size) // width * d, part)
-        return csr_matrix((data, indices, indptr), shape=shape, copy=False)
 
 
 # Raw label sets the automatic rule accepts, in the order it tries them,
@@ -442,9 +342,8 @@ def _map_labels(raw: np.ndarray, linenos: list[int]) -> np.ndarray:
     raise ParseError(f"unmappable label {float(raw[k])}", line=linenos[k])
 
 
-# Lines per slice of a file, and rows per piece of SparseRows.take: the
-# tokenizer's and take's index arrays grow with a slice, not with the
-# file.
+# Lines per slice of a file: the tokenizer's index arrays grow with a
+# slice, not with the file.
 _CHUNK_LINES = 1024
 # Rows per run of StackedSets.agent_chunks (whole agents, at least one):
 # the buffer a CSR operator is read into is about 1 MB at d = 123.
@@ -622,32 +521,11 @@ def _raise_first_error(text: str, first_line: int):
     raise InvariantViolation("a rejected slice has no malformed token")
 
 
-def parse_libsvm(source, dim: int | None = None):
-    """Parse LIBSVM text into sparse rows and +-1 labels.
-
-    Each line that is neither blank nor a ``#`` comment is
-    ``<label> <idx>:<val> ...`` with 1-based, strictly increasing indices.
-    Lines, blanks and tokens are as ``str.splitlines`` and ``str.split``
-    find them.  Labels are mapped to +-1: raw ``{-1,+1}`` pass through,
-    ``{1,2}`` maps 2 to -1, ``{0,1}`` maps 0 to -1.  The dimension is the
-    largest index seen, overridable upward via ``dim``.
-
-    The text is cut after every ``_CHUNK_LINES``-th ASCII line break, so a
-    slice holds that many lines unless U+0085, U+2028 or U+2029 break more.
-    Each slice is tokenized as one array of code points: its ASCII bytes,
-    or its UTF-32 when it is not ASCII.  Indices, labels and values that
-    are an optional sign and ASCII digits below 10**15 (see
-    :func:`_plain_integers`) are converted with array arithmetic, equal to
-    ``int()`` and ``float()``.  Other fields, such as decimals with a dot,
-    exponents, underscores, non-ASCII digits, ``inf``/``nan`` and long
-    digit strings, go through ``int()`` or ``float()`` once per distinct
-    string.  A slice with a malformed token is walked token by token, so
-    the :class:`ParseError` names the first bad token or label in file
-    order and its line.
-
-    Returns ``(rows, labels)``: the ``(n, d)`` rows as :class:`SparseRows`,
-    which hold only the parsed entries, and ``(n,)`` ints.
-    """
+def _parse_lines(source):
+    """``(labels, lens, indices, values)`` of the data lines of ``source``,
+    as :func:`parse_libsvm` describes them: the mapped labels, the tokens
+    per line, and every line's 1-based indices and values in file order.
+    The text and the slices' arrays are freed when it returns."""
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
@@ -683,12 +561,47 @@ def parse_libsvm(source, dim: int | None = None):
         first_line += n_lines
 
     raw = np.concatenate(raws) if raws else np.zeros(0)
-    labels = _map_labels(raw, linenos)
+    return (_map_labels(raw, linenos), *map(np.concatenate, zip(*entries)))
 
-    lens, idx, val = map(np.concatenate, zip(*entries))
+
+def parse_libsvm(source, dim: int | None = None):
+    """Parse LIBSVM text into sparse rows and +-1 labels.
+
+    Each line that is neither blank nor a ``#`` comment is
+    ``<label> <idx>:<val> ...`` with 1-based, strictly increasing indices.
+    Lines, blanks and tokens are as ``str.splitlines`` and ``str.split``
+    find them.  Labels are mapped to +-1: raw ``{-1,+1}`` pass through,
+    ``{1,2}`` maps 2 to -1, ``{0,1}`` maps 0 to -1.  The dimension is the
+    largest index seen, overridable upward via ``dim``.
+
+    The text is cut after every ``_CHUNK_LINES``-th ASCII line break, so a
+    slice holds that many lines unless U+0085, U+2028 or U+2029 break more.
+    Each slice is tokenized as one array of code points: its ASCII bytes,
+    or its UTF-32 when it is not ASCII.  Indices, labels and values that
+    are an optional sign and ASCII digits below 10**15 (see
+    :func:`_plain_integers`) are converted with array arithmetic, equal to
+    ``int()`` and ``float()``.  Other fields, such as decimals with a dot,
+    exponents, underscores, non-ASCII digits, ``inf``/``nan`` and long
+    digit strings, go through ``int()`` or ``float()`` once per distinct
+    string.  A slice with a malformed token is walked token by token, so
+    the :class:`ParseError` names the first bad token or label in file
+    order and its line.
+
+    Returns ``(rows, labels)``: the ``(n, d)`` rows as a
+    ``scipy.sparse.csr_matrix`` of the parsed entries only, with sorted
+    column indices, no duplicates and int32 indices when they fit, and
+    ``(n,)`` int labels.
+    """
+    labels, lens, idx, val = _parse_lines(source)
     d = max(dim or 0, int(idx.max()) if idx.size else 0)
     idx -= 1
-    return SparseRows(np.concatenate(([0], np.cumsum(lens))), idx, val, d), labels
+    # Imported once the text and the slices' arrays are freed: only sparse
+    # rows need scipy.sparse, and it costs resident memory.  The matrix
+    # keeps the indices and values it is given.
+    from scipy.sparse import csr_matrix
+
+    indptr = np.concatenate(([0], np.cumsum(lens)))
+    return csr_matrix((val, idx, indptr), shape=(lens.size, d), copy=False), labels
 
 
 # The largest share of stored entries among the N W d of the local sets
@@ -704,38 +617,54 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
     """Split uniformly permuted rows of ``data = (rows, labels)`` into
     equal local sets.
 
-    ``rows`` is ``(n, d)``, as :class:`SparseRows` from :func:`parse_libsvm`
-    or as a dense array, and ``labels`` ``(n,)`` of +-1.  The first
-    ``n_agents * per_agent`` permuted rows form contiguous blocks of
-    ``per_agent``; leftovers become the test set.  Deterministic per seed.
-    Each row is written once into its slot, in the local sets of a
-    :class:`StackedSets` or in the test set; neither shares memory with
-    ``data``.
+    ``rows`` is ``(n, d)``: a dense array, or ``scipy.sparse`` rows of any
+    format, such as the CSR matrix of :func:`parse_libsvm`; ``labels`` is
+    ``(n,)`` of +-1.  The first ``n_agents * per_agent`` permuted rows form
+    contiguous blocks of ``per_agent``; leftovers become the test set.
+    Deterministic per seed.  Each row is copied once into its slot, in the
+    local sets of a :class:`StackedSets` or in the test set; neither shares
+    memory with ``data``.
 
     Rows with a non-finite value, local or test, are refused with a
     :class:`ParameterError` that names the first of them (0-based, in data
-    order) before any set is written.
+    order) before any set is written, and so are sparse rows with a column
+    index outside ``0..d-1`` or with unsorted or repeated column indices.
 
-    Sparse rows whose stored entries in the local sets are at most
-    ``CSR_MAX_DENSITY`` of the ``n_agents * per_agent * d`` entries of the
-    sets are held as their block-diagonal CSR operator only
-    (:meth:`SparseRows.take_block`); no dense block is formed.  Dense rows,
-    and denser sparse ones, fill a zero-filled ``(n_agents, per_agent, d)``
-    block.  Sparse rows give the test set a CSR matrix, dense rows a dense
-    one.  Returns ``(local_sets, test_set)``.
+    Sparse rows are taken with scipy's row indexing.  When their stored
+    entries in the local sets are at most ``CSR_MAX_DENSITY`` of the
+    ``n_agents * per_agent * d`` entries of the sets, the sets are held as
+    their block-diagonal CSR operator only, with agent ``i``'s columns
+    moved ``i d`` along; no dense block is formed.  Dense rows fill a
+    zero-filled ``(n_agents, per_agent, d)`` block, and denser sparse ones
+    have their stored entries written into it.  Sparse rows give the test
+    set a CSR matrix, dense rows a dense one.  Returns ``(local_sets,
+    test_set)``.
     """
     if n_agents < 1 or per_agent < 1:
         raise ParameterError(f"need agents and samples per agent, got {n_agents} x {per_agent}")
     rows, labels = data
-    sparse = isinstance(rows, SparseRows)
-    rows = rows if sparse else np.asarray(rows, dtype=float)
+    # Any scipy.sparse format has tocsr; testing for it imports no scipy.
+    sparse = hasattr(rows, "tocsr")
+    rows = rows.tocsr().astype(float, copy=False) if sparse else np.asarray(rows, dtype=float)
     labels = np.asarray(labels)
     if len(rows.shape) != 2 or labels.shape != rows.shape[:1]:
         raise ParameterError(
             f"need (n, d) rows and (n,) labels, got {rows.shape} and {labels.shape}"
         )
     total, d = rows.shape
-    values = (rows.values if sparse else rows).ravel()
+    if sparse:
+        # A column outside 0..d-1 would land in another agent's block of
+        # the operator, or outside it.  A dense block is written entry by
+        # entry, while the operator sums repeated entries: the two would
+        # disagree.
+        cols = rows.indices
+        if cols.size and (cols.min() < 0 or cols.max() >= d):
+            raise ParameterError(
+                f"sparse rows need column indices in 0..{d - 1}, got {cols.min()}..{cols.max()}"
+            )
+        if not rows.has_canonical_format:
+            raise ParameterError("sparse rows need sorted column indices without duplicates")
+    values = (rows.data if sparse else rows).ravel()
     finite = np.isfinite(values)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -749,29 +678,41 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
             f"{n_agents} agents x {per_agent} samples need {need}, only {total} available"
         )
     perm = np.random.default_rng(seed).permutation(total)
-
-    def place(idx):
-        # The block and the test set are separate arrays: one shared
-        # (n, d) buffer raised the benchmark's peak RSS at mushrooms.
-        out = np.zeros((idx.size, d))
-        if sparse:
-            return rows.take(idx, out)
-        # A permutation is in range, and mode="clip" gathers straight into
-        # out where the default "raise" would gather into a temporary first.
-        return np.take(rows, idx, axis=0, out=out, mode="clip")
-
     chosen, rest = perm[:need], perm[need:]
     block = csr = None
-    if sparse and (
-        np.sum(rows.indptr[chosen + 1] - rows.indptr[chosen]) <= CSR_MAX_DENSITY * need * d
-    ):
-        csr = rows.take_block(chosen, per_agent)
+    if sparse:
+        # Already imported: the rows are scipy.sparse's.
+        from scipy.sparse import csr_matrix
+
+        taken = rows[chosen]
+        ptr = taken.indptr
+        if taken.nnz <= CSR_MAX_DENSITY * need * d:
+            shape = (need, n_agents * d)
+            index = np.int32 if max(taken.nnz, *shape) < 2**31 else np.int64
+            indices = taken.indices.astype(index, copy=False)
+            indices += np.repeat(np.arange(n_agents, dtype=index) * d, np.diff(ptr[::per_agent]))
+            csr = csr_matrix((taken.data, indices, ptr.astype(index, copy=False)),
+                             shape=shape, copy=False)
+        else:
+            # Written, not added as toarray does, so -0.0 keeps its sign.
+            block = np.zeros((n_agents, per_agent, d))
+            at = np.repeat(np.arange(need) * d, np.diff(ptr))
+            at += taken.indices
+            block.reshape(-1)[at] = taken.data
+        test = rows[rest]
     else:
-        block = place(chosen).reshape(n_agents, per_agent, d)
+        # The block and the test set are separate arrays: one shared (n, d)
+        # buffer raised the benchmark's peak RSS at mushrooms.  A
+        # permutation is in range, and mode="clip" gathers straight into
+        # the output where the default "raise" would gather into a
+        # temporary first.
+        block = np.zeros((n_agents, per_agent, d))
+        np.take(rows, chosen, axis=0, out=block.reshape(need, d), mode="clip")
+        test = np.zeros((rest.size, d))
+        np.take(rows, rest, axis=0, out=test, mode="clip")
     local_labels = labels[chosen].reshape(n_agents, per_agent).astype(float)
     lam = np.full(n_agents, float(lambda_reg))
     local = StackedSets(block, local_labels, np.full(n_agents, per_agent), lam, csr)
-    test = rows.take_block(rest) if sparse else place(rest)
     return local, TestSet(features=test, labels=labels[rest])
 
 

@@ -106,6 +106,15 @@ def parse_and_partition_dense(text, n_agents, per_agent, seed, lambda_reg, dim=N
     return local, TestSet(features=features[rest], labels=labels[rest])
 
 
+def densify(rows):
+    """The ``(n, d)`` CSR matrix ``rows`` as a dense array.  Its stored
+    entries are written, not added (as ``toarray`` does), so that an
+    explicit ``-0.0`` keeps its sign."""
+    out = np.zeros(rows.shape)
+    out[np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)), rows.indices] = rows.data
+    return out
+
+
 def dense_step_stacked(x, rhs, F, w, c):
     """The proximal step of ``row_step`` by dense ``d x d`` factorisations,
     with every ``B_i^T B_i = F_i^T diag(w_i) F_i`` stacked: one product

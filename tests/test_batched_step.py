@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
-from oracles import agent_datasets, dense_step_stacked, flat_positions, stacked, with_operator
+from oracles import (
+    agent_datasets, dense_step_stacked, densify, flat_positions, stacked, with_operator,
+)
 from soprolab import optimizer, topology
 from soprolab.baselines import dsgt_round, metropolis_weights
 from soprolab.certificate import QNormError, proximal_alphas
@@ -13,7 +16,6 @@ from soprolab.loss import (
     LocalDataset,
     LowRankHessian,
     SmoothnessBounds,
-    SparseRows,
     StackedSets,
     batch_grad,
     batch_hess,
@@ -466,14 +468,14 @@ def test_run_accepts_unequal_local_datasets(algorithm, d, low_rank, operator, mo
 
 
 def one_hot_rows(rows, attributes, columns, seed):
-    """``rows`` one-hot rows as :class:`SparseRows`, each encoding
+    """``rows`` one-hot rows as a CSR matrix, each encoding
     ``attributes`` categories over ``columns`` binary columns, and +-1
     labels."""
     rng = np.random.default_rng(seed)
     edges = np.linspace(0, columns, attributes + 1).astype(int)
     cols = edges[:-1] + (rng.random((rows, attributes)) * np.diff(edges)).astype(int)
     indptr = np.arange(0, rows * attributes + 1, attributes)
-    sparse = SparseRows(indptr, cols.ravel(), np.ones(cols.size), columns)
+    sparse = csr_matrix((np.ones(cols.size), cols.ravel(), indptr), shape=(rows, columns))
     return sparse, rng.choice((-1, 1), rows)
 
 
@@ -499,7 +501,7 @@ def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
     n, count = 6, 30
     rows, labels = one_hot_rows(n * count + 20, 3, columns, seed=columns)
     sparse, _ = partition((rows, labels), n, count, seed=4, lambda_reg=0.05)
-    dense, _ = partition((rows.dense(), labels), n, count, seed=4, lambda_reg=0.05)
+    dense, _ = partition((densify(rows), labels), n, count, seed=4, lambda_reg=0.05)
     assert sparse.feats is None and dense.csr is None
     stacked_rows = n * count
     assert np.array_equal(sparse.dense_rows(0, stacked_rows, np.empty((stacked_rows, columns))),

@@ -293,8 +293,8 @@ def test_experiment_chooses_the_proximal_alphas_once(monkeypatch):
 def test_package_and_cli_import_no_optimizer_or_sparse_scipy():
     # scipy.optimize pulls in scipy.sparse, scipy.spatial and more: about
     # 17 MB of resident memory that no step of an experiment needs.
-    # scipy.sparse alone (about 1.5 MB) is imported only when partition
-    # builds the CSR operator of sparse local sets.
+    # scipy.sparse alone (about 1.5 MB) is imported only when parse_libsvm
+    # returns its CSR rows.
     code = (
         "import sys, soprolab, soprolab.harness.cli; "
         "print(*[m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.spatial')"

@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
-from oracles import agent_datasets, flat_positions, on_batches_2d, stacked, with_operator
+from oracles import agent_datasets, densify, flat_positions, on_batches_2d, stacked, with_operator
 from soprolab.errors import ParameterError, ParseError
 from soprolab.loss import (
     LocalDataset,
@@ -54,15 +54,15 @@ def bounds_of(ds):
 
 def test_parse_basic_line():
     rows, labels = parse_libsvm("+1 1:0.5 3:1.0")
-    assert rows.shape == (1, 3) and rows.values.size == 2
-    feats = rows.dense()
+    assert rows.shape == (1, 3) and rows.data.size == 2
+    feats = densify(rows)
     assert np.array_equal(feats[0], np.array([0.5, 0.0, 1.0]))
     assert labels[0] == 1
 
 
 def test_parse_zero_one_labels():
     rows, labels = parse_libsvm("0 2:1\n1 1:1\n")
-    feats = rows.dense()
+    feats = densify(rows)
     assert feats.shape[1] == 2
     assert labels[0] == -1 and labels[1] == 1
     assert np.array_equal(feats[0], np.array([0.0, 1.0]))
@@ -75,7 +75,7 @@ def test_parse_one_two_labels_mushrooms_convention():
 
 def test_parse_dim_override_upward():
     rows, _ = parse_libsvm("+1 1:1 5:2", dim=123)
-    feats = rows.dense()
+    feats = densify(rows)
     assert feats.shape[1] == 123
     assert feats[0].shape == (123,)
     assert feats[0][4] == 2.0
@@ -97,7 +97,7 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_parse_accepts_bytes_and_streams(tmp_path):
-    feats = parse_libsvm(b"+1 2:1.5\n")[0].dense()
+    feats = densify(parse_libsvm(b"+1 2:1.5\n")[0])
     assert feats.shape[1] == 2 and feats[0][1] == 1.5
     path = tmp_path / "data.txt"
     path.write_text("-1 1:2\n")

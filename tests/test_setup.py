@@ -13,11 +13,13 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     agent_datasets,
+    densify,
     gradient_per_agent,
     hessian_per_agent,
     newton_per_agent,
@@ -37,7 +39,6 @@ from soprolab.harness.synthetic import gaussian_blob_samples
 from soprolab.loss import (
     Sample,
     SmoothnessBounds,
-    SparseRows,
     StackedSets,
     parse_libsvm,
     partition,
@@ -67,15 +68,9 @@ def block_of(local):
 
 def dense_features(test):
     """The test set's rows as a dense array: partition gives sparse input
-    a CSR test set, whose stored entries are written, not added (as
-    ``toarray`` does), so that an explicit ``-0.0`` keeps its sign."""
+    a CSR test set, read by :func:`densify`."""
     features = test.features
-    if isinstance(features, np.ndarray):
-        return features
-    out = np.zeros(features.shape)
-    out[np.repeat(np.arange(features.shape[0]), np.diff(features.indptr)),
-        features.indices] = features.data
-    return out
+    return features if isinstance(features, np.ndarray) else densify(features)
 
 
 def outcome(parse, text, **kw):
@@ -84,7 +79,7 @@ def outcome(parse, text, **kw):
         rows, labels = parse(text, **kw)
     except ParseError as e:
         return str(e), e.line
-    return (rows.dense() if isinstance(rows, SparseRows) else rows), labels
+    return (rows if isinstance(rows, np.ndarray) else densify(rows)), labels
 
 
 def assert_same_outcome(text, dim=None):
@@ -158,13 +153,13 @@ def test_parse_matches_per_token_parser_on_valid_files(
     text = render(entries, newline, pad)
     with mock.patch.object(loss, "_CHUNK_LINES", chunk):
         rows, labels = parse_libsvm(text, dim=dim + extra_dim if override else None)
-        got = rows.dense(), labels
+        got = densify(rows), labels
     want = parse_libsvm_per_token(text, dim=dim + extra_dim if override else None)
     assert_same_arrays(got, want)
     assert set(np.unique(got[1])) <= {-1, 1}
     # The rows hold the parsed entries only.
     n_tokens = sum(len(e[1]) for e in entries if not isinstance(e, str))
-    assert rows.indices.size == rows.values.size == n_tokens
+    assert rows.indices.size == rows.data.size == n_tokens
 
 
 @PROPERTY
@@ -199,40 +194,6 @@ def test_partition_of_parsed_rows_equals_the_dense_route_bitwise(
                        (want.feats, want.labels, want.counts, want.lam))
     assert_same_arrays((dense_features(got_test), got_test.labels),
                        (want_test.features, want_test.labels))
-
-
-@pytest.mark.parametrize(
-    "indptr, indices, values, dim, message",
-    [
-        ([0, 2, 1, 3], [0, 1, 2], [1.0, 2.0, 3.0], 3, "row pointers must not decrease"),
-        ([0, 1, 2], [0, 3], [1.0, 2.0], 3, r"column indices must lie in 0\.\.2, got 0\.\.3"),
-        ([0, 1, 2], [-1, 0], [1.0, 2.0], 3, r"column indices must lie in 0\.\.2, got -1\.\.0"),
-        ([0, 1, 2], [0, 1], [1.0], 3, "need \\(n \\+ 1,\\) row pointers"),
-        ([0, 1, 3], [0, 1], [1.0, 2.0], 3, "need \\(n \\+ 1,\\) row pointers"),
-        ([1, 2], [0, 1], [1.0, 2.0], 3, "need \\(n \\+ 1,\\) row pointers"),
-        ([], [], [], 3, "need \\(n \\+ 1,\\) row pointers"),
-    ],
-    ids=["decreasing-indptr", "index-past-dim", "negative-index", "fewer-values",
-         "indptr-past-nnz", "indptr-from-1", "no-indptr"],
-)
-def test_sparse_rows_refuse_inconsistent_arrays(indptr, indices, values, dim, message):
-    with pytest.raises(ParameterError, match=message):
-        SparseRows(np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
-                   np.array(values), dim)
-
-
-def test_sparse_rows_take_writes_the_chosen_rows_in_order():
-    rows = SparseRows(np.array([0, 2, 2, 3]), np.array([0, 2, 1]), np.array([1.0, -0.0, 5.0]), 3)
-    assert not rows.values.flags.writeable
-    want = np.array([[1.0, 0.0, -0.0], [0.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
-    assert rows.dense().tobytes() == want.tobytes()
-    for chunk in (1, 2, 1024):
-        with mock.patch.object(loss, "_CHUNK_LINES", chunk):
-            got = rows.take(np.array([2, 0, 2, 1]), np.zeros((4, 3)))
-        assert got.tobytes() == want[[2, 0, 2, 1]].tobytes()
-    for out in (np.zeros((3, 3)), np.zeros((4, 4)), np.zeros((4, 6))[:, ::2]):
-        with pytest.raises(ParameterError):
-            rows.take(np.array([2, 0, 2, 1]), out)
 
 
 MUTATIONS = ("bad token", "zero index", "repeat index", "1:2:3", ":5", "5:",
@@ -426,7 +387,7 @@ def test_parse_and_partition_are_exact_and_peak_below_1_05x_the_matrix(
         partition_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert_same_arrays((parsed[0].dense(), parsed[1]), parse_libsvm_per_token(text))
+    assert_same_arrays((densify(parsed[0]), parsed[1]), parse_libsvm_per_token(text))
     want, want_test = parse_and_partition_dense(text, n_agents, per_agent, 1, 0.01)
     assert_same_arrays((block_of(local), local.labels, dense_features(test), test.labels),
                        (want.feats, want.labels, want_test.features, want_test.labels))
@@ -483,7 +444,7 @@ def test_partition_matches_the_sample_list_path_bitwise():
         gaussian_blob_samples(130, 7, seed=3),
         parse_libsvm("\n".join(f"{(-1) ** k} {k % 5 + 1}:1 9:{k / 7!r}" for k in range(60))),
     ):
-        feats = rows if isinstance(rows, np.ndarray) else rows.dense()
+        feats = rows if isinstance(rows, np.ndarray) else densify(rows)
         samples = [Sample(features=f, label=int(b)) for f, b in zip(feats, labels)]
         n, per_agent = 4, len(labels) // 5
         got, got_test = partition((rows, labels), n, per_agent, seed=11, lambda_reg=0.1)
@@ -496,7 +457,7 @@ def test_partition_matches_the_sample_list_path_bitwise():
         # Sparse rows are held as the sets' operator and a CSR test set.
         dense = isinstance(rows, np.ndarray)
         assert (got.csr is None) == dense == isinstance(got_test.features, np.ndarray)
-        source = rows if dense else rows.values
+        source = rows if dense else rows.data
         block = got.feats if dense else got.csr.data
         assert not block.flags.writeable
         assert not np.shares_memory(block, source)
@@ -504,11 +465,11 @@ def test_partition_matches_the_sample_list_path_bitwise():
         assert not np.shares_memory(test_rows, source)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1024])
-def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(chunk):
+@pytest.mark.parametrize("seed", [1, 7, 1024])
+def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(seed):
     # Rows of 0-3 stored entries over 10 columns, one of them an explicit
     # zero: at most 0.3 of the local block's entries are stored.
-    rng = np.random.default_rng(chunk)
+    rng = np.random.default_rng(seed)
     text = "".join(
         f"{(-1) ** k} " + " ".join(f"{c}:{v}" for c, v in zip(
             np.sort(rng.choice(np.arange(1, 11), k % 4, replace=False)), (k % 5, 1.5, -2))) + "\n"
@@ -516,9 +477,8 @@ def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(chunk):
     )
     rows, labels = parse_libsvm(text, dim=10)
     assert rows.indices.dtype == np.int32
-    with mock.patch.object(loss, "_CHUNK_LINES", chunk):
-        local, test = partition((rows, labels), 4, 10, seed=3, lambda_reg=0.1)
-    want, want_test = partition((rows.dense(), labels), 4, 10, seed=3, lambda_reg=0.1)
+    local, test = partition((rows, labels), 4, 10, seed=3, lambda_reg=0.1)
+    want, want_test = partition((densify(rows), labels), 4, 10, seed=3, lambda_reg=0.1)
     assert want.csr is None and local.feats is None
     assert_same_arrays((block_of(local), local.labels, dense_features(test)),
                        (want.feats, want.labels, want_test.features))
@@ -537,6 +497,73 @@ def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(chunk):
     x, v = rng.standard_normal((4, 10)), rng.standard_normal((4, 10))
     assert rel_err(local.matvec(x), want.matvec(x)) <= 1e-15
     assert rel_err(local.rmatvec(v), want.rmatvec(v)) <= 1e-15
+
+
+@pytest.mark.parametrize("fmt", ["csr_matrix", "csr_array", "csc_matrix", "coo_array"])
+@pytest.mark.parametrize("columns", [12, 5])
+def test_partition_takes_a_callers_sparse_rows_as_it_takes_parsed_ones(fmt, columns):
+    # 3 of 12 columns set gives the operator, 3 of 5 the dense block.
+    text = "".join(f"{(-1) ** k} {1 + k % 2}:-0 {3 + k % 2}:{k / 3!r} {columns}:1\n"
+                   for k in range(50))
+    rows, labels = parse_libsvm(text)
+    mine = getattr(scipy.sparse, fmt)(rows)
+    got, got_test = partition((mine, labels), 4, 10, seed=5, lambda_reg=0.1)
+    want, want_test = partition((rows, labels), 4, 10, seed=5, lambda_reg=0.1)
+    assert (got.csr is None) == (want.csr is None) == (columns == 5)
+    assert_same_arrays((block_of(got), got.labels, dense_features(got_test)),
+                       (block_of(want), want.labels, dense_features(want_test)))
+    if got.csr is not None:
+        assert_same_arrays((got.csr.data, got.csr.indices, got.csr.indptr),
+                           (want.csr.data, want.csr.indices, want.csr.indptr))
+    source = mine.tocsr().data
+    assert not np.shares_memory(got.csr.data if got.feats is None else got.feats, source)
+    assert not np.shares_memory(got_test.features.data, source)
+
+
+@pytest.mark.parametrize(
+    "indices, indptr, message",
+    [
+        ([0, 2, 2, 1], [0, 3, 4], "sorted column indices without duplicates"),
+        ([2, 0, 1, 1], [0, 2, 4], "sorted column indices without duplicates"),
+        ([1, 0], [0, 0, 2], "sorted column indices without duplicates"),
+        ([0, 1, 2], [0, 2, 1], "sorted column indices without duplicates"),
+        ([0, 3], [0, 1, 2], r"column indices in 0\.\.2, got 0\.\.3"),
+        ([-1, 0], [0, 1, 2], r"column indices in 0\.\.2, got -1\.\.0"),
+    ],
+    ids=["repeated", "unsorted", "unsorted-in-a-test-row", "decreasing-row-pointers",
+         "column-past-d", "negative-column"],
+)
+def test_partition_refuses_malformed_sparse_rows(indices, indptr, message):
+    # Seed 0 puts row 0 in the local set and row 1 in the test set.  A
+    # dense block, written entry by entry, equals the operator, which sums
+    # repeated entries, only on rows without them.
+    data = np.ones(len(indices))
+    rows = scipy.sparse.csr_matrix((data, indices, indptr), shape=(2, 3))
+    with pytest.raises(ParameterError, match=message):
+        partition((rows, np.array([1, -1])), 1, 1, seed=0, lambda_reg=0.1)
+
+
+@pytest.mark.parametrize("n_agents", [2, 3])
+def test_partition_offsets_agent_columns_past_int32(n_agents):
+    # N d >= 2**31 columns: the operator's indices are int64, and each
+    # entry sits i d past its own column, with no dense array formed.
+    d, per_agent = 2**30, 2
+    n = n_agents * per_agent + 1
+    cols = np.array([[0, 5], [7, d - 1]])[np.arange(n) % 2]
+    ptr = np.arange(0, 2 * n + 1, 2)
+    rows = scipy.sparse.csr_matrix((np.arange(1.0, 2 * n + 1), cols.ravel(), ptr), shape=(n, d))
+    assert rows.indices.dtype == np.int32
+    local, test = partition((rows, np.ones(n)), n_agents, per_agent, seed=2, lambda_reg=0.1)
+    A = local.csr
+    assert A.shape == (n_agents * per_agent, n_agents * d) and local.shape[2] == d
+    assert A.indices.dtype == A.indptr.dtype == np.int64
+    perm = np.random.default_rng(2).permutation(n)
+    for r, k in enumerate(perm[: n_agents * per_agent]):
+        entries = slice(A.indptr[r], A.indptr[r + 1])
+        assert A.indices[entries].tolist() == (r // per_agent * d + cols[k]).tolist()
+        assert A.data[entries].tolist() == rows.data[ptr[k] : ptr[k + 1]].tolist()
+    assert test.features.shape == (1, d)
+    assert test.features.indices.tolist() == cols[perm[-1]].tolist()
 
 
 def test_accuracy_reads_a_csr_test_set_as_the_dense_one():
@@ -559,7 +586,7 @@ def test_partition_refuses_parsed_rows_with_a_non_finite_value_and_names_the_row
     if row == 0:
         lines[7] = "-1 2:nan"  # only the first row is named
     parsed = parse_libsvm("\n".join(lines), dim=3)
-    assert not np.isfinite(parsed[0].values).all()  # the parser keeps what it was given
+    assert not np.isfinite(parsed[0].data).all()  # the parser keeps what it was given
     with pytest.raises(ParameterError,
                        match=rf"^row {row} \(0-based, in data order\) has a non-finite"):
         partition(parsed, 2, 4, seed=0, lambda_reg=0.1)
