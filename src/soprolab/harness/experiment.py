@@ -313,9 +313,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     sampling noise alone.  Each trace's summary line holds the wall-clock
     values: ``wall_s_total`` and the set-up phases ``data_s``, ``load_s``,
     ``reference_s`` and ``certificate_s``.  A proximal run's header names
-    the path and the solve of its step, and the operator its rounds read
-    the local sets through (``csr`` or ``dense``), under ``engine`` (see
+    the path and the solve of its step under ``engine`` (see
     :func:`~soprolab.optimizer.proximal_engine`); a baseline's is ``None``.
+    Every run, on parsed or synthetic rows, reads the local sets through
+    their CSR operator.
 
     Run parameters that the engine refuses raise
     :class:`~soprolab.errors.ConfigurationError` before any set-up work,

@@ -117,7 +117,7 @@ def optimality_error(x: np.ndarray, x_star: np.ndarray) -> float:
 
 def accuracy(x: np.ndarray, test: TestSet) -> float:
     """Fraction of test samples classified correctly by ``sign(a^T x)``,
-    read through ``test.features @ x`` (a dense or a CSR test set)."""
+    read through the CSR test set's ``test.features @ x``."""
     if len(test) == 0:
         raise InvariantViolation("accuracy needs a nonempty test set")
     return float(np.mean(predict(x, test.features) == test.labels))

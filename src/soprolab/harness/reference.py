@@ -21,11 +21,10 @@ Every evaluation covers all agents at once over the stacked local sets
 (:class:`~soprolab.loss.StackedSets`): each row carries the weight
 ``1/C_i`` of its agent's average, and padding rows weigh 0.  The margins
 ``F x`` of a point are computed once and serve its objective, gradient
-and Hessian.  Margins and gradients read the sets through
+and Hessian.  Margins and gradients read the sets' CSR operator through
 :meth:`~soprolab.loss.StackedSets.matvec` and
-:func:`~soprolab.loss.sets_grad`, as the rounds do, so through the CSR
-operator when the sets are held as one.  The Hessian reads the rows
-densely, ``_HESS_CHUNK_ROWS`` at a time, through
+:func:`~soprolab.loss.sets_grad`, as the rounds do.  The Hessian reads
+the rows densely, ``_HESS_CHUNK_ROWS`` at a time, through
 :meth:`~soprolab.loss.StackedSets.dense_rows`, and scales each chunk in
 one buffer per solve; no ``(N, W, d)`` block is formed.
 """
@@ -84,9 +83,8 @@ class _Pool:
         self.local = local
         self.weights = local.real / local.counts[:, None]
         n, width, d = local.shape
-        # Every Hessian build scales each chunk in it (a CSR operator's
-        # rows are first written there): a new array a chunk cost more
-        # than the scaling.
+        # Every Hessian build writes each chunk of rows into it and scales
+        # it there: a new array a chunk cost more than the scaling.
         self.rows = np.empty((min(_HESS_CHUNK_ROWS, n * width), d))
 
     def _spread(self, x: np.ndarray) -> np.ndarray:

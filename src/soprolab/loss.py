@@ -12,14 +12,13 @@ labels and values made of ASCII digits and an optional sign with array
 arithmetic, and sends every other token through ``int()``/``float()`` once
 per distinct string; it returns the rows as one ``scipy.sparse``
 compressed sparse row (CSR) matrix, and ``(n,)`` labels.
-:func:`partition` takes the rows with scipy's row indexing and copies
-each once into its slot in one :class:`StackedSets`, which every later
-layer takes, or in the test set.  Sparse enough rows go into the sets'
-block-diagonal CSR operator only; other rows go into a zero-filled
-``(N, C, d)`` block.  Rounds read the whole local sets, at the positions
-of their batches, through :meth:`StackedSets.matvec` (or
-:meth:`~StackedSets.matvecs`) and :meth:`StackedSets.rmatvec`; the
-set-up reads them densely, a bounded chunk of rows at a time, through
+:func:`partition` takes the rows, dense ones as a CSR matrix too, with
+scipy's row indexing and copies each once into its slot: in the
+block-diagonal CSR operator of one :class:`StackedSets`, which every
+later layer takes, or in the CSR test set.  Rounds read the whole local
+sets, at the positions of their batches, through
+:meth:`StackedSets.matvec` and :meth:`StackedSets.rmatvec`; the set-up
+reads them densely, a bounded chunk of rows at a time, through
 :meth:`StackedSets.dense_rows`.
 The stacked functions (:func:`sets_grad`, :func:`on_batches`,
 :func:`sigma_sq_estimate`, and :func:`logistic_coef` and
@@ -126,43 +125,26 @@ class StackedSets:
 
     Agent ``i``'s samples are its first ``counts[i]`` rows, with labels
     ``labels[i]``; ``W`` is the largest local set, and the rows past an
-    agent's count are zero padding labelled 0, which adds nothing to a
-    batch sum.  The arrays are read-only.
+    agent's count are empty padding labelled 0, which adds nothing to a
+    batch sum.  The rows are one block-diagonal ``(N W, N d)`` CSR
+    operator ``csr``: agent ``i``'s row ``j`` is row ``i W + j`` and its
+    column ``c`` is column ``i d + c``.  The arrays are read-only.
 
-    The rows are held in one of two forms, never both:
-
-    - ``feats``, a dense ``(N, W, d)`` block: agent ``i``'s rows are
-      ``feats[i]``;
-    - ``csr``, one block-diagonal ``(N W, N d)`` CSR matrix: agent ``i``'s
-      row ``j`` is row ``i W + j`` and its column ``c`` is column
-      ``i d + c``; padding rows are empty.
-
-    :meth:`matvec` and :meth:`rmatvec` read either (the operator through
-    its transpose, made once, for :meth:`rmatvec`).  The set-up reads
-    either densely, a bounded chunk of rows at a time, through
-    :meth:`dense_rows`.  :func:`partition` gives sparse rows the operator.
+    :meth:`matvec` and :meth:`rmatvec` read the operator (through its
+    transpose, made once, for :meth:`rmatvec`).  The set-up reads the rows
+    densely, a bounded chunk at a time, through :meth:`dense_rows`.
     """
 
-    feats: np.ndarray | None  # (N, W, d), or None when csr holds the rows
+    csr: csr_matrix = field(compare=False, repr=False)
     labels: np.ndarray  # (N, W) floats: +-1, then 0 on padding
     counts: np.ndarray  # (N,) in 1..W
     lam: np.ndarray  # (N,) positive
-    csr: csr_matrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        dense = self.feats is not None
-        if dense == (self.csr is not None):
-            raise ParameterError(
-                "need the rows as an (N, W, d) block or as a CSR operator, got "
-                + ("both" if dense else "neither")
-            )
         shapes = (self.labels.shape, self.counts.shape, self.lam.shape)
-        if dense:
-            shapes = (self.feats.shape, *shapes)
         n_w = shapes[0][:2]
-        if len(shapes[0]) != 2 + dense or shapes[-3:] != (n_w, n_w[:1], n_w[:1]):
-            rows = "(N, W, d), " if dense else ""
-            raise ParameterError(f"need {rows}(N, W), (N,) and (N,) arrays, got {shapes}")
+        if len(shapes[0]) != 2 or shapes[1:] != (n_w[:1], n_w[:1]):
+            raise ParameterError(f"need (N, W), (N,) and (N,) arrays, got {shapes}")
         n, width = n_w
         if not np.all((self.counts >= 1) & (self.counts <= width)):
             raise ParameterError(f"local set sizes must lie in 1..{width}, got {self.counts}")
@@ -171,41 +153,36 @@ class StackedSets:
         real = self.real
         if not np.all(np.abs(self.labels[real]) == 1):
             raise ParameterError("labels must be +-1")
-        if self.labels[~real].any() or (dense and self.feats[~real].any()):
+        if self.labels[~real].any():
             raise ParameterError("padding rows and their labels must be zero")
-        arrays = [self.labels, self.counts, self.lam]
-        if dense:
-            arrays.append(self.feats)
-        else:
-            if n < 1 or self.csr.shape[0] != n * width or self.csr.shape[1] % n:
-                raise ParameterError(
-                    f"need a ({n * width}, {n} d) operator, got {self.csr.shape}"
-                )
-            if np.diff(self.csr.indptr).reshape(n, width)[~real].any():
-                raise ParameterError("padding rows of the operator must be empty")
-            arrays += [self.csr.data, self.csr.indices, self.csr.indptr]
-        for a in arrays:
+        if n < 1 or self.csr.shape[0] != n * width or self.csr.shape[1] % n:
+            raise ParameterError(f"need a ({n * width}, {n} d) operator, got {self.csr.shape}")
+        if np.diff(self.csr.indptr).reshape(n, width)[~real].any():
+            raise ParameterError("padding rows of the operator must be empty")
+        for a in (self.labels, self.counts, self.lam,
+                  self.csr.data, self.csr.indices, self.csr.indptr):
             a.setflags(write=False)
 
     @classmethod
     def padded(cls, features, labels, lam) -> "StackedSets":
         """Stack ``(C_i, d)`` features and ``(C_i,)`` +-1 labels of unequal
-        sizes into a dense block; ``lam`` is one regularizer for all agents
-        or one each."""
+        sizes into local sets whose operator holds the nonzero entries;
+        ``lam`` is one regularizer for all agents or one each."""
+        from scipy.sparse import csr_matrix
+
         counts = np.array([len(b) for b in labels])
-        feats = np.zeros((counts.size, counts.max(), np.shape(features[0])[1]))
-        stacked = np.zeros(feats.shape[:2])
+        n, width = counts.size, counts.max()
+        rows = np.zeros((n * width, np.shape(features[0])[1]))
+        stacked = np.zeros((n, width))
         for i, (a, b) in enumerate(zip(features, labels)):
-            feats[i, : counts[i]] = a
+            rows[i * width : i * width + counts[i]] = a
             stacked[i, : counts[i]] = b
         lam = np.array(np.broadcast_to(np.asarray(lam, dtype=float), counts.shape))
-        return cls(feats, stacked, counts, lam)
+        return cls(_block_diagonal(csr_matrix(rows), n), stacked, counts, lam)
 
     @property
     def shape(self) -> tuple[int, int, int]:
         """``(N, W, d)``: the agents, the widest local set and the dimension."""
-        if self.csr is None:
-            return self.feats.shape
         n, width = self.labels.shape
         return n, width, self.csr.shape[1] // n
 
@@ -220,12 +197,19 @@ class StackedSets:
 
     @cached_property
     def row_sq(self) -> np.ndarray:
-        """``(N, W)`` squared norms ``|a_j|^2`` of every row, computed once
-        from :meth:`agent_chunks`."""
-        out = np.empty(self.labels.shape)
-        for a, b, feats in self.agent_chunks():
-            np.einsum("nwd,nwd->nw", feats, feats, out=out[a:b])
-        return out
+        """``(N, W)`` squared norms ``|a_j|^2`` of every row, computed once:
+        the squares of the operator's stored entries, summed per row in
+        their stored (column) order."""
+        rows = np.repeat(np.arange(self.csr.shape[0]), np.diff(self.csr.indptr))
+        sums = np.bincount(rows, np.square(self.csr.data), minlength=self.csr.shape[0])
+        return sums.reshape(self.labels.shape)
+
+    @cached_property
+    def curvature_bound(self) -> np.ndarray:
+        """``(N,)`` bounds ``max_j |a_j|^2 / 4`` on the logistic part of
+        every agent's batch Hessian: a row's weight ``p (1 - p)`` is at
+        most ``1 / 4``."""
+        return 0.25 * self.row_sq.max(axis=1)
 
     @cached_property
     def csr_t(self):
@@ -246,15 +230,10 @@ class StackedSets:
 
     def dense_rows(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Rows ``start`` to ``stop`` of the flat ``(N W, d)`` stack of the
-        rows (agent ``i``'s row ``j`` is row ``i W + j``), as a dense array.
-
-        A dense block returns a read-only view and leaves ``out`` alone.  A
-        CSR operator zeroes the C-contiguous ``(stop - start, d)`` array
-        ``out``, writes the rows' stored entries into it and returns it.
-        Both give the same values, bitwise.
+        rows (agent ``i``'s row ``j`` is row ``i W + j``), as a dense array:
+        zeroes the C-contiguous ``(stop - start, d)`` array ``out``, writes
+        the rows' stored entries into it and returns it.
         """
-        if self.csr is None:
-            return self.feats.reshape(-1, self.feats.shape[2])[start:stop]
         d = self.dim
         if out.shape != (stop - start, d) or not out.flags.c_contiguous:
             raise ParameterError(
@@ -269,9 +248,8 @@ class StackedSets:
         """Yield ``(a, b, feats)`` over consecutive runs of whole agents:
         ``feats`` is the ``(b - a, W, d)`` rows of agents ``a`` to ``b``,
         read by :meth:`dense_rows`.  A run holds at most
-        ``_READ_CHUNK_ROWS`` rows, or one agent; every run of a CSR
-        operator is written into the same buffer, so ``feats`` is valid
-        until the next run."""
+        ``_READ_CHUNK_ROWS`` rows, or one agent; every run is written into
+        the same buffer, so ``feats`` is valid until the next run."""
         n, width, d = self.shape
         step = max(1, _READ_CHUNK_ROWS // width)
         buffer = np.empty((min(step, n) * width, d))
@@ -283,24 +261,11 @@ class StackedSets:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``(N, W)`` products ``F_i x_i`` of every agent's rows with its
         row of the ``(N, d)`` ``x``."""
-        if self.csr is None:
-            return (self.feats @ x[:, :, None])[:, :, 0]
         return (self.csr @ x.ravel()).reshape(self.labels.shape)
-
-    def matvecs(self, *xs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """:meth:`matvec` of each ``(N, d)`` point in ``xs``: one stacked
-        product of the dense block, or one sparse product a point, which
-        copies no point (at the scale200 shape, one sparse product of the
-        stacked points, or stacking them, was slower)."""
-        if self.csr is None:
-            return tuple(np.moveaxis(self.feats @ np.stack(xs, axis=2), 2, 0))
-        return tuple(self.matvec(x) for x in xs)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """``(N, d)`` sums ``F_i^T v_i`` of every agent's rows under its row
         of the ``(N, W)`` weights ``v``."""
-        if self.csr is None:
-            return (self.feats.transpose(0, 2, 1) @ v[:, :, None])[:, :, 0]
         return (self.csr_t @ v.ravel()).reshape(v.shape[0], -1)
 
 
@@ -308,12 +273,11 @@ class StackedSets:
 class TestSet:
     """Held-out samples for accuracy reporting; may be empty.
 
-    ``features`` is an ``(n, d)`` array, or an ``(n, d)`` CSR matrix when
-    :func:`partition` took sparse rows; either is read through
-    ``features @ x``.
+    ``features`` is an ``(n, d)`` CSR matrix, read through ``features @
+    x``.
     """
 
-    features: np.ndarray | csr_matrix
+    features: csr_matrix
     labels: np.ndarray
 
     def __len__(self) -> int:
@@ -346,7 +310,7 @@ def _map_labels(raw: np.ndarray, linenos: list[int]) -> np.ndarray:
 # slice, not with the file.
 _CHUNK_LINES = 1024
 # Rows per run of StackedSets.agent_chunks (whole agents, at least one):
-# the buffer a CSR operator is read into is about 1 MB at d = 123.
+# the buffer the rows are read into is about 1 MB at d = 123.
 _READ_CHUNK_ROWS = 1024
 # The code points that ``str.split`` treats as whitespace, and those among
 # them that ``str.splitlines`` ends a line at; none lies above U+3000.
@@ -604,73 +568,74 @@ def parse_libsvm(source, dim: int | None = None):
     return csr_matrix((val, idx, indptr), shape=(lens.size, d), copy=False), labels
 
 
-# The largest share of stored entries among the N W d of the local sets
-# at which partition also builds the sets' CSR operator (see StackedSets).
-# One product F x and one F^T v over the whole sets broke even between the
-# operator and the dense block at densities of 0.27-0.38 on the benchmark
-# shapes (one BLAS thread, 2-vCPU x86 VM); on fully dense rows the
-# operator was 1.9-2.4x slower.
-CSR_MAX_DENSITY = 0.3
+def _block_diagonal(rows, n_agents: int):
+    """The ``(N W, d)`` CSR ``rows``, ``W`` consecutive rows an agent, as
+    the block-diagonal ``(N W, N d)`` operator of :class:`StackedSets`:
+    agent ``i``'s columns moved ``i d`` along.  The operator takes over the
+    arrays of ``rows``, whose column indices it moves in place when their
+    type fits."""
+    from scipy.sparse import csr_matrix
+
+    total, d = rows.shape
+    shape = (total, n_agents * d)
+    index = np.int32 if max(rows.nnz, *shape) < 2**31 else np.int64
+    ptr = rows.indptr
+    indices = rows.indices.astype(index, copy=False)
+    indices += np.repeat(np.arange(n_agents, dtype=index) * d, np.diff(ptr[:: total // n_agents]))
+    return csr_matrix((rows.data, indices, ptr.astype(index, copy=False)), shape=shape, copy=False)
 
 
 def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float):
     """Split uniformly permuted rows of ``data = (rows, labels)`` into
     equal local sets.
 
-    ``rows`` is ``(n, d)``: a dense array, or ``scipy.sparse`` rows of any
-    format, such as the CSR matrix of :func:`parse_libsvm`; ``labels`` is
-    ``(n,)`` of +-1.  The first ``n_agents * per_agent`` permuted rows form
-    contiguous blocks of ``per_agent``; leftovers become the test set.
-    Deterministic per seed.  Each row is copied once into its slot, in the
-    local sets of a :class:`StackedSets` or in the test set; neither shares
-    memory with ``data``.
+    ``rows`` is ``(n, d)``: ``scipy.sparse`` rows of any format, such as
+    the CSR matrix of :func:`parse_libsvm`, or a dense array, which becomes
+    a CSR matrix of its nonzero entries; ``labels`` is ``(n,)`` of +-1.
+    The first ``n_agents * per_agent`` permuted rows form contiguous blocks
+    of ``per_agent``; leftovers become the test set.  Deterministic per
+    seed.
 
     Rows with a non-finite value, local or test, are refused with a
     :class:`ParameterError` that names the first of them (0-based, in data
     order) before any set is written, and so are sparse rows with a column
     index outside ``0..d-1`` or with unsorted or repeated column indices.
 
-    Sparse rows are taken with scipy's row indexing.  When their stored
-    entries in the local sets are at most ``CSR_MAX_DENSITY`` of the
-    ``n_agents * per_agent * d`` entries of the sets, the sets are held as
-    their block-diagonal CSR operator only, with agent ``i``'s columns
-    moved ``i d`` along; no dense block is formed.  Dense rows fill a
-    zero-filled ``(n_agents, per_agent, d)`` block, and denser sparse ones
-    have their stored entries written into it.  Sparse rows give the test
-    set a CSR matrix, dense rows a dense one.  Returns ``(local_sets,
-    test_set)``.
+    The rows are taken with scipy's row indexing, each copied once: into
+    the block-diagonal CSR operator of a :class:`StackedSets`, with agent
+    ``i``'s columns moved ``i d`` along, or into the CSR test set.  No
+    dense block is formed, and neither shares memory with ``data``.
+    Returns ``(local_sets, test_set)``.
     """
     if n_agents < 1 or per_agent < 1:
         raise ParameterError(f"need agents and samples per agent, got {n_agents} x {per_agent}")
+    from scipy.sparse import csr_matrix
+
     rows, labels = data
-    # Any scipy.sparse format has tocsr; testing for it imports no scipy.
-    sparse = hasattr(rows, "tocsr")
-    rows = rows.tocsr().astype(float, copy=False) if sparse else np.asarray(rows, dtype=float)
+    # Any scipy.sparse format has tocsr.
+    rows = rows.tocsr() if hasattr(rows, "tocsr") else np.asarray(rows, dtype=float)
     labels = np.asarray(labels)
     if len(rows.shape) != 2 or labels.shape != rows.shape[:1]:
         raise ParameterError(
             f"need (n, d) rows and (n,) labels, got {rows.shape} and {labels.shape}"
         )
+    rows = csr_matrix(rows).astype(float, copy=False)
     total, d = rows.shape
-    if sparse:
-        # A column outside 0..d-1 would land in another agent's block of
-        # the operator, or outside it.  A dense block is written entry by
-        # entry, while the operator sums repeated entries: the two would
-        # disagree.
-        cols = rows.indices
-        if cols.size and (cols.min() < 0 or cols.max() >= d):
-            raise ParameterError(
-                f"sparse rows need column indices in 0..{d - 1}, got {cols.min()}..{cols.max()}"
-            )
-        if not rows.has_canonical_format:
-            raise ParameterError("sparse rows need sorted column indices without duplicates")
-    values = (rows.data if sparse else rows).ravel()
-    finite = np.isfinite(values)
+    # A column outside 0..d-1 would land in another agent's block of the
+    # operator, or outside it, and the operator sums repeated entries.
+    cols = rows.indices
+    if cols.size and (cols.min() < 0 or cols.max() >= d):
+        raise ParameterError(
+            f"sparse rows need column indices in 0..{d - 1}, got {cols.min()}..{cols.max()}"
+        )
+    if not rows.has_canonical_format:
+        raise ParameterError("sparse rows need sorted column indices without duplicates")
+    finite = np.isfinite(rows.data)
     if not finite.all():
         k = int(np.argmin(finite))
-        row = np.searchsorted(rows.indptr, k, side="right") - 1 if sparse else k // d
+        row = np.searchsorted(rows.indptr, k, side="right") - 1
         raise ParameterError(
-            f"row {row} (0-based, in data order) has a non-finite feature value {values[k]}"
+            f"row {row} (0-based, in data order) has a non-finite feature value {rows.data[k]}"
         )
     need = n_agents * per_agent
     if need > total:
@@ -679,41 +644,11 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
         )
     perm = np.random.default_rng(seed).permutation(total)
     chosen, rest = perm[:need], perm[need:]
-    block = csr = None
-    if sparse:
-        # Already imported: the rows are scipy.sparse's.
-        from scipy.sparse import csr_matrix
-
-        taken = rows[chosen]
-        ptr = taken.indptr
-        if taken.nnz <= CSR_MAX_DENSITY * need * d:
-            shape = (need, n_agents * d)
-            index = np.int32 if max(taken.nnz, *shape) < 2**31 else np.int64
-            indices = taken.indices.astype(index, copy=False)
-            indices += np.repeat(np.arange(n_agents, dtype=index) * d, np.diff(ptr[::per_agent]))
-            csr = csr_matrix((taken.data, indices, ptr.astype(index, copy=False)),
-                             shape=shape, copy=False)
-        else:
-            # Written, not added as toarray does, so -0.0 keeps its sign.
-            block = np.zeros((n_agents, per_agent, d))
-            at = np.repeat(np.arange(need) * d, np.diff(ptr))
-            at += taken.indices
-            block.reshape(-1)[at] = taken.data
-        test = rows[rest]
-    else:
-        # The block and the test set are separate arrays: one shared (n, d)
-        # buffer raised the benchmark's peak RSS at mushrooms.  A
-        # permutation is in range, and mode="clip" gathers straight into
-        # the output where the default "raise" would gather into a
-        # temporary first.
-        block = np.zeros((n_agents, per_agent, d))
-        np.take(rows, chosen, axis=0, out=block.reshape(need, d), mode="clip")
-        test = np.zeros((rest.size, d))
-        np.take(rows, rest, axis=0, out=test, mode="clip")
+    csr = _block_diagonal(rows[chosen], n_agents)
     local_labels = labels[chosen].reshape(n_agents, per_agent).astype(float)
     lam = np.full(n_agents, float(lambda_reg))
-    local = StackedSets(block, local_labels, np.full(n_agents, per_agent), lam, csr)
-    return local, TestSet(features=test, labels=labels[rest])
+    local = StackedSets(csr, local_labels, np.full(n_agents, per_agent), lam)
+    return local, TestSet(features=rows[rest], labels=labels[rest])
 
 
 @dataclass
@@ -849,11 +784,11 @@ def sets_grad(
     ``idx`` are the flat positions of every agent's batch in the ``(N,
     W)`` rows of the local sets (``None``: the whole sets) and
     ``margins``, if given, ``local.matvec(x)``.  The coefficients off the
-    batch are zero (:func:`on_batches`).  On whole dense sets without
-    padding, row ``i`` equals :func:`batch_grad` on the same rows bitwise:
-    with one BLAS thread, the stacked ``matmul`` of
-    :meth:`StackedSets.matvec` and :meth:`StackedSets.rmatvec` makes the
-    same calls per agent.  Otherwise it equals it up to summation order.
+    batch are zero (:func:`on_batches`).  Row ``i`` equals
+    :func:`batch_grad` on the same rows up to summation order: the sparse
+    products of :meth:`StackedSets.matvec` and :meth:`StackedSets.rmatvec`
+    sum a row's stored entries, and agent ``i``'s rows, in another order
+    than the dense products of :func:`batch_grad`.
     """
     if margins is None:
         margins = local.matvec(x)
@@ -907,8 +842,9 @@ class SmoothnessBounds:
 
     @classmethod
     def from_sets(cls, local: StackedSets) -> "SmoothnessBounds":
-        """``m_i = lam_i`` and the tight logistic ``M_i = lam_i + max_j |a_j|^2 / 4``."""
-        return cls(m=local.lam, M=local.lam + 0.25 * local.row_sq.max(axis=1))
+        """``m_i = lam_i`` and the tight logistic ``M_i = lam_i + max_j |a_j|^2 / 4``
+        (:attr:`StackedSets.curvature_bound`)."""
+        return cls(m=local.lam, M=local.lam + local.curvature_bound)
 
     @property
     def n_agents(self) -> int:

@@ -59,7 +59,7 @@ size ``S`` (the widest local set ``W`` in full batch), ``W`` and ``d``,
   d``): :func:`gram_step`, which factors each agent's ``S x S`` Woodbury
   system from the Gram stack of its local set, computed once before
   round 0 (:func:`gram_stack`).  The rule keeps the cached ``N W^2``
-  floats no larger than the ``N W d`` of a dense block of the local sets.
+  floats no more than the ``N W d`` of the local sets read densely.
 * Otherwise: :func:`row_step` with conjugate gradients (Hestenes &
   Stiefel 1952) on all agents at once.  ``B_i^T B_i`` has rank at most
   ``S``, so ``c_i I + B_i^T B_i`` has at most ``min(S, d) + 1`` distinct
@@ -77,14 +77,8 @@ A batch is always the whole local sets and the drawn flat positions
 (:func:`batch_positions`); the values of a row off its batch are zero
 (:func:`~soprolab.loss.on_batches`).  Both batches are drawn at
 the same ``x``, so the gradient and the curvature share one margins
-pass.  Only the product differs, and the engine's ``operator`` reports
-it:
-
-* ``"csr"``: local sets parsed from sparse rows are held as a
-  block-diagonal CSR operator (see :func:`~soprolab.loss.partition` for
-  when), and every pass is one sparse product over the whole sets.
-* ``"dense"`` otherwise: every pass is one stacked product of the dense
-  ``(N, W, d)`` block.
+pass.  Every pass is one sparse product of the local sets' block-diagonal
+CSR operator (:class:`~soprolab.loss.StackedSets`).
 
 :func:`local_step` steps one agent alone by Cholesky: it is the
 per-agent oracle the batched steps are tested against.  It and the Gram
@@ -658,7 +652,7 @@ def gram_stack(local: StackedSets) -> np.ndarray:
     """The ``(N, W, W)`` stack of ``F_i F_i^T`` over the local sets, for
     :func:`gram_step`, read a run of whole agents at a time through
     :meth:`~soprolab.loss.StackedSets.agent_chunks`.  It is ``N W^2``
-    floats, no more than the ``N W d`` of a dense block of the sets on the
+    floats, no more than the ``N W d`` of the sets read densely on the
     Gram path, where ``W <= d``."""
     n, width, _ = local.shape
     gram = np.empty((n, width, width))
@@ -697,15 +691,15 @@ def gram_step(
     side is ``r_i = g_i + beta y_i + q_i = t_i - F_i^T chat_i``.
     ``B_i B_i^T`` is ``gram[i]`` restricted to ``S_i`` and scaled by
     ``sqrt(w_i)`` on both sides, and ``B_i r_i = sqrt(w_i) (F_i t_i -
-    gram[i] chat_i)[S_i]``.  So one ``local.matvecs(x, t)`` gives the
-    margins ``F x`` (hence ``chat`` and ``w``) and ``F t``; one Cholesky
-    factor-and-solve per agent gives ``z_i``; and one ``local.rmatvec`` of
-    ``v``, ``v_i = chat_i + scatter(sqrt(w_i) z_i)``, gives the step
-    ``(t - F^T v) / c``: two passes over the local sets and no row gather.
-    Zero padding rows add nothing.
+    gram[i] chat_i)[S_i]``.  So ``local.matvec`` of ``x`` and of ``t``
+    gives the margins ``F x`` (hence ``chat`` and ``w``) and ``F t``; one
+    Cholesky factor-and-solve per agent gives ``z_i``; and one
+    ``local.rmatvec`` of ``v``, ``v_i = chat_i + scatter(sqrt(w_i) z_i)``,
+    gives the step ``(t - F^T v) / c``: three products of the local sets'
+    operator and no row gather.  Empty padding rows add nothing.
     """
     _check_shift(c)
-    u, Ft = local.matvecs(x, t)
+    u, Ft = local.matvec(x), local.matvec(t)
     coef, size = on_batches(local, g_idx, logistic_coef, u, local.labels)
     coef /= size
     Fr = Ft - (gram @ coef[:, :, None])[:, :, 0]  # F r: r = t - F^T chat
@@ -746,16 +740,13 @@ class Engine:
     ``solve`` is ``"series"`` or ``"cg"`` on the row path, ``"cholesky"``
     on the Gram path; ``terms`` is the series' term count or CG's
     iteration cap, ``None`` on Cholesky; ``rho_bound`` bounds every
-    ``||h_i - lam_i I|| / c_i``; ``operator`` is what a round reads the
-    whole local sets through: ``"csr"``, their CSR operator, or
-    ``"dense"``, the stacked block.
+    ``||h_i - lam_i I|| / c_i``.
     """
 
     path: str
     solve: str
     terms: int | None
     rho_bound: float
-    operator: str
 
 
 def _series_terms(rho: float) -> int | None:
@@ -786,7 +777,7 @@ def _cg_iterations(rho: float) -> int:
 
 
 def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
-    """The path, the solve and the operator :func:`proximal` takes for this run.
+    """The path and the solve :func:`proximal` takes for this run.
 
     Every shift ``lam_i + alpha_i`` must be positive: the first agent whose
     is not is named in a :class:`~soprolab.errors.ConfigurationError`.  The
@@ -795,16 +786,15 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     module docstring): the series when ``rho < 1`` and its term count is
     at most twice CG's a-priori cap, else Cholesky on the Gram path when
     ``S < d`` and ``W <= d``, else CG, capped at the fewer of its a-priori
-    cap and ``CG_SLACK (min(S, d) + 1)`` iterations.  The operator is
-    ``"csr"`` when the local sets have a CSR operator, else ``"dense"``.
-    A bound that is not finite (a shift so small that it overflows) is
-    refused the same way, naming the first agent whose is not.
+    cap and ``CG_SLACK (min(S, d) + 1)`` iterations.  A bound that is not
+    finite (a shift so small that it overflows) is refused the same way,
+    naming the first agent whose is not.
     """
     _, width, d = local.shape
     shift = local.lam + np.asarray(alphas, dtype=float)
     _check_shift(shift)
     with np.errstate(over="ignore"):
-        ratios = 0.25 * local.row_sq.max(axis=1) / shift
+        ratios = local.curvature_bound / shift
     bad = np.flatnonzero(~np.isfinite(ratios))
     if bad.size:
         i = int(bad[0])
@@ -822,7 +812,7 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     else:
         path, solve = "row_step", "cg"
         terms = min(cg_terms, CG_SLACK * (min(rows, d) + 1))
-    return Engine(path, solve, terms, rho, "dense" if local.csr is None else "csr")
+    return Engine(path, solve, terms, rho)
 
 
 def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):

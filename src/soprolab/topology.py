@@ -283,6 +283,8 @@ def read_edge_list(src) -> MatrixP:
                 header = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise ParseError(f"bad header {ln!r}", line=lineno)
+            if header[0] < 2:
+                raise ParseError(f"need n >= 2 agents, got {header[0]}", line=lineno)
             # Checked before anything is sized by n: a header cannot make
             # the graph larger than the edges that follow it.
             if header[1] < header[0] - 1:

@@ -6,12 +6,12 @@ synthetic data (d <= 40, 30 rounds): St-SoPro with ``S >= d``, with
 ``S < d < C`` and with ``S < C <= d``; full-batch SoPro, DSGD and DSGT.
 Every proximal case runs at certified alphas, so it takes the row step
 with the Neumann series.  One more reads a small one-hot LIBSVM file, which
-:func:`record` writes to a temporary directory first, so its rounds read
+:func:`record` writes to a temporary directory first.  Every case reads
 the local sets through their CSR operator.  A golden file holds, per
 round, ``opt_err``, ``q_err``, ``comm_bits`` and ``test_acc``; and per run
 the path the proximal step took, the alphas and every certificate field.
 ``test_golden.py`` compares a fresh run with the file at a relative
-tolerance of 1e-9, and checks the operator the run read its sets through.
+tolerance of 1e-9.
 
 A change that moves these numbers on purpose writes the files again::
 
@@ -43,25 +43,23 @@ COMMON = dict(
 # encoding 3 attributes over 12 columns (density 1/4), from write_one_hot.
 ONE_HOT = "one_hot.svm"
 
-# name: (the proximal step every round must take, the operator its rounds
-# read the local sets through, config).  The names give the shape: S >= d
+# name: (the proximal step every round must take, config).  The names
+# give the shape: S >= d
 # ("dense"), S < d < C ("woodbury") and S < C <= d ("gram"), where the
 # engine factors the Woodbury systems from the Gram stack at rho >= 1.
 # At the certified alphas every case takes the series on the row step.
 CASES = {
-    "st_sopro_dense": ("row_step", "dense", dict(algorithm="st_sopro", dim=8, per_agent=30,
-                                                 batch_g=10, batch_s=10)),
-    "st_sopro_gram": ("row_step", "dense", dict(algorithm="st_sopro", dim=40, per_agent=30,
-                                                batch_g=10, batch_s=10)),
-    "st_sopro_woodbury": ("row_step", "dense", dict(algorithm="st_sopro", dim=20,
-                                                    per_agent=40, batch_g=10, batch_s=8)),
-    "sopro": ("row_step", "dense", dict(algorithm="sopro", dim=10, per_agent=30)),
-    "dsgd": (None, None, dict(algorithm="dsgd", dim=10, per_agent=30, batch_g=10,
-                              step_size=0.5)),
-    "dsgt": (None, None, dict(algorithm="dsgt", dim=10, per_agent=30, batch_g=10,
-                              step_size=0.5)),
-    "st_sopro_one_hot": ("row_step", "csr", dict(algorithm="st_sopro", dataset=ONE_HOT, dim=12,
-                                                 per_agent=30, batch_g=10, batch_s=8)),
+    "st_sopro_dense": ("row_step", dict(algorithm="st_sopro", dim=8, per_agent=30,
+                                        batch_g=10, batch_s=10)),
+    "st_sopro_gram": ("row_step", dict(algorithm="st_sopro", dim=40, per_agent=30,
+                                       batch_g=10, batch_s=10)),
+    "st_sopro_woodbury": ("row_step", dict(algorithm="st_sopro", dim=20, per_agent=40,
+                                           batch_g=10, batch_s=8)),
+    "sopro": ("row_step", dict(algorithm="sopro", dim=10, per_agent=30)),
+    "dsgd": (None, dict(algorithm="dsgd", dim=10, per_agent=30, batch_g=10, step_size=0.5)),
+    "dsgt": (None, dict(algorithm="dsgt", dim=10, per_agent=30, batch_g=10, step_size=0.5)),
+    "st_sopro_one_hot": ("row_step", dict(algorithm="st_sopro", dataset=ONE_HOT, dim=12,
+                                          per_agent=30, batch_g=10, batch_s=8)),
 }
 
 # The proximal step functions; a case's runs must call exactly one.
@@ -79,15 +77,13 @@ def write_one_hot(path: Path) -> None:
 
 
 def config(name: str) -> ExperimentConfig:
-    return ExperimentConfig(**COMMON, **CASES[name][2])
+    return ExperimentConfig(**COMMON, **CASES[name][1])
 
 
-def record(name: str, engines: list | None = None) -> dict:
-    """The golden record of case ``name``, computed now; the engine each
-    proximal run chose is appended to ``engines``, if given."""
+def record(name: str) -> dict:
+    """The golden record of case ``name``, computed now."""
     cfg = config(name)
     calls = dict.fromkeys(STEPS, 0)
-    chosen = [] if engines is None else engines
 
     def counted(step):
         fn = getattr(optimizer, step)
@@ -98,14 +94,8 @@ def record(name: str, engines: list | None = None) -> dict:
 
         return wrapper
 
-    def recorded(*args):
-        chosen.append(real_engine(*args))
-        return chosen[-1]
-
-    real_engine = optimizer.proximal_engine
     patches = {step: counted(step) for step in STEPS}
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.multiple(optimizer, **patches, proximal_engine=recorded):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(optimizer, **patches):
         run_cfg = cfg
         if cfg.dataset == ONE_HOT:
             write_one_hot(Path(tmp) / ONE_HOT)
@@ -131,15 +121,10 @@ def golden_path(name: str) -> Path:
 
 
 def main() -> int:
-    for name, (path, operator, _) in CASES.items():
-        engines = []
-        rec = record(name, engines)
+    for name, (path, _) in CASES.items():
+        rec = record(name)
         if rec["path"] != path:
             print(f"{name}: the run took {rec['path']}, not {path}", file=sys.stderr)
-            return 1
-        if [e.operator for e in engines] != ([] if operator is None else [operator]):
-            print(f"{name}: the run read its sets through {engines}, not {operator}",
-                  file=sys.stderr)
             return 1
         golden_path(name).write_text(json.dumps(rec, indent=1) + "\n")
         print(f"wrote {golden_path(name)}")

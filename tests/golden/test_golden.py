@@ -36,9 +36,6 @@ def mismatches(got, want, where="") -> list[str]:
 @pytest.mark.parametrize("name", list(CASES))
 def test_run_reproduces_its_golden_trace(name):
     want = json.loads(golden_path(name).read_text())
-    path, operator, _ = CASES[name]
-    assert want["path"] == path
-    engines = []
-    got = json.loads(json.dumps(record(name, engines)))
+    assert want["path"] == CASES[name][0]
+    got = json.loads(json.dumps(record(name)))
     assert mismatches(got, want) == []
-    assert [e.operator for e in engines] == ([] if operator is None else [operator])

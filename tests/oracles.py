@@ -1,20 +1,20 @@
 """Per-line, per-sample, per-pair and per-agent versions of the array
-set-up code, the dense and stacked forms that the sparse set-up and the
-per-agent dense step replaced, and the numerical search (with the plain
-``kappa`` evaluation) that the certificate's closed forms replaced.
+set-up code, the dense and stacked forms that the sparse set-up, the CSR
+operator of the local sets and the per-agent dense step replaced, and the
+numerical search (with the plain ``kappa`` evaluation) that the
+certificate's closed forms replaced.
 
 Each function here is the plain loop or search that a routine of
 ``soprolab`` replaced; the tests check the routines against them.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dposv
 from scipy.optimize import brentq, minimize_scalar
-from scipy.sparse import block_diag, csr_matrix
 from scipy.special import expit
 
 from soprolab.certificate import _condition_shift, _lambda_min_shifted, m_beta
@@ -90,20 +90,20 @@ def parse_libsvm_per_token(text, dim=None):
     return features, np.array(labels, dtype=int)
 
 
-def parse_and_partition_dense(text, n_agents, per_agent, seed, lambda_reg, dim=None):
+def parse_and_partition_dense(text, n_agents, per_agent, seed, dim=None):
     """Parse ``text`` into a dense matrix with :func:`parse_libsvm_per_token`,
     then gather the permuted rows into the local block and the test set
-    with one dense ``np.take`` and one fancy index."""
+    with one dense ``np.take`` and one fancy index.  Returns ``(block,
+    labels, test_features, test_labels)``: the ``(N, C, d)`` block and
+    ``(N, C)`` float labels of the local sets, and the dense test set."""
     features, labels = parse_libsvm_per_token(text, dim=dim)
     need = n_agents * per_agent
     perm = np.random.default_rng(seed).permutation(labels.shape[0])
     block = np.empty((n_agents, per_agent, features.shape[1]))
     np.take(features, perm[:need], axis=0, out=block.reshape(need, -1), mode="clip")
     local_labels = labels[perm[:need]].reshape(n_agents, per_agent).astype(float)
-    lam = np.full(n_agents, float(lambda_reg))
-    local = StackedSets(block, local_labels, np.full(n_agents, per_agent), lam)
     rest = perm[need:]
-    return local, TestSet(features=features[rest], labels=labels[rest])
+    return block, local_labels, features[rest], labels[rest]
 
 
 def densify(rows):
@@ -183,8 +183,7 @@ def partition_samples(samples, n_agents, per_agent, seed, lambda_reg):
 
 def agent_datasets(local):
     """Per-agent rows of the stacked local sets ``local``, read through
-    ``StackedSets.dense_rows`` (views of a dense block), for the per-agent
-    oracles."""
+    ``StackedSets.dense_rows``, for the per-agent oracles."""
     _, width, d = local.shape
     return [
         LocalDataset(local.dense_rows(i * width, i * width + c, np.empty((c, d))),
@@ -193,11 +192,38 @@ def agent_datasets(local):
     ]
 
 
-def with_operator(local):
-    """The dense local sets ``local`` held as a block-diagonal CSR operator
-    only, built from the dense block: padding rows are empty rows."""
-    csr = block_diag([csr_matrix(f) for f in local.feats], format="csr")
-    return replace(local, feats=None, csr=csr)
+def block_of(local):
+    """The ``(N, W, d)`` rows of ``local``, read through ``dense_rows``."""
+    n, width, d = local.shape
+    return local.dense_rows(0, n * width, np.empty((n * width, d))).reshape(n, width, d)
+
+
+@dataclass(frozen=True)
+class DenseBlockSets(StackedSets):
+    """Local sets read through the dense ``(N, W, d)`` block ``feats`` of
+    their rows, as ``StackedSets`` held them before the CSR operator was
+    their one form: ``matvec`` and ``rmatvec`` are stacked BLAS products
+    of the block, and ``dense_rows`` returns views of it.  The operator
+    stays, for the checks and ``row_sq``."""
+
+    feats: np.ndarray = field(default=None, compare=False, repr=False)
+
+    def dense_rows(self, start, stop, out):
+        return self.feats.reshape(-1, self.feats.shape[2])[start:stop]
+
+    def matvec(self, x):
+        return (self.feats @ x[:, :, None])[:, :, 0]
+
+    def rmatvec(self, v):
+        return (self.feats.transpose(0, 2, 1) @ v[:, :, None])[:, :, 0]
+
+
+def dense_block(local, feats=None):
+    """``local`` as :class:`DenseBlockSets`, over the block ``feats`` (by
+    default, its own rows read densely)."""
+    feats = block_of(local) if feats is None else feats
+    feats.setflags(write=False)
+    return DenseBlockSets(local.csr, local.labels, local.counts, local.lam, feats)
 
 
 def stacked(datasets):

@@ -3,7 +3,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from oracles import (
-    agent_datasets, dense_step_stacked, densify, flat_positions, stacked, with_operator,
+    agent_datasets, block_of, dense_block, dense_step_stacked, densify, flat_positions, stacked,
 )
 from soprolab import optimizer, topology
 from soprolab.baselines import dsgt_round, metropolis_weights
@@ -72,17 +72,11 @@ def rows(F):
     """The ``(N, S, d)`` rows ``F`` as a batch for ``row_step``: local sets
     in which every row is a sample."""
     n, S, _ = F.shape
-    return StackedSets(F, np.ones((n, S)), np.full(n, S), np.ones(n))
-
-
-def csr_rows(F):
-    """:func:`rows` read through a CSR operator."""
-    return with_operator(rows(F))
+    return StackedSets.padded(list(F), list(np.ones((n, S))), 1.0)
 
 
 # S < d ("woodbury") and S >= d ("dense"): CG at rho >= 1 and the series
-# at rho < 1 take the same products for both, on dense rows and through a
-# CSR operator.
+# at rho < 1 take the same products for both.
 @pytest.mark.parametrize("S", [6, 20], ids=["woodbury", "dense"])
 def test_row_step_matches_dense_inverse_oracle(S):
     rng = np.random.default_rng(S)
@@ -97,10 +91,10 @@ def test_row_step_matches_dense_inverse_oracle(S):
         h = LowRankHessian(lam=lam, weights=weights[i], feats=feats[i])
         expected[i] = x[i] - np.linalg.inv(h.dense() + alphas[i] * np.eye(d)) @ rhs[i]
 
-    def step(sets, F, w, c, solve, terms):
+    def step(F, w, c, solve, terms):
         """``row_step`` on ``F`` and ``w``, which it must leave as they were."""
         F_in, w_in = F.copy(), w.copy()
-        out = row_step(x, rhs, sets(F), w, c, solve, terms)
+        out = row_step(x, rhs, rows(F), w, c, solve, terms)
         assert np.array_equal(F, F_in) and np.array_equal(w, w_in)
         return out
 
@@ -113,25 +107,23 @@ def test_row_step_matches_dense_inverse_oracle(S):
     rho = rho_bound(feats, c)
     assert rho >= 1.0
     iterations = optimizer._cg_iterations(rho)
-    for sets in (rows, csr_rows):
-        for F, w in ((feats, weights), padded(feats, weights)):
-            out = step(sets, F, w, c, "cg", iterations)
-            oracle = dense_step_stacked(x, rhs, F, w, c)
-            for i in range(n):
-                assert rel_err(out[i], expected[i]) <= 1e-10
-                assert rel_err(out[i], oracle[i]) <= 1e-10
+    for F, w in ((feats, weights), padded(feats, weights)):
+        out = step(F, w, c, "cg", iterations)
+        oracle = dense_step_stacked(x, rhs, F, w, c)
+        for i in range(n):
+            assert rel_err(out[i], expected[i]) <= 1e-10
+            assert rel_err(out[i], oracle[i]) <= 1e-10
 
     feats, weights = tight_first_agent(feats, weights)
     assert rho_bound(feats[:1], c[:1]) == rho_bound(feats, c)
     for rho in SERIES_RHOS:
         Fs = feats * np.sqrt(rho / rho_bound(feats, c))
         terms = optimizer._series_terms(rho)
-        for sets in (rows, csr_rows):
-            for F, w in ((Fs, weights), padded(Fs, weights)):
-                out = step(sets, F, w, c, "series", terms)
-                for i in range(n):
-                    A = Fs[i].T @ (weights[i, :, None] * Fs[i]) + c[i] * np.eye(d)
-                    assert rel_err(out[i], x[i] - np.linalg.inv(A) @ rhs[i]) <= 1e-12
+        for F, w in ((Fs, weights), padded(Fs, weights)):
+            out = step(F, w, c, "series", terms)
+            for i in range(n):
+                A = Fs[i].T @ (weights[i, :, None] * Fs[i]) + c[i] * np.eye(d)
+                assert rel_err(out[i], x[i] - np.linalg.inv(A) @ rhs[i]) <= 1e-12
 
 
 def definite_small_systems(n, S, d):
@@ -178,8 +170,9 @@ def test_gram_step_matches_dense_inverse_oracle():
     # The two batches share rows, which both the gradient and the Hessian use.
     assert any(np.intersect1d(g, s).size for g, s in zip(g_draw, s_draw))
     local = stacked(datasets)
-    assert local.feats.shape[1] == 12 and not local.feats[2, 7:].any()  # zero padding
-    gram = local.feats @ local.feats.transpose(0, 2, 1)
+    block = block_of(local)
+    assert block.shape[1] == 12 and not block[2, 7:].any()  # zero padding
+    gram = block @ block.transpose(0, 2, 1)
     for g_idx, s_idx in [(g_draw, s_draw), (None, None), (None, s_draw), (g_draw, None)]:
         g_flat, s_flat = (None if i is None else flat_positions(i, 12) for i in (g_idx, s_idx))
         out = gram_step(x, lam * x + prox, local, gram, g_flat, s_flat, lam + alphas)
@@ -198,7 +191,8 @@ def test_gram_step_rejects_nonpositive_shift_with_definite_small_systems():
     # eigenvalue c on the d - S directions the rows do not reach.
     n, S, d = 4, 5, 8
     local = StackedSets.padded([2.0 * np.eye(S, d)] * n, [np.ones(S)] * n, 0.1)
-    gram = local.feats @ local.feats.transpose(0, 2, 1)
+    block = block_of(local)
+    gram = block @ block.transpose(0, 2, 1)
     c = np.array([1.0, 2.0, 0.0, -0.1])
     with pytest.raises(ConfigurationError) as e:
         gram_step(np.zeros((n, d)), np.ones((n, d)), local, gram, None, None, c)
@@ -287,18 +281,16 @@ def test_cg_passes_a_non_finite_right_hand_side_to_the_iterate(monkeypatch):
 # ------------------------------------------------------------- full runs
 
 
-def make_problem(sizes, d, seed=0, lam=0.1):
+def make_problem(sizes, d, seed=0, lam=0.1, sparse=False):
+    """A network and Gaussian local sets of ``sizes``; ``sparse`` zeroes
+    about two thirds of the entries, so the operator stores a third."""
     n = len(sizes)
     P = laplacian_weights(build_random_connected_graph(n, 2.0, seed=seed), 1.0)
     feats, labels = gaussian_blob_samples(sum(sizes), d, seed, separation=1.0, noise=0.5)
+    if sparse:
+        feats[np.random.default_rng(seed).random(feats.shape) >= 0.35] = 0.0
     split = np.cumsum(sizes)[:-1]
     return P, StackedSets.padded(np.split(feats, split), np.split(labels, split), lam)
-
-
-def expected_operator(local):
-    """What the rounds read the sets through: the operator, when the sets
-    have one, on every path and solve."""
-    return "dense" if local.csr is None else "csr"
 
 
 def certified_alphas(P, local):
@@ -402,22 +394,21 @@ RUN_SHAPES = [
 
 # Certified alphas take the Neumann series on the row path for every
 # shape; alphas at rho = 2 (ids ending in "-cholesky") factor on the Gram
-# path and take CG on the row path.  The same runs with a CSR operator on
-# the local sets must match the per-agent reference too.
+# path and take CG on the row path.  The same runs on sparse rows (ids
+# ending in "-csr"), whose operator stores about a third of the entries,
+# must match the per-agent reference too.
 @pytest.mark.parametrize(
-    "algorithm, batch_s, d, low_rank, certified, operator",
-    [pytest.param(*shape, certified, operator,
-                  id="-".join(map(str, shape)) + suffix + ("-csr" if operator == "csr" else ""))
-     for operator in ("dense", "csr")
+    "algorithm, batch_s, d, low_rank, certified, sparse",
+    [pytest.param(*shape, certified, sparse,
+                  id="-".join(map(str, shape)) + suffix + ("-csr" if sparse else ""))
+     for sparse in (False, True)
      for certified, suffix in ((True, ""), (False, "-cholesky"))
      for shape in RUN_SHAPES],
 )
 def test_run_matches_per_agent_reference(
-    algorithm, batch_s, d, low_rank, certified, operator, monkeypatch
+    algorithm, batch_s, d, low_rank, certified, sparse, monkeypatch
 ):
-    P, local = make_problem([40] * 6, d)
-    if operator == "csr":
-        local = with_operator(local)
+    P, local = make_problem([40] * 6, d, sparse=sparse)
     config = RunConfig(
         batch_g=10, batch_s=batch_s or 40, max_iters=20, seed=5, algorithm=algorithm
     )
@@ -427,15 +418,15 @@ def test_run_matches_per_agent_reference(
         alphas, path = factorising_alphas(local), low_rank_path(low_rank, 40, d)
         solve = FACTORISING_SOLVE[path]
     engine = optimizer.proximal_engine(local, config, alphas)
-    assert (engine.path, engine.solve, engine.operator) == (
-        f"{path}_step", solve, expected_operator(local))
+    assert (engine.path, engine.solve) == (f"{path}_step", solve)
     want = reference_run(P, local, config, alphas)
     got = engine_history(P, local, config, alphas, monkeypatch, path, solve)
     assert_histories_match(got, want)
 
 
-# With an operator, the padding rows are empty CSR rows.  The runs take
-# the series on the row path; the path named is the one at rho >= 1.
+# The padding rows are empty rows of the operator; ids ending in "-csr"
+# take sparse rows.  The runs take the series on the row path; the path
+# named is the one at rho >= 1.
 UNEQUAL_SHAPES = [
     ("st_sopro", 50, True),  # the widest set, 45 rows, fits: Gram
     ("st_sopro", 45, True),  # W = d: Gram
@@ -446,19 +437,16 @@ UNEQUAL_SHAPES = [
 
 
 @pytest.mark.parametrize(
-    "algorithm, d, low_rank, operator",
-    [pytest.param(*shape, operator,
-                  id="-".join(map(str, shape)) + ("-csr" if operator == "csr" else ""))
-     for operator in ("dense", "csr") for shape in UNEQUAL_SHAPES],
+    "algorithm, d, low_rank, sparse",
+    [pytest.param(*shape, sparse, id="-".join(map(str, shape)) + ("-csr" if sparse else ""))
+     for sparse in (False, True) for shape in UNEQUAL_SHAPES],
 )
-def test_run_accepts_unequal_local_datasets(algorithm, d, low_rank, operator, monkeypatch):
-    P, local = make_problem([20, 30, 45, 25, 35], d, seed=1)
-    if operator == "csr":
-        dense, local = local, with_operator(local)
-        assert local.csr.nnz == np.count_nonzero(dense.feats)
+def test_run_accepts_unequal_local_datasets(algorithm, d, low_rank, sparse, monkeypatch):
+    P, local = make_problem([20, 30, 45, 25, 35], d, seed=1, sparse=sparse)
+    stored = local.csr.nnz / (local.counts.sum() * d)
+    assert (0.3 < stored < 0.4) if sparse else stored == 1.0
     config = RunConfig(batch_g=8, batch_s=6, max_iters=20, seed=2, algorithm=algorithm)
     alphas = certified_alphas(P, local)
-    assert optimizer.proximal_engine(local, config, alphas).operator == operator
     at_rho_two = optimizer.proximal_engine(local, config, factorising_alphas(local))
     assert at_rho_two.path == f"{low_rank_path(low_rank, 45, d)}_step"
     want = reference_run(P, local, config, alphas)
@@ -497,15 +485,14 @@ ONE_HOT_RUNS = {
 
 @pytest.mark.parametrize("case", list(ONE_HOT_RUNS))
 def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
+    # The rounds through the operator against the same rounds through the
+    # dense block of the rows (oracles.DenseBlockSets).
     algorithm, columns, batch_s, alpha_mode, path = ONE_HOT_RUNS[case]
     n, count = 6, 30
     rows, labels = one_hot_rows(n * count + 20, 3, columns, seed=columns)
     sparse, _ = partition((rows, labels), n, count, seed=4, lambda_reg=0.05)
-    dense, _ = partition((densify(rows), labels), n, count, seed=4, lambda_reg=0.05)
-    assert sparse.feats is None and dense.csr is None
-    stacked_rows = n * count
-    assert np.array_equal(sparse.dense_rows(0, stacked_rows, np.empty((stacked_rows, columns))),
-                          dense.feats.reshape(stacked_rows, columns))
+    chosen = np.random.default_rng(4).permutation(n * count + 20)[: n * count]
+    dense = dense_block(sparse, densify(rows)[chosen].reshape(n, count, columns))
     P = laplacian_weights(build_random_connected_graph(n, 2.0, seed=0), 1.0)
     config = RunConfig(batch_g=10, batch_s=batch_s or count, max_iters=30, seed=9,
                        algorithm=algorithm, step_size=0.5)
@@ -514,7 +501,6 @@ def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
     if path is not None:
         engine = optimizer.proximal_engine(sparse, config, alphas)
         assert engine.path == f"{path}_step"
-        assert engine.operator == "csr"
     ref = solve_reference(dense)
     q_err = QNormError(P, np.full(n, 2.0), 1.0, ref.x, -ref.local_grads)
     histories = []
@@ -533,13 +519,11 @@ def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
 @pytest.mark.parametrize("sets", ["dense", "csr"])
 @pytest.mark.parametrize("algorithm", ["sopro", "st_sopro"])  # row step, S >= d
 def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
-    # Every round reads the whole local sets, whatever they are stored as:
-    # the gradient and the curvature share one margins pass, and each term
-    # of the series, or each CG iteration, one more.  No batch row is
+    # Every round reads the whole local sets, of dense or sparse rows: the
+    # gradient and the curvature share one margins pass, and each term of
+    # the series, or each CG iteration, one more.  No batch row is
     # gathered, so every matvec reads the local sets themselves.
-    P, local = make_problem([40] * 6, 15)
-    if sets == "csr":
-        local = with_operator(local)
+    P, local = make_problem([40] * 6, 15, sparse=sets == "csr")
     whole = []
     real_matvec = StackedSets.matvec
 
@@ -553,7 +537,7 @@ def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
                           ("series", certified_alphas(P, local))):
         whole.clear()
         engine = optimizer.proximal_engine(local, config, alphas)
-        assert (engine.path, engine.solve, engine.operator) == ("row_step", solve, sets)
+        assert (engine.path, engine.solve) == ("row_step", solve)
         run(P, local, config, alphas)
         # CG may stop before its cap.
         passes = len(whole) - config.max_iters
@@ -565,24 +549,20 @@ def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "d, operator",
-    [pytest.param(d, operator, id=str(d) + ("-csr" if operator else ""))
-     for operator in (False, True) for d in (15, 60)],  # rows, Gram
+    "d, sparse",
+    [pytest.param(d, sparse, id=str(d) + ("-csr" if sparse else ""))
+     for sparse in (False, True) for d in (15, 60)],  # rows, Gram
 )
-def test_run_refuses_a_drawn_index_outside_a_local_set(d, operator, monkeypatch):
+def test_run_refuses_a_drawn_index_outside_a_local_set(d, sparse, monkeypatch):
     def past_the_end(sizes, size, seed, round_idx, purpose, width):
         flat = draw_positions(sizes, size, seed, round_idx, purpose, width)
         flat[2 * size - 1] = width + sizes[1]  # a padding row of the 30-row set
         return flat
 
     monkeypatch.setattr(optimizer, "draw_positions", past_the_end)
-    P, local = make_problem([20, 30, 45, 25, 35], d, seed=1)
-    if operator:
-        local = with_operator(local)
+    P, local = make_problem([20, 30, 45, 25, 35], d, seed=1, sparse=sparse)
     config = RunConfig(batch_g=8, batch_s=6, max_iters=3, seed=2)
     alphas = certified_alphas(P, local)
-    assert optimizer.proximal_engine(local, config, alphas).operator == (
-        "csr" if operator else "dense")
     with pytest.raises(InvariantViolation, match="round 0: drawn index outside a local set"):
         run(P, local, config, alphas)
 
@@ -610,7 +590,7 @@ def one_hot_sets(n, count, attributes, columns, seed=0, lam=0.01):
     for lo, hi in zip(edges[:-1], edges[1:]):
         np.put_along_axis(feats, rng.integers(lo, hi, (n, count, 1)), 1.0, axis=2)
     labels = rng.choice((-1.0, 1.0), (n, count))
-    return StackedSets(feats, labels, np.full(n, count), np.full(n, lam))
+    return StackedSets.padded(list(feats), list(labels), lam)
 
 
 @pytest.mark.parametrize(
@@ -630,6 +610,19 @@ def test_certified_runs_of_benchmark_shapes_take_the_series_with_two_terms(
     engine = optimizer.proximal_engine(local, config, certified_alphas(P, local))
     assert (engine.path, engine.solve, engine.terms) == (path, "series", 2)
     assert engine.rho_bound < 2e-6
+
+
+def test_the_bounds_and_the_engine_read_one_curvature_bound(monkeypatch):
+    # M_i and the engine's rho both take StackedSets.curvature_bound,
+    # max_j |a_j|^2 / 4 over agent i's rows.
+    P, local = make_problem([20, 30, 45], 8)
+    assert np.array_equal(local.curvature_bound, 0.25 * local.row_sq.max(axis=1))
+    config = RunConfig(batch_g=10, batch_s=10, max_iters=1, seed=0)
+    alphas = np.array([1.0, 2.0, 4.0])
+    monkeypatch.setattr(StackedSets, "curvature_bound", property(lambda self: np.full(3, 6.0)))
+    assert SmoothnessBounds.from_sets(local).M.tolist() == (local.lam + 6.0).tolist()
+    engine = optimizer.proximal_engine(local, config, alphas)
+    assert engine.rho_bound == max(6.0 / (local.lam + alphas))
 
 
 def test_cg_iterations_are_the_least_that_the_a_priori_bound_allows():
@@ -771,8 +764,7 @@ def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift
     for c, rho in ((edge, 1.0), (edge / 2, 2.0)):
         engine = optimizer.proximal_engine(local, config, c - local.lam)
         assert engine == optimizer.Engine(
-            "row_step", "cg", optimizer._cg_iterations(engine.rho_bound), engine.rho_bound,
-            "dense")
+            "row_step", "cg", optimizer._cg_iterations(engine.rho_bound), engine.rho_bound)
         assert engine.rho_bound == pytest.approx(rho, rel=1e-12)
     c = 1e6 * edge
     assert optimizer.proximal_engine(local, config, c - local.lam).solve == "series"
@@ -786,14 +778,13 @@ def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift
     monkeypatch.setattr(optimizer, "dposv",
                         lambda a, *args: factored.append(a.shape) or real_dposv(a, *args))
     monkeypatch.setattr(StackedSets, "matvec",
-                        lambda self, x: reads.append(self is sets) or real_matvec(self, x))
+                        lambda self, x: reads.append(self is local) or real_matvec(self, x))
     # S < d < W at rho = 2: CG through the operator, no factorisation.
     config = RunConfig(batch_g=10, batch_s=5, max_iters=3, seed=0)
-    sets = with_operator(local)
     alphas = edge / 2 - local.lam
-    engine = optimizer.proximal_engine(sets, config, alphas)
-    assert (engine.path, engine.solve, engine.operator) == ("row_step", "cg", "csr")
-    run(P, sets, config, alphas)
+    engine = optimizer.proximal_engine(local, config, alphas)
+    assert (engine.path, engine.solve) == ("row_step", "cg")
+    run(P, local, config, alphas)
     assert factored == [] and reads and all(reads)
     # S < W <= d at rho = 2: every round factors the Woodbury S x S systems
     # from the Gram stack, and no d x d one.
@@ -816,7 +807,8 @@ def test_run_refuses_a_negative_shift_that_leaves_a_dense_system_definite():
     P, local = make_problem([40] * 6, 15)
     config = RunConfig(batch_g=10, batch_s=40, max_iters=1, seed=5, algorithm="sopro",
                        x0_mode="zeros")
-    gram = local.feats.transpose(0, 2, 1) @ local.feats / (4 * 40)
+    block = block_of(local)
+    gram = block.transpose(0, 2, 1) @ block / (4 * 40)
     alphas = certified_alphas(P, local)
     alphas[4] = -local.lam[4] - 0.5 * np.linalg.eigvalsh(gram[4])[0]
     rounds = []
@@ -857,7 +849,7 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
 
     run(P, local, config, alphas, callbacks=[record])
     assert rounds == [0, 1, 2, 3]
-    d = local.feats.shape[2]
+    d = local.dim
     per_round = per_edge * P.graph.n_edges * d
     # The proximal methods also send their initial exchange.
     setup = per_round if algorithm in optimizer.PROXIMAL else 0
@@ -877,9 +869,9 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
         assert rel_err(states[1], W @ states[0] - 0.5 * grads) <= 1e-13
 
 
-def test_whole_set_gradients_equal_the_per_agent_gradients_bitwise():
-    # At G = C a batch is the whole set, with no zero coefficients, and
-    # sets_grad makes the same products as batch_grad per agent.
+def test_whole_set_gradients_equal_the_per_agent_gradients():
+    # At G = C a batch is the whole set, with no zero coefficients; the
+    # operator's sparse products sum in another order than batch_grad's.
     P, local = make_problem([40] * 6, 15)
     config = RunConfig(batch_g=40, batch_s=40, max_iters=1, seed=7, algorithm="dsgd",
                        step_size=0.5)
@@ -891,7 +883,7 @@ def test_whole_set_gradients_equal_the_per_agent_gradients_bitwise():
         for i, ds in enumerate(agent_datasets(local))
     ])
     W = metropolis_weights(P.graph).matrix
-    assert np.array_equal(states[1], W @ states[0] - 0.5 * grads)
+    assert rel_err(states[1], W @ states[0] - 0.5 * grads) <= 1e-13
 
 
 def test_dsgt_tracker_sum_equals_last_gradient_sum():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 
@@ -7,7 +8,7 @@ import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
-from oracles import agent_datasets, densify, flat_positions, on_batches_2d, stacked, with_operator
+from oracles import agent_datasets, block_of, densify, flat_positions, on_batches_2d, stacked
 from soprolab.errors import ParameterError, ParseError
 from soprolab.loss import (
     LocalDataset,
@@ -37,6 +38,15 @@ def make_dataset(rng, C=6, d=4, lam=0.01, scale=1.0):
     feats = scale * rng.standard_normal((C, d))
     labels = rng.choice((-1, 1), size=C)
     return LocalDataset(features=feats, labels=labels, lambda_reg=lam)
+
+
+def sparse_dataset(rng, C=6, d=4, lam=0.01):
+    """:func:`make_dataset` with about two thirds of the entries zero and
+    row 1 empty: the operator stores a third of the entries."""
+    ds = make_dataset(rng, C, d, lam)
+    feats = np.where(rng.random((C, d)) < 0.35, ds.features, 0.0)
+    feats[1] = 0.0
+    return LocalDataset(features=feats, labels=ds.labels, lambda_reg=lam)
 
 
 def sample(ds, j):
@@ -119,7 +129,7 @@ def test_partition_paper_a4a_shape():
     samples = _dummy_samples(4781)
     local, test = partition(samples, 20, 239, seed=0, lambda_reg=0.01)
     assert len(local.counts) == 20
-    assert np.all(local.counts == 239) and local.feats.shape[1] == 239
+    assert np.all(local.counts == 239) and local.shape[1] == 239
     assert len(test) == 4781 - 20 * 239
 
 
@@ -127,7 +137,7 @@ def test_partition_paper_mushrooms_shape():
     samples = _dummy_samples(8124)
     local, test = partition(samples, 10, 600, seed=0, lambda_reg=0.01)
     assert len(local.counts) == 10
-    assert np.all(local.counts == 600) and local.feats.shape[1] == 600
+    assert np.all(local.counts == 600) and local.shape[1] == 600
     assert len(test) == 8124 - 6000
 
 
@@ -142,11 +152,11 @@ def test_partition_is_a_disjoint_cover_and_deterministic():
     samples = _dummy_samples(40)
     d1, t1 = partition(samples, 3, 10, seed=7, lambda_reg=0.1)
     d2, t2 = partition(samples, 3, 10, seed=7, lambda_reg=0.1)
-    assert np.array_equal(d1.feats, d2.feats) and np.array_equal(d1.labels, d2.labels)
-    assert np.array_equal(t1.features, t2.features)
+    assert np.array_equal(block_of(d1), block_of(d2)) and np.array_equal(d1.labels, d2.labels)
+    assert np.array_equal(densify(t1.features), densify(t2.features))
     seen = sorted(
-        float(v[0]) for v in d1.feats.reshape(-1, 3)
-    ) + sorted(float(v[0]) for v in t1.features)
+        float(v[0]) for v in block_of(d1).reshape(-1, 3)
+    ) + sorted(float(v[0]) for v in densify(t1.features))
     assert sorted(seen) == [float(i) for i in range(40)]
 
 
@@ -155,97 +165,84 @@ def test_partition_insufficient_samples():
         partition(_dummy_samples(10), 3, 4, seed=0, lambda_reg=0.1)
 
 
-def test_partition_features_share_memory_with_stacked_block():
+def test_partition_of_dense_rows_stacks_the_permuted_rows_read_only():
     rng = np.random.default_rng(2)
     labels = rng.choice((-1, 1), 50)
     samples = (rng.standard_normal((50, 5)), labels)
     local, _ = partition(samples, 4, 10, seed=3, lambda_reg=0.1)
-    assert local.feats.shape == (4, 10, 5) and local.labels.dtype == float
-    for a in (local.feats, local.labels, local.counts, local.lam):
+    assert local.shape == (4, 10, 5) and local.labels.dtype == float
+    A = local.csr
+    for a in (A.data, A.indices, A.indptr, local.labels, local.counts, local.lam):
         assert not a.flags.writeable
-    # The block is the one gather of the permuted rows: agent i holds rows
-    # 10 i .. 10 i + 9 of the permutation, with no copy per agent.
+    assert not np.shares_memory(A.data, samples[0])
+    # Agent i holds rows 10 i .. 10 i + 9 of the permutation.
     perm = np.random.default_rng(3).permutation(50)[:40]
-    assert np.array_equal(local.feats.reshape(40, 5), samples[0][perm])
+    assert np.array_equal(block_of(local).reshape(40, 5), samples[0][perm])
     assert np.array_equal(local.labels.reshape(40), labels[perm])
     assert local.counts.tolist() == [10] * 4 and local.lam.tolist() == [0.1] * 4
     for i, ds in enumerate(agent_datasets(local)):
-        assert np.shares_memory(ds.features, local.feats)
-        assert np.array_equal(local.feats[i], ds.features)
+        assert np.array_equal(samples[0][perm[10 * i : 10 * i + 10]], ds.features)
 
 
 def test_padded_sets_pad_unequal_sets_with_zero_rows():
     rng = np.random.default_rng(3)
     datasets = [make_dataset(rng, C=C, lam=0.1 * (i + 1)) for i, C in enumerate((3, 6, 4))]
     local = stacked(datasets)
-    assert local.feats.shape == (3, 6, 4) and local.labels.shape == (3, 6)
+    block = block_of(local)
+    assert local.shape == (3, 6, 4) and local.labels.shape == (3, 6)
     assert local.counts.tolist() == [3, 6, 4]
     assert np.array_equal(local.lam, [0.1, 0.2, 0.1 * 3])
     assert np.array_equal(local.real, [[1, 1, 1, 0, 0, 0], [1] * 6, [1, 1, 1, 1, 0, 0]])
     for i, ds in enumerate(datasets):
         C = ds.n_samples
-        assert not np.shares_memory(ds.features, local.feats)
-        assert np.array_equal(local.feats[i, :C], ds.features)
+        assert not np.shares_memory(ds.features, local.csr.data)
+        assert np.array_equal(block[i, :C], ds.features)
         assert np.array_equal(local.labels[i, :C], ds.labels)
-        assert not local.feats[i, C:].any() and not local.labels[i, C:].any()
+        assert not block[i, C:].any() and not local.labels[i, C:].any()
     one_lam = StackedSets.padded([ds.features for ds in datasets],
                                  [ds.labels for ds in datasets], 0.5)
     assert one_lam.lam.tolist() == [0.5] * 3
+
+
+def test_padded_sets_hold_unequal_sets_in_an_operator_with_empty_padding_rows():
+    rng = np.random.default_rng(6)
+    datasets = [sparse_dataset(rng, C=C, d=5, lam=0.1) for C in (4, 7, 2)]
+    local = stacked(datasets)
+    A = local.csr
+    assert A.format == "csr" and A.shape == (3 * 7, 3 * 5)
+    # The padding rows, and agent 0's empty row 1, store nothing.
+    stored = np.diff(A.indptr).reshape(3, 7)
+    assert not stored[~local.real].any() and stored[0, 1] == 0
+    assert A.nnz == sum(np.count_nonzero(ds.features) for ds in datasets)
+    assert np.array_equal(A.toarray(), scipy.linalg.block_diag(*block_of(local)))
 
 
 @pytest.mark.parametrize("sizes", [(20, 20, 20), (8, 20, 13)])
 def test_stacked_batch_statistics_match_per_agent_batches(sizes):
     rng = np.random.default_rng(4)
     datasets = [make_dataset(rng, C=C, d=7, lam=0.05 * (i + 1)) for i, C in enumerate(sizes)]
-    dense = stacked(datasets)
-    operator = with_operator(dense)
-    x = rng.standard_normal((len(sizes), 7))
-    for local in (dense, operator):
-        grads = sets_grad(x, local, None)
-        weights = logistic_curvature(local.matvec(x)) / local.counts[:, None]
-        for i, ds in enumerate(datasets):
-            C = ds.n_samples
-            want = batch_grad(x[i], ds, np.arange(C))
-            want_w = batch_hess(x[i], ds, np.arange(C)).weights
-            if C == local.shape[1] and local.csr is None:
-                assert np.array_equal(grads[i], want)
-                assert np.array_equal(weights[i], want_w)
-            else:
-                # Zero padding, or the operator's sparse products, may
-                # change the summation order.
-                assert np.allclose(grads[i], want, rtol=1e-13, atol=1e-15)
-                assert np.allclose(weights[i, :C], want_w, rtol=1e-13, atol=0)
-
-
-@pytest.mark.parametrize("operator", [False, True], ids=["dense", "csr"])
-def test_matvecs_of_several_points_are_their_matvecs(operator):
-    rng = np.random.default_rng(11)
-    local = stacked([make_dataset(rng, C=C, d=7, lam=0.05) for C in (12, 9, 12)])
-    if operator:
-        local = with_operator(local)
-    points = rng.standard_normal((4, 3, 7))
-    got = local.matvecs(*points)
-    assert len(got) == 4
-    for product, x in zip(got, points):
-        if operator:  # one sparse product a point
-            assert np.array_equal(product, local.matvec(x))
-        else:
-            # BLAS may sum one product of several points in another order
-            # than a product of one.
-            assert np.allclose(product, local.matvec(x), rtol=1e-14, atol=1e-15)
-    if not operator:  # the dense block takes the points in one stacked product
-        fused = local.feats @ np.stack(points, axis=2)
-        assert all(np.array_equal(product, fused[:, :, j]) for j, product in enumerate(got))
-
-
-@pytest.mark.parametrize("operator", [False, True], ids=["dense", "csr"])
-def test_set_gradients_of_drawn_batches_match_per_agent_batches(operator):
-    # Unequal sets: agent 1's padding rows are empty rows of the operator.
-    rng = np.random.default_rng(5)
-    datasets = [make_dataset(rng, C=C, d=7, lam=0.05) for C in (12, 9, 12)]
     local = stacked(datasets)
-    if operator:
-        local = with_operator(local)
+    x = rng.standard_normal((len(sizes), 7))
+    grads = sets_grad(x, local, None)
+    weights = logistic_curvature(local.matvec(x)) / local.counts[:, None]
+    for i, ds in enumerate(datasets):
+        C = ds.n_samples
+        want = batch_grad(x[i], ds, np.arange(C))
+        want_w = batch_hess(x[i], ds, np.arange(C)).weights
+        # The operator's sparse products may sum in another order.
+        assert np.allclose(grads[i], want, rtol=1e-13, atol=1e-15)
+        assert np.allclose(weights[i, :C], want_w, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_set_gradients_of_drawn_batches_match_per_agent_batches(sparse):
+    # Unequal sets: agent 1's padding rows are empty rows of the operator.
+    # Rows with every entry stored ("dense"), or about a third of them and
+    # an empty row 1 an agent ("csr").
+    rng = np.random.default_rng(5)
+    make = sparse_dataset if sparse else make_dataset
+    datasets = [make(rng, C=C, d=7, lam=0.05) for C in (12, 9, 12)]
+    local = stacked(datasets)
     x = rng.standard_normal((3, 7))
     idx = np.sort(np.stack([rng.choice(9, 4, replace=False) for _ in range(3)]), axis=1)
     for batches in (idx, None):
@@ -256,13 +253,14 @@ def test_set_gradients_of_drawn_batches_match_per_agent_batches(operator):
 
 
 def test_on_batches_at_flat_positions_equals_the_two_dimensional_form():
-    # Unequal sets, and margins that are a strided view (the dense block's
-    # matvec), a C-ordered array and a transposed copy's transpose.
+    # Unequal sets, and margins that are a strided view, a C-ordered array
+    # and a transposed copy's transpose.
     rng = np.random.default_rng(9)
     local = stacked([make_dataset(rng, C=C, d=7, lam=0.05) for C in (12, 9, 12)])
     idx = np.sort(np.stack([rng.choice(9, 4, replace=False) for _ in range(3)]), axis=1)
     u = local.matvec(rng.standard_normal((3, 7)))
-    for margins in (u, np.ascontiguousarray(u), np.asfortranarray(u)):
+    strided = np.repeat(u[:, :, None], 2, axis=2)[:, :, 0]
+    for margins in (strided, u, np.asfortranarray(u)):
         for fn, rows in ((logistic_coef, (margins, local.labels)),
                          (logistic_curvature, (margins,))):
             got, size = on_batches(local, flat_positions(idx, 12), fn, *rows)
@@ -476,8 +474,9 @@ def test_smoothness_bounds_network_aggregate():
     datasets = [make_dataset(rng, C=C, lam=0.1) for C in (4, 2, 5)]
     b = SmoothnessBounds.from_sets(stacked(datasets))
     assert b.n_agents == 3
-    # M_i = lam + max_j |a_j|^2 / 4 over agent i's rows, padding aside.
-    want = [0.1 + 0.25 * float(np.einsum("ij,ij->i", ds.features, ds.features).max())
+    # M_i = lam + max_j |a_j|^2 / 4 over agent i's rows, padding aside,
+    # each |a_j|^2 summed over its entries in column order.
+    want = [0.1 + 0.25 * max(sum(v * v for v in row) for row in ds.features.tolist())
             for ds in datasets]
     assert b.M.tolist() == want
     assert b.max_M == max(want)
@@ -567,15 +566,14 @@ def test_dataset_validation():
         feats = np.arange(1.0, 13.0).reshape(2, 3, 2)
         feats[1, 2] = 0.0
         labels = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 0.0]])
-        return dict(feats=feats, labels=labels, counts=np.array([3, 2]),
-                    lam=np.array([0.1, 0.2]))
+        return dict(csr=csr_matrix(scipy.linalg.block_diag(*feats)), labels=labels,
+                    counts=np.array([3, 2]), lam=np.array([0.1, 0.2]))
 
     StackedSets(**stacked_fields())
     # (field, position, bad value, what the error says), one per check.
     bad_values = [
         ("labels", (0, 1), 2.0, "labels must be"),
         ("labels", (1, 0), 0.0, "labels must be"),
-        ("feats", (1, 2, 1), 0.5, "padding rows"),
         ("labels", (1, 2), 1.0, "padding rows"),
         ("lam", 1, 0.0, "lambda_reg"),
         ("lam", 0, -0.1, "lambda_reg"),
@@ -589,14 +587,13 @@ def test_dataset_validation():
         with pytest.raises(ParameterError, match=message):
             StackedSets(**fields)
     bad_shapes = [
-        ("feats", np.zeros((6, 2))),
-        ("feats", np.zeros((2, 4, 2))),
-        ("labels", np.zeros((2, 2))),
+        ("labels", np.ones(6)),
+        ("labels", np.ones((2, 3, 1))),
         ("counts", np.array([3, 2, 1])),
         ("lam", np.array([0.1])),
     ]
     for name, value in bad_shapes:
-        with pytest.raises(ParameterError, match=r"need \(N, W, d\), \(N, W\), \(N,\)"):
+        with pytest.raises(ParameterError, match=r"^need \(N, W\), \(N,\) and \(N,\) arrays"):
             StackedSets(**{**stacked_fields(), name: value})
 
 
@@ -606,27 +603,26 @@ def test_stacked_sets_refuse_an_operator_of_another_shape_or_with_padding_entrie
     fields = dict(labels=np.ones((2, 3)), counts=np.array([3, 2]), lam=np.array([0.1, 0.2]))
     fields["labels"][1, 2] = 0.0
     block = scipy.linalg.block_diag(*feats)
-    local = StackedSets(None, **fields, csr=csr_matrix(block))
+    local = StackedSets(csr_matrix(block), **fields)
     assert not local.csr.data.flags.writeable
     assert local.shape == (2, 3, 2) and local.dim == 2
     # A row short, and 3 columns, which are not two blocks of d columns.
     for bad in (block[:5], block[:, :3]):
         with pytest.raises(ParameterError, match=r"need a \(6, 2 d\) operator"):
-            StackedSets(None, **fields, csr=csr_matrix(bad))
-    assert StackedSets(None, **fields, csr=csr_matrix(block[:, :2])).dim == 1  # d = 1
+            StackedSets(csr_matrix(bad), **fields)
+    assert StackedSets(csr_matrix(block[:, :2]), **fields).dim == 1  # d = 1
     block[5, 2] = 1.0  # agent 1's padding row
     with pytest.raises(ParameterError, match="padding rows of the operator must be empty"):
-        StackedSets(None, **fields, csr=csr_matrix(block))
+        StackedSets(csr_matrix(block), **fields)
 
 
 def test_stacked_sets_hold_their_rows_in_one_form():
-    feats = np.arange(1.0, 13.0).reshape(2, 3, 2)
-    fields = dict(labels=np.ones((2, 3)), counts=np.array([3, 3]), lam=np.array([0.1, 0.2]))
-    csr = csr_matrix(scipy.linalg.block_diag(*feats))
-    with pytest.raises(ParameterError, match="block or as a CSR operator, got neither"):
-        StackedSets(None, **fields)
-    with pytest.raises(ParameterError, match="block or as a CSR operator, got both"):
-        StackedSets(feats, **fields, csr=csr)
-    for bad in (np.ones(6), np.ones((2, 3, 1))):
-        with pytest.raises(ParameterError, match=r"^need \(N, W\), \(N,\) and \(N,\) arrays"):
-            StackedSets(None, **{**fields, "labels": bad}, csr=csr)
+    # The block-diagonal operator is the one form of the rows: no dense
+    # block, and no product that reads one.
+    assert [f.name for f in dataclasses.fields(StackedSets)] == ["csr", "labels", "counts", "lam"]
+    assert not hasattr(StackedSets, "matvecs")
+    rng = np.random.default_rng(7)
+    local = stacked([make_dataset(rng, C=C, d=3, lam=0.1) for C in (4, 2)])
+    x, v = rng.standard_normal((2, 3)), rng.standard_normal((2, 4))
+    assert np.array_equal(local.matvec(x), (local.csr @ x.ravel()).reshape(2, 4))
+    assert np.array_equal(local.rmatvec(v), (local.csr.T @ v.ravel()).reshape(2, 3))

@@ -230,12 +230,14 @@ def test_init_dual_sum_zero_and_comm_charge():
     assert np.all(state.q == 0.0)
     # run() charges the initial exchange.
     state = run(P, local, base_config(max_iters=0), certified_alphas(P, local))
-    assert state.comm_scalars == 2 * P.graph.n_edges * local.feats.shape[2]
+    assert state.comm_scalars == 2 * P.graph.n_edges * local.dim
 
 
 def test_init_size_mismatch():
     P, local = make_problem()
-    fewer = StackedSets(local.feats[:-1], local.labels[:-1], local.counts[:-1], local.lam[:-1])
+    _, width, d = local.shape
+    fewer = StackedSets(local.csr[: -width, : -d], local.labels[:-1], local.counts[:-1],
+                        local.lam[:-1])
     with pytest.raises(ConfigurationError, match="4 local sets for 5 agents"):
         init_network(P, fewer, base_config())
 
@@ -332,7 +334,7 @@ def test_exchange_two_agents_antisymmetric_update():
 
 def test_exchange_communication_accounting():
     P, local = make_problem()
-    d = local.feats.shape[2]
+    d = local.dim
     cfg = base_config(max_iters=7)
     state = run(P, local, cfg, certified_alphas(P, local))
     per_round = 2 * P.graph.n_edges * d
@@ -355,7 +357,7 @@ def test_run_deterministic_per_seed():
 
 def test_full_batch_stochastic_equals_deterministic():
     P, local = make_problem()
-    C = local.feats.shape[1]
+    C = local.shape[1]
     alphas = certified_alphas(P, local)
     hist = {"st": [], "so": []}
     run(P, local, base_config(batch_g=C, batch_s=C, max_iters=15, algorithm="st_sopro"),

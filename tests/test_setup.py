@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     agent_datasets,
+    block_of,
+    dense_block,
     densify,
     gradient_per_agent,
     hessian_per_agent,
@@ -28,7 +30,6 @@ from oracles import (
     parse_libsvm_per_token,
     partition_samples,
     sigma_sq_per_agent,
-    with_operator,
 )
 from soprolab import loss, optimizer
 from soprolab.errors import ParameterError, ParseError
@@ -60,17 +61,9 @@ def assert_same_arrays(got, want):
         assert g.tobytes() == w.tobytes()
 
 
-def block_of(local):
-    """The ``(N, W, d)`` rows of ``local``, read through ``dense_rows``."""
-    n, width, d = local.shape
-    return local.dense_rows(0, n * width, np.empty((n * width, d))).reshape(n, width, d)
-
-
 def dense_features(test):
-    """The test set's rows as a dense array: partition gives sparse input
-    a CSR test set, read by :func:`densify`."""
-    features = test.features
-    return features if isinstance(features, np.ndarray) else densify(features)
+    """The CSR test set's rows as a dense array, read by :func:`densify`."""
+    return densify(test.features)
 
 
 def outcome(parse, text, **kw):
@@ -189,11 +182,11 @@ def test_partition_of_parsed_rows_equals_the_dense_route_bitwise(
         return
     with mock.patch.object(loss, "_CHUNK_LINES", chunk):
         got, got_test = partition(parse_libsvm(text, dim=dim), n_agents, per_agent, seed, 0.1)
-    want, want_test = parse_and_partition_dense(text, n_agents, per_agent, seed, 0.1, dim=dim)
+    block, labels, test_features, test_labels = parse_and_partition_dense(
+        text, n_agents, per_agent, seed, dim=dim)
     assert_same_arrays((block_of(got), got.labels, got.counts, got.lam),
-                       (want.feats, want.labels, want.counts, want.lam))
-    assert_same_arrays((dense_features(got_test), got_test.labels),
-                       (want_test.features, want_test.labels))
+                       (block, labels, np.full(n_agents, per_agent), np.full(n_agents, 0.1)))
+    assert_same_arrays((dense_features(got_test), got_test.labels), (test_features, test_labels))
 
 
 MUTATIONS = ("bad token", "zero index", "repeat index", "1:2:3", ":5", "5:",
@@ -370,11 +363,10 @@ def test_parse_and_partition_are_exact_and_peak_below_1_05x_the_matrix(
     # The benchmark's file and split shapes.  Parsing to a dense matrix and
     # gathering the local block from it peaked at 2.03-2.04x that matrix;
     # writing a dense local block next to the sets' CSR operator, at
-    # 1.41-1.68x.  Every benchmark shape is sparse enough to be held as
-    # the operator only, with a CSR test set: parse then sets the peak, at
-    # 0.85 / 0.97 / 0.56x (a4a / mushrooms / scale200), and partition,
-    # with the parsed rows alive, peaks at 0.48 / 0.73 / 0.42x.  The
-    # bounds leave about 8% over the highest of each.
+    # 1.41-1.68x.  With the operator and a CSR test set only, parse sets
+    # the peak, at 0.85 / 0.97 / 0.56x (a4a / mushrooms / scale200), and
+    # partition, with the parsed rows alive, peaks at 0.48 / 0.73 /
+    # 0.42x.  The bounds leave about 8% over the highest of each.
     text = one_hot_libsvm(rows, attributes, columns, seed=rows)
     source = io.BytesIO(text.encode())
     matrix = rows * columns * 8
@@ -388,10 +380,9 @@ def test_parse_and_partition_are_exact_and_peak_below_1_05x_the_matrix(
     finally:
         tracemalloc.stop()
     assert_same_arrays((densify(parsed[0]), parsed[1]), parse_libsvm_per_token(text))
-    want, want_test = parse_and_partition_dense(text, n_agents, per_agent, 1, 0.01)
     assert_same_arrays((block_of(local), local.labels, dense_features(test), test.labels),
-                       (want.feats, want.labels, want_test.features, want_test.labels))
-    assert local.feats is None and not isinstance(test.features, np.ndarray)
+                       parse_and_partition_dense(text, n_agents, per_agent, 1))
+    assert test.features.format == "csr"
     assert max(peak, partition_peak) <= 1.05 * matrix
     assert partition_peak <= 0.8 * matrix
 
@@ -454,21 +445,19 @@ def test_partition_matches_the_sample_list_path_bitwise():
             assert_same_arrays((g.features, g.labels.astype(int)), (w.features, w.labels))
         assert_same_arrays((dense_features(got_test), got_test.labels),
                            (want_test.features, want_test.labels))
-        # Sparse rows are held as the sets' operator and a CSR test set.
-        dense = isinstance(rows, np.ndarray)
-        assert (got.csr is None) == dense == isinstance(got_test.features, np.ndarray)
-        source = rows if dense else rows.data
-        block = got.feats if dense else got.csr.data
-        assert not block.flags.writeable
-        assert not np.shares_memory(block, source)
-        test_rows = got_test.features if dense else got_test.features.data
-        assert not np.shares_memory(test_rows, source)
+        # Dense and sparse rows alike are held as the sets' operator and a
+        # CSR test set, neither sharing memory with the rows given.
+        assert got_test.features.format == "csr"
+        source = rows if isinstance(rows, np.ndarray) else rows.data
+        assert not got.csr.data.flags.writeable
+        assert not np.shares_memory(got.csr.data, source)
+        assert not np.shares_memory(got_test.features.data, source)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 1024])
 def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(seed):
     # Rows of 0-3 stored entries over 10 columns, one of them an explicit
-    # zero: at most 0.3 of the local block's entries are stored.
+    # zero.
     rng = np.random.default_rng(seed)
     text = "".join(
         f"{(-1) ** k} " + " ".join(f"{c}:{v}" for c, v in zip(
@@ -478,13 +467,12 @@ def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(seed):
     rows, labels = parse_libsvm(text, dim=10)
     assert rows.indices.dtype == np.int32
     local, test = partition((rows, labels), 4, 10, seed=3, lambda_reg=0.1)
-    want, want_test = partition((densify(rows), labels), 4, 10, seed=3, lambda_reg=0.1)
-    assert want.csr is None and local.feats is None
+    block, want_labels, test_features, _ = parse_and_partition_dense(text, 4, 10, 3, dim=10)
     assert_same_arrays((block_of(local), local.labels, dense_features(test)),
-                       (want.feats, want.labels, want_test.features))
+                       (block, want_labels, test_features))
     A = local.csr
     assert A.format == "csr" and A.shape == (40, 40)
-    assert np.array_equal(A.toarray(), scipy.linalg.block_diag(*want.feats))
+    assert np.array_equal(A.toarray(), scipy.linalg.block_diag(*block))
     # Only the parsed entries of the local rows and of the test rows,
     # explicit zeros included.
     perm = np.random.default_rng(3).permutation(50)
@@ -494,6 +482,8 @@ def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(seed):
     assert test.features.nnz == np.sum(rows.indptr[test_rows + 1] - rows.indptr[test_rows])
     assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr))
     assert np.shares_memory(local.csr_t.data, A.data) and local.csr_t is local.csr_t
+    # The products equal those of the dense block.
+    want = dense_block(local, block)
     x, v = rng.standard_normal((4, 10)), rng.standard_normal((4, 10))
     assert rel_err(local.matvec(x), want.matvec(x)) <= 1e-15
     assert rel_err(local.rmatvec(v), want.rmatvec(v)) <= 1e-15
@@ -502,21 +492,19 @@ def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(seed):
 @pytest.mark.parametrize("fmt", ["csr_matrix", "csr_array", "csc_matrix", "coo_array"])
 @pytest.mark.parametrize("columns", [12, 5])
 def test_partition_takes_a_callers_sparse_rows_as_it_takes_parsed_ones(fmt, columns):
-    # 3 of 12 columns set gives the operator, 3 of 5 the dense block.
+    # 3 of 12 columns set, and 3 of 5, with an explicit -0 in every row.
     text = "".join(f"{(-1) ** k} {1 + k % 2}:-0 {3 + k % 2}:{k / 3!r} {columns}:1\n"
                    for k in range(50))
     rows, labels = parse_libsvm(text)
     mine = getattr(scipy.sparse, fmt)(rows)
     got, got_test = partition((mine, labels), 4, 10, seed=5, lambda_reg=0.1)
     want, want_test = partition((rows, labels), 4, 10, seed=5, lambda_reg=0.1)
-    assert (got.csr is None) == (want.csr is None) == (columns == 5)
     assert_same_arrays((block_of(got), got.labels, dense_features(got_test)),
                        (block_of(want), want.labels, dense_features(want_test)))
-    if got.csr is not None:
-        assert_same_arrays((got.csr.data, got.csr.indices, got.csr.indptr),
-                           (want.csr.data, want.csr.indices, want.csr.indptr))
+    assert_same_arrays((got.csr.data, got.csr.indices, got.csr.indptr),
+                       (want.csr.data, want.csr.indices, want.csr.indptr))
     source = mine.tocsr().data
-    assert not np.shares_memory(got.csr.data if got.feats is None else got.feats, source)
+    assert not np.shares_memory(got.csr.data, source)
     assert not np.shares_memory(got_test.features.data, source)
 
 
@@ -534,9 +522,9 @@ def test_partition_takes_a_callers_sparse_rows_as_it_takes_parsed_ones(fmt, colu
          "column-past-d", "negative-column"],
 )
 def test_partition_refuses_malformed_sparse_rows(indices, indptr, message):
-    # Seed 0 puts row 0 in the local set and row 1 in the test set.  A
-    # dense block, written entry by entry, equals the operator, which sums
-    # repeated entries, only on rows without them.
+    # Seed 0 puts row 0 in the local set and row 1 in the test set.
+    # dense_rows writes each stored entry, while the operator's products
+    # sum repeated entries: the two agree only on rows without them.
     data = np.ones(len(indices))
     rows = scipy.sparse.csr_matrix((data, indices, indptr), shape=(2, 3))
     with pytest.raises(ParameterError, match=message):
@@ -569,11 +557,11 @@ def test_partition_offsets_agent_columns_past_int32(n_agents):
 def test_accuracy_reads_a_csr_test_set_as_the_dense_one():
     text = one_hot_libsvm(200, 3, 12, seed=6)
     _, sparse = partition(parse_libsvm(text, dim=12), 4, 30, seed=2, lambda_reg=0.1)
-    _, dense = partition(parse_libsvm_per_token(text, dim=12), 4, 30, seed=2, lambda_reg=0.1)
-    assert sparse.features.format == "csr" and isinstance(dense.features, np.ndarray)
+    *_, features, labels = parse_and_partition_dense(text, 4, 30, 2, dim=12)
+    assert sparse.features.format == "csr"
     for x in np.random.default_rng(0).standard_normal((5, 12)):
-        assert np.allclose(sparse.features @ x, dense.features @ x, rtol=0, atol=1e-14)
-        assert accuracy(x, sparse) == accuracy(x, dense)
+        assert np.allclose(sparse.features @ x, features @ x, rtol=0, atol=1e-14)
+        assert accuracy(x, sparse) == np.mean(np.where(features @ x >= 0.0, 1, -1) == labels)
 
 
 @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
@@ -617,11 +605,23 @@ def test_cli_run_refuses_a_non_finite_value_with_one_error_line(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
-def test_partition_builds_no_operator_for_denser_rows():
-    # Four of ten columns stored in every row: density 0.4.
-    text = "".join(f"{(-1) ** k} 1:1 {k % 5 + 2}:1 8:2 10:1\n" for k in range(30))
-    local, _ = partition(parse_libsvm(text), 3, 10, seed=0, lambda_reg=0.1)
-    assert local.csr is None and loss.CSR_MAX_DENSITY < 0.4
+def test_partition_of_a_dense_array_equals_that_of_its_csr_rows():
+    # Four of ten columns set in every row, and Gaussian rows with every
+    # entry set: a dense array becomes the CSR matrix of its nonzero
+    # entries, so it gives the same operator and test set as those rows.
+    text = "".join(f"{(-1) ** k} 1:1 {k % 5 + 2}:1 8:2 10:1\n" for k in range(40))
+    parsed, labels = parse_libsvm(text)
+    for dense, labels in ((densify(parsed), labels), gaussian_blob_samples(40, 6, seed=1)):
+        got, got_test = partition((dense, labels), 3, 10, seed=4, lambda_reg=0.1)
+        rows = scipy.sparse.csr_matrix(dense)
+        want, want_test = partition((rows, labels), 3, 10, seed=4, lambda_reg=0.1)
+        for a, b in ((got.csr, want.csr), (got_test.features, want_test.features)):
+            assert a.format == b.format == "csr"
+            assert_same_arrays((a.data, a.indices, a.indptr), (b.data, b.indices, b.indptr))
+        assert_same_arrays((got.labels, got.counts, got.lam, got_test.labels),
+                           (want.labels, want.counts, want.lam, want_test.labels))
+        assert np.array_equal(block_of(got).reshape(30, -1), dense[np.random.default_rng(4)
+                                                                    .permutation(40)[:30]])
 
 
 def test_build_problem_frees_the_parsed_matrix_before_the_reference_solve(tmp_path):
@@ -657,19 +657,16 @@ def unequal_sets(sizes, d, seed=0, lam=0.05):
 
 
 def one_hot_sets(d, seed=0, lam=0.05):
-    """Four equal local sets of one-hot rows, which partition gives a CSR
-    operator."""
+    """Four equal local sets of one-hot rows, from partition."""
     text = one_hot_libsvm(60, max(1, d // 4), d, seed)
-    local, _ = partition(parse_libsvm(text, dim=d), 4, 12, seed, lam)
-    assert local.csr is not None
-    return local
+    return partition(parse_libsvm(text, dim=d), 4, 12, seed, lam)[0]
 
 
 def local_sets(sizes, d, seed=0):
     return one_hot_sets(d, seed) if sizes == "one-hot" else unequal_sets(sizes, d, seed)
 
 
-# Padded and equal dense sets, and sets with a CSR operator.
+# Padded and equal sets of Gaussian rows, and one-hot sets from partition.
 SIZES = [(20, 35, 27, 8), (40, 40, 40), "one-hot"]
 
 
@@ -700,7 +697,7 @@ def test_solve_reference_matches_per_agent_newton(sizes):
 def test_solve_reference_through_the_operator_matches_the_dense_block():
     local = one_hot_sets(12, seed=3)
     sparse = reference.solve_reference(local)
-    dense = reference.solve_reference(replace(local, feats=block_of(local), csr=None))
+    dense = reference.solve_reference(dense_block(local))
     assert rel_err(sparse.x, dense.x) <= 1e-12
     assert rel_err(sparse.local_grads, dense.local_grads) <= 1e-12
 
@@ -738,19 +735,23 @@ def reading_the_block(block):
 @pytest.mark.parametrize("chunk", [1, 7, 1024])
 @pytest.mark.parametrize("sizes", [(20, 35, 27, 8), "one-hot"], ids=["padded", "one-hot"])
 def test_csr_sets_read_as_their_dense_block_bitwise_in_every_set_up_reader(sizes, chunk):
-    # CSR-only sets, from with_operator (padded Gaussian rows) and from
-    # partition (one-hot rows), against the same rows as a dense block.
+    # Sets from StackedSets.padded (Gaussian rows) and from partition
+    # (one-hot rows), against the same rows as a dense block, built
+    # without the operator, and the sets read through that block.
     if sizes == "one-hot":
         text = one_hot_libsvm(60, 3, 12, seed=3)
         sets, _ = partition(parse_libsvm(text, dim=12), 4, 12, 3, 0.05)
-        dense = parse_and_partition_dense(text, 4, 12, 3, 0.05, dim=12)[0]
+        block = parse_and_partition_dense(text, 4, 12, 3, dim=12)[0]
     else:
-        dense = unequal_sets(sizes, 9, seed=5)
-        sets = with_operator(dense)
-    assert sets.feats is None and dense.csr is None
-    n, width, d = dense.shape
-    assert sets.shape == dense.shape and sets.dim == d
-    stack = dense.feats.reshape(-1, d)
+        sets = unequal_sets(sizes, 9, seed=5)
+        feats, _ = gaussian_blob_samples(sum(sizes), 9, 5, separation=1.5, noise=0.7)
+        block = np.zeros(sets.shape)
+        for i, rows in enumerate(np.split(feats, np.cumsum(sizes)[:-1])):
+            block[i, : len(rows)] = rows
+    dense = dense_block(sets, block)
+    n, width, d = sets.shape
+    assert block.shape == sets.shape and sets.dim == d
+    stack = block.reshape(-1, d)
     with mock.patch.object(loss, "_READ_CHUNK_ROWS", chunk), \
             mock.patch.object(reference, "_HESS_CHUNK_ROWS", chunk):
         # Any run of rows, written over whatever the buffer held.
@@ -758,8 +759,7 @@ def test_csr_sets_read_as_their_dense_block_bitwise_in_every_set_up_reader(sizes
         last = n * width
         for start, stop in ((0, last), (0, 1), (width - 1, width + 2), (last - 3, last), (5, 5)):
             got = sets.dense_rows(start, stop, buffer[: stop - start])
-            view = dense.dense_rows(start, stop, None)
-            assert_same_arrays((got, view), (stack[start:stop],) * 2)
+            assert_same_arrays((got,), (stack[start:stop],))
         # Runs of whole agents, at most `chunk` rows or one agent each.
         runs = [(a, b, feats.copy()) for a, b, feats in sets.agent_chunks()]
         want_runs = list(dense.agent_chunks())
@@ -767,13 +767,17 @@ def test_csr_sets_read_as_their_dense_block_bitwise_in_every_set_up_reader(sizes
         assert [(a, b) for a, b, _ in runs] == [(a, b) for a, b, _ in want_runs] == [
             (a, min(a + step, n)) for a in range(0, n, step)]
         for (a, b, got), (_, _, want) in zip(runs, want_runs):
-            assert_same_arrays((got, want), (dense.feats[a:b],) * 2)
-        # row_sq, the bounds and the Gram stack equal the whole block's.
-        bounds, want_bounds = SmoothnessBounds.from_sets(sets), SmoothnessBounds.from_sets(dense)
+            assert_same_arrays((got, want), (block[a:b],) * 2)
+        # row_sq and the bounds: every row's squares summed in column
+        # order, which the block's einsum matches on 0/1 rows.
+        row_sq = np.array([[sum(v * v for v in row) for row in agent] for agent in block.tolist()])
+        bounds = SmoothnessBounds.from_sets(sets)
         assert_same_arrays((sets.row_sq, bounds.m, bounds.M),
-                           (dense.row_sq, want_bounds.m, want_bounds.M))
-        assert_same_arrays((dense.row_sq,), (np.einsum("nwd,nwd->nw", dense.feats, dense.feats),))
-        gram = dense.feats @ dense.feats.transpose(0, 2, 1)
+                           (row_sq, sets.lam, sets.lam + 0.25 * row_sq.max(axis=1)))
+        if sizes == "one-hot":
+            assert_same_arrays((sets.row_sq,), (np.einsum("nwd,nwd->nw", block, block),))
+        # The Gram stack equals the whole block's.
+        gram = block @ block.transpose(0, 2, 1)
         assert_same_arrays((optimizer.gram_stack(sets), optimizer.gram_stack(dense)), (gram,) * 2)
         # sigma^2 at given probes reads the rows through the runs only.
         probes = list(np.random.default_rng(chunk).standard_normal((3, d)))
@@ -784,7 +788,7 @@ def test_csr_sets_read_as_their_dense_block_bitwise_in_every_set_up_reader(sizes
         # whose dense_rows serve the dense block.
         got = reference.solve_reference(sets)
         got_sigma = reference.estimate_sigma_sq(sets, got.x)
-        with reading_the_block(dense.feats):
+        with reading_the_block(block):
             fresh = replace(sets)  # nothing cached
             want = reference.solve_reference(fresh)
             want_sigma = reference.estimate_sigma_sq(fresh, want.x)

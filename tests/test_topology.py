@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import random_connected_graph_per_pair
@@ -306,10 +306,12 @@ _EDGE_TEXT = st.builds(
 
 
 @given(st.one_of(st.text(max_size=200), _EDGE_LINES.map("\n".join), _EDGE_TEXT))
+@example("1 0\n")  # one agent: no second eigenvalue
 @settings(max_examples=200, deadline=None, database=None)
 def test_read_edge_list_parses_or_raises_a_package_error_on_any_text(text):
     try:
         p = read_edge_list(io.StringIO(text))
+        p.spectral
     except SoprolabError:
         return
     assert p.graph.is_connected()
