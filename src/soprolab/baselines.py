@@ -12,7 +12,9 @@ comparisons against the proximal methods share identical data, topology,
 and noise realizations.  A gradient is one
 :func:`~soprolab.loss.sets_grad` of the whole local sets at the flat
 positions ``i W + j`` that :func:`~soprolab.optimizer.batch_positions`
-draws, as in the proximal rounds.
+draws, as in the proximal rounds.  The mixing weights are applied through
+:func:`~soprolab.topology.network_operator`, as the proximal exchange
+applies ``P``: as CSR on a sparse network, at ``O(|E| d)`` a product.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import ParameterError
 from .loss import StackedSets, sets_grad
 from .optimizer import PURPOSE_GRAD, NetworkState, RunConfig, batch_positions, initial_iterates
-from .topology import Graph, MatrixP
+from .topology import Graph, MatrixP, network_operator
 
 __all__ = [
     "MixingMatrix",
@@ -82,16 +84,15 @@ def _batch_grads(x, local: StackedSets, config: RunConfig, round_idx: int) -> np
     return sets_grad(x, local, idx)
 
 
-def dsgd_round(x, W: np.ndarray, local: StackedSets, config: RunConfig, k: int) -> np.ndarray:
-    """Round ``k``: mix neighbor iterates, step along the batch gradient;
-    return the new iterates."""
+def dsgd_round(x, W, local: StackedSets, config: RunConfig, k: int) -> np.ndarray:
+    """Round ``k``: mix neighbor iterates through ``W`` (dense or CSR), step
+    along the batch gradient; return the new iterates."""
     return W @ x - _step_size(config, k) * _batch_grads(x, local, config, k)
 
 
-def dsgt_round(
-    x, tracker, last_grads, W: np.ndarray, local: StackedSets, config: RunConfig, k: int
-):
-    """Gradient-tracking round ``k``; iterates and trackers are both exchanged.
+def dsgt_round(x, tracker, last_grads, W, local: StackedSets, config: RunConfig, k: int):
+    """Gradient-tracking round ``k``; iterates and trackers are both exchanged
+    through ``W`` (dense or CSR).
 
     Returns the new iterates, the new tracker and the batch gradients at
     the new iterates, which the next round's tracker update subtracts.
@@ -105,13 +106,14 @@ def first_order(P: MatrixP, local: StackedSets, config: RunConfig):
     """DSGD or DSGT, set up for :func:`soprolab.optimizer.run`.
 
     The initial iterates are the proximal engine's (same seed, same x0),
-    and the mixing weights are Metropolis.  DSGT's tracker starts at the
+    and the mixing weights are Metropolis, applied through their
+    :func:`~soprolab.topology.network_operator`.  DSGT's tracker starts at the
     round-0 batch gradients, and it lives in the round function, with the
     last gradients.  Returns the initial state, the round function, and
     the scalars sent: none at set-up, ``2 |E| d`` per DSGD round and
     ``4 |E| d`` per DSGT round.
     """
-    W = metropolis_weights(P.graph).matrix
+    W = network_operator(metropolis_weights(P.graph).matrix)
     x = initial_iterates(P, local, config)
     state = NetworkState(x=x, q=np.zeros_like(x), y=np.zeros_like(x))
     sent = 2 * P.graph.n_edges * state.dim

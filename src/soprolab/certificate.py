@@ -450,31 +450,35 @@ class QNormError:
     """Lyapunov distance ``||z - z*||_Q^2`` of a primal/dual network state.
 
     ``Q = diag(beta R, I)`` acts on ``z = (x, v)`` with ``v`` the preimage of
-    the dual surrogate under the square root of the lift of ``P``.  The dual
-    part is evaluated through the eigendecomposition of ``P`` with the zero
-    eigenvalue annihilated, which is exact because conserved dual iterates
-    stay in the range of the lift.  ``r`` is the ``(N,)`` vector of the
-    scalars ``r_i`` of ``R_i = r_i I``, and ``q_star`` is the stacked
-    ``-grad f_i(x_star)`` blocks.
+    the dual surrogate under the square root of the lift of ``P``, so the
+    dual part is ``sum_c dq_c^T P^+ dq_c`` over the columns of
+    ``dq = q - q_star``, which is exact because conserved dual iterates stay
+    in the range of the lift.  It is evaluated as one Gram product,
+    ``<P^+, dq dq^T>``.  The pseudoinverse is made once, as
+    ``inv(P + 11^T/N) - 11^T/N``: ``P + 11^T/N`` has the eigenvalue 1 on
+    the all-ones vector and those of ``P`` elsewhere, so it is invertible
+    exactly when the zero eigenvalue of ``P`` is simple.  ``r`` is the
+    ``(N,)`` vector of the scalars ``r_i`` of ``R_i = r_i I``, and
+    ``q_star`` is the stacked ``-grad f_i(x_star)`` blocks.
     """
 
     def __init__(
         self, P: MatrixP, r, beta: float, x_star: np.ndarray, q_star: np.ndarray
     ):
-        w, U = np.linalg.eigh(P.matrix)
-        nz = w > 1e-12 * max(w[-1], 1.0)
-        if np.count_nonzero(~nz) != 1:
+        spec = P.spectral
+        if not spec.lambda_w > 1e-12 * max(spec.lambda_max, 1.0):
             raise InvariantViolation(
-                f"expected exactly one zero eigenvalue, got {np.count_nonzero(~nz)}"
+                f"expected a simple zero eigenvalue, got lambda_w {spec.lambda_w}"
             )
-        self._inv_w = 1.0 / w[nz]
-        self._U = U[:, nz]
+        n = P.n_agents
+        self._p_pinv = np.linalg.inv(P.matrix + 1.0 / n)
+        self._p_pinv -= 1.0 / n
         self._beta = beta
         self._r = np.asarray(r, dtype=float)
         self._x_star = np.asarray(x_star, dtype=float)
         self._q_star = np.asarray(q_star, dtype=float)
         self._q_star_norm = float(np.linalg.norm(self._q_star))
-        self._n = P.n_agents
+        self._n = n
 
     def __call__(self, x: np.ndarray, q: np.ndarray) -> float:
         dq = q - self._q_star
@@ -485,8 +489,7 @@ class QNormError:
                 "dual iterate left the range of the network matrix "
                 f"(consensus component {np.linalg.norm(mean_comp)})"
             )
-        coords = self._U.T @ dq
-        v_part = float(self._inv_w @ np.einsum("ij,ij->i", coords, coords))
+        v_part = float(np.vdot(self._p_pinv, dq @ dq.T))
         dx = x - self._x_star
         x_part = float(self._r @ np.einsum("ij,ij->i", dx, dx))
         return self._beta * x_part + v_part

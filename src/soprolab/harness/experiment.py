@@ -315,8 +315,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ``reference_s`` and ``certificate_s``.  A proximal run's header names
     the path and the solve of its step under ``engine`` (see
     :func:`~soprolab.optimizer.proximal_engine`); a baseline's is ``None``.
-    Every run, on parsed or synthetic rows, reads the local sets through
-    their CSR operator.
+    Its ``topology`` block records the form of the exchange,
+    ``"exchange": "csr"`` or ``"dense"`` (see
+    :func:`~soprolab.topology.network_operator`).  Every run, on parsed or
+    synthetic rows, reads the local sets through their CSR operator.
 
     Run parameters that the engine refuses raise
     :class:`~soprolab.errors.ConfigurationError` before any set-up work,
@@ -346,6 +348,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "n_edges": problem.P.graph.n_edges,
             "lambda_w": problem.P.spectral.lambda_w,
             "lambda_max": problem.P.spectral.lambda_max,
+            # The baselines' mixing weights store the entries of P (the
+            # graph and the diagonal), so their exchange takes this form too.
+            "exchange": "dense" if isinstance(problem.P.operator, np.ndarray) else "csr",
         },
         "reference": {
             "grad_norm": problem.reference.grad_norm,

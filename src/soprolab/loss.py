@@ -168,8 +168,6 @@ class StackedSets:
         """Stack ``(C_i, d)`` features and ``(C_i,)`` +-1 labels of unequal
         sizes into local sets whose operator holds the nonzero entries;
         ``lam`` is one regularizer for all agents or one each."""
-        from scipy.sparse import csr_matrix
-
         counts = np.array([len(b) for b in labels])
         n, width = counts.size, counts.max()
         rows = np.zeros((n * width, np.shape(features[0])[1]))
@@ -178,7 +176,7 @@ class StackedSets:
             rows[i * width : i * width + counts[i]] = a
             stacked[i, : counts[i]] = b
         lam = np.array(np.broadcast_to(np.asarray(lam, dtype=float), counts.shape))
-        return cls(_block_diagonal(csr_matrix(rows), n), stacked, counts, lam)
+        return cls(_block_diagonal(_dense_csr(rows), n), stacked, counts, lam)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -568,6 +566,21 @@ def parse_libsvm(source, dim: int | None = None):
     return csr_matrix((val, idx, indptr), shape=(lens.size, d), copy=False), labels
 
 
+def _dense_csr(rows: np.ndarray):
+    """The CSR matrix of the nonzero entries of dense ``(n, d)`` float rows:
+    the arrays of ``csr_matrix(rows)``, which drops ``-0.0`` and keeps NaN,
+    built from one boolean mask instead of scipy's COO copy."""
+    from scipy.sparse import csr_matrix
+
+    nz = rows != 0
+    counts = np.count_nonzero(nz, axis=1)
+    index = np.int32 if max(int(counts.sum()), *rows.shape) < 2**31 else np.int64
+    indptr = np.zeros(rows.shape[0] + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.broadcast_to(np.arange(rows.shape[1], dtype=index), rows.shape)[nz]
+    return csr_matrix((rows[nz], indices, indptr), shape=rows.shape, copy=False)
+
+
 def _block_diagonal(rows, n_agents: int):
     """The ``(N W, d)`` CSR ``rows``, ``W`` consecutive rows an agent, as
     the block-diagonal ``(N W, N d)`` operator of :class:`StackedSets`:
@@ -613,13 +626,14 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
 
     rows, labels = data
     # Any scipy.sparse format has tocsr.
-    rows = rows.tocsr() if hasattr(rows, "tocsr") else np.asarray(rows, dtype=float)
+    sparse = hasattr(rows, "tocsr")
+    rows = rows.tocsr() if sparse else np.asarray(rows, dtype=float)
     labels = np.asarray(labels)
     if len(rows.shape) != 2 or labels.shape != rows.shape[:1]:
         raise ParameterError(
             f"need (n, d) rows and (n,) labels, got {rows.shape} and {labels.shape}"
         )
-    rows = csr_matrix(rows).astype(float, copy=False)
+    rows = csr_matrix(rows).astype(float, copy=False) if sparse else _dense_csr(rows)
     total, d = rows.shape
     # A column outside 0..d-1 would land in another agent's block of the
     # operator, or outside it, and the operator sums repeated entries.

@@ -2,7 +2,8 @@
 set-up code, the dense and stacked forms that the sparse set-up, the CSR
 operator of the local sets and the per-agent dense step replaced, and the
 numerical search (with the plain ``kappa`` evaluation) that the
-certificate's closed forms replaced.
+certificate's closed forms replaced, and the eigen-coordinate Q-norm error
+that its Gram form replaced.
 
 Each function here is the plain loop or search that a routine of
 ``soprolab`` replaced; the tests check the routines against them.
@@ -395,3 +396,16 @@ def certify_delta_nested(bounds, P, beta, alphas, eta_s, c1):
         options={"xatol": hi * 1e-13, "maxiter": 300},
     )
     return -neg_delta(float(opt.x)), float(opt.x)
+
+
+def q_norm_eigen(P, r, beta, x_star, q_star, x, q):
+    """``||z - z*||_Q^2`` with the dual part in the eigen-coordinates of
+    ``P``, its zero eigenvalue annihilated: ``sum_k |u_k^T dq|^2 / w_k``
+    over the nonzero eigenpairs."""
+    w, U = np.linalg.eigh(P.matrix)
+    nz = w > 1e-12 * max(w[-1], 1.0)
+    assert np.count_nonzero(~nz) == 1
+    coords = U[:, nz].T @ (q - q_star)
+    dx = x - x_star
+    v_part = float((1.0 / w[nz]) @ np.einsum("ij,ij->i", coords, coords))
+    return beta * float(r @ np.einsum("ij,ij->i", dx, dx)) + v_part

@@ -5,7 +5,7 @@ from scipy.sparse import csr_matrix
 from oracles import (
     agent_datasets, block_of, dense_block, dense_step_stacked, densify, flat_positions, stacked,
 )
-from soprolab import optimizer, topology
+from soprolab import baselines, optimizer, topology
 from soprolab.baselines import dsgt_round, metropolis_weights
 from soprolab.certificate import QNormError, proximal_alphas
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation
@@ -867,6 +867,29 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
         # A round sums over the whole sets, with zero coefficients off the
         # batch: equal up to summation order.
         assert rel_err(states[1], W @ states[0] - 0.5 * grads) <= 1e-13
+
+
+@pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
+def test_baselines_mix_through_csr_as_through_the_dense_weights(algorithm, monkeypatch):
+    # W stores 480 of the 14400 entries of a 120-agent degree-3 network.
+    P = laplacian_weights(build_random_connected_graph(120, 3.0, seed=2), 1.0)
+    _, local = make_problem([8] * 120, 6)
+    W = metropolis_weights(P.graph).matrix
+    assert baselines.network_operator(W).format == "csr"
+    config = RunConfig(batch_g=4, batch_s=4, max_iters=5, seed=7, algorithm=algorithm,
+                       step_size=0.5)
+
+    def history():
+        states = []
+        run(P, local, config, callbacks=[lambda k, s: states.append(s.x.copy())])
+        return states
+
+    sparse = history()
+    monkeypatch.setattr(baselines, "network_operator", lambda matrix: matrix)
+    dense = history()
+    assert len(sparse) == len(dense) == 6
+    for a, b in zip(sparse, dense):
+        assert rel_err(a, b) <= 1e-13
 
 
 def test_whole_set_gradients_equal_the_per_agent_gradients():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from oracles import certify_delta_nested, kappa
+from oracles import certify_delta_nested, kappa, q_norm_eigen
 from soprolab import certificate
 from soprolab.certificate import (
     QNormError,
@@ -663,6 +663,37 @@ def test_z_error_matches_dense_pseudoinverse_oracle():
     dqf = dq.ravel()
     expected = beta * dx @ R @ dx + dqf @ np.linalg.pinv(W) @ dqf
     assert abs(got - expected) <= 1e-10 * max(1.0, expected)
+
+
+@pytest.mark.parametrize("n, degree", [(2, 1.0), (6, 2.5), (200, 5.0)])
+@pytest.mark.parametrize("case", ["dual_only", "high_frequency", "scaled"])
+def test_z_error_matches_the_eigen_coordinate_form(n, degree, case):
+    # The Gram form sums signed terms where the eigen form sums positive
+    # ones; high-frequency dq (along the largest eigenvalues of P) is where
+    # its sum is smallest against its terms.
+    rng = np.random.default_rng(n)
+    g = build_random_connected_graph(n, degree, seed=n)
+    P = laplacian_weights(g, {e: rng.uniform(0.2, 2.0) for e in g.edges})
+    dim, beta = 5, 0.8
+    r = rng.uniform(0.5, 2.0, n)
+    x_star = rng.standard_normal(dim)
+    q_star = q_star_for(dim, n, rng)
+    q_err = QNormError(P, r, beta, x_star, q_star)
+    x = x_star + 0.1 * rng.standard_normal((n, dim))
+    dq = rng.standard_normal((n, dim))
+    dq -= dq.mean(axis=0)
+    if case == "dual_only":
+        x = np.tile(x_star, (n, 1))
+        scales = [1.0]
+    elif case == "high_frequency":
+        dq = P.matrix @ P.matrix @ dq
+        scales = [1.0]
+    else:
+        scales = [1e-12, 1e-6, 1.0, 1e2]
+    for s in scales:
+        q = q_star + s * dq
+        want = q_norm_eigen(P, r, beta, x_star, q_star, x, q)
+        assert abs(q_err(x, q) - want) <= 1e-12 * want
 
 
 def test_z_error_detects_range_violation():

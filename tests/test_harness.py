@@ -161,6 +161,21 @@ def test_trace_header_names_the_proximal_engine(tmp_path, algorithm):
         "rho_bound": engine.rho_bound}
 
 
+# At the default average degree 2, P stores 3 N entries: CSR from N = 36 on.
+@pytest.mark.parametrize(
+    "algorithm, n_agents, exchange", [("st_sopro", 4, "dense"), ("dsgd", 60, "csr")]
+)
+def test_trace_header_names_the_exchange_form(tmp_path, algorithm, n_agents, exchange):
+    config = ExperimentConfig(
+        dim=4, n_agents=n_agents, per_agent=5, test_size=5, batch_g=2, batch_s=2,
+        max_iters=1, algorithm=algorithm, step_size=0.1 if algorithm == "dsgd" else None,
+        out=str(tmp_path),
+    )
+    result = run_experiment(config)
+    header, _ = trace_lines(result.trace_paths[0])
+    assert header["topology"]["exchange"] == exchange
+
+
 def test_diverged_run_writes_its_rows_and_a_diverged_summary_then_raises(tmp_path):
     # The step-1e3 DSGD set-up of the baseline divergence tests: its
     # iterates stay finite for 300 rounds while the optimality error

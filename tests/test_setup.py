@@ -591,6 +591,26 @@ def test_partition_refuses_a_dense_row_with_a_nan_and_names_it():
         partition((rows, labels), 2, 5, seed=0, lambda_reg=0.1)
 
 
+def test_dense_rows_are_stored_as_the_csr_arrays_scipy_makes():
+    # Zeros, negative zeros and an empty row, none of which csr_matrix stores.
+    rows, labels = gaussian_blob_samples(40, 6, seed=1)
+    rng = np.random.default_rng(1)
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    rows[rng.random(rows.shape) < 0.1] = -0.0
+    rows[3] = 0.0
+    assert np.signbit(rows[rows == 0]).any()
+    want = scipy.sparse.csr_matrix(rows)
+    got = loss._dense_csr(rows)
+    assert_same_arrays((got.data, got.indices, got.indptr),
+                       (want.data, want.indices, want.indptr))
+    # partition takes the same local and test rows from either form.
+    (a, a_test), (b, b_test) = (partition((r, labels), 4, 8, 3, 0.1) for r in (rows, want))
+    assert_same_arrays((a.csr.data, a.csr.indices, a.csr.indptr, a_test.features.data,
+                        a_test.features.indices, a_test.features.indptr),
+                       (b.csr.data, b.csr.indices, b.csr.indptr, b_test.features.data,
+                        b_test.features.indices, b_test.features.indptr))
+
+
 def test_cli_run_refuses_a_non_finite_value_with_one_error_line(tmp_path, capsys):
     path = tmp_path / "nan.svm"
     path.write_text("1 1:1 3:nan\n-1 2:1\n1 1:1\n")

@@ -201,23 +201,26 @@ def test_single_zero_eigenvalue():
 
 
 def test_disagreement_matches_kronecker_product():
-    rng = np.random.default_rng(1)
-    g = build_random_connected_graph(6, 2.5, seed=9)
-    weights = {e: 0.2 + i * 0.3 for i, e in enumerate(g.edges)}
-    p = laplacian_weights(g, weights)
-    d = 4
-    x = rng.standard_normal((6, d))
-    w_full = np.kron(p.matrix, np.eye(d))
-    expected = (w_full @ x.ravel()).reshape(6, d)
-    got = p.disagreement(x)
-    scale = np.max(np.abs(expected)) + 1.0
-    assert np.max(np.abs(got - expected)) <= 1e-12 * scale
-    # and the hand-written per-agent neighbor sum
-    for i in range(6):
-        acc = np.zeros(d)
-        for j in g.neighbors[i]:
-            acc += p.weights[(min(i, j), max(i, j))] * (x[i] - x[j])
-        assert np.max(np.abs(got[i] - acc)) <= 1e-12 * scale
+    # The 6-agent network takes the dense product, the 200-agent one the
+    # CSR operator.
+    for n, degree in [(6, 2.5), (200, 5.0)]:
+        rng = np.random.default_rng(1)
+        g = build_random_connected_graph(n, degree, seed=9)
+        weights = {e: 0.2 + i * 0.3 for i, e in enumerate(g.edges)}
+        p = laplacian_weights(g, weights)
+        d = 4
+        x = rng.standard_normal((n, d))
+        w_full = np.kron(p.matrix, np.eye(d))
+        expected = (w_full @ x.ravel()).reshape(n, d)
+        got = p.disagreement(x)
+        scale = np.max(np.abs(expected)) + 1.0
+        assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+        # and the hand-written per-agent neighbor sum
+        for i in range(n):
+            acc = np.zeros(d)
+            for j in g.neighbors[i]:
+                acc += p.weights[(min(i, j), max(i, j))] * (x[i] - x[j])
+            assert np.max(np.abs(got[i] - acc)) <= 1e-12 * scale
 
 
 def test_edge_list_round_trip():
@@ -322,3 +325,19 @@ def test_matrix_is_immutable():
     p = laplacian_weights(Graph.from_edges(2, [(0, 1)]), 1.0)
     with pytest.raises(ValueError):
         p.matrix[0, 0] = 7.0
+
+
+# P stores n + 2|E| entries: 1200 of 40000 at N = 200, 120 of 400 at N = 20.
+@pytest.mark.parametrize(
+    "n, degree, form", [(200, 5.0, "csr"), (20, 5.0, "dense"), (6, 2.5, "dense")]
+)
+def test_exchange_operator_is_csr_on_a_sparse_network_only(n, degree, form):
+    p = laplacian_weights(build_random_connected_graph(n, degree, seed=3), 1.0)
+    op = p.operator
+    if form == "dense":
+        assert op is p.matrix
+        return
+    assert op.format == "csr"
+    assert np.array_equal(op.toarray(), p.matrix)
+    with pytest.raises(ValueError):
+        op.data[0] = 7.0
