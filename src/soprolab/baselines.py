@@ -3,7 +3,7 @@
 DSGD mixes neighbor iterates and steps along a batch gradient; DSGT
 additionally exchanges a gradient tracker whose network sum always equals
 the sum of the current batch gradients.  :func:`first_order` sets either
-up for the engine's round loop, which checks every iterate and counts the
+up for the engine's round loop, which checks every iterate and tallies the
 traffic.  A round is array operations over all agents: the gradient
 batches come from the proximal engine's batched draw (one substream per
 round keys every agent's batch with 53-bit integer keys, see
@@ -11,7 +11,7 @@ round keys every agent's batch with 53-bit integer keys, see
 comparisons against the proximal methods share identical data, topology,
 and noise realizations.  A gradient is one
 :func:`~soprolab.loss.sets_grad` of the whole local sets at the flat
-positions ``i W + j`` that :func:`~soprolab.optimizer.batch_positions`
+positions ``i C + j`` that :func:`~soprolab.optimizer.batch_positions`
 draws, as in the proximal rounds.  The mixing weights are applied through
 :func:`~soprolab.topology.network_operator`, as the proximal exchange
 applies ``P``: as CSR on a sparse network, at ``O(|E| d)`` a product.

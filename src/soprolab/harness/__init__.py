@@ -1,4 +1,4 @@
-"""Experiment orchestration: reference oracle, metrics, sweeps, tuning, CLI."""
+"""Experiment orchestration: reference oracle, metrics, tuning, CLI."""
 
 from .experiment import (
     CONFIG_SCHEMA,

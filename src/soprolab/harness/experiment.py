@@ -312,9 +312,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     runs vary only in their own seed, so seed-averaged statistics measure
     sampling noise alone.  Each trace's summary line holds the wall-clock
     values: ``wall_s_total`` and the set-up phases ``data_s``, ``load_s``,
-    ``reference_s`` and ``certificate_s``.  A proximal run's header names
-    the path and the solve of its step under ``engine`` (see
-    :func:`~soprolab.optimizer.proximal_engine`); a baseline's is ``None``.
+    ``reference_s`` and ``certificate_s``.  A proximal run's header records
+    how its step solves under ``engine``, as ``{solve, terms, rho_bound}``
+    (see :func:`~soprolab.optimizer.proximal_engine`); a baseline's is
+    ``None``.
     Its ``topology`` block records the form of the exchange,
     ``"exchange": "csr"`` or ``"dense"`` (see
     :func:`~soprolab.topology.network_operator`).  Every run, on parsed or
@@ -371,7 +372,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         def on_round(k, state, _trace=trace, _t0=t0, _header=run_header):
             if k == 0 and state.engine is not None:
-                # The path and the solve the run chose at set-up.
+                # The solve the run chose at set-up.
                 _header["engine"] = asdict(state.engine)
             # Finite iterates far enough out overflow the metrics; the
             # check below reports that.

@@ -19,14 +19,14 @@ steps and 3-4 Hessians it costs less than an inverse kept per Hessian
 
 Every evaluation covers all agents at once over the stacked local sets
 (:class:`~soprolab.loss.StackedSets`): each row carries the weight
-``1/C_i`` of its agent's average, and padding rows weigh 0.  The margins
+``1/C`` of its agent's average.  The margins
 ``F x`` of a point are computed once and serve its objective, gradient
 and Hessian.  Margins and gradients read the sets' CSR operator through
 :meth:`~soprolab.loss.StackedSets.matvec` and
 :func:`~soprolab.loss.sets_grad`, as the rounds do.  The Hessian reads
 the rows densely, ``_HESS_CHUNK_ROWS`` at a time, through
 :meth:`~soprolab.loss.StackedSets.dense_rows`, and scales each chunk in
-one buffer per solve; no ``(N, W, d)`` block is formed.
+one buffer per solve; no ``(N, C, d)`` block is formed.
 """
 
 from __future__ import annotations
@@ -77,26 +77,26 @@ _HESS_CHUNK_ROWS = 1024
 
 
 class _Pool:
-    """The stacked local sets, with the per-row weights of the averages."""
+    """The stacked local sets, with the per-row weight ``1/C`` of the averages."""
 
     def __init__(self, local: StackedSets):
         self.local = local
-        self.weights = local.real / local.counts[:, None]
-        n, width, d = local.shape
+        n, per_agent, d = local.shape
+        self.weight = 1.0 / per_agent
         # Every Hessian build writes each chunk of rows into it and scales
         # it there: a new array a chunk cost more than the scaling.
-        self.rows = np.empty((min(_HESS_CHUNK_ROWS, n * width), d))
+        self.rows = np.empty((min(_HESS_CHUNK_ROWS, n * per_agent), d))
 
     def _spread(self, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(x, (len(self.local.counts), x.shape[0]))
+        return np.broadcast_to(x, (len(self.local.lam), x.shape[0]))
 
     def margins(self, x: np.ndarray) -> np.ndarray:
-        """``(N, W)`` margins ``F x`` of every stacked row."""
+        """``(N, C)`` margins ``F x`` of every stacked row."""
         return self.local.matvec(self._spread(x))
 
     def objective(self, x: np.ndarray, u: np.ndarray) -> float:
         """``F(x)`` from the margins ``u`` of ``x``."""
-        logistic = float(np.sum(self.weights * np.logaddexp(0.0, -self.local.labels * u)))
+        logistic = float(np.sum(self.weight * np.logaddexp(0.0, -self.local.labels * u)))
         return 0.5 * float(self.local.lam.sum()) * float(x @ x) + logistic
 
     def local_gradients(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -111,7 +111,7 @@ class _Pool:
     def hessian(self, u: np.ndarray) -> np.ndarray:
         """Hessian of ``F`` at the point whose margins are ``u``."""
         d = self.local.dim
-        root = np.sqrt(self.weights * logistic_curvature(u)).reshape(-1)
+        root = np.sqrt(self.weight * logistic_curvature(u)).reshape(-1)
         H = np.zeros((d, d))
         for start in range(0, root.size, _HESS_CHUNK_ROWS):
             stop = min(start + _HESS_CHUNK_ROWS, root.size)

@@ -123,11 +123,9 @@ class LocalDataset:
 class StackedSets:
     """All agents' local sets, stacked, with their regularizers.
 
-    Agent ``i``'s samples are its first ``counts[i]`` rows, with labels
-    ``labels[i]``; ``W`` is the largest local set, and the rows past an
-    agent's count are empty padding labelled 0, which adds nothing to a
-    batch sum.  The rows are one block-diagonal ``(N W, N d)`` CSR
-    operator ``csr``: agent ``i``'s row ``j`` is row ``i W + j`` and its
+    Every agent holds ``C`` samples: agent ``i``'s have the labels
+    ``labels[i]``.  The rows are one block-diagonal ``(N C, N d)`` CSR
+    operator ``csr``: agent ``i``'s row ``j`` is row ``i C + j`` and its
     column ``c`` is column ``i d + c``.  The arrays are read-only.
 
     :meth:`matvec` and :meth:`rmatvec` read the operator (through its
@@ -136,66 +134,42 @@ class StackedSets:
     """
 
     csr: csr_matrix = field(compare=False, repr=False)
-    labels: np.ndarray  # (N, W) floats: +-1, then 0 on padding
-    counts: np.ndarray  # (N,) in 1..W
+    labels: np.ndarray  # (N, C) floats of +-1
     lam: np.ndarray  # (N,) positive
 
     def __post_init__(self):
-        shapes = (self.labels.shape, self.counts.shape, self.lam.shape)
-        n_w = shapes[0][:2]
-        if len(shapes[0]) != 2 or shapes[1:] != (n_w[:1], n_w[:1]):
-            raise ParameterError(f"need (N, W), (N,) and (N,) arrays, got {shapes}")
-        n, width = n_w
-        if not np.all((self.counts >= 1) & (self.counts <= width)):
-            raise ParameterError(f"local set sizes must lie in 1..{width}, got {self.counts}")
+        shapes = (self.labels.shape, self.lam.shape)
+        if len(shapes[0]) != 2 or shapes[1] != shapes[0][:1]:
+            raise ParameterError(f"need (N, C) and (N,) arrays, got {shapes}")
+        n, per_agent = shapes[0]
+        if n < 1 or per_agent < 1:
+            raise ParameterError(
+                f"need at least one agent and one sample each, got {n} x {per_agent}"
+            )
         if not np.all(self.lam > 0):
             raise ParameterError(f"lambda_reg must be positive, got {self.lam}")
-        real = self.real
-        if not np.all(np.abs(self.labels[real]) == 1):
+        if not np.all(np.abs(self.labels) == 1):
             raise ParameterError("labels must be +-1")
-        if self.labels[~real].any():
-            raise ParameterError("padding rows and their labels must be zero")
-        if n < 1 or self.csr.shape[0] != n * width or self.csr.shape[1] % n:
-            raise ParameterError(f"need a ({n * width}, {n} d) operator, got {self.csr.shape}")
-        if np.diff(self.csr.indptr).reshape(n, width)[~real].any():
-            raise ParameterError("padding rows of the operator must be empty")
-        for a in (self.labels, self.counts, self.lam,
-                  self.csr.data, self.csr.indices, self.csr.indptr):
+        if self.csr.shape[0] != n * per_agent or self.csr.shape[1] % n:
+            raise ParameterError(
+                f"need a ({n * per_agent}, {n} d) operator, got {self.csr.shape}"
+            )
+        for a in (self.labels, self.lam, self.csr.data, self.csr.indices, self.csr.indptr):
             a.setflags(write=False)
-
-    @classmethod
-    def padded(cls, features, labels, lam) -> "StackedSets":
-        """Stack ``(C_i, d)`` features and ``(C_i,)`` +-1 labels of unequal
-        sizes into local sets whose operator holds the nonzero entries;
-        ``lam`` is one regularizer for all agents or one each."""
-        counts = np.array([len(b) for b in labels])
-        n, width = counts.size, counts.max()
-        rows = np.zeros((n * width, np.shape(features[0])[1]))
-        stacked = np.zeros((n, width))
-        for i, (a, b) in enumerate(zip(features, labels)):
-            rows[i * width : i * width + counts[i]] = a
-            stacked[i, : counts[i]] = b
-        lam = np.array(np.broadcast_to(np.asarray(lam, dtype=float), counts.shape))
-        return cls(_block_diagonal(_dense_csr(rows), n), stacked, counts, lam)
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        """``(N, W, d)``: the agents, the widest local set and the dimension."""
-        n, width = self.labels.shape
-        return n, width, self.csr.shape[1] // n
+        """``(N, C, d)``: the agents, the samples of each and the dimension."""
+        n, per_agent = self.labels.shape
+        return n, per_agent, self.csr.shape[1] // n
 
     @property
     def dim(self) -> int:
         return self.shape[2]
 
-    @property
-    def real(self) -> np.ndarray:
-        """``(N, W)`` mask of the rows that are samples, not padding."""
-        return np.arange(self.labels.shape[1]) < self.counts[:, None]
-
     @cached_property
     def row_sq(self) -> np.ndarray:
-        """``(N, W)`` squared norms ``|a_j|^2`` of every row, computed once:
+        """``(N, C)`` squared norms ``|a_j|^2`` of every row, computed once:
         the squares of the operator's stored entries, summed per row in
         their stored (column) order."""
         rows = np.repeat(np.arange(self.csr.shape[0]), np.diff(self.csr.indptr))
@@ -216,19 +190,19 @@ class StackedSets:
 
     @cached_property
     def _flat_positions(self) -> np.ndarray:
-        """Where each stored entry of ``csr`` sits in the flat ``(N W, d)``
+        """Where each stored entry of ``csr`` sits in the flat ``(N C, d)``
         stack of the rows: row ``r``'s entry in column ``i d + c`` (``i =
-        r // W``) at ``r d + c``.  Computed once, for :meth:`dense_rows`."""
-        n, width, d = self.shape
-        index = np.int32 if n * width * d < 2**31 else np.int64
-        rows = np.repeat(np.arange(n * width, dtype=index), np.diff(self.csr.indptr))
-        rows -= rows // width
+        r // C``) at ``r d + c``.  Computed once, for :meth:`dense_rows`."""
+        n, per_agent, d = self.shape
+        index = np.int32 if n * per_agent * d < 2**31 else np.int64
+        rows = np.repeat(np.arange(n * per_agent, dtype=index), np.diff(self.csr.indptr))
+        rows -= rows // per_agent
         rows *= d
         return np.add(rows, self.csr.indices, dtype=index)
 
     def dense_rows(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        """Rows ``start`` to ``stop`` of the flat ``(N W, d)`` stack of the
-        rows (agent ``i``'s row ``j`` is row ``i W + j``), as a dense array:
+        """Rows ``start`` to ``stop`` of the flat ``(N C, d)`` stack of the
+        rows (agent ``i``'s row ``j`` is row ``i C + j``), as a dense array:
         zeroes the C-contiguous ``(stop - start, d)`` array ``out``, writes
         the rows' stored entries into it and returns it.
         """
@@ -244,26 +218,26 @@ class StackedSets:
 
     def agent_chunks(self):
         """Yield ``(a, b, feats)`` over consecutive runs of whole agents:
-        ``feats`` is the ``(b - a, W, d)`` rows of agents ``a`` to ``b``,
+        ``feats`` is the ``(b - a, C, d)`` rows of agents ``a`` to ``b``,
         read by :meth:`dense_rows`.  A run holds at most
         ``_READ_CHUNK_ROWS`` rows, or one agent; every run is written into
         the same buffer, so ``feats`` is valid until the next run."""
-        n, width, d = self.shape
-        step = max(1, _READ_CHUNK_ROWS // width)
-        buffer = np.empty((min(step, n) * width, d))
+        n, per_agent, d = self.shape
+        step = max(1, _READ_CHUNK_ROWS // per_agent)
+        buffer = np.empty((min(step, n) * per_agent, d))
         for a in range(0, n, step):
             b = min(a + step, n)
-            rows = self.dense_rows(a * width, b * width, buffer[: (b - a) * width])
-            yield a, b, rows.reshape(b - a, width, d)
+            rows = self.dense_rows(a * per_agent, b * per_agent, buffer[: (b - a) * per_agent])
+            yield a, b, rows.reshape(b - a, per_agent, d)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``(N, W)`` products ``F_i x_i`` of every agent's rows with its
+        """``(N, C)`` products ``F_i x_i`` of every agent's rows with its
         row of the ``(N, d)`` ``x``."""
         return (self.csr @ x.ravel()).reshape(self.labels.shape)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """``(N, d)`` sums ``F_i^T v_i`` of every agent's rows under its row
-        of the ``(N, W)`` weights ``v``."""
+        of the ``(N, C)`` weights ``v``."""
         return (self.csr_t @ v.ravel()).reshape(v.shape[0], -1)
 
 
@@ -573,17 +547,17 @@ def _dense_csr(rows: np.ndarray):
     from scipy.sparse import csr_matrix
 
     nz = rows != 0
-    counts = np.count_nonzero(nz, axis=1)
-    index = np.int32 if max(int(counts.sum()), *rows.shape) < 2**31 else np.int64
+    per_row = np.count_nonzero(nz, axis=1)
+    index = np.int32 if max(int(per_row.sum()), *rows.shape) < 2**31 else np.int64
     indptr = np.zeros(rows.shape[0] + 1, dtype=index)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(per_row, out=indptr[1:])
     indices = np.broadcast_to(np.arange(rows.shape[1], dtype=index), rows.shape)[nz]
     return csr_matrix((rows[nz], indices, indptr), shape=rows.shape, copy=False)
 
 
 def _block_diagonal(rows, n_agents: int):
-    """The ``(N W, d)`` CSR ``rows``, ``W`` consecutive rows an agent, as
-    the block-diagonal ``(N W, N d)`` operator of :class:`StackedSets`:
+    """The ``(N C, d)`` CSR ``rows``, ``C`` consecutive rows an agent, as
+    the block-diagonal ``(N C, N d)`` operator of :class:`StackedSets`:
     agent ``i``'s columns moved ``i d`` along.  The operator takes over the
     arrays of ``rows``, whose column indices it moves in place when their
     type fits."""
@@ -661,7 +635,7 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
     csr = _block_diagonal(rows[chosen], n_agents)
     local_labels = labels[chosen].reshape(n_agents, per_agent).astype(float)
     lam = np.full(n_agents, float(lambda_reg))
-    local = StackedSets(csr, local_labels, np.full(n_agents, per_agent), lam)
+    local = StackedSets(csr, local_labels, lam)
     return local, TestSet(features=rows[rest], labels=labels[rest])
 
 
@@ -767,23 +741,23 @@ def full_hess(x: np.ndarray, ds: LocalDataset) -> LowRankHessian:
 
 
 def on_batches(local: StackedSets, idx: np.ndarray | None, fn, *rows: np.ndarray):
-    """``fn`` of every agent's batch, and the batch sizes.
+    """``fn`` of every agent's batch, and the batch size.
 
-    ``rows`` are ``(N, W)`` arrays over the whole local sets, such as
+    ``rows`` are ``(N, C)`` arrays over the whole local sets, such as
     ``local.matvec(x)`` and ``local.labels``, and ``idx`` the ``(N k,)``
-    flat positions ``i W + j`` of the batches in them, ``k`` rows an agent
+    flat positions ``i C + j`` of the batches in them, ``k`` rows an agent
     (see :func:`~soprolab.optimizer.batch_positions`; ``None``: the whole
     sets).  The batch rows are read and written by 1-D takes of the
-    flattened arrays.  Returns ``(values, size)``: ``(N, W)`` values of
-    ``fn`` at the batch rows and zero off them, and the ``(N, 1)`` counts
-    of the whole sets or the batch size ``k``, which a batch mean divides
-    by.
+    flattened arrays.  Returns ``(values, size)``: ``(N, C)`` values of
+    ``fn`` at the batch rows and zero off them, and the batch size, ``C``
+    or ``k``, which a batch mean divides by.
     """
+    n, per_agent = local.labels.shape
     if idx is None:
-        return fn(*rows), local.counts[:, None]
+        return fn(*rows), per_agent
     values = np.zeros(rows[0].shape)
     values.ravel()[idx] = fn(*(r.ravel()[idx] for r in rows))  # a view: values is new
-    return values, idx.size // len(local.counts)
+    return values, idx.size // n
 
 
 def sets_grad(
@@ -796,7 +770,7 @@ def sets_grad(
     ``local.matvec`` and ``local.rmatvec``.
 
     ``idx`` are the flat positions of every agent's batch in the ``(N,
-    W)`` rows of the local sets (``None``: the whole sets) and
+    C)`` rows of the local sets (``None``: the whole sets) and
     ``margins``, if given, ``local.matvec(x)``.  The coefficients off the
     batch are zero (:func:`on_batches`).  Row ``i`` equals
     :func:`batch_grad` on the same rows up to summation order: the sparse
@@ -883,31 +857,31 @@ def sigma_sq_estimate(local: StackedSets, probe_points) -> float:
     together as the columns of one ``(d, P)`` block, over the runs of whole
     agents of :meth:`StackedSets.agent_chunks`: one matrix product gives
     every margin of a run, and stacked products give its agents' mean
-    terms; padding rows are masked.
+    terms.
     """
     probes = [np.asarray(x, dtype=float) for x in probe_points]
     if not probes:
         raise ParameterError("need at least one probe point")
-    _, width, d = local.shape
+    _, per_agent, d = local.shape
     for x in probes:
         _check_dim(x, d)
     X = np.stack(probes, axis=1)
-    row_sq, real, worst = local.row_sq, local.real, 0.0
+    row_sq, worst = local.row_sq, 0.0
     # per-sample grad_j = lam*x - c_j a_j and full grad = lam*x - u with
     # u the mean of c_j a_j, so the deviation is u - c_j a_j, whose
     # squared norm c_j (c_j |a_j|^2 - 2 a_j.u) + |u|^2 expands without
     # forming it.  Axis -1 runs over probes.  The sum is built in place,
-    # so at most three (b - a, W, P) blocks are alive at once.
+    # so at most three (b - a, C, P) blocks are alive at once.
     for a, b, feats in local.agent_chunks():
-        margins = (feats.reshape(-1, d) @ X).reshape(b - a, width, -1)
+        margins = (feats.reshape(-1, d) @ X).reshape(b - a, per_agent, -1)
         c = logistic_coef(margins, local.labels[a:b, :, None])
-        u = (feats.transpose(0, 2, 1) @ c) / local.counts[a:b, None, None]
+        u = (feats.transpose(0, 2, 1) @ c) / per_agent
         dev_sq = feats @ u
         dev_sq *= -2.0
         dev_sq += c * row_sq[a:b, :, None]
         dev_sq *= c
         dev_sq += np.einsum("ndp,ndp->np", u, u)[:, None, :]
-        worst = max(worst, float(dev_sq[real[a:b]].max()))
+        worst = max(worst, float(dev_sq.max()))
     return worst
 
 

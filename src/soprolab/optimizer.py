@@ -20,9 +20,10 @@ then a synchronous exchange refreshes the weighted disagreements
 ``q_i <- q_i + beta y_i``.  The deterministic parent method is the exact
 special case where both batches are the whole local dataset.
 
-A round is a few array operations over all agents at once.  One draw
-per purpose gives every agent's batch as ``G`` flat positions ``i W + j``
-in the ``(N, W)`` rows of the local sets (:func:`draw_positions`).  Every
+A round is a few array operations over all agents at once.  Every agent
+holds ``C`` samples.  One draw per purpose gives every agent's batch as
+``G`` flat positions ``i C + j`` in the ``(N, C)`` rows of the local sets
+(:func:`draw_positions`).  Every
 proximal matrix is ``D_i = alpha_i I``, and the engine runs with the
 ``(N,)`` vector of the ``alpha_i`` it is given: choosing them is
 :func:`soprolab.certificate.proximal_alphas`'s job.  Agent ``i``'s
@@ -40,8 +41,8 @@ count <= 1 / (4 count)`` over the ``count`` rows of the batch, so
     ``rho = max_i max_r |a_r|^2 / (4 c_i)``
 
 bounds every ``||B_i^T B_i|| / c_i``.  From ``rho``, the Hessian batch
-size ``S`` (the widest local set ``W`` in full batch), ``W`` and ``d``,
-:func:`proximal_engine` chooses once per run one of three solves:
+size ``S`` (``C`` in full batch), ``C`` and ``d``, :func:`proximal_engine`
+chooses once per run one of three solves:
 
 * ``rho < 1``, any shape, while ``k`` is at most twice CG's a-priori
   iteration cap at ``rho`` (:func:`_cg_iterations`): :func:`row_step`
@@ -55,11 +56,11 @@ size ``S`` (the widest local set ``W`` in full batch), ``W`` and ``d``,
   2`` against a cap of 3); near ``rho = 1`` the series is far longer
   than CG (270 terms against 17 at ``rho = 0.873``), and the rules below
   apply.
-* Otherwise, when ``S < d`` and no local set is wider than ``d`` (``W <=
-  d``): :func:`gram_step`, which factors each agent's ``S x S`` Woodbury
-  system from the Gram stack of its local set, computed once before
-  round 0 (:func:`gram_stack`).  The rule keeps the cached ``N W^2``
-  floats no more than the ``N W d`` of the local sets read densely.
+* Otherwise, when ``S < d`` and ``C <= d``: :func:`gram_step`, which
+  factors each agent's ``S x S`` Woodbury system from the Gram stack of
+  its local set, computed once before round 0 (:func:`gram_stack`).  The
+  rule keeps the cached ``N C^2`` floats no more than the ``N C d`` of
+  the local sets read densely.
 * Otherwise: :func:`row_step` with conjugate gradients (Hestenes &
   Stiefel 1952) on all agents at once.  ``B_i^T B_i`` has rank at most
   ``S``, so ``c_i I + B_i^T B_i`` has at most ``min(S, d) + 1`` distinct
@@ -81,23 +82,22 @@ pass.  Every pass is one sparse product of the local sets' block-diagonal
 CSR operator (:class:`~soprolab.loss.StackedSets`).
 
 :func:`local_step` steps one agent alone by Cholesky: it is the
-per-agent oracle the batched steps are tested against.  It and the Gram
-path are the only callers of LAPACK, through this module's
+per-agent oracle the batched steps are tested against.  It and the
+Cholesky solve are the only callers of LAPACK, through this module's
 :func:`cho_factor`, :func:`cho_solve` and :func:`dposv`, which import
-``scipy.linalg`` on their first call; a run on the row path never
+``scipy.linalg`` on their first call; a run by the series or CG never
 imports it.
 
 Randomness comes from counter-based substreams of the master seed.  The
 initial iterates use one substream per agent.  The batches of one (round,
 purpose) come from the single substream ``(seed, 0, round, purpose)``: its
-first ``N W`` raw 64-bit outputs, shifted right by 11 bits, are an ``(N,
-W)`` array of uniform 53-bit integer keys, ``W`` the width of the local
-sets (the integers whose doubles ``k 2^-53`` the generator's ``random``
-returns).  Agent ``i``'s batch is its ``G`` smallest keys among the first
-``C_i`` of row ``i``: those at or below the ``G``-th smallest, with the
-lowest positions first should several tie there.  One sort per row finds
-that threshold and one mask gives the batch as flat positions,
-agent-major and ascending.  Draws are thus a pure function of their
+first ``N C`` raw 64-bit outputs, shifted right by 11 bits, are an ``(N,
+C)`` array of uniform 53-bit integer keys (the integers whose doubles ``k
+2^-53`` the generator's ``random`` returns).  Agent ``i``'s batch is its
+``G`` smallest keys in row ``i``: those at or below the ``G``-th
+smallest, with the lowest positions first should several tie there.  One
+sort per row finds that threshold and one mask gives the batch as flat
+positions, agent-major and ascending.  Draws are thus a pure function of their
 label, independent of execution order, and the first-order baselines
 draw the same batches as the proximal methods.
 """
@@ -207,7 +207,9 @@ class RunConfig:
     step_size: float | None = None  # baselines only
     step_schedule: str = "constant"
 
-    def validate(self, n_samples: int | None = None) -> None:
+    def validate(self, n_samples: int) -> None:
+        """Refuse a bad parameter; ``n_samples`` is the size ``C`` of every
+        local set, which bounds both batches."""
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
@@ -226,12 +228,9 @@ class RunConfig:
             raise ConfigurationError(f"unknown x0_mode {self.x0_mode!r}")
         if self.step_schedule not in ("constant", "one_over_k"):
             raise ConfigurationError(f"unknown step_schedule {self.step_schedule!r}")
-        if n_samples is not None:
-            for name, b in (("batch_g", self.batch_g), ("batch_s", self.batch_s)):
-                if not 1 <= b <= n_samples:
-                    raise ConfigurationError(
-                        f"{name}={b} outside 1..{n_samples}"
-                    )
+        for name, b in (("batch_g", self.batch_g), ("batch_s", self.batch_s)):
+            if not 1 <= b <= n_samples:
+                raise ConfigurationError(f"{name}={b} outside 1..{n_samples}")
 
 
 @dataclass
@@ -243,7 +242,7 @@ class NetworkState:
     y: np.ndarray
     round: int = 0
     comm_scalars: int = 0
-    engine: Engine | None = None  # a proximal run's path and solve
+    engine: Engine | None = None  # a proximal run's solve
 
     @property
     def n_agents(self) -> int:
@@ -267,38 +266,23 @@ def _batch_keys(seed: int, round_idx: int, purpose: int, count: int) -> np.ndarr
 
 
 def draw_positions(
-    sizes,
-    size: int,
-    seed: int,
-    round_idx: int,
-    purpose: int,
-    width: int | None = None,
+    n: int, C: int, size: int, seed: int, round_idx: int, purpose: int
 ) -> np.ndarray:
     """Every agent's uniform ``size``-subset of its local set, as flat
-    positions in the ``(N, W)`` rows of the local sets.
+    positions in the ``(n, C)`` rows of the local sets.
 
-    ``sizes`` holds the local set sizes ``C_i`` and ``W = width`` or the
-    largest ``C_i``.  One substream per (round, purpose) yields an ``(N,
-    W)`` array of uniform 53-bit integer keys (:func:`_batch_keys`); keys
-    past ``C_i`` are padding, set above every other key, and never chosen.
-    Agent ``i``'s batch is its ``size`` smallest keys: the keys at or below
-    the ``size``-th smallest of its row.  Should several keys tie at that
-    threshold, the lowest positions among them fill the batch, so every
-    agent gets exactly ``size`` rows.  Returns the ``(N size,)`` flat
-    positions ``i W + j`` of the chosen keys, agent-major and ascending;
-    ascending order makes summation order canonical.
+    One substream per (round, purpose) yields an ``(n, C)`` array of
+    uniform 53-bit integer keys (:func:`_batch_keys`).  Agent ``i``'s batch
+    is its ``size`` smallest keys: the keys at or below the ``size``-th
+    smallest of its row.  Should several keys tie at that threshold, the
+    lowest positions among them fill the batch, so every agent gets
+    exactly ``size`` rows.  Returns the ``(n size,)`` flat positions ``i C
+    + j`` of the chosen keys, agent-major and ascending; ascending order
+    makes summation order canonical.
     """
-    sizes = np.asarray(sizes)
-    least, most = sizes.min(), sizes.max()
-    if not 1 <= size <= least:
-        raise ParameterError(f"batch size {size} outside 1..{least}")
-    width = int(most) if width is None else width
-    if width < most:
-        raise ParameterError(f"key width {width} below the largest local set {most}")
-    n = sizes.size
-    keys = _batch_keys(seed, round_idx, purpose, n * width).reshape(n, width)
-    if least < width:
-        keys[np.arange(width) >= sizes[:, None]] = np.iinfo(np.uint64).max
+    if not 1 <= size <= C:
+        raise ParameterError(f"batch size {size} outside 1..{C}")
+    keys = _batch_keys(seed, round_idx, purpose, n * C).reshape(n, C)
     threshold = np.sort(keys, axis=1)[:, size - 1, None]
     chosen = keys <= threshold
     flat = np.flatnonzero(chosen)
@@ -310,60 +294,33 @@ def draw_positions(
     return flat
 
 
-def draw_batches(
-    sizes,
-    size: int,
-    seed: int,
-    round_idx: int,
-    purpose: int,
-    width: int | None = None,
-) -> np.ndarray:
+def draw_batches(n: int, C: int, size: int, seed: int, round_idx: int, purpose: int) -> np.ndarray:
     """Every agent's uniform ``size``-subset of its local set, one row each.
 
     Row ``i`` holds the positions ``j`` of agent ``i``'s batch in its local
     set, ascending: the :func:`draw_positions` of the same arguments, less
-    the offset ``i W`` of the agent's row.  A batch that is a whole local
-    set is the plain range.  Returns ``(N, size)``.
+    the offset ``i C`` of the agent's row.  A batch that is a whole local
+    set is the plain range.  Returns ``(n, size)``.
     """
-    width = int(np.max(sizes)) if width is None else width
-    rows = draw_positions(sizes, size, seed, round_idx, purpose, width).reshape(-1, size)
-    rows -= np.arange(len(rows))[:, None] * width
+    rows = draw_positions(n, C, size, seed, round_idx, purpose).reshape(n, size)
+    rows -= np.arange(n)[:, None] * C
     return rows
 
 
-def sample_batches(
-    C: int,
-    G: int,
-    S: int,
-    seed: int,
-    agent: int,
-    round_idx: int,
-    width: int | None = None,
-):
+def sample_batches(C: int, G: int, S: int, seed: int, agent: int, round_idx: int):
     """One agent's gradient and Hessian index sets for one round.
 
-    They are row ``agent`` of the network's :func:`draw_batches`, where
-    ``width`` is the largest local set (default ``C``, all sets equal).
-    The engine draws for all agents at once; this is its per-agent oracle.
+    They are row ``agent`` of the network's :func:`draw_batches`.  The
+    engine draws for all agents at once; this is its per-agent oracle.
     """
-    width = C if width is None else width
-    sizes = np.full(agent + 1, width)
-    sizes[agent] = C
     return tuple(
-        draw_batches(sizes, b, seed, round_idx, purpose, width)[agent]
+        draw_batches(agent + 1, C, b, seed, round_idx, purpose)[agent]
         for b, purpose in ((G, PURPOSE_GRAD), (S, PURPOSE_HESS))
     )
 
 
 def agent_batch_stats(
-    x_i: np.ndarray,
-    ds,
-    G: int,
-    S: int,
-    seed: int,
-    agent: int,
-    round_idx: int,
-    width: int | None = None,
+    x_i: np.ndarray, ds, G: int, S: int, seed: int, agent: int, round_idx: int
 ):
     """One agent's batch gradient and low-rank Hessian for one round.
 
@@ -371,36 +328,31 @@ def agent_batch_stats(
     :func:`~soprolab.loss.batch_grad` and :func:`~soprolab.loss.batch_hess`:
     the per-agent oracle of the stacked statistics of a round.
     """
-    g_idx, s_idx = sample_batches(ds.n_samples, G, S, seed, agent, round_idx, width)
+    g_idx, s_idx = sample_batches(ds.n_samples, G, S, seed, agent, round_idx)
     return batch_grad(x_i, ds, g_idx), batch_hess(x_i, ds, s_idx)
 
 
 def batch_positions(
     local: StackedSets, size: int | None, seed: int, round_idx: int, purpose: int
 ) -> np.ndarray | None:
-    """The ``(N size,)`` flat positions ``i W + j`` of every agent's batch
-    in the ``(N, W)`` rows of the local sets (:func:`draw_positions`), or
-    ``None`` when the batches are the whole sets (``size=None``, or the
-    size of every local set), which need no draw.
+    """The ``(N size,)`` flat positions ``i C + j`` of every agent's batch
+    in the ``(N, C)`` rows of the local sets (:func:`draw_positions`), or
+    ``None`` when the batches are the whole sets (``size`` ``None`` or
+    ``C``), which need no draw.
 
     A round reads the whole sets ``local`` at these positions (see
     :func:`~soprolab.loss.on_batches`).  Every agent's ``size`` positions
     are checked to lie inside its own set: the flat takes and scatters
-    that use them check only against the whole ``(N, W)`` array (and wrap
-    a negative position), so a padding row or another agent's row would
-    pass them.
+    that use them check only against the whole ``(N, C)`` array (and wrap
+    a negative position), so another agent's row would pass them.
     """
-    counts = local.counts
-    if size is None or np.all(counts == size):
+    n, C = local.labels.shape
+    if size is None or size == C:
         return None
-    n, width = local.labels.shape
-    flat = draw_positions(counts, size, seed, round_idx, purpose, width)
+    flat = draw_positions(n, C, size, seed, round_idx, purpose)
     if flat.shape != (n * size,):
         raise InvariantViolation(f"round {round_idx}: drew {flat.size} rows, not {n} x {size}")
-    # A position below its agent's row turns negative, and as unsigned
-    # exceeds every count: one comparison bounds both ends.
-    inside = flat.reshape(n, size) - np.arange(0, n * width, width)[:, None]
-    if not (inside.view(np.uint64) < counts.astype(np.uint64)[:, None]).all():
+    if not (flat.reshape(n, size) // C == np.arange(n)[:, None]).all():
         raise InvariantViolation(f"round {round_idx}: drawn index outside a local set")
     return flat
 
@@ -427,7 +379,7 @@ def initial_iterates(P: MatrixP, local: StackedSets, config: RunConfig) -> np.nd
     n_sets, _, d = local.shape
     if n_sets != n:
         raise ConfigurationError(f"{n_sets} local sets for {n} agents")
-    config.validate(n_samples=int(local.counts.min()))
+    config.validate(local.shape[1])
 
     if config.x0_mode == "zeros":
         return np.zeros((n, d))
@@ -442,7 +394,7 @@ def init_network(P: MatrixP, local: StackedSets, config: RunConfig) -> NetworkSt
 
     Duals start at zero (hence conserved at zero sum), primals come from
     :func:`initial_iterates`, and the disagreements are computed from the
-    initial exchange, whose traffic :func:`run` counts.
+    initial exchange, whose traffic :func:`run` tallies.
     """
     x = initial_iterates(P, local, config)
     return NetworkState(x=x, q=np.zeros_like(x), y=P.disagreement(x))
@@ -470,7 +422,7 @@ def _check_shift(c: np.ndarray) -> None:
 
 
 # scipy.linalg is imported on the first call: it costs resident memory,
-# and only local_step and the Gram path factor.  Module-level names, so
+# and only local_step and gram_step factor.  Module-level names, so
 # the callers' lookups can be wrapped or replaced.
 
 
@@ -622,8 +574,8 @@ def row_step(
     """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``
     with ``B_i^T B_i = F_i^T diag(w_i) F_i``, from their local sets.
 
-    ``x`` and ``rhs`` are ``(N, d)``; ``F`` is the local sets, ``(N, W,
-    d)``, and ``w`` the ``(N, W)`` curvature weights of their rows
+    ``x`` and ``rhs`` are ``(N, d)``; ``F`` is the local sets, ``(N, C,
+    d)``, and ``w`` the ``(N, C)`` curvature weights of their rows
     (nonnegative, zero on a row off the Hessian batch); ``c`` is ``(N,)``,
     every entry positive (checked, naming the first agent whose is not).
     ``w`` is not written.  Zero rows add nothing.
@@ -649,13 +601,13 @@ def row_step(
 
 
 def gram_stack(local: StackedSets) -> np.ndarray:
-    """The ``(N, W, W)`` stack of ``F_i F_i^T`` over the local sets, for
+    """The ``(N, C, C)`` stack of ``F_i F_i^T`` over the local sets, for
     :func:`gram_step`, read a run of whole agents at a time through
-    :meth:`~soprolab.loss.StackedSets.agent_chunks`.  It is ``N W^2``
-    floats, no more than the ``N W d`` of the sets read densely on the
-    Gram path, where ``W <= d``."""
-    n, width, _ = local.shape
-    gram = np.empty((n, width, width))
+    :meth:`~soprolab.loss.StackedSets.agent_chunks`.  It is ``N C^2``
+    floats, no more than the ``N C d`` of the sets read densely, as
+    :func:`gram_step` runs only where ``C <= d``."""
+    n, C, _ = local.shape
+    gram = np.empty((n, C, C))
     for a, b, feats in local.agent_chunks():
         np.matmul(feats, feats.transpose(0, 2, 1), out=gram[a:b])
     return gram
@@ -675,7 +627,7 @@ def gram_step(
     Woodbury ``S x S`` system per agent.
 
     ``x`` and ``t = lam x + beta y + q`` are ``(N, d)``; ``gram`` is the
-    ``(N, W, W)`` stack of ``F_i F_i^T`` over the local sets ``F``
+    ``(N, C, C)`` stack of ``F_i F_i^T`` over the local sets ``F``
     (``local``); ``g_idx`` and ``s_idx`` are the flat positions of the
     gradient and Hessian batches from :func:`batch_positions` (``None``:
     whole sets);
@@ -696,23 +648,23 @@ def gram_step(
     Cholesky factor-and-solve per agent gives ``z_i``; and one
     ``local.rmatvec`` of ``v``, ``v_i = chat_i + scatter(sqrt(w_i) z_i)``,
     gives the step ``(t - F^T v) / c``: three products of the local sets'
-    operator and no row gather.  Empty padding rows add nothing.
+    operator and no row gather.
     """
     _check_shift(c)
     u, Ft = local.matvec(x), local.matvec(t)
     coef, size = on_batches(local, g_idx, logistic_coef, u, local.labels)
     coef /= size
     Fr = Ft - (gram @ coef[:, :, None])[:, :, 0]  # F r: r = t - F^T chat
+    n, C = u.shape
     if s_idx is None:
-        sw = np.sqrt(logistic_curvature(u) / local.counts[:, None])
+        sw = np.sqrt(logistic_curvature(u) / C)
         K, z = gram.copy(), sw * Fr
     else:
-        n, width = u.shape
-        rows = s_idx.reshape(n, -1)  # agent i's flat positions i W + j
+        rows = s_idx.reshape(n, -1)  # agent i's flat positions i C + j
         sw = np.sqrt(logistic_curvature(u.ravel()[rows]) / rows.shape[1])
-        # gram[i, a, b] sits at flat position (i W + a) W + b.
-        at = rows - np.arange(0, n * width, width)[:, None]
-        K = np.take(gram, rows[:, :, None] * width + at[:, None, :])
+        # gram[i, a, b] sits at flat position (i C + a) C + b.
+        at = rows - np.arange(0, n * C, C)[:, None]
+        K = np.take(gram, rows[:, :, None] * C + at[:, None, :])
         z = sw * Fr.ravel()[rows]
     K *= sw[:, :, None] * sw[:, None, :]
     diag = np.arange(K.shape[1])
@@ -736,14 +688,12 @@ def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> No
 class Engine:
     """How a proximal run steps, chosen once before round 0.
 
-    ``path`` is the step function, ``"row_step"`` or ``"gram_step"``;
-    ``solve`` is ``"series"`` or ``"cg"`` on the row path, ``"cholesky"``
-    on the Gram path; ``terms`` is the series' term count or CG's
-    iteration cap, ``None`` on Cholesky; ``rho_bound`` bounds every
-    ``||h_i - lam_i I|| / c_i``.
+    ``solve`` is ``"series"`` or ``"cg"``, both by :func:`row_step`, or
+    ``"cholesky"``, by :func:`gram_step`; ``terms`` is the series' term
+    count or CG's iteration cap, ``None`` on Cholesky; ``rho_bound``
+    bounds every ``||h_i - lam_i I|| / c_i``.
     """
 
-    path: str
     solve: str
     terms: int | None
     rho_bound: float
@@ -777,20 +727,20 @@ def _cg_iterations(rho: float) -> int:
 
 
 def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
-    """The path and the solve :func:`proximal` takes for this run.
+    """The solve :func:`proximal` takes for this run.
 
     Every shift ``lam_i + alpha_i`` must be positive: the first agent whose
     is not is named in a :class:`~soprolab.errors.ConfigurationError`.  The
     solve follows from the bound ``rho``, the Hessian batch size ``S``
-    (the widest local set ``W`` in full batch), ``W`` and ``d`` (see the
-    module docstring): the series when ``rho < 1`` and its term count is
-    at most twice CG's a-priori cap, else Cholesky on the Gram path when
-    ``S < d`` and ``W <= d``, else CG, capped at the fewer of its a-priori
+    (``C`` in full batch), ``C`` and ``d`` (see the module docstring):
+    the series when ``rho < 1`` and its term count is at most twice CG's
+    a-priori cap, else Cholesky by :func:`gram_step` when ``S < d`` and
+    ``C <= d``, else CG, capped at the fewer of its a-priori
     cap and ``CG_SLACK (min(S, d) + 1)`` iterations.  A bound that is not
     finite (a shift so small that it overflows) is refused the same way,
     naming the first agent whose is not.
     """
-    _, width, d = local.shape
+    _, C, d = local.shape
     shift = local.lam + np.asarray(alphas, dtype=float)
     _check_shift(shift)
     with np.errstate(over="ignore"):
@@ -803,16 +753,15 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
             "is not finite; the proximal blocks are too small for this problem"
         )
     rho = float(ratios.max())
-    rows = width if config.algorithm == "sopro" else config.batch_s
+    rows = C if config.algorithm == "sopro" else config.batch_s
     terms, cg_terms = _series_terms(rho), _cg_iterations(rho)
     if terms is not None and terms <= 2 * cg_terms:
-        path, solve = "row_step", "series"
-    elif rows < d and width <= d:
-        path, solve, terms = "gram_step", "cholesky", None
+        solve = "series"
+    elif rows < d and C <= d:
+        solve, terms = "cholesky", None
     else:
-        path, solve = "row_step", "cg"
-        terms = min(cg_terms, CG_SLACK * (min(rows, d) + 1))
-    return Engine(path, solve, terms, rho)
+        solve, terms = "cg", min(cg_terms, CG_SLACK * (min(rows, d) + 1))
+    return Engine(solve, terms, rho)
 
 
 def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
@@ -820,7 +769,7 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
 
     ``alphas`` is the ``(N,)`` vector of the proximal matrices
     ``D_i = alphas[i] I``.  The round steps all agents with one batched
-    call, on the path and with the solve :func:`proximal_engine` chooses
+    call, with the solve :func:`proximal_engine` chooses
     here: :func:`row_step` by the Neumann series or by CG, or
     :func:`gram_step` (its Gram stack computed here once) by Cholesky.
     Either reads the whole local sets at the positions
@@ -850,7 +799,7 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     shift = local.lam + alphas
     sent = 2 * P.graph.n_edges * state.dim
 
-    if engine.path == "gram_step":
+    if solve == "cholesky":
         gram = gram_stack(local)
 
         def gram_round(state: NetworkState, k: int) -> None:
@@ -867,7 +816,7 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
         s_idx = batch_positions(local, batch_s, seed, k, PURPOSE_HESS)
         u = local.matvec(state.x)
         grads = sets_grad(state.x, local, g_idx, u)
-        # A row off the Hessian batch weighs nothing; padding rows are zero.
+        # A row off the Hessian batch weighs nothing.
         w, size = on_batches(local, s_idx, logistic_curvature, u)
         w /= size
         rhs = grads + beta * state.y + state.q

@@ -24,6 +24,8 @@ from soprolab.loss import (
     LocalDataset,
     StackedSets,
     TestSet,
+    _block_diagonal,
+    _dense_csr,
     batch_loss,
     full_grad,
     full_hess,
@@ -131,31 +133,27 @@ def dense_step_stacked(x, rhs, F, w, c):
     return x - z
 
 
-def draw_batches_argpartition(sizes, size, seed, round_idx, purpose, width=None):
+def draw_batches_argpartition(n, C, size, seed, round_idx, purpose):
     """The batched draw by ``argpartition`` of the substream's uniform
-    doubles: padding keys set to inf, the ``size`` smallest of each row
-    taken, then sorted.  Which of several keys tied at the threshold it
-    takes is unspecified."""
-    sizes = np.asarray(sizes)
-    width = int(sizes.max()) if width is None else width
-    keys = substream(seed, 0, round_idx, purpose).random((sizes.size, width))
-    keys[np.arange(width) >= sizes[:, None]] = np.inf
+    doubles: the ``size`` smallest of each row taken, then sorted.  Which
+    of several keys tied at the threshold it takes is unspecified."""
+    keys = substream(seed, 0, round_idx, purpose).random((n, C))
     idx = np.argpartition(keys, size - 1, axis=1)[:, :size]
     idx.sort(axis=1)
     return idx
 
 
-def flat_positions(idx, width):
-    """The flat positions ``i W + j`` of an ``(N, k)`` array of positions
-    ``j`` in ``(N, W)`` rows."""
-    return (np.arange(len(idx))[:, None] * width + idx).ravel()
+def flat_positions(idx, C):
+    """The flat positions ``i C + j`` of an ``(N, k)`` array of positions
+    ``j`` in ``(N, C)`` rows."""
+    return (np.arange(len(idx))[:, None] * C + idx).ravel()
 
 
 def on_batches_2d(local, idx, fn, *rows):
     """``on_batches`` read and written by broadcast ``(agents, idx)``
     indexing of ``(N, k)`` in-set positions."""
     if idx is None:
-        return fn(*rows), local.counts[:, None]
+        return fn(*rows), local.shape[1]
     agents = np.arange(len(idx))[:, None]
     values = np.zeros(rows[0].shape)
     values[agents, idx] = fn(*(r[agents, idx] for r in rows))
@@ -185,23 +183,23 @@ def partition_samples(samples, n_agents, per_agent, seed, lambda_reg):
 def agent_datasets(local):
     """Per-agent rows of the stacked local sets ``local``, read through
     ``StackedSets.dense_rows``, for the per-agent oracles."""
-    _, width, d = local.shape
+    n, C, d = local.shape
     return [
-        LocalDataset(local.dense_rows(i * width, i * width + c, np.empty((c, d))),
-                     local.labels[i, :c], float(local.lam[i]))
-        for i, c in enumerate(local.counts.tolist())
+        LocalDataset(local.dense_rows(i * C, (i + 1) * C, np.empty((C, d))),
+                     local.labels[i], float(local.lam[i]))
+        for i in range(n)
     ]
 
 
 def block_of(local):
-    """The ``(N, W, d)`` rows of ``local``, read through ``dense_rows``."""
-    n, width, d = local.shape
-    return local.dense_rows(0, n * width, np.empty((n * width, d))).reshape(n, width, d)
+    """The ``(N, C, d)`` rows of ``local``, read through ``dense_rows``."""
+    n, C, d = local.shape
+    return local.dense_rows(0, n * C, np.empty((n * C, d))).reshape(n, C, d)
 
 
 @dataclass(frozen=True)
 class DenseBlockSets(StackedSets):
-    """Local sets read through the dense ``(N, W, d)`` block ``feats`` of
+    """Local sets read through the dense ``(N, C, d)`` block ``feats`` of
     their rows, as ``StackedSets`` held them before the CSR operator was
     their one form: ``matvec`` and ``rmatvec`` are stacked BLAS products
     of the block, and ``dense_rows`` returns views of it.  The operator
@@ -224,12 +222,25 @@ def dense_block(local, feats=None):
     default, its own rows read densely)."""
     feats = block_of(local) if feats is None else feats
     feats.setflags(write=False)
-    return DenseBlockSets(local.csr, local.labels, local.counts, local.lam, feats)
+    return DenseBlockSets(local.csr, local.labels, local.lam, feats)
+
+
+def stack_sets(features, labels, lam):
+    """Local sets of equal size as one :class:`StackedSets`: per agent,
+    ``(C, d)`` features and ``(C,)`` +-1 labels; ``lam`` is one
+    regularizer for all agents or one each.  The operator holds the
+    nonzero entries, as :func:`~soprolab.loss.partition` builds it from
+    dense rows."""
+    labels = np.array([np.asarray(b, dtype=float) for b in labels])
+    n = len(labels)
+    rows = np.concatenate([np.asarray(a, dtype=float) for a in features])
+    lam = np.array(np.broadcast_to(np.asarray(lam, dtype=float), (n,)))
+    return StackedSets(_block_diagonal(_dense_csr(rows), n), labels, lam)
 
 
 def stacked(datasets):
-    """Per-agent local sets as one :class:`StackedSets`, padded."""
-    return StackedSets.padded(
+    """Per-agent local sets of equal size as one :class:`StackedSets`."""
+    return stack_sets(
         [ds.features for ds in datasets],
         [ds.labels for ds in datasets],
         [ds.lambda_reg for ds in datasets],

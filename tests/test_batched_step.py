@@ -3,7 +3,8 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from oracles import (
-    agent_datasets, block_of, dense_block, dense_step_stacked, densify, flat_positions, stacked,
+    agent_datasets, block_of, dense_block, dense_step_stacked, densify, flat_positions, stack_sets,
+    stacked,
 )
 from soprolab import baselines, optimizer, topology
 from soprolab.baselines import dsgt_round, metropolis_weights
@@ -72,7 +73,7 @@ def rows(F):
     """The ``(N, S, d)`` rows ``F`` as a batch for ``row_step``: local sets
     in which every row is a sample."""
     n, S, _ = F.shape
-    return StackedSets.padded(list(F), list(np.ones((n, S))), 1.0)
+    return stack_sets(F, np.ones((n, S)), 1.0)
 
 
 # S < d ("woodbury") and S >= d ("dense"): CG at rho >= 1 and the series
@@ -98,8 +99,8 @@ def test_row_step_matches_dense_inverse_oracle(S):
         assert np.array_equal(F, F_in) and np.array_equal(w, w_in)
         return out
 
-    # Trailing zero rows stand for agents with smaller Hessian batches.
-    def padded(F, w):
+    # Trailing zero rows, at any weight, add nothing.
+    def with_zero_rows(F, w):
         return (np.concatenate([F, np.zeros((n, 3, d))], axis=1),
                 np.concatenate([w, np.ones((n, 3))], axis=1))
 
@@ -107,7 +108,7 @@ def test_row_step_matches_dense_inverse_oracle(S):
     rho = rho_bound(feats, c)
     assert rho >= 1.0
     iterations = optimizer._cg_iterations(rho)
-    for F, w in ((feats, weights), padded(feats, weights)):
+    for F, w in ((feats, weights), with_zero_rows(feats, weights)):
         out = step(F, w, c, "cg", iterations)
         oracle = dense_step_stacked(x, rhs, F, w, c)
         for i in range(n):
@@ -119,7 +120,7 @@ def test_row_step_matches_dense_inverse_oracle(S):
     for rho in SERIES_RHOS:
         Fs = feats * np.sqrt(rho / rho_bound(feats, c))
         terms = optimizer._series_terms(rho)
-        for F, w in ((Fs, weights), padded(Fs, weights)):
+        for F, w in ((Fs, weights), with_zero_rows(Fs, weights)):
             out = step(F, w, c, "series", terms)
             for i in range(n):
                 A = Fs[i].T @ (weights[i, :, None] * Fs[i]) + c[i] * np.eye(d)
@@ -156,28 +157,26 @@ def test_row_step_rejects_nonpositive_shift(F, c, solve, terms):
 
 def test_gram_step_matches_dense_inverse_oracle():
     rng = np.random.default_rng(8)
-    sizes, d, lam = [9, 12, 7, 12, 10], 14, 0.1
-    n = len(sizes)
+    n, C, d, lam = 5, 12, 14, 0.1
     datasets = [
-        LocalDataset((rng.random((m, d)) < 0.3).astype(float), rng.choice((-1, 1), m), lam)
-        for m in sizes
+        LocalDataset((rng.random((C, d)) < 0.3).astype(float), rng.choice((-1, 1), C), lam)
+        for _ in range(n)
     ]
     alphas = np.geomspace(0.5, 800.0, n)
     x = rng.standard_normal((n, d))
     prox = rng.standard_normal((n, d))  # beta y + q
-    g_draw = draw_batches(sizes, 5, 3, 0, PURPOSE_GRAD)
-    s_draw = draw_batches(sizes, 4, 3, 0, PURPOSE_HESS)
+    g_draw = draw_batches(n, C, 5, 3, 0, PURPOSE_GRAD)
+    s_draw = draw_batches(n, C, 4, 3, 0, PURPOSE_HESS)
     # The two batches share rows, which both the gradient and the Hessian use.
     assert any(np.intersect1d(g, s).size for g, s in zip(g_draw, s_draw))
     local = stacked(datasets)
     block = block_of(local)
-    assert block.shape[1] == 12 and not block[2, 7:].any()  # zero padding
     gram = block @ block.transpose(0, 2, 1)
     for g_idx, s_idx in [(g_draw, s_draw), (None, None), (None, s_draw), (g_draw, None)]:
-        g_flat, s_flat = (None if i is None else flat_positions(i, 12) for i in (g_idx, s_idx))
+        g_flat, s_flat = (None if i is None else flat_positions(i, C) for i in (g_idx, s_idx))
         out = gram_step(x, lam * x + prox, local, gram, g_flat, s_flat, lam + alphas)
         for i, ds in enumerate(datasets):
-            whole = np.arange(sizes[i])
+            whole = np.arange(C)
             g = batch_grad(x[i], ds, whole if g_idx is None else g_idx[i])
             h = batch_hess(x[i], ds, whole if s_idx is None else s_idx[i])
             A = h.dense() + alphas[i] * np.eye(d)
@@ -190,7 +189,7 @@ def test_gram_step_rejects_nonpositive_shift_with_definite_small_systems():
     # (0.2 + c) I_S, positive definite for these c, yet c I + B^T B has the
     # eigenvalue c on the d - S directions the rows do not reach.
     n, S, d = 4, 5, 8
-    local = StackedSets.padded([2.0 * np.eye(S, d)] * n, [np.ones(S)] * n, 0.1)
+    local = stack_sets([2.0 * np.eye(S, d)] * n, [np.ones(S)] * n, 0.1)
     block = block_of(local)
     gram = block @ block.transpose(0, 2, 1)
     c = np.array([1.0, 2.0, 0.0, -0.1])
@@ -270,7 +269,7 @@ def test_cg_passes_a_non_finite_right_hand_side_to_the_iterate(monkeypatch):
 
     calls, real_grad = [], optimizer.sets_grad
     monkeypatch.setattr(optimizer, "sets_grad", poisoned)
-    P, local = make_problem([40] * 6, 15)
+    P, local = make_problem(6, 40, 15)
     config = RunConfig(batch_g=10, batch_s=5, max_iters=5, seed=0)
     assert optimizer.proximal_engine(local, config, factorising_alphas(local)).solve == "cg"
     with pytest.raises(DivergenceError, match="round 3: agent 3 "):
@@ -281,16 +280,15 @@ def test_cg_passes_a_non_finite_right_hand_side_to_the_iterate(monkeypatch):
 # ------------------------------------------------------------- full runs
 
 
-def make_problem(sizes, d, seed=0, lam=0.1, sparse=False):
-    """A network and Gaussian local sets of ``sizes``; ``sparse`` zeroes
-    about two thirds of the entries, so the operator stores a third."""
-    n = len(sizes)
+def make_problem(n, C, d, seed=0, lam=0.1, sparse=False):
+    """A network of ``n`` agents and Gaussian local sets of ``C`` rows;
+    ``sparse`` zeroes about two thirds of the entries, so the operator
+    stores a third."""
     P = laplacian_weights(build_random_connected_graph(n, 2.0, seed=seed), 1.0)
-    feats, labels = gaussian_blob_samples(sum(sizes), d, seed, separation=1.0, noise=0.5)
+    feats, labels = gaussian_blob_samples(n * C, d, seed, separation=1.0, noise=0.5)
     if sparse:
         feats[np.random.default_rng(seed).random(feats.shape) >= 0.35] = 0.0
-    split = np.cumsum(sizes)[:-1]
-    return P, StackedSets.padded(np.split(feats, split), np.split(labels, split), lam)
+    return P, stack_sets(np.split(feats, n), np.split(labels, n), lam)
 
 
 def certified_alphas(P, local):
@@ -316,14 +314,13 @@ def reference_run(P, local, config, alphas):
     state = init_network(P, local, config)
     state.y = neighbor_disagreement(P, state.x)
     full = config.algorithm == "sopro"
-    width = local.shape[1]  # the batched draw's key rows
     history = [(state.x.copy(), state.q.copy())]
     for k in range(config.max_iters):
         for i, ds in enumerate(agent_datasets(local)):
             C = ds.n_samples
             G = C if full else config.batch_g
             S = C if full else config.batch_s
-            g, h = agent_batch_stats(state.x[i], ds, G, S, config.seed, i, k, width=width)
+            g, h = agent_batch_stats(state.x[i], ds, G, S, config.seed, i, k)
             state.x[i] = local_step(
                 state.x[i], state.y[i], state.q[i], h, g, alphas[i], config.beta,
                 agent=i,
@@ -365,11 +362,11 @@ def engine_history(P, local, config, alphas, monkeypatch, path, solve):
     return history
 
 
-def low_rank_path(low_rank, width, d):
+def low_rank_path(low_rank, C, d):
     """The step a run takes at rho >= 1: Gram when the Hessian batch has
-    fewer rows than d and no local set is wider than d, else the row
+    fewer rows than d and the local sets no more than d, else the row
     step.  At rho < 1 every run takes the row step."""
-    return "gram" if low_rank and width <= d else "row"
+    return "gram" if low_rank and C <= d else "row"
 
 
 # The solve each path takes at rho >= 1.
@@ -408,7 +405,7 @@ RUN_SHAPES = [
 def test_run_matches_per_agent_reference(
     algorithm, batch_s, d, low_rank, certified, sparse, monkeypatch
 ):
-    P, local = make_problem([40] * 6, d, sparse=sparse)
+    P, local = make_problem(6, 40, d, sparse=sparse)
     config = RunConfig(
         batch_g=10, batch_s=batch_s or 40, max_iters=20, seed=5, algorithm=algorithm
     )
@@ -417,42 +414,25 @@ def test_run_matches_per_agent_reference(
     else:
         alphas, path = factorising_alphas(local), low_rank_path(low_rank, 40, d)
         solve = FACTORISING_SOLVE[path]
-    engine = optimizer.proximal_engine(local, config, alphas)
-    assert (engine.path, engine.solve) == (f"{path}_step", solve)
+    assert optimizer.proximal_engine(local, config, alphas).solve == solve
     want = reference_run(P, local, config, alphas)
     got = engine_history(P, local, config, alphas, monkeypatch, path, solve)
     assert_histories_match(got, want)
 
 
-# The padding rows are empty rows of the operator; ids ending in "-csr"
-# take sparse rows.  The runs take the series on the row path; the path
-# named is the one at rho >= 1.
-UNEQUAL_SHAPES = [
-    ("st_sopro", 50, True),  # the widest set, 45 rows, fits: Gram
-    ("st_sopro", 45, True),  # W = d: Gram
-    ("st_sopro", 44, True),  # W = d + 1: rows
-    ("sopro", 50, True),  # Hessian batches of 20..45 rows, padded to 45: Gram
-    ("sopro", 30, False),  # some local sets have more rows than d: rows
-]
-
-
-@pytest.mark.parametrize(
-    "algorithm, d, low_rank, sparse",
-    [pytest.param(*shape, sparse, id="-".join(map(str, shape)) + ("-csr" if sparse else ""))
-     for sparse in (False, True) for shape in UNEQUAL_SHAPES],
-)
-def test_run_accepts_unequal_local_datasets(algorithm, d, low_rank, sparse, monkeypatch):
-    P, local = make_problem([20, 30, 45, 25, 35], d, seed=1, sparse=sparse)
-    stored = local.csr.nnz / (local.counts.sum() * d)
-    assert (0.3 < stored < 0.4) if sparse else stored == 1.0
-    config = RunConfig(batch_g=8, batch_s=6, max_iters=20, seed=2, algorithm=algorithm)
-    alphas = certified_alphas(P, local)
-    at_rho_two = optimizer.proximal_engine(local, config, factorising_alphas(local))
-    assert at_rho_two.path == f"{low_rank_path(low_rank, 45, d)}_step"
+@pytest.mark.parametrize("d, solve", [(30, "cholesky"), (29, "cg")], ids=["C=d", "C=d+1"])
+def test_the_gram_step_takes_local_sets_of_at_most_d_rows(d, solve, monkeypatch):
+    # At rho = 2 with S = 6 < d, the Gram step factors while the local
+    # sets have at most d rows (C = 30); at one row more, CG takes the row
+    # step.  Either matches the per-agent reference.
+    P, local = make_problem(5, 30, d, seed=1)
+    config = RunConfig(batch_g=8, batch_s=6, max_iters=5, seed=2)
+    alphas = factorising_alphas(local)
+    assert optimizer.proximal_engine(local, config, alphas).solve == solve
     want = reference_run(P, local, config, alphas)
-    got = engine_history(P, local, config, alphas, monkeypatch, "row", "series")
+    path = low_rank_path(True, 30, d)
+    got = engine_history(P, local, config, alphas, monkeypatch, path, solve)
     assert_histories_match(got, want)
-    assert np.all(np.isfinite(got[-1][0]))
 
 
 def one_hot_rows(rows, attributes, columns, seed):
@@ -467,17 +447,17 @@ def one_hot_rows(rows, attributes, columns, seed):
     return sparse, rng.choice((-1, 1), rows)
 
 
-# (algorithm, columns, batch_s, alphas, the step the run takes).  Three
+# (algorithm, columns, batch_s, alphas, the solve the run takes).  Three
 # attributes a row: density 1/4 at 12 columns, 3/40 at 40.  A key names
 # the algorithm, the step its shape takes at rho >= 1, and the alphas:
 # certified ("series") or at rho = 2 ("cholesky", where the row step
 # takes CG).
 ONE_HOT_RUNS = {
-    "st_sopro-row-series": ("st_sopro", 12, 8, "certified", "row"),  # S < d < C
-    "sopro-row-series": ("sopro", 12, None, "certified", "row"),
-    "st_sopro-gram-series": ("st_sopro", 40, 8, "certified", "row"),  # S < C <= d
-    "st_sopro-row-cholesky": ("st_sopro", 12, 8, "factorising", "row"),
-    "st_sopro-gram-cholesky": ("st_sopro", 40, 8, "factorising", "gram"),
+    "st_sopro-row-series": ("st_sopro", 12, 8, "certified", "series"),  # S < d < C
+    "sopro-row-series": ("sopro", 12, None, "certified", "series"),
+    "st_sopro-gram-series": ("st_sopro", 40, 8, "certified", "series"),  # S < C <= d
+    "st_sopro-row-cholesky": ("st_sopro", 12, 8, "factorising", "cg"),
+    "st_sopro-gram-cholesky": ("st_sopro", 40, 8, "factorising", "cholesky"),
     "dsgd": ("dsgd", 12, 8, None, None),
     "dsgt": ("dsgt", 12, 8, None, None),
 }
@@ -487,7 +467,7 @@ ONE_HOT_RUNS = {
 def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
     # The rounds through the operator against the same rounds through the
     # dense block of the rows (oracles.DenseBlockSets).
-    algorithm, columns, batch_s, alpha_mode, path = ONE_HOT_RUNS[case]
+    algorithm, columns, batch_s, alpha_mode, solve = ONE_HOT_RUNS[case]
     n, count = 6, 30
     rows, labels = one_hot_rows(n * count + 20, 3, columns, seed=columns)
     sparse, _ = partition((rows, labels), n, count, seed=4, lambda_reg=0.05)
@@ -498,9 +478,8 @@ def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
                        algorithm=algorithm, step_size=0.5)
     alphas = {"certified": certified_alphas(P, dense), "factorising": factorising_alphas(dense),
               None: None}[alpha_mode]
-    if path is not None:
-        engine = optimizer.proximal_engine(sparse, config, alphas)
-        assert engine.path == f"{path}_step"
+    if solve is not None:
+        assert optimizer.proximal_engine(sparse, config, alphas).solve == solve
     ref = solve_reference(dense)
     q_err = QNormError(P, np.full(n, 2.0), 1.0, ref.x, -ref.local_grads)
     histories = []
@@ -523,7 +502,7 @@ def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
     # gradient and the curvature share one margins pass, and each term of
     # the series, or each CG iteration, one more.  No batch row is
     # gathered, so every matvec reads the local sets themselves.
-    P, local = make_problem([40] * 6, 15, sparse=sets == "csr")
+    P, local = make_problem(6, 40, 15, sparse=sets == "csr")
     whole = []
     real_matvec = StackedSets.matvec
 
@@ -537,7 +516,7 @@ def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
                           ("series", certified_alphas(P, local))):
         whole.clear()
         engine = optimizer.proximal_engine(local, config, alphas)
-        assert (engine.path, engine.solve) == ("row_step", solve)
+        assert engine.solve == solve
         run(P, local, config, alphas)
         # CG may stop before its cap.
         passes = len(whole) - config.max_iters
@@ -554,13 +533,13 @@ def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
      for sparse in (False, True) for d in (15, 60)],  # rows, Gram
 )
 def test_run_refuses_a_drawn_index_outside_a_local_set(d, sparse, monkeypatch):
-    def past_the_end(sizes, size, seed, round_idx, purpose, width):
-        flat = draw_positions(sizes, size, seed, round_idx, purpose, width)
-        flat[2 * size - 1] = width + sizes[1]  # a padding row of the 30-row set
+    def next_agent(n, C, size, seed, round_idx, purpose):
+        flat = draw_positions(n, C, size, seed, round_idx, purpose)
+        flat[2 * size - 1] = 2 * C  # agent 2's first row, in agent 1's batch
         return flat
 
-    monkeypatch.setattr(optimizer, "draw_positions", past_the_end)
-    P, local = make_problem([20, 30, 45, 25, 35], d, seed=1, sparse=sparse)
+    monkeypatch.setattr(optimizer, "draw_positions", next_agent)
+    P, local = make_problem(5, 30, d, seed=1, sparse=sparse)
     config = RunConfig(batch_g=8, batch_s=6, max_iters=3, seed=2)
     alphas = certified_alphas(P, local)
     with pytest.raises(InvariantViolation, match="round 0: drawn index outside a local set"):
@@ -590,32 +569,32 @@ def one_hot_sets(n, count, attributes, columns, seed=0, lam=0.01):
     for lo, hi in zip(edges[:-1], edges[1:]):
         np.put_along_axis(feats, rng.integers(lo, hi, (n, count, 1)), 1.0, axis=2)
     labels = rng.choice((-1.0, 1.0), (n, count))
-    return StackedSets.padded(list(feats), list(labels), lam)
+    return stack_sets(feats, labels, lam)
 
 
 @pytest.mark.parametrize(
-    "n, count, attributes, columns, degree, algorithm, batch, path",
+    "n, count, attributes, columns, degree, algorithm, batch",
     [
-        (20, 239, 14, 123, 5.0, "st_sopro", 80, "row_step"),  # a4a-like
-        (10, 600, 22, 112, 4.0, "sopro", 80, "row_step"),  # mushrooms-like, full batch
-        (200, 40, 14, 123, 5.0, "st_sopro", 20, "row_step"),  # many small agents
+        (20, 239, 14, 123, 5.0, "st_sopro", 80),  # a4a-like
+        (10, 600, 22, 112, 4.0, "sopro", 80),  # mushrooms-like, full batch
+        (200, 40, 14, 123, 5.0, "st_sopro", 20),  # many small agents
     ],
 )
 def test_certified_runs_of_benchmark_shapes_take_the_series_with_two_terms(
-    n, count, attributes, columns, degree, algorithm, batch, path
+    n, count, attributes, columns, degree, algorithm, batch
 ):
     local = one_hot_sets(n, count, attributes, columns)
     P = laplacian_weights(build_random_connected_graph(n, degree, seed=0), 1.0)
     config = RunConfig(batch_g=batch, batch_s=batch, max_iters=1, seed=0, algorithm=algorithm)
     engine = optimizer.proximal_engine(local, config, certified_alphas(P, local))
-    assert (engine.path, engine.solve, engine.terms) == (path, "series", 2)
+    assert (engine.solve, engine.terms) == ("series", 2)
     assert engine.rho_bound < 2e-6
 
 
 def test_the_bounds_and_the_engine_read_one_curvature_bound(monkeypatch):
     # M_i and the engine's rho both take StackedSets.curvature_bound,
     # max_j |a_j|^2 / 4 over agent i's rows.
-    P, local = make_problem([20, 30, 45], 8)
+    P, local = make_problem(3, 30, 8)
     assert np.array_equal(local.curvature_bound, 0.25 * local.row_sq.max(axis=1))
     config = RunConfig(batch_g=10, batch_s=10, max_iters=1, seed=0)
     alphas = np.array([1.0, 2.0, 4.0])
@@ -651,13 +630,13 @@ def test_run_steps_at_a_tiny_shift_and_refuses_one_whose_bound_overflows():
     config = RunConfig(batch_g=10, batch_s=10, max_iters=2, seed=1)
     # lam = 1e-34: rho is about 3e33, past where the contraction rounds to
     # 1; CG still converges on the curvature of S >= d rows.
-    P, local = make_problem([40] * 4, 8, lam=1e-34)
+    P, local = make_problem(4, 40, 8, lam=1e-34)
     engine = optimizer.proximal_engine(local, config, np.zeros(4))
     assert (engine.solve, engine.rho_bound > 4e32) == ("cg", True)
     assert np.isfinite(run(P, local, config, np.zeros(4)).x).all()
     # lam = 1e-320: rho overflows to inf, which is refused before round 0
     # with no overflow warning first (warnings are errors here).
-    P, local = make_problem([40] * 4, 8, lam=1e-320)
+    P, local = make_problem(4, 40, 8, lam=1e-320)
     rounds = []
     with pytest.raises(ConfigurationError, match="agent 0: the curvature bound .* not finite"):
         run(P, local, config, np.zeros(4), callbacks=[lambda k, s: rounds.append(k)])
@@ -665,16 +644,16 @@ def test_run_steps_at_a_tiny_shift_and_refuses_one_whose_bound_overflows():
 
 
 def test_cg_that_misses_its_tolerance_raises_within_its_product_budget(monkeypatch):
-    # lam = 1e-34 with S = 4 < d = 8 < W: the shift is all that holds up the
+    # lam = 1e-34 with S = 4 < d = 8 < C: the shift is all that holds up the
     # d - S directions the Hessian batch does not reach, and CG does not
     # meet its tolerance.  Its a-priori cap is past 1e18 iterations; the
     # engine caps it at CG_SLACK (S + 1) products, and the solve names the
     # agent and the round.
-    P, local = make_problem([40] * 4, 8, lam=1e-34)
+    P, local = make_problem(4, 40, 8, lam=1e-34)
     config = RunConfig(batch_g=10, batch_s=4, max_iters=2, seed=1)
     engine = optimizer.proximal_engine(local, config, np.zeros(4))
     budget = optimizer.CG_SLACK * (4 + 1)
-    assert (engine.path, engine.solve, engine.terms) == ("row_step", "cg", budget)
+    assert (engine.solve, engine.terms) == ("cg", budget)
     assert optimizer._cg_iterations(engine.rho_bound) > 1e18
     products, real_cg = [], optimizer._cg_solve
 
@@ -718,15 +697,14 @@ def test_the_series_is_taken_only_while_it_is_at_most_twice_the_cg_cap(rho, solv
     # At rho = 0.873 the series needs 270 terms against CG's cap of 17; at
     # the certified bench runs' rho it needs 2 against 3.  S >= d: no Gram
     # path, so CG takes the row step.
-    P, local = make_problem([40] * 6, 15)
+    P, local = make_problem(6, 40, 15)
     config = RunConfig(batch_g=10, batch_s=20, max_iters=2, seed=0)
     shift = np.full(6, 0.25 * local.row_sq.max() / rho)
     engine = optimizer.proximal_engine(local, config, shift - local.lam)
     assert engine.rho_bound == pytest.approx(rho, rel=1e-12)
     series, cap = optimizer._series_terms(rho), optimizer._cg_iterations(rho)
     assert (series, cap) == ((270, 17) if solve == "cg" else (2, 3))
-    assert (engine.path, engine.solve, engine.terms) == (
-        "row_step", solve, cap if solve == "cg" else series)
+    assert (engine.solve, engine.terms) == (solve, cap if solve == "cg" else series)
     assert np.isfinite(run(P, local, config, shift - local.lam).x).all()
 
 
@@ -758,13 +736,13 @@ def test_cg_meets_its_tolerance_before_its_iteration_cap(rho):
 def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift(monkeypatch):
     # Only the Gram path factors, and only at rho >= 1; a shift that is not
     # positive is refused.
-    P, local = make_problem([40] * 6, 15)
+    P, local = make_problem(6, 40, 15)
     config = RunConfig(batch_g=10, batch_s=20, max_iters=1, seed=0)  # S >= d
     edge = np.full(6, 0.25 * local.row_sq.max())  # the shift at which rho = 1
     for c, rho in ((edge, 1.0), (edge / 2, 2.0)):
         engine = optimizer.proximal_engine(local, config, c - local.lam)
         assert engine == optimizer.Engine(
-            "row_step", "cg", optimizer._cg_iterations(engine.rho_bound), engine.rho_bound)
+            "cg", optimizer._cg_iterations(engine.rho_bound), engine.rho_bound)
         assert engine.rho_bound == pytest.approx(rho, rel=1e-12)
     c = 1e6 * edge
     assert optimizer.proximal_engine(local, config, c - local.lam).solve == "series"
@@ -779,18 +757,18 @@ def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift
                         lambda a, *args: factored.append(a.shape) or real_dposv(a, *args))
     monkeypatch.setattr(StackedSets, "matvec",
                         lambda self, x: reads.append(self is local) or real_matvec(self, x))
-    # S < d < W at rho = 2: CG through the operator, no factorisation.
+    # S < d < C at rho = 2: CG through the operator, no factorisation.
     config = RunConfig(batch_g=10, batch_s=5, max_iters=3, seed=0)
     alphas = edge / 2 - local.lam
     engine = optimizer.proximal_engine(local, config, alphas)
-    assert (engine.path, engine.solve) == ("row_step", "cg")
+    assert engine.solve == "cg"
     run(P, local, config, alphas)
     assert factored == [] and reads and all(reads)
-    # S < W <= d at rho = 2: every round factors the Woodbury S x S systems
+    # S < C <= d at rho = 2: every round factors the Woodbury S x S systems
     # from the Gram stack, and no d x d one.
-    P, sets = make_problem([40] * 6, 60)
+    P, sets = make_problem(6, 40, 60)
     alphas = np.full(6, 0.125 * sets.row_sq.max()) - sets.lam
-    assert optimizer.proximal_engine(sets, config, alphas).path == "gram_step"
+    assert optimizer.proximal_engine(sets, config, alphas).solve == "cholesky"
     solves = []
     real_solve = optimizer._cholesky_solve
     monkeypatch.setattr(optimizer, "_cholesky_solve",
@@ -804,7 +782,7 @@ def test_run_refuses_a_negative_shift_that_leaves_a_dense_system_definite():
     # At x = 0 every curvature weight is 1/(4 C), so each h_i - lam_i I is
     # F_i^T F_i / (4 C), and half its smallest eigenvalue below zero keeps
     # agent 4's system definite; the run refuses it before round 0.
-    P, local = make_problem([40] * 6, 15)
+    P, local = make_problem(6, 40, 15)
     config = RunConfig(batch_g=10, batch_s=40, max_iters=1, seed=5, algorithm="sopro",
                        x0_mode="zeros")
     block = block_of(local)
@@ -824,7 +802,7 @@ def test_spectral_summary_computed_once_per_matrix(monkeypatch):
     calls = []
     real = topology.spectral_summary
     monkeypatch.setattr(topology, "spectral_summary", lambda p: calls.append(p) or real(p))
-    P, local = make_problem([40] * 6, 15)
+    P, local = make_problem(6, 40, 15)
     run(P, local, RunConfig(batch_g=10, batch_s=5, max_iters=2, seed=0),
         certified_alphas(P, local))
     assert P.spectral == real(P)
@@ -835,7 +813,7 @@ def test_spectral_summary_computed_once_per_matrix(monkeypatch):
     "algorithm, per_edge", [("dsgd", 2), ("dsgt", 4), ("st_sopro", 2), ("sopro", 2)]
 )
 def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
-    P, local = make_problem([40] * 6, 15)
+    P, local = make_problem(6, 40, 15)
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=3, seed=7, algorithm=algorithm, step_size=0.5
     )
@@ -873,7 +851,7 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
 def test_baselines_mix_through_csr_as_through_the_dense_weights(algorithm, monkeypatch):
     # W stores 480 of the 14400 entries of a 120-agent degree-3 network.
     P = laplacian_weights(build_random_connected_graph(120, 3.0, seed=2), 1.0)
-    _, local = make_problem([8] * 120, 6)
+    _, local = make_problem(120, 8, 6)
     W = metropolis_weights(P.graph).matrix
     assert baselines.network_operator(W).format == "csr"
     config = RunConfig(batch_g=4, batch_s=4, max_iters=5, seed=7, algorithm=algorithm,
@@ -895,7 +873,7 @@ def test_baselines_mix_through_csr_as_through_the_dense_weights(algorithm, monke
 def test_whole_set_gradients_equal_the_per_agent_gradients():
     # At G = C a batch is the whole set, with no zero coefficients; the
     # operator's sparse products sum in another order than batch_grad's.
-    P, local = make_problem([40] * 6, 15)
+    P, local = make_problem(6, 40, 15)
     config = RunConfig(batch_g=40, batch_s=40, max_iters=1, seed=7, algorithm="dsgd",
                        step_size=0.5)
     assert batch_positions(local, 40, 7, 0, PURPOSE_GRAD) is None
@@ -910,7 +888,7 @@ def test_whole_set_gradients_equal_the_per_agent_gradients():
 
 
 def test_dsgt_tracker_sum_equals_last_gradient_sum():
-    P, local = make_problem([40] * 6, 15)
+    P, local = make_problem(6, 40, 15)
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=30, seed=7, algorithm="dsgt", step_size=0.5
     )
@@ -928,7 +906,7 @@ def test_dsgt_tracker_sum_equals_last_gradient_sum():
 
 
 def test_one_over_k_schedule_divides_the_step_by_one_plus_the_round():
-    P, local = make_problem([40] * 6, 15)
+    P, local = make_problem(6, 40, 15)
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=3, seed=7, algorithm="dsgd", step_size=0.5,
         step_schedule="one_over_k",
@@ -947,7 +925,7 @@ def test_one_over_k_schedule_divides_the_step_by_one_plus_the_round():
 @pytest.mark.parametrize("step_size", [None, 0.0, -0.5, np.nan])
 @pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
 def test_baselines_refuse_a_missing_step_size_before_round_0(algorithm, step_size):
-    P, local = make_problem([40] * 6, 15)
+    P, local = make_problem(6, 40, 15)
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=0, seed=7, algorithm=algorithm,
         step_size=step_size,
@@ -960,7 +938,7 @@ def test_baselines_refuse_a_missing_step_size_before_round_0(algorithm, step_siz
 
 @pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
 def test_baselines_fail_loudly_on_divergence(algorithm):
-    P, local = make_problem([40] * 6, 15)
+    P, local = make_problem(6, 40, 15)
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=300, seed=7, algorithm=algorithm, step_size=1e3
     )
@@ -988,7 +966,7 @@ def test_run_fails_loudly_on_divergence(monkeypatch):
 
     calls = []
     monkeypatch.setattr(optimizer, "row_step", poisoned)
-    P, local = make_problem([40] * 6, 15)
+    P, local = make_problem(6, 40, 15)
     with pytest.raises(DivergenceError, match="round 3: agent 3 "):
         run(P, local, RunConfig(batch_g=10, batch_s=5, max_iters=5, seed=0),
             certified_alphas(P, local))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soprolab
-from oracles import agent_datasets, newton_per_agent
+from oracles import agent_datasets, newton_per_agent, stack_sets
 from soprolab import certificate, optimizer
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation, SoprolabError
 from soprolab.harness import cli, experiment, reference
@@ -31,7 +31,7 @@ from soprolab.harness.experiment import (
 )
 from soprolab.harness.metrics import MetricRow, MetricsTrace, aggregate_traces
 from soprolab.harness.tuning import tune_baseline
-from soprolab.loss import StackedSets, full_grad
+from soprolab.loss import full_grad
 
 
 def one_hot_problem(n_agents, per_agent, d, active, seed, lam=0.01):
@@ -43,7 +43,7 @@ def one_hot_problem(n_agents, per_agent, d, active, seed, lam=0.01):
     feats[np.arange(rows)[:, None], cols] = 1.0
     w = rng.standard_normal(d)
     labels = np.where(rng.random(rows) < 1.0 / (1.0 + np.exp(-feats @ w)), 1, -1)
-    return StackedSets.padded(
+    return stack_sets(
         feats.reshape(n_agents, per_agent, d), labels.reshape(n_agents, per_agent), lam
     )
 
@@ -157,8 +157,7 @@ def test_trace_header_names_the_proximal_engine(tmp_path, algorithm):
     engine = optimizer.proximal_engine(result.problem.local, config.to_run_config(0), alphas)
     assert engine.solve == "series"
     assert header["engine"] == dataclasses.asdict(engine) == {
-        "path": "row_step", "solve": "series", "terms": engine.terms,
-        "rho_bound": engine.rho_bound}
+        "solve": "series", "terms": engine.terms, "rho_bound": engine.rho_bound}
 
 
 # At the default average degree 2, P stores 3 N entries: CSR from N = 36 on.
@@ -331,7 +330,9 @@ import sys
 import numpy as np
 from soprolab import optimizer
 from soprolab.harness.experiment import ExperimentConfig, run_experiment
-from soprolab.loss import LocalDataset, StackedSets, batch_grad, batch_hess
+from soprolab.loss import (
+    LocalDataset, StackedSets, _block_diagonal, _dense_csr, batch_grad, batch_hess,
+)
 
 def loaded():
     return [m for m in ("scipy.sparse", "scipy.special", "scipy.linalg") if m in sys.modules]
@@ -346,22 +347,22 @@ with open(sys.argv[1], "w") as f:
 run_experiment(ExperimentConfig(dataset=sys.argv[1], dim=12, **small))
 print(*loaded(), sep=",")
 
-# S = W = 6 < d = 9 at rho = 2: the Gram path.
+# S = C = 6 < d = 9 at rho = 2: the Gram step.
 rng = np.random.default_rng(8)
-n, width, d, lam = 4, 6, 9, 0.1
-feats = (rng.random((n, width, d)) < 0.4).astype(float)
-labels = rng.choice((-1.0, 1.0), (n, width))
-local = StackedSets.padded(feats, labels, lam)
-config = optimizer.RunConfig(batch_g=width, batch_s=width, max_iters=1, seed=0)
+n, C, d, lam = 4, 6, 9, 0.1
+feats = (rng.random((n, C, d)) < 0.4).astype(float)
+labels = rng.choice((-1.0, 1.0), (n, C))
+local = StackedSets(_block_diagonal(_dense_csr(feats.reshape(-1, d)), n), labels, np.full(n, lam))
+config = optimizer.RunConfig(batch_g=C, batch_s=C, max_iters=1, seed=0)
 c = np.full(n, 0.125 * local.row_sq.max())
-assert optimizer.proximal_engine(local, config, c - lam).path == "gram_step"
+assert optimizer.proximal_engine(local, config, c - lam).solve == "cholesky"
 gram = optimizer.gram_stack(local)
 print(*loaded(), sep=",")
 x, prox = rng.standard_normal((n, d)), rng.standard_normal((n, d))
 out = optimizer.gram_step(x, lam * x + prox, local, gram, None, None, c)
 err = 0.0
 for i in range(n):
-    ds, whole = LocalDataset(feats[i], labels[i], lam), np.arange(width)
+    ds, whole = LocalDataset(feats[i], labels[i], lam), np.arange(C)
     A = batch_hess(x[i], ds, whole).dense() + (c[i] - lam) * np.eye(d)
     want = x[i] - np.linalg.inv(A) @ (batch_grad(x[i], ds, whole) + prox[i])
     err = max(err, np.linalg.norm(out[i] - want) / np.linalg.norm(want))

@@ -128,23 +128,21 @@ def _dummy_samples(n, d=3):
 def test_partition_paper_a4a_shape():
     samples = _dummy_samples(4781)
     local, test = partition(samples, 20, 239, seed=0, lambda_reg=0.01)
-    assert len(local.counts) == 20
-    assert np.all(local.counts == 239) and local.shape[1] == 239
+    assert local.shape[:2] == (20, 239) and local.labels.shape == (20, 239)
     assert len(test) == 4781 - 20 * 239
 
 
 def test_partition_paper_mushrooms_shape():
     samples = _dummy_samples(8124)
     local, test = partition(samples, 10, 600, seed=0, lambda_reg=0.01)
-    assert len(local.counts) == 10
-    assert np.all(local.counts == 600) and local.shape[1] == 600
+    assert local.shape[:2] == (10, 600) and local.labels.shape == (10, 600)
     assert len(test) == 8124 - 6000
 
 
 def test_partition_single_agent_takes_everything():
     samples = _dummy_samples(50)
     local, test = partition(samples, 1, 50, seed=1, lambda_reg=0.1)
-    assert len(local.counts) == 1 and local.counts.tolist() == [50]
+    assert local.shape[:2] == (1, 50)
     assert len(test) == 0
 
 
@@ -172,59 +170,26 @@ def test_partition_of_dense_rows_stacks_the_permuted_rows_read_only():
     local, _ = partition(samples, 4, 10, seed=3, lambda_reg=0.1)
     assert local.shape == (4, 10, 5) and local.labels.dtype == float
     A = local.csr
-    for a in (A.data, A.indices, A.indptr, local.labels, local.counts, local.lam):
+    for a in (A.data, A.indices, A.indptr, local.labels, local.lam):
         assert not a.flags.writeable
     assert not np.shares_memory(A.data, samples[0])
     # Agent i holds rows 10 i .. 10 i + 9 of the permutation.
     perm = np.random.default_rng(3).permutation(50)[:40]
     assert np.array_equal(block_of(local).reshape(40, 5), samples[0][perm])
     assert np.array_equal(local.labels.reshape(40), labels[perm])
-    assert local.counts.tolist() == [10] * 4 and local.lam.tolist() == [0.1] * 4
+    assert local.lam.tolist() == [0.1] * 4
     for i, ds in enumerate(agent_datasets(local)):
         assert np.array_equal(samples[0][perm[10 * i : 10 * i + 10]], ds.features)
 
 
-def test_padded_sets_pad_unequal_sets_with_zero_rows():
-    rng = np.random.default_rng(3)
-    datasets = [make_dataset(rng, C=C, lam=0.1 * (i + 1)) for i, C in enumerate((3, 6, 4))]
-    local = stacked(datasets)
-    block = block_of(local)
-    assert local.shape == (3, 6, 4) and local.labels.shape == (3, 6)
-    assert local.counts.tolist() == [3, 6, 4]
-    assert np.array_equal(local.lam, [0.1, 0.2, 0.1 * 3])
-    assert np.array_equal(local.real, [[1, 1, 1, 0, 0, 0], [1] * 6, [1, 1, 1, 1, 0, 0]])
-    for i, ds in enumerate(datasets):
-        C = ds.n_samples
-        assert not np.shares_memory(ds.features, local.csr.data)
-        assert np.array_equal(block[i, :C], ds.features)
-        assert np.array_equal(local.labels[i, :C], ds.labels)
-        assert not block[i, C:].any() and not local.labels[i, C:].any()
-    one_lam = StackedSets.padded([ds.features for ds in datasets],
-                                 [ds.labels for ds in datasets], 0.5)
-    assert one_lam.lam.tolist() == [0.5] * 3
-
-
-def test_padded_sets_hold_unequal_sets_in_an_operator_with_empty_padding_rows():
-    rng = np.random.default_rng(6)
-    datasets = [sparse_dataset(rng, C=C, d=5, lam=0.1) for C in (4, 7, 2)]
-    local = stacked(datasets)
-    A = local.csr
-    assert A.format == "csr" and A.shape == (3 * 7, 3 * 5)
-    # The padding rows, and agent 0's empty row 1, store nothing.
-    stored = np.diff(A.indptr).reshape(3, 7)
-    assert not stored[~local.real].any() and stored[0, 1] == 0
-    assert A.nnz == sum(np.count_nonzero(ds.features) for ds in datasets)
-    assert np.array_equal(A.toarray(), scipy.linalg.block_diag(*block_of(local)))
-
-
-@pytest.mark.parametrize("sizes", [(20, 20, 20), (8, 20, 13)])
+@pytest.mark.parametrize("sizes", [(20, 20, 20), (5, 5, 5)])
 def test_stacked_batch_statistics_match_per_agent_batches(sizes):
     rng = np.random.default_rng(4)
     datasets = [make_dataset(rng, C=C, d=7, lam=0.05 * (i + 1)) for i, C in enumerate(sizes)]
     local = stacked(datasets)
     x = rng.standard_normal((len(sizes), 7))
     grads = sets_grad(x, local, None)
-    weights = logistic_curvature(local.matvec(x)) / local.counts[:, None]
+    weights = logistic_curvature(local.matvec(x)) / sizes[0]
     for i, ds in enumerate(datasets):
         C = ds.n_samples
         want = batch_grad(x[i], ds, np.arange(C))
@@ -236,12 +201,11 @@ def test_stacked_batch_statistics_match_per_agent_batches(sizes):
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
 def test_set_gradients_of_drawn_batches_match_per_agent_batches(sparse):
-    # Unequal sets: agent 1's padding rows are empty rows of the operator.
     # Rows with every entry stored ("dense"), or about a third of them and
     # an empty row 1 an agent ("csr").
     rng = np.random.default_rng(5)
     make = sparse_dataset if sparse else make_dataset
-    datasets = [make(rng, C=C, d=7, lam=0.05) for C in (12, 9, 12)]
+    datasets = [make(rng, C=12, d=7, lam=0.05) for _ in range(3)]
     local = stacked(datasets)
     x = rng.standard_normal((3, 7))
     idx = np.sort(np.stack([rng.choice(9, 4, replace=False) for _ in range(3)]), axis=1)
@@ -253,10 +217,10 @@ def test_set_gradients_of_drawn_batches_match_per_agent_batches(sparse):
 
 
 def test_on_batches_at_flat_positions_equals_the_two_dimensional_form():
-    # Unequal sets, and margins that are a strided view, a C-ordered array
-    # and a transposed copy's transpose.
+    # Margins that are a strided view, a C-ordered array and a transposed
+    # copy's transpose.
     rng = np.random.default_rng(9)
-    local = stacked([make_dataset(rng, C=C, d=7, lam=0.05) for C in (12, 9, 12)])
+    local = stacked([make_dataset(rng, C=12, d=7, lam=0.05) for _ in range(3)])
     idx = np.sort(np.stack([rng.choice(9, 4, replace=False) for _ in range(3)]), axis=1)
     u = local.matvec(rng.standard_normal((3, 7)))
     strided = np.repeat(u[:, :, None], 2, axis=2)[:, :, 0]
@@ -314,11 +278,8 @@ def test_sigmoid_and_coefficients_warn_of_nothing_outside_a_rounds_errstate():
         assert sigmoid(-800.0) == 0.0
         coef = logistic_coef(z[:6], np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0]))
         curvature = logistic_curvature(z[:6])
-        # A padding row (label 0) has a zero coefficient at any finite margin.
-        padding = logistic_coef(z[:5], np.zeros(5))
     assert np.array_equal(p[:6], [0.0, 0.0, 0.0, 0.5, 1.0, 1.0]) and p[6] == 0.0
     assert np.isfinite(coef).all() and np.isfinite(curvature).all()
-    assert np.array_equal(padding, np.zeros(5))
 
 
 def central_diff_grad(f, x, h):
@@ -471,11 +432,11 @@ def test_loss_stable_at_extreme_margins():
 
 def test_smoothness_bounds_network_aggregate():
     rng = np.random.default_rng(11)
-    datasets = [make_dataset(rng, C=C, lam=0.1) for C in (4, 2, 5)]
+    datasets = [make_dataset(rng, C=4, lam=0.1) for _ in range(3)]
     b = SmoothnessBounds.from_sets(stacked(datasets))
     assert b.n_agents == 3
-    # M_i = lam + max_j |a_j|^2 / 4 over agent i's rows, padding aside,
-    # each |a_j|^2 summed over its entries in column order.
+    # M_i = lam + max_j |a_j|^2 / 4 over agent i's rows, each |a_j|^2
+    # summed over its entries in column order.
     want = [0.1 + 0.25 * max(sum(v * v for v in row) for row in ds.features.tolist())
             for ds in datasets]
     assert b.M.tolist() == want
@@ -562,24 +523,21 @@ def test_dataset_validation():
         Sample(features=np.zeros(2), label=0)
 
     def stacked_fields():
-        # Agent 1 holds two samples and one padding row.
+        # Two agents of three samples each, in d = 2.
         feats = np.arange(1.0, 13.0).reshape(2, 3, 2)
-        feats[1, 2] = 0.0
-        labels = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 0.0]])
+        labels = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
         return dict(csr=csr_matrix(scipy.linalg.block_diag(*feats)), labels=labels,
-                    counts=np.array([3, 2]), lam=np.array([0.1, 0.2]))
+                    lam=np.array([0.1, 0.2]))
 
     StackedSets(**stacked_fields())
     # (field, position, bad value, what the error says), one per check.
     bad_values = [
         ("labels", (0, 1), 2.0, "labels must be"),
         ("labels", (1, 0), 0.0, "labels must be"),
-        ("labels", (1, 2), 1.0, "padding rows"),
+        ("labels", (1, 2), 0.5, "labels must be"),
         ("lam", 1, 0.0, "lambda_reg"),
         ("lam", 0, -0.1, "lambda_reg"),
         ("lam", 0, np.nan, "lambda_reg"),
-        ("counts", 1, 0, "sizes must lie in 1..3"),
-        ("counts", 0, 4, "sizes must lie in 1..3"),
     ]
     for name, at, value, message in bad_values:
         fields = stacked_fields()
@@ -589,19 +547,24 @@ def test_dataset_validation():
     bad_shapes = [
         ("labels", np.ones(6)),
         ("labels", np.ones((2, 3, 1))),
-        ("counts", np.array([3, 2, 1])),
         ("lam", np.array([0.1])),
+        ("lam", np.array([0.1, 0.2, 0.3])),
+        ("lam", np.array([[0.1, 0.2]])),
     ]
     for name, value in bad_shapes:
-        with pytest.raises(ParameterError, match=r"^need \(N, W\), \(N,\) and \(N,\) arrays"):
+        with pytest.raises(ParameterError, match=r"^need \(N, C\) and \(N,\) arrays"):
             StackedSets(**{**stacked_fields(), name: value})
+    # An operator with a row more than N C = 6 (a row short: below).
+    block = np.vstack([stacked_fields()["csr"].toarray(), np.zeros((1, 4))])
+    with pytest.raises(ParameterError, match=r"need a \(6, 2 d\) operator"):
+        StackedSets(**{**stacked_fields(), "csr": csr_matrix(block)})
+    with pytest.raises(ParameterError, match="one sample each, got 2 x 0"):
+        StackedSets(csr_matrix((0, 4)), np.ones((2, 0)), np.array([0.1, 0.2]))
 
 
-def test_stacked_sets_refuse_an_operator_of_another_shape_or_with_padding_entries():
+def test_stacked_sets_refuse_an_operator_of_another_shape():
     feats = np.arange(1.0, 13.0).reshape(2, 3, 2)
-    feats[1, 2] = 0.0
-    fields = dict(labels=np.ones((2, 3)), counts=np.array([3, 2]), lam=np.array([0.1, 0.2]))
-    fields["labels"][1, 2] = 0.0
+    fields = dict(labels=np.ones((2, 3)), lam=np.array([0.1, 0.2]))
     block = scipy.linalg.block_diag(*feats)
     local = StackedSets(csr_matrix(block), **fields)
     assert not local.csr.data.flags.writeable
@@ -611,18 +574,22 @@ def test_stacked_sets_refuse_an_operator_of_another_shape_or_with_padding_entrie
         with pytest.raises(ParameterError, match=r"need a \(6, 2 d\) operator"):
             StackedSets(csr_matrix(bad), **fields)
     assert StackedSets(csr_matrix(block[:, :2]), **fields).dim == 1  # d = 1
-    block[5, 2] = 1.0  # agent 1's padding row
-    with pytest.raises(ParameterError, match="padding rows of the operator must be empty"):
-        StackedSets(csr_matrix(block), **fields)
 
 
 def test_stacked_sets_hold_their_rows_in_one_form():
     # The block-diagonal operator is the one form of the rows: no dense
     # block, and no product that reads one.
-    assert [f.name for f in dataclasses.fields(StackedSets)] == ["csr", "labels", "counts", "lam"]
+    assert [f.name for f in dataclasses.fields(StackedSets)] == ["csr", "labels", "lam"]
     assert not hasattr(StackedSets, "matvecs")
     rng = np.random.default_rng(7)
-    local = stacked([make_dataset(rng, C=C, d=3, lam=0.1) for C in (4, 2)])
+    # The operator stores the nonzero entries only: sparse rows, with an
+    # empty row 1 an agent.
+    datasets = [sparse_dataset(rng, C=4, d=3, lam=0.1) for _ in range(2)]
+    local = stacked(datasets)
+    A = local.csr
+    assert A.format == "csr" and A.shape == (2 * 4, 2 * 3)
+    assert A.nnz == sum(np.count_nonzero(ds.features) for ds in datasets)
+    assert np.array_equal(A.toarray(), scipy.linalg.block_diag(*block_of(local)))
     x, v = rng.standard_normal((2, 3)), rng.standard_normal((2, 4))
     assert np.array_equal(local.matvec(x), (local.csr @ x.ravel()).reshape(2, 4))
     assert np.array_equal(local.rmatvec(v), (local.csr.T @ v.ravel()).reshape(2, 3))

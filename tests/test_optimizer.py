@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import agent_datasets, draw_batches_argpartition, flat_positions
+from oracles import agent_datasets, draw_batches_argpartition, flat_positions, stack_sets
 from soprolab import optimizer
 from soprolab.certificate import proximal_alphas
 from soprolab.errors import ConfigurationError, InvariantViolation, ParameterError
@@ -101,7 +101,7 @@ def test_sample_batches_deterministic_and_independent():
 def test_sample_batches_inclusion_frequency():
     # Monte Carlo frequency oracle: every index appears with probability G/C.
     C, G, n_draws = 10, 3, 100_000
-    idx = draw_batches(np.full(n_draws, C), G, seed=11, round_idx=0, purpose=PURPOSE_GRAD)
+    idx = draw_batches(n_draws, C, G, seed=11, round_idx=0, purpose=PURPOSE_GRAD)
     assert idx.shape == (n_draws, G)
     freq = np.bincount(idx.ravel(), minlength=C) / n_draws
     p = G / C
@@ -109,26 +109,16 @@ def test_sample_batches_inclusion_frequency():
     assert np.all(np.abs(freq - p) <= 3 * sigma + 1e-12)
 
 
-@pytest.mark.parametrize("sizes", [[40] * 6, [20, 30, 45, 25, 35]])
+@pytest.mark.parametrize("sizes", [(6, 40), (5, 45)])  # (N, C)
 def test_sample_batches_is_a_row_of_the_batched_draw(sizes):
-    width = max(sizes)
+    n, C = sizes
     for round_idx in (0, 7):
-        g_all = draw_batches(sizes, 8, 3, round_idx, PURPOSE_GRAD)
-        s_all = draw_batches(sizes, 6, 3, round_idx, PURPOSE_HESS)
-        for agent, C in enumerate(sizes):
-            g_idx, s_idx = sample_batches(C, 8, 6, 3, agent, round_idx, width=width)
+        g_all = draw_batches(n, C, 8, 3, round_idx, PURPOSE_GRAD)
+        s_all = draw_batches(n, C, 6, 3, round_idx, PURPOSE_HESS)
+        for agent in range(n):
+            g_idx, s_idx = sample_batches(C, 8, 6, 3, agent, round_idx)
             assert np.array_equal(g_idx, g_all[agent])
             assert np.array_equal(s_idx, s_all[agent])
-
-
-def test_draw_batches_never_selects_padding():
-    sizes = np.array([4, 40, 9, 4, 25, 6])
-    for round_idx in range(200):
-        idx = draw_batches(sizes, 4, seed=1, round_idx=round_idx, purpose=PURPOSE_GRAD)
-        assert np.all(idx.max(axis=1) < sizes)
-        assert np.all(np.diff(idx, axis=1) > 0)  # sorted, no repeats
-        # A batch as large as the local set is the whole set.
-        assert np.array_equal(idx[sizes == 4], np.tile(np.arange(4), (2, 1)))
 
 
 def test_sample_batches_range_errors():
@@ -136,44 +126,39 @@ def test_sample_batches_range_errors():
         sample_batches(10, 0, 5, seed=0, agent=0, round_idx=0)
     with pytest.raises(ParameterError):
         sample_batches(10, 5, 11, seed=0, agent=0, round_idx=0)
-    # Keys narrower than a local set would never reach its last rows.
-    with pytest.raises(ParameterError):
-        sample_batches(40, 5, 5, seed=0, agent=0, round_idx=0, width=20)
-    with pytest.raises(ParameterError):
-        draw_batches([20, 40], 5, seed=0, round_idx=0, purpose=PURPOSE_GRAD, width=20)
+    with pytest.raises(ParameterError, match=r"batch size 21 outside 1\.\.20"):
+        draw_positions(3, 20, 21, seed=0, round_idx=0, purpose=PURPOSE_GRAD)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=7),
+    n=st.integers(1, 7),
+    C=st.integers(1, 40),
     seed=st.integers(0, 2**63),
     round_idx=st.integers(0, 10**6),
     purpose=st.sampled_from([PURPOSE_GRAD, PURPOSE_HESS]),
     data=st.data(),
 )
-def test_flat_draw_equals_the_argpartition_draw(sizes, seed, round_idx, purpose, data):
-    # Unequal sizes give padding keys; the flat draw reads the same keys as
-    # integers and takes the same rows in the same order.
-    size = data.draw(st.integers(1, min(sizes)), label="size")
-    expected = draw_batches_argpartition(sizes, size, seed, round_idx, purpose)
-    flat = draw_positions(sizes, size, seed, round_idx, purpose)
-    assert np.array_equal(flat, flat_positions(expected, max(sizes)))
-    assert np.array_equal(draw_batches(sizes, size, seed, round_idx, purpose), expected)
+def test_flat_draw_equals_the_argpartition_draw(n, C, seed, round_idx, purpose, data):
+    # The flat draw reads the same keys as integers and takes the same
+    # rows in the same order.
+    size = data.draw(st.integers(1, C), label="size")
+    expected = draw_batches_argpartition(n, C, size, seed, round_idx, purpose)
+    flat = draw_positions(n, C, size, seed, round_idx, purpose)
+    assert np.array_equal(flat, flat_positions(expected, C))
+    assert np.array_equal(draw_batches(n, C, size, seed, round_idx, purpose), expected)
 
 
 def test_keys_tied_at_the_threshold_fill_the_batch_from_the_lowest_positions(monkeypatch):
     # Agent 0: keys 1 and 3 are below the threshold 7, which four keys
-    # share; agent 1: all eight keys tie; agent 2: no tie.  The zero keys
-    # past agents 0's and 2's sets are padding and never drawn.
-    keys = np.array([[7, 3, 7, 7, 1, 7, 0, 0],
+    # share; agent 1: all eight keys tie; agent 2: no tie.
+    keys = np.array([[7, 3, 7, 7, 1, 7, 9, 8],
                      [5, 5, 5, 5, 5, 5, 5, 5],
-                     [4, 3, 2, 1, 0, 0, 0, 0]], dtype=np.uint64)
+                     [4, 3, 2, 1, 0, 6, 9, 5]], dtype=np.uint64)
     monkeypatch.setattr(optimizer, "_batch_keys", lambda *args: keys.ravel().copy())
-    sizes = np.array([6, 8, 5])
-    assert np.array_equal(draw_batches(sizes, 3, 0, 0, PURPOSE_GRAD),
+    assert np.array_equal(draw_batches(3, 8, 3, 0, 0, PURPOSE_GRAD),
                           [[0, 1, 4], [0, 1, 2], [2, 3, 4]])
-    local = StackedSets.padded([np.ones((c, 2)) for c in sizes],
-                               [np.ones(c) for c in sizes], 0.1)
+    local = stack_sets([np.ones((8, 2))] * 3, [np.ones(8)] * 3, 0.1)
     flat = batch_positions(local, 3, 0, 0, PURPOSE_GRAD)
     assert np.array_equal(flat, [0, 1, 4, 8, 9, 10, 18, 19, 20])
 
@@ -181,22 +166,21 @@ def test_keys_tied_at_the_threshold_fill_the_batch_from_the_lowest_positions(mon
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda flat, width: flat[:-1], "drew 8 rows, not 3 x 3"),
+        (lambda flat, C: flat[:-1], "drew 8 rows, not 3 x 3"),
         # Agent 0's batch is flat[:3]: -1 would wrap to the last row.
-        (lambda flat, width: np.r_[-1, flat[1:]], "drawn index outside a local set"),
-        (lambda flat, width: np.r_[flat[:2], width, flat[3:]], "drawn index outside a local set"),
-        (lambda flat, width: np.r_[flat[:2], 6, flat[3:]], "drawn index outside a local set"),
+        (lambda flat, C: np.r_[-1, flat[1:]], "drawn index outside a local set"),
+        (lambda flat, C: np.r_[flat[:2], C, flat[3:]], "drawn index outside a local set"),
+        # Agent 2's batch is flat[6:]: 3 C is past the last row.
+        (lambda flat, C: np.r_[flat[:-1], 3 * C], "drawn index outside a local set"),
     ],
-    ids=["short", "negative", "next-agent", "padding"],
+    ids=["short", "negative", "next-agent", "past-the-end"],
 )
 def test_batch_positions_refuses_a_corrupted_draw(corrupt, message, monkeypatch):
-    def corrupted(sizes, size, seed, round_idx, purpose, width):
-        return corrupt(draw_positions(sizes, size, seed, round_idx, purpose, width), width)
+    def corrupted(n, C, size, seed, round_idx, purpose):
+        return corrupt(draw_positions(n, C, size, seed, round_idx, purpose), C)
 
     monkeypatch.setattr(optimizer, "draw_positions", corrupted)
-    sizes = [6, 8, 5]  # agent 1 is the widest; agent 0 has padding rows 6 and 7
-    local = StackedSets.padded([np.ones((c, 2)) for c in sizes],
-                               [np.ones(c) for c in sizes], 0.1)
+    local = stack_sets([np.ones((8, 2))] * 3, [np.ones(8)] * 3, 0.1)
     with pytest.raises(InvariantViolation, match=f"round 4: {message}"):
         batch_positions(local, 3, 0, 4, PURPOSE_GRAD)
 
@@ -217,7 +201,7 @@ def test_init_two_agents_disagreement():
     P = laplacian_weights(g, 1.0)
     lam = 0.5
     feats = np.array([[0.3, 0.1]])
-    local = StackedSets.padded([feats, feats], [np.array([1])] * 2, lam)
+    local = stack_sets([feats, feats], [np.array([1])] * 2, lam)
     state = init_network(P, local, base_config(batch_g=1, batch_s=1))
     e1 = state.x[0] - state.x[1]
     assert np.allclose(state.y[0], e1)
@@ -235,9 +219,8 @@ def test_init_dual_sum_zero_and_comm_charge():
 
 def test_init_size_mismatch():
     P, local = make_problem()
-    _, width, d = local.shape
-    fewer = StackedSets(local.csr[: -width, : -d], local.labels[:-1], local.counts[:-1],
-                        local.lam[:-1])
+    _, C, d = local.shape
+    fewer = StackedSets(local.csr[:-C, :-d], local.labels[:-1], local.lam[:-1])
     with pytest.raises(ConfigurationError, match="4 local sets for 5 agents"):
         init_network(P, fewer, base_config())
 
@@ -321,7 +304,7 @@ def test_exchange_two_agents_antisymmetric_update():
     P = laplacian_weights(g, 1.0)
     lam = 0.5
     feats = np.array([[0.3, 0.1]])
-    local = StackedSets.padded([feats, feats], [np.array([1])] * 2, lam)
+    local = stack_sets([feats, feats], [np.array([1])] * 2, lam)
     state = init_network(P, local, base_config(batch_g=1, batch_s=1, x0_mode="zeros"))
     v = np.array([0.4, -0.2])
     state.x[0] = v
@@ -433,9 +416,10 @@ def test_h_plus_d_stays_positive_definite():
 
 def test_run_config_validation():
     with pytest.raises(ConfigurationError):
-        base_config(algorithm="nope").validate()
+        base_config(algorithm="nope").validate(50)
     with pytest.raises(ConfigurationError):
-        base_config(beta=-1.0).validate()
+        base_config(beta=-1.0).validate(50)
+    base_config().validate(50)
     with pytest.raises(ConfigurationError):
         base_config(batch_g=100).validate(n_samples=50)
     rounds = []

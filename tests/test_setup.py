@@ -30,6 +30,7 @@ from oracles import (
     parse_libsvm_per_token,
     partition_samples,
     sigma_sq_per_agent,
+    stack_sets,
 )
 from soprolab import loss, optimizer
 from soprolab.errors import ParameterError, ParseError
@@ -184,8 +185,9 @@ def test_partition_of_parsed_rows_equals_the_dense_route_bitwise(
         got, got_test = partition(parse_libsvm(text, dim=dim), n_agents, per_agent, seed, 0.1)
     block, labels, test_features, test_labels = parse_and_partition_dense(
         text, n_agents, per_agent, seed, dim=dim)
-    assert_same_arrays((block_of(got), got.labels, got.counts, got.lam),
-                       (block, labels, np.full(n_agents, per_agent), np.full(n_agents, 0.1)))
+    assert got.shape[:2] == (n_agents, per_agent)
+    assert_same_arrays((block_of(got), got.labels, got.lam),
+                       (block, labels, np.full(n_agents, 0.1)))
     assert_same_arrays((dense_features(got_test), got_test.labels), (test_features, test_labels))
 
 
@@ -440,7 +442,7 @@ def test_partition_matches_the_sample_list_path_bitwise():
         n, per_agent = 4, len(labels) // 5
         got, got_test = partition((rows, labels), n, per_agent, seed=11, lambda_reg=0.1)
         want_sets, want_test = partition_samples(samples, n, per_agent, 11, 0.1)
-        assert len(want_sets) == len(got.counts)
+        assert got.shape[:2] == (len(want_sets), per_agent)
         for g, w in zip(agent_datasets(got), want_sets):
             assert_same_arrays((g.features, g.labels.astype(int)), (w.features, w.labels))
         assert_same_arrays((dense_features(got_test), got_test.labels),
@@ -638,8 +640,8 @@ def test_partition_of_a_dense_array_equals_that_of_its_csr_rows():
         for a, b in ((got.csr, want.csr), (got_test.features, want_test.features)):
             assert a.format == b.format == "csr"
             assert_same_arrays((a.data, a.indices, a.indptr), (b.data, b.indices, b.indptr))
-        assert_same_arrays((got.labels, got.counts, got.lam, got_test.labels),
-                           (want.labels, want.counts, want.lam, want_test.labels))
+        assert_same_arrays((got.labels, got.lam, got_test.labels),
+                           (want.labels, want.lam, want_test.labels))
         assert np.array_equal(block_of(got).reshape(30, -1), dense[np.random.default_rng(4)
                                                                     .permutation(40)[:30]])
 
@@ -668,12 +670,12 @@ def test_build_problem_frees_the_parsed_matrix_before_the_reference_solve(tmp_pa
 # ------------------------------------------------------------- reference and noise
 
 
-def unequal_sets(sizes, d, seed=0, lam=0.05):
-    """Local sets of different sizes, so the stacked block is padded."""
-    feats, labels = gaussian_blob_samples(sum(sizes), d, seed, separation=1.5, noise=0.7)
-    split = np.cumsum(sizes)[:-1]
-    lams = [lam * (1 + i % 3) for i in range(len(sizes))]
-    return StackedSets.padded(np.split(feats, split), np.split(labels, split), lams)
+def gaussian_sets(n, C, d, seed=0, lam=0.05):
+    """``n`` local sets of ``C`` Gaussian rows, with regularizers ``lam``,
+    ``2 lam`` and ``3 lam`` in turn."""
+    feats, labels = gaussian_blob_samples(n * C, d, seed, separation=1.5, noise=0.7)
+    lams = [lam * (1 + i % 3) for i in range(n)]
+    return stack_sets(np.split(feats, n), np.split(labels, n), lams)
 
 
 def one_hot_sets(d, seed=0, lam=0.05):
@@ -683,11 +685,11 @@ def one_hot_sets(d, seed=0, lam=0.05):
 
 
 def local_sets(sizes, d, seed=0):
-    return one_hot_sets(d, seed) if sizes == "one-hot" else unequal_sets(sizes, d, seed)
+    return one_hot_sets(d, seed) if sizes == "one-hot" else gaussian_sets(*sizes, d, seed)
 
 
-# Padded and equal sets of Gaussian rows, and one-hot sets from partition.
-SIZES = [(20, 35, 27, 8), (40, 40, 40), "one-hot"]
+# (N, C) of sets of Gaussian rows, and one-hot sets from partition.
+SIZES = [(4, 25), (3, 40), "one-hot"]
 
 
 @pytest.mark.parametrize("sizes", SIZES)
@@ -733,19 +735,8 @@ def test_sigma_sq_estimate_matches_per_agent_loop(sizes):
     assert abs(reference.estimate_sigma_sq(local, x_star) - want) <= 1e-12 * want
 
 
-def test_sigma_sq_estimate_ignores_padding_rows():
-    # Every agent repeats one sample, so no sample deviates from its
-    # agent's mean; a padding row would deviate by the whole mean.
-    local = StackedSets.padded(
-        [np.array([[1.0, 2.0]] * 2), np.array([[-0.5, 1.0]] * 4)],
-        [np.array([1, 1]), np.array([-1] * 4)],
-        0.1,
-    )
-    assert sigma_sq_estimate(local, [np.array([0.3, -0.2])]) <= 1e-30
-
-
 def reading_the_block(block):
-    """Serve every ``StackedSets.dense_rows`` from the dense ``(N, W, d)``
+    """Serve every ``StackedSets.dense_rows`` from the dense ``(N, C, d)``
     ``block``: the set-up's dense route."""
     stack = block.reshape(-1, block.shape[2])
     return mock.patch.object(StackedSets, "dense_rows",
@@ -753,37 +744,35 @@ def reading_the_block(block):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1024])
-@pytest.mark.parametrize("sizes", [(20, 35, 27, 8), "one-hot"], ids=["padded", "one-hot"])
+@pytest.mark.parametrize("sizes", [(4, 20), "one-hot"], ids=["normal", "one-hot"])
 def test_csr_sets_read_as_their_dense_block_bitwise_in_every_set_up_reader(sizes, chunk):
-    # Sets from StackedSets.padded (Gaussian rows) and from partition
-    # (one-hot rows), against the same rows as a dense block, built
-    # without the operator, and the sets read through that block.
+    # Sets of Gaussian rows and from partition (one-hot rows), against the
+    # same rows as a dense block, built without the operator, and the sets
+    # read through that block.
     if sizes == "one-hot":
         text = one_hot_libsvm(60, 3, 12, seed=3)
         sets, _ = partition(parse_libsvm(text, dim=12), 4, 12, 3, 0.05)
         block = parse_and_partition_dense(text, 4, 12, 3, dim=12)[0]
     else:
-        sets = unequal_sets(sizes, 9, seed=5)
-        feats, _ = gaussian_blob_samples(sum(sizes), 9, 5, separation=1.5, noise=0.7)
-        block = np.zeros(sets.shape)
-        for i, rows in enumerate(np.split(feats, np.cumsum(sizes)[:-1])):
-            block[i, : len(rows)] = rows
+        sets = gaussian_sets(*sizes, 9, seed=5)
+        feats, _ = gaussian_blob_samples(sizes[0] * sizes[1], 9, 5, separation=1.5, noise=0.7)
+        block = feats.reshape(sets.shape)
     dense = dense_block(sets, block)
-    n, width, d = sets.shape
+    n, C, d = sets.shape
     assert block.shape == sets.shape and sets.dim == d
     stack = block.reshape(-1, d)
     with mock.patch.object(loss, "_READ_CHUNK_ROWS", chunk), \
             mock.patch.object(reference, "_HESS_CHUNK_ROWS", chunk):
         # Any run of rows, written over whatever the buffer held.
-        buffer = np.full((n * width, d), np.nan)
-        last = n * width
-        for start, stop in ((0, last), (0, 1), (width - 1, width + 2), (last - 3, last), (5, 5)):
+        buffer = np.full((n * C, d), np.nan)
+        last = n * C
+        for start, stop in ((0, last), (0, 1), (C - 1, C + 2), (last - 3, last), (5, 5)):
             got = sets.dense_rows(start, stop, buffer[: stop - start])
             assert_same_arrays((got,), (stack[start:stop],))
         # Runs of whole agents, at most `chunk` rows or one agent each.
         runs = [(a, b, feats.copy()) for a, b, feats in sets.agent_chunks()]
         want_runs = list(dense.agent_chunks())
-        step = max(1, chunk // width)
+        step = max(1, chunk // C)
         assert [(a, b) for a, b, _ in runs] == [(a, b) for a, b, _ in want_runs] == [
             (a, min(a + step, n)) for a in range(0, n, step)]
         for (a, b, got), (_, _, want) in zip(runs, want_runs):
@@ -795,7 +784,7 @@ def test_csr_sets_read_as_their_dense_block_bitwise_in_every_set_up_reader(sizes
         assert_same_arrays((sets.row_sq, bounds.m, bounds.M),
                            (row_sq, sets.lam, sets.lam + 0.25 * row_sq.max(axis=1)))
         if sizes == "one-hot":
-            assert_same_arrays((sets.row_sq,), (np.einsum("nwd,nwd->nw", block, block),))
+            assert_same_arrays((sets.row_sq,), (np.einsum("ncd,ncd->nc", block, block),))
         # The Gram stack equals the whole block's.
         gram = block @ block.transpose(0, 2, 1)
         assert_same_arrays((optimizer.gram_stack(sets), optimizer.gram_stack(dense)), (gram,) * 2)
