@@ -1,53 +1,7 @@
-"""Experiment orchestration: reference oracle, metrics, tuning, CLI."""
+"""Experiment orchestration, one submodule each: ``experiment`` (set-up
+and runs), ``reference`` (the centralized oracle and the noise probes),
+``metrics``, ``tuning``, ``synthetic`` (generated data) and ``cli``.
 
-from .experiment import (
-    CONFIG_SCHEMA,
-    ExperimentConfig,
-    ExperimentResult,
-    build_certificate,
-    build_problem,
-    build_topology,
-    config_from_mapping,
-    parse_config_file,
-    run_experiment,
-)
-from .metrics import (
-    BITS_PER_SCALAR,
-    MetricRow,
-    MetricsTrace,
-    accuracy,
-    aggregate_traces,
-    optimality_error,
-    write_aggregate_csv,
-)
-from .reference import ReferenceSolution, estimate_sigma_sq, probe_points, solve_reference
-from .synthetic import gaussian_blob_samples
-from .tuning import TunePoint, TuneResult, parse_grid_file, tune_baseline
-
-__all__ = [
-    "CONFIG_SCHEMA",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "build_certificate",
-    "build_problem",
-    "build_topology",
-    "config_from_mapping",
-    "parse_config_file",
-    "run_experiment",
-    "BITS_PER_SCALAR",
-    "MetricRow",
-    "MetricsTrace",
-    "accuracy",
-    "aggregate_traces",
-    "optimality_error",
-    "write_aggregate_csv",
-    "ReferenceSolution",
-    "estimate_sigma_sq",
-    "probe_points",
-    "solve_reference",
-    "gaussian_blob_samples",
-    "TunePoint",
-    "TuneResult",
-    "parse_grid_file",
-    "tune_baseline",
-]
+The package re-exports nothing, so each name has one import path: import
+the submodule, as in ``from soprolab.harness import experiment``.
+"""

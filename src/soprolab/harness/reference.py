@@ -24,7 +24,7 @@ Every evaluation covers all agents at once over the stacked local sets
 and Hessian.  Margins and gradients read the sets' CSR operator through
 :meth:`~soprolab.loss.StackedSets.matvec` and
 :func:`~soprolab.loss.sets_grad`, as the rounds do.  The Hessian reads
-the rows densely, ``_HESS_CHUNK_ROWS`` at a time, through
+the rows densely, ``READ_CHUNK_ROWS`` at a time, through
 :meth:`~soprolab.loss.StackedSets.dense_rows`, and scales each chunk in
 one buffer per solve; no ``(N, C, d)`` block is formed.
 """
@@ -35,14 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import loss
 from ..errors import SoprolabError
-from ..loss import (
-    SmoothnessBounds,
-    StackedSets,
-    logistic_curvature,
-    sets_grad,
-    sigma_sq_estimate,
-)
+from ..loss import StackedSets, logistic_curvature, sets_grad, sigma_sq_estimate
 
 __all__ = [
     "ReferenceSolution",
@@ -70,11 +65,6 @@ _ROUNDING = 1e3 * np.finfo(float).eps
 # most this fraction of its value at the step before.
 _REFACTOR_RATIO = 0.1
 
-# Rows per Hessian update: bounds the buffer the rows are read into and
-# scaled in to about 1 MB at d = 123 instead of one copy of the whole
-# stack.
-_HESS_CHUNK_ROWS = 1024
-
 
 class _Pool:
     """The stacked local sets, with the per-row weight ``1/C`` of the averages."""
@@ -84,8 +74,10 @@ class _Pool:
         n, per_agent, d = local.shape
         self.weight = 1.0 / per_agent
         # Every Hessian build writes each chunk of rows into it and scales
-        # it there: a new array a chunk cost more than the scaling.
-        self.rows = np.empty((min(_HESS_CHUNK_ROWS, n * per_agent), d))
+        # it there: a new array a chunk cost more than the scaling.  The
+        # chunk bounds the buffer instead of one copy of the whole stack.
+        self.chunk = loss.READ_CHUNK_ROWS
+        self.rows = np.empty((min(self.chunk, n * per_agent), d))
 
     def _spread(self, x: np.ndarray) -> np.ndarray:
         return np.broadcast_to(x, (len(self.local.lam), x.shape[0]))
@@ -113,8 +105,8 @@ class _Pool:
         d = self.local.dim
         root = np.sqrt(self.weight * logistic_curvature(u)).reshape(-1)
         H = np.zeros((d, d))
-        for start in range(0, root.size, _HESS_CHUNK_ROWS):
-            stop = min(start + _HESS_CHUNK_ROWS, root.size)
+        for start in range(0, root.size, self.chunk):
+            stop = min(start + self.chunk, root.size)
             B = self.rows[: stop - start]
             np.multiply(self.local.dense_rows(start, stop, B), root[start:stop, None], out=B)
             H += B.T @ B
@@ -182,7 +174,7 @@ def probe_points(local: StackedSets, x_star: np.ndarray, n_steps: int = 8) -> li
     iterates of a short deterministic gradient descent between them."""
     pool = _Pool(local)
     probes = [np.zeros_like(x_star), x_star]
-    total_M = float(SmoothnessBounds.from_sets(local).M.sum())
+    total_M = float((local.lam + local.curvature_bound).sum())
     x = np.zeros_like(x_star)
     step = 1.0 / max(total_M, 1e-12)
     for _ in range(n_steps):

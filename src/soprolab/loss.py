@@ -28,9 +28,9 @@ set-up, the proximal rounds and the baselines alike.  Every logistic
 probability is :func:`sigmoid`, ``scipy.special.expit``'s formula on
 numpy's ``exp``: it equals ``expit`` on about 98% of inputs and is
 within a few ulps of it on the rest, and it imports no scipy module.
-:class:`Sample`, the ``sample_*`` functions, the per-agent
-:class:`LocalDataset` and the ``batch_*`` functions are the definitions
-those are checked against.
+The per-agent :class:`LocalDataset` and its :func:`batch_grad`,
+:func:`batch_hess` (a :class:`LowRankHessian`) and :func:`full_grad`
+compute one agent alone; the stacked functions are checked against them.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 __all__ = [
-    "Sample",
     "LocalDataset",
     "StackedSets",
     "TestSet",
@@ -55,14 +54,9 @@ __all__ = [
     "LowRankHessian",
     "parse_libsvm",
     "partition",
-    "sample_loss",
-    "sample_grad",
-    "sample_hess",
-    "batch_loss",
     "batch_grad",
     "batch_hess",
     "full_grad",
-    "full_hess",
     "on_batches",
     "sets_grad",
     "sigmoid",
@@ -71,23 +65,6 @@ __all__ = [
     "sigma_sq_estimate",
     "predict",
 ]
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One labeled feature vector; the label is strictly -1 or +1."""
-
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise ParameterError(f"label must be +-1, got {self.label}")
-        self.features.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[0]
 
 
 @dataclass
@@ -220,10 +197,10 @@ class StackedSets:
         """Yield ``(a, b, feats)`` over consecutive runs of whole agents:
         ``feats`` is the ``(b - a, C, d)`` rows of agents ``a`` to ``b``,
         read by :meth:`dense_rows`.  A run holds at most
-        ``_READ_CHUNK_ROWS`` rows, or one agent; every run is written into
+        ``READ_CHUNK_ROWS`` rows, or one agent; every run is written into
         the same buffer, so ``feats`` is valid until the next run."""
         n, per_agent, d = self.shape
-        step = max(1, _READ_CHUNK_ROWS // per_agent)
+        step = max(1, READ_CHUNK_ROWS // per_agent)
         buffer = np.empty((min(step, n) * per_agent, d))
         for a in range(0, n, step):
             b = min(a + step, n)
@@ -281,9 +258,11 @@ def _map_labels(raw: np.ndarray, linenos: list[int]) -> np.ndarray:
 # Lines per slice of a file: the tokenizer's index arrays grow with a
 # slice, not with the file.
 _CHUNK_LINES = 1024
-# Rows per run of StackedSets.agent_chunks (whole agents, at least one):
-# the buffer the rows are read into is about 1 MB at d = 123.
-_READ_CHUNK_ROWS = 1024
+# Rows per dense read of the local sets in the set-up: a run of
+# StackedSets.agent_chunks (whole agents, at least one) and a chunk of the
+# reference Hessian.  The buffer the rows are read into is about 1 MB at
+# d = 123.
+READ_CHUNK_ROWS = 1024
 # The code points that ``str.split`` treats as whitespace, and those among
 # them that ``str.splitlines`` ends a line at; none lies above U+3000.
 _SPACES = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0, 0x1680,
@@ -666,29 +645,6 @@ def _check_dim(x: np.ndarray, d: int):
         raise ParameterError(f"dimension mismatch: x has shape {x.shape}, expected ({d},)")
 
 
-def sample_loss(x: np.ndarray, s: Sample, lam: float) -> float:
-    """Loss value; the logistic term uses a stable soft-plus."""
-    _check_dim(x, s.dim)
-    z = s.label * float(s.features @ x)
-    return 0.5 * lam * float(x @ x) + float(np.logaddexp(0.0, -z))
-
-
-def sample_grad(x: np.ndarray, s: Sample, lam: float) -> np.ndarray:
-    """Gradient ``lam*x - b * sigmoid(-b a^T x) * a``."""
-    _check_dim(x, s.dim)
-    z = s.label * float(s.features @ x)
-    return lam * x - (s.label * sigmoid(-z)) * s.features
-
-
-def sample_hess(x: np.ndarray, s: Sample, lam: float) -> LowRankHessian:
-    """Hessian ``lam*I + w a a^T`` with logistic curvature ``w <= 1/4``."""
-    _check_dim(x, s.dim)
-    p = sigmoid(float(s.features @ x))
-    return LowRankHessian(
-        lam=lam, weights=np.array([p * (1.0 - p)]), feats=s.features[None, :]
-    )
-
-
 def _as_index_array(ds: LocalDataset, indices) -> np.ndarray:
     idx = np.asarray(sorted(indices) if not isinstance(indices, np.ndarray) else indices)
     if idx.size == 0:
@@ -698,15 +654,6 @@ def _as_index_array(ds: LocalDataset, indices) -> np.ndarray:
             f"index out of range 0..{ds.n_samples - 1}: {idx.min()}..{idx.max()}"
         )
     return idx
-
-
-def batch_loss(x: np.ndarray, ds: LocalDataset, indices) -> float:
-    idx = _as_index_array(ds, indices)
-    _check_dim(x, ds.dim)
-    z = ds.labels[idx] * (ds.features[idx] @ x)
-    return 0.5 * ds.lambda_reg * float(x @ x) + float(
-        np.mean(np.logaddexp(0.0, -z))
-    )
 
 
 def batch_grad(x: np.ndarray, ds: LocalDataset, indices) -> np.ndarray:
@@ -734,10 +681,6 @@ def batch_hess(x: np.ndarray, ds: LocalDataset, indices) -> LowRankHessian:
 
 def full_grad(x: np.ndarray, ds: LocalDataset) -> np.ndarray:
     return batch_grad(x, ds, np.arange(ds.n_samples))
-
-
-def full_hess(x: np.ndarray, ds: LocalDataset) -> LowRankHessian:
-    return batch_hess(x, ds, np.arange(ds.n_samples))
 
 
 def on_batches(local: StackedSets, idx: np.ndarray | None, fn, *rows: np.ndarray):

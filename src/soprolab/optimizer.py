@@ -133,7 +133,6 @@ __all__ = [
     "NetworkState",
     "substream",
     "draw_positions",
-    "draw_batches",
     "sample_batches",
     "agent_batch_stats",
     "batch_positions",
@@ -294,27 +293,16 @@ def draw_positions(
     return flat
 
 
-def draw_batches(n: int, C: int, size: int, seed: int, round_idx: int, purpose: int) -> np.ndarray:
-    """Every agent's uniform ``size``-subset of its local set, one row each.
-
-    Row ``i`` holds the positions ``j`` of agent ``i``'s batch in its local
-    set, ascending: the :func:`draw_positions` of the same arguments, less
-    the offset ``i C`` of the agent's row.  A batch that is a whole local
-    set is the plain range.  Returns ``(n, size)``.
-    """
-    rows = draw_positions(n, C, size, seed, round_idx, purpose).reshape(n, size)
-    rows -= np.arange(n)[:, None] * C
-    return rows
-
-
 def sample_batches(C: int, G: int, S: int, seed: int, agent: int, round_idx: int):
     """One agent's gradient and Hessian index sets for one round.
 
-    They are row ``agent`` of the network's :func:`draw_batches`.  The
-    engine draws for all agents at once; this is its per-agent oracle.
+    They are agent ``agent``'s positions in the network's
+    :func:`draw_positions`, less the offset ``agent C`` of its row, so
+    ascending; a batch that is the whole local set is the plain range.
+    The engine draws for all agents at once; this is its per-agent oracle.
     """
     return tuple(
-        draw_batches(agent + 1, C, b, seed, round_idx, purpose)[agent]
+        draw_positions(agent + 1, C, b, seed, round_idx, purpose)[agent * b :] - agent * C
         for b, purpose in ((G, PURPOSE_GRAD), (S, PURPOSE_HESS))
     )
 

@@ -3,7 +3,9 @@ set-up code, the dense and stacked forms that the sparse set-up, the CSR
 operator of the local sets and the per-agent dense step replaced, and the
 numerical search (with the plain ``kappa`` evaluation) that the
 certificate's closed forms replaced, and the eigen-coordinate Q-norm error
-that its Gram form replaced.
+that its Gram form replaced.  The per-sample loss, gradient and Hessian
+(:class:`Sample`), the per-agent batch loss and the two-dimensional batch
+draw are the definitions the loss and the draw are checked against.
 
 Each function here is the plain loop or search that a routine of
 ``soprolab`` replaced; the tests check the routines against them.
@@ -22,15 +24,18 @@ from soprolab.certificate import _condition_shift, _lambda_min_shifted, m_beta
 from soprolab.errors import ConfigurationError, ParameterError, ParseError, SoprolabError
 from soprolab.loss import (
     LocalDataset,
+    LowRankHessian,
     StackedSets,
     TestSet,
+    _as_index_array,
     _block_diagonal,
+    _check_dim,
     _dense_csr,
-    batch_loss,
+    batch_hess,
     full_grad,
-    full_hess,
+    sigmoid,
 )
-from soprolab.optimizer import substream
+from soprolab.optimizer import draw_positions, substream
 from soprolab.topology import Graph, _tree_from_pruefer
 
 # Raw label sets LIBSVM files use, in the order they are tried, as maps to +-1.
@@ -131,6 +136,61 @@ def dense_step_stacked(x, rhs, F, w, c):
         if dposv(H[i].T, z[i], lower=1, overwrite_a=1, overwrite_b=1)[2] > 0:
             raise ConfigurationError(f"agent {i}: not positive definite")
     return x - z
+
+
+@dataclass(frozen=True)
+class Sample:
+    """One labeled feature vector; the label is strictly -1 or +1."""
+
+    features: np.ndarray
+    label: int
+
+    def __post_init__(self):
+        if self.label not in (-1, 1):
+            raise ParameterError(f"label must be +-1, got {self.label}")
+        self.features.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.features.shape[0]
+
+
+def sample_loss(x, s, lam):
+    """Loss value; the logistic term uses a stable soft-plus."""
+    _check_dim(x, s.dim)
+    z = s.label * float(s.features @ x)
+    return 0.5 * lam * float(x @ x) + float(np.logaddexp(0.0, -z))
+
+
+def sample_grad(x, s, lam):
+    """Gradient ``lam*x - b * sigmoid(-b a^T x) * a``."""
+    _check_dim(x, s.dim)
+    z = s.label * float(s.features @ x)
+    return lam * x - (s.label * sigmoid(-z)) * s.features
+
+
+def sample_hess(x, s, lam):
+    """Hessian ``lam*I + w a a^T`` with logistic curvature ``w <= 1/4``."""
+    _check_dim(x, s.dim)
+    p = sigmoid(float(s.features @ x))
+    return LowRankHessian(lam=lam, weights=np.array([p * (1.0 - p)]), feats=s.features[None, :])
+
+
+def batch_loss(x, ds, indices):
+    """Mean of per-sample losses over ``indices`` of one agent's set."""
+    idx = _as_index_array(ds, indices)
+    _check_dim(x, ds.dim)
+    z = ds.labels[idx] * (ds.features[idx] @ x)
+    return 0.5 * ds.lambda_reg * float(x @ x) + float(np.mean(np.logaddexp(0.0, -z)))
+
+
+def draw_batches(n, C, size, seed, round_idx, purpose):
+    """Every agent's batch, one row each: row ``i`` holds the positions
+    ``j`` in agent ``i``'s set of the ``draw_positions`` of the same
+    arguments, less the offset ``i C`` of its row.  Returns ``(n, size)``."""
+    rows = draw_positions(n, C, size, seed, round_idx, purpose).reshape(n, size)
+    rows -= np.arange(n)[:, None] * C
+    return rows
 
 
 def draw_batches_argpartition(n, C, size, seed, round_idx, purpose):
@@ -261,7 +321,7 @@ def gradient_per_agent(x, datasets):
 def hessian_per_agent(x, datasets):
     H = np.zeros((x.shape[0], x.shape[0]))
     for ds in datasets:
-        H += full_hess(x, ds).dense()
+        H += batch_hess(x, ds, np.arange(ds.n_samples)).dense()
     return H
 
 

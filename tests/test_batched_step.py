@@ -3,8 +3,8 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from oracles import (
-    agent_datasets, block_of, dense_block, dense_step_stacked, densify, flat_positions, stack_sets,
-    stacked,
+    agent_datasets, block_of, dense_block, dense_step_stacked, densify, draw_batches, flat_positions,
+    stack_sets, stacked,
 )
 from soprolab import baselines, optimizer, topology
 from soprolab.baselines import dsgt_round, metropolis_weights
@@ -29,7 +29,6 @@ from soprolab.optimizer import (
     RunConfig,
     agent_batch_stats,
     batch_positions,
-    draw_batches,
     draw_positions,
     gram_step,
     init_network,

@@ -8,16 +8,17 @@ import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
-from oracles import agent_datasets, block_of, densify, flat_positions, on_batches_2d, stacked
+from oracles import (
+    Sample, agent_datasets, batch_loss, block_of, densify, flat_positions, on_batches_2d,
+    sample_grad, sample_hess, sample_loss, stacked,
+)
 from soprolab.errors import ParameterError, ParseError
 from soprolab.loss import (
     LocalDataset,
-    Sample,
     SmoothnessBounds,
     StackedSets,
     batch_grad,
     batch_hess,
-    batch_loss,
     full_grad,
     logistic_coef,
     logistic_curvature,
@@ -25,9 +26,6 @@ from soprolab.loss import (
     parse_libsvm,
     partition,
     predict,
-    sample_grad,
-    sample_hess,
-    sample_loss,
     sets_grad,
     sigma_sq_estimate,
     sigmoid,

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import agent_datasets, draw_batches_argpartition, flat_positions, stack_sets
+from oracles import (
+    agent_datasets, draw_batches, draw_batches_argpartition, flat_positions, stack_sets,
+)
 from soprolab import optimizer
 from soprolab.certificate import proximal_alphas
 from soprolab.errors import ConfigurationError, InvariantViolation, ParameterError
@@ -19,7 +21,6 @@ from soprolab.optimizer import (
     PURPOSE_INIT,
     RunConfig,
     batch_positions,
-    draw_batches,
     draw_positions,
     exchange_and_dual_update,
     init_network,

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Sample,
     agent_datasets,
     block_of,
     dense_block,
@@ -39,7 +40,6 @@ from soprolab.harness.cli import main
 from soprolab.harness.metrics import accuracy
 from soprolab.harness.synthetic import gaussian_blob_samples
 from soprolab.loss import (
-    Sample,
     SmoothnessBounds,
     StackedSets,
     parse_libsvm,
@@ -761,8 +761,7 @@ def test_csr_sets_read_as_their_dense_block_bitwise_in_every_set_up_reader(sizes
     n, C, d = sets.shape
     assert block.shape == sets.shape and sets.dim == d
     stack = block.reshape(-1, d)
-    with mock.patch.object(loss, "_READ_CHUNK_ROWS", chunk), \
-            mock.patch.object(reference, "_HESS_CHUNK_ROWS", chunk):
+    with mock.patch.object(loss, "READ_CHUNK_ROWS", chunk):
         # Any run of rows, written over whatever the buffer held.
         buffer = np.full((n * C, d), np.nan)
         last = n * C
