@@ -10,6 +10,16 @@ with the Neumann series.  One more reads a small one-hot LIBSVM file, which
 the local sets through their CSR operator.  A golden file holds, per
 round, ``opt_err``, ``q_err``, ``comm_bits`` and ``test_acc``; and per run
 the path the proximal step took, the alphas and every certificate field.
+
+Two more St-SoPro cases (:data:`AT_RHO_2`) take the solves that the series
+leaves out.  Each runs :func:`~soprolab.optimizer.run` on the problem that
+:func:`~soprolab.harness.experiment.build_problem` builds, at alphas set
+directly so that the engine's bound is ``rho = 2``, and at ``beta =
+0.05``, where both runs converge.  With ``S < d < C`` the row step solves
+by CG; with ``S < C <= d`` the Gram step factors.  Their files hold, per
+round, ``opt_err`` against the reference ``x*``; and per run the path the
+step took, the engine and the alphas.
+
 ``test_golden.py`` compares a fresh run with the file at a relative
 tolerance of 1e-9.
 
@@ -25,13 +35,20 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
 from soprolab import optimizer
-from soprolab.harness.experiment import ExperimentConfig, build_certificate, run_experiment
+from soprolab.harness.experiment import (
+    ExperimentConfig,
+    build_certificate,
+    build_problem,
+    run_experiment,
+)
+from soprolab.harness.metrics import optimality_error
 
 HERE = Path(__file__).resolve().parent
 
@@ -60,7 +77,14 @@ CASES = {
     "dsgt": (None, dict(algorithm="dsgt", dim=10, per_agent=30, batch_g=10, step_size=0.5)),
     "st_sopro_one_hot": ("row_step", dict(algorithm="st_sopro", dataset=ONE_HOT, dim=12,
                                           per_agent=30, batch_g=10, batch_s=8)),
+    "st_sopro_cg": ("row_step", dict(algorithm="st_sopro", dim=20, per_agent=40, batch_g=10,
+                                     batch_s=8, beta=0.05)),
+    "st_sopro_cholesky": ("gram_step", dict(algorithm="st_sopro", dim=40, per_agent=30,
+                                            batch_g=10, batch_s=10, beta=0.05)),
 }
+
+# The cases run at rho = 2 through optimizer.run rather than run_experiment.
+AT_RHO_2 = ("st_sopro_cg", "st_sopro_cholesky")
 
 # The proximal step functions; a case's runs must call exactly one.
 STEPS = ("row_step", "gram_step")
@@ -80,6 +104,42 @@ def config(name: str) -> ExperimentConfig:
     return ExperimentConfig(**COMMON, **CASES[name][1])
 
 
+def experiment_record(cfg: ExperimentConfig, tmp: Path) -> dict:
+    """One :func:`run_experiment` of ``cfg``: its alphas, certificate and
+    per-round metrics."""
+    if cfg.dataset == ONE_HOT:
+        write_one_hot(tmp / ONE_HOT)
+        cfg = cfg.with_overrides({"dataset": str(tmp / ONE_HOT)})
+    result = run_experiment(cfg)
+    _, alphas, _, _ = build_certificate(cfg, result.problem)
+    return {
+        "alphas": None if alphas is None else np.asarray(alphas).tolist(),
+        "certificate": None if result.certificate is None else result.certificate.to_dict(),
+        "rows": [
+            {"round": r.round, "opt_err": r.opt_err, "q_err": r.q_err,
+             "comm_bits": r.comm_bits, "test_acc": r.test_acc}
+            for r in result.traces[0].rows
+        ],
+    }
+
+
+def record_at_rho_2(cfg: ExperimentConfig) -> dict:
+    """One :func:`~soprolab.optimizer.run` of ``cfg`` at alphas whose
+    shifts put the engine's bound at ``rho = 2``: its engine, alphas and
+    per-round ``opt_err``."""
+    problem = build_problem(cfg)
+    local = problem.local
+    alphas = np.full(len(local.lam), 0.125 * local.row_sq.max()) - local.lam
+    rows = []
+
+    def on_round(k, state):
+        rows.append({"round": k, "opt_err": optimality_error(state.x, problem.reference.x)})
+
+    state = optimizer.run(problem.P, local, cfg.to_run_config(cfg.master_seed), alphas,
+                          [on_round])
+    return {"engine": asdict(state.engine), "alphas": alphas.tolist(), "rows": rows}
+
+
 def record(name: str) -> dict:
     """The golden record of case ``name``, computed now."""
     cfg = config(name)
@@ -96,24 +156,10 @@ def record(name: str) -> dict:
 
     patches = {step: counted(step) for step in STEPS}
     with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(optimizer, **patches):
-        run_cfg = cfg
-        if cfg.dataset == ONE_HOT:
-            write_one_hot(Path(tmp) / ONE_HOT)
-            run_cfg = cfg.with_overrides({"dataset": str(Path(tmp) / ONE_HOT)})
-        result = run_experiment(run_cfg)
-        _, alphas, _, _ = build_certificate(run_cfg, result.problem)
+        rec = record_at_rho_2(cfg) if name in AT_RHO_2 else experiment_record(cfg, Path(tmp))
     taken = [step for step, n in calls.items() if n]
-    return {
-        "config": cfg.to_dict(),
-        "path": taken[0] if len(taken) == 1 else taken or None,
-        "alphas": None if alphas is None else np.asarray(alphas).tolist(),
-        "certificate": None if result.certificate is None else result.certificate.to_dict(),
-        "rows": [
-            {"round": r.round, "opt_err": r.opt_err, "q_err": r.q_err,
-             "comm_bits": r.comm_bits, "test_acc": r.test_acc}
-            for r in result.traces[0].rows
-        ],
-    }
+    return {"config": cfg.to_dict(), "path": taken[0] if len(taken) == 1 else taken or None,
+            **rec}
 
 
 def golden_path(name: str) -> Path:
