@@ -105,14 +105,12 @@ class ExperimentConfig:
 
     def to_run_config(self, seed: int) -> optimizer.RunConfig:
         """The engine's parameters: every ``RunConfig`` field that is also a
-        config key, with this ``seed``; SoPro's batches are whole local sets."""
+        config key, with this ``seed``."""
         shared = {
             f.name: getattr(self, f.name)
             for f in fields(optimizer.RunConfig)
             if f.name in CONFIG_SCHEMA
         }
-        if self.algorithm == "sopro":
-            shared.update(batch_g=self.per_agent, batch_s=self.per_agent)
         return optimizer.RunConfig(**shared, seed=seed)
 
     def to_dict(self) -> dict:
@@ -267,7 +265,7 @@ def build_certificate(config: ExperimentConfig, problem: Problem):
     if config.algorithm not in optimizer.PROXIMAL:
         return None, None, config.mu, None
     sigma_sq = estimate_sigma_sq(problem.local, problem.reference.x)
-    G = config.per_agent if config.algorithm == "sopro" else config.batch_g
+    G, _ = config.to_run_config(0).batches(config.per_agent)
     tau_value = cert.tau(config.per_agent, G)
     alphas, mu = cert.proximal_alphas(
         problem.bounds, problem.P, config.beta, config.eta_s, config.mu

@@ -41,8 +41,11 @@ count <= 1 / (4 count)`` over the ``count`` rows of the batch, so
     ``rho = max_i max_r |a_r|^2 / (4 c_i)``
 
 bounds every ``||B_i^T B_i|| / c_i``.  From ``rho``, the Hessian batch
-size ``S`` (``C`` in full batch), ``C`` and ``d``, :func:`proximal_engine`
-chooses once per run one of three solves:
+size ``S`` (:meth:`RunConfig.batches`: ``C`` in full batch), ``C`` and
+``d``, :func:`proximal_engine` chooses once per run one of three solves.
+Each takes the round's right-hand sides ``r_i = g_i + beta y_i + q_i``
+and curvature weights ``w_i`` and returns every ``x_i - (c_i I + B_i^T
+B_i)^{-1} r_i``:
 
 * ``rho < 1``, any shape, while ``k`` is at most twice CG's a-priori
   iteration cap at ``rho`` (:func:`_cg_iterations`): :func:`row_step`
@@ -72,14 +75,16 @@ chooses once per run one of three solves:
   raises a :class:`~soprolab.errors.DivergenceError` naming it and the
   round, rather than iterate on a system too ill-conditioned to solve.
 
-Both row solves apply ``F_i^T (w_i (F_i v))`` through the local sets'
-``matvec`` and ``rmatvec``: no system is formed and no row is factored.
 A batch is always the whole local sets and the drawn flat positions
 (:func:`batch_positions`); the values of a row off its batch are zero
-(:func:`~soprolab.loss.on_batches`).  Both batches are drawn at
-the same ``x``, so the gradient and the curvature share one margins
-pass.  Every pass is one sparse product of the local sets' block-diagonal
-CSR operator (:class:`~soprolab.loss.StackedSets`).
+(:func:`~soprolab.loss.on_batches`).  Both batches are drawn at the same
+``x``, so one margins pass gives both the gradients, hence ``r``, and
+the curvature weights ``w``.  The row solves apply ``F_i^T (w_i (F_i
+v))`` through the local sets' ``matvec`` and ``rmatvec`` once a term or
+iteration: no system is formed and no row is factored.  The Gram step
+reads ``F r`` by one ``matvec`` and returns through one ``rmatvec``.
+Every pass is one sparse product of the local sets' block-diagonal CSR
+operator (:class:`~soprolab.loss.StackedSets`).
 
 :func:`local_step` steps one agent alone by Cholesky: it is the
 per-agent oracle the batched steps are tested against.  It and the
@@ -116,7 +121,6 @@ from .loss import (
     StackedSets,
     batch_grad,
     batch_hess,
-    logistic_coef,
     logistic_curvature,
     on_batches,
     sets_grad,
@@ -206,9 +210,17 @@ class RunConfig:
     step_size: float | None = None  # baselines only
     step_schedule: str = "constant"
 
+    def batches(self, n_samples: int) -> tuple[int, int]:
+        """The gradient and Hessian batch sizes ``(G, S)`` on local sets of
+        ``n_samples`` rows: SoPro's are the whole sets, whatever
+        ``batch_g`` and ``batch_s`` say."""
+        if self.algorithm == "sopro":
+            return n_samples, n_samples
+        return self.batch_g, self.batch_s
+
     def validate(self, n_samples: int) -> None:
         """Refuse a bad parameter; ``n_samples`` is the size ``C`` of every
-        local set, which bounds both batches."""
+        local set, which bounds both :meth:`batches`."""
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
@@ -227,7 +239,7 @@ class RunConfig:
             raise ConfigurationError(f"unknown x0_mode {self.x0_mode!r}")
         if self.step_schedule not in ("constant", "one_over_k"):
             raise ConfigurationError(f"unknown step_schedule {self.step_schedule!r}")
-        for name, b in (("batch_g", self.batch_g), ("batch_s", self.batch_s)):
+        for name, b in zip(("batch_g", "batch_s"), self.batches(n_samples)):
             if not 1 <= b <= n_samples:
                 raise ConfigurationError(f"{name}={b} outside 1..{n_samples}")
 
@@ -321,12 +333,12 @@ def agent_batch_stats(
 
 
 def batch_positions(
-    local: StackedSets, size: int | None, seed: int, round_idx: int, purpose: int
+    local: StackedSets, size: int, seed: int, round_idx: int, purpose: int
 ) -> np.ndarray | None:
     """The ``(N size,)`` flat positions ``i C + j`` of every agent's batch
     in the ``(N, C)`` rows of the local sets (:func:`draw_positions`), or
-    ``None`` when the batches are the whole sets (``size`` ``None`` or
-    ``C``), which need no draw.
+    ``None`` when the batches are the whole sets (``size == C``), which
+    need no draw.
 
     A round reads the whole sets ``local`` at these positions (see
     :func:`~soprolab.loss.on_batches`).  Every agent's ``size`` positions
@@ -335,7 +347,7 @@ def batch_positions(
     a negative position), so another agent's row would pass them.
     """
     n, C = local.labels.shape
-    if size is None or size == C:
+    if size == C:
         return None
     flat = draw_positions(n, C, size, seed, round_idx, purpose)
     if flat.shape != (n * size,):
@@ -603,67 +615,52 @@ def gram_stack(local: StackedSets) -> np.ndarray:
 
 def gram_step(
     x: np.ndarray,
-    t: np.ndarray,
+    rhs: np.ndarray,
     local: StackedSets,
-    gram: np.ndarray,
-    g_idx: np.ndarray | None,
-    s_idx: np.ndarray | None,
+    w: np.ndarray,
     c: np.ndarray,
+    gram: np.ndarray,
+    s_idx: np.ndarray | None,
 ) -> np.ndarray:
-    """Proximal steps of all agents, batch gradients included, from the
-    Gram matrices of their local sets, by one Cholesky factorisation of a
-    Woodbury ``S x S`` system per agent.
+    """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``
+    with ``B_i^T B_i = F_i^T diag(w_i) F_i``, by one Cholesky factorisation of
+    a Woodbury ``S x S`` system per agent, from the Gram matrices of their
+    local sets.
 
-    ``x`` and ``t = lam x + beta y + q`` are ``(N, d)``; ``gram`` is the
-    ``(N, C, C)`` stack of ``F_i F_i^T`` over the local sets ``F``
-    (``local``); ``g_idx`` and ``s_idx`` are the flat positions of the
-    gradient and Hessian batches from :func:`batch_positions` (``None``:
-    whole sets);
-    ``c`` is ``(N,)``, every entry positive (checked, naming the first
-    agent whose is not).
+    ``x``, ``rhs``, ``local``, ``w`` and ``c`` are as for :func:`row_step`;
+    ``gram`` is the ``(N, C, C)`` stack of ``F_i F_i^T`` (:func:`gram_stack`)
+    and ``s_idx`` the flat positions of the Hessian batches from
+    :func:`batch_positions` (``None``: whole sets), off which ``w`` is zero.
 
     By the Woodbury identity
 
         ``(c I + B^T B)^{-1} r = (r - B^T (c I_S + B B^T)^{-1} B r) / c``,
 
-    each agent solves an ``S x S`` system.  With ``chat_i`` the gradient
-    coefficients of agent ``i``'s G batch (zero off it), the right-hand
-    side is ``r_i = g_i + beta y_i + q_i = t_i - F_i^T chat_i``.
-    ``B_i B_i^T`` is ``gram[i]`` restricted to ``S_i`` and scaled by
-    ``sqrt(w_i)`` on both sides, and ``B_i r_i = sqrt(w_i) (F_i t_i -
-    gram[i] chat_i)[S_i]``.  So ``local.matvec`` of ``x`` and of ``t``
-    gives the margins ``F x`` (hence ``chat`` and ``w``) and ``F t``; one
-    Cholesky factor-and-solve per agent gives ``z_i``; and one
-    ``local.rmatvec`` of ``v``, ``v_i = chat_i + scatter(sqrt(w_i) z_i)``,
-    gives the step ``(t - F^T v) / c``: three products of the local sets'
-    operator and no row gather.
+    each agent solves an ``S x S`` system.  ``B_i B_i^T`` is ``gram[i]``
+    restricted to ``S_i`` and scaled by ``sqrt(w_i)`` on both sides, and
+    ``B_i r_i = sqrt(w_i) (F_i r_i)[S_i]``.  So one ``local.matvec`` of
+    ``rhs`` gives ``F r``; one Cholesky factor-and-solve per agent gives
+    ``z_i``; and one ``local.rmatvec`` of ``v``, ``sqrt(w_i) z_i`` on the
+    batch rows and zero off them, gives the step ``(r - F^T v) / c``: two
+    products of the local sets' operator and no row gather.
     """
     _check_shift(c)
-    u, Ft = local.matvec(x), local.matvec(t)
-    coef, size = on_batches(local, g_idx, logistic_coef, u, local.labels)
-    coef /= size
-    Fr = Ft - (gram @ coef[:, :, None])[:, :, 0]  # F r: r = t - F^T chat
-    n, C = u.shape
-    if s_idx is None:
-        sw = np.sqrt(logistic_curvature(u) / C)
-        K, z = gram.copy(), sw * Fr
-    else:
-        rows = s_idx.reshape(n, -1)  # agent i's flat positions i C + j
-        sw = np.sqrt(logistic_curvature(u.ravel()[rows]) / rows.shape[1])
-        # gram[i, a, b] sits at flat position (i C + a) C + b.
-        at = rows - np.arange(0, n * C, C)[:, None]
-        K = np.take(gram, rows[:, :, None] * C + at[:, None, :])
-        z = sw * Fr.ravel()[rows]
+    n, C = w.shape
+    # Agent i's Hessian batch rows, as flat positions i C + j.
+    rows = (np.arange(n * C) if s_idx is None else s_idx).reshape(n, -1)
+    sw = np.sqrt(w.ravel()[rows])
+    # gram[i, a, b] sits at flat position (i C + a) C + b.
+    at = rows - np.arange(0, n * C, C)[:, None]
+    K = np.take(gram, rows[:, :, None] * C + at[:, None, :])
     K *= sw[:, :, None] * sw[:, None, :]
     diag = np.arange(K.shape[1])
     K[:, diag, diag] += c[:, None]
+    z = sw * local.matvec(rhs).ravel()[rows]
     _cholesky_solve(K, z)
     z *= sw
-    if s_idx is None:
-        coef += z
-    else:
-        coef.put(s_idx, coef.take(s_idx) + z.ravel())
-    return x - (t - local.rmatvec(coef)) / c[:, None]
+    v = np.zeros_like(w)
+    v.ravel()[rows] = z
+    return x - (rhs - local.rmatvec(v)) / c[:, None]
 
 
 def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> None:
@@ -720,7 +717,7 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     Every shift ``lam_i + alpha_i`` must be positive: the first agent whose
     is not is named in a :class:`~soprolab.errors.ConfigurationError`.  The
     solve follows from the bound ``rho``, the Hessian batch size ``S``
-    (``C`` in full batch), ``C`` and ``d`` (see the module docstring):
+    (:meth:`RunConfig.batches`), ``C`` and ``d`` (see the module docstring):
     the series when ``rho < 1`` and its term count is at most twice CG's
     a-priori cap, else Cholesky by :func:`gram_step` when ``S < d`` and
     ``C <= d``, else CG, capped at the fewer of its a-priori
@@ -741,7 +738,7 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
             "is not finite; the proximal blocks are too small for this problem"
         )
     rho = float(ratios.max())
-    rows = C if config.algorithm == "sopro" else config.batch_s
+    _, rows = config.batches(C)
     terms, cg_terms = _series_terms(rho), _cg_iterations(rho)
     if terms is not None and terms <= 2 * cg_terms:
         solve = "series"
@@ -756,17 +753,18 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     """St-SoPro or SoPro, set up for :func:`run`.
 
     ``alphas`` is the ``(N,)`` vector of the proximal matrices
-    ``D_i = alphas[i] I``.  The round steps all agents with one batched
-    call, with the solve :func:`proximal_engine` chooses
+    ``D_i = alphas[i] I``.  Each round reads the whole local sets at the
+    positions :func:`batch_positions` draws for the gradient and Hessian
+    batches of the sizes :meth:`RunConfig.batches` gives (SoPro's are the
+    whole sets, which need no draw).  Both batches are drawn at the same
+    ``x``, so one margins pass gives the right-hand sides ``g_i + beta y_i
+    + q_i`` and the curvature weights ``w`` of the Hessian batch rows.
+    One batched solve of all agents then applies every ``(h_i +
+    D_i)^{-1}`` to them, by the solve :func:`proximal_engine` chooses
     here: :func:`row_step` by the Neumann series or by CG, or
     :func:`gram_step` (its Gram stack computed here once) by Cholesky.
-    Either reads the whole local sets at the positions
-    :func:`batch_positions` draws for the gradient and Hessian batches,
-    and the gradient and the curvature share one margins pass: both
-    batches are drawn at the same ``x``.  The full-batch deterministic
-    variant follows the same code path with both batches forced to the
-    whole local sets, so its trace is bitwise identical to the stochastic
-    method at ``G = S = C``.
+    SoPro's trace is thus bitwise identical to St-SoPro's at ``G = S =
+    C``.
 
     Returns the state after the initial exchange, its ``engine`` set, the
     round function, and the ``2 |E| d`` scalars each exchange sends, at
@@ -780,38 +778,27 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
         raise ConfigurationError("alphas must be finite")
     state = init_network(P, local, config)
     engine = state.engine = proximal_engine(local, config, alphas)
-    solve, terms = engine.solve, engine.terms
-    beta, seed, full = config.beta, config.seed, config.algorithm == "sopro"
-    batch_g = None if full else config.batch_g
-    batch_s = None if full else config.batch_s
+    gram = gram_stack(local) if engine.solve == "cholesky" else None
+    G, S = config.batches(local.shape[1])
+    beta, seed = config.beta, config.seed
     shift = local.lam + alphas
     sent = 2 * P.graph.n_edges * state.dim
 
-    if solve == "cholesky":
-        gram = gram_stack(local)
-
-        def gram_round(state: NetworkState, k: int) -> None:
-            t = local.lam[:, None] * state.x + beta * state.y + state.q
-            g_idx = batch_positions(local, batch_g, seed, k, PURPOSE_GRAD)
-            s_idx = batch_positions(local, batch_s, seed, k, PURPOSE_HESS)
-            state.x = gram_step(state.x, t, local, gram, g_idx, s_idx, shift)
-            exchange_and_dual_update(state, P, beta)
-
-        return state, gram_round, sent, sent
-
-    def row_round(state: NetworkState, k: int) -> None:
-        g_idx = batch_positions(local, batch_g, seed, k, PURPOSE_GRAD)
-        s_idx = batch_positions(local, batch_s, seed, k, PURPOSE_HESS)
+    def proximal_round(state: NetworkState, k: int) -> None:
+        g_idx = batch_positions(local, G, seed, k, PURPOSE_GRAD)
+        s_idx = batch_positions(local, S, seed, k, PURPOSE_HESS)
         u = local.matvec(state.x)
-        grads = sets_grad(state.x, local, g_idx, u)
+        rhs = sets_grad(state.x, local, g_idx, u) + beta * state.y + state.q
         # A row off the Hessian batch weighs nothing.
         w, size = on_batches(local, s_idx, logistic_curvature, u)
         w /= size
-        rhs = grads + beta * state.y + state.q
-        state.x = row_step(state.x, rhs, local, w, shift, solve, terms, k + 1)
+        if gram is None:
+            state.x = row_step(state.x, rhs, local, w, shift, engine.solve, engine.terms, k + 1)
+        else:
+            state.x = gram_step(state.x, rhs, local, w, shift, gram, s_idx)
         exchange_and_dual_update(state, P, beta)
 
-    return state, row_round, sent, sent
+    return state, proximal_round, sent, sent
 
 
 def run(P: MatrixP, local: StackedSets, config: RunConfig, alphas=None, callbacks=()) -> NetworkState:

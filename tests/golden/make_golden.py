@@ -1,10 +1,10 @@
 """Golden traces: small experiments whose numbers a behaviour-keeping
 change must reproduce.
 
-Each case is one :func:`~soprolab.harness.experiment.run_experiment` on
-synthetic data (d <= 40, 30 rounds): St-SoPro with ``S >= d``, with
+Six cases are each one :func:`~soprolab.harness.experiment.run_experiment`
+on synthetic data (d <= 40, 30 rounds): St-SoPro with ``S >= d``, with
 ``S < d < C`` and with ``S < C <= d``; full-batch SoPro, DSGD and DSGT.
-Every proximal case runs at certified alphas, so it takes the row step
+Every proximal one runs at certified alphas, so it takes the row step
 with the Neumann series.  One more reads a small one-hot LIBSVM file, which
 :func:`record` writes to a temporary directory first.  Every case reads
 the local sets through their CSR operator.  A golden file holds, per
@@ -64,7 +64,9 @@ ONE_HOT = "one_hot.svm"
 # give the shape: S >= d
 # ("dense"), S < d < C ("woodbury") and S < C <= d ("gram"), where the
 # engine factors the Woodbury systems from the Gram stack at rho >= 1.
-# At the certified alphas every case takes the series on the row step.
+# At the certified alphas every case takes the series on the row step; the
+# AT_RHO_2 cases take CG on the row step ("cg") and the Gram step
+# ("cholesky").
 CASES = {
     "st_sopro_dense": ("row_step", dict(algorithm="st_sopro", dim=8, per_agent=30,
                                         batch_g=10, batch_s=10)),

@@ -4,7 +4,7 @@ from scipy.sparse import csr_matrix
 
 from oracles import (
     agent_datasets, block_of, dense_block, dense_step_stacked, densify, draw_batches, flat_positions,
-    stack_sets, stacked,
+    stack_sets,
 )
 from soprolab import baselines, optimizer, topology
 from soprolab.baselines import dsgt_round, metropolis_weights
@@ -14,12 +14,9 @@ from soprolab.harness.metrics import optimality_error
 from soprolab.harness.reference import solve_reference
 from soprolab.harness.synthetic import gaussian_blob_samples
 from soprolab.loss import (
-    LocalDataset,
     LowRankHessian,
     SmoothnessBounds,
     StackedSets,
-    batch_grad,
-    batch_hess,
     partition,
     sets_grad,
 )
@@ -155,45 +152,50 @@ def test_row_step_rejects_nonpositive_shift(F, c, solve, terms):
 
 
 def test_gram_step_matches_dense_inverse_oracle():
+    # A round at rho >= 1 hands its solve the right-hand sides and the
+    # curvature weights of the Hessian batch rows, zero off them.  The Gram
+    # step and the CG row step, given the same (rhs, w), must each apply
+    # every (c_i I + F_i^T diag(w_i) F_i)^{-1} to rhs_i.
     rng = np.random.default_rng(8)
     n, C, d, lam = 5, 12, 14, 0.1
-    datasets = [
-        LocalDataset((rng.random((C, d)) < 0.3).astype(float), rng.choice((-1, 1), C), lam)
-        for _ in range(n)
-    ]
-    alphas = np.geomspace(0.5, 800.0, n)
-    x = rng.standard_normal((n, d))
-    prox = rng.standard_normal((n, d))  # beta y + q
-    g_draw = draw_batches(n, C, 5, 3, 0, PURPOSE_GRAD)
-    s_draw = draw_batches(n, C, 4, 3, 0, PURPOSE_HESS)
-    # The two batches share rows, which both the gradient and the Hessian use.
-    assert any(np.intersect1d(g, s).size for g, s in zip(g_draw, s_draw))
-    local = stacked(datasets)
+    feats = (rng.random((n, C, d)) < 0.3).astype(float)
+    local = stack_sets(feats, rng.choice((-1, 1), (n, C)), lam)
+    c = lam + np.geomspace(0.5, 800.0, n)
+    x, rhs = rng.standard_normal((n, d)), rng.standard_normal((n, d))
     block = block_of(local)
     gram = block @ block.transpose(0, 2, 1)
-    for g_idx, s_idx in [(g_draw, s_draw), (None, None), (None, s_draw), (g_draw, None)]:
-        g_flat, s_flat = (None if i is None else flat_positions(i, C) for i in (g_idx, s_idx))
-        out = gram_step(x, lam * x + prox, local, gram, g_flat, s_flat, lam + alphas)
-        for i, ds in enumerate(datasets):
-            whole = np.arange(C)
-            g = batch_grad(x[i], ds, whole if g_idx is None else g_idx[i])
-            h = batch_hess(x[i], ds, whole if s_idx is None else s_idx[i])
-            A = h.dense() + alphas[i] * np.eye(d)
-            expected = x[i] - np.linalg.inv(A) @ (g + prox[i])
-            assert rel_err(out[i], expected) <= 1e-10
+    iterations = optimizer._cg_iterations(rho_bound(feats, c))
+    for s_idx in (draw_batches(n, C, 4, 3, 0, PURPOSE_HESS), None):
+        size = C if s_idx is None else s_idx.shape[1]
+        w = rng.uniform(0.0, 0.25 / size, (n, C))  # the logistic weights' range
+        s_flat = None
+        if s_idx is not None:
+            s_flat = flat_positions(s_idx, C)
+            on_batch = np.zeros(n * C, dtype=bool)
+            on_batch[s_flat] = True
+            w[~on_batch.reshape(n, C)] = 0.0
+        w_in = w.copy()
+        for out in (gram_step(x, rhs, local, w, c, gram, s_flat),
+                    row_step(x, rhs, local, w, c, "cg", iterations)):
+            assert np.array_equal(w, w_in)
+            for i in range(n):
+                A = feats[i].T @ (w[i, :, None] * feats[i]) + c[i] * np.eye(d)
+                assert rel_err(out[i], x[i] - np.linalg.inv(A) @ rhs[i]) <= 1e-12
 
 
 def test_gram_step_rejects_nonpositive_shift_with_definite_small_systems():
-    # Orthogonal rows of norm 2 at x = 0: every c I_S + B B^T is
-    # (0.2 + c) I_S, positive definite for these c, yet c I + B^T B has the
-    # eigenvalue c on the d - S directions the rows do not reach.
+    # Orthogonal rows of norm 2 at the curvature weight 1 / (4 S) of x = 0:
+    # every c I_S + B B^T is (0.2 + c) I_S, positive definite for these c,
+    # yet c I + B^T B has the eigenvalue c on the d - S directions the rows
+    # do not reach.
     n, S, d = 4, 5, 8
     local = stack_sets([2.0 * np.eye(S, d)] * n, [np.ones(S)] * n, 0.1)
     block = block_of(local)
     gram = block @ block.transpose(0, 2, 1)
     c = np.array([1.0, 2.0, 0.0, -0.1])
     with pytest.raises(ConfigurationError) as e:
-        gram_step(np.zeros((n, d)), np.ones((n, d)), local, gram, None, None, c)
+        gram_step(np.zeros((n, d)), np.ones((n, d)), local, np.full((n, S), 0.25 / S), c,
+                  gram, None)
     assert "agent 2" in str(e.value)
 
 
@@ -312,13 +314,10 @@ def reference_run(P, local, config, alphas):
     """Per-agent rounds: fresh substreams, dense Cholesky steps, neighbor sums."""
     state = init_network(P, local, config)
     state.y = neighbor_disagreement(P, state.x)
-    full = config.algorithm == "sopro"
+    G, S = config.batches(local.shape[1])
     history = [(state.x.copy(), state.q.copy())]
     for k in range(config.max_iters):
         for i, ds in enumerate(agent_datasets(local)):
-            C = ds.n_samples
-            G = C if full else config.batch_g
-            S = C if full else config.batch_s
             g, h = agent_batch_stats(state.x[i], ds, G, S, config.seed, i, k)
             state.x[i] = local_step(
                 state.x[i], state.y[i], state.q[i], h, g, alphas[i], config.beta,
@@ -332,10 +331,11 @@ def reference_run(P, local, config, alphas):
 
 def engine_history(P, local, config, alphas, monkeypatch, path, solve):
     """The engine's iterates and duals after every round; each round must
+    form its right-hand sides by one ``sets_grad``, whichever the path, and
     make one batched step along ``path`` ("row" or "gram"), solved by
     ``solve``: by Cholesky rather than by a general LU solve, or by one
     Neumann series or one CG solve."""
-    calls = {"row": 0, "gram": 0, "local": 0, "lu": 0, "series": 0, "cg": 0}
+    calls = {"grad": 0, "row": 0, "gram": 0, "local": 0, "lu": 0, "series": 0, "cg": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -344,6 +344,7 @@ def engine_history(P, local, config, alphas, monkeypatch, path, solve):
 
         return wrapper
 
+    monkeypatch.setattr(optimizer, "sets_grad", counted("grad", sets_grad))
     monkeypatch.setattr(optimizer, "row_step", counted("row", row_step))
     monkeypatch.setattr(optimizer, "gram_step", counted("gram", gram_step))
     monkeypatch.setattr(optimizer, "local_step", counted("local", local_step))
@@ -353,8 +354,8 @@ def engine_history(P, local, config, alphas, monkeypatch, path, solve):
     history = []
     run(P, local, config, alphas,
         callbacks=[lambda k, s: history.append((s.x.copy(), s.q.copy()))])
-    expected = {"row": 0, "gram": 0, "local": 0, "lu": 0, "series": 0, "cg": 0}
-    expected[path] = config.max_iters
+    expected = {"grad": 0, "row": 0, "gram": 0, "local": 0, "lu": 0, "series": 0, "cg": 0}
+    expected["grad"] = expected[path] = config.max_iters
     if solve != "cholesky":
         expected[solve] = config.max_iters
     assert calls == expected

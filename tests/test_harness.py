@@ -334,20 +334,24 @@ def test_package_and_cli_import_no_optimizer_or_sparse_scipy():
 
 
 # Run in a fresh process: a synthetic experiment, then one on a one-hot
-# LIBSVM file (3 of 12 columns set in every row), then one Gram-path step
-# held against its dense-inverse oracle.  It prints the scipy modules
-# loaded after each stage.
+# LIBSVM file (3 of 12 columns set in every row), then one round by CG,
+# then one Gram-path step held against its dense-inverse oracle.  It prints
+# the scipy modules loaded after each stage.
 FRESH_RUNS = """
 import sys
 import numpy as np
 from soprolab import optimizer
 from soprolab.harness.experiment import ExperimentConfig, run_experiment
-from soprolab.loss import (
-    LocalDataset, StackedSets, _block_diagonal, _dense_csr, batch_grad, batch_hess,
-)
+from soprolab.loss import StackedSets, _block_diagonal, _dense_csr
+from soprolab.topology import build_random_connected_graph, laplacian_weights
 
 def loaded():
     return [m for m in ("scipy.sparse", "scipy.special", "scipy.linalg") if m in sys.modules]
+
+def sets(feats, lam):
+    n, C, d = feats.shape
+    labels = rng.choice((-1.0, 1.0), (n, C))
+    return StackedSets(_block_diagonal(_dense_csr(feats.reshape(-1, d)), n), labels, np.full(n, lam))
 
 small = dict(n_agents=3, per_agent=10, test_size=5, batch_g=2, batch_s=2, max_iters=3)
 for algorithm in ("st_sopro", "dsgt"):
@@ -359,24 +363,32 @@ with open(sys.argv[1], "w") as f:
 run_experiment(ExperimentConfig(dataset=sys.argv[1], dim=12, **small))
 print(*loaded(), sep=",")
 
-# S = C = 6 < d = 9 at rho = 2: the Gram step.
+# S = 3 < d = 4 < C = 6 at rho = 2: one round by CG.
 rng = np.random.default_rng(8)
-n, C, d, lam = 4, 6, 9, 0.1
+n, lam = 4, 0.1
+local = sets((rng.random((n, 6, 4)) < 0.5).astype(float), lam)
+P = laplacian_weights(build_random_connected_graph(n, 2.0, 0), 1.0)
+config = optimizer.RunConfig(batch_g=3, batch_s=3, max_iters=1, seed=0)
+alphas = np.full(n, 0.125 * local.row_sq.max() - lam)
+assert optimizer.run(P, local, config, alphas).engine.solve == "cg"
+print(*loaded(), sep=",")
+
+# S = C = 6 < d = 9 at rho = 2: the Gram step.
+C, d = 6, 9
 feats = (rng.random((n, C, d)) < 0.4).astype(float)
-labels = rng.choice((-1.0, 1.0), (n, C))
-local = StackedSets(_block_diagonal(_dense_csr(feats.reshape(-1, d)), n), labels, np.full(n, lam))
+local = sets(feats, lam)
 config = optimizer.RunConfig(batch_g=C, batch_s=C, max_iters=1, seed=0)
 c = np.full(n, 0.125 * local.row_sq.max())
 assert optimizer.proximal_engine(local, config, c - lam).solve == "cholesky"
 gram = optimizer.gram_stack(local)
 print(*loaded(), sep=",")
-x, prox = rng.standard_normal((n, d)), rng.standard_normal((n, d))
-out = optimizer.gram_step(x, lam * x + prox, local, gram, None, None, c)
+x, rhs = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+w = rng.uniform(0.0, 0.25 / C, (n, C))
+out = optimizer.gram_step(x, rhs, local, w, c, gram, None)
 err = 0.0
 for i in range(n):
-    ds, whole = LocalDataset(feats[i], labels[i], lam), np.arange(C)
-    A = batch_hess(x[i], ds, whole).dense() + (c[i] - lam) * np.eye(d)
-    want = x[i] - np.linalg.inv(A) @ (batch_grad(x[i], ds, whole) + prox[i])
+    A = feats[i].T @ (w[i, :, None] * feats[i]) + c[i] * np.eye(d)
+    want = x[i] - np.linalg.inv(A) @ rhs[i]
     err = max(err, np.linalg.norm(out[i] - want) / np.linalg.norm(want))
 print(*loaded(), sep=",")
 print(err)
@@ -388,16 +400,17 @@ def test_runs_load_scipy_sparse_for_sparse_rows_and_scipy_linalg_for_the_gram_pa
 ):
     # scipy.special and scipy.linalg cost about 12 MB resident together.
     # The sigmoid is numpy's and only the Gram path and local_step call
-    # LAPACK, so runs on the row path, synthetic or parsed, import
-    # neither; every run imports scipy.sparse for the sets' operator.
+    # LAPACK, so runs on the row path, by the series or by CG, synthetic
+    # or parsed, import neither; every run imports scipy.sparse for the
+    # sets' operator.
     src = str(Path(soprolab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", FRESH_RUNS, str(tmp_path / "one_hot.svm")],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    assert out[:4] == ["scipy.sparse"] * 3 + ["scipy.sparse,scipy.linalg"]
-    assert float(out[4]) <= 1e-10
+    assert out[:5] == ["scipy.sparse"] * 4 + ["scipy.sparse,scipy.linalg"]
+    assert float(out[5]) <= 1e-10
 
 
 def test_cli_certify_rejects_a_mu_below_the_recipe_bound(capsys):
@@ -488,6 +501,20 @@ def test_run_parameters_are_refused_before_set_up(overrides, message, monkeypatc
     with pytest.raises(ConfigurationError, match=message):
         run_experiment(config)
     assert not (tmp_path / "out").exists()
+
+
+def test_sopro_runs_on_whole_sets_whatever_its_batch_keys():
+    # SoPro's batches are the whole local sets (RunConfig.batches), so
+    # batch keys outside 1..C are not refused and change nothing.
+    small = dict(dim=4, n_agents=3, per_agent=10, test_size=5, max_iters=3, algorithm="sopro")
+    assert optimizer.RunConfig(batch_g=11, batch_s=0, max_iters=3, seed=0,
+                               algorithm="sopro").batches(10) == (10, 10)
+    rows = [
+        [(r.opt_err, r.q_err, r.comm_bits, r.test_acc)
+         for r in run_experiment(ExperimentConfig(**small, batch_g=g, batch_s=s)).traces[0].rows]
+        for g, s in ((10, 10), (11, 0), (50, 50))
+    ]
+    assert rows[1] == rows[0] and rows[2] == rows[0]
 
 
 @pytest.mark.parametrize("command", ["run", "tune"])
