@@ -13,9 +13,23 @@ direction, and the Armijo search and the gradient tolerance are those of
 plain Newton, so only the path to the optimum changes, not where it
 stops.  Every step solves its Newton system by ``numpy.linalg.solve``,
 which needs no scipy module.  At d = 112-123 that LU solve takes
-0.14-0.2 ms on one OpenBLAS thread of an x86 VM; over a solve's 7-14
-steps and 3-4 Hessians it costs less than an inverse kept per Hessian
-(0.5-0.7 ms each).
+0.09-0.2 ms on one OpenBLAS thread of a 2-vCPU x86 VM; over a solve's
+7-14 steps and 3-4 Hessians it costs less than an inverse kept per
+Hessian (0.5-0.7 ms each).  A float32 LU or inverse is no faster there.
+
+The Hessian is assembled in float32 and summed into a float64 matrix
+(:meth:`_Pool.hessian`); its shift and the LU solve are float64.  Newton
+uses the Hessian only as the metric of its step.  The margins, objective,
+gradients, Armijo search and the test ``||g|| <= tol`` are float64, so
+the solve stops only where the float64 gradient meets the tolerance, and
+``x*`` lies within ``tol / sum(lam)`` of the true optimum as before.  A
+metric off by float32 rounding (about 1e-7 relative) is an inexact
+Newton method (Dembo, Eisenstat & Steihaug 1982) whose steps still
+converge fast: on the benchmark's shapes the iteration and Hessian counts
+equal those of a float64 build, and ``x*`` moved by at most 2e-16
+relative.  A build takes 1.9, 2.1 and 3.1 ms at the a4a, mushrooms and
+scale200 shapes, against 3.0, 3.3 and 4.9 ms in float64 (medians over
+15 solves, same VM); the builds are still about 60% of a solve.
 
 Every evaluation covers all agents at once over the stacked local sets
 (:class:`~soprolab.loss.StackedSets`): each row carries the weight
@@ -26,7 +40,7 @@ and Hessian.  Margins and gradients read the sets' CSR operator through
 :func:`~soprolab.loss.sets_grad`, as the rounds do.  The Hessian reads
 the rows densely, ``READ_CHUNK_ROWS`` at a time, through
 :meth:`~soprolab.loss.StackedSets.dense_rows`, and scales each chunk in
-one buffer per solve; no ``(N, C, d)`` block is formed.
+one float32 buffer per solve; no ``(N, C, d)`` block is formed.
 """
 
 from __future__ import annotations
@@ -76,8 +90,9 @@ class _Pool:
         # Every Hessian build writes each chunk of rows into it and scales
         # it there: a new array a chunk cost more than the scaling.  The
         # chunk bounds the buffer instead of one copy of the whole stack.
+        # float32: the build's metric (see hessian).
         self.chunk = loss.READ_CHUNK_ROWS
-        self.rows = np.empty((min(self.chunk, n * per_agent), d))
+        self.rows = np.empty((min(self.chunk, n * per_agent), d), dtype=np.float32)
 
     def _spread(self, x: np.ndarray) -> np.ndarray:
         return np.broadcast_to(x, (len(self.local.lam), x.shape[0]))
@@ -101,14 +116,28 @@ class _Pool:
         return self.local_gradients(x, self.margins(x)).sum(axis=0)
 
     def hessian(self, u: np.ndarray) -> np.ndarray:
-        """Hessian of ``F`` at the point whose margins are ``u``."""
+        """Hessian of ``F`` at the point whose margins are ``u``, to float32
+        accuracy: the metric of a Newton step, whose stopping test reads
+        the float64 gradient, so the rounding changes the steps, not the
+        tolerance the solve stops at.  It costs about 1.9 ms at the a4a
+        shape against 3.0 ms in float64 (see the module docstring).
+
+        Each chunk of rows is read and scaled by the square roots of its
+        curvature weights in one float32 multiply, whether ``dense_rows``
+        wrote the chunk into the float32 buffer or returned a float64
+        view: both round the stored entries and the roots to float32 and
+        then multiply, so the two routes give the same bits.  Each chunk's
+        ``B^T B`` (a float32 ``syrk``) is added into a float64 ``H``, and
+        the shift ``sum(lam)`` is added in float64.
+        """
         d = self.local.dim
         root = np.sqrt(self.weight * logistic_curvature(u)).reshape(-1)
         H = np.zeros((d, d))
         for start in range(0, root.size, self.chunk):
             stop = min(start + self.chunk, root.size)
             B = self.rows[: stop - start]
-            np.multiply(self.local.dense_rows(start, stop, B), root[start:stop, None], out=B)
+            rows = self.local.dense_rows(start, stop, B)
+            np.multiply(rows, root[start:stop, None], out=B, dtype=np.float32)
             H += B.T @ B
         H.flat[:: d + 1] += self.local.lam.sum()
         return H

@@ -181,7 +181,8 @@ class StackedSets:
         """Rows ``start`` to ``stop`` of the flat ``(N C, d)`` stack of the
         rows (agent ``i``'s row ``j`` is row ``i C + j``), as a dense array:
         zeroes the C-contiguous ``(stop - start, d)`` array ``out``, writes
-        the rows' stored entries into it and returns it.
+        the rows' stored entries into it and returns it.  A float32 ``out``
+        rounds the stored entries to float32.
         """
         d = self.dim
         if out.shape != (stop - start, d) or not out.flags.c_contiguous:
@@ -260,8 +261,8 @@ def _map_labels(raw: np.ndarray, linenos: list[int]) -> np.ndarray:
 _CHUNK_LINES = 1024
 # Rows per dense read of the local sets in the set-up: a run of
 # StackedSets.agent_chunks (whole agents, at least one) and a chunk of the
-# reference Hessian.  The buffer the rows are read into is about 1 MB at
-# d = 123.
+# reference Hessian.  At d = 123 the agent_chunks buffer is about 1 MB of
+# float64, and the Hessian's buffer 0.5 MB of float32.
 READ_CHUNK_ROWS = 1024
 # The code points that ``str.split`` treats as whitespace, and those among
 # them that ``str.splitlines`` ends a line at; none lies above U+3000.

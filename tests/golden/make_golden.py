@@ -28,6 +28,12 @@ A change that moves these numbers on purpose writes the files again::
     PYTHONPATH=src python tests/golden/make_golden.py
 
 and states in CHANGES.md that it did, with the largest relative change.
+Named cases write only their own files, so a new case leaves the others'
+last digits as they are::
+
+    PYTHONPATH=src python tests/golden/make_golden.py st_sopro_cg sopro
+
+An unknown name exits with status 1 before any file is written.
 """
 
 from __future__ import annotations
@@ -168,8 +174,14 @@ def golden_path(name: str) -> Path:
     return HERE / f"{name}.json"
 
 
-def main() -> int:
-    for name, (path, _) in CASES.items():
+def main(names: list[str]) -> int:
+    """Write the golden files of the cases ``names``, or of every case."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        print(f"unknown cases {unknown}; the cases are {list(CASES)}", file=sys.stderr)
+        return 1
+    for name in names or CASES:
+        path = CASES[name][0]
         rec = record(name)
         if rec["path"] != path:
             print(f"{name}: the run took {rec['path']}, not {path}", file=sys.stderr)
@@ -180,4 +192,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

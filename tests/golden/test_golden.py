@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import make_golden
 from make_golden import CASES, golden_path, record
 
 RTOL = 1e-9
@@ -39,3 +40,16 @@ def test_run_reproduces_its_golden_trace(name):
     assert want["path"] == CASES[name][0]
     got = json.loads(json.dumps(record(name)))
     assert mismatches(got, want) == []
+
+
+def test_make_golden_writes_only_the_named_cases(tmp_path, monkeypatch, capsys):
+    committed = golden_path("dsgd")
+    monkeypatch.setattr(make_golden, "HERE", tmp_path)
+    # An unknown name is refused before any case runs or any file is written.
+    assert make_golden.main(["dsgd", "no_such_case"]) == 1
+    assert "no_such_case" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert make_golden.main(["dsgd"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["dsgd.json"]
+    got = json.loads((tmp_path / "dsgd.json").read_text())
+    assert mismatches(got, json.loads(committed.read_text())) == []

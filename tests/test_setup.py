@@ -703,7 +703,9 @@ def test_stacked_objective_gradient_and_hessian_match_per_agent_sums(sizes):
         want = objective_per_agent(x, datasets)
         assert abs(pool.objective(x, u) - want) <= 1e-13 * abs(want)
         assert rel_err(pool.gradient(x), gradient_per_agent(x, datasets)) <= 1e-13
-        assert rel_err(pool.hessian(u), hessian_per_agent(x, datasets)) <= 1e-13
+        # The Hessian is built in float32 (eps 1.2e-7): its rows, their
+        # scaling and each chunk's products round there.
+        assert rel_err(pool.hessian(u), hessian_per_agent(x, datasets)) <= 1e-6
 
 
 @pytest.mark.parametrize("sizes", SIZES)
@@ -722,6 +724,52 @@ def test_solve_reference_through_the_operator_matches_the_dense_block():
     dense = reference.solve_reference(dense_block(local))
     assert rel_err(sparse.x, dense.x) <= 1e-12
     assert rel_err(sparse.local_grads, dense.local_grads) <= 1e-12
+
+
+def float64_hessians(local, calls):
+    """Patch ``_Pool.hessian`` to the float64 oracle ``hessian_per_agent``
+    at the point whose margins ``_Pool.margins`` returned, counting the
+    builds in ``calls``."""
+    datasets = agent_datasets(local)
+    points = {}
+    margins = reference._Pool.margins
+
+    def remember(self, x):
+        u = margins(self, x)
+        points[id(u)] = (u, x)
+        return u
+
+    def hessian(self, u):
+        seen, x = points[id(u)]
+        assert seen is u
+        calls.append(x)
+        return hessian_per_agent(x, datasets)
+
+    return mock.patch.multiple(reference._Pool, margins=remember, hessian=hessian)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-6])
+def test_reference_solve_with_its_float32_hessian_keeps_the_float64_tolerance(lam):
+    # a4a-shaped: 20 agents of 239 one-hot rows, 14 attributes over 123
+    # columns, labelled +1 with probability sigmoid(a^T w) for a planted w,
+    # so that the solve forms 4-5 Hessians.  The Hessian is only the metric
+    # of a Newton step, and the float64 gradient test decides where the
+    # solve stops.
+    rows, _ = parse_libsvm(one_hot_libsvm(20 * 239, 14, 123, seed=6), dim=123)
+    rng = np.random.default_rng(6)
+    logits = rows @ rng.standard_normal(123)
+    labels = np.where(rng.random(rows.shape[0]) < 1.0 / (1.0 + np.exp(-logits)), 1.0, -1.0)
+    local = partition((rows, labels), 20, 239, 6, lam)[0]
+    tol = 1e-12
+    got = reference.solve_reference(local, tol)
+    calls = []
+    with float64_hessians(local, calls):
+        want = reference.solve_reference(local, tol)
+    assert len(calls) == want.factorizations > 0
+    assert got.grad_norm <= tol and want.grad_norm <= tol
+    assert (got.iterations, got.factorizations) == (want.iterations, want.factorizations)
+    # Each x is within tol / sum(lam) of the optimum, by strong convexity.
+    assert np.linalg.norm(got.x - want.x) <= 2 * tol / (len(local.lam) * lam)
 
 
 @pytest.mark.parametrize("sizes", SIZES)
