@@ -12,64 +12,40 @@ comparisons against the proximal methods share identical data, topology,
 and noise realizations.  A gradient is one
 :func:`~soprolab.loss.sets_grad` of the whole local sets at the flat
 positions ``i C + j`` that :func:`~soprolab.optimizer.batch_positions`
-draws, as in the proximal rounds.  The mixing weights are applied through
-:func:`~soprolab.topology.network_operator`, as the proximal exchange
-applies ``P``: as CSR on a sparse network, at ``O(|E| d)`` a product.
+draws, as in the proximal rounds.  The Metropolis mixing matrix ``W`` is
+held as the :class:`~soprolab.topology.MatrixP` ``L = I - W``
+(:func:`metropolis_matrix`), and a mix is ``x - L.disagreement(x)``: the
+exchange of the proximal methods, as CSR on a sparse network, at
+``O(|E| d)`` a product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ParameterError
 from .loss import StackedSets, sets_grad
 from .optimizer import PURPOSE_GRAD, NetworkState, RunConfig, batch_positions, initial_iterates
-from .topology import Graph, MatrixP, network_operator
+from .topology import Graph, MatrixP, laplacian_weights
 
 __all__ = [
-    "MixingMatrix",
-    "metropolis_weights",
+    "metropolis_matrix",
     "dsgd_round",
     "dsgt_round",
     "first_order",
 ]
 
 
-@dataclass
-class MixingMatrix:
-    """Symmetric doubly stochastic weights supported on the graph plus diagonal."""
+def metropolis_matrix(g: Graph) -> MatrixP:
+    """The Laplacian ``L = I - W`` of the Metropolis-Hastings mixing matrix
+    ``W``, whose weight on an edge is ``1 / (1 + max(deg_i, deg_j))``.
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        W = self.matrix
-        n = W.shape[0]
-        if W.shape != (n, n):
-            raise ParameterError("mixing matrix must be square")
-        if np.max(np.abs(W - W.T)) > 1e-12:
-            raise ParameterError("mixing matrix must be symmetric")
-        if np.any(W < -1e-15):
-            raise ParameterError("mixing matrix entries must be nonnegative")
-        rows = W.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-12:
-            raise ParameterError(f"rows must sum to 1, worst {rows}")
-        self.matrix.setflags(write=False)
-
-
-def metropolis_weights(g: Graph) -> MixingMatrix:
-    """Metropolis-Hastings weights: ``1 / (1 + max(deg_i, deg_j))`` on edges."""
-    n = g.n_agents
-    deg = [len(g.neighbors[i]) for i in range(n)]
-    W = np.zeros((n, n))
-    for i, j in g.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        W[i, j] = w
-        W[j, i] = w
-    for i in range(n):
-        W[i, i] = 1.0 - W[i].sum()
-    return MixingMatrix(matrix=W)
+    ``W`` is symmetric, nonnegative and doubly stochastic; a mix applies it
+    as ``x - L.disagreement(x)``.
+    """
+    deg = [len(nb) for nb in g.neighbors]
+    return laplacian_weights(
+        g, {(i, j): 1.0 / (1.0 + max(deg[i], deg[j])) for i, j in g.edges}
+    )
 
 
 def _step_size(config: RunConfig, k: int) -> float:
@@ -84,42 +60,44 @@ def _batch_grads(x, local: StackedSets, config: RunConfig, round_idx: int) -> np
     return sets_grad(x, local, idx)
 
 
-def dsgd_round(x, W, local: StackedSets, config: RunConfig, k: int) -> np.ndarray:
-    """Round ``k``: mix neighbor iterates through ``W`` (dense or CSR), step
-    along the batch gradient; return the new iterates."""
-    return W @ x - _step_size(config, k) * _batch_grads(x, local, config, k)
+def dsgd_round(x, L: MatrixP, local: StackedSets, config: RunConfig, k: int) -> np.ndarray:
+    """Round ``k``: mix neighbor iterates through ``W = I - L``, step along
+    the batch gradient; return the new iterates."""
+    return x - L.disagreement(x) - _step_size(config, k) * _batch_grads(x, local, config, k)
 
 
-def dsgt_round(x, tracker, last_grads, W, local: StackedSets, config: RunConfig, k: int):
-    """Gradient-tracking round ``k``; iterates and trackers are both exchanged
-    through ``W`` (dense or CSR).
+def dsgt_round(
+    x, tracker, last_grads, L: MatrixP, local: StackedSets, config: RunConfig, k: int
+):
+    """Gradient-tracking round ``k``; iterates and trackers are both mixed
+    through ``W = I - L``.
 
     Returns the new iterates, the new tracker and the batch gradients at
     the new iterates, which the next round's tracker update subtracts.
     """
-    x = W @ x - _step_size(config, k) * tracker
+    x = x - L.disagreement(x) - _step_size(config, k) * tracker
     grads = _batch_grads(x, local, config, k + 1)
-    return x, W @ tracker + grads - last_grads, grads
+    return x, tracker - L.disagreement(tracker) + grads - last_grads, grads
 
 
 def first_order(P: MatrixP, local: StackedSets, config: RunConfig):
     """DSGD or DSGT, set up for :func:`soprolab.optimizer.run`.
 
     The initial iterates are the proximal engine's (same seed, same x0),
-    and the mixing weights are Metropolis, applied through their
-    :func:`~soprolab.topology.network_operator`.  DSGT's tracker starts at the
-    round-0 batch gradients, and it lives in the round function, with the
-    last gradients.  Returns the initial state, the round function, and
+    and the mixing weights are Metropolis, :func:`metropolis_matrix` of
+    the graph of ``P``.  DSGT's tracker starts at the round-0 batch
+    gradients, and it lives in the round function, with the last
+    gradients.  Returns the initial state, the round function, and
     the scalars sent: none at set-up, ``2 |E| d`` per DSGD round and
     ``4 |E| d`` per DSGT round.
     """
-    W = network_operator(metropolis_weights(P.graph).matrix)
+    L = metropolis_matrix(P.graph)
     x = initial_iterates(P, local, config)
     state = NetworkState(x=x, q=np.zeros_like(x), y=np.zeros_like(x))
     sent = 2 * P.graph.n_edges * state.dim
     if config.algorithm == "dsgd":
         def dsgd(state: NetworkState, k: int) -> None:
-            state.x = dsgd_round(state.x, W, local, config, k)
+            state.x = dsgd_round(state.x, L, local, config, k)
 
         return state, dsgd, 0, sent
 
@@ -127,6 +105,6 @@ def first_order(P: MatrixP, local: StackedSets, config: RunConfig):
 
     def dsgt(state: NetworkState, k: int) -> None:
         nonlocal tracker, grads
-        state.x, tracker, grads = dsgt_round(state.x, tracker, grads, W, local, config, k)
+        state.x, tracker, grads = dsgt_round(state.x, tracker, grads, L, local, config, k)
 
     return state, dsgt, 0, 2 * sent

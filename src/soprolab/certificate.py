@@ -339,7 +339,6 @@ def certify(
     sigma_sq: float,
     tau_value: float,
     c1: float = 1.0,
-    m_fbar: float | None = None,
 ) -> RateCertificate:
     """Compute the full rate certificate for a parameter choice.
 
@@ -351,19 +350,18 @@ def certify(
     (a smaller ``K`` lowers term three for every c2).  The max of their
     min is therefore where they cross, found as one bracketed root, or an
     endpoint when term one minus the crossing value keeps its sign.  The
-    search runs on the gap ``2 eta_s m_beta - c0``.  Fails with
-    diagnostics when the proximal condition fails or no positive rate
-    exists.
+    search runs on the gap ``2 eta_s m_beta - c0``.  The aggregate
+    strong-convexity constant ``m_fbar`` is ``bounds.m.sum()``: the sum of
+    the per-agent constants lower-bounds the restricted constant of the
+    aggregate objective.  Fails with diagnostics when the proximal
+    condition fails or no positive rate exists.
     """
     if c1 <= 0:
         raise ParameterError(f"c1 must be positive, got {c1}")
     if sigma_sq < 0 or tau_value < 0:
         raise ParameterError("sigma_sq and tau must be nonnegative")
     n_agents = bounds.n_agents
-    if m_fbar is None:
-        # Sum of the per-agent strong-convexity constants lower-bounds the
-        # restricted constant of the aggregate objective.
-        m_fbar = float(bounds.m.sum())
+    m_fbar = float(bounds.m.sum())
     if m_fbar <= 0:
         raise CertificationError(
             "aggregate objective has no strong convexity (m_fbar <= 0); "

@@ -316,7 +316,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ``None``.
     Its ``topology`` block records the form of the exchange,
     ``"exchange": "csr"`` or ``"dense"`` (see
-    :func:`~soprolab.topology.network_operator`).  Every run, on parsed or
+    :attr:`~soprolab.topology.MatrixP.operator`), for the proximal ``P``
+    and the baselines' Metropolis matrix alike.  Every run, on parsed or
     synthetic rows, reads the local sets through their CSR operator.
 
     Run parameters that the engine refuses raise
@@ -347,8 +348,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "n_edges": problem.P.graph.n_edges,
             "lambda_w": problem.P.spectral.lambda_w,
             "lambda_max": problem.P.spectral.lambda_max,
-            # The baselines' mixing weights store the entries of P (the
-            # graph and the diagonal), so their exchange takes this form too.
+            # Every network matrix is a MatrixP of this graph with nonzeros
+            # on its edges and diagonal, the baselines' Metropolis matrix
+            # too, so MatrixP.operator gives each the form that P takes.
             "exchange": "dense" if isinstance(problem.P.operator, np.ndarray) else "csr",
         },
         "reference": {

@@ -6,10 +6,13 @@ semidefinite matrix ``P`` with ``[P]_ii = sum_j p_ij`` and
 Kronecker lift ``P (x) I_d`` acts on stacked agent vectors, and its two
 extreme nonzero eigenvalues parameterize every convergence certificate.
 The lift is never materialized: applying it to the ``(n, d)`` array of
-stacked agent vectors is one product ``op @ x`` with the exchange operator
-of :func:`network_operator`, a CSR copy of ``P`` on a sparse network and
-``P`` itself otherwise, so an exchange costs ``O(|E| d)`` where the graph
-is sparse.
+stacked agent vectors is one product ``op @ x`` with
+:attr:`MatrixP.operator`, a CSR copy of ``P`` on a sparse network and ``P``
+itself otherwise, so an exchange costs ``O(|E| d)`` where the graph is
+sparse.  Every network matrix of a run is a :class:`MatrixP`: the proximal
+methods' ``P`` and the baselines' Metropolis Laplacian ``I - W`` (see
+:func:`soprolab.baselines.metropolis_matrix`), so this module alone
+chooses between the dense and the CSR form.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "SpectralSummary",
     "build_random_connected_graph",
     "laplacian_weights",
-    "network_operator",
     "spectral_summary",
     "read_edge_list",
     "write_edge_list",
@@ -159,25 +161,6 @@ def build_random_connected_graph(n: int, target_avg_degree: float, seed: int) ->
 SPARSE_SHARE = 12
 
 
-def network_operator(matrix: np.ndarray):
-    """The operator that applies an ``(n, n)`` network matrix as ``op @ x``.
-
-    A read-only ``scipy.sparse`` CSR copy when the matrix stores at most
-    ``n^2 / SPARSE_SHARE`` nonzero entries, so that a product costs
-    ``O(nnz d)``; the dense ``matrix`` itself otherwise, where BLAS is
-    faster than sparse indexing.
-    """
-    n = matrix.shape[0]
-    if SPARSE_SHARE * np.count_nonzero(matrix) > n * n:
-        return matrix
-    from scipy.sparse import csr_matrix
-
-    op = csr_matrix(matrix)
-    for a in (op.data, op.indices, op.indptr):
-        a.setflags(write=False)
-    return op
-
-
 @dataclass
 class MatrixP:
     """Weighted Laplacian-like matrix of a connected graph.
@@ -206,8 +189,22 @@ class MatrixP:
 
     @cached_property
     def operator(self):
-        """:func:`network_operator` of this matrix, made on first use."""
-        return network_operator(self.matrix)
+        """The operator that applies this matrix as ``op @ x``, made on first use.
+
+        A read-only ``scipy.sparse`` CSR copy when the matrix stores at most
+        ``n^2 / SPARSE_SHARE`` nonzero entries, so that a product costs
+        ``O(nnz d)``; the dense ``matrix`` itself otherwise, where BLAS is
+        faster than sparse indexing.
+        """
+        n = self.n_agents
+        if SPARSE_SHARE * np.count_nonzero(self.matrix) > n * n:
+            return self.matrix
+        from scipy.sparse import csr_matrix
+
+        op = csr_matrix(self.matrix)
+        for a in (op.data, op.indices, op.indptr):
+            a.setflags(write=False)
+        return op
 
     def disagreement(self, x: np.ndarray) -> np.ndarray:
         """Apply the Kronecker lift to stacked agent vectors.

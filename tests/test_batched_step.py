@@ -6,8 +6,8 @@ from oracles import (
     agent_datasets, block_of, dense_block, dense_step_stacked, densify, draw_batches, flat_positions,
     stack_sets,
 )
-from soprolab import baselines, optimizer, topology
-from soprolab.baselines import dsgt_round, metropolis_weights
+from soprolab import optimizer, topology
+from soprolab.baselines import dsgt_round, metropolis_matrix
 from soprolab.certificate import QNormError, proximal_alphas
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation
 from soprolab.harness.metrics import optimality_error
@@ -841,7 +841,7 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
             agent_batch_stats(states[0][i], ds, 10, 10, 7, i, 0)[0]
             for i, ds in enumerate(agent_datasets(local))
         ])
-        W = metropolis_weights(P.graph).matrix
+        W = np.eye(P.n_agents) - metropolis_matrix(P.graph).matrix
         # A round sums over the whole sets, with zero coefficients off the
         # batch: equal up to summation order.
         assert rel_err(states[1], W @ states[0] - 0.5 * grads) <= 1e-13
@@ -849,11 +849,11 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
 
 @pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
 def test_baselines_mix_through_csr_as_through_the_dense_weights(algorithm, monkeypatch):
-    # W stores 480 of the 14400 entries of a 120-agent degree-3 network.
+    # The Metropolis matrix stores 480 of the 14400 entries of a 120-agent
+    # degree-3 network.
     P = laplacian_weights(build_random_connected_graph(120, 3.0, seed=2), 1.0)
     _, local = make_problem(120, 8, 6)
-    W = metropolis_weights(P.graph).matrix
-    assert baselines.network_operator(W).format == "csr"
+    assert metropolis_matrix(P.graph).operator.format == "csr"
     config = RunConfig(batch_g=4, batch_s=4, max_iters=5, seed=7, algorithm=algorithm,
                        step_size=0.5)
 
@@ -863,11 +863,27 @@ def test_baselines_mix_through_csr_as_through_the_dense_weights(algorithm, monke
         return states
 
     sparse = history()
-    monkeypatch.setattr(baselines, "network_operator", lambda matrix: matrix)
+    monkeypatch.setattr(topology, "SPARSE_SHARE", np.inf)
+    assert isinstance(metropolis_matrix(P.graph).operator, np.ndarray)
     dense = history()
     assert len(sparse) == len(dense) == 6
     for a, b in zip(sparse, dense):
         assert rel_err(a, b) <= 1e-13
+
+
+@pytest.mark.parametrize("n, degree", [(6, 2.0), (20, 5.0), (120, 3.0), (200, 5.0)])
+def test_metropolis_matrix_is_i_minus_the_metropolis_weights(n, degree):
+    g = build_random_connected_graph(n, degree, seed=n)
+    deg = [len(nb) for nb in g.neighbors]
+    want = np.zeros((n, n))
+    for i, j in g.edges:
+        want[i, j] = want[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    want[np.diag_indices(n)] = 1.0 - want.sum(axis=1)
+    W = np.eye(n) - metropolis_matrix(g).matrix
+    assert np.max(np.abs(W - want)) <= 1e-15
+    assert np.array_equal(W, W.T)
+    assert np.all(W >= 0.0)
+    assert np.max(np.abs(W.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_whole_set_gradients_equal_the_per_agent_gradients():
@@ -883,7 +899,7 @@ def test_whole_set_gradients_equal_the_per_agent_gradients():
         agent_batch_stats(states[0][i], ds, 40, 40, 7, i, 0)[0]
         for i, ds in enumerate(agent_datasets(local))
     ])
-    W = metropolis_weights(P.graph).matrix
+    W = np.eye(6) - metropolis_matrix(P.graph).matrix
     assert rel_err(states[1], W @ states[0] - 0.5 * grads) <= 1e-13
 
 
@@ -892,7 +908,7 @@ def test_dsgt_tracker_sum_equals_last_gradient_sum():
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=30, seed=7, algorithm="dsgt", step_size=0.5
     )
-    W = metropolis_weights(P.graph).matrix
+    L = metropolis_matrix(P.graph)
     x = optimizer.initial_iterates(P, local, config)
     tracker = grads = sets_grad(x, local, batch_positions(local, 10, 7, 0, PURPOSE_GRAD))
     gaps = []
@@ -900,7 +916,7 @@ def test_dsgt_tracker_sum_equals_last_gradient_sum():
         want = grads.sum(axis=0)
         gaps.append(np.linalg.norm(tracker.sum(axis=0) - want) / np.linalg.norm(want))
         if k < config.max_iters:
-            x, tracker, grads = dsgt_round(x, tracker, grads, W, local, config, k)
+            x, tracker, grads = dsgt_round(x, tracker, grads, L, local, config, k)
     assert len(gaps) == 31
     assert max(gaps) <= 1e-12
 
@@ -913,7 +929,7 @@ def test_one_over_k_schedule_divides_the_step_by_one_plus_the_round():
     )
     states = []
     run(P, local, config, callbacks=[lambda k, s: states.append(s.x.copy())])
-    W = metropolis_weights(P.graph).matrix
+    W = np.eye(6) - metropolis_matrix(P.graph).matrix
     for k in range(3):
         grads = np.stack([
             agent_batch_stats(states[k][i], ds, 10, 10, 7, i, k)[0]
