@@ -33,6 +33,7 @@ __all__ = [
     "QNormError",
     "tau",
     "m_beta",
+    "check_parameters",
     "check_D_condition",
     "proximal_alphas",
     "certify",
@@ -164,6 +165,17 @@ class DConditionResult:
     margin: float
 
 
+def check_parameters(eta_s: float, mu: float | None = None, c1: float = 1.0) -> None:
+    """Refuse an ``eta_s`` outside (0, 1), or a ``mu`` (unless None) or
+    ``c1`` that is not positive: rules that need no set-up work."""
+    if not 0.0 < eta_s < 1.0:
+        raise ConfigurationError(f"eta_s must lie in (0,1), got {eta_s}")
+    if mu is not None and mu <= 0:
+        raise ConfigurationError(f"mu must be positive, got {mu}")
+    if c1 <= 0:
+        raise ConfigurationError(f"c1 must be positive, got {c1}")
+
+
 def check_D_condition(
     alphas: np.ndarray,
     bounds: SmoothnessBounds,
@@ -179,8 +191,7 @@ def check_D_condition(
     the margin is the smallest eigenvalue of the difference (positive iff the
     condition holds strictly).
     """
-    if not 0.0 < eta_s < 1.0:
-        raise ParameterError(f"eta_s must lie in (0,1), got {eta_s}")
+    check_parameters(eta_s)
     if m_beta_value <= 0 or beta <= 0:
         raise ParameterError("m_beta and beta must be positive")
     t = _condition_shift(bounds.m, bounds.M, eta_s, m_beta_value, beta)
@@ -218,10 +229,7 @@ def proximal_alphas(
     headroom of ``0.05 max(M, 1)``.  The alphas are checked against the
     condition, and too small a ``mu`` raises with the violated margin.
     """
-    if not 0.0 < eta_s < 1.0:
-        raise ConfigurationError(f"eta_s must lie in (0,1), got {eta_s}")
-    if mu is not None and mu <= 0:
-        raise ConfigurationError(f"mu must be positive, got {mu}")
+    check_parameters(eta_s, mu)
     spec = P.spectral
     m_b, _ = m_beta(
         float(bounds.m.sum()), bounds.n_agents, bounds.max_M, beta, spec.lambda_w
@@ -356,8 +364,7 @@ def certify(
     aggregate objective.  Fails with diagnostics when the proximal
     condition fails or no positive rate exists.
     """
-    if c1 <= 0:
-        raise ParameterError(f"c1 must be positive, got {c1}")
+    check_parameters(eta_s, c1=c1)
     if sigma_sq < 0 or tau_value < 0:
         raise ParameterError("sigma_sq and tau must be nonnegative")
     n_agents = bounds.n_agents

@@ -35,7 +35,8 @@ class CertificationError(SoprolabError, RuntimeError):
 
 
 class DivergenceError(SoprolabError, ArithmeticError):
-    """A run produced a non-finite iterate or metric.
+    """A run produced a non-finite iterate or metric, or an optimality error
+    above ``harness.experiment.BLOW_UP`` max(its round-0 value, 1).
 
     The message names the round (also kept as ``round``) and, for an
     iterate, the agent.

@@ -71,7 +71,7 @@ def _cmd_certify(args) -> int:
         print(f"algorithm {config.algorithm!r} has no certificate", file=sys.stderr)
         return 1
     # The run parameters are checked before the set-up, as run_experiment does.
-    config.to_run_config(0).validate(n_samples=config.per_agent)
+    config.check()
     problem = build_problem(config)
     rate = build_certificate(config, problem)[0]
     for key, value in rate.to_dict().items():

@@ -1,11 +1,14 @@
 """Experiment orchestration: config schema, problem assembly, trace output.
 
 A flat key-value config file describes the dataset, the network, and the
-run parameters.  The keys are the fields of :class:`ExperimentConfig`, and
-each field's type is its key's type: a ``T | None`` field takes a ``T`` or
-may be unset.  Every key doubles as a CLI flag, so a new key is one new
-field.  The run parameters are checked by the engine's own rules
-(``RunConfig.validate``) before any set-up work.  One experiment builds a
+run parameters.  :class:`ExperimentConfig` is the engine's ``RunConfig``
+plus the harness's keys.  Every field but ``seed``, which each run sets, is
+a key of its field's type: a ``T | None`` field takes a ``T`` or may be
+unset.  Every key doubles as a CLI flag.  Before any set-up work,
+:meth:`ExperimentConfig.check` refuses a bad ``RunConfig`` key
+(``algorithm``, ``beta``, ``step_size``, ``step_schedule``, ``max_iters``,
+``x0_mode``, ``batch_g``, ``batch_s``) and, for the proximal methods, a bad
+``eta_s``, ``mu`` or ``c1``.  One experiment builds a
 pinned topology and data split, solves the centralized reference problem,
 certifies the proximal method when applicable, and runs each seed to a
 JSONL trace plus one seed-averaged CSV.  The proximal alphas are chosen
@@ -61,8 +64,9 @@ __all__ = [
 
 
 @dataclass
-class ExperimentConfig:
-    """Everything needed to reproduce one experiment end to end."""
+class ExperimentConfig(optimizer.RunConfig):
+    """Everything needed to reproduce one experiment end to end: the
+    engine's ``RunConfig`` plus the harness's keys."""
 
     dataset: str = "synthetic"
     dim: int = 10
@@ -73,17 +77,9 @@ class ExperimentConfig:
     separation: float = 1.0
     noise: float = 1.0
     lambda_reg: float = 0.01
-    beta: float = 1.0
     eta_s: float = 0.5
     mu: float | None = None
     c1: float = 1.0
-    batch_g: int = 10
-    batch_s: int = 10
-    max_iters: int = 500
-    algorithm: str = "st_sopro"
-    x0_mode: str = "uniform"
-    step_size: float | None = None
-    step_schedule: str = "constant"
     seeds: int = 1
     master_seed: int = 0
     topology_seed: int | None = None
@@ -99,22 +95,17 @@ class ExperimentConfig:
                     f"key {key!r} needs at least {least}, got {getattr(self, key)}"
                 )
 
-    def with_overrides(self, overrides: dict) -> "ExperimentConfig":
-        coerced = _coerce_mapping(overrides)
-        return replace(self, **coerced)
+    def check(self) -> None:
+        """Refuse a bad run parameter, as the module docstring says."""
+        self.validate(n_samples=self.per_agent)
+        if self.algorithm in optimizer.PROXIMAL:
+            cert.check_parameters(self.eta_s, self.mu, self.c1)
 
-    def to_run_config(self, seed: int) -> optimizer.RunConfig:
-        """The engine's parameters: every ``RunConfig`` field that is also a
-        config key, with this ``seed``."""
-        shared = {
-            f.name: getattr(self, f.name)
-            for f in fields(optimizer.RunConfig)
-            if f.name in CONFIG_SCHEMA
-        }
-        return optimizer.RunConfig(**shared, seed=seed)
+    def with_overrides(self, overrides: dict) -> "ExperimentConfig":
+        return replace(self, **_coerce_mapping(overrides))
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(ExperimentConfig)}
+        return {key: getattr(self, key) for key in CONFIG_SCHEMA}
 
 
 # Checked whenever a config is made, by coercion, replace() or directly.
@@ -126,6 +117,8 @@ def _schema() -> tuple[dict[str, type], frozenset[str]]:
     hints = typing.get_type_hints(ExperimentConfig)
     schema, optional = {}, set()
     for f in fields(ExperimentConfig):
+        if f.name == "seed":
+            continue
         hint = hints[f.name]
         args = typing.get_args(hint)
         if type(None) in args:
@@ -205,12 +198,12 @@ def build_topology(config: ExperimentConfig) -> MatrixP:
     return laplacian_weights(g, 1.0)
 
 
-def _load_data(config: ExperimentConfig):
+def _load_data(config: ExperimentConfig, seed: int):
     """The whole data set as ``(rows, labels)``: a parsed file's rows as a
-    ``scipy.sparse`` CSR matrix, synthetic rows as a dense array."""
+    ``scipy.sparse`` CSR matrix, synthetic rows (drawn from ``seed``) as a
+    dense array."""
     if config.dataset == "synthetic":
         total = config.n_agents * config.per_agent + config.test_size
-        seed = config.data_seed if config.data_seed is not None else config.master_seed
         return gaussian_blob_samples(
             total, config.dim, seed, separation=config.separation, noise=config.noise
         )
@@ -233,10 +226,10 @@ class Problem:
 def build_problem(config: ExperimentConfig) -> Problem:
     start = time.perf_counter()
     P = build_topology(config)
-    data_start = time.perf_counter()
-    data = _load_data(config)
-    data_end = time.perf_counter()
     seed = config.data_seed if config.data_seed is not None else config.master_seed
+    data_start = time.perf_counter()
+    data = _load_data(config, seed)
+    data_end = time.perf_counter()
     # partition copies each row once into the local sets or the test set,
     # and keeps nothing of the loaded rows, so they are freed here, before
     # the reference solve.
@@ -265,7 +258,7 @@ def build_certificate(config: ExperimentConfig, problem: Problem):
     if config.algorithm not in optimizer.PROXIMAL:
         return None, None, config.mu, None
     sigma_sq = estimate_sigma_sq(problem.local, problem.reference.x)
-    G, _ = config.to_run_config(0).batches(config.per_agent)
+    G, _ = config.batches(config.per_agent)
     tau_value = cert.tau(config.per_agent, G)
     alphas, mu = cert.proximal_alphas(
         problem.bounds, problem.P, config.beta, config.eta_s, config.mu
@@ -285,6 +278,12 @@ def build_certificate(config: ExperimentConfig, problem: Problem):
         problem.P, rate.r_diag, config.beta, problem.reference.x, q_star
     )
     return rate, alphas, mu, q_err
+
+
+# A run whose opt_err passes BLOW_UP max(opt_err at round 0, 1) has
+# diverged with finite iterates.  St-SoPro on 200 agents of 40 rows at
+# (alpha, beta) = (0.2, 0.0217) goes from 53 to 5.6e4 by round 50.
+BLOW_UP = 1e3
 
 
 def _run_seed_value(master_seed: int, run_idx: int) -> int:
@@ -320,17 +319,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     and the baselines' Metropolis matrix alike.  Every run, on parsed or
     synthetic rows, reads the local sets through their CSR operator.
 
-    Run parameters that the engine refuses raise
+    Each run hands ``optimizer.run`` the config with its own ``seed``.
+    A run parameter that :meth:`ExperimentConfig.check` refuses (the
+    engine's keys; ``eta_s``, ``mu`` and ``c1`` of a proximal run) raises
     :class:`~soprolab.errors.ConfigurationError` before any set-up work,
     and before ``out`` is created.
 
     A run whose iterate, optimality error or Q-norm error stops being
-    finite raises :class:`~soprolab.errors.DivergenceError`.  With ``out``
-    set, its trace is written first: the rows so far and a summary that
-    adds ``status: "diverged"``, the ``round`` and the ``message``.
+    finite, or whose optimality error passes ``BLOW_UP`` max(opt_err at
+    round 0, 1), raises :class:`~soprolab.errors.DivergenceError` naming
+    the round.  With ``out`` set, its trace is written first: the rows so
+    far and a summary that adds ``status: "diverged"``, the ``round`` and
+    the ``message``.
     """
     # Seeds differ only in ``seed``, so one check covers every run.
-    config.to_run_config(0).validate(n_samples=config.per_agent)
+    config.check()
     problem = build_problem(config)
     certifying = time.perf_counter()
     rate, alphas, mu_resolved, q_err = build_certificate(config, problem)
@@ -364,7 +367,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     paths = []
     for run_idx in range(config.seeds):
         seed = _run_seed_value(config.master_seed, run_idx)
-        rc = config.to_run_config(seed)
         trace = MetricsTrace()
         path = out_dir / f"{config.algorithm}_seed{run_idx:03d}.jsonl" if out_dir else None
         run_header = {**header, "engine": None, "run_index": run_idx, "run_seed": seed}
@@ -377,11 +379,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             # Finite iterates far enough out overflow the metrics; the
             # check below reports that.
             with np.errstate(over="ignore", invalid="ignore"):
-                acc = (
-                    accuracy(state.x.mean(axis=0), problem.test)
-                    if len(problem.test)
-                    else None
-                )
+                acc = accuracy(state.x.mean(axis=0), problem.test) if len(problem.test) else None
                 row = MetricRow(
                     round=k,
                     opt_err=optimality_error(state.x, problem.reference.x),
@@ -396,10 +394,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     raise DivergenceError(
                         f"round {k}: {name} is not finite; the run diverged", round=k
                     )
+            limit = BLOW_UP * max(_trace.rows[0].opt_err if _trace.rows else row.opt_err, 1.0)
+            if not row.opt_err <= limit:
+                raise DivergenceError(
+                    f"round {k}: opt_err {row.opt_err:.6g} exceeds {limit:.6g}, {BLOW_UP:g}"
+                    " times max(opt_err at round 0, 1); the run diverged", round=k)
             _trace.append(row)
 
         try:
-            optimizer.run(problem.P, problem.local, rc, alphas, [on_round])
+            optimizer.run(problem.P, problem.local, replace(config, seed=seed), alphas,
+                          [on_round])
         except DivergenceError as exc:
             if path is not None:
                 trace.write_jsonl(
@@ -422,12 +426,5 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         agg_path = out_dir / f"{config.algorithm}_mean.csv"
         write_aggregate_csv(agg_path, agg)
 
-    return ExperimentResult(
-        config=config,
-        problem=problem,
-        certificate=rate,
-        traces=traces,
-        trace_paths=paths,
-        aggregate_path=agg_path,
-        aggregate=agg,
-    )
+    return ExperimentResult(config=config, problem=problem, certificate=rate, traces=traces,
+                            trace_paths=paths, aggregate_path=agg_path, aggregate=agg)

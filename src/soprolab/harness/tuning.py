@@ -2,8 +2,9 @@
 
 Every grid point is a set of config overrides.  A point's score is the
 mean number of rounds to reach the target optimality error over a few
-seeds (infinity when any seed never reaches it); ties break toward the
-smaller mean final error.
+seeds (infinity when any seed never reaches it, or when a seed diverges:
+:func:`run_experiment` raises); ties break toward the smaller mean final
+error.
 """
 
 from __future__ import annotations
@@ -48,28 +49,17 @@ def tune_baseline(config: ExperimentConfig, grid) -> TuneResult:
 
     table = []
     for overrides in grid:
-        trial = replace(
-            config.with_overrides(overrides), out=None, seeds=seeds
-        )
+        trial = replace(config.with_overrides(overrides), out=None, seeds=seeds)
         try:
             result = run_experiment(trial)
         except DivergenceError:
             table.append(TunePoint(overrides, math.inf, math.inf))
             continue
-        rounds = []
-        finals = []
-        for trace in result.traces:
-            hit = trace.rounds_to(target)
-            rounds.append(math.inf if hit is None else float(hit))
-            final = trace.opt_errors()[-1]
-            finals.append(math.inf if not np.isfinite(final) else float(final))
-        table.append(
-            TunePoint(
-                overrides=dict(overrides),
-                mean_rounds=float(np.mean(rounds)),
-                mean_final_err=float(np.mean(finals)),
-            )
-        )
+        # A run that diverged raised, so every final error here is finite.
+        hits = [trace.rounds_to(target) for trace in result.traces]
+        rounds = [math.inf if hit is None else float(hit) for hit in hits]
+        finals = [float(trace.opt_errors()[-1]) for trace in result.traces]
+        table.append(TunePoint(dict(overrides), float(np.mean(rounds)), float(np.mean(finals))))
     best = min(table, key=lambda p: (p.mean_rounds, p.mean_final_err))
     return TuneResult(best=best, table=table)
 

@@ -200,10 +200,10 @@ def substream(seed: int, agent: int, round_idx: int, purpose: int) -> np.random.
 class RunConfig:
     """Parameters of one algorithm run on a fixed network and data split."""
 
-    batch_g: int
-    batch_s: int
-    max_iters: int
-    seed: int
+    batch_g: int = 10
+    batch_s: int = 10
+    max_iters: int = 500
+    seed: int = 0
     beta: float = 1.0
     algorithm: str = "st_sopro"
     x0_mode: str = "uniform"

@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
@@ -143,7 +143,7 @@ def record_at_rho_2(cfg: ExperimentConfig) -> dict:
     def on_round(k, state):
         rows.append({"round": k, "opt_err": optimality_error(state.x, problem.reference.x)})
 
-    state = optimizer.run(problem.P, local, cfg.to_run_config(cfg.master_seed), alphas,
+    state = optimizer.run(problem.P, local, replace(cfg, seed=cfg.master_seed), alphas,
                           [on_round])
     return {"engine": asdict(state.engine), "alphas": alphas.tolist(), "rows": rows}
 

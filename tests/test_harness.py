@@ -154,7 +154,7 @@ def test_trace_header_names_the_proximal_engine(tmp_path, algorithm):
         assert header["engine"] is None
         return
     _, alphas, _, _ = build_certificate(config, result.problem)
-    engine = optimizer.proximal_engine(result.problem.local, config.to_run_config(0), alphas)
+    engine = optimizer.proximal_engine(result.problem.local, config, alphas)
     assert engine.solve == "series"
     assert header["engine"] == dataclasses.asdict(engine) == {
         "solve": "series", "terms": engine.terms, "rho_bound": engine.rho_bound}
@@ -178,12 +178,13 @@ def test_trace_header_names_the_exchange_form(tmp_path, algorithm, n_agents, exc
 def test_diverged_run_writes_its_rows_and_a_diverged_summary_then_raises(tmp_path):
     # The step-1e3 DSGD set-up of the baseline divergence tests: its
     # iterates stay finite for 300 rounds while the optimality error
-    # overflows.
+    # passes 1e3 times its round-0 value.
     config = ExperimentConfig(
         dim=15, n_agents=6, per_agent=40, test_size=20, batch_g=10, max_iters=300,
         algorithm="dsgd", step_size=1e3, out=str(tmp_path),
     )
-    with pytest.raises(DivergenceError, match=r"round \d+: opt_err is not finite") as e:
+    with pytest.raises(DivergenceError, match=r"round \d+: opt_err \S+ exceeds \S+, 1000 times"
+                       r" max\(opt_err at round 0, 1\); the run diverged") as e:
         run_experiment(config)
     k = e.value.round
     assert 0 < k < config.max_iters
@@ -337,6 +338,43 @@ def test_package_and_cli_import_no_optimizer_or_sparse_scipy():
 # LIBSVM file (3 of 12 columns set in every row), then one round by CG,
 # then one Gram-path step held against its dense-inverse oracle.  It prints
 # the scipy modules loaded after each stage.
+@pytest.mark.parametrize("algorithm", ["st_sopro", "sopro"])
+def test_a_finite_blow_up_raises_at_a_named_round(algorithm, monkeypatch, tmp_path):
+    # Every run gets alpha = 1 in place of its certified alphas; the
+    # certificate and the Q-norm error are kept.  This shape then converges
+    # at beta = 0.1 and diverges at beta = 0.3, with finite iterates all
+    # the way.
+    certified = experiment.build_certificate
+
+    def fixed(config, problem):
+        rate, alphas, mu, q_err = certified(config, problem)
+        return rate, np.ones_like(alphas), mu, q_err
+
+    monkeypatch.setattr(experiment, "build_certificate", fixed)
+    small = dict(dim=6, n_agents=8, per_agent=12, test_size=0, batch_g=4, batch_s=4,
+                 max_iters=100, algorithm=algorithm, out=str(tmp_path))
+    errors = run_experiment(ExperimentConfig(**small, beta=0.1)).traces[0].opt_errors()
+    assert errors.max() == errors[0] and errors[-1] < 0.1 * errors[0]
+    with pytest.raises(DivergenceError, match=r"^round \d+: opt_err \S+ exceeds") as e:
+        run_experiment(ExperimentConfig(**small, beta=0.3))
+    k = e.value.round
+    assert str(e.value).startswith(f"round {k}: ") and 10 < k < 100
+    _, *rows, _ = (tmp_path / f"{algorithm}_seed000.jsonl").read_text().splitlines()
+    errors = [json.loads(row)["opt_err"] for row in rows]
+    assert len(errors) == k and max(errors) <= 1e3 * errors[0]
+
+
+def test_a_non_finite_opt_err_keeps_its_message(monkeypatch):
+    # A value that jumps from below the blow-up limit to NaN in one round.
+    opt_err, rounds = experiment.optimality_error, iter(range(6))
+    monkeypatch.setattr(experiment, "optimality_error",
+                        lambda x, x_star: math.nan if next(rounds) == 3 else opt_err(x, x_star))
+    config = ExperimentConfig(dim=4, n_agents=3, per_agent=10, test_size=5, batch_g=2,
+                              batch_s=2, max_iters=5)
+    with pytest.raises(DivergenceError, match=r"^round 3: opt_err is not finite; the run diverged$"):
+        run_experiment(config)
+
+
 FRESH_RUNS = """
 import sys
 import numpy as np
@@ -443,10 +481,38 @@ def test_cli_refuses_no_seeds_and_a_negative_test_size(command, flag, value, tmp
 
 
 def test_config_schema_is_the_fields_of_experiment_config():
+    # All but seed, which run_experiment sets per run.
     hints = typing.get_type_hints(ExperimentConfig)
-    assert list(CONFIG_SCHEMA) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert list(CONFIG_SCHEMA) == [
+        f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "seed"]
     for key, kind in CONFIG_SCHEMA.items():
         assert hints[key] in (kind, kind | None), key
+
+
+def test_config_keys_types_and_defaults_are_pinned():
+    assert CONFIG_SCHEMA == {
+        "dataset": str, "dim": int, "n_agents": int, "avg_degree": float, "per_agent": int,
+        "test_size": int, "separation": float, "noise": float, "lambda_reg": float,
+        "beta": float, "eta_s": float, "mu": float, "c1": float, "batch_g": int,
+        "batch_s": int, "max_iters": int, "algorithm": str, "x0_mode": str,
+        "step_size": float, "step_schedule": str, "seeds": int, "master_seed": int,
+        "topology_seed": int, "data_seed": int, "topology_file": str, "target_error": float,
+        "out": str,
+    }
+    assert experiment._UNSETTABLE == {
+        "mu", "step_size", "topology_seed", "data_seed", "topology_file", "target_error", "out"}
+    config = ExperimentConfig()
+    assert config.to_dict() == {
+        "dataset": "synthetic", "dim": 10, "n_agents": 5, "avg_degree": 2.0, "per_agent": 50,
+        "test_size": 200, "separation": 1.0, "noise": 1.0, "lambda_reg": 0.01, "beta": 1.0,
+        "eta_s": 0.5, "mu": None, "c1": 1.0, "batch_g": 10, "batch_s": 10, "max_iters": 500,
+        "algorithm": "st_sopro", "x0_mode": "uniform", "step_size": None,
+        "step_schedule": "constant", "seeds": 1, "master_seed": 0, "topology_seed": None,
+        "data_seed": None, "topology_file": None, "target_error": None, "out": None,
+    }
+    assert isinstance(config, optimizer.RunConfig) and config.seed == 0
+    with pytest.raises(ConfigurationError, match="unknown config key 'seed'"):
+        config_from_mapping({"seed": "3"})
 
 
 def test_the_keys_that_may_be_unset_are_the_optional_fields():
@@ -545,6 +611,47 @@ def test_cli_certify_refuses_a_bad_run_parameter_before_set_up(flags, message, m
     monkeypatch.setattr(cli, "build_problem", _refuse_set_up)
     assert main(["certify", *SMALL, *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+BAD_CERTIFICATE_KEYS = [
+    (["--eta-s", "0"], "eta_s must lie in (0,1), got 0.0"),
+    (["--eta-s", "1"], "eta_s must lie in (0,1), got 1.0"),
+    (["--eta-s", "2"], "eta_s must lie in (0,1), got 2.0"),
+    (["--mu", "0"], "mu must be positive, got 0.0"),
+    (["--mu", "-1"], "mu must be positive, got -1.0"),
+    (["--c1", "0"], "c1 must be positive, got 0.0"),
+    (["--c1", "-1"], "c1 must be positive, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "certify", "tune"])
+@pytest.mark.parametrize("flags, message", BAD_CERTIFICATE_KEYS,
+                         ids=[" ".join(f) for f, _ in BAD_CERTIFICATE_KEYS])
+@pytest.mark.parametrize("algorithm", ["st_sopro", "sopro"])
+def test_cli_refuses_a_bad_certificate_key_before_set_up(command, flags, message, algorithm,
+                                                         monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(experiment, "build_problem", _refuse_set_up)
+    monkeypatch.setattr(cli, "build_problem", _refuse_set_up)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("beta=0.5\n")
+    argv = [command, *SMALL, "--algorithm", algorithm, *flags, "--out", str(tmp_path / "out")]
+    if command == "tune":
+        argv += ["--target-error", "0.1", "--grid", str(grid)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
+def test_baselines_run_whatever_their_certificate_keys(algorithm):
+    small = dict(dim=4, n_agents=3, per_agent=10, test_size=5, batch_g=2, max_iters=3,
+                 algorithm=algorithm, step_size=0.1)
+    rows = [
+        [(r.opt_err, r.comm_bits, r.test_acc)
+         for r in run_experiment(ExperimentConfig(**small, **keys)).traces[0].rows]
+        for keys in ({}, {"eta_s": 2.0, "mu": -1.0, "c1": 0.0}, {"eta_s": 0.0, "mu": 0.0})
+    ]
+    assert rows[1] == rows[0] and rows[2] == rows[0]
 
 
 @pytest.mark.parametrize("flag", ["--config", "--grid", "--dataset", "--topology-file"])
