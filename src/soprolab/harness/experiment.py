@@ -57,6 +57,7 @@ __all__ = [
     "parse_config_file",
     "config_from_mapping",
     "build_topology",
+    "PROBLEM_KEYS",
     "build_problem",
     "build_certificate",
     "run_experiment",
@@ -223,6 +224,13 @@ class Problem:
     timings: dict = field(default_factory=dict)
 
 
+# The keys build_problem reads: configs that agree on them build the same
+# problem.
+PROBLEM_KEYS = ("dataset", "dim", "n_agents", "avg_degree", "per_agent", "test_size",
+                "separation", "noise", "lambda_reg", "master_seed", "topology_seed",
+                "data_seed", "topology_file")
+
+
 def build_problem(config: ExperimentConfig) -> Problem:
     start = time.perf_counter()
     P = build_topology(config)
@@ -301,8 +309,12 @@ class ExperimentResult:
     aggregate: dict
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> ExperimentResult:
     """Run every seed, write traces, and aggregate.
+
+    ``problem`` is built from ``config`` unless given: one that
+    :func:`build_problem` made from a config that agrees with ``config`` on
+    ``PROBLEM_KEYS``.
 
     The topology, data split, reference solution, and certificate are pinned
     by ``topology_seed``/``data_seed`` (default: the master seed); individual
@@ -334,7 +346,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     # Seeds differ only in ``seed``, so one check covers every run.
     config.check()
-    problem = build_problem(config)
+    if problem is None:
+        problem = build_problem(config)
     certifying = time.perf_counter()
     rate, alphas, mu_resolved, q_err = build_certificate(config, problem)
     timings = {**problem.timings, "certificate_s": time.perf_counter() - certifying}

@@ -18,8 +18,8 @@ which needs no scipy module.  At d = 112-123 that LU solve takes
 Hessian (0.5-0.7 ms each).  A float32 LU or inverse is no faster there.
 
 The Hessian is assembled in float32 and summed into a float64 matrix
-(:meth:`_Pool.hessian`); its shift and the LU solve are float64.  Newton
-uses the Hessian only as the metric of its step.  The margins, objective,
+(:func:`_hessian`); its shift and the LU solve are float64.  Newton uses
+the Hessian only as the metric of its step.  The margins, objective,
 gradients, Armijo search and the test ``||g|| <= tol`` are float64, so
 the solve stops only where the float64 gradient meets the tolerance, and
 ``x*`` lies within ``tol / sum(lam)`` of the true optimum as before.  A
@@ -27,20 +27,23 @@ metric off by float32 rounding (about 1e-7 relative) is an inexact
 Newton method (Dembo, Eisenstat & Steihaug 1982) whose steps still
 converge fast: on the benchmark's shapes the iteration and Hessian counts
 equal those of a float64 build, and ``x*`` moved by at most 2e-16
-relative.  A build takes 1.9, 2.1 and 3.1 ms at the a4a, mushrooms and
-scale200 shapes, against 3.0, 3.3 and 4.9 ms in float64 (medians over
-15 solves, same VM); the builds are still about 60% of a solve.
+relative.  A float32 build took 2.5-2.6, 2.9-3.4 and 4.0-4.5 ms at the
+a4a, mushrooms and scale200 shapes (medians of 15 builds on each of 6
+data seeds, in two runs, on one OpenBLAS thread of a 2-vCPU x86 VM), and
+a float64 one about 1.6 times as long; the builds are about half of a
+solve.
 
 Every evaluation covers all agents at once over the stacked local sets
-(:class:`~soprolab.loss.StackedSets`): each row carries the weight
-``1/C`` of its agent's average.  The margins
+(:class:`~soprolab.loss.StackedSets`), and each is a function of them:
+each row carries the weight ``1/C`` of its agent's average.  The margins
 ``F x`` of a point are computed once and serve its objective, gradient
 and Hessian.  Margins and gradients read the sets' CSR operator through
 :meth:`~soprolab.loss.StackedSets.matvec` and
 :func:`~soprolab.loss.sets_grad`, as the rounds do.  The Hessian reads
-the rows densely, ``READ_CHUNK_ROWS`` at a time, through
-:meth:`~soprolab.loss.StackedSets.dense_rows`, and scales each chunk in
-one float32 buffer per solve; no ``(N, C, d)`` block is formed.
+the rows densely, in float32 with each row scaled by the square root of
+its curvature weight, a run of whole agents at a time, through
+:meth:`~soprolab.loss.StackedSets.agent_chunks`: ``loss`` owns every
+dense read of the rows, and no ``(N, C, d)`` block is formed.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import loss
 from ..errors import SoprolabError
 from ..loss import StackedSets, logistic_curvature, sets_grad, sigma_sq_estimate
 
@@ -80,67 +82,43 @@ _ROUNDING = 1e3 * np.finfo(float).eps
 _REFACTOR_RATIO = 0.1
 
 
-class _Pool:
-    """The stacked local sets, with the per-row weight ``1/C`` of the averages."""
+def _margins(local: StackedSets, x: np.ndarray) -> np.ndarray:
+    """``(N, C)`` margins ``F x`` of every stacked row."""
+    return local.matvec(np.broadcast_to(x, (len(local.lam), x.shape[0])))
 
-    def __init__(self, local: StackedSets):
-        self.local = local
-        n, per_agent, d = local.shape
-        self.weight = 1.0 / per_agent
-        # Every Hessian build writes each chunk of rows into it and scales
-        # it there: a new array a chunk cost more than the scaling.  The
-        # chunk bounds the buffer instead of one copy of the whole stack.
-        # float32: the build's metric (see hessian).
-        self.chunk = loss.READ_CHUNK_ROWS
-        self.rows = np.empty((min(self.chunk, n * per_agent), d), dtype=np.float32)
 
-    def _spread(self, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(x, (len(self.local.lam), x.shape[0]))
+def _objective(local: StackedSets, x: np.ndarray, u: np.ndarray) -> float:
+    """``F(x)`` from the margins ``u`` of ``x``."""
+    weight = 1.0 / local.shape[1]
+    logistic = float(np.sum(weight * np.logaddexp(0.0, -local.labels * u)))
+    return 0.5 * float(local.lam.sum()) * float(x @ x) + logistic
 
-    def margins(self, x: np.ndarray) -> np.ndarray:
-        """``(N, C)`` margins ``F x`` of every stacked row."""
-        return self.local.matvec(self._spread(x))
 
-    def objective(self, x: np.ndarray, u: np.ndarray) -> float:
-        """``F(x)`` from the margins ``u`` of ``x``."""
-        logistic = float(np.sum(self.weight * np.logaddexp(0.0, -self.local.labels * u)))
-        return 0.5 * float(self.local.lam.sum()) * float(x @ x) + logistic
+def _local_gradients(local: StackedSets, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``(N, d)``: row ``i`` is agent ``i``'s exact gradient at ``x``, from
+    the margins ``u`` of ``x``."""
+    return sets_grad(np.broadcast_to(x, (len(local.lam), x.shape[0])), local, None, u)
 
-    def local_gradients(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """``(N, d)``: row ``i`` is agent ``i``'s exact gradient at ``x``,
-        from the margins ``u`` of ``x``."""
-        return sets_grad(self._spread(x), self.local, None, u)
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        # Rows added in agent order, as a sum of per-agent gradients would.
-        return self.local_gradients(x, self.margins(x)).sum(axis=0)
+def _hessian(local: StackedSets, u: np.ndarray) -> np.ndarray:
+    """Hessian of ``F`` at the point whose margins are ``u``, to float32
+    accuracy: the metric of a Newton step, whose stopping test reads the
+    float64 gradient, so the rounding changes the steps, not the tolerance
+    the solve stops at (see the module docstring).
 
-    def hessian(self, u: np.ndarray) -> np.ndarray:
-        """Hessian of ``F`` at the point whose margins are ``u``, to float32
-        accuracy: the metric of a Newton step, whose stopping test reads
-        the float64 gradient, so the rounding changes the steps, not the
-        tolerance the solve stops at.  It costs about 1.9 ms at the a4a
-        shape against 3.0 ms in float64 (see the module docstring).
-
-        Each chunk of rows is read and scaled by the square roots of its
-        curvature weights in one float32 multiply, whether ``dense_rows``
-        wrote the chunk into the float32 buffer or returned a float64
-        view: both round the stored entries and the roots to float32 and
-        then multiply, so the two routes give the same bits.  Each chunk's
-        ``B^T B`` (a float32 ``syrk``) is added into a float64 ``H``, and
-        the shift ``sum(lam)`` is added in float64.
-        """
-        d = self.local.dim
-        root = np.sqrt(self.weight * logistic_curvature(u)).reshape(-1)
-        H = np.zeros((d, d))
-        for start in range(0, root.size, self.chunk):
-            stop = min(start + self.chunk, root.size)
-            B = self.rows[: stop - start]
-            rows = self.local.dense_rows(start, stop, B)
-            np.multiply(rows, root[start:stop, None], out=B, dtype=np.float32)
-            H += B.T @ B
-        H.flat[:: d + 1] += self.local.lam.sum()
-        return H
+    The rows come from :meth:`~soprolab.loss.StackedSets.agent_chunks` in
+    float32, each scaled there by the square root of its curvature weight.
+    Each run's ``B^T B`` (a float32 ``syrk``) is added into a float64
+    ``H``, and the shift ``sum(lam)`` is added in float64.
+    """
+    d = local.dim
+    root = np.sqrt((1.0 / local.shape[1]) * logistic_curvature(u))
+    H = np.zeros((d, d))
+    for _, _, B in local.agent_chunks(np.float32, scale=root):
+        B = B.reshape(-1, d)
+        H += B.T @ B
+    H.flat[:: d + 1] += local.lam.sum()
+    return H
 
 
 def solve_reference(
@@ -152,13 +130,12 @@ def solve_reference(
     again only when the gradient norm did not fall by ``_REFACTOR_RATIO``
     over the last step (see the module docstring).
     """
-    pool = _Pool(local)
     x = np.zeros(local.dim)
-    u = pool.margins(x)
-    f = pool.objective(x, u)
+    u = _margins(local, x)
+    f = _objective(local, x, u)
     H, factorizations, last_gn = None, 0, np.inf
     for it in range(max_iters):
-        grads = pool.local_gradients(x, u)
+        grads = _local_gradients(local, x, u)
         # Rows added in agent order, as a sum of per-agent gradients would.
         g = grads.sum(axis=0)
         gn = float(np.linalg.norm(g))
@@ -168,7 +145,7 @@ def solve_reference(
                 local_grads=grads,
             )
         if H is None or gn > _REFACTOR_RATIO * last_gn:
-            H = pool.hessian(u)
+            H = _hessian(local, u)
             factorizations += 1
         last_gn = gn
         step = np.linalg.solve(H, g)
@@ -180,13 +157,13 @@ def solve_reference(
             # the full step converges, and a step that does not cut the
             # gradient norm tenfold is followed by a fresh Hessian.
             x = x - step
-            u = pool.margins(x)
-            f = pool.objective(x, u)
+            u = _margins(local, x)
+            f = _objective(local, x, u)
             continue
         while t > 1e-12:
             cand = x - t * step
-            uc = pool.margins(cand)
-            fc = pool.objective(cand, uc)
+            uc = _margins(local, cand)
+            fc = _objective(local, cand, uc)
             if fc <= f - 1e-4 * t * gTs:
                 x, u, f = cand, uc, fc
                 break
@@ -201,13 +178,13 @@ def solve_reference(
 def probe_points(local: StackedSets, x_star: np.ndarray, n_steps: int = 8) -> list[np.ndarray]:
     """Probes for the gradient-noise estimate: origin, optimum, and the
     iterates of a short deterministic gradient descent between them."""
-    pool = _Pool(local)
     probes = [np.zeros_like(x_star), x_star]
     total_M = float((local.lam + local.curvature_bound).sum())
     x = np.zeros_like(x_star)
     step = 1.0 / max(total_M, 1e-12)
     for _ in range(n_steps):
-        x = x - step * pool.gradient(x)
+        # Rows added in agent order, as a sum of per-agent gradients would.
+        x = x - step * _local_gradients(local, x, _margins(local, x)).sum(axis=0)
         probes.append(x.copy())
     return probes
 

@@ -1,10 +1,12 @@
 """Small grid search for algorithm hyperparameters.
 
-Every grid point is a set of config overrides.  A point's score is the
+Every grid point is a set of config overrides.  The points that agree on
+the keys :func:`~soprolab.harness.experiment.build_problem` reads
+(``PROBLEM_KEYS``) share one problem, built once.  A point's score is the
 mean number of rounds to reach the target optimality error over a few
 seeds (infinity when any seed never reaches it, or when a seed diverges:
-:func:`run_experiment` raises); ties break toward the smaller mean final
-error.
+:func:`~soprolab.harness.experiment.run_experiment` raises); ties break
+toward the smaller mean final error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import DivergenceError, ParameterError
-from .experiment import ExperimentConfig, run_experiment
+from . import experiment
+from .experiment import ExperimentConfig
 
 __all__ = ["TunePoint", "TuneResult", "tune_baseline", "parse_grid_file"]
 
@@ -47,11 +50,15 @@ def tune_baseline(config: ExperimentConfig, grid) -> TuneResult:
         raise ParameterError("no target error given (config.target_error is unset)")
     seeds = min(config.seeds, 3)
 
-    table = []
+    table, problems = [], {}
     for overrides in grid:
         trial = replace(config.with_overrides(overrides), out=None, seeds=seeds)
+        trial.check()  # before any set-up, as run_experiment checks
+        key = tuple(getattr(trial, name) for name in experiment.PROBLEM_KEYS)
+        if key not in problems:
+            problems[key] = experiment.build_problem(trial)
         try:
-            result = run_experiment(trial)
+            result = experiment.run_experiment(trial, problems[key])
         except DivergenceError:
             table.append(TunePoint(overrides, math.inf, math.inf))
             continue

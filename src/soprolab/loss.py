@@ -17,9 +17,11 @@ scipy's row indexing and copies each once into its slot: in the
 block-diagonal CSR operator of one :class:`StackedSets`, which every
 later layer takes, or in the CSR test set.  Rounds read the whole local
 sets, at the positions of their batches, through
-:meth:`StackedSets.matvec` and :meth:`StackedSets.rmatvec`; the set-up
-reads them densely, a bounded chunk of rows at a time, through
-:meth:`StackedSets.dense_rows`.
+:meth:`StackedSets.matvec` and :meth:`StackedSets.rmatvec`.  The set-up
+reads them densely through :meth:`StackedSets.agent_chunks` alone, a run
+of whole agents of at most ``READ_CHUNK_ROWS`` rows at a time, in float64
+for the noise estimate and the Gram stack, and in float32 with every row
+scaled, for the reference Hessian.
 The stacked functions (:func:`sets_grad`, :func:`on_batches`,
 :func:`sigma_sq_estimate`, and :func:`logistic_coef` and
 :func:`logistic_curvature` of stacked margins) work on all agents at
@@ -107,7 +109,7 @@ class StackedSets:
 
     :meth:`matvec` and :meth:`rmatvec` read the operator (through its
     transpose, made once, for :meth:`rmatvec`).  The set-up reads the rows
-    densely, a bounded chunk at a time, through :meth:`dense_rows`.
+    densely, a run of whole agents at a time, through :meth:`agent_chunks`.
     """
 
     csr: csr_matrix = field(compare=False, repr=False)
@@ -177,35 +179,45 @@ class StackedSets:
         rows *= d
         return np.add(rows, self.csr.indices, dtype=index)
 
-    def dense_rows(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    def dense_rows(
+        self, start: int, stop: int, out: np.ndarray, scale: np.ndarray | None = None
+    ) -> np.ndarray:
         """Rows ``start`` to ``stop`` of the flat ``(N C, d)`` stack of the
         rows (agent ``i``'s row ``j`` is row ``i C + j``), as a dense array:
         zeroes the C-contiguous ``(stop - start, d)`` array ``out``, writes
-        the rows' stored entries into it and returns it.  A float32 ``out``
-        rounds the stored entries to float32.
+        the rows' stored entries into it and returns it.  Given the
+        ``(stop - start,)`` per-row ``scale``, each stored entry is first
+        multiplied by its row's scale, both rounded to ``out``'s dtype and
+        multiplied in it.  A float32 ``out`` rounds the stored entries to
+        float32.
         """
         d = self.dim
         if out.shape != (stop - start, d) or not out.flags.c_contiguous:
             raise ParameterError(
                 f"need a C-contiguous ({stop - start}, {d}) array, got {out.shape}"
             )
-        lo, hi = self.csr.indptr[start], self.csr.indptr[stop]
+        ptr = self.csr.indptr[start : stop + 1]
+        values = self.csr.data[ptr[0] : ptr[-1]]
+        if scale is not None:
+            values = np.multiply(values, np.repeat(scale, np.diff(ptr)), dtype=out.dtype)
         out.fill(0.0)
-        out.reshape(-1)[self._flat_positions[lo:hi] - start * d] = self.csr.data[lo:hi]
+        out.reshape(-1)[self._flat_positions[ptr[0] : ptr[-1]] - start * d] = values
         return out
 
-    def agent_chunks(self):
+    def agent_chunks(self, dtype=np.float64, scale: np.ndarray | None = None):
         """Yield ``(a, b, feats)`` over consecutive runs of whole agents:
-        ``feats`` is the ``(b - a, C, d)`` rows of agents ``a`` to ``b``,
-        read by :meth:`dense_rows`.  A run holds at most
-        ``READ_CHUNK_ROWS`` rows, or one agent; every run is written into
-        the same buffer, so ``feats`` is valid until the next run."""
+        ``feats`` is the ``(b - a, C, d)`` rows of agents ``a`` to ``b`` in
+        ``dtype``, read by :meth:`dense_rows`, with every row multiplied by
+        its entry of the ``(N, C)`` ``scale`` if one is given.  A run holds
+        at most ``READ_CHUNK_ROWS`` rows, or one agent; every run is written
+        into the same buffer, so ``feats`` is valid until the next run."""
         n, per_agent, d = self.shape
         step = max(1, READ_CHUNK_ROWS // per_agent)
-        buffer = np.empty((min(step, n) * per_agent, d))
+        buffer = np.empty((min(step, n) * per_agent, d), dtype=dtype)
         for a in range(0, n, step):
             b = min(a + step, n)
-            rows = self.dense_rows(a * per_agent, b * per_agent, buffer[: (b - a) * per_agent])
+            rows = self.dense_rows(a * per_agent, b * per_agent, buffer[: (b - a) * per_agent],
+                                   None if scale is None else scale[a:b].ravel())
             yield a, b, rows.reshape(b - a, per_agent, d)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -260,9 +272,10 @@ def _map_labels(raw: np.ndarray, linenos: list[int]) -> np.ndarray:
 # slice, not with the file.
 _CHUNK_LINES = 1024
 # Rows per dense read of the local sets in the set-up: a run of
-# StackedSets.agent_chunks (whole agents, at least one) and a chunk of the
-# reference Hessian.  At d = 123 the agent_chunks buffer is about 1 MB of
-# float64, and the Hessian's buffer 0.5 MB of float32.
+# StackedSets.agent_chunks holds whole agents, at least one, and at most
+# this many rows unless one agent has more.  At d = 123 its buffer is
+# about 1 MB of float64 (noise estimate, Gram stack) or 0.5 MB of float32
+# (reference Hessian).
 READ_CHUNK_ROWS = 1024
 # The code points that ``str.split`` treats as whitespace, and those among
 # them that ``str.splitlines`` ends a line at; none lies above U+3000.

@@ -59,11 +59,15 @@ B_i)^{-1} r_i``:
   2`` against a cap of 3); near ``rho = 1`` the series is far longer
   than CG (270 terms against 17 at ``rho = 0.873``), and the rules below
   apply.
-* Otherwise, when ``S < d`` and ``C <= d``: :func:`gram_step`, which
-  factors each agent's ``S x S`` Woodbury system from the Gram stack of
-  its local set, computed once before round 0 (:func:`gram_stack`).  The
-  rule keeps the cached ``N C^2`` floats no more than the ``N C d`` of
-  the local sets read densely.
+* Otherwise, when ``S < C <= d``: :func:`gram_step`, which factors each
+  agent's ``S x S`` Woodbury system from the Gram stack of its local set,
+  computed once before round 0 (:func:`gram_stack`).  ``C <= d`` keeps
+  the cached ``N C^2`` floats no more than the ``N C d`` of the local sets
+  read densely.  ``S < C`` leaves whole-set batches (SoPro) to CG, which
+  was faster there: on 200 agents of 40 rows over 123 columns at (alpha,
+  beta) = (1.0, 0.05), SoPro rounds took a median of 7.80 ms by the Gram
+  step against 6.19 ms by CG (8 pairs of 120 rounds, one BLAS thread of a
+  2-vCPU x86 VM).
 * Otherwise: :func:`row_step` with conjugate gradients (Hestenes &
   Stiefel 1952) on all agents at once.  ``B_i^T B_i`` has rank at most
   ``S``, so ``c_i I + B_i^T B_i`` has at most ``min(S, d) + 1`` distinct
@@ -119,8 +123,7 @@ from .errors import ConfigurationError, DivergenceError, InvariantViolation, Par
 from .loss import (
     LowRankHessian,
     StackedSets,
-    batch_grad,
-    batch_hess,
+    batch_grad,  # noqa: F401  no round calls it; bench/test_spans.py traces this alias
     logistic_curvature,
     on_batches,
     sets_grad,
@@ -138,7 +141,6 @@ __all__ = [
     "substream",
     "draw_positions",
     "sample_batches",
-    "agent_batch_stats",
     "batch_positions",
     "check_finite",
     "initial_iterates",
@@ -317,19 +319,6 @@ def sample_batches(C: int, G: int, S: int, seed: int, agent: int, round_idx: int
         draw_positions(agent + 1, C, b, seed, round_idx, purpose)[agent * b :] - agent * C
         for b, purpose in ((G, PURPOSE_GRAD), (S, PURPOSE_HESS))
     )
-
-
-def agent_batch_stats(
-    x_i: np.ndarray, ds, G: int, S: int, seed: int, agent: int, round_idx: int
-):
-    """One agent's batch gradient and low-rank Hessian for one round.
-
-    Computed alone, from the :func:`sample_batches` indices, with
-    :func:`~soprolab.loss.batch_grad` and :func:`~soprolab.loss.batch_hess`:
-    the per-agent oracle of the stacked statistics of a round.
-    """
-    g_idx, s_idx = sample_batches(ds.n_samples, G, S, seed, agent, round_idx)
-    return batch_grad(x_i, ds, g_idx), batch_hess(x_i, ds, s_idx)
 
 
 def batch_positions(
@@ -620,7 +609,7 @@ def gram_step(
     w: np.ndarray,
     c: np.ndarray,
     gram: np.ndarray,
-    s_idx: np.ndarray | None,
+    s_idx: np.ndarray,
 ) -> np.ndarray:
     """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``
     with ``B_i^T B_i = F_i^T diag(w_i) F_i``, by one Cholesky factorisation of
@@ -630,7 +619,7 @@ def gram_step(
     ``x``, ``rhs``, ``local``, ``w`` and ``c`` are as for :func:`row_step`;
     ``gram`` is the ``(N, C, C)`` stack of ``F_i F_i^T`` (:func:`gram_stack`)
     and ``s_idx`` the flat positions of the Hessian batches from
-    :func:`batch_positions` (``None``: whole sets), off which ``w`` is zero.
+    :func:`batch_positions`, off which ``w`` is zero.
 
     By the Woodbury identity
 
@@ -647,7 +636,7 @@ def gram_step(
     _check_shift(c)
     n, C = w.shape
     # Agent i's Hessian batch rows, as flat positions i C + j.
-    rows = (np.arange(n * C) if s_idx is None else s_idx).reshape(n, -1)
+    rows = s_idx.reshape(n, -1)
     sw = np.sqrt(w.ravel()[rows])
     # gram[i, a, b] sits at flat position (i C + a) C + b.
     at = rows - np.arange(0, n * C, C)[:, None]
@@ -719,11 +708,11 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     solve follows from the bound ``rho``, the Hessian batch size ``S``
     (:meth:`RunConfig.batches`), ``C`` and ``d`` (see the module docstring):
     the series when ``rho < 1`` and its term count is at most twice CG's
-    a-priori cap, else Cholesky by :func:`gram_step` when ``S < d`` and
-    ``C <= d``, else CG, capped at the fewer of its a-priori
-    cap and ``CG_SLACK (min(S, d) + 1)`` iterations.  A bound that is not
-    finite (a shift so small that it overflows) is refused the same way,
-    naming the first agent whose is not.
+    a-priori cap, else Cholesky by :func:`gram_step` when ``S < C <= d``,
+    else CG, capped at the fewer of its a-priori cap and ``CG_SLACK (min(S,
+    d) + 1)`` iterations.  A bound that is not finite (a shift so small
+    that it overflows) is refused the same way, naming the first agent
+    whose is not.
     """
     _, C, d = local.shape
     shift = local.lam + np.asarray(alphas, dtype=float)
@@ -742,7 +731,7 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     terms, cg_terms = _series_terms(rho), _cg_iterations(rho)
     if terms is not None and terms <= 2 * cg_terms:
         solve = "series"
-    elif rows < d and C <= d:
+    elif rows < C <= d:
         solve, terms = "cholesky", None
     else:
         solve, terms = "cg", min(cg_terms, CG_SLACK * (min(rows, d) + 1))

@@ -4,8 +4,9 @@ operator of the local sets and the per-agent dense step replaced, and the
 numerical search (with the plain ``kappa`` evaluation) that the
 certificate's closed forms replaced, and the eigen-coordinate Q-norm error
 that its Gram form replaced.  The per-sample loss, gradient and Hessian
-(:class:`Sample`), the per-agent batch loss and the two-dimensional batch
-draw are the definitions the loss and the draw are checked against.
+(:class:`Sample`), the per-agent batch loss, one agent's batch statistics
+of a round and the two-dimensional batch draw are the definitions the
+loss, the round and the draw are checked against.
 
 Each function here is the plain loop or search that a routine of
 ``soprolab`` replaced; the tests check the routines against them.
@@ -31,11 +32,12 @@ from soprolab.loss import (
     _block_diagonal,
     _check_dim,
     _dense_csr,
+    batch_grad,
     batch_hess,
     full_grad,
     sigmoid,
 )
-from soprolab.optimizer import draw_positions, substream
+from soprolab.optimizer import draw_positions, sample_batches, substream
 from soprolab.topology import Graph, _tree_from_pruefer
 
 # Raw label sets LIBSVM files use, in the order they are tried, as maps to +-1.
@@ -184,6 +186,14 @@ def batch_loss(x, ds, indices):
     return 0.5 * ds.lambda_reg * float(x @ x) + float(np.mean(np.logaddexp(0.0, -z)))
 
 
+def agent_batch_stats(x_i, ds, G, S, seed, agent, round_idx):
+    """One agent's batch gradient and low-rank Hessian for one round,
+    computed alone from its ``sample_batches`` indices: the per-agent
+    oracle of the stacked statistics of a round."""
+    g_idx, s_idx = sample_batches(ds.n_samples, G, S, seed, agent, round_idx)
+    return batch_grad(x_i, ds, g_idx), batch_hess(x_i, ds, s_idx)
+
+
 def draw_batches(n, C, size, seed, round_idx, purpose):
     """Every agent's batch, one row each: row ``i`` holds the positions
     ``j`` in agent ``i``'s set of the ``draw_positions`` of the same
@@ -262,13 +272,19 @@ class DenseBlockSets(StackedSets):
     """Local sets read through the dense ``(N, C, d)`` block ``feats`` of
     their rows, as ``StackedSets`` held them before the CSR operator was
     their one form: ``matvec`` and ``rmatvec`` are stacked BLAS products
-    of the block, and ``dense_rows`` returns views of it.  The operator
-    stays, for the checks and ``row_sq``."""
+    of the block, and ``dense_rows`` returns views of it, or, given a
+    ``scale`` or a buffer of another dtype, writes into the buffer the
+    block's rows times their scales, both rounded to its dtype.  The
+    operator stays, for the checks and ``row_sq``."""
 
     feats: np.ndarray = field(default=None, compare=False, repr=False)
 
-    def dense_rows(self, start, stop, out):
-        return self.feats.reshape(-1, self.feats.shape[2])[start:stop]
+    def dense_rows(self, start, stop, out, scale=None):
+        rows = self.feats.reshape(-1, self.feats.shape[2])[start:stop]
+        if scale is None and out.dtype == rows.dtype:
+            return rows
+        scale = np.ones(stop - start) if scale is None else scale
+        return np.multiply(rows, scale[:, None], out=out, dtype=out.dtype)
 
     def matvec(self, x):
         return (self.feats @ x[:, :, None])[:, :, 0]

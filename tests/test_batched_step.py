@@ -3,8 +3,8 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from oracles import (
-    agent_datasets, block_of, dense_block, dense_step_stacked, densify, draw_batches, flat_positions,
-    stack_sets,
+    agent_batch_stats, agent_datasets, block_of, dense_block, dense_step_stacked, densify,
+    draw_batches, flat_positions, stack_sets,
 )
 from soprolab import optimizer, topology
 from soprolab.baselines import dsgt_round, metropolis_matrix
@@ -24,7 +24,6 @@ from soprolab.optimizer import (
     PURPOSE_GRAD,
     PURPOSE_HESS,
     RunConfig,
-    agent_batch_stats,
     batch_positions,
     draw_positions,
     gram_step,
@@ -165,15 +164,13 @@ def test_gram_step_matches_dense_inverse_oracle():
     block = block_of(local)
     gram = block @ block.transpose(0, 2, 1)
     iterations = optimizer._cg_iterations(rho_bound(feats, c))
-    for s_idx in (draw_batches(n, C, 4, 3, 0, PURPOSE_HESS), None):
-        size = C if s_idx is None else s_idx.shape[1]
-        w = rng.uniform(0.0, 0.25 / size, (n, C))  # the logistic weights' range
-        s_flat = None
-        if s_idx is not None:
-            s_flat = flat_positions(s_idx, C)
-            on_batch = np.zeros(n * C, dtype=bool)
-            on_batch[s_flat] = True
-            w[~on_batch.reshape(n, C)] = 0.0
+    # A drawn batch, and the whole sets given as positions.
+    for s_idx in (draw_batches(n, C, 4, 3, 0, PURPOSE_HESS), np.tile(np.arange(C), (n, 1))):
+        w = rng.uniform(0.0, 0.25 / s_idx.shape[1], (n, C))  # the logistic weights' range
+        s_flat = flat_positions(s_idx, C)
+        on_batch = np.zeros(n * C, dtype=bool)
+        on_batch[s_flat] = True
+        w[~on_batch.reshape(n, C)] = 0.0
         w_in = w.copy()
         for out in (gram_step(x, rhs, local, w, c, gram, s_flat),
                     row_step(x, rhs, local, w, c, "cg", iterations)):
@@ -195,7 +192,7 @@ def test_gram_step_rejects_nonpositive_shift_with_definite_small_systems():
     c = np.array([1.0, 2.0, 0.0, -0.1])
     with pytest.raises(ConfigurationError) as e:
         gram_step(np.zeros((n, d)), np.ones((n, d)), local, np.full((n, S), 0.25 / S), c,
-                  gram, None)
+                  gram, np.arange(n * S))
     assert "agent 2" in str(e.value)
 
 
@@ -362,11 +359,11 @@ def engine_history(P, local, config, alphas, monkeypatch, path, solve):
     return history
 
 
-def low_rank_path(low_rank, C, d):
+def low_rank_path(S, C, d):
     """The step a run takes at rho >= 1: Gram when the Hessian batch has
-    fewer rows than d and the local sets no more than d, else the row
+    fewer rows than the local sets and they no more than d, else the row
     step.  At rho < 1 every run takes the row step."""
-    return "gram" if low_rank and C <= d else "row"
+    return "gram" if S < C <= d else "row"
 
 
 # The solve each path takes at rho >= 1.
@@ -380,11 +377,12 @@ def assert_histories_match(got, want):
         assert rel_err(q, q_ref) <= 1e-10
 
 
+# (algorithm, S, d, whether S < d); every local set has C = 40 rows.
 RUN_SHAPES = [
     ("st_sopro", 5, 15, True),  # S < d < C = 40: rows
     ("st_sopro", 20, 15, False),  # S >= d: rows
     ("st_sopro", 5, 60, True),  # S < C = 40 <= d: Gram at rho >= 1
-    ("sopro", None, 60, True),  # full batch, C = 40 < d: Gram at rho >= 1
+    ("sopro", None, 60, True),  # full batch, S = C = 40 < d: rows
     ("sopro", None, 15, False),  # full batch, C = 40 >= d: rows
 ]
 
@@ -409,10 +407,11 @@ def test_run_matches_per_agent_reference(
     config = RunConfig(
         batch_g=10, batch_s=batch_s or 40, max_iters=20, seed=5, algorithm=algorithm
     )
+    assert low_rank == (config.batches(40)[1] < d)
     if certified:
         alphas, path, solve = certified_alphas(P, local), "row", "series"
     else:
-        alphas, path = factorising_alphas(local), low_rank_path(low_rank, 40, d)
+        alphas, path = factorising_alphas(local), low_rank_path(config.batches(40)[1], 40, d)
         solve = FACTORISING_SOLVE[path]
     assert optimizer.proximal_engine(local, config, alphas).solve == solve
     want = reference_run(P, local, config, alphas)
@@ -420,17 +419,24 @@ def test_run_matches_per_agent_reference(
     assert_histories_match(got, want)
 
 
-@pytest.mark.parametrize("d, solve", [(30, "cholesky"), (29, "cg")], ids=["C=d", "C=d+1"])
-def test_the_gram_step_takes_local_sets_of_at_most_d_rows(d, solve, monkeypatch):
-    # At rho = 2 with S = 6 < d, the Gram step factors while the local
-    # sets have at most d rows (C = 30); at one row more, CG takes the row
-    # step.  Either matches the per-agent reference.
+@pytest.mark.parametrize(
+    "algorithm, batch_s, d, solve",
+    [("st_sopro", 6, 30, "cholesky"), ("st_sopro", 6, 29, "cg"), ("sopro", 6, 30, "cg"),
+     ("st_sopro", 30, 30, "cg")],
+    ids=["C=d", "C=d+1", "sopro-C=d", "S=C=d"],
+)
+def test_the_gram_step_takes_local_sets_of_at_most_d_rows(algorithm, batch_s, d, solve,
+                                                          monkeypatch):
+    # At rho = 2 with S = 6 < d, St-SoPro's Gram step factors while the
+    # local sets have at most d rows (C = 30); at one row more, CG takes
+    # the row step.  Whole-set batches (S = C, SoPro's always) take CG at
+    # C <= d too.  Either matches the per-agent reference.
     P, local = make_problem(5, 30, d, seed=1)
-    config = RunConfig(batch_g=8, batch_s=6, max_iters=5, seed=2)
+    config = RunConfig(batch_g=8, batch_s=batch_s, max_iters=5, seed=2, algorithm=algorithm)
     alphas = factorising_alphas(local)
     assert optimizer.proximal_engine(local, config, alphas).solve == solve
     want = reference_run(P, local, config, alphas)
-    path = low_rank_path(True, 30, d)
+    path = low_rank_path(config.batches(30)[1], 30, d)
     got = engine_history(P, local, config, alphas, monkeypatch, path, solve)
     assert_histories_match(got, want)
 

@@ -98,6 +98,42 @@ def test_tuning_scores_a_diverging_point_as_never_reaching_the_target():
     assert result.best is stable and math.isfinite(stable.mean_final_err)
 
 
+def test_build_problem_reads_the_problem_keys_only():
+    class Reading:
+        def __init__(self, config):
+            self.config, self.read = config, set()
+
+        def __getattr__(self, name):
+            self.read.add(name)
+            return getattr(self.config, name)
+
+    config = Reading(ExperimentConfig(dim=4, n_agents=3, per_agent=10, test_size=5))
+    build_problem(config)
+    assert config.read == set(experiment.PROBLEM_KEYS)
+
+
+@pytest.mark.parametrize(
+    "grid, built",
+    [([{"step_size": 0.1}, {"step_size": 0.5}, {"step_size": 0.3}], [3]),
+     ([{"step_size": 0.1}, {"step_size": 0.5, "n_agents": 4}, {"step_size": 0.3}], [3, 4])],
+    ids=["step", "step-and-n_agents"],
+)
+def test_tune_builds_one_problem_for_the_points_that_share_it(grid, built, monkeypatch):
+    # A step grid changes no key build_problem reads: one problem serves
+    # every point, and each point scores as a run of its own problem.
+    config = ExperimentConfig(dim=4, n_agents=3, per_agent=10, test_size=5, batch_g=2,
+                              algorithm="dsgt", max_iters=30, seeds=2, target_error=3.0)
+    alone = [(p.mean_rounds, p.mean_final_err) for p in
+             (tune_baseline(config, [point]).best for point in grid)]
+    calls, real = [], experiment.build_problem
+    monkeypatch.setattr(experiment, "build_problem",
+                        lambda config: calls.append(config.n_agents) or real(config))
+    result = tune_baseline(config, grid)
+    assert calls == built
+    assert [(p.mean_rounds, p.mean_final_err) for p in result.table] == alone
+    assert [p.overrides for p in result.table] == grid
+
+
 def test_trace_with_a_non_finite_value_is_refused_and_not_written():
     trace = MetricsTrace()
     trace.append(MetricRow(round=0, opt_err=1.0, comm_bits=32))
@@ -411,18 +447,20 @@ alphas = np.full(n, 0.125 * local.row_sq.max() - lam)
 assert optimizer.run(P, local, config, alphas).engine.solve == "cg"
 print(*loaded(), sep=",")
 
-# S = C = 6 < d = 9 at rho = 2: the Gram step.
+# S = 3 < C = 6 < d = 9 at rho = 2: the Gram step.
 C, d = 6, 9
 feats = (rng.random((n, C, d)) < 0.4).astype(float)
 local = sets(feats, lam)
-config = optimizer.RunConfig(batch_g=C, batch_s=C, max_iters=1, seed=0)
+config = optimizer.RunConfig(batch_g=3, batch_s=3, max_iters=1, seed=0)
 c = np.full(n, 0.125 * local.row_sq.max())
 assert optimizer.proximal_engine(local, config, c - lam).solve == "cholesky"
 gram = optimizer.gram_stack(local)
 print(*loaded(), sep=",")
 x, rhs = rng.standard_normal((n, d)), rng.standard_normal((n, d))
-w = rng.uniform(0.0, 0.25 / C, (n, C))
-out = optimizer.gram_step(x, rhs, local, w, c, gram, None)
+s_idx = optimizer.batch_positions(local, 3, 0, 0, optimizer.PURPOSE_HESS)
+w = np.zeros((n, C))
+w.ravel()[s_idx] = rng.uniform(0.0, 0.25 / 3, s_idx.size)
+out = optimizer.gram_step(x, rhs, local, w, c, gram, s_idx)
 err = 0.0
 for i in range(n):
     A = feats[i].T @ (w[i, :, None] * feats[i]) + c[i] * np.eye(d)

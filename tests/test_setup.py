@@ -696,16 +696,16 @@ SIZES = [(4, 25), (3, 40), "one-hot"]
 def test_stacked_objective_gradient_and_hessian_match_per_agent_sums(sizes):
     local = local_sets(sizes, 6)
     datasets = agent_datasets(local)
-    pool = reference._Pool(local)
     rng = np.random.default_rng(1)
     for x in (np.zeros(6), rng.standard_normal(6)):
-        u = pool.margins(x)
+        u = reference._margins(local, x)
         want = objective_per_agent(x, datasets)
-        assert abs(pool.objective(x, u) - want) <= 1e-13 * abs(want)
-        assert rel_err(pool.gradient(x), gradient_per_agent(x, datasets)) <= 1e-13
+        assert abs(reference._objective(local, x, u) - want) <= 1e-13 * abs(want)
+        gradient = reference._local_gradients(local, x, u).sum(axis=0)
+        assert rel_err(gradient, gradient_per_agent(x, datasets)) <= 1e-13
         # The Hessian is built in float32 (eps 1.2e-7): its rows, their
-        # scaling and each chunk's products round there.
-        assert rel_err(pool.hessian(u), hessian_per_agent(x, datasets)) <= 1e-6
+        # scaling and each run's products round there.
+        assert rel_err(reference._hessian(local, u), hessian_per_agent(x, datasets)) <= 1e-6
 
 
 @pytest.mark.parametrize("sizes", SIZES)
@@ -727,25 +727,25 @@ def test_solve_reference_through_the_operator_matches_the_dense_block():
 
 
 def float64_hessians(local, calls):
-    """Patch ``_Pool.hessian`` to the float64 oracle ``hessian_per_agent``
-    at the point whose margins ``_Pool.margins`` returned, counting the
-    builds in ``calls``."""
+    """Patch ``reference._hessian`` to the float64 oracle
+    ``hessian_per_agent`` at the point whose margins ``reference._margins``
+    returned, counting the builds in ``calls``."""
     datasets = agent_datasets(local)
     points = {}
-    margins = reference._Pool.margins
+    margins = reference._margins
 
-    def remember(self, x):
-        u = margins(self, x)
+    def remember(sets, x):
+        u = margins(sets, x)
         points[id(u)] = (u, x)
         return u
 
-    def hessian(self, u):
+    def hessian(sets, u):
         seen, x = points[id(u)]
         assert seen is u
         calls.append(x)
         return hessian_per_agent(x, datasets)
 
-    return mock.patch.multiple(reference._Pool, margins=remember, hessian=hessian)
+    return mock.patch.multiple(reference, _margins=remember, _hessian=hessian)
 
 
 @pytest.mark.parametrize("lam", [1e-3, 1e-6])
@@ -783,47 +783,71 @@ def test_sigma_sq_estimate_matches_per_agent_loop(sizes):
     assert abs(reference.estimate_sigma_sq(local, x_star) - want) <= 1e-12 * want
 
 
-def reading_the_block(block):
-    """Serve every ``StackedSets.dense_rows`` from the dense ``(N, C, d)``
-    ``block``: the set-up's dense route."""
-    stack = block.reshape(-1, block.shape[2])
-    return mock.patch.object(StackedSets, "dense_rows",
-                             lambda self, start, stop, out: stack[start:stop])
+def reading_the_block(dense):
+    """Serve every ``StackedSets.dense_rows`` from the dense block of the
+    ``DenseBlockSets`` ``dense``: the set-up's dense route."""
+    return mock.patch.object(StackedSets, "dense_rows", lambda self, *args: dense.dense_rows(*args))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1024])
 @pytest.mark.parametrize("sizes", [(4, 20), "one-hot"], ids=["normal", "one-hot"])
 def test_csr_sets_read_as_their_dense_block_bitwise_in_every_set_up_reader(sizes, chunk):
-    # Sets of Gaussian rows and from partition (one-hot rows), against the
-    # same rows as a dense block, built without the operator, and the sets
-    # read through that block.
+    # Sets of Gaussian rows, three of them empty, and from partition
+    # (one-hot rows), against the same rows as a dense block, built without
+    # the operator, and the sets read through that block.  Neither C (20,
+    # 12) divides a chunk of 7 or 1024 rows.
     if sizes == "one-hot":
         text = one_hot_libsvm(60, 3, 12, seed=3)
         sets, _ = partition(parse_libsvm(text, dim=12), 4, 12, 3, 0.05)
         block = parse_and_partition_dense(text, 4, 12, 3, dim=12)[0]
     else:
-        sets = gaussian_sets(*sizes, 9, seed=5)
-        feats, _ = gaussian_blob_samples(sizes[0] * sizes[1], 9, 5, separation=1.5, noise=0.7)
+        n, C = sizes
+        feats, labels = gaussian_blob_samples(n * C, 9, 5, separation=1.5, noise=0.7)
+        feats[[0, C + 7, n * C - 1]] = 0.0  # the operator stores nothing of these
+        sets = stack_sets(np.split(feats, n), np.split(labels, n),
+                          [0.05 * (1 + i % 3) for i in range(n)])
         block = feats.reshape(sets.shape)
+        assert np.diff(sets.csr.indptr).min() == 0
     dense = dense_block(sets, block)
     n, C, d = sets.shape
     assert block.shape == sets.shape and sets.dim == d
     stack = block.reshape(-1, d)
+    # Row scales as the reference Hessian's, with a curvature weight that
+    # underflowed to zero.
+    scale = np.sqrt(np.random.default_rng(chunk).uniform(0.0, 0.25, (n, C)))
+    scale[1, 2] = 0.0
+    flat_scale = scale.reshape(-1)
     with mock.patch.object(loss, "READ_CHUNK_ROWS", chunk):
-        # Any run of rows, written over whatever the buffer held.
+        # Any run of rows, written over whatever the buffer held: in
+        # float64, and in float32 times the rows' scales, each entry and
+        # its scale rounded to float32 and multiplied there.
         buffer = np.full((n * C, d), np.nan)
+        buffer32 = np.full((n * C, d), np.nan, dtype=np.float32)
         last = n * C
         for start, stop in ((0, last), (0, 1), (C - 1, C + 2), (last - 3, last), (5, 5)):
             got = sets.dense_rows(start, stop, buffer[: stop - start])
             assert_same_arrays((got,), (stack[start:stop],))
-        # Runs of whole agents, at most `chunk` rows or one agent each.
-        runs = [(a, b, feats.copy()) for a, b, feats in sets.agent_chunks()]
-        want_runs = list(dense.agent_chunks())
+            rows_scale = flat_scale[start:stop]
+            got = sets.dense_rows(start, stop, buffer32[: stop - start], rows_scale)
+            want = dense.dense_rows(start, stop, np.empty_like(got), rows_scale)
+            assert_same_arrays((got, want), (np.multiply(stack[start:stop], rows_scale[:, None],
+                                                         dtype=np.float32),) * 2)
+        # Runs of whole agents, at most `chunk` rows or one agent each, in
+        # float64 and in float32 with the scales.
         step = max(1, chunk // C)
-        assert [(a, b) for a, b, _ in runs] == [(a, b) for a, b, _ in want_runs] == [
-            (a, min(a + step, n)) for a in range(0, n, step)]
-        for (a, b, got), (_, _, want) in zip(runs, want_runs):
-            assert_same_arrays((got, want), (block[a:b],) * 2)
+        bounds = [(a, min(a + step, n)) for a in range(0, n, step)]
+        for dtype, rows_scale in ((np.float64, None), (np.float32, scale)):
+            runs = [(a, b, feats.copy()) for a, b, feats in sets.agent_chunks(dtype, rows_scale)]
+            want_runs = [(a, b, feats.copy()) for a, b, feats in dense.agent_chunks(dtype,
+                                                                                    rows_scale)]
+            assert [(a, b) for a, b, _ in runs] == [(a, b) for a, b, _ in want_runs] == bounds
+            for (a, b, got), (_, _, want) in zip(runs, want_runs):
+                want_block = (block[a:b] if rows_scale is None else
+                              np.multiply(block[a:b], scale[a:b, :, None], dtype=np.float32))
+                assert_same_arrays((got, want), (want_block,) * 2)
+        # The reference Hessian sums the float32 runs, whichever reads them.
+        u = reference._margins(sets, np.linspace(-1.0, 1.0, d))
+        assert_same_arrays((reference._hessian(sets, u),), (reference._hessian(dense, u),))
         # row_sq and the bounds: every row's squares summed in column
         # order, which the block's einsum matches on 0/1 rows.
         row_sq = np.array([[sum(v * v for v in row) for row in agent] for agent in block.tolist()])
@@ -844,7 +868,7 @@ def test_csr_sets_read_as_their_dense_block_bitwise_in_every_set_up_reader(sizes
         # whose dense_rows serve the dense block.
         got = reference.solve_reference(sets)
         got_sigma = reference.estimate_sigma_sq(sets, got.x)
-        with reading_the_block(block):
+        with reading_the_block(dense):
             fresh = replace(sets)  # nothing cached
             want = reference.solve_reference(fresh)
             want_sigma = reference.estimate_sigma_sq(fresh, want.x)
