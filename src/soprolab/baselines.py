@@ -25,7 +25,7 @@ import numpy as np
 
 from .loss import StackedSets, sets_grad
 from .optimizer import PURPOSE_GRAD, NetworkState, RunConfig, batch_positions, initial_iterates
-from .topology import Graph, MatrixP, laplacian_weights
+from .topology import MatrixP, laplacian_weights
 
 __all__ = [
     "metropolis_matrix",
@@ -35,16 +35,17 @@ __all__ = [
 ]
 
 
-def metropolis_matrix(g: Graph) -> MatrixP:
+def metropolis_matrix(P: MatrixP) -> MatrixP:
     """The Laplacian ``L = I - W`` of the Metropolis-Hastings mixing matrix
-    ``W``, whose weight on an edge is ``1 / (1 + max(deg_i, deg_j))``.
+    ``W`` on the edges of ``P``, whose weight on an edge is
+    ``1 / (1 + max(deg_i, deg_j))`` with the degrees of ``P``.
 
     ``W`` is symmetric, nonnegative and doubly stochastic; a mix applies it
     as ``x - L.disagreement(x)``.
     """
-    deg = [len(nb) for nb in g.neighbors]
+    deg = P.degrees.tolist()
     return laplacian_weights(
-        g, {(i, j): 1.0 / (1.0 + max(deg[i], deg[j])) for i, j in g.edges}
+        P.n_agents, {(i, j): 1.0 / (1.0 + max(deg[i], deg[j])) for i, j in P.edges}
     )
 
 
@@ -84,17 +85,17 @@ def first_order(P: MatrixP, local: StackedSets, config: RunConfig):
     """DSGD or DSGT, set up for :func:`soprolab.optimizer.run`.
 
     The initial iterates are the proximal engine's (same seed, same x0),
-    and the mixing weights are Metropolis, :func:`metropolis_matrix` of
-    the graph of ``P``.  DSGT's tracker starts at the round-0 batch
+    and the mixing weights are Metropolis, :func:`metropolis_matrix` on
+    the edges of ``P``.  DSGT's tracker starts at the round-0 batch
     gradients, and it lives in the round function, with the last
     gradients.  Returns the initial state, the round function, and
     the scalars sent: none at set-up, ``2 |E| d`` per DSGD round and
     ``4 |E| d`` per DSGT round.
     """
-    L = metropolis_matrix(P.graph)
+    L = metropolis_matrix(P)
     x = initial_iterates(P, local, config)
     state = NetworkState(x=x, q=np.zeros_like(x), y=np.zeros_like(x))
-    sent = 2 * P.graph.n_edges * state.dim
+    sent = 2 * P.n_edges * state.dim
     if config.algorithm == "dsgd":
         def dsgd(state: NetworkState, k: int) -> None:
             state.x = dsgd_round(state.x, L, local, config, k)

@@ -28,12 +28,7 @@ import numpy as np
 from .. import certificate as cert, optimizer
 from ..errors import ConfigurationError, DivergenceError
 from ..loss import SmoothnessBounds, StackedSets, TestSet, parse_libsvm, partition
-from ..topology import (
-    MatrixP,
-    build_random_connected_graph,
-    laplacian_weights,
-    read_edge_list,
-)
+from ..topology import MatrixP, build_random_connected_graph, read_edge_list
 from .metrics import (
     BITS_PER_SCALAR,
     MetricRow,
@@ -91,10 +86,9 @@ class ExperimentConfig(optimizer.RunConfig):
 
     def __post_init__(self):
         for key, least in _LEAST.items():
-            if getattr(self, key) < least:
-                raise ConfigurationError(
-                    f"key {key!r} needs at least {least}, got {getattr(self, key)}"
-                )
+            value = getattr(self, key)
+            if value is not None and value < least:
+                raise ConfigurationError(f"key {key!r} needs at least {least}, got {value}")
 
     def check(self) -> None:
         """Refuse a bad run parameter, as the module docstring says."""
@@ -109,8 +103,9 @@ class ExperimentConfig(optimizer.RunConfig):
         return {key: getattr(self, key) for key in CONFIG_SCHEMA}
 
 
-# Checked whenever a config is made, by coercion, replace() or directly.
-_LEAST = {"seeds": 1, "test_size": 0}
+# Checked whenever a config is made, by coercion, replace() or directly;
+# an unset key is not checked.
+_LEAST = {"seeds": 1, "test_size": 0, "master_seed": 0, "topology_seed": 0, "data_seed": 0}
 
 
 def _schema() -> tuple[dict[str, type], frozenset[str]]:
@@ -192,11 +187,18 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 
 
 def build_topology(config: ExperimentConfig) -> MatrixP:
+    """``P`` read from ``topology_file``, which must hold ``n_agents``
+    agents, or else the seeded random network of unit weights."""
     if config.topology_file:
-        return read_edge_list(config.topology_file)
+        P = read_edge_list(config.topology_file)
+        if P.n_agents != config.n_agents:
+            raise ConfigurationError(
+                f"topology file {config.topology_file!r} has {P.n_agents} agents,"
+                f" but n_agents is {config.n_agents}"
+            )
+        return P
     seed = config.topology_seed if config.topology_seed is not None else config.master_seed
-    g = build_random_connected_graph(config.n_agents, config.avg_degree, seed)
-    return laplacian_weights(g, 1.0)
+    return build_random_connected_graph(config.n_agents, config.avg_degree, seed)
 
 
 def _load_data(config: ExperimentConfig, seed: int):
@@ -335,7 +337,9 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
     A run parameter that :meth:`ExperimentConfig.check` refuses (the
     engine's keys; ``eta_s``, ``mu`` and ``c1`` of a proximal run) raises
     :class:`~soprolab.errors.ConfigurationError` before any set-up work,
-    and before ``out`` is created.
+    and before ``out`` is created.  So does a ``topology_file`` whose agent
+    count is not ``n_agents``, found by :func:`build_topology` before any
+    data is loaded.
 
     A run whose iterate, optimality error or Q-norm error stops being
     finite, or whose optimality error passes ``BLOW_UP`` max(opt_err at
@@ -361,12 +365,11 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
         "certificate": rate.to_dict() if rate is not None else None,
         "topology": {
             "n_agents": problem.P.n_agents,
-            "n_edges": problem.P.graph.n_edges,
+            "n_edges": problem.P.n_edges,
             "lambda_w": problem.P.spectral.lambda_w,
             "lambda_max": problem.P.spectral.lambda_max,
-            # Every network matrix is a MatrixP of this graph with nonzeros
-            # on its edges and diagonal, the baselines' Metropolis matrix
-            # too, so MatrixP.operator gives each the form that P takes.
+            # The baselines' Metropolis matrix is a MatrixP with the
+            # nonzeros of P, so MatrixP.operator gives it the form of P.
             "exchange": "dense" if isinstance(problem.P.operator, np.ndarray) else "csr",
         },
         "reference": {

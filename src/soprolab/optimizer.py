@@ -771,7 +771,7 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     G, S = config.batches(local.shape[1])
     beta, seed = config.beta, config.seed
     shift = local.lam + alphas
-    sent = 2 * P.graph.n_edges * state.dim
+    sent = 2 * P.n_edges * state.dim
 
     def proximal_round(state: NetworkState, k: int) -> None:
         g_idx = batch_positions(local, G, seed, k, PURPOSE_GRAD)

@@ -1,14 +1,17 @@
-"""Undirected agent networks and their weighted Laplacian-like matrix.
+"""Undirected agent networks, each held as its weighted Laplacian-like matrix.
 
-A connected graph over ``n`` agents induces the symmetric positive
-semidefinite matrix ``P`` with ``[P]_ii = sum_j p_ij`` and
-``[P]_ij = -p_ij`` on edges.  Its null space is the all-ones vector, its
+A network over ``n`` agents is the symmetric positive semidefinite matrix
+``P`` with ``[P]_ij = -p_ij < 0`` on each edge, zero off the edges, and
+``[P]_ii = sum_j p_ij``, and :class:`MatrixP` holds that matrix alone: the
+agent count, the edges and the degrees are read off its nonzeros.
+:func:`laplacian_weights` is its one constructor and the one place that
+refuses a bad network.  The null space of ``P`` is the all-ones vector, its
 Kronecker lift ``P (x) I_d`` acts on stacked agent vectors, and its two
 extreme nonzero eigenvalues parameterize every convergence certificate.
 The lift is never materialized: applying it to the ``(n, d)`` array of
 stacked agent vectors is one product ``op @ x`` with
 :attr:`MatrixP.operator`, a CSR copy of ``P`` on a sparse network and ``P``
-itself otherwise, so an exchange costs ``O(|E| d)`` where the graph is
+itself otherwise, so an exchange costs ``O(|E| d)`` where the network is
 sparse.  Every network matrix of a run is a :class:`MatrixP`: the proximal
 methods' ``P`` and the baselines' Metropolis Laplacian ``I - W`` (see
 :func:`soprolab.baselines.metropolis_matrix`), so this module alone
@@ -28,7 +31,6 @@ import numpy as np
 from .errors import InvariantViolation, ParameterError, ParseError
 
 __all__ = [
-    "Graph",
     "MatrixP",
     "SpectralSummary",
     "build_random_connected_graph",
@@ -37,60 +39,6 @@ __all__ = [
     "read_edge_list",
     "write_edge_list",
 ]
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Connected undirected graph with symmetric neighbor lists."""
-
-    n_agents: int
-    edges: tuple[tuple[int, int], ...]
-    neighbors: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_edges(cls, n_agents: int, edges) -> "Graph":
-        if n_agents < 1:
-            raise ParameterError(f"need at least one agent, got {n_agents}")
-        canonical = set()
-        for i, j in edges:
-            if i == j:
-                raise ParameterError(f"self-loop at agent {i}")
-            if not (0 <= i < n_agents and 0 <= j < n_agents):
-                raise ParameterError(f"edge ({i},{j}) outside 0..{n_agents - 1}")
-            canonical.add((min(i, j), max(i, j)))
-        adj = [set() for _ in range(n_agents)]
-        for i, j in canonical:
-            adj[i].add(j)
-            adj[j].add(i)
-        g = cls(
-            n_agents=n_agents,
-            edges=tuple(sorted(canonical)),
-            neighbors=tuple(tuple(sorted(a)) for a in adj),
-        )
-        if not g.is_connected():
-            raise ParameterError("graph is not connected")
-        return g
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    @property
-    def average_degree(self) -> float:
-        return 2.0 * self.n_edges / self.n_agents
-
-    def is_connected(self) -> bool:
-        if self.n_agents == 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n_agents
 
 
 def _tree_from_pruefer(seq: np.ndarray, n: int) -> list[tuple[int, int]]:
@@ -113,8 +61,9 @@ def _tree_from_pruefer(seq: np.ndarray, n: int) -> list[tuple[int, int]]:
     return edges
 
 
-def build_random_connected_graph(n: int, target_avg_degree: float, seed: int) -> Graph:
-    """Sample a connected graph whose average degree is within 1 of the target.
+def build_random_connected_graph(n: int, target_avg_degree: float, seed: int) -> MatrixP:
+    """Sample a connected network whose average degree is within 1 of the
+    target, as the ``P`` of unit edge weights.
 
     A uniform random spanning tree (via a random Pruefer sequence) guarantees
     connectivity; uniformly chosen non-edges are then added until the edge
@@ -150,7 +99,7 @@ def build_random_connected_graph(n: int, target_avg_degree: float, seed: int) ->
         rows, cols = np.nonzero(free)
         picks = rng.choice(rows.size, size=missing, replace=False)
         chosen.update(zip(rows[picks].tolist(), cols[picks].tolist()))
-    return Graph.from_edges(n, chosen)
+    return laplacian_weights(n, dict.fromkeys(chosen, 1.0))
 
 
 # A network matrix storing at most 1/SPARSE_SHARE of its n^2 entries is
@@ -163,24 +112,38 @@ SPARSE_SHARE = 12
 
 @dataclass
 class MatrixP:
-    """Weighted Laplacian-like matrix of a connected graph.
+    """Weighted Laplacian-like matrix ``P`` of a connected network.
 
     ``matrix`` is the dense symmetric n x n form, which the spectra and
-    the certificate read; ``weights`` maps each canonical edge ``(i, j)``
-    with ``i < j`` to its positive weight.  Rows sum to zero, so the matrix
+    the certificate read.  Its nonzeros above the diagonal are the edges
+    and hold minus their positive weights; rows sum to zero, so the matrix
     annihilates the all-ones vector.  The exchange applies ``operator``.
+    Made by :func:`laplacian_weights`, which refuses a bad network.
     """
 
-    graph: Graph
     matrix: np.ndarray
-    weights: dict[tuple[int, int], float]
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
     @property
     def n_agents(self) -> int:
-        return self.graph.n_agents
+        return self.matrix.shape[0]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges ``(i, j)``, ``i < j``, in sorted order."""
+        rows, cols = np.nonzero(np.triu(self.matrix, 1))
+        return tuple(zip(rows.tolist(), cols.tolist()))
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.edges)
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Each agent's neighbor count: the nonzeros of its row off the diagonal."""
+        return np.count_nonzero(self.matrix, axis=1) - (np.diagonal(self.matrix) != 0)
 
     @cached_property
     def spectral(self) -> "SpectralSummary":
@@ -216,34 +179,44 @@ class MatrixP:
         return self.operator @ x
 
 
-def laplacian_weights(g: Graph, weight_rule=1.0) -> MatrixP:
-    """Build ``P`` from a uniform weight or a per-edge weight mapping."""
-    if isinstance(weight_rule, dict):
-        weights = {}
-        for i, j in g.edges:
-            try:
-                w = weight_rule[(i, j)]
-            except KeyError:
-                try:
-                    w = weight_rule[(j, i)]
-                except KeyError:
-                    raise ParameterError(f"missing weight for edge ({i},{j})")
-            weights[(i, j)] = float(w)
-    else:
-        weights = {e: float(weight_rule) for e in g.edges}
-    for e, w in weights.items():
+def laplacian_weights(n: int, weights: dict[tuple[int, int], float]) -> MatrixP:
+    """``P`` of the network on agents ``0..n-1`` whose edges are the keys of
+    ``weights``, each with its weight.
+
+    An edge may be keyed ``(i, j)`` or ``(j, i)``; given both ways, it is
+    one edge, with the weight that comes last.  Refuses fewer than one
+    agent, a self-loop, an edge outside ``0..n-1``, a weight that is not
+    positive and finite, and a disconnected network.  The diagonal is
+    summed in sorted edge order, so equal networks give equal matrices.
+    """
+    if n < 1:
+        raise ParameterError(f"need at least one agent, got {n}")
+    canonical = {}
+    for (i, j), w in weights.items():
+        if i == j:
+            raise ParameterError(f"self-loop at agent {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ParameterError(f"edge ({i},{j}) outside 0..{n - 1}")
+        canonical[min(i, j), max(i, j)] = float(w)
+    P = np.zeros((n, n))
+    for (i, j), w in sorted(canonical.items()):
         if not 0 < w < math.inf:
             raise ParameterError(
-                f"edge {e} has weight {w}; weights must be positive and finite"
+                f"edge {(i, j)} has weight {w}; weights must be positive and finite"
             )
-    n = g.n_agents
-    P = np.zeros((n, n))
-    for (i, j), w in weights.items():
-        P[i, j] = -w
-        P[j, i] = -w
+        P[i, j] = P[j, i] = -w
         P[i, i] += w
         P[j, j] += w
-    return MatrixP(graph=g, matrix=P, weights=weights)
+    # Breadth-first reachability from agent 0 over the nonzeros of P.
+    linked = P != 0
+    reached = np.zeros(n, dtype=bool)
+    frontier = np.arange(n) == 0
+    while frontier.any():
+        reached |= frontier
+        frontier = linked[frontier].any(axis=0) & ~reached
+    if not reached.all():
+        raise ParameterError("graph is not connected")
+    return MatrixP(P)
 
 
 @dataclass(frozen=True)
@@ -281,9 +254,9 @@ def write_edge_list(p: MatrixP, dest) -> None:
     """Serialize as ``n m`` then ``i j p_ij`` lines (0-based indices)."""
 
     def _dump(f):
-        f.write(f"{p.graph.n_agents} {p.graph.n_edges}\n")
-        for i, j in p.graph.edges:
-            f.write(f"{i} {j} {p.weights[(i, j)]!r}\n")
+        f.write(f"{p.n_agents} {p.n_edges}\n")
+        for i, j in p.edges:
+            f.write(f"{i} {j} {float(-p.matrix[i, j])!r}\n")
 
     if hasattr(dest, "write"):
         _dump(dest)
@@ -301,12 +274,10 @@ def read_edge_list(src) -> MatrixP:
             text = f.read()
     if isinstance(text, bytes):
         text = text.decode()
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     header = None
     edges = {}
-    lineno = 0
-    for raw in lines:
-        lineno += 1
+    for lineno, raw in enumerate(lines, start=1):
         ln = raw.strip()
         if not ln or ln.startswith("#"):
             continue
@@ -340,9 +311,8 @@ def read_edge_list(src) -> MatrixP:
             raise ParseError(f"edge {edge} is repeated", line=lineno)
         edges[edge] = w
     if header is None:
-        raise ParseError("empty edge-list input", line=lineno or 1)
+        raise ParseError("empty edge-list input", line=len(lines) or 1)
     n, m = header
     if len(edges) != m:
         raise ParseError(f"header promised {m} edges, found {len(edges)}")
-    g = Graph.from_edges(n, edges.keys())
-    return laplacian_weights(g, edges)
+    return laplacian_weights(n, edges)

@@ -38,7 +38,7 @@ from soprolab.loss import (
     sigmoid,
 )
 from soprolab.optimizer import draw_positions, sample_batches, substream
-from soprolab.topology import Graph, _tree_from_pruefer
+from soprolab.topology import _tree_from_pruefer
 
 # Raw label sets LIBSVM files use, in the order they are tried, as maps to +-1.
 LABEL_CONVENTIONS = ({-1.0: -1, 1.0: 1}, {1.0: 1, 2.0: -1}, {0.0: -1, 1.0: 1})
@@ -385,8 +385,8 @@ def sigma_sq_per_agent(datasets, probes):
 
 
 def random_connected_graph_per_pair(n, target_avg_degree, seed):
-    """``build_random_connected_graph`` drawing its extra edges from a
-    Python list of every non-edge pair."""
+    """The sorted edges of ``build_random_connected_graph``, drawing the
+    extra edges from a Python list of every non-edge pair."""
     m_target = math.ceil(n * target_avg_degree / 2.0)
     rng = np.random.default_rng(seed)
     tree = [(0, 1)] if n == 2 else _tree_from_pruefer(rng.integers(0, n, size=n - 2), n)
@@ -396,7 +396,7 @@ def random_connected_graph_per_pair(n, target_avg_degree, seed):
         pool = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in chosen]
         picks = rng.choice(len(pool), size=missing, replace=False)
         chosen.update(pool[k] for k in picks)
-    return Graph.from_edges(n, chosen)
+    return tuple(sorted((int(i), int(j)) for i, j in chosen))
 
 
 def kappa(c0, eta_s, alphas, bounds, beta, P, m_beta_value=None):

@@ -32,7 +32,7 @@ from soprolab.optimizer import (
     row_step,
     run,
 )
-from soprolab.topology import build_random_connected_graph, laplacian_weights
+from soprolab.topology import build_random_connected_graph
 
 
 def rel_err(a, b):
@@ -282,7 +282,7 @@ def make_problem(n, C, d, seed=0, lam=0.1, sparse=False):
     """A network of ``n`` agents and Gaussian local sets of ``C`` rows;
     ``sparse`` zeroes about two thirds of the entries, so the operator
     stores a third."""
-    P = laplacian_weights(build_random_connected_graph(n, 2.0, seed=seed), 1.0)
+    P = build_random_connected_graph(n, 2.0, seed=seed)
     feats, labels = gaussian_blob_samples(n * C, d, seed, separation=1.0, noise=0.5)
     if sparse:
         feats[np.random.default_rng(seed).random(feats.shape) >= 0.35] = 0.0
@@ -301,9 +301,10 @@ def factorising_alphas(local):
 
 def neighbor_disagreement(P, x):
     y = np.zeros_like(x)
-    for i in range(P.n_agents):
-        for j in P.graph.neighbors[i]:
-            y[i] += P.weights[(min(i, j), max(i, j))] * (x[i] - x[j])
+    for i, j in P.edges:
+        w = -P.matrix[i, j]
+        y[i] += w * (x[i] - x[j])
+        y[j] += w * (x[j] - x[i])
     return y
 
 
@@ -479,7 +480,7 @@ def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
     sparse, _ = partition((rows, labels), n, count, seed=4, lambda_reg=0.05)
     chosen = np.random.default_rng(4).permutation(n * count + 20)[: n * count]
     dense = dense_block(sparse, densify(rows)[chosen].reshape(n, count, columns))
-    P = laplacian_weights(build_random_connected_graph(n, 2.0, seed=0), 1.0)
+    P = build_random_connected_graph(n, 2.0, seed=0)
     config = RunConfig(batch_g=10, batch_s=batch_s or count, max_iters=30, seed=9,
                        algorithm=algorithm, step_size=0.5)
     alphas = {"certified": certified_alphas(P, dense), "factorising": factorising_alphas(dense),
@@ -590,7 +591,7 @@ def test_certified_runs_of_benchmark_shapes_take_the_series_with_two_terms(
     n, count, attributes, columns, degree, algorithm, batch
 ):
     local = one_hot_sets(n, count, attributes, columns)
-    P = laplacian_weights(build_random_connected_graph(n, degree, seed=0), 1.0)
+    P = build_random_connected_graph(n, degree, seed=0)
     config = RunConfig(batch_g=batch, batch_s=batch, max_iters=1, seed=0, algorithm=algorithm)
     engine = optimizer.proximal_engine(local, config, certified_alphas(P, local))
     assert (engine.solve, engine.terms) == ("series", 2)
@@ -834,7 +835,7 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
     run(P, local, config, alphas, callbacks=[record])
     assert rounds == [0, 1, 2, 3]
     d = local.dim
-    per_round = per_edge * P.graph.n_edges * d
+    per_round = per_edge * P.n_edges * d
     # The proximal methods also send their initial exchange.
     setup = per_round if algorithm in optimizer.PROXIMAL else 0
     assert comm == [setup + k * per_round for k in range(4)]
@@ -847,7 +848,7 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
             agent_batch_stats(states[0][i], ds, 10, 10, 7, i, 0)[0]
             for i, ds in enumerate(agent_datasets(local))
         ])
-        W = np.eye(P.n_agents) - metropolis_matrix(P.graph).matrix
+        W = np.eye(P.n_agents) - metropolis_matrix(P).matrix
         # A round sums over the whole sets, with zero coefficients off the
         # batch: equal up to summation order.
         assert rel_err(states[1], W @ states[0] - 0.5 * grads) <= 1e-13
@@ -857,9 +858,9 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
 def test_baselines_mix_through_csr_as_through_the_dense_weights(algorithm, monkeypatch):
     # The Metropolis matrix stores 480 of the 14400 entries of a 120-agent
     # degree-3 network.
-    P = laplacian_weights(build_random_connected_graph(120, 3.0, seed=2), 1.0)
+    P = build_random_connected_graph(120, 3.0, seed=2)
     _, local = make_problem(120, 8, 6)
-    assert metropolis_matrix(P.graph).operator.format == "csr"
+    assert metropolis_matrix(P).operator.format == "csr"
     config = RunConfig(batch_g=4, batch_s=4, max_iters=5, seed=7, algorithm=algorithm,
                        step_size=0.5)
 
@@ -870,7 +871,7 @@ def test_baselines_mix_through_csr_as_through_the_dense_weights(algorithm, monke
 
     sparse = history()
     monkeypatch.setattr(topology, "SPARSE_SHARE", np.inf)
-    assert isinstance(metropolis_matrix(P.graph).operator, np.ndarray)
+    assert isinstance(metropolis_matrix(P).operator, np.ndarray)
     dense = history()
     assert len(sparse) == len(dense) == 6
     for a, b in zip(sparse, dense):
@@ -879,13 +880,16 @@ def test_baselines_mix_through_csr_as_through_the_dense_weights(algorithm, monke
 
 @pytest.mark.parametrize("n, degree", [(6, 2.0), (20, 5.0), (120, 3.0), (200, 5.0)])
 def test_metropolis_matrix_is_i_minus_the_metropolis_weights(n, degree):
-    g = build_random_connected_graph(n, degree, seed=n)
-    deg = [len(nb) for nb in g.neighbors]
+    P = build_random_connected_graph(n, degree, seed=n)
+    deg = np.bincount(np.ravel(P.edges), minlength=n)
+    assert np.array_equal(P.degrees, deg)
     want = np.zeros((n, n))
-    for i, j in g.edges:
+    for i, j in P.edges:
         want[i, j] = want[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     want[np.diag_indices(n)] = 1.0 - want.sum(axis=1)
-    W = np.eye(n) - metropolis_matrix(g).matrix
+    L = metropolis_matrix(P)
+    assert L.edges == P.edges
+    W = np.eye(n) - L.matrix
     assert np.max(np.abs(W - want)) <= 1e-15
     assert np.array_equal(W, W.T)
     assert np.all(W >= 0.0)
@@ -905,7 +909,7 @@ def test_whole_set_gradients_equal_the_per_agent_gradients():
         agent_batch_stats(states[0][i], ds, 40, 40, 7, i, 0)[0]
         for i, ds in enumerate(agent_datasets(local))
     ])
-    W = np.eye(6) - metropolis_matrix(P.graph).matrix
+    W = np.eye(6) - metropolis_matrix(P).matrix
     assert rel_err(states[1], W @ states[0] - 0.5 * grads) <= 1e-13
 
 
@@ -914,7 +918,7 @@ def test_dsgt_tracker_sum_equals_last_gradient_sum():
     config = RunConfig(
         batch_g=10, batch_s=10, max_iters=30, seed=7, algorithm="dsgt", step_size=0.5
     )
-    L = metropolis_matrix(P.graph)
+    L = metropolis_matrix(P)
     x = optimizer.initial_iterates(P, local, config)
     tracker = grads = sets_grad(x, local, batch_positions(local, 10, 7, 0, PURPOSE_GRAD))
     gaps = []
@@ -935,7 +939,7 @@ def test_one_over_k_schedule_divides_the_step_by_one_plus_the_round():
     )
     states = []
     run(P, local, config, callbacks=[lambda k, s: states.append(s.x.copy())])
-    W = np.eye(6) - metropolis_matrix(P.graph).matrix
+    W = np.eye(6) - metropolis_matrix(P).matrix
     for k in range(3):
         grads = np.stack([
             agent_batch_stats(states[k][i], ds, 10, 10, 7, i, k)[0]

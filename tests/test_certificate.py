@@ -26,12 +26,11 @@ from soprolab.errors import (
     ParameterError,
 )
 from soprolab.loss import SmoothnessBounds
-from soprolab.topology import Graph, build_random_connected_graph, laplacian_weights
+from soprolab.topology import build_random_connected_graph, laplacian_weights
 
 
 def ring_P(n=5, w=1.0):
-    g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    return laplacian_weights(g, w)
+    return laplacian_weights(n, {(i, (i + 1) % n): w for i in range(n)})
 
 
 def homogeneous_bounds(n, m, M):
@@ -271,15 +270,14 @@ def recipe_mu_min(P, bounds, beta, eta):
 
 def heterogeneous_setup(seed=1, n=6):
     rng = np.random.default_rng(seed)
-    P = laplacian_weights(build_random_connected_graph(n, 2.5, seed=seed), 1.0)
+    P = build_random_connected_graph(n, 2.5, seed=seed)
     bounds = SmoothnessBounds(m=0.05 + 0.05 * rng.random(n), M=0.2 + 0.2 * rng.random(n))
     return P, bounds
 
 
 def test_proximal_alphas_formula():
     # Triangle with unit weights: lambda_max = 3, so alpha = beta*3.5 + mu.
-    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    P = laplacian_weights(g, 1.0)
+    P = laplacian_weights(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
     bounds = homogeneous_bounds(3, 0.3, 0.3)
     alphas, mu = proximal_alphas(bounds, P, beta=1.0, eta_s=0.5, mu=2.0)
     assert alphas.shape == (3,)
@@ -395,7 +393,7 @@ def test_kappa_range_validation():
 def test_lambda_min_shifted_matches_eigvalsh_and_skips_it_for_a_uniform_diagonal(
     alphas, t, eigensolves
 ):
-    P = laplacian_weights(build_random_connected_graph(12, 3.0, seed=3), 1.0)
+    P = build_random_connected_graph(12, 3.0, seed=3)
     beta = 0.7
     want = np.linalg.eigvalsh(-beta * P.matrix + np.diag(alphas + t))[0]
     P.spectral  # computed once per matrix, before counting
@@ -410,8 +408,7 @@ def test_lambda_min_shifted_matches_eigvalsh_and_skips_it_for_a_uniform_diagonal
 
 def certified_setup(seed=0, n=5, beta=1.0, eta=0.5, mu_extra=0.3):
     rng = np.random.default_rng(seed)
-    g = build_random_connected_graph(n, 2.5, seed=seed)
-    P = laplacian_weights(g, 1.0)
+    P = build_random_connected_graph(n, 2.5, seed=seed)
     m = np.full(n, 0.1)
     M = 0.2 + 0.2 * rng.random(n)
     bounds = SmoothnessBounds(m=m, M=M)
@@ -460,7 +457,7 @@ def certified_problems(draw):
     graph = build_random_connected_graph(
         n, draw(st.floats(2.0, n - 1.0)), seed=draw(st.integers(0, 2**16))
     )
-    P = laplacian_weights(graph, draw(st.floats(0.2, 2.0)))
+    P = laplacian_weights(n, dict.fromkeys(graph.edges, draw(st.floats(0.2, 2.0))))
     per_agent = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
     m = 0.01 + 0.49 * draw(per_agent)
     bounds = SmoothnessBounds(m=m, M=m + draw(per_agent))
@@ -536,7 +533,7 @@ def test_closed_form_c2_is_the_crossing_of_terms_two_and_three(problem, fraction
 def test_closed_form_c2_keeps_its_digits_when_term_two_is_small(m):
     # With a tiny c1 and small curvature, K - A s_i is positive for every
     # agent, and the textbook root formula would cancel.
-    P = laplacian_weights(Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i)]), 2.0)
+    P = laplacian_weights(4, {(i, j): 2.0 for i in range(4) for j in range(i)})
     bounds = homogeneous_bounds(4, m, m)
     alphas, _ = proximal_alphas(bounds, P, 5.0, 0.95)
     assert_c2_is_the_crossing(P, bounds, alphas, 5.0, 0.95, 1e-8, 0.5)
@@ -645,8 +642,7 @@ def test_z_error_pure_primal_offset():
 def test_z_error_matches_dense_pseudoinverse_oracle():
     rng = np.random.default_rng(4)
     n, dim = 5, 3
-    g = build_random_connected_graph(n, 2.5, seed=8)
-    P = laplacian_weights(g, 1.0)
+    P = build_random_connected_graph(n, 2.5, seed=8)
     r = rng.uniform(0.5, 2.0, n)
     beta = 1.1
     x_star = rng.standard_normal(dim)
@@ -673,7 +669,7 @@ def test_z_error_matches_the_eigen_coordinate_form(n, degree, case):
     # its sum is smallest against its terms.
     rng = np.random.default_rng(n)
     g = build_random_connected_graph(n, degree, seed=n)
-    P = laplacian_weights(g, {e: rng.uniform(0.2, 2.0) for e in g.edges})
+    P = laplacian_weights(n, {e: rng.uniform(0.2, 2.0) for e in g.edges})
     dim, beta = 5, 0.8
     r = rng.uniform(0.5, 2.0, n)
     x_star = rng.standard_normal(dim)

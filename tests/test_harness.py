@@ -25,6 +25,7 @@ from soprolab.harness.experiment import (
     ExperimentConfig,
     build_certificate,
     build_problem,
+    build_topology,
     config_from_mapping,
     parse_config_file,
     run_experiment,
@@ -32,6 +33,7 @@ from soprolab.harness.experiment import (
 from soprolab.harness.metrics import MetricRow, MetricsTrace, aggregate_traces
 from soprolab.harness.tuning import tune_baseline
 from soprolab.loss import full_grad
+from soprolab.topology import write_edge_list
 
 
 def one_hot_problem(n_agents, per_agent, d, active, seed, lam=0.01):
@@ -417,7 +419,7 @@ import numpy as np
 from soprolab import optimizer
 from soprolab.harness.experiment import ExperimentConfig, run_experiment
 from soprolab.loss import StackedSets, _block_diagonal, _dense_csr
-from soprolab.topology import build_random_connected_graph, laplacian_weights
+from soprolab.topology import build_random_connected_graph
 
 def loaded():
     return [m for m in ("scipy.sparse", "scipy.special", "scipy.linalg") if m in sys.modules]
@@ -441,7 +443,7 @@ print(*loaded(), sep=",")
 rng = np.random.default_rng(8)
 n, lam = 4, 0.1
 local = sets((rng.random((n, 6, 4)) < 0.5).astype(float), lam)
-P = laplacian_weights(build_random_connected_graph(n, 2.0, 0), 1.0)
+P = build_random_connected_graph(n, 2.0, 0)
 config = optimizer.RunConfig(batch_g=3, batch_s=3, max_iters=1, seed=0)
 alphas = np.full(n, 0.125 * local.row_sq.max() - lam)
 assert optimizer.run(P, local, config, alphas).engine.solve == "cg"
@@ -502,6 +504,9 @@ def test_cli_certify_rejects_a_mu_below_the_recipe_bound(capsys):
         ("run", "--seeds", "-1"),
         ("tune", "--seeds", "0"),
         ("run", "--test-size", "-5"),
+        ("run", "--master-seed", "-1"),
+        ("run", "--topology-seed", "-1"),
+        ("tune", "--data-seed", "-1"),
     ],
 )
 def test_cli_refuses_no_seeds_and_a_negative_test_size(command, flag, value, tmp_path, capsys):
@@ -716,6 +721,55 @@ def test_cli_run_refuses_a_one_agent_topology_file_before_any_output(algorithm, 
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: line 1: need n >= 2 agents, got 1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["st_sopro", "dsgt"])
+def test_cli_run_refuses_a_topology_file_of_another_agent_count_before_loading_data(
+        algorithm, monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("the data were loaded")
+
+    monkeypatch.setattr(experiment, "_load_data", refuse)
+    topology = tmp_path / "path4.txt"
+    topology.write_text("4 3\n0 1 1.0\n1 2 1.0\n2 3 1.0\n")
+    out = tmp_path / "out"
+    argv = ["run", *SMALL, "--algorithm", algorithm, "--step-size", "0.1",
+            "--topology-file", str(topology), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: topology file {str(topology)!r} has 4 agents, but n_agents is 3\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["st_sopro", "dsgt"])
+def test_a_run_from_a_topology_file_writes_the_seeded_run(algorithm, tmp_path):
+    config = ExperimentConfig(
+        dim=6, n_agents=7, avg_degree=2.6, per_agent=20, test_size=10, batch_g=4, batch_s=4,
+        max_iters=5, topology_seed=3, algorithm=algorithm,
+        step_size=0.1 if algorithm == "dsgt" else None,
+    )
+    network = tmp_path / "network.txt"
+    write_edge_list(build_topology(config), network)
+    seeded = run_experiment(config.with_overrides({"out": str(tmp_path / "seeded")}))
+    from_file = run_experiment(config.with_overrides(
+        {"topology_file": str(network), "out": str(tmp_path / "file")}))
+    (want_header, want_rows), (header, rows) = (
+        trace_lines(r.trace_paths[0]) for r in (seeded, from_file))
+    assert len(rows) == 6 and rows == want_rows
+    assert header["topology"] == want_header["topology"]
+    assert header["topology"]["n_edges"] == 10
+
+
+@pytest.mark.parametrize("key", ["master_seed", "topology_seed", "data_seed"])
+def test_a_negative_seed_is_refused_when_the_config_is_made(key):
+    message = f"key {key!r} needs at least 0, got -1"
+    with pytest.raises(ConfigurationError, match=message):
+        ExperimentConfig(**{key: -1})
+    with pytest.raises(ConfigurationError, match=message):
+        config_from_mapping({key: "-1"})
+    with pytest.raises(ConfigurationError, match=message):
+        ExperimentConfig().with_overrides({key: -1})
+    assert getattr(ExperimentConfig(**{key: 0}), key) == 0
 
 
 # Config text: lines of schema keys, junk keys and arbitrary values, with

@@ -32,12 +32,11 @@ from soprolab.optimizer import (
 from soprolab.harness.reference import solve_reference
 from soprolab.harness.synthetic import gaussian_blob_samples
 from soprolab.loss import partition
-from soprolab.topology import Graph, build_random_connected_graph, laplacian_weights
+from soprolab.topology import build_random_connected_graph, laplacian_weights
 
 
 def make_problem(n=5, d=10, C=50, lam=0.1, seed=0, noise=0.5, avg_degree=2.0):
-    g = build_random_connected_graph(n, avg_degree, seed=seed)
-    P = laplacian_weights(g, 1.0)
+    P = build_random_connected_graph(n, avg_degree, seed=seed)
     samples = gaussian_blob_samples(n * C, d, seed, separation=1.0, noise=noise)
     local, _ = partition(samples, n, C, seed, lam)
     return P, local
@@ -198,8 +197,7 @@ def test_init_zeros_mode_gives_zero_disagreement():
 
 
 def test_init_two_agents_disagreement():
-    g = Graph.from_edges(2, [(0, 1)])
-    P = laplacian_weights(g, 1.0)
+    P = laplacian_weights(2, {(0, 1): 1.0})
     lam = 0.5
     feats = np.array([[0.3, 0.1]])
     local = stack_sets([feats, feats], [np.array([1])] * 2, lam)
@@ -215,7 +213,7 @@ def test_init_dual_sum_zero_and_comm_charge():
     assert np.all(state.q == 0.0)
     # run() charges the initial exchange.
     state = run(P, local, base_config(max_iters=0), certified_alphas(P, local))
-    assert state.comm_scalars == 2 * P.graph.n_edges * local.dim
+    assert state.comm_scalars == 2 * P.n_edges * local.dim
 
 
 def test_init_size_mismatch():
@@ -301,8 +299,7 @@ def test_exchange_dual_sum_preserved():
 
 
 def test_exchange_two_agents_antisymmetric_update():
-    g = Graph.from_edges(2, [(0, 1)])
-    P = laplacian_weights(g, 1.0)
+    P = laplacian_weights(2, {(0, 1): 1.0})
     lam = 0.5
     feats = np.array([[0.3, 0.1]])
     local = stack_sets([feats, feats], [np.array([1])] * 2, lam)
@@ -321,7 +318,7 @@ def test_exchange_communication_accounting():
     d = local.dim
     cfg = base_config(max_iters=7)
     state = run(P, local, cfg, certified_alphas(P, local))
-    per_round = 2 * P.graph.n_edges * d
+    per_round = 2 * P.n_edges * d
     assert state.comm_scalars == 7 * per_round + per_round
 
 

@@ -7,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import random_connected_graph_per_pair
+from soprolab import topology
 from soprolab.errors import InvariantViolation, ParameterError, ParseError, SoprolabError
 from soprolab.topology import (
-    Graph,
+    MatrixP,
     build_random_connected_graph,
     laplacian_weights,
     read_edge_list,
@@ -46,15 +47,14 @@ def test_random_graph_matches_the_per_pair_draw(n):
     for deg in degrees:
         for seed in range(5):
             got = build_random_connected_graph(n, deg, seed)
-            want = random_connected_graph_per_pair(n, deg, seed)
-            assert got.edges == want.edges
+            assert got.edges == random_connected_graph_per_pair(n, deg, seed)
 
 
 def test_paper_scale_graph_20_nodes_degree_5():
     g = build_random_connected_graph(20, 5.0, seed=0)
     assert g.n_agents == 20
     assert g.n_edges == 50
-    assert g.average_degree == 5.0
+    assert g.degrees.mean() == 5.0
     assert bfs_connected(20, g.edges)
 
 
@@ -81,7 +81,7 @@ def test_builder_deterministic_per_seed():
 def test_average_degree_within_one_of_target():
     for n, da in [(7, 2.3), (12, 3.7), (30, 6.1)]:
         g = build_random_connected_graph(n, da, seed=1)
-        assert abs(g.average_degree - da) <= 1.0
+        assert abs(g.degrees.mean() - da) <= 1.0
 
 
 def test_builder_rejects_bad_parameters():
@@ -94,28 +94,57 @@ def test_builder_rejects_bad_parameters():
 
 
 def test_graph_invariants_enforced():
-    with pytest.raises(ParameterError):
-        Graph.from_edges(3, [(0, 0)])
-    with pytest.raises(ParameterError):
-        Graph.from_edges(3, [(0, 3)])
-    with pytest.raises(ParameterError):
-        Graph.from_edges(4, [(0, 1), (2, 3)])  # disconnected
-    g = Graph.from_edges(3, [(0, 1), (1, 2), (1, 0)])  # duplicate collapses
-    assert g.n_edges == 2
-    for i in range(3):
-        for j in g.neighbors[i]:
-            assert i in g.neighbors[j]
+    with pytest.raises(ParameterError, match="need at least one agent, got 0"):
+        laplacian_weights(0, {})
+    with pytest.raises(ParameterError, match="self-loop at agent 0"):
+        laplacian_weights(3, {(0, 0): 1.0})
+    with pytest.raises(ParameterError, match=r"edge \(0,3\) outside 0..2"):
+        laplacian_weights(3, {(0, 3): 1.0})
+    with pytest.raises(ParameterError, match="graph is not connected"):
+        laplacian_weights(4, {(0, 1): 1.0, (2, 3): 1.0})
+    # An edge given both ways is one edge.
+    p = laplacian_weights(3, {(0, 1): 1.0, (1, 2): 1.0, (1, 0): 1.0})
+    assert p.n_edges == 2 and p.edges == ((0, 1), (1, 2))
+    assert np.array_equal(p.matrix, p.matrix.T)
+    assert laplacian_weights(1, {}).n_agents == 1
+
+
+def test_edges_and_degrees_are_the_nonzeros_of_the_matrix():
+    # A star on agent 2 plus the edge (3, 4), keyed in no particular order.
+    p = laplacian_weights(5, {(4, 3): 0.5, (2, 0): 2.0, (2, 4): 1e-300, (1, 2): 3.0,
+                              (2, 3): 1.0})
+    assert p.n_agents == 5
+    assert p.edges == ((0, 2), (1, 2), (2, 3), (2, 4), (3, 4))
+    assert p.n_edges == 5
+    assert p.degrees.tolist() == [1, 1, 4, 2, 2]
+    for (i, j), w in {(0, 2): 2.0, (1, 2): 3.0, (2, 3): 1.0, (2, 4): 1e-300,
+                      (3, 4): 0.5}.items():
+        assert p.matrix[i, j] == p.matrix[j, i] == -w
+
+
+def test_laplacian_sums_the_diagonal_in_sorted_edge_order():
+    # Weights far apart in magnitude, so that the order of the sums shows
+    # in the rounding; the keys come in reverse order.
+    n = 6
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    weights = {e: 10.0 ** (3 * (k % 7) - 9) * (1 + k / 7) for k, e in enumerate(edges)}
+    want = np.zeros((n, n))
+    for i, j in edges:
+        w = weights[i, j]
+        want[i, j] = want[j, i] = -w
+        want[i, i] += w
+        want[j, j] += w
+    p = laplacian_weights(n, dict(reversed(weights.items())))
+    assert p.matrix.tobytes() == want.tobytes()
 
 
 def test_laplacian_two_nodes():
-    g = Graph.from_edges(2, [(0, 1)])
-    p = laplacian_weights(g, 1.0)
+    p = laplacian_weights(2, {(0, 1): 1.0})
     assert np.array_equal(p.matrix, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_laplacian_triangle():
-    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    p = laplacian_weights(g, 1.0)
+    p = laplacian_weights(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
     expected = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
     assert np.array_equal(p.matrix, expected)
 
@@ -124,65 +153,56 @@ def test_laplacian_rows_sum_to_zero():
     for seed in range(10):
         g = build_random_connected_graph(12, 3.5, seed=seed)
         weights = {e: 0.5 + (i % 5) for i, e in enumerate(g.edges)}
-        p = laplacian_weights(g, weights)
+        p = laplacian_weights(12, weights)
         fro = np.linalg.norm(p.matrix)
         assert np.linalg.norm(p.matrix @ np.ones(12)) <= 1e-12 * fro
 
 
 def test_laplacian_rejects_nonpositive_weight():
-    g = Graph.from_edges(2, [(0, 1)])
-    with pytest.raises(ParameterError):
-        laplacian_weights(g, 0.0)
-    with pytest.raises(ParameterError):
-        laplacian_weights(g, {(0, 1): -2.0})
-    with pytest.raises(ParameterError):
-        laplacian_weights(g, {})
-    for w in (np.inf, np.nan):
-        with pytest.raises(ParameterError):
-            laplacian_weights(g, {(0, 1): w})
+    for w in (0.0, -2.0, np.inf, np.nan):
+        with pytest.raises(ParameterError, match=r"edge \(0, 1\) has weight .*; weights must be"
+                           " positive and finite"):
+            laplacian_weights(2, {(1, 0): w})
+    with pytest.raises(ParameterError, match="graph is not connected"):
+        laplacian_weights(2, {})
 
 
 def test_spectral_two_nodes():
-    p = laplacian_weights(Graph.from_edges(2, [(0, 1)]), 1.0)
+    p = laplacian_weights(2, {(0, 1): 1.0})
     s = spectral_summary(p)
     assert abs(s.lambda_w - 2.0) <= 1e-10
     assert abs(s.lambda_max - 2.0) <= 1e-10
 
 
 def test_spectral_triangle():
-    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    s = spectral_summary(laplacian_weights(g, 1.0))
+    s = spectral_summary(laplacian_weights(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}))
     assert abs(s.lambda_w - 3.0) <= 1e-10
     assert abs(s.lambda_max - 3.0) <= 1e-10
 
 
 def test_spectral_scales_with_weights():
     g = build_random_connected_graph(9, 3.0, seed=5)
-    s1 = spectral_summary(laplacian_weights(g, 1.0))
-    s3 = spectral_summary(laplacian_weights(g, 3.0))
+    s1 = spectral_summary(g)
+    s3 = spectral_summary(laplacian_weights(9, dict.fromkeys(g.edges, 3.0)))
     assert abs(s3.lambda_w - 3.0 * s1.lambda_w) <= 1e-9 * s3.lambda_max
     assert abs(s3.lambda_max - 3.0 * s1.lambda_max) <= 1e-9 * s3.lambda_max
 
 
 def test_spectral_rejects_bad_matrices():
-    g = Graph.from_edges(2, [(0, 1)])
-    p = laplacian_weights(g, 1.0)
+    p = laplacian_weights(2, {(0, 1): 1.0})
     bad = p.matrix.copy()
     bad.setflags(write=True)
     bad[0, 1] = 5.0
-    broken = type(p)(graph=g, matrix=bad, weights=dict(p.weights))
     with pytest.raises(InvariantViolation):
-        spectral_summary(broken)
-    neg = -p.matrix.copy()
-    indefinite = type(p)(graph=g, matrix=neg, weights=dict(p.weights))
+        spectral_summary(MatrixP(bad))
+    indefinite = MatrixP(-p.matrix)
     with pytest.raises(InvariantViolation):
         spectral_summary(indefinite)
 
 
 def test_positive_semidefinite_on_random_vectors():
     rng = np.random.default_rng(0)
-    g = build_random_connected_graph(10, 3.0, seed=2)
-    p = laplacian_weights(g, 1.0)
+    p = build_random_connected_graph(10, 3.0, seed=2)
     lam_w = spectral_summary(p).lambda_w
     for _ in range(1000):
         x = rng.standard_normal(10)
@@ -194,8 +214,7 @@ def test_positive_semidefinite_on_random_vectors():
 
 def test_single_zero_eigenvalue():
     for seed in range(20):
-        g = build_random_connected_graph(8, 2.8, seed=seed)
-        p = laplacian_weights(g, 1.0)
+        p = build_random_connected_graph(8, 2.8, seed=seed)
         eigs = np.linalg.eigvalsh(p.matrix)
         assert np.count_nonzero(eigs <= 1e-10 * eigs[-1]) == 1
 
@@ -207,7 +226,7 @@ def test_disagreement_matches_kronecker_product():
         rng = np.random.default_rng(1)
         g = build_random_connected_graph(n, degree, seed=9)
         weights = {e: 0.2 + i * 0.3 for i, e in enumerate(g.edges)}
-        p = laplacian_weights(g, weights)
+        p = laplacian_weights(n, weights)
         d = 4
         x = rng.standard_normal((n, d))
         w_full = np.kron(p.matrix, np.eye(d))
@@ -216,21 +235,23 @@ def test_disagreement_matches_kronecker_product():
         scale = np.max(np.abs(expected)) + 1.0
         assert np.max(np.abs(got - expected)) <= 1e-12 * scale
         # and the hand-written per-agent neighbor sum
-        for i in range(n):
-            acc = np.zeros(d)
-            for j in g.neighbors[i]:
-                acc += p.weights[(min(i, j), max(i, j))] * (x[i] - x[j])
-            assert np.max(np.abs(got[i] - acc)) <= 1e-12 * scale
+        acc = np.zeros((n, d))
+        for (i, j), w in weights.items():
+            acc[i] += w * (x[i] - x[j])
+            acc[j] += w * (x[j] - x[i])
+        assert np.max(np.abs(got - acc)) <= 1e-12 * scale
 
 
 def test_edge_list_round_trip():
     g = build_random_connected_graph(7, 2.6, seed=4)
     weights = {e: 1.0 + 0.1 * i for i, e in enumerate(g.edges)}
-    p = laplacian_weights(g, weights)
+    p = laplacian_weights(7, weights)
     buf = io.StringIO()
     write_edge_list(p, buf)
+    assert buf.getvalue() == f"7 {len(weights)}\n" + "".join(
+        f"{i} {j} {w!r}\n" for (i, j), w in weights.items())
     back = read_edge_list(io.StringIO(buf.getvalue()))
-    assert back.graph.edges == g.edges
+    assert back.edges == g.edges
     assert np.array_equal(back.matrix, p.matrix)
 
 
@@ -245,7 +266,7 @@ def weighted_connected_graphs(draw):
     weight = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
     edges = sorted(set(tree) | set(extra))
     weights = {e: draw(weight) for e in edges}
-    return laplacian_weights(Graph.from_edges(n, edges), weights)
+    return laplacian_weights(n, weights)
 
 
 @given(weighted_connected_graphs())
@@ -254,10 +275,10 @@ def test_edge_list_round_trip_keeps_every_weight_bitwise(p):
     buf = io.StringIO()
     write_edge_list(p, buf)
     back = read_edge_list(io.StringIO(buf.getvalue()))
-    assert back.graph == p.graph
-    assert back.weights.keys() == p.weights.keys()
-    for e, w in p.weights.items():
-        assert back.weights[e].hex() == w.hex()
+    assert back.n_agents == p.n_agents
+    assert back.edges == p.edges
+    for i, j in p.edges:
+        assert float(back.matrix[i, j]).hex() == float(p.matrix[i, j]).hex()
     assert np.array_equal(back.matrix, p.matrix)
 
 
@@ -287,7 +308,7 @@ def test_edge_list_refuses_a_header_with_too_few_edges_before_sizing_the_graph(m
     def refuse(*args):
         raise AssertionError("the graph was built")
 
-    monkeypatch.setattr(Graph, "from_edges", refuse)
+    monkeypatch.setattr(topology, "laplacian_weights", refuse)
     with pytest.raises(ParseError, match="needs at least 999999999999") as e:
         read_edge_list(io.StringIO("# huge\n1000000000000 0\n"))
     assert e.value.line == 2
@@ -317,12 +338,12 @@ def test_read_edge_list_parses_or_raises_a_package_error_on_any_text(text):
         p.spectral
     except SoprolabError:
         return
-    assert p.graph.is_connected()
+    assert bfs_connected(p.n_agents, p.edges)
     assert np.isfinite(p.matrix).all()
 
 
 def test_matrix_is_immutable():
-    p = laplacian_weights(Graph.from_edges(2, [(0, 1)]), 1.0)
+    p = laplacian_weights(2, {(0, 1): 1.0})
     with pytest.raises(ValueError):
         p.matrix[0, 0] = 7.0
 
@@ -332,7 +353,7 @@ def test_matrix_is_immutable():
     "n, degree, form", [(200, 5.0, "csr"), (20, 5.0, "dense"), (6, 2.5, "dense")]
 )
 def test_exchange_operator_is_csr_on_a_sparse_network_only(n, degree, form):
-    p = laplacian_weights(build_random_connected_graph(n, degree, seed=3), 1.0)
+    p = build_random_connected_graph(n, degree, seed=3)
     op = p.operator
     if form == "dense":
         assert op is p.matrix
