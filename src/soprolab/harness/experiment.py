@@ -89,6 +89,9 @@ class ExperimentConfig(optimizer.RunConfig):
             value = getattr(self, key)
             if value is not None and value < least:
                 raise ConfigurationError(f"key {key!r} needs at least {least}, got {value}")
+        if not self.lambda_reg > 0:
+            raise ConfigurationError(
+                f"key 'lambda_reg' needs a positive value, got {self.lambda_reg}")
 
     def check(self) -> None:
         """Refuse a bad run parameter, as the module docstring says."""
@@ -103,8 +106,8 @@ class ExperimentConfig(optimizer.RunConfig):
         return {key: getattr(self, key) for key in CONFIG_SCHEMA}
 
 
-# Checked whenever a config is made, by coercion, replace() or directly;
-# an unset key is not checked.
+# Checked whenever a config is made, by coercion, replace() or directly,
+# as is a positive lambda_reg; an unset key is not checked.
 _LEAST = {"seeds": 1, "test_size": 0, "master_seed": 0, "topology_seed": 0, "data_seed": 0}
 
 

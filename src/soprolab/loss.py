@@ -11,7 +11,10 @@ training data once.  :func:`parse_libsvm` tokenizes each slice of
 labels and values made of ASCII digits and an optional sign with array
 arithmetic, and sends every other token through ``int()``/``float()`` once
 per distinct string; it returns the rows as one ``scipy.sparse``
-compressed sparse row (CSR) matrix, and ``(n,)`` labels.
+compressed sparse row (CSR) matrix, and ``(n,)`` labels.  Each slice
+writes its entries into index and value arrays allocated once, with a
+slot for every colon in the text, so a parse holds the text, those arrays
+and one slice's tokenizer arrays at once.
 :func:`partition` takes the rows, dense ones as a CSR matrix too, with
 scipy's row indexing and copies each once into its slot: in the
 block-diagonal CSR operator of one :class:`StackedSets`, which every
@@ -251,7 +254,7 @@ class TestSet:
 _LABEL_CONVENTIONS = (((-1.0, 1.0), -1.0), ((1.0, 2.0), 2.0), ((0.0, 1.0), 0.0))
 
 
-def _map_labels(raw: np.ndarray, linenos: list[int]) -> np.ndarray:
+def _map_labels(raw: np.ndarray, linenos: np.ndarray) -> np.ndarray:
     """Map raw labels to +-1 by the first convention that fits all of them.
 
     When none fits, the error names the first label in file order that no
@@ -265,7 +268,7 @@ def _map_labels(raw: np.ndarray, linenos: list[int]) -> np.ndarray:
         breaks.append(int(np.argmax(outside)))
     # The labels before the latest first break still fit one convention.
     k = max(breaks)
-    raise ParseError(f"unmappable label {float(raw[k])}", line=linenos[k])
+    raise ParseError(f"unmappable label {float(raw[k])}", line=int(linenos[k]))
 
 
 # Lines per slice of a file: the tokenizer's index arrays grow with a
@@ -323,19 +326,23 @@ def _plain_integers(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
     value = np.zeros(start.size)
     plain = np.zeros(start.size, dtype=bool)
     count = np.bincount(np.minimum(size, _PLAIN_CHARS + 1), minlength=_PLAIN_CHARS + 2)
-    # The fields of one width at a time, as a (width, fields) array; empty
-    # and overlong fields are not plain.
+    # The fields of one width at a time, one character of each at a time;
+    # empty and overlong fields are not plain.
     for width in (np.flatnonzero(count[1 : _PLAIN_CHARS + 1]) + 1).tolist():
         at = np.flatnonzero(size == width)
-        chars = codes[start[at] + np.arange(width)[:, None]]
-        head = chars[0]
-        digit = (chars >= 48) & (chars <= 57)
-        mant = np.where(digit[0], head & 15, 0.0)
-        for row in chars[1:]:
-            mant = 10.0 * mant + (row & 15)
-        signed = ((head == 43) | (head == 45)) & (width > 1)
-        plain[at] = (digit[0] | signed) & digit[1:].all(axis=0) & (mant < 1e15)
-        value[at] = np.where(head == 45, -mant, mant)
+        where = start[at].astype(np.intp)  # int32 indices take a slow path
+        head = codes[where]
+        digits = (head >= 48) & (head <= 57)
+        mant = np.where(digits, head & 15, 0.0)
+        digits |= ((head == 43) | (head == 45)) & (width > 1)
+        for _ in range(width - 1):
+            where += 1
+            row = codes[where]
+            digits &= (row >= 48) & (row <= 57)
+            mant *= 10.0
+            mant += row & 15
+        plain[at] = digits & (mant < 1e15)
+        value[at] = np.negative(mant, out=mant, where=head == 45)
     return value, plain
 
 
@@ -364,27 +371,40 @@ def _tokenize(codes: np.ndarray, text: str):
     ends one.  Returns ``(n_lines, parsed)``: the number of line breaks in
     the slice, and ``(lines, raw labels, tokens per line, indices, values)``
     of its data lines, with ``lines`` 0-based within the slice, or ``None``
-    when any token in it is malformed.
+    when any token in it is malformed.  Each positional array is deleted
+    after its last use, so few of them are alive at once.
     """
+    # Positions in the slice are int32 when they fit.
+    pos = np.int32 if codes.size < 2**31 else np.int64
     # Whitespace and colons in text order, and a space past the end.
     sep = np.flatnonzero((codes <= 32) | (codes == 58) | (codes >= 0x85))
-    c = codes[sep]
+    c = codes[sep]  # read before sep narrows: int32 indices take a slow path
+    sep = sep.astype(pos)
     cls = _class_of(c)
     kept = (cls > 0) | (c == 58)
-    sep, cls = np.append(sep[kept], codes.size), np.append(cls[kept], _SPACE)
+    sep = np.pad(sep[kept], (0, 1), constant_values=codes.size)
+    cls = np.pad(cls[kept], (0, 1), constant_values=_SPACE)
     space_at = np.flatnonzero(cls[:-1])
     space = sep[space_at]
     brk = np.flatnonzero(_breaks(codes, space, cls[space_at]))
     # Tokens are the runs between whitespace: token k follows edge[gap[k]].
-    edge = np.concatenate(([-1], space, [codes.size]))
+    edge = np.pad(space, 1, constant_values=(-1, codes.size))
+    del space
     gap = np.flatnonzero(np.diff(edge) > 1)
-    start, end = edge[gap] + 1, edge[gap + 1]
     # The separator after a token's start is its first colon, if it has one.
-    after = np.append(-1, space_at)[gap] + 1
-    colon = np.where(cls[after] == 0, sep[after], -1)
+    after = np.append(-1, space_at)[gap]
+    del space_at
+    after += 1
+    colon = sep[after]
+    colon[cls[after] > 0] = -1
+    del sep, cls, after
+    start = edge[gap] + 1
+    end = edge[gap + 1]
     # Lines: edge[e] follows the breaks among space[:e].
     per_line = np.diff(np.concatenate(([0], brk + 1, [edge.size])))
-    line = np.repeat(np.arange(brk.size + 1), per_line)[gap]
+    del edge
+    line = np.repeat(np.arange(brk.size + 1, dtype=pos), per_line)[gap]
+    del gap
     # The first token of a line is its label, or opens a comment.
     head = np.ones(start.size, dtype=bool)
     head[1:] = line[1:] != line[:-1]
@@ -396,27 +416,34 @@ def _tokenize(codes: np.ndarray, text: str):
         keep = ~in_comment[line]
         start, end, line, head, colon = (a[keep] for a in (start, end, line, head, colon))
         labels = np.flatnonzero(head)
-
+    line = line[labels]
     lens = np.diff(np.append(labels, start.size)) - 1
-    feat = ~head
-    f_start, f_end, f_colon = start[feat], end[feat], colon[feat]
     # A feature token splits at its first colon.  int() and float() refuse
     # empty text and any other colon, so the conversions reject the rest.
-    if np.any(f_colon < 0):
+    # Each token array gives way to its features' part as it is taken.
+    feat = ~head
+    colon = colon[feat]
+    if np.any(colon < 0):
         return brk.size, None
     try:
         raw = _convert(codes, text, start[labels], end[labels], float)
-        idx = _convert(codes, text, f_start, f_colon, int)
-        val = _convert(codes, text, f_colon + 1, f_end, float)
-    except ValueError:
+        start = start[feat]
+        idx = _convert(codes, text, start, colon, int)
+        del start
+        end = end[feat]
+        colon += 1
+        val = _convert(codes, text, colon, end, float)
+    except (ValueError, OverflowError):
+        # OverflowError: an index past int64.
         return brk.size, None
+    del colon, end
     # Indices start above 0 and increase strictly within each line.
     prev = np.empty_like(idx)
     prev[1:] = idx[:-1]
     prev[(np.cumsum(lens) - lens)[lens > 0]] = 0
     if np.any(idx <= prev):
         return brk.size, None
-    return brk.size, (line[labels], raw, lens, idx, val)
+    return brk.size, (line, raw, lens, idx, val)
 
 
 def _raise_first_error(text: str, first_line: int):
@@ -441,6 +468,8 @@ def _raise_first_error(text: str, first_line: int):
                 raise ParseError(f"bad feature token {tok!r}", line=lineno) from None
             if idx < 1:
                 raise ParseError(f"index {idx} is not 1-based", line=lineno)
+            if idx >= 2**63:
+                raise ParseError(f"feature token {tok!r} has an index past int64", line=lineno)
             if idx <= prev:
                 raise ParseError(
                     f"indices must be strictly increasing, got {idx} after {prev}",
@@ -454,26 +483,40 @@ def _parse_lines(source):
     """``(labels, lens, indices, values)`` of the data lines of ``source``,
     as :func:`parse_libsvm` describes them: the mapped labels, the tokens
     per line, and every line's 1-based indices and values in file order.
-    The text and the slices' arrays are freed when it returns."""
+
+    Every stored entry holds a colon, so the colons in the text bound the
+    entries: the indices and values are allocated once at that length and
+    each slice writes its entries into them at a running offset.  A parse
+    holds the text, those two arrays, the small per-line arrays and one
+    slice's tokenizer arrays at once.  The text and the slices' arrays are
+    freed when it returns."""
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
     elif not data.isascii():
-        data.decode()  # invalid UTF-8 fails before any line is parsed
+        try:
+            data.decode()  # invalid UTF-8 fails before any line is parsed
+        except UnicodeDecodeError as e:
+            # The line of the first undecodable byte, counted in the text before it.
+            line = len((data[: e.start].decode() + "x").splitlines())
+            raise ParseError(f"invalid UTF-8 byte {data[e.start]:#04x}", line=line) from None
 
     whole = np.frombuffer(data, dtype=np.uint8)
     # Bytes below 32 are never part of a multi-byte character.
     low = np.flatnonzero(whole < 32)
     ends = low[_breaks(whole, low, _class_of(whole[low]))][_CHUNK_LINES - 1 :: _CHUNK_LINES] + 1
     cuts = np.unique(np.concatenate(([0], ends, [whole.size]))).tolist()
-    first_line = 1
-    linenos: list[int] = []
-    raws = []
-    # Tokens per line, indices and values of each slice, after an empty one.
+    del low, ends
     # Indices that fit are kept as int32, so the rows take 12 bytes an
-    # entry, not 16, while partition holds them; one slice past int32
-    # makes the concatenation int64.
-    entries = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0))]
+    # entry, not 16, while partition holds them; the first slice past
+    # int32 makes the buffer int64.
+    indices = np.empty(data.count(b":"), dtype=np.int32)
+    values = np.empty(indices.size)
+    written = 0
+    first_line = 1
+    # Line numbers, raw labels and tokens per line of each slice, after an
+    # empty one.
+    per_line = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))]
     for a, b in zip(cuts[:-1], cuts[1:]):
         text = data[a:b].decode("utf-8", "surrogatepass")
         if text.isascii():
@@ -484,13 +527,22 @@ def _parse_lines(source):
         if parsed is None:
             _raise_first_error(text, first_line)
         line, raw, lens, idx, val = parsed
-        linenos += (first_line + line).tolist()
-        raws.append(raw)
-        entries.append((lens, idx.astype(np.int32) if idx.max(initial=0) < 2**31 else idx, val))
+        del parsed, codes, text
+        if idx.max(initial=0) >= 2**31 and indices.dtype == np.int32:
+            indices = indices.astype(np.int64)
+        indices[written : written + idx.size] = idx
+        values[written : written + idx.size] = val
+        written += idx.size
+        del idx, val
+        per_line.append((np.add(line, first_line, dtype=np.int64), raw, lens))
         first_line += n_lines
 
-    raw = np.concatenate(raws) if raws else np.zeros(0)
-    return (_map_labels(raw, linenos), *map(np.concatenate, zip(*entries)))
+    # Colons in comment lines leave slack.
+    if written < indices.size:
+        indices = indices[:written].copy()
+        values = values[:written].copy()
+    lines, raw, lens = map(np.concatenate, zip(*per_line))
+    return _map_labels(raw, lines), lens, indices, values
 
 
 def parse_libsvm(source, dim: int | None = None):
@@ -512,9 +564,11 @@ def parse_libsvm(source, dim: int | None = None):
     ``int()`` and ``float()``.  Other fields, such as decimals with a dot,
     exponents, underscores, non-ASCII digits, ``inf``/``nan`` and long
     digit strings, go through ``int()`` or ``float()`` once per distinct
-    string.  A slice with a malformed token is walked token by token, so
-    the :class:`ParseError` names the first bad token or label in file
-    order and its line.
+    string.  A slice with a malformed token, or with an index of 2**63 or
+    more, is walked token by token, so the :class:`ParseError` names the
+    first bad token or label in file order and its line.  Bytes that are
+    not UTF-8 are refused before any line is parsed, with the line of the
+    first bad one.
 
     Returns ``(rows, labels)``: the ``(n, d)`` rows as a
     ``scipy.sparse.csr_matrix`` of the parsed entries only, with sorted

@@ -242,7 +242,7 @@ def spectral_summary(p: MatrixP) -> SpectralSummary:
     lam_max = eigs[-1]
     if eigs[0] < -1e-10 * max(lam_max, 1.0):
         raise InvariantViolation(f"matrix indefinite (min eigenvalue {eigs[0]})")
-    lam_w = eigs[1]
+    lam_w = eigs[1] if eigs.size > 1 else np.nan
     if not 0 < lam_w <= lam_max:
         raise InvariantViolation(
             f"expected simple zero eigenvalue, got spectrum head {eigs[:3]}"

@@ -80,6 +80,8 @@ def parse_libsvm_per_token(text, dim=None):
                 raise ParseError(f"bad feature token {tok!r}", line=lineno)
             if idx < 1:
                 raise ParseError(f"index {idx} is not 1-based", line=lineno)
+            if idx >= 2**63:
+                raise ParseError(f"feature token {tok!r} has an index past int64", line=lineno)
             if idx <= prev:
                 raise ParseError(
                     f"indices must be strictly increasing, got {idx} after {prev}",

@@ -772,6 +772,47 @@ def test_a_negative_seed_is_refused_when_the_config_is_made(key):
     assert getattr(ExperimentConfig(**{key: 0}), key) == 0
 
 
+@pytest.mark.parametrize("value", [0, -0.5])
+def test_a_non_positive_lambda_reg_is_refused_when_the_config_is_made(value):
+    message = f"key 'lambda_reg' needs a positive value, got {float(value)}"
+    with pytest.raises(ConfigurationError, match=message):
+        config_from_mapping({"lambda_reg": str(value)})
+    with pytest.raises(ConfigurationError, match=message):
+        ExperimentConfig().with_overrides({"lambda_reg": value})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"+1 1:1\n-1 2:1 \xff\n", "line 2: invalid UTF-8 byte 0xff"),
+        (b"+1 1:1\n-1 2:1 99999999999999999999:1\n",
+         "line 2: feature token '99999999999999999999:1' has an index past int64"),
+    ],
+    ids=["utf8", "int64"],
+)
+def test_cli_refuses_a_dataset_the_parser_refuses_with_one_error_line(
+        data, message, tmp_path, capsys):
+    dataset = tmp_path / "bad.svm"
+    dataset.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["run", *SMALL, "--dataset", str(dataset), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "certify", "reference"])
+def test_cli_refuses_a_non_positive_lambda_reg_before_loading_data(
+        command, monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("the data were loaded")
+
+    monkeypatch.setattr(experiment, "_load_data", refuse)
+    out = tmp_path / "out"
+    assert main([command, *SMALL, "--lambda-reg", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: key 'lambda_reg' needs a positive value, got 0.0\n"
+    assert not out.exists()
+
+
 # Config text: lines of schema keys, junk keys and arbitrary values, with
 # and without '='.
 _CONFIG_KEYS = st.one_of(st.sampled_from(sorted(CONFIG_SCHEMA)), st.text(max_size=6))

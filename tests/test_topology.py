@@ -198,6 +198,9 @@ def test_spectral_rejects_bad_matrices():
     indefinite = MatrixP(-p.matrix)
     with pytest.raises(InvariantViolation):
         spectral_summary(indefinite)
+    # One agent has no second eigenvalue, so no simple zero eigenvalue.
+    with pytest.raises(InvariantViolation, match="expected simple zero eigenvalue"):
+        laplacian_weights(1, {}).spectral
 
 
 def test_positive_semidefinite_on_random_vectors():
