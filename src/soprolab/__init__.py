@@ -6,7 +6,7 @@ algorithms, linear-rate certificates with steady-state error bounds, and a
 reproducible experiment harness for l2-regularized logistic regression.
 """
 
-from . import baselines, certificate, harness, loss, optimizer, topology
+from . import baselines, certificate, harness, loss, optimizer, sparse, topology
 from .errors import (
     CertificationError,
     ConfigurationError,
@@ -25,6 +25,7 @@ __all__ = [
     "harness",
     "loss",
     "optimizer",
+    "sparse",
     "topology",
     "CertificationError",
     "ConfigurationError",

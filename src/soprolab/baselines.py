@@ -61,10 +61,21 @@ def _batch_grads(x, local: StackedSets, config: RunConfig, round_idx: int) -> np
     return sets_grad(x, local, idx)
 
 
+def _mix(v: np.ndarray, L: MatrixP) -> np.ndarray:
+    """``v - L v`` (``W v``), written into the new array that
+    ``L.disagreement`` returns."""
+    out = L.disagreement(v)
+    return np.subtract(v, out, out=out)
+
+
 def dsgd_round(x, L: MatrixP, local: StackedSets, config: RunConfig, k: int) -> np.ndarray:
     """Round ``k``: mix neighbor iterates through ``W = I - L``, step along
-    the batch gradient; return the new iterates."""
-    return x - L.disagreement(x) - _step_size(config, k) * _batch_grads(x, local, config, k)
+    the batch gradient; return the new iterates.
+
+    ``(x - L x) - s g`` is computed in place, in the mix's array."""
+    out = _mix(x, L)
+    out -= _step_size(config, k) * _batch_grads(x, local, config, k)
+    return out
 
 
 def dsgt_round(
@@ -75,10 +86,16 @@ def dsgt_round(
 
     Returns the new iterates, the new tracker and the batch gradients at
     the new iterates, which the next round's tracker update subtracts.
+    The iterates are ``(x - L x) - s t`` and the tracker ``((t - L t) +
+    g) - g_last``, each computed in place, in its mix's array.
     """
-    x = x - L.disagreement(x) - _step_size(config, k) * tracker
+    x = _mix(x, L)
+    x -= _step_size(config, k) * tracker
     grads = _batch_grads(x, local, config, k + 1)
-    return x, tracker - L.disagreement(tracker) + grads - last_grads, grads
+    tracker = _mix(tracker, L)
+    tracker += grads
+    tracker -= last_grads
+    return x, tracker, grads
 
 
 def first_order(P: MatrixP, local: StackedSets, config: RunConfig):

@@ -206,8 +206,8 @@ def build_topology(config: ExperimentConfig) -> MatrixP:
 
 def _load_data(config: ExperimentConfig, seed: int):
     """The whole data set as ``(rows, labels)``: a parsed file's rows as a
-    ``scipy.sparse`` CSR matrix, synthetic rows (drawn from ``seed``) as a
-    dense array."""
+    CSR matrix (:class:`~soprolab.sparse.Csr`), synthetic rows (drawn from
+    ``seed``) as a dense array."""
     if config.dataset == "synthetic":
         total = config.n_agents * config.per_agent + config.test_size
         return gaussian_blob_samples(

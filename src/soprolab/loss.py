@@ -10,15 +10,17 @@ training data once.  :func:`parse_libsvm` tokenizes each slice of
 ``_CHUNK_LINES`` lines as one array of code points, converts indices,
 labels and values made of ASCII digits and an optional sign with array
 arithmetic, and sends every other token through ``int()``/``float()`` once
-per distinct string; it returns the rows as one ``scipy.sparse``
-compressed sparse row (CSR) matrix, and ``(n,)`` labels.  Each slice
-writes its entries into index and value arrays allocated once, with a
-slot for every colon in the text, so a parse holds the text, those arrays
-and one slice's tokenizer arrays at once.
+per distinct string; it returns the rows as one compressed sparse row
+(CSR) matrix, a :class:`~soprolab.sparse.Csr`, and ``(n,)`` labels.
+Each slice writes its entries into index and value arrays allocated once,
+with a slot for every colon in the text, so a parse holds the text, those
+arrays and one slice's tokenizer arrays at once.
 :func:`partition` takes the rows, dense ones as a CSR matrix too, with
-scipy's row indexing and copies each once into its slot: in the
-block-diagonal CSR operator of one :class:`StackedSets`, which every
-later layer takes, or in the CSR test set.  Rounds read the whole local
+:meth:`~soprolab.sparse.Csr.take` and copies each once into its slot: in
+the block-diagonal CSR operator of one :class:`StackedSets`, which every
+later layer takes, or in the CSR test set.  Every product of a CSR matrix
+runs in scipy's compiled kernels, loaded without importing
+``scipy.sparse`` (see :mod:`soprolab.sparse`).  Rounds read the whole local
 sets, at the positions of their batches, through
 :meth:`StackedSets.matvec` and :meth:`StackedSets.rmatvec`.  The set-up
 reads them densely through :meth:`StackedSets.agent_chunks` alone, a run
@@ -42,14 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError, ParseError
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
+from .sparse import Csr, has_canonical_format, index_type
 
 __all__ = [
     "LocalDataset",
@@ -110,12 +109,13 @@ class StackedSets:
     operator ``csr``: agent ``i``'s row ``j`` is row ``i C + j`` and its
     column ``c`` is column ``i d + c``.  The arrays are read-only.
 
-    :meth:`matvec` and :meth:`rmatvec` read the operator (through its
-    transpose, made once, for :meth:`rmatvec`).  The set-up reads the rows
-    densely, a run of whole agents at a time, through :meth:`agent_chunks`.
+    :meth:`matvec` and :meth:`rmatvec` read the operator, a
+    :class:`~soprolab.sparse.Csr`, with scipy's compiled CSR kernels.  The
+    set-up reads the rows densely, a run of whole agents at a time, through
+    :meth:`agent_chunks`.
     """
 
-    csr: csr_matrix = field(compare=False, repr=False)
+    csr: Csr = field(compare=False, repr=False)
     labels: np.ndarray  # (N, C) floats of +-1
     lam: np.ndarray  # (N,) positive
 
@@ -132,6 +132,8 @@ class StackedSets:
             raise ParameterError(f"lambda_reg must be positive, got {self.lam}")
         if not np.all(np.abs(self.labels) == 1):
             raise ParameterError("labels must be +-1")
+        if not isinstance(self.csr, Csr):
+            raise ParameterError(f"need the operator as a Csr, got {type(self.csr).__name__}")
         if self.csr.shape[0] != n * per_agent or self.csr.shape[1] % n:
             raise ParameterError(
                 f"need a ({n * per_agent}, {n} d) operator, got {self.csr.shape}"
@@ -164,11 +166,6 @@ class StackedSets:
         every agent's batch Hessian: a row's weight ``p (1 - p)`` is at
         most ``1 / 4``."""
         return 0.25 * self.row_sq.max(axis=1)
-
-    @cached_property
-    def csr_t(self):
-        """The transpose of ``csr``: a CSC matrix over the same arrays."""
-        return self.csr.T
 
     @cached_property
     def _flat_positions(self) -> np.ndarray:
@@ -204,7 +201,10 @@ class StackedSets:
         if scale is not None:
             values = np.multiply(values, np.repeat(scale, np.diff(ptr)), dtype=out.dtype)
         out.fill(0.0)
-        out.reshape(-1)[self._flat_positions[ptr[0] : ptr[-1]] - start * d] = values
+        # An intp index takes numpy's fast scatter; the stored int32 would not.
+        at = self._flat_positions[ptr[0] : ptr[-1]].astype(np.intp)
+        at -= start * d
+        out.reshape(-1)[at] = values
         return out
 
     def agent_chunks(self, dtype=np.float64, scale: np.ndarray | None = None):
@@ -231,18 +231,18 @@ class StackedSets:
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """``(N, d)`` sums ``F_i^T v_i`` of every agent's rows under its row
         of the ``(N, C)`` weights ``v``."""
-        return (self.csr_t @ v.ravel()).reshape(v.shape[0], -1)
+        return self.csr.rmatvec(v.ravel()).reshape(v.shape[0], -1)
 
 
 @dataclass
 class TestSet:
     """Held-out samples for accuracy reporting; may be empty.
 
-    ``features`` is an ``(n, d)`` CSR matrix, read through ``features @
-    x``.
+    ``features`` is an ``(n, d)`` :class:`~soprolab.sparse.Csr`, read
+    through ``features @ x``.
     """
 
-    features: csr_matrix
+    features: Csr
     labels: np.ndarray
 
     def __len__(self) -> int:
@@ -571,61 +571,45 @@ def parse_libsvm(source, dim: int | None = None):
     first bad one.
 
     Returns ``(rows, labels)``: the ``(n, d)`` rows as a
-    ``scipy.sparse.csr_matrix`` of the parsed entries only, with sorted
-    column indices, no duplicates and int32 indices when they fit, and
-    ``(n,)`` int labels.
+    :class:`~soprolab.sparse.Csr` of the parsed entries only, with sorted
+    column indices, no duplicates and int32 indices when they and the
+    entry count fit (the arrays of scipy's ``csr_matrix``), and ``(n,)``
+    int labels.
     """
     labels, lens, idx, val = _parse_lines(source)
     d = max(dim or 0, int(idx.max()) if idx.size else 0)
     idx -= 1
-    # Imported once the text and the slices' arrays are freed: only sparse
-    # rows need scipy.sparse, and it costs resident memory.  The matrix
-    # keeps the indices and values it is given.
-    from scipy.sparse import csr_matrix
-
-    indptr = np.concatenate(([0], np.cumsum(lens)))
-    return csr_matrix((val, idx, indptr), shape=(lens.size, d), copy=False), labels
+    index = index_type(idx.size, lens.size, d)
+    indptr = np.zeros(lens.size + 1, dtype=index)
+    np.cumsum(lens, out=indptr[1:])
+    return Csr(indptr, idx.astype(index, copy=False), val, (lens.size, d)), labels
 
 
-def _dense_csr(rows: np.ndarray):
-    """The CSR matrix of the nonzero entries of dense ``(n, d)`` float rows:
-    the arrays of ``csr_matrix(rows)``, which drops ``-0.0`` and keeps NaN,
-    built from one boolean mask instead of scipy's COO copy."""
-    from scipy.sparse import csr_matrix
-
-    nz = rows != 0
-    per_row = np.count_nonzero(nz, axis=1)
-    index = np.int32 if max(int(per_row.sum()), *rows.shape) < 2**31 else np.int64
-    indptr = np.zeros(rows.shape[0] + 1, dtype=index)
-    np.cumsum(per_row, out=indptr[1:])
-    indices = np.broadcast_to(np.arange(rows.shape[1], dtype=index), rows.shape)[nz]
-    return csr_matrix((rows[nz], indices, indptr), shape=rows.shape, copy=False)
-
-
-def _block_diagonal(rows, n_agents: int):
-    """The ``(N C, d)`` CSR ``rows``, ``C`` consecutive rows an agent, as
-    the block-diagonal ``(N C, N d)`` operator of :class:`StackedSets`:
-    agent ``i``'s columns moved ``i d`` along.  The operator takes over the
-    arrays of ``rows``, whose column indices it moves in place when their
-    type fits."""
-    from scipy.sparse import csr_matrix
-
+def _block_diagonal(rows: Csr, n_agents: int) -> Csr:
+    """The ``(N C, d)`` ``rows``, ``C`` consecutive rows an agent, as the
+    block-diagonal ``(N C, N d)`` operator of :class:`StackedSets`: agent
+    ``i``'s columns moved ``i d`` along.  The operator takes over the
+    arrays of ``rows``, whose column indices it moves in place, one agent's
+    at a time, when their type fits: no other array of an entry each is
+    made."""
     total, d = rows.shape
     shape = (total, n_agents * d)
-    index = np.int32 if max(rows.nnz, *shape) < 2**31 else np.int64
-    ptr = rows.indptr
+    index = index_type(rows.nnz, *shape)
     indices = rows.indices.astype(index, copy=False)
-    indices += np.repeat(np.arange(n_agents, dtype=index) * d, np.diff(ptr[:: total // n_agents]))
-    return csr_matrix((rows.data, indices, ptr.astype(index, copy=False)), shape=shape, copy=False)
+    ends = rows.indptr[:: total // n_agents].tolist()
+    for i in range(1, n_agents):
+        indices[ends[i] : ends[i + 1]] += i * d
+    return Csr(rows.indptr.astype(index, copy=False), indices, rows.data, shape)
 
 
 def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float):
     """Split uniformly permuted rows of ``data = (rows, labels)`` into
     equal local sets.
 
-    ``rows`` is ``(n, d)``: ``scipy.sparse`` rows of any format, such as
-    the CSR matrix of :func:`parse_libsvm`, or a dense array, which becomes
-    a CSR matrix of its nonzero entries; ``labels`` is ``(n,)`` of +-1.
+    ``rows`` is ``(n, d)``: the :class:`~soprolab.sparse.Csr` rows of
+    :func:`parse_libsvm`, ``scipy.sparse`` rows of any format, whose CSR
+    arrays are read, or a dense array, which becomes the CSR matrix of its
+    nonzero entries; ``labels`` is ``(n,)`` of +-1.
     The first ``n_agents * per_agent`` permuted rows form contiguous blocks
     of ``per_agent``; leftovers become the test set.  Deterministic per
     seed.
@@ -635,36 +619,39 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
     order) before any set is written, and so are sparse rows with a column
     index outside ``0..d-1`` or with unsorted or repeated column indices.
 
-    The rows are taken with scipy's row indexing, each copied once: into
-    the block-diagonal CSR operator of a :class:`StackedSets`, with agent
-    ``i``'s columns moved ``i d`` along, or into the CSR test set.  No
-    dense block is formed, and neither shares memory with ``data``.
-    Returns ``(local_sets, test_set)``.
+    The rows are taken with :meth:`Csr.take`, each copied once into arrays
+    allocated once: into the block-diagonal CSR operator of a
+    :class:`StackedSets`, with agent ``i``'s columns moved ``i d`` along,
+    or into the CSR test set.  No dense block is formed, and neither shares
+    memory with ``data``.  Returns ``(local_sets, test_set)``.
     """
     if n_agents < 1 or per_agent < 1:
         raise ParameterError(f"need agents and samples per agent, got {n_agents} x {per_agent}")
-    from scipy.sparse import csr_matrix
-
     rows, labels = data
     # Any scipy.sparse format has tocsr.
-    sparse = hasattr(rows, "tocsr")
-    rows = rows.tocsr() if sparse else np.asarray(rows, dtype=float)
+    if not isinstance(rows, Csr):
+        rows = rows.tocsr() if hasattr(rows, "tocsr") else np.asarray(rows, dtype=float)
     labels = np.asarray(labels)
     if len(rows.shape) != 2 or labels.shape != rows.shape[:1]:
         raise ParameterError(
             f"need (n, d) rows and (n,) labels, got {rows.shape} and {labels.shape}"
         )
-    rows = csr_matrix(rows).astype(float, copy=False) if sparse else _dense_csr(rows)
+    if isinstance(rows, np.ndarray):
+        rows = Csr.from_dense(rows)
     total, d = rows.shape
     # A column outside 0..d-1 would land in another agent's block of the
-    # operator, or outside it, and the operator sums repeated entries.
+    # operator, or outside it, and the operator sums repeated entries.  A
+    # caller's scipy.sparse rows are checked before a Csr is built over
+    # their arrays.
     cols = rows.indices
     if cols.size and (cols.min() < 0 or cols.max() >= d):
         raise ParameterError(
             f"sparse rows need column indices in 0..{d - 1}, got {cols.min()}..{cols.max()}"
         )
-    if not rows.has_canonical_format:
+    if not has_canonical_format(rows.indptr, rows.indices):
         raise ParameterError("sparse rows need sorted column indices without duplicates")
+    if not isinstance(rows, Csr):
+        rows = Csr(rows.indptr, rows.indices, rows.data.astype(float, copy=False), rows.shape)
     finite = np.isfinite(rows.data)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -679,11 +666,11 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
         )
     perm = np.random.default_rng(seed).permutation(total)
     chosen, rest = perm[:need], perm[need:]
-    csr = _block_diagonal(rows[chosen], n_agents)
+    csr = _block_diagonal(rows.take(chosen), n_agents)
     local_labels = labels[chosen].reshape(n_agents, per_agent).astype(float)
     lam = np.full(n_agents, float(lambda_reg))
     local = StackedSets(csr, local_labels, lam)
-    return local, TestSet(features=rows[rest], labels=labels[rest])
+    return local, TestSet(features=rows.take(rest), labels=labels[rest])
 
 
 @dataclass

@@ -10,8 +10,9 @@ Kronecker lift ``P (x) I_d`` acts on stacked agent vectors, and its two
 extreme nonzero eigenvalues parameterize every convergence certificate.
 The lift is never materialized: applying it to the ``(n, d)`` array of
 stacked agent vectors is one product ``op @ x`` with
-:attr:`MatrixP.operator`, a CSR copy of ``P`` on a sparse network and ``P``
-itself otherwise, so an exchange costs ``O(|E| d)`` where the network is
+:attr:`MatrixP.operator`, a CSR copy of ``P`` (a
+:class:`~soprolab.sparse.Csr`) on a sparse network and ``P`` itself
+otherwise, so an exchange costs ``O(|E| d)`` where the network is
 sparse.  Every network matrix of a run is a :class:`MatrixP`: the proximal
 methods' ``P`` and the baselines' Metropolis Laplacian ``I - W`` (see
 :func:`soprolab.baselines.metropolis_matrix`), so this module alone
@@ -29,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError, ParseError
+from .sparse import Csr
 
 __all__ = [
     "MatrixP",
@@ -104,9 +106,11 @@ def build_random_connected_graph(n: int, target_avg_degree: float, seed: int) ->
 
 # A network matrix storing at most 1/SPARSE_SHARE of its n^2 entries is
 # applied as CSR.  At d = 123 on one OpenBLAS thread of an x86 VM, a CSR
-# product took 14 us against 4.6 us dense at N = 20 (degree 5) and 65 us
-# against 198 us at N = 200 (degree 5); the two meet at densities of
-# 0.06-0.11 for degrees 2, 5 and 10.
+# product (scipy's csr_matvecs, called directly) took 11.4 us against
+# 4.9 us dense at N = 20 (degree 5) and 82 us against 289 us at N = 200
+# (degree 5); scipy.sparse's own product took 15.5 and 85.7 us.  The two
+# meet at densities of 0.06-0.08, 0.08-0.09 and 0.11 for degrees 2, 5
+# and 10.
 SPARSE_SHARE = 12
 
 
@@ -154,17 +158,15 @@ class MatrixP:
     def operator(self):
         """The operator that applies this matrix as ``op @ x``, made on first use.
 
-        A read-only ``scipy.sparse`` CSR copy when the matrix stores at most
-        ``n^2 / SPARSE_SHARE`` nonzero entries, so that a product costs
-        ``O(nnz d)``; the dense ``matrix`` itself otherwise, where BLAS is
-        faster than sparse indexing.
+        A read-only CSR copy, a :class:`~soprolab.sparse.Csr`, when the
+        matrix stores at most ``n^2 / SPARSE_SHARE`` nonzero entries, so
+        that a product costs ``O(nnz d)``; the dense ``matrix`` itself
+        otherwise, where BLAS is faster than sparse indexing.
         """
         n = self.n_agents
         if SPARSE_SHARE * np.count_nonzero(self.matrix) > n * n:
             return self.matrix
-        from scipy.sparse import csr_matrix
-
-        op = csr_matrix(self.matrix)
+        op = Csr.from_dense(self.matrix)
         for a in (op.data, op.indices, op.indptr):
             a.setflags(write=False)
         return op
@@ -175,6 +177,7 @@ class MatrixP:
         ``x`` has one row per agent; row ``i`` of the result is
         ``sum_j p_ij (x_i - x_j)`` over the neighbors of ``i``.  The product
         goes through :attr:`operator`: ``O(|E| d)`` on a sparse network.
+        The result is a new array, which the caller may write.
         """
         return self.operator @ x
 

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dposv
 from scipy.optimize import brentq, minimize_scalar
+from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 from soprolab.certificate import _condition_shift, _lambda_min_shifted, m_beta
@@ -31,13 +32,13 @@ from soprolab.loss import (
     _as_index_array,
     _block_diagonal,
     _check_dim,
-    _dense_csr,
     batch_grad,
     batch_hess,
     full_grad,
     sigmoid,
 )
 from soprolab.optimizer import draw_positions, sample_batches, substream
+from soprolab.sparse import Csr
 from soprolab.topology import _tree_from_pruefer
 
 # Raw label sets LIBSVM files use, in the order they are tried, as maps to +-1.
@@ -125,6 +126,12 @@ def densify(rows):
     out = np.zeros(rows.shape)
     out[np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr)), rows.indices] = rows.data
     return out
+
+
+def scipy_csr(rows):
+    """The :class:`~soprolab.sparse.Csr` ``rows`` as a
+    ``scipy.sparse.csr_matrix`` over the same entries."""
+    return csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
 
 
 def dense_step_stacked(x, rhs, F, w, c):
@@ -313,7 +320,7 @@ def stack_sets(features, labels, lam):
     n = len(labels)
     rows = np.concatenate([np.asarray(a, dtype=float) for a in features])
     lam = np.array(np.broadcast_to(np.asarray(lam, dtype=float), (n,)))
-    return StackedSets(_block_diagonal(_dense_csr(rows), n), labels, lam)
+    return StackedSets(_block_diagonal(Csr.from_dense(rows), n), labels, lam)
 
 
 def stacked(datasets):

@@ -6,8 +6,8 @@ from oracles import (
     agent_batch_stats, agent_datasets, block_of, dense_block, dense_step_stacked, densify,
     draw_batches, flat_positions, stack_sets,
 )
-from soprolab import optimizer, topology
-from soprolab.baselines import dsgt_round, metropolis_matrix
+from soprolab import baselines, optimizer, topology
+from soprolab.baselines import dsgd_round, dsgt_round, metropolis_matrix
 from soprolab.certificate import QNormError, proximal_alphas
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation
 from soprolab.harness.metrics import optimality_error
@@ -32,6 +32,7 @@ from soprolab.optimizer import (
     row_step,
     run,
 )
+from soprolab.sparse import Csr
 from soprolab.topology import build_random_connected_graph
 
 
@@ -860,7 +861,7 @@ def test_baselines_mix_through_csr_as_through_the_dense_weights(algorithm, monke
     # degree-3 network.
     P = build_random_connected_graph(120, 3.0, seed=2)
     _, local = make_problem(120, 8, 6)
-    assert metropolis_matrix(P).operator.format == "csr"
+    assert isinstance(metropolis_matrix(P).operator, Csr)
     config = RunConfig(batch_g=4, batch_s=4, max_iters=5, seed=7, algorithm=algorithm,
                        step_size=0.5)
 
@@ -876,6 +877,37 @@ def test_baselines_mix_through_csr_as_through_the_dense_weights(algorithm, monke
     assert len(sparse) == len(dense) == 6
     for a, b in zip(sparse, dense):
         assert rel_err(a, b) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [6, 120])
+def test_baseline_rounds_mix_in_place_bitwise_as_the_whole_expressions(n):
+    # The rounds write x - L x - s g and t - L t + g - g_last into the
+    # array of each mix, in the order of the whole expressions: the rows
+    # are those of the expressions, bitwise, on a dense (N = 6) and a CSR
+    # (N = 120) network, and no argument is written.
+    P = build_random_connected_graph(n, 3.0, seed=2)
+    _, local = make_problem(n, 8, 6)
+    L = metropolis_matrix(P)
+    assert isinstance(L.operator, np.ndarray if n == 6 else Csr)
+    config = RunConfig(batch_g=4, batch_s=4, max_iters=3, seed=7, step_size=0.5,
+                       step_schedule="one_over_k")
+    rng = np.random.default_rng(n)
+    x, tracker, last = rng.standard_normal((3, n, 6))
+    for k in range(3):
+        args = [a.copy() for a in (x, tracker, last)]
+        for a in args:
+            a.setflags(write=False)
+        step = 0.5 / (1.0 + k)
+        got = dsgd_round(args[0], L, local, config, k)
+        want = x - L.disagreement(x) - step * baselines._batch_grads(x, local, config, k)
+        assert got.tobytes() == want.tobytes()
+        got_x, got_t, got_g = dsgt_round(*args, L, local, config, k)
+        want_x = x - L.disagreement(x) - step * tracker
+        grads = baselines._batch_grads(want_x, local, config, k + 1)
+        want_t = tracker - L.disagreement(tracker) + grads - last
+        for g, w in ((got_x, want_x), (got_t, want_t), (got_g, grads)):
+            assert g.tobytes() == w.tobytes()
+        x, tracker, last = want_x, want_t, grads
 
 
 @pytest.mark.parametrize("n, degree", [(6, 2.0), (20, 5.0), (120, 3.0), (200, 5.0)])

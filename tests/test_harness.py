@@ -345,10 +345,10 @@ def test_experiment_chooses_the_proximal_alphas_once(monkeypatch):
 def test_package_and_cli_import_no_optimizer_or_sparse_scipy():
     # scipy.optimize pulls in scipy.sparse, scipy.spatial and more: about
     # 17 MB of resident memory that no step of an experiment needs.
-    # scipy.sparse is imported on first use, by parse_libsvm or partition,
-    # and every run uses it.  It is not small: with numpy 2.4.6 and scipy
-    # 1.17.1, importing it after numpy raised the resident set from 26.9
-    # to 48.9 MB in 0.14 s.  scipy's vendored array_api_compat.numpy
+    # No run imports scipy.sparse either: soprolab.sparse loads its
+    # compiled kernels alone, on first use.  scipy.sparse is not small:
+    # with numpy 2.4.6 and scipy 1.17.1, importing it after numpy raised
+    # the resident set from 26.9 to 48.9 MB in 0.14 s.  scipy's vendored array_api_compat.numpy
     # copies numpy's namespace (``from numpy import *`` and a getattr of
     # every public name), which loads numpy.f2py (and with it
     # charset_normalizer), numpy.testing, numpy.ma and numpy.polynomial.
@@ -418,16 +418,24 @@ import sys
 import numpy as np
 from soprolab import optimizer
 from soprolab.harness.experiment import ExperimentConfig, run_experiment
-from soprolab.loss import StackedSets, _block_diagonal, _dense_csr
+from soprolab.loss import StackedSets, _block_diagonal
+from soprolab.sparse import Csr
 from soprolab.topology import build_random_connected_graph
 
 def loaded():
-    return [m for m in ("scipy.sparse", "scipy.special", "scipy.linalg") if m in sys.modules]
+    # The scipy modules loaded, each named by its package: "scipy" for
+    # scipy's top-level modules, "scipy.linalg" for scipy.linalg's.
+    return sorted({".".join(m.split(".")[:2]) for m in sys.modules if m.split(".")[0] == "scipy"})
+
+def subpackages():
+    # The public scipy subpackages loaded.
+    return [m for m in loaded() if m.count(".") and not m.split(".")[1].startswith("_")
+            and hasattr(sys.modules[m], "__path__")]
 
 def sets(feats, lam):
     n, C, d = feats.shape
     labels = rng.choice((-1.0, 1.0), (n, C))
-    return StackedSets(_block_diagonal(_dense_csr(feats.reshape(-1, d)), n), labels, np.full(n, lam))
+    return StackedSets(_block_diagonal(Csr.from_dense(feats.reshape(-1, d)), n), labels, np.full(n, lam))
 
 small = dict(n_agents=3, per_agent=10, test_size=5, batch_g=2, batch_s=2, max_iters=3)
 for algorithm in ("st_sopro", "dsgt"):
@@ -436,7 +444,11 @@ print(*loaded(), sep=",")
 with open(sys.argv[1], "w") as f:
     for k in range(40):
         f.write(f"{(-1) ** k:+d} {1 + k % 4}:1 {5 + 3 * k % 4}:1 {9 + 7 * k % 4}:1\\n")
-run_experiment(ExperimentConfig(dataset=sys.argv[1], dim=12, **small))
+result = run_experiment(ExperimentConfig(dataset=sys.argv[1], dim=12, **small))
+assert len(result.problem.test) == 10  # 40 rows, 30 in the local sets
+# 200 agents at average degree 2: the exchange is the CSR product.
+result = run_experiment(ExperimentConfig(dim=4, **{**small, "n_agents": 200, "per_agent": 5}))
+assert isinstance(result.problem.P.operator, Csr)
 print(*loaded(), sep=",")
 
 # S = 3 < d = 4 < C = 6 at rho = 2: one round by CG.
@@ -468,26 +480,27 @@ for i in range(n):
     A = feats[i].T @ (w[i, :, None] * feats[i]) + c[i] * np.eye(d)
     want = x[i] - np.linalg.inv(A) @ rhs[i]
     err = max(err, np.linalg.norm(out[i] - want) / np.linalg.norm(want))
-print(*loaded(), sep=",")
+print(*subpackages(), sep=",")
 print(err)
 """
 
 
-def test_runs_load_scipy_sparse_for_sparse_rows_and_scipy_linalg_for_the_gram_path_only(
-    tmp_path,
-):
-    # scipy.special and scipy.linalg cost about 12 MB resident together.
-    # The sigmoid is numpy's and only the Gram path and local_step call
-    # LAPACK, so runs on the row path, by the series or by CG, synthetic
-    # or parsed, import neither; every run imports scipy.sparse for the
-    # sets' operator.
+def test_row_path_runs_load_no_scipy_module_and_the_gram_path_scipy_linalg_only(tmp_path):
+    # scipy.special and scipy.linalg cost about 12 MB resident together,
+    # and scipy.sparse about 14.5 MB more.  The sigmoid is numpy's, every
+    # CSR product runs in scipy's compiled kernels loaded from their file
+    # (soprolab.sparse), and only the Gram path and local_step call
+    # LAPACK.  So runs on the row path, by the series or by CG, synthetic
+    # or parsed, with their local sets, test set and exchange, load no
+    # scipy module at all; the Gram path loads scipy.linalg alone of
+    # scipy's subpackages.
     src = str(Path(soprolab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", FRESH_RUNS, str(tmp_path / "one_hot.svm")],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
-    assert out[:5] == ["scipy.sparse"] * 4 + ["scipy.sparse,scipy.linalg"]
+    assert out[:5] == [""] * 4 + ["scipy.linalg"]
     assert float(out[5]) <= 1e-10
 
 

@@ -5,14 +5,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 from oracles import (
     Sample, agent_datasets, batch_loss, block_of, densify, flat_positions, on_batches_2d,
-    sample_grad, sample_hess, sample_loss, stacked,
+    sample_grad, sample_hess, sample_loss, scipy_csr, stacked,
 )
 from soprolab.errors import ParameterError, ParseError
+from soprolab.sparse import Csr
 from soprolab.loss import (
     LocalDataset,
     SmoothnessBounds,
@@ -524,7 +524,7 @@ def test_dataset_validation():
         # Two agents of three samples each, in d = 2.
         feats = np.arange(1.0, 13.0).reshape(2, 3, 2)
         labels = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]])
-        return dict(csr=csr_matrix(scipy.linalg.block_diag(*feats)), labels=labels,
+        return dict(csr=Csr.from_dense(scipy.linalg.block_diag(*feats)), labels=labels,
                     lam=np.array([0.1, 0.2]))
 
     StackedSets(**stacked_fields())
@@ -553,25 +553,28 @@ def test_dataset_validation():
         with pytest.raises(ParameterError, match=r"^need \(N, C\) and \(N,\) arrays"):
             StackedSets(**{**stacked_fields(), name: value})
     # An operator with a row more than N C = 6 (a row short: below).
-    block = np.vstack([stacked_fields()["csr"].toarray(), np.zeros((1, 4))])
+    block = np.vstack([densify(stacked_fields()["csr"]), np.zeros((1, 4))])
     with pytest.raises(ParameterError, match=r"need a \(6, 2 d\) operator"):
-        StackedSets(**{**stacked_fields(), "csr": csr_matrix(block)})
+        StackedSets(**{**stacked_fields(), "csr": Csr.from_dense(block)})
     with pytest.raises(ParameterError, match="one sample each, got 2 x 0"):
-        StackedSets(csr_matrix((0, 4)), np.ones((2, 0)), np.array([0.1, 0.2]))
+        StackedSets(Csr.from_dense(np.zeros((0, 4))), np.ones((2, 0)), np.array([0.1, 0.2]))
 
 
 def test_stacked_sets_refuse_an_operator_of_another_shape():
     feats = np.arange(1.0, 13.0).reshape(2, 3, 2)
     fields = dict(labels=np.ones((2, 3)), lam=np.array([0.1, 0.2]))
     block = scipy.linalg.block_diag(*feats)
-    local = StackedSets(csr_matrix(block), **fields)
+    local = StackedSets(Csr.from_dense(block), **fields)
     assert not local.csr.data.flags.writeable
     assert local.shape == (2, 3, 2) and local.dim == 2
     # A row short, and 3 columns, which are not two blocks of d columns.
     for bad in (block[:5], block[:, :3]):
         with pytest.raises(ParameterError, match=r"need a \(6, 2 d\) operator"):
-            StackedSets(csr_matrix(bad), **fields)
-    assert StackedSets(csr_matrix(block[:, :2]), **fields).dim == 1  # d = 1
+            StackedSets(Csr.from_dense(bad), **fields)
+    assert StackedSets(Csr.from_dense(block[:, :2]), **fields).dim == 1  # d = 1
+    # A scipy.sparse operator has none of the Csr products.
+    with pytest.raises(ParameterError, match="^need the operator as a Csr, got csr_matrix$"):
+        StackedSets(scipy_csr(Csr.from_dense(block)), **fields)
 
 
 def test_stacked_sets_hold_their_rows_in_one_form():
@@ -585,9 +588,9 @@ def test_stacked_sets_hold_their_rows_in_one_form():
     datasets = [sparse_dataset(rng, C=4, d=3, lam=0.1) for _ in range(2)]
     local = stacked(datasets)
     A = local.csr
-    assert A.format == "csr" and A.shape == (2 * 4, 2 * 3)
+    assert isinstance(A, Csr) and A.shape == (2 * 4, 2 * 3)
     assert A.nnz == sum(np.count_nonzero(ds.features) for ds in datasets)
-    assert np.array_equal(A.toarray(), scipy.linalg.block_diag(*block_of(local)))
+    assert np.array_equal(densify(A), scipy.linalg.block_diag(*block_of(local)))
     x, v = rng.standard_normal((2, 3)), rng.standard_normal((2, 4))
-    assert np.array_equal(local.matvec(x), (local.csr @ x.ravel()).reshape(2, 4))
-    assert np.array_equal(local.rmatvec(v), (local.csr.T @ v.ravel()).reshape(2, 3))
+    assert np.array_equal(local.matvec(x), (scipy_csr(A) @ x.ravel()).reshape(2, 4))
+    assert np.array_equal(local.rmatvec(v), (scipy_csr(A).T @ v.ravel()).reshape(2, 3))

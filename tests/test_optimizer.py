@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    agent_datasets, draw_batches, draw_batches_argpartition, flat_positions, stack_sets,
+    agent_datasets, densify, draw_batches, draw_batches_argpartition, flat_positions,
+    stack_sets,
 )
 from soprolab import optimizer
 from soprolab.certificate import proximal_alphas
@@ -32,6 +33,7 @@ from soprolab.optimizer import (
 from soprolab.harness.reference import solve_reference
 from soprolab.harness.synthetic import gaussian_blob_samples
 from soprolab.loss import partition
+from soprolab.sparse import Csr
 from soprolab.topology import build_random_connected_graph, laplacian_weights
 
 
@@ -219,7 +221,8 @@ def test_init_dual_sum_zero_and_comm_charge():
 def test_init_size_mismatch():
     P, local = make_problem()
     _, C, d = local.shape
-    fewer = StackedSets(local.csr[:-C, :-d], local.labels[:-1], local.lam[:-1])
+    fewer = StackedSets(Csr.from_dense(densify(local.csr)[:-C, :-d]), local.labels[:-1],
+                        local.lam[:-1])
     with pytest.raises(ConfigurationError, match="4 local sets for 5 agents"):
         init_network(P, fewer, base_config())
 

@@ -30,6 +30,7 @@ from oracles import (
     parse_and_partition_dense,
     parse_libsvm_per_token,
     partition_samples,
+    scipy_csr,
     sigma_sq_per_agent,
     stack_sets,
 )
@@ -46,6 +47,7 @@ from soprolab.loss import (
     partition,
     sigma_sq_estimate,
 )
+from soprolab.sparse import Csr
 
 # Small files parse in well under a millisecond; these bounds keep the
 # property tests to about a second each.
@@ -410,10 +412,12 @@ def test_parse_and_partition_are_exact_and_peak_below_0_8x_the_matrix(
     # 1.41-1.68x.  With the operator and a CSR test set only, parse peaked
     # at 0.85 / 0.97 / 0.56x (a4a / mushrooms / scale200) while it gathered
     # each slice's entries and concatenated them.  Written into arrays
-    # allocated once, parse peaks at 0.42 / 0.54 / 0.31x, and partition,
-    # with the parsed rows alive, sets the peak at 0.44 / 0.65 / 0.41x,
-    # inside scipy's row indexing.  The bounds leave at least 20% over the
-    # highest of each.
+    # allocated once, parse peaks at 0.42 / 0.54 / 0.31x.  Partition, with
+    # the parsed rows alive, peaked at 0.44 / 0.65 / 0.41x with scipy's row
+    # indexing and a temporary of the agents' column offsets, and peaks at
+    # 0.40 / 0.65 / 0.39x with Csr.take and the offsets added in place: at
+    # mushrooms the parsed, local and test rows, alive together, set it.
+    # The bounds leave at least 20% over the highest of each.
     text = one_hot_libsvm(rows, attributes, columns, seed=rows)
     source = io.BytesIO(text.encode())
     matrix = rows * columns * 8
@@ -429,7 +433,7 @@ def test_parse_and_partition_are_exact_and_peak_below_0_8x_the_matrix(
     assert_same_arrays((densify(parsed[0]), parsed[1]), parse_libsvm_per_token(text))
     assert_same_arrays((block_of(local), local.labels, dense_features(test), test.labels),
                        parse_and_partition_dense(text, n_agents, per_agent, 1))
-    assert test.features.format == "csr"
+    assert isinstance(test.features, Csr)
     assert peak <= 0.75 * matrix
     assert max(peak, partition_peak) <= 0.8 * matrix
 
@@ -494,7 +498,7 @@ def test_partition_matches_the_sample_list_path_bitwise():
                            (want_test.features, want_test.labels))
         # Dense and sparse rows alike are held as the sets' operator and a
         # CSR test set, neither sharing memory with the rows given.
-        assert got_test.features.format == "csr"
+        assert isinstance(got_test.features, Csr)
         source = rows if isinstance(rows, np.ndarray) else rows.data
         assert not got.csr.data.flags.writeable
         assert not np.shares_memory(got.csr.data, source)
@@ -518,20 +522,22 @@ def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(seed):
     assert_same_arrays((block_of(local), local.labels, dense_features(test)),
                        (block, want_labels, test_features))
     A = local.csr
-    assert A.format == "csr" and A.shape == (40, 40)
-    assert np.array_equal(A.toarray(), scipy.linalg.block_diag(*block))
+    assert isinstance(A, Csr) and A.shape == (40, 40)
+    assert np.array_equal(densify(A), scipy.linalg.block_diag(*block))
     # Only the parsed entries of the local rows and of the test rows,
     # explicit zeros included.
     perm = np.random.default_rng(3).permutation(50)
     local_rows, test_rows = perm[:40], perm[40:]
     assert A.nnz == np.sum(rows.indptr[local_rows + 1] - rows.indptr[local_rows])
-    assert test.features.format == "csr" and test.features.shape == (10, 10)
+    assert isinstance(test.features, Csr) and test.features.shape == (10, 10)
     assert test.features.nnz == np.sum(rows.indptr[test_rows + 1] - rows.indptr[test_rows])
     assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr))
-    assert np.shares_memory(local.csr_t.data, A.data) and local.csr_t is local.csr_t
+    # The products are scipy's, bitwise, with no transpose made.
+    x, v = rng.standard_normal((4, 10)), rng.standard_normal((4, 10))
+    assert np.array_equal(local.matvec(x), (scipy_csr(A) @ x.ravel()).reshape(4, 10))
+    assert np.array_equal(local.rmatvec(v), (scipy_csr(A).T @ v.ravel()).reshape(4, 10))
     # The products equal those of the dense block.
     want = dense_block(local, block)
-    x, v = rng.standard_normal((4, 10)), rng.standard_normal((4, 10))
     assert rel_err(local.matvec(x), want.matvec(x)) <= 1e-15
     assert rel_err(local.rmatvec(v), want.rmatvec(v)) <= 1e-15
 
@@ -543,7 +549,7 @@ def test_partition_takes_a_callers_sparse_rows_as_it_takes_parsed_ones(fmt, colu
     text = "".join(f"{(-1) ** k} {1 + k % 2}:-0 {3 + k % 2}:{k / 3!r} {columns}:1\n"
                    for k in range(50))
     rows, labels = parse_libsvm(text)
-    mine = getattr(scipy.sparse, fmt)(rows)
+    mine = getattr(scipy.sparse, fmt)(scipy_csr(rows))
     got, got_test = partition((mine, labels), 4, 10, seed=5, lambda_reg=0.1)
     want, want_test = partition((rows, labels), 4, 10, seed=5, lambda_reg=0.1)
     assert_same_arrays((block_of(got), got.labels, dense_features(got_test)),
@@ -605,7 +611,7 @@ def test_accuracy_reads_a_csr_test_set_as_the_dense_one():
     text = one_hot_libsvm(200, 3, 12, seed=6)
     _, sparse = partition(parse_libsvm(text, dim=12), 4, 30, seed=2, lambda_reg=0.1)
     *_, features, labels = parse_and_partition_dense(text, 4, 30, 2, dim=12)
-    assert sparse.features.format == "csr"
+    assert isinstance(sparse.features, Csr)
     for x in np.random.default_rng(0).standard_normal((5, 12)):
         assert np.allclose(sparse.features @ x, features @ x, rtol=0, atol=1e-14)
         assert accuracy(x, sparse) == np.mean(np.where(features @ x >= 0.0, 1, -1) == labels)
@@ -647,7 +653,7 @@ def test_dense_rows_are_stored_as_the_csr_arrays_scipy_makes():
     rows[3] = 0.0
     assert np.signbit(rows[rows == 0]).any()
     want = scipy.sparse.csr_matrix(rows)
-    got = loss._dense_csr(rows)
+    got = Csr.from_dense(rows)
     assert_same_arrays((got.data, got.indices, got.indptr),
                        (want.data, want.indices, want.indptr))
     # partition takes the same local and test rows from either form.
@@ -683,7 +689,7 @@ def test_partition_of_a_dense_array_equals_that_of_its_csr_rows():
         rows = scipy.sparse.csr_matrix(dense)
         want, want_test = partition((rows, labels), 3, 10, seed=4, lambda_reg=0.1)
         for a, b in ((got.csr, want.csr), (got_test.features, want_test.features)):
-            assert a.format == b.format == "csr"
+            assert isinstance(a, Csr) and isinstance(b, Csr)
             assert_same_arrays((a.data, a.indices, a.indptr), (b.data, b.indices, b.indptr))
         assert_same_arrays((got.labels, got.lam, got_test.labels),
                            (want.labels, want.lam, want_test.labels))
