@@ -28,7 +28,6 @@ from .loss import SmoothnessBounds
 from .topology import MatrixP
 
 __all__ = [
-    "DConditionResult",
     "RateCertificate",
     "QNormError",
     "tau",
@@ -159,12 +158,6 @@ def _lambda_min_shifted(
     return float(np.linalg.eigvalsh(-beta * P.matrix + np.diag(diag))[0])
 
 
-@dataclass(frozen=True)
-class DConditionResult:
-    passed: bool
-    margin: float
-
-
 def check_parameters(eta_s: float, mu: float | None = None, c1: float = 1.0) -> None:
     """Refuse an ``eta_s`` outside (0, 1), or a ``mu`` (unless None) or
     ``c1`` that is not positive: rules that need no set-up work."""
@@ -183,20 +176,19 @@ def check_D_condition(
     m_beta_value: float,
     beta: float,
     P: MatrixP,
-) -> DConditionResult:
-    """Verify the proximal-matrix condition and report its eigenvalue margin.
+) -> float:
+    """The eigenvalue margin of the proximal-matrix condition.
 
-    Requires ``D`` to dominate
+    The condition requires ``D`` to dominate
     ``LM/(2(1-eta)) + (LM-Lm)^2/(8 eta m_beta) + (LM-3Lm)/2 + beta(I/2 + W)``;
-    the margin is the smallest eigenvalue of the difference (positive iff the
-    condition holds strictly).
+    the margin is the smallest eigenvalue of the difference, positive iff
+    the condition holds strictly.
     """
     check_parameters(eta_s)
     if m_beta_value <= 0 or beta <= 0:
         raise ParameterError("m_beta and beta must be positive")
     t = _condition_shift(bounds.m, bounds.M, eta_s, m_beta_value, beta)
-    margin = _lambda_min_shifted(alphas, t, beta, P)
-    return DConditionResult(passed=margin > 0.0, margin=margin)
+    return _lambda_min_shifted(alphas, t, beta, P)
 
 
 def _condition_shift(m, M, eta_s, m_beta_value, beta):
@@ -239,10 +231,10 @@ def proximal_alphas(
     if mu is None:
         mu = max(lower, 0.0) + 0.05 * max(M, 1.0)
     alphas = np.full(bounds.n_agents, (0.5 + spec.lambda_max) * beta + mu)
-    chk = check_D_condition(alphas, bounds, eta_s, m_b, beta, P)
-    if not chk.passed:
+    margin = check_D_condition(alphas, bounds, eta_s, m_b, beta, P)
+    if not margin > 0.0:
         raise ConfigurationError(
-            f"proximal blocks violate the positivity condition: margin {chk.margin}"
+            f"proximal blocks violate the positivity condition: margin {margin}"
             f" (mu={mu} is below the required bound {lower})"
         )
     return alphas, mu
@@ -377,10 +369,10 @@ def certify(
     lambda_w, lambda_max = P.spectral.lambda_w, P.spectral.lambda_max
 
     m_b, gamma_star = m_beta(m_fbar, n_agents, bounds.max_M, beta, lambda_w)
-    chk = check_D_condition(alphas, bounds, eta_s, m_b, beta, P)
-    if not chk.passed:
+    margin = check_D_condition(alphas, bounds, eta_s, m_b, beta, P)
+    if not margin > 0.0:
         raise CertificationError(
-            f"proximal condition fails with margin {chk.margin}; increase mu/alpha"
+            f"proximal condition fails with margin {margin}; increase mu/alpha"
         )
 
     norm_sq = float(np.max(bounds.M + alphas) ** 2)  # ||LM + D||^2

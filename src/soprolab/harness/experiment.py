@@ -28,6 +28,7 @@ import numpy as np
 from .. import certificate as cert, optimizer
 from ..errors import ConfigurationError, DivergenceError
 from ..loss import SmoothnessBounds, StackedSets, TestSet, parse_libsvm, partition
+from ..sparse import Csr
 from ..topology import MatrixP, build_random_connected_graph, read_edge_list
 from .metrics import (
     BITS_PER_SCALAR,
@@ -205,14 +206,16 @@ def build_topology(config: ExperimentConfig) -> MatrixP:
 
 
 def _load_data(config: ExperimentConfig, seed: int):
-    """The whole data set as ``(rows, labels)``: a parsed file's rows as a
-    CSR matrix (:class:`~soprolab.sparse.Csr`), synthetic rows (drawn from
-    ``seed``) as a dense array."""
+    """The whole data set as ``(rows, labels)``, the rows as the CSR
+    matrix (:class:`~soprolab.sparse.Csr`) that :func:`partition` takes: a
+    parsed file's rows, or the nonzero entries of the dense synthetic rows
+    (drawn from ``seed``)."""
     if config.dataset == "synthetic":
         total = config.n_agents * config.per_agent + config.test_size
-        return gaussian_blob_samples(
+        rows, labels = gaussian_blob_samples(
             total, config.dim, seed, separation=config.separation, noise=config.noise
         )
+        return Csr.from_dense(rows), labels
     with open(config.dataset, "rb") as f:
         return parse_libsvm(f, dim=config.dim)
 

@@ -143,10 +143,11 @@ def write_aggregate_csv(dest, agg: dict[str, np.ndarray]) -> None:
     def _dump(f):
         f.write("round,mean_opt_err,mean_q_err,comm_bits,mean_test_acc\n")
         for i in range(len(agg["round"])):
-            q = agg["q_err"][i]
-            a = agg["test_acc"][i]
+            # Python floats: numpy 2's repr of a float64 is np.float64(...).
+            q = float(agg["q_err"][i])
+            a = float(agg["test_acc"][i])
             f.write(
-                f"{int(agg['round'][i])},{agg['opt_err'][i]!r},"
+                f"{int(agg['round'][i])},{float(agg['opt_err'][i])!r},"
                 f"{'' if np.isnan(q) else repr(q)},"
                 f"{int(agg['comm_bits'][i])},"
                 f"{'' if np.isnan(a) else repr(a)}\n"

@@ -15,7 +15,9 @@ per distinct string; it returns the rows as one compressed sparse row
 Each slice writes its entries into index and value arrays allocated once,
 with a slot for every colon in the text, so a parse holds the text, those
 arrays and one slice's tokenizer arrays at once.
-:func:`partition` takes the rows, dense ones as a CSR matrix too, with
+:func:`partition` takes the rows as a :class:`~soprolab.sparse.Csr` only
+(the synthetic loader turns dense rows into one with
+:meth:`~soprolab.sparse.Csr.from_dense`), gathers them with
 :meth:`~soprolab.sparse.Csr.take` and copies each once into its slot: in
 the block-diagonal CSR operator of one :class:`StackedSets`, which every
 later layer takes, or in the CSR test set.  Every product of a CSR matrix
@@ -48,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvariantViolation, ParameterError, ParseError
-from .sparse import Csr, has_canonical_format, index_type
+from .sparse import Csr, index_type
 
 __all__ = [
     "LocalDataset",
@@ -606,18 +608,18 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
     """Split uniformly permuted rows of ``data = (rows, labels)`` into
     equal local sets.
 
-    ``rows`` is ``(n, d)``: the :class:`~soprolab.sparse.Csr` rows of
-    :func:`parse_libsvm`, ``scipy.sparse`` rows of any format, whose CSR
-    arrays are read, or a dense array, which becomes the CSR matrix of its
-    nonzero entries; ``labels`` is ``(n,)`` of +-1.
+    ``rows`` is the ``(n, d)`` :class:`~soprolab.sparse.Csr` of
+    :func:`parse_libsvm`, or of :meth:`~soprolab.sparse.Csr.from_dense` for
+    dense rows; any other type is refused with a :class:`ParameterError`
+    that names it.  ``labels`` is ``(n,)`` of +-1.
     The first ``n_agents * per_agent`` permuted rows form contiguous blocks
     of ``per_agent``; leftovers become the test set.  Deterministic per
     seed.
 
     Rows with a non-finite value, local or test, are refused with a
     :class:`ParameterError` that names the first of them (0-based, in data
-    order) before any set is written, and so are sparse rows with a column
-    index outside ``0..d-1`` or with unsorted or repeated column indices.
+    order) before any set is written, and so are rows with unsorted or
+    repeated column indices.
 
     The rows are taken with :meth:`Csr.take`, each copied once into arrays
     allocated once: into the block-diagonal CSR operator of a
@@ -628,30 +630,15 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
     if n_agents < 1 or per_agent < 1:
         raise ParameterError(f"need agents and samples per agent, got {n_agents} x {per_agent}")
     rows, labels = data
-    # Any scipy.sparse format has tocsr.
     if not isinstance(rows, Csr):
-        rows = rows.tocsr() if hasattr(rows, "tocsr") else np.asarray(rows, dtype=float)
-    labels = np.asarray(labels)
-    if len(rows.shape) != 2 or labels.shape != rows.shape[:1]:
+        raise ParameterError(f"need the rows as a Csr, got {type(rows).__name__}")
+    if labels.shape != rows.shape[:1]:
         raise ParameterError(
             f"need (n, d) rows and (n,) labels, got {rows.shape} and {labels.shape}"
         )
-    if isinstance(rows, np.ndarray):
-        rows = Csr.from_dense(rows)
-    total, d = rows.shape
-    # A column outside 0..d-1 would land in another agent's block of the
-    # operator, or outside it, and the operator sums repeated entries.  A
-    # caller's scipy.sparse rows are checked before a Csr is built over
-    # their arrays.
-    cols = rows.indices
-    if cols.size and (cols.min() < 0 or cols.max() >= d):
-        raise ParameterError(
-            f"sparse rows need column indices in 0..{d - 1}, got {cols.min()}..{cols.max()}"
-        )
-    if not has_canonical_format(rows.indptr, rows.indices):
+    # The operator sums repeated entries, which dense_rows would write once.
+    if not rows.has_canonical_format:
         raise ParameterError("sparse rows need sorted column indices without duplicates")
-    if not isinstance(rows, Csr):
-        rows = Csr(rows.indptr, rows.indices, rows.data.astype(float, copy=False), rows.shape)
     finite = np.isfinite(rows.data)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -659,7 +646,7 @@ def partition(data, n_agents: int, per_agent: int, seed: int, lambda_reg: float)
         raise ParameterError(
             f"row {row} (0-based, in data order) has a non-finite feature value {rows.data[k]}"
         )
-    need = n_agents * per_agent
+    need, total = n_agents * per_agent, rows.shape[0]
     if need > total:
         raise ParameterError(
             f"{n_agents} agents x {per_agent} samples need {need}, only {total} available"
@@ -885,5 +872,5 @@ def sigma_sq_estimate(local: StackedSets, probe_points) -> float:
 
 def predict(x: np.ndarray, features) -> np.ndarray:
     """Classification rule ``sign(a^T x)`` with ties counted as +1, for the
-    ``(n, d)`` rows ``features``, an array or a sparse matrix."""
+    ``(n, d)`` rows ``features``, an array or a :class:`~soprolab.sparse.Csr`."""
     return np.where(features @ x >= 0.0, 1, -1)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["Csr", "has_canonical_format", "index_type", "kernels"]
+__all__ = ["Csr", "index_type", "kernels"]
 
 
 @cache
@@ -50,18 +50,6 @@ def kernels():
     from scipy.sparse import _sparsetools
 
     return _sparsetools
-
-
-def has_canonical_format(indptr: np.ndarray, indices: np.ndarray) -> bool:
-    """Whether the CSR rows with the row pointers ``indptr`` and the column
-    indices ``indices`` are canonical: pointers that start at 0, never
-    decrease and stay within ``indices``, and every row's column indices
-    strictly increasing (sorted, no duplicates).  It is scipy's
-    ``csr_has_canonical_format``, run once the pointers are known to keep
-    the kernel inside ``indices``."""
-    if indptr[0] != 0 or indptr[-1] > indices.size or np.any(indptr[1:] < indptr[:-1]):
-        return False
-    return bool(kernels().csr_has_canonical_format(indptr.size - 1, indptr, indices))
 
 
 def index_type(*sizes: int):
@@ -149,8 +137,9 @@ class Csr:
     @property
     def has_canonical_format(self) -> bool:
         """Whether every row's column indices increase strictly (sorted, no
-        duplicates): :func:`has_canonical_format` of the arrays."""
-        return has_canonical_format(self.indptr, self.indices)
+        duplicates): scipy's ``csr_has_canonical_format``, which the checked
+        row pointers keep inside ``indices``."""
+        return bool(kernels().csr_has_canonical_format(self.shape[0], self.indptr, self.indices))
 
     def __matmul__(self, other) -> np.ndarray:
         """``self @ other`` for an ``(n,)`` vector or an ``(n, k)`` block,

@@ -119,6 +119,14 @@ def parse_and_partition_dense(text, n_agents, per_agent, seed, dim=None):
     return block, local_labels, features[rest], labels[rest]
 
 
+def csr_rows(rows, labels):
+    """``(rows, labels)`` with the dense ``(n, d)`` ``rows`` as the
+    :class:`~soprolab.sparse.Csr` of their nonzero entries: the form in
+    which :func:`~soprolab.loss.partition` takes them, as the synthetic
+    loader makes it."""
+    return Csr.from_dense(np.asarray(rows, dtype=float)), labels
+
+
 def densify(rows):
     """The ``(n, d)`` CSR matrix ``rows`` as a dense array.  Its stored
     entries are written, not added (as ``toarray`` does), so that an

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from oracles import (
-    agent_batch_stats, agent_datasets, block_of, dense_block, dense_step_stacked, densify,
-    draw_batches, flat_positions, stack_sets,
+    agent_batch_stats, agent_datasets, block_of, csr_rows, dense_block, dense_step_stacked,
+    densify, draw_batches, flat_positions, stack_sets,
 )
 from soprolab import baselines, optimizer, topology
 from soprolab.baselines import dsgd_round, dsgt_round, metropolis_matrix
@@ -444,15 +443,15 @@ def test_the_gram_step_takes_local_sets_of_at_most_d_rows(algorithm, batch_s, d,
 
 
 def one_hot_rows(rows, attributes, columns, seed):
-    """``rows`` one-hot rows as a CSR matrix, each encoding
+    """``rows`` one-hot rows as a :class:`Csr`, each encoding
     ``attributes`` categories over ``columns`` binary columns, and +-1
     labels."""
     rng = np.random.default_rng(seed)
     edges = np.linspace(0, columns, attributes + 1).astype(int)
     cols = edges[:-1] + (rng.random((rows, attributes)) * np.diff(edges)).astype(int)
-    indptr = np.arange(0, rows * attributes + 1, attributes)
-    sparse = csr_matrix((np.ones(cols.size), cols.ravel(), indptr), shape=(rows, columns))
-    return sparse, rng.choice((-1, 1), rows)
+    dense = np.zeros((rows, columns))
+    np.put_along_axis(dense, cols, 1.0, axis=1)
+    return csr_rows(dense, rng.choice((-1, 1), rows))
 
 
 # (algorithm, columns, batch_s, alphas, the solve the run takes).  Three

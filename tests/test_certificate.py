@@ -216,9 +216,9 @@ def test_condition_margin_matches_scalar_reduction():
     mu_min = (M - 3 * m) / 2 + M / (2 * (1 - eta)) + (M - m) ** 2 / (8 * eta * mb)
     for mu in (mu_min + 0.05, mu_min + 1.0):
         alphas = recipe_alphas(P, bounds, beta, mu)
-        res = check_D_condition(alphas, bounds, eta, mb, beta, P)
-        assert res.passed
-        assert abs(res.margin - (mu - mu_min)) <= 1e-10 * max(1.0, abs(mu))
+        margin = check_D_condition(alphas, bounds, eta, mb, beta, P)
+        assert type(margin) is float and margin > 0.0
+        assert abs(margin - (mu - mu_min)) <= 1e-10 * max(1.0, abs(mu))
 
 
 def test_condition_fails_for_mu_zero():
@@ -226,9 +226,7 @@ def test_condition_fails_for_mu_zero():
     bounds = homogeneous_bounds(4, 0.05, 0.5)
     mb, _ = m_beta(0.2, 4, 0.5, 1.0, np.linalg.eigvalsh(P.matrix)[1])
     alphas = recipe_alphas(P, bounds, 1.0, 0.0)
-    res = check_D_condition(alphas, bounds, 0.5, mb, 1.0, P)
-    assert not res.passed
-    assert res.margin <= 0.0
+    assert check_D_condition(alphas, bounds, 0.5, mb, 1.0, P) <= 0.0
 
 
 def test_condition_scalar_case_with_tiny_beta():
@@ -240,9 +238,9 @@ def test_condition_scalar_case_with_tiny_beta():
     eta, beta = 0.25, 1e-9
     alpha = 1.0
     alphas = np.full(3, alpha)
-    res = check_D_condition(alphas, bounds, eta, 0.123, beta, P)
+    margin = check_D_condition(alphas, bounds, eta, 0.123, beta, P)
     expected = alpha - (M / (2 * (1 - eta)) - M)
-    assert abs(res.margin - expected) <= 1e-6
+    assert abs(margin - expected) <= 1e-6
 
 
 def test_condition_margin_monotone_in_mu():
@@ -253,7 +251,7 @@ def test_condition_margin_monotone_in_mu():
     margins = []
     for mu in (0.5, 1.0, 2.0, 4.0):
         alphas = recipe_alphas(P, bounds, 2.0, mu)
-        margins.append(check_D_condition(alphas, bounds, 0.5, mb, 2.0, P).margin)
+        margins.append(check_D_condition(alphas, bounds, 0.5, mb, 2.0, P))
     assert all(b >= a - 1e-12 for a, b in zip(margins, margins[1:]))
 
 
@@ -292,7 +290,7 @@ def test_proximal_alphas_pass_condition_check():
     assert got_mu == mu
     lam_w = np.linalg.eigvalsh(P.matrix)[1]
     mb, _ = m_beta(float(bounds.m.sum()), bounds.n_agents, bounds.max_M, 1.0, lam_w)
-    assert check_D_condition(alphas, bounds, 0.5, mb, 1.0, P).passed
+    assert check_D_condition(alphas, bounds, 0.5, mb, 1.0, P) > 0.0
 
 
 @pytest.mark.parametrize("beta, eta", [(1.0, 0.5), (0.3, 0.2), (4.0, 0.9)])
@@ -350,9 +348,9 @@ def test_kappa_equals_condition_margin_at_upper_c0():
     beta, eta = 1.0, 0.5
     mb, _ = m_beta(0.5, 5, 0.35, beta, np.linalg.eigvalsh(P.matrix)[1])
     alphas = recipe_alphas(P, bounds, beta, 2.0)
-    res = check_D_condition(alphas, bounds, eta, mb, beta, P)
+    margin = check_D_condition(alphas, bounds, eta, mb, beta, P)
     k = kappa(2.0 * eta * mb, eta, alphas, bounds, beta, P)
-    assert abs(k - res.margin) <= 1e-12
+    assert abs(k - margin) <= 1e-12
 
 
 def test_kappa_diverges_as_c0_vanishes():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -251,6 +252,42 @@ def test_aggregate_traces_rejects_different_round_grids():
             aggregate_traces([trace([0, 1, 2]), trace(other)])
 
 
+@pytest.mark.parametrize("algorithm, test_size, blank", [
+    ("dsgd", 5, "mean_q_err"),  # a baseline has no Q-norm error
+    ("st_sopro", 0, "mean_test_acc"),  # no test set, no accuracy
+])
+def test_aggregate_csv_leaves_a_missing_column_blank(algorithm, test_size, blank, tmp_path):
+    config = ExperimentConfig(dim=4, n_agents=3, per_agent=10, test_size=test_size,
+                              batch_g=2, batch_s=2, max_iters=3, algorithm=algorithm,
+                              step_size=0.1, seeds=2, out=str(tmp_path))
+    result = run_experiment(config)
+    assert result.aggregate_path == tmp_path / f"{algorithm}_mean.csv"
+    with open(result.aggregate_path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    agg = result.aggregate
+    assert [int(r["round"]) for r in rows] == agg["round"].tolist() == [0, 1, 2, 3]
+    assert [int(r["comm_bits"]) for r in rows] == agg["comm_bits"].tolist()
+    columns = {"mean_opt_err": "opt_err", "mean_q_err": "q_err", "mean_test_acc": "test_acc"}
+    for column, key in columns.items():
+        if column == blank:
+            assert all(r[column] == "" for r in rows) and np.isnan(agg[key]).all()
+        else:
+            # Each value is written as a plain float, which reads back exactly.
+            assert [float(r[column]) for r in rows] == agg[key].tolist()
+
+
+def test_metrics_trace_refuses_a_row_whose_round_or_bits_do_not_increase():
+    trace = MetricsTrace()
+    trace.append(MetricRow(round=0, opt_err=1.0, comm_bits=0))
+    trace.append(MetricRow(round=2, opt_err=0.5, comm_bits=64))
+    for round_, bits in ((2, 128), (1, 128), (3, 64), (3, 32)):
+        with pytest.raises(InvariantViolation, match="^trace must be strictly increasing"):
+            trace.append(MetricRow(round=round_, opt_err=0.4, comm_bits=bits))
+    assert [r.round for r in trace.rows] == [0, 2]
+    trace.append(MetricRow(round=3, opt_err=0.4, comm_bits=96))
+    assert len(trace) == 3
+
+
 SMALL = ["--dim", "4", "--n-agents", "3", "--per-agent", "10", "--test-size", "5",
          "--batch-g", "2", "--batch-s", "2", "--max-iters", "2"]
 
@@ -286,6 +323,31 @@ def test_cli_tune_reports_a_malformed_grid_file(grid_text, message, tmp_path, ca
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_cli_certify_refuses_a_baseline(capsys):
+    assert main(["certify", *SMALL, "--algorithm", "dsgd"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "algorithm 'dsgd' has no certificate\n" and captured.out == ""
+
+
+def test_cli_reference_prints_a_gradient_norm_within_the_tolerance(capsys):
+    assert main(["reference", *SMALL]) == 0
+    lines = dict(ln.split(" = ", 1) for ln in capsys.readouterr().out.splitlines())
+    assert lines["dim"] == "4" and int(lines["newton_iterations"]) >= 1
+    assert float(lines["grad_norm"]) <= 1e-12
+
+
+def test_cli_run_without_out_writes_under_the_environments_directory(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path / "env_out"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", *SMALL]) == 0
+    trace = tmp_path / "env_out" / "st_sopro_seed000.jsonl"
+    assert f"wrote {trace}" in capsys.readouterr().out.splitlines()
+    assert json.loads(trace.read_text().splitlines()[0])["type"] == "header"
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import scipy.linalg
 from scipy.special import expit
 
 from oracles import (
-    Sample, agent_datasets, batch_loss, block_of, densify, flat_positions, on_batches_2d,
+    Sample, agent_datasets, batch_loss, block_of, csr_rows, densify, flat_positions, on_batches_2d,
     sample_grad, sample_hess, sample_loss, scipy_csr, stacked,
 )
 from soprolab.errors import ParameterError, ParseError
@@ -118,9 +118,9 @@ def test_parse_accepts_bytes_and_streams(tmp_path):
 
 
 def _dummy_samples(n, d=3):
-    """Row i is all i, labelled +1 when i is odd."""
+    """Row i is all i, labelled +1 when i is odd, as a Csr."""
     rows = np.arange(n)
-    return np.repeat(rows[:, None].astype(float), d, axis=1), np.where(rows % 2, 1, -1)
+    return csr_rows(np.repeat(rows[:, None].astype(float), d, axis=1), np.where(rows % 2, 1, -1))
 
 
 def test_partition_paper_a4a_shape():
@@ -164,20 +164,21 @@ def test_partition_insufficient_samples():
 def test_partition_of_dense_rows_stacks_the_permuted_rows_read_only():
     rng = np.random.default_rng(2)
     labels = rng.choice((-1, 1), 50)
-    samples = (rng.standard_normal((50, 5)), labels)
-    local, _ = partition(samples, 4, 10, seed=3, lambda_reg=0.1)
+    dense = rng.standard_normal((50, 5))
+    rows, labels = csr_rows(dense, labels)
+    local, _ = partition((rows, labels), 4, 10, seed=3, lambda_reg=0.1)
     assert local.shape == (4, 10, 5) and local.labels.dtype == float
     A = local.csr
     for a in (A.data, A.indices, A.indptr, local.labels, local.lam):
         assert not a.flags.writeable
-    assert not np.shares_memory(A.data, samples[0])
+    assert not np.shares_memory(A.data, rows.data)
     # Agent i holds rows 10 i .. 10 i + 9 of the permutation.
     perm = np.random.default_rng(3).permutation(50)[:40]
-    assert np.array_equal(block_of(local).reshape(40, 5), samples[0][perm])
+    assert np.array_equal(block_of(local).reshape(40, 5), dense[perm])
     assert np.array_equal(local.labels.reshape(40), labels[perm])
     assert local.lam.tolist() == [0.1] * 4
     for i, ds in enumerate(agent_datasets(local)):
-        assert np.array_equal(samples[0][perm[10 * i : 10 * i + 10]], ds.features)
+        assert np.array_equal(dense[perm[10 * i : 10 * i + 10]], ds.features)
 
 
 @pytest.mark.parametrize("sizes", [(20, 20, 20), (5, 5, 5)])

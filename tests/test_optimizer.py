@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    agent_datasets, densify, draw_batches, draw_batches_argpartition, flat_positions,
+    agent_datasets, csr_rows, densify, draw_batches, draw_batches_argpartition, flat_positions,
     stack_sets,
 )
 from soprolab import optimizer
@@ -40,7 +40,7 @@ from soprolab.topology import build_random_connected_graph, laplacian_weights
 def make_problem(n=5, d=10, C=50, lam=0.1, seed=0, noise=0.5, avg_degree=2.0):
     P = build_random_connected_graph(n, avg_degree, seed=seed)
     samples = gaussian_blob_samples(n * C, d, seed, separation=1.0, noise=noise)
-    local, _ = partition(samples, n, C, seed, lam)
+    local, _ = partition(csr_rows(*samples), n, C, seed, lam)
     return P, local
 
 

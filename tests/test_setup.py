@@ -21,6 +21,7 @@ from oracles import (
     Sample,
     agent_datasets,
     block_of,
+    csr_rows,
     dense_block,
     densify,
     gradient_per_agent,
@@ -179,7 +180,8 @@ def test_partition_of_parsed_rows_equals_the_dense_route_bitwise(
     dim = dim + extra_dim if override else None
     bad = np.flatnonzero(~np.isfinite(parse_libsvm_per_token(text, dim=dim)[0]).all(axis=1))
     if bad.size:
-        for rows in (parse_libsvm(text, dim=dim), parse_libsvm_per_token(text, dim=dim)):
+        dense = csr_rows(*parse_libsvm_per_token(text, dim=dim))
+        for rows in (parse_libsvm(text, dim=dim), dense):
             with pytest.raises(ParameterError, match=rf"^row {bad[0]} \(0-based"):
                 partition(rows, n_agents, per_agent, seed, 0.1)
         return
@@ -483,10 +485,10 @@ def test_cli_run_reports_a_bad_dataset_with_its_line_and_exit_code_1(
 
 def test_partition_matches_the_sample_list_path_bitwise():
     for rows, labels in (
-        gaussian_blob_samples(130, 7, seed=3),
+        csr_rows(*gaussian_blob_samples(130, 7, seed=3)),
         parse_libsvm("\n".join(f"{(-1) ** k} {k % 5 + 1}:1 9:{k / 7!r}" for k in range(60))),
     ):
-        feats = rows if isinstance(rows, np.ndarray) else densify(rows)
+        feats = densify(rows)
         samples = [Sample(features=f, label=int(b)) for f, b in zip(feats, labels)]
         n, per_agent = 4, len(labels) // 5
         got, got_test = partition((rows, labels), n, per_agent, seed=11, lambda_reg=0.1)
@@ -499,10 +501,9 @@ def test_partition_matches_the_sample_list_path_bitwise():
         # Dense and sparse rows alike are held as the sets' operator and a
         # CSR test set, neither sharing memory with the rows given.
         assert isinstance(got_test.features, Csr)
-        source = rows if isinstance(rows, np.ndarray) else rows.data
         assert not got.csr.data.flags.writeable
-        assert not np.shares_memory(got.csr.data, source)
-        assert not np.shares_memory(got_test.features.data, source)
+        assert not np.shares_memory(got.csr.data, rows.data)
+        assert not np.shares_memory(got_test.features.data, rows.data)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 1024])
@@ -542,46 +543,61 @@ def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(seed):
     assert rel_err(local.rmatvec(v), want.rmatvec(v)) <= 1e-15
 
 
-@pytest.mark.parametrize("fmt", ["csr_matrix", "csr_array", "csc_matrix", "coo_array"])
-@pytest.mark.parametrize("columns", [12, 5])
-def test_partition_takes_a_callers_sparse_rows_as_it_takes_parsed_ones(fmt, columns):
-    # 3 of 12 columns set, and 3 of 5, with an explicit -0 in every row.
-    text = "".join(f"{(-1) ** k} {1 + k % 2}:-0 {3 + k % 2}:{k / 3!r} {columns}:1\n"
-                   for k in range(50))
-    rows, labels = parse_libsvm(text)
-    mine = getattr(scipy.sparse, fmt)(scipy_csr(rows))
-    got, got_test = partition((mine, labels), 4, 10, seed=5, lambda_reg=0.1)
-    want, want_test = partition((rows, labels), 4, 10, seed=5, lambda_reg=0.1)
-    assert_same_arrays((block_of(got), got.labels, dense_features(got_test)),
-                       (block_of(want), want.labels, dense_features(want_test)))
-    assert_same_arrays((got.csr.data, got.csr.indices, got.csr.indptr),
-                       (want.csr.data, want.csr.indices, want.csr.indptr))
-    source = mine.tocsr().data
-    assert not np.shares_memory(got.csr.data, source)
-    assert not np.shares_memory(got_test.features.data, source)
-
-
 @pytest.mark.parametrize(
-    "indices, indptr, message",
+    "indices, indptr, refused_by, message",
     [
-        ([0, 2, 2, 1], [0, 3, 4], "sorted column indices without duplicates"),
-        ([2, 0, 1, 1], [0, 2, 4], "sorted column indices without duplicates"),
-        ([1, 0], [0, 0, 2], "sorted column indices without duplicates"),
-        ([0, 1, 2], [0, 2, 1], "sorted column indices without duplicates"),
-        ([0, 3], [0, 1, 2], r"column indices in 0\.\.2, got 0\.\.3"),
-        ([-1, 0], [0, 1, 2], r"column indices in 0\.\.2, got -1\.\.0"),
+        ([0, 2, 2, 1], [0, 3, 4], "partition", "sorted column indices without duplicates"),
+        ([2, 0, 1, 1], [0, 2, 4], "partition", "sorted column indices without duplicates"),
+        ([1, 0], [0, 0, 2], "partition", "sorted column indices without duplicates"),
+        ([0, 1, 2], [0, 4, 3], "Csr", "^row pointers must not decrease$"),
+        ([0, 3], [0, 1, 2], "Csr", r"^column indices must lie in 0\.\.2, got 0\.\.3$"),
+        ([-1, 0], [0, 1, 2], "Csr", r"^column indices must lie in 0\.\.2, got -1\.\.0$"),
     ],
     ids=["repeated", "unsorted", "unsorted-in-a-test-row", "decreasing-row-pointers",
          "column-past-d", "negative-column"],
 )
-def test_partition_refuses_malformed_sparse_rows(indices, indptr, message):
+def test_partition_refuses_malformed_sparse_rows(indices, indptr, refused_by, message):
     # Seed 0 puts row 0 in the local set and row 1 in the test set.
     # dense_rows writes each stored entry, while the operator's products
     # sum repeated entries: the two agree only on rows without them.
-    data = np.ones(len(indices))
-    rows = scipy.sparse.csr_matrix((data, indices, indptr), shape=(2, 3))
+    # Pointers that decrease and columns outside 0..d-1, which would read
+    # or write outside the arrays, never become a Csr.
+    def rows():
+        return Csr(np.array(indptr, np.int32), np.array(indices, np.int32),
+                   np.ones(len(indices)), (2, 3))
+
+    if refused_by == "Csr":
+        with pytest.raises(ParameterError, match=message):
+            rows()
+        return
     with pytest.raises(ParameterError, match=message):
-        partition((rows, np.array([1, -1])), 1, 1, seed=0, lambda_reg=0.1)
+        partition((rows(), np.array([1, -1])), 1, 1, seed=0, lambda_reg=0.1)
+
+
+@pytest.mark.parametrize("kind", ["ndarray", "csr_matrix"])
+def test_partition_refuses_rows_that_are_not_a_csr_and_names_their_type(kind):
+    rows, labels = gaussian_blob_samples(12, 3, seed=0)
+    if kind == "csr_matrix":
+        rows = scipy.sparse.csr_matrix(rows)
+    with pytest.raises(ParameterError, match=f"^need the rows as a Csr, got {kind}$"):
+        partition((rows, labels), 2, 5, seed=0, lambda_reg=0.1)
+
+
+@pytest.mark.parametrize("dataset", ["synthetic", "libsvm"])
+def test_load_data_hands_partition_csr_rows(dataset, tmp_path):
+    # The loader alone decides the row type: synthetic rows become the Csr
+    # of their nonzero entries, and a file's rows are parsed into one.
+    config = experiment.ExperimentConfig(n_agents=3, per_agent=4, test_size=2, dim=5)
+    if dataset == "libsvm":
+        path = tmp_path / "data.svm"
+        path.write_text("".join(f"{(-1) ** k} {k % 4 + 1}:1 5:{k / 3!r}\n" for k in range(14)))
+        config = replace(config, dataset=str(path))
+        want = densify(parse_libsvm(path.read_text(), dim=5)[0])
+    else:
+        want = gaussian_blob_samples(14, 5, 7, separation=config.separation, noise=config.noise)[0]
+    rows, labels = experiment._load_data(config, 7)
+    assert isinstance(rows, Csr) and rows.shape == (14, 5) and labels.shape == (14,)
+    assert np.array_equal(densify(rows), want)
 
 
 @pytest.mark.parametrize("n_agents", [2, 3])
@@ -592,8 +608,8 @@ def test_partition_offsets_agent_columns_past_int32(n_agents):
     n = n_agents * per_agent + 1
     cols = np.array([[0, 5], [7, d - 1]])[np.arange(n) % 2]
     ptr = np.arange(0, 2 * n + 1, 2)
-    rows = scipy.sparse.csr_matrix((np.arange(1.0, 2 * n + 1), cols.ravel(), ptr), shape=(n, d))
-    assert rows.indices.dtype == np.int32
+    rows = Csr(ptr.astype(np.int32), cols.ravel().astype(np.int32), np.arange(1.0, 2 * n + 1),
+               (n, d))
     local, test = partition((rows, np.ones(n)), n_agents, per_agent, seed=2, lambda_reg=0.1)
     A = local.csr
     assert A.shape == (n_agents * per_agent, n_agents * d) and local.shape[2] == d
@@ -641,12 +657,12 @@ def test_partition_refuses_a_dense_row_with_a_nan_and_names_it():
     rows[5, 2] = np.nan
     rows[7, 0] = np.inf
     with pytest.raises(ParameterError, match=r"^row 5 \(0-based, in data order\) .* nan$"):
-        partition((rows, labels), 2, 5, seed=0, lambda_reg=0.1)
+        partition(csr_rows(rows, labels), 2, 5, seed=0, lambda_reg=0.1)
 
 
 def test_dense_rows_are_stored_as_the_csr_arrays_scipy_makes():
     # Zeros, negative zeros and an empty row, none of which csr_matrix stores.
-    rows, labels = gaussian_blob_samples(40, 6, seed=1)
+    rows, _ = gaussian_blob_samples(40, 6, seed=1)
     rng = np.random.default_rng(1)
     rows[rng.random(rows.shape) < 0.3] = 0.0
     rows[rng.random(rows.shape) < 0.1] = -0.0
@@ -656,12 +672,6 @@ def test_dense_rows_are_stored_as_the_csr_arrays_scipy_makes():
     got = Csr.from_dense(rows)
     assert_same_arrays((got.data, got.indices, got.indptr),
                        (want.data, want.indices, want.indptr))
-    # partition takes the same local and test rows from either form.
-    (a, a_test), (b, b_test) = (partition((r, labels), 4, 8, 3, 0.1) for r in (rows, want))
-    assert_same_arrays((a.csr.data, a.csr.indices, a.csr.indptr, a_test.features.data,
-                        a_test.features.indices, a_test.features.indptr),
-                       (b.csr.data, b.csr.indices, b.csr.indptr, b_test.features.data,
-                        b_test.features.indices, b_test.features.indptr))
 
 
 def test_cli_run_refuses_a_non_finite_value_with_one_error_line(tmp_path, capsys):
@@ -681,12 +691,14 @@ def test_cli_run_refuses_a_non_finite_value_with_one_error_line(tmp_path, capsys
 def test_partition_of_a_dense_array_equals_that_of_its_csr_rows():
     # Four of ten columns set in every row, and Gaussian rows with every
     # entry set: a dense array becomes the CSR matrix of its nonzero
-    # entries, so it gives the same operator and test set as those rows.
+    # entries, so it gives the same operator and test set as those rows,
+    # scipy's CSR arrays of the array.
     text = "".join(f"{(-1) ** k} 1:1 {k % 5 + 2}:1 8:2 10:1\n" for k in range(40))
     parsed, labels = parse_libsvm(text)
     for dense, labels in ((densify(parsed), labels), gaussian_blob_samples(40, 6, seed=1)):
-        got, got_test = partition((dense, labels), 3, 10, seed=4, lambda_reg=0.1)
-        rows = scipy.sparse.csr_matrix(dense)
+        got, got_test = partition(csr_rows(dense, labels), 3, 10, seed=4, lambda_reg=0.1)
+        scipys = scipy.sparse.csr_matrix(dense)
+        rows = Csr(scipys.indptr, scipys.indices, scipys.data, scipys.shape)
         want, want_test = partition((rows, labels), 3, 10, seed=4, lambda_reg=0.1)
         for a, b in ((got.csr, want.csr), (got_test.features, want_test.features)):
             assert isinstance(a, Csr) and isinstance(b, Csr)

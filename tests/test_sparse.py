@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from soprolab import sparse
 from soprolab.errors import ParameterError
 from soprolab.harness.experiment import ExperimentConfig, run_experiment
-from soprolab.sparse import Csr, has_canonical_format
+from soprolab.sparse import Csr
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
 
@@ -139,9 +139,14 @@ def test_products_and_gathers_refuse_operands_of_another_shape():
                          ids=["row-past-the-entries", "from-1", "end-past-the-entries"])
 def test_arrays_whose_pointers_leave_the_indices_are_not_canonical(indptr):
     # Row 0 of the first claims entries 0..2 of one: the kernel would read
-    # past the indices, so the pointers are checked first.
-    assert not has_canonical_format(np.array(indptr, np.int32), np.array([0], np.int32))
-    assert has_canonical_format(np.array([0, 1, 1], np.int32), np.array([0], np.int32))
+    # past the indices.  Such pointers never become a Csr, so the property
+    # runs the kernel on checked pointers alone.
+    def csr(ptr):
+        return Csr(np.array(ptr, np.int32), np.array([0], np.int32), np.ones(1), (2, 1))
+
+    with pytest.raises(ParameterError, match="^row pointers must"):
+        csr(indptr)
+    assert csr([0, 1, 1]).has_canonical_format
 
 
 def test_csr_is_frozen_and_never_writes_its_arrays():
