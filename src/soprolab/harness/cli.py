@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from ..errors import SoprolabError
+from ..errors import ConfigurationError, SoprolabError
 from ..optimizer import PROXIMAL
 from .experiment import (
     CONFIG_SCHEMA,
@@ -68,8 +68,7 @@ def _cmd_run(args) -> int:
 def _cmd_certify(args) -> int:
     config = _build_config(args)
     if config.algorithm not in PROXIMAL:
-        print(f"algorithm {config.algorithm!r} has no certificate", file=sys.stderr)
-        return 1
+        raise ConfigurationError(f"algorithm {config.algorithm!r} has no certificate")
     # The run parameters are checked before the set-up, as run_experiment does.
     config.check()
     problem = build_problem(config)

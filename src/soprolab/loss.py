@@ -24,7 +24,9 @@ later layer takes, or in the CSR test set.  Every product of a CSR matrix
 runs in scipy's compiled kernels, loaded without importing
 ``scipy.sparse`` (see :mod:`soprolab.sparse`).  Rounds read the whole local
 sets, at the positions of their batches, through
-:meth:`StackedSets.matvec` and :meth:`StackedSets.rmatvec`.  The set-up
+:meth:`StackedSets.matvec` and :meth:`StackedSets.rmatvec` for the margins
+and the gradients; the proximal solves read only the Hessian batch's
+rows, which the round gathers from ``csr``.  The set-up
 reads them densely through :meth:`StackedSets.agent_chunks` alone, a run
 of whole agents of at most ``READ_CHUNK_ROWS`` rows at a time, in float64
 for the noise estimate and the Gram stack, and in float32 with every row

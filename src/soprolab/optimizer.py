@@ -79,16 +79,23 @@ B_i)^{-1} r_i``:
   raises a :class:`~soprolab.errors.DivergenceError` naming it and the
   round, rather than iterate on a system too ill-conditioned to solve.
 
-A batch is always the whole local sets and the drawn flat positions
-(:func:`batch_positions`); the values of a row off its batch are zero
-(:func:`~soprolab.loss.on_batches`).  Both batches are drawn at the same
-``x``, so one margins pass gives both the gradients, hence ``r``, and
-the curvature weights ``w``.  The row solves apply ``F_i^T (w_i (F_i
-v))`` through the local sets' ``matvec`` and ``rmatvec`` once a term or
-iteration: no system is formed and no row is factored.  The Gram step
-reads ``F r`` by one ``matvec`` and returns through one ``rmatvec``.
-Every pass is one sparse product of the local sets' block-diagonal CSR
-operator (:class:`~soprolab.loss.StackedSets`).
+A batch is drawn as flat positions in the whole local sets
+(:func:`batch_positions`).  Both batches are drawn at the same ``x``, so
+one margins pass over the whole sets gives both the gradients, hence
+``r``, whose coefficients off the gradient batch are zero
+(:func:`~soprolab.loss.on_batches`), and the curvature weights ``w`` at
+the Hessian batch's rows.  Those rows are gathered once a round
+(:meth:`~soprolab.sparse.Csr.take` of the local sets' block-diagonal CSR
+operator, :class:`~soprolab.loss.StackedSets`) into the ``(N S, N d)``
+block-diagonal batch operator ``F``; a whole-set batch (SoPro) is the
+operator itself, with no gather.  Every solve reads only ``F``: the row
+solves apply ``F_i^T (w_i (F_i v))`` by one product of ``F`` and one of
+its transpose a term or iteration, with no system formed and no row
+factored, and the Gram step reads ``F r`` by one product and returns
+through one of the transpose.  The gathered rows keep their ascending
+order, so every row sum and every column's sum of contributions is the
+whole-set product's less its zero terms off the batch: the iterates are
+bitwise those of products over the whole sets with zero weights there.
 
 :func:`local_step` steps one agent alone by Cholesky: it is the
 per-agent oracle the batched steps are tested against.  It and the
@@ -125,9 +132,9 @@ from .loss import (
     StackedSets,
     batch_grad,  # noqa: F401  no round calls it; bench/test_spans.py traces this alias
     logistic_curvature,
-    on_batches,
     sets_grad,
 )
+from .sparse import Csr
 from .topology import MatrixP
 
 __all__ = [
@@ -329,8 +336,9 @@ def batch_positions(
     ``None`` when the batches are the whole sets (``size == C``), which
     need no draw.
 
-    A round reads the whole sets ``local`` at these positions (see
-    :func:`~soprolab.loss.on_batches`).  Every agent's ``size`` positions
+    A round reads the margins and the gradient coefficients at these
+    positions (see :func:`~soprolab.loss.on_batches`) and gathers the
+    Hessian batch's rows by them.  Every agent's ``size`` positions
     are checked to lie inside its own set: the flat takes and scatters
     that use them check only against the whole ``(N, C)`` array (and wrap
     a negative position), so another agent's row would pass them.
@@ -553,7 +561,7 @@ def _cg_solve(
 def row_step(
     x: np.ndarray,
     rhs: np.ndarray,
-    F: StackedSets,
+    F: Csr,
     w: np.ndarray,
     c: np.ndarray,
     solve: str,
@@ -561,13 +569,15 @@ def row_step(
     round_idx: int | None = None,
 ) -> np.ndarray:
     """Proximal steps of all agents whose ``h_i + D_i`` is ``c_i I + B_i^T B_i``
-    with ``B_i^T B_i = F_i^T diag(w_i) F_i``, from their local sets.
+    with ``B_i^T B_i = F_i^T diag(w_i) F_i``, from their Hessian batches' rows.
 
-    ``x`` and ``rhs`` are ``(N, d)``; ``F`` is the local sets, ``(N, C,
-    d)``, and ``w`` the ``(N, C)`` curvature weights of their rows
-    (nonnegative, zero on a row off the Hessian batch); ``c`` is ``(N,)``,
-    every entry positive (checked, naming the first agent whose is not).
-    ``w`` is not written.  Zero rows add nothing.
+    ``x`` and ``rhs`` are ``(N, d)``; ``F`` is the ``(N S, N d)``
+    block-diagonal operator of the batches' rows, agent ``i``'s ``S`` rows
+    ``F_i`` in rows ``i S`` to ``i S + S - 1`` and columns ``i d`` to ``i d
+    + d - 1``, and ``w`` the ``(N S,)`` curvature weights of those rows
+    (nonnegative); ``c`` is ``(N,)``, every entry positive (checked,
+    naming the first agent whose is not).  ``w`` is not written.  Zero rows
+    add nothing.
 
     All agents are solved at once, with ``solve`` (see
     :func:`proximal_engine`): ``"series"``, ``terms`` terms of the
@@ -576,13 +586,13 @@ def row_step(
     distinct eigenvalues a system of ``S`` weighted rows can have); an
     agent CG leaves above ``CG_TOL`` raises a
     :class:`~soprolab.errors.DivergenceError` naming it and ``round_idx``.
-    Either applies ``F_i^T (w_i (F_i v))`` through ``F.matvec`` and
-    ``F.rmatvec`` once a term or iteration: no system is formed.
+    Either applies ``F_i^T (w_i (F_i v))`` by one product of ``F`` and one
+    of its transpose a term or iteration: no system is formed.
     """
     _check_shift(c)
 
     def apply_h(v):
-        return F.rmatvec(w * F.matvec(v))
+        return F.rmatvec(w * (F @ v.ravel())).reshape(v.shape)
 
     if solve == "series":
         return x - _series_solve(apply_h, rhs, c, terms)
@@ -605,7 +615,7 @@ def gram_stack(local: StackedSets) -> np.ndarray:
 def gram_step(
     x: np.ndarray,
     rhs: np.ndarray,
-    local: StackedSets,
+    F: Csr,
     w: np.ndarray,
     c: np.ndarray,
     gram: np.ndarray,
@@ -616,10 +626,11 @@ def gram_step(
     a Woodbury ``S x S`` system per agent, from the Gram matrices of their
     local sets.
 
-    ``x``, ``rhs``, ``local``, ``w`` and ``c`` are as for :func:`row_step`;
-    ``gram`` is the ``(N, C, C)`` stack of ``F_i F_i^T`` (:func:`gram_stack`)
-    and ``s_idx`` the flat positions of the Hessian batches from
-    :func:`batch_positions`, off which ``w`` is zero.
+    ``x``, ``rhs``, ``F``, ``w`` and ``c`` are as for :func:`row_step`;
+    ``gram`` is the ``(N, C, C)`` stack of the local sets' Gram matrices
+    (:func:`gram_stack`) and ``s_idx`` the ``(N S,)`` flat positions ``i C
+    + j`` of the Hessian batches from :func:`batch_positions`, the rows of
+    ``F`` in their order.
 
     By the Woodbury identity
 
@@ -627,29 +638,26 @@ def gram_step(
 
     each agent solves an ``S x S`` system.  ``B_i B_i^T`` is ``gram[i]``
     restricted to ``S_i`` and scaled by ``sqrt(w_i)`` on both sides, and
-    ``B_i r_i = sqrt(w_i) (F_i r_i)[S_i]``.  So one ``local.matvec`` of
-    ``rhs`` gives ``F r``; one Cholesky factor-and-solve per agent gives
-    ``z_i``; and one ``local.rmatvec`` of ``v``, ``sqrt(w_i) z_i`` on the
-    batch rows and zero off them, gives the step ``(r - F^T v) / c``: two
-    products of the local sets' operator and no row gather.
+    ``B_i r_i = sqrt(w_i) F_i r_i``.  So one product of ``F`` with ``rhs``
+    gives ``F r``; one Cholesky factor-and-solve per agent gives ``z_i``;
+    and one product of ``F``'s transpose with ``v = sqrt(w) z`` gives the
+    step ``(r - F^T v) / c``.
     """
     _check_shift(c)
-    n, C = w.shape
+    n, C = gram.shape[:2]
     # Agent i's Hessian batch rows, as flat positions i C + j.
     rows = s_idx.reshape(n, -1)
-    sw = np.sqrt(w.ravel()[rows])
+    sw = np.sqrt(w).reshape(n, -1)
     # gram[i, a, b] sits at flat position (i C + a) C + b.
     at = rows - np.arange(0, n * C, C)[:, None]
     K = np.take(gram, rows[:, :, None] * C + at[:, None, :])
     K *= sw[:, :, None] * sw[:, None, :]
     diag = np.arange(K.shape[1])
     K[:, diag, diag] += c[:, None]
-    z = sw * local.matvec(rhs).ravel()[rows]
+    z = sw * (F @ rhs.ravel()).reshape(n, -1)
     _cholesky_solve(K, z)
     z *= sw
-    v = np.zeros_like(w)
-    v.ravel()[rows] = z
-    return x - (rhs - local.rmatvec(v)) / c[:, None]
+    return x - (rhs - F.rmatvec(z.ravel()).reshape(n, -1)) / c[:, None]
 
 
 def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> None:
@@ -742,18 +750,21 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     """St-SoPro or SoPro, set up for :func:`run`.
 
     ``alphas`` is the ``(N,)`` vector of the proximal matrices
-    ``D_i = alphas[i] I``.  Each round reads the whole local sets at the
-    positions :func:`batch_positions` draws for the gradient and Hessian
-    batches of the sizes :meth:`RunConfig.batches` gives (SoPro's are the
-    whole sets, which need no draw).  Both batches are drawn at the same
-    ``x``, so one margins pass gives the right-hand sides ``g_i + beta y_i
-    + q_i`` and the curvature weights ``w`` of the Hessian batch rows.
-    One batched solve of all agents then applies every ``(h_i +
-    D_i)^{-1}`` to them, by the solve :func:`proximal_engine` chooses
-    here: :func:`row_step` by the Neumann series or by CG, or
-    :func:`gram_step` (its Gram stack computed here once) by Cholesky.
-    SoPro's trace is thus bitwise identical to St-SoPro's at ``G = S =
-    C``.
+    ``D_i = alphas[i] I``.  Each round draws the positions of the gradient
+    and Hessian batches of the sizes :meth:`RunConfig.batches` gives by
+    :func:`batch_positions` (SoPro's are the whole sets, which need no
+    draw).  Both batches are drawn at the same ``x``, so one margins pass
+    over the whole local sets gives the right-hand sides ``g_i + beta y_i
+    + q_i`` and, at the Hessian batch's rows, the curvature weights ``w``.
+    Those rows are gathered once, by one
+    :meth:`~soprolab.sparse.Csr.take` of the local sets' operator, into
+    the ``(N S, N d)`` batch operator (at ``S = C`` it is the operator
+    itself).  One batched solve of all agents on that operator then
+    applies every ``(h_i + D_i)^{-1}`` to the right-hand sides, by the
+    solve :func:`proximal_engine` chooses here: :func:`row_step` by the
+    Neumann series or by CG, or :func:`gram_step` (its Gram stack computed
+    here once) by Cholesky.  SoPro's trace is thus bitwise identical to
+    St-SoPro's at ``G = S = C``.
 
     Returns the state after the initial exchange, its ``engine`` set, the
     round function, and the ``2 |E| d`` scalars each exchange sends, at
@@ -778,13 +789,15 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
         s_idx = batch_positions(local, S, seed, k, PURPOSE_HESS)
         u = local.matvec(state.x)
         rhs = sets_grad(state.x, local, g_idx, u) + beta * state.y + state.q
-        # A row off the Hessian batch weighs nothing.
-        w, size = on_batches(local, s_idx, logistic_curvature, u)
-        w /= size
-        if gram is None:
-            state.x = row_step(state.x, rhs, local, w, shift, engine.solve, engine.terms, k + 1)
+        if s_idx is None:
+            batch, w = local.csr, logistic_curvature(u.ravel())
         else:
-            state.x = gram_step(state.x, rhs, local, w, shift, gram, s_idx)
+            batch, w = local.csr.take(s_idx), logistic_curvature(u.ravel()[s_idx])
+        w /= S
+        if gram is None:
+            state.x = row_step(state.x, rhs, batch, w, shift, engine.solve, engine.terms, k + 1)
+        else:
+            state.x = gram_step(state.x, rhs, batch, w, shift, gram, s_idx)
         exchange_and_dual_update(state, P, beta)
 
     return state, proximal_round, sent, sent

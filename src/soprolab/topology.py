@@ -104,14 +104,42 @@ def build_random_connected_graph(n: int, target_avg_degree: float, seed: int) ->
     return laplacian_weights(n, dict.fromkeys(chosen, 1.0))
 
 
-# A network matrix storing at most 1/SPARSE_SHARE of its n^2 entries is
-# applied as CSR.  At d = 123 on one OpenBLAS thread of an x86 VM, a CSR
-# product (scipy's csr_matvecs, called directly) took 11.4 us against
-# 4.9 us dense at N = 20 (degree 5) and 82 us against 289 us at N = 200
-# (degree 5); scipy.sparse's own product took 15.5 and 85.7 us.  The two
-# meet at densities of 0.06-0.08, 0.08-0.09 and 0.11 for degrees 2, 5
-# and 10.
-SPARSE_SHARE = 12
+# The exchange applies an n x n network matrix that stores nnz entries as
+# CSR when
+#
+#     CSR_ENTRY_COST nnz + CSR_FIXED_COST < n^2,
+#
+# and as the dense matrix otherwise: in units of one dense entry's share of
+# a dense product, a CSR product costs about CSR_ENTRY_COST a stored entry
+# plus CSR_FIXED_COST.  The constants are the least-cost fit to products
+# with d = 123 columns on one OpenBLAS thread of a 2-vCPU x86 VM (µs,
+# `matrix @ x` against `Csr @ x`, best of 5 loops, networks of
+# build_random_connected_graph at seed 0):
+#
+#       n  degree    nnz   dense     CSR  rule
+#      10       4     50     0.9     2.0  dense
+#      20       5    120     1.5     3.1  dense
+#      40       2    120     3.7     3.5  dense
+#      50       3    200     5.3     4.7  CSR
+#      50       5    300     5.4     6.5  dense
+#      75       5    451    11.4     9.3  CSR
+#      75       8    675    11.6    13.0  dense
+#     100      10   1100    29.1    20.4  CSR
+#     100      14   1500    28.3    26.6  dense
+#     100      20   2100    29.0    37.8  dense
+#     150      20   3150    61.4    55.3  CSR
+#     150      25   3900    62.2    70.9  dense
+#     200       5   1200   110.8    24.2  CSR
+#     200      30   6200   110.6   109.5  dense
+#     300      40  12300   243.7   215.9  CSR
+#     300      50  15300   236.4   275.0  dense
+#
+# A dense entry costs about a third more from n = 100 on than up to n =
+# 75, so no one density splits the two forms.  Over 35 networks from n =
+# 10 to 300, the form this rule picks was at most 6.2% slower than the
+# faster one (at n = 40, degree 2 and n = 100, degree 14).
+CSR_ENTRY_COST = 6.75
+CSR_FIXED_COST = 1100.0
 
 
 @dataclass
@@ -159,12 +187,13 @@ class MatrixP:
         """The operator that applies this matrix as ``op @ x``, made on first use.
 
         A read-only CSR copy, a :class:`~soprolab.sparse.Csr`, when the
-        matrix stores at most ``n^2 / SPARSE_SHARE`` nonzero entries, so
-        that a product costs ``O(nnz d)``; the dense ``matrix`` itself
-        otherwise, where BLAS is faster than sparse indexing.
+        matrix stores few enough nonzero entries, ``CSR_ENTRY_COST nnz +
+        CSR_FIXED_COST < n^2``, that a product's ``O(nnz d)`` beats the
+        dense one's; the dense ``matrix`` itself otherwise, where BLAS is
+        faster than sparse indexing.
         """
         n = self.n_agents
-        if SPARSE_SHARE * np.count_nonzero(self.matrix) > n * n:
+        if CSR_ENTRY_COST * np.count_nonzero(self.matrix) + CSR_FIXED_COST >= n * n:
             return self.matrix
         op = Csr.from_dense(self.matrix)
         for a in (op.data, op.indices, op.indptr):

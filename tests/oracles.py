@@ -3,7 +3,9 @@ set-up code, the dense and stacked forms that the sparse set-up, the CSR
 operator of the local sets and the per-agent dense step replaced, and the
 numerical search (with the plain ``kappa`` evaluation) that the
 certificate's closed forms replaced, and the eigen-coordinate Q-norm error
-that its Gram form replaced.  The per-sample loss, gradient and Hessian
+that its Gram form replaced, and the proximal round whose solves read the
+whole local sets, with zero weights off the Hessian batch, which the
+solves on the gathered batch rows replaced.  The per-sample loss, gradient and Hessian
 (:class:`Sample`), the per-agent batch loss, one agent's batch statistics
 of a round and the two-dimensional batch draw are the definitions the
 loss, the round and the draw are checked against.
@@ -24,6 +26,7 @@ from scipy.special import expit
 
 from soprolab.certificate import _condition_shift, _lambda_min_shifted, m_beta
 from soprolab.errors import ConfigurationError, ParameterError, ParseError, SoprolabError
+from soprolab import optimizer
 from soprolab.loss import (
     LocalDataset,
     LowRankHessian,
@@ -35,6 +38,9 @@ from soprolab.loss import (
     batch_grad,
     batch_hess,
     full_grad,
+    logistic_curvature,
+    on_batches,
+    sets_grad,
     sigmoid,
 )
 from soprolab.optimizer import draw_positions, sample_batches, substream
@@ -155,6 +161,70 @@ def dense_step_stacked(x, rhs, F, w, c):
         if dposv(H[i].T, z[i], lower=1, overwrite_a=1, overwrite_b=1)[2] > 0:
             raise ConfigurationError(f"agent {i}: not positive definite")
     return x - z
+
+
+def whole_set_row_step(x, rhs, local, w, c, solve, terms, round_idx=None):
+    """``row_step`` on the whole local sets ``local``: ``w`` is ``(N, C)``,
+    zero off the Hessian batch, and every term or iteration applies
+    ``F_i^T (w_i (F_i v))`` through ``local.matvec`` and ``local.rmatvec``."""
+    optimizer._check_shift(c)
+
+    def apply_h(v):
+        return local.rmatvec(w * local.matvec(v))
+
+    if solve == "series":
+        return x - optimizer._series_solve(apply_h, rhs, c, terms)
+    return x - optimizer._cg_solve(apply_h, rhs, c, terms, round_idx)
+
+
+def whole_set_gram_step(x, rhs, local, w, c, gram, s_idx):
+    """``gram_step`` on the whole local sets: ``F r`` by one
+    ``local.matvec`` read at the batch rows, and the step by one
+    ``local.rmatvec`` of ``(N, C)`` values that are zero off them."""
+    optimizer._check_shift(c)
+    n, C = w.shape
+    rows = s_idx.reshape(n, -1)
+    sw = np.sqrt(w.ravel()[rows])
+    at = rows - np.arange(0, n * C, C)[:, None]
+    K = np.take(gram, rows[:, :, None] * C + at[:, None, :])
+    K *= sw[:, :, None] * sw[:, None, :]
+    diag = np.arange(K.shape[1])
+    K[:, diag, diag] += c[:, None]
+    z = sw * local.matvec(rhs).ravel()[rows]
+    optimizer._cholesky_solve(K, z)
+    z *= sw
+    v = np.zeros_like(w)
+    v.ravel()[rows] = z
+    return x - (rhs - local.rmatvec(v)) / c[:, None]
+
+
+def whole_set_history(P, local, config, alphas):
+    """The ``(x, q)`` of every round of a proximal ``optimizer.run`` whose
+    solves read the whole local sets (:func:`whole_set_row_step`,
+    :func:`whole_set_gram_step`), with the curvature weights zero off the
+    Hessian batch (``on_batches``)."""
+    state = optimizer.init_network(P, local, config)
+    engine = optimizer.proximal_engine(local, config, alphas)
+    gram = optimizer.gram_stack(local) if engine.solve == "cholesky" else None
+    G, S = config.batches(local.shape[1])
+    shift = local.lam + alphas
+    history = [(state.x.copy(), state.q.copy())]
+    for k in range(config.max_iters):
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_idx = optimizer.batch_positions(local, G, config.seed, k, optimizer.PURPOSE_GRAD)
+            s_idx = optimizer.batch_positions(local, S, config.seed, k, optimizer.PURPOSE_HESS)
+            u = local.matvec(state.x)
+            rhs = sets_grad(state.x, local, g_idx, u) + config.beta * state.y + state.q
+            w, size = on_batches(local, s_idx, logistic_curvature, u)
+            w /= size
+            if gram is None:
+                state.x = whole_set_row_step(state.x, rhs, local, w, shift, engine.solve,
+                                             engine.terms, k + 1)
+            else:
+                state.x = whole_set_gram_step(state.x, rhs, local, w, shift, gram, s_idx)
+            optimizer.exchange_and_dual_update(state, P, config.beta)
+        history.append((state.x.copy(), state.q.copy()))
+    return history
 
 
 @dataclass(frozen=True)

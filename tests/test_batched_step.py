@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     agent_batch_stats, agent_datasets, block_of, csr_rows, dense_block, dense_step_stacked,
-    densify, draw_batches, flat_positions, stack_sets,
+    densify, draw_batches, flat_positions, stack_sets, whole_set_history,
 )
 from soprolab import baselines, optimizer, topology
 from soprolab.baselines import dsgd_round, dsgt_round, metropolis_matrix
@@ -65,10 +67,11 @@ def tight_first_agent(feats, weights):
 
 
 def rows(F):
-    """The ``(N, S, d)`` rows ``F`` as a batch for ``row_step``: local sets
-    in which every row is a sample."""
+    """The ``(N, S, d)`` rows ``F`` as a batch for ``row_step``: the
+    ``(N S, N d)`` block-diagonal operator of local sets in which every
+    row is a sample."""
     n, S, _ = F.shape
-    return stack_sets(F, np.ones((n, S)), 1.0)
+    return stack_sets(F, np.ones((n, S)), 1.0).csr
 
 
 # S < d ("woodbury") and S >= d ("dense"): CG at rho >= 1 and the series
@@ -90,7 +93,7 @@ def test_row_step_matches_dense_inverse_oracle(S):
     def step(F, w, c, solve, terms):
         """``row_step`` on ``F`` and ``w``, which it must leave as they were."""
         F_in, w_in = F.copy(), w.copy()
-        out = row_step(x, rhs, rows(F), w, c, solve, terms)
+        out = row_step(x, rhs, rows(F), w.ravel(), c, solve, terms)
         assert np.array_equal(F, F_in) and np.array_equal(w, w_in)
         return out
 
@@ -145,16 +148,17 @@ def definite_small_systems(n, S, d):
 def test_row_step_rejects_nonpositive_shift(F, c, solve, terms):
     n, S, d = F.shape
     with pytest.raises(ConfigurationError) as e:
-        row_step(np.zeros((n, d)), np.ones((n, d)), rows(F), np.ones((n, S)), np.array(c),
+        row_step(np.zeros((n, d)), np.ones((n, d)), rows(F), np.ones(n * S), np.array(c),
                  solve, terms)
     assert "agent 2" in str(e.value)
 
 
 def test_gram_step_matches_dense_inverse_oracle():
-    # A round at rho >= 1 hands its solve the right-hand sides and the
-    # curvature weights of the Hessian batch rows, zero off them.  The Gram
-    # step and the CG row step, given the same (rhs, w), must each apply
-    # every (c_i I + F_i^T diag(w_i) F_i)^{-1} to rhs_i.
+    # A round at rho >= 1 hands its solve the right-hand sides, the
+    # operator of the Hessian batch rows and their curvature weights.  The
+    # Gram step and the CG row step, given the same (rhs, batch, w), must
+    # each apply every (c_i I + F_i^T diag(w_i) F_i)^{-1} to rhs_i, where w
+    # is zero off the batch.
     rng = np.random.default_rng(8)
     n, C, d, lam = 5, 12, 14, 0.1
     feats = (rng.random((n, C, d)) < 0.3).astype(float)
@@ -171,10 +175,11 @@ def test_gram_step_matches_dense_inverse_oracle():
         on_batch = np.zeros(n * C, dtype=bool)
         on_batch[s_flat] = True
         w[~on_batch.reshape(n, C)] = 0.0
-        w_in = w.copy()
-        for out in (gram_step(x, rhs, local, w, c, gram, s_flat),
-                    row_step(x, rhs, local, w, c, "cg", iterations)):
-            assert np.array_equal(w, w_in)
+        batch, w_batch = local.csr.take(s_flat), w.ravel()[s_flat]
+        w_in = w_batch.copy()
+        for out in (gram_step(x, rhs, batch, w_batch, c, gram, s_flat),
+                    row_step(x, rhs, batch, w_batch, c, "cg", iterations)):
+            assert np.array_equal(w_batch, w_in)
             for i in range(n):
                 A = feats[i].T @ (w[i, :, None] * feats[i]) + c[i] * np.eye(d)
                 assert rel_err(out[i], x[i] - np.linalg.inv(A) @ rhs[i]) <= 1e-12
@@ -191,7 +196,7 @@ def test_gram_step_rejects_nonpositive_shift_with_definite_small_systems():
     gram = block @ block.transpose(0, 2, 1)
     c = np.array([1.0, 2.0, 0.0, -0.1])
     with pytest.raises(ConfigurationError) as e:
-        gram_step(np.zeros((n, d)), np.ones((n, d)), local, np.full((n, S), 0.25 / S), c,
+        gram_step(np.zeros((n, d)), np.ones((n, d)), local.csr, np.full(n * S, 0.25 / S), c,
                   gram, np.arange(n * S))
     assert "agent 2" in str(e.value)
 
@@ -225,7 +230,7 @@ def test_row_step_refuses_a_negative_shift_that_leaves_the_system_definite():
     assert np.all(np.linalg.eigvalsh(H[2] + c[2] * np.eye(d)) > 0)
     for solve, terms in (("cg", 8), ("series", 2)):
         with pytest.raises(ConfigurationError, match="agent 2: the shift"):
-            row_step(np.zeros((n, d)), np.ones((n, d)), rows(B), np.ones((n, S)), c,
+            row_step(np.zeros((n, d)), np.ones((n, d)), rows(B), np.ones(n * S), c,
                      solve, terms)
 
 
@@ -234,7 +239,7 @@ def test_dense_step_names_the_last_agent_when_only_its_system_is_indefinite():
     B = np.zeros((n, S, d))
     c = np.array([1.0, 2.0, 3.0, -1.0])
     with pytest.raises(ConfigurationError) as e:
-        row_step(np.zeros((n, d)), np.ones((n, d)), rows(B), np.ones((n, S)), c, "cg", 4)
+        row_step(np.zeros((n, d)), np.ones((n, d)), rows(B), np.ones(n * S), c, "cg", 4)
     assert f"agent {n - 1}" in str(e.value)
 
 
@@ -253,7 +258,7 @@ def test_cg_passes_a_non_finite_right_hand_side_to_the_iterate(monkeypatch):
         rhs = np.zeros((n, d))
         rhs[2, 1] = bad
         with np.errstate(invalid="ignore", over="ignore"):
-            out = row_step(x, rhs, rows(F), w, c, "cg",
+            out = row_step(x, rhs, rows(F), w.ravel(), c, "cg",
                            optimizer._cg_iterations(rho_bound(F, c)))
         assert np.isnan(out[2]).all()
         assert np.array_equal(out[[0, 1, 3]], x[[0, 1, 3]])
@@ -473,7 +478,9 @@ ONE_HOT_RUNS = {
 @pytest.mark.parametrize("case", list(ONE_HOT_RUNS))
 def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
     # The rounds through the operator against the same rounds through the
-    # dense block of the rows (oracles.DenseBlockSets).
+    # dense block of the rows (oracles.DenseBlockSets), which gives the
+    # margins and the gradients; both solve on rows gathered from the
+    # operator.
     algorithm, columns, batch_s, alpha_mode, solve = ONE_HOT_RUNS[case]
     n, count = 6, 30
     rows, labels = one_hot_rows(n * count + 20, 3, columns, seed=columns)
@@ -502,36 +509,131 @@ def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
             assert abs(got - want) <= 1e-10 * abs(want)
 
 
+def spy_on_operators(monkeypatch, log):
+    """Append ``(name, operator, result)`` to ``log`` for every product of a
+    :class:`Csr` and of its transpose and every row gather."""
+    def spy(name):
+        real = getattr(Csr, name)
+
+        def wrapper(self, arg):
+            out = real(self, arg)
+            log.append((name, self, out))
+            return out
+
+        return wrapper
+
+    for name in ("__matmul__", "rmatvec", "take"):
+        monkeypatch.setattr(Csr, name, spy(name))
+
+
 @pytest.mark.parametrize("sets", ["dense", "csr"])
 @pytest.mark.parametrize("algorithm", ["sopro", "st_sopro"])  # row step, S >= d
 def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
-    # Every round reads the whole local sets, of dense or sparse rows: the
-    # gradient and the curvature share one margins pass, and each term of
-    # the series, or each CG iteration, one more.  No batch row is
-    # gathered, so every matvec reads the local sets themselves.
-    P, local = make_problem(6, 40, 15, sparse=sets == "csr")
-    whole = []
-    real_matvec = StackedSets.matvec
-
-    def count_matvec(self, x):
-        whole.append(self is local)
-        return real_matvec(self, x)
-
-    monkeypatch.setattr(StackedSets, "matvec", count_matvec)
+    # Every round reads the whole local sets, of dense or sparse rows, by
+    # one product for the margins that both batches share and one of the
+    # transpose for the gradient.  At S < C it then gathers the Hessian
+    # batch's rows once into an (N S, N d) operator, and each term of the
+    # series, or each CG iteration, makes one product of that operator and
+    # one of its transpose.  At S = C (SoPro) the operator is the local
+    # sets' own and nothing is gathered.
+    n, C, d = 6, 40, 15
+    P, local = make_problem(n, C, d, sparse=sets == "csr")
     config = RunConfig(batch_g=10, batch_s=20, max_iters=3, seed=1, algorithm=algorithm)
+    S = config.batches(C)[1]
+    log = []
+    spy_on_operators(monkeypatch, log)
     for solve, alphas in (("cg", factorising_alphas(local)),
                           ("series", certified_alphas(P, local))):
-        whole.clear()
         engine = optimizer.proximal_engine(local, config, alphas)
         assert engine.solve == solve
-        run(P, local, config, alphas)
-        # CG may stop before its cap.
-        passes = len(whole) - config.max_iters
-        if solve == "series":
-            assert passes == engine.terms * config.max_iters
-        else:
-            assert config.max_iters <= passes <= engine.terms * config.max_iters
-        assert whole == [True] * len(whole)
+        log.clear()
+        run(P, local, config, alphas, callbacks=[lambda k, s: log.append(("round", k, None))])
+        # The calls of each round, between the callbacks of two rounds.
+        marks = [i for i, (name, _, _) in enumerate(log) if name == "round"]
+        assert len(marks) == config.max_iters + 1
+        for a, b in zip(marks, marks[1:]):
+            (margins, op_m, _), (grad, op_g, _), *rest = log[a + 1 : b]
+            assert (margins, grad) == ("__matmul__", "rmatvec")
+            assert op_m is local.csr and op_g is local.csr
+            if S < C:
+                (gather, source, batch), *rest = rest
+                assert gather == "take" and source is local.csr
+                assert batch.shape == (n * S, n * d)
+            else:
+                batch = local.csr
+            assert [name for name, _, _ in rest] == ["__matmul__", "rmatvec"] * (len(rest) // 2)
+            assert all(op is batch for _, op, _ in rest)
+            # CG may stop before its cap.
+            passes = len(rest) // 2
+            if solve == "series":
+                assert passes == engine.terms
+            else:
+                assert 1 <= passes <= engine.terms
+
+
+@st.composite
+def batch_problems(draw, solve, rows, batch):
+    """``(P, local, config, alphas)`` whose run takes ``solve``, on local
+    sets of ``rows`` ("dense": Gaussian entries of either sign; "one_hot":
+    up to three of ``d`` columns set in every row) with a Hessian batch of
+    one row (``batch`` "one"), of more than one and fewer than all
+    ("some") or of the whole set ("all")."""
+    n = draw(st.integers(2, 5))
+    C = draw(st.integers(3, 12))
+    S = {"one": 1, "some": draw(st.integers(2, C - 1)), "all": C}[batch]
+    if solve == "cholesky":  # S < C <= d
+        d = draw(st.integers(C, 16))
+    elif solve == "cg" and S < C:  # d < C keeps it off the Gram step
+        d = draw(st.integers(2, C - 1))
+    else:
+        d = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if rows == "dense":
+        feats = rng.standard_normal((n, C, d))
+    else:
+        edges = np.linspace(0, d, min(3, d) + 1).astype(int)
+        feats = np.zeros((n, C, d))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            np.put_along_axis(feats, rng.integers(lo, hi, (n, C, 1)), 1.0, axis=2)
+    local = stack_sets(feats, rng.choice((-1.0, 1.0), (n, C)), 0.1)
+    P = build_random_connected_graph(n, min(2.0, n - 1.0), seed=draw(st.integers(0, 99)))
+    # The series at rho < 1; CG or the Gram step at rho = 2.
+    rho = draw(st.floats(1e-6, 0.1)) if solve == "series" else 2.0
+    alphas = np.full(n, local.curvature_bound.max() / rho) - local.lam
+    config = RunConfig(batch_g=draw(st.integers(1, C)), batch_s=S, max_iters=4,
+                       seed=draw(st.integers(0, 2**16)), beta=draw(st.sampled_from([0.05, 1.0])))
+    return P, local, config, alphas
+
+
+# The Gram step takes Hessian batches smaller than the local sets only.
+@pytest.mark.parametrize(
+    "solve, rows, batch",
+    [(solve, rows, batch)
+     for solve in ("series", "cg", "cholesky")
+     for rows in ("dense", "one_hot")
+     for batch in ("one", "some", "all")
+     if not (solve == "cholesky" and batch == "all")],
+)
+def test_solves_on_the_batch_rows_equal_the_whole_set_solves_bitwise(solve, rows, batch):
+    # The solves read only the Hessian batch's rows, gathered in ascending
+    # order; the whole-set solves (oracles.whole_set_history) read every
+    # row at a zero weight off the batch.  Every row sum and every column's
+    # sum of contributions is the same but for those zero terms, so x and
+    # q must be equal after every round, byte for byte: signed zeros too.
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(batch_problems(solve, rows, batch))
+    def check(problem):
+        P, local, config, alphas = problem
+        assert optimizer.proximal_engine(local, config, alphas).solve == solve
+        got = []
+        run(P, local, config, alphas,
+            callbacks=[lambda k, s: got.append((s.x.copy(), s.q.copy()))])
+        want = whole_set_history(P, local, config, alphas)
+        assert len(got) == len(want) == config.max_iters + 1
+        for (x, q), (x_ref, q_ref) in zip(got, want):
+            assert x.tobytes() == x_ref.tobytes() and q.tobytes() == q_ref.tobytes()
+
+    check()
 
 
 @pytest.mark.parametrize(
@@ -725,13 +827,13 @@ def test_cg_meets_its_tolerance_before_its_iteration_cap(rho):
                                        rng.uniform(0.0, 0.25, (n, S)) / S)
     c = np.geomspace(0.5, 2.0, n)
     feats *= np.sqrt(rho / rho_bound(feats, c))
-    sets, w = rows(feats), weights
+    F, w = rows(feats), weights.ravel()
     rhs = rng.standard_normal((n, d))
     applied = []
 
     def apply_h(v):
         applied.append(1)
-        return sets.rmatvec(w * sets.matvec(v))
+        return F.rmatvec(w * (F @ v.ravel())).reshape(n, d)
 
     cap = optimizer._cg_iterations(rho)
     z = optimizer._cg_solve(apply_h, rhs, c, cap)
@@ -758,21 +860,31 @@ def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift
         with pytest.raises(ConfigurationError, match="agent 3: the shift"):
             optimizer.proximal_engine(local, config, c - local.lam)
 
-    factored, reads = [], []
-    real_dposv, real_matvec = optimizer.dposv, StackedSets.matvec
+    factored, log = [], []
+    real_dposv = optimizer.dposv
     monkeypatch.setattr(optimizer, "dposv",
                         lambda a, *args: factored.append(a.shape) or real_dposv(a, *args))
-    monkeypatch.setattr(StackedSets, "matvec",
-                        lambda self, x: reads.append(self is local) or real_matvec(self, x))
-    # S < d < C at rho = 2: CG through the operator, no factorisation.
+    spy_on_operators(monkeypatch, log)
+
+    def products(sets):
+        """The row counts of the operators each product of ``sets``' columns
+        multiplied, in call order."""
+        return [op.shape[0] for name, op, _ in log
+                if name == "__matmul__" and op.shape[1] == sets.csr.shape[1]]
+
+    # S < d < C at rho = 2: CG on the 6 x 5 gathered batch rows, after one
+    # margins product of the 6 x 40 local rows a round; no factorisation.
     config = RunConfig(batch_g=10, batch_s=5, max_iters=3, seed=0)
     alphas = edge / 2 - local.lam
     engine = optimizer.proximal_engine(local, config, alphas)
     assert engine.solve == "cg"
     run(P, local, config, alphas)
-    assert factored == [] and reads and all(reads)
+    rows = products(local)
+    assert factored == [] and rows.count(240) == config.max_iters
+    assert set(rows) == {240, 30} and rows.count(30) >= config.max_iters
     # S < C <= d at rho = 2: every round factors the Woodbury S x S systems
-    # from the Gram stack, and no d x d one.
+    # from the Gram stack, and no d x d one, and reads F r from the batch
+    # rows by one product.
     P, sets = make_problem(6, 40, 60)
     alphas = np.full(6, 0.125 * sets.row_sq.max()) - sets.lam
     assert optimizer.proximal_engine(sets, config, alphas).solve == "cholesky"
@@ -780,9 +892,11 @@ def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift
     real_solve = optimizer._cholesky_solve
     monkeypatch.setattr(optimizer, "_cholesky_solve",
                         lambda A, b: solves.append(A.shape) or real_solve(A, b))
+    log.clear()
     run(P, sets, config, alphas)
     assert solves == [(6, 5, 5)] * config.max_iters
     assert factored == [(5, 5)] * (6 * config.max_iters)
+    assert products(sets) == [240, 30] * config.max_iters
 
 
 def test_run_refuses_a_negative_shift_that_leaves_a_dense_system_definite():
@@ -870,7 +984,7 @@ def test_baselines_mix_through_csr_as_through_the_dense_weights(algorithm, monke
         return states
 
     sparse = history()
-    monkeypatch.setattr(topology, "SPARSE_SHARE", np.inf)
+    monkeypatch.setattr(topology, "CSR_FIXED_COST", np.inf)
     assert isinstance(metropolis_matrix(P).operator, np.ndarray)
     dense = history()
     assert len(sparse) == len(dense) == 6

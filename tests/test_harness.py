@@ -328,7 +328,7 @@ def test_cli_tune_reports_a_malformed_grid_file(grid_text, message, tmp_path, ca
 def test_cli_certify_refuses_a_baseline(capsys):
     assert main(["certify", *SMALL, "--algorithm", "dsgd"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "algorithm 'dsgd' has no certificate\n" and captured.out == ""
+    assert captured.err == "error: algorithm 'dsgd' has no certificate\n" and captured.out == ""
 
 
 def test_cli_reference_prints_a_gradient_norm_within_the_tolerance(capsys):
@@ -536,7 +536,7 @@ x, rhs = rng.standard_normal((n, d)), rng.standard_normal((n, d))
 s_idx = optimizer.batch_positions(local, 3, 0, 0, optimizer.PURPOSE_HESS)
 w = np.zeros((n, C))
 w.ravel()[s_idx] = rng.uniform(0.0, 0.25 / 3, s_idx.size)
-out = optimizer.gram_step(x, rhs, local, w, c, gram, s_idx)
+out = optimizer.gram_step(x, rhs, local.csr.take(s_idx), w.ravel()[s_idx], c, gram, s_idx)
 err = 0.0
 for i in range(n):
     A = feats[i].T @ (w[i, :, None] * feats[i]) + c[i] * np.eye(d)

@@ -163,11 +163,11 @@ def test_csr_is_frozen_and_never_writes_its_arrays():
 
 def rows_of(tmp_path):
     """The trace rows, without wall-clock values, of a small run on a
-    LIBSVM file with a CSR exchange (40 agents at average degree 2)."""
+    LIBSVM file with a CSR exchange (50 agents at average degree 2)."""
     path = tmp_path / "rows.svm"
     path.write_text("".join(f"{(-1) ** k:+d} {1 + k % 4}:1 {5 + 3 * k % 4}:0.5 {9 + 7 * k % 4}:1\n"
-                            for k in range(130)))
-    config = ExperimentConfig(dataset=str(path), dim=12, n_agents=40, per_agent=3, batch_g=2,
+                            for k in range(160)))
+    config = ExperimentConfig(dataset=str(path), dim=12, n_agents=50, per_agent=3, batch_g=2,
                               batch_s=2, max_iters=4, out=str(tmp_path / "out"))
     result = run_experiment(config)
     assert isinstance(result.problem.P.operator, Csr)

@@ -352,9 +352,16 @@ def test_matrix_is_immutable():
         p.matrix[0, 0] = 7.0
 
 
-# P stores n + 2|E| entries: 1200 of 40000 at N = 200, 120 of 400 at N = 20.
+# P stores nnz = n + 2|E| entries, and the exchange takes CSR where
+# 6.75 nnz + 1100 < n^2 (topology.CSR_ENTRY_COST, CSR_FIXED_COST).  The
+# mushrooms (n = 10, degree 4) and a4a (20, 5) networks stay dense; the
+# scale200 one (200, 5: 1200 of 40000) is CSR, and so is n = 100 at degree
+# 10 (1100 of 10000), where CSR took 20.4 us against 29.1 dense, though a
+# denser 50-agent network (300 of 2500) stays dense.
 @pytest.mark.parametrize(
-    "n, degree, form", [(200, 5.0, "csr"), (20, 5.0, "dense"), (6, 2.5, "dense")]
+    "n, degree, form",
+    [(10, 4.0, "dense"), (20, 5.0, "dense"), (200, 5.0, "csr"), (100, 10.0, "csr"),
+     (50, 5.0, "dense"), (6, 2.5, "dense")],
 )
 def test_exchange_operator_is_csr_on_a_sparse_network_only(n, degree, form):
     p = build_random_connected_graph(n, degree, seed=3)
