@@ -22,12 +22,14 @@ arrays and one slice's tokenizer arrays at once.
 the block-diagonal CSR operator of one :class:`StackedSets`, which every
 later layer takes, or in the CSR test set.  Every product of a CSR matrix
 runs in scipy's compiled kernels, loaded without importing
-``scipy.sparse`` (see :mod:`soprolab.sparse`).  Rounds read the whole local
-sets, at the positions of their batches, through
-:meth:`StackedSets.matvec` and :meth:`StackedSets.rmatvec` for the margins
-and the gradients; the proximal solves read only the Hessian batch's
-rows, which the round gathers from ``csr``.  The set-up
-reads them densely through :meth:`StackedSets.agent_chunks` alone, a run
+``scipy.sparse`` (see :mod:`soprolab.sparse`).  A baseline round reads
+only its gradient batch's rows, which :func:`sets_grad` gathers from
+``csr`` once.  A proximal round reads the whole local sets twice: through
+:meth:`StackedSets.matvec` for the margins that its gradient and its
+curvature weights share, and through :meth:`StackedSets.rmatvec`, with
+zero coefficients off the batch, for its gradient.  Its solve reads only
+the Hessian batch's rows, which the round gathers from ``csr``.  The
+set-up reads the local sets densely through :meth:`StackedSets.agent_chunks` alone, a run
 of whole agents of at most ``READ_CHUNK_ROWS`` rows at a time, in float64
 for the noise estimate and the Gram stack, and in float32 with every row
 scaled, for the reference Hessian.
@@ -160,7 +162,7 @@ class StackedSets:
         """``(N, C)`` squared norms ``|a_j|^2`` of every row, computed once:
         the squares of the operator's stored entries, summed per row in
         their stored (column) order."""
-        rows = np.repeat(np.arange(self.csr.shape[0]), np.diff(self.csr.indptr))
+        rows = np.repeat(np.arange(self.csr.shape[0]), self.csr.row_lengths)
         sums = np.bincount(rows, np.square(self.csr.data), minlength=self.csr.shape[0])
         return sums.reshape(self.labels.shape)
 
@@ -178,7 +180,7 @@ class StackedSets:
         r // C``) at ``r d + c``.  Computed once, for :meth:`dense_rows`."""
         n, per_agent, d = self.shape
         index = np.int32 if n * per_agent * d < 2**31 else np.int64
-        rows = np.repeat(np.arange(n * per_agent, dtype=index), np.diff(self.csr.indptr))
+        rows = np.repeat(np.arange(n * per_agent, dtype=index), self.csr.row_lengths)
         rows -= rows // per_agent
         rows *= d
         return np.add(rows, self.csr.indices, dtype=index)
@@ -753,18 +755,31 @@ def sets_grad(
     idx: np.ndarray | None,
     margins: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batch gradients of all agents at once, one row each, read through
-    ``local.matvec`` and ``local.rmatvec``.
+    """Batch gradients of all agents at once, one row each.
 
     ``idx`` are the flat positions of every agent's batch in the ``(N,
     C)`` rows of the local sets (``None``: the whole sets) and
-    ``margins``, if given, ``local.matvec(x)``.  The coefficients off the
-    batch are zero (:func:`on_batches`).  Row ``i`` equals
-    :func:`batch_grad` on the same rows up to summation order: the sparse
-    products of :meth:`StackedSets.matvec` and :meth:`StackedSets.rmatvec`
-    sum a row's stored entries, and agent ``i``'s rows, in another order
-    than the dense products of :func:`batch_grad`.
+    ``margins``, if given, ``local.matvec(x)``.  Given a batch and no
+    margins (the baselines' rounds), only the batch's rows are read: one
+    :meth:`~soprolab.sparse.Csr.take` of ``local.csr`` gathers them into
+    the ``(N k, N d)`` block-diagonal batch operator, whose product gives
+    the batch margins and whose transpose product the gradient.  Given
+    margins (the proximal rounds, which share them with the curvature
+    weights) or no batch, the gradient reads the whole sets through
+    :meth:`StackedSets.rmatvec`, with zero coefficients off the batch
+    (:func:`on_batches`).  The batch positions ascend, so both read every
+    batch row's entries and every column's terms in the same order and
+    differ only by the off-batch ``+0.0`` terms: they are bitwise equal.
+    Row ``i`` equals :func:`batch_grad` on the same rows up to summation
+    order: the sparse products sum a row's stored entries, and agent
+    ``i``'s rows, in another order than the dense products of
+    :func:`batch_grad`.
     """
+    if margins is None and idx is not None:
+        batch = local.csr.take(idx)
+        coef = logistic_coef(batch @ x.ravel(), local.labels.ravel()[idx])
+        size = idx.size // x.shape[0]
+        return local.lam[:, None] * x - batch.rmatvec(coef).reshape(x.shape) / size
     if margins is None:
         margins = local.matvec(x)
     coef, size = on_batches(local, idx, logistic_coef, margins, local.labels)

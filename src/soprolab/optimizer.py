@@ -336,12 +336,15 @@ def batch_positions(
     ``None`` when the batches are the whole sets (``size == C``), which
     need no draw.
 
-    A round reads the margins and the gradient coefficients at these
-    positions (see :func:`~soprolab.loss.on_batches`) and gathers the
-    Hessian batch's rows by them.  Every agent's ``size`` positions
-    are checked to lie inside its own set: the flat takes and scatters
-    that use them check only against the whole ``(N, C)`` array (and wrap
-    a negative position), so another agent's row would pass them.
+    A baseline round gathers its gradient batch's rows by these positions
+    (see :func:`~soprolab.loss.sets_grad`).  A proximal round reads its
+    whole-set margins and gradient coefficients at them (see
+    :func:`~soprolab.loss.on_batches`) and gathers the Hessian batch's
+    rows by them.  Every agent's ``size`` positions are checked to lie
+    inside its own set: the row gathers check them only against the whole
+    ``N C`` rows, and the flat takes and scatters against the whole ``(N,
+    C)`` array (and wrap a negative position), so another agent's row
+    would pass them.
     """
     n, C = local.labels.shape
     if size == C:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import importlib.util
 import os
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
@@ -72,7 +72,9 @@ class Csr:
     of stored entries, and as many indices as values.  It also checks what
     the kernels trust, which scipy left unchecked: that the row pointers
     never decrease and the column indices lie in ``0..n-1``, so no product
-    or gather reads or writes outside its arrays.
+    or gather reads or writes outside its arrays.  Those checks, and the
+    :attr:`row_lengths` computed once, hold only while the arrays do not
+    change.
     """
 
     indptr: np.ndarray
@@ -134,6 +136,15 @@ class Csr:
         """The number of stored entries."""
         return self.data.size
 
+    @cached_property
+    def row_lengths(self) -> np.ndarray:
+        """Every row's number of stored entries, ``indptr[1:] - indptr[:-1]``
+        in the index type, computed once and read-only: :meth:`take` sizes
+        its arrays and builds its row pointers from them."""
+        lengths = np.diff(self.indptr)
+        lengths.setflags(write=False)
+        return lengths
+
     @property
     def has_canonical_format(self) -> bool:
         """Whether every row's column indices increase strictly (sorted, no
@@ -175,7 +186,8 @@ class Csr:
         """The ``(len(rows), n)`` matrix of the rows ``rows``, integers in
         ``0..m-1``, in their order: scipy's ``csr[rows]``, which copies the
         rows' entries with ``csr_row_index`` into arrays allocated once and
-        keeps the index type."""
+        keeps the index type.  The row pointers are the running sum of the
+        rows' :attr:`row_lengths`."""
         rows = np.asarray(rows)
         m, n = self.shape
         if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
@@ -185,7 +197,7 @@ class Csr:
         index = self.indptr.dtype
         at = rows.astype(np.intp, copy=False)  # int32 indices take a slow path
         indptr = np.zeros(rows.size + 1, dtype=index)
-        np.cumsum(self.indptr[at + 1] - self.indptr[at], out=indptr[1:])
+        np.cumsum(self.row_lengths[at], out=indptr[1:])
         indices = np.empty(indptr[-1], dtype=index)
         data = np.empty(indptr[-1])
         kernels().csr_row_index(

@@ -388,6 +388,17 @@ def dense_block(local, feats=None):
     return DenseBlockSets(local.csr, local.labels, local.lam, feats)
 
 
+def one_hot_block(rng, n, C, d):
+    """``(n, C, d)`` rows shaped like a categorical LIBSVM file: each row
+    sets one column, drawn by ``rng``, in each of ``min(3, d)`` nearly
+    equal column ranges."""
+    edges = np.linspace(0, d, min(3, d) + 1).astype(int)
+    feats = np.zeros((n, C, d))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.put_along_axis(feats, rng.integers(lo, hi, (n, C, 1)), 1.0, axis=2)
+    return feats
+
+
 def stack_sets(features, labels, lam):
     """Local sets of equal size as one :class:`StackedSets`: per agent,
     ``(C, d)`` features and ``(C,)`` +-1 labels; ``lam`` is one

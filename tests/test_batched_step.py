@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     agent_batch_stats, agent_datasets, block_of, csr_rows, dense_block, dense_step_stacked,
-    densify, draw_batches, flat_positions, stack_sets, whole_set_history,
+    densify, draw_batches, flat_positions, one_hot_block, stack_sets, whole_set_history,
 )
 from soprolab import baselines, optimizer, topology
 from soprolab.baselines import dsgd_round, dsgt_round, metropolis_matrix
@@ -571,6 +571,36 @@ def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
                 assert 1 <= passes <= engine.terms
 
 
+@pytest.mark.parametrize("G", [10, 40], ids=["sampled", "whole"])
+@pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
+def test_baseline_rounds_read_only_their_gradient_batch(algorithm, G, monkeypatch):
+    # At G < C a round gathers its gradient batch's rows once from the
+    # local sets' operator and makes one product of the gathered operator,
+    # for the margins, and one of its transpose, for the gradient: no
+    # product reads the whole sets.  At G = C nothing is gathered, and the
+    # two products are of the operator itself.
+    n, C, d = 6, 40, 15
+    P, local = make_problem(n, C, d, sparse=True)
+    config = RunConfig(batch_g=G, batch_s=G, max_iters=3, seed=1, algorithm=algorithm,
+                       step_size=0.5)
+    log = []
+    spy_on_operators(monkeypatch, log)
+    run(P, local, config, callbacks=[lambda k, s: log.append(("round", k, None))])
+    marks = [i for i, (name, _, _) in enumerate(log) if name == "round"]
+    assert len(marks) == config.max_iters + 1
+    for a, b in zip(marks, marks[1:]):
+        calls = log[a + 1 : b]
+        if G < C:
+            (gather, source, batch), *products = calls
+            assert gather == "take" and source is local.csr
+            assert batch.shape == (n * G, n * d)
+        else:
+            batch, products = local.csr, calls
+        assert [(name, op) for name, op, _ in products] == [
+            ("__matmul__", batch), ("rmatvec", batch)
+        ]
+
+
 @st.composite
 def batch_problems(draw, solve, rows, batch):
     """``(P, local, config, alphas)`` whose run takes ``solve``, on local
@@ -591,10 +621,7 @@ def batch_problems(draw, solve, rows, batch):
     if rows == "dense":
         feats = rng.standard_normal((n, C, d))
     else:
-        edges = np.linspace(0, d, min(3, d) + 1).astype(int)
-        feats = np.zeros((n, C, d))
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            np.put_along_axis(feats, rng.integers(lo, hi, (n, C, 1)), 1.0, axis=2)
+        feats = one_hot_block(rng, n, C, d)
     local = stack_sets(feats, rng.choice((-1.0, 1.0), (n, C)), 0.1)
     P = build_random_connected_graph(n, min(2.0, n - 1.0), seed=draw(st.integers(0, 99)))
     # The series at rho < 1; CG or the Gram step at rho = 2.
@@ -963,8 +990,8 @@ def test_baselines_share_draws_and_count_edges(algorithm, per_edge):
             for i, ds in enumerate(agent_datasets(local))
         ])
         W = np.eye(P.n_agents) - metropolis_matrix(P).matrix
-        # A round sums over the whole sets, with zero coefficients off the
-        # batch: equal up to summation order.
+        # A round sums over the batch's rows alone, gathered from the
+        # operator: equal up to summation order.
         assert rel_err(states[1], W @ states[0] - 0.5 * grads) <= 1e-13
 
 

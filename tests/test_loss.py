@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from oracles import (
     Sample, agent_datasets, batch_loss, block_of, csr_rows, densify, flat_positions, on_batches_2d,
-    sample_grad, sample_hess, sample_loss, scipy_csr, stacked,
+    one_hot_block, sample_grad, sample_hess, sample_loss, scipy_csr, stack_sets, stacked,
 )
 from soprolab.errors import ParameterError, ParseError
 from soprolab.sparse import Csr
@@ -213,6 +215,50 @@ def test_set_gradients_of_drawn_batches_match_per_agent_batches(sparse):
         for i, ds in enumerate(datasets):
             rows = np.arange(ds.n_samples) if batches is None else batches[i]
             assert np.allclose(grads[i], batch_grad(x[i], ds, rows), rtol=1e-13, atol=1e-15)
+
+
+@st.composite
+def gradient_batches(draw):
+    """``(x, local, idx)``: ``N`` agents of ``C`` rows over ``d`` columns,
+    either Gaussian entries of both signs ("dense") or one to three of the
+    ``d`` columns set ("one_hot"), with one row emptied; a batch of ``G``
+    rows an agent, ``0 < G < C``, as ascending flat positions; and
+    iterates at a scale of 1 or of 1e3, where some margins are large
+    enough that their coefficients underflow to +-0."""
+    n, C, d = draw(st.integers(1, 6)), draw(st.integers(2, 12)), draw(st.integers(1, 10))
+    G = draw(st.integers(1, C - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.sampled_from(["dense", "one_hot"])) == "dense":
+        feats = rng.standard_normal((n, C, d))
+    else:
+        feats = one_hot_block(rng, n, C, d)
+    feats[rng.integers(n), rng.integers(C)] = 0.0
+    local = stack_sets(feats, rng.choice((-1.0, 1.0), (n, C)), 0.1)
+    idx = np.sort(np.stack([rng.permutation(C)[:G] for _ in range(n)]), axis=1)
+    x = draw(st.sampled_from([1.0, 1e3])) * rng.standard_normal((n, d))
+    return x, local, flat_positions(idx, C)
+
+
+def test_gathered_batch_gradients_equal_the_whole_set_gradients_bitwise():
+    # Without margins, sets_grad reads only the batch's rows, gathered in
+    # ascending order; with them, it reads the whole sets at zero
+    # coefficients off the batch, as a proximal round does.  Every margin
+    # is the same row sum and every column the same terms less the zero
+    # ones, so the gradients are equal byte for byte: signed zeros too.
+    underflowed = []
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(gradient_batches())
+    def check(problem):
+        x, local, idx = problem
+        got = sets_grad(x, local, idx)
+        want = sets_grad(x, local, idx, local.matvec(x))
+        assert got.tobytes() == want.tobytes()
+        coef = logistic_coef(local.matvec(x).ravel()[idx], local.labels.ravel()[idx])
+        underflowed.append(np.any(coef == 0.0))
+
+    check()
+    assert any(underflowed)
 
 
 def test_on_batches_at_flat_positions_equals_the_two_dimensional_form():

@@ -62,6 +62,9 @@ def test_products_and_row_gathers_are_scipys_bitwise(pair, seed):
         assert same(got @ block, want @ block)
     assert got.has_canonical_format == want.has_canonical_format
     assert got.nnz == want.nnz
+    # take sizes its arrays by the row lengths, so no caller may write them.
+    assert np.array_equal(got.row_lengths, np.diff(want.indptr))
+    assert got.row_lengths.dtype == got.indptr.dtype and not got.row_lengths.flags.writeable
     for rows in (rng.integers(0, max(m, 1), rng.integers(0, 2 * m + 1)), rng.permutation(m)):
         taken, wanted = got.take(rows), want[rows]
         assert taken.shape == wanted.shape == (rows.size, n)
