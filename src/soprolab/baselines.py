@@ -11,13 +11,14 @@ round keys every agent's batch with 53-bit integer keys, see
 comparisons against the proximal methods share identical data, topology,
 and noise realizations.  A gradient is one
 :func:`~soprolab.loss.sets_grad` of the batch at the flat positions ``i C
-+ j`` that :func:`~soprolab.optimizer.batch_positions` draws: it gathers
-the batch's rows once and reads no other row (at ``G = C``, the whole
-local sets, gathered by no one).  The Metropolis mixing matrix ``W`` is
-held as the :class:`~soprolab.topology.MatrixP` ``L = I - W``
++ j`` that :func:`~soprolab.optimizer.batch_positions` draws, as in a
+proximal round: it gathers the batch's rows once and reads no other row
+(at ``G = C``, the whole local sets, gathered by no one).  The
+Metropolis mixing matrix ``W`` is held as the
+:class:`~soprolab.topology.MatrixP` ``L = I - W``
 (:func:`metropolis_matrix`), and a mix is ``x - L.disagreement(x)``: the
-exchange of the proximal methods, as CSR on a sparse network, at
-``O(|E| d)`` a product.
+exchange of the proximal methods, as CSR on a sparse network, at ``O(|E|
+d)`` a product.
 """
 
 from __future__ import annotations

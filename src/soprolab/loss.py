@@ -22,18 +22,15 @@ arrays and one slice's tokenizer arrays at once.
 the block-diagonal CSR operator of one :class:`StackedSets`, which every
 later layer takes, or in the CSR test set.  Every product of a CSR matrix
 runs in scipy's compiled kernels, loaded without importing
-``scipy.sparse`` (see :mod:`soprolab.sparse`).  A baseline round reads
-only its gradient batch's rows, which :func:`sets_grad` gathers from
-``csr`` once.  A proximal round reads the whole local sets twice: through
-:meth:`StackedSets.matvec` for the margins that its gradient and its
-curvature weights share, and through :meth:`StackedSets.rmatvec`, with
-zero coefficients off the batch, for its gradient.  Its solve reads only
-the Hessian batch's rows, which the round gathers from ``csr``.  The
-set-up reads the local sets densely through :meth:`StackedSets.agent_chunks` alone, a run
-of whole agents of at most ``READ_CHUNK_ROWS`` rows at a time, in float64
-for the noise estimate and the Gram stack, and in float32 with every row
-scaled, for the reference Hessian.
-The stacked functions (:func:`sets_grad`, :func:`on_batches`,
+``scipy.sparse`` (see :mod:`soprolab.sparse`).  A round reads only its
+batches' rows: :func:`sets_grad` gathers the gradient batch's from
+``csr`` once, and a proximal round then gathers its Hessian batch's.  A
+batch that is the whole local sets is ``csr`` itself, gathered by no one.
+The set-up reads the local sets densely through
+:meth:`StackedSets.agent_chunks` alone, a run of whole agents of at most
+``READ_CHUNK_ROWS`` rows at a time, in float64 for the noise estimate and
+the Gram stack, and in float32 with every row scaled, for the reference
+Hessian.  The stacked functions (:func:`sets_grad`,
 :func:`sigma_sq_estimate`, and :func:`logistic_coef` and
 :func:`logistic_curvature` of stacked margins) work on all agents at
 once; :func:`sets_grad` is the one gradient over stacked sets, for the
@@ -67,7 +64,6 @@ __all__ = [
     "batch_grad",
     "batch_hess",
     "full_grad",
-    "on_batches",
     "sets_grad",
     "sigmoid",
     "logistic_coef",
@@ -115,10 +111,9 @@ class StackedSets:
     operator ``csr``: agent ``i``'s row ``j`` is row ``i C + j`` and its
     column ``c`` is column ``i d + c``.  The arrays are read-only.
 
-    :meth:`matvec` and :meth:`rmatvec` read the operator, a
-    :class:`~soprolab.sparse.Csr`, with scipy's compiled CSR kernels.  The
-    set-up reads the rows densely, a run of whole agents at a time, through
-    :meth:`agent_chunks`.
+    :meth:`matvec` reads the operator, a :class:`~soprolab.sparse.Csr`,
+    with scipy's compiled CSR kernels.  The set-up reads the rows densely,
+    a run of whole agents at a time, through :meth:`agent_chunks`.
     """
 
     csr: Csr = field(compare=False, repr=False)
@@ -233,11 +228,6 @@ class StackedSets:
         """``(N, C)`` products ``F_i x_i`` of every agent's rows with its
         row of the ``(N, d)`` ``x``."""
         return (self.csr @ x.ravel()).reshape(self.labels.shape)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """``(N, d)`` sums ``F_i^T v_i`` of every agent's rows under its row
-        of the ``(N, C)`` weights ``v``."""
-        return self.csr.rmatvec(v.ravel()).reshape(v.shape[0], -1)
 
 
 @dataclass
@@ -729,26 +719,6 @@ def full_grad(x: np.ndarray, ds: LocalDataset) -> np.ndarray:
     return batch_grad(x, ds, np.arange(ds.n_samples))
 
 
-def on_batches(local: StackedSets, idx: np.ndarray | None, fn, *rows: np.ndarray):
-    """``fn`` of every agent's batch, and the batch size.
-
-    ``rows`` are ``(N, C)`` arrays over the whole local sets, such as
-    ``local.matvec(x)`` and ``local.labels``, and ``idx`` the ``(N k,)``
-    flat positions ``i C + j`` of the batches in them, ``k`` rows an agent
-    (see :func:`~soprolab.optimizer.batch_positions`; ``None``: the whole
-    sets).  The batch rows are read and written by 1-D takes of the
-    flattened arrays.  Returns ``(values, size)``: ``(N, C)`` values of
-    ``fn`` at the batch rows and zero off them, and the batch size, ``C``
-    or ``k``, which a batch mean divides by.
-    """
-    n, per_agent = local.labels.shape
-    if idx is None:
-        return fn(*rows), per_agent
-    values = np.zeros(rows[0].shape)
-    values.ravel()[idx] = fn(*(r.ravel()[idx] for r in rows))  # a view: values is new
-    return values, idx.size // n
-
-
 def sets_grad(
     x: np.ndarray,
     local: StackedSets,
@@ -757,33 +727,30 @@ def sets_grad(
 ) -> np.ndarray:
     """Batch gradients of all agents at once, one row each.
 
-    ``idx`` are the flat positions of every agent's batch in the ``(N,
-    C)`` rows of the local sets (``None``: the whole sets) and
-    ``margins``, if given, ``local.matvec(x)``.  Given a batch and no
-    margins (the baselines' rounds), only the batch's rows are read: one
+    ``idx`` are the ``(N k,)`` flat positions ``i C + j`` of every agent's
+    batch of ``k`` rows in the ``(N, C)`` rows of the local sets (see
+    :func:`~soprolab.optimizer.batch_positions`; ``None``: the whole
+    sets).  Only the batch's rows are read: one
     :meth:`~soprolab.sparse.Csr.take` of ``local.csr`` gathers them into
-    the ``(N k, N d)`` block-diagonal batch operator, whose product gives
-    the batch margins and whose transpose product the gradient.  Given
-    margins (the proximal rounds, which share them with the curvature
-    weights) or no batch, the gradient reads the whole sets through
-    :meth:`StackedSets.rmatvec`, with zero coefficients off the batch
-    (:func:`on_batches`).  The batch positions ascend, so both read every
-    batch row's entries and every column's terms in the same order and
-    differ only by the off-batch ``+0.0`` terms: they are bitwise equal.
-    Row ``i`` equals :func:`batch_grad` on the same rows up to summation
-    order: the sparse products sum a row's stored entries, and agent
-    ``i``'s rows, in another order than the dense products of
-    :func:`batch_grad`.
+    the ``(N k, N d)`` block-diagonal batch operator (the whole sets are
+    ``local.csr`` itself), whose product gives the margins and whose
+    transpose product the gradient.  ``margins``, if given, are the whole
+    sets' ``local.csr @ x``, which a caller shares with other work; with a
+    batch they are refused with a :class:`ParameterError`.  Row ``i``
+    equals :func:`batch_grad` on the same rows up to summation order: the
+    sparse products sum a row's stored entries, and agent ``i``'s rows,
+    in another order than the dense products of :func:`batch_grad`.
     """
-    if margins is None and idx is not None:
-        batch = local.csr.take(idx)
-        coef = logistic_coef(batch @ x.ravel(), local.labels.ravel()[idx])
-        size = idx.size // x.shape[0]
-        return local.lam[:, None] * x - batch.rmatvec(coef).reshape(x.shape) / size
+    rows, labels = local.csr, local.labels.ravel()
+    if idx is not None:
+        if margins is not None:
+            raise ParameterError("got both margins and a batch; margins serve the whole sets only")
+        rows, labels = rows.take(idx), labels[idx]
     if margins is None:
-        margins = local.matvec(x)
-    coef, size = on_batches(local, idx, logistic_coef, margins, local.labels)
-    return local.lam[:, None] * x - local.rmatvec(coef) / size
+        margins = rows @ x.ravel()
+    coef = logistic_coef(margins.ravel(), labels)
+    size = labels.size // len(local.lam)
+    return local.lam[:, None] * x - rows.rmatvec(coef).reshape(x.shape) / size
 
 
 def sigmoid(z):

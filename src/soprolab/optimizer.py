@@ -80,22 +80,19 @@ B_i)^{-1} r_i``:
   round, rather than iterate on a system too ill-conditioned to solve.
 
 A batch is drawn as flat positions in the whole local sets
-(:func:`batch_positions`).  Both batches are drawn at the same ``x``, so
-one margins pass over the whole sets gives both the gradients, hence
-``r``, whose coefficients off the gradient batch are zero
-(:func:`~soprolab.loss.on_batches`), and the curvature weights ``w`` at
-the Hessian batch's rows.  Those rows are gathered once a round
+(:func:`batch_positions`), and a round reads only its batches' rows.
+:func:`~soprolab.loss.sets_grad` gathers the gradient batch's rows
 (:meth:`~soprolab.sparse.Csr.take` of the local sets' block-diagonal CSR
-operator, :class:`~soprolab.loss.StackedSets`) into the ``(N S, N d)``
-block-diagonal batch operator ``F``; a whole-set batch (SoPro) is the
-operator itself, with no gather.  Every solve reads only ``F``: the row
-solves apply ``F_i^T (w_i (F_i v))`` by one product of ``F`` and one of
-its transpose a term or iteration, with no system formed and no row
-factored, and the Gram step reads ``F r`` by one product and returns
-through one of the transpose.  The gathered rows keep their ascending
-order, so every row sum and every column's sum of contributions is the
-whole-set product's less its zero terms off the batch: the iterates are
-bitwise those of products over the whole sets with zero weights there.
+operator, :class:`~soprolab.loss.StackedSets`) for the gradients, hence
+``r``, and frees them on return.  The round then gathers the Hessian
+batch's rows into the ``(N S, N d)`` block-diagonal batch operator
+``F``, whose product gives the margins of the curvature weights ``w``.
+A whole-set batch is the operator itself, with no gather; when both are
+(SoPro), one product of it serves the gradients and ``w``.  Every solve
+reads only ``F``: the row solves apply ``F_i^T (w_i (F_i v))`` by one
+product of ``F`` and one of its transpose a term or iteration, with no
+system formed and no row factored, and the Gram step reads ``F r`` by
+one product and returns through one of the transpose.
 
 :func:`local_step` steps one agent alone by Cholesky: it is the
 per-agent oracle the batched steps are tested against.  It and the
@@ -336,15 +333,12 @@ def batch_positions(
     ``None`` when the batches are the whole sets (``size == C``), which
     need no draw.
 
-    A baseline round gathers its gradient batch's rows by these positions
-    (see :func:`~soprolab.loss.sets_grad`).  A proximal round reads its
-    whole-set margins and gradient coefficients at them (see
-    :func:`~soprolab.loss.on_batches`) and gathers the Hessian batch's
-    rows by them.  Every agent's ``size`` positions are checked to lie
-    inside its own set: the row gathers check them only against the whole
-    ``N C`` rows, and the flat takes and scatters against the whole ``(N,
-    C)`` array (and wrap a negative position), so another agent's row
-    would pass them.
+    A round gathers its batches' rows by these positions (see
+    :func:`~soprolab.loss.sets_grad`), and its labels by a flat take.
+    Every agent's ``size`` positions are checked to lie inside its own
+    set: the row gathers check them only against the whole ``N C`` rows,
+    and the flat takes against the whole ``(N, C)`` array (and wrap a
+    negative position), so another agent's row would pass them.
     """
     n, C = local.labels.shape
     if size == C:
@@ -756,18 +750,20 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     ``D_i = alphas[i] I``.  Each round draws the positions of the gradient
     and Hessian batches of the sizes :meth:`RunConfig.batches` gives by
     :func:`batch_positions` (SoPro's are the whole sets, which need no
-    draw).  Both batches are drawn at the same ``x``, so one margins pass
-    over the whole local sets gives the right-hand sides ``g_i + beta y_i
-    + q_i`` and, at the Hessian batch's rows, the curvature weights ``w``.
-    Those rows are gathered once, by one
-    :meth:`~soprolab.sparse.Csr.take` of the local sets' operator, into
-    the ``(N S, N d)`` batch operator (at ``S = C`` it is the operator
-    itself).  One batched solve of all agents on that operator then
-    applies every ``(h_i + D_i)^{-1}`` to the right-hand sides, by the
-    solve :func:`proximal_engine` chooses here: :func:`row_step` by the
-    Neumann series or by CG, or :func:`gram_step` (its Gram stack computed
-    here once) by Cholesky.  SoPro's trace is thus bitwise identical to
-    St-SoPro's at ``G = S = C``.
+    draw).  :func:`~soprolab.loss.sets_grad` of the gradient batch gives
+    the right-hand sides ``g_i + beta y_i + q_i``.  The Hessian batch's
+    rows are then gathered, by one :meth:`~soprolab.sparse.Csr.take` of
+    the local sets' operator, into the ``(N S, N d)`` batch operator (at
+    ``S = C`` it is the operator itself), whose product gives the margins
+    of the curvature weights ``w``; no two gathered operators are alive at
+    once.  When both batches are the whole sets (SoPro), one product of
+    the operator gives the margins of both.  One batched solve of all
+    agents on the batch operator then applies every ``(h_i + D_i)^{-1}``
+    to the right-hand sides, by the solve :func:`proximal_engine` chooses
+    here: :func:`row_step` by the Neumann series or by CG, or
+    :func:`gram_step` (its Gram stack computed here once) by Cholesky.
+    SoPro's trace is thus bitwise identical to St-SoPro's at ``G = S =
+    C``.
 
     Returns the state after the initial exchange, its ``engine`` set, the
     round function, and the ``2 |E| d`` scalars each exchange sends, at
@@ -790,12 +786,19 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     def proximal_round(state: NetworkState, k: int) -> None:
         g_idx = batch_positions(local, G, seed, k, PURPOSE_GRAD)
         s_idx = batch_positions(local, S, seed, k, PURPOSE_HESS)
-        u = local.matvec(state.x)
-        rhs = sets_grad(state.x, local, g_idx, u) + beta * state.y + state.q
-        if s_idx is None:
-            batch, w = local.csr, logistic_curvature(u.ravel())
+        if g_idx is None and s_idx is None:
+            batch = local.csr
+            u = batch @ state.x.ravel()
+            rhs = sets_grad(state.x, local, None, u)
         else:
-            batch, w = local.csr.take(s_idx), logistic_curvature(u.ravel()[s_idx])
+            # sets_grad frees its gathered rows before the Hessian batch's
+            # are gathered: no two batch operators are alive at once.
+            rhs = sets_grad(state.x, local, g_idx)
+            batch = local.csr if s_idx is None else local.csr.take(s_idx)
+            u = batch @ state.x.ravel()
+        rhs += beta * state.y
+        rhs += state.q
+        w = logistic_curvature(u)
         w /= S
         if gram is None:
             state.x = row_step(state.x, rhs, batch, w, shift, engine.solve, engine.terms, k + 1)

@@ -3,12 +3,12 @@ set-up code, the dense and stacked forms that the sparse set-up, the CSR
 operator of the local sets and the per-agent dense step replaced, and the
 numerical search (with the plain ``kappa`` evaluation) that the
 certificate's closed forms replaced, and the eigen-coordinate Q-norm error
-that its Gram form replaced, and the proximal round whose solves read the
-whole local sets, with zero weights off the Hessian batch, which the
-solves on the gathered batch rows replaced.  The per-sample loss, gradient and Hessian
-(:class:`Sample`), the per-agent batch loss, one agent's batch statistics
-of a round and the two-dimensional batch draw are the definitions the
-loss, the round and the draw are checked against.
+that its Gram form replaced, and the proximal round that read the whole
+local sets, with zero coefficients and weights off its batches, which the
+round on the gathered batch rows replaced.  The per-sample loss, gradient
+and Hessian (:class:`Sample`), the per-agent batch loss, one agent's batch
+statistics of a round and the two-dimensional batch draw are the
+definitions the loss, the round and the draw are checked against.
 
 Each function here is the plain loop or search that a routine of
 ``soprolab`` replaced; the tests check the routines against them.
@@ -38,9 +38,8 @@ from soprolab.loss import (
     batch_grad,
     batch_hess,
     full_grad,
+    logistic_coef,
     logistic_curvature,
-    on_batches,
-    sets_grad,
     sigmoid,
 )
 from soprolab.optimizer import draw_positions, sample_batches, substream
@@ -163,14 +162,42 @@ def dense_step_stacked(x, rhs, F, w, c):
     return x - z
 
 
+def sets_rmatvec(local, v):
+    """``(N, d)`` sums ``F_i^T v_i`` of every agent's rows under its row of
+    the ``(N, C)`` weights ``v``: one transpose product of ``local.csr``."""
+    return local.csr.rmatvec(v.ravel()).reshape(len(v), -1)
+
+
+def zero_off_batch(local, idx, fn, *rows):
+    """``fn`` of every agent's batch, and the batch size: ``rows`` are
+    ``(N, C)`` arrays over the whole local sets and ``idx`` the flat
+    positions of the batches in them (``None``: the whole sets).  Returns
+    the ``(N, C)`` values of ``fn`` at the batch rows, zero off them, and
+    the batch size that a batch mean divides by."""
+    n, C = local.labels.shape
+    if idx is None:
+        return fn(*rows), C
+    values = np.zeros((n, C))
+    values.ravel()[idx] = fn(*(r.ravel()[idx] for r in rows))
+    return values, idx.size // n
+
+
+def whole_set_grad(x, local, idx, margins):
+    """``sets_grad`` read from the whole local sets: their ``(N, C)``
+    margins ``margins`` at the batch ``idx``, and one transpose product of
+    the whole sets under coefficients that are zero off it."""
+    coef, size = zero_off_batch(local, idx, logistic_coef, margins, local.labels)
+    return local.lam[:, None] * x - sets_rmatvec(local, coef) / size
+
+
 def whole_set_row_step(x, rhs, local, w, c, solve, terms, round_idx=None):
     """``row_step`` on the whole local sets ``local``: ``w`` is ``(N, C)``,
     zero off the Hessian batch, and every term or iteration applies
-    ``F_i^T (w_i (F_i v))`` through ``local.matvec`` and ``local.rmatvec``."""
+    ``F_i^T (w_i (F_i v))`` through ``local.matvec`` and :func:`sets_rmatvec`."""
     optimizer._check_shift(c)
 
     def apply_h(v):
-        return local.rmatvec(w * local.matvec(v))
+        return sets_rmatvec(local, w * local.matvec(v))
 
     if solve == "series":
         return x - optimizer._series_solve(apply_h, rhs, c, terms)
@@ -180,7 +207,7 @@ def whole_set_row_step(x, rhs, local, w, c, solve, terms, round_idx=None):
 def whole_set_gram_step(x, rhs, local, w, c, gram, s_idx):
     """``gram_step`` on the whole local sets: ``F r`` by one
     ``local.matvec`` read at the batch rows, and the step by one
-    ``local.rmatvec`` of ``(N, C)`` values that are zero off them."""
+    :func:`sets_rmatvec` of ``(N, C)`` values that are zero off them."""
     optimizer._check_shift(c)
     n, C = w.shape
     rows = s_idx.reshape(n, -1)
@@ -195,14 +222,15 @@ def whole_set_gram_step(x, rhs, local, w, c, gram, s_idx):
     z *= sw
     v = np.zeros_like(w)
     v.ravel()[rows] = z
-    return x - (rhs - local.rmatvec(v)) / c[:, None]
+    return x - (rhs - sets_rmatvec(local, v)) / c[:, None]
 
 
 def whole_set_history(P, local, config, alphas):
-    """The ``(x, q)`` of every round of a proximal ``optimizer.run`` whose
-    solves read the whole local sets (:func:`whole_set_row_step`,
-    :func:`whole_set_gram_step`), with the curvature weights zero off the
-    Hessian batch (``on_batches``)."""
+    """The ``(x, q)`` of every round of a proximal ``optimizer.run`` that
+    reads the whole local sets: one margins product shared by the gradient
+    (:func:`whole_set_grad`) and the curvature weights, which are zero off
+    the Hessian batch (:func:`zero_off_batch`), and solves through the
+    whole sets (:func:`whole_set_row_step`, :func:`whole_set_gram_step`)."""
     state = optimizer.init_network(P, local, config)
     engine = optimizer.proximal_engine(local, config, alphas)
     gram = optimizer.gram_stack(local) if engine.solve == "cholesky" else None
@@ -214,8 +242,8 @@ def whole_set_history(P, local, config, alphas):
             g_idx = optimizer.batch_positions(local, G, config.seed, k, optimizer.PURPOSE_GRAD)
             s_idx = optimizer.batch_positions(local, S, config.seed, k, optimizer.PURPOSE_HESS)
             u = local.matvec(state.x)
-            rhs = sets_grad(state.x, local, g_idx, u) + config.beta * state.y + state.q
-            w, size = on_batches(local, s_idx, logistic_curvature, u)
+            rhs = whole_set_grad(state.x, local, g_idx, u) + config.beta * state.y + state.q
+            w, size = zero_off_batch(local, s_idx, logistic_curvature, u)
             w /= size
             if gram is None:
                 state.x = whole_set_row_step(state.x, rhs, local, w, shift, engine.solve,
@@ -306,17 +334,6 @@ def flat_positions(idx, C):
     return (np.arange(len(idx))[:, None] * C + idx).ravel()
 
 
-def on_batches_2d(local, idx, fn, *rows):
-    """``on_batches`` read and written by broadcast ``(agents, idx)``
-    indexing of ``(N, k)`` in-set positions."""
-    if idx is None:
-        return fn(*rows), local.shape[1]
-    agents = np.arange(len(idx))[:, None]
-    values = np.zeros(rows[0].shape)
-    values[agents, idx] = fn(*(r[agents, idx] for r in rows))
-    return values, idx.shape[1]
-
-
 def partition_samples(samples, n_agents, per_agent, seed, lambda_reg):
     """Split a permuted list of ``Sample`` objects, stacking one at a time."""
     perm = np.random.default_rng(seed).permutation(len(samples))
@@ -354,30 +371,48 @@ def block_of(local):
     return local.dense_rows(0, n * C, np.empty((n * C, d))).reshape(n, C, d)
 
 
+@dataclass(frozen=True, eq=False)
+class DenseBlockCsr(Csr):
+    """A block-diagonal operator of ``N`` agents' rows read through their
+    dense ``(N, k, d)`` block ``feats``: its product and its transpose's
+    are stacked BLAS products of the block, and a gather of rows, ``k``
+    an agent in agent order, keeps the block of the rows it takes.  The
+    CSR arrays stay, for the checks."""
+
+    feats: np.ndarray = field(default=None, repr=False)
+
+    def __matmul__(self, x):
+        n, _, d = self.feats.shape
+        return (self.feats @ np.reshape(x, (n, d, 1))).ravel()
+
+    def rmatvec(self, v):
+        n, k, _ = self.feats.shape
+        return (self.feats.transpose(0, 2, 1) @ np.reshape(v, (n, k, 1))).ravel()
+
+    def take(self, rows):
+        n, _, d = self.feats.shape
+        got = Csr.take(self, rows)
+        return DenseBlockCsr(got.indptr, got.indices, got.data, got.shape,
+                             self.feats.reshape(-1, d)[rows].reshape(n, -1, d))
+
+
 @dataclass(frozen=True)
 class DenseBlockSets(StackedSets):
-    """Local sets read through the dense ``(N, C, d)`` block ``feats`` of
-    their rows, as ``StackedSets`` held them before the CSR operator was
-    their one form: ``matvec`` and ``rmatvec`` are stacked BLAS products
-    of the block, and ``dense_rows`` returns views of it, or, given a
-    ``scale`` or a buffer of another dtype, writes into the buffer the
-    block's rows times their scales, both rounded to its dtype.  The
-    operator stays, for the checks and ``row_sq``."""
-
-    feats: np.ndarray = field(default=None, compare=False, repr=False)
+    """Local sets read through the dense ``(N, C, d)`` block of their
+    rows, as ``StackedSets`` held them before the CSR operator was their
+    one form: the operator is a :class:`DenseBlockCsr` over the block, so
+    every product and every gathered batch reads the block, and
+    ``dense_rows`` returns views of it, or, given a ``scale`` or a buffer
+    of another dtype, writes into the buffer the block's rows times their
+    scales, both rounded to its dtype."""
 
     def dense_rows(self, start, stop, out, scale=None):
-        rows = self.feats.reshape(-1, self.feats.shape[2])[start:stop]
+        feats = self.csr.feats
+        rows = feats.reshape(-1, feats.shape[2])[start:stop]
         if scale is None and out.dtype == rows.dtype:
             return rows
         scale = np.ones(stop - start) if scale is None else scale
         return np.multiply(rows, scale[:, None], out=out, dtype=out.dtype)
-
-    def matvec(self, x):
-        return (self.feats @ x[:, :, None])[:, :, 0]
-
-    def rmatvec(self, v):
-        return (self.feats.transpose(0, 2, 1) @ v[:, :, None])[:, :, 0]
 
 
 def dense_block(local, feats=None):
@@ -385,7 +420,9 @@ def dense_block(local, feats=None):
     default, its own rows read densely)."""
     feats = block_of(local) if feats is None else feats
     feats.setflags(write=False)
-    return DenseBlockSets(local.csr, local.labels, local.lam, feats)
+    A = local.csr
+    return DenseBlockSets(DenseBlockCsr(A.indptr, A.indices, A.data, A.shape, feats),
+                          local.labels, local.lam)
 
 
 def one_hot_block(rng, n, C, d):

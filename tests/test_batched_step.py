@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,8 +265,8 @@ def test_cg_passes_a_non_finite_right_hand_side_to_the_iterate(monkeypatch):
         assert np.isnan(out[2]).all()
         assert np.array_equal(out[[0, 1, 3]], x[[0, 1, 3]])
 
-    def poisoned(x, G, idx, u):
-        grads = real_grad(x, G, idx, u)
+    def poisoned(*args):
+        grads = real_grad(*args)
         if len(calls) == 2:
             grads[3, 0] = np.nan
         calls.append(1)
@@ -529,17 +531,19 @@ def spy_on_operators(monkeypatch, log):
 @pytest.mark.parametrize("sets", ["dense", "csr"])
 @pytest.mark.parametrize("algorithm", ["sopro", "st_sopro"])  # row step, S >= d
 def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
-    # Every round reads the whole local sets, of dense or sparse rows, by
-    # one product for the margins that both batches share and one of the
-    # transpose for the gradient.  At S < C it then gathers the Hessian
-    # batch's rows once into an (N S, N d) operator, and each term of the
-    # series, or each CG iteration, makes one product of that operator and
-    # one of its transpose.  At S = C (SoPro) the operator is the local
-    # sets' own and nothing is gathered.
+    # At G, S < C a round reads only its batches' rows, of dense or sparse
+    # sets: it gathers the gradient batch's rows, makes one product of them
+    # for the margins and one of the transpose for the gradient, then
+    # gathers the Hessian batch's rows and makes one product of them for
+    # the curvature margins.  It makes no product of the local sets'
+    # operator.  At S = C (SoPro) nothing is gathered: one product of the
+    # operator and one of its transpose serve the margins and the gradient.
+    # Each term of the series, or each CG iteration, then makes one product
+    # of the Hessian batch's operator and one of its transpose.
     n, C, d = 6, 40, 15
     P, local = make_problem(n, C, d, sparse=sets == "csr")
     config = RunConfig(batch_g=10, batch_s=20, max_iters=3, seed=1, algorithm=algorithm)
-    S = config.batches(C)[1]
+    G, S = config.batches(C)
     log = []
     spy_on_operators(monkeypatch, log)
     for solve, alphas in (("cg", factorising_alphas(local)),
@@ -552,14 +556,22 @@ def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
         marks = [i for i, (name, _, _) in enumerate(log) if name == "round"]
         assert len(marks) == config.max_iters + 1
         for a, b in zip(marks, marks[1:]):
-            (margins, op_m, _), (grad, op_g, _), *rest = log[a + 1 : b]
-            assert (margins, grad) == ("__matmul__", "rmatvec")
-            assert op_m is local.csr and op_g is local.csr
+            calls = log[a + 1 : b]
             if S < C:
-                (gather, source, batch), *rest = rest
-                assert gather == "take" and source is local.csr
+                (take_g, source_g, grad_batch), *calls = calls
+                assert take_g == "take" and source_g is local.csr
+                assert grad_batch.shape == (n * G, n * d)
+                assert [(name, op) for name, op, _ in calls[:2]] == [
+                    ("__matmul__", grad_batch), ("rmatvec", grad_batch)
+                ]
+                (take_s, source_s, batch), (margins, op_m, _), *rest = calls[2:]
+                assert take_s == "take" and source_s is local.csr
                 assert batch.shape == (n * S, n * d)
+                assert margins == "__matmul__" and op_m is batch
             else:
+                (margins, op_m, _), (grad, op_g, _), *rest = calls
+                assert (margins, grad) == ("__matmul__", "rmatvec")
+                assert op_m is local.csr and op_g is local.csr
                 batch = local.csr
             assert [name for name, _, _ in rest] == ["__matmul__", "rmatvec"] * (len(rest) // 2)
             assert all(op is batch for _, op, _ in rest)
@@ -569,6 +581,21 @@ def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
                 assert passes == engine.terms
             else:
                 assert 1 <= passes <= engine.terms
+
+    # No gathered operator outlives its use: each is dead before the next
+    # gather, the gradient batch's before the Hessian batch's.
+    monkeypatch.undo()
+    taken, real_take = [], Csr.take
+
+    def take(self, rows):
+        assert all(ref() is None for ref in taken)
+        out = real_take(self, rows)
+        taken.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(Csr, "take", take)
+    run(P, local, config, certified_alphas(P, local))
+    assert len(taken) == (2 * config.max_iters if S < C else 0)
 
 
 @pytest.mark.parametrize("G", [10, 40], ids=["sampled", "whole"])
@@ -899,19 +926,20 @@ def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift
         return [op.shape[0] for name, op, _ in log
                 if name == "__matmul__" and op.shape[1] == sets.csr.shape[1]]
 
-    # S < d < C at rho = 2: CG on the 6 x 5 gathered batch rows, after one
-    # margins product of the 6 x 40 local rows a round; no factorisation.
+    # S < d < C at rho = 2: CG on the 6 x 5 gathered Hessian batch rows,
+    # after one margins product of the 6 x 10 gradient batch rows and one
+    # of the Hessian batch rows a round; no factorisation.
     config = RunConfig(batch_g=10, batch_s=5, max_iters=3, seed=0)
     alphas = edge / 2 - local.lam
     engine = optimizer.proximal_engine(local, config, alphas)
     assert engine.solve == "cg"
     run(P, local, config, alphas)
     rows = products(local)
-    assert factored == [] and rows.count(240) == config.max_iters
-    assert set(rows) == {240, 30} and rows.count(30) >= config.max_iters
+    assert factored == [] and rows.count(60) == config.max_iters
+    assert set(rows) == {60, 30} and rows.count(30) >= 2 * config.max_iters
     # S < C <= d at rho = 2: every round factors the Woodbury S x S systems
     # from the Gram stack, and no d x d one, and reads F r from the batch
-    # rows by one product.
+    # rows by one product, after the margins products of its two batches.
     P, sets = make_problem(6, 40, 60)
     alphas = np.full(6, 0.125 * sets.row_sq.max()) - sets.lam
     assert optimizer.proximal_engine(sets, config, alphas).solve == "cholesky"
@@ -923,7 +951,7 @@ def test_the_factorisation_is_kept_at_rho_of_at_least_one_or_a_nonpositive_shift
     run(P, sets, config, alphas)
     assert solves == [(6, 5, 5)] * config.max_iters
     assert factored == [(5, 5)] * (6 * config.max_iters)
-    assert products(sets) == [240, 30] * config.max_iters
+    assert products(sets) == [60, 30, 30] * config.max_iters
 
 
 def test_run_refuses_a_negative_shift_that_leaves_a_dense_system_definite():

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from oracles import (
-    Sample, agent_datasets, batch_loss, block_of, csr_rows, densify, flat_positions, on_batches_2d,
+    Sample, agent_datasets, batch_loss, block_of, csr_rows, densify, flat_positions,
     one_hot_block, sample_grad, sample_hess, sample_loss, scipy_csr, stack_sets, stacked,
+    whole_set_grad,
 )
 from soprolab.errors import ParameterError, ParseError
 from soprolab.sparse import Csr
@@ -24,7 +25,6 @@ from soprolab.loss import (
     full_grad,
     logistic_coef,
     logistic_curvature,
-    on_batches,
     parse_libsvm,
     partition,
     predict,
@@ -240,11 +240,11 @@ def gradient_batches(draw):
 
 
 def test_gathered_batch_gradients_equal_the_whole_set_gradients_bitwise():
-    # Without margins, sets_grad reads only the batch's rows, gathered in
-    # ascending order; with them, it reads the whole sets at zero
-    # coefficients off the batch, as a proximal round does.  Every margin
-    # is the same row sum and every column the same terms less the zero
-    # ones, so the gradients are equal byte for byte: signed zeros too.
+    # sets_grad reads only the batch's rows, gathered in ascending order;
+    # the whole-set gradient (oracles.whole_set_grad) reads every row at a
+    # zero coefficient off the batch.  Every margin is the same row sum and
+    # every column the same terms less the zero ones, so the gradients are
+    # equal byte for byte: signed zeros too.
     underflowed = []
 
     @settings(max_examples=200, deadline=None, database=None)
@@ -252,7 +252,7 @@ def test_gathered_batch_gradients_equal_the_whole_set_gradients_bitwise():
     def check(problem):
         x, local, idx = problem
         got = sets_grad(x, local, idx)
-        want = sets_grad(x, local, idx, local.matvec(x))
+        want = whole_set_grad(x, local, idx, local.matvec(x))
         assert got.tobytes() == want.tobytes()
         coef = logistic_coef(local.matvec(x).ravel()[idx], local.labels.ravel()[idx])
         underflowed.append(np.any(coef == 0.0))
@@ -261,21 +261,23 @@ def test_gathered_batch_gradients_equal_the_whole_set_gradients_bitwise():
     assert any(underflowed)
 
 
-def test_on_batches_at_flat_positions_equals_the_two_dimensional_form():
-    # Margins that are a strided view, a C-ordered array and a transposed
-    # copy's transpose.
+def test_set_gradients_refuse_margins_with_a_batch():
+    # Margins are the whole sets' product; a batch's gradient reads its own
+    # rows, so the two together are refused rather than one ignored.
     rng = np.random.default_rng(9)
     local = stacked([make_dataset(rng, C=12, d=7, lam=0.05) for _ in range(3)])
-    idx = np.sort(np.stack([rng.choice(9, 4, replace=False) for _ in range(3)]), axis=1)
-    u = local.matvec(rng.standard_normal((3, 7)))
+    x = rng.standard_normal((3, 7))
+    u = local.matvec(x)
+    idx = flat_positions(np.tile(np.arange(4), (3, 1)), 12)
+    with pytest.raises(ParameterError, match="both margins and a batch"):
+        sets_grad(x, local, idx, u)
+    # The whole sets take their margins, as a C-ordered array, a strided
+    # view or a transposed copy's transpose, and equal the gradient
+    # without them.
+    want = sets_grad(x, local, None).tobytes()
     strided = np.repeat(u[:, :, None], 2, axis=2)[:, :, 0]
-    for margins in (strided, u, np.asfortranarray(u)):
-        for fn, rows in ((logistic_coef, (margins, local.labels)),
-                         (logistic_curvature, (margins,))):
-            got, size = on_batches(local, flat_positions(idx, 12), fn, *rows)
-            want, want_size = on_batches_2d(local, idx, fn, *rows)
-            assert np.array_equal(got, want) and size == want_size == 4
-            assert np.count_nonzero(got) == 12
+    for margins in (u, strided, np.asfortranarray(u), u.ravel()):
+        assert sets_grad(x, local, None, margins).tobytes() == want
 
 
 # ---------------------------------------------------------------- calculus
@@ -640,4 +642,4 @@ def test_stacked_sets_hold_their_rows_in_one_form():
     assert np.array_equal(densify(A), scipy.linalg.block_diag(*block_of(local)))
     x, v = rng.standard_normal((2, 3)), rng.standard_normal((2, 4))
     assert np.array_equal(local.matvec(x), (scipy_csr(A) @ x.ravel()).reshape(2, 4))
-    assert np.array_equal(local.rmatvec(v), (scipy_csr(A).T @ v.ravel()).reshape(2, 3))
+    assert np.array_equal(local.csr.rmatvec(v.ravel()), scipy_csr(A).T @ v.ravel())
