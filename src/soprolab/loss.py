@@ -45,6 +45,7 @@ compute one agent alone; the stacked functions are checked against them.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -544,6 +545,11 @@ def _parse_lines(source):
 def parse_libsvm(source, dim: int | None = None):
     """Parse LIBSVM text into sparse rows and +-1 labels.
 
+    ``source`` is the file's text, as ``str`` or ``bytes``, or an open file,
+    which is read whole.  A ``str`` is always the text, never a file name;
+    a path object (``os.PathLike``) is refused with a
+    :class:`~soprolab.errors.ParameterError`.
+
     Each line that is neither blank nor a ``#`` comment is
     ``<label> <idx>:<val> ...`` with 1-based, strictly increasing indices.
     Lines, blanks and tokens are as ``str.splitlines`` and ``str.split``
@@ -572,6 +578,11 @@ def parse_libsvm(source, dim: int | None = None):
     entry count fit (the arrays of scipy's ``csr_matrix``), and ``(n,)``
     int labels.
     """
+    if isinstance(source, os.PathLike):
+        raise ParameterError(
+            f"parse_libsvm got the path {os.fspath(source)!r}; pass the file's text "
+            "or an open binary file"
+        )
     labels, lens, idx, val = _parse_lines(source)
     d = max(dim or 0, int(idx.max()) if idx.size else 0)
     idx -= 1

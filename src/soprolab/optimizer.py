@@ -47,18 +47,24 @@ Each takes the round's right-hand sides ``r_i = g_i + beta y_i + q_i``
 and curvature weights ``w_i`` and returns every ``x_i - (c_i I + B_i^T
 B_i)^{-1} r_i``:
 
-* ``rho < 1``, any shape, while ``k`` is at most twice CG's a-priori
-  iteration cap at ``rho`` (:func:`_cg_iterations`): :func:`row_step`
-  with the truncated Neumann series ``s = r / c``, then ``k`` times ``s
-  <- (r - B^T B s) / c``.  It is the Richardson iteration with the shift
-  as preconditioner (Saad 2003, *Iterative Methods for Sparse Linear
-  Systems*, ch. 4), and its relative error is at most ``rho^(k+1)``;
-  ``k`` is the least with ``rho^(k+1) <= 2^-53``, so the series is exact
-  to roundoff.  Under certified alphas the shift dwarfs the curvature
-  (``rho`` about 1e-6 on the a4a- and mushrooms-shaped problems, ``k =
-  2`` against a cap of 3); near ``rho = 1`` the series is far longer
-  than CG (270 terms against 17 at ``rho = 0.873``), and the rules below
-  apply.
+* ``rho < 1``, any shape, while the series' count to roundoff, the
+  least ``k`` with ``rho^(k+1) <= 2^-53``, is at most twice CG's
+  a-priori iteration cap at ``rho`` (:func:`_cg_iterations`; the
+  boundary lies between ``rho = 0.1738`` and ``0.1739``):
+  :func:`row_step` with the truncated Neumann series ``s = r / c``, then
+  ``k`` times ``s <- (r - B^T B s) / c``.  It is the Richardson iteration
+  with the shift as preconditioner (Saad 2003, *Iterative Methods for
+  Sparse Linear Systems*, ch. 4).  After ``k`` terms the residual is
+  ``(-B^T B / c)^(k+1) r``, at most ``rho^(k+1)`` of ``|r|``, and the
+  relative error at most ``(1 + rho) rho^(k+1)``.  The series runs the
+  least ``k`` with ``(1 + rho) rho^(k+1) <= CG_TOL``, so it stops where
+  CG stops, not at roundoff; only the choice reads the count to
+  roundoff.  Under certified alphas the shift dwarfs the curvature:
+  ``rho`` is about 1.6e-6 on the a4a-shaped problem and 7.8e-7 on the
+  200-agent one, which run 2 terms, and 2.7e-7 on the mushrooms-shaped
+  one, which runs 1.  Near ``rho = 1`` the series is far longer than CG
+  (270 terms to roundoff against a cap of 17 at ``rho = 0.873``), and
+  the rules below apply.
 * Otherwise, when ``S < C <= d``: :func:`gram_step`, which factors each
   agent's ``S x S`` Woodbury system from the Gram stack of its local set,
   computed once before round 0 (:func:`gram_stack`).  ``C <= d`` keeps
@@ -488,8 +494,11 @@ def _series_solve(apply_h, r: np.ndarray, c: np.ndarray, terms: int) -> np.ndarr
 
     ``apply_h(v)`` returns the ``H_i v_i`` of an ``(N, n)`` array ``v``.
     The series starts at ``s = r / c`` and takes ``terms`` Richardson steps
-    ``s <- (r - H s) / c``; with every ``||H_i|| <= rho c_i``, ``rho < 1``,
-    its relative error is at most ``rho^(terms + 1)``.
+    ``s <- (r - H s) / c``.  With every ``||H_i|| <= rho c_i``, ``rho < 1``,
+    each residual ``r_i - (c_i I + H_i) s_i`` is ``(-H_i / c_i)^(terms + 1)
+    r_i``, at most ``rho^(terms + 1)`` of ``|r_i|``, and each relative error
+    at most ``(1 + rho) rho^(terms + 1)``: :func:`proximal_engine` runs the
+    least ``terms`` that takes that bound to ``CG_TOL``.
     """
     c = c[:, None]
     s = r / c
@@ -578,7 +587,9 @@ def row_step(
 
     All agents are solved at once, with ``solve`` (see
     :func:`proximal_engine`): ``"series"``, ``terms`` terms of the
-    Neumann series, or ``"cg"``, conjugate gradients for at most ``terms``
+    Neumann series (the engine runs the fewest that take its relative
+    error to ``CG_TOL``, see :func:`_series_solve`), or ``"cg"``,
+    conjugate gradients for at most ``terms``
     iterations (in exact arithmetic CG ends within ``S + 1``, the most
     distinct eigenvalues a system of ``S`` weighted rows can have); an
     agent CG leaves above ``CG_TOL`` raises a
@@ -669,8 +680,9 @@ class Engine:
 
     ``solve`` is ``"series"`` or ``"cg"``, both by :func:`row_step`, or
     ``"cholesky"``, by :func:`gram_step`; ``terms`` is the series' term
-    count or CG's iteration cap, ``None`` on Cholesky; ``rho_bound``
-    bounds every ``||h_i - lam_i I|| / c_i``.
+    count, the least that takes its relative error to ``CG_TOL`` (not the
+    count to roundoff the choice reads), or CG's iteration cap, ``None``
+    on Cholesky; ``rho_bound`` bounds every ``||h_i - lam_i I|| / c_i``.
     """
 
     solve: str
@@ -678,16 +690,17 @@ class Engine:
     rho_bound: float
 
 
-def _series_terms(rho: float) -> int | None:
-    """The least ``k`` with ``rho^(k+1) <= 2^-53``; ``None`` if ``rho >= 1``."""
+def _series_terms(rho: float, tol: float = 2.0**-53) -> int | None:
+    """The least ``k`` with ``rho^(k+1) <= tol``, ``0 < tol < 1``; ``None``
+    if ``rho >= 1``."""
     if not rho < 1.0:
         return None
     if rho == 0.0:
         return 0
-    k = max(math.ceil(-53.0 * math.log(2.0) / math.log(rho)) - 1, 0)
-    while k > 0 and rho**k <= 2.0**-53:
+    k = max(math.ceil(math.log(tol) / math.log(rho)) - 1, 0)
+    while k > 0 and rho**k <= tol:
         k -= 1
-    while rho ** (k + 1) > 2.0**-53:
+    while rho ** (k + 1) > tol:
         k += 1
     return k
 
@@ -712,8 +725,10 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     is not is named in a :class:`~soprolab.errors.ConfigurationError`.  The
     solve follows from the bound ``rho``, the Hessian batch size ``S``
     (:meth:`RunConfig.batches`), ``C`` and ``d`` (see the module docstring):
-    the series when ``rho < 1`` and its term count is at most twice CG's
-    a-priori cap, else Cholesky by :func:`gram_step` when ``S < C <= d``,
+    the series when ``rho < 1`` and its term count to roundoff
+    (:func:`_series_terms` at ``2^-53``) is at most twice CG's a-priori
+    cap, run for the least ``k`` terms with ``(1 + rho) rho^(k+1) <=
+    CG_TOL``, else Cholesky by :func:`gram_step` when ``S < C <= d``,
     else CG, capped at the fewer of its a-priori cap and ``CG_SLACK (min(S,
     d) + 1)`` iterations.  A bound that is not finite (a shift so small
     that it overflows) is refused the same way, naming the first agent
@@ -735,7 +750,8 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     _, rows = config.batches(C)
     terms, cg_terms = _series_terms(rho), _cg_iterations(rho)
     if terms is not None and terms <= 2 * cg_terms:
-        solve = "series"
+        # Chosen by the count to roundoff; run to CG's tolerance.
+        solve, terms = "series", _series_terms(rho, CG_TOL / (1.0 + rho))
     elif rows < C <= d:
         solve, terms = "cholesky", None
     else:

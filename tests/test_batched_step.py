@@ -50,9 +50,14 @@ def rho_bound(feats, c):
 
 
 # Neumann series targets: each oracle test scales its rows until the
-# bound is each of these, then steps with the least term count that the
-# bound allows.
+# bound is each of these, then steps with the term count the engine runs.
 SERIES_RHOS = (1e-6, 1e-3, 0.3)
+
+
+def run_terms(rho):
+    """The series' term count :func:`optimizer.proximal_engine` runs at
+    ``rho``: the least ``k`` with ``(1 + rho) rho^(k+1) <= CG_TOL``."""
+    return optimizer._series_terms(rho, optimizer.CG_TOL / (1.0 + rho))
 
 
 def tight_first_agent(feats, weights):
@@ -119,12 +124,39 @@ def test_row_step_matches_dense_inverse_oracle(S):
     assert rho_bound(feats[:1], c[:1]) == rho_bound(feats, c)
     for rho in SERIES_RHOS:
         Fs = feats * np.sqrt(rho / rho_bound(feats, c))
-        terms = optimizer._series_terms(rho)
+        terms = run_terms(rho)
         for F, w in ((Fs, weights), with_zero_rows(Fs, weights)):
             out = step(F, w, c, "series", terms)
             for i in range(n):
                 A = Fs[i].T @ (weights[i, :, None] * Fs[i]) + c[i] * np.eye(d)
                 assert rel_err(out[i], x[i] - np.linalg.inv(A) @ rhs[i]) <= 1e-12
+
+
+@pytest.mark.parametrize("rho", SERIES_RHOS)
+def test_the_series_runs_to_cg_tolerance_and_no_further(rho):
+    # Agent 0's right-hand side lies along its one curvature direction,
+    # whose eigenvalue is the bound rho c_0: there the series' residual and
+    # relative error after k terms are both rho^(k+1), the most the bound
+    # allows.  The count the engine runs takes both to CG_TOL against the
+    # dense solve; one term fewer has a bound above it.
+    rng = np.random.default_rng(3)
+    n, S, d = 4, 20, 15
+    feats, weights = tight_first_agent(rng.standard_normal((n, S, d)),
+                                       rng.uniform(0.0, 0.25, (n, S)) / S)
+    c = np.geomspace(0.5, 2.0, n)
+    feats *= np.sqrt(rho / rho_bound(feats, c))
+    rhs = rng.standard_normal((n, d))
+    rhs[0] = feats[0, 0]
+    terms = run_terms(rho)
+    s = -row_step(np.zeros((n, d)), rhs, rows(feats), weights.ravel(), c, "series", terms)
+    for i in range(n):
+        A = feats[i].T @ (weights[i, :, None] * feats[i]) + c[i] * np.eye(d)
+        assert rel_err(s[i], np.linalg.solve(A, rhs[i])) <= optimizer.CG_TOL
+        assert rel_err(A @ s[i], rhs[i]) <= optimizer.CG_TOL
+    assert rel_err(s[0], rhs[0] / (c[0] * (1.0 + rho))) == pytest.approx(
+        rho ** (terms + 1), rel=0.01, abs=1e-15)
+    assert (1.0 + rho) * rho ** (terms + 1) <= optimizer.CG_TOL
+    assert (1.0 + rho) * rho**terms > optimizer.CG_TOL
 
 
 def definite_small_systems(n, S, d):
@@ -717,10 +749,14 @@ def test_series_terms_are_the_least_that_reach_roundoff():
     assert optimizer._series_terms(1.6e-6) == 2
     for rho in (1.0, 1.5, np.inf, np.nan):
         assert optimizer._series_terms(rho) is None
-    for rho in np.geomspace(1e-12, 0.999, 60):
-        k = optimizer._series_terms(rho)
-        assert rho ** (k + 1) <= 2.0**-53
-        assert k == 0 or rho**k > 2.0**-53
+    for tol in (2.0**-53, optimizer.CG_TOL):
+        assert optimizer._series_terms(0.0, tol) == 0
+        for rho in np.geomspace(1e-12, 0.999, 60):
+            k = optimizer._series_terms(rho, tol)
+            assert rho ** (k + 1) <= tol
+            assert k == 0 or rho**k > tol
+    # The engine's run count at the bench shapes' bounds.
+    assert [run_terms(rho) for rho in (1.59e-6, 2.65e-7, 7.84e-7)] == [2, 1, 2]
 
 
 def one_hot_sets(n, count, attributes, columns, seed=0, lam=0.01):
@@ -735,23 +771,27 @@ def one_hot_sets(n, count, attributes, columns, seed=0, lam=0.01):
     return stack_sets(feats, labels, lam)
 
 
+# The series runs the fewest terms that reach CG's tolerance: 2 at the
+# a4a- and 200-agent shapes' bounds, 1 at the mushrooms shape's, where
+# the bound is below sqrt(CG_TOL).
 @pytest.mark.parametrize(
-    "n, count, attributes, columns, degree, algorithm, batch",
+    "n, count, attributes, columns, degree, algorithm, batch, terms",
     [
-        (20, 239, 14, 123, 5.0, "st_sopro", 80),  # a4a-like
-        (10, 600, 22, 112, 4.0, "sopro", 80),  # mushrooms-like, full batch
-        (200, 40, 14, 123, 5.0, "st_sopro", 20),  # many small agents
+        pytest.param(20, 239, 14, 123, 5.0, "st_sopro", 80, 2, id="a4a-like"),
+        pytest.param(10, 600, 22, 112, 4.0, "sopro", 80, 1, id="mushrooms-like"),
+        pytest.param(200, 40, 14, 123, 5.0, "st_sopro", 20, 2, id="200-agents"),
     ],
 )
-def test_certified_runs_of_benchmark_shapes_take_the_series_with_two_terms(
-    n, count, attributes, columns, degree, algorithm, batch
+def test_certified_runs_of_benchmark_shapes_take_the_series(
+    n, count, attributes, columns, degree, algorithm, batch, terms
 ):
     local = one_hot_sets(n, count, attributes, columns)
     P = build_random_connected_graph(n, degree, seed=0)
     config = RunConfig(batch_g=batch, batch_s=batch, max_iters=1, seed=0, algorithm=algorithm)
     engine = optimizer.proximal_engine(local, config, certified_alphas(P, local))
-    assert (engine.solve, engine.terms) == ("series", 2)
+    assert (engine.solve, engine.terms) == ("series", terms)
     assert engine.rho_bound < 2e-6
+    assert optimizer._series_terms(engine.rho_bound) == 2
 
 
 def test_the_bounds_and_the_engine_read_one_curvature_bound(monkeypatch):
@@ -857,9 +897,10 @@ def test_cg_names_the_first_agent_it_leaves_above_its_tolerance():
 
 @pytest.mark.parametrize("rho, solve", [(0.873, "cg"), (1.6e-6, "series")])
 def test_the_series_is_taken_only_while_it_is_at_most_twice_the_cg_cap(rho, solve):
-    # At rho = 0.873 the series needs 270 terms against CG's cap of 17; at
-    # the certified bench runs' rho it needs 2 against 3.  S >= d: no Gram
-    # path, so CG takes the row step.
+    # At rho = 0.873 the series needs 270 terms to roundoff against CG's
+    # cap of 17; at the certified bench runs' rho it needs 2 against 3, and
+    # runs 2 to CG's tolerance.  S >= d: no Gram path, so CG takes the row
+    # step.
     P, local = make_problem(6, 40, 15)
     config = RunConfig(batch_g=10, batch_s=20, max_iters=2, seed=0)
     shift = np.full(6, 0.25 * local.row_sq.max() / rho)
@@ -867,8 +908,27 @@ def test_the_series_is_taken_only_while_it_is_at_most_twice_the_cg_cap(rho, solv
     assert engine.rho_bound == pytest.approx(rho, rel=1e-12)
     series, cap = optimizer._series_terms(rho), optimizer._cg_iterations(rho)
     assert (series, cap) == ((270, 17) if solve == "cg" else (2, 3))
-    assert (engine.solve, engine.terms) == (solve, cap if solve == "cg" else series)
+    assert (engine.solve, engine.terms) == (solve, cap if solve == "cg" else run_terms(rho))
     assert np.isfinite(run(P, local, config, shift - local.lam).x).all()
+
+
+@pytest.mark.parametrize("rho, solve, terms", [(0.1738, "series", 17), (0.1739, "cg", 10)])
+def test_the_choice_reads_the_count_to_roundoff_not_the_run_count(rho, solve, terms):
+    # To roundoff the series needs 20 terms at rho = 0.1738 and 21 at
+    # 0.1739, against twice CG's cap of 10 at both: the boundary lies
+    # between them.  The series taken at 0.1738 runs 17 terms, to CG's
+    # tolerance; choosing by that count would move the boundary to about
+    # rho = 0.30, where CG is the faster solve.
+    P, local = make_problem(6, 40, 15)
+    config = RunConfig(batch_g=10, batch_s=20, max_iters=2, seed=0)
+    shift = np.full(6, 0.25 * local.row_sq.max() / rho)
+    engine = optimizer.proximal_engine(local, config, shift - local.lam)
+    assert engine.rho_bound == pytest.approx(rho, rel=1e-12)
+    assert optimizer._cg_iterations(engine.rho_bound) == 10
+    assert optimizer._series_terms(engine.rho_bound) == (20 if solve == "series" else 21)
+    assert (engine.solve, engine.terms) == (solve, terms)
+    if solve == "series":
+        assert engine.terms == run_terms(engine.rho_bound)
 
 
 @pytest.mark.parametrize("rho", [1.0, 17.0, 1e3])

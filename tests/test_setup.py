@@ -317,6 +317,21 @@ def test_parse_refuses_invalid_utf8_at_the_line_of_the_first_bad_byte(data, line
     assert str(e.value) == f"line {line}: invalid UTF-8 byte {byte:#04x}"
 
 
+def test_parse_refuses_a_path_and_reads_a_str_as_the_text(tmp_path):
+    path = tmp_path / "data.svm"
+    path.write_text("+1 1:1\n-1 2:1\n")
+    with pytest.raises(ParameterError, match="got the path .*data.svm.*; pass the file's text "
+                                             "or an open binary file"):
+        parse_libsvm(path)
+    # A str is the text: a file name is one data line with a bad label.
+    with pytest.raises(ParseError) as e:
+        parse_libsvm(str(path))
+    assert e.value.line == 1 and "bad label token" in str(e.value)
+    with open(path, "rb") as f:
+        rows, labels = parse_libsvm(f)
+    assert labels.tolist() == [1, -1] and rows.shape == (2, 2)
+
+
 @pytest.mark.parametrize("past", [False, True])
 def test_parse_switches_its_index_buffer_to_int64_once_an_index_passes_int32(past):
     # One line a slice: the first two slices' entries are written into
