@@ -109,7 +109,8 @@ class ExperimentConfig(optimizer.RunConfig):
 
 # Checked whenever a config is made, by coercion, replace() or directly,
 # as is a positive lambda_reg; an unset key is not checked.
-_LEAST = {"seeds": 1, "test_size": 0, "master_seed": 0, "topology_seed": 0, "data_seed": 0}
+_LEAST = {"seeds": 1, "per_agent": 1, "test_size": 0, "master_seed": 0, "topology_seed": 0,
+          "data_seed": 0}
 
 
 def _schema() -> tuple[dict[str, type], frozenset[str]]:

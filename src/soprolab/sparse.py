@@ -11,6 +11,13 @@ from the installed scipy's directory without importing any scipy package,
 and :class:`Csr` holds a matrix as the three arrays of scipy's CSR matrix
 and calls the kernels on them as scipy's methods do, so every product and
 every row gather is bitwise equal to scipy's.
+
+Arrays from outside the module, through the constructor (which
+:func:`~soprolab.loss.partition` and :meth:`Csr.from_dense` use), pass
+every check of :class:`Csr`.  A row gather, :meth:`Csr.take`, checks its
+row numbers and returns its result without checking it again: it only
+copies a checked matrix's entries, so the result holds by construction
+what the constructor would check.
 """
 
 from __future__ import annotations
@@ -74,7 +81,8 @@ class Csr:
     never decrease and the column indices lie in ``0..n-1``, so no product
     or gather reads or writes outside its arrays.  Those checks, and the
     :attr:`row_lengths` computed once, hold only while the arrays do not
-    change.
+    change.  :meth:`take` builds its result without them, from arrays that
+    satisfy them by construction.
     """
 
     indptr: np.ndarray
@@ -187,7 +195,14 @@ class Csr:
         ``0..m-1``, in their order: scipy's ``csr[rows]``, which copies the
         rows' entries with ``csr_row_index`` into arrays allocated once and
         keeps the index type.  The row pointers are the running sum of the
-        rows' :attr:`row_lengths`."""
+        rows' :attr:`row_lengths`.
+
+        Only the row numbers are checked: a 1-D integer array, each in
+        ``0..m-1``.  The result is not checked again, as it holds what the
+        constructor checks by construction: ``csr_row_index`` copies
+        entries of this checked matrix, so the row pointers are a running
+        sum of non-negative lengths from 0 to the copied count, and the
+        indices keep their index type and their range ``0..n-1``."""
         rows = np.asarray(rows)
         m, n = self.shape
         if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
@@ -204,4 +219,13 @@ class Csr:
             rows.size, rows.astype(index, copy=False), self.indptr, self.indices, self.data,
             indices, data,
         )
-        return Csr(indptr, indices, data, (rows.size, n))
+        return _unchecked(indptr, indices, data, (rows.size, n))
+
+
+def _unchecked(indptr, indices, data, shape: tuple[int, int]) -> Csr:
+    """The :class:`Csr` over arrays that hold by construction what its
+    constructor checks, built without the checks: only :meth:`Csr.take`
+    makes one, from entries it copied out of a checked matrix."""
+    matrix = object.__new__(Csr)
+    matrix.__dict__.update(indptr=indptr, indices=indices, data=data, shape=shape)
+    return matrix

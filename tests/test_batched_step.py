@@ -545,19 +545,26 @@ def test_csr_rounds_match_dense_rounds_on_one_hot_sets(case):
 
 def spy_on_operators(monkeypatch, log):
     """Append ``(name, operator, result)`` to ``log`` for every product of a
-    :class:`Csr` and of its transpose and every row gather."""
+    :class:`Csr` and of its transpose and every row gather, and
+    ``("__post_init__", operator, None)`` for every run of the constructor's
+    checks."""
     def spy(name):
         real = getattr(Csr, name)
 
-        def wrapper(self, arg):
-            out = real(self, arg)
+        def wrapper(self, *arg):
+            out = real(self, *arg)
             log.append((name, self, out))
             return out
 
         return wrapper
 
-    for name in ("__matmul__", "rmatvec", "take"):
+    for name in ("__matmul__", "rmatvec", "take", "__post_init__"):
         monkeypatch.setattr(Csr, name, spy(name))
+
+
+def constructor_checks(calls):
+    """How many of the logged ``calls`` ran the constructor's checks."""
+    return sum(name == "__post_init__" for name, _, _ in calls)
 
 
 @pytest.mark.parametrize("sets", ["dense", "csr"])
@@ -571,7 +578,9 @@ def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
     # operator.  At S = C (SoPro) nothing is gathered: one product of the
     # operator and one of its transpose serve the margins and the gradient.
     # Each term of the series, or each CG iteration, then makes one product
-    # of the Hessian batch's operator and one of its transpose.
+    # of the Hessian batch's operator and one of its transpose.  No round
+    # runs the constructor's checks: a gather's rows hold them by
+    # construction.
     n, C, d = 6, 40, 15
     P, local = make_problem(n, C, d, sparse=sets == "csr")
     config = RunConfig(batch_g=10, batch_s=20, max_iters=3, seed=1, algorithm=algorithm)
@@ -589,6 +598,7 @@ def test_row_rounds_read_batches_through_matvec(algorithm, sets, monkeypatch):
         assert len(marks) == config.max_iters + 1
         for a, b in zip(marks, marks[1:]):
             calls = log[a + 1 : b]
+            assert constructor_checks(calls) == 0
             if S < C:
                 (take_g, source_g, grad_batch), *calls = calls
                 assert take_g == "take" and source_g is local.csr
@@ -637,7 +647,8 @@ def test_baseline_rounds_read_only_their_gradient_batch(algorithm, G, monkeypatc
     # local sets' operator and makes one product of the gathered operator,
     # for the margins, and one of its transpose, for the gradient: no
     # product reads the whole sets.  At G = C nothing is gathered, and the
-    # two products are of the operator itself.
+    # two products are of the operator itself.  No round runs the
+    # constructor's checks.
     n, C, d = 6, 40, 15
     P, local = make_problem(n, C, d, sparse=True)
     config = RunConfig(batch_g=G, batch_s=G, max_iters=3, seed=1, algorithm=algorithm,
@@ -649,6 +660,7 @@ def test_baseline_rounds_read_only_their_gradient_batch(algorithm, G, monkeypatc
     assert len(marks) == config.max_iters + 1
     for a, b in zip(marks, marks[1:]):
         calls = log[a + 1 : b]
+        assert constructor_checks(calls) == 0
         if G < C:
             (gather, source, batch), *products = calls
             assert gather == "take" and source is local.csr

@@ -174,7 +174,7 @@ def test_rerun_writes_identical_trace_apart_from_out_dir(tmp_path):
 
 
 # st_sopro_one_hot reads a LIBSVM file whose rows set 4 of 20 columns.
-@pytest.mark.parametrize("algorithm", ["st_sopro", "sopro", "dsgd", "st_sopro_one_hot"])
+@pytest.mark.parametrize("algorithm", ["st_sopro", "sopro", "dsgd", "dsgt", "st_sopro_one_hot"])
 def test_trace_header_names_the_proximal_engine(tmp_path, algorithm):
     dataset = "synthetic"
     if algorithm == "st_sopro_one_hot":
@@ -185,11 +185,17 @@ def test_trace_header_names_the_proximal_engine(tmp_path, algorithm):
     config = ExperimentConfig(
         dataset=dataset, dim=20, n_agents=4, per_agent=30, test_size=20, batch_g=5,
         batch_s=5, max_iters=3, algorithm=algorithm,
-        step_size=0.5 if algorithm == "dsgd" else None, out=str(tmp_path),
+        step_size=0.5 if algorithm in ("dsgd", "dsgt") else None, out=str(tmp_path),
     )
     result = run_experiment(config)
+    # Every row holds Python numbers: a numpy scalar would still be written
+    # as a JSON number, and so pass every check of the file.
+    for row in result.traces[0].rows:
+        for f in dataclasses.fields(row):
+            assert type(getattr(row, f.name)) in (int, float, type(None)), f.name
+    assert type(result.traces[0].rows[-1].test_acc) is float
     header, _ = trace_lines(result.trace_paths[0])
-    if algorithm == "dsgd":
+    if algorithm in ("dsgd", "dsgt"):
         assert header["engine"] is None
         return
     _, alphas, _, _ = build_certificate(config, result.problem)
@@ -596,6 +602,21 @@ def test_cli_refuses_no_seeds_and_a_negative_test_size(command, flag, value, tmp
     least = 1 if key == "seeds" else 0
     assert err.startswith("error: ") and f"key {key!r} needs at least {least}, got {value}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value, algorithm", [("0", "st_sopro"), ("-1", "st_sopro"),
+                                              ("0", "sopro")])
+def test_cli_refuses_a_non_positive_per_agent_under_its_own_key(value, algorithm, tmp_path,
+                                                                capsys):
+    # Not as a batch size outside 1..per_agent, which the run check would name.
+    argv = ["run", *SMALL, "--per-agent", value, "--algorithm", algorithm,
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: key 'per_agent' needs at least 1, got {value}\n"
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigurationError, match=f"key 'per_agent' needs at least 1, got {value}"):
+        ExperimentConfig(per_agent=int(value))
 
 
 def test_config_schema_is_the_fields_of_experiment_config():

@@ -645,7 +645,9 @@ def test_accuracy_reads_a_csr_test_set_as_the_dense_one():
     assert isinstance(sparse.features, Csr)
     for x in np.random.default_rng(0).standard_normal((5, 12)):
         assert np.allclose(sparse.features @ x, features @ x, rtol=0, atol=1e-14)
-        assert accuracy(x, sparse) == np.mean(np.where(features @ x >= 0.0, 1, -1) == labels)
+        got = accuracy(x, sparse)
+        want = np.mean(np.where(features @ x >= 0.0, 1, -1) == labels)
+        assert type(got) is float and got.hex() == float(want).hex()
 
 
 @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])

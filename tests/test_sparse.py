@@ -74,6 +74,9 @@ def test_products_and_row_gathers_are_scipys_bitwise(pair, seed):
         assert np.array_equal(taken.indptr, wanted.indptr)
         assert np.array_equal(taken.indices, wanted.indices)
         assert same(taken.data, wanted.data)
+        # take skips the constructor's checks; its arrays pass them.
+        assert [type(size) for size in taken.shape] == [int, int]
+        Csr(taken.indptr, taken.indices, taken.data, taken.shape)
 
 
 # (data, indices, indptr, shape) that scipy's constructor refuses.
