@@ -4,17 +4,10 @@ DSGD mixes neighbor iterates and steps along a batch gradient; DSGT
 additionally exchanges a gradient tracker whose network sum always equals
 the sum of the current batch gradients.  :func:`first_order` sets either
 up for the engine's round loop, which checks every iterate and tallies the
-traffic.  A round is array operations over all agents: the gradient
-batches come from the proximal engine's batched draw (one substream per
-round keys every agent's batch with 53-bit integer keys, see
-:func:`soprolab.optimizer.draw_positions`) and its stacked gradient, so
-comparisons against the proximal methods share identical data, topology,
-and noise realizations.  A gradient is one
-:func:`~soprolab.loss.sets_grad` of the batch at the flat positions ``i C
-+ j`` that :func:`~soprolab.optimizer.batch_positions` draws, as in a
-proximal round: it gathers the batch's rows once and reads no other row
-(at ``G = C``, the whole local sets, gathered by no one).  The
-Metropolis mixing matrix ``W`` is held as the
+traffic.  A round is array operations over all agents.  Its batch
+gradients come from :func:`soprolab.optimizer.gradient`, the proximal
+methods' estimator, so comparisons share identical data, topology and
+noise realizations.  The Metropolis mixing matrix ``W`` is held as the
 :class:`~soprolab.topology.MatrixP` ``L = I - W``
 (:func:`metropolis_matrix`), and a mix is ``x - L.disagreement(x)``: the
 exchange of the proximal methods, as CSR on a sparse network, at ``O(|E|
@@ -25,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .loss import StackedSets, sets_grad
-from .optimizer import PURPOSE_GRAD, NetworkState, RunConfig, batch_positions, initial_iterates
+from .loss import StackedSets
+from .optimizer import NetworkState, RunConfig, gradient, initial_iterates
 from .topology import MatrixP, laplacian_weights
 
 __all__ = [
@@ -57,12 +50,6 @@ def _step_size(config: RunConfig, k: int) -> float:
     return config.step_size
 
 
-def _batch_grads(x, local: StackedSets, config: RunConfig, round_idx: int) -> np.ndarray:
-    """The round's batch gradients, at the flat positions of its draw."""
-    idx = batch_positions(local, config.batch_g, config.seed, round_idx, PURPOSE_GRAD)
-    return sets_grad(x, local, idx)
-
-
 def _mix(v: np.ndarray, L: MatrixP) -> np.ndarray:
     """``v - L v`` (``W v``), written into the new array that
     ``L.disagreement`` returns."""
@@ -70,21 +57,20 @@ def _mix(v: np.ndarray, L: MatrixP) -> np.ndarray:
     return np.subtract(v, out, out=out)
 
 
-def dsgd_round(x, L: MatrixP, local: StackedSets, config: RunConfig, k: int) -> np.ndarray:
+def dsgd_round(x, L: MatrixP, grad, config: RunConfig, k: int) -> np.ndarray:
     """Round ``k``: mix neighbor iterates through ``W = I - L``, step along
-    the batch gradient; return the new iterates.
+    the batch gradient ``grad(x, k)`` (:func:`~soprolab.optimizer.gradient`);
+    return the new iterates.
 
     ``(x - L x) - s g`` is computed in place, in the mix's array."""
     out = _mix(x, L)
-    out -= _step_size(config, k) * _batch_grads(x, local, config, k)
+    out -= _step_size(config, k) * grad(x, k)
     return out
 
 
-def dsgt_round(
-    x, tracker, last_grads, L: MatrixP, local: StackedSets, config: RunConfig, k: int
-):
+def dsgt_round(x, tracker, last_grads, L: MatrixP, grad, config: RunConfig, k: int):
     """Gradient-tracking round ``k``; iterates and trackers are both mixed
-    through ``W = I - L``.
+    through ``W = I - L``, and the batch gradients are ``grad(x, k + 1)``.
 
     Returns the new iterates, the new tracker and the batch gradients at
     the new iterates, which the next round's tracker update subtracts.
@@ -93,7 +79,7 @@ def dsgt_round(
     """
     x = _mix(x, L)
     x -= _step_size(config, k) * tracker
-    grads = _batch_grads(x, local, config, k + 1)
+    grads = grad(x, k + 1)
     tracker = _mix(tracker, L)
     tracker += grads
     tracker -= last_grads
@@ -113,18 +99,19 @@ def first_order(P: MatrixP, local: StackedSets, config: RunConfig):
     """
     L = metropolis_matrix(P)
     x = initial_iterates(P, local, config)
+    grad = gradient(local, config)
     state = NetworkState(x=x, q=np.zeros_like(x), y=np.zeros_like(x))
     sent = 2 * P.n_edges * state.dim
     if config.algorithm == "dsgd":
         def dsgd(state: NetworkState, k: int) -> None:
-            state.x = dsgd_round(state.x, L, local, config, k)
+            state.x = dsgd_round(state.x, L, grad, config, k)
 
         return state, dsgd, 0, sent
 
-    tracker = grads = _batch_grads(x, local, config, 0)
+    tracker = grads = grad(x, 0)
 
     def dsgt(state: NetworkState, k: int) -> None:
         nonlocal tracker, grads
-        state.x, tracker, grads = dsgt_round(state.x, tracker, grads, L, local, config, k)
+        state.x, tracker, grads = dsgt_round(state.x, tracker, grads, L, grad, config, k)
 
     return state, dsgt, 0, 2 * sent

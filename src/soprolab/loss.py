@@ -23,21 +23,18 @@ the block-diagonal CSR operator of one :class:`StackedSets`, which every
 later layer takes, or in the CSR test set.  Every product of a CSR matrix
 runs in scipy's compiled kernels, loaded without importing
 ``scipy.sparse`` (see :mod:`soprolab.sparse`).  A round reads only its
-batches' rows: :func:`sets_grad` gathers the gradient batch's from
-``csr`` once, and a proximal round then gathers its Hessian batch's.  A
-batch that is the whole local sets is ``csr`` itself, gathered by no one.
-The set-up reads the local sets densely through
-:meth:`StackedSets.agent_chunks` alone, a run of whole agents of at most
-``READ_CHUNK_ROWS`` rows at a time, in float64 for the noise estimate and
-the Gram stack, and in float32 with every row scaled, for the reference
-Hessian.  The stacked functions (:func:`sets_grad`,
-:func:`sigma_sq_estimate`, and :func:`logistic_coef` and
-:func:`logistic_curvature` of stacked margins) work on all agents at
+batches' rows (see :func:`soprolab.optimizer.gradient`).  The set-up reads
+the local sets densely through :meth:`StackedSets.agent_chunks` alone, a
+run of whole agents of at most ``READ_CHUNK_ROWS`` rows at a time, in
+float64 for the noise estimate and the Gram stack, and in float32 with
+every row scaled, for the reference Hessian.  The stacked functions
+(:func:`sets_grad`, :func:`sigma_sq_estimate`, and :func:`logistic_coef`
+and :func:`logistic_curvature` of stacked margins) work on all agents at
 once; :func:`sets_grad` is the one gradient over stacked sets, for the
-set-up, the proximal rounds and the baselines alike.  Every logistic
-probability is :func:`sigmoid`, ``scipy.special.expit``'s formula on
-numpy's ``exp``: it equals ``expit`` on about 98% of inputs and is
-within a few ulps of it on the rest, and it imports no scipy module.
+set-up and, through :func:`soprolab.optimizer.gradient`, every round.
+Every logistic probability is :func:`sigmoid`, ``scipy.special.expit``'s
+formula on numpy's ``exp``: it equals ``expit`` on about 98% of inputs and
+is within a few ulps of it on the rest, and it imports no scipy module.
 The per-agent :class:`LocalDataset` and its :func:`batch_grad`,
 :func:`batch_hess` (a :class:`LowRankHessian`) and :func:`full_grad`
 compute one agent alone; the stacked functions are checked against them.

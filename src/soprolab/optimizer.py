@@ -85,16 +85,12 @@ B_i)^{-1} r_i``:
   raises a :class:`~soprolab.errors.DivergenceError` naming it and the
   round, rather than iterate on a system too ill-conditioned to solve.
 
-A batch is drawn as flat positions in the whole local sets
-(:func:`batch_positions`), and a round reads only its batches' rows.
-:func:`~soprolab.loss.sets_grad` gathers the gradient batch's rows
-(:meth:`~soprolab.sparse.Csr.take` of the local sets' block-diagonal CSR
-operator, :class:`~soprolab.loss.StackedSets`) for the gradients, hence
-``r``, and frees them on return.  The round then gathers the Hessian
-batch's rows into the ``(N S, N d)`` block-diagonal batch operator
-``F``, whose product gives the margins of the curvature weights ``w``.
-A whole-set batch is the operator itself, with no gather; when both are
-(SoPro), one product of it serves the gradients and ``w``.  Every solve
+A round reads only its batches' rows.  Every method takes its gradients
+from :func:`gradient`, hence ``r``; the proximal round then gathers the
+Hessian batch's rows into the ``(N S, N d)`` block-diagonal batch
+operator ``F``, whose product gives the margins of the curvature weights
+``w``.  A whole-set batch is the local sets' operator itself; when both
+are (SoPro), one product of it serves the gradients and ``w``.  Every solve
 reads only ``F``: the row solves apply ``F_i^T (w_i (F_i v))`` by one
 product of ``F`` and one of its transpose a term or iteration, with no
 system formed and no row factored, and the Gram step reads ``F r`` by
@@ -117,8 +113,7 @@ C)`` array of uniform 53-bit integer keys (the integers whose doubles ``k
 smallest, with the lowest positions first should several tie there.  One
 sort per row finds that threshold and one mask gives the batch as flat
 positions, agent-major and ascending.  Draws are thus a pure function of their
-label, independent of execution order, and the first-order baselines
-draw the same batches as the proximal methods.
+label, independent of execution order.
 """
 
 from __future__ import annotations
@@ -152,6 +147,7 @@ __all__ = [
     "draw_positions",
     "sample_batches",
     "batch_positions",
+    "gradient",
     "check_finite",
     "initial_iterates",
     "init_network",
@@ -222,17 +218,18 @@ class RunConfig:
     step_size: float | None = None  # baselines only
     step_schedule: str = "constant"
 
-    def batches(self, n_samples: int) -> tuple[int, int]:
+    def batches(self, n_samples: int) -> tuple[int, int | None]:
         """The gradient and Hessian batch sizes ``(G, S)`` on local sets of
         ``n_samples`` rows: SoPro's are the whole sets, whatever
-        ``batch_g`` and ``batch_s`` say."""
+        ``batch_g`` and ``batch_s`` say, and ``S`` is ``None`` for the
+        baselines, which draw no Hessian batch."""
         if self.algorithm == "sopro":
             return n_samples, n_samples
-        return self.batch_g, self.batch_s
+        return self.batch_g, (self.batch_s if self.algorithm in PROXIMAL else None)
 
     def validate(self, n_samples: int) -> None:
         """Refuse a bad parameter; ``n_samples`` is the size ``C`` of every
-        local set, which bounds both :meth:`batches`."""
+        local set, which bounds every size :meth:`batches` gives."""
         if self.algorithm not in ALGORITHMS:
             raise ConfigurationError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
@@ -252,7 +249,7 @@ class RunConfig:
         if self.step_schedule not in ("constant", "one_over_k"):
             raise ConfigurationError(f"unknown step_schedule {self.step_schedule!r}")
         for name, b in zip(("batch_g", "batch_s"), self.batches(n_samples)):
-            if not 1 <= b <= n_samples:
+            if b is not None and not 1 <= b <= n_samples:
                 raise ConfigurationError(f"{name}={b} outside 1..{n_samples}")
 
 
@@ -339,12 +336,11 @@ def batch_positions(
     ``None`` when the batches are the whole sets (``size == C``), which
     need no draw.
 
-    A round gathers its batches' rows by these positions (see
-    :func:`~soprolab.loss.sets_grad`), and its labels by a flat take.
     Every agent's ``size`` positions are checked to lie inside its own
-    set: the row gathers check them only against the whole ``N C`` rows,
-    and the flat takes against the whole ``(N, C)`` array (and wrap a
-    negative position), so another agent's row would pass them.
+    set: a round's row gathers (:meth:`~soprolab.sparse.Csr.take`) check
+    them only against the whole ``N C`` rows, and its label takes against
+    the whole ``(N, C)`` array (and wrap a negative position), so another
+    agent's row would pass them.
     """
     n, C = local.labels.shape
     if size == C:
@@ -355,6 +351,29 @@ def batch_positions(
     if not (flat.reshape(n, size) // C == np.arange(n)[:, None]).all():
         raise InvariantViolation(f"round {round_idx}: drawn index outside a local set")
     return flat
+
+
+def gradient(local: StackedSets, config: RunConfig):
+    """The gradient estimator of every method, built once a run before round 0.
+
+    Returns ``grad(x, k, margins=None)``: :func:`~soprolab.loss.sets_grad`
+    at ``x`` over round ``k``'s gradient batch, every agent's ``G`` rows
+    (:meth:`RunConfig.batches`) drawn by :func:`batch_positions` under
+    ``(config.seed, k, PURPOSE_GRAD)``.  It gathers only the batch's rows
+    and frees them on return; a whole-set batch (``G = C``) is neither
+    drawn nor gathered, and ``margins``, the whole sets' ``local.csr @ x``,
+    spare its product (SoPro shares them).  This is the one draw of a
+    gradient batch, so all four methods read the same batches: label ``k``
+    in round ``k`` of the proximal methods and DSGD, ``k + 1`` in DSGT's
+    round ``k`` and ``0`` at its set-up.
+    """
+    G, _ = config.batches(local.shape[1])
+    seed = config.seed
+
+    def grad(x: np.ndarray, k: int, margins: np.ndarray | None = None) -> np.ndarray:
+        return sets_grad(x, local, batch_positions(local, G, seed, k, PURPOSE_GRAD), margins)
+
+    return grad
 
 
 def check_finite(x: np.ndarray, round_idx: int) -> None:
@@ -762,24 +781,20 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
 def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     """St-SoPro or SoPro, set up for :func:`run`.
 
-    ``alphas`` is the ``(N,)`` vector of the proximal matrices
-    ``D_i = alphas[i] I``.  Each round draws the positions of the gradient
-    and Hessian batches of the sizes :meth:`RunConfig.batches` gives by
-    :func:`batch_positions` (SoPro's are the whole sets, which need no
-    draw).  :func:`~soprolab.loss.sets_grad` of the gradient batch gives
-    the right-hand sides ``g_i + beta y_i + q_i``.  The Hessian batch's
-    rows are then gathered, by one :meth:`~soprolab.sparse.Csr.take` of
-    the local sets' operator, into the ``(N S, N d)`` batch operator (at
-    ``S = C`` it is the operator itself), whose product gives the margins
-    of the curvature weights ``w``; no two gathered operators are alive at
-    once.  When both batches are the whole sets (SoPro), one product of
-    the operator gives the margins of both.  One batched solve of all
-    agents on the batch operator then applies every ``(h_i + D_i)^{-1}``
-    to the right-hand sides, by the solve :func:`proximal_engine` chooses
-    here: :func:`row_step` by the Neumann series or by CG, or
-    :func:`gram_step` (its Gram stack computed here once) by Cholesky.
-    SoPro's trace is thus bitwise identical to St-SoPro's at ``G = S =
-    C``.
+    ``alphas`` is the ``(N,)`` vector of the proximal matrices ``D_i =
+    alphas[i] I``.  A round adds ``beta y_i + q_i`` to its gradients from
+    :func:`gradient` for the right-hand sides.  It then gathers its Hessian
+    batch, drawn by :func:`batch_positions`, by one
+    :meth:`~soprolab.sparse.Csr.take` of the local sets' operator into the
+    ``(N S, N d)`` batch operator (at ``S = C`` the operator itself), whose
+    product gives the margins of the curvature weights ``w``; no two
+    gathered operators are alive at once, and at ``G = S = C`` (SoPro) one
+    product of the operator gives the margins of both.  One batched solve
+    of all agents on the batch operator then applies every ``(h_i +
+    D_i)^{-1}``, by the solve :func:`proximal_engine` chooses here:
+    :func:`row_step` by the Neumann series or by CG, or :func:`gram_step`
+    (its Gram stack computed here once) by Cholesky.  SoPro's trace is thus
+    bitwise identical to St-SoPro's at ``G = S = C``.
 
     Returns the state after the initial exchange, its ``engine`` set, the
     round function, and the ``2 |E| d`` scalars each exchange sends, at
@@ -794,22 +809,22 @@ def proximal(P: MatrixP, local: StackedSets, config: RunConfig, alphas):
     state = init_network(P, local, config)
     engine = state.engine = proximal_engine(local, config, alphas)
     gram = gram_stack(local) if engine.solve == "cholesky" else None
+    grad = gradient(local, config)
     G, S = config.batches(local.shape[1])
     beta, seed = config.beta, config.seed
     shift = local.lam + alphas
     sent = 2 * P.n_edges * state.dim
 
     def proximal_round(state: NetworkState, k: int) -> None:
-        g_idx = batch_positions(local, G, seed, k, PURPOSE_GRAD)
         s_idx = batch_positions(local, S, seed, k, PURPOSE_HESS)
-        if g_idx is None and s_idx is None:
+        if s_idx is None and G == S:  # both batches are the whole sets
             batch = local.csr
             u = batch @ state.x.ravel()
-            rhs = sets_grad(state.x, local, None, u)
+            rhs = grad(state.x, k, u)
         else:
-            # sets_grad frees its gathered rows before the Hessian batch's
-            # are gathered: no two batch operators are alive at once.
-            rhs = sets_grad(state.x, local, g_idx)
+            # grad frees its gathered rows before the Hessian batch's are
+            # gathered: no two batch operators are alive at once.
+            rhs = grad(state.x, k)
             batch = local.csr if s_idx is None else local.csr.take(s_idx)
             u = batch @ state.x.ravel()
         rhs += beta * state.y

@@ -1131,6 +1131,11 @@ def test_baseline_rounds_mix_in_place_bitwise_as_the_whole_expressions(n):
     assert isinstance(L.operator, np.ndarray if n == 6 else Csr)
     config = RunConfig(batch_g=4, batch_s=4, max_iters=3, seed=7, step_size=0.5,
                        step_schedule="one_over_k")
+    grad = optimizer.gradient(local, config)
+
+    def batch_grads(x, k):
+        return sets_grad(x, local, batch_positions(local, 4, 7, k, PURPOSE_GRAD))
+
     rng = np.random.default_rng(n)
     x, tracker, last = rng.standard_normal((3, n, 6))
     for k in range(3):
@@ -1138,12 +1143,12 @@ def test_baseline_rounds_mix_in_place_bitwise_as_the_whole_expressions(n):
         for a in args:
             a.setflags(write=False)
         step = 0.5 / (1.0 + k)
-        got = dsgd_round(args[0], L, local, config, k)
-        want = x - L.disagreement(x) - step * baselines._batch_grads(x, local, config, k)
+        got = dsgd_round(args[0], L, grad, config, k)
+        want = x - L.disagreement(x) - step * batch_grads(x, k)
         assert got.tobytes() == want.tobytes()
-        got_x, got_t, got_g = dsgt_round(*args, L, local, config, k)
+        got_x, got_t, got_g = dsgt_round(*args, L, grad, config, k)
         want_x = x - L.disagreement(x) - step * tracker
-        grads = baselines._batch_grads(want_x, local, config, k + 1)
+        grads = batch_grads(want_x, k + 1)
         want_t = tracker - L.disagreement(tracker) + grads - last
         for g, w in ((got_x, want_x), (got_t, want_t), (got_g, grads)):
             assert g.tobytes() == w.tobytes()
@@ -1192,15 +1197,59 @@ def test_dsgt_tracker_sum_equals_last_gradient_sum():
     )
     L = metropolis_matrix(P)
     x = optimizer.initial_iterates(P, local, config)
+    grad = optimizer.gradient(local, config)
     tracker = grads = sets_grad(x, local, batch_positions(local, 10, 7, 0, PURPOSE_GRAD))
     gaps = []
     for k in range(config.max_iters + 1):
         want = grads.sum(axis=0)
         gaps.append(np.linalg.norm(tracker.sum(axis=0) - want) / np.linalg.norm(want))
         if k < config.max_iters:
-            x, tracker, grads = dsgt_round(x, tracker, grads, L, local, config, k)
+            x, tracker, grads = dsgt_round(x, tracker, grads, L, grad, config, k)
+            assert grads.tobytes() == sets_grad(
+                x, local, batch_positions(local, 10, 7, k + 1, PURPOSE_GRAD)).tobytes()
     assert len(gaps) == 31
     assert max(gaps) <= 1e-12
+
+
+@pytest.mark.parametrize("algorithm", ["st_sopro", "sopro", "dsgd", "dsgt"])
+def test_every_method_takes_its_gradients_from_the_one_estimator(algorithm, monkeypatch):
+    # A stub swapped in for optimizer.gradient is built once, before round
+    # 0, and reaches every method's rounds: it sees label k in round k,
+    # but k + 1 in DSGT's round k and 0 at DSGT's set-up, and SoPro's
+    # whole-set margins and no other method's.  With zero gradients, a
+    # DSGD round is the Metropolis mix x - L x, bitwise.
+    P, local = make_problem(6, 40, 15)
+    baseline = algorithm in ("dsgd", "dsgt")
+    config = RunConfig(batch_g=10, batch_s=20, max_iters=3, seed=1, algorithm=algorithm,
+                       step_size=0.5 if baseline else None)
+    built, calls, states = [], [], []
+
+    def stub(stub_local, stub_config):
+        assert stub_local is local and stub_config is config and not states
+        built.append(True)
+
+        def grad(x, k, margins=None):
+            calls.append((k, x.copy(), margins))
+            return np.zeros_like(x)
+
+        return grad
+
+    monkeypatch.setattr(optimizer, "gradient", stub)
+    monkeypatch.setattr(baselines, "gradient", stub)
+    run(P, local, config, None if baseline else certified_alphas(P, local),
+        callbacks=[lambda k, s: states.append(s.x.copy())])
+    assert built == [True]
+    assert [k for k, _, _ in calls] == ([0, 1, 2, 3] if algorithm == "dsgt" else [0, 1, 2])
+    for k, x, margins in calls:
+        if algorithm == "sopro":
+            assert x.tobytes() == states[k].tobytes()
+            assert margins.tobytes() == (local.csr @ x.ravel()).tobytes()
+        else:
+            assert margins is None
+    if algorithm == "dsgd":
+        L = metropolis_matrix(P)
+        for x, mixed in zip(states, states[1:]):
+            assert mixed.tobytes() == (x - L.disagreement(x)).tobytes()
 
 
 def test_one_over_k_schedule_divides_the_step_by_one_plus_the_round():

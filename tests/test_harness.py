@@ -722,6 +722,28 @@ def test_sopro_runs_on_whole_sets_whatever_its_batch_keys():
     assert rows[1] == rows[0] and rows[2] == rows[0]
 
 
+@pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
+def test_baselines_refuse_only_the_batch_size_they_read(algorithm, tmp_path, capsys):
+    # A baseline draws no Hessian batch, so batch_s is not checked for it;
+    # batch_g still is.  At 5 samples an agent the default batch_s = 10
+    # is outside 1..5.
+    argv = ["run", "--dim", "4", "--n-agents", "3", "--per-agent", "5", "--test-size", "5",
+            "--max-iters", "2", "--algorithm", algorithm, "--step-size", "0.1"]
+    assert main([*argv, "--batch-g", "2", "--out", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / f"{algorithm}_seed000.jsonl").exists()
+    capsys.readouterr()
+    assert main([*argv, "--batch-g", "6", "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == "error: batch_g=6 outside 1..5\n"
+    assert not (tmp_path / "bad").exists()
+    config = optimizer.RunConfig(batch_g=2, batch_s=99, algorithm=algorithm, step_size=0.1)
+    assert config.batches(5) == (2, None)
+    config.validate(5)
+    with pytest.raises(ConfigurationError, match="batch_g=6 outside 1..5"):
+        dataclasses.replace(config, batch_g=6).validate(5)
+    with pytest.raises(ConfigurationError, match="batch_s=99 outside 1..5"):
+        dataclasses.replace(config, algorithm="st_sopro").validate(5)
+
+
 @pytest.mark.parametrize("command", ["run", "tune"])
 def test_cli_refuses_a_bad_run_parameter_before_set_up(command, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(experiment, "build_problem", _refuse_set_up)
