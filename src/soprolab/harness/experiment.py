@@ -382,7 +382,7 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
         "reference": {
             "grad_norm": problem.reference.grad_norm,
             "iterations": problem.reference.iterations,
-            "factorizations": problem.reference.factorizations,
+            "hessians": problem.reference.hessians,
         },
     }
 

@@ -68,7 +68,7 @@ class ReferenceSolution:
     x: np.ndarray
     grad_norm: float
     iterations: int
-    factorizations: int  # Hessians formed: the steps in between reuse the last
+    hessians: int  # Hessians formed: the steps in between reuse the last
     # (N, d): row i is agent i's exact gradient at x; q* is its negative.
     local_grads: np.ndarray
 
@@ -133,7 +133,7 @@ def solve_reference(
     x = np.zeros(local.dim)
     u = _margins(local, x)
     f = _objective(local, x, u)
-    H, factorizations, last_gn = None, 0, np.inf
+    H, hessians, last_gn = None, 0, np.inf
     for it in range(max_iters):
         grads = _local_gradients(local, x, u)
         # Rows added in agent order, as a sum of per-agent gradients would.
@@ -141,12 +141,12 @@ def solve_reference(
         gn = float(np.linalg.norm(g))
         if gn <= tol:
             return ReferenceSolution(
-                x=x, grad_norm=gn, iterations=it, factorizations=factorizations,
+                x=x, grad_norm=gn, iterations=it, hessians=hessians,
                 local_grads=grads,
             )
         if H is None or gn > _REFACTOR_RATIO * last_gn:
             H = _hessian(local, u)
-            factorizations += 1
+            hessians += 1
         last_gn = gn
         step = np.linalg.solve(H, g)
         t = 1.0

@@ -52,6 +52,8 @@ def tune_baseline(config: ExperimentConfig, grid) -> TuneResult:
 
     table, problems = [], {}
     for overrides in grid:
+        # The table keeps a copy: a caller's later edit of its grid leaves it.
+        overrides = dict(overrides)
         trial = replace(config.with_overrides(overrides), out=None, seeds=seeds)
         trial.check()  # before any set-up, as run_experiment checks
         key = tuple(getattr(trial, name) for name in experiment.PROBLEM_KEYS)
@@ -66,7 +68,7 @@ def tune_baseline(config: ExperimentConfig, grid) -> TuneResult:
         hits = [trace.rounds_to(target) for trace in result.traces]
         rounds = [math.inf if hit is None else float(hit) for hit in hits]
         finals = [float(trace.opt_errors()[-1]) for trace in result.traces]
-        table.append(TunePoint(dict(overrides), float(np.mean(rounds)), float(np.mean(finals))))
+        table.append(TunePoint(overrides, float(np.mean(rounds)), float(np.mean(finals))))
     best = min(table, key=lambda p: (p.mean_rounds, p.mean_final_err))
     return TuneResult(best=best, table=table)
 

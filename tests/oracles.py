@@ -11,7 +11,9 @@ statistics of a round and the two-dimensional batch draw are the
 definitions the loss, the round and the draw are checked against.
 
 Each function here is the plain loop or search that a routine of
-``soprolab`` replaced; the tests check the routines against them.
+``soprolab`` replaced; the tests check the routines against them.  The
+last two are the relative error and the certified alphas that several
+test modules measure with.
 """
 
 import math
@@ -24,12 +26,13 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.sparse import csr_matrix
 from scipy.special import expit
 
-from soprolab.certificate import _condition_shift, _lambda_min_shifted, m_beta
+from soprolab.certificate import _condition_shift, _lambda_min_shifted, m_beta, proximal_alphas
 from soprolab.errors import ConfigurationError, ParameterError, ParseError, SoprolabError
 from soprolab import optimizer
 from soprolab.loss import (
     LocalDataset,
     LowRankHessian,
+    SmoothnessBounds,
     StackedSets,
     TestSet,
     _as_index_array,
@@ -631,3 +634,11 @@ def q_norm_eigen(P, r, beta, x_star, q_star, x, q):
     dx = x - x_star
     v_part = float((1.0 / w[nz]) @ np.einsum("ij,ij->i", coords, coords))
     return beta * float(r @ np.einsum("ij,ij->i", dx, dx)) + v_part
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+def certified_alphas(P, local):
+    return proximal_alphas(SmoothnessBounds.from_sets(local), P, 1.0, 0.5)[0]

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    agent_batch_stats, agent_datasets, block_of, csr_rows, dense_block, dense_step_stacked,
-    densify, draw_batches, flat_positions, one_hot_block, stack_sets, whole_set_history,
+    agent_batch_stats, agent_datasets, block_of, certified_alphas, csr_rows, dense_block,
+    dense_step_stacked, densify, draw_batches, flat_positions, one_hot_block, rel_err, stack_sets,
+    whole_set_history,
 )
 from soprolab import baselines, optimizer, topology
 from soprolab.baselines import dsgd_round, dsgt_round, metropolis_matrix
-from soprolab.certificate import QNormError, proximal_alphas
+from soprolab.certificate import QNormError
 from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation
 from soprolab.harness.metrics import optimality_error
 from soprolab.harness.reference import solve_reference
@@ -37,10 +38,6 @@ from soprolab.optimizer import (
 )
 from soprolab.sparse import Csr
 from soprolab.topology import build_random_connected_graph
-
-
-def rel_err(a, b):
-    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
 def rho_bound(feats, c):
@@ -326,10 +323,6 @@ def make_problem(n, C, d, seed=0, lam=0.1, sparse=False):
     if sparse:
         feats[np.random.default_rng(seed).random(feats.shape) >= 0.35] = 0.0
     return P, stack_sets(np.split(feats, n), np.split(labels, n), lam)
-
-
-def certified_alphas(P, local):
-    return proximal_alphas(SmoothnessBounds.from_sets(local), P, 1.0, 0.5)[0]
 
 
 def factorising_alphas(local):

@@ -74,7 +74,7 @@ def test_solve_reference_reuses_its_factor_at_the_a4a_shape():
     local = one_hot_problem(20, 239, 123, 14, seed=0)
     sol = reference.solve_reference(local)
     assert sol.grad_norm <= 1e-12
-    assert sol.factorizations <= 3
+    assert sol.hessians <= 3
 
 
 def test_certificate_reads_q_star_from_the_reference_solve():
@@ -99,6 +99,19 @@ def test_tuning_scores_a_diverging_point_as_never_reaching_the_target():
     stable, diverged = result.table
     assert math.isinf(diverged.mean_rounds) and math.isinf(diverged.mean_final_err)
     assert result.best is stable and math.isfinite(stable.mean_final_err)
+
+
+def test_tune_table_keeps_its_grid_points_when_the_caller_edits_the_grid():
+    # One point converges and one diverges: both rows hold a copy.
+    config = ExperimentConfig(dim=4, n_agents=3, per_agent=10, test_size=5, algorithm="dsgd",
+                              batch_g=2, max_iters=20, target_error=1e-2)
+    grid = [{"step_size": 0.1}, {"step_size": 1e3}]
+    result = tune_baseline(config, grid)
+    assert math.isfinite(result.table[0].mean_final_err)
+    assert math.isinf(result.table[1].mean_final_err)
+    for point in grid:
+        point["step_size"] = 7.0
+    assert [p.overrides for p in result.table] == [{"step_size": 0.1}, {"step_size": 1e3}]
 
 
 def test_build_problem_reads_the_problem_keys_only():

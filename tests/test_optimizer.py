@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    agent_datasets, csr_rows, densify, draw_batches, draw_batches_argpartition, flat_positions,
-    stack_sets,
+    agent_datasets, certified_alphas, csr_rows, densify, draw_batches, draw_batches_argpartition,
+    flat_positions, stack_sets,
 )
 from soprolab import optimizer
-from soprolab.certificate import proximal_alphas
 from soprolab.errors import ConfigurationError, InvariantViolation, ParameterError
 from soprolab.loss import (
     LowRankHessian,
@@ -50,10 +49,6 @@ def base_config(**kw):
     )
     defaults.update(kw)
     return RunConfig(**defaults)
-
-
-def certified_alphas(P, local):
-    return proximal_alphas(SmoothnessBounds.from_sets(local), P, 1.0, 0.5)[0]
 
 
 # ------------------------------------------------------------- substreams
