@@ -450,13 +450,16 @@ class QNormError:
     the dual surrogate under the square root of the lift of ``P``, so the
     dual part is ``sum_c dq_c^T P^+ dq_c`` over the columns of
     ``dq = q - q_star``, which is exact because conserved dual iterates stay
-    in the range of the lift.  It is evaluated as one Gram product,
-    ``<P^+, dq dq^T>``.  The pseudoinverse is made once, as
-    ``inv(P + 11^T/N) - 11^T/N``: ``P + 11^T/N`` has the eigenvalue 1 on
-    the all-ones vector and those of ``P`` elsewhere, so it is invertible
-    exactly when the zero eigenvalue of ``P`` is simple.  ``r`` is the
-    ``(N,)`` vector of the scalars ``r_i`` of ``R_i = r_i I``, and
-    ``q_star`` is the stacked ``-grad f_i(x_star)`` blocks.
+    in the range of the lift.  Called as ``q_err(x, q)`` it is evaluated as
+    one Gram product, ``<P^+, dq dq^T>``, N^2 d flops: the reference form.
+    A run evaluates it by :meth:`running` instead, which relies on the
+    proximal dual update ``q_k = q_{k-1} + beta P x_k`` and costs O(N d) a
+    round.  The pseudoinverse is made once, as ``inv(P + 11^T/N) -
+    11^T/N``: ``P + 11^T/N`` has the eigenvalue 1 on the all-ones vector
+    and those of ``P`` elsewhere, so it is invertible exactly when the zero
+    eigenvalue of ``P`` is simple.  ``r`` is the ``(N,)`` vector of the
+    scalars ``r_i`` of ``R_i = r_i I``, and ``q_star`` is the stacked
+    ``-grad f_i(x_star)`` blocks.
     """
 
     def __init__(
@@ -477,7 +480,8 @@ class QNormError:
         self._q_star_norm = float(np.linalg.norm(self._q_star))
         self._n = n
 
-    def __call__(self, x: np.ndarray, q: np.ndarray) -> float:
+    def _dual_gap(self, q: np.ndarray) -> np.ndarray:
+        """``q - q_star``, refused once it leaves the range of ``P``."""
         dq = q - self._q_star
         mean_comp = dq.mean(axis=0)
         scale = max(float(np.linalg.norm(q)), self._q_star_norm, 1.0)
@@ -486,7 +490,52 @@ class QNormError:
                 "dual iterate left the range of the network matrix "
                 f"(consensus component {np.linalg.norm(mean_comp)})"
             )
-        v_part = float(np.vdot(self._p_pinv, dq @ dq.T))
+        return dq
+
+    def _primal_part(self, x: np.ndarray) -> float:
+        """``beta sum_i r_i |x_i - x_star|^2``."""
         dx = x - self._x_star
-        x_part = float(self._r @ np.einsum("ij,ij->i", dx, dx))
-        return self._beta * x_part + v_part
+        return self._beta * float(self._r @ np.einsum("ij,ij->i", dx, dx))
+
+    def __call__(self, x: np.ndarray, q: np.ndarray) -> float:
+        dq = self._dual_gap(q)
+        v_part = float(np.vdot(self._p_pinv, dq @ dq.T))
+        return self._primal_part(x) + v_part
+
+    def running(self):
+        """The Q-norm error of one run, called as ``evaluate(k, x, q)`` at
+        rounds ``k = 0, 1, 2, ...`` in order.
+
+        Round 0 anchors ``z = P^+ (q - q_star)`` with the stored
+        pseudoinverse.  A later round relies on the proximal dual update
+        ``q_k = q_{k-1} + beta P x_k``
+        (:func:`~soprolab.optimizer.exchange_and_dual_update`): ``P^+ P``
+        projects out the all-ones vector, so that update's image under
+        ``P^+`` is ``beta (x_k - mean_i x_k)``, and ``z`` advances by it.
+        The dual part is then ``<q - q_star, z>``, O(N d) against the
+        N^2 d Gram product of :meth:`__call__`; every call still runs the
+        consensus check and takes the primal part as :meth:`__call__`
+        does.  ``z`` holds only from the round before, so a skipped or
+        repeated round raises :class:`~soprolab.errors.InvariantViolation`
+        naming both rounds, and each run needs its own evaluator.
+        """
+        z = None
+        last = -1
+
+        def evaluate(k: int, x: np.ndarray, q: np.ndarray) -> float:
+            nonlocal z, last
+            if k != last + 1:
+                after = "as its first round" if last < 0 else f"after round {last}"
+                raise InvariantViolation(
+                    f"Q-norm tracker got round {k} {after}; it takes rounds 0, 1, 2, ..."
+                    " in order, one evaluator per run"
+                )
+            dq = self._dual_gap(q)
+            if z is None:
+                z = self._p_pinv @ dq
+            else:
+                z += self._beta * (x - x.mean(axis=0))
+            last = k
+            return self._primal_part(x) + float(np.vdot(dq, z))
+
+        return evaluate

@@ -6,6 +6,11 @@ diagnostics), and ``tune`` (grid-search hyperparameters).  Every config key
 is mirrored as a flag; flags override the config file.  The only
 environment variable honored is ``SOPROLAB_OUT`` for the default output
 directory.
+
+The linear algebra runs on numpy's BLAS.  OpenBLAS takes its thread count
+from ``OPENBLAS_NUM_THREADS``; set it to 1 when several runs share the
+machine: on a 2-vCPU VM two runs side by side at two threads each ran up
+to 10 times slower than at one.
 """
 
 from __future__ import annotations
@@ -29,6 +34,11 @@ from .experiment import (
 from .tuning import parse_grid_file, tune_baseline
 
 OUT_ENV_VAR = "SOPROLAB_OUT"
+
+BLAS_NOTE = (
+    "OpenBLAS reads its thread count from OPENBLAS_NUM_THREADS; set"
+    " OPENBLAS_NUM_THREADS=1 when several runs share the machine."
+)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -108,18 +118,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="soprolab",
         description="Decentralized stochastic optimization experiments",
+        epilog=BLAS_NOTE,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment and write traces")
+    p_run = sub.add_parser("run", help="run an experiment and write traces", epilog=BLAS_NOTE)
     _add_config_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_cert = sub.add_parser("certify", help="print the rate certificate")
+    p_cert = sub.add_parser("certify", help="print the rate certificate", epilog=BLAS_NOTE)
     _add_config_flags(p_cert)
     p_cert.set_defaults(func=_cmd_certify)
 
-    p_ref = sub.add_parser("reference", help="print reference-solution diagnostics")
+    p_ref = sub.add_parser("reference", help="print reference-solution diagnostics",
+                           epilog=BLAS_NOTE)
     _add_config_flags(p_ref)
     p_ref.set_defaults(func=_cmd_reference)
 
@@ -127,7 +139,7 @@ def main(argv=None) -> int:
         "grid-search hyperparameters: each point runs min(--seeds, 3) seeds"
         " and is scored by its rounds to reach --target-error"
     )
-    p_tune = sub.add_parser("tune", help=tune_help, description=tune_help)
+    p_tune = sub.add_parser("tune", help=tune_help, description=tune_help, epilog=BLAS_NOTE)
     _add_config_flags(p_tune)
     p_tune.add_argument("--grid", required=True, help="grid file: key=value pairs per line")
     p_tune.set_defaults(func=_cmd_tune)

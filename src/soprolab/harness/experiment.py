@@ -348,6 +348,12 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
     count is not ``n_agents``, found by :func:`build_topology` before any
     data is loaded.
 
+    A proximal run's ``q_err`` rows come from its own
+    :meth:`~soprolab.certificate.QNormError.running` evaluator, which
+    follows the duals from round 0 by the invariant ``q_k = q_{k-1} +
+    beta P x_k`` of the proximal dual update
+    (:func:`~soprolab.optimizer.exchange_and_dual_update`), O(N d) a round.
+
     A run whose iterate, optimality error or Q-norm error stops being
     finite, or whose optimality error passes ``BLOW_UP`` max(opt_err at
     round 0, 1), raises :class:`~soprolab.errors.DivergenceError` naming
@@ -393,9 +399,11 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
         trace = MetricsTrace()
         path = out_dir / f"{config.algorithm}_seed{run_idx:03d}.jsonl" if out_dir else None
         run_header = {**header, "engine": None, "run_index": run_idx, "run_seed": seed}
+        # One Q-norm evaluator per run: it follows this run's duals from round 0.
+        track = q_err.running() if q_err is not None else None
         t0 = time.perf_counter()
 
-        def on_round(k, state, _trace=trace, _t0=t0, _header=run_header):
+        def on_round(k, state, _trace=trace, _t0=t0, _header=run_header, _track=track):
             if k == 0 and state.engine is not None:
                 # The solve the run chose at set-up.
                 _header["engine"] = asdict(state.engine)
@@ -407,7 +415,7 @@ def run_experiment(config: ExperimentConfig, problem: Problem | None = None) -> 
                     round=k,
                     opt_err=optimality_error(state.x, problem.reference.x),
                     comm_bits=BITS_PER_SCALAR * state.comm_scalars,
-                    q_err=q_err(state.x, state.q) if q_err is not None else None,
+                    q_err=_track(k, state.x, state.q) if _track is not None else None,
                     test_acc=acc,
                     wall_s=time.perf_counter() - _t0,
                 )

@@ -688,7 +688,13 @@ def gram_step(
 
 
 def exchange_and_dual_update(state: NetworkState, P: MatrixP, beta: float) -> None:
-    """Synchronous exchange: refresh disagreements and advance duals."""
+    """Synchronous exchange: refresh disagreements and advance duals.
+
+    After it, ``y = P x`` and ``q = q_prev + beta P x`` for the new ``x``:
+    the invariant by which
+    :meth:`~soprolab.certificate.QNormError.running` follows ``P^+ q``
+    from one round to the next without a Gram product.
+    """
     state.y = P.disagreement(state.x)
     state.q = state.q + beta * state.y
 

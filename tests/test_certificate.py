@@ -699,3 +699,45 @@ def test_z_error_detects_range_violation():
     q_bad = q_star + 1.0  # constant shift sits along the all-ones direction
     with pytest.raises(InvariantViolation):
         QNormError(P, r, 1.0, x_star, q_star)(np.zeros((4, 2)), q_bad)
+
+
+def dual_updates(P, beta, q0, rng, rounds):
+    """Iterates ``x_k`` and the duals ``q_k = q_{k-1} + beta P x_k`` of a
+    proximal run, ``x_0`` first."""
+    n, dim = q0.shape
+    states = [(rng.standard_normal((n, dim)), q0)]
+    for _ in range(rounds):
+        x = rng.standard_normal((n, dim))
+        states.append((x, states[-1][1] + beta * P.disagreement(x)))
+    return states
+
+
+def test_running_q_norm_refuses_a_skipped_or_repeated_round():
+    rng = np.random.default_rng(7)
+    n, dim, beta = 5, 2, 1.0
+    P = ring_P(n)
+    q_err = QNormError(P, np.ones(n), beta, np.zeros(dim), q_star_for(dim, n, rng))
+    (x0, q0), (x1, q1), (x2, q2) = dual_updates(P, beta, np.zeros((n, dim)), rng, 2)
+    with pytest.raises(InvariantViolation, match=r"round 1 as its first round"):
+        q_err.running()(1, x1, q1)
+    track = q_err.running()
+    track(0, x0, q0)
+    with pytest.raises(InvariantViolation, match=r"round 2 after round 0"):
+        track(2, x2, q2)
+    track(1, x1, q1)
+    with pytest.raises(InvariantViolation, match=r"round 1 after round 1"):
+        track(1, x1, q1)
+    # A second run's round 0 is a repeated round to the first run's evaluator.
+    with pytest.raises(InvariantViolation, match=r"round 0 after round 1"):
+        track(0, x0, q0)
+    assert track(2, x2, q2) == pytest.approx(q_err(x2, q2), rel=1e-13)
+
+
+def test_running_q_norm_runs_the_consensus_check():
+    rng = np.random.default_rng(5)
+    P = ring_P(4)
+    q_star = q_star_for(2, 4, rng)
+    track = QNormError(P, np.ones(4), 1.0, np.zeros(2), q_star).running()
+    track(0, np.zeros((4, 2)), q_star)
+    with pytest.raises(InvariantViolation, match="left the range"):
+        track(1, np.zeros((4, 2)), q_star + 1.0)

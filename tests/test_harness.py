@@ -90,6 +90,61 @@ def test_certificate_reads_q_star_from_the_reference_solve():
     assert q_err(np.tile(x_star, (5, 1)), -problem.reference.local_grads) == 0.0
 
 
+def gram_q_errs(config, problem, run_idx):
+    """The ``q_err`` of every round of run ``run_idx`` of ``config``,
+    rerun through ``optimizer.run`` and evaluated by the Gram form."""
+    _, alphas, _, q_err = build_certificate(config, problem)
+    seed = experiment._run_seed_value(config.master_seed, run_idx)
+    rows = []
+    optimizer.run(problem.P, problem.local, dataclasses.replace(config, seed=seed), alphas,
+                  [lambda k, s: rows.append(q_err(s.x, s.q))])
+    return np.array(rows)
+
+
+def test_every_seed_q_err_matches_the_gram_form():
+    # Each run follows its own duals from its own round 0, so a later
+    # seed's rows are held against an independent evaluation too.
+    config = ExperimentConfig(dim=6, n_agents=8, per_agent=20, test_size=0, batch_g=5,
+                              batch_s=5, max_iters=30, seeds=2)
+    result = run_experiment(config)
+    for run_idx, trace in enumerate(result.traces):
+        got, want = trace.q_errors(), gram_q_errs(config, result.problem, run_idx)
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def test_a_run_makes_no_gram_product_for_q_err(monkeypatch):
+    calls = []
+    gram = certificate.QNormError.__call__
+
+    def counted(self, x, q):
+        calls.append(1)
+        return gram(self, x, q)
+
+    monkeypatch.setattr(certificate.QNormError, "__call__", counted)
+    config = ExperimentConfig(dim=6, n_agents=8, per_agent=20, test_size=0, batch_g=5,
+                              batch_s=5, max_iters=10, seeds=2)
+    result = run_experiment(config)
+    assert all(np.isfinite(t.q_errors()).all() for t in result.traces)
+    assert calls == []
+
+
+def test_q_err_rows_match_the_gram_form_on_200_agents():
+    # At the certified alphas the primal part is most of q_err; the same
+    # rounds with r = 0 hold the dual part alone against the Gram form.
+    config = ExperimentConfig(dim=8, n_agents=200, avg_degree=4, per_agent=10, test_size=0,
+                              batch_g=4, batch_s=4, max_iters=100)
+    problem = build_problem(config)
+    _, alphas, _, q_err = build_certificate(config, problem)
+    dual = certificate.QNormError(problem.P, np.zeros(200), config.beta, problem.reference.x,
+                                  -problem.reference.local_grads)
+    pairs = [(q_err, q_err.running()), (dual, dual.running())]
+    rows = []
+    optimizer.run(problem.P, problem.local, dataclasses.replace(config, seed=3), alphas,
+                  [lambda k, s: rows.append([(f(s.x, s.q), t(k, s.x, s.q)) for f, t in pairs])])
+    want, got = np.moveaxis(np.array(rows), 2, 0)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
 def test_tuning_scores_a_diverging_point_as_never_reaching_the_target():
     config = ExperimentConfig(
         dim=5, n_agents=4, per_agent=20, test_size=20, algorithm="dsgd",
@@ -691,6 +746,11 @@ def test_every_config_key_is_a_flag_of_every_subcommand(command, capsys):
     missing = [key for key in CONFIG_SCHEMA
                if f"--{key.replace('_', '-')} {key.upper()}" not in usage]
     assert missing == []
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    top = capsys.readouterr().out
+    for text in (usage, top):
+        assert "OPENBLAS_NUM_THREADS=1" in " ".join(text.split())
 
 
 def _refuse_set_up(config):

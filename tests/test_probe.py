@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from soprolab.certificate import QNormError
 from soprolab.harness.experiment import ExperimentConfig, build_problem
 from soprolab.harness.metrics import optimality_error
 from soprolab.optimizer import RunConfig, run
@@ -71,3 +72,21 @@ def test_st_sopro_at_a_sampled_batch_stalls_above_its_noise_floor(probe):
                        max_iters=400)
     errs, _ = opt_errs(probe, config, np.full(20, ALPHA))
     assert errs[-1] > 0.3
+
+
+def test_q_norm_tracker_follows_sopro_down_to_its_rounding_level(probe):
+    # Over 400 rounds q_err falls by about 19 orders; the running evaluator
+    # adds beta (x - mean x) to P^+ dq every round, and stays within 1e-9 of
+    # the Gram form at every round, down to where dq = q - q* itself has
+    # lost those digits.
+    n = probe.P.n_agents
+    r = 0.5 * (probe.bounds.m + probe.bounds.M) + ALPHA
+    q_err = QNormError(probe.P, r, BETA, probe.reference.x, -probe.reference.local_grads)
+    track = q_err.running()
+    rows = []
+    config = RunConfig(algorithm="sopro", beta=BETA, seed=7, max_iters=400)
+    run(probe.P, probe.local, config, np.full(n, ALPHA),
+        callbacks=[lambda k, s: rows.append((track(k, s.x, s.q), q_err(s.x, s.q)))])
+    got, want = np.array(rows).T
+    assert want[-1] < 1e-15 * want[0]
+    assert np.all(np.abs(got - want) <= 1e-9 * want)
