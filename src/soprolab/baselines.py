@@ -44,12 +44,6 @@ def metropolis_matrix(P: MatrixP) -> MatrixP:
     )
 
 
-def _step_size(config: RunConfig, k: int) -> float:
-    if config.step_schedule == "one_over_k":
-        return config.step_size / (1.0 + k)
-    return config.step_size
-
-
 def _mix(v: np.ndarray, L: MatrixP) -> np.ndarray:
     """``v - L v`` (``W v``), written into the new array that
     ``L.disagreement`` returns."""
@@ -64,7 +58,7 @@ def dsgd_round(x, L: MatrixP, grad, config: RunConfig, k: int) -> np.ndarray:
 
     ``(x - L x) - s g`` is computed in place, in the mix's array."""
     out = _mix(x, L)
-    out -= _step_size(config, k) * grad(x, k)
+    out -= config.step_size * grad(x, k)
     return out
 
 
@@ -78,7 +72,7 @@ def dsgt_round(x, tracker, last_grads, L: MatrixP, grad, config: RunConfig, k: i
     g) - g_last``, each computed in place, in its mix's array.
     """
     x = _mix(x, L)
-    x -= _step_size(config, k) * tracker
+    x -= config.step_size * tracker
     grads = grad(x, k + 1)
     tracker = _mix(tracker, L)
     tracker += grads

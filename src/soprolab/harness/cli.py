@@ -5,7 +5,7 @@ Subcommands: ``run`` (execute an experiment and write traces), ``certify``
 diagnostics), and ``tune`` (grid-search hyperparameters).  Every config key
 is mirrored as a flag; flags override the config file.  The only
 environment variable honored is ``SOPROLAB_OUT`` for the default output
-directory.
+directory; an empty value is unset, as an empty ``--out`` is.
 
 The linear algebra runs on numpy's BLAS.  OpenBLAS takes its thread count
 from ``OPENBLAS_NUM_THREADS``; set it to 1 when several runs share the
@@ -57,7 +57,7 @@ def _build_config(args: argparse.Namespace):
             mapping[key] = v
     config = config_from_mapping(mapping)
     if config.out is None:
-        config.out = os.environ.get(OUT_ENV_VAR)
+        config.out = os.environ.get(OUT_ENV_VAR) or None
     return config
 
 

@@ -6,9 +6,9 @@ plus the harness's keys.  Every field but ``seed``, which each run sets, is
 a key of its field's type: a ``T | None`` field takes a ``T`` or may be
 unset.  Every key doubles as a CLI flag.  Before any set-up work,
 :meth:`ExperimentConfig.check` refuses a bad ``RunConfig`` key
-(``algorithm``, ``beta``, ``step_size``, ``step_schedule``, ``max_iters``,
-``x0_mode``, and the batch sizes the method reads) and, for the proximal
-methods, a bad ``eta_s``, ``mu`` or ``c1``.  One experiment builds a pinned
+(``algorithm``, ``beta``, ``step_size``, ``max_iters``, ``x0_mode``, and
+the batch sizes the method reads) and, for the proximal methods, a bad
+``eta_s``, ``mu`` or ``c1``.  One experiment builds a pinned
 topology and data split, solves the centralized reference problem,
 certifies the proximal method when applicable, and runs each seed to a
 JSONL trace plus one seed-averaged CSV.  The proximal alphas are chosen

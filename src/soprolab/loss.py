@@ -6,12 +6,14 @@ sample losses of one agent; batch gradients and Hessians average uniformly
 chosen subsets and are unbiased for the full quantities.
 
 Data stays in arrays from file to engine, and each phase holds the
-training data once.  :func:`parse_libsvm` tokenizes each slice of
-``_CHUNK_LINES`` lines as one array of code points, converts indices,
-labels and values made of ASCII digits and an optional sign with array
-arithmetic, and sends every other token through ``int()``/``float()`` once
-per distinct string; it returns the rows as one compressed sparse row
-(CSR) matrix, a :class:`~soprolab.sparse.Csr`, and ``(n,)`` labels.
+training data once.  :func:`parse_libsvm` reads LIBSVM text as libsvm
+does: ASCII lines that end at ``\\n``, of tokens separated by the
+whitespace of ``bytes.split()``.  It tokenizes each slice of
+``_CHUNK_LINES`` lines as one array of bytes, converts indices, labels and
+values made of digits and an optional sign with array arithmetic, and
+sends every other token through ``int()``/``float()`` once per distinct
+string; it returns the rows as one compressed sparse row (CSR) matrix, a
+:class:`~soprolab.sparse.Csr`, and ``(n,)`` labels.
 Each slice writes its entries into index and value arrays allocated once,
 with a slot for every colon in the text, so a parse holds the text, those
 arrays and one slice's tokenizer arrays at once.
@@ -274,36 +276,19 @@ _CHUNK_LINES = 1024
 # about 1 MB of float64 (noise estimate, Gram stack) or 0.5 MB of float32
 # (reference Hessian).
 READ_CHUNK_ROWS = 1024
-# The code points that ``str.split`` treats as whitespace, and those among
-# them that ``str.splitlines`` ends a line at; none lies above U+3000.
-_SPACES = (9, 10, 11, 12, 13, 28, 29, 30, 31, 32, 0x85, 0xA0, 0x1680,
-           *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
-_BREAKS = (10, 11, 12, 13, 28, 29, 30, 0x85, 0x2028, 0x2029)
-# A carriage return ends a line only when no line feed follows it.
-_SPACE, _BREAK, _CR = 1, 2, 4
-_CLASS = np.zeros(0x3002, dtype=np.uint8)
-_CLASS[list(_SPACES)] |= _SPACE
-_CLASS[list(_BREAKS)] |= _BREAK
-_CLASS[13] |= _CR
+# The LIBSVM format, as libsvm reads it: ASCII text whose lines end at
+# _NEWLINE, and whose tokens are separated by _WHITESPACE, the whitespace
+# of bytes.split().  The slicer, the tokenizer and _raise_first_error all
+# read these; _SEPARATOR marks the whitespace and the colon for the
+# tokenizer.
+_NEWLINE = b"\n"
+_WHITESPACE = b"\t\n\v\f\r "
+_COLON = ord(":")
+_SEPARATOR = np.zeros(256, dtype=bool)
+_SEPARATOR[[*_WHITESPACE, _COLON]] = True
 # The longest field converted with array arithmetic: room for a sign and
 # 15 digits.
 _PLAIN_CHARS = 16
-
-
-def _class_of(c: np.ndarray) -> np.ndarray:
-    """Classes of the code points ``c``.  Those past the table read its
-    last entry, U+3001, which has no class."""
-    return _CLASS[c if c.dtype == np.uint8 else np.minimum(c, _CLASS.size - 1)]
-
-
-def _breaks(codes: np.ndarray, at: np.ndarray, cls: np.ndarray) -> np.ndarray:
-    """Mask of the positions ``at``, of classes ``cls``, whose characters
-    end a line as ``str.splitlines`` ends them: ``\\r\\n`` is one break,
-    ended by its ``\\n``."""
-    brk = cls & _BREAK > 0
-    cr = np.flatnonzero(cls & _CR)
-    brk[cr[codes[np.minimum(at[cr] + 1, codes.size - 1)] == 10]] = False
-    return brk
 
 
 def _plain_integers(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
@@ -340,8 +325,9 @@ def _plain_integers(codes: np.ndarray, start: np.ndarray, end: np.ndarray):
     return value, plain
 
 
-def _convert(codes: np.ndarray, text: str, start: np.ndarray, end: np.ndarray, convert):
-    """``convert``, ``int`` or ``float``, of each field ``text[start:end]``.
+def _convert(codes: np.ndarray, text: bytes, start: np.ndarray, end: np.ndarray, convert):
+    """``convert``, ``int`` or ``float``, of each field ``text[start:end]``;
+    ``codes`` is ``text`` as an array of bytes.
 
     Plain integer fields (see :func:`_plain_integers`) are converted with
     array arithmetic.  Every other field goes through ``convert`` once per
@@ -358,29 +344,32 @@ def _convert(codes: np.ndarray, text: str, start: np.ndarray, end: np.ndarray, c
     return value
 
 
-def _tokenize(codes: np.ndarray, text: str):
+def _tokenize(codes: np.ndarray, text: bytes):
     """Lines, and the data lines' contents, of one slice of a file.
 
-    ``codes`` holds the code points of ``text``, which starts a line and
-    ends one.  Returns ``(n_lines, parsed)``: the number of line breaks in
-    the slice, and ``(lines, raw labels, tokens per line, indices, values)``
-    of its data lines, with ``lines`` 0-based within the slice, or ``None``
+    ``codes`` holds the bytes of ``text``, which starts a line and ends
+    one.  Returns ``(n_lines, parsed)``: the number of line feeds in the
+    slice, and ``(lines, raw labels, tokens per line, indices, values)`` of
+    its data lines, with ``lines`` 0-based within the slice, or ``None``
     when any token in it is malformed.  Each positional array is deleted
     after its last use, so few of them are alive at once.
     """
     # Positions in the slice are int32 when they fit.
     pos = np.int32 if codes.size < 2**31 else np.int64
-    # Whitespace and colons in text order, and a space past the end.
-    sep = np.flatnonzero((codes <= 32) | (codes == 58) | (codes >= 0x85))
+    # Whitespace and colons in text order, and a space past the end.  No
+    # whitespace lies above the space, so two comparisons find them all,
+    # and _SEPARATOR then drops the other control bytes.
+    sep = np.flatnonzero((codes <= 32) | (codes == _COLON))
     c = codes[sep]  # read before sep narrows: int32 indices take a slow path
     sep = sep.astype(pos)
-    cls = _class_of(c)
-    kept = (cls > 0) | (c == 58)
+    kept = _SEPARATOR.take(c)
     sep = np.pad(sep[kept], (0, 1), constant_values=codes.size)
-    cls = np.pad(cls[kept], (0, 1), constant_values=_SPACE)
-    space_at = np.flatnonzero(cls[:-1])
+    c = c[kept]
+    is_space = np.pad(c != _COLON, (0, 1), constant_values=True)
+    space_at = np.flatnonzero(is_space[:-1])
     space = sep[space_at]
-    brk = np.flatnonzero(_breaks(codes, space, cls[space_at]))
+    brk = np.flatnonzero(c[space_at] == _NEWLINE[0])
+    del c
     # Tokens are the runs between whitespace: token k follows edge[gap[k]].
     edge = np.pad(space, 1, constant_values=(-1, codes.size))
     del space
@@ -390,8 +379,8 @@ def _tokenize(codes: np.ndarray, text: str):
     del space_at
     after += 1
     colon = sep[after]
-    colon[cls[after] > 0] = -1
-    del sep, cls, after
+    colon[is_space[after]] = -1
+    del sep, is_space, after
     start = edge[gap] + 1
     end = edge[gap + 1]
     # Lines: edge[e] follows the breaks among space[:e].
@@ -440,11 +429,11 @@ def _tokenize(codes: np.ndarray, text: str):
     return brk.size, (line, raw, lens, idx, val)
 
 
-def _raise_first_error(text: str, first_line: int):
+def _raise_first_error(text: bytes, first_line: int):
     """Raise the error of the first malformed token in ``text``, whose
     first line is line ``first_line`` of the file."""
-    for lineno, line in enumerate(text.splitlines(), start=first_line):
-        tokens = line.split()
+    for lineno, line in enumerate(text.split(_NEWLINE), start=first_line):
+        tokens = [t.decode() for t in line.split()]  # split at _WHITESPACE
         if not tokens or tokens[0].startswith("#"):
             continue
         label, *features = tokens
@@ -487,20 +476,13 @@ def _parse_lines(source):
     data = source.read() if hasattr(source, "read") else source
     if isinstance(data, str):
         data = data.encode("utf-8", "surrogatepass")
-    elif not data.isascii():
-        try:
-            data.decode()  # invalid UTF-8 fails before any line is parsed
-        except UnicodeDecodeError as e:
-            # The line of the first undecodable byte, counted in the text before it.
-            line = len((data[: e.start].decode() + "x").splitlines())
-            raise ParseError(f"invalid UTF-8 byte {data[e.start]:#04x}", line=line) from None
-
     whole = np.frombuffer(data, dtype=np.uint8)
-    # Bytes below 32 are never part of a multi-byte character.
-    low = np.flatnonzero(whole < 32)
-    ends = low[_breaks(whole, low, _class_of(whole[low]))][_CHUNK_LINES - 1 :: _CHUNK_LINES] + 1
+    if not data.isascii():
+        k = int(np.argmax(whole >= 0x80))
+        raise ParseError(f"non-ASCII byte {data[k]:#04x}", line=data.count(_NEWLINE, 0, k) + 1)
+    ends = np.flatnonzero(whole == _NEWLINE[0])[_CHUNK_LINES - 1 :: _CHUNK_LINES] + 1
     cuts = np.unique(np.concatenate(([0], ends, [whole.size]))).tolist()
-    del low, ends
+    del ends
     # Indices that fit are kept as int32, so the rows take 12 bytes an
     # entry, not 16, while partition holds them; the first slice past
     # int32 makes the buffer int64.
@@ -512,16 +494,12 @@ def _parse_lines(source):
     # empty one.
     per_line = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))]
     for a, b in zip(cuts[:-1], cuts[1:]):
-        text = data[a:b].decode("utf-8", "surrogatepass")
-        if text.isascii():
-            codes = whole[a:b]
-        else:
-            codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        n_lines, parsed = _tokenize(codes, text)
+        text = data[a:b]
+        n_lines, parsed = _tokenize(whole[a:b], text)
         if parsed is None:
             _raise_first_error(text, first_line)
         line, raw, lens, idx, val = parsed
-        del parsed, codes, text
+        del parsed, text
         if idx.max(initial=0) >= 2**31 and indices.dtype == np.int32:
             indices = indices.astype(np.int64)
         indices[written : written + idx.size] = idx
@@ -547,27 +525,27 @@ def parse_libsvm(source, dim: int | None = None):
     a path object (``os.PathLike``) is refused with a
     :class:`~soprolab.errors.ParameterError`.
 
-    Each line that is neither blank nor a ``#`` comment is
-    ``<label> <idx>:<val> ...`` with 1-based, strictly increasing indices.
-    Lines, blanks and tokens are as ``str.splitlines`` and ``str.split``
-    find them.  Labels are mapped to +-1: raw ``{-1,+1}`` pass through,
-    ``{1,2}`` maps 2 to -1, ``{0,1}`` maps 0 to -1.  The dimension is the
-    largest index seen, overridable upward via ``dim``.
+    The text is ASCII; its lines end at ``\\n``, and its tokens are
+    separated by the whitespace of ``bytes.split()`` (space, ``\\t``,
+    ``\\r``, ``\\v`` and ``\\f``), so a CRLF file reads as its LF copy.  Each
+    line that is neither blank nor a ``#`` comment is ``<label> <idx>:<val>
+    ...`` with 1-based, strictly increasing indices.  Labels are mapped to
+    +-1: raw ``{-1,+1}`` pass through, ``{1,2}`` maps 2 to -1, ``{0,1}``
+    maps 0 to -1.  The dimension is the largest index seen, overridable
+    upward via ``dim``.  A ``str`` is read as its UTF-8, and the first
+    byte of 0x80 or more is refused, with its line, before any line is
+    parsed.
 
-    The text is cut after every ``_CHUNK_LINES``-th ASCII line break, so a
-    slice holds that many lines unless U+0085, U+2028 or U+2029 break more.
-    Each slice is tokenized as one array of code points: its ASCII bytes,
-    or its UTF-32 when it is not ASCII.  Indices, labels and values that
-    are an optional sign and ASCII digits below 10**15 (see
+    The text is cut after every ``_CHUNK_LINES``-th ``\\n``, and each slice
+    is tokenized as one array of bytes.  Indices, labels and values that
+    are an optional sign and digits below 10**15 (see
     :func:`_plain_integers`) are converted with array arithmetic, equal to
     ``int()`` and ``float()``.  Other fields, such as decimals with a dot,
-    exponents, underscores, non-ASCII digits, ``inf``/``nan`` and long
-    digit strings, go through ``int()`` or ``float()`` once per distinct
-    string.  A slice with a malformed token, or with an index of 2**63 or
-    more, is walked token by token, so the :class:`ParseError` names the
-    first bad token or label in file order and its line.  Bytes that are
-    not UTF-8 are refused before any line is parsed, with the line of the
-    first bad one.
+    exponents, underscores, ``inf``/``nan`` and long digit strings, go
+    through ``int()`` or ``float()`` once per distinct string.  A slice
+    with a malformed token, or with an index of 2**63 or more, is walked
+    token by token, so the :class:`ParseError` names the first bad token or
+    label in file order and its line.
 
     Returns ``(rows, labels)``: the ``(n, d)`` rows as a
     :class:`~soprolab.sparse.Csr` of the parsed entries only, with sorted

@@ -216,7 +216,6 @@ class RunConfig:
     algorithm: str = "st_sopro"
     x0_mode: str = "uniform"
     step_size: float | None = None  # baselines only
-    step_schedule: str = "constant"
 
     def batches(self, n_samples: int) -> tuple[int, int | None]:
         """The gradient and Hessian batch sizes ``(G, S)`` on local sets of
@@ -246,8 +245,6 @@ class RunConfig:
             raise ConfigurationError("seed must be nonnegative")
         if self.x0_mode not in ("uniform", "zeros"):
             raise ConfigurationError(f"unknown x0_mode {self.x0_mode!r}")
-        if self.step_schedule not in ("constant", "one_over_k"):
-            raise ConfigurationError(f"unknown step_schedule {self.step_schedule!r}")
         for name, b in zip(("batch_g", "batch_s"), self.batches(n_samples)):
             if b is not None and not 1 <= b <= n_samples:
                 raise ConfigurationError(f"{name}={b} outside 1..{n_samples}")

@@ -66,14 +66,19 @@ def map_labels_in_order(raw_labels, label_lines):
 
 
 def parse_libsvm_per_token(text, dim=None):
-    """Parse LIBSVM text one line and one token at a time."""
+    """Parse LIBSVM text one line and one token at a time: the bytes of
+    ``text`` (a ``str``'s UTF-8), refused at the first byte that is not
+    ASCII, in lines split at ``b"\\n"`` and tokens split by ``bytes.split()``."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    for k, byte in enumerate(data):
+        if byte >= 0x80:
+            raise ParseError(f"non-ASCII byte {byte:#04x}", line=data[:k].count(b"\n") + 1)
     raw_labels, label_lines, rows = [], [], []
     max_index = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        parts = [tok.decode() for tok in line.split()]
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = ln.split()
         try:
             label = float(parts[0])
         except ValueError:

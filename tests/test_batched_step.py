@@ -1122,8 +1122,7 @@ def test_baseline_rounds_mix_in_place_bitwise_as_the_whole_expressions(n):
     _, local = make_problem(n, 8, 6)
     L = metropolis_matrix(P)
     assert isinstance(L.operator, np.ndarray if n == 6 else Csr)
-    config = RunConfig(batch_g=4, batch_s=4, max_iters=3, seed=7, step_size=0.5,
-                       step_schedule="one_over_k")
+    config = RunConfig(batch_g=4, batch_s=4, max_iters=3, seed=7, step_size=0.5)
     grad = optimizer.gradient(local, config)
 
     def batch_grads(x, k):
@@ -1135,12 +1134,11 @@ def test_baseline_rounds_mix_in_place_bitwise_as_the_whole_expressions(n):
         args = [a.copy() for a in (x, tracker, last)]
         for a in args:
             a.setflags(write=False)
-        step = 0.5 / (1.0 + k)
         got = dsgd_round(args[0], L, grad, config, k)
-        want = x - L.disagreement(x) - step * batch_grads(x, k)
+        want = x - L.disagreement(x) - 0.5 * batch_grads(x, k)
         assert got.tobytes() == want.tobytes()
         got_x, got_t, got_g = dsgt_round(*args, L, grad, config, k)
-        want_x = x - L.disagreement(x) - step * tracker
+        want_x = x - L.disagreement(x) - 0.5 * tracker
         grads = batch_grads(want_x, k + 1)
         want_t = tracker - L.disagreement(tracker) + grads - last
         for g, w in ((got_x, want_x), (got_t, want_t), (got_g, grads)):
@@ -1243,23 +1241,6 @@ def test_every_method_takes_its_gradients_from_the_one_estimator(algorithm, monk
         L = metropolis_matrix(P)
         for x, mixed in zip(states, states[1:]):
             assert mixed.tobytes() == (x - L.disagreement(x)).tobytes()
-
-
-def test_one_over_k_schedule_divides_the_step_by_one_plus_the_round():
-    P, local = make_problem(6, 40, 15)
-    config = RunConfig(
-        batch_g=10, batch_s=10, max_iters=3, seed=7, algorithm="dsgd", step_size=0.5,
-        step_schedule="one_over_k",
-    )
-    states = []
-    run(P, local, config, callbacks=[lambda k, s: states.append(s.x.copy())])
-    W = np.eye(6) - metropolis_matrix(P).matrix
-    for k in range(3):
-        grads = np.stack([
-            agent_batch_stats(states[k][i], ds, 10, 10, 7, i, k)[0]
-            for i, ds in enumerate(agent_datasets(local))
-        ])
-        assert rel_err(states[k + 1], W @ states[k] - 0.5 / (1 + k) * grads) <= 1e-13
 
 
 @pytest.mark.parametrize("step_size", [None, 0.0, -0.5, np.nan])

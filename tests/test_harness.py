@@ -424,6 +424,20 @@ def test_cli_run_without_out_writes_under_the_environments_directory(
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("out", [[], ["--out", ""]])
+def test_cli_run_with_an_empty_environment_directory_writes_under_runs(
+    out, tmp_path, monkeypatch, capsys
+):
+    # An empty SOPROLAB_OUT is unset, as an empty --out is.
+    monkeypatch.setenv(cli.OUT_ENV_VAR, "")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", *SMALL, *out]) == 0
+    trace = Path("runs") / "st_sopro_seed000.jsonl"
+    assert f"wrote {trace}" in capsys.readouterr().out.splitlines()
+    assert json.loads((tmp_path / trace).read_text().splitlines()[0])["type"] == "header"
+    assert (tmp_path / "runs" / "st_sopro_mean.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--mu", "nan"), ("--mu", "inf"), ("--beta", "inf")]
 )
@@ -702,7 +716,7 @@ def test_config_keys_types_and_defaults_are_pinned():
         "test_size": int, "separation": float, "noise": float, "lambda_reg": float,
         "beta": float, "eta_s": float, "mu": float, "c1": float, "batch_g": int,
         "batch_s": int, "max_iters": int, "algorithm": str, "x0_mode": str,
-        "step_size": float, "step_schedule": str, "seeds": int, "master_seed": int,
+        "step_size": float, "seeds": int, "master_seed": int,
         "topology_seed": int, "data_seed": int, "topology_file": str, "target_error": float,
         "out": str,
     }
@@ -714,7 +728,7 @@ def test_config_keys_types_and_defaults_are_pinned():
         "test_size": 200, "separation": 1.0, "noise": 1.0, "lambda_reg": 0.01, "beta": 1.0,
         "eta_s": 0.5, "mu": None, "c1": 1.0, "batch_g": 10, "batch_s": 10, "max_iters": 500,
         "algorithm": "st_sopro", "x0_mode": "uniform", "step_size": None,
-        "step_schedule": "constant", "seeds": 1, "master_seed": 0, "topology_seed": None,
+        "seeds": 1, "master_seed": 0, "topology_seed": None,
         "data_seed": None, "topology_file": None, "target_error": None, "out": None,
     }
     assert isinstance(config, optimizer.RunConfig) and config.seed == 0
@@ -762,15 +776,12 @@ def _refuse_set_up(config):
     [
         ({"algorithm": "foo"}, "unknown algorithm 'foo'"),
         ({"x0_mode": "bogus"}, "unknown x0_mode 'bogus'"),
-        ({"algorithm": "dsgd", "step_size": 0.1, "step_schedule": "x"},
-         "unknown step_schedule 'x'"),
         ({"beta": -1}, "beta must be positive"),
         ({"algorithm": "dsgd"}, "baselines need a positive step_size"),
         ({"batch_g": 11}, "batch_g=11 outside 1..10"),
         ({"max_iters": -1}, "max_iters must be nonnegative"),
     ],
-    ids=["algorithm", "x0_mode", "step_schedule", "beta", "no_step_size", "batch_g",
-         "max_iters"],
+    ids=["algorithm", "x0_mode", "beta", "no_step_size", "batch_g", "max_iters"],
 )
 def test_run_parameters_are_refused_before_set_up(overrides, message, monkeypatch, tmp_path):
     monkeypatch.setattr(experiment, "build_problem", _refuse_set_up)
@@ -975,7 +986,7 @@ def test_a_non_positive_lambda_reg_is_refused_when_the_config_is_made(value):
 @pytest.mark.parametrize(
     "data, message",
     [
-        (b"+1 1:1\n-1 2:1 \xff\n", "line 2: invalid UTF-8 byte 0xff"),
+        (b"+1 1:1\n-1 2:1 \xff\n", "line 2: non-ASCII byte 0xff"),
         (b"+1 1:1\n-1 2:1 99999999999999999999:1\n",
          "line 2: feature token '99999999999999999999:1' has an index past int64"),
     ],

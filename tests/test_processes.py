@@ -302,6 +302,7 @@ def test_a_refused_input_prints_one_error_line_and_writes_nothing(session):
     assert not (tmp / "refused").exists()
     assert results["refused certify --algorithm dsgd"]["err"] == (
         "error: algorithm 'dsgd' has no certificate\n")
+    assert results["refused run utf8"]["err"] == "error: line 2: non-ASCII byte 0xff\n"
 
 
 # --------------------------------------------------------- two BLAS threads

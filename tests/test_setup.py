@@ -4,10 +4,11 @@ the per-line, per-sample and per-agent loops and the dense set-up of
 
 import io
 import json
-import sys
+import runpy
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -133,7 +134,7 @@ def render(entries, newline, pad=""):
     return newline.join(lines) + newline
 
 
-NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+NEWLINES = st.sampled_from(["\n", "\r\n"])
 CHUNK_LINES = st.sampled_from([1, 2, 3, 1024])
 
 
@@ -245,41 +246,54 @@ def test_parse_matches_per_token_parser_across_full_chunks():
     assert_same_outcome("\n".join(lines))
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "1 1 2:3:4",  # as many colons as tokens, and twice as many pieces
-        "1 5 1:2:3",
-        "1 4:1:2 3",
-        "1 1:2 :3 4:",
-        "1 1:1 2:2 2:3",
-        "1 3:1\n1 1:1 2:1 3:1\n1 2:0.5",  # indices restart on every line
-        "1 1_0:2 1_1:3e1_0",  # int and float accept underscores
-        "1 \u0661:2",  # and other Unicode digits
-        "1 1:inf 2:-nan",
-        # 15, 16 and 17 significant digits.  Digits read into a double and
-        # divided would miss 81.399717223787401 by one unit in the last place.
-        "1 1:0.123456789012345 2:-98765432109876.5 3:000123456789012345"
-        " 4:0.1234567890123456 5:-9876543210987.654 6:1234567890123456"
-        " 7:0.30000000000000004 8:-81.399717223787401 9:12345678901234567",
-        # More than 22 digits after the dot, where 10**23 is no exact double.
-        "1 1:.00000000000000000049114 2:-.0000000000000000000054305",
-        "-1 1:1e-3 2:1E+2 3:.5 4:5. 5:+2.5 6:-0 7:-0.0 8:+0",  # -0 keeps its sign
-        "-1.0 1:1 2:.",
-        "+1 00012:1 00000000000000000013:2",  # the second index has 20 digits
-        "1\xa01:1\u30002:1 3:1\xa0",
-        "1 1:1\x0b-1 2:1\x0c1 3:1\x1c-1 1:1\x85-1 2:1\u20281 3:1",
-        "1 1:1\r\n\r-1 2:1\x1d\x1e1 3:1\u2029",
-        "1 1:1\r\n-1 2:1\r\n1 3:x",  # \r\n ends one line
-        "1 1:1\u2028-1 2:1\x85 1 3:x",
-        "1 1:1 2:\ud800",  # a lone surrogate in a str
-    ],
-)
-def test_parse_matches_per_token_parser_on_tricky_lines(line):
+# (line, its error as (line number, message), or None).  The refused lines
+# are those that str.splitlines and str.split read otherwise than LIBSVM's
+# ASCII lines: non-ASCII text, and \v, \f, \x1c-\x1e or a lone \r as a
+# line break.
+TRICKY_LINES = [
+    ("1 1 2:3:4", None),  # as many colons as tokens, and twice as many pieces
+    ("1 5 1:2:3", None),
+    ("1 4:1:2 3", None),
+    ("1 1:2 :3 4:", None),
+    ("1 1:1 2:2 2:3", None),
+    ("1 3:1\n1 1:1 2:1 3:1\n1 2:0.5", None),  # indices restart on every line
+    ("1 1_0:2 1_1:3e1_0", None),  # int and float accept underscores
+    ("1 \u0661:2", (1, "non-ASCII byte 0xd9")),  # but no other Unicode digits
+    ("1 1:inf 2:-nan", None),
+    # 15, 16 and 17 significant digits.  Digits read into a double and
+    # divided would miss 81.399717223787401 by one unit in the last place.
+    ("1 1:0.123456789012345 2:-98765432109876.5 3:000123456789012345"
+     " 4:0.1234567890123456 5:-9876543210987.654 6:1234567890123456"
+     " 7:0.30000000000000004 8:-81.399717223787401 9:12345678901234567", None),
+    # More than 22 digits after the dot, where 10**23 is no exact double.
+    ("1 1:.00000000000000000049114 2:-.0000000000000000000054305", None),
+    ("-1 1:1e-3 2:1E+2 3:.5 4:5. 5:+2.5 6:-0 7:-0.0 8:+0", None),  # -0 keeps its sign
+    ("-1.0 1:1 2:.", None),
+    ("+1 00012:1 00000000000000000013:2", None),  # the second index has 20 digits
+    ("1\xa01:1\u30002:1 3:1\xa0", (1, "non-ASCII byte 0xc2")),
+    ("1 1:1\x0b-1 2:1\x0c1 3:1\x1c-1 1:1\x85-1 2:1\u20281 3:1", (1, "non-ASCII byte 0xc2")),
+    ("1 1:1\r\n\r-1 2:1\x1d\x1e1 3:1\u2029", (2, "non-ASCII byte 0xe2")),
+    ("1 1:1\r\n-1 2:1\r\n1 3:x", (3, "bad feature token '3:x'")),  # \r\n ends one line
+    ("1 1:1\u2028-1 2:1\x85 1 3:x", (1, "non-ASCII byte 0xe2")),
+    ("1 1:1 2:\ud800", (1, "non-ASCII byte 0xed")),  # a lone surrogate in a str
+    # \v, \f and \r separate tokens, and \x1c-\x1e are part of one.
+    ("1 1:1\x0b2:1\x0c3:1\r\r\n-1\r1:2", None),
+    ("1 1:1\x0b-1 2:1", (1, "bad feature token '-1'")),
+    ("1 1:1\x0c-1 2:1", (1, "bad feature token '-1'")),
+    ("1 1:1\r-1 2:1\r", (1, "bad feature token '-1'")),
+    ("1 1:1\x1c-1 2:1", (1, "bad feature token '1:1\\x1c-1'")),
+    ("1 1:1\x1d\x1e1 3:1", (1, "bad feature token '1:1\\x1d\\x1e1'")),
+]
+
+
+@pytest.mark.parametrize("line, error", TRICKY_LINES, ids=[line for line, _ in TRICKY_LINES])
+def test_parse_matches_per_token_parser_on_tricky_lines(line, error):
     for chunk in (1, 2, 3, 1024):
         with mock.patch.object(loss, "_CHUNK_LINES", chunk):
             assert_same_outcome(line)
             assert_same_outcome("1 1:1\n" * 5 + line)
+    if error is not None:
+        assert outcome(parse_libsvm, line) == (f"line {error[0]}: {error[1]}", error[0])
 
 
 def test_parse_refuses_an_index_beyond_int64_like_the_per_token_parser():
@@ -302,16 +316,39 @@ def test_parse_refuses_an_index_beyond_int64_like_the_per_token_parser():
         (b"+1 1:1\n-1 2:1 \xff\n", 2, 0xFF),
         (b"\xff1 1:1\n", 1, 0xFF),
         (b"+1 1:1\n\xc3", 2, 0xC3),  # a byte that opens a line, and a cut-off character
-        (b"+1 1:1\r\n-1 2:\xc3\xa9\r\r\x80", 4, 0x80),  # \r\n is one break, \r another
-        (b"+1 1:1\xe2\x80\xa8-1 1:1\xc2\x85# \xed\xa0\x80", 3, 0xED),  # U+2028, U+0085, a surrogate
+        (b"+1 1:1\r\n-1 2:\xc3\xa9\r\r\x80", 2, 0xC3),  # valid UTF-8 before the bad byte
+        (b"+1 1:1\xe2\x80\xa8-1 1:1\xc2\x85# \xed\xa0\x80", 1, 0xE2),  # U+2028 breaks no line
     ],
 )
 def test_parse_refuses_invalid_utf8_at_the_line_of_the_first_bad_byte(data, line, byte):
-    # Lines are counted as str.splitlines counts them before the byte.
+    # Bytes that are not UTF-8 are refused as every non-ASCII byte is: at
+    # the first one, on its line counted by \n.
     with pytest.raises(ParseError) as e:
         parse_libsvm(data)
     assert e.value.line == line
-    assert str(e.value) == f"line {line}: invalid UTF-8 byte {byte:#04x}"
+    assert str(e.value) == f"line {line}: non-ASCII byte {byte:#04x}"
+    assert outcome(parse_libsvm_per_token, data) == (str(e.value), line)
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes", "binary file", "text file"])
+@pytest.mark.parametrize(
+    "text, line, byte",
+    [
+        ("1\xa01:1 2:1\n", 1, 0xC2),  # U+00A0 as a separator
+        ("1 1:1\n-1 2:1\u20281 3:1\n", 2, 0xE2),  # U+2028 as a line break
+        ("1 1:1\n1 1:x\n1 \u0661:2\n", 3, 0xD9),  # refused before any line is parsed
+    ],
+)
+def test_parse_refuses_non_ascii_text_with_its_line_and_first_byte(text, line, byte, kind):
+    # A str is read as its UTF-8.
+    data = text.encode()
+    source = {"str": text, "bytes": data, "binary file": io.BytesIO(data),
+              "text file": io.StringIO(text)}[kind]
+    with pytest.raises(ParseError) as e:
+        parse_libsvm(source)
+    assert str(e.value) == f"line {line}: non-ASCII byte {byte:#04x}"
+    assert e.value.line == line
+    assert outcome(parse_libsvm_per_token, text) == (str(e.value), line)
 
 
 def test_parse_refuses_a_path_and_reads_a_str_as_the_text(tmp_path):
@@ -366,10 +403,10 @@ def test_array_conversion_equals_int_and_float_at_its_boundaries(convert):
         "0", "7", "-0", "+0", "-7", "+12", "0000000000000012", "+000000000000012",
         "999999999999999", "-999999999999999", "1000000000000000",
         "9007199254740993", "-9007199254740993", "12345678901234567",
-        "1.5", ".5", "1e3", "+", "-", "+-1", "1-", "1+1", "x", "\u0661",
+        "1.5", ".5", "1e3", "+", "-", "+-1", "1-", "1+1", "x", "1_0",
     ]
-    text = " ".join(fields)
-    codes = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+    text = " ".join(fields).encode()
+    codes = np.frombuffer(text, dtype=np.uint8)
     end = np.cumsum([len(f) + 1 for f in fields]) - 1
     start = end - [len(f) for f in fields]
     accepted = []
@@ -390,14 +427,20 @@ def test_array_conversion_equals_int_and_float_at_its_boundaries(convert):
     assert got.dtype == (np.int64 if convert is int else np.float64)
 
 
-def test_tokenizer_classes_are_those_of_str_split_and_splitlines():
-    codes = range(sys.maxunicode + 1)
-    spaces = [c for c in codes if chr(c).isspace()]
-    # Every code point, each followed by a NUL that breaks no line.
-    lines = "\0".join(map(chr, codes)).splitlines(keepends=True)
-    breaks = sorted(ord(line[-1]) for line in lines[:-1])
-    assert np.flatnonzero(loss._CLASS & loss._SPACE).tolist() == spaces
-    assert np.flatnonzero(loss._CLASS & loss._BREAK).tolist() == breaks
+def test_tokens_are_separated_by_the_whitespace_of_bytes_split():
+    spaces = [c for c in range(256) if bytes([c]).isspace()]
+    assert sorted(loss._WHITESPACE) == spaces == [9, 10, 11, 12, 13, 32]
+    assert np.flatnonzero(loss._SEPARATOR).tolist() == sorted([*spaces, ord(":")])
+    # Each ASCII byte between two feature tokens: only whitespace other
+    # than \n, which ends the line, keeps both.
+    kept = []
+    for c in range(128):
+        text = b"1 1:1" + bytes([c]) + b"2:1"
+        got = outcome(parse_libsvm, text)
+        assert_same_outcome(text)
+        if not isinstance(got[0], str) and got[0].tolist() == [[1.0, 1.0]]:
+            kept.append(c)
+    assert kept == [9, 11, 12, 13, 32]
 
 
 def one_hot_libsvm(rows, attributes, columns, seed):
@@ -450,6 +493,31 @@ def test_parse_and_partition_are_exact_and_peak_below_0_8x_the_matrix(
     assert isinstance(test.features, Csr)
     assert peak <= 0.75 * matrix
     assert max(peak, partition_peak) <= 0.8 * matrix
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+@pytest.mark.parametrize(
+    "source, rows, seed",
+    [("a4a", 4781, 1), ("mushrooms", 8124, 2), ("a4a", 9000, 3), ("golden", None, None)],
+)
+def test_a_crlf_file_parses_bitwise_as_its_lf_copy(source, rows, seed, tmp_path):
+    # The benchmark's files and the golden one-hot file, each written with
+    # \n and then with \r\n: \r is whitespace, so the rows, shape and
+    # labels are the same arrays.
+    path = tmp_path / "lf.svm"
+    if source == "golden":
+        runpy.run_path(str(TESTS / "golden" / "make_golden.py"))["write_one_hot"](path)
+    else:
+        synth = runpy.run_path(str(TESTS.parent / "bench" / "synth.py"))
+        synth["write_libsvm"](path, synth["SHAPES"][source], rows, seed)
+    lf = path.read_bytes()
+    assert b"\r" not in lf
+    want, got = parse_libsvm(lf), parse_libsvm(lf.replace(b"\n", b"\r\n"))
+    assert got[0].shape == want[0].shape
+    assert_same_arrays((got[0].indptr, got[0].indices, got[0].data, got[1]),
+                       (want[0].indptr, want[0].indices, want[0].data, want[1]))
 
 
 @pytest.mark.parametrize(
