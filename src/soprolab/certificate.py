@@ -281,12 +281,6 @@ class RateCertificate:
                 out[k] = v
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RateCertificate":
-        data = dict(data)
-        data["r_diag"] = np.asarray(data["r_diag"], dtype=float)
-        return cls(**data)
-
 
 def _delta_terms(gap, alphas, bounds, beta, lambda_w, eta_s, m_b, c1, P, norm_sq):
     """The rate terms at ``c0 = 2 eta_s m_b - gap``, with c2 in closed form.

@@ -6,9 +6,9 @@ plus the harness's keys.  Every field but ``seed``, which each run sets, is
 a key of its field's type: a ``T | None`` field takes a ``T`` or may be
 unset.  Every key doubles as a CLI flag.  Before any set-up work,
 :meth:`ExperimentConfig.check` refuses a bad ``RunConfig`` key
-(``algorithm``, ``beta``, ``step_size``, ``max_iters``, ``x0_mode``, and
-the batch sizes the method reads) and, for the proximal methods, a bad
-``eta_s``, ``mu`` or ``c1``.  One experiment builds a pinned
+(``algorithm``, ``step_size``, ``max_iters``, ``x0_mode``, and the batch
+sizes and ``beta`` that the method reads) and, for the proximal methods,
+a bad ``eta_s``, ``mu`` or ``c1``.  One experiment builds a pinned
 topology and data split, solves the centralized reference problem,
 certifies the proximal method when applicable, and runs each seed to a
 JSONL trace plus one seed-averaged CSV.  The proximal alphas are chosen
@@ -71,8 +71,6 @@ class ExperimentConfig(optimizer.RunConfig):
     avg_degree: float = 2.0
     per_agent: int = 50
     test_size: int = 200
-    separation: float = 1.0
-    noise: float = 1.0
     lambda_reg: float = 0.01
     eta_s: float = 0.5
     mu: float | None = None
@@ -213,9 +211,7 @@ def _load_data(config: ExperimentConfig, seed: int):
     (drawn from ``seed``)."""
     if config.dataset == "synthetic":
         total = config.n_agents * config.per_agent + config.test_size
-        rows, labels = gaussian_blob_samples(
-            total, config.dim, seed, separation=config.separation, noise=config.noise
-        )
+        rows, labels = gaussian_blob_samples(total, config.dim, seed)
         return Csr.from_dense(rows), labels
     with open(config.dataset, "rb") as f:
         return parse_libsvm(f, dim=config.dim)
@@ -236,8 +232,7 @@ class Problem:
 # The keys build_problem reads: configs that agree on them build the same
 # problem.
 PROBLEM_KEYS = ("dataset", "dim", "n_agents", "avg_degree", "per_agent", "test_size",
-                "separation", "noise", "lambda_reg", "master_seed", "topology_seed",
-                "data_seed", "topology_file")
+                "lambda_reg", "master_seed", "topology_seed", "data_seed", "topology_file")
 
 
 def build_problem(config: ExperimentConfig) -> Problem:

@@ -73,9 +73,10 @@ class MetricsTrace:
         return None
 
     def write_jsonl(
-        self, dest, header: dict, wall_s_total: float, summary: dict | None = None
+        self, path, header: dict, wall_s_total: float, summary: dict | None = None
     ) -> None:
-        """Write the header, one line per row and the summary as JSON lines.
+        """Write the header, one line per row and the summary as JSON lines
+        to the file at ``path``.
 
         Wall-clock values go only in the summary: ``wall_s_total`` and the
         set-up phase seconds, which come with any other summary fields in
@@ -102,11 +103,8 @@ class MetricsTrace:
             )
             + "\n"
         )
-        if hasattr(dest, "write"):
-            dest.writelines(lines)
-        else:
-            with open(dest, "w") as f:
-                f.writelines(lines)
+        with open(path, "w") as f:
+            f.writelines(lines)
 
 
 def optimality_error(x: np.ndarray, x_star: np.ndarray) -> float:
@@ -143,8 +141,8 @@ def aggregate_traces(traces) -> dict[str, np.ndarray]:
     return {"round": rounds, "opt_err": opt, "q_err": q, "comm_bits": bits, "test_acc": acc}
 
 
-def write_aggregate_csv(dest, agg: dict[str, np.ndarray]) -> None:
-    def _dump(f):
+def write_aggregate_csv(path, agg: dict[str, np.ndarray]) -> None:
+    with open(path, "w") as f:
         f.write("round,mean_opt_err,mean_q_err,comm_bits,mean_test_acc\n")
         for i in range(len(agg["round"])):
             # Python floats: numpy 2's repr of a float64 is np.float64(...).
@@ -156,9 +154,3 @@ def write_aggregate_csv(dest, agg: dict[str, np.ndarray]) -> None:
                 f"{int(agg['comm_bits'][i])},"
                 f"{'' if np.isnan(a) else repr(a)}\n"
             )
-
-    if hasattr(dest, "write"):
-        _dump(dest)
-    else:
-        with open(dest, "w") as f:
-            _dump(f)

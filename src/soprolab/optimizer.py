@@ -212,7 +212,7 @@ class RunConfig:
     batch_s: int = 10
     max_iters: int = 500
     seed: int = 0
-    beta: float = 1.0
+    beta: float = 1.0  # proximal methods only
     algorithm: str = "st_sopro"
     x0_mode: str = "uniform"
     step_size: float | None = None  # baselines only
@@ -233,7 +233,7 @@ class RunConfig:
             raise ConfigurationError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
             )
-        if self.beta <= 0:
+        if self.algorithm in PROXIMAL and self.beta <= 0:
             raise ConfigurationError(f"beta must be positive, got {self.beta}")
         if self.algorithm not in PROXIMAL and not (
             self.step_size is not None and self.step_size > 0

@@ -22,7 +22,6 @@ chooses between the dense and the CSR form.
 from __future__ import annotations
 
 import heapq
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +38,6 @@ __all__ = [
     "laplacian_weights",
     "spectral_summary",
     "read_edge_list",
-    "write_edge_list",
 ]
 
 
@@ -282,31 +280,13 @@ def spectral_summary(p: MatrixP) -> SpectralSummary:
     return SpectralSummary(lambda_w=float(lam_w), lambda_max=float(lam_max))
 
 
-def write_edge_list(p: MatrixP, dest) -> None:
-    """Serialize as ``n m`` then ``i j p_ij`` lines (0-based indices)."""
-
-    def _dump(f):
-        f.write(f"{p.n_agents} {p.n_edges}\n")
-        for i, j in p.edges:
-            f.write(f"{i} {j} {float(-p.matrix[i, j])!r}\n")
-
-    if hasattr(dest, "write"):
-        _dump(dest)
-    else:
-        with open(dest, "w") as f:
-            _dump(f)
-
-
-def read_edge_list(src) -> MatrixP:
-    """Parse the edge-list format written by :func:`write_edge_list`."""
-    if hasattr(src, "read"):
-        text = src.read()
-    else:
-        with open(src) as f:
-            text = f.read()
-    if isinstance(text, bytes):
-        text = text.decode()
-    lines = text.splitlines()
+def read_edge_list(path) -> MatrixP:
+    """The network in the edge-list file at ``path`` (a ``str`` or an
+    ``os.PathLike``): a first line ``n m``, the agent and edge counts, then
+    one ``i j weight`` line per edge, with 0-based agent indices and the
+    weight ``p_ij``.  Blank lines and ``#`` comment lines are skipped."""
+    with open(path) as f:
+        lines = f.read().splitlines()
     header = None
     edges = {}
     for lineno, raw in enumerate(lines, start=1):

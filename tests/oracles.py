@@ -542,6 +542,14 @@ def random_connected_graph_per_pair(n, target_avg_degree, seed):
     return tuple(sorted((int(i), int(j)) for i, j in chosen))
 
 
+def edge_list_text(p):
+    """The edge-list text of the network ``p``, as ``read_edge_list``
+    reads it: ``n m``, then ``i j weight`` per edge, each weight written
+    by ``repr`` so that it reads back bitwise."""
+    return f"{p.n_agents} {p.n_edges}\n" + "".join(
+        f"{i} {j} {float(-p.matrix[i, j])!r}\n" for i, j in p.edges)
+
+
 def kappa(c0, eta_s, alphas, bounds, beta, P, m_beta_value=None):
     """Contraction margin: smallest eigenvalue of the rate matrix.
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
 from unittest import mock
@@ -556,6 +558,43 @@ def test_no_nearby_c0_beats_the_certified_one(problem):
         assert min(term1, val) <= cert.delta_s * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("margin, at_the_end", [(1e-12, True), (1e-10, False)])
+def test_certify_takes_the_largest_c0_where_term_one_binds_everywhere(margin, at_the_end):
+    # The recipe alphas moved down until the proximal condition's margin is
+    # 1e-12: kappa, and with it term one, then lies under the crossing value
+    # of terms two and three over the whole range of c0, so the certificate
+    # sits at the largest c0 searched, 2 eta_s m_beta (1 - 1e-12).  At a
+    # margin of 1e-10 the crossing is inside the range: the bracketed root.
+    P, bounds, alphas, beta, eta = certified_setup(seed=2)
+    m_b = network_m_beta(bounds, P, beta)
+    alphas = alphas - check_D_condition(alphas, bounds, eta, m_b, beta, P) + margin
+    cert = certify(bounds, P, beta, alphas, eta, sigma_sq=0.1, tau_value=0.05)
+    hi = 2.0 * eta * m_b
+    gap_lo = hi * 1e-12
+    assert (cert.c0 == hi - gap_lo) is at_the_end
+    norm_sq = float(np.max(bounds.M + alphas) ** 2)
+
+    def terms(gap):
+        return certificate._delta_terms(
+            gap, alphas, bounds, beta, P.spectral.lambda_w, eta, m_b, 1.0, P, norm_sq)
+
+    term1, val, c2, kap = terms(gap_lo)
+    assert (term1 < val) is at_the_end
+    if at_the_end:
+        assert (cert.delta_s, cert.c2_star, cert.kappa) == (term1, c2, kap)
+    for gap in np.geomspace(gap_lo, hi * (1 - 1e-12), 200):
+        term1, val, _, _ = terms(float(gap))
+        assert not at_the_end or term1 <= val
+        assert min(term1, val) <= cert.delta_s * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("sigma_sq, tau_value", [(-0.1, 0.05), (0.1, -0.05)])
+def test_certify_refuses_a_negative_noise_or_tau(sigma_sq, tau_value):
+    P, bounds, alphas, beta, eta = certified_setup(seed=2)
+    with pytest.raises(ParameterError, match="^sigma_sq and tau must be nonnegative$"):
+        certify(bounds, P, beta, alphas, eta, sigma_sq=sigma_sq, tau_value=tau_value)
+
+
 def test_certify_zero_tau_gives_zero_bound():
     P, bounds, alphas, beta, eta = certified_setup(seed=4)
     cert = certify(bounds, P, beta, alphas, eta, sigma_sq=0.5, tau_value=0.0)
@@ -587,22 +626,18 @@ def test_certificate_consistency_fields():
     expected = cert.Gamma * cert.n_agents * cert.tau * cert.sigma_sq / cert.delta_s
     assert cert.steady_bound == expected
     assert 0 < cert.c0 < 2 * cert.eta_s * cert.m_beta
-    rt = RateCertificate.from_dict(cert.to_dict())
-    assert rt.delta_s == cert.delta_s
-    assert np.array_equal(rt.r_diag, cert.r_diag)
+    data = cert.to_dict()
+    assert data.keys() == {f.name for f in dataclasses.fields(RateCertificate)}
+    assert data["delta_s"] == cert.delta_s and data["r_diag"] == cert.r_diag.tolist()
+    assert json.loads(json.dumps(data)) == data
 
 
 def test_certificate_rejects_inconsistent_values():
     P, bounds, alphas, beta, eta = certified_setup(seed=7)
     cert = certify(bounds, P, beta, alphas, eta, sigma_sq=0.3, tau_value=0.02)
-    data = cert.to_dict()
-    data["delta_s"] = 1.5
-    with pytest.raises(InvariantViolation):
-        RateCertificate.from_dict(data)
-    data = cert.to_dict()
-    data["kappa"] = -1.0
-    with pytest.raises(InvariantViolation):
-        RateCertificate.from_dict(data)
+    for field, value in (("delta_s", 1.5), ("kappa", -1.0), ("c0", 0.0)):
+        with pytest.raises(InvariantViolation, match=f"{field}={value}"):
+            dataclasses.replace(cert, **{field: value})
 
 
 # ---------------------------------------------------------------- Q-norm error

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -16,9 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import soprolab
-from oracles import agent_datasets, newton_per_agent, stack_sets
+from oracles import agent_datasets, edge_list_text, newton_per_agent, stack_sets
 from soprolab import certificate, optimizer
-from soprolab.errors import ConfigurationError, DivergenceError, InvariantViolation, SoprolabError
+from soprolab.errors import (
+    ConfigurationError,
+    DivergenceError,
+    InvariantViolation,
+    ParameterError,
+    SoprolabError,
+)
 from soprolab.harness import cli, experiment, reference
 from soprolab.harness.cli import main
 from soprolab.harness.experiment import (
@@ -34,7 +39,6 @@ from soprolab.harness.experiment import (
 from soprolab.harness.metrics import MetricRow, MetricsTrace, aggregate_traces
 from soprolab.harness.tuning import tune_baseline
 from soprolab.loss import full_grad
-from soprolab.topology import write_edge_list
 
 
 def one_hot_problem(n_agents, per_agent, d, active, seed, lam=0.01):
@@ -145,6 +149,22 @@ def test_q_err_rows_match_the_gram_form_on_200_agents():
     assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
+@pytest.mark.parametrize(
+    "grid, target, message",
+    [([], 1e-2, "^empty tuning grid$"),
+     ([{"step_size": 0.1}], None,
+      r"^no target error given \(config.target_error is unset\)$")],
+    ids=["empty_grid", "no_target"],
+)
+def test_tuning_refuses_an_empty_grid_or_no_target_before_set_up(
+        grid, target, message, monkeypatch):
+    monkeypatch.setattr(experiment, "build_problem", _refuse_set_up)
+    config = ExperimentConfig(dim=4, n_agents=3, per_agent=10, test_size=5, algorithm="dsgd",
+                              batch_g=2, max_iters=2, target_error=target)
+    with pytest.raises(ParameterError, match=message):
+        tune_baseline(config, grid)
+
+
 def test_tuning_scores_a_diverging_point_as_never_reaching_the_target():
     config = ExperimentConfig(
         dim=5, n_agents=4, per_agent=20, test_size=20, algorithm="dsgd",
@@ -205,14 +225,14 @@ def test_tune_builds_one_problem_for_the_points_that_share_it(grid, built, monke
     assert [p.overrides for p in result.table] == grid
 
 
-def test_trace_with_a_non_finite_value_is_refused_and_not_written():
+def test_trace_with_a_non_finite_value_is_refused_and_not_written(tmp_path):
     trace = MetricsTrace()
     trace.append(MetricRow(round=0, opt_err=1.0, comm_bits=32))
     trace.append(MetricRow(round=1, opt_err=float("nan"), comm_bits=64))
-    out = io.StringIO()
+    out = tmp_path / "trace.jsonl"
     with pytest.raises(ValueError):
         trace.write_jsonl(out, {"config": {}}, wall_s_total=0.5)
-    assert out.getvalue() == ""
+    assert not out.exists()
 
 
 SETUP_PHASES = ("data_s", "load_s", "reference_s", "certificate_s")
@@ -710,12 +730,12 @@ def test_config_schema_is_the_fields_of_experiment_config():
         assert hints[key] in (kind, kind | None), key
 
 
-def test_config_keys_types_and_defaults_are_pinned():
+def test_config_keys_types_and_defaults_are_pinned(tmp_path):
     assert CONFIG_SCHEMA == {
         "dataset": str, "dim": int, "n_agents": int, "avg_degree": float, "per_agent": int,
-        "test_size": int, "separation": float, "noise": float, "lambda_reg": float,
-        "beta": float, "eta_s": float, "mu": float, "c1": float, "batch_g": int,
-        "batch_s": int, "max_iters": int, "algorithm": str, "x0_mode": str,
+        "test_size": int, "lambda_reg": float, "beta": float, "eta_s": float, "mu": float,
+        "c1": float, "batch_g": int, "batch_s": int, "max_iters": int, "algorithm": str,
+        "x0_mode": str,
         "step_size": float, "seeds": int, "master_seed": int,
         "topology_seed": int, "data_seed": int, "topology_file": str, "target_error": float,
         "out": str,
@@ -725,7 +745,7 @@ def test_config_keys_types_and_defaults_are_pinned():
     config = ExperimentConfig()
     assert config.to_dict() == {
         "dataset": "synthetic", "dim": 10, "n_agents": 5, "avg_degree": 2.0, "per_agent": 50,
-        "test_size": 200, "separation": 1.0, "noise": 1.0, "lambda_reg": 0.01, "beta": 1.0,
+        "test_size": 200, "lambda_reg": 0.01, "beta": 1.0,
         "eta_s": 0.5, "mu": None, "c1": 1.0, "batch_g": 10, "batch_s": 10, "max_iters": 500,
         "algorithm": "st_sopro", "x0_mode": "uniform", "step_size": None,
         "seeds": 1, "master_seed": 0, "topology_seed": None,
@@ -734,6 +754,13 @@ def test_config_keys_types_and_defaults_are_pinned():
     assert isinstance(config, optimizer.RunConfig) and config.seed == 0
     with pytest.raises(ConfigurationError, match="unknown config key 'seed'"):
         config_from_mapping({"seed": "3"})
+    # The synthetic data's class separation and noise are not keys: every
+    # run draws them at gaussian_blob_samples' defaults.
+    path = tmp_path / "blobs.cfg"
+    for key in ("separation", "noise"):
+        path.write_text(f"{key} = 2\n")
+        with pytest.raises(ConfigurationError, match=f"unknown config key '{key}'"):
+            config_from_mapping(parse_config_file(path))
 
 
 def test_the_keys_that_may_be_unset_are_the_optional_fields():
@@ -808,13 +835,15 @@ def test_sopro_runs_on_whole_sets_whatever_its_batch_keys():
 
 @pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
 def test_baselines_refuse_only_the_batch_size_they_read(algorithm, tmp_path, capsys):
-    # A baseline draws no Hessian batch, so batch_s is not checked for it;
-    # batch_g still is.  At 5 samples an agent the default batch_s = 10
-    # is outside 1..5.
+    # A baseline draws no Hessian batch and has no dual step, so neither
+    # batch_s nor beta is checked for it; batch_g still is.  At 5 samples
+    # an agent the default batch_s = 10 is outside 1..5.
     argv = ["run", "--dim", "4", "--n-agents", "3", "--per-agent", "5", "--test-size", "5",
             "--max-iters", "2", "--algorithm", algorithm, "--step-size", "0.1"]
     assert main([*argv, "--batch-g", "2", "--out", str(tmp_path / "ok")]) == 0
     assert (tmp_path / "ok" / f"{algorithm}_seed000.jsonl").exists()
+    assert main([*argv, "--batch-g", "2", "--beta", "0", "--out", str(tmp_path / "beta")]) == 0
+    assert (tmp_path / "beta" / f"{algorithm}_seed000.jsonl").exists()
     capsys.readouterr()
     assert main([*argv, "--batch-g", "6", "--out", str(tmp_path / "bad")]) == 1
     assert capsys.readouterr().err == "error: batch_g=6 outside 1..5\n"
@@ -826,6 +855,9 @@ def test_baselines_refuse_only_the_batch_size_they_read(algorithm, tmp_path, cap
         dataclasses.replace(config, batch_g=6).validate(5)
     with pytest.raises(ConfigurationError, match="batch_s=99 outside 1..5"):
         dataclasses.replace(config, algorithm="st_sopro").validate(5)
+    dataclasses.replace(config, beta=0.0).validate(5)
+    with pytest.raises(ConfigurationError, match="beta must be positive, got 0.0"):
+        dataclasses.replace(config, algorithm="st_sopro", batch_s=2, beta=0.0).validate(5)
 
 
 @pytest.mark.parametrize("command", ["run", "tune"])
@@ -951,7 +983,7 @@ def test_a_run_from_a_topology_file_writes_the_seeded_run(algorithm, tmp_path):
         step_size=0.1 if algorithm == "dsgt" else None,
     )
     network = tmp_path / "network.txt"
-    write_edge_list(build_topology(config), network)
+    network.write_text(edge_list_text(build_topology(config)))
     seeded = run_experiment(config.with_overrides({"out": str(tmp_path / "seeded")}))
     from_file = run_experiment(config.with_overrides(
         {"topology_file": str(network), "out": str(tmp_path / "file")}))

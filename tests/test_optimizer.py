@@ -415,6 +415,8 @@ def test_run_config_validation():
         base_config(algorithm="nope").validate(50)
     with pytest.raises(ConfigurationError):
         base_config(beta=-1.0).validate(50)
+    with pytest.raises(ConfigurationError, match="^seed must be nonnegative$"):
+        base_config(seed=-1).validate(50)
     base_config().validate(50)
     with pytest.raises(ConfigurationError):
         base_config(batch_g=100).validate(n_samples=50)

@@ -654,6 +654,14 @@ def test_partition_refuses_malformed_sparse_rows(indices, indptr, refused_by, me
         partition((rows(), np.array([1, -1])), 1, 1, seed=0, lambda_reg=0.1)
 
 
+@pytest.mark.parametrize("n_agents, per_agent", [(0, 5), (2, 0), (-1, -1)])
+def test_partition_refuses_fewer_than_one_agent_or_sample(n_agents, per_agent):
+    rows, labels = gaussian_blob_samples(12, 3, seed=0)
+    message = f"^need agents and samples per agent, got {n_agents} x {per_agent}$"
+    with pytest.raises(ParameterError, match=message):
+        partition((Csr.from_dense(rows), labels), n_agents, per_agent, seed=0, lambda_reg=0.1)
+
+
 @pytest.mark.parametrize("kind", ["ndarray", "csr_matrix"])
 def test_partition_refuses_rows_that_are_not_a_csr_and_names_their_type(kind):
     rows, labels = gaussian_blob_samples(12, 3, seed=0)
@@ -674,7 +682,7 @@ def test_load_data_hands_partition_csr_rows(dataset, tmp_path):
         config = replace(config, dataset=str(path))
         want = densify(parse_libsvm(path.read_text(), dim=5)[0])
     else:
-        want = gaussian_blob_samples(14, 5, 7, separation=config.separation, noise=config.noise)[0]
+        want = gaussian_blob_samples(14, 5, 7)[0]
     rows, labels = experiment._load_data(config, 7)
     assert isinstance(rows, Csr) and rows.shape == (14, 5) and labels.shape == (14,)
     assert np.array_equal(densify(rows), want)
