@@ -380,8 +380,14 @@ def certify(
         return term1 - val
 
     # Term one is negative past the kappa edge, so the whole range of c0 is
-    # one bracket and the edge needs no search of its own.
-    gap_lo, gap_hi = hi * 1e-12, hi * (1.0 - 1e-12)
+    # one bracket and the edge needs no search of its own.  The lower gap
+    # end is hi 1e-12, or nearer c0's top where a tiny margin puts the edge
+    # there: kappa(gap) >= margin - max_i drop_i(gap) (Weyl), with drop_i =
+    # (M_i - m_i)^2 gap / (4 hi (hi - gap)), is at least margin / 2 at the
+    # second value.
+    spread = float(np.max(bounds.M - bounds.m)) ** 2
+    gap_lo = min(hi * 1e-12, 2.0 * margin * hi * hi / (spread + 2.0 * margin * hi))
+    gap_hi = hi * (1.0 - 1e-12)
     f_lo, f_hi = excess(gap_lo), excess(gap_hi)
     if f_lo <= 0.0:  # term one binds everywhere and peaks at the largest c0
         gap = gap_lo

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`read_utf8`, which
+raises one for a text file that is not UTF-8."""
 
 
 class SoprolabError(Exception):
@@ -45,3 +46,16 @@ class DivergenceError(SoprolabError, ArithmeticError):
     def __init__(self, message, round=None):
         self.round = round
         super().__init__(message)
+
+
+def read_utf8(path) -> str:
+    """The text of the file at ``path`` as strict UTF-8: the first byte
+    that does not decode raises :class:`ParseError` naming it and its line,
+    counted by ``\\n``.  The config, grid and edge-list readers read by it."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"invalid UTF-8 byte {data[exc.start]:#04x}", line=line) from None

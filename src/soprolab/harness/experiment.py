@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import certificate as cert, optimizer
-from ..errors import ConfigurationError, DivergenceError
+from ..errors import ConfigurationError, DivergenceError, read_utf8
 from ..loss import SmoothnessBounds, StackedSets, TestSet, parse_libsvm, partition
 from ..sparse import Csr
 from ..topology import MatrixP, build_random_connected_graph, read_edge_list
@@ -167,10 +167,10 @@ def _coerce_mapping(mapping: dict) -> dict:
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
+    """Flat ``key = value`` lines of UTF-8 text
+    (:func:`~soprolab.errors.read_utf8`); '#' starts a comment."""
     mapping = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
         ln = raw.split("#", 1)[0].strip()
         if not ln:
             continue

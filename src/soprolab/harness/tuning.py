@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import DivergenceError, ParameterError
+from ..errors import DivergenceError, ParameterError, read_utf8
 from . import experiment
 from .experiment import ExperimentConfig
 
@@ -74,22 +74,21 @@ def tune_baseline(config: ExperimentConfig, grid) -> TuneResult:
 
 
 def parse_grid_file(path) -> list[dict]:
-    """One grid point per line: space-separated ``key=value`` pairs."""
+    """One grid point per line of UTF-8 text
+    (:func:`~soprolab.errors.read_utf8`): space-separated ``key=value``
+    pairs; '#' starts a comment."""
     points = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            ln = raw.split("#", 1)[0].strip()
-            if not ln:
-                continue
-            point = {}
-            for tok in ln.split():
-                if "=" not in tok:
-                    raise ParameterError(
-                        f"grid line {lineno}: expected key=value, got {tok!r}"
-                    )
-                k, _, v = tok.partition("=")
-                point[k.strip()] = v.strip()
-            points.append(point)
+    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
+        ln = raw.split("#", 1)[0].strip()
+        if not ln:
+            continue
+        point = {}
+        for tok in ln.split():
+            if "=" not in tok:
+                raise ParameterError(f"grid line {lineno}: expected key=value, got {tok!r}")
+            k, _, v = tok.partition("=")
+            point[k.strip()] = v.strip()
+        points.append(point)
     if not points:
         raise ParameterError("empty tuning grid file")
     return points

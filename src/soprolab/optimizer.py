@@ -47,24 +47,19 @@ Each takes the round's right-hand sides ``r_i = g_i + beta y_i + q_i``
 and curvature weights ``w_i`` and returns every ``x_i - (c_i I + B_i^T
 B_i)^{-1} r_i``:
 
-* ``rho < 1``, any shape, while the series' count to roundoff, the
-  least ``k`` with ``rho^(k+1) <= 2^-53``, is at most twice CG's
-  a-priori iteration cap at ``rho`` (:func:`_cg_iterations`; the
-  boundary lies between ``rho = 0.1738`` and ``0.1739``):
-  :func:`row_step` with the truncated Neumann series ``s = r / c``, then
-  ``k`` times ``s <- (r - B^T B s) / c``.  It is the Richardson iteration
-  with the shift as preconditioner (Saad 2003, *Iterative Methods for
-  Sparse Linear Systems*, ch. 4).  After ``k`` terms the residual is
-  ``(-B^T B / c)^(k+1) r``, at most ``rho^(k+1)`` of ``|r|``, and the
-  relative error at most ``(1 + rho) rho^(k+1)``.  The series runs the
-  least ``k`` with ``(1 + rho) rho^(k+1) <= CG_TOL``, so it stops where
-  CG stops, not at roundoff; only the choice reads the count to
-  roundoff.  Under certified alphas the shift dwarfs the curvature:
-  ``rho`` is about 1.6e-6 on the a4a-shaped problem and 7.8e-7 on the
-  200-agent one, which run 2 terms, and 2.7e-7 on the mushrooms-shaped
-  one, which runs 1.  Near ``rho = 1`` the series is far longer than CG
-  (270 terms to roundoff against a cap of 17 at ``rho = 0.873``), and
-  the rules below apply.
+* ``rho < SERIES_BELOW`` (about 0.1739), any shape: :func:`row_step`
+  with the truncated Neumann series ``s = r / c``, then ``k`` times ``s
+  <- (r - B^T B s) / c``.  It is the Richardson iteration with the shift
+  as preconditioner (Saad 2003, *Iterative Methods for Sparse Linear
+  Systems*, ch. 4).  After ``k`` terms the residual is ``(-B^T B /
+  c)^(k+1) r``, at most ``rho^(k+1)`` of ``|r|``, and the relative error
+  at most ``(1 + rho) rho^(k+1)``.  The series runs the least ``k`` with
+  ``(1 + rho) rho^(k+1) <= CG_TOL`` (:func:`_series_terms`), so it stops
+  where CG stops: 17 terms just below the bound, and 0 at ``rho <=
+  1e-13``, where the step is ``x - r / c``.  Under certified alphas the
+  shift dwarfs the curvature: ``rho`` is about 1.6e-6 on the a4a-shaped
+  problem and 7.8e-7 on the 200-agent one, which run 2 terms, and 2.7e-7
+  on the mushrooms-shaped one, which runs 1.
 * Otherwise, when ``S < C <= d``: :func:`gram_step`, which factors each
   agent's ``S x S`` Woodbury system from the Gram stack of its local set,
   computed once before round 0 (:func:`gram_stack`).  ``C <= d`` keeps
@@ -514,7 +509,7 @@ def _series_solve(apply_h, r: np.ndarray, c: np.ndarray, terms: int) -> np.ndarr
     each residual ``r_i - (c_i I + H_i) s_i`` is ``(-H_i / c_i)^(terms + 1)
     r_i``, at most ``rho^(terms + 1)`` of ``|r_i|``, and each relative error
     at most ``(1 + rho) rho^(terms + 1)``: :func:`proximal_engine` runs the
-    least ``terms`` that takes that bound to ``CG_TOL``.
+    least ``terms`` that takes that bound to ``CG_TOL`` (:func:`_series_terms`).
     """
     c = c[:, None]
     s = r / c
@@ -531,6 +526,13 @@ CG_TOL = 1e-13
 # iterations: in floating point it can need more (d = 6 eigenvalues spread
 # over three decades left a relative residual of 2e-12 after 7).
 CG_SLACK = 4
+
+# The engine takes the Neumann series below this bound on rho, and CG (or
+# the Gram step) from it on.  It is 2^(-53/21), the rho at which the series
+# needs 21 terms to reach roundoff (rho^(k+1) <= 2^-53), past twice CG's
+# a-priori cap of 10 there: the least double whose 21st power exceeds
+# 2^-53.  A literal, as ``**`` goes through the platform's pow.
+SERIES_BELOW = 0.17388320240572872
 
 
 def _cg_solve(
@@ -603,8 +605,8 @@ def row_step(
 
     All agents are solved at once, with ``solve`` (see
     :func:`proximal_engine`): ``"series"``, ``terms`` terms of the
-    Neumann series (the engine runs the fewest that take its relative
-    error to ``CG_TOL``, see :func:`_series_solve`), or ``"cg"``,
+    Neumann series (the engine runs :func:`_series_terms`, see
+    :func:`_series_solve`), or ``"cg"``,
     conjugate gradients for at most ``terms``
     iterations (in exact arithmetic CG ends within ``S + 1``, the most
     distinct eigenvalues a system of ``S`` weighted rows can have); an
@@ -702,9 +704,8 @@ class Engine:
 
     ``solve`` is ``"series"`` or ``"cg"``, both by :func:`row_step`, or
     ``"cholesky"``, by :func:`gram_step`; ``terms`` is the series' term
-    count, the least that takes its relative error to ``CG_TOL`` (not the
-    count to roundoff the choice reads), or CG's iteration cap, ``None``
-    on Cholesky; ``rho_bound`` bounds every ``||h_i - lam_i I|| / c_i``.
+    count (:func:`_series_terms`) or CG's iteration cap, ``None`` on
+    Cholesky; ``rho_bound`` bounds every ``||h_i - lam_i I|| / c_i``.
     """
 
     solve: str
@@ -712,23 +713,19 @@ class Engine:
     rho_bound: float
 
 
-def _series_terms(rho: float, tol: float = 2.0**-53) -> int | None:
-    """The least ``k`` with ``rho^(k+1) <= tol``, ``0 < tol < 1``; ``None``
-    if ``rho >= 1``."""
-    if not rho < 1.0:
-        return None
-    if rho == 0.0:
-        return 0
-    k = max(math.ceil(math.log(tol) / math.log(rho)) - 1, 0)
-    while k > 0 and rho**k <= tol:
-        k -= 1
-    while rho ** (k + 1) > tol:
+def _series_terms(rho: float) -> int:
+    """The series' term count at ``0 <= rho < SERIES_BELOW``: the least
+    ``k`` with ``(1 + rho) rho^(k+1) <= CG_TOL``, at most 17."""
+    if not 0.0 <= rho < SERIES_BELOW:
+        raise InvariantViolation(f"the series is not taken at rho = {rho}")
+    k = 0
+    while rho ** (k + 1) > CG_TOL / (1.0 + rho):
         k += 1
     return k
 
 
 def _cg_iterations(rho: float) -> int:
-    """CG's iteration cap at ``rho >= 1``: the least ``k`` with ``2
+    """CG's iteration cap at ``rho >= SERIES_BELOW``: the least ``k`` with ``2
     sqrt(kappa) q^k <= CG_TOL``, ``q = (sqrt(kappa) - 1) / (sqrt(kappa) +
     1)``, ``kappa = 1 + rho``.  That is CG's a-priori bound on the relative
     residual after ``k`` iterations on a system whose condition number is
@@ -747,10 +744,8 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
     is not is named in a :class:`~soprolab.errors.ConfigurationError`.  The
     solve follows from the bound ``rho``, the Hessian batch size ``S``
     (:meth:`RunConfig.batches`), ``C`` and ``d`` (see the module docstring):
-    the series when ``rho < 1`` and its term count to roundoff
-    (:func:`_series_terms` at ``2^-53``) is at most twice CG's a-priori
-    cap, run for the least ``k`` terms with ``(1 + rho) rho^(k+1) <=
-    CG_TOL``, else Cholesky by :func:`gram_step` when ``S < C <= d``,
+    the series when ``rho < SERIES_BELOW``, run for :func:`_series_terms`
+    terms, else Cholesky by :func:`gram_step` when ``S < C <= d``,
     else CG, capped at the fewer of its a-priori cap and ``CG_SLACK (min(S,
     d) + 1)`` iterations.  A bound that is not finite (a shift so small
     that it overflows) is refused the same way, naming the first agent
@@ -770,14 +765,12 @@ def proximal_engine(local: StackedSets, config: RunConfig, alphas) -> Engine:
         )
     rho = float(ratios.max())
     _, rows = config.batches(C)
-    terms, cg_terms = _series_terms(rho), _cg_iterations(rho)
-    if terms is not None and terms <= 2 * cg_terms:
-        # Chosen by the count to roundoff; run to CG's tolerance.
-        solve, terms = "series", _series_terms(rho, CG_TOL / (1.0 + rho))
+    if rho < SERIES_BELOW:
+        solve, terms = "series", _series_terms(rho)
     elif rows < C <= d:
         solve, terms = "cholesky", None
     else:
-        solve, terms = "cg", min(cg_terms, CG_SLACK * (min(rows, d) + 1))
+        solve, terms = "cg", min(_cg_iterations(rho), CG_SLACK * (min(rows, d) + 1))
     return Engine(solve, terms, rho)
 
 

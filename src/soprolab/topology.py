@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolation, ParameterError, ParseError
+from .errors import InvariantViolation, ParameterError, ParseError, read_utf8
 from .sparse import Csr
 
 __all__ = [
@@ -284,9 +284,9 @@ def read_edge_list(path) -> MatrixP:
     """The network in the edge-list file at ``path`` (a ``str`` or an
     ``os.PathLike``): a first line ``n m``, the agent and edge counts, then
     one ``i j weight`` line per edge, with 0-based agent indices and the
-    weight ``p_ij``.  Blank lines and ``#`` comment lines are skipped."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+    weight ``p_ij``, in UTF-8 (:func:`~soprolab.errors.read_utf8`).  Blank
+    lines and ``#`` comment lines are skipped."""
+    lines = read_utf8(path).splitlines()
     header = None
     edges = {}
     for lineno, raw in enumerate(lines, start=1):

@@ -5,7 +5,9 @@ numerical search (with the plain ``kappa`` evaluation) that the
 certificate's closed forms replaced, and the eigen-coordinate Q-norm error
 that its Gram form replaced, and the proximal round that read the whole
 local sets, with zero coefficients and weights off its batches, which the
-round on the gathered batch rows replaced.  The per-sample loss, gradient
+round on the gathered batch rows replaced, and the choice between the
+Neumann series and CG by their term counts, which the engine's one bound
+on rho replaced.  The per-sample loss, gradient
 and Hessian (:class:`Sample`), the per-agent batch loss, one agent's batch
 statistics of a round and the two-dimensional batch draw are the
 definitions the loss, the round and the draw are checked against.
@@ -647,6 +649,34 @@ def q_norm_eigen(P, r, beta, x_star, q_star, x, q):
     dx = x - x_star
     v_part = float((1.0 / w[nz]) @ np.einsum("ij,ij->i", coords, coords))
     return beta * float(r @ np.einsum("ij,ij->i", dx, dx)) + v_part
+
+
+def count_to(rho, tol):
+    """The least ``k`` with ``rho^(k+1) <= tol``, ``0 < tol < 1``, or
+    ``None`` at ``rho >= 1``: the log's guess, corrected both ways."""
+    if not rho < 1.0:
+        return None
+    if rho == 0.0:
+        return 0
+    k = max(math.ceil(math.log(tol) / math.log(rho)) - 1, 0)
+    while k > 0 and rho**k <= tol:
+        k -= 1
+    while rho ** (k + 1) > tol:
+        k += 1
+    return k
+
+
+def choice_by_counts(rho):
+    """The series-or-CG choice by term counts, as ``(solve, terms)``: the
+    series while its count to roundoff, ``count_to(rho, 2^-53)``, is at
+    most twice CG's a-priori cap (``optimizer._cg_iterations``), run for
+    ``count_to(rho, CG_TOL / (1 + rho))`` terms, else CG at its cap.  The
+    cap, and so this rule, is defined only for ``rho`` above about 7.8e-16,
+    where ``sqrt(1 + rho)`` no longer rounds to 1."""
+    series, cap = count_to(rho, 2.0**-53), optimizer._cg_iterations(rho)
+    if series is not None and series <= 2 * cap:
+        return "series", count_to(rho, optimizer.CG_TOL / (1.0 + rho))
+    return "cg", cap
 
 
 def rel_err(a, b):

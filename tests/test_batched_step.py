@@ -1,3 +1,5 @@
+import math
+import types
 import weakref
 
 import numpy as np
@@ -6,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    agent_batch_stats, agent_datasets, block_of, certified_alphas, csr_rows, dense_block,
-    dense_step_stacked, densify, draw_batches, flat_positions, one_hot_block, rel_err, stack_sets,
-    whole_set_history,
+    agent_batch_stats, agent_datasets, block_of, certified_alphas, choice_by_counts, count_to,
+    csr_rows, dense_block, dense_step_stacked, densify, draw_batches, flat_positions,
+    one_hot_block, rel_err, stack_sets, whole_set_history,
 )
 from soprolab import baselines, optimizer, topology
 from soprolab.baselines import dsgd_round, dsgt_round, metropolis_matrix
@@ -47,14 +49,16 @@ def rho_bound(feats, c):
 
 
 # Neumann series targets: each oracle test scales its rows until the
-# bound is each of these, then steps with the term count the engine runs.
+# bound is each of these, then steps with the term count the engine runs
+# below its bound on rho, which 0.3 is past.
 SERIES_RHOS = (1e-6, 1e-3, 0.3)
 
 
 def run_terms(rho):
-    """The series' term count :func:`optimizer.proximal_engine` runs at
-    ``rho``: the least ``k`` with ``(1 + rho) rho^(k+1) <= CG_TOL``."""
-    return optimizer._series_terms(rho, optimizer.CG_TOL / (1.0 + rho))
+    """The series' term count at ``rho < 1``: the least ``k`` with ``(1 +
+    rho) rho^(k+1) <= CG_TOL``, as :func:`optimizer._series_terms` gives
+    it below ``SERIES_BELOW``."""
+    return count_to(rho, optimizer.CG_TOL / (1.0 + rho))
 
 
 def tight_first_agent(feats, weights):
@@ -749,19 +753,107 @@ def test_run_refuses_a_drawn_index_outside_a_local_set(d, sparse, monkeypatch):
 # ------------------------------------------------------------- engine choice
 
 
-def test_series_terms_are_the_least_that_reach_roundoff():
+def engine_at(rho):
+    """The engine of one agent whose bound is exactly ``rho``: a curvature
+    bound of ``rho`` over a shift of 0 + 1, on 40 rows over 15 columns, so
+    that at ``S = 20 >= d`` CG, not the Gram step, is taken from the bound
+    on."""
+    local = types.SimpleNamespace(shape=(1, 40, 15), lam=0.0, curvature_bound=np.array([rho]))
+    return optimizer.proximal_engine(local, RunConfig(batch_g=10, batch_s=20), [1.0])
+
+
+def least_double_where(holds, lo, hi):
+    """The least double in ``(lo, hi]`` at which ``holds``, a predicate
+    false at ``lo``, true at ``hi`` and monotone between, is true."""
+    a, b = np.float64(lo).view(np.int64), np.float64(hi).view(np.int64)
+    while b - a > 1:
+        m = (a + b) // 2
+        if holds(float(m.view(np.float64))):
+            b = m
+        else:
+            a = m
+    return float(b.view(np.float64))
+
+
+def test_series_terms_are_the_least_that_reach_cg_tolerance():
+    below = math.nextafter(optimizer.SERIES_BELOW, 0.0)
     assert optimizer._series_terms(0.0) == 0
     assert optimizer._series_terms(1.6e-6) == 2
-    for rho in (1.0, 1.5, np.inf, np.nan):
-        assert optimizer._series_terms(rho) is None
-    for tol in (2.0**-53, optimizer.CG_TOL):
-        assert optimizer._series_terms(0.0, tol) == 0
-        for rho in np.geomspace(1e-12, 0.999, 60):
-            k = optimizer._series_terms(rho, tol)
-            assert rho ** (k + 1) <= tol
-            assert k == 0 or rho**k > tol
+    assert optimizer._series_terms(below) == 17
+    for rho in (-5e-324, optimizer.SERIES_BELOW, 1.0, np.inf, np.nan):
+        with pytest.raises(InvariantViolation, match="the series is not taken at rho"):
+            optimizer._series_terms(rho)
+    for rho in [5e-324, *np.geomspace(1e-300, below, 300).tolist(), below]:
+        k = optimizer._series_terms(rho)
+        tol = optimizer.CG_TOL / (1.0 + rho)
+        assert rho ** (k + 1) <= tol
+        assert k == 0 or rho**k > tol
     # The engine's run count at the bench shapes' bounds.
-    assert [run_terms(rho) for rho in (1.59e-6, 2.65e-7, 7.84e-7)] == [2, 1, 2]
+    assert [optimizer._series_terms(rho) for rho in (1.59e-6, 2.65e-7, 7.84e-7)] == [2, 1, 2]
+
+
+def test_series_below_is_where_the_series_needs_21_terms_to_roundoff():
+    # Past twice CG's a-priori cap of 10 at both neighbours: the term-count
+    # rule takes CG from this double on.
+    below = math.nextafter(optimizer.SERIES_BELOW, 0.0)
+    assert optimizer.SERIES_BELOW == pytest.approx(2.0 ** (-53 / 21), rel=2.0**-52)
+    assert optimizer.SERIES_BELOW**21 > 2.0**-53 >= below**21
+    assert (count_to(below, 2.0**-53), count_to(optimizer.SERIES_BELOW, 2.0**-53)) == (20, 21)
+    assert [optimizer._cg_iterations(rho) for rho in (below, optimizer.SERIES_BELOW)] == [10, 10]
+    assert engine_at(below) == optimizer.Engine("series", 17, below)
+    assert engine_at(optimizer.SERIES_BELOW) == optimizer.Engine(
+        "cg", 10, optimizer.SERIES_BELOW)
+
+
+def test_the_engine_makes_the_choice_the_term_counts_make():
+    # Wherever the term-count rule is defined (rho above about 7.8e-16),
+    # the engine takes its solve and its count: on a grid of 200,001
+    # bounds, and one float either side of every step of the count to
+    # roundoff (2^(-53/(k+1))) and of the series' run count.
+    tol = optimizer.CG_TOL
+    steps = [least_double_where(lambda r, k=k: count_to(r, tol / (1.0 + r)) > k, 1e-15, 0.99)
+             for k in range(40)]
+    steps += [2.0 ** (-53 / (k + 1)) for k in range(1, 60)]  # 2^-53 is below 1e-15
+    near = [t for step in steps
+            for t in (math.nextafter(step, 0.0), step, math.nextafter(step, 1.0))]
+    for rho in [*np.geomspace(1e-15, 1.5, 200_001).tolist(), *near]:
+        engine = engine_at(rho)
+        assert (engine.solve, engine.terms) == choice_by_counts(rho), rho
+
+
+def test_a_bound_below_where_cgs_cap_is_defined_takes_the_series_with_no_term():
+    # sqrt(1 + rho) rounds to 1 at rho <= 7.77e-16, where CG's a-priori cap
+    # is not defined; the engine takes the series, x - r / c, there.
+    for rho in (0.0, 5e-324, 1e-17, 7.77e-16):
+        assert engine_at(rho) == optimizer.Engine("series", 0, rho)
+
+
+def test_the_step_without_curvature_is_the_right_hand_side_over_the_shift():
+    # Zero curvature weights and no series term: x - r / c, whatever the
+    # rows, bitwise.
+    rng = np.random.default_rng(5)
+    n, S, d = 4, 6, 5
+    x, rhs = rng.standard_normal((2, n, d))
+    c = np.geomspace(0.5, 2.0, n)
+    out = row_step(x, rhs, rows(rng.standard_normal((n, S, d))), np.zeros(n * S), c, "series", 0)
+    assert np.array_equal(out, x - rhs / c[:, None])
+
+
+def test_a_run_on_rows_without_features_takes_the_series_with_no_term_and_converges():
+    # Every h_i is lam I, so rho = 0, the loss is lam |x|^2 / 2 plus a
+    # constant a sample, and the reference is x* = 0.
+    n, C, d = 4, 10, 3
+    P = build_random_connected_graph(n, 2.0, seed=0)
+    local = stack_sets(np.zeros((n, C, d)), np.tile([1.0, -1.0], (n, C // 2)), 0.1)
+    config = RunConfig(batch_g=4, batch_s=4, max_iters=200, seed=0)
+    alphas = certified_alphas(P, local)
+    assert optimizer.proximal_engine(local, config, alphas) == optimizer.Engine("series", 0, 0.0)
+    x_star = solve_reference(local).x
+    assert np.array_equal(x_star, np.zeros(d))
+    errors = []
+    run(P, local, config, alphas,
+        callbacks=[lambda k, s: errors.append(optimality_error(s.x, x_star))])
+    assert errors[-1] < 1e-3 * errors[0]
 
 
 def one_hot_sets(n, count, attributes, columns, seed=0, lam=0.01):
@@ -796,7 +888,7 @@ def test_certified_runs_of_benchmark_shapes_take_the_series(
     engine = optimizer.proximal_engine(local, config, certified_alphas(P, local))
     assert (engine.solve, engine.terms) == ("series", terms)
     assert engine.rho_bound < 2e-6
-    assert optimizer._series_terms(engine.rho_bound) == 2
+    assert choice_by_counts(engine.rho_bound) == ("series", terms)
 
 
 def test_the_bounds_and_the_engine_read_one_curvature_bound(monkeypatch):
@@ -903,37 +995,38 @@ def test_cg_names_the_first_agent_it_leaves_above_its_tolerance():
 @pytest.mark.parametrize("rho, solve", [(0.873, "cg"), (1.6e-6, "series")])
 def test_the_series_is_taken_only_while_it_is_at_most_twice_the_cg_cap(rho, solve):
     # At rho = 0.873 the series needs 270 terms to roundoff against CG's
-    # cap of 17; at the certified bench runs' rho it needs 2 against 3, and
-    # runs 2 to CG's tolerance.  S >= d: no Gram path, so CG takes the row
-    # step.
+    # cap of 17, and the bound gives CG; at the certified bench runs' rho
+    # it needs 2 against 3, and the series runs 2 to CG's tolerance.  S >=
+    # d: no Gram path, so CG takes the row step.
     P, local = make_problem(6, 40, 15)
     config = RunConfig(batch_g=10, batch_s=20, max_iters=2, seed=0)
     shift = np.full(6, 0.25 * local.row_sq.max() / rho)
     engine = optimizer.proximal_engine(local, config, shift - local.lam)
     assert engine.rho_bound == pytest.approx(rho, rel=1e-12)
-    series, cap = optimizer._series_terms(rho), optimizer._cg_iterations(rho)
-    assert (series, cap) == ((270, 17) if solve == "cg" else (2, 3))
-    assert (engine.solve, engine.terms) == (solve, cap if solve == "cg" else run_terms(rho))
+    rho = engine.rho_bound
+    counts = count_to(rho, 2.0**-53), optimizer._cg_iterations(rho)
+    assert counts == ((270, 17) if solve == "cg" else (2, 3))
+    assert (rho < optimizer.SERIES_BELOW) is (solve == "series")
+    assert (engine.solve, engine.terms) == (solve, 17 if solve == "cg" else 2)
+    assert (engine.solve, engine.terms) == choice_by_counts(rho)
     assert np.isfinite(run(P, local, config, shift - local.lam).x).all()
 
 
 @pytest.mark.parametrize("rho, solve, terms", [(0.1738, "series", 17), (0.1739, "cg", 10)])
-def test_the_choice_reads_the_count_to_roundoff_not_the_run_count(rho, solve, terms):
-    # To roundoff the series needs 20 terms at rho = 0.1738 and 21 at
-    # 0.1739, against twice CG's cap of 10 at both: the boundary lies
-    # between them.  The series taken at 0.1738 runs 17 terms, to CG's
-    # tolerance; choosing by that count would move the boundary to about
-    # rho = 0.30, where CG is the faster solve.
+def test_the_series_ends_at_its_bound_not_where_its_run_count_would_end_it(rho, solve, terms):
+    # SERIES_BELOW lies between 0.1738 and 0.1739.  The series taken at
+    # 0.1738 runs 17 terms, to CG's tolerance, against CG's cap of 10 at
+    # both; comparing that run count with twice the cap would move the
+    # boundary to about rho = 0.30, where CG is the faster solve.
     P, local = make_problem(6, 40, 15)
     config = RunConfig(batch_g=10, batch_s=20, max_iters=2, seed=0)
     shift = np.full(6, 0.25 * local.row_sq.max() / rho)
     engine = optimizer.proximal_engine(local, config, shift - local.lam)
     assert engine.rho_bound == pytest.approx(rho, rel=1e-12)
     assert optimizer._cg_iterations(engine.rho_bound) == 10
-    assert optimizer._series_terms(engine.rho_bound) == (20 if solve == "series" else 21)
     assert (engine.solve, engine.terms) == (solve, terms)
-    if solve == "series":
-        assert engine.terms == run_terms(engine.rho_bound)
+    assert (engine.solve, engine.terms) == choice_by_counts(engine.rho_bound)
+    assert np.isfinite(run(P, local, config, shift - local.lam).x).all()
 
 
 @pytest.mark.parametrize("rho", [1.0, 17.0, 1e3])

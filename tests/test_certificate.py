@@ -558,33 +558,44 @@ def test_no_nearby_c0_beats_the_certified_one(problem):
         assert min(term1, val) <= cert.delta_s * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("margin, at_the_end", [(1e-12, True), (1e-10, False)])
-def test_certify_takes_the_largest_c0_where_term_one_binds_everywhere(margin, at_the_end):
+# (seed, margin, delta_s of the same search over gaps from hi 1e-12 up, or
+# None where kappa is negative at hi 1e-12 and that search finds no rate).
+TINY_MARGINS = [(2, 1e-12, 1.3034967321783272e-15), (2, 1e-10, 1.8693725549480408e-13),
+                (1, 1.0002e-12, None)]
+
+
+@pytest.mark.parametrize("seed, margin, from_1e12", TINY_MARGINS)
+def test_certify_at_a_tiny_margin_is_at_least_every_gap_from_its_lower_end(
+        seed, margin, from_1e12):
     # The recipe alphas moved down until the proximal condition's margin is
-    # 1e-12: kappa, and with it term one, then lies under the crossing value
-    # of terms two and three over the whole range of c0, so the certificate
-    # sits at the largest c0 searched, 2 eta_s m_beta (1 - 1e-12).  At a
-    # margin of 1e-10 the crossing is inside the range: the bracketed root.
-    P, bounds, alphas, beta, eta = certified_setup(seed=2)
+    # tiny.  kappa(gap) is at least the margin less (M - m)^2 gap / (4 hi
+    # (hi - gap)), so near the top of c0's range it falls below zero within
+    # a gap of about margin hi^2 / (M - m)^2: at seed 1 and a margin of
+    # 1.0002e-12, the gap hi 1e-12 is past that edge.  The search's lower
+    # gap end is where the fall is at most half the margin, if that is
+    # below hi 1e-12; term one is then positive there, and at each margin
+    # here the crossing with terms two and three lies inside the range.
+    P, bounds, alphas, beta, eta = certified_setup(seed=seed)
     m_b = network_m_beta(bounds, P, beta)
     alphas = alphas - check_D_condition(alphas, bounds, eta, m_b, beta, P) + margin
     cert = certify(bounds, P, beta, alphas, eta, sigma_sq=0.1, tau_value=0.05)
     hi = 2.0 * eta * m_b
-    gap_lo = hi * 1e-12
-    assert (cert.c0 == hi - gap_lo) is at_the_end
+    spread = float(np.max(bounds.M - bounds.m)) ** 2
+    gap_lo = min(hi * 1e-12, 2.0 * margin * hi**2 / (spread + 2.0 * margin * hi))
     norm_sq = float(np.max(bounds.M + alphas) ** 2)
 
     def terms(gap):
         return certificate._delta_terms(
             gap, alphas, bounds, beta, P.spectral.lambda_w, eta, m_b, 1.0, P, norm_sq)
 
-    term1, val, c2, kap = terms(gap_lo)
-    assert (term1 < val) is at_the_end
-    if at_the_end:
-        assert (cert.delta_s, cert.c2_star, cert.kappa) == (term1, c2, kap)
+    term1, val, _, kap = terms(gap_lo)
+    assert kap >= 0.4 * margin and term1 > val
+    at_1e12 = terms(hi * 1e-12)
+    assert (at_1e12[3] < 0.0) is (from_1e12 is None)
+    assert cert.delta_s >= (from_1e12 or 0.0)
+    assert cert.delta_s >= min(at_1e12[:2])
     for gap in np.geomspace(gap_lo, hi * (1 - 1e-12), 200):
         term1, val, _, _ = terms(float(gap))
-        assert not at_the_end or term1 <= val
         assert min(term1, val) <= cert.delta_s * (1 + 1e-12)
 
 

@@ -22,6 +22,7 @@ from soprolab.errors import (
     DivergenceError,
     InvariantViolation,
     ParameterError,
+    ParseError,
     SoprolabError,
 )
 from soprolab.harness import cli, experiment, reference
@@ -37,7 +38,7 @@ from soprolab.harness.experiment import (
     run_experiment,
 )
 from soprolab.harness.metrics import MetricRow, MetricsTrace, aggregate_traces
-from soprolab.harness.tuning import tune_baseline
+from soprolab.harness.tuning import parse_grid_file, tune_baseline
 from soprolab.loss import full_grad
 
 
@@ -761,6 +762,27 @@ def test_config_keys_types_and_defaults_are_pinned(tmp_path):
         path.write_text(f"{key} = 2\n")
         with pytest.raises(ConfigurationError, match=f"unknown config key '{key}'"):
             config_from_mapping(parse_config_file(path))
+
+
+# A config or grid file is UTF-8: its values may be paths that are not
+# ASCII.  The first byte that does not decode is named with its line.
+@pytest.mark.parametrize(
+    "read, good, bad, value",
+    [(parse_config_file, "dataset = {}\n", b"dim = 4\n# caf\xe9\n",
+      {"dataset": "caf\u00e9.txt"}),
+     (parse_grid_file, "topology_file={}\n", b"step_size=0.1\nstep_size=\xff\n",
+      [{"topology_file": "caf\u00e9.txt"}])],
+    ids=["config", "grid"],
+)
+def test_config_and_grid_files_are_utf8_and_name_the_line_of_a_byte_that_is_not(
+        read, good, bad, value, tmp_path):
+    path = tmp_path / "file.txt"
+    path.write_bytes(good.format("caf\u00e9.txt").encode())
+    assert read(path) == value
+    path.write_bytes(bad)
+    with pytest.raises(ParseError, match=rf"^line 2: invalid UTF-8 byte 0x{bad[-2]:02x}$") as e:
+        read(path)
+    assert e.value.line == 2
 
 
 def test_the_keys_that_may_be_unset_are_the_optional_fields():

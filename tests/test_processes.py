@@ -3,8 +3,9 @@
 Each check here needs a process of its own: a rerun in a fresh process,
 the ``python -m soprolab.harness.cli`` entry, the modules a run loads, a
 warning raised where the CLI cannot see it (a file left open is reported
-when it is collected, outside any ``try``), or a BLAS thread count, fixed
-when numpy loads.
+when it is collected, outside any ``try``), an error the CLI does not
+catch, which would end the process with a traceback, or a BLAS thread
+count, fixed when numpy loads.
 """
 
 import json
@@ -303,6 +304,58 @@ def test_a_refused_input_prints_one_error_line_and_writes_nothing(session):
     assert results["refused certify --algorithm dsgd"]["err"] == (
         "error: algorithm 'dsgd' has no certificate\n")
     assert results["refused run utf8"]["err"] == "error: line 2: non-ASCII byte 0xff\n"
+
+
+# ------------------------------------- refusals and edge cases, one process each
+
+# A file that is not UTF-8 is refused by its reader, naming the line of the
+# first byte that does not decode, in one error line and no traceback.
+UNDECODABLE = {
+    "topology": (["run", "--config", "{config}", "--topology-file", "{file}",
+                  "--out", "{tmp}/out"],
+                 b"3 2\n0 1 1.0\n1 2 \xff1.0\n", "line 3: invalid UTF-8 byte 0xff"),
+    "config": (["run", "--config", "{file}", "--out", "{tmp}/out"],
+               b"dim = 4\n# caf\xe9\nn_agents = 3\n", "line 2: invalid UTF-8 byte 0xe9"),
+    "grid": (["tune", "--config", "{config}", "--algorithm", "dsgd", "--target-error", "7",
+              "--grid", "{file}"],
+             b"step_size=0.1\nstep_size=\xff\n", "line 2: invalid UTF-8 byte 0xff"),
+}
+
+
+@pytest.mark.parametrize("argv, data, message", UNDECODABLE.values(), ids=UNDECODABLE)
+def test_a_file_that_is_not_utf8_is_refused_in_one_error_line(argv, data, message, tmp_path):
+    config, bad = tmp_path / "tiny.cfg", tmp_path / "bad"
+    config.write_text(TINY)
+    bad.write_bytes(data)
+    argv = [a.format(config=config, file=bad, tmp=tmp_path) for a in argv]
+    done = subprocess.run([*CLI, *argv], env=environment(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+# Bounds on rho at which CG's a-priori cap is not defined (sqrt(1 + rho)
+# rounds to 1): a shift of 1e17, and rows with labels but no features.
+TINY_BOUNDS = {
+    "mu": (["--mu", "1e17"], None),
+    "featureless": (["--dataset", "{file}", "--dim", "4"], "".join(
+        f"{(-1) ** k:+d}\n" for k in range(40)).encode()),
+}
+
+
+@pytest.mark.parametrize("flags, data", TINY_BOUNDS.values(), ids=TINY_BOUNDS)
+def test_a_run_at_a_bound_too_small_for_cgs_cap_takes_the_series_with_no_term(
+        flags, data, tmp_path):
+    config, dataset = tmp_path / "tiny.cfg", tmp_path / "rows.txt"
+    config.write_text(TINY)
+    if data is not None:
+        dataset.write_bytes(data)
+    argv = ["run", "--config", str(config), *(f.format(file=dataset) for f in flags),
+            "--max-iters", "3", "--out", str(tmp_path / "out")]
+    done = subprocess.run([*CLI, *argv], env=environment(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    engine = header(tmp_path / "out" / "st_sopro_seed000.jsonl")["engine"]
+    assert (engine["solve"], engine["terms"]) == ("series", 0)
+    assert engine["rho_bound"] <= 7.77e-16
 
 
 # --------------------------------------------------------- two BLAS threads

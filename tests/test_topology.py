@@ -321,6 +321,16 @@ def test_edge_list_parse_errors(tmp_path):
     assert err is not None and err.line == 2
 
 
+def test_edge_list_is_utf8_and_names_the_line_of_a_byte_that_is_not(tmp_path):
+    path = tmp_path / "network.txt"
+    path.write_bytes("# r\u00e9seau\n3 2\n0 1 1.0\n1 2 0.5\n".encode())
+    assert read_edge_list(path).edges == ((0, 1), (1, 2))
+    path.write_bytes(b"3 2\n0 1 1.0\n1 2 \xff1.0\n")
+    with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xff$") as e:
+        read_edge_list(path)
+    assert e.value.line == 3
+
+
 def test_edge_list_refuses_a_header_with_too_few_edges_before_sizing_the_graph(
         tmp_path, monkeypatch):
     def refuse(*args):
