@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and :func:`read_utf8`, which
-raises one for a text file that is not UTF-8."""
+"""Exception types shared across the package, and how an input file is read
+(:func:`reads_file`, :func:`read_lines`)."""
+
+import functools
 
 
 class SoprolabError(Exception):
@@ -11,16 +13,15 @@ class ParameterError(SoprolabError, ValueError):
 
 
 class ParseError(SoprolabError, ValueError):
-    """Malformed input data.
+    """A malformed input file, named by ``path`` (see :func:`reads_file`).
 
-    Carries the 1-based line number of the offending line when known.
+    ``str()`` is ``line N: message`` when the 1-based ``line`` is known.
     """
 
     def __init__(self, message, line=None):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        self.path = None
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class ConfigurationError(SoprolabError, ValueError):
@@ -48,14 +49,31 @@ class DivergenceError(SoprolabError, ArithmeticError):
         super().__init__(message)
 
 
-def read_utf8(path) -> str:
-    """The text of the file at ``path`` as strict UTF-8: the first byte
-    that does not decode raises :class:`ParseError` naming it and its line,
-    counted by ``\\n``.  The config, grid and edge-list readers read by it."""
+def reads_file(read):
+    """A :class:`ParseError` that ``read`` raises carries ``path``, its first argument."""
+
+    @functools.wraps(read)
+    def reader(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except ParseError as exc:
+            exc.path = path
+            raise
+
+    return reader
+
+
+def read_lines(path):
+    """``(number, text)`` of each line of the UTF-8 file at ``path`` that
+    holds more than a comment: lines end at ``\\n`` alone, ``#`` starts a
+    comment anywhere, and ``text`` is what precedes it, stripped.  A line
+    that is not UTF-8 is refused at its first byte that does not decode."""
     with open(path, "rb") as f:
         data = f.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"invalid UTF-8 byte {data[exc.start]:#04x}", line=line) from None
+    for number, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8 byte {raw[exc.start]:#04x}", line=number) from None
+        if text := text.split("#", 1)[0].strip():
+            yield number, text

@@ -5,7 +5,8 @@ Subcommands: ``run`` (execute an experiment and write traces), ``certify``
 diagnostics), and ``tune`` (grid-search hyperparameters).  Every config key
 is mirrored as a flag; flags override the config file.  The only
 environment variable honored is ``SOPROLAB_OUT`` for the default output
-directory; an empty value is unset, as an empty ``--out`` is.
+directory; an empty value is unset, as an empty ``--out`` is.  A refused
+input prints one line and exits 1; a bad file, ``error: <path>: line N: ...``.
 
 The linear algebra runs on numpy's BLAS.  OpenBLAS takes its thread count
 from ``OPENBLAS_NUM_THREADS``; set it to 1 when several runs share the
@@ -21,7 +22,7 @@ import sys
 
 import numpy as np
 
-from ..errors import ConfigurationError, SoprolabError
+from ..errors import ConfigurationError, ParseError, SoprolabError
 from ..optimizer import PROXIMAL
 from .experiment import (
     CONFIG_SCHEMA,
@@ -149,7 +150,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SoprolabError, OSError) as exc:
         # OSError: a config, grid, dataset or topology file that cannot be read.
-        print(f"error: {exc}", file=sys.stderr)
+        where = f"{exc.path}: " if isinstance(exc, ParseError) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
 
 

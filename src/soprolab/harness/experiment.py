@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import certificate as cert, optimizer
-from ..errors import ConfigurationError, DivergenceError, read_utf8
+from ..errors import ConfigurationError, DivergenceError, ParseError, read_lines, reads_file
 from ..loss import SmoothnessBounds, StackedSets, TestSet, parse_libsvm, partition
 from ..sparse import Csr
 from ..topology import MatrixP, build_random_connected_graph, read_edge_list
@@ -133,23 +133,21 @@ CONFIG_SCHEMA, _UNSETTABLE = _schema()
 def _coerce_one(key: str, value):
     if key not in CONFIG_SCHEMA:
         raise ConfigurationError(f"unknown config key {key!r}")
-    if value is None:
-        return None
-    if isinstance(value, str):
-        v = value.strip()
-        if v.lower() in ("none", "auto", ""):
+    text = isinstance(value, str)
+    if text:
+        value = value.strip()
+        if value.lower() in ("none", "auto", ""):
             return None
-        try:
-            out = CONFIG_SCHEMA[key](v)
-        except ValueError:
-            raise ConfigurationError(f"bad value {value!r} for key {key!r}")
-    else:
-        try:
-            out = CONFIG_SCHEMA[key](value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigurationError(f"bad value {value!r} for key {key!r}")
-        if isinstance(out, int) and out != value:
-            raise ConfigurationError(f"key {key!r} needs an integer, got {value!r}")
+    elif value is None:
+        return None
+    elif isinstance(value, bool):  # no key is a bool, though True == 1
+        raise ConfigurationError(f"bad value {value!r} for key {key!r}")
+    try:
+        out = CONFIG_SCHEMA[key](value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"bad value {value!r} for key {key!r}") from None
+    if isinstance(out, int) and not text and out != value:
+        raise ConfigurationError(f"key {key!r} needs an integer, got {value!r}")
     if isinstance(out, float) and not math.isfinite(out):
         raise ConfigurationError(f"key {key!r} needs a finite value, got {value!r}")
     return out
@@ -166,22 +164,20 @@ def _coerce_mapping(mapping: dict) -> dict:
     return out
 
 
+@reads_file
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` lines of UTF-8 text
-    (:func:`~soprolab.errors.read_utf8`); '#' starts a comment."""
-    mapping = {}
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
-        ln = raw.split("#", 1)[0].strip()
-        if not ln:
-            continue
-        if "=" in ln:
-            key, _, value = ln.partition("=")
-        else:
-            parts = ln.split(None, 1)
-            if len(parts) != 2:
-                raise ConfigurationError(f"line {lineno}: expected 'key = value', got {raw!r}")
-            key, value = parts
-        mapping[key.strip()] = value.strip()
+    """The ``key = value`` lines (:func:`~soprolab.errors.read_lines`) of the
+    config file at ``path``, ``-`` read as ``_`` in keys; no key twice."""
+    mapping, first = {}, {}
+    for number, text in read_lines(path):
+        key, eq, value = text.partition("=")
+        if not eq:
+            raise ParseError(f"expected 'key = value', got {text!r}", line=number)
+        key = key.strip().replace("-", "_")
+        if key in first:
+            raise ParseError(f"key {key!r} was already set on line {first[key]}", line=number)
+        first[key] = number
+        mapping[key] = value.strip()
     return mapping
 
 
@@ -213,8 +209,7 @@ def _load_data(config: ExperimentConfig, seed: int):
         total = config.n_agents * config.per_agent + config.test_size
         rows, labels = gaussian_blob_samples(total, config.dim, seed)
         return Csr.from_dense(rows), labels
-    with open(config.dataset, "rb") as f:
-        return parse_libsvm(f, dim=config.dim)
+    return parse_libsvm(config.dataset, dim=config.dim)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import DivergenceError, ParameterError, read_utf8
+from ..errors import DivergenceError, ParameterError, ParseError, read_lines, reads_file
 from . import experiment
 from .experiment import ExperimentConfig
 
@@ -73,22 +73,23 @@ def tune_baseline(config: ExperimentConfig, grid) -> TuneResult:
     return TuneResult(best=best, table=table)
 
 
+@reads_file
 def parse_grid_file(path) -> list[dict]:
-    """One grid point per line of UTF-8 text
-    (:func:`~soprolab.errors.read_utf8`): space-separated ``key=value``
-    pairs; '#' starts a comment."""
+    """One grid point per line (:func:`~soprolab.errors.read_lines`) of the
+    grid file at ``path``: ``key=value`` tokens, ``-`` read as ``_`` in
+    keys; no key twice on a line."""
     points = []
-    for lineno, raw in enumerate(read_utf8(path).splitlines(), start=1):
-        ln = raw.split("#", 1)[0].strip()
-        if not ln:
-            continue
+    for number, text in read_lines(path):
         point = {}
-        for tok in ln.split():
-            if "=" not in tok:
-                raise ParameterError(f"grid line {lineno}: expected key=value, got {tok!r}")
-            k, _, v = tok.partition("=")
-            point[k.strip()] = v.strip()
+        for tok in text.split():
+            key, eq, value = tok.partition("=")
+            if not eq:
+                raise ParseError(f"expected key=value, got {tok!r}", line=number)
+            key = key.replace("-", "_")
+            if key in point:
+                raise ParseError(f"key {key!r} is set twice", line=number)
+            point[key] = value
         points.append(point)
     if not points:
-        raise ParameterError("empty tuning grid file")
+        raise ParseError("empty tuning grid file")
     return points

@@ -6,7 +6,7 @@ sample losses of one agent; batch gradients and Hessians average uniformly
 chosen subsets and are unbiased for the full quantities.
 
 Data stays in arrays from file to engine, and each phase holds the
-training data once.  :func:`parse_libsvm` reads LIBSVM text as libsvm
+training data once.  :func:`parse_libsvm` reads a LIBSVM file as libsvm
 does: ASCII lines that end at ``\\n``, of tokens separated by the
 whitespace of ``bytes.split()``.  It tokenizes each slice of
 ``_CHUNK_LINES`` lines as one array of bytes, converts indices, labels and
@@ -44,13 +44,12 @@ compute one agent alone; the stacked functions are checked against them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolation, ParameterError, ParseError
+from .errors import InvariantViolation, ParameterError, ParseError, reads_file
 from .sparse import Csr, index_type
 
 __all__ = [
@@ -462,10 +461,10 @@ def _raise_first_error(text: bytes, first_line: int):
     raise InvariantViolation("a rejected slice has no malformed token")
 
 
-def _parse_lines(source):
-    """``(labels, lens, indices, values)`` of the data lines of ``source``,
-    as :func:`parse_libsvm` describes them: the mapped labels, the tokens
-    per line, and every line's 1-based indices and values in file order.
+def _parse_lines(path):
+    """``(labels, lens, indices, values)`` of the data lines of the file at
+    ``path``, as :func:`parse_libsvm` describes them: the mapped labels, the
+    tokens per line, and every line's 1-based indices and values.
 
     Every stored entry holds a colon, so the colons in the text bound the
     entries: the indices and values are allocated once at that length and
@@ -473,9 +472,8 @@ def _parse_lines(source):
     holds the text, those two arrays, the small per-line arrays and one
     slice's tokenizer arrays at once.  The text and the slices' arrays are
     freed when it returns."""
-    data = source.read() if hasattr(source, "read") else source
-    if isinstance(data, str):
-        data = data.encode("utf-8", "surrogatepass")
+    with open(path, "rb") as f:
+        data = f.read()
     whole = np.frombuffer(data, dtype=np.uint8)
     if not data.isascii():
         k = int(np.argmax(whole >= 0x80))
@@ -517,24 +515,19 @@ def _parse_lines(source):
     return _map_labels(raw, lines), lens, indices, values
 
 
-def parse_libsvm(source, dim: int | None = None):
-    """Parse LIBSVM text into sparse rows and +-1 labels.
+@reads_file
+def parse_libsvm(path, dim: int | None = None):
+    """Parse the LIBSVM file at ``path`` into sparse rows and +-1 labels.
 
-    ``source`` is the file's text, as ``str`` or ``bytes``, or an open file,
-    which is read whole.  A ``str`` is always the text, never a file name;
-    a path object (``os.PathLike``) is refused with a
-    :class:`~soprolab.errors.ParameterError`.
-
-    The text is ASCII; its lines end at ``\\n``, and its tokens are
+    The file is ASCII text; its lines end at ``\\n``, and its tokens are
     separated by the whitespace of ``bytes.split()`` (space, ``\\t``,
     ``\\r``, ``\\v`` and ``\\f``), so a CRLF file reads as its LF copy.  Each
     line that is neither blank nor a ``#`` comment is ``<label> <idx>:<val>
     ...`` with 1-based, strictly increasing indices.  Labels are mapped to
     +-1: raw ``{-1,+1}`` pass through, ``{1,2}`` maps 2 to -1, ``{0,1}``
     maps 0 to -1.  The dimension is the largest index seen, overridable
-    upward via ``dim``.  A ``str`` is read as its UTF-8, and the first
-    byte of 0x80 or more is refused, with its line, before any line is
-    parsed.
+    upward via ``dim``.  The first byte of 0x80 or more is refused, with
+    its line, before any line is parsed.
 
     The text is cut after every ``_CHUNK_LINES``-th ``\\n``, and each slice
     is tokenized as one array of bytes.  Indices, labels and values that
@@ -544,8 +537,8 @@ def parse_libsvm(source, dim: int | None = None):
     exponents, underscores, ``inf``/``nan`` and long digit strings, go
     through ``int()`` or ``float()`` once per distinct string.  A slice
     with a malformed token, or with an index of 2**63 or more, is walked
-    token by token, so the :class:`ParseError` names the first bad token or
-    label in file order and its line.
+    token by token, so the :class:`~soprolab.errors.ParseError` names the
+    first bad token or label in file order, its line and ``path``.
 
     Returns ``(rows, labels)``: the ``(n, d)`` rows as a
     :class:`~soprolab.sparse.Csr` of the parsed entries only, with sorted
@@ -553,12 +546,7 @@ def parse_libsvm(source, dim: int | None = None):
     entry count fit (the arrays of scipy's ``csr_matrix``), and ``(n,)``
     int labels.
     """
-    if isinstance(source, os.PathLike):
-        raise ParameterError(
-            f"parse_libsvm got the path {os.fspath(source)!r}; pass the file's text "
-            "or an open binary file"
-        )
-    labels, lens, idx, val = _parse_lines(source)
+    labels, lens, idx, val = _parse_lines(path)
     d = max(dim or 0, int(idx.max()) if idx.size else 0)
     idx -= 1
     index = index_type(idx.size, lens.size, d)

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolation, ParameterError, ParseError, read_utf8
+from .errors import InvariantViolation, ParameterError, ParseError, read_lines, reads_file
 from .sparse import Csr
 
 __all__ = [
@@ -209,6 +209,17 @@ class MatrixP:
         return self.operator @ x
 
 
+def _edge_fault(n: int, i: int, j: int, w: float) -> str | None:
+    """Why ``(i, j)`` of weight ``w`` is no edge on agents ``0..n-1``, or ``None``."""
+    if i == j:
+        return f"self-loop at agent {i}"
+    if not (0 <= i < n and 0 <= j < n):
+        return f"edge ({i}, {j}) outside 0..{n - 1}"
+    if not 0 < w < math.inf:
+        return f"edge ({i}, {j}) has weight {w}; weights must be positive and finite"
+    return None
+
+
 def laplacian_weights(n: int, weights: dict[tuple[int, int], float]) -> MatrixP:
     """``P`` of the network on agents ``0..n-1`` whose edges are the keys of
     ``weights``, each with its weight.
@@ -221,19 +232,11 @@ def laplacian_weights(n: int, weights: dict[tuple[int, int], float]) -> MatrixP:
     """
     if n < 1:
         raise ParameterError(f"need at least one agent, got {n}")
-    canonical = {}
-    for (i, j), w in weights.items():
-        if i == j:
-            raise ParameterError(f"self-loop at agent {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParameterError(f"edge ({i},{j}) outside 0..{n - 1}")
-        canonical[min(i, j), max(i, j)] = float(w)
+    canonical = {(min(i, j), max(i, j)): float(w) for (i, j), w in weights.items()}
     P = np.zeros((n, n))
     for (i, j), w in sorted(canonical.items()):
-        if not 0 < w < math.inf:
-            raise ParameterError(
-                f"edge {(i, j)} has weight {w}; weights must be positive and finite"
-            )
+        if fault := _edge_fault(n, i, j, w):
+            raise ParameterError(fault)
         P[i, j] = P[j, i] = -w
         P[i, i] += w
         P[j, j] += w
@@ -280,51 +283,43 @@ def spectral_summary(p: MatrixP) -> SpectralSummary:
     return SpectralSummary(lambda_w=float(lam_w), lambda_max=float(lam_max))
 
 
+@reads_file
 def read_edge_list(path) -> MatrixP:
-    """The network in the edge-list file at ``path`` (a ``str`` or an
-    ``os.PathLike``): a first line ``n m``, the agent and edge counts, then
-    one ``i j weight`` line per edge, with 0-based agent indices and the
-    weight ``p_ij``, in UTF-8 (:func:`~soprolab.errors.read_utf8`).  Blank
-    lines and ``#`` comment lines are skipped."""
-    lines = read_utf8(path).splitlines()
-    header = None
-    edges = {}
-    for lineno, raw in enumerate(lines, start=1):
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ParseError("expected header 'n m'", line=lineno)
-            try:
-                header = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ParseError(f"bad header {ln!r}", line=lineno)
-            if header[0] < 2:
-                raise ParseError(f"need n >= 2 agents, got {header[0]}", line=lineno)
-            # Checked before anything is sized by n: a header cannot make
-            # the graph larger than the edges that follow it.
-            if header[1] < header[0] - 1:
-                raise ParseError(
-                    f"header promises {header[1]} edges, but a connected graph "
-                    f"on {header[0]} agents needs at least {header[0] - 1}",
-                    line=lineno,
-                )
-            continue
-        if len(parts) != 3:
-            raise ParseError(f"expected 'i j weight', got {ln!r}", line=lineno)
+    """The network in the edge-list file at ``path``, in the lines of
+    :func:`~soprolab.errors.read_lines`: a header ``n m``, the agent and
+    edge counts, then one ``i j weight`` line per edge (0-based agents, the
+    weight ``p_ij``).  A bad line or edge (:func:`_edge_fault`), an edge
+    given twice, a wrong edge count or a disconnected network is refused."""
+    lines = read_lines(path)
+    number, text = next(lines, (None, ""))  # an empty file has no header line
+    try:
+        n, m = map(int, text.split())
+    except ValueError:
+        raise ParseError(f"expected header 'n m', got {text!r}", line=number) from None
+    if n < 2:
+        raise ParseError(f"need n >= 2 agents, got {n}", line=number)
+    # Checked before anything is sized by n: a header cannot make the graph
+    # larger than the edges that follow it.
+    if m < n - 1:
+        raise ParseError(f"header promises {m} edges, but a connected graph on {n} agents "
+                         f"needs at least {n - 1}", line=number)
+    edges, given = {}, {}
+    for number, text in lines:
         try:
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+            i, j, w = text.split()
+            i, j, w = int(i), int(j), float(w)
         except ValueError:
-            raise ParseError(f"bad edge line {ln!r}", line=lineno)
+            raise ParseError(f"expected 'i j weight', got {text!r}", line=number) from None
+        if fault := _edge_fault(n, i, j, w):
+            raise ParseError(fault, line=number)
         edge = (min(i, j), max(i, j))
-        if edge in edges:
-            raise ParseError(f"edge {edge} is repeated", line=lineno)
+        if edge in given:
+            raise ParseError(f"edge {edge} was already given on line {given[edge]}", line=number)
+        given[edge] = number
         edges[edge] = w
-    if header is None:
-        raise ParseError("empty edge-list input", line=len(lines) or 1)
-    n, m = header
     if len(edges) != m:
         raise ParseError(f"header promised {m} edges, found {len(edges)}")
-    return laplacian_weights(n, edges)
+    try:
+        return laplacian_weights(n, edges)
+    except ParameterError as exc:  # every edge is good: the network is not connected
+        raise ParseError(str(exc)) from None

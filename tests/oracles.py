@@ -15,11 +15,14 @@ definitions the loss, the round and the draw are checked against.
 Each function here is the plain loop or search that a routine of
 ``soprolab`` replaced; the tests check the routines against them.  The
 last two are the relative error and the certified alphas that several
-test modules measure with.
+test modules measure with, and :func:`parse_text` is how they hand LIBSVM
+text to the parser, which reads a file.
 """
 
 import math
+import tempfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -45,6 +48,7 @@ from soprolab.loss import (
     full_grad,
     logistic_coef,
     logistic_curvature,
+    parse_libsvm,
     sigmoid,
 )
 from soprolab.optimizer import draw_positions, sample_batches, substream
@@ -116,6 +120,17 @@ def parse_libsvm_per_token(text, dim=None):
         if idxs.size:
             features[k, idxs - 1] = vals
     return features, np.array(labels, dtype=int)
+
+
+def parse_text(text, dim=None):
+    """:func:`~soprolab.loss.parse_libsvm` of a file that holds ``text``
+    (a ``str``'s UTF-8, or ``bytes``), written into a temporary
+    directory."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "data.svm"
+        path.write_bytes(data)
+        return parse_libsvm(path, dim=dim)
 
 
 def parse_and_partition_dense(text, n_agents, per_agent, seed, dim=None):

@@ -404,7 +404,7 @@ def test_cli_reports_an_unknown_config_key(command, tmp_path, capsys):
 @pytest.mark.parametrize(
     "grid_text, message",
     [
-        ("step_size=0.1\nstep_size 0.2\n", "grid line 2: expected key=value"),
+        ("step_size=0.1\nstep_size 0.2\n", "grid.txt: line 2: expected key=value"),
         ("# only a comment\n\n", "empty tuning grid file"),
         ("no_such_key=1\n", "unknown config key 'no_such_key'"),
         ("step_size=fast\n", "bad value 'fast' for key 'step_size'"),
@@ -782,7 +782,50 @@ def test_config_and_grid_files_are_utf8_and_name_the_line_of_a_byte_that_is_not(
     path.write_bytes(bad)
     with pytest.raises(ParseError, match=rf"^line 2: invalid UTF-8 byte 0x{bad[-2]:02x}$") as e:
         read(path)
-    assert e.value.line == 2
+    assert (e.value.line, e.value.path) == (2, path)
+
+
+# A config file or a grid line sets each key once; '-' and '_' are one key.
+@pytest.mark.parametrize(
+    "read, text, message",
+    [(parse_config_file, "dim = 4\n# seven\ndim = 7\n", "key 'dim' was already set on line 1"),
+     (parse_config_file, "batch-g = 2\nseeds = 1\nbatch_g = 3\n",
+      "key 'batch_g' was already set on line 1"),
+     (parse_grid_file, "step_size=0.1\n\nbatch_g=2 step_size=0.2 batch-g=3\n",
+      "key 'batch_g' is set twice")],
+    ids=["config", "config-dash", "grid"],
+)
+def test_a_key_set_twice_is_refused_naming_it_and_its_lines(read, text, message, tmp_path):
+    path = tmp_path / "file.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^line 3: {message}$") as e:
+        read(path)
+    assert (e.value.line, e.value.path) == (3, path)
+
+
+def test_config_lines_end_at_newline_alone_and_are_key_equals_value(tmp_path):
+    # \r, \f and U+2028 start no new line: the value holds them, and the
+    # key refuses it as a bad value.
+    path = tmp_path / "run.cfg"
+    for brk in ("\r", "\x0c", "\u2028"):
+        path.write_text(f"seeds = 2\ndim = 4{brk}bogus\n", encoding="utf-8")
+        mapping = parse_config_file(path)
+        assert mapping == {"seeds": "2", "dim": f"4{brk}bogus"}
+        with pytest.raises(ConfigurationError, match="^bad value '4.*bogus' for key 'dim'$"):
+            config_from_mapping(mapping)
+    # A CRLF file reads as its LF copy; 'key value' is not a config line.
+    path.write_bytes(b"seeds = 2\r\ndim = 4 # four\r\n")
+    assert parse_config_file(path) == {"seeds": "2", "dim": "4"}
+    path.write_text("seeds = 2\n\ndim 4\n")
+    with pytest.raises(ParseError, match="^line 3: expected 'key = value', got 'dim 4'$"):
+        parse_config_file(path)
+
+
+@pytest.mark.parametrize("key", ["dim", "seeds", "beta", "step_size", "target_error"])
+@pytest.mark.parametrize("value", [True, False])
+def test_a_bool_is_refused_for_a_number_key(key, value):
+    with pytest.raises(ConfigurationError, match=f"^bad value {value} for key '{key}'$"):
+        ExperimentConfig().with_overrides({key: value})
 
 
 def test_the_keys_that_may_be_unset_are_the_optional_fields():
@@ -975,7 +1018,7 @@ def test_cli_run_refuses_a_one_agent_topology_file_before_any_output(algorithm, 
     argv = ["run", *SMALL, "--algorithm", algorithm, "--step-size", "0.1",
             "--topology-file", str(topology), "--out", str(out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: line 1: need n >= 2 agents, got 1\n"
+    assert capsys.readouterr().err == f"error: {topology}: line 1: need n >= 2 agents, got 1\n"
     assert not out.exists()
 
 
@@ -1052,7 +1095,7 @@ def test_cli_refuses_a_dataset_the_parser_refuses_with_one_error_line(
     dataset.write_bytes(data)
     out = tmp_path / "out"
     assert main(["run", *SMALL, "--dataset", str(dataset), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {dataset}: {message}\n"
     assert not out.exists()
 
 

@@ -11,8 +11,8 @@ from scipy.special import expit
 
 from oracles import (
     Sample, agent_datasets, batch_loss, block_of, csr_rows, densify, flat_positions,
-    one_hot_block, sample_grad, sample_hess, sample_loss, scipy_csr, stack_sets, stacked,
-    whole_set_grad,
+    one_hot_block, parse_text, sample_grad, sample_hess, sample_loss, scipy_csr, stack_sets,
+    stacked, whole_set_grad,
 )
 from soprolab.errors import ParameterError, ParseError
 from soprolab.sparse import Csr
@@ -25,7 +25,6 @@ from soprolab.loss import (
     full_grad,
     logistic_coef,
     logistic_curvature,
-    parse_libsvm,
     partition,
     predict,
     sets_grad,
@@ -63,7 +62,7 @@ def bounds_of(ds):
 
 
 def test_parse_basic_line():
-    rows, labels = parse_libsvm("+1 1:0.5 3:1.0")
+    rows, labels = parse_text("+1 1:0.5 3:1.0")
     assert rows.shape == (1, 3) and rows.data.size == 2
     feats = densify(rows)
     assert np.array_equal(feats[0], np.array([0.5, 0.0, 1.0]))
@@ -71,7 +70,7 @@ def test_parse_basic_line():
 
 
 def test_parse_zero_one_labels():
-    rows, labels = parse_libsvm("0 2:1\n1 1:1\n")
+    rows, labels = parse_text("0 2:1\n1 1:1\n")
     feats = densify(rows)
     assert feats.shape[1] == 2
     assert labels[0] == -1 and labels[1] == 1
@@ -79,12 +78,12 @@ def test_parse_zero_one_labels():
 
 
 def test_parse_one_two_labels_mushrooms_convention():
-    _, labels = parse_libsvm("1 1:1\n2 1:2\n")
+    _, labels = parse_text("1 1:1\n2 1:2\n")
     assert labels[0] == 1 and labels[1] == -1
 
 
 def test_parse_dim_override_upward():
-    rows, _ = parse_libsvm("+1 1:1 5:2", dim=123)
+    rows, _ = parse_text("+1 1:1 5:2", dim=123)
     feats = densify(rows)
     assert feats.shape[1] == 123
     assert feats[0].shape == (123,)
@@ -93,27 +92,17 @@ def test_parse_dim_override_upward():
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as e:
-        parse_libsvm("+1 1:0.5\n-1 2:x\n")
+        parse_text("+1 1:0.5\n-1 2:x\n")
     assert e.value.line == 2
     with pytest.raises(ParseError) as e:
-        parse_libsvm("+1 3:1 2:1")
+        parse_text("+1 3:1 2:1")
     assert e.value.line == 1
     with pytest.raises(ParseError):
-        parse_libsvm("+1 0:1")  # not 1-based
+        parse_text("+1 0:1")  # not 1-based
     with pytest.raises(ParseError):
-        parse_libsvm("3 1:1")  # unmappable label set
+        parse_text("3 1:1")  # unmappable label set
     with pytest.raises(ParseError):
-        parse_libsvm("abc 1:1")
-
-
-def test_parse_accepts_bytes_and_streams(tmp_path):
-    feats = densify(parse_libsvm(b"+1 2:1.5\n")[0])
-    assert feats.shape[1] == 2 and feats[0][1] == 1.5
-    path = tmp_path / "data.txt"
-    path.write_text("-1 1:2\n")
-    with open(path, "rb") as f:
-        _, labels = parse_libsvm(f)
-    assert labels[0] == -1
+        parse_text("abc 1:1")
 
 
 # ---------------------------------------------------------------- partition

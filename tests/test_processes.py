@@ -155,7 +155,7 @@ def commands(tmp):
     paths = {name: tmp / name for name in [*files, "utf8"]}
     for name, text in files.items():
         paths[name].write_text(text)
-    paths["utf8"].write_bytes(b"+1 1:1\n-1 2:1 \xff\n")
+    paths["utf8"].write_bytes(b"+1 1:1\n-1 2:1\n+1 3:1 \xff\n")
     base = ["--config", str(paths["tiny"])]
     one_hot = [*base, "--dataset", str(paths["one_hot"]), "--dim", "12"]
     four = [*base, "--dataset", str(paths["four_of_ten"]), "--dim", "10"]
@@ -303,33 +303,48 @@ def test_a_refused_input_prints_one_error_line_and_writes_nothing(session):
     assert not (tmp / "refused").exists()
     assert results["refused certify --algorithm dsgd"]["err"] == (
         "error: algorithm 'dsgd' has no certificate\n")
-    assert results["refused run utf8"]["err"] == "error: line 2: non-ASCII byte 0xff\n"
+    assert results["refused run utf8"]["err"] == (
+        f"error: {tmp / 'utf8'}: line 3: non-ASCII byte 0xff\n")
 
 
 # ------------------------------------- refusals and edge cases, one process each
 
-# A file that is not UTF-8 is refused by its reader, naming the line of the
-# first byte that does not decode, in one error line and no traceback.
+# A bad input file is refused by its reader, naming the file and the line
+# of the first fault, in one error line and no traceback: a byte that does
+# not decode, or a malformed line.
+RUN = ["run", "--config", "{config}", "--out", "{tmp}/out"]
+TOPOLOGY = [*RUN, "--topology-file", "{file}"]
+DATASET = [*RUN, "--dataset", "{file}"]
+GRID = ["tune", "--config", "{config}", "--algorithm", "dsgd", "--target-error", "7",
+        "--grid", "{file}"]
+CONFIG = ["run", "--config", "{file}", "--out", "{tmp}/out"]
 UNDECODABLE = {
-    "topology": (["run", "--config", "{config}", "--topology-file", "{file}",
-                  "--out", "{tmp}/out"],
-                 b"3 2\n0 1 1.0\n1 2 \xff1.0\n", "line 3: invalid UTF-8 byte 0xff"),
-    "config": (["run", "--config", "{file}", "--out", "{tmp}/out"],
-               b"dim = 4\n# caf\xe9\nn_agents = 3\n", "line 2: invalid UTF-8 byte 0xe9"),
-    "grid": (["tune", "--config", "{config}", "--algorithm", "dsgd", "--target-error", "7",
-              "--grid", "{file}"],
-             b"step_size=0.1\nstep_size=\xff\n", "line 2: invalid UTF-8 byte 0xff"),
+    "topology": (TOPOLOGY, b"3 2\n0 1 1.0\n1 2 \xff1.0\n", "invalid UTF-8 byte 0xff"),
+    "config": (CONFIG, b"dim = 4\nn_agents = 3\n# caf\xe9\n", "invalid UTF-8 byte 0xe9"),
+    "grid": (GRID, b"step_size=0.1\n\nstep_size=\xff\n", "invalid UTF-8 byte 0xff"),
+    "dataset": (DATASET, b"+1 1:1\n-1 2:1\n+1 3:\xc3\xa9\n", "non-ASCII byte 0xc3"),
 }
+MALFORMED = {
+    "topology": (TOPOLOGY, b"3 2\n0 1 1.0\n1 5 1.0\n", "edge (1, 5) outside 0..2"),
+    "config": (CONFIG, b"dim = 4\nn_agents = 3\ndim = 5\n",
+               "key 'dim' was already set on line 1"),
+    "grid": (GRID, b"step_size=0.1\n# next\nstep_size 0.2\n",
+             "expected key=value, got 'step_size'"),
+    "dataset": (DATASET, b"+1 1:1\n-1 2:1\n+1 3:x\n", "bad feature token '3:x'"),
+}
+BAD_FILES = {**{f"{name} undecodable": case for name, case in UNDECODABLE.items()},
+             **{f"{name} malformed": case for name, case in MALFORMED.items()}}
 
 
-@pytest.mark.parametrize("argv, data, message", UNDECODABLE.values(), ids=UNDECODABLE)
-def test_a_file_that_is_not_utf8_is_refused_in_one_error_line(argv, data, message, tmp_path):
+@pytest.mark.parametrize("argv, data, message", BAD_FILES.values(), ids=BAD_FILES)
+def test_a_bad_input_file_is_refused_in_one_error_line_that_names_it(
+        argv, data, message, tmp_path):
     config, bad = tmp_path / "tiny.cfg", tmp_path / "bad"
     config.write_text(TINY)
     bad.write_bytes(data)
     argv = [a.format(config=config, file=bad, tmp=tmp_path) for a in argv]
     done = subprocess.run([*CLI, *argv], env=environment(), capture_output=True, text=True)
-    assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
+    assert (done.returncode, done.stderr) == (1, f"error: {bad}: line 3: {message}\n")
     assert not (tmp_path / "out").exists()
 
 

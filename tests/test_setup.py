@@ -2,7 +2,6 @@
 the per-line, per-sample and per-agent loops and the dense set-up of
 ``oracles.py``."""
 
-import io
 import json
 import runpy
 import tracemalloc
@@ -31,6 +30,7 @@ from oracles import (
     objective_per_agent,
     parse_and_partition_dense,
     parse_libsvm_per_token,
+    parse_text,
     partition_samples,
     rel_err,
     scipy_csr,
@@ -78,7 +78,7 @@ def outcome(parse, text, **kw):
 
 
 def assert_same_outcome(text, dim=None):
-    got = outcome(parse_libsvm, text, dim=dim)
+    got = outcome(parse_text, text, dim=dim)
     want = outcome(parse_libsvm_per_token, text, dim=dim)
     if isinstance(want[0], str):
         assert got == want
@@ -147,7 +147,7 @@ def test_parse_matches_per_token_parser_on_valid_files(
     entries, dim = lines
     text = render(entries, newline, pad)
     with mock.patch.object(loss, "_CHUNK_LINES", chunk):
-        rows, labels = parse_libsvm(text, dim=dim + extra_dim if override else None)
+        rows, labels = parse_text(text, dim=dim + extra_dim if override else None)
         got = densify(rows), labels
     want = parse_libsvm_per_token(text, dim=dim + extra_dim if override else None)
     assert_same_arrays(got, want)
@@ -179,12 +179,12 @@ def test_partition_of_parsed_rows_equals_the_dense_route_bitwise(
     bad = np.flatnonzero(~np.isfinite(parse_libsvm_per_token(text, dim=dim)[0]).all(axis=1))
     if bad.size:
         dense = csr_rows(*parse_libsvm_per_token(text, dim=dim))
-        for rows in (parse_libsvm(text, dim=dim), dense):
+        for rows in (parse_text(text, dim=dim), dense):
             with pytest.raises(ParameterError, match=rf"^row {bad[0]} \(0-based"):
                 partition(rows, n_agents, per_agent, seed, 0.1)
         return
     with mock.patch.object(loss, "_CHUNK_LINES", chunk):
-        got, got_test = partition(parse_libsvm(text, dim=dim), n_agents, per_agent, seed, 0.1)
+        got, got_test = partition(parse_text(text, dim=dim), n_agents, per_agent, seed, 0.1)
     block, labels, test_features, test_labels = parse_and_partition_dense(
         text, n_agents, per_agent, seed, dim=dim)
     assert got.shape[:2] == (n_agents, per_agent)
@@ -241,7 +241,7 @@ def test_parse_matches_per_token_parser_across_full_chunks():
     lines[2500] += " 3:x"
     lines[1500] = lines[1500].replace(":1", ":", 1)
     with pytest.raises(ParseError) as e:
-        parse_libsvm("\n".join(lines))
+        parse_text("\n".join(lines))
     assert e.value.line == 1501
     assert_same_outcome("\n".join(lines))
 
@@ -293,7 +293,7 @@ def test_parse_matches_per_token_parser_on_tricky_lines(line, error):
             assert_same_outcome(line)
             assert_same_outcome("1 1:1\n" * 5 + line)
     if error is not None:
-        assert outcome(parse_libsvm, line) == (f"line {error[0]}: {error[1]}", error[0])
+        assert outcome(parse_text, line) == (f"line {error[0]}: {error[1]}", error[0])
 
 
 def test_parse_refuses_an_index_beyond_int64_like_the_per_token_parser():
@@ -303,11 +303,11 @@ def test_parse_refuses_an_index_beyond_int64_like_the_per_token_parser():
         text = f"1 1:1\n-1 2:1 {token}\n1 3:1"
         want = outcome(parse_libsvm_per_token, text)
         assert want[1] == 2
-        assert outcome(parse_libsvm, text) == want
-    assert parse_libsvm(f"1 1:1 {2**63 - 1}:1")[0].indices.tolist() == [0, 2**63 - 2]
+        assert outcome(parse_text, text) == want
+    assert parse_text(f"1 1:1 {2**63 - 1}:1")[0].indices.tolist() == [0, 2**63 - 2]
     message = "line 1: feature token '9223372036854775808:1' has an index past int64"
     with pytest.raises(ParseError, match=message):
-        parse_libsvm(f"1 1:1 {2**63}:1")
+        parse_text(f"1 1:1 {2**63}:1")
 
 
 @pytest.mark.parametrize(
@@ -324,13 +324,12 @@ def test_parse_refuses_invalid_utf8_at_the_line_of_the_first_bad_byte(data, line
     # Bytes that are not UTF-8 are refused as every non-ASCII byte is: at
     # the first one, on its line counted by \n.
     with pytest.raises(ParseError) as e:
-        parse_libsvm(data)
+        parse_text(data)
     assert e.value.line == line
     assert str(e.value) == f"line {line}: non-ASCII byte {byte:#04x}"
     assert outcome(parse_libsvm_per_token, data) == (str(e.value), line)
 
 
-@pytest.mark.parametrize("kind", ["str", "bytes", "binary file", "text file"])
 @pytest.mark.parametrize(
     "text, line, byte",
     [
@@ -339,31 +338,28 @@ def test_parse_refuses_invalid_utf8_at_the_line_of_the_first_bad_byte(data, line
         ("1 1:1\n1 1:x\n1 \u0661:2\n", 3, 0xD9),  # refused before any line is parsed
     ],
 )
-def test_parse_refuses_non_ascii_text_with_its_line_and_first_byte(text, line, byte, kind):
-    # A str is read as its UTF-8.
-    data = text.encode()
-    source = {"str": text, "bytes": data, "binary file": io.BytesIO(data),
-              "text file": io.StringIO(text)}[kind]
+def test_parse_refuses_non_ascii_text_with_its_line_and_first_byte(text, line, byte):
     with pytest.raises(ParseError) as e:
-        parse_libsvm(source)
+        parse_text(text)
     assert str(e.value) == f"line {line}: non-ASCII byte {byte:#04x}"
     assert e.value.line == line
     assert outcome(parse_libsvm_per_token, text) == (str(e.value), line)
 
 
-def test_parse_refuses_a_path_and_reads_a_str_as_the_text(tmp_path):
+def test_parse_reads_a_path_and_names_it_in_its_error(tmp_path):
     path = tmp_path / "data.svm"
     path.write_text("+1 1:1\n-1 2:1\n")
-    with pytest.raises(ParameterError, match="got the path .*data.svm.*; pass the file's text "
-                                             "or an open binary file"):
+    for source in (path, str(path)):
+        rows, labels = parse_libsvm(source)
+        assert labels.tolist() == [1, -1] and rows.shape == (2, 2)
+    path.write_text("+1 1:1\n-1 2:x\n")
+    with pytest.raises(ParseError, match=r"^line 2: bad feature token '2:x'$") as e:
         parse_libsvm(path)
-    # A str is the text: a file name is one data line with a bad label.
-    with pytest.raises(ParseError) as e:
-        parse_libsvm(str(path))
-    assert e.value.line == 1 and "bad label token" in str(e.value)
-    with open(path, "rb") as f:
-        rows, labels = parse_libsvm(f)
-    assert labels.tolist() == [1, -1] and rows.shape == (2, 2)
+    assert e.value.path == path
+    # The file's text is a path that does not exist, and is never parsed.
+    for text in ("+1 1:1\n-1 2:1\n", b"+1 1:1\n-1 2:1\n"):
+        with pytest.raises((OSError, TypeError)):
+            parse_libsvm(text)
 
 
 @pytest.mark.parametrize("past", [False, True])
@@ -374,7 +370,7 @@ def test_parse_switches_its_index_buffer_to_int64_once_an_index_passes_int32(pas
     if past:
         lines[2] += f" {2**31 + 5}:3"
     with mock.patch.object(loss, "_CHUNK_LINES", 1):
-        rows, labels = parse_libsvm("\n".join(lines))
+        rows, labels = parse_text("\n".join(lines))
     assert rows.indices.dtype == (np.int64 if past else np.int32)
     assert rows.indices.tolist() == [1, 6, 0, 2, 4] + [2**31 + 4] * past
     assert rows.data.tolist() == [0.5, 1.0, 2.0, -1.0, 4.0] + [3.0] * past
@@ -392,7 +388,7 @@ def test_parse_reports_an_error_on_a_slice_edge_like_the_per_token_parser(chunk,
     lines[bad - 1] = lines[bad - 1].replace(":0.5", ":x")
     text = "\n".join(lines)
     with mock.patch.object(loss, "_CHUNK_LINES", chunk), pytest.raises(ParseError) as e:
-        parse_libsvm(text)
+        parse_text(text)
     assert e.value.line == bad
     assert outcome(parse_libsvm_per_token, text) == (str(e.value), bad)
 
@@ -436,7 +432,7 @@ def test_tokens_are_separated_by_the_whitespace_of_bytes_split():
     kept = []
     for c in range(128):
         text = b"1 1:1" + bytes([c]) + b"2:1"
-        got = outcome(parse_libsvm, text)
+        got = outcome(parse_text, text)
         assert_same_outcome(text)
         if not isinstance(got[0], str) and got[0].tolist() == [[1.0, 1.0]]:
             kept.append(c)
@@ -461,7 +457,7 @@ def one_hot_libsvm(rows, attributes, columns, seed):
     ids=["a4a", "mushrooms", "scale200"],
 )
 def test_parse_and_partition_are_exact_and_peak_below_0_8x_the_matrix(
-    rows, attributes, columns, n_agents, per_agent
+    rows, attributes, columns, n_agents, per_agent, tmp_path
 ):
     # The benchmark's file and split shapes.  Parsing to a dense matrix and
     # gathering the local block from it peaked at 2.03-2.04x that matrix;
@@ -469,18 +465,22 @@ def test_parse_and_partition_are_exact_and_peak_below_0_8x_the_matrix(
     # 1.41-1.68x.  With the operator and a CSR test set only, parse peaked
     # at 0.85 / 0.97 / 0.56x (a4a / mushrooms / scale200) while it gathered
     # each slice's entries and concatenated them.  Written into arrays
-    # allocated once, parse peaks at 0.42 / 0.54 / 0.31x.  Partition, with
-    # the parsed rows alive, peaked at 0.44 / 0.65 / 0.41x with scipy's row
-    # indexing and a temporary of the agents' column offsets, and peaks at
-    # 0.40 / 0.65 / 0.39x with Csr.take and the offsets added in place: at
-    # mushrooms the parsed, local and test rows, alive together, set it.
-    # The bounds leave at least 20% over the highest of each.
+    # allocated once, parse peaked at 0.42 / 0.54 / 0.31x, with the file's
+    # text read before the count began.  Partition, with the parsed rows
+    # alive, peaked at 0.44 / 0.65 / 0.41x with scipy's row indexing and a
+    # temporary of the agents' column offsets, and peaks at 0.40 / 0.65 /
+    # 0.39x with Csr.take and the offsets added in place: at mushrooms the
+    # parsed, local and test rows, alive together, set it.  The parse reads
+    # the file itself, and with its text it peaks at 0.49 / 0.66 / 0.39x,
+    # above partition at a4a and mushrooms.  The bounds leave 13% over the
+    # highest.
     text = one_hot_libsvm(rows, attributes, columns, seed=rows)
-    source = io.BytesIO(text.encode())
+    path = tmp_path / "data.svm"
+    path.write_text(text)
     matrix = rows * columns * 8
     tracemalloc.start()
     try:
-        parsed = parse_libsvm(source)
+        parsed = parse_libsvm(path)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         local, test = partition(parsed, n_agents, per_agent, seed=1, lambda_reg=0.01)
@@ -514,7 +514,7 @@ def test_a_crlf_file_parses_bitwise_as_its_lf_copy(source, rows, seed, tmp_path)
         synth["write_libsvm"](path, synth["SHAPES"][source], rows, seed)
     lf = path.read_bytes()
     assert b"\r" not in lf
-    want, got = parse_libsvm(lf), parse_libsvm(lf.replace(b"\n", b"\r\n"))
+    want, got = parse_text(lf), parse_text(lf.replace(b"\n", b"\r\n"))
     assert got[0].shape == want[0].shape
     assert_same_arrays((got[0].indptr, got[0].indices, got[0].data, got[1]),
                        (want[0].indptr, want[0].indices, want[0].data, want[1]))
@@ -533,7 +533,7 @@ def test_a_crlf_file_parses_bitwise_as_its_lf_copy(source, rows, seed, tmp_path)
 def test_mixed_label_sets_name_the_first_label_that_fits_no_convention(labels, line, bad):
     text = "\n".join(f"{b} 1:1" for b in labels)
     with pytest.raises(ParseError) as e:
-        parse_libsvm(text)
+        parse_text(text)
     assert e.value.line == line
     assert str(e.value) == f"line {line}: unmappable label {bad}"
     assert outcome(parse_libsvm_per_token, text) == (str(e.value), line)
@@ -556,7 +556,7 @@ def test_cli_run_reports_a_bad_dataset_with_its_line_and_exit_code_1(
                  "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {path}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -566,7 +566,7 @@ def test_cli_run_reports_a_bad_dataset_with_its_line_and_exit_code_1(
 def test_partition_matches_the_sample_list_path_bitwise():
     for rows, labels in (
         csr_rows(*gaussian_blob_samples(130, 7, seed=3)),
-        parse_libsvm("\n".join(f"{(-1) ** k} {k % 5 + 1}:1 9:{k / 7!r}" for k in range(60))),
+        parse_text("\n".join(f"{(-1) ** k} {k % 5 + 1}:1 9:{k / 7!r}" for k in range(60))),
     ):
         feats = densify(rows)
         samples = [Sample(features=f, label=int(b)) for f, b in zip(feats, labels)]
@@ -596,7 +596,7 @@ def test_partition_of_sparse_rows_builds_the_block_diagonal_operator(seed):
             np.sort(rng.choice(np.arange(1, 11), k % 4, replace=False)), (k % 5, 1.5, -2))) + "\n"
         for k in range(50)
     )
-    rows, labels = parse_libsvm(text, dim=10)
+    rows, labels = parse_text(text, dim=10)
     assert rows.indices.dtype == np.int32
     local, test = partition((rows, labels), 4, 10, seed=3, lambda_reg=0.1)
     block, want_labels, test_features, _ = parse_and_partition_dense(text, 4, 10, 3, dim=10)
@@ -680,7 +680,7 @@ def test_load_data_hands_partition_csr_rows(dataset, tmp_path):
         path = tmp_path / "data.svm"
         path.write_text("".join(f"{(-1) ** k} {k % 4 + 1}:1 5:{k / 3!r}\n" for k in range(14)))
         config = replace(config, dataset=str(path))
-        want = densify(parse_libsvm(path.read_text(), dim=5)[0])
+        want = densify(parse_libsvm(path, dim=5)[0])
     else:
         want = gaussian_blob_samples(14, 5, 7)[0]
     rows, labels = experiment._load_data(config, 7)
@@ -713,7 +713,7 @@ def test_partition_offsets_agent_columns_past_int32(n_agents):
 
 def test_accuracy_reads_a_csr_test_set_as_the_dense_one():
     text = one_hot_libsvm(200, 3, 12, seed=6)
-    _, sparse = partition(parse_libsvm(text, dim=12), 4, 30, seed=2, lambda_reg=0.1)
+    _, sparse = partition(parse_text(text, dim=12), 4, 30, seed=2, lambda_reg=0.1)
     *_, features, labels = parse_and_partition_dense(text, 4, 30, 2, dim=12)
     assert isinstance(sparse.features, Csr)
     for x in np.random.default_rng(0).standard_normal((5, 12)):
@@ -732,7 +732,7 @@ def test_partition_refuses_parsed_rows_with_a_non_finite_value_and_names_the_row
     lines[row] = f"1 1:1 3:{value}"
     if row == 0:
         lines[7] = "-1 2:nan"  # only the first row is named
-    parsed = parse_libsvm("\n".join(lines), dim=3)
+    parsed = parse_text("\n".join(lines), dim=3)
     assert not np.isfinite(parsed[0].data).all()  # the parser keeps what it was given
     with pytest.raises(ParameterError,
                        match=rf"^row {row} \(0-based, in data order\) has a non-finite"):
@@ -784,7 +784,7 @@ def test_partition_of_a_dense_array_equals_that_of_its_csr_rows():
     # entries, so it gives the same operator and test set as those rows,
     # scipy's CSR arrays of the array.
     text = "".join(f"{(-1) ** k} 1:1 {k % 5 + 2}:1 8:2 10:1\n" for k in range(40))
-    parsed, labels = parse_libsvm(text)
+    parsed, labels = parse_text(text)
     for dense, labels in ((densify(parsed), labels), gaussian_blob_samples(40, 6, seed=1)):
         got, got_test = partition(csr_rows(dense, labels), 3, 10, seed=4, lambda_reg=0.1)
         scipys = scipy.sparse.csr_matrix(dense)
@@ -834,7 +834,7 @@ def gaussian_sets(n, C, d, seed=0, lam=0.05):
 def one_hot_sets(d, seed=0, lam=0.05):
     """Four equal local sets of one-hot rows, from partition."""
     text = one_hot_libsvm(60, max(1, d // 4), d, seed)
-    return partition(parse_libsvm(text, dim=d), 4, 12, seed, lam)[0]
+    return partition(parse_text(text, dim=d), 4, 12, seed, lam)[0]
 
 
 def local_sets(sizes, d, seed=0):
@@ -908,7 +908,7 @@ def test_reference_solve_with_its_float32_hessian_keeps_the_float64_tolerance(la
     # so that the solve forms 4-5 Hessians.  The Hessian is only the metric
     # of a Newton step, and the float64 gradient test decides where the
     # solve stops.
-    rows, _ = parse_libsvm(one_hot_libsvm(20 * 239, 14, 123, seed=6), dim=123)
+    rows, _ = parse_text(one_hot_libsvm(20 * 239, 14, 123, seed=6), dim=123)
     rng = np.random.default_rng(6)
     logits = rows @ rng.standard_normal(123)
     labels = np.where(rng.random(rows.shape[0]) < 1.0 / (1.0 + np.exp(-logits)), 1.0, -1.0)
@@ -951,7 +951,7 @@ def test_csr_sets_read_as_their_dense_block_bitwise_in_every_set_up_reader(sizes
     # 12) divides a chunk of 7 or 1024 rows.
     if sizes == "one-hot":
         text = one_hot_libsvm(60, 3, 12, seed=3)
-        sets, _ = partition(parse_libsvm(text, dim=12), 4, 12, 3, 0.05)
+        sets, _ = partition(parse_text(text, dim=12), 4, 12, 3, 0.05)
         block = parse_and_partition_dense(text, 4, 12, 3, dim=12)[0]
     else:
         n, C = sizes

@@ -97,10 +97,12 @@ def test_graph_invariants_enforced():
         laplacian_weights(0, {})
     with pytest.raises(ParameterError, match="self-loop at agent 0"):
         laplacian_weights(3, {(0, 0): 1.0})
-    with pytest.raises(ParameterError, match=r"edge \(0,3\) outside 0..2"):
+    with pytest.raises(ParameterError, match=r"edge \(0, 3\) outside 0..2"):
         laplacian_weights(3, {(0, 3): 1.0})
     with pytest.raises(ParameterError, match="graph is not connected"):
         laplacian_weights(4, {(0, 1): 1.0, (2, 3): 1.0})
+    with pytest.raises(ParameterError, match=r"edge \(0, 1\) has weight -1.0"):
+        laplacian_weights(2, {(1, 0): -1})
     # An edge given both ways is one edge.
     p = laplacian_weights(3, {(0, 1): 1.0, (1, 2): 1.0, (1, 0): 1.0})
     assert p.n_edges == 2 and p.edges == ((0, 1), (1, 2))
@@ -308,17 +310,44 @@ def test_edge_list_parse_errors(tmp_path):
         read_text(tmp_path, "2 1\n0 1\n")
     with pytest.raises(ParseError):
         read_text(tmp_path, "2 2\n0 1 1.0\n")  # wrong edge count
-    with pytest.raises(ParameterError):
-        read_text(tmp_path, "2 1\n0 1 inf\n")
-    with pytest.raises(ParseError) as e:
+    with pytest.raises(ParseError, match="^line 3: edge .0, 1. was already given on line 2$"):
         read_text(tmp_path, "2 1\n0 1 1.0\n1 0 5.0\n")  # one edge, twice
-    assert e.value.line == 3
+    # A triangle and a fourth agent with no edge: every line is good.
+    with pytest.raises(ParseError, match="^graph is not connected$") as e:
+        read_text(tmp_path, "4 3\n0 1 1.0\n1 2 1.0\n0 2 1.0\n")
+    assert e.value.line is None
     err = None
     try:
         read_text(tmp_path, "2 1\n0 x 1.0\n")
     except ParseError as e:
         err = e
     assert err is not None and err.line == 2
+
+
+# Edge lines that laplacian_weights would refuse, with no line, after the
+# whole file was read.
+@pytest.mark.parametrize(
+    "edge, message",
+    [("1 5 1.0", "edge (1, 5) outside 0..2"), ("-1 2 1.0", "edge (-1, 2) outside 0..2"),
+     ("2 2 1.0", "self-loop at agent 2"),
+     ("1 2 -1", "edge (1, 2) has weight -1.0; weights must be positive and finite"),
+     ("2 1 0", "edge (2, 1) has weight 0.0; weights must be positive and finite"),
+     ("1 2 nan", "edge (1, 2) has weight nan; weights must be positive and finite"),
+     ("1 2 1e400", "edge (1, 2) has weight inf; weights must be positive and finite")],
+)
+def test_edge_list_refuses_a_bad_edge_on_its_own_line(edge, message, tmp_path):
+    path = tmp_path / "network.txt"
+    path.write_text(f"3 3\n0 1 1.0\n{edge}\n0 2 1.0\n")
+    with pytest.raises(ParseError) as e:
+        read_edge_list(path)
+    assert (str(e.value), e.value.path) == (f"line 3: {message}", path)
+
+
+def test_edge_list_reads_a_trailing_comment(tmp_path):
+    path = tmp_path / "network.txt"
+    path.write_text("3 2 # agents, edges\n0 1 1.0 # note\n1 2 0.5#\n")
+    p = read_edge_list(path)
+    assert p.edges == ((0, 1), (1, 2)) and p.matrix[1, 2] == -0.5
 
 
 def test_edge_list_is_utf8_and_names_the_line_of_a_byte_that_is_not(tmp_path):
